@@ -742,7 +742,6 @@ fn serve(args: &Args) -> Result<(), String> {
     let listen = args.get_or("listen", "127.0.0.1:9900");
     let config = IngestConfig {
         burst: args.get_usize("burst", 64)?.max(1),
-        max_frame: args.get_usize("max-frame", 2048)?,
     };
     let server =
         IngestServer::bind(listen, config).map_err(|e| format!("cannot bind {listen}: {e}"))?;
@@ -884,8 +883,19 @@ fn run_serve<N: pipeleon_sim::NicBackend>(
         server.metrics_into(&mut reg);
     }
     let s = server.stats();
-    println!("frames served:     {}", s.frames);
-    println!("responses sent:    {}", s.responses);
+    let per = |frames: u64, datagrams: u64| frames as f64 / datagrams.max(1) as f64;
+    println!(
+        "frames served:     {} ({:.1} frames/datagram over {} datagrams)",
+        s.frames,
+        per(s.frames, s.datagrams),
+        s.datagrams
+    );
+    println!(
+        "responses sent:    {} ({:.1} frames/datagram over {} datagrams)",
+        s.responses,
+        per(s.responses, s.response_datagrams),
+        s.response_datagrams
+    );
     println!("decode errors:     {}", s.decode_errors);
     println!(
         "drops:             {} (oversize {}, encode {}, tx {})",
@@ -940,6 +950,10 @@ fn drive(args: &Args) -> Result<(), String> {
     let dropped = report.echoes.iter().filter(|e| e.packet.dropped).count();
     println!("sent:              {}", batch.len());
     println!("echoed:            {}", report.echoes.len());
+    println!(
+        "trains:            {} sent, {} received",
+        report.trains_sent, report.trains_received
+    );
     println!("decode errors:     {}", report.decode_errors);
     println!("dropped verdicts:  {dropped}");
     println!("mean RTT (ns):     {:.0}", report.mean_rtt_ns());
@@ -1591,6 +1605,19 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("pipeleon_e2e_latency_ns_bucket"), "{text}");
+        // Window 32 rides in trains: far fewer datagrams than frames, and
+        // none of them too long for the server.
+        let rx: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("pipeleon_ingest_datagrams_total{dir=\"rx\"} "))
+            .expect("rx datagram count exported")
+            .parse()
+            .expect("a count");
+        assert!((1..600).contains(&rx), "{rx} datagrams for 600 frames");
+        assert!(
+            text.contains("pipeleon_ingest_dropped_total{reason=\"oversize\"} 0"),
+            "{text}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,7 +8,11 @@
 //!
 //! Replay is **windowed**: at most `window` requests are outstanding at
 //! any moment, which keeps kernel socket buffers from overflowing on
-//! loopback and makes the replay lossless in practice. A request whose
+//! loopback and makes the replay lossless in practice. Every request the
+//! window allows *now* leaves in one datagram (a train, see
+//! [`wire`]), so a window of one is one frame out, one frame back, and a
+//! wide window pays a syscall pair per train instead of per packet; the
+//! client never holds a request back to fill a train. A request whose
 //! response does not arrive within the read timeout is a hard
 //! [`ClientError::Timeout`] — tests use this to assert zero loss.
 
@@ -27,7 +31,9 @@ pub struct Echo {
     pub seq: u64,
     /// The post-datapath packet: mutated slots, drop flag, egress port.
     pub packet: Packet,
-    /// Round-trip time from send to response receipt.
+    /// Round-trip time of the trains that carried it: from the send of
+    /// the request's datagram to the receipt of the datagram holding its
+    /// response, so echoes that shared both share one value.
     pub rtt_ns: u64,
 }
 
@@ -36,9 +42,13 @@ pub struct Echo {
 pub struct ReplayReport {
     /// Verdicts in sequence order, one per replayed packet.
     pub echoes: Vec<Echo>,
-    /// Response datagrams that failed to decode or carried an unknown
-    /// or duplicate sequence number.
+    /// Response trains cut short by a frame that failed to decode, plus
+    /// frames carrying an unknown or duplicate sequence number.
     pub decode_errors: u64,
+    /// Request datagrams sent.
+    pub trains_sent: u64,
+    /// Response datagrams received.
+    pub trains_received: u64,
 }
 
 impl ReplayReport {
@@ -139,20 +149,30 @@ impl NetClient {
         let mut echoes: Vec<Option<Echo>> = vec![None; n];
         let mut sent_at: Vec<Option<Instant>> = vec![None; n];
         let mut decode_errors = 0u64;
+        let (mut trains_sent, mut trains_received) = (0u64, 0u64);
         let mut received = 0usize;
-        let mut frame = vec![0u8; map.frame_len()];
-        let mut rx = vec![0u8; map.frame_len() + 64];
+        let mut tx = vec![0u8; wire::MAX_DATAGRAM];
+        let mut rx = vec![0u8; wire::MAX_DATAGRAM];
+        // A frame wider than a datagram fails its encode below.
+        let per_train = (wire::MAX_DATAGRAM / map.frame_len()).max(1);
 
         let mut next = 0usize;
         while received < n {
-            // Fill the window.
+            // Fill the window, one train per send.
             while next < n && next - received < self.window {
-                let len = wire::encode_into(&mut frame, &packets[next], map, next as u64, false)?;
-                sent_at[next] = Some(Instant::now());
-                self.socket.send(&frame[..len])?;
-                next += 1;
+                let room = (self.window - (next - received)).min(per_train);
+                let train = next..n.min(next + room);
+                let mut len = 0usize;
+                for seq in train.clone() {
+                    len +=
+                        wire::encode_into(&mut tx[len..], &packets[seq], map, seq as u64, false)?;
+                }
+                sent_at[train.clone()].fill(Some(Instant::now()));
+                self.socket.send(&tx[..len])?;
+                trains_sent += 1;
+                next = train.end;
             }
-            // Await one response.
+            // Await one response train.
             let got = match self.socket.recv(&mut rx) {
                 Ok(got) => got,
                 Err(e)
@@ -166,24 +186,27 @@ impl NetClient {
                 }
                 Err(e) => return Err(ClientError::Io(e)),
             };
-            match wire::decode(&rx[..got], map) {
-                Ok(d) => {
-                    let seq = d.seq as usize;
-                    match sent_at.get(seq).copied().flatten() {
-                        Some(t0) if echoes[seq].is_none() => {
-                            let rtt = t0.elapsed();
-                            echoes[seq] = Some(Echo {
-                                seq: d.seq,
-                                packet: d.packet,
-                                rtt_ns: u64::try_from(rtt.as_nanos()).unwrap_or(u64::MAX),
-                            });
-                            received += 1;
-                        }
-                        // Unknown or duplicate seq: count, keep going.
-                        _ => decode_errors += 1,
+            let now = Instant::now();
+            trains_received += 1;
+            for frame in wire::frames(&rx[..got], map) {
+                let Ok(d) = frame else {
+                    decode_errors += 1;
+                    continue;
+                };
+                let seq = d.seq as usize;
+                match sent_at.get(seq).copied().flatten() {
+                    Some(t0) if echoes[seq].is_none() => {
+                        let rtt = now.duration_since(t0);
+                        echoes[seq] = Some(Echo {
+                            seq: d.seq,
+                            packet: d.packet,
+                            rtt_ns: u64::try_from(rtt.as_nanos()).unwrap_or(u64::MAX),
+                        });
+                        received += 1;
                     }
+                    // Unknown or duplicate seq: count, keep going.
+                    _ => decode_errors += 1,
                 }
-                Err(_) => decode_errors += 1,
             }
         }
         Ok(ReplayReport {
@@ -192,6 +215,8 @@ impl NetClient {
                 .map(|e| e.expect("all received"))
                 .collect(),
             decode_errors,
+            trains_sent,
+            trains_received,
         })
     }
 }

@@ -1,25 +1,37 @@
 //! The socket-facing ingest run-loop.
 //!
-//! An [`IngestServer`] owns a non-blocking UDP socket and reusable frame
-//! buffers. Each [`IngestServer::poll_once`] call performs one cycle:
+//! An [`IngestServer`] owns a non-blocking UDP socket, one receive
+//! buffer and one response buffer. A datagram is a train of frames (see
+//! [`wire`]), and each [`IngestServer::poll_once`] call performs one
+//! cycle:
 //!
-//! 1. **recv-burst** — drain up to `burst` datagrams into the reusable
-//!    buffers, stamping an ingest [`Instant`] per frame;
-//! 2. **decode** — run the wire codec over each frame; malformed frames
-//!    are dropped with per-reason accounting, never served;
-//! 3. **process** — feed the whole burst to the backend's
+//! 1. **recv-burst** — receive datagrams until the socket is empty or
+//!    the burst holds `burst` packets, decoding each datagram's frames
+//!    straight into the burst as it arrives and stamping one ingest
+//!    [`Instant`] per datagram; malformed input is dropped with
+//!    per-reason accounting, never served;
+//! 2. **process** — feed the whole burst to the backend's
 //!    `process_batch` (one datapath call per burst, matching the
 //!    emulator's run-loop batching);
-//! 4. **tx-burst** — encode each verdict into a response frame and send
-//!    it back to the requesting peer, recording end-to-end latency
-//!    (ingest timestamp → response handed to the kernel) into a
-//!    [`LatencyHistogram`].
+//! 3. **tx-burst** — encode the verdicts into response trains, one per
+//!    run of consecutive packets of the same peer (split at
+//!    [`wire::MAX_DATAGRAM`]), and send each back, recording end-to-end
+//!    latency (ingest timestamp → train handed to the kernel) per frame
+//!    into a [`LatencyHistogram`].
 //!
-//! Overload policy: in-flight buffering is bounded by the burst size;
-//! anything the kernel socket buffer cannot hold is dropped by the OS
-//! before we see it, and anything we cannot decode, encode, or send is
-//! dropped *with an explicit counter* — the server never blocks on a
-//! slow peer and never buffers unboundedly.
+//! Malformed trains: the frames before the first bad one are served; the
+//! rest of that datagram, or trailing bytes shorter than a frame, is
+//! dropped as **one** `decode_error`, because a frame that does not
+//! decode gives no offset to resume from. A datagram longer than
+//! [`wire::MAX_DATAGRAM`] is one `oversize` drop. Neither is answered.
+//!
+//! Overload policy: a poll stops receiving once it holds `burst`
+//! packets, so in-flight work is below `burst` plus one train; the
+//! server answers what it decoded *this* poll and never waits to fill a
+//! train. Anything the kernel socket buffer cannot hold is dropped by
+//! the OS before we see it, and anything we cannot decode, encode, or
+//! send is dropped *with an explicit counter* — the server never blocks
+//! on a slow peer and never buffers unboundedly.
 
 use crate::fieldmap::FieldMap;
 use crate::wire::{self, DecodeError};
@@ -32,51 +44,52 @@ use std::time::Instant;
 /// Tuning knobs for an [`IngestServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestConfig {
-    /// Maximum datagrams pulled per poll cycle (bounds in-flight work).
+    /// A poll cycle stops receiving once it holds this many packets
+    /// (bounds in-flight work at `burst` plus one train).
     pub burst: usize,
-    /// Receive buffer size per frame; larger datagrams are truncated by
-    /// the kernel and counted as oversize drops.
-    pub max_frame: usize,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
-        IngestConfig {
-            burst: 64,
-            max_frame: 2048,
-        }
+        IngestConfig { burst: 64 }
     }
 }
 
 /// Cumulative ingest/egress accounting for one server.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
+    /// Datagrams received, well-formed or not.
+    pub datagrams: u64,
     /// Well-formed frames decoded and served.
     pub frames: u64,
-    /// Frames rejected by the codec.
+    /// Trains cut short by a frame the codec rejected (one per datagram).
     pub decode_errors: u64,
-    /// Datagrams that filled the receive buffer (likely truncated).
+    /// Datagrams longer than [`wire::MAX_DATAGRAM`].
     pub oversize: u64,
     /// Responses that failed width validation at encode time.
     pub encode_errors: u64,
-    /// Responses the kernel refused to send.
+    /// Response frames the kernel refused to send.
     pub tx_dropped: u64,
     /// Response frames handed to the kernel.
     pub responses: u64,
+    /// Response datagrams handed to the kernel.
+    pub response_datagrams: u64,
 }
 
 impl IngestStats {
-    /// Total frames dropped for any reason.
+    /// Total drops for any reason.
     pub fn dropped(&self) -> u64 {
         self.decode_errors + self.oversize + self.encode_errors + self.tx_dropped
     }
 }
 
-struct Slot {
-    buf: Vec<u8>,
-    len: usize,
+/// Where a received datagram's packets sit in the burst.
+#[derive(Clone, Copy)]
+struct Origin {
     peer: SocketAddr,
     at: Instant,
+    /// Index in the burst of the datagram's first packet.
+    first: usize,
 }
 
 /// A UDP server that serves live traffic through a [`NicBackend`].
@@ -88,8 +101,17 @@ struct Slot {
 pub struct IngestServer {
     socket: UdpSocket,
     config: IngestConfig,
-    slots: Vec<Slot>,
-    out: Vec<u8>,
+    /// One byte longer than the longest datagram accepted, so a longer
+    /// one shows as a full buffer.
+    rx: Vec<u8>,
+    /// The response train being built.
+    tx: Vec<u8>,
+    /// Ingest instant of each frame in `tx`.
+    tx_at: Vec<Instant>,
+    // The burst, kept between polls for its capacity.
+    packets: Vec<Packet>,
+    seqs: Vec<u64>,
+    origins: Vec<Origin>,
     stats: IngestStats,
     e2e: LatencyHistogram,
     last_decode_error: Option<DecodeError>,
@@ -101,20 +123,15 @@ impl IngestServer {
     pub fn bind<A: ToSocketAddrs>(addr: A, config: IngestConfig) -> io::Result<IngestServer> {
         let socket = UdpSocket::bind(addr)?;
         socket.set_nonblocking(true)?;
-        let placeholder: SocketAddr = ([0, 0, 0, 0], 0).into();
-        let slots = (0..config.burst.max(1))
-            .map(|_| Slot {
-                buf: vec![0u8; config.max_frame.max(wire::HDR_LEN + wire::PAYLOAD_FIXED)],
-                len: 0,
-                peer: placeholder,
-                at: Instant::now(),
-            })
-            .collect();
         Ok(IngestServer {
             socket,
             config,
-            slots,
-            out: Vec::new(),
+            rx: vec![0u8; wire::MAX_DATAGRAM + 1],
+            tx: vec![0u8; wire::MAX_DATAGRAM],
+            tx_at: Vec::new(),
+            packets: Vec::new(),
+            seqs: Vec::new(),
+            origins: Vec::new(),
             stats: IngestStats::default(),
             e2e: LatencyHistogram::new(),
             last_decode_error: None,
@@ -131,86 +148,123 @@ impl IngestServer {
         self.config
     }
 
-    /// One recv-burst / decode / process / tx-burst cycle against `nic`.
+    /// One recv-burst / process / tx-burst cycle against `nic`.
     ///
-    /// Returns the number of datagrams received (0 when the socket was
-    /// idle — callers typically sleep briefly before polling again).
-    /// Real socket errors other than `WouldBlock` surface as `Err`.
+    /// Returns the number of packets this cycle handled: frames decoded
+    /// plus drops at receipt (0 when the socket was idle — callers
+    /// typically sleep briefly before polling again). Real socket errors
+    /// other than `WouldBlock` surface as `Err`.
     pub fn poll_once<N: NicBackend>(&mut self, nic: &mut N, map: &FieldMap) -> io::Result<usize> {
-        // 1. recv-burst into the reusable slots.
-        let mut received = 0usize;
-        while received < self.slots.len() {
-            let slot = &mut self.slots[received];
-            match self.socket.recv_from(&mut slot.buf) {
-                Ok((n, peer)) => {
-                    slot.len = n;
-                    slot.peer = peer;
-                    slot.at = Instant::now();
-                    received += 1;
-                }
+        // 1. recv-burst, decoding each datagram into the burst.
+        self.packets.clear();
+        self.seqs.clear();
+        self.origins.clear();
+        let mut rejected = 0usize;
+        while self.packets.len() + rejected < self.config.burst.max(1) {
+            let (n, peer) = match self.socket.recv_from(&mut self.rx) {
+                Ok(got) => got,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 // Loopback peers that closed their socket surface async
-                // ICMP errors here; treat as an empty slot, not a crash.
+                // ICMP errors here; nothing was received, not a crash.
                 Err(e) if e.kind() == io::ErrorKind::ConnectionReset => continue,
                 Err(e) => return Err(e),
-            }
-        }
-        if received == 0 {
-            return Ok(0);
-        }
-
-        // 2. decode the burst.
-        let mut packets: Vec<Packet> = Vec::with_capacity(received);
-        let mut origin: Vec<usize> = Vec::with_capacity(received);
-        let mut seqs: Vec<u64> = Vec::with_capacity(received);
-        for (i, slot) in self.slots[..received].iter().enumerate() {
-            if slot.len == slot.buf.len() {
-                // recv filled the buffer exactly: the datagram may have
-                // been truncated by the kernel, so we cannot trust it.
+            };
+            let at = Instant::now();
+            self.stats.datagrams += 1;
+            if n == self.rx.len() {
+                // Longer than any train we send; the kernel cut it.
                 self.stats.oversize += 1;
+                rejected += 1;
                 continue;
             }
-            match wire::decode(&slot.buf[..slot.len], map) {
-                Ok(frame) => {
-                    packets.push(frame.packet);
-                    origin.push(i);
-                    seqs.push(frame.seq);
+            let first = self.packets.len();
+            for frame in wire::frames(&self.rx[..n], map) {
+                match frame {
+                    Ok(frame) => {
+                        self.packets.push(frame.packet);
+                        self.seqs.push(frame.seq);
+                    }
+                    Err(e) => {
+                        self.stats.decode_errors += 1;
+                        self.last_decode_error = Some(e);
+                        rejected += 1;
+                    }
                 }
-                Err(e) => {
-                    self.stats.decode_errors += 1;
-                    self.last_decode_error = Some(e);
+            }
+            if self.packets.len() > first {
+                self.origins.push(Origin { peer, at, first });
+            }
+        }
+        self.stats.frames += self.packets.len() as u64;
+        let Some(first) = self.origins.first() else {
+            return Ok(rejected);
+        };
+
+        // 2. one datapath call for the whole burst.
+        let _reports = nic.process_batch(&mut self.packets);
+
+        // 3. tx-burst: one train per run of packets of the same peer.
+        let frame_len = map.frame_len();
+        let (mut to, mut len) = (first.peer, 0usize);
+        for i in 0..self.origins.len() {
+            let origin = self.origins[i];
+            let end = self
+                .origins
+                .get(i + 1)
+                .map_or(self.packets.len(), |next| next.first);
+            for k in origin.first..end {
+                if len > 0 && (to != origin.peer || len + frame_len > self.tx.len()) {
+                    self.send_train(to, len)?;
+                    len = 0;
+                }
+                to = origin.peer;
+                match wire::encode_into(
+                    &mut self.tx[len..],
+                    &self.packets[k],
+                    map,
+                    self.seqs[k],
+                    true,
+                ) {
+                    Ok(n) => {
+                        len += n;
+                        self.tx_at.push(origin.at);
+                    }
+                    Err(_) => self.stats.encode_errors += 1,
                 }
             }
         }
-        self.stats.frames += packets.len() as u64;
-
-        // 3. one datapath call for the whole burst.
-        if !packets.is_empty() {
-            let _reports = nic.process_batch(&mut packets);
+        if len > 0 {
+            self.send_train(to, len)?;
         }
+        Ok(self.packets.len() + rejected)
+    }
 
-        // 4. tx-burst the verdicts back to their peers.
-        for (k, packet) in packets.iter().enumerate() {
-            let slot = &self.slots[origin[k]];
-            self.out.resize(map.frame_len(), 0);
-            match wire::encode_into(&mut self.out, packet, map, seqs[k], true) {
-                Ok(n) => match self.socket.send_to(&self.out[..n], slot.peer) {
-                    Ok(_) => {
-                        self.stats.responses += 1;
-                        self.e2e.record_duration(slot.at.elapsed());
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        self.stats.tx_dropped += 1;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {
-                        self.stats.tx_dropped += 1;
-                    }
-                    Err(e) => return Err(e),
-                },
-                Err(_) => self.stats.encode_errors += 1,
+    /// Sends `tx[..len]`, the train of the frames in `tx_at`, to `peer`.
+    fn send_train(&mut self, peer: SocketAddr, len: usize) -> io::Result<()> {
+        let frames = self.tx_at.len() as u64;
+        let sent = match self.socket.send_to(&self.tx[..len], peer) {
+            Ok(_) => {
+                let now = Instant::now();
+                self.stats.responses += frames;
+                self.stats.response_datagrams += 1;
+                for at in &self.tx_at {
+                    self.e2e.record_duration(now.duration_since(*at));
+                }
+                Ok(())
             }
-        }
-        Ok(received)
+            // A full socket buffer or a peer that went away drops the
+            // train; the server does not wait for either.
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock
+                    || e.kind() == io::ErrorKind::ConnectionReset =>
+            {
+                self.stats.tx_dropped += frames;
+                Ok(())
+            }
+            Err(e) => Err(e),
+        };
+        self.tx_at.clear();
+        sent
     }
 
     /// Cumulative counters since bind.
@@ -243,8 +297,18 @@ impl IngestServer {
         );
         m.counter_set("pipeleon_ingest_responses_total", &[], self.stats.responses);
         m.help(
+            "pipeleon_ingest_datagrams_total",
+            "Datagrams received (rx) and response datagrams sent (tx); frames per datagram is the train length",
+        );
+        for (dir, v) in [
+            ("rx", self.stats.datagrams),
+            ("tx", self.stats.response_datagrams),
+        ] {
+            m.counter_set("pipeleon_ingest_datagrams_total", &[("dir", dir)], v);
+        }
+        m.help(
             "pipeleon_ingest_dropped_total",
-            "Frames dropped by the ingest path, by reason",
+            "Drops by the ingest path, by reason",
         );
         for (reason, v) in [
             ("decode_error", self.stats.decode_errors),

@@ -14,13 +14,17 @@
 //!   list or by conservative name inference.
 //! * [`wire`] — the frame codec: symmetric [`encode`]/[`decode`] over
 //!   Eth/IPv4/UDP plus a slot-residue payload section; total over
-//!   arbitrary bytes (typed [`DecodeError`], never a panic).
+//!   arbitrary bytes (typed [`DecodeError`], never a panic). A datagram
+//!   is a train of whole frames back to back, walked by [`frames`], so
+//!   both ends pay a syscall pair per burst rather than per packet.
 //! * [`ingest`] — the serving loop: [`IngestServer`] recv-bursts
-//!   datagrams, decodes in batches, feeds `process_batch`, tx-bursts
-//!   responses, and accounts every drop; end-to-end latency lands in a
+//!   datagrams, decoding each train as it arrives, feeds one
+//!   `process_batch`, tx-bursts a response train per peer, and accounts
+//!   every drop; end-to-end latency lands in a
 //!   `pipeleon_e2e_latency_ns` histogram.
 //! * [`client`] — the loopback traffic driver: [`NetClient`] replays
-//!   workload batches over a real socket with per-request RTT capture.
+//!   workload batches over a real socket, one train per window refill,
+//!   with per-request RTT capture.
 //!
 //! No external dependencies and no unsafe code: the crate is plain std
 //! `UdpSocket` over the workspace's own IR/sim/obs crates.
@@ -36,7 +40,9 @@ pub mod wire;
 pub use client::{ClientError, Echo, NetClient, ReplayReport};
 pub use fieldmap::{FieldMap, MapError, WireField};
 pub use ingest::{IngestConfig, IngestServer, IngestStats};
-pub use wire::{decode, encode, encode_into, DecodeError, DecodedFrame, EncodeError};
+pub use wire::{
+    decode, encode, encode_into, frames, DecodeError, DecodedFrame, EncodeError, MAX_DATAGRAM,
+};
 
 #[cfg(test)]
 mod tests {

@@ -23,6 +23,14 @@
 //! program's field space. Header fields that are not bound keep fixed
 //! defaults (TTL 64, ports 0, zero MACs).
 //!
+//! A UDP datagram on the socket path is a **train**: one or more whole
+//! frames back to back, nothing between them. Every frame of a program
+//! is [`FieldMap::frame_len`] bytes and says so twice (IPv4 total
+//! length, UDP length), so a train needs no header of its own and a
+//! one-frame train is exactly one [`encode`]d frame. [`frames`] walks a
+//! train; writing one is [`encode_into`] at successive offsets of a
+//! [`MAX_DATAGRAM`]-byte buffer.
+//!
 //! Decoding never panics on arbitrary bytes: every malformed input maps
 //! to a typed [`DecodeError`].
 
@@ -44,6 +52,10 @@ pub const PAYLOAD_FIXED: usize = 4 + 1 + 1 + 4 + 2 + 8 + 2;
 pub const MAGIC: [u8; 4] = *b"PLN1";
 /// Payload format version emitted by this codec.
 pub const VERSION: u8 = 1;
+/// Largest datagram either end sends or accepts: the UDP payload of a
+/// 9000-byte jumbo frame (9000 − 20 IPv4 − 8 UDP). A train carries
+/// `MAX_DATAGRAM / frame_len` frames at most.
+pub const MAX_DATAGRAM: usize = 8972;
 
 /// flags bit: frame is a response (server → client).
 pub const FLAG_RESPONSE: u8 = 1 << 0;
@@ -83,6 +95,15 @@ pub enum DecodeError {
         /// Count the map requires.
         need: u16,
     },
+    /// The IPv4 total-length or UDP-length field disagrees with the
+    /// frame the payload describes; in a train, trusting it would
+    /// misframe everything that follows.
+    BadLength {
+        /// Length the header field declares.
+        have: u16,
+        /// Length the frame actually has from that header on.
+        need: usize,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -101,6 +122,9 @@ impl fmt::Display for DecodeError {
                     f,
                     "residue count {have} does not match program map ({need})"
                 )
+            }
+            DecodeError::BadLength { have, need } => {
+                write!(f, "header declares {have} bytes, frame has {need}")
             }
         }
     }
@@ -314,7 +338,8 @@ pub fn encode(
     Ok(out)
 }
 
-/// Decodes `buf` under the program's field map.
+/// Decodes the frame at the head of `buf` under the program's field
+/// map; bytes past that frame are not read (see [`frames`]).
 ///
 /// Total function over arbitrary bytes: every malformed input returns a
 /// typed [`DecodeError`], never a panic.
@@ -353,12 +378,25 @@ pub fn decode(buf: &[u8], map: &FieldMap) -> Result<DecodedFrame, DecodeError> {
             need: need_residue,
         });
     }
-    let need = fixed + 8 * usize::from(residue_n);
+    let need = map.frame_len();
     if buf.len() < need {
         return Err(DecodeError::Truncated {
             have: buf.len(),
             need,
         });
+    }
+    // IPv4 total length and UDP length, each counted from its own header.
+    for (at, header) in [
+        (ETH_LEN + 2, ETH_LEN),
+        (ETH_LEN + IPV4_LEN + 4, ETH_LEN + IPV4_LEN),
+    ] {
+        let have = be16(buf, at);
+        if usize::from(have) != need - header {
+            return Err(DecodeError::BadLength {
+                have,
+                need: need - header,
+            });
+        }
     }
 
     let mut packet = Packet::with_slots(vec![0u64; map.slot_count()]);
@@ -393,6 +431,42 @@ pub fn decode(buf: &[u8], map: &FieldMap) -> Result<DecodedFrame, DecodeError> {
         seq: be64(buf, p + 12),
         response: flags & FLAG_RESPONSE != 0,
     })
+}
+
+/// Walks the train in `buf`: each whole frame in order, then nothing.
+///
+/// The walk ends after the first error, because a frame that does not
+/// decode gives no trustworthy offset for the one after it. Bytes left
+/// over that are shorter than a frame (an empty buffer included: a train
+/// has at least one frame) yield [`DecodeError::Truncated`].
+pub fn frames<'a>(buf: &'a [u8], map: &'a FieldMap) -> Frames<'a> {
+    Frames {
+        rest: Some(buf),
+        map,
+    }
+}
+
+/// Iterator over the frames of a train; see [`frames`].
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    /// Bytes not yet walked; `None` once the train ended or broke.
+    rest: Option<&'a [u8]>,
+    map: &'a FieldMap,
+}
+
+impl Iterator for Frames<'_> {
+    type Item = Result<DecodedFrame, DecodeError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let buf = self.rest.take()?;
+        let frame = decode(buf, self.map);
+        if frame.is_ok() {
+            // `decode` checked that a whole frame is present.
+            let tail = &buf[self.map.frame_len()..];
+            self.rest = (!tail.is_empty()).then_some(tail);
+        }
+        Some(frame)
+    }
 }
 
 #[cfg(test)]

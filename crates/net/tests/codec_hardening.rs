@@ -6,9 +6,16 @@
 //! server turns into a drop counter), and no input may panic. These
 //! properties fuzz that contract, and the structured cases pin the
 //! specific error variant each corruption class must produce.
+//!
+//! A datagram is a train of frames, so the same holds for the train
+//! walker: damage anywhere yields the frames before it and one typed
+//! error, and a one-frame train is the single-frame datagram it always
+//! was, byte for byte.
 
 use pipeleon_ir::ProgramGraph;
-use pipeleon_net::{decode, encode, DecodeError, FieldMap};
+use pipeleon_net::{
+    decode, encode, encode_into, frames, DecodeError, DecodedFrame, FieldMap, MAX_DATAGRAM,
+};
 use pipeleon_sim::Packet;
 use proptest::prelude::*;
 
@@ -34,7 +41,114 @@ fn residue_only_map() -> (ProgramGraph, FieldMap) {
     (g, m)
 }
 
+/// Response frames of the mixed map from raw slot values (seq = index),
+/// and the train that carries them, written the way both socket ends
+/// write one: `encode_into` at successive offsets of a datagram buffer.
+fn train_of(slots: &[(u64, u64, u64, u64)]) -> (FieldMap, Vec<DecodedFrame>, Vec<u8>) {
+    let (g, m) = mixed_map();
+    let mut sent = Vec::new();
+    let mut buf = vec![0u8; MAX_DATAGRAM];
+    let mut len = 0;
+    for (seq, &(src, dst, state, cookie)) in slots.iter().enumerate() {
+        let mut p = Packet::new(&g.fields);
+        p.set(g.fields.get("ipv4.src").unwrap(), src & 0xFFFF_FFFF);
+        p.set(g.fields.get("ipv4.dst").unwrap(), dst & 0xFFFF_FFFF);
+        p.set(g.fields.get("meta.state").unwrap(), state);
+        p.set(g.fields.get("meta.cookie").unwrap(), cookie);
+        let seq = seq as u64;
+        len += encode_into(&mut buf[len..], &p, &m, seq, true).expect("encode");
+        sent.push(DecodedFrame {
+            packet: p,
+            seq,
+            response: true,
+        });
+    }
+    buf.truncate(len);
+    (m, sent, buf)
+}
+
+/// Walks `buf` and checks the shape every walk has: decoded frames,
+/// then at most one error, then nothing.
+fn walk(buf: &[u8], m: &FieldMap) -> (Vec<DecodedFrame>, Option<DecodeError>) {
+    let mut ok = Vec::new();
+    let mut err = None;
+    for item in frames(buf, m) {
+        assert!(err.is_none(), "the walk goes on after an error");
+        match item {
+            Ok(f) => ok.push(f),
+            Err(e) => err = Some(e),
+        }
+    }
+    (ok, err)
+}
+
+fn slot_values(frames: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u64, u64, u64, u64)>> {
+    prop::collection::vec(
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        frames,
+    )
+}
+
 proptest! {
+    /// A train of k frames is the k single-frame datagrams back to back
+    /// (for k = 1: exactly `encode`'s bytes) and walks to those k frames.
+    #[test]
+    fn train_walks_to_exactly_its_frames(slots in slot_values(1..12)) {
+        let (m, sent, buf) = train_of(&slots);
+        let singles: Vec<u8> = sent
+            .iter()
+            .flat_map(|f| encode(&f.packet, &m, f.seq, true).expect("encode"))
+            .collect();
+        prop_assert_eq!(&buf, &singles);
+        let (ok, err) = walk(&buf, &m);
+        prop_assert_eq!(err, None);
+        prop_assert_eq!(ok, sent);
+    }
+
+    /// Cutting a train anywhere yields the whole frames before the cut
+    /// and, unless the cut falls on a frame boundary, one `Truncated`.
+    #[test]
+    fn truncated_train_yields_its_whole_frames(
+        slots in slot_values(1..8),
+        cut_raw in any::<u16>(),
+    ) {
+        let (m, sent, buf) = train_of(&slots);
+        let cut = usize::from(cut_raw) % buf.len();
+        let whole = cut / m.frame_len();
+        let (ok, err) = walk(&buf[..cut], &m);
+        prop_assert_eq!(&ok[..], &sent[..whole]);
+        let truncated = matches!(err, Some(DecodeError::Truncated { .. }));
+        prop_assert_eq!(truncated, cut == 0 || cut % m.frame_len() != 0);
+        prop_assert!(truncated || err.is_none());
+    }
+
+    /// Overwriting one byte of a train never panics the walk; the frames
+    /// before the damaged one come out intact, and the walk either stops
+    /// at the damaged frame with one error or (a value byte) goes on to
+    /// the end with every other frame intact.
+    #[test]
+    fn damaged_train_yields_the_frames_before_the_damage(
+        slots in slot_values(1..8),
+        pos_raw in any::<u16>(),
+        val in any::<u8>(),
+    ) {
+        let (m, sent, mut buf) = train_of(&slots);
+        let pos = usize::from(pos_raw) % buf.len();
+        let hit = pos / m.frame_len();
+        buf[pos] = val;
+        let (ok, err) = walk(&buf, &m);
+        if err.is_some() {
+            prop_assert_eq!(&ok[..], &sent[..hit]);
+        } else {
+            prop_assert_eq!(ok.len(), sent.len());
+            for (i, (got, want)) in ok.iter().zip(&sent).enumerate() {
+                if i != hit {
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+    }
+
     /// Arbitrary byte soup never panics the decoder, under maps with
     /// and without header bindings.
     #[test]
@@ -47,6 +161,7 @@ proptest! {
         // malformed); the property is "returns, never panics".
         let _ = decode(&bytes, &m1);
         let _ = decode(&bytes, &m2);
+        let _ = walk(&bytes, &m1);
     }
 
     /// Single-byte corruption of a well-formed frame never panics, and
@@ -153,6 +268,28 @@ fn corruption_classes_map_to_their_error_variants() {
     b[42 + 4] = 2;
     assert_eq!(decode(&b, &m), Err(DecodeError::BadVersion(2)));
 
+    // A length field that disagrees with the frame present: in a train
+    // it would misframe every frame after this one.
+    let (ip_len, udp_len) = (good.len() - 14, good.len() - 34);
+    let mut b = good.clone();
+    b[14 + 3] += 8;
+    assert_eq!(
+        decode(&b, &m),
+        Err(DecodeError::BadLength {
+            have: ip_len as u16 + 8,
+            need: ip_len
+        })
+    );
+    let mut b = good.clone();
+    b[34 + 5] -= 1;
+    assert_eq!(
+        decode(&b, &m),
+        Err(DecodeError::BadLength {
+            have: udp_len as u16 - 1,
+            need: udp_len
+        })
+    );
+
     // Frame built for a different program (wrong residue count).
     let (g2, m2) = residue_only_map();
     let other = encode(&Packet::new(&g2.fields), &m2, 0, false).expect("encode");
@@ -160,4 +297,34 @@ fn corruption_classes_map_to_their_error_variants() {
         decode(&other, &m),
         Err(DecodeError::ResidueMismatch { have: 3, need: 2 })
     ));
+}
+
+/// The bytes of one frame as the codec wrote them before datagrams were
+/// trains: a one-frame train must be this datagram, so old and new peers
+/// interoperate frame by frame.
+#[test]
+fn one_frame_datagram_is_byte_identical_to_the_pre_train_format() {
+    const GOLDEN: &str = "000000000000000000000000080045000042000000004011b000c0a800010a000002\
+        00000000002e0000504c4e310104000000090578000000000000002a0002\
+        11223344556677880000000000000007";
+    let (g, m) = mixed_map();
+    let mut p = Packet::new(&g.fields);
+    p.set(g.fields.get("ipv4.src").unwrap(), 0xC0A8_0001);
+    p.set(g.fields.get("ipv4.dst").unwrap(), 0x0A00_0002);
+    p.set(g.fields.get("meta.state").unwrap(), 0x1122_3344_5566_7788);
+    p.set(g.fields.get("meta.cookie").unwrap(), 7);
+    p.bytes = 1400;
+    p.egress_port = Some(9);
+    let frame = encode(&p, &m, 42, false).expect("encode");
+    let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, GOLDEN);
+    let walked: Vec<_> = frames(&frame, &m).collect();
+    assert_eq!(
+        walked,
+        vec![Ok(DecodedFrame {
+            packet: p,
+            seq: 42,
+            response: false
+        })]
+    );
 }
