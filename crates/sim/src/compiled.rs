@@ -20,6 +20,7 @@
 
 use crate::engine::{KeyScratch, LookupOutcome, MatchEngine, Resolve};
 use crate::packet::Packet;
+use crate::prefetch;
 use crate::smallkey::SmallKey;
 use fxhash::FxHashMap;
 use pipeleon_cost::{CostParams, MatchCostModel, MemoryTier, Placement};
@@ -56,15 +57,153 @@ impl CEntries {
     }
 }
 
-/// The key map of one way. Single-field keys hash the raw `u64` (no
-/// slice length prefix, no [`SmallKey`] dispatch); wider keys go through
-/// the scratch-composed slice. `Direct` is a specialization-pass rewrite
-/// of a dense single-field exact way: the masked key indexes a slot
-/// array, no hashing at all. Any entry-op rebuild of the engine restores
-/// the hash form, so `Direct` only ever describes a stable entry set.
+/// What one [`FlatWay`] slot holds under its key. The overwhelmingly
+/// common single-entry list is resolved inline — entry index, action and
+/// priority copied out of `entry_meta` at build time — so a hit reads
+/// nothing beyond the slot's own cache line. Lists of several entries
+/// (duplicate keys), and indices too wide for the inline form, spill to
+/// a boxed index list resolved through `entry_meta` like every other way
+/// kind. `Empty` is a variant, not a reserved key value: every `u64`,
+/// `0` and `u64::MAX` included, is a storable key.
+#[derive(Debug, Clone)]
+enum FlatVal {
+    Empty,
+    One { idx: u32, action: u32, prio: i32 },
+    Many(Box<[usize]>),
+}
+
+/// One slot of a [`FlatWay`]: 32 bytes, 32-byte aligned, so two slots
+/// share a cache line and none straddles two.
+#[derive(Debug, Clone)]
+#[repr(align(32))]
+struct FlatSlot {
+    key: u64,
+    val: FlatVal,
+}
+
+/// FxHash's multiplier. Fx-hashing one `u64` word from the zero state is
+/// this single multiply (`fx_of_one_word_is_one_multiply` pins that).
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// An open-addressed single-field way: a power-of-two slot array, the
+/// home slot taken from the *top* bits of the Fx hash (the well-mixed end
+/// of a multiplicative hash), collisions resolved by linear probing,
+/// load kept at or below 7/8 so a probe run always ends at an `Empty`.
+/// Built once from a finished key → entries map and never mutated: entry
+/// ops rebuild the whole engine, so there is no deletion and no
+/// tombstone. The slot's address is a function of the key alone, which
+/// is what lets the look-ahead stage prefetch it from a packet that has
+/// not started executing.
+#[derive(Debug, Clone)]
+pub(crate) struct FlatWay {
+    slots: Box<[FlatSlot]>,
+    /// `64 - log2(slots.len())`; `slots.len() >= 2` keeps it below 64.
+    shift: u32,
+    /// Presence word: one bit per stored key, picked by the six hash
+    /// bits below the home index. A clear bit proves a key absent
+    /// without touching a slot. Ternary and LPM tables probe one
+    /// few-entry way per mask pattern and nearly every such probe
+    /// misses; answering those from the way header, on a branch that
+    /// goes the same way each time, is what keeps this form no slower
+    /// than a SIMD-tagged map there (a slot probe's exit depends on
+    /// where the key homes, which no predictor can learn). Past a few
+    /// dozen keys the word saturates and the test always passes.
+    presence: u64,
+}
+
+impl FlatWay {
+    /// Builds the way in one pass at its final capacity: the smallest
+    /// power of two, at least 2, that keeps `len / capacity <= 7/8`.
+    fn build<'a>(
+        entries: impl ExactSizeIterator<Item = (u64, &'a [usize])>,
+        entry_meta: &[(usize, i32)],
+    ) -> Self {
+        let cap = (entries.len() * 8).div_ceil(7).next_power_of_two().max(2);
+        let mut way = Self {
+            slots: vec![
+                FlatSlot {
+                    key: 0,
+                    val: FlatVal::Empty
+                };
+                cap
+            ]
+            .into_boxed_slice(),
+            shift: 64 - cap.trailing_zeros(),
+            presence: 0,
+        };
+        let mask = cap - 1;
+        for (key, list) in entries {
+            let val = match *list {
+                [idx] => {
+                    let (action, prio) = entry_meta[idx];
+                    match (u32::try_from(idx), u32::try_from(action)) {
+                        (Ok(idx), Ok(action)) => FlatVal::One { idx, action, prio },
+                        _ => FlatVal::Many(list.into()),
+                    }
+                }
+                _ => FlatVal::Many(list.into()),
+            };
+            way.presence |= way.presence_bit(key);
+            let mut i = way.home(key);
+            while !matches!(way.slots[i].val, FlatVal::Empty) {
+                i = (i + 1) & mask;
+            }
+            way.slots[i] = FlatSlot { key, val };
+        }
+        way
+    }
+
+    /// The slot a key's probe run starts at.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(FX_SEED) >> self.shift) as usize
+    }
+
+    /// The presence-word bit a key maps to. (`shift >= 6` for any slot
+    /// array that fits in memory.)
+    #[inline]
+    fn presence_bit(&self, key: u64) -> u64 {
+        1 << ((key.wrapping_mul(FX_SEED) >> (self.shift - 6)) & 63)
+    }
+
+    /// The value stored under `key`, if any.
+    #[inline]
+    fn get(&self, key: u64) -> Option<&FlatVal> {
+        if self.presence & self.presence_bit(key) == 0 {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let slot = &self.slots[i & mask];
+            match slot.val {
+                FlatVal::Empty => return None,
+                _ if slot.key == key => return Some(&slot.val),
+                _ => i += 1,
+            }
+        }
+    }
+
+    /// Every `(key, entry list)` pair, in slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, CEntries)> + '_ {
+        self.slots.iter().filter_map(|s| match &s.val {
+            FlatVal::Empty => None,
+            FlatVal::One { idx, .. } => Some((s.key, CEntries::One(*idx as usize))),
+            FlatVal::Many(list) => Some((s.key, CEntries::from_list(list))),
+        })
+    }
+}
+
+/// The key map of one way. Single-field keys live in a [`FlatWay`] (no
+/// slice length prefix, no [`SmallKey`] dispatch, one cache line per
+/// hit); wider keys go through the scratch-composed slice into an
+/// FxHash map. `Direct` is a specialization-pass rewrite of a dense
+/// single-field exact way: the masked key indexes a slot array, no
+/// hashing at all. Any entry-op rebuild of the engine restores the flat
+/// form, so `Direct` only ever describes a stable entry set.
 #[derive(Debug, Clone)]
 pub(crate) enum CWayMap {
-    U64(FxHashMap<u64, CEntries>),
+    U64(FlatWay),
     Multi(FxHashMap<SmallKey, CEntries>),
     Direct {
         base: u64,
@@ -81,6 +220,45 @@ pub(crate) struct CWay {
     /// directly, skipping the masked-copy step.
     pub(crate) full_mask: bool,
     pub(crate) map: CWayMap,
+}
+
+impl CWay {
+    /// A single-field way's masked key for a raw field value.
+    #[inline]
+    fn masked(&self, value: u64) -> u64 {
+        if self.full_mask {
+            value
+        } else {
+            value & self.masks[0]
+        }
+    }
+
+    /// Hints the cache with the slot a single-field way will probe for
+    /// the raw field value `value` (nothing for multi-field ways, whose
+    /// bucket address is not a function of one field).
+    #[inline]
+    fn prefetch(&self, value: u64) {
+        let key = self.masked(value);
+        match &self.map {
+            CWayMap::U64(m) => prefetch::line(&m.slots[m.home(key)]),
+            CWayMap::Direct { base, slots } => {
+                if let Some(slot) = key.checked_sub(*base).and_then(|i| slots.get(i as usize)) {
+                    prefetch::line(slot);
+                }
+            }
+            CWayMap::Multi(_) => {}
+        }
+    }
+
+    /// Bytes of the slot array a probe of this way lands in (0 for
+    /// multi-field ways, which the look-ahead stage does not serve).
+    fn slot_bytes(&self) -> usize {
+        match &self.map {
+            CWayMap::U64(m) => std::mem::size_of_val(&*m.slots),
+            CWayMap::Direct { slots, .. } => std::mem::size_of_val(&**slots),
+            CWayMap::Multi(_) => 0,
+        }
+    }
 }
 
 /// A range entry replicated out of the table for graph-free scanning.
@@ -119,12 +297,10 @@ impl CompiledEngine {
                 masks: w.masks.clone().into_boxed_slice(),
                 full_mask: w.masks.iter().all(|&m| m == !0u64),
                 map: if w.masks.len() == 1 {
-                    CWayMap::U64(
-                        w.map
-                            .iter()
-                            .map(|(k, v)| (k[0], CEntries::from_list(v)))
-                            .collect(),
-                    )
+                    CWayMap::U64(FlatWay::build(
+                        w.map.iter().map(|(k, v)| (k[0], v.as_slice())),
+                        &me.entry_meta,
+                    ))
                 } else {
                     CWayMap::Multi(
                         w.map
@@ -187,21 +363,29 @@ impl CompiledEngine {
             };
         }
         let mut probes = 0usize;
-        let mut best: Option<(usize, i32)> = None; // (entry, priority)
+        let mut best: Option<Hit> = None;
         for way in &self.ways {
             probes += 1;
             // Masking with all-ones is the identity, so exact ways hash
             // the composed key in place; single-field ways hash the raw
             // u64 without going through a slice at all.
-            let found: Option<&CEntries> = match &way.map {
-                CWayMap::U64(m) => {
-                    let k = if way.full_mask {
-                        scratch.values[0]
-                    } else {
-                        scratch.values[0] & way.masks[0]
-                    };
-                    m.get(&k)
-                }
+            let found: Option<&[usize]> = match &way.map {
+                CWayMap::U64(m) => match m.get(way.masked(scratch.values[0])) {
+                    Some(&FlatVal::One { idx, action, prio }) => {
+                        // Resolved at build time: no `entry_meta` read.
+                        self.consider(
+                            &mut best,
+                            Hit {
+                                idx: idx as usize,
+                                action: action as usize,
+                                prio,
+                            },
+                        );
+                        Some(&[])
+                    }
+                    Some(FlatVal::Many(list)) => Some(list),
+                    Some(FlatVal::Empty) | None => None,
+                },
                 CWayMap::Multi(m) => {
                     let key: &[u64] = if way.full_mask {
                         scratch.values.as_slice()
@@ -216,34 +400,18 @@ impl CompiledEngine {
                         );
                         scratch.masked.as_slice()
                     };
-                    m.get(key)
+                    m.get(key).map(CEntries::as_slice)
                 }
-                CWayMap::Direct { base, slots } => {
-                    let k = if way.full_mask {
-                        scratch.values[0]
-                    } else {
-                        scratch.values[0] & way.masks[0]
-                    };
-                    k.checked_sub(*base)
-                        .and_then(|i| slots.get(i as usize))
-                        .and_then(|o| o.as_ref())
-                }
+                CWayMap::Direct { base, slots } => way
+                    .masked(scratch.values[0])
+                    .checked_sub(*base)
+                    .and_then(|i| slots.get(i as usize))
+                    .and_then(|o| o.as_ref())
+                    .map(CEntries::as_slice),
             };
             if let Some(entries) = found {
-                for &idx in entries.as_slice() {
-                    let (_, prio) = self.entry_meta[idx];
-                    let better = match best {
-                        None => true,
-                        Some((best_idx, best_prio)) => match self.resolve {
-                            Resolve::Priority => {
-                                prio > best_prio || (prio == best_prio && idx < best_idx)
-                            }
-                            _ => false,
-                        },
-                    };
-                    if better {
-                        best = Some((idx, prio));
-                    }
+                for &idx in entries {
+                    self.consider(&mut best, self.hit(idx));
                 }
                 if !matches!(self.resolve, Resolve::Priority) && best.is_some() {
                     break;
@@ -259,24 +427,21 @@ impl CompiledEngine {
                     .zip(scratch.values.iter())
                     .all(|(mv, &v)| mv.matches(v));
                 if hit {
-                    let idx = e.idx;
-                    let (_, prio) = self.entry_meta[idx];
+                    let h = self.hit(e.idx);
                     let better = match best {
                         None => true,
-                        Some((best_idx, best_prio)) => {
-                            prio > best_prio || (prio == best_prio && idx < best_idx)
-                        }
+                        Some(b) => h.outranks(b),
                     };
                     if better {
-                        best = Some((idx, prio));
+                        best = Some(h);
                     }
                 }
             }
         }
         match best {
-            Some((idx, _)) => LookupOutcome {
-                entry: Some(idx),
-                action: self.entry_meta[idx].0,
+            Some(h) => LookupOutcome {
+                entry: Some(h.idx),
+                action: h.action,
                 probes,
             },
             None => LookupOutcome {
@@ -285,6 +450,44 @@ impl CompiledEngine {
                 probes: probes.max(1),
             },
         }
+    }
+
+    /// The candidate for entry `idx`, resolved through `entry_meta`.
+    #[inline]
+    fn hit(&self, idx: usize) -> Hit {
+        let (action, prio) = self.entry_meta[idx];
+        Hit { idx, action, prio }
+    }
+
+    /// Folds one way hit into `best` under the table's resolution rule:
+    /// priority tables keep the highest priority (lowest index on ties),
+    /// exact and LPM tables keep the first hit.
+    #[inline]
+    fn consider(&self, best: &mut Option<Hit>, h: Hit) {
+        let better = match *best {
+            None => true,
+            Some(b) => self.resolve == Resolve::Priority && h.outranks(b),
+        };
+        if better {
+            *best = Some(h);
+        }
+    }
+}
+
+/// A matched entry with what resolving it needs, carried by value so the
+/// winner's action is on hand without a second `entry_meta` read.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    idx: usize,
+    action: usize,
+    prio: i32,
+}
+
+impl Hit {
+    /// Priority order: higher priority wins, lower entry index on ties.
+    #[inline]
+    fn outranks(self, other: Hit) -> bool {
+        self.prio > other.prio || (self.prio == other.prio && self.idx < other.idx)
     }
 }
 
@@ -390,6 +593,28 @@ pub(crate) struct CompiledPipeline {
     /// `0`: the rebuilt engine drops that table's passes, and the stale
     /// fingerprint tells the next specialize step to re-plan.
     pub(crate) spec_fingerprint: u64,
+    /// The ways worth prefetching for a packet that has not started
+    /// executing; see [`CompiledPipeline::derive_lookahead`]. Empty for
+    /// every program whose tables are cache-sized.
+    lookahead: Vec<LookaheadWay>,
+}
+
+/// A way's slot array is worth a look-ahead hint from this many bytes
+/// up: the point past which it no longer sits in a core's L2 next to the
+/// packets, the arena and the program's other tables, so a probe is a
+/// last-level or DRAM access the hint can overlap with earlier packets'
+/// work. Below it a probe hits L1/L2 and the hint would cost about what
+/// it saves. A property of cache hierarchies in general (L2s are
+/// 0.25-4 MB), not of a deployment, hence a constant and not a knob.
+const LOOKAHEAD_MIN_BYTES: usize = 512 << 10;
+
+/// One look-ahead target: way `way` of the table at arena slot `slot`,
+/// with the table's one key field alongside.
+#[derive(Debug, Clone, Copy)]
+struct LookaheadWay {
+    slot: u32,
+    way: u32,
+    field: FieldRef,
 }
 
 impl CompiledPipeline {
@@ -412,12 +637,143 @@ impl CompiledPipeline {
             .map(|&id| compile_node(graph, params, placement, tiers, &slot_of, id))
             .collect();
         let root = graph.root().map_or(NO_SLOT, |r| slot_of[r.index()]);
-        Self {
+        let mut cp = Self {
             nodes,
             slot_of,
             root,
             spec_fingerprint: 0,
+            lookahead: Vec::new(),
+        };
+        cp.derive_lookahead();
+        cp
+    }
+
+    /// Recomputes the look-ahead list from the arena as it stands; called
+    /// whenever the arena changes (lowering, a node recompile, a
+    /// specialization plan).
+    ///
+    /// A way is listed when (1) it is single-field, so the slot it
+    /// probes is a function of one packet field; (2) its slot array is
+    /// at least [`LOOKAHEAD_MIN_BYTES`]; (3) its table is not a
+    /// flow-cache switch (those never run their match engine); and (4)
+    /// no action of any table that can execute *before* it writes its
+    /// key field, so the field read from a packet still waiting in the
+    /// burst is the value the lookup will see. (4) is what makes the
+    /// hint useful, not what makes it safe: a hint computed from a
+    /// stale field prefetches the wrong line and changes nothing.
+    pub(crate) fn derive_lookahead(&mut self) {
+        let mut list = Vec::new();
+        let mut upstream_writes: Option<Vec<Vec<FieldRef>>> = None;
+        for (slot, node) in self.nodes.iter().enumerate() {
+            let CStep::Table(ct) = &node.step else {
+                continue;
+            };
+            if ct.is_flow_cache || ct.engine.key_fields.len() != 1 {
+                continue;
+            }
+            let field = ct.engine.key_fields[0];
+            for (w, way) in ct.engine.ways.iter().enumerate() {
+                if way.slot_bytes() < LOOKAHEAD_MIN_BYTES {
+                    continue;
+                }
+                // The graph walk is only paid by programs that have a
+                // big way at all.
+                let writes = upstream_writes.get_or_insert_with(|| self.upstream_writes());
+                if !writes[slot].contains(&field) {
+                    list.push(LookaheadWay {
+                        slot: slot as u32,
+                        way: w as u32,
+                        field,
+                    });
+                }
+            }
         }
+        self.lookahead = list;
+    }
+
+    /// Per arena slot, the fields written by actions of the tables that
+    /// can execute before it: a fixpoint of "what my predecessors saw,
+    /// plus what they write" pushed along every successor edge. (A
+    /// flow-cache hit replays covered tables' actions and then jumps to
+    /// its exit; those tables also precede the exit on the miss path, so
+    /// the edge walk already charges their writes to it.)
+    fn upstream_writes(&self) -> Vec<Vec<FieldRef>> {
+        let own: Vec<Vec<FieldRef>> = self
+            .nodes
+            .iter()
+            .map(|n| match &n.step {
+                CStep::Branch { .. } => Vec::new(),
+                CStep::Table(ct) => ct
+                    .actions
+                    .iter()
+                    .flat_map(|a| a.iter())
+                    .filter_map(Primitive::written_field)
+                    .collect(),
+            })
+            .collect();
+        let mut before: Vec<Vec<FieldRef>> = vec![Vec::new(); self.nodes.len()];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (slot, node) in self.nodes.iter().enumerate() {
+                let branch;
+                let succs: &[u32] = match &node.step {
+                    CStep::Branch {
+                        on_true, on_false, ..
+                    } => {
+                        branch = [*on_true, *on_false];
+                        &branch
+                    }
+                    CStep::Table(ct) => match &ct.next {
+                        CNext::Always(s) => std::slice::from_ref(s),
+                        CNext::ByAction(v) => v,
+                    },
+                };
+                let passed_on: Vec<FieldRef> =
+                    before[slot].iter().chain(&own[slot]).copied().collect();
+                for &succ in succs.iter().filter(|&&s| s != NO_SLOT) {
+                    for f in &passed_on {
+                        if !before[succ as usize].contains(f) {
+                            before[succ as usize].push(*f);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+        }
+        before
+    }
+
+    /// The look-ahead stage: for every listed way, reads the key field
+    /// from `packet` as it stands and hints the cache with the slot the
+    /// lookup will probe. No architectural effect — the scalar walk that
+    /// follows is unchanged and computes every result on its own.
+    #[inline]
+    pub(crate) fn prefetch_lookups(&self, packet: &Packet) {
+        for la in &self.lookahead {
+            if let CStep::Table(ct) = &self.nodes[la.slot as usize].step {
+                ct.engine.ways[la.way as usize].prefetch(packet.get(la.field));
+            }
+        }
+    }
+
+    /// Whether any way is on the look-ahead list.
+    #[inline]
+    pub(crate) fn has_lookahead(&self) -> bool {
+        !self.lookahead.is_empty()
+    }
+
+    /// The tables with a way on the look-ahead list, ascending.
+    #[cfg(test)]
+    pub(crate) fn lookahead_tables(&self) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = self
+            .lookahead
+            .iter()
+            .map(|la| self.nodes[la.slot as usize].id)
+            .collect();
+        ids.sort();
+        ids.dedup();
+        ids
     }
 
     /// Recompiles a single node in place (entry insert/remove, table
@@ -437,6 +793,7 @@ impl CompiledPipeline {
         }
         self.nodes[slot as usize] =
             compile_node(graph, params, placement, tiers, &self.slot_of, id);
+        self.derive_lookahead();
         true
     }
 
@@ -605,6 +962,93 @@ mod tests {
             let p = packet(&[next() % 32]);
             assert_eq!(me.lookup(&t, &p, &mut s1), ce.lookup(&p, &mut s2));
             assert_eq!(s1.values(), s2.values());
+        }
+    }
+
+    #[test]
+    fn fx_of_one_word_is_one_multiply() {
+        for k in [0u64, 1, 42, u64::MAX, 0xDEAD_BEEF_0000_0001] {
+            assert_eq!(k.wrapping_mul(FX_SEED), fxhash::hash64(&k));
+        }
+    }
+
+    #[test]
+    fn flat_slot_is_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<FlatSlot>(), 32);
+        assert_eq!(std::mem::align_of::<FlatSlot>(), 32);
+    }
+
+    /// Builds a way over `keys` (key `k` → entry list `[i]`, or `[i, i+1]`
+    /// for every third key) and checks every key, and a few absent ones.
+    fn check_flat(keys: &[u64]) {
+        let meta: Vec<(usize, i32)> = (0..keys.len() + 1).map(|i| (i % 5, i as i32)).collect();
+        let lists: Vec<Vec<usize>> = (0..keys.len())
+            .map(|i| if i % 3 == 2 { vec![i, i + 1] } else { vec![i] })
+            .collect();
+        let way = FlatWay::build(
+            keys.iter().zip(&lists).map(|(&k, l)| (k, l.as_slice())),
+            &meta,
+        );
+        assert!(way.slots.len().is_power_of_two() && way.slots.len() >= 2);
+        assert!(
+            keys.len() * 8 <= way.slots.len() * 7,
+            "load above 7/8: {} keys in {} slots",
+            keys.len(),
+            way.slots.len()
+        );
+        for (i, &k) in keys.iter().enumerate() {
+            match way.get(k) {
+                Some(&FlatVal::One { idx, action, prio }) => {
+                    assert_eq!(lists[i], [idx as usize]);
+                    assert_eq!((action as usize, prio), meta[i]);
+                }
+                Some(FlatVal::Many(l)) => assert_eq!(&**l, lists[i].as_slice()),
+                other => panic!("key {k:#x} not found: {other:?}"),
+            }
+        }
+        for absent in [0u64, 1, u64::MAX, u64::MAX - 1, 0x1234_5678_9ABC] {
+            if !keys.contains(&absent) {
+                assert!(way.get(absent).is_none(), "phantom hit for {absent:#x}");
+            }
+        }
+        let mut seen: Vec<u64> = way.iter().map(|(k, _)| k).collect();
+        seen.sort_unstable();
+        let mut want = keys.to_vec();
+        want.sort_unstable();
+        assert_eq!(seen, want);
+    }
+
+    /// No key value is reserved: `0` and `u64::MAX` store and miss like
+    /// any other, alone and together, in the smallest (2-slot) way.
+    #[test]
+    fn flat_way_has_no_in_band_sentinel() {
+        check_flat(&[]);
+        check_flat(&[0]);
+        check_flat(&[u64::MAX]);
+        check_flat(&[0, u64::MAX]);
+        check_flat(&[u64::MAX, 0, 1, u64::MAX - 1]);
+    }
+
+    /// Every key homes to slot 0 of its way (multiples of 2^k times the
+    /// multiplier's inverse hash into the low bits only), so the whole
+    /// set is one probe run that wraps; and 7·2^k keys fill a way to
+    /// exactly its 7/8 load limit.
+    #[test]
+    fn flat_way_survives_one_probe_run_and_the_load_limit() {
+        // inv * FX_SEED == 1 (mod 2^64): key i*inv hashes to i, whose
+        // top bits are zero for small i — all home to slot 0.
+        let mut inv: u64 = 1;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(FX_SEED.wrapping_mul(inv)));
+        }
+        assert_eq!(inv.wrapping_mul(FX_SEED), 1);
+        let clustered: Vec<u64> = (0..200u64).map(|i| i.wrapping_mul(inv)).collect();
+        check_flat(&clustered);
+        for n in [7usize, 14, 28, 56, 7 * 64, 7 * 1024] {
+            let keys: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            check_flat(&keys);
+            let way = FlatWay::build(keys.iter().map(|&k| (k, &[0usize][..])), &[(0, 0)]);
+            assert_eq!(way.slots.len() * 7, n * 8, "exactly at the limit");
         }
     }
 

@@ -20,6 +20,7 @@ use crate::compiled::{CNext, CStep, CTable, CompiledPipeline, NO_SLOT};
 use crate::engine::{KeyScratch, LookupOutcome, MatchEngine};
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
+use crate::prefetch;
 use crate::smallkey::SmallKey;
 use crate::specialize::{self, HotKeySketch, SpecPlan, SpecStats};
 use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
@@ -835,13 +836,56 @@ impl Executor {
             EngineMode::Compiled => {
                 self.ensure_compiled();
                 let cp = self.compiled.take().expect("just compiled");
-                for p in packets.iter_mut() {
-                    out.push(self.run_compiled(&cp, p, None));
+                // Look-ahead stage: hint the table slots packet
+                // `i + AHEAD` will probe, then run packet `i` through the
+                // scalar walk. Hints change no state, so results are the
+                // same with the stage or (no table big enough) without.
+                let lookahead = cp.has_lookahead();
+                if lookahead {
+                    for p in packets.iter().take(prefetch::AHEAD) {
+                        cp.prefetch_lookups(p);
+                    }
+                }
+                for i in 0..packets.len() {
+                    if lookahead {
+                        if let Some(ahead) = packets.get(i + prefetch::AHEAD) {
+                            cp.prefetch_lookups(ahead);
+                        }
+                    }
+                    out.push(self.run_compiled(&cp, &mut packets[i], None));
                 }
                 self.compiled = Some(cp);
             }
         }
         out
+    }
+
+    /// Whether the deployed compiled program has any table worth a
+    /// look-ahead hint (always `false` under the interpreter). Burst
+    /// loops outside this module check it once per burst.
+    #[inline]
+    pub(crate) fn has_lookahead(&self) -> bool {
+        self.mode == EngineMode::Compiled
+            && self.compiled.as_ref().is_some_and(|cp| cp.has_lookahead())
+    }
+
+    /// The look-ahead stage for burst loops that execute through
+    /// [`Executor::process`]: hints the table slots `packet` will probe
+    /// once its turn comes. See [`CompiledPipeline::prefetch_lookups`].
+    #[inline]
+    pub(crate) fn prefetch_lookups(&self, packet: &Packet) {
+        if let Some(cp) = &self.compiled {
+            cp.prefetch_lookups(packet);
+        }
+    }
+
+    /// The tables on the compiled program's look-ahead list.
+    #[cfg(test)]
+    pub(crate) fn lookahead_tables(&mut self) -> Vec<NodeId> {
+        self.ensure_compiled();
+        self.compiled
+            .as_ref()
+            .map_or_else(Vec::new, |cp| cp.lookahead_tables())
     }
 
     fn place(&self, id: NodeId) -> Placement {
@@ -1896,6 +1940,245 @@ mod tests {
         ex.set_memory_tiers(tiers);
         let fast = ex.process(&mut Packet::with_slots(vec![1, 0])).latency_ns;
         assert!((base - fast - 5.0).abs() < 1e-9, "base={base} fast={fast}");
+    }
+
+    /// `n` exact entries on `key` (keys `0..n`, spread by an odd
+    /// multiplier), every 7th bound to action 1.
+    fn big_exact(
+        b: &mut ProgramBuilder,
+        name: &str,
+        key: pipeleon_ir::FieldRef,
+        n: u64,
+        actions: [(&str, Vec<Primitive>); 2],
+    ) -> NodeId {
+        let [(n0, p0), (n1, p1)] = actions;
+        let mut tb = b
+            .table(name)
+            .key(key, MatchKind::Exact)
+            .action(n0, p0)
+            .action(n1, p1)
+            .action_nop("miss")
+            .default_action(2);
+        for e in 0..n {
+            tb = tb.entry(TableEntry::new(
+                vec![MatchValue::Exact(e.wrapping_mul(2_654_435_761) % 1_000_003)],
+                usize::from(e % 7 == 0),
+            ));
+        }
+        tb.finish()
+    }
+
+    /// Big enough to pass the look-ahead size gate (32,768 slots, 1 MB).
+    const BIG: u64 = 20_000;
+
+    /// Traffic over two fields: mostly installed keys, some misses.
+    fn big_traffic(n: usize) -> Vec<Packet> {
+        (0..n as u64)
+            .map(|i| {
+                let flow = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                let key = |f: u64| {
+                    if f.is_multiple_of(11) {
+                        2_000_000 + f // never installed
+                    } else {
+                        (f % BIG).wrapping_mul(2_654_435_761) % 1_000_003
+                    }
+                };
+                Packet::with_slots(vec![key(flow), key(flow >> 3), 0])
+            })
+            .collect()
+    }
+
+    /// `process_batch` (with whatever look-ahead the program earns) ≡
+    /// per-packet `process` ≡ the interpreter: packets and reports
+    /// bit-equal, over burst lengths around the look-ahead distance.
+    fn assert_lookahead_inert(g: &pipeleon_ir::ProgramGraph, ctx: &str) {
+        let mut batch = Executor::new(g.clone(), params()).unwrap();
+        let mut single = Executor::new(g.clone(), params()).unwrap();
+        let mut interp = Executor::new(g.clone(), params()).unwrap();
+        interp.set_engine_mode(EngineMode::Interpreter);
+        let k = prefetch::AHEAD;
+        let traffic = big_traffic(3000);
+        let mut at = 0;
+        for len in [0, 1, k - 1, k, k + 1, 255, 256, 1000] {
+            let burst = &traffic[at..at + len];
+            at += len;
+            let mut got = burst.to_vec();
+            let got_reports = batch.process_batch(&mut got);
+            assert_eq!(got_reports.len(), len, "{ctx}: burst {len}");
+            for (i, p) in burst.iter().enumerate() {
+                let (mut a, mut b) = (p.clone(), p.clone());
+                let ra = single.process(&mut a);
+                let rb = interp.process(&mut b);
+                for (who, want, r) in [("process", &a, ra), ("interpreter", &b, rb)] {
+                    assert_eq!(&got[i], want, "{ctx}: burst {len} packet {i} vs {who}");
+                    assert_eq!(got_reports[i], r, "{ctx}: burst {len} report {i} vs {who}");
+                    assert_eq!(
+                        got_reports[i].latency_ns.to_bits(),
+                        r.latency_ns.to_bits(),
+                        "{ctx}: burst {len} latency bits {i} vs {who}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lookahead_lists_big_stable_key_tables_and_is_inert() {
+        let mut b = ProgramBuilder::new();
+        let (x, y, out) = (b.field("x"), b.field("y"), b.field("out"));
+        let mark = |v| vec![Primitive::set(out, v)];
+        let t1 = big_exact(&mut b, "t1", x, BIG, [("a", mark(1)), ("b", mark(2))]);
+        let t2 = big_exact(&mut b, "t2", y, BIG, [("a", mark(3)), ("b", mark(4))]);
+        let g = b.seal(t1).unwrap();
+        let mut ex = Executor::new(g.clone(), params()).unwrap();
+        assert_eq!(ex.lookahead_tables(), vec![t1, t2]);
+        ex.set_engine_mode(EngineMode::Interpreter);
+        assert!(!ex.has_lookahead(), "the interpreter takes no hints");
+        assert_lookahead_inert(&g, "stable keys");
+    }
+
+    #[test]
+    fn lookahead_skips_a_table_whose_key_an_upstream_action_writes() {
+        let mut b = ProgramBuilder::new();
+        let (x, y, out) = (b.field("x"), b.field("y"), b.field("out"));
+        // t1's action 1 rewrites y, the key t2 matches on: a hint taken
+        // from the waiting packet's y would be for the wrong slot.
+        let t1 = big_exact(
+            &mut b,
+            "t1",
+            x,
+            BIG,
+            [
+                ("keep", vec![Primitive::Nop]),
+                (
+                    "rewrite",
+                    vec![Primitive::set(y, 2_654_435_761 % 1_000_003)],
+                ),
+            ],
+        );
+        big_exact(
+            &mut b,
+            "t2",
+            y,
+            BIG,
+            [
+                ("a", vec![Primitive::set(out, 3)]),
+                ("b", vec![Primitive::set(out, 4)]),
+            ],
+        );
+        let g = b.seal(t1).unwrap();
+        let mut ex = Executor::new(g.clone(), params()).unwrap();
+        assert_eq!(
+            ex.lookahead_tables(),
+            vec![t1],
+            "t2's key is written upstream"
+        );
+        assert_lookahead_inert(&g, "written key");
+        // Downstream writers do not disqualify: flip the order.
+        let mut b = ProgramBuilder::new();
+        let (x, y) = (b.field("x"), b.field("y"));
+        let first = big_exact(
+            &mut b,
+            "first",
+            y,
+            BIG,
+            [("a", vec![Primitive::Nop]), ("b", vec![Primitive::Nop])],
+        );
+        let then = big_exact(
+            &mut b,
+            "then",
+            x,
+            BIG,
+            [
+                ("keep", vec![Primitive::Nop]),
+                ("rewrite", vec![Primitive::set(y, 5)]),
+            ],
+        );
+        let g = b.seal(first).unwrap();
+        let mut ex = Executor::new(g, params()).unwrap();
+        assert_eq!(ex.lookahead_tables(), vec![first, then]);
+    }
+
+    #[test]
+    fn lookahead_is_inert_behind_a_flow_cache() {
+        let mut b = ProgramBuilder::new();
+        let (x, y, out) = (b.field("x"), b.field("y"), b.field("out"));
+        let mark = |v| vec![Primitive::set(out, v)];
+        let big = big_exact(&mut b, "big", x, BIG, [("a", mark(1)), ("b", mark(2))]);
+        b.set_next(big, None);
+        let cache = b
+            .table("cache")
+            .key(x, MatchKind::Exact)
+            .key(y, MatchKind::Exact)
+            .action_nop("hit")
+            .action_nop("miss")
+            .default_action(1)
+            .cache_role(CacheRole::FlowCache)
+            .max_entries(256)
+            .by_action(vec![None, Some(big)])
+            .finish();
+        let g = b.seal(cache).unwrap();
+        let mut ex = Executor::new(g.clone(), params()).unwrap();
+        assert_eq!(ex.lookahead_tables(), vec![big], "never the cache switch");
+        assert_lookahead_inert(&g, "flow cache");
+    }
+
+    #[test]
+    fn lookahead_is_inert_when_packets_drop_mid_pipeline() {
+        let mut b = ProgramBuilder::new();
+        let (x, y, out) = (b.field("x"), b.field("y"), b.field("out"));
+        let acl = big_exact(
+            &mut b,
+            "acl",
+            x,
+            BIG,
+            [
+                ("permit", vec![Primitive::Nop]),
+                ("deny", vec![Primitive::Drop]),
+            ],
+        );
+        let fwd = big_exact(
+            &mut b,
+            "fwd",
+            y,
+            BIG,
+            [
+                ("a", vec![Primitive::set(out, 1)]),
+                ("b", vec![Primitive::Forward { port: 2 }]),
+            ],
+        );
+        let g = b.seal(acl).unwrap();
+        let mut ex = Executor::new(g.clone(), params()).unwrap();
+        assert_eq!(ex.lookahead_tables(), vec![acl, fwd]);
+        let mut probe = big_traffic(1000);
+        let dropped = ex
+            .process_batch(&mut probe)
+            .iter()
+            .filter(|r| r.dropped)
+            .count();
+        assert!(
+            dropped > 50 && dropped < 950,
+            "drops and passes both: {dropped}"
+        );
+        assert_lookahead_inert(&g, "mid-pipeline drops");
+    }
+
+    /// Programs whose tables are all cache-sized get an empty list, so
+    /// their burst loops take the branch without the look-ahead stage.
+    #[test]
+    fn lookahead_is_empty_for_small_table_programs() {
+        use pipeleon_workloads::scenarios::{LoadBalancer, SkewedPipeline};
+        for (name, g) in [
+            ("load balancer", LoadBalancer::build().graph),
+            (
+                "skewed pipeline",
+                SkewedPipeline::build_with_entries(8, 4, 128).graph,
+            ),
+        ] {
+            let mut ex = Executor::new(g, params()).unwrap();
+            assert!(ex.lookahead_tables().is_empty(), "{name}");
+            assert!(!ex.has_lookahead(), "{name}");
+        }
     }
 
     #[test]

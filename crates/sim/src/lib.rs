@@ -82,6 +82,7 @@ mod generation;
 pub mod nic;
 pub mod observe;
 pub mod packet;
+mod prefetch;
 pub mod ring;
 pub mod sharded;
 pub mod smallkey;

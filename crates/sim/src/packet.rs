@@ -65,14 +65,7 @@ impl Packet {
     /// RSS-split across shards.
     #[inline]
     pub fn prefetch(&self) {
-        // SAFETY: `_mm_prefetch` only hints the cache with an address —
-        // it performs no observable load — so it is sound on any valid
-        // pointer, and `self.slots.as_ptr()` always is one.
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.slots.as_ptr() as *const i8, _MM_HINT_T0);
-        }
+        crate::prefetch::line(self.slots.as_ptr());
     }
 
     /// A stable flow hash over all slots (FNV-1a), used for RSS dispatch

@@ -57,18 +57,9 @@ fn prefetch_slot<T>(inner: &Inner<T>, idx: usize) {
     // Model builds skip the hint: a prefetch is not a data access, and
     // routing it through the tracked cell would register a spurious read
     // of a slot the protocol has not handed to this side yet.
-    #[cfg(all(target_arch = "x86_64", not(pipeleon_check)))]
-    inner.buf[idx & inner.mask].with(|p| {
-        // SAFETY: `_mm_prefetch` only hints the cache with an address;
-        // it performs no load the memory model can observe, so it is
-        // sound on any pointer, including one to an uninitialized or
-        // concurrently-written slot.
-        unsafe {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(p as *const i8, _MM_HINT_T0);
-        }
-    });
-    #[cfg(not(all(target_arch = "x86_64", not(pipeleon_check))))]
+    #[cfg(not(pipeleon_check))]
+    inner.buf[idx & inner.mask].with(crate::prefetch::line);
+    #[cfg(pipeleon_check)]
     let _ = (inner, idx);
 }
 

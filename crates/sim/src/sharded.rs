@@ -118,6 +118,7 @@ use crate::generation::{GenChain, GenKind, PatchOp};
 use crate::nic::{BatchStats, NicConfig, PacketRecord, ShardMode};
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
+use crate::prefetch;
 use crate::ring;
 use crate::specialize::{self, HotKeySketch, SpecConfig, SpecStats};
 use crate::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
@@ -144,8 +145,6 @@ const RING_CAPACITY_MAX: usize = 8192;
 const BURST: usize = 512;
 /// Idle spins before a worker parks.
 const SPIN_BUDGET: u32 = 64;
-/// How many packets ahead a drain loop prefetches slot storage.
-const PREFETCH_AHEAD: usize = 8;
 /// Items the dispatcher stages per shard before bursting them into the
 /// shard's ring (the DPDK tx-burst idiom). Staging through a tiny,
 /// constantly reused buffer keeps the dispatcher's write target hot and
@@ -431,12 +430,22 @@ fn drain_burst(cell: &ShardCell, buf: &mut Vec<WorkItem>) -> usize {
         if n == 0 {
             break;
         }
+        // Checked once per burst; a generation adopted mid-burst can only
+        // make the rest of this burst's hints missing or useless.
+        let lookahead = st.exec.has_lookahead();
         for i in 0..buf.len() {
             // A shard's burst is every w-th packet of the arrival
             // stream, so the slot storage walk is strided; tell the
-            // cache about it a few packets ahead.
-            if let Some(ahead) = buf.get(i + PREFETCH_AHEAD) {
+            // cache about it a few packets ahead — twice as far as the
+            // look-ahead stage, which reads key fields out of that
+            // storage to hint the table slots the packet will probe.
+            if let Some(ahead) = buf.get(i + 2 * prefetch::AHEAD) {
                 ahead.pkt.prefetch();
+            }
+            if lookahead {
+                if let Some(ahead) = buf.get(i + prefetch::AHEAD) {
+                    st.exec.prefetch_lookups(&ahead.pkt);
+                }
             }
             st.run_item(&mut buf[i]);
         }
@@ -1860,6 +1869,40 @@ mod tests {
         let rb = sharded.process_batch(&mut b);
         assert_eq!(ra, rb, "uninstrumented reports match packet-for-packet");
         assert_eq!(a, b, "packet mutations match in input order");
+    }
+
+    /// A table past the look-ahead size gate puts the drain loop's hint
+    /// stage to work on every shard, and changes nothing it computes.
+    #[test]
+    fn runloop_drain_hints_big_tables_and_stays_identical() {
+        use pipeleon_ir::{MatchValue, TableEntry};
+        let mut b = ProgramBuilder::new();
+        let f = b.field("x");
+        let out = b.field("out");
+        let mut tb = b
+            .table("big")
+            .key(f, MatchKind::Exact)
+            .action("mark", vec![Primitive::set(out, 1)])
+            .action_nop("miss")
+            .default_action(1);
+        for k in 0..20_000u64 {
+            tb = tb.entry(TableEntry::new(vec![MatchValue::Exact(k * 3)], 0));
+        }
+        let big = tb.finish();
+        let g = b.seal(big).unwrap();
+        let params = CostParams::bluefield2();
+        let mut single = SmartNic::new(g.clone(), params.clone()).unwrap();
+        let mut sharded = ShardedNic::new(g, params, 2).unwrap();
+        let mut a = packets(3000);
+        let mut b = a.clone();
+        let ra = single.process_batch(&mut a);
+        let rb = sharded.process_batch(&mut b);
+        assert_eq!(ra, rb);
+        assert_eq!(a, b);
+        for cell in &sharded.shards {
+            let st = cell.state.lock().expect("shard state poisoned");
+            assert!(st.exec.has_lookahead(), "shards hint the big table");
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!    time, a guard hit is bit-identical (entry, action, *and* probe
 //!    count — which feeds latency accounting) to the path it replaces.
 //! 2. **Direct-index ways** — a small, stable, single-field exact way
-//!    whose keys span a dense range is rewritten from an FxHash map to a
-//!    base-offset slot array: lookup is a bounds-checked subtract, no
+//!    whose keys span a dense range is rewritten from its flat hash form
+//!    to a base-offset slot array: lookup is a bounds-checked subtract, no
 //!    hashing. Any entry-op rebuild of the engine restores the hash form.
 //! 3. **Cold out-of-lining** — the most-probable successor chain from
 //!    the root is permuted into a contiguous slot prefix so the hot walk
@@ -374,23 +374,24 @@ pub(crate) fn apply_plan(cp: &mut CompiledPipeline, plan: &SpecPlan) {
             }));
         }
     }
+    // Slots moved and ways changed shape.
+    cp.derive_lookahead();
 }
 
-/// Rewrites one way from an FxHash map to a direct-index array if it is
-/// a single-field way whose keys span a dense range. Masked (non-exact)
-/// single-field ways still qualify: the lookup masks before indexing,
-/// exactly as the hash form masks before hashing.
+/// Rewrites one way from its flat hash form to a direct-index array if
+/// it is a single-field way whose keys span a dense range. Masked
+/// (non-exact) single-field ways still qualify: the lookup masks before
+/// indexing, exactly as the hash form masks before hashing.
 fn directify_way(way: &mut crate::compiled::CWay) {
     let CWayMap::U64(m) = &way.map else { return };
-    if m.is_empty() {
+    let Some(lo) = m.iter().map(|(k, _)| k).min() else {
         return;
-    }
-    let lo = m.keys().copied().min().unwrap_or(0);
-    let hi = m.keys().copied().max().unwrap_or(0);
+    };
+    let hi = m.iter().map(|(k, _)| k).max().unwrap_or(lo);
     let span = (hi - lo) as usize + 1;
     let mut slots: Vec<Option<CEntries>> = vec![None; span];
-    for (k, v) in m {
-        slots[(k - lo) as usize] = Some(v.clone());
+    for (k, v) in m.iter() {
+        slots[(k - lo) as usize] = Some(v);
     }
     way.map = CWayMap::Direct {
         base: lo,

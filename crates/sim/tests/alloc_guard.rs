@@ -8,6 +8,10 @@
 //! future per-packet `Vec`/`Box`/`String` sneaking into the hot path
 //! fails here with an exact allocation count.
 //!
+//! The batch path's one allocation is the report `Vec` it returns; the
+//! look-ahead stage it runs over programs with DRAM-sized tables adds
+//! none.
+//!
 //! Deliberately a single `#[test]` in its own integration-test binary:
 //! the allocation counter is process-global, so concurrently running
 //! tests would pollute the measurement.
@@ -115,6 +119,24 @@ fn mixed_program() -> ProgramGraph {
     b.seal(exact).unwrap()
 }
 
+/// One exact table with an entry for every key in `0..65_536`.
+fn big_table_program() -> ProgramGraph {
+    let mut b = ProgramBuilder::new();
+    let a = b.field("a");
+    let out = b.field("out");
+    let mut big = b
+        .table("big")
+        .key(a, MatchKind::Exact)
+        .action("mark", vec![Primitive::set(out, 1)])
+        .action_nop("pass")
+        .default_action(1);
+    for k in 0..65_536u64 {
+        big = big.entry(TableEntry::new(vec![MatchValue::Exact(k)], 0));
+    }
+    let big = big.finish();
+    b.seal(big).unwrap()
+}
+
 /// Flow-cache program: cache -> [hit: sink, miss: heavy -> sink].
 fn cached_program() -> ProgramGraph {
     let mut b = ProgramBuilder::new();
@@ -195,6 +217,30 @@ fn compiled_steady_state_is_allocation_free() {
         0,
         "flow-cache hit path allocated {hit_allocs} times over {} packets",
         packets.len()
+    );
+
+    // --- State at scale: the look-ahead stage --------------------------
+    // A 65,536-entry exact table is past the look-ahead size gate, so
+    // `process_batch` hints its slots a few packets ahead. The stage is
+    // a field read, a multiply and a prefetch: a burst still allocates
+    // exactly its report `Vec` and nothing else.
+    let mut ex = Executor::new(big_table_program(), params.clone()).unwrap();
+    ex.set_engine_mode(EngineMode::Compiled);
+    let mut packets: Vec<Packet> = (0..256u64)
+        .map(|i| Packet::with_slots(vec![(i * 7919) % 70_000, 0]))
+        .collect();
+    ex.process_batch(&mut packets);
+    const BURSTS: u64 = 16;
+    let batch_allocs = count_allocs(|| {
+        for _ in 0..BURSTS {
+            let reports = ex.process_batch(&mut packets);
+            assert_eq!(reports.len(), packets.len());
+        }
+    });
+    assert_eq!(
+        batch_allocs, BURSTS,
+        "process_batch over a look-ahead program allocated {batch_allocs} times in {BURSTS} \
+         bursts; the report Vec is the one allocation a burst makes"
     );
 
     // Informational contrast: the interpreter on the same warmed state.

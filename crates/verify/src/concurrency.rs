@@ -50,8 +50,9 @@ const UNSAFE_SRC_ALLOWLIST: &[&str] = &[
     // The SPSC ring's MaybeUninit slots — protocol verified by the
     // model suite.
     "crates/sim/src/ring.rs",
-    // `_mm_prefetch` hint on packet slots.
-    "crates/sim/src/packet.rs",
+    // The crate's one `_mm_prefetch` site (packet slots, ring slots
+    // and match-table slots all hint through it).
+    "crates/sim/src/prefetch.rs",
     // The std-side CheckCell newtype (Send/Sync impls + UnsafeCell).
     "crates/sim/src/sync.rs",
     // The checker's own shims are the instrument, not the subject.

@@ -84,7 +84,7 @@ fn seeded_violations_trip_every_rule() {
         ),
         // PV203: allowlisted unsafe without a SAFETY comment.
         (
-            "crates/sim/src/packet.rs",
+            "crates/sim/src/prefetch.rs",
             "fn f(p: *mut u8) { unsafe { *p = 0 }; }\n",
         ),
         // Clean file for contrast.
@@ -98,7 +98,7 @@ fn seeded_violations_trip_every_rule() {
         [
             "PV201 crates/sim/src/ring.rs:2",
             "PV202 crates/core/src/lib.rs:1",
-            "PV203 crates/sim/src/packet.rs:1",
+            "PV203 crates/sim/src/prefetch.rs:1",
             "PV204 crates/sim/src/ring.rs:3",
             "PV205 crates/sim/src/sharded.rs:1",
         ]

@@ -9,21 +9,23 @@
 //!
 //! A proptest additionally pins the incremental-recompile contract: patching
 //! one table after an entry op must be indistinguishable from compiling the
-//! final program from scratch.
+//! final program from scratch. Another holds the compiled engine's flat
+//! single-field ways to [`MatchEngine`] lookup by lookup — entry, action and
+//! probe count — over adversarial key sets and across every rebuild path.
 
 use pipeleon::search::Optimizer;
 use pipeleon_cost::{CostModel, CostParams};
 use pipeleon_ir::{
-    json, CacheRole, FieldRef, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder,
-    ProgramGraph, TableEntry,
+    json, Action, CacheRole, FieldRef, MatchKey, MatchKind, MatchValue, NodeId, Primitive,
+    ProgramBuilder, ProgramGraph, Table, TableEntry,
 };
 use pipeleon_runtime::{
     graph_fingerprint, Controller, ControllerConfig, FaultConfig, FaultyTarget, RuntimeError,
     SimTarget, Target,
 };
 use pipeleon_sim::{
-    BatchStats, EngineMode, ExecReport, Executor, Packet, PacketTrace, ShardMode, ShardedNic,
-    SmartNic,
+    BatchStats, EngineMode, ExecReport, Executor, KeyScratch, MatchEngine, Packet, PacketTrace,
+    ShardMode, ShardedNic, SmartNic,
 };
 use pipeleon_workloads::scenarios::AclPipeline;
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
@@ -554,8 +556,218 @@ fn chaos_runs_are_engine_invariant() {
     }
 }
 
+/// FxHash's multiplier, which the compiled engine's flat ways hash with.
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// Spare actions a [`way_table`] declares past its entries, for inserts.
+const SPARE_ACTIONS: usize = 4;
+
+/// A single-field table of `n` entries whose key set stresses a flat
+/// way. Entry `i` runs action `i`, so the action a lookup resolves names
+/// the entry it matched; the last action is the miss.
+///
+/// `shape`: 0 random keys · 1 a small domain, so keys repeat and lists
+/// hold several entries · 2 the extremes (`0`, `u64::MAX` and their
+/// neighbours) among random keys · 3 keys that all hash to home slot 0
+/// (multiples of the multiplier's inverse), one long probe run · 4
+/// exactly `7·2^k` distinct keys, a way filled to its 7/8 load limit ·
+/// 5 a dense range, which `specialize()` turns into a direct-index way.
+fn way_table(kind: MatchKind, shape: usize, n: usize, rng: &mut Lcg) -> Table {
+    let mut fx_inv: u64 = 1;
+    for _ in 0..6 {
+        fx_inv = fx_inv.wrapping_mul(2u64.wrapping_sub(FX_SEED.wrapping_mul(fx_inv)));
+    }
+    let n = match shape {
+        4 => 7 << (n.max(7) / 7).ilog2(),
+        5 => n.min(4000),
+        _ => n,
+    };
+    let base = rng.next() << 12;
+    let mut t = Table::new("t");
+    t.keys = vec![MatchKey {
+        field: FieldRef(0),
+        kind,
+    }];
+    t.actions = (0..n + SPARE_ACTIONS)
+        .map(|i| Action::nop(format!("a{i}")))
+        .collect();
+    t.actions.push(Action::nop("miss"));
+    t.default_action = n + SPARE_ACTIONS;
+    for i in 0..n as u64 {
+        let wide = (rng.next() << 31) ^ rng.next();
+        let value = match shape {
+            1 => rng.next() % (n as u64 / 3 + 1),
+            2 => match rng.next() % 6 {
+                0 => 0,
+                1 => u64::MAX,
+                2 => 1,
+                3 => u64::MAX - 1,
+                _ => wide,
+            },
+            3 => i.wrapping_mul(fx_inv),
+            4 => i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            5 => base + i,
+            _ => wide,
+        };
+        let prio = (rng.next() % 4) as i32;
+        let mv = match kind {
+            MatchKind::Exact => MatchValue::Exact(value),
+            MatchKind::Lpm => MatchValue::Lpm {
+                value,
+                prefix_len: [64u8, 48, 32, 8, 0][(rng.next() % 5) as usize],
+            },
+            _ => MatchValue::Ternary {
+                value,
+                mask: [u64::MAX, 0xFFFF_FFFF_0000_0000, 0xFF, 0][(rng.next() % 4) as usize],
+            },
+        };
+        t.entries
+            .push(TableEntry::with_priority(vec![mv], i as usize, prio));
+    }
+    t.validate().expect("generated table is valid");
+    t
+}
+
+/// Keys to look up in `t`: installed values (as stored, and with the
+/// bits a mask ignores flipped), their neighbours, the extremes, and
+/// keys that are not installed.
+fn way_probes(t: &Table, rng: &mut Lcg) -> Vec<u64> {
+    let mut keys = vec![0, 1, u64::MAX, u64::MAX - 1];
+    let step = t.entries.len() / 64 + 1;
+    for e in t.entries.iter().step_by(step) {
+        let v = match e.matches[0] {
+            MatchValue::Exact(v) => v,
+            MatchValue::Lpm { value, .. } | MatchValue::Ternary { value, .. } => value,
+            MatchValue::Range { lo, .. } => lo,
+        };
+        keys.extend([v, v ^ 0xFF00, v.wrapping_add(1), v.wrapping_sub(1)]);
+    }
+    for _ in 0..64 {
+        keys.push((rng.next() << 31) ^ rng.next());
+    }
+    keys
+}
+
+/// Every probe through the compiled datapath resolves what
+/// [`MatchEngine`] resolves on the table as currently deployed: same
+/// action (hence, actions being one per entry, the same entry), same
+/// probe count, hit or miss.
+fn assert_ways_match_oracle(
+    nic: &mut SmartNic,
+    node: NodeId,
+    probes: &[u64],
+    stage: &str,
+) -> Result<(), TestCaseError> {
+    let table = nic
+        .graph()
+        .node(node)
+        .and_then(|n| n.as_table())
+        .expect("table node")
+        .clone();
+    let oracle = MatchEngine::build(&table);
+    let mut scratch = KeyScratch::new();
+    let mut trace = PacketTrace::default();
+    for &k in probes {
+        let mut p = Packet::with_slots(vec![k]);
+        let want = oracle.lookup(&table, &p, &mut scratch);
+        if let Some(e) = want.entry {
+            prop_assert_eq!(table.entries[e].action, want.action);
+        }
+        let got = nic.process_one_traced(&mut p, &mut trace);
+        prop_assert_eq!(
+            trace.actions(),
+            vec![(node, want.action)],
+            "{}: key {:#x} resolved a different entry (oracle entry {:?})",
+            stage,
+            k,
+            want.entry
+        );
+        prop_assert_eq!(
+            got.probes,
+            want.probes,
+            "{}: key {:#x} probe count",
+            stage,
+            k
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// The compiled engine's flat ways against the [`MatchEngine`]
+    /// oracle, lookup by lookup, on 1-10,000-entry exact, ternary and LPM
+    /// tables — as lowered, and after every path that rebuilds or
+    /// rewrites a way: entry inserts and removes, a table replacement,
+    /// `specialize()` (hot-key guard, direct-index way) and
+    /// `despecialize()`.
+    #[test]
+    fn flat_ways_match_the_match_engine_oracle(
+        kind in 0usize..3,
+        shape in 0usize..6,
+        size_class in 0usize..8,
+        seed in 0u64..u64::MAX,
+    ) {
+        let kind = [MatchKind::Exact, MatchKind::Ternary, MatchKind::Lpm][kind];
+        let mut rng = Lcg(seed);
+        let n = [1, 2, 7, 30, 120, 500, 2_000, 10_000][size_class];
+        let n = 1 + n / 2 + rng.next() as usize % (n - n / 2);
+        let table = way_table(kind, shape, n, &mut rng);
+        let spare = table.entries.len();
+        let mut probes = way_probes(&table, &mut rng);
+
+        let mut b = ProgramBuilder::new();
+        b.field("k");
+        let node = b.add_table(table);
+        let g = b.seal(node).unwrap();
+        let mut nic = SmartNic::new(g, CostParams::bluefield2()).unwrap();
+        nic.set_engine_mode(EngineMode::Compiled);
+        assert_ways_match_oracle(&mut nic, node, &probes, "lowered")?;
+
+        // A window dominated by one installed key earns a hot-key guard;
+        // a dense exact table also earns a direct-index way.
+        let hot_key = probes[4];
+        let specialize = |nic: &mut SmartNic| {
+            nic.set_instrumentation(true, 1);
+            let mut hot: Vec<Packet> =
+                (0..256).map(|_| Packet::with_slots(vec![hot_key])).collect();
+            nic.process_batch(&mut hot);
+            nic.specialize();
+            nic.set_instrumentation(false, 1);
+        };
+        specialize(&mut nic);
+        prop_assert!(nic.spec_stats().specialized_tables == 1, "guard installed");
+        assert_ways_match_oracle(&mut nic, node, &probes, "specialized")?;
+
+        // Inserts (the first strips the specialization): a second entry
+        // under an installed key — a list of several entries — and fresh
+        // keys at the extremes.
+        for (i, (value, prio)) in [(hot_key, 9), (0, 0), (u64::MAX, 1)].into_iter().enumerate() {
+            let mv = match kind {
+                MatchKind::Exact => MatchValue::Exact(value),
+                MatchKind::Lpm => MatchValue::Lpm { value, prefix_len: 64 },
+                _ => MatchValue::Ternary { value, mask: u64::MAX },
+            };
+            nic.insert_entry(node, TableEntry::with_priority(vec![mv], spare + i, prio))
+                .unwrap();
+        }
+        assert_ways_match_oracle(&mut nic, node, &probes, "after inserts")?;
+        for _ in 0..2 {
+            let len = nic.graph().node(node).unwrap().as_table().unwrap().entries.len();
+            nic.remove_entry(node, rng.next() as usize % len).unwrap();
+        }
+        assert_ways_match_oracle(&mut nic, node, &probes, "after removes")?;
+        specialize(&mut nic);
+        assert_ways_match_oracle(&mut nic, node, &probes, "re-specialized")?;
+        nic.despecialize();
+        assert_ways_match_oracle(&mut nic, node, &probes, "despecialized")?;
+
+        let other = way_table(kind, (shape + 1) % 6, n / 2 + 1, &mut rng);
+        probes.extend(way_probes(&other, &mut rng));
+        nic.replace_table(node, other, None).unwrap();
+        assert_ways_match_oracle(&mut nic, node, &probes, "replaced")?;
+    }
 
     /// Incremental-recompile soundness: an executor that compiled early
     /// and patched tables per entry op must be indistinguishable from one

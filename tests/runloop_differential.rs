@@ -285,6 +285,55 @@ fn synth_seed_matrix_runloop_matches_oracle() {
     }
 }
 
+/// State at scale: a 15,000-entry exact table (a 1 MB slot array, past
+/// the compiled engine's look-ahead size gate) that drops some flows,
+/// then a second one keyed on another field, so each shard's drain loop
+/// runs its table-prefetch stage ahead of the scalar walk. Hints must
+/// not show in any invariant, at any worker count.
+#[test]
+fn big_table_program_runloop_matches_oracle() {
+    const ENTRIES: u64 = 15_000;
+    let key = |flow: u64| flow.wrapping_mul(2_654_435_761) % 1_000_003;
+    let mut b = ProgramBuilder::new();
+    let (x, y, out) = (b.field("x"), b.field("y"), b.field("out"));
+    let mut acl = b
+        .table("acl")
+        .key(x, MatchKind::Exact)
+        .action_nop("permit")
+        .action_drop("deny")
+        .action_nop("miss")
+        .default_action(2);
+    let mut fwd = Vec::new();
+    for e in 0..ENTRIES {
+        acl = acl.entry(TableEntry::new(
+            vec![MatchValue::Exact(key(e))],
+            usize::from(e % 9 == 0),
+        ));
+        fwd.push(TableEntry::new(vec![MatchValue::Exact(key(e) ^ 1)], 0));
+    }
+    let acl = acl.finish();
+    let mut tb = b
+        .table("fwd")
+        .key(y, MatchKind::Exact)
+        .action("mark", vec![Primitive::set(out, 7)])
+        .action_nop("miss")
+        .default_action(1);
+    for e in fwd {
+        tb = tb.entry(e);
+    }
+    tb.finish();
+    let g = b.seal(acl).unwrap();
+    let batch: Vec<Packet> = (0..2_000u64)
+        .map(|i| {
+            let flow = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44;
+            // Mostly installed keys; every 13th flow misses both tables.
+            let miss = u64::from(flow % 13 == 0) * 5_000_000;
+            Packet::with_slots(vec![key(flow % ENTRIES) + miss, key(flow % 977) ^ 1, 0])
+        })
+        .collect();
+    assert_runloop_differential(&g, &CostParams::bluefield2(), &batch, "big tables");
+}
+
 /// Builds: cache(keys=[x]) -ByAction-> [hit -> sink, miss -> heavy -> sink]
 /// — the stateful program for the per-flow-order invariant: whether a
 /// packet hits or misses the LRU depends on exactly which packets of its
