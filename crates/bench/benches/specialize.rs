@@ -13,7 +13,10 @@
 //! don't, for the baseline), switch instrumentation off, then time. The
 //! two variants differ by exactly one `specialize()` call. Every row
 //! cross-checks bit-identity of the timed traffic against both oracles —
-//! the unspecialized compiled engine and the interpreter.
+//! the unspecialized compiled engine and the interpreter. Every skewed
+//! row also requires that fused guard runs served packets (the
+//! `fused_hit_share` column): a derived pass that silently stopped
+//! firing would still be bit-identical, just slow.
 //!
 //! Output: tab-separated table on stdout plus `BENCH_specialize.json`
 //! at the repo root (override with `BENCH_SPECIALIZE_OUT`).
@@ -159,6 +162,7 @@ fn main() {
         "speedup",
         "spec_tables",
         "guard_hit_rate",
+        "fused_hit_share",
         "identical",
     ]);
     // 8 classifiers x 128 ternary rules: each guard hit skips a ~1k-rule
@@ -240,6 +244,15 @@ fn main() {
                 } else {
                     st.guard_hits as f64 / guarded as f64
                 };
+                // Instrumentation is off for exactly the timed reps, so
+                // those are the packets a run could have served.
+                let fused_share = st.fused_hits as f64 / (packets as f64 * f64::from(reps));
+                assert!(
+                    workload != "skewed" || st.fused_hits > 0,
+                    "{name}/{workload}/{workers}w: no packet took a fused guard run \
+                     ({} run(s) derived)",
+                    st.fused_runs
+                );
                 row(&[
                     name.to_string(),
                     workload.to_string(),
@@ -249,6 +262,7 @@ fn main() {
                     f(spec / plain),
                     st.specialized_tables.to_string(),
                     f(hit_rate),
+                    f(fused_share),
                     "true".to_string(),
                 ]);
                 rows.push(Row {

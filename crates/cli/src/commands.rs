@@ -385,6 +385,12 @@ fn spec_metrics_into(reg: &mut MetricsRegistry, spec: &pipeleon_sim::SpecStats) 
         &[],
         spec.guard_misses,
     );
+    reg.counter_set("pipeleon_specialize_fused_hits_total", &[], spec.fused_hits);
+    reg.gauge_set(
+        "pipeleon_specialize_fused_runs",
+        &[],
+        spec.fused_runs as f64,
+    );
     reg.counter_set("pipeleon_specializations_total", &[], spec.specializations);
     reg.counter_set(
         "pipeleon_despecializations_total",
@@ -479,8 +485,12 @@ fn simulate(args: &Args) -> Result<(), String> {
     );
     if specialize {
         println!(
-            "specialization:    {} table(s), guard hits {} misses {}",
-            spec.specialized_tables, spec.guard_hits, spec.guard_misses
+            "specialization:    {} table(s), guard hits {} misses {}, {} fused run(s) hit {}",
+            spec.specialized_tables,
+            spec.guard_hits,
+            spec.guard_misses,
+            spec.fused_runs,
+            spec.fused_hits
         );
     }
     if let Some(path) = args.get("profile-out") {
@@ -1400,6 +1410,11 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("pipeleon_specialized_tables"), "{text}");
+        assert!(text.contains("pipeleon_specialize_fused_runs"), "{text}");
+        assert!(
+            text.contains("pipeleon_specialize_fused_hits_total"),
+            "{text}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -603,6 +603,16 @@ impl<T: Target> Controller<T> {
             &[],
             after.guard_misses,
         );
+        m.counter_set(
+            "pipeleon_specialize_fused_hits_total",
+            &[],
+            after.fused_hits,
+        );
+        m.gauge_set(
+            "pipeleon_specialize_fused_runs",
+            &[],
+            after.fused_runs as f64,
+        );
         m.counter_set("pipeleon_specializations_total", &[], after.specializations);
         m.counter_set(
             "pipeleon_despecializations_total",
@@ -1282,6 +1292,14 @@ fn register_help(m: &mut MetricsRegistry) {
     m.help(
         "pipeleon_specialize_guard_misses_total",
         "Hot-key guard misses (fell through to the general lookup)",
+    );
+    m.help(
+        "pipeleon_specialize_fused_hits_total",
+        "Packets that took at least one stage of a fused guard run",
+    );
+    m.help(
+        "pipeleon_specialize_fused_runs",
+        "Chains of guarded tables currently fused into staged runs",
     );
     m.help(
         "pipeleon_specializations_total",

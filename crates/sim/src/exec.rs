@@ -16,7 +16,7 @@
 //! covered segment is discovered structurally.
 
 use crate::cache::{LruCache, RateLimiter};
-use crate::compiled::{CNext, CStep, CTable, CompiledPipeline, NO_SLOT};
+use crate::compiled::{CStep, CTable, CompiledPipeline, NO_SLOT};
 use crate::engine::{KeyScratch, LookupOutcome, MatchEngine};
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
@@ -242,6 +242,10 @@ pub struct Executor {
     spec_guard_hits: u64,
     /// Hot-key guard misses (fell through to the general lookup).
     spec_guard_misses: u64,
+    /// Packets that took at least one stage of a fused guard run (the
+    /// stages' members are credited to `spec_guard_hits`). Host
+    /// telemetry, like them.
+    spec_fused_hits: u64,
     /// Specialization plans applied to this executor's pipeline.
     specializations: u64,
     /// Reverts to the verbatim lowering (explicit or entry-op strips).
@@ -290,6 +294,7 @@ impl Executor {
             table_recompiles: 0,
             spec_guard_hits: 0,
             spec_guard_misses: 0,
+            spec_fused_hits: 0,
             specializations: 0,
             despecializations: 0,
             spec_epoch: 0,
@@ -722,7 +727,7 @@ impl Executor {
             self.ensure_compiled();
         }
         let cp = self.compiled.as_mut().expect("just compiled");
-        specialize::apply_plan(cp, plan);
+        specialize::apply_plan(cp, plan, &self.params);
         cp.spec_fingerprint = plan.fingerprint;
         self.specializations += 1;
         self.spec_epoch += 1;
@@ -749,6 +754,8 @@ impl Executor {
         SpecStats {
             guard_hits: self.spec_guard_hits,
             guard_misses: self.spec_guard_misses,
+            fused_hits: self.spec_fused_hits,
+            fused_runs: self.compiled.as_ref().map_or(0, |cp| cp.fused_runs()),
             specializations: self.specializations,
             despecializations: self.despecializations,
             specialized_tables: self
@@ -1342,6 +1349,46 @@ impl Executor {
                     cur = target;
                 }
                 CStep::Table(ct) => {
+                    // Fused guard run: this table heads a chain of
+                    // guarded tables resolved ahead of time, in stages.
+                    // Each stage the packet answers adds the walk's own
+                    // latency terms in the walk's order; the walk
+                    // resumes where the last one taken ends — here, at
+                    // this table, if none was. Anything the per-table
+                    // walk does beyond what a stage bakes (counters,
+                    // distinct keys, a trace, a cache recording) keeps
+                    // the run out of the way, and the walk counts its
+                    // own guard hits and misses.
+                    if let Some(stages) = &ct.fused {
+                        if !self.instrumented
+                            && trace.is_none()
+                            && pending.is_empty()
+                            && !packet.dropped
+                        {
+                            for st in stages.iter() {
+                                if !st.guard.iter().all(|&(f, v)| packet.get(f) == v) {
+                                    break;
+                                }
+                                for d in &st.deltas {
+                                    report.latency_ns += d;
+                                }
+                                report.probes += st.probes;
+                                report.migrations += st.migrations;
+                                Self::apply_primitives(packet, &st.prims);
+                                self.spec_guard_hits += st.guards;
+                                prev_place = Some(st.exit_place);
+                                cur = st.exit_slot;
+                            }
+                            if cur != slot {
+                                self.spec_fused_hits += 1;
+                                if packet.dropped {
+                                    report.dropped = true;
+                                    break;
+                                }
+                                continue;
+                            }
+                        }
+                    }
                     let before_ns = report.latency_ns;
                     cur = if ct.is_flow_cache {
                         self.exec_flow_cache_compiled(
@@ -1425,16 +1472,11 @@ impl Executor {
         } else {
             ct.engine.lookup(packet, &mut self.scratch)
         };
-        // Under a Fixed match model the charged probes follow the
-        // model's multiplier (pre-resolved), not the realized way count.
-        let charged = match ct.charged_fixed {
-            Some(f) => f,
-            None => (outcome.probes.min(ct.pattern_cap)) as f64,
-        };
         report.probes += outcome.probes;
-        report.latency_ns += charged * self.params.l_mat * scale * tier_scale;
+        for charge in ct.charges(&outcome, &self.params, scale, tier_scale) {
+            report.latency_ns += charge;
+        }
         let prims: &[Primitive] = &ct.actions[outcome.action];
-        report.latency_ns += prims.len() as f64 * self.params.l_act * scale;
 
         if self.instrumented {
             // Same distinct-key tracking as the interpreter path; the key
@@ -1472,10 +1514,7 @@ impl Executor {
         } else if self.instrumented {
             report.latency_ns += self.params.l_counter * SAMPLE_CHECK_FRACTION * scale;
         }
-        match &ct.next {
-            CNext::Always(s) => *s,
-            CNext::ByAction(v) => v[outcome.action],
-        }
+        ct.next_slot(outcome.action)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2179,6 +2218,354 @@ mod tests {
             assert!(ex.lookahead_tables().is_empty(), "{name}");
             assert!(!ex.has_lookahead(), "{name}");
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Fused guard runs at their one consumer: a run hit must be the
+    // per-table walk to the bit, and must stand aside whenever the walk
+    // does more than the run baked.
+    // ------------------------------------------------------------------
+
+    /// The key value every fused-run fixture table is guarded on.
+    const HOT: u64 = 7;
+
+    /// `acl(x) → nat(y) → mark(z) → fwd(x)`, each resolving [`HOT`] to an
+    /// action with real packet effects; `nat`'s rule is ternary beside a
+    /// second mask pattern, so its outcome carries two probes.
+    fn fusable_chain() -> (pipeleon_ir::ProgramGraph, Vec<NodeId>) {
+        let mut b = ProgramBuilder::new();
+        let (x, y, z, out) = (b.field("x"), b.field("y"), b.field("z"), b.field("out"));
+        let exact = |b: &mut ProgramBuilder, name: &str, key, hit: Vec<Primitive>| {
+            b.table(name)
+                .key(key, MatchKind::Exact)
+                .action("hit", hit)
+                .action("miss", vec![Primitive::add(out, 1000)])
+                .default_action(1)
+                .entry(TableEntry::new(vec![MatchValue::Exact(HOT)], 0))
+                .finish()
+        };
+        let acl = exact(
+            &mut b,
+            "acl",
+            x,
+            vec![Primitive::set(out, 1), Primitive::Nop],
+        );
+        let tern = |value, mask| vec![MatchValue::Ternary { value, mask }];
+        let nat = b
+            .table("nat")
+            .key(y, MatchKind::Ternary)
+            .action("rewrite", vec![Primitive::add(out, 10)])
+            .action("miss", vec![Primitive::add(out, 2000)])
+            .default_action(1)
+            .entry(TableEntry::with_priority(tern(0x100, 0xF00), 1, 5))
+            .entry(TableEntry::with_priority(tern(HOT, 0xFF), 0, 1))
+            .finish();
+        let mark = exact(
+            &mut b,
+            "mark",
+            z,
+            vec![Primitive::Copy { dst: z, src: out }],
+        );
+        let fwd = exact(&mut b, "fwd", x, vec![Primitive::Forward { port: 3 }]);
+        (b.seal(acl).unwrap(), vec![acl, nat, mark, fwd])
+    }
+
+    /// A plan guarding each of `ids` on [`HOT`].
+    fn hot_plan(ids: &[NodeId]) -> SpecPlan {
+        SpecPlan {
+            hot_keys: ids
+                .iter()
+                .map(|&id| (id, SmallKey::from_slice(&[HOT])))
+                .collect(),
+            fingerprint: 0xF05E,
+            ..SpecPlan::default()
+        }
+    }
+
+    /// The four executors a fused run is judged against, in one place:
+    /// `fused` takes run hits; `walk` is the same specialized pipeline
+    /// driven under a trace, where runs stand aside, so it *is* the
+    /// unfused per-table walk; `plain` and `interp` are the oracles.
+    struct Quad {
+        fused: Executor,
+        walk: Executor,
+        plain: Executor,
+        interp: Executor,
+    }
+
+    impl Quad {
+        fn new(
+            g: &pipeleon_ir::ProgramGraph,
+            params: &CostParams,
+            placement: &[Placement],
+            plan: &SpecPlan,
+        ) -> Self {
+            let mk = |specialize: bool, mode| {
+                let mut ex = Executor::new(g.clone(), params.clone()).unwrap();
+                ex.set_engine_mode(mode);
+                ex.set_placement(placement.to_vec());
+                if specialize {
+                    assert!(ex.specialize_with(plan).is_some());
+                }
+                ex
+            };
+            Self {
+                fused: mk(true, EngineMode::Compiled),
+                walk: mk(true, EngineMode::Compiled),
+                plain: mk(false, EngineMode::Compiled),
+                interp: mk(false, EngineMode::Interpreter),
+            }
+        }
+
+        /// Runs `p` through all four and requires every report field and
+        /// the whole packet to agree to the bit. Returns the report.
+        fn agree_on(&mut self, p: &Packet, ctx: &str) -> ExecReport {
+            let mut got = p.clone();
+            let r = self.fused.process(&mut got);
+            let mut trace = PacketTrace::default();
+            let (mut a, mut b, mut c) = (p.clone(), p.clone(), p.clone());
+            let others = [
+                ("walk", self.walk.process_traced(&mut a, &mut trace), &a),
+                ("plain", self.plain.process(&mut b), &b),
+                ("interp", self.interp.process(&mut c), &c),
+            ];
+            for (who, want, pkt) in others {
+                assert_eq!(r, want, "{ctx}: report vs {who}");
+                assert_eq!(
+                    r.latency_ns.to_bits(),
+                    want.latency_ns.to_bits(),
+                    "{ctx}: latency bits vs {who}"
+                );
+                assert_eq!(&got, pkt, "{ctx}: packet vs {who}");
+            }
+            r
+        }
+
+        /// The fused executor's guard counters must be the walk's.
+        fn assert_guard_counts_match(&self) -> SpecStats {
+            let (f, w) = (self.fused.spec_stats(), self.walk.spec_stats());
+            assert_eq!(w.fused_hits, 0, "a traced walk takes no run");
+            assert_eq!(
+                (f.guard_hits, f.guard_misses),
+                (w.guard_hits, w.guard_misses)
+            );
+            f
+        }
+    }
+
+    /// All-hit, all-miss, every partial hit (first k guards match) and an
+    /// already-dropped packet, over ASIC/CPU placements that put a
+    /// migration inside the run, on real (non-dyadic) cost parameters.
+    #[test]
+    fn fused_run_hits_are_the_walk_to_the_bit() {
+        let (g, ids) = fusable_chain();
+        let mut placement = vec![Placement::Asic; g.id_bound()];
+        placement[ids[1].index()] = Placement::Cpu;
+        placement[ids[2].index()] = Placement::Cpu;
+        let mut q = Quad::new(&g, &CostParams::bluefield2(), &placement, &hot_plan(&ids));
+        assert_eq!(q.fused.spec_stats().fused_runs, 1);
+        let hit = Packet::with_slots(vec![HOT, HOT, HOT, 0]);
+        let r = q.agree_on(&hit, "all guards hit");
+        assert_eq!((r.probes, r.migrations), (5, 2));
+        assert_eq!(q.fused.spec_stats().fused_hits, 1);
+        // First k guards match, guard k+1 does not (fwd shares acl's
+        // field, so it cannot miss alone).
+        let partial = [
+            vec![HOT + 1, HOT, HOT, 0],
+            vec![HOT, HOT + 1, HOT, 0],
+            vec![HOT, HOT, HOT + 1, 0],
+            vec![1, 2, 3, 0],
+        ];
+        for (k, slots) in partial.into_iter().enumerate() {
+            q.agree_on(&Packet::with_slots(slots), &format!("partial hit {k}"));
+        }
+        // The packets that hit acl's guard took the stages they could
+        // answer; the two that missed it took the walk from the head.
+        assert_eq!(q.fused.spec_stats().fused_hits, 3);
+        let mut dead = hit.clone();
+        dead.dropped = true;
+        let r = q.agree_on(&dead, "already dropped");
+        assert!(r.dropped);
+        assert_eq!(q.fused.spec_stats().fused_hits, 3);
+        for i in 0..50u64 {
+            q.agree_on(&hit, "steady hits");
+            let noise = Packet::with_slots(vec![HOT, i % 3 + HOT, HOT, i]);
+            q.agree_on(&noise, "mixed");
+        }
+        let st = q.assert_guard_counts_match();
+        assert!(st.fused_hits > 50 && st.guard_misses > 0, "{st:?}");
+    }
+
+    /// At `l_base` = 1e16 one ulp is 2.0: each of the run's terms, added
+    /// on its own, rounds away exactly as it does on the walk, while any
+    /// pre-summed total of them would not.
+    #[test]
+    fn fused_run_adds_its_terms_one_by_one() {
+        let (g, ids) = fusable_chain();
+        let mut p = CostParams::bluefield2();
+        p.l_base = 1e16;
+        p.l_mat = 0.4;
+        p.l_act = 0.4;
+        p.l_migration = 0.9;
+        p.cpu_scale = 1.0;
+        let mut placement = vec![Placement::Asic; g.id_bound()];
+        placement[ids[2].index()] = Placement::Cpu;
+        let mut q = Quad::new(&g, &p, &placement, &hot_plan(&ids));
+        let r = q.agree_on(&Packet::with_slots(vec![HOT, HOT, HOT, 0]), "huge base");
+        assert_eq!(q.fused.spec_stats().fused_hits, 1);
+        assert_eq!(r.latency_ns, 1e16, "every term is below half an ulp");
+    }
+
+    #[test]
+    fn fused_run_ending_in_a_drop_drops_like_the_walk() {
+        let mut b = ProgramBuilder::new();
+        let (x, y, out) = (b.field("x"), b.field("y"), b.field("out"));
+        let table = |b: &mut ProgramBuilder, name: &str, key, hit: Vec<Primitive>| {
+            b.table(name)
+                .key(key, MatchKind::Exact)
+                .action("hit", hit)
+                .action_nop("miss")
+                .default_action(1)
+                .entry(TableEntry::new(vec![MatchValue::Exact(HOT)], 0))
+                .finish()
+        };
+        let t0 = table(&mut b, "t0", x, vec![Primitive::set(out, 1)]);
+        let deny = table(
+            &mut b,
+            "deny",
+            y,
+            vec![Primitive::Drop, Primitive::set(out, 2)],
+        );
+        let after = table(&mut b, "after", x, vec![Primitive::set(out, 3)]);
+        let g = b.seal(t0).unwrap();
+        let mut q = Quad::new(&g, &params(), &[], &hot_plan(&[t0, deny, after]));
+        let r = q.agree_on(&Packet::with_slots(vec![HOT, HOT, 0]), "baked drop");
+        assert!(r.dropped);
+        assert_eq!(q.fused.spec_stats().fused_hits, 1);
+        // t0 10 + 2, deny 10 + 2 primitives × 2; `after` never runs.
+        assert!((r.latency_ns - 26.0).abs() < 1e-9, "got {}", r.latency_ns);
+        q.agree_on(&Packet::with_slots(vec![HOT, 0, 0]), "passes the acl");
+        q.assert_guard_counts_match();
+    }
+
+    /// `t0`'s baked action moves `y` off the value `t1` is guarded on: on
+    /// the walk a packet that hit `t0` misses `t1`. A run hoisting
+    /// `t1`'s compare above that write would see the packet's old `y`
+    /// and serve `t1`'s hot outcome.
+    #[test]
+    fn a_guard_on_a_written_key_is_checked_where_the_walk_checks_it() {
+        let mut b = ProgramBuilder::new();
+        let (x, y, out) = (b.field("x"), b.field("y"), b.field("out"));
+        let table = |b: &mut ProgramBuilder, name: &str, key, hit: Vec<Primitive>| {
+            b.table(name)
+                .key(key, MatchKind::Exact)
+                .action("hit", hit)
+                .action("miss", vec![Primitive::add(out, 1000)])
+                .default_action(1)
+                .entry(TableEntry::new(vec![MatchValue::Exact(HOT)], 0))
+                .finish()
+        };
+        let t0 = table(&mut b, "t0", x, vec![Primitive::set(y, 5)]);
+        let t1 = table(&mut b, "t1", y, vec![Primitive::add(out, 1)]);
+        let t2 = table(&mut b, "t2", y, vec![Primitive::add(out, 10)]);
+        let g = b.seal(t0).unwrap();
+        let mut q = Quad::new(&g, &params(), &[], &hot_plan(&[t0, t1, t2]));
+        for slots in [[HOT, HOT, 0], [HOT, 5, 0], [1, HOT, 0], [1, 5, 0]] {
+            q.agree_on(&Packet::with_slots(slots.to_vec()), "written key");
+        }
+        let st = q.assert_guard_counts_match();
+        assert_eq!(st.fused_runs, 1, "t1 and t2 still fuse behind the write");
+        assert_eq!(
+            st.fused_hits, 1,
+            "x misses t0, y = HOT reaches t1 untouched"
+        );
+    }
+
+    /// The run bakes none of what instrumentation does per table (counter
+    /// charges, distinct keys, sketches), so it must not fire while any
+    /// of it is on — sampled packet or not.
+    #[test]
+    fn fused_runs_stand_aside_under_instrumentation() {
+        let (g, ids) = fusable_chain();
+        for sample_every in [1, 64] {
+            let mut q = Quad::new(&g, &CostParams::bluefield2(), &[], &hot_plan(&ids));
+            for ex in [&mut q.fused, &mut q.walk, &mut q.plain, &mut q.interp] {
+                ex.set_instrumentation(true, sample_every);
+            }
+            for i in 0..200u64 {
+                let slots = vec![HOT, HOT + u64::from(i % 5 == 0), HOT, i];
+                q.agree_on(&Packet::with_slots(slots), "instrumented");
+            }
+            let st = q.assert_guard_counts_match();
+            assert_eq!(st.fused_hits, 0, "sample_every {sample_every}");
+            assert!(st.guard_hits > 0);
+            assert_eq!(q.fused.take_profile(), q.interp.take_profile());
+            assert_eq!(q.fused.take_observations(), q.interp.take_observations());
+            // Off again, the same pipeline fuses.
+            q.fused.set_instrumentation(false, 1);
+            q.fused
+                .process(&mut Packet::with_slots(vec![HOT, HOT, HOT, 0]));
+            assert_eq!(q.fused.spec_stats().fused_hits, 1);
+        }
+    }
+
+    #[test]
+    fn fused_runs_stand_aside_under_a_trace() {
+        let (g, ids) = fusable_chain();
+        let mut q = Quad::new(&g, &params(), &[], &hot_plan(&ids));
+        let (mut a, mut b) = (PacketTrace::default(), PacketTrace::default());
+        let hit = Packet::with_slots(vec![HOT, HOT, HOT, 0]);
+        let ra = q.fused.process_traced(&mut hit.clone(), &mut a);
+        let rb = q.interp.process_traced(&mut hit.clone(), &mut b);
+        assert_eq!(ra, rb);
+        assert_eq!(a, b, "a traced packet visits every member");
+        assert_eq!(a.visited(), ids);
+        assert_eq!(q.fused.spec_stats().fused_hits, 0);
+    }
+
+    /// A flow-cache miss records every `(table, action)` up to the
+    /// cache's exit; a run taken inside that segment would leave its
+    /// members out of the installed result and every later hit would
+    /// replay too little.
+    #[test]
+    fn fused_runs_stand_aside_inside_a_flow_cache_miss_segment() {
+        let mut b = ProgramBuilder::new();
+        let (x, y, out) = (b.field("x"), b.field("y"), b.field("out"));
+        let table = |b: &mut ProgramBuilder, name: &str, key, v| {
+            b.table(name)
+                .key(key, MatchKind::Exact)
+                .action("hit", vec![Primitive::add(out, v)])
+                .action_nop("miss")
+                .default_action(1)
+                .entry(TableEntry::new(vec![MatchValue::Exact(HOT)], 0))
+                .finish()
+        };
+        let t0 = table(&mut b, "t0", x, 1);
+        let t1 = table(&mut b, "t1", y, 10);
+        b.set_next(t1, None);
+        let cache = b
+            .table("cache")
+            .key(x, MatchKind::Exact)
+            .key(y, MatchKind::Exact)
+            .action_nop("hit")
+            .action_nop("miss")
+            .default_action(1)
+            .cache_role(CacheRole::FlowCache)
+            .max_entries(64)
+            .by_action(vec![None, Some(t0)])
+            .finish();
+        let g = b.seal(cache).unwrap();
+        let mut q = Quad::new(&g, &params(), &[], &hot_plan(&[t0, t1]));
+        assert_eq!(q.fused.spec_stats().fused_runs, 1);
+        let hit = Packet::with_slots(vec![HOT, HOT, 0]);
+        // Miss (walks the segment, installs), then two cache hits that
+        // replay what the miss recorded.
+        for pass in ["miss", "hit", "hit again"] {
+            q.agree_on(&hit, pass);
+        }
+        assert_eq!(q.fused.cache_len(cache), 1);
+        assert_eq!(q.fused.spec_stats().fused_hits, 0);
+        q.assert_guard_counts_match();
     }
 
     #[test]

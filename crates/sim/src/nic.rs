@@ -125,6 +125,32 @@ pub struct PacketRecord {
     pub bits: f64,
 }
 
+/// Reusable buffers for reducing a measurement window, kept on the NIC
+/// so a steady-state window allocates nothing: a fresh multi-hundred-KB
+/// allocation per window pays for consolidating the small-chunk debris
+/// packet processing left in the allocator, charged straight to the
+/// window's wall clock.
+#[derive(Debug, Default)]
+pub(crate) struct ReduceScratch {
+    pub(crate) core_busy_ns: Vec<f64>,
+    pub(crate) latencies: Vec<f64>,
+}
+
+impl ReduceScratch {
+    /// Nearest-rank p99 of the latencies collected (at least one): the
+    /// smallest value with at least ceil(0.99·n) samples at or below it
+    /// — for n = 100 the 99th, not the max. Sorts in place, unstably:
+    /// that needs no buffer, and equal latencies are indistinguishable,
+    /// so the sorted sequence is the same.
+    pub(crate) fn p99(&mut self) -> f64 {
+        self.latencies
+            .sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN latencies"));
+        let n = self.latencies.len();
+        let rank = ((n as f64 * 0.99).ceil() as usize).clamp(1, n);
+        self.latencies[rank - 1]
+    }
+}
+
 impl BatchStats {
     /// Reduces per-packet records into batch statistics. `records` must be
     /// in arrival order: float accumulation order (core busy-time, total
@@ -135,6 +161,18 @@ impl BatchStats {
         num_cores: usize,
         line_pps: f64,
         offered_gbps: f64,
+    ) -> BatchStats {
+        let mut scratch = ReduceScratch::default();
+        Self::reduce(records, num_cores, line_pps, offered_gbps, &mut scratch)
+    }
+
+    /// [`BatchStats::from_records`] through caller-owned buffers.
+    pub(crate) fn reduce(
+        records: &[PacketRecord],
+        num_cores: usize,
+        line_pps: f64,
+        offered_gbps: f64,
+        scratch: &mut ReduceScratch,
     ) -> BatchStats {
         let cores = num_cores.max(1);
         let n = records.len() as u64;
@@ -150,8 +188,14 @@ impl BatchStats {
                 counter_updates: 0,
             };
         }
-        let mut core_busy_ns = vec![0.0f64; cores];
-        let mut latencies: Vec<f64> = Vec::with_capacity(records.len());
+        let ReduceScratch {
+            core_busy_ns,
+            latencies,
+        } = &mut *scratch;
+        core_busy_ns.clear();
+        core_busy_ns.resize(cores, 0.0);
+        latencies.clear();
+        latencies.reserve(records.len());
         let mut dropped = 0u64;
         let mut migrations = 0u64;
         let mut counter_updates = 0u64;
@@ -171,13 +215,7 @@ impl BatchStats {
         let duration_ns = arrival_ns.max(busiest_ns);
         let throughput_gbps = (total_bits / duration_ns).min(offered_gbps);
         let mean = latencies.iter().sum::<f64>() / n as f64;
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("no NaN latencies"));
-        // Nearest-rank percentile: the smallest value with at least
-        // ceil(0.99·n) samples at or below it. The previous
-        // `(n·0.99) as usize` truncation over-indexed (n=100 picked the
-        // max instead of the 99th of 100).
-        let rank = ((n as f64 * 0.99).ceil() as usize).clamp(1, latencies.len());
-        let p99 = latencies[rank - 1];
+        let p99 = scratch.p99();
         BatchStats {
             packets: n,
             dropped,
@@ -241,6 +279,11 @@ pub struct SmartNic {
     last_swap: Option<LiveSwap>,
     /// Open streaming measurement window, if any.
     measuring: Option<SmartMeasure>,
+    /// The open window's per-packet records; kept across windows (and
+    /// cleared at `measure_begin`) so a window regrows nothing.
+    records: Vec<PacketRecord>,
+    /// Window-reduction buffers, kept for the same reason.
+    reduce_scratch: ReduceScratch,
     /// Specialization planning thresholds.
     spec_cfg: SpecConfig,
     /// The last taken profile window, retained for specialize steps that
@@ -261,7 +304,6 @@ struct SmartMeasure {
     line_pps: f64,
     cores: usize,
     offered_gbps: f64,
-    records: Vec<PacketRecord>,
     n: u64,
 }
 
@@ -275,6 +317,8 @@ impl SmartNic {
             generation: 0,
             last_swap: None,
             measuring: None,
+            records: Vec::new(),
+            reduce_scratch: ReduceScratch::default(),
             spec_cfg: SpecConfig::default(),
             last_profile: RuntimeProfile::empty(),
             last_sketches: HashMap::new(),
@@ -503,9 +547,9 @@ impl SmartNic {
             line_pps: self.exec.params().line_rate_pps(self.config.packet_bytes),
             cores: self.exec.params().num_cores.max(1),
             offered_gbps: self.exec.params().line_rate_gbps,
-            records: Vec::new(),
             n: 0,
         });
+        self.records.clear();
     }
 
     /// Feeds one chunk into the open measurement window; pacing
@@ -528,7 +572,7 @@ impl SmartNic {
                 self.config.packet_bytes
             };
             let r = self.exec.process(&mut pkt);
-            stream.records.push(PacketRecord {
+            self.records.push(PacketRecord {
                 arrival: stream.n,
                 core,
                 latency_ns: r.latency_ns,
@@ -549,11 +593,12 @@ impl SmartNic {
             let arrival_ns = stream.n as f64 / stream.line_pps * 1e9;
             self.exec.now_s = stream.batch_start_s + arrival_ns / 1e9;
         }
-        BatchStats::from_records(
-            &stream.records,
+        BatchStats::reduce(
+            &self.records,
             stream.cores,
             stream.line_pps,
             stream.offered_gbps,
+            &mut self.reduce_scratch,
         )
     }
 

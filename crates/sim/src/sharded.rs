@@ -115,7 +115,7 @@
 use crate::backend::{LiveSwap, NicBackend};
 use crate::exec::{EngineMode, ExecReport, Executor, SampleKeying};
 use crate::generation::{GenChain, GenKind, PatchOp};
-use crate::nic::{BatchStats, NicConfig, PacketRecord, ShardMode};
+use crate::nic::{BatchStats, NicConfig, PacketRecord, ReduceScratch, ShardMode};
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::prefetch;
@@ -157,8 +157,10 @@ const STAGE_BURST: usize = 64;
 /// One unit of work travelling through a shard ring.
 #[derive(Debug)]
 struct WorkItem {
-    /// Position in the caller's input slice (`process_batch` scatter);
-    /// unused by measurement batches.
+    /// `process_batch`: position in the caller's input slice (scatter
+    /// index). `measure`: the RSS core, which the dispatcher derives from
+    /// the flow hash it already computed to pick the shard — so a packet
+    /// is hashed once, not once per side of the ring.
     idx: u32,
     /// The generation current when the dispatcher staged this packet.
     /// The shard adopts pending generations up to this id before
@@ -305,7 +307,7 @@ impl ShardState {
             } => {
                 self.exec.now_s = batch_start_s + self.local_idx as f64 / line_pps;
                 self.local_idx += 1;
-                let core = (item.pkt.flow_hash() % cores as u64) as usize;
+                let core = item.idx as usize;
                 let bytes = if item.pkt.bytes > 0 {
                     item.pkt.bytes
                 } else {
@@ -346,15 +348,6 @@ struct ShardCell {
     stop: AtomicBool,
 }
 
-/// Dispatcher-side scratch for the window-boundary merge, reused across
-/// measurement batches so the merge path is allocation-free in steady
-/// state (see `measure_runloop`).
-#[derive(Debug, Default)]
-struct MergeScratch {
-    core_busy_ns: Vec<f64>,
-    latencies: Vec<f64>,
-}
-
 /// An open streaming measurement window (between `measure_begin` and
 /// `measure_end`). Pacing parameters are snapshotted at `begin` so every
 /// fed chunk continues the same arrival schedule — a begin/feed*/end
@@ -369,8 +362,6 @@ struct MeasureStream {
     offered_gbps: f64,
     /// Packets fed so far.
     n: u64,
-    /// `BitExact` only: per-packet records accumulated across feeds.
-    records: Vec<PacketRecord>,
     /// `BitExact` only: global sequence base of the window.
     base_seq: u64,
 }
@@ -525,7 +516,12 @@ pub struct ShardedNic {
     enqueued: Vec<u64>,
     mode: ShardMode,
     config: NicConfig,
-    merge_scratch: MergeScratch,
+    /// Dispatcher-side buffers for the window-boundary merge, reused
+    /// across windows so the merge allocates nothing in steady state.
+    merge_scratch: ReduceScratch,
+    /// `BitExact` only: the open window's per-packet records, kept
+    /// across windows like the scratch.
+    records: Vec<PacketRecord>,
     /// The dispatcher's own burst buffer for helping drain shard rings
     /// (work-conserving dispatch; see [`drain_burst`]).
     help_scratch: Vec<WorkItem>,
@@ -609,7 +605,8 @@ impl ShardedNic {
                 shard_mode: mode,
                 ..NicConfig::default()
             },
-            merge_scratch: MergeScratch::default(),
+            merge_scratch: ReduceScratch::default(),
+            records: Vec::new(),
             help_scratch: Vec::with_capacity(BURST),
             stage: (0..workers)
                 .map(|_| Vec::with_capacity(STAGE_BURST))
@@ -1365,6 +1362,7 @@ impl ShardedNic {
             let s = st.exec.spec_stats();
             stats.guard_hits += s.guard_hits;
             stats.guard_misses += s.guard_misses;
+            stats.fused_hits += s.fused_hits;
         }
         stats
     }
@@ -1416,9 +1414,9 @@ impl ShardedNic {
             default_bytes,
             offered_gbps,
             n: 0,
-            records: Vec::new(),
             base_seq: self.seq,
         });
+        self.records.clear();
     }
 
     /// Feeds one chunk into the open measurement window. In `RunLoop`
@@ -1433,13 +1431,17 @@ impl ShardedNic {
     {
         match self.mode {
             ShardMode::RunLoop => {
-                let nw = self.shards.len();
+                let nw = self.shards.len() as u64;
+                let cores = self.measuring.as_ref().expect("measure_begin first").cores as u64;
                 let gen = self.latest_gen;
                 let mut n = 0u64;
                 self.dispatch(packets.into_iter().map(|pkt| {
                     n += 1;
-                    let shard = (pkt.flow_hash() % nw as u64) as usize;
-                    (shard, WorkItem { idx: 0, gen, pkt })
+                    let hash = pkt.flow_hash();
+                    // `cores` is a NIC core count; it fits `idx` with
+                    // room to spare.
+                    let idx = (hash % cores) as u32;
+                    ((hash % nw) as usize, WorkItem { idx, gen, pkt })
                 }));
                 self.measuring.as_mut().expect("measure_begin first").n += n;
             }
@@ -1474,11 +1476,7 @@ impl ShardedNic {
             self.now_s = batch_start_s + n as f64 / line_pps;
         }
         // Deterministic window-boundary merge, in shard order, into the
-        // persistent scratch (allocation-free in steady state: a fresh
-        // multi-hundred-KB allocation here pays for consolidating the
-        // small-chunk debris the workers' packet processing left in the
-        // allocator, which grows with worker count and would be charged
-        // straight to the batch's wall clock).
+        // persistent scratch.
         let scratch = &mut self.merge_scratch;
         scratch.core_busy_ns.clear();
         scratch.core_busy_ns.resize(cores, 0.0);
@@ -1522,18 +1520,13 @@ impl ShardedNic {
         let arrival_ns = n as f64 / line_pps * 1e9;
         let busiest_ns = scratch.core_busy_ns.iter().cloned().fold(0.0f64, f64::max);
         let duration_ns = arrival_ns.max(busiest_ns);
-        // Same nearest-rank reduction as `BatchStats::from_records`; the
-        // sorted latency multiset is partition-invariant, so the p99 is
-        // exact.
-        scratch
-            .latencies
-            .sort_by(|a, b| a.partial_cmp(b).expect("no NaN latencies"));
-        let rank = ((n as f64 * 0.99).ceil() as usize).clamp(1, scratch.latencies.len());
         BatchStats {
             packets: n,
             dropped,
             mean_latency_ns: lat_sum / n as f64,
-            p99_latency_ns: scratch.latencies[rank - 1],
+            // The sorted latency multiset is partition-invariant, so the
+            // p99 is exact.
+            p99_latency_ns: scratch.p99(),
             throughput_gbps: (total_bits / duration_ns).min(offered_gbps),
             offered_gbps,
             migrations,
@@ -1565,7 +1558,7 @@ impl ShardedNic {
         let cores = stream.cores;
         let default_bytes = stream.default_bytes;
         let base_seq = stream.base_seq;
-        let records = &mut stream.records;
+        let records = &mut self.records;
         std::thread::scope(|s| {
             let mut handles = Vec::new();
             for (cell, work) in self.shards.iter().zip(work) {
@@ -1618,11 +1611,10 @@ impl ShardedNic {
             cores,
             offered_gbps,
             n,
-            mut records,
             base_seq,
             ..
         } = stream;
-        records.sort_unstable_by_key(|r| r.arrival);
+        self.records.sort_unstable_by_key(|r| r.arrival);
 
         self.seq = base_seq + n;
         if n > 0 {
@@ -1636,7 +1628,13 @@ impl ShardedNic {
             st.exec.now_s = self.now_s;
             st.exec.set_packet_seq(self.seq);
         }
-        BatchStats::from_records(&records, cores, line_pps, offered_gbps)
+        BatchStats::reduce(
+            &self.records,
+            cores,
+            line_pps,
+            offered_gbps,
+            &mut self.merge_scratch,
+        )
     }
 }
 

@@ -10,7 +10,9 @@
 //!
 //! The batch path's one allocation is the report `Vec` it returns; the
 //! look-ahead stage it runs over programs with DRAM-sized tables adds
-//! none.
+//! none. A steady-state `measure` window — per-packet records, the
+//! window reduction and its p99 sort, on the single NIC and through a
+//! one-worker run-loop — allocates nothing either.
 //!
 //! Deliberately a single `#[test]` in its own integration-test binary:
 //! the allocation counter is process-global, so concurrently running
@@ -20,7 +22,7 @@ use pipeleon_cost::CostParams;
 use pipeleon_ir::{
     CacheRole, MatchKind, MatchValue, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
 };
-use pipeleon_sim::{EngineMode, Executor, Packet};
+use pipeleon_sim::{EngineMode, Executor, Packet, ShardMode, ShardedNic, SmartNic};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -241,6 +243,39 @@ fn compiled_steady_state_is_allocation_free() {
         batch_allocs, BURSTS,
         "process_batch over a look-ahead program allocated {batch_allocs} times in {BURSTS} \
          bursts; the report Vec is the one allocation a burst makes"
+    );
+
+    // --- Measurement windows ------------------------------------------
+    // `measure` consumes its packets, so the windows are cloned outside
+    // the counted region. The record buffer, the reduction scratch and
+    // the shard aggregates live on the NIC and are sized by the warm-up
+    // windows; the p99 sort is in place.
+    const WINDOW: usize = 4096;
+    let window: Vec<Packet> = (0..WINDOW as u64)
+        .map(|i| Packet::with_slots(vec![i % 32, i % 11, (i * 3) % 8, 0]))
+        .collect();
+    let mut single = SmartNic::new(mixed_program(), params.clone()).unwrap();
+    single.set_engine_mode(EngineMode::Compiled);
+    let mut sharded =
+        ShardedNic::with_mode(mixed_program(), params.clone(), 1, ShardMode::RunLoop).unwrap();
+    sharded.set_engine_mode(EngineMode::Compiled);
+    for _ in 0..2 {
+        single.measure(window.clone());
+        sharded.measure(window.clone());
+    }
+    let mut work = [window.clone(), window.clone()].into_iter();
+    let mut stats = Vec::with_capacity(2);
+    let single_allocs = count_allocs(|| stats.push(single.measure(work.next().unwrap())));
+    let sharded_allocs = count_allocs(|| stats.push(sharded.measure(work.next().unwrap())));
+    assert_eq!(stats[0].packets, WINDOW as u64);
+    assert_eq!(stats[1].packets, WINDOW as u64);
+    assert_eq!(
+        single_allocs, 0,
+        "a steady-state SmartNic::measure window allocated {single_allocs} times"
+    );
+    assert_eq!(
+        sharded_allocs, 0,
+        "a steady-state one-worker run-loop measure window allocated {sharded_allocs} times"
     );
 
     // Informational contrast: the interpreter on the same warmed state.

@@ -11,6 +11,13 @@
 //! specialized pipelines through the generation-swap path and must lose
 //! zero packets.
 //!
+//! Guard-run fusion (the fourth, derived pass) only fires with
+//! instrumentation off, so it gets its own rows: fused runs vs the
+//! per-table guard walk vs both oracles, per packet and per window, over
+//! all-hit / partial-hit / all-miss / already-dropped packets, across the
+//! same worker matrix, through the live generation chain, and across
+//! entry ops that land on a run member mid-window.
+//!
 //! Two proptests pin the lifecycle: entry ops that strip a specialized
 //! table followed by an explicit despecialize must be indistinguishable
 //! from a scratch compile of the final program, and a controller facing
@@ -18,10 +25,13 @@
 //! signal and re-converge onto the new hot keys.
 
 use pipeleon::search::Optimizer;
-use pipeleon_cost::{CostModel, CostParams};
-use pipeleon_ir::{MatchValue, TableEntry};
+use pipeleon_cost::{CostModel, CostParams, Placement};
+use pipeleon_ir::{MatchValue, NodeId, Primitive, TableEntry};
 use pipeleon_runtime::{Controller, ControllerConfig, SimTarget, Target};
-use pipeleon_sim::{BatchStats, EngineMode, ExecReport, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{
+    BatchStats, EngineMode, ExecReport, NicBackend, Packet, PacketTrace, ShardMode, ShardedNic,
+    SmartNic, SpecConfig, SpecStats,
+};
 use pipeleon_workloads::scenarios::SkewedPipeline;
 use proptest::prelude::*;
 
@@ -238,6 +248,272 @@ fn live_specialize_swaps_lose_zero_packets() {
             nic.last_swap().expect("second swap").generation > swap.generation,
             "{ctx}: despecialize must publish a newer generation"
         );
+    }
+}
+
+/// The fused-run fixture: classifiers and flow tables chain into one
+/// guard run. Two members sit on the CPU, so the run bakes migrations;
+/// one of them is the last, so the table after the run owes one too.
+struct Fused {
+    s: SkewedPipeline,
+    placement: Vec<Placement>,
+    /// The profile window the plan is built from.
+    warm: Vec<Packet>,
+    /// Zipf traffic (guard hits and misses as they come) plus, for the
+    /// hot flow, every partial hit, a full miss and a pre-dropped packet.
+    probe: Vec<Packet>,
+}
+
+impl Fused {
+    fn new() -> Self {
+        let s = SkewedPipeline::build(3, 2);
+        let mut placement = vec![Placement::Asic; s.graph.id_bound()];
+        placement[s.ternary[1].index()] = Placement::Cpu;
+        placement[s.exact[1].index()] = Placement::Cpu;
+        let warm = s.traffic(HOT_SKEW, 400, 21).batch(2_000);
+        let mut probe = s.traffic(HOT_SKEW, 400, 22).batch(3_000);
+        // Rank 0 is the hot flow; the run's guards key on the first
+        // three flow fields in order, so knocking field k off the hot
+        // value leaves exactly the first k guards matching.
+        let hot = s.traffic(HOT_SKEW, 1, 0).next_packet();
+        for k in 0..s.flow_fields.len() {
+            let mut p = hot.clone();
+            p.set(s.flow_fields[k], 999_999);
+            probe.insert(k * 400, p);
+        }
+        let mut miss = hot.clone();
+        for &f in &s.flow_fields {
+            miss.set(f, 999_998);
+        }
+        probe.insert(1_700, miss);
+        let mut dead = hot;
+        dead.dropped = true;
+        probe.insert(2_100, dead);
+        Self {
+            s,
+            placement,
+            warm,
+            probe,
+        }
+    }
+
+    /// Brings a backend to the state the datapath workloads time:
+    /// profile window, `specialize()` (or not), instrumentation off.
+    fn prepare<N: NicBackend>(&self, nic: &mut N, specialize: bool) {
+        // The class table's top value holds ~51% of packets: at the
+        // default bar whether it gets a guard depends on how the sketches
+        // were sharded. Ask for a clear majority, so that every worker
+        // count bakes the same plan and the counters can be compared.
+        nic.set_spec_config(SpecConfig {
+            hot_fraction: 0.65,
+            ..SpecConfig::default()
+        });
+        nic.set_instrumentation(true, 1);
+        nic.measure_batch(self.warm.clone());
+        if specialize {
+            assert!(nic.specialize(), "the profile window must yield a plan");
+        }
+        nic.set_instrumentation(false, 1);
+    }
+
+    fn single(&self, engine: EngineMode, specialize: bool) -> SmartNic {
+        let mut nic = SmartNic::new(self.s.graph.clone(), params()).unwrap();
+        nic.set_engine_mode(engine);
+        nic.set_placement(self.placement.clone());
+        self.prepare(&mut nic, specialize);
+        nic
+    }
+
+    /// `live` is set before the plan is applied, so a live NIC's shards
+    /// receive the specialized pipeline through the generation chain.
+    fn sharded(&self, workers: usize, mode: ShardMode, live: bool, specialize: bool) -> ShardedNic {
+        let mut nic = ShardedNic::with_mode(self.s.graph.clone(), params(), workers, mode).unwrap();
+        nic.set_engine_mode(EngineMode::Compiled);
+        nic.set_live_reconfig(live);
+        nic.set_placement(self.placement.clone());
+        self.prepare(&mut nic, specialize);
+        nic
+    }
+}
+
+/// What `after` counted beyond `before`: guard hits, guard misses, run hits.
+fn spec_delta(before: SpecStats, after: SpecStats) -> (u64, u64, u64) {
+    (
+        after.guard_hits - before.guard_hits,
+        after.guard_misses - before.guard_misses,
+        after.fused_hits - before.fused_hits,
+    )
+}
+
+/// Fused vs unfused vs both oracles, one packet at a time: every report
+/// field and every packet's slots / `dropped` / `egress_port`. The
+/// unfused side is the same specialized pipeline driven under a trace,
+/// where runs stand aside and every guard is walked on its own — so its
+/// guard counters are what the fused side's must equal.
+#[test]
+fn fused_runs_match_the_guard_walk_and_both_oracles_per_packet() {
+    let fx = Fused::new();
+    let mut interp = fx.single(EngineMode::Interpreter, false);
+    let mut plain = fx.single(EngineMode::Compiled, false);
+    let mut walk = fx.single(EngineMode::Compiled, true);
+    let mut fused = fx.single(EngineMode::Compiled, true);
+    let st = fused.spec_stats();
+    assert!(st.fused_runs >= 1, "the classifier chain must fuse: {st:?}");
+    let (walk0, fused0) = (walk.spec_stats(), fused.spec_stats());
+    let mut trace = PacketTrace::default();
+    let mut migrations = 0;
+    for (i, p) in fx.probe.iter().enumerate() {
+        let (mut a, mut b, mut c, mut d) = (p.clone(), p.clone(), p.clone(), p.clone());
+        let want = interp.process_one(&mut a);
+        let got = [
+            ("plain", plain.process_one(&mut b), &b),
+            ("walk", walk.process_one_traced(&mut c, &mut trace), &c),
+            ("fused", fused.process_one(&mut d), &d),
+        ];
+        for (who, r, pkt) in got {
+            assert_reports_identical(&want, &r, &format!("packet {i}: interp vs {who}"));
+            assert_eq!(&a, pkt, "packet {i} contents: interp vs {who}");
+        }
+        migrations += want.migrations;
+    }
+    assert!(migrations > 0, "the placement must put migrations in play");
+    let (hits, misses, runs) = spec_delta(fused0, fused.spec_stats());
+    let walked = spec_delta(walk0, walk.spec_stats());
+    assert_eq!((hits, misses, 0), walked, "guard counters: fused vs walk");
+    assert!(misses > 0, "partial hits and cold flows must miss guards");
+    assert!(
+        runs as usize > fx.probe.len() / 2,
+        "the hot flow must be served by the run: {runs} of {}",
+        fx.probe.len()
+    );
+}
+
+/// The same, through the sharded datapath: workers 1/2/8 in both shard
+/// modes, per packet (`process_batch`) and per window (`measure`), with
+/// guard and run counters equal to the single-threaded walk's, plus a
+/// sampled window (1 in 64) in which no run may fire.
+#[test]
+fn fused_runs_match_across_workers_and_shard_modes() {
+    let fx = Fused::new();
+    let mut interp = fx.single(EngineMode::Interpreter, false);
+    let mut want_packets = fx.probe.clone();
+    let want_reports = interp.process_batch(&mut want_packets);
+    let mut walk = fx.single(EngineMode::Compiled, true);
+    let mut single = fx.single(EngineMode::Compiled, true);
+    let (walk0, single0) = (walk.spec_stats(), single.spec_stats());
+    let mut trace = PacketTrace::default();
+    for p in &fx.probe {
+        walk.process_one_traced(&mut p.clone(), &mut trace);
+        single.process_one(&mut p.clone());
+    }
+    let (hits, misses, _) = spec_delta(walk0, walk.spec_stats());
+    let (_, _, runs) = spec_delta(single0, single.spec_stats());
+    assert!(runs > 0);
+    for shard_mode in [ShardMode::RunLoop, ShardMode::BitExact] {
+        for workers in WORKER_COUNTS {
+            let ctx = format!("mode={shard_mode:?} workers={workers}");
+            let mut plain = fx.sharded(workers, shard_mode, false, false);
+            let mut nic = fx.sharded(workers, shard_mode, false, true);
+            let before = nic.spec_stats();
+            assert_eq!(before.fused_runs, single0.fused_runs, "{ctx}: runs derived");
+            let mut got = fx.probe.clone();
+            let reports = nic.process_batch(&mut got);
+            // (Keeps the oracle's packet sequence, which keys the
+            // sampled window below, in step.)
+            plain.process_batch(&mut fx.probe.clone());
+            for (i, (want, r)) in want_reports.iter().zip(&reports).enumerate() {
+                assert_reports_identical(want, r, &format!("{ctx}: packet {i}"));
+            }
+            assert_eq!(want_packets, got, "{ctx}: packet contents");
+            assert_eq!(
+                spec_delta(before, nic.spec_stats()),
+                (hits, misses, runs),
+                "{ctx}: guard and run counters vs the single-threaded walk"
+            );
+            // Float merges are shard-order sensitive: the window oracle
+            // must shard identically.
+            let want = plain.measure(fx.probe.clone());
+            let got = nic.measure(fx.probe.clone());
+            assert_stats_identical(want, got, &format!("{ctx}: window"));
+            let before = nic.spec_stats();
+            plain.set_instrumentation(true, 64);
+            nic.set_instrumentation(true, 64);
+            let want = plain.measure(fx.probe.clone());
+            let got = nic.measure(fx.probe.clone());
+            assert_stats_identical(want, got, &format!("{ctx}: sampled window"));
+            assert_eq!(plain.take_profile(), nic.take_profile(), "{ctx}: profile");
+            let (walked, _, runs) = spec_delta(before, nic.spec_stats());
+            assert!(walked > 0, "{ctx}: guards still serve sampled windows");
+            assert_eq!(runs, 0, "{ctx}: no run may fire under instrumentation");
+        }
+    }
+}
+
+/// Runs are part of the compiled pipeline, so a live `specialize()`
+/// carries them to every shard through the generation chain; and an
+/// entry op on a run *member* (not the head) that lands mid-window — on
+/// the single NIC, by fan-out, or through the chain — takes the run down
+/// before the next packet. The replacement makes the member's hot action
+/// drop, so one stale run hit would show in the window.
+#[test]
+fn entry_ops_on_a_run_member_mid_window_drop_the_run() {
+    let fx = Fused::new();
+    let member = fx.s.exact[0];
+    type Op = fn(&mut dyn NicBackend, NodeId);
+    let ops: [(&str, Op); 3] = [
+        ("insert", |nic, id| {
+            let e = TableEntry::new(vec![MatchValue::Exact(123_456)], 0);
+            nic.insert_entry(id, e).unwrap();
+        }),
+        ("remove", |nic, id| {
+            nic.remove_entry(id, 0).unwrap();
+        }),
+        ("replace", |nic, id| {
+            let mut t = nic.graph().node(id).unwrap().as_table().unwrap().clone();
+            t.actions[0].primitives = vec![Primitive::Drop];
+            nic.replace_table(id, t, None).unwrap();
+        }),
+    ];
+    let mid = fx.probe.len() / 2;
+    // One window with `op` between its halves; the stats, and the
+    // specialization state right after the op and at the window's end.
+    let window = |nic: &mut dyn NicBackend, op: Op| {
+        nic.measure_begin();
+        nic.measure_feed(fx.probe[..mid].to_vec());
+        op(nic, member);
+        let after_op = nic.spec_stats();
+        nic.measure_feed(fx.probe[mid..].to_vec());
+        (nic.measure_end(), after_op, nic.spec_stats())
+    };
+    let check = |ctx: &str, want: BatchStats, nic: &mut dyn NicBackend, op: Op| {
+        assert!(nic.spec_stats().fused_runs >= 1, "{ctx}: nothing fused");
+        let (got, after_op, end) = window(nic, op);
+        assert_stats_identical(want, got, ctx);
+        assert_eq!(
+            (after_op.fused_runs, after_op.specialized_tables),
+            (0, 0),
+            "{ctx}: {after_op:?}"
+        );
+        assert!(end.fused_hits > 0, "{ctx}: the run served the first half");
+    };
+    for (name, op) in ops {
+        let (want, ..) = window(&mut fx.single(EngineMode::Interpreter, false), op);
+        if name == "replace" {
+            assert!(
+                want.dropped as usize > mid / 2,
+                "the hot flow must now drop"
+            );
+        }
+        let mut nic = fx.single(EngineMode::Compiled, true);
+        check(&format!("{name}: single"), want, &mut nic, op);
+        // Mid-window ops land at a defined point of the packet stream
+        // only by fan-out under the fork-join oracle (a feed runs to
+        // completion) or as a generation on the live run-loop.
+        for (shard_mode, live) in [(ShardMode::BitExact, false), (ShardMode::RunLoop, true)] {
+            let ctx = format!("{name}: {shard_mode:?} live={live}");
+            let (want, ..) = window(&mut fx.sharded(2, shard_mode, live, false), op);
+            check(&ctx, want, &mut fx.sharded(2, shard_mode, live, true), op);
+        }
     }
 }
 
