@@ -8,6 +8,7 @@ use pipeleon::pipelet::partition;
 use pipeleon::{apply_plan, Optimizer, OptimizerConfig, ResourceLimits};
 use pipeleon_cost::{CostModel, CostParams};
 use pipeleon_workloads::profiles::{random_profile, ProfileSynthConfig};
+use pipeleon_workloads::scenarios::LoadBalancer;
 use pipeleon_workloads::synth::{synthesize, SynthConfig};
 
 fn bench_optimize(c: &mut Criterion) {
@@ -41,6 +42,19 @@ fn bench_optimize(c: &mut Criterion) {
             );
         }
     }
+    // One 12-table pipelet: the shape `pipeleon-perf`'s `control_loop`
+    // searches every re-optimising tick (2 orders × the 1,024-leaf cap).
+    let lb = LoadBalancer::build().graph;
+    let profile = random_profile(&lb, &ProfileSynthConfig::default(), 9);
+    let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
+    group.bench_function("lb_12x1", |b| {
+        b.iter(|| {
+            optimizer
+                .optimize(&lb, &profile, ResourceLimits::unlimited())
+                .unwrap()
+                .est_gain_ns
+        })
+    });
     group.finish();
 }
 

@@ -17,12 +17,13 @@ pub const RESOLUTION: usize = 64;
 /// With unlimited budgets this degenerates to picking each group's best
 /// candidate. Infeasible candidates (cost above the whole budget) are
 /// skipped.
-pub fn solve(groups: &[Vec<Candidate>], limits: ResourceLimits) -> GlobalPlan {
+pub fn solve<G: AsRef<[Candidate]>>(groups: &[G], limits: ResourceLimits) -> GlobalPlan {
     // Fast path: unconstrained.
     if limits.memory_bytes.is_infinite() && limits.update_rate.is_infinite() {
         let mut plan = GlobalPlan::default();
         for g in groups {
             if let Some(best) = g
+                .as_ref()
                 .iter()
                 .max_by(|a, b| a.gain.partial_cmp(&b.gain).expect("finite gains"))
             {
@@ -69,7 +70,7 @@ pub fn solve(groups: &[Vec<Candidate>], limits: ResourceLimits) -> GlobalPlan {
     for group in groups {
         let mut next = dp.clone();
         let mut choice = vec![vec![None; e_dim]; m_dim];
-        for (ci, cand) in group.iter().enumerate() {
+        for (ci, cand) in group.as_ref().iter().enumerate() {
             if cand.gain <= 0.0 {
                 continue;
             }
@@ -98,7 +99,7 @@ pub fn solve(groups: &[Vec<Candidate>], limits: ResourceLimits) -> GlobalPlan {
     let (mut m, mut e) = (RESOLUTION, RESOLUTION);
     for gi in (0..groups.len()).rev() {
         if let Some(ci) = choices[gi][m][e] {
-            let cand = &groups[gi][ci];
+            let cand = &groups[gi].as_ref()[ci];
             plan.total_gain += cand.gain;
             plan.total_mem += cand.mem_cost;
             plan.total_update += cand.update_cost;
@@ -227,7 +228,7 @@ mod tests {
 
     #[test]
     fn empty_groups_yield_empty_plan() {
-        let plan = solve(&[], ResourceLimits::unlimited());
+        let plan = solve::<Vec<Candidate>>(&[], ResourceLimits::unlimited());
         assert!(plan.is_empty());
         let plan = solve(&[vec![]], ResourceLimits::new(10.0, 10.0));
         assert!(plan.is_empty());

@@ -16,74 +16,49 @@
 //! dwarf the cache capacity) and **invalidation pressure** (entry updates
 //! to covered tables flush the cache).
 
-use super::EvalCtx;
+use super::{EvalCtx, SegmentScore, TableTerms};
 use pipeleon_ir::{DependencyAnalysis, NodeId, RwSets};
 
 /// Whether a cache over `tables` is semantically allowed: every member is
-/// a plain always-next table (no switch-case, no existing cache) and no
-/// member writes a field a later member matches on.
-pub fn segment_allowed(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> bool {
-    let mut sets = Vec::with_capacity(tables.len());
-    for &id in tables {
-        let Some(node) = ctx.g.node(id) else {
-            return false;
-        };
-        let Some(t) = node.as_table() else {
-            return false;
-        };
-        if node.is_switch_case() || t.cache_role != pipeleon_ir::CacheRole::None {
-            return false;
-        }
-        if t.keys.is_empty() {
-            // A keyless table's outcome is constant; caching it is
-            // pointless and would produce an empty cache key.
-            return false;
-        }
-        sets.push(RwSets::of_node(node));
+/// a plain always-next table (no switch-case, no existing cache, not
+/// keyless — a keyless table's outcome is constant, so caching it is
+/// pointless and would produce an empty cache key) and no member writes
+/// a field a later member matches on.
+pub fn segment_allowed(tables: &[&TableTerms]) -> bool {
+    if tables.is_empty() || tables.iter().any(|t| !t.coverable) {
+        return false;
     }
-    !tables.is_empty() && DependencyAnalysis::cacheable_segment(&sets)
+    let sets: Vec<&RwSets> = tables.iter().map(|t| &t.sets).collect();
+    DependencyAnalysis::cacheable_segment(&sets)
 }
 
 /// The estimated hit rate of a cache over `tables`. A measured hit rate
 /// from a previously deployed cache over the same tables takes precedence
 /// over the static estimate (§3.2.2 runtime monitoring).
-pub fn estimated_hit_rate(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> f64 {
-    if let Some(measured) = ctx.profile.cache_hint(tables) {
+pub fn estimated_hit_rate(ctx: &EvalCtx<'_>, tables: &[&TableTerms]) -> f64 {
+    let ids: Vec<NodeId> = tables.iter().map(|t| t.id).collect();
+    if let Some(measured) = ctx.profile.cache_hint(&ids) {
         return measured;
     }
     let mut h = ctx.cfg.default_hit_rate;
     // Cross-product key space vs. capacity.
     let mut keyspace: f64 = 1.0;
-    for &id in tables {
-        let distinct = ctx
-            .profile
-            .distinct_keys_of(id)
-            .unwrap_or_else(|| {
-                ctx.g
-                    .node(id)
-                    .and_then(|n| n.as_table())
-                    .map(|t| (t.entries.len() as u64 + 1).max(2))
-                    .unwrap_or(2)
-            })
-            .max(1);
-        keyspace *= distinct as f64;
+    for t in tables {
+        keyspace *= t.distinct_keys;
     }
     if keyspace > ctx.cfg.cache_capacity as f64 {
         h *= ctx.cfg.cache_capacity as f64 / keyspace;
     }
     // Invalidation pressure from covered-table entry updates.
-    let update_rate: f64 = tables
-        .iter()
-        .map(|&id| ctx.profile.entry_update_rate(id))
-        .sum();
+    let update_rate: f64 = tables.iter().map(|t| t.update_rate).sum();
     h /= 1.0 + ctx.cfg.invalidation_coeff * update_rate;
     h.clamp(0.0, 1.0)
 }
 
-/// Expected `(latency, drop_rate)` of the cached segment, conditioned on
-/// a packet entering it.
-pub fn segment_latency(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> Option<(f64, f64)> {
-    if !segment_allowed(ctx, tables) {
+/// The score of a cache over `tables`, conditioned on a packet entering
+/// it; `None` when the cache is not allowed.
+pub fn score(ctx: &EvalCtx<'_>, tables: &[&TableTerms]) -> Option<SegmentScore> {
+    if !segment_allowed(tables) {
         return None;
     }
     let h = estimated_hit_rate(ctx, tables);
@@ -93,22 +68,25 @@ pub fn segment_latency(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> Option<(f64, f64
     let mut replay = 0.0;
     let mut orig = 0.0;
     let mut survive = 1.0;
-    for &id in tables {
-        replay += survive * ctx.action_cost(id);
-        orig += survive * ctx.table_cost(id);
-        survive *= 1.0 - ctx.drop_rate(id);
+    for t in tables {
+        replay += survive * t.action_cost;
+        orig += survive * t.cost;
+        survive *= 1.0 - t.drop_rate;
     }
-    let drop = 1.0 - survive;
-    let latency = params.l_mat + h * replay + (1.0 - h) * (orig + params.l_cache_insert);
-    Some((latency, drop))
+    let (mem, update) = costs(ctx, h);
+    Some(SegmentScore {
+        latency: params.l_mat + h * replay + (1.0 - h) * (orig + params.l_cache_insert),
+        drop_rate: 1.0 - survive,
+        mem,
+        update,
+    })
 }
 
-/// `(memory, update-rate)` cost of creating this cache: the reserved
-/// capacity, plus the insertion load (misses installing entries, capped by
-/// the configured insertion limit).
-pub fn segment_costs(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> (f64, f64) {
+/// `(memory, update-rate)` cost of creating a cache with hit rate `h`:
+/// the reserved capacity, plus the insertion load (misses installing
+/// entries, capped by the configured insertion limit).
+pub fn costs(ctx: &EvalCtx<'_>, h: f64) -> (f64, f64) {
     let mem = (ctx.cfg.cache_capacity * pipeleon_ir::Table::DEFAULT_ENTRY_BYTES) as f64;
-    let h = estimated_hit_rate(ctx, tables);
     let entering = ctx.profile.packet_rate() * ctx.reach;
     let insertions = ((1.0 - h) * entering).min(ctx.cfg.cache_insertion_limit);
     (mem, insertions)
@@ -168,6 +146,17 @@ mod tests {
         }
     }
 
+    fn hit_rate(ctx: &EvalCtx<'_>, ids: &[NodeId]) -> f64 {
+        estimated_hit_rate(
+            ctx,
+            &TableTerms::of_each(ctx, ids).iter().collect::<Vec<_>>(),
+        )
+    }
+
+    fn allowed(ctx: &EvalCtx<'_>, ids: &[NodeId]) -> bool {
+        segment_allowed(&TableTerms::of_each(ctx, ids).iter().collect::<Vec<_>>())
+    }
+
     #[test]
     fn caching_expensive_tables_wins() {
         let (g, ids) = fixture(&[MatchKind::Ternary, MatchKind::Ternary]);
@@ -175,7 +164,12 @@ mod tests {
         let cfg = OptimizerConfig::default();
         let profile = RuntimeProfile::empty();
         let ctx = eval(&g, &model, &cfg, &profile);
-        let (cached, _) = segment_latency(&ctx, &ids).unwrap();
+        let cached = score(
+            &ctx,
+            &TableTerms::of_each(&ctx, &ids).iter().collect::<Vec<_>>(),
+        )
+        .unwrap()
+        .latency;
         let plain = ctx.sequence_latency(&ids);
         assert!(cached < plain, "cached={cached} plain={plain}");
     }
@@ -191,8 +185,8 @@ mod tests {
             profile.set_distinct_keys(id, 40);
         }
         let ctx = eval(&g, &model, &cfg, &profile);
-        let h_joint = estimated_hit_rate(&ctx, &ids);
-        let h_single = estimated_hit_rate(&ctx, &ids[..1]);
+        let h_joint = hit_rate(&ctx, &ids);
+        let h_single = hit_rate(&ctx, &ids[..1]);
         assert!(h_single > 0.85, "h_single = {h_single}");
         assert!(h_joint < 0.1, "h_joint = {h_joint}");
     }
@@ -204,10 +198,10 @@ mod tests {
         let cfg = OptimizerConfig::default();
         let mut profile = RuntimeProfile::empty();
         let ctx = eval(&g, &model, &cfg, &profile);
-        let h_quiet = estimated_hit_rate(&ctx, &ids);
+        let h_quiet = hit_rate(&ctx, &ids);
         profile.set_entry_update_rate(ids[0], 500.0);
         let ctx = eval(&g, &model, &cfg, &profile);
-        let h_churn = estimated_hit_rate(&ctx, &ids);
+        let h_churn = hit_rate(&ctx, &ids);
         assert!(h_churn < h_quiet * 0.2, "quiet={h_quiet} churn={h_churn}");
     }
 
@@ -221,10 +215,10 @@ mod tests {
         // table order.
         profile.set_cache_hint(vec![ids[1], ids[0]], 0.2);
         let ctx = eval(&g, &model, &cfg, &profile);
-        assert_eq!(estimated_hit_rate(&ctx, &ids), 0.2);
-        assert_eq!(estimated_hit_rate(&ctx, &[ids[1], ids[0]]), 0.2);
+        assert_eq!(hit_rate(&ctx, &ids), 0.2);
+        assert_eq!(hit_rate(&ctx, &[ids[1], ids[0]]), 0.2);
         // A different segment still uses the estimate.
-        assert!(estimated_hit_rate(&ctx, &ids[..1]) > 0.8);
+        assert!(hit_rate(&ctx, &ids[..1]) > 0.8);
     }
 
     #[test]
@@ -244,9 +238,9 @@ mod tests {
         let cfg = OptimizerConfig::default();
         let profile = RuntimeProfile::empty();
         let ctx = eval(&g, &model, &cfg, &profile);
-        assert!(!segment_allowed(&ctx, &[t0, t1]));
-        assert!(segment_allowed(&ctx, &[t0]));
-        assert!(segment_allowed(&ctx, &[t1]));
+        assert!(!allowed(&ctx, &[t0, t1]));
+        assert!(allowed(&ctx, &[t0]));
+        assert!(allowed(&ctx, &[t1]));
     }
 
     #[test]
@@ -258,7 +252,7 @@ mod tests {
         let cfg = OptimizerConfig::default();
         let profile = RuntimeProfile::empty();
         let ctx = eval(&g, &model, &cfg, &profile);
-        assert!(!segment_allowed(&ctx, &[t]));
+        assert!(!allowed(&ctx, &[t]));
     }
 
     #[test]
@@ -270,7 +264,7 @@ mod tests {
         profile.total_packets = 1_000_000;
         profile.window_s = 1.0;
         let ctx = eval(&g, &model, &cfg, &profile);
-        let (mem, upd) = segment_costs(&ctx, &ids);
+        let (mem, upd) = costs(&ctx, hit_rate(&ctx, &ids));
         assert_eq!(mem, (cfg.cache_capacity * 32) as f64);
         // 10% miss of 1M pps = 100k, capped at the insertion limit.
         assert!(upd <= cfg.cache_insertion_limit + 1e-9);

@@ -18,10 +18,11 @@
 //! table picks exactly the combination of winners the sequential tables
 //! would have picked.
 
-use super::EvalCtx;
+use super::{EvalCtx, SegmentScore, TableTerms};
+use crate::config::OptimizerConfig;
 use pipeleon_ir::{
     Action, CacheRole, DependencyAnalysis, MatchKey, MatchKind, MatchValue, NodeId, Primitive,
-    RwSets, Table, TableEntry,
+    ProgramGraph, Table, TableEntry,
 };
 
 /// A materialized merged table plus the bookkeeping to translate its
@@ -43,31 +44,20 @@ pub struct MergedTable {
 /// keys, pairwise mergeable (no match-on-written-field hazards), within
 /// the materialization budget; the as-cache variant additionally requires
 /// all-exact components (checked in [`materialize`]).
-pub fn segment_allowed(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> bool {
-    if tables.len() < 2 {
+pub fn segment_allowed(cfg: &OptimizerConfig, tables: &[&TableTerms]) -> bool {
+    if tables.len() < 2 || tables.iter().any(|t| !t.coverable) {
         return false;
     }
-    let mut sets = Vec::with_capacity(tables.len());
     let mut product: f64 = 1.0;
-    for &id in tables {
-        let Some(node) = ctx.g.node(id) else {
-            return false;
-        };
-        let Some(t) = node.as_table() else {
-            return false;
-        };
-        if node.is_switch_case() || t.cache_role != CacheRole::None || t.keys.is_empty() {
-            return false;
-        }
-        product *= (t.entries.len() + 1) as f64;
-        sets.push(RwSets::of_node(node));
+    for t in tables {
+        product *= (t.entries + 1) as f64;
     }
-    if product > ctx.cfg.max_merge_entries as f64 {
+    if product > cfg.max_merge_entries as f64 {
         return false;
     }
-    for i in 0..sets.len() {
-        for j in (i + 1)..sets.len() {
-            if !DependencyAnalysis::mergeable(&sets[i], &sets[j]) {
+    for (i, a) in tables.iter().enumerate() {
+        for b in &tables[i + 1..] {
+            if !DependencyAnalysis::mergeable(&a.sets, &b.sets) {
                 return false;
             }
         }
@@ -137,12 +127,18 @@ pub fn materialize(
     tables: &[NodeId],
     as_cache: bool,
 ) -> Result<MergedTable, String> {
-    if !segment_allowed(ctx, tables) {
+    let terms = TableTerms::of_each(ctx, tables);
+    if !segment_allowed(ctx.cfg, &terms.iter().collect::<Vec<_>>()) {
         return Err("segment not mergeable".into());
     }
+    build(ctx.g, tables, as_cache)
+}
+
+/// [`materialize`] for tables [`segment_allowed`] already accepted.
+fn build(g: &ProgramGraph, tables: &[NodeId], as_cache: bool) -> Result<MergedTable, String> {
     let comps: Vec<&Table> = tables
         .iter()
-        .map(|&id| ctx.g.node(id).and_then(|n| n.as_table()).expect("checked"))
+        .map(|&id| g.node(id).and_then(|n| n.as_table()).expect("checked"))
         .collect();
     if as_cache {
         for t in &comps {
@@ -222,8 +218,7 @@ pub fn materialize(
             let mut executed: Vec<(NodeId, usize)> = Vec::new();
             for &(nid, aidx) in &acts {
                 executed.push((nid, aidx));
-                let drops = ctx
-                    .g
+                let drops = g
                     .node(nid)
                     .and_then(|n| n.as_table())
                     .map(|t| t.actions[aidx].drops())
@@ -236,8 +231,7 @@ pub fn materialize(
                 let mut prims: Vec<Primitive> = Vec::new();
                 let mut names = Vec::new();
                 for &(nid, aidx) in &executed {
-                    let t = ctx
-                        .g
+                    let t = g
                         .node(nid)
                         .and_then(|n| n.as_table())
                         .expect("component exists");
@@ -301,80 +295,74 @@ pub fn materialize(
     })
 }
 
-/// Expected `(latency, drop_rate)` of the merged segment.
-pub fn segment_latency(ctx: &EvalCtx<'_>, tables: &[NodeId], as_cache: bool) -> Option<(f64, f64)> {
-    let merged = materialize(ctx, tables, as_cache).ok()?;
+/// The score of merging `tables` (which [`segment_allowed`] accepted);
+/// `None` when the merged table does not materialize.
+pub fn score(ctx: &EvalCtx<'_>, tables: &[&TableTerms], as_cache: bool) -> Option<SegmentScore> {
+    let ids: Vec<NodeId> = tables.iter().map(|t| t.id).collect();
+    let merged = build(ctx.g, &ids, as_cache).ok()?;
     let params = &ctx.model.params;
     // Replay / original costs mirror the cache estimate.
     let mut actions = 0.0;
     let mut orig = 0.0;
     let mut survive = 1.0;
-    for &id in tables {
-        actions += survive * ctx.action_cost(id);
-        orig += survive * ctx.table_cost(id);
-        survive *= 1.0 - ctx.drop_rate(id);
+    for t in tables {
+        actions += survive * t.action_cost;
+        orig += survive * t.cost;
+        survive *= 1.0 - t.drop_rate;
     }
-    let drop = 1.0 - survive;
     let latency = if as_cache {
-        let h = estimated_all_hit_rate(ctx, tables);
+        let h = estimated_all_hit_rate(ctx.cfg, tables);
         params.l_mat + h * actions + (1.0 - h) * orig
     } else {
         let m = params.memory_accesses(&merged.table);
         m * params.l_mat + actions
     };
-    Some((latency, drop))
+    let (mem, update) = costs(tables, as_cache);
+    Some(SegmentScore {
+        latency,
+        drop_rate: 1.0 - survive,
+        mem,
+        update,
+    })
 }
 
 /// The probability a packet hits (a non-default entry in) every component
 /// table — the merged-cache hit rate — degraded by update churn.
-pub fn estimated_all_hit_rate(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> f64 {
+fn estimated_all_hit_rate(cfg: &OptimizerConfig, tables: &[&TableTerms]) -> f64 {
     let mut h = 1.0;
     let mut update_rate = 0.0;
-    for &id in tables {
-        let Some(t) = ctx.g.node(id).and_then(|n| n.as_table()) else {
-            return 0.0;
-        };
-        let probs = ctx.profile.action_probs(ctx.g, id);
-        let miss_p = probs.get(t.default_action).copied().unwrap_or(0.0);
-        h *= 1.0 - miss_p;
-        update_rate += ctx.profile.entry_update_rate(id);
+    for t in tables {
+        h *= t.hit_prob;
+        update_rate += t.update_rate;
     }
-    (h / (1.0 + ctx.cfg.invalidation_coeff * update_rate)).clamp(0.0, 1.0)
+    (h / (1.0 + cfg.invalidation_coeff * update_rate)).clamp(0.0, 1.0)
 }
 
 /// `(memory, update-rate)` cost of the merge. Memory is the materialized
 /// table (net of freed originals for plain merges); the update cost is the
 /// paper's `I(T_AB) = Σ_i I(T_i)·Π_{j≠i} N(T_j)` amplification.
-pub fn segment_costs(ctx: &EvalCtx<'_>, tables: &[NodeId], as_cache: bool) -> (f64, f64) {
-    let comps: Vec<&Table> = tables
+pub fn costs(tables: &[&TableTerms], as_cache: bool) -> (f64, f64) {
+    let sizes: Vec<f64> = tables
         .iter()
-        .filter_map(|&id| ctx.g.node(id).and_then(|n| n.as_table()))
-        .collect();
-    let sizes: Vec<f64> = comps
-        .iter()
-        .map(|t| t.entries.len() as f64 + if as_cache { 0.0 } else { 1.0 })
+        .map(|t| t.entries as f64 + if as_cache { 0.0 } else { 1.0 })
         .collect();
     let product: f64 = sizes.iter().product();
     let entry_bytes = Table::DEFAULT_ENTRY_BYTES as f64;
     let mut mem = product * entry_bytes;
     if !as_cache {
         // Plain merge frees the originals.
-        let freed: f64 = comps
-            .iter()
-            .map(|t| t.entries.len() as f64 * entry_bytes)
-            .sum();
+        let freed: f64 = tables.iter().map(|t| t.entries as f64 * entry_bytes).sum();
         mem = (mem - freed).max(0.0);
     }
     let mut update = 0.0;
-    for (i, &id) in tables.iter().enumerate() {
-        let rate = ctx.profile.entry_update_rate(id);
+    for (i, t) in tables.iter().enumerate() {
         let amplification: f64 = sizes
             .iter()
             .enumerate()
             .filter(|(j, _)| *j != i)
             .map(|(_, s)| *s)
             .product();
-        update += rate * amplification;
+        update += t.update_rate * amplification;
     }
     (mem, update)
 }
@@ -382,9 +370,8 @@ pub fn segment_costs(ctx: &EvalCtx<'_>, tables: &[NodeId], as_cache: bool) -> (f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OptimizerConfig;
     use pipeleon_cost::{CostModel, CostParams, RuntimeProfile};
-    use pipeleon_ir::{ProgramBuilder, ProgramGraph};
+    use pipeleon_ir::ProgramBuilder;
 
     /// Two exact tables: t0 on f0 {10 -> set y=1}, t1 on f1 {20 -> set z=2}.
     fn two_exact() -> (ProgramGraph, Vec<NodeId>) {
@@ -635,7 +622,8 @@ mod tests {
         };
         let profile = RuntimeProfile::empty();
         let ctx = eval(&g, &model, &cfg, &profile);
-        assert!(!segment_allowed(&ctx, &[t0, t1]));
+        let terms = TableTerms::of_each(&ctx, &[t0, t1]);
+        assert!(!segment_allowed(&cfg, &terms.iter().collect::<Vec<_>>()));
     }
 
     #[test]
@@ -646,7 +634,8 @@ mod tests {
         let mut profile = RuntimeProfile::empty();
         profile.set_entry_update_rate(ids[0], 10.0);
         let ctx = eval(&g, &model, &cfg, &profile);
-        let (_, upd_plain) = segment_costs(&ctx, &ids, false);
+        let terms = TableTerms::of_each(&ctx, &ids);
+        let (_, upd_plain) = costs(&terms.iter().collect::<Vec<_>>(), false);
         // I(T0)=10, N(T1)+1 = 2 -> 20 updates/s.
         assert!((upd_plain - 20.0).abs() < 1e-9, "got {upd_plain}");
     }
@@ -662,7 +651,9 @@ mod tests {
             profile.record_action(id, 0, 100);
         }
         let ctx = eval(&g, &model, &cfg, &profile);
-        let (merged_lat, _) = segment_latency(&ctx, &ids, true).unwrap();
+        let terms = TableTerms::of_each(&ctx, &ids);
+        let row: Vec<&TableTerms> = terms.iter().collect();
+        let merged_lat = score(&ctx, &row, true).unwrap().latency;
         let plain_lat = ctx.sequence_latency(&ids);
         assert!(
             merged_lat < plain_lat,
@@ -670,7 +661,7 @@ mod tests {
         );
         // The naive ternary merge is *worse* than the original here —
         // exactly the Figure 6 observation.
-        let (naive_lat, _) = segment_latency(&ctx, &ids, false).unwrap();
+        let naive_lat = score(&ctx, &row, false).unwrap().latency;
         assert!(naive_lat > plain_lat, "naive={naive_lat} plain={plain_lat}");
     }
 }

@@ -11,24 +11,24 @@
 //! order that repeatedly emits the schedulable table with the best
 //! drop-rate-per-cost ratio.
 
-use super::EvalCtx;
-use pipeleon_ir::{DependencyAnalysis, NodeId, RwSets};
+use super::TableTerms;
+use crate::config::OptimizerConfig;
+use pipeleon_ir::DependencyAnalysis;
 
-/// The table orders considered for a pipelet (always includes the
-/// original order first; no duplicates).
-pub fn valid_orders(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> Vec<Vec<NodeId>> {
+/// The table orders considered for a pipelet, each a permutation of the
+/// positions in `tables` (always includes the original order first; no
+/// duplicates).
+pub fn valid_orders(cfg: &OptimizerConfig, tables: &[TableTerms]) -> Vec<Vec<usize>> {
     let n = tables.len();
+    let original: Vec<usize> = (0..n).collect();
     if n <= 1 {
-        return vec![tables.to_vec()];
+        return vec![original];
     }
-    let sets: Vec<RwSets> = tables
-        .iter()
-        .map(|&id| RwSets::of_node(ctx.g.node(id).expect("pipelet member exists")))
-        .collect();
-    let commute = |a: usize, b: usize| DependencyAnalysis::commute(&sets[a], &sets[b]);
+    let commute =
+        |a: usize, b: usize| DependencyAnalysis::commute(&tables[a].sets, &tables[b].sets);
 
-    let mut out: Vec<Vec<NodeId>> = vec![tables.to_vec()];
-    if n <= ctx.cfg.max_enum_perms {
+    let mut out: Vec<Vec<usize>> = vec![original];
+    if n <= cfg.max_enum_perms {
         // Enumerate permutations of indices; keep those whose inversions
         // all commute.
         let mut idx: Vec<usize> = (0..n).collect();
@@ -40,11 +40,8 @@ pub fn valid_orders(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> Vec<Vec<NodeId>> {
                     perm[i] < perm[j] || commute(perm[i], perm[j])
                 })
             });
-            if valid {
-                let order: Vec<NodeId> = perm.iter().map(|&i| tables[i]).collect();
-                if !out.contains(&order) {
-                    out.push(order);
-                }
+            if valid && !out.iter().any(|o| o == perm) {
+                out.push(perm.to_vec());
             }
         });
     } else {
@@ -66,8 +63,7 @@ pub fn valid_orders(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> Vec<Vec<NodeId>> {
                 best = match best {
                     None => Some(i),
                     Some(b) => {
-                        let (di, db) = (ctx.drop_rate(tables[i]), ctx.drop_rate(tables[b]));
-                        if di > db + 1e-12 {
+                        if tables[i].drop_rate > tables[b].drop_rate + 1e-12 {
                             Some(i)
                         } else {
                             Some(b)
@@ -77,9 +73,9 @@ pub fn valid_orders(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> Vec<Vec<NodeId>> {
             }
             let pick = best.expect("some table is always ready");
             emitted[pick] = true;
-            order.push(tables[pick]);
+            order.push(pick);
         }
-        if order != tables {
+        if order != out[0] {
             out.push(order);
         }
     }
@@ -113,23 +109,31 @@ fn permutohedron_heap(idx: &mut [usize], f: &mut impl FnMut(&[usize])) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OptimizerConfig;
+    use crate::opts::EvalCtx;
     use pipeleon_cost::{CostModel, CostParams, RuntimeProfile};
-    use pipeleon_ir::{MatchKind, MatchValue, Primitive, ProgramBuilder, ProgramGraph, TableEntry};
+    use pipeleon_ir::{
+        MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
+    };
 
-    fn make_ctx<'a>(
-        g: &'a ProgramGraph,
-        model: &'a CostModel,
-        cfg: &'a OptimizerConfig,
-        profile: &'a RuntimeProfile,
-    ) -> EvalCtx<'a> {
-        EvalCtx {
-            model,
-            cfg,
+    /// The considered orders of `tables`, as table ids.
+    fn orders_of(
+        g: &ProgramGraph,
+        profile: &RuntimeProfile,
+        tables: &[NodeId],
+    ) -> Vec<Vec<NodeId>> {
+        let model = CostModel::new(CostParams::bluefield2());
+        let cfg = OptimizerConfig::default();
+        let ctx = EvalCtx {
+            model: &model,
+            cfg: &cfg,
             g,
             profile,
             reach: 1.0,
-        }
+        };
+        valid_orders(&cfg, &TableTerms::of_each(&ctx, tables))
+            .into_iter()
+            .map(|perm| perm.into_iter().map(|i| tables[i]).collect())
+            .collect()
     }
 
     /// Three independent ACL-ish tables on distinct fields.
@@ -153,11 +157,7 @@ mod tests {
     #[test]
     fn independent_tables_enumerate_all_permutations() {
         let (g, ids) = independent3();
-        let model = CostModel::new(CostParams::bluefield2());
-        let cfg = OptimizerConfig::default();
-        let profile = RuntimeProfile::empty();
-        let ctx = make_ctx(&g, &model, &cfg, &profile);
-        let orders = valid_orders(&ctx, &ids);
+        let orders = orders_of(&g, &RuntimeProfile::empty(), &ids);
         assert_eq!(orders.len(), 6);
         assert_eq!(orders[0], ids, "original order comes first");
     }
@@ -176,11 +176,7 @@ mod tests {
         let t1 = b.table("t1").key(y, MatchKind::Exact).finish();
         let t2 = b.table("t2").key(x, MatchKind::Exact).finish();
         let g = b.seal(t0).unwrap();
-        let model = CostModel::new(CostParams::bluefield2());
-        let cfg = OptimizerConfig::default();
-        let profile = RuntimeProfile::empty();
-        let ctx = make_ctx(&g, &model, &cfg, &profile);
-        let orders = valid_orders(&ctx, &[t0, t1, t2]);
+        let orders = orders_of(&g, &RuntimeProfile::empty(), &[t0, t1, t2]);
         for o in &orders {
             let p0 = o.iter().position(|&id| id == t0).unwrap();
             let p1 = o.iter().position(|&id| id == t1).unwrap();
@@ -213,10 +209,7 @@ mod tests {
             profile.record_action(id, 0, 100 - 10 * i as u64);
             profile.record_action(id, 1, 10 * i as u64);
         }
-        let model = CostModel::new(CostParams::bluefield2());
-        let cfg = OptimizerConfig::default();
-        let ctx = make_ctx(&g, &model, &cfg, &profile);
-        let orders = valid_orders(&ctx, &ids);
+        let orders = orders_of(&g, &profile, &ids);
         assert_eq!(orders.len(), 2, "original + greedy");
         let greedy = &orders[1];
         assert_eq!(greedy[0], ids[7], "highest drop rate first");
@@ -226,11 +219,7 @@ mod tests {
     #[test]
     fn single_table_has_one_order() {
         let (g, ids) = independent3();
-        let model = CostModel::new(CostParams::bluefield2());
-        let cfg = OptimizerConfig::default();
-        let profile = RuntimeProfile::empty();
-        let ctx = make_ctx(&g, &model, &cfg, &profile);
-        assert_eq!(valid_orders(&ctx, &ids[..1]).len(), 1);
+        assert_eq!(orders_of(&g, &RuntimeProfile::empty(), &ids[..1]).len(), 1);
     }
 
     #[test]

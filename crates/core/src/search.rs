@@ -12,11 +12,12 @@ use crate::apply::{apply_plan, AppliedPlan};
 use crate::config::{OptimizerConfig, ResourceLimits};
 use crate::hotspot::{score_pipelets, top_k, PipeletScore};
 use crate::knapsack;
-use crate::opts::{cache, enumerate_candidates, EvalCtx};
+use crate::opts::{cache, enumerate_candidates, EvalCtx, TableTerms};
 use crate::pipelet::{find_groups, partition, Pipelet, PipeletGroup};
 use crate::plan::{Candidate, GlobalPlan};
 use pipeleon_cost::{CostModel, RuntimeProfile};
 use pipeleon_ir::{IrError, NodeId, ProgramGraph};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Cap on candidates kept per pipelet for the knapsack stage.
@@ -36,7 +37,8 @@ pub struct IncrementalState {
 struct CachedPipelet {
     tables: Vec<NodeId>,
     signature: u64,
-    candidates: Vec<Candidate>,
+    /// Shared with the searches that reuse the entry.
+    candidates: Arc<[Candidate]>,
 }
 
 impl IncrementalState {
@@ -61,9 +63,14 @@ impl IncrementalState {
         self.entries.clear();
     }
 
-    fn lookup(&self, pipelet: usize, tables: &[NodeId], signature: u64) -> Option<Vec<Candidate>> {
+    fn lookup(
+        &self,
+        pipelet: usize,
+        tables: &[NodeId],
+        signature: u64,
+    ) -> Option<Arc<[Candidate]>> {
         let e = self.entries.get(&pipelet)?;
-        (e.tables == tables && e.signature == signature).then(|| e.candidates.clone())
+        (e.tables == tables && e.signature == signature).then(|| Arc::clone(&e.candidates))
     }
 
     fn store(
@@ -71,7 +78,7 @@ impl IncrementalState {
         pipelet: usize,
         tables: Vec<NodeId>,
         signature: u64,
-        candidates: Vec<Candidate>,
+        candidates: Arc<[Candidate]>,
     ) {
         self.entries.insert(
             pipelet,
@@ -129,6 +136,10 @@ pub struct OptimizationOutcome {
     /// Candidates served from the incremental cache instead of
     /// re-enumerated (always 0 for [`Optimizer::optimize`]).
     pub candidates_reused: usize,
+    /// Distinct cache/merge segments scored while enumerating (merge
+    /// materializations included): the search's work as a count that
+    /// repeats exactly, where its wall-clock time cannot.
+    pub segment_evals: usize,
     /// Estimated expected-latency reduction (ns/packet).
     pub est_gain_ns: f64,
     /// Wall-clock search time (excluding apply).
@@ -244,11 +255,12 @@ impl Optimizer {
         let visits = profile.visit_probabilities(g);
 
         // LocalOptimize: candidates per selected pipelet.
-        let mut groups: Vec<Vec<Candidate>> = Vec::new();
+        let mut groups: Vec<Arc<[Candidate]>> = Vec::new();
         let mut group_of_pipelet: Vec<Option<usize>> = vec![None; pipelets.len()];
         let mut candidates_evaluated = 0usize;
         let mut candidates_reused = 0usize;
         let mut candidates_rejected = 0usize;
+        let mut segment_evals = 0usize;
         for &pid in &selected {
             let p = &pipelets[pid];
             if p.switch_case {
@@ -275,16 +287,18 @@ impl Optimizer {
                     c
                 }
                 None => {
-                    let mut cands =
+                    let (mut cands, evals) =
                         enumerate_candidates(&ctx, pid, &p.tables, MAX_CANDIDATES_PER_PIPELET);
+                    segment_evals += evals;
                     // Safety gate: only candidates the verifier can prove
                     // legal survive (and get cached for reuse).
                     let enumerated = cands.len();
                     cands.retain(|c| verifier.verify(g, &c.to_spec()).legal);
                     candidates_rejected += enumerated - cands.len();
                     candidates_evaluated += cands.len();
+                    let cands: Arc<[Candidate]> = cands.into();
                     if let (Some(s), Some(sig)) = (&mut state, signature) {
-                        s.store(pid, p.tables.clone(), sig, cands.clone());
+                        s.store(pid, p.tables.clone(), sig, Arc::clone(&cands));
                     }
                     cands
                 }
@@ -339,10 +353,10 @@ impl Optimizer {
                     // Disable the absorbed groups and add the group choice.
                     for &m in &absorbed {
                         if let Some(gi) = group_of_pipelet[m] {
-                            groups[gi].clear();
+                            groups[gi] = Arc::new([]);
                         }
                     }
-                    groups.push(vec![gc]);
+                    groups.push(Arc::new([gc]));
                 }
             }
         }
@@ -361,6 +375,7 @@ impl Optimizer {
             candidates_evaluated,
             candidates_reused,
             candidates_rejected,
+            segment_evals,
             search_time,
         })
     }
@@ -403,10 +418,10 @@ impl Optimizer {
             member_tables.extend(jp.tables.iter().copied());
         }
         // Every member table must be individually cacheable.
-        for &t in &member_tables {
-            if !cache::segment_allowed(&ctx, &[t]) {
-                return None;
-            }
+        let terms = TableTerms::of_each(&ctx, &member_tables);
+        let members: Vec<&TableTerms> = terms.iter().collect();
+        if !members.iter().all(|t| cache::segment_allowed(&[t])) {
+            return None;
         }
         // Region latency: branch + probability-weighted arm chains + the
         // join chain (conditioned on reaching it, i.e. surviving an arm).
@@ -441,14 +456,14 @@ impl Optimizer {
                 survive *= 1.0 - ctx.drop_rate(id);
             }
         }
-        let h = cache::estimated_hit_rate(&ctx, &member_tables);
+        let h = cache::estimated_hit_rate(&ctx, &members);
         let params = &self.model.params;
         let cached = params.l_mat + h * replay + (1.0 - h) * (region + params.l_cache_insert);
         let gain = reach * (region - cached);
         if gain <= 0.0 {
             return None;
         }
-        let (mem, upd) = cache::segment_costs(&ctx, &member_tables);
+        let (mem, upd) = cache::costs(&ctx, h);
         Some(Candidate {
             pipelet: *pg.members.first()?,
             order: member_tables,
@@ -488,11 +503,13 @@ mod tests {
             .unwrap();
         assert_eq!(first.candidates_reused, 0);
         assert!(first.candidates_evaluated > 0);
+        assert!(first.segment_evals > 0);
         // Identical profile: everything reuses, same plan.
         let second = opt
             .optimize_incremental(&g, &profile, ResourceLimits::unlimited(), &mut state)
             .unwrap();
         assert_eq!(second.candidates_evaluated, 0);
+        assert_eq!(second.segment_evals, 0);
         assert_eq!(second.candidates_reused, first.candidates_evaluated);
         assert_eq!(second.plan, first.plan);
         assert!(second.search_time <= first.search_time);

@@ -49,6 +49,7 @@
 use crate::graph::{Node, NodeKind};
 use crate::table::Table;
 use crate::types::FieldRef;
+use std::borrow::Borrow;
 
 /// The fields a node reads (match keys, branch conditions, action operand
 /// reads) and writes (action primitive targets).
@@ -152,13 +153,14 @@ impl DependencyAnalysis {
     /// may write a field that a *later* table in the segment matches on
     /// (otherwise the cache key at segment entry does not determine the
     /// outcome).
-    pub fn cacheable_segment(sets: &[RwSets]) -> bool {
+    pub fn cacheable_segment<S: Borrow<RwSets>>(sets: &[S]) -> bool {
         for i in 0..sets.len() {
             for j in (i + 1)..sets.len() {
                 if sets[i]
+                    .borrow()
                     .writes
                     .iter()
-                    .any(|w| sets[j].match_reads.contains(w))
+                    .any(|w| sets[j].borrow().match_reads.contains(w))
                 {
                     return false;
                 }

@@ -137,6 +137,9 @@ pub struct TickReport {
     pub est_gain_ns: f64,
     /// Search wall-clock time.
     pub search_time: Duration,
+    /// Distinct cache/merge segments the search scored (0 when every
+    /// pipelet's candidates came from the incremental cache).
+    pub segment_evals: usize,
     /// Service interruption incurred by deployment (reload targets).
     pub downtime_s: f64,
     /// Human-readable steps of the deployed plan.
@@ -151,7 +154,11 @@ pub struct TickReport {
 #[derive(Debug, Clone)]
 struct DeployedState {
     graph: ProgramGraph,
-    json: String,
+    /// The canonical JSON of `graph`, or `None` while entry operations
+    /// have changed `graph` since it was last serialized: serializing
+    /// the program costs far more than the entry operation itself, so it
+    /// waits for a reader ([`Controller::last_good_json`]).
+    json: Option<String>,
 }
 
 /// A mutation applied to the target during entry fan-out, replayed onto
@@ -245,7 +252,7 @@ impl<T: Target> Controller<T> {
             applied: None,
             last_good: DeployedState {
                 graph: original,
-                json,
+                json: Some(json.clone()),
             },
             last_profile: None,
             update_counts: HashMap::new(),
@@ -260,8 +267,7 @@ impl<T: Target> Controller<T> {
             last_spec_gen: 0,
             last_spec_stats: SpecStats::default(),
         };
-        let (g, j) = (this.last_good.graph.clone(), this.last_good.json.clone());
-        this.deploy_transaction(g, &j)?;
+        this.deploy_transaction(this.last_good.graph.clone(), &json)?;
         Ok(this)
     }
 
@@ -314,6 +320,21 @@ impl<T: Target> Controller<T> {
     /// The layout the controller last verified on the target.
     pub fn last_known_good(&self) -> &ProgramGraph {
         &self.last_good.graph
+    }
+
+    /// The canonical JSON of the last-known-good layout, serialized now
+    /// if entry operations changed the layout since it last was. A layout
+    /// that does not serialize can be neither compared nor redeployed:
+    /// that sets `pin_pending` (the next tick re-pins the original
+    /// program) and returns `None`.
+    fn last_good_json(&mut self) -> Option<&str> {
+        if self.last_good.json.is_none() {
+            match to_json_string(&self.last_good.graph) {
+                Ok(j) => self.last_good.json = Some(j),
+                Err(_) => self.health.pin_pending = true,
+            }
+        }
+        self.last_good.json.as_deref()
     }
 
     /// One deploy transaction: validate → apply (bounded retry with
@@ -406,7 +427,10 @@ impl<T: Target> Controller<T> {
         let json = to_json_string(&g)?;
         self.deploy_transaction(g.clone(), &json)?;
         self.applied = None;
-        self.last_good = DeployedState { graph: g, json };
+        self.last_good = DeployedState {
+            graph: g,
+            json: Some(json),
+        };
         self.health.pin_pending = false;
         self.reconfig_count += 1;
         Ok(())
@@ -416,8 +440,9 @@ impl<T: Target> Controller<T> {
     /// candidate deploy (falling back to the original program, and to
     /// `pin_pending` when even that fails).
     fn recover_deployed_state(&mut self) {
-        let (g, j) = (self.last_good.graph.clone(), self.last_good.json.clone());
-        if self.deploy_transaction(g, &j).is_ok() {
+        let json = self.last_good_json().map(str::to_owned);
+        let graph = self.last_good.graph.clone();
+        if json.is_some_and(|j| self.deploy_transaction(graph, &j).is_ok()) {
             self.health.rollbacks += 1;
             self.health.pin_pending = false;
             self.journal.push(
@@ -448,7 +473,7 @@ impl<T: Target> Controller<T> {
                 self.health.consecutive_deploy_failures = 0;
                 self.last_good = DeployedState {
                     graph: applied.graph.clone(),
-                    json,
+                    json: Some(json),
                 };
                 self.applied = Some(applied);
                 self.reconfig_count += 1;
@@ -492,6 +517,7 @@ impl<T: Target> Controller<T> {
             deployed: false,
             est_gain_ns: 0.0,
             search_time: Duration::ZERO,
+            segment_evals: 0,
             downtime_s: 0.0,
             summary: Vec::new(),
             health: self.health.clone(),
@@ -743,10 +769,11 @@ impl<T: Target> Controller<T> {
             )?;
             report.est_gain_ns = outcome.est_gain_ns;
             report.search_time = outcome.search_time;
+            report.segment_evals = outcome.segment_evals;
             let candidate_json = to_json_string(&outcome.applied.graph)?;
             let worth_it = outcome.est_gain_ns >= self.cfg.min_gain_ns
                 || (outcome.plan.is_empty() && self.applied.is_some());
-            if worth_it && candidate_json != self.last_good.json {
+            if worth_it && self.last_good_json() != Some(candidate_json.as_str()) {
                 // Safety gate: refuse to deploy any plan the verifier
                 // cannot prove legal. The search already filters illegal
                 // candidates, so this rejecting is an invariant breach —
@@ -845,6 +872,11 @@ impl<T: Target> Controller<T> {
                 &[],
                 report.search_time.as_nanos() as f64,
             );
+            m.gauge_set(
+                "pipeleon_search_segment_evals",
+                &[],
+                report.segment_evals as f64,
+            );
         }
         if report.deployed {
             m.gauge_set("pipeleon_downtime_s", &[], report.downtime_s);
@@ -897,7 +929,7 @@ impl<T: Target> Controller<T> {
             violations: Vec::new(),
         })?;
         let json = to_json_string(&applied.graph)?;
-        if json == self.last_good.json {
+        if self.last_good_json() == Some(json.as_str()) {
             return Ok(()); // already running this layout
         }
         match self.deploy_transaction(applied.graph.clone(), &json) {
@@ -905,7 +937,7 @@ impl<T: Target> Controller<T> {
                 self.health.consecutive_deploy_failures = 0;
                 self.last_good = DeployedState {
                     graph: applied.graph.clone(),
-                    json,
+                    json: Some(json),
                 };
                 self.applied = Some(applied);
                 self.reconfig_count += 1;
@@ -1096,7 +1128,7 @@ impl<T: Target> Controller<T> {
     }
 
     /// Replays a fully-applied fan-out onto the last-known-good mirror
-    /// and refreshes its serialized form.
+    /// and marks its serialized form out of date.
     fn commit_mirror(&mut self, ops: Vec<MirrorOp>) {
         if ops.is_empty() {
             return;
@@ -1139,12 +1171,12 @@ impl<T: Target> Controller<T> {
                 },
             }
         }
-        match to_json_string(&self.last_good.graph) {
-            Ok(j) if !stale => self.last_good.json = j,
+        self.last_good.json = None;
+        if stale {
             // The mirror no longer matches what the target runs; force a
             // re-pin of the original program on the next tick (safe and
             // self-correcting, at the cost of one reconfiguration).
-            _ => self.health.pin_pending = true,
+            self.health.pin_pending = true;
         }
     }
 
@@ -1268,6 +1300,10 @@ fn register_help(m: &mut MetricsRegistry) {
     m.help(
         "pipeleon_search_time_ns",
         "Wall-clock time of each top-k search, ns",
+    );
+    m.help(
+        "pipeleon_search_segment_evals",
+        "Distinct cache/merge segments the last search scored",
     );
     m.help(
         "pipeleon_downtime_s",
@@ -1733,6 +1769,52 @@ mod tests {
     }
 
     #[test]
+    fn entry_ops_leave_serializing_the_mirror_to_its_next_reader() {
+        let p = AclPipeline::build(3, 3);
+        let cfg = ControllerConfig {
+            max_deploy_retries: 1,
+            ..ControllerConfig::default()
+        };
+        let mut c = faulty_controller_for(&p, cfg, FaultConfig::none(1));
+        assert!(c.last_good.json.is_some());
+        // Entry operations update the mirror and never serialize it.
+        for k in 0..6u64 {
+            let entry = pipeleon_ir::TableEntry::new(vec![MatchValue::Exact(1 << 20 | k)], 1);
+            c.insert_entry(p.acls[(k % 2) as usize], entry).unwrap();
+            assert!(c.last_good.json.is_none());
+        }
+        c.remove_entry(p.acls[0], 1).unwrap();
+        assert!(c.last_good.json.is_none());
+        // What serializing after every operation would have left behind:
+        // the bytes of the layout the target now runs.
+        let eager = to_json_string(&c.last_good.graph).unwrap();
+        let on_target = fingerprint_bytes(eager.as_bytes());
+        assert_eq!(c.target.fingerprint().unwrap(), on_target);
+        // A searching tick reads the mirror (one serialization, for the
+        // compare); its candidate deploy fails on both attempts, and the
+        // rollback redeploys those same bytes.
+        heavy_window(&mut c, &p, 2);
+        c.target.inject_next(InjectedFault::DeployReject, 2);
+        let r = c.tick().unwrap();
+        assert!(r.reoptimized && !r.deployed, "{r:?}");
+        assert_eq!(r.health.rollbacks, 1);
+        assert!(!r.health.pin_pending);
+        assert_eq!(c.last_good.json.as_deref(), Some(eager.as_str()));
+        assert_eq!(c.target.fingerprint().unwrap(), on_target);
+        // The next tick deploys its candidate and keeps that candidate's
+        // bytes.
+        heavy_window(&mut c, &p, 3);
+        let r2 = c.tick().unwrap();
+        assert!(r2.deployed, "{r2:?}");
+        let deployed = to_json_string(&c.last_good.graph).unwrap();
+        assert_eq!(c.last_good.json.as_deref(), Some(deployed.as_str()));
+        assert_eq!(
+            c.target.fingerprint().unwrap(),
+            fingerprint_bytes(deployed.as_bytes())
+        );
+    }
+
+    #[test]
     fn circuit_breaker_degrades_then_recovers() {
         let p = AclPipeline::build(3, 3);
         let cfg = ControllerConfig {
@@ -1837,6 +1919,13 @@ mod tests {
         assert_eq!(
             m.counter_value("pipeleon_deploy_retries_total", &[]),
             Some(c.health().deploy_retries)
+        );
+        // The second search scored segments afresh (its profile moved)
+        // and the gauge carries exactly its count.
+        assert!(r2.segment_evals > 0);
+        assert_eq!(
+            m.gauge_value("pipeleon_search_segment_evals", &[]),
+            Some(r2.segment_evals as f64)
         );
         let text = m.render_prometheus();
         pipeleon_obs::validate_prometheus(&text).expect("exposition must validate");
