@@ -298,6 +298,20 @@ impl RuntimeProfile {
             && self.cache_hit_hints.is_empty()
     }
 
+    /// Forgets everything recorded, keeping the maps' capacity: a
+    /// recorder that is read out and cleared every window regrows
+    /// nothing in the next one. The result equals [`Self::empty`].
+    pub fn clear(&mut self) {
+        self.total_packets = 0;
+        self.edge_counts.clear();
+        self.action_counts.clear();
+        self.entry_update_rates.clear();
+        self.cache_stats.clear();
+        self.distinct_keys.clear();
+        self.cache_hit_hints.clear();
+        self.window_s = 1.0;
+    }
+
     /// Merges another profile shard into this one (sharded datapaths
     /// collect one profile per worker; the merged profile is what a
     /// single instrumentation point would have observed).
@@ -465,6 +479,18 @@ mod tests {
         assert_eq!(p.entry_update_rate(ids[0]), 10.0);
         assert_eq!(p.entry_update_rate(ids[1]), 0.0);
         assert_eq!(p.total_entry_update_rate(), 15.0);
+    }
+
+    #[test]
+    fn clear_leaves_the_empty_profile() {
+        let (_, mut p, ids) = program_with_profile();
+        p.set_distinct_keys(ids[0], 9);
+        p.set_entry_update_rate(ids[0], 2.0);
+        p.cache_stats.insert(ids[1], CacheStats::default());
+        p.window_s = 0.25;
+        p.clear();
+        assert!(p.is_empty());
+        assert_eq!(p, RuntimeProfile::empty());
     }
 
     #[test]

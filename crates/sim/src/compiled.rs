@@ -83,7 +83,7 @@ struct FlatSlot {
 
 /// FxHash's multiplier. Fx-hashing one `u64` word from the zero state is
 /// this single multiply (`fx_of_one_word_is_one_multiply` pins that).
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+pub(crate) const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// An open-addressed single-field way: a power-of-two slot array, the
 /// home slot taken from the *top* bits of the Fx hash (the well-mixed end

@@ -17,13 +17,14 @@
 
 use crate::cache::{LruCache, RateLimiter};
 use crate::compiled::{CStep, CTable, CompiledPipeline, NO_SLOT};
+use crate::distinct::{self, DistinctKeys};
 use crate::engine::{KeyScratch, LookupOutcome, MatchEngine};
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::prefetch;
 use crate::smallkey::SmallKey;
 use crate::specialize::{self, HotKeySketch, SpecPlan, SpecStats};
-use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
+use fxhash::{FxBuildHasher, FxHashMap};
 use pipeleon_cost::{CostParams, MatchCostModel, MemoryTier, Placement, RuntimeProfile};
 use pipeleon_ir::{
     CacheRole, EdgeRef, IrError, NextHops, NodeId, NodeKind, Primitive, ProgramGraph, TableEntry,
@@ -217,9 +218,10 @@ pub struct Executor {
     /// Per-flow packet counts for [`SampleKeying::FlowKeyed`]; touched
     /// only when instrumented with `sample_every > 1`.
     flow_seq: FxHashMap<u64, u64>,
-    /// Distinct match keys seen per table, dense by node index. Shared
-    /// by both engine modes.
-    distinct: Vec<Option<FxHashSet<SmallKey>>>,
+    /// Distinct match keys seen per table this window, dense by node
+    /// index. Shared by both engine modes; cleared, never dropped, at
+    /// the window boundary.
+    distinct: Vec<DistinctKeys>,
     last_profile_take_s: f64,
     /// Latency histograms recorded for sampled packets since the last
     /// [`Executor::take_observations`].
@@ -259,9 +261,6 @@ pub struct Executor {
     /// Simulation clock in seconds, advanced by the NIC harness.
     pub now_s: f64,
 }
-
-/// Cap on tracked distinct keys per table (the estimate saturates here).
-const DISTINCT_TRACK_CAP: usize = 65_536;
 
 /// Fraction of a counter update's cost paid by non-sampled packets when
 /// sampling is active: the per-packet sample decision (hash + compare)
@@ -531,34 +530,39 @@ impl Executor {
     /// Takes the collected (sampled) profile, resetting counters. Cache
     /// hit/miss statistics are merged in (they are maintained unsampled).
     pub fn take_profile(&mut self) -> RuntimeProfile {
-        let (mut p, distinct) = self.take_profile_split();
-        for (node, set) in distinct {
-            p.set_distinct_keys(node, set.len() as u64);
-        }
+        let mut p = self.take_counters();
+        distinct::count_into(&mut self.distinct, &mut p);
         p
     }
 
-    /// Like [`Executor::take_profile`], but hands back the raw distinct-key
-    /// sets instead of folding them into the profile. A sharded NIC unions
-    /// the sets across workers before counting — summing per-shard counts
-    /// would double-count flows whose packets land on several shards.
-    pub(crate) fn take_profile_split(
-        &mut self,
-    ) -> (RuntimeProfile, HashMap<NodeId, FxHashSet<SmallKey>>) {
-        let mut p = std::mem::take(&mut self.profile);
+    /// Like [`Executor::take_profile`], but unions this window's
+    /// distinct keys into `union` (dense by node index) instead of
+    /// counting them into the profile. A sharded NIC counts the union
+    /// across workers — summing per-shard counts would double-count
+    /// flows whose packets land on several shards.
+    pub(crate) fn take_profile_into(&mut self, union: &mut Vec<DistinctKeys>) -> RuntimeProfile {
+        if union.len() < self.distinct.len() {
+            union.resize_with(self.distinct.len(), DistinctKeys::default);
+        }
+        for (all, keys) in union.iter_mut().zip(&mut self.distinct) {
+            all.absorb(keys);
+            keys.clear();
+        }
+        self.take_counters()
+    }
+
+    /// The window's counters and cache statistics, reset for the next.
+    /// The live profile is copied out and cleared rather than moved, so
+    /// its maps keep their capacity and the next window's first sampled
+    /// packets do not regrow them.
+    fn take_counters(&mut self) -> RuntimeProfile {
+        let mut p = self.profile.clone();
+        self.profile.clear();
         if self.instrumented && self.sample_every > 1 {
             p.scale_counts(self.sample_every);
         }
         p.window_s = (self.now_s - self.last_profile_take_s).max(1e-9);
         self.last_profile_take_s = self.now_s;
-        let mut distinct = HashMap::new();
-        for (idx, set) in std::mem::take(&mut self.distinct).into_iter().enumerate() {
-            if let Some(set) = set {
-                if !set.is_empty() {
-                    distinct.insert(NodeId(idx as u32), set);
-                }
-            }
-        }
         for (idx, state) in self.caches.iter_mut().enumerate() {
             let Some(c) = state else { continue };
             p.cache_stats.insert(
@@ -573,7 +577,7 @@ impl Executor {
             c.misses = 0;
             c.insertions = 0;
         }
-        (p, distinct)
+        p
     }
 
     /// Peeks at the profile without resetting (counts not rescaled).
@@ -775,8 +779,8 @@ impl Executor {
     /// call, resetting them — the sketch window rides the profile window.
     pub(crate) fn take_hot_sketches(&mut self) -> HashMap<NodeId, HotKeySketch> {
         let mut out = HashMap::new();
-        for (idx, sk) in std::mem::take(&mut self.hot_sketch).into_iter().enumerate() {
-            if let Some(sk) = sk {
+        for (idx, sk) in self.hot_sketch.iter_mut().enumerate() {
+            if let Some(sk) = sk.take() {
                 if sk.samples > 0 {
                     out.insert(NodeId(idx as u32), sk);
                 }
@@ -816,6 +820,23 @@ impl Executor {
         sk.observe(&self.scratch.values);
     }
 
+    /// Notes the composed key in scratch (pre-action packet state) as
+    /// seen at table `id`. Runs for every instrumented packet, sampled
+    /// or not: the exact count feeds the optimizer's cross-product
+    /// estimate. It models control-plane analytics, not a P4 counter, so
+    /// it adds no data-path latency.
+    #[inline]
+    fn note_distinct(&mut self, id: NodeId) {
+        if self.scratch.values.is_empty() {
+            return;
+        }
+        if self.distinct.len() <= id.index() {
+            self.distinct
+                .resize_with(id.index() + 1, DistinctKeys::default);
+        }
+        self.distinct[id.index()].note(&self.scratch.values);
+    }
+
     /// Processes one packet; see [`Executor::process_traced`] for traces.
     pub fn process(&mut self, packet: &mut Packet) -> ExecReport {
         self.run(packet, None)
@@ -834,37 +855,65 @@ impl Executor {
     /// to processing each packet with [`Executor::process`].
     pub fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
         let mut out = Vec::with_capacity(packets.len());
-        match self.mode {
-            EngineMode::Interpreter => {
-                for p in packets.iter_mut() {
-                    out.push(self.run_interp(p, None));
+        self.checked_out(|ex, cp| {
+            // Look-ahead stage: hint the table slots packet `i + AHEAD`
+            // will probe, then run packet `i` through the scalar walk.
+            // Hints change no state, so results are the same with the
+            // stage or (no table big enough, or the interpreter) without.
+            let lookahead = cp.filter(|cp| cp.has_lookahead());
+            if let Some(cp) = lookahead {
+                for p in packets.iter().take(prefetch::AHEAD) {
+                    cp.prefetch_lookups(p);
                 }
             }
+            for i in 0..packets.len() {
+                if let (Some(cp), Some(ahead)) = (lookahead, packets.get(i + prefetch::AHEAD)) {
+                    cp.prefetch_lookups(ahead);
+                }
+                out.push(ex.run_on(cp, &mut packets[i], None));
+            }
+        });
+        out
+    }
+
+    /// Runs `body` with the engine checked out once: the compiled
+    /// program (built if need be) is moved out of `self` for the
+    /// duration — it is immutable while the executor's counters and
+    /// caches mutate — and put back after; the interpreter checks out
+    /// nothing. `body` runs packets through [`Executor::run_on`] and may
+    /// set the clock between them, but must leave the program alone
+    /// (no control operation, no engine switch).
+    pub(crate) fn checked_out<R>(
+        &mut self,
+        body: impl FnOnce(&mut Self, Option<&CompiledPipeline>) -> R,
+    ) -> R {
+        let cp = match self.mode {
+            EngineMode::Interpreter => None,
             EngineMode::Compiled => {
                 self.ensure_compiled();
-                let cp = self.compiled.take().expect("just compiled");
-                // Look-ahead stage: hint the table slots packet
-                // `i + AHEAD` will probe, then run packet `i` through the
-                // scalar walk. Hints change no state, so results are the
-                // same with the stage or (no table big enough) without.
-                let lookahead = cp.has_lookahead();
-                if lookahead {
-                    for p in packets.iter().take(prefetch::AHEAD) {
-                        cp.prefetch_lookups(p);
-                    }
-                }
-                for i in 0..packets.len() {
-                    if lookahead {
-                        if let Some(ahead) = packets.get(i + prefetch::AHEAD) {
-                            cp.prefetch_lookups(ahead);
-                        }
-                    }
-                    out.push(self.run_compiled(&cp, &mut packets[i], None));
-                }
-                self.compiled = Some(cp);
+                self.compiled.take()
             }
+        };
+        let r = body(self, cp.as_ref());
+        if cp.is_some() {
+            self.compiled = cp;
         }
-        out
+        r
+    }
+
+    /// Runs one packet on the engine a [`Executor::checked_out`] body
+    /// was handed.
+    #[inline]
+    pub(crate) fn run_on(
+        &mut self,
+        cp: Option<&CompiledPipeline>,
+        packet: &mut Packet,
+        trace: Option<&mut PacketTrace>,
+    ) -> ExecReport {
+        match cp {
+            Some(cp) => self.run_compiled(cp, packet, trace),
+            None => self.run_interp(packet, trace),
+        }
     }
 
     /// Whether the deployed compiled program has any table worth a
@@ -903,19 +952,7 @@ impl Executor {
     }
 
     fn run(&mut self, packet: &mut Packet, trace: Option<&mut PacketTrace>) -> ExecReport {
-        match self.mode {
-            EngineMode::Interpreter => self.run_interp(packet, trace),
-            EngineMode::Compiled => {
-                // Check the compiled program out of `self` for the walk
-                // (it is immutable while the executor's counters and
-                // caches mutate), then put it back.
-                self.ensure_compiled();
-                let cp = self.compiled.take().expect("just compiled");
-                let r = self.run_compiled(&cp, packet, trace);
-                self.compiled = Some(cp);
-                r
-            }
-        }
+        self.checked_out(|ex, cp| ex.run_on(cp, packet, trace))
     }
 
     fn run_interp(
@@ -1093,22 +1130,8 @@ impl Executor {
         report.latency_ns += prims.len() as f64 * self.params.l_act * scale;
 
         if self.instrumented {
-            // Distinct-key tracking (pre-action packet state) feeds the
-            // optimizer's cross-product estimate; it models control-plane
-            // analytics, not a P4 counter, so it adds no data-path latency.
-            // The key values were composed into the scratch buffer by the
-            // lookup above; `contains` runs first so repeat flows never
-            // allocate a key.
-            let vals = &self.scratch.values;
-            if !vals.is_empty() {
-                if self.distinct.len() <= id.index() {
-                    self.distinct.resize_with(id.index() + 1, || None);
-                }
-                let set = self.distinct[id.index()].get_or_insert_with(FxHashSet::default);
-                if set.len() < DISTINCT_TRACK_CAP && !set.contains(vals.as_slice()) {
-                    set.insert(SmallKey::from_slice(vals));
-                }
-            }
+            // The lookup above composed the key into the scratch buffer.
+            self.note_distinct(id);
         }
         Self::apply_primitives(packet, &prims);
 
@@ -1479,18 +1502,7 @@ impl Executor {
         let prims: &[Primitive] = &ct.actions[outcome.action];
 
         if self.instrumented {
-            // Same distinct-key tracking as the interpreter path; the key
-            // values sit in the scratch buffer from the lookup above.
-            let vals = &self.scratch.values;
-            if !vals.is_empty() {
-                if self.distinct.len() <= id.index() {
-                    self.distinct.resize_with(id.index() + 1, || None);
-                }
-                let set = self.distinct[id.index()].get_or_insert_with(FxHashSet::default);
-                if set.len() < DISTINCT_TRACK_CAP && !set.contains(vals.as_slice()) {
-                    set.insert(SmallKey::from_slice(vals));
-                }
-            }
+            self.note_distinct(id);
         }
         Self::apply_primitives(packet, prims);
 

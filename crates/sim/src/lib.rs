@@ -70,6 +70,7 @@
 pub mod backend;
 pub mod cache;
 mod compiled;
+mod distinct;
 pub mod engine;
 pub mod exec;
 /// The epoch/RCU generation chain. Private in real builds (an internal

@@ -13,6 +13,7 @@ use crate::packet::Packet;
 use crate::specialize::{self, HotKeySketch, SpecConfig, SpecStats};
 use pipeleon_cost::{CostParams, Placement, RuntimeProfile};
 use pipeleon_ir::{IrError, NodeId, ProgramGraph, TableEntry};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -82,8 +83,9 @@ impl Default for NicConfig {
     }
 }
 
-/// Aggregate statistics over one measured batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Aggregate statistics over one measured batch (all zero for an empty
+/// one, but for the offered load).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BatchStats {
     /// Packets processed.
     pub packets: u64,
@@ -103,10 +105,11 @@ pub struct BatchStats {
     pub counter_updates: u64,
 }
 
-/// What one packet contributed to a measured batch. [`SmartNic::measure`]
-/// and the sharded datapath both reduce these through
-/// [`BatchStats::from_records`], so N-worker results are bit-identical to
-/// single-threaded ones.
+/// What one packet contributed to a measured batch, as a record. The
+/// datapaths fold reports into a window accumulator as they arrive; records
+/// and [`BatchStats::from_records`] remain as the `BitExact` shard
+/// mode's merge (sort by arrival, then reduce) and as the oracle the
+/// streamed window is tested against.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketRecord {
     /// Global arrival index within the batch (0-based).
@@ -125,24 +128,94 @@ pub struct PacketRecord {
     pub bits: f64,
 }
 
-/// Reusable buffers for reducing a measurement window, kept on the NIC
-/// so a steady-state window allocates nothing: a fresh multi-hundred-KB
-/// allocation per window pays for consolidating the small-chunk debris
-/// packet processing left in the allocator, charged straight to the
-/// window's wall clock.
+/// The window accumulator: a measurement window folded in a report at a
+/// time. One lives on the [`SmartNic`], one on every run-loop shard, one
+/// on the sharded dispatcher for the shard-order merge — kept across
+/// windows, so a steady-state window allocates nothing (a fresh
+/// multi-hundred-KB allocation per window pays for consolidating the
+/// allocator's small-chunk debris, on the window's wall clock). Floats
+/// accumulate in the order reports are added — arrival order on the
+/// single NIC, where the statistics equal [`BatchStats::from_records`]
+/// over the same reports to the bit.
 #[derive(Debug, Default)]
-pub(crate) struct ReduceScratch {
-    pub(crate) core_busy_ns: Vec<f64>,
-    pub(crate) latencies: Vec<f64>,
+pub(crate) struct BatchAgg {
+    dropped: u64,
+    migrations: u64,
+    counter_updates: u64,
+    bits: f64,
+    lat_sum: f64,
+    core_busy_ns: Vec<f64>,
+    /// One per packet, for the p99.
+    latencies: Vec<f64>,
 }
 
-impl ReduceScratch {
+impl BatchAgg {
+    /// Starts a window over `cores` RSS cores.
+    pub(crate) fn reset(&mut self, cores: usize) {
+        self.dropped = 0;
+        self.migrations = 0;
+        self.counter_updates = 0;
+        self.bits = 0.0;
+        self.lat_sum = 0.0;
+        self.core_busy_ns.clear();
+        self.core_busy_ns.resize(cores, 0.0);
+        self.latencies.clear();
+    }
+
+    /// Folds in one packet's report, run on RSS core `core`.
+    #[inline]
+    pub(crate) fn add(&mut self, core: usize, r: &ExecReport, bits: f64) {
+        self.core_busy_ns[core] += r.latency_ns;
+        self.latencies.push(r.latency_ns);
+        self.lat_sum += r.latency_ns;
+        self.bits += bits;
+        self.dropped += u64::from(r.dropped);
+        self.migrations += r.migrations as u64;
+        self.counter_updates += r.counter_updates as u64;
+    }
+
+    /// Folds in a shard's whole window (same core count).
+    pub(crate) fn absorb(&mut self, shard: &BatchAgg) {
+        for (busy, v) in self.core_busy_ns.iter_mut().zip(&shard.core_busy_ns) {
+            *busy += v;
+        }
+        self.latencies.extend_from_slice(&shard.latencies);
+        self.lat_sum += shard.lat_sum;
+        self.bits += shard.bits;
+        self.dropped += shard.dropped;
+        self.migrations += shard.migrations;
+        self.counter_updates += shard.counter_updates;
+    }
+
+    /// The window's statistics (sorts the latency list: the window is over).
+    pub(crate) fn finish(&mut self, line_pps: f64, offered_gbps: f64) -> BatchStats {
+        let n = self.latencies.len() as u64;
+        if n == 0 {
+            return BatchStats {
+                offered_gbps,
+                ..BatchStats::default()
+            };
+        }
+        let arrival_ns = n as f64 / line_pps * 1e9;
+        let busiest_ns = self.core_busy_ns.iter().cloned().fold(0.0f64, f64::max);
+        BatchStats {
+            packets: n,
+            dropped: self.dropped,
+            mean_latency_ns: self.lat_sum / n as f64,
+            p99_latency_ns: self.p99(),
+            throughput_gbps: (self.bits / arrival_ns.max(busiest_ns)).min(offered_gbps),
+            offered_gbps,
+            migrations: self.migrations,
+            counter_updates: self.counter_updates,
+        }
+    }
+
     /// Nearest-rank p99 of the latencies collected (at least one): the
     /// smallest value with at least ceil(0.99·n) samples at or below it
     /// — for n = 100 the 99th, not the max. Sorts in place, unstably:
     /// that needs no buffer, and equal latencies are indistinguishable,
     /// so the sorted sequence is the same.
-    pub(crate) fn p99(&mut self) -> f64 {
+    fn p99(&mut self) -> f64 {
         self.latencies
             .sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN latencies"));
         let n = self.latencies.len();
@@ -162,39 +235,33 @@ impl BatchStats {
         line_pps: f64,
         offered_gbps: f64,
     ) -> BatchStats {
-        let mut scratch = ReduceScratch::default();
+        let mut scratch = BatchAgg::default();
         Self::reduce(records, num_cores, line_pps, offered_gbps, &mut scratch)
     }
 
-    /// [`BatchStats::from_records`] through caller-owned buffers.
+    /// [`BatchStats::from_records`] through caller-owned buffers: only
+    /// `scratch`'s two lists are used, the reduction is this function's
+    /// own.
     pub(crate) fn reduce(
         records: &[PacketRecord],
         num_cores: usize,
         line_pps: f64,
         offered_gbps: f64,
-        scratch: &mut ReduceScratch,
+        scratch: &mut BatchAgg,
     ) -> BatchStats {
-        let cores = num_cores.max(1);
         let n = records.len() as u64;
         if n == 0 {
             return BatchStats {
-                packets: 0,
-                dropped: 0,
-                mean_latency_ns: 0.0,
-                p99_latency_ns: 0.0,
-                throughput_gbps: 0.0,
                 offered_gbps,
-                migrations: 0,
-                counter_updates: 0,
+                ..BatchStats::default()
             };
         }
-        let ReduceScratch {
+        scratch.reset(num_cores.max(1));
+        let BatchAgg {
             core_busy_ns,
             latencies,
+            ..
         } = &mut *scratch;
-        core_busy_ns.clear();
-        core_busy_ns.resize(cores, 0.0);
-        latencies.clear();
         latencies.reserve(records.len());
         let mut dropped = 0u64;
         let mut migrations = 0u64;
@@ -279,11 +346,9 @@ pub struct SmartNic {
     last_swap: Option<LiveSwap>,
     /// Open streaming measurement window, if any.
     measuring: Option<SmartMeasure>,
-    /// The open window's per-packet records; kept across windows (and
-    /// cleared at `measure_begin`) so a window regrows nothing.
-    records: Vec<PacketRecord>,
-    /// Window-reduction buffers, kept for the same reason.
-    reduce_scratch: ReduceScratch,
+    /// The open window's accumulator; kept across windows (and reset at
+    /// `measure_begin`) so a window regrows nothing.
+    agg: BatchAgg,
     /// Specialization planning thresholds.
     spec_cfg: SpecConfig,
     /// The last taken profile window, retained for specialize steps that
@@ -317,8 +382,7 @@ impl SmartNic {
             generation: 0,
             last_swap: None,
             measuring: None,
-            records: Vec::new(),
-            reduce_scratch: ReduceScratch::default(),
+            agg: BatchAgg::default(),
             spec_cfg: SpecConfig::default(),
             last_profile: RuntimeProfile::empty(),
             last_sketches: HashMap::new(),
@@ -444,10 +508,9 @@ impl SmartNic {
     /// Takes the profile collected since the last call. The window (and
     /// its hot-key sketches) is retained for the next specialize step.
     pub fn take_profile(&mut self) -> RuntimeProfile {
-        let p = self.exec.take_profile();
-        self.last_profile = p.clone();
+        self.last_profile = self.exec.take_profile();
         self.last_sketches = self.exec.take_hot_sketches();
-        p
+        self.last_profile.clone()
     }
 
     /// Sets the specialization planning thresholds.
@@ -463,8 +526,12 @@ impl SmartNic {
     /// same program, bit-exactly — it is not a reconfiguration, and it
     /// neither bumps the deploy generation nor reports a live swap.
     pub fn specialize(&mut self) -> bool {
-        let mut profile = self.last_profile.clone();
-        profile.merge(self.exec.sampled_profile());
+        // Right after a window boundary nothing has accumulated, and the
+        // retained window is read where it lies.
+        let mut profile = Cow::Borrowed(&self.last_profile);
+        if !self.exec.sampled_profile().is_empty() {
+            profile.to_mut().merge(self.exec.sampled_profile());
+        }
         let mut sketches = self.last_sketches.clone();
         self.exec.peek_hot_sketches_into(&mut sketches);
         let plan = specialize::build_plan(self.exec.graph(), &profile, &sketches, &self.spec_cfg);
@@ -542,14 +609,15 @@ impl SmartNic {
     /// parameters and the window's start time).
     pub fn measure_begin(&mut self) {
         debug_assert!(self.measuring.is_none(), "measurement window already open");
+        let cores = self.exec.params().num_cores.max(1);
         self.measuring = Some(SmartMeasure {
             batch_start_s: self.exec.now_s,
             line_pps: self.exec.params().line_rate_pps(self.config.packet_bytes),
-            cores: self.exec.params().num_cores.max(1),
+            cores,
             offered_gbps: self.exec.params().line_rate_gbps,
             n: 0,
         });
-        self.records.clear();
+        self.agg.reset(cores);
     }
 
     /// Feeds one chunk into the open measurement window; pacing
@@ -561,28 +629,23 @@ impl SmartNic {
         I: IntoIterator<Item = Packet>,
     {
         let stream = self.measuring.as_mut().expect("measure_begin first");
-        for mut pkt in packets {
-            // Arrival pacing drives the simulation clock (rate limiters,
-            // phase timing).
-            self.exec.now_s = stream.batch_start_s + stream.n as f64 / stream.line_pps;
-            let core = (pkt.flow_hash() % stream.cores as u64) as usize;
-            let bytes = if pkt.bytes > 0 {
-                pkt.bytes
-            } else {
-                self.config.packet_bytes
-            };
-            let r = self.exec.process(&mut pkt);
-            self.records.push(PacketRecord {
-                arrival: stream.n,
-                core,
-                latency_ns: r.latency_ns,
-                dropped: r.dropped,
-                migrations: r.migrations as u64,
-                counter_updates: r.counter_updates as u64,
-                bits: (bytes * 8) as f64,
-            });
-            stream.n += 1;
-        }
+        let (agg, default_bytes) = (&mut self.agg, self.config.packet_bytes);
+        self.exec.checked_out(|exec, engine| {
+            for mut pkt in packets {
+                // Arrival pacing drives the simulation clock (rate
+                // limiters, phase timing).
+                exec.now_s = stream.batch_start_s + stream.n as f64 / stream.line_pps;
+                let core = (pkt.flow_hash() % stream.cores as u64) as usize;
+                let bytes = if pkt.bytes > 0 {
+                    pkt.bytes
+                } else {
+                    default_bytes
+                };
+                let r = exec.run_on(engine, &mut pkt, None);
+                agg.add(core, &r, (bytes * 8) as f64);
+                stream.n += 1;
+            }
+        });
     }
 
     /// Closes the measurement window, advancing the clock to the
@@ -593,13 +656,7 @@ impl SmartNic {
             let arrival_ns = stream.n as f64 / stream.line_pps * 1e9;
             self.exec.now_s = stream.batch_start_s + arrival_ns / 1e9;
         }
-        BatchStats::reduce(
-            &self.records,
-            stream.cores,
-            stream.line_pps,
-            stream.offered_gbps,
-            &mut self.reduce_scratch,
-        )
+        self.agg.finish(stream.line_pps, stream.offered_gbps)
     }
 
     /// Convenience: measures the mean per-packet latency of a batch
@@ -610,10 +667,12 @@ impl SmartNic {
     {
         let mut sum = 0.0;
         let mut n = 0u64;
-        for mut pkt in packets {
-            sum += self.exec.process(&mut pkt).latency_ns;
-            n += 1;
-        }
+        self.exec.checked_out(|exec, engine| {
+            for mut pkt in packets {
+                sum += exec.run_on(engine, &mut pkt, None).latency_ns;
+                n += 1;
+            }
+        });
         if n == 0 {
             0.0
         } else {
@@ -669,6 +728,134 @@ mod tests {
                 "n={n}: expected nearest-rank p99 {expected}, got {}",
                 s.p99_latency_ns
             );
+        }
+    }
+
+    /// drop-if-13 ACL ahead of `tables` plain tables.
+    fn acl_program(tables: usize) -> (ProgramGraph, NodeId) {
+        use pipeleon_ir::MatchValue;
+        let mut b = ProgramBuilder::new();
+        let f = b.field("x");
+        let acl = b
+            .table("acl")
+            .key(f, MatchKind::Exact)
+            .action_nop("permit")
+            .action_drop("deny")
+            .entry(TableEntry::new(vec![MatchValue::Exact(13)], 1))
+            .finish();
+        for i in 0..tables {
+            b.table(format!("t{i}"))
+                .key(f, MatchKind::Exact)
+                .action("a", vec![Primitive::Nop])
+                .finish();
+        }
+        (b.seal(acl).unwrap(), acl)
+    }
+
+    /// The streamed window against the record oracle: a twin NIC runs
+    /// the same packets one `process_one` at a time on the same clock,
+    /// its reports become [`PacketRecord`]s, and
+    /// [`BatchStats::from_records`] must agree with the window to the
+    /// bit — one-shot, empty, and begin/feed/feed/end with a control op
+    /// between the feeds.
+    #[test]
+    fn streamed_window_equals_from_records_over_the_same_reports() {
+        use pipeleon_ir::MatchValue;
+        let params = CostParams::bluefield2();
+        let cores = params.num_cores.max(1);
+        let line_pps = params.line_rate_pps(Packet::DEFAULT_BYTES);
+        let (graph, acl) = acl_program(3);
+        let traffic = |n: usize, salt: u64| -> Vec<Packet> {
+            (0..n as u64)
+                .map(|i| {
+                    let mut p = Packet::with_slots(vec![(i * 7 + salt) % 40]);
+                    // Own sizes, and some that fall back to the default.
+                    p.bytes = [0, 64, 512, 1500][(i % 4) as usize];
+                    p
+                })
+                .collect()
+        };
+        for mode in [EngineMode::Interpreter, EngineMode::Compiled] {
+            let mut nic = SmartNic::new(graph.clone(), params.clone()).unwrap();
+            let mut twin = SmartNic::new(graph.clone(), params.clone()).unwrap();
+            for n in [&mut nic, &mut twin] {
+                n.set_engine_mode(mode);
+                n.set_instrumentation(true, 4);
+            }
+            let oracle =
+                |twin: &mut SmartNic, feeds: &[Vec<Packet>], op: &dyn Fn(&mut SmartNic)| {
+                    let start = twin.now_s();
+                    let mut records = Vec::new();
+                    for (k, feed) in feeds.iter().enumerate() {
+                        if k > 0 {
+                            op(twin);
+                        }
+                        for pkt in feed {
+                            let mut pkt = pkt.clone();
+                            let arrival = records.len() as u64;
+                            twin.executor_mut().now_s = start + arrival as f64 / line_pps;
+                            let core = (pkt.flow_hash() % cores as u64) as usize;
+                            let bytes = if pkt.bytes > 0 { pkt.bytes } else { 512 };
+                            let r = twin.process_one(&mut pkt);
+                            records.push(PacketRecord {
+                                arrival,
+                                core,
+                                latency_ns: r.latency_ns,
+                                dropped: r.dropped,
+                                migrations: r.migrations as u64,
+                                counter_updates: r.counter_updates as u64,
+                                bits: (bytes * 8) as f64,
+                            });
+                        }
+                    }
+                    if !records.is_empty() {
+                        let arrival_ns = records.len() as f64 / line_pps * 1e9;
+                        twin.executor_mut().now_s = start + arrival_ns / 1e9;
+                    }
+                    BatchStats::from_records(&records, cores, line_pps, params.line_rate_gbps)
+                };
+            let same = |got: BatchStats, want: BatchStats, ctx: &str| {
+                for (g, w) in [
+                    (got.mean_latency_ns, want.mean_latency_ns),
+                    (got.p99_latency_ns, want.p99_latency_ns),
+                    (got.throughput_gbps, want.throughput_gbps),
+                    (got.offered_gbps, want.offered_gbps),
+                ] {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{mode:?} {ctx}: {got:?} vs {want:?}"
+                    );
+                }
+                assert_eq!(got, want, "{mode:?} {ctx}");
+            };
+            let deny_7 = |n: &mut SmartNic| {
+                n.insert_entry(acl, TableEntry::new(vec![MatchValue::Exact(7)], 1))
+                    .unwrap();
+            };
+
+            let window = traffic(1_000, 0);
+            let want = oracle(&mut twin, &[window.clone()], &|_| {});
+            assert!(want.dropped > 0 && want.counter_updates > 0);
+            same(nic.measure(window), want, "one shot");
+
+            let want = oracle(&mut twin, &[], &|_| {});
+            same(nic.measure(Vec::new()), want, "empty");
+
+            let feeds = [traffic(300, 3), traffic(500, 11)];
+            let want = oracle(&mut twin, &feeds, &deny_7);
+            nic.measure_begin();
+            let [first, second] = feeds;
+            nic.measure_feed(first);
+            deny_7(&mut nic);
+            nic.measure_feed(second);
+            same(nic.measure_end(), want, "begin/feed/op/feed/end");
+            assert_eq!(
+                nic.now_s().to_bits(),
+                twin.now_s().to_bits(),
+                "{mode:?}: clock"
+            );
+            assert_eq!(nic.take_profile(), twin.take_profile(), "{mode:?}: profile");
         }
     }
 

@@ -68,19 +68,40 @@ impl Packet {
         crate::prefetch::line(self.slots.as_ptr());
     }
 
-    /// A stable flow hash over all slots (FNV-1a), used for RSS dispatch
-    /// across cores.
+    /// A stable flow hash over all slots (FNV-1a over their little-endian
+    /// bytes, with the multiplier this repo has always used), for RSS
+    /// dispatch across cores and shards and for flow-keyed sampling.
+    ///
+    /// Header fields are narrow, so most of a slot's bytes are high
+    /// zeros, and `h ^ 0 == h`: a run of `k` zero bytes is `k` bare
+    /// multiplies, folded into one by `PRIME^k`. The bytes below the
+    /// highest set one (interior zeros included) take the bytewise step.
     pub fn flow_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &s in &self.slots {
-            for b in s.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
+            let live = 8 - (s.leading_zeros() / 8) as usize;
+            let mut rest = s;
+            for _ in 0..live {
+                h = (h ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
+                rest >>= 8;
             }
+            h = h.wrapping_mul(PRIME_POW[8 - live]);
         }
         h
     }
 }
+
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
+/// `PRIME_POW[k] == FNV_PRIME.pow(k)`, wrapping.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
 
 #[cfg(test)]
 mod tests {
@@ -105,6 +126,78 @@ mod tests {
         assert_eq!(p.slots().len(), 2);
         assert_eq!(p.bytes, 512);
         assert!(!p.dropped);
+    }
+
+    /// The hash as it was first written — FNV-1a, a byte at a time —
+    /// kept as the reference [`Packet::flow_hash`] must equal.
+    fn flow_hash_bytewise(slots: &[u64]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &s in slots {
+            for b in s.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn folded_flow_hash_matches_the_bytewise_reference() {
+        use rand::{Rng, SeedableRng};
+        let check = |slots: Vec<u64>| {
+            let want = flow_hash_bytewise(&slots);
+            assert_eq!(
+                Packet::with_slots(slots.clone()).flow_hash(),
+                want,
+                "{slots:x?}"
+            );
+        };
+        for edge in [
+            vec![],
+            vec![0],
+            vec![u64::MAX],
+            vec![1 << 56],
+            vec![0xff],
+            vec![0x100],
+            vec![0x00ff_00ff],
+            vec![0xff00_0000_0000_00ff],
+            vec![0; 10],
+            vec![0, 7, 0, 0, 1 << 63, 0],
+        ] {
+            check(edge);
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xf01d);
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0..=10);
+            check(
+                (0..len)
+                    .map(|_| {
+                        // Every leading-zero width, 0 to 64 bits, with
+                        // random (often zero) bytes below it.
+                        let word = rng.gen::<u64>() & rng.gen::<u64>();
+                        word.checked_shr(rng.gen_range(0..=64)).unwrap_or(0)
+                    })
+                    .collect(),
+            );
+        }
+    }
+
+    /// Shard assignment, RSS core and flow-keyed sampling all hang off
+    /// these values: a faster hash that moves them is a different hash.
+    #[test]
+    fn flow_hash_known_answers_are_pinned() {
+        for (slots, want) in [
+            (vec![], 0xcbf2_9ce4_8422_2325),
+            (vec![1, 2, 3], 0x2872_d322_5e0d_1f05),
+            (
+                vec![0x0a00_0001, 0xc0a8_0101, 443, 6, 0, 0, 0, 0],
+                0x1e4e_6b08_058b_cc96,
+            ),
+            (vec![u64::MAX, 0, 1 << 56], 0x7485_de69_2e4c_4dca),
+        ] {
+            assert_eq!(flow_hash_bytewise(&slots), want);
+            assert_eq!(Packet::with_slots(slots).flow_hash(), want);
+        }
     }
 
     #[test]

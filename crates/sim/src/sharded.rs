@@ -113,9 +113,10 @@
 //! insertion rate stay under the per-shard limits.
 
 use crate::backend::{LiveSwap, NicBackend};
+use crate::distinct::{self, DistinctKeys};
 use crate::exec::{EngineMode, ExecReport, Executor, SampleKeying};
 use crate::generation::{GenChain, GenKind, PatchOp};
-use crate::nic::{BatchStats, NicConfig, PacketRecord, ReduceScratch, ShardMode};
+use crate::nic::{BatchAgg, BatchStats, NicConfig, PacketRecord, ShardMode};
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::prefetch;
@@ -180,34 +181,8 @@ enum BatchCtx {
     Measure {
         batch_start_s: f64,
         line_pps: f64,
-        cores: usize,
         default_bytes: usize,
     },
-}
-
-/// Shard-local batch aggregates, merged deterministically (in shard
-/// order) after the batch drains.
-#[derive(Debug, Default)]
-struct BatchAgg {
-    dropped: u64,
-    migrations: u64,
-    counter_updates: u64,
-    bits: f64,
-    lat_sum: f64,
-    core_busy_ns: Vec<f64>,
-    latencies: Vec<f64>,
-}
-
-impl BatchAgg {
-    fn reset(&mut self) {
-        self.dropped = 0;
-        self.migrations = 0;
-        self.counter_updates = 0;
-        self.bits = 0.0;
-        self.lat_sum = 0.0;
-        self.core_busy_ns.clear();
-        self.latencies.clear();
-    }
 }
 
 /// Everything the consumer side of a shard mutates, behind the shard
@@ -224,6 +199,8 @@ impl BatchAgg {
 struct ShardState {
     exec: Executor,
     ctx: BatchCtx,
+    /// Shard-local window aggregates, merged deterministically (in
+    /// shard order) after the window drains.
     agg: BatchAgg,
     /// `process_batch` results awaiting scatter-back.
     out: Vec<(u32, Packet, ExecReport)>,
@@ -302,31 +279,17 @@ impl ShardState {
             BatchCtx::Measure {
                 batch_start_s,
                 line_pps,
-                cores,
                 default_bytes,
             } => {
                 self.exec.now_s = batch_start_s + self.local_idx as f64 / line_pps;
                 self.local_idx += 1;
-                let core = item.idx as usize;
                 let bytes = if item.pkt.bytes > 0 {
                     item.pkt.bytes
                 } else {
                     default_bytes
                 };
                 let r = self.exec.process(&mut item.pkt);
-                let agg = &mut self.agg;
-                if agg.core_busy_ns.len() < cores {
-                    agg.core_busy_ns.resize(cores, 0.0);
-                }
-                agg.core_busy_ns[core] += r.latency_ns;
-                agg.latencies.push(r.latency_ns);
-                agg.lat_sum += r.latency_ns;
-                agg.bits += (bytes * 8) as f64;
-                if r.dropped {
-                    agg.dropped += 1;
-                }
-                agg.migrations += r.migrations as u64;
-                agg.counter_updates += r.counter_updates as u64;
+                self.agg.add(item.idx as usize, &r, (bytes * 8) as f64);
             }
         }
     }
@@ -516,9 +479,12 @@ pub struct ShardedNic {
     enqueued: Vec<u64>,
     mode: ShardMode,
     config: NicConfig,
-    /// Dispatcher-side buffers for the window-boundary merge, reused
+    /// Dispatcher-side accumulator for the window-boundary merge, reused
     /// across windows so the merge allocates nothing in steady state.
-    merge_scratch: ReduceScratch,
+    merge: BatchAgg,
+    /// Dispatcher-side distinct-key unions for `take_profile`, dense by
+    /// node index; cleared and reused the same way.
+    distinct_union: Vec<DistinctKeys>,
     /// `BitExact` only: the open window's per-packet records, kept
     /// across windows like the scratch.
     records: Vec<PacketRecord>,
@@ -605,7 +571,8 @@ impl ShardedNic {
                 shard_mode: mode,
                 ..NicConfig::default()
             },
-            merge_scratch: ReduceScratch::default(),
+            merge: BatchAgg::default(),
+            distinct_union: Vec::new(),
             records: Vec::new(),
             help_scratch: Vec::with_capacity(BURST),
             stage: (0..workers)
@@ -1214,15 +1181,10 @@ impl ShardedNic {
     /// raw key sets.
     pub fn take_profile(&mut self) -> RuntimeProfile {
         let mut merged = RuntimeProfile::empty();
-        let mut union: HashMap<NodeId, fxhash::FxHashSet<crate::SmallKey>> = HashMap::new();
         let mut sketches: HashMap<NodeId, HotKeySketch> = HashMap::new();
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
-            let (p, distinct) = st.exec.take_profile_split();
-            merged.merge(&p);
-            for (node, set) in distinct {
-                union.entry(node).or_default().extend(set);
-            }
+            merged.merge(&st.exec.take_profile_into(&mut self.distinct_union));
             for (node, sk) in st.exec.take_hot_sketches() {
                 sketches
                     .entry(node)
@@ -1230,14 +1192,12 @@ impl ShardedNic {
                     .or_insert(sk);
             }
         }
-        for (node, set) in union {
-            merged.set_distinct_keys(node, set.len() as u64);
-        }
+        distinct::count_into(&mut self.distinct_union, &mut merged);
         merged.window_s = (self.now_s - self.last_take_s).max(1e-9);
         self.last_take_s = self.now_s;
-        self.last_profile = merged.clone();
+        self.last_profile = merged;
         self.last_sketches = sketches;
-        merged
+        self.last_profile.clone()
     }
 
     /// Takes the merged latency observations across all shards since the
@@ -1400,11 +1360,10 @@ impl ShardedNic {
                 st.ctx = BatchCtx::Measure {
                     batch_start_s,
                     line_pps,
-                    cores,
                     default_bytes,
                 };
                 st.local_idx = 0;
-                st.agg.reset();
+                st.agg.reset(cores);
             }
         }
         self.measuring = Some(MeasureStream {
@@ -1476,62 +1435,18 @@ impl ShardedNic {
             self.now_s = batch_start_s + n as f64 / line_pps;
         }
         // Deterministic window-boundary merge, in shard order, into the
-        // persistent scratch.
-        let scratch = &mut self.merge_scratch;
-        scratch.core_busy_ns.clear();
-        scratch.core_busy_ns.resize(cores, 0.0);
-        scratch.latencies.clear();
-        scratch.latencies.reserve(n as usize);
-        let mut dropped = 0u64;
-        let mut migrations = 0u64;
-        let mut counter_updates = 0u64;
-        let mut total_bits = 0.0f64;
-        let mut lat_sum = 0.0f64;
+        // persistent accumulator. The sorted latency multiset is
+        // partition-invariant, so the p99 is exact.
+        self.merge.reset(cores);
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
             // Align every shard clock to the batch end so subsequent
             // direct access observes a consistent global time.
             st.exec.now_s = self.now_s;
             st.ctx = BatchCtx::Forward;
-            let agg = &mut st.agg;
-            for (i, v) in agg.core_busy_ns.iter().enumerate() {
-                scratch.core_busy_ns[i] += v;
-            }
-            scratch.latencies.extend_from_slice(&agg.latencies);
-            dropped += agg.dropped;
-            migrations += agg.migrations;
-            counter_updates += agg.counter_updates;
-            total_bits += agg.bits;
-            lat_sum += agg.lat_sum;
-            agg.reset();
+            self.merge.absorb(&st.agg);
         }
-        if n == 0 {
-            return BatchStats {
-                packets: 0,
-                dropped: 0,
-                mean_latency_ns: 0.0,
-                p99_latency_ns: 0.0,
-                throughput_gbps: 0.0,
-                offered_gbps,
-                migrations: 0,
-                counter_updates: 0,
-            };
-        }
-        let arrival_ns = n as f64 / line_pps * 1e9;
-        let busiest_ns = scratch.core_busy_ns.iter().cloned().fold(0.0f64, f64::max);
-        let duration_ns = arrival_ns.max(busiest_ns);
-        BatchStats {
-            packets: n,
-            dropped,
-            mean_latency_ns: lat_sum / n as f64,
-            // The sorted latency multiset is partition-invariant, so the
-            // p99 is exact.
-            p99_latency_ns: scratch.p99(),
-            throughput_gbps: (total_bits / duration_ns).min(offered_gbps),
-            offered_gbps,
-            migrations,
-            counter_updates,
-        }
+        self.merge.finish(line_pps, offered_gbps)
     }
 
     fn measure_feed_bitexact<I>(&mut self, packets: I)
@@ -1633,7 +1548,7 @@ impl ShardedNic {
             cores,
             line_pps,
             offered_gbps,
-            &mut self.merge_scratch,
+            &mut self.merge,
         )
     }
 }

@@ -10,9 +10,10 @@
 //!
 //! The batch path's one allocation is the report `Vec` it returns; the
 //! look-ahead stage it runs over programs with DRAM-sized tables adds
-//! none. A steady-state `measure` window — per-packet records, the
-//! window reduction and its p99 sort, on the single NIC and through a
-//! one-worker run-loop — allocates nothing either.
+//! none. A steady-state `measure` window — the streamed accounting and
+//! its p99 sort, on the single NIC and through a one-worker run-loop —
+//! allocates nothing either, with instrumentation off or on; an
+//! instrumented cycle's `take_profile` allocates what it hands away.
 //!
 //! Deliberately a single `#[test]` in its own integration-test binary:
 //! the allocation counter is process-global, so concurrently running
@@ -172,6 +173,16 @@ fn cached_program() -> ProgramGraph {
     b.seal(cache).unwrap()
 }
 
+/// What one instrumented `measure` + `take_profile` cycle may allocate:
+/// the maps of the profile it returns, of the copy the NIC retains for
+/// `specialize`, and the sketch map — all in the `take_profile` half.
+/// Measured 5 on the single NIC and 8 through a one-worker run-loop
+/// (whose merge builds one more profile). At the parent commit the same
+/// cycle allocated 34+5 and 34+12: `take_profile` gave away the
+/// distinct-key sets, the live profile's maps and the sketch list, and
+/// the next window regrew them all from empty.
+const CYCLE_ALLOCS: u64 = 8;
+
 #[test]
 fn compiled_steady_state_is_allocation_free() {
     let params = CostParams::bluefield2();
@@ -247,9 +258,9 @@ fn compiled_steady_state_is_allocation_free() {
 
     // --- Measurement windows ------------------------------------------
     // `measure` consumes its packets, so the windows are cloned outside
-    // the counted region. The record buffer, the reduction scratch and
-    // the shard aggregates live on the NIC and are sized by the warm-up
-    // windows; the p99 sort is in place.
+    // the counted region. The window accumulators live on the NIC and
+    // its shards and are sized by the warm-up windows; the p99 sort is
+    // in place.
     const WINDOW: usize = 4096;
     let window: Vec<Packet> = (0..WINDOW as u64)
         .map(|i| Packet::with_slots(vec![i % 32, i % 11, (i * 3) % 8, 0]))
@@ -264,7 +275,7 @@ fn compiled_steady_state_is_allocation_free() {
         sharded.measure(window.clone());
     }
     let mut work = [window.clone(), window.clone()].into_iter();
-    let mut stats = Vec::with_capacity(2);
+    let mut stats = Vec::with_capacity(4);
     let single_allocs = count_allocs(|| stats.push(single.measure(work.next().unwrap())));
     let sharded_allocs = count_allocs(|| stats.push(sharded.measure(work.next().unwrap())));
     assert_eq!(stats[0].packets, WINDOW as u64);
@@ -276,6 +287,51 @@ fn compiled_steady_state_is_allocation_free() {
     assert_eq!(
         sharded_allocs, 0,
         "a steady-state one-worker run-loop measure window allocated {sharded_allocs} times"
+    );
+
+    // --- Instrumented cycles: measure + take_profile --------------------
+    // What the controller runs: 1-in-64 sampling, a window, a profile
+    // take. Every packet notes its key at every table (~1,000 distinct
+    // keys a table here), one in 64 updates counters, histograms and
+    // hot-key sketches. After two warm-up cycles the trackers, the live
+    // profile's maps and the sketch list all hold their capacity, so the
+    // `measure` half allocates nothing; `take_profile` allocates only
+    // what it hands away — the profile's own maps, the copy retained for
+    // `specialize`, the sketch map.
+    let watched: Vec<Packet> = (0..WINDOW as u64)
+        .map(|i| Packet::with_slots(vec![i % 1021, (i * 7) % 1019, (i * 13) % 1013, 0]))
+        .collect();
+    single.set_instrumentation(true, 64);
+    sharded.set_instrumentation(true, 64);
+    for _ in 0..2 {
+        single.measure(watched.clone());
+        single.take_profile();
+        sharded.measure(watched.clone());
+        sharded.take_profile();
+    }
+    let mut work = [watched.clone(), watched.clone()].into_iter();
+    let single_measure = count_allocs(|| stats.push(single.measure(work.next().unwrap())));
+    let mut profiles = Vec::with_capacity(2);
+    let single_take = count_allocs(|| profiles.push(single.take_profile()));
+    let sharded_measure = count_allocs(|| stats.push(sharded.measure(work.next().unwrap())));
+    let sharded_take = count_allocs(|| profiles.push(sharded.take_profile()));
+    eprintln!(
+        "instrumented cycle allocations: single {single_measure}+{single_take}, \
+         one-worker run-loop {sharded_measure}+{sharded_take}"
+    );
+    for p in &profiles {
+        assert_eq!(p.distinct_keys.len(), 3);
+        assert!(p.distinct_keys.values().all(|&n| n > 1_000), "{p:?}");
+    }
+    assert_eq!(
+        (single_measure, sharded_measure),
+        (0, 0),
+        "a steady-state instrumented measure window allocated"
+    );
+    assert!(
+        single_take <= CYCLE_ALLOCS && sharded_take <= CYCLE_ALLOCS,
+        "take_profile allocated {single_take} (single) / {sharded_take} (run-loop), \
+         over the {CYCLE_ALLOCS} its returned maps account for"
     );
 
     // Informational contrast: the interpreter on the same warmed state.

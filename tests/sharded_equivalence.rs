@@ -235,3 +235,63 @@ fn process_one_matches_across_worker_counts() {
         );
     }
 }
+
+/// Distinct-key counts are exact set sizes, whoever keeps the set: the
+/// interpreter or the compiled walk, one NIC or the cross-shard union of
+/// 1, 2 or 8 workers in either shard mode. Two consecutive windows with
+/// an entry op between them: the second starts from nothing (its fewer
+/// flows must read as fewer keys, though the trackers keep their
+/// capacity), and the op disturbs no tracker. DASH has single-field
+/// tables, a four-field conntrack table, and ACL fields that are mostly
+/// zero.
+#[test]
+fn distinct_counts_match_across_engines_workers_and_windows() {
+    use pipeleon_ir::{MatchValue, TableEntry};
+    use pipeleon_sim::EngineMode;
+    let dash = DashRouting::build();
+    let params = CostParams::bluefield2();
+    let windows: [Vec<Packet>; 2] = [
+        dash.traffic(&[0.2, 0.0, 0.1], 900, 0.6, 41).batch(6_000),
+        dash.traffic(&[0.0, 0.3, 0.0], 60, 0.6, 42).batch(3_000),
+    ];
+    let entry = || TableEntry::new(vec![MatchValue::Exact(77)], 0);
+
+    let mut reference = SmartNic::new(dash.graph.clone(), params.clone()).unwrap();
+    reference.set_engine_mode(EngineMode::Interpreter);
+    reference.set_instrumentation(true, 16);
+    reference.measure(windows[0].clone());
+    let first = reference.take_profile().distinct_keys;
+    reference.insert_entry(dash.metadata[0], entry()).unwrap();
+    reference.measure(windows[1].clone());
+    let second = reference.take_profile().distinct_keys;
+    assert!(first[&dash.conntrack] > 500, "{first:?}");
+    assert!(second[&dash.conntrack] <= 60, "{second:?}");
+    assert!(first.values().all(|&n| n > 0) && second.values().all(|&n| n > 0));
+
+    let mut compiled = SmartNic::new(dash.graph.clone(), params.clone()).unwrap();
+    compiled.set_engine_mode(EngineMode::Compiled);
+    compiled.set_instrumentation(true, 16);
+    compiled.measure(windows[0].clone());
+    assert_eq!(compiled.take_profile().distinct_keys, first, "compiled");
+    compiled.insert_entry(dash.metadata[0], entry()).unwrap();
+    compiled.measure(windows[1].clone());
+    assert_eq!(compiled.take_profile().distinct_keys, second, "compiled");
+
+    for mode in [ShardMode::BitExact, ShardMode::RunLoop] {
+        for engine in [EngineMode::Interpreter, EngineMode::Compiled] {
+            for workers in WORKER_COUNTS {
+                let ctx = format!("{mode:?} {engine:?} workers={workers}");
+                let mut nic =
+                    ShardedNic::with_mode(dash.graph.clone(), params.clone(), workers, mode)
+                        .unwrap();
+                nic.set_engine_mode(engine);
+                nic.set_instrumentation(true, 16);
+                nic.measure(windows[0].clone());
+                assert_eq!(nic.take_profile().distinct_keys, first, "{ctx}: first");
+                nic.insert_entry(dash.metadata[0], entry()).unwrap();
+                nic.measure(windows[1].clone());
+                assert_eq!(nic.take_profile().distinct_keys, second, "{ctx}: second");
+            }
+        }
+    }
+}
