@@ -1,32 +1,32 @@
 //! The compiled datapath: a flat, index-addressed lowering of a deployed
-//! [`ProgramGraph`].
+//! program graph, and the [`Provider`] the executor's walk runs over
+//! when the compiled engine is selected.
 //!
-//! The interpreter walks the graph through `NodeId → Vec<Option<Node>>`
-//! hops, clones each action's primitive list per packet, and hashes
-//! `Vec<u64>` match keys with SipHash. [`CompiledPipeline`] lowers the
-//! program once: nodes live in a contiguous arena addressed by dense
-//! `u32` slots, branch comparison counts and placement/tier cost scales
-//! are pre-resolved to `f64`, action bodies are pre-boxed slices executed
-//! in place, and match keys are [`SmallKey`]s hashed with FxHash and
-//! queried through borrowed `&[u64]` scratch — so the steady-state hot
-//! path performs zero heap allocations per packet.
+//! [`CompiledPipeline`] lowers the program once: nodes live in a
+//! contiguous arena addressed by dense `u32` slots, branch comparison
+//! counts and placement/tier cost scales are pre-resolved to `f64`,
+//! action bodies are pre-boxed slices, and match keys are [`SmallKey`]s
+//! hashed with FxHash and queried through borrowed `&[u64]` scratch.
 //!
-//! Lowering preserves the interpreter's semantics *and accounting*
-//! bit-for-bit: every latency term is applied with the same operand
-//! values in the same multiplication and addition order, and lookup
-//! probe/resolution order is inherited from [`MatchEngine`] (the compiled
-//! engine is converted from a freshly built interpreter engine rather
-//! than re-deriving way layout).
+//! The accounting is the walk's, shared with the interpreter; what is
+//! implemented here a second time, and checked against the graph view by
+//! the differential suites, is how a node is reached, what a lookup
+//! resolves to and what it is charged. Every baked term multiplies the
+//! same operands in the same order as the per-visit derivation, and
+//! lookup probe/resolution order is inherited from [`MatchEngine`] (the
+//! compiled engine is converted from a freshly built interpreter engine
+//! rather than re-deriving way layout).
 
 use crate::engine::{KeyScratch, LookupOutcome, MatchEngine, Resolve};
+use crate::exec::{GraphView, Provider, Step, Visit};
 use crate::packet::Packet;
 use crate::prefetch;
 use crate::smallkey::SmallKey;
+use crate::specialize::SpecStats;
 use fxhash::FxHashMap;
 use pipeleon_cost::{CostParams, MatchCostModel, MemoryTier, Placement};
 use pipeleon_ir::{
-    CacheRole, Condition, FieldRef, MatchValue, NextHops, NodeId, NodeKind, Primitive,
-    ProgramGraph, Table,
+    CacheRole, Condition, FieldRef, MatchValue, NextHops, NodeId, NodeKind, Primitive, Table,
 };
 
 /// Sentinel slot meaning "no node" (the sink, or a tombstoned id).
@@ -277,7 +277,7 @@ pub(crate) struct CompiledEngine {
     pub(crate) ways: Vec<CWay>,
     scan: Vec<CScanEntry>,
     resolve: Resolve,
-    default_action: usize,
+    pub(crate) default_action: usize,
     /// Entry index → (action, priority).
     entry_meta: Box<[(usize, i32)]>,
     pub(crate) has_keys: bool,
@@ -330,13 +330,6 @@ impl CompiledEngine {
         }
     }
 
-    /// Allocation-free lookup; mirrors [`MatchEngine::lookup`] exactly.
-    /// After the call `scratch.values()` holds the composed key values.
-    pub(crate) fn lookup(&self, packet: &Packet, scratch: &mut KeyScratch) -> LookupOutcome {
-        self.compose_key(packet, scratch);
-        self.lookup_composed(scratch)
-    }
-
     /// Composes the match key into `scratch.values` (empty for keyless
     /// tables, mirroring the interpreter's early return).
     #[inline]
@@ -349,8 +342,9 @@ impl CompiledEngine {
         }
     }
 
-    /// Resolves an already-composed key (`scratch.values`). Split out of
-    /// [`Self::lookup`] so the specialization guard can compare the
+    /// Resolves an already-composed key (`scratch.values`); mirrors
+    /// [`MatchEngine::lookup`] exactly, allocation-free. Apart from
+    /// [`Self::compose_key`] so the specialization guard can compare the
     /// composed key against the baked hot key first and fall through to
     /// this exact general path on a miss — and so hot outcomes can be
     /// baked from a raw key with no synthetic packet.
@@ -523,8 +517,11 @@ pub(crate) struct CTableSpec {
 /// shares only the leading fields with the hot one still skips the
 /// members those fields decide. See
 /// [`CompiledPipeline::derive_fused_runs`] for what may be a member.
+///
+/// `H` is the walk's cursor type (`Provider::Handle`); the compiled
+/// pipeline, the only provider with runs, addresses nodes by slot.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FusedStage {
+pub(crate) struct FusedStage<H = u32> {
     /// The `(field, value)` pairs this stage's members demand beyond
     /// those of the stages before it (never empty): the stage applies
     /// iff the packet carries every value.
@@ -548,7 +545,7 @@ pub(crate) struct FusedStage {
     pub(crate) guards: u64,
     /// Where the walk resumes: the next stage's first member, or past
     /// the run ([`NO_SLOT`]: the sink, or a drop).
-    pub(crate) exit_slot: u32,
+    pub(crate) exit_slot: H,
     /// Placement of the last member, which the exit node's migration
     /// check compares against.
     pub(crate) exit_place: Placement,
@@ -570,14 +567,6 @@ pub(crate) struct CTable {
     pub(crate) next: CNext,
     /// Whether this node is a [`CacheRole::FlowCache`] switch node.
     pub(crate) is_flow_cache: bool,
-    /// Key fields (flow-cache key composition).
-    pub(crate) key_fields: Box<[FieldRef]>,
-    /// The table's default (miss) action.
-    pub(crate) default_action: usize,
-    /// Flow-cache hit successor slot.
-    pub(crate) hit_slot: u32,
-    /// Flow-cache miss successor slot.
-    pub(crate) miss_slot: u32,
     /// Hot-key inline cache installed by the specialization pass
     /// (`None` in the verbatim lowering). Boxed: the common case pays
     /// one `Option` discriminant, not 5 extra words per table.
@@ -696,15 +685,11 @@ struct LookaheadWay {
 }
 
 impl CompiledPipeline {
-    /// Lowers a validated graph against the given cost parameters,
-    /// placement and memory tiers (all of which are baked into the
-    /// compiled arena and invalidate it when they change).
-    pub(crate) fn build(
-        graph: &ProgramGraph,
-        params: &CostParams,
-        placement: &[Placement],
-        tiers: &[MemoryTier],
-    ) -> Self {
+    /// Lowers a validated graph against its cost parameters, placement
+    /// and memory tiers (all of which are baked into the compiled arena
+    /// and invalidate it when they change).
+    pub(crate) fn build(view: &GraphView) -> Self {
+        let graph = &view.graph;
         let mut slot_of = vec![NO_SLOT; graph.id_bound()];
         let ids: Vec<NodeId> = graph.iter_nodes().map(|n| n.id).collect();
         for (slot, id) in ids.iter().enumerate() {
@@ -712,7 +697,7 @@ impl CompiledPipeline {
         }
         let nodes = ids
             .iter()
-            .map(|&id| compile_node(graph, params, placement, tiers, &slot_of, id))
+            .map(|&id| compile_node(view, &slot_of, id))
             .collect();
         let root = graph.root().map_or(NO_SLOT, |r| slot_of[r.index()]);
         let mut cp = Self {
@@ -857,7 +842,7 @@ impl CompiledPipeline {
         let mut runs: Vec<(u32, Vec<FusedStage>)> = Vec::new();
         while let Some(head) = work.pop() {
             let mut stages: Vec<FusedStage> = Vec::new();
-            let mut stage = FusedStage::default();
+            let mut stage: FusedStage = FusedStage::default();
             let mut asked: Vec<(FieldRef, u64)> = Vec::new();
             let mut written: Vec<FieldRef> = Vec::new();
             let mut place = self.nodes[head as usize].place;
@@ -938,19 +923,13 @@ impl CompiledPipeline {
     /// from `packet` as it stands and hints the cache with the slot the
     /// lookup will probe. No architectural effect — the scalar walk that
     /// follows is unchanged and computes every result on its own.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn prefetch_lookups(&self, packet: &Packet) {
         for la in &self.lookahead {
             if let CStep::Table(ct) = &self.nodes[la.slot as usize].step {
                 ct.engine.ways[la.way as usize].prefetch(packet.get(la.field));
             }
         }
-    }
-
-    /// Whether any way is on the look-ahead list.
-    #[inline]
-    pub(crate) fn has_lookahead(&self) -> bool {
-        !self.lookahead.is_empty()
     }
 
     /// The tables with a way on the look-ahead list, ascending.
@@ -969,22 +948,14 @@ impl CompiledPipeline {
     /// Recompiles a single node in place (entry insert/remove, table
     /// replacement). Returns `false` if the node has no slot, in which
     /// case the caller must fall back to a full recompile.
-    pub(crate) fn recompile_node(
-        &mut self,
-        graph: &ProgramGraph,
-        params: &CostParams,
-        placement: &[Placement],
-        tiers: &[MemoryTier],
-        id: NodeId,
-    ) -> bool {
+    pub(crate) fn recompile_node(&mut self, view: &GraphView, id: NodeId) -> bool {
         let slot = self.slot_of.get(id.index()).copied().unwrap_or(NO_SLOT);
-        if slot == NO_SLOT || graph.node(id).is_none() {
+        if slot == NO_SLOT || view.graph.node(id).is_none() {
             return false;
         }
-        self.nodes[slot as usize] =
-            compile_node(graph, params, placement, tiers, &self.slot_of, id);
+        self.nodes[slot as usize] = compile_node(view, &self.slot_of, id);
         self.derive_lookahead();
-        self.derive_fused_runs(params);
+        self.derive_fused_runs(&view.params);
         true
     }
 
@@ -1023,15 +994,119 @@ impl CompiledPipeline {
     }
 }
 
-fn compile_node(
-    graph: &ProgramGraph,
-    params: &CostParams,
-    placement: &[Placement],
-    tiers: &[MemoryTier],
-    slot_of: &[u32],
-    id: NodeId,
-) -> CNode {
-    let node = graph.node(id).expect("live node");
+/// The compiled engine's [`Provider`]: cursors are arena slots
+/// ([`NO_SLOT`] and anything else past the arena is the sink), a table
+/// is its node (for the baked scales) with its [`CTable`], and every
+/// answer is something lowering or specialization already resolved.
+impl Provider for CompiledPipeline {
+    type Handle = u32;
+    type Node<'a> = &'a CNode;
+    type Table<'a> = (&'a CNode, &'a CTable);
+
+    #[inline]
+    fn root(&self) -> u32 {
+        self.root
+    }
+
+    #[inline]
+    fn visit(&self, at: u32) -> Option<Visit<'_, Self>> {
+        let node = self.nodes.get(at as usize)?;
+        Some(Visit {
+            id: node.id,
+            place: node.place,
+            scale: node.scale,
+            node,
+        })
+    }
+
+    #[inline]
+    fn step<'a>(&'a self, node: &'a CNode) -> Step<'a, Self> {
+        match &node.step {
+            CStep::Branch {
+                condition,
+                comparisons,
+                on_true,
+                on_false,
+            } => Step::Branch {
+                condition,
+                comparisons: *comparisons,
+                on_true: *on_true,
+                on_false: *on_false,
+            },
+            CStep::Table(ct) if ct.is_flow_cache => Step::FlowCache {
+                table: (node, &**ct),
+                default_action: ct.engine.default_action,
+            },
+            CStep::Table(ct) => Step::Table((node, &**ct)),
+        }
+    }
+
+    /// Behind a hot-key guard the composed key is compared with the baked
+    /// hot key first: a hit returns the pre-resolved outcome (identical —
+    /// entry, action, probes — to what the general path computes for
+    /// that key), a miss falls through to the unmodified general lookup.
+    #[inline]
+    fn lookup(
+        &self,
+        (_, ct): Self::Table<'_>,
+        packet: &Packet,
+        scratch: &mut KeyScratch,
+        spec: &mut SpecStats,
+    ) -> LookupOutcome {
+        ct.engine.compose_key(packet, scratch);
+        if let Some(sp) = &ct.spec {
+            if scratch.values.as_slice() == sp.hot_key.as_slice() {
+                spec.guard_hits += 1;
+                return sp.hot_outcome;
+            }
+            spec.guard_misses += 1;
+        }
+        ct.engine.lookup_composed(scratch)
+    }
+
+    #[inline]
+    fn charges(
+        &self,
+        (node, ct): Self::Table<'_>,
+        outcome: &LookupOutcome,
+        params: &CostParams,
+        scale: f64,
+    ) -> [f64; 2] {
+        ct.charges(outcome, params, scale, node.tier_scale)
+    }
+
+    #[inline]
+    fn action<'a>(&'a self, (_, ct): Self::Table<'a>, action: usize) -> &'a [Primitive] {
+        &ct.actions[action]
+    }
+
+    #[inline]
+    fn next(&self, (_, ct): Self::Table<'_>, action: usize) -> u32 {
+        ct.next_slot(action)
+    }
+
+    #[inline]
+    fn cache_key(&self, (_, ct): Self::Table<'_>, packet: &Packet, scratch: &mut KeyScratch) {
+        ct.engine.compose_key(packet, scratch);
+    }
+
+    #[inline]
+    fn replayed(&self, table: NodeId, action: usize) -> &[Primitive] {
+        match self.nodes.get(self.slot(table) as usize).map(|n| &n.step) {
+            Some(CStep::Table(t)) => &t.actions[action],
+            _ => &[],
+        }
+    }
+
+    #[inline]
+    fn fused<'a>(&'a self, (_, ct): Self::Table<'a>) -> Option<&'a [FusedStage]> {
+        ct.fused.as_deref()
+    }
+}
+
+fn compile_node(view: &GraphView, slot_of: &[u32], id: NodeId) -> CNode {
+    let (params, placement, tiers) = (&view.params, &view.placement, &view.memory_tiers);
+    let node = view.graph.node(id).expect("live node");
     let place = placement
         .get(id.index())
         .copied()
@@ -1065,14 +1140,6 @@ fn compile_node(
                 MatchCostModel::Fixed { .. } => (Some(params.memory_accesses(t)), usize::MAX),
                 MatchCostModel::PerDistinctPattern { cap } => (None, cap),
             };
-            let (hit_slot, miss_slot) = match next {
-                NextHops::ByAction(v) => (
-                    to_slot(v.first().copied().flatten()),
-                    to_slot(v.get(t.default_action).copied().flatten()),
-                ),
-                NextHops::Always(tn) => (to_slot(*tn), to_slot(*tn)),
-                NextHops::Branch { .. } => unreachable!("table with branch hops"),
-            };
             let cnext = match next {
                 NextHops::Always(tn) => CNext::Always(to_slot(*tn)),
                 NextHops::ByAction(v) => CNext::ByAction(v.iter().map(|t| to_slot(*t)).collect()),
@@ -1085,10 +1152,6 @@ fn compile_node(
                 pattern_cap,
                 next: cnext,
                 is_flow_cache: t.cache_role == CacheRole::FlowCache,
-                key_fields: t.keys.iter().map(|k| k.field).collect(),
-                default_action: t.default_action,
-                hit_slot,
-                miss_slot,
                 spec: None,
                 fused: None,
             }))
@@ -1152,7 +1215,8 @@ mod tests {
         let mut s2 = KeyScratch::new();
         for _ in 0..400 {
             let p = packet(&[next() % 32]);
-            assert_eq!(me.lookup(&t, &p, &mut s1), ce.lookup(&p, &mut s2));
+            ce.compose_key(&p, &mut s2);
+            assert_eq!(me.lookup(&t, &p, &mut s1), ce.lookup_composed(&mut s2));
             assert_eq!(s1.values(), s2.values());
         }
     }
@@ -1254,7 +1318,7 @@ mod tests {
         b.set_next(t1, None);
         let g = b.seal(t1).unwrap();
         let params = CostParams::bluefield2();
-        let cp = CompiledPipeline::build(&g, &params, &[], &[]);
+        let cp = CompiledPipeline::build(&GraphView::new(g.clone(), params));
         assert_eq!(cp.nodes.len(), g.num_nodes());
         assert_ne!(cp.root, NO_SLOT);
         assert_eq!(cp.nodes[cp.slot(t1) as usize].id, t1);

@@ -8,6 +8,12 @@
 //! flow-cache lookups/insertions (§3.2.2), and ASIC↔CPU migrations
 //! (§3.2.4 / Appendix A.2).
 //!
+//! There is one walk (`Walk::run`) for both engine modes. It is generic
+//! over a `Provider` — the interpreter's view of the graph, or the
+//! compiled pipeline — which says how a node is reached and what a lookup
+//! resolves to; every charge, counter, observation, trace event and cache
+//! install is the walk's.
+//!
 //! Flow caches need no side metadata: a [`CacheRole::FlowCache`] table is a
 //! switch-case node whose action 0 ("hit") jumps past the covered segment
 //! and whose default action ("miss") falls through to the segment head. On
@@ -16,7 +22,7 @@
 //! covered segment is discovered structurally.
 
 use crate::cache::{LruCache, RateLimiter};
-use crate::compiled::{CStep, CTable, CompiledPipeline, NO_SLOT};
+use crate::compiled::{CompiledPipeline, FusedStage};
 use crate::distinct::{self, DistinctKeys};
 use crate::engine::{KeyScratch, LookupOutcome, MatchEngine};
 use crate::observe::ExecObservations;
@@ -25,11 +31,15 @@ use crate::prefetch;
 use crate::smallkey::SmallKey;
 use crate::specialize::{self, HotKeySketch, SpecPlan, SpecStats};
 use fxhash::{FxBuildHasher, FxHashMap};
-use pipeleon_cost::{CostParams, MatchCostModel, MemoryTier, Placement, RuntimeProfile};
+use pipeleon_cost::{
+    CacheStats, CostParams, MatchCostModel, MemoryTier, Placement, RuntimeProfile,
+};
 use pipeleon_ir::{
-    CacheRole, EdgeRef, IrError, NextHops, NodeId, NodeKind, Primitive, ProgramGraph, TableEntry,
+    CacheRole, Condition, EdgeRef, IrError, NextHops, Node, NodeId, NodeKind, Primitive,
+    ProgramGraph, Table, TableEntry,
 };
 use pipeleon_obs::{Event, EventKind};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Per-packet execution report.
@@ -75,6 +85,11 @@ impl PacketTrace {
         });
     }
 
+    fn action(&mut self, t_s: f64, node: NodeId, action: usize) {
+        let (node, action) = (node.0, action as u32);
+        self.push(t_s, EventKind::Action { node, action });
+    }
+
     /// Nodes visited, in order.
     pub fn visited(&self) -> Vec<NodeId> {
         self.events
@@ -107,7 +122,6 @@ impl PacketTrace {
         out
     }
 }
-
 /// The result cached for a flow: the `(table, action)` pairs to replay.
 type CachedResult = Vec<(NodeId, usize)>;
 
@@ -168,25 +182,17 @@ struct FlowCacheState {
     /// borrowed `&[u64]` — no per-lookup key allocation or clone.
     lru: LruCache<SmallKey, CachedResult, FxBuildHasher>,
     limiter: RateLimiter,
-    hits: u64,
-    misses: u64,
-    insertions: u64,
+    /// This window's hits, misses and insertions (maintained unsampled).
+    stats: CacheStats,
 }
 
+/// A flow-cache miss whose covered segment is still executing: what it
+/// has recorded so far, installed once control reaches `exit`.
 #[derive(Debug)]
-struct PendingInsert {
+struct PendingInsert<H> {
     cache: NodeId,
     key: SmallKey,
-    exit: Option<NodeId>,
-    recorded: CachedResult,
-}
-
-/// Compiled-path pending cache insert: exits are pre-resolved slots.
-#[derive(Debug)]
-struct CPending {
-    cache: NodeId,
-    key: SmallKey,
-    exit_slot: u32,
+    exit: H,
     recorded: CachedResult,
 }
 
@@ -196,17 +202,293 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 /// Default cache insertion rate limit (insertions/s) when unspecified.
 pub const DEFAULT_INSERTION_RATE: f64 = 100_000.0;
 
-/// Executes a deployed program packet-by-packet.
+/// Fraction of a counter update's cost paid by non-sampled packets when
+/// sampling is active: the per-packet sample decision (hash + compare)
+/// still sits on the data path (§5.4.1).
+pub const SAMPLE_CHECK_FRACTION: f64 = 0.12;
+
+/// How [`Walk::run`] reaches and looks up the nodes of a deployed
+/// program. The walk owns every accounting step; a provider only says
+/// where a cursor points, what the node there does, what a lookup
+/// resolves to and what it costs.
+/// There are two, kept independent because their agreement is what the
+/// differential suites check: [`GraphView`] (the interpreter: `NodeId`
+/// hops, [`MatchEngine`], every cost term derived per visit) and
+/// [`CompiledPipeline`] (arena slots, its own engines, terms baked at
+/// lowering).
+pub(crate) trait Provider {
+    /// A cursor: a node of the program, or its sink.
+    type Handle: Copy + PartialEq;
+    /// The node a cursor resolved to.
+    type Node<'a>: Copy
+    where
+        Self: 'a;
+    /// A table node, as [`Provider::step`] resolved it.
+    type Table<'a>: Copy
+    where
+        Self: 'a;
+
+    /// Where packets enter.
+    fn root(&self) -> Self::Handle;
+
+    /// The node under the cursor; `None` at the sink.
+    fn visit(&self, at: Self::Handle) -> Option<Visit<'_, Self>>;
+
+    /// What the node does. Asked apart from [`Provider::visit`], once
+    /// the walk has accounted for reaching the node, so that a provider's
+    /// own dispatch on the node's kind runs straight into the walk's.
+    fn step<'a>(&'a self, node: Self::Node<'a>) -> Step<'a, Self>;
+
+    /// Matches `packet` against the table, leaving the composed key in
+    /// `scratch.values`.
+    fn lookup(
+        &self,
+        table: Self::Table<'_>,
+        packet: &Packet,
+        scratch: &mut KeyScratch,
+        spec: &mut SpecStats,
+    ) -> LookupOutcome;
+
+    /// The `[match, action]` latency terms of a visit resolving to
+    /// `outcome`, on a node whose placement scale is `scale`.
+    fn charges(
+        &self,
+        table: Self::Table<'_>,
+        outcome: &LookupOutcome,
+        params: &CostParams,
+        scale: f64,
+    ) -> [f64; 2];
+
+    /// The body of one of the table's actions.
+    fn action<'a>(&'a self, table: Self::Table<'a>, action: usize) -> &'a [Primitive];
+
+    /// Where control goes after `action`.
+    fn next(&self, table: Self::Table<'_>, action: usize) -> Self::Handle;
+
+    /// Composes a flow-cache switch's key into `scratch.values`.
+    fn cache_key(&self, cache: Self::Table<'_>, packet: &Packet, scratch: &mut KeyScratch);
+
+    /// The body a cached `(table, action)` pair replays (empty if the
+    /// table is gone).
+    fn replayed(&self, table: NodeId, action: usize) -> &[Primitive];
+
+    /// The fused guard run the table heads, if the provider has such a
+    /// fast path.
+    fn fused<'a>(&'a self, _table: Self::Table<'a>) -> Option<&'a [FusedStage<Self::Handle>]> {
+        None
+    }
+}
+
+/// One node as the walk sees it.
+pub(crate) struct Visit<'a, P: Provider + ?Sized + 'a> {
+    /// The graph node id (profiles and traces speak `NodeId`).
+    pub(crate) id: NodeId,
+    pub(crate) place: Placement,
+    /// Placement cost scale (1.0 or `cpu_scale`).
+    pub(crate) scale: f64,
+    pub(crate) node: P::Node<'a>,
+}
+
+/// A node's executable shape.
+pub(crate) enum Step<'a, P: Provider + ?Sized + 'a> {
+    Branch {
+        condition: &'a Condition,
+        /// `num_comparisons().max(1)`, as the branch charge multiplies it.
+        comparisons: f64,
+        on_true: P::Handle,
+        on_false: P::Handle,
+    },
+    Table(P::Table<'a>),
+    /// A [`CacheRole::FlowCache`] switch: action 0 ("hit") jumps past the
+    /// covered segment, the default action ("miss") falls through to it.
+    FlowCache {
+        table: P::Table<'a>,
+        default_action: usize,
+    },
+}
+
+/// What was deployed: the graph, the target it runs on, where its nodes
+/// are placed, and the interpreter's match engines. It is what lowering
+/// reads, and it is the interpreter's [`Provider`] — one that holds
+/// nothing lowering baked: placement, scales, charged probes and next
+/// hops are derived from these fields on every visit.
 #[derive(Debug)]
-pub struct Executor {
-    graph: ProgramGraph,
-    params: CostParams,
+pub(crate) struct GraphView {
+    pub(crate) graph: ProgramGraph,
+    pub(crate) params: CostParams,
     engines: Vec<Option<MatchEngine>>,
-    /// Flow-cache runtime state, dense by node index. Shared by both
-    /// engine modes, so cache contents survive an engine switch.
+    pub(crate) placement: Vec<Placement>,
+    pub(crate) memory_tiers: Vec<MemoryTier>,
+}
+
+impl GraphView {
+    pub(crate) fn new(graph: ProgramGraph, params: CostParams) -> Self {
+        Self {
+            graph,
+            params,
+            engines: Vec::new(),
+            placement: Vec::new(),
+            memory_tiers: Vec::new(),
+        }
+    }
+}
+
+impl Provider for GraphView {
+    type Handle = Option<NodeId>;
+    type Node<'a> = &'a Node;
+    type Table<'a> = (&'a Node, &'a Table);
+
+    fn root(&self) -> Option<NodeId> {
+        self.graph.root()
+    }
+
+    fn visit(&self, at: Option<NodeId>) -> Option<Visit<'_, Self>> {
+        let node = self.graph.node(at?)?;
+        let place = self
+            .placement
+            .get(node.id.index())
+            .copied()
+            .unwrap_or(Placement::Asic);
+        let scale = match place {
+            Placement::Asic => 1.0,
+            Placement::Cpu => self.params.cpu_scale,
+        };
+        Some(Visit {
+            id: node.id,
+            place,
+            scale,
+            node,
+        })
+    }
+
+    fn step<'a>(&'a self, node: &'a Node) -> Step<'a, Self> {
+        match (&node.kind, &node.next) {
+            (NodeKind::Branch(b), NextHops::Branch { on_true, on_false }) => Step::Branch {
+                condition: &b.condition,
+                comparisons: b.condition.num_comparisons().max(1) as f64,
+                on_true: *on_true,
+                on_false: *on_false,
+            },
+            (NodeKind::Table(table), _) if table.cache_role == CacheRole::FlowCache => {
+                Step::FlowCache {
+                    table: (node, table),
+                    default_action: table.default_action,
+                }
+            }
+            (NodeKind::Table(table), _) => Step::Table((node, table)),
+            _ => unreachable!("validated graph: branch node with non-branch hops"),
+        }
+    }
+
+    fn lookup(
+        &self,
+        (node, table): Self::Table<'_>,
+        packet: &Packet,
+        scratch: &mut KeyScratch,
+        _spec: &mut SpecStats,
+    ) -> LookupOutcome {
+        let engine = self.engines[node.id.index()]
+            .as_ref()
+            .expect("engine built");
+        engine.lookup(table, packet, scratch)
+    }
+
+    fn charges(
+        &self,
+        (node, table): Self::Table<'_>,
+        outcome: &LookupOutcome,
+        params: &CostParams,
+        scale: f64,
+    ) -> [f64; 2] {
+        // Under a Fixed match model the charged probes follow the
+        // model's multiplier, not the realized way count.
+        let charged = match params.match_model {
+            MatchCostModel::Fixed { .. } => params.memory_accesses(table),
+            MatchCostModel::PerDistinctPattern { cap } => (outcome.probes.min(cap)) as f64,
+        };
+        let tier = self
+            .memory_tiers
+            .get(node.id.index())
+            .copied()
+            .unwrap_or(MemoryTier::Emem);
+        let body = &table.actions[outcome.action].primitives;
+        [
+            charged * params.l_mat * scale * params.tiers.match_scale(tier),
+            body.len() as f64 * params.l_act * scale,
+        ]
+    }
+
+    fn action<'a>(&'a self, (_, table): Self::Table<'a>, action: usize) -> &'a [Primitive] {
+        &table.actions[action].primitives
+    }
+
+    fn next(&self, (node, _): Self::Table<'_>, action: usize) -> Option<NodeId> {
+        match &node.next {
+            NextHops::Always(to) => *to,
+            NextHops::ByAction(v) => v[action],
+            NextHops::Branch { .. } => unreachable!("table with branch hops"),
+        }
+    }
+
+    fn cache_key(&self, (_, table): Self::Table<'_>, packet: &Packet, scratch: &mut KeyScratch) {
+        scratch.values.clear();
+        let key = table.keys.iter().map(|k| packet.get(k.field));
+        scratch.values.extend(key);
+    }
+
+    fn replayed(&self, table: NodeId, action: usize) -> &[Primitive] {
+        let table = self.graph.node(table).and_then(|n| n.as_table());
+        table.map_or(&[], |t| &t.actions[action].primitives)
+    }
+}
+
+/// The deployed program: what control operations change and a packet's
+/// walk only reads.
+#[derive(Debug)]
+struct Deployed {
+    view: GraphView,
+    /// Which datapath runs packets.
+    mode: EngineMode,
+    /// Lazily built compiled program. Invalidated by deploys, placement
+    /// and memory-tier changes; entry ops recompile just the touched
+    /// node in place.
+    compiled: Option<CompiledPipeline>,
+    /// Full pipeline compiles performed (telemetry for tests/benches).
+    full_compiles: u64,
+    /// Single-node recompiles performed (telemetry for tests/benches).
+    table_recompiles: u64,
+}
+
+impl Deployed {
+    /// The compiled program — lowered now if a deploy, a placement or
+    /// tier change, or nothing yet, left none — and the parameters it is
+    /// lowered against.
+    fn compiled(&mut self) -> (&mut CompiledPipeline, &CostParams) {
+        let cp = self.compiled.get_or_insert_with(|| {
+            self.full_compiles += 1;
+            CompiledPipeline::build(&self.view)
+        });
+        (cp, &self.view.params)
+    }
+
+    /// Drops the lowering, rebuilding the verbatim one at once if the
+    /// compiled engine is the one running.
+    fn relower(&mut self) {
+        self.compiled = None;
+        if self.mode == EngineMode::Compiled {
+            self.compiled();
+        }
+    }
+}
+
+/// Everything a packet's walk reads and writes besides the packet and
+/// the program: flow-cache contents, the profile window, the sampling
+/// schedule. Shared by both engine modes, so switching mid-stream is
+/// invisible in what is collected.
+#[derive(Debug)]
+struct Walk {
+    /// Flow-cache runtime state, dense by node index.
     caches: Vec<Option<FlowCacheState>>,
-    placement: Vec<Placement>,
-    memory_tiers: Vec<MemoryTier>,
     /// Counters collected since the last [`Executor::take_profile`]
     /// (raw, i.e. sampled counts — see [`Executor::sampled_profile`]).
     profile: RuntimeProfile,
@@ -219,8 +501,7 @@ pub struct Executor {
     /// only when instrumented with `sample_every > 1`.
     flow_seq: FxHashMap<u64, u64>,
     /// Distinct match keys seen per table this window, dense by node
-    /// index. Shared by both engine modes; cleared, never dropped, at
-    /// the window boundary.
+    /// index; cleared, never dropped, at the window boundary.
     distinct: Vec<DistinctKeys>,
     last_profile_take_s: f64,
     /// Latency histograms recorded for sampled packets since the last
@@ -228,44 +509,23 @@ pub struct Executor {
     observed: ExecObservations,
     /// Reusable key-composition buffers (zero allocations per lookup).
     scratch: KeyScratch,
-    /// Which datapath runs packets.
-    mode: EngineMode,
-    /// Lazily built compiled program. Invalidated by deploys, placement
-    /// and memory-tier changes; entry ops recompile just the touched
-    /// node in place.
-    compiled: Option<CompiledPipeline>,
-    /// Full pipeline compiles performed (telemetry for tests/benches).
-    full_compiles: u64,
-    /// Single-node recompiles performed (telemetry for tests/benches).
-    table_recompiles: u64,
-    /// Hot-key guard hits on specialized tables. Host telemetry: on a
-    /// sharded backend these depend on packet partitioning, so they are
-    /// not worker-count invariant (profiles and reports remain so).
-    spec_guard_hits: u64,
-    /// Hot-key guard misses (fell through to the general lookup).
-    spec_guard_misses: u64,
-    /// Packets that took at least one stage of a fused guard run (the
-    /// stages' members are credited to `spec_guard_hits`). Host
-    /// telemetry, like them.
-    spec_fused_hits: u64,
-    /// Specialization plans applied to this executor's pipeline.
-    specializations: u64,
-    /// Reverts to the verbatim lowering (explicit or entry-op strips).
-    despecializations: u64,
-    /// Monotonic (de)specialization epoch for event dedup.
-    spec_epoch: u64,
+    /// The live specialization counters (guard and fused-run hits, plans
+    /// applied and reverted, the epoch); what describes the pipeline as
+    /// it stands is filled in by [`Executor::spec_stats`].
+    spec: SpecStats,
     /// Per-table hot-key majority sketches, dense by node index; fed by
-    /// sampled lookups in both engine modes, taken at window boundaries
-    /// alongside the profile.
+    /// sampled lookups, taken at window boundaries alongside the profile.
     hot_sketch: Vec<Option<HotKeySketch>>,
+}
+
+/// Executes a deployed program packet-by-packet.
+#[derive(Debug)]
+pub struct Executor {
+    program: Deployed,
+    walk: Walk,
     /// Simulation clock in seconds, advanced by the NIC harness.
     pub now_s: f64,
 }
-
-/// Fraction of a counter update's cost paid by non-sampled packets when
-/// sampling is active: the per-packet sample decision (hash + compare)
-/// still sits on the data path (§5.4.1).
-pub const SAMPLE_CHECK_FRACTION: f64 = 0.12;
 
 impl Executor {
     /// Deploys `graph` on a target described by `params`. Fails if the
@@ -273,34 +533,29 @@ impl Executor {
     pub fn new(graph: ProgramGraph, params: CostParams) -> Result<Self, IrError> {
         graph.validate()?;
         let mut ex = Self {
-            engines: Vec::new(),
-            caches: Vec::new(),
-            placement: Vec::new(),
-            memory_tiers: Vec::new(),
-            profile: RuntimeProfile::empty(),
-            instrumented: false,
-            sample_every: 1,
-            packet_seq: 0,
-            keying: SampleKeying::default(),
-            flow_seq: FxHashMap::default(),
-            distinct: Vec::new(),
-            last_profile_take_s: 0.0,
-            observed: ExecObservations::new(),
-            scratch: KeyScratch::new(),
-            mode: EngineMode::default(),
-            compiled: None,
-            full_compiles: 0,
-            table_recompiles: 0,
-            spec_guard_hits: 0,
-            spec_guard_misses: 0,
-            spec_fused_hits: 0,
-            specializations: 0,
-            despecializations: 0,
-            spec_epoch: 0,
-            hot_sketch: Vec::new(),
+            program: Deployed {
+                view: GraphView::new(graph, params),
+                mode: EngineMode::default(),
+                compiled: None,
+                full_compiles: 0,
+                table_recompiles: 0,
+            },
+            walk: Walk {
+                caches: Vec::new(),
+                profile: RuntimeProfile::empty(),
+                instrumented: false,
+                sample_every: 1,
+                packet_seq: 0,
+                keying: SampleKeying::default(),
+                flow_seq: FxHashMap::default(),
+                distinct: Vec::new(),
+                last_profile_take_s: 0.0,
+                observed: ExecObservations::new(),
+                scratch: KeyScratch::new(),
+                spec: SpecStats::default(),
+                hot_sketch: Vec::new(),
+            },
             now_s: 0.0,
-            graph,
-            params,
         };
         ex.rebuild_all();
         Ok(ex)
@@ -308,21 +563,21 @@ impl Executor {
 
     /// The deployed program.
     pub fn graph(&self) -> &ProgramGraph {
-        &self.graph
+        &self.program.view.graph
     }
 
     /// The target parameters.
     pub fn params(&self) -> &CostParams {
-        &self.params
+        &self.program.view.params
     }
 
     /// Replaces the deployed program (live reconfiguration). Cache state
     /// and counters are reset; the clock is preserved.
     pub fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
         graph.validate()?;
-        self.graph = graph;
-        self.profile = RuntimeProfile::empty();
-        self.compiled = None;
+        self.program.view.graph = graph;
+        self.walk.profile = RuntimeProfile::empty();
+        self.program.compiled = None;
         self.rebuild_all();
         Ok(())
     }
@@ -341,9 +596,9 @@ impl Executor {
     /// The caller (a generation chain publisher) has already validated
     /// `graph` on its control replica, so this never fails.
     pub(crate) fn adopt_graph(&mut self, graph: ProgramGraph, compiled: Option<CompiledPipeline>) {
-        self.graph = graph;
+        self.program.view.graph = graph;
         self.rebuild_all();
-        self.compiled = compiled;
+        self.program.compiled = compiled;
     }
 
     /// A clone of the compiled pipeline for the current graph, built on
@@ -351,11 +606,8 @@ impl Executor {
     /// when the compiled engine is active (`None` under the interpreter:
     /// adopters then lower lazily like any fresh executor).
     pub(crate) fn compiled_clone(&mut self) -> Option<CompiledPipeline> {
-        match self.mode {
-            EngineMode::Compiled => {
-                self.ensure_compiled();
-                self.compiled.clone()
-            }
+        match self.program.mode {
+            EngineMode::Compiled => Some(self.program.compiled().0.clone()),
             EngineMode::Interpreter => None,
         }
     }
@@ -363,8 +615,8 @@ impl Executor {
     /// Enables P4-counter instrumentation, updating counters for one in
     /// `sample_every` packets (1 = every packet; §5.4.1 uses 1/1024).
     pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
-        self.instrumented = enabled;
-        self.sample_every = sample_every.max(1);
+        self.walk.instrumented = enabled;
+        self.walk.sample_every = sample_every.max(1);
     }
 
     /// Overrides the packet sequence number that drives counter sampling.
@@ -372,82 +624,57 @@ impl Executor {
     /// execution so the `packet_seq % sample_every` sampling decision is
     /// identical to a single-threaded run, regardless of worker count.
     pub fn set_packet_seq(&mut self, seq: u64) {
-        self.packet_seq = seq;
+        self.walk.packet_seq = seq;
     }
 
     /// Selects how counter-sampling decisions are keyed (see
     /// [`SampleKeying`]). Switching resets the per-flow counts so both
     /// keyings start from a clean schedule.
     pub fn set_sample_keying(&mut self, keying: SampleKeying) {
-        if self.keying != keying {
-            self.keying = keying;
-            self.flow_seq.clear();
+        if self.walk.keying != keying {
+            self.walk.keying = keying;
+            self.walk.flow_seq.clear();
         }
     }
 
     /// The active sampling keying.
     pub fn sample_keying(&self) -> SampleKeying {
-        self.keying
-    }
-
-    /// The per-packet sampling decision: advances the packet sequence
-    /// (and, when flow-keyed, the packet's flow count) and reports
-    /// whether this packet updates counters and histograms.
-    #[inline]
-    fn sample_decision(&mut self, packet: &Packet) -> bool {
-        self.packet_seq += 1;
-        if !self.instrumented {
-            return false;
-        }
-        if self.sample_every <= 1 {
-            return true;
-        }
-        match self.keying {
-            SampleKeying::GlobalSeq => self.packet_seq.is_multiple_of(self.sample_every),
-            SampleKeying::FlowKeyed => {
-                let hash = packet.flow_hash();
-                let count = self.flow_seq.entry(hash).or_insert(0);
-                *count += 1;
-                mix_flow_seq(hash, *count).is_multiple_of(self.sample_every)
-            }
-        }
+        self.walk.keying
     }
 
     /// Assigns nodes to ASIC/CPU cores (dense by node id; missing =
     /// ASIC). Costs on CPU nodes scale by `cpu_scale`; placement-crossing
     /// hops pay `l_migration`.
     pub fn set_placement(&mut self, placement: Vec<Placement>) {
-        self.placement = placement;
-        self.compiled = None;
+        self.program.view.placement = placement;
+        self.program.compiled = None;
     }
 
     /// Assigns tables to memory tiers (dense by node id; missing = EMEM).
     /// Key matches of SRAM-resident tables run `sram_speedup`× faster
     /// (§6 hierarchical-memory extension).
     pub fn set_memory_tiers(&mut self, tiers: Vec<MemoryTier>) {
-        self.memory_tiers = tiers;
-        self.compiled = None;
+        self.program.view.memory_tiers = tiers;
+        self.program.compiled = None;
     }
 
-    fn tier_scale(&self, id: NodeId) -> f64 {
-        let tier = self
-            .memory_tiers
-            .get(id.index())
-            .copied()
-            .unwrap_or(MemoryTier::Emem);
-        self.params.tiers.match_scale(tier)
+    fn node_mut(&mut self, node: NodeId) -> Result<&mut Node, IrError> {
+        let graph = &mut self.program.view.graph;
+        graph.node_mut(node).ok_or(IrError::UnknownNode(node))
+    }
+
+    fn table_mut(&mut self, node: NodeId) -> Result<&mut Table, IrError> {
+        self.node_mut(node)?
+            .as_table_mut()
+            .ok_or(IrError::BadTable {
+                table: node,
+                reason: "not a table".into(),
+            })
     }
 
     /// Inserts an entry into a table and recompiles its engine.
     pub fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        let n = self
-            .graph
-            .node_mut(node)
-            .ok_or(IrError::UnknownNode(node))?;
-        let t = n.as_table_mut().ok_or(IrError::BadTable {
-            table: node,
-            reason: "not a table".into(),
-        })?;
+        let t = self.table_mut(node)?;
         t.entries.push(entry);
         t.validate().map_err(|reason| IrError::BadEntry {
             table: node,
@@ -460,14 +687,7 @@ impl Executor {
 
     /// Removes the entry at `index` from a table and recompiles.
     pub fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
-        let n = self
-            .graph
-            .node_mut(node)
-            .ok_or(IrError::UnknownNode(node))?;
-        let t = n.as_table_mut().ok_or(IrError::BadTable {
-            table: node,
-            reason: "not a table".into(),
-        })?;
+        let t = self.table_mut(node)?;
         if index >= t.entries.len() {
             return Err(IrError::BadEntry {
                 table: node,
@@ -490,23 +710,11 @@ impl Executor {
         table: pipeleon_ir::Table,
         next: Option<NextHops>,
     ) -> Result<(), IrError> {
-        {
-            let n = self
-                .graph
-                .node_mut(node)
-                .ok_or(IrError::UnknownNode(node))?;
-            if n.as_table().is_none() {
-                return Err(IrError::BadTable {
-                    table: node,
-                    reason: "not a table".into(),
-                });
-            }
-            n.kind = pipeleon_ir::NodeKind::Table(table);
-            if let Some(next) = next {
-                n.next = next;
-            }
+        *self.table_mut(node)? = table;
+        if let Some(next) = next {
+            self.node_mut(node)?.next = next;
         }
-        self.graph.validate()?;
+        self.program.view.graph.validate()?;
         self.rebuild_engine(node);
         self.recompile_table(node);
         Ok(())
@@ -514,14 +722,15 @@ impl Executor {
 
     /// Flushes the runtime state of one flow cache (invalidation).
     pub fn flush_cache(&mut self, node: NodeId) {
-        if let Some(Some(c)) = self.caches.get_mut(node.index()) {
+        if let Some(Some(c)) = self.walk.caches.get_mut(node.index()) {
             c.lru.clear();
         }
     }
 
     /// Number of live entries in a flow cache's runtime state.
     pub fn cache_len(&self, node: NodeId) -> usize {
-        self.caches
+        self.walk
+            .caches
             .get(node.index())
             .and_then(|c| c.as_ref())
             .map_or(0, |c| c.lru.len())
@@ -531,7 +740,7 @@ impl Executor {
     /// hit/miss statistics are merged in (they are maintained unsampled).
     pub fn take_profile(&mut self) -> RuntimeProfile {
         let mut p = self.take_counters();
-        distinct::count_into(&mut self.distinct, &mut p);
+        distinct::count_into(&mut self.walk.distinct, &mut p);
         p
     }
 
@@ -541,10 +750,10 @@ impl Executor {
     /// across workers — summing per-shard counts would double-count
     /// flows whose packets land on several shards.
     pub(crate) fn take_profile_into(&mut self, union: &mut Vec<DistinctKeys>) -> RuntimeProfile {
-        if union.len() < self.distinct.len() {
-            union.resize_with(self.distinct.len(), DistinctKeys::default);
+        if union.len() < self.walk.distinct.len() {
+            union.resize_with(self.walk.distinct.len(), DistinctKeys::default);
         }
-        for (all, keys) in union.iter_mut().zip(&mut self.distinct) {
+        for (all, keys) in union.iter_mut().zip(&mut self.walk.distinct) {
             all.absorb(keys);
             keys.clear();
         }
@@ -556,33 +765,25 @@ impl Executor {
     /// its maps keep their capacity and the next window's first sampled
     /// packets do not regrow them.
     fn take_counters(&mut self) -> RuntimeProfile {
-        let mut p = self.profile.clone();
-        self.profile.clear();
-        if self.instrumented && self.sample_every > 1 {
-            p.scale_counts(self.sample_every);
+        let walk = &mut self.walk;
+        let mut p = walk.profile.clone();
+        walk.profile.clear();
+        if walk.instrumented && walk.sample_every > 1 {
+            p.scale_counts(walk.sample_every);
         }
-        p.window_s = (self.now_s - self.last_profile_take_s).max(1e-9);
-        self.last_profile_take_s = self.now_s;
-        for (idx, state) in self.caches.iter_mut().enumerate() {
+        p.window_s = (self.now_s - walk.last_profile_take_s).max(1e-9);
+        walk.last_profile_take_s = self.now_s;
+        for (idx, state) in walk.caches.iter_mut().enumerate() {
             let Some(c) = state else { continue };
-            p.cache_stats.insert(
-                NodeId(idx as u32),
-                pipeleon_cost::CacheStats {
-                    hits: c.hits,
-                    misses: c.misses,
-                    insertions: c.insertions,
-                },
-            );
-            c.hits = 0;
-            c.misses = 0;
-            c.insertions = 0;
+            p.cache_stats
+                .insert(NodeId(idx as u32), std::mem::take(&mut c.stats));
         }
         p
     }
 
     /// Peeks at the profile without resetting (counts not rescaled).
     pub fn sampled_profile(&self) -> &RuntimeProfile {
-        &self.profile
+        &self.walk.profile
     }
 
     /// Takes the latency histograms recorded for sampled packets since
@@ -590,36 +791,42 @@ impl Executor {
     /// packet sequence number, so a sharded NIC's per-shard observations
     /// merge bit-identically to a single-threaded run's.
     pub fn take_observations(&mut self) -> ExecObservations {
-        std::mem::take(&mut self.observed)
+        std::mem::take(&mut self.walk.observed)
     }
 
     /// Peeks at the recorded observations without resetting.
     pub fn observations(&self) -> &ExecObservations {
-        &self.observed
+        &self.walk.observed
     }
 
     fn rebuild_all(&mut self) {
-        self.engines = vec![None; self.graph.id_bound()];
-        self.caches.clear();
-        self.caches.resize_with(self.graph.id_bound(), || None);
-        let ids: Vec<NodeId> = self.graph.iter_nodes().map(|n| n.id).collect();
+        // (`rebuild_engine` grows both to the graph's id bound.)
+        self.program.view.engines.clear();
+        self.walk.caches.clear();
+        let ids: Vec<NodeId> = self.program.view.graph.iter_nodes().map(|n| n.id).collect();
         for id in ids {
             self.rebuild_engine(id);
         }
     }
 
     fn rebuild_engine(&mut self, id: NodeId) {
-        if self.engines.len() < self.graph.id_bound() {
-            self.engines.resize(self.graph.id_bound(), None);
+        let (program, caches) = (&mut self.program, &mut self.walk.caches);
+        if program.view.engines.len() < program.view.graph.id_bound() {
+            program
+                .view
+                .engines
+                .resize(program.view.graph.id_bound(), None);
         }
-        if self.caches.len() < self.graph.id_bound() {
-            self.caches.resize_with(self.graph.id_bound(), || None);
+        if caches.len() < program.view.graph.id_bound() {
+            caches.resize_with(program.view.graph.id_bound(), || None);
         }
-        let Some(n) = self.graph.node(id) else { return };
+        let Some(n) = program.view.graph.node(id) else {
+            return;
+        };
         if let Some(t) = n.as_table() {
-            self.engines[id.index()] = Some(MatchEngine::build(t));
-            if t.cache_role == CacheRole::FlowCache && self.caches[id.index()].is_none() {
-                self.caches[id.index()] = Some(FlowCacheState {
+            program.view.engines[id.index()] = Some(MatchEngine::build(t));
+            if t.cache_role == CacheRole::FlowCache && caches[id.index()].is_none() {
+                caches[id.index()] = Some(FlowCacheState {
                     lru: LruCache::with_default_hasher(
                         t.max_entries.unwrap_or(DEFAULT_CACHE_CAPACITY),
                     ),
@@ -627,9 +834,7 @@ impl Executor {
                         DEFAULT_INSERTION_RATE,
                         DEFAULT_INSERTION_RATE / 100.0,
                     ),
-                    hits: 0,
-                    misses: 0,
-                    insertions: 0,
+                    stats: CacheStats::default(),
                 });
             }
         }
@@ -637,7 +842,7 @@ impl Executor {
 
     /// Sets a flow cache's insertion rate limit (insertions per second).
     pub fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64) {
-        if let Some(Some(c)) = self.caches.get_mut(node.index()) {
+        if let Some(Some(c)) = self.walk.caches.get_mut(node.index()) {
             c.limiter = RateLimiter::new(rate_per_s, (rate_per_s / 100.0).max(8.0));
         }
     }
@@ -646,31 +851,19 @@ impl Executor {
     /// cache, profile and distinct-key state, so switching mid-stream is
     /// seamless and invisible in the collected statistics.
     pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        self.mode = mode;
+        self.program.mode = mode;
     }
 
     /// The active datapath.
     pub fn engine_mode(&self) -> EngineMode {
-        self.mode
+        self.program.mode
     }
 
     /// `(full pipeline compiles, single-node recompiles)` performed so
     /// far — lets tests assert that entry churn patches the compiled
     /// program in place instead of recompiling from scratch.
     pub fn compile_stats(&self) -> (u64, u64) {
-        (self.full_compiles, self.table_recompiles)
-    }
-
-    fn ensure_compiled(&mut self) {
-        if self.compiled.is_none() {
-            self.compiled = Some(CompiledPipeline::build(
-                &self.graph,
-                &self.params,
-                &self.placement,
-                &self.memory_tiers,
-            ));
-            self.full_compiles += 1;
-        }
+        (self.program.full_compiles, self.program.table_recompiles)
     }
 
     /// Patches one node of the compiled pipeline after an entry op,
@@ -683,30 +876,22 @@ impl Executor {
     /// the divergence specialization promises never to introduce. The
     /// next specialize step re-plans from fresh profile state.
     fn recompile_table(&mut self, id: NodeId) {
-        let strip = self
+        let program = &mut self.program;
+        let strip = program
             .compiled
             .as_ref()
             .is_some_and(|cp| cp.spec_fingerprint != 0 && cp.node_is_specialized(id));
         if strip {
-            self.compiled = None;
-            if self.mode == EngineMode::Compiled {
-                self.ensure_compiled();
-            }
-            self.despecializations += 1;
-            self.spec_epoch += 1;
+            program.relower();
+            self.walk.spec.despecializations += 1;
+            self.walk.spec.generation += 1;
             return;
         }
-        if let Some(cp) = self.compiled.as_mut() {
-            if cp.recompile_node(
-                &self.graph,
-                &self.params,
-                &self.placement,
-                &self.memory_tiers,
-                id,
-            ) {
-                self.table_recompiles += 1;
+        if let Some(cp) = program.compiled.as_mut() {
+            if cp.recompile_node(&program.view, id) {
+                program.table_recompiles += 1;
             } else {
-                self.compiled = None;
+                program.compiled = None;
             }
         }
     }
@@ -716,26 +901,25 @@ impl Executor {
     /// interpreter (which needs no specializing — it *is* the oracle),
     /// for an empty plan, or when the identical plan is already applied.
     pub(crate) fn specialize_with(&mut self, plan: &SpecPlan) -> Option<u64> {
-        if self.mode != EngineMode::Compiled || plan.is_empty() {
+        let program = &mut self.program;
+        if program.mode != EngineMode::Compiled || plan.is_empty() {
             return None;
         }
-        self.ensure_compiled();
-        let current = self.spec_fingerprint();
+        let current = program.compiled().0.spec_fingerprint;
         if current == plan.fingerprint {
             return None;
         }
         if current != 0 {
             // Plans always apply over the verbatim lowering, never over
             // a previous plan's arena.
-            self.compiled = None;
-            self.ensure_compiled();
+            program.compiled = None;
         }
-        let cp = self.compiled.as_mut().expect("just compiled");
-        specialize::apply_plan(cp, plan, &self.params);
+        let (cp, params) = program.compiled();
+        specialize::apply_plan(cp, plan, params);
         cp.spec_fingerprint = plan.fingerprint;
-        self.specializations += 1;
-        self.spec_epoch += 1;
-        Some(self.spec_epoch)
+        self.walk.spec.specializations += 1;
+        self.walk.spec.generation += 1;
+        Some(self.walk.spec.generation)
     }
 
     /// Reverts to the verbatim lowering. Returns the new spec epoch if
@@ -744,42 +928,33 @@ impl Executor {
         if self.spec_fingerprint() == 0 {
             return None;
         }
-        self.compiled = None;
-        if self.mode == EngineMode::Compiled {
-            self.ensure_compiled();
-        }
-        self.despecializations += 1;
-        self.spec_epoch += 1;
-        Some(self.spec_epoch)
+        self.program.relower();
+        self.walk.spec.despecializations += 1;
+        self.walk.spec.generation += 1;
+        Some(self.walk.spec.generation)
     }
 
     /// Current specialization counters and state.
     pub fn spec_stats(&self) -> SpecStats {
+        let cp = self.program.compiled.as_ref();
         SpecStats {
-            guard_hits: self.spec_guard_hits,
-            guard_misses: self.spec_guard_misses,
-            fused_hits: self.spec_fused_hits,
-            fused_runs: self.compiled.as_ref().map_or(0, |cp| cp.fused_runs()),
-            specializations: self.specializations,
-            despecializations: self.despecializations,
-            specialized_tables: self
-                .compiled
-                .as_ref()
-                .map_or(0, |cp| cp.specialized_tables()),
-            generation: self.spec_epoch,
+            fused_runs: cp.map_or(0, |cp| cp.fused_runs()),
+            specialized_tables: cp.map_or(0, |cp| cp.specialized_tables()),
+            ..self.walk.spec
         }
     }
 
     /// The applied plan fingerprint (`0` = verbatim lowering).
     pub(crate) fn spec_fingerprint(&self) -> u64 {
-        self.compiled.as_ref().map_or(0, |cp| cp.spec_fingerprint)
+        let cp = self.program.compiled.as_ref();
+        cp.map_or(0, |cp| cp.spec_fingerprint)
     }
 
     /// Takes the per-table hot-key sketches collected since the last
     /// call, resetting them — the sketch window rides the profile window.
     pub(crate) fn take_hot_sketches(&mut self) -> HashMap<NodeId, HotKeySketch> {
         let mut out = HashMap::new();
-        for (idx, sk) in self.hot_sketch.iter_mut().enumerate() {
+        for (idx, sk) in self.walk.hot_sketch.iter_mut().enumerate() {
             if let Some(sk) = sk.take() {
                 if sk.samples > 0 {
                     out.insert(NodeId(idx as u32), sk);
@@ -793,13 +968,124 @@ impl Executor {
     /// resetting them — lets a specialize step planned mid-window see
     /// the traffic since the last boundary.
     pub(crate) fn peek_hot_sketches_into(&self, out: &mut HashMap<NodeId, HotKeySketch>) {
-        for (idx, sk) in self.hot_sketch.iter().enumerate() {
+        for (idx, sk) in self.walk.hot_sketch.iter().enumerate() {
             if let Some(sk) = sk {
                 if sk.samples > 0 {
                     out.entry(NodeId(idx as u32))
                         .and_modify(|e| e.merge(sk))
                         .or_insert_with(|| sk.clone());
                 }
+            }
+        }
+    }
+
+    /// Processes one packet; see [`Executor::process_traced`] for traces.
+    pub fn process(&mut self, packet: &mut Packet) -> ExecReport {
+        self.run(packet, None)
+    }
+
+    /// Processes one packet and records the visited nodes / executed
+    /// actions into `trace`.
+    pub fn process_traced(&mut self, packet: &mut Packet, trace: &mut PacketTrace) -> ExecReport {
+        trace.clear();
+        self.run(packet, Some(trace))
+    }
+
+    /// Processes a batch of packets through the look-ahead burst loop
+    /// (`run_burst`). Reports are returned in input order and are
+    /// identical to processing each packet with [`Executor::process`].
+    pub fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
+        let mut out = Vec::with_capacity(packets.len());
+        run_burst(self, packets, |ex, p| out.push(ex.process(p)));
+        out
+    }
+
+    /// The look-ahead stage: hints the table slots `packet` will probe
+    /// once its turn comes (nothing under the interpreter, or for a
+    /// program whose tables are all cache-sized). See
+    /// [`CompiledPipeline::prefetch_lookups`].
+    #[inline]
+    fn hint_lookups(&self, packet: &Packet) {
+        if let (EngineMode::Compiled, Some(cp)) = (self.program.mode, &self.program.compiled) {
+            cp.prefetch_lookups(packet);
+        }
+    }
+
+    /// The tables on the compiled program's look-ahead list.
+    #[cfg(test)]
+    pub(crate) fn lookahead_tables(&mut self) -> Vec<NodeId> {
+        self.program.compiled().0.lookahead_tables()
+    }
+
+    /// One packet through [`Walk::run`], over the provider the engine
+    /// mode selects. The program and the walk state are disjoint fields,
+    /// so the walk borrows the program in place.
+    #[inline]
+    fn run(&mut self, packet: &mut Packet, trace: Option<&mut PacketTrace>) -> ExecReport {
+        let (walk, now_s) = (&mut self.walk, self.now_s);
+        match self.program.mode {
+            EngineMode::Interpreter => {
+                let view = &self.program.view;
+                walk.run(view, &view.params, now_s, packet, trace)
+            }
+            EngineMode::Compiled => {
+                let (cp, params) = self.program.compiled();
+                walk.run(&*cp, params, now_s, packet, trace)
+            }
+        }
+    }
+}
+
+/// The look-ahead burst loop, shared by every entry point that runs
+/// packets a burst at a time ([`Executor::process_batch`],
+/// `SmartNic::measure_feed` and `mean_latency`, the shard drain loop).
+/// Hints the table slots the packet of item `i + AHEAD` will probe — the
+/// first `AHEAD` up front — and, twice as far ahead, that packet's own
+/// slot storage, which the table hint reads key fields out of; then
+/// hands item `i` and the executor to `each`, which may set the clock,
+/// adopt a generation, run the packet and fold its report. Hints change
+/// no state, so results are the same with them or (no table big enough,
+/// the interpreter) without; the program is asked for its look-ahead
+/// list per item because `each` may have replaced it.
+pub(crate) fn run_burst<T: Borrow<Packet>>(
+    exec: &mut Executor,
+    items: &mut [T],
+    mut each: impl FnMut(&mut Executor, &mut T),
+) {
+    for item in items.iter().take(prefetch::AHEAD) {
+        exec.hint_lookups(item.borrow());
+    }
+    for i in 0..items.len() {
+        if let Some(far) = items.get(i + 2 * prefetch::AHEAD) {
+            far.borrow().prefetch();
+        }
+        if let Some(near) = items.get(i + prefetch::AHEAD) {
+            exec.hint_lookups(near.borrow());
+        }
+        each(exec, &mut items[i]);
+    }
+}
+
+impl Walk {
+    /// The per-packet sampling decision: advances the packet sequence
+    /// (and, when flow-keyed, the packet's flow count) and reports
+    /// whether this packet updates counters and histograms.
+    #[inline]
+    fn sample_decision(&mut self, packet: &Packet) -> bool {
+        self.packet_seq += 1;
+        if !self.instrumented {
+            return false;
+        }
+        if self.sample_every <= 1 {
+            return true;
+        }
+        match self.keying {
+            SampleKeying::GlobalSeq => self.packet_seq.is_multiple_of(self.sample_every),
+            SampleKeying::FlowKeyed => {
+                let hash = packet.flow_hash();
+                let count = self.flow_seq.entry(hash).or_insert(0);
+                *count += 1;
+                mix_flow_seq(hash, *count).is_multiple_of(self.sample_every)
             }
         }
     }
@@ -837,126 +1123,15 @@ impl Executor {
         self.distinct[id.index()].note(&self.scratch.values);
     }
 
-    /// Processes one packet; see [`Executor::process_traced`] for traces.
-    pub fn process(&mut self, packet: &mut Packet) -> ExecReport {
-        self.run(packet, None)
-    }
-
-    /// Processes one packet and records the visited nodes / executed
-    /// actions into `trace`.
-    pub fn process_traced(&mut self, packet: &mut Packet, trace: &mut PacketTrace) -> ExecReport {
-        trace.clear();
-        self.run(packet, Some(trace))
-    }
-
-    /// Processes a batch of packets, amortizing engine dispatch: the
-    /// compiled program is checked out once per batch instead of once
-    /// per packet. Reports are returned in input order and are identical
-    /// to processing each packet with [`Executor::process`].
-    pub fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
-        let mut out = Vec::with_capacity(packets.len());
-        self.checked_out(|ex, cp| {
-            // Look-ahead stage: hint the table slots packet `i + AHEAD`
-            // will probe, then run packet `i` through the scalar walk.
-            // Hints change no state, so results are the same with the
-            // stage or (no table big enough, or the interpreter) without.
-            let lookahead = cp.filter(|cp| cp.has_lookahead());
-            if let Some(cp) = lookahead {
-                for p in packets.iter().take(prefetch::AHEAD) {
-                    cp.prefetch_lookups(p);
-                }
-            }
-            for i in 0..packets.len() {
-                if let (Some(cp), Some(ahead)) = (lookahead, packets.get(i + prefetch::AHEAD)) {
-                    cp.prefetch_lookups(ahead);
-                }
-                out.push(ex.run_on(cp, &mut packets[i], None));
-            }
-        });
-        out
-    }
-
-    /// Runs `body` with the engine checked out once: the compiled
-    /// program (built if need be) is moved out of `self` for the
-    /// duration — it is immutable while the executor's counters and
-    /// caches mutate — and put back after; the interpreter checks out
-    /// nothing. `body` runs packets through [`Executor::run_on`] and may
-    /// set the clock between them, but must leave the program alone
-    /// (no control operation, no engine switch).
-    pub(crate) fn checked_out<R>(
+    /// Walks one packet through `prog` to completion. Every latency
+    /// term, counter, sampled observation, trace event and cache install
+    /// of both engine modes is accounted here, in this order; a provider
+    /// contributes only what a node is and what its lookup resolves to.
+    fn run<P: Provider>(
         &mut self,
-        body: impl FnOnce(&mut Self, Option<&CompiledPipeline>) -> R,
-    ) -> R {
-        let cp = match self.mode {
-            EngineMode::Interpreter => None,
-            EngineMode::Compiled => {
-                self.ensure_compiled();
-                self.compiled.take()
-            }
-        };
-        let r = body(self, cp.as_ref());
-        if cp.is_some() {
-            self.compiled = cp;
-        }
-        r
-    }
-
-    /// Runs one packet on the engine a [`Executor::checked_out`] body
-    /// was handed.
-    #[inline]
-    pub(crate) fn run_on(
-        &mut self,
-        cp: Option<&CompiledPipeline>,
-        packet: &mut Packet,
-        trace: Option<&mut PacketTrace>,
-    ) -> ExecReport {
-        match cp {
-            Some(cp) => self.run_compiled(cp, packet, trace),
-            None => self.run_interp(packet, trace),
-        }
-    }
-
-    /// Whether the deployed compiled program has any table worth a
-    /// look-ahead hint (always `false` under the interpreter). Burst
-    /// loops outside this module check it once per burst.
-    #[inline]
-    pub(crate) fn has_lookahead(&self) -> bool {
-        self.mode == EngineMode::Compiled
-            && self.compiled.as_ref().is_some_and(|cp| cp.has_lookahead())
-    }
-
-    /// The look-ahead stage for burst loops that execute through
-    /// [`Executor::process`]: hints the table slots `packet` will probe
-    /// once its turn comes. See [`CompiledPipeline::prefetch_lookups`].
-    #[inline]
-    pub(crate) fn prefetch_lookups(&self, packet: &Packet) {
-        if let Some(cp) = &self.compiled {
-            cp.prefetch_lookups(packet);
-        }
-    }
-
-    /// The tables on the compiled program's look-ahead list.
-    #[cfg(test)]
-    pub(crate) fn lookahead_tables(&mut self) -> Vec<NodeId> {
-        self.ensure_compiled();
-        self.compiled
-            .as_ref()
-            .map_or_else(Vec::new, |cp| cp.lookahead_tables())
-    }
-
-    fn place(&self, id: NodeId) -> Placement {
-        self.placement
-            .get(id.index())
-            .copied()
-            .unwrap_or(Placement::Asic)
-    }
-
-    fn run(&mut self, packet: &mut Packet, trace: Option<&mut PacketTrace>) -> ExecReport {
-        self.checked_out(|ex, cp| ex.run_on(cp, packet, trace))
-    }
-
-    fn run_interp(
-        &mut self,
+        prog: &P,
+        params: &CostParams,
+        now_s: f64,
         packet: &mut Packet,
         mut trace: Option<&mut PacketTrace>,
     ) -> ExecReport {
@@ -965,430 +1140,65 @@ impl Executor {
             self.profile.total_packets += 1;
         }
         let mut report = ExecReport {
-            latency_ns: self.params.l_base,
+            latency_ns: params.l_base,
             dropped: false,
             migrations: 0,
             probes: 0,
             counter_updates: 0,
         };
-        let mut pending: Vec<PendingInsert> = Vec::new();
-        let mut cur = self.graph.root();
+        let mut pending: Vec<PendingInsert<P::Handle>> = Vec::new();
+        let mut cur = prog.root();
         let mut prev_place: Option<Placement> = None;
+        // A fused guard run bakes forwarding and nothing else, so it is
+        // only asked for while nothing observes the packet: no counters
+        // or distinct keys, no trace and (checked per node) no cache
+        // recording its actions.
+        let watched = self.instrumented || trace.is_some();
 
-        while let Some(id) = cur {
-            // Finalize any cache miss whose covered segment ends here.
-            self.finalize_pending(&mut pending, Some(id), &mut report);
-
-            let place = self.place(id);
-            if let Some(p) = prev_place {
-                if p != place {
-                    report.latency_ns += self.params.l_migration;
-                    report.migrations += 1;
-                }
-            }
-            prev_place = Some(place);
-            let scale = match place {
-                Placement::Asic => 1.0,
-                Placement::Cpu => self.params.cpu_scale,
-            };
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(self.now_s, EventKind::Visit { node: id.0 });
-            }
-
-            // Pull the node's shape out in a narrow scope.
-            enum Step {
-                Branch { slot: u16, target: Option<NodeId> },
-                Table,
-            }
-            let step = {
-                let node = self.graph.node(id).expect("validated graph");
-                match (&node.kind, &node.next) {
-                    (NodeKind::Branch(b), NextHops::Branch { on_true, on_false }) => {
-                        let cond = b.condition.eval(packet.slots());
-                        report.latency_ns += self.params.l_branch
-                            * b.condition.num_comparisons().max(1) as f64
-                            * scale;
-                        let (slot, target) = if cond { (0, *on_true) } else { (1, *on_false) };
-                        Step::Branch { slot, target }
-                    }
-                    _ => Step::Table,
-                }
-            };
-            match step {
-                Step::Branch { slot, target } => {
-                    if sampled {
-                        self.profile.record_edge(EdgeRef::new(id, slot), 1);
-                        report.counter_updates += 1;
-                        report.latency_ns += self.params.l_counter * scale;
-                    } else if self.instrumented {
-                        report.latency_ns += self.params.l_counter * SAMPLE_CHECK_FRACTION * scale;
-                    }
-                    cur = target;
-                    continue;
-                }
-                Step::Table => {}
-            }
-
-            let is_flow_cache = self
-                .graph
-                .node(id)
-                .and_then(|n| n.as_table())
-                .map(|t| t.cache_role == CacheRole::FlowCache)
-                .unwrap_or(false);
-
-            let before_ns = report.latency_ns;
-            if is_flow_cache {
-                cur = self.exec_flow_cache(
-                    id,
-                    packet,
-                    scale,
-                    sampled,
-                    &mut pending,
-                    &mut report,
-                    &mut trace,
-                );
-            } else {
-                cur = self.exec_table(
-                    id,
-                    packet,
-                    scale,
-                    sampled,
-                    &mut pending,
-                    &mut report,
-                    &mut trace,
-                );
-            }
-            if sampled {
-                // Host-side histogram bookkeeping: the modeled counter
-                // cost is already charged above, so this adds no
-                // simulated latency.
-                self.observed
-                    .record_table(id, report.latency_ns - before_ns);
-            }
-            if packet.dropped {
-                report.dropped = true;
-                break;
-            }
-        }
-        // Segment results that run to the sink (exit == None) or were cut
-        // short by a drop still finalize.
-        self.finalize_pending(&mut pending, cur, &mut report);
-        if packet.dropped {
-            // A drop anywhere finalizes all pendings (the cached result
-            // replays the drop).
-            let mut all = std::mem::take(&mut pending);
-            for p in all.drain(..) {
-                self.install_pending(p, &mut report);
-            }
-        }
-        if sampled {
-            self.observed.record_packet(report.latency_ns);
-        }
-        report
-    }
-
-    /// Executes a regular (or merged-cache) table node; returns the next
-    /// node.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_table(
-        &mut self,
-        id: NodeId,
-        packet: &mut Packet,
-        scale: f64,
-        sampled: bool,
-        pending: &mut [PendingInsert],
-        report: &mut ExecReport,
-        trace: &mut Option<&mut PacketTrace>,
-    ) -> Option<NodeId> {
-        // Look up and copy out what we need before mutating self.
-        let (outcome, charged_probes, prims, next): (
-            LookupOutcome,
-            f64,
-            Vec<Primitive>,
-            Option<NodeId>,
-        ) = {
-            let node = self.graph.node(id).expect("validated graph");
-            let table = node.as_table().expect("table node");
-            let engine = self.engines[id.index()].as_ref().expect("engine built");
-            let outcome = engine.lookup(table, packet, &mut self.scratch);
-            // Under a Fixed match model the charged probes follow the
-            // model's multiplier, not the realized way count.
-            let charged = match self.params.match_model {
-                MatchCostModel::Fixed { .. } => self.params.memory_accesses(table),
-                MatchCostModel::PerDistinctPattern { cap } => (outcome.probes.min(cap)) as f64,
-            };
-            let prims = table.actions[outcome.action].primitives.clone();
-            let next = match &node.next {
-                NextHops::Always(t) => *t,
-                NextHops::ByAction(v) => v[outcome.action],
-                NextHops::Branch { .. } => unreachable!("table with branch hops"),
-            };
-            (outcome, charged, prims, next)
-        };
-        report.probes += outcome.probes;
-        report.latency_ns += charged_probes * self.params.l_mat * scale * self.tier_scale(id);
-        report.latency_ns += prims.len() as f64 * self.params.l_act * scale;
-
-        if self.instrumented {
-            // The lookup above composed the key into the scratch buffer.
-            self.note_distinct(id);
-        }
-        Self::apply_primitives(packet, &prims);
-
-        for p in pending.iter_mut() {
-            p.recorded.push((id, outcome.action));
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            t.push(
-                self.now_s,
-                EventKind::Action {
-                    node: id.0,
-                    action: outcome.action as u32,
-                },
-            );
-        }
-        if sampled {
-            self.note_hot_key(id);
-            self.profile.record_action(id, outcome.action, 1);
-            report.counter_updates += 1;
-            report.latency_ns += self.params.l_counter * scale;
-        } else if self.instrumented {
-            report.latency_ns += self.params.l_counter * SAMPLE_CHECK_FRACTION * scale;
-        }
-        next
-    }
-
-    /// Executes a flow-cache node; returns the next node.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_flow_cache(
-        &mut self,
-        id: NodeId,
-        packet: &mut Packet,
-        scale: f64,
-        sampled: bool,
-        pending: &mut Vec<PendingInsert>,
-        report: &mut ExecReport,
-        trace: &mut Option<&mut PacketTrace>,
-    ) -> Option<NodeId> {
-        let (key, hit_target, miss_target, default_action) = {
-            let node = self.graph.node(id).expect("validated graph");
-            let table = node.as_table().expect("cache is a table");
-            let key: Vec<u64> = table.keys.iter().map(|k| packet.get(k.field)).collect();
-            let (hit_t, miss_t) = match &node.next {
-                NextHops::ByAction(v) => (
-                    v.first().copied().flatten(),
-                    v.get(table.default_action).copied().flatten(),
-                ),
-                NextHops::Always(t) => (*t, *t),
-                NextHops::Branch { .. } => unreachable!("cache with branch hops"),
-            };
-            (key, hit_t, miss_t, table.default_action)
-        };
-        // One exact lookup either way.
-        report.probes += 1;
-        report.latency_ns += self.params.l_mat * scale;
-
-        let cached: Option<CachedResult> = self
-            .caches
-            .get_mut(id.index())
-            .and_then(|c| c.as_mut())
-            .and_then(|c| c.lru.get(key.as_slice()).cloned());
-        match cached {
-            Some(result) => {
-                if let Some(Some(c)) = self.caches.get_mut(id.index()) {
-                    c.hits += 1;
-                }
-                if sampled {
-                    self.profile.record_action(id, 0, 1);
-                    report.counter_updates += 1;
-                    report.latency_ns += self.params.l_counter * scale;
-                }
-                // Replay the recorded actions: execute their primitives and
-                // maintain the counter map back to original tables. Outer
-                // pending recordings (a cache covering this cache's region)
-                // observe the replayed actions too.
-                for p in pending.iter_mut() {
-                    p.recorded.extend(result.iter().copied());
-                }
-                for (nid, aidx) in &result {
-                    let prims: Vec<Primitive> = self
-                        .graph
-                        .node(*nid)
-                        .and_then(|n| n.as_table())
-                        .map(|t| t.actions[*aidx].primitives.clone())
-                        .unwrap_or_default();
-                    report.latency_ns += prims.len() as f64 * self.params.l_act * scale;
-                    Self::apply_primitives(packet, &prims);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.push(
-                            self.now_s,
-                            EventKind::Action {
-                                node: nid.0,
-                                action: *aidx as u32,
-                            },
-                        );
-                    }
-                    if sampled {
-                        self.profile.record_action(*nid, *aidx, 1);
-                        report.counter_updates += 1;
-                        report.latency_ns += self.params.l_counter * scale;
-                    }
-                }
-                hit_target
-            }
-            None => {
-                if let Some(Some(c)) = self.caches.get_mut(id.index()) {
-                    c.misses += 1;
-                }
-                if sampled {
-                    self.profile.record_action(id, default_action, 1);
-                    report.counter_updates += 1;
-                    report.latency_ns += self.params.l_counter * scale;
-                }
-                pending.push(PendingInsert {
-                    cache: id,
-                    key: SmallKey::from_slice(&key),
-                    exit: hit_target,
-                    recorded: Vec::new(),
-                });
-                miss_target
-            }
-        }
-    }
-
-    fn finalize_pending(
-        &mut self,
-        pending: &mut Vec<PendingInsert>,
-        at: Option<NodeId>,
-        report: &mut ExecReport,
-    ) {
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].exit == at {
-                let p = pending.remove(i);
-                self.install_pending(p, report);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn install_pending(&mut self, p: PendingInsert, report: &mut ExecReport) {
-        self.install(p.cache, p.key, p.recorded, report);
-    }
-
-    /// Installs a finalized cache result, engine-mode agnostic.
-    fn install(
-        &mut self,
-        cache: NodeId,
-        key: SmallKey,
-        recorded: CachedResult,
-        report: &mut ExecReport,
-    ) {
-        let now = self.now_s;
-        if let Some(Some(c)) = self.caches.get_mut(cache.index()) {
-            if c.limiter.allow(now) {
-                c.lru.insert(key, recorded);
-                c.insertions += 1;
-                report.latency_ns += self.params.l_cache_insert;
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Compiled datapath. Mirrors `run_interp` step for step: every
-    // latency term is added in the same order with the same operand
-    // values, so reports, profiles, observations and traces are
-    // bit-identical across engine modes. The differences are purely
-    // mechanical: slot-addressed arena walk instead of `NodeId` map
-    // hops, FxHash/SmallKey lookups through reused scratch buffers, and
-    // pre-boxed action bodies executed in place — zero steady-state
-    // heap allocations per packet.
-    // ------------------------------------------------------------------
-
-    fn run_compiled(
-        &mut self,
-        cp: &CompiledPipeline,
-        packet: &mut Packet,
-        mut trace: Option<&mut PacketTrace>,
-    ) -> ExecReport {
-        let sampled = self.sample_decision(packet);
-        if sampled {
-            self.profile.total_packets += 1;
-        }
-        let mut report = ExecReport {
-            latency_ns: self.params.l_base,
-            dropped: false,
-            migrations: 0,
-            probes: 0,
-            counter_updates: 0,
-        };
-        let mut pending: Vec<CPending> = Vec::new();
-        let mut cur: u32 = cp.root;
-        let mut prev_place: Option<Placement> = None;
-
-        while cur != NO_SLOT {
-            let slot = cur;
+        while let Some(node) = prog.visit(cur) {
             // Finalize any cache miss whose covered segment ends here
             // (cheap emptiness gate: the common case carries no pendings).
             if !pending.is_empty() {
-                self.finalize_pending_compiled(&mut pending, slot, &mut report);
+                self.finalize_pending(&mut pending, Some(cur), now_s, params, &mut report);
             }
-
-            let node = &cp.nodes[slot as usize];
-            if let Some(p) = prev_place {
-                if p != node.place {
-                    report.latency_ns += self.params.l_migration;
-                    report.migrations += 1;
-                }
+            if prev_place.is_some_and(|p| p != node.place) {
+                report.latency_ns += params.l_migration;
+                report.migrations += 1;
             }
             prev_place = Some(node.place);
             let scale = node.scale;
+            // What a sampled packet's counter update costs on this node.
+            let count_ns = params.l_counter * scale;
             if let Some(t) = trace.as_deref_mut() {
-                t.push(self.now_s, EventKind::Visit { node: node.id.0 });
+                t.push(now_s, EventKind::Visit { node: node.id.0 });
             }
 
-            match &node.step {
-                CStep::Branch {
+            let before_ns = report.latency_ns;
+            match prog.step(node.node) {
+                Step::Branch {
                     condition,
                     comparisons,
                     on_true,
                     on_false,
                 } => {
-                    let cond = condition.eval(packet.slots());
-                    report.latency_ns += self.params.l_branch * *comparisons * scale;
-                    let (edge, target) = if cond {
-                        (0u16, *on_true)
-                    } else {
-                        (1u16, *on_false)
-                    };
+                    let taken = condition.eval(packet.slots());
+                    report.latency_ns += params.l_branch * comparisons * scale;
+                    let (edge, target) = if taken { (0, on_true) } else { (1, on_false) };
                     if sampled {
                         self.profile.record_edge(EdgeRef::new(node.id, edge), 1);
                         report.counter_updates += 1;
-                        report.latency_ns += self.params.l_counter * scale;
+                        report.latency_ns += count_ns;
                     } else if self.instrumented {
-                        report.latency_ns += self.params.l_counter * SAMPLE_CHECK_FRACTION * scale;
+                        report.latency_ns += params.l_counter * SAMPLE_CHECK_FRACTION * scale;
                     }
                     cur = target;
+                    continue;
                 }
-                CStep::Table(ct) => {
-                    // Fused guard run: this table heads a chain of
-                    // guarded tables resolved ahead of time, in stages.
-                    // Each stage the packet answers adds the walk's own
-                    // latency terms in the walk's order; the walk
-                    // resumes where the last one taken ends — here, at
-                    // this table, if none was. Anything the per-table
-                    // walk does beyond what a stage bakes (counters,
-                    // distinct keys, a trace, a cache recording) keeps
-                    // the run out of the way, and the walk counts its
-                    // own guard hits and misses.
-                    if let Some(stages) = &ct.fused {
-                        if !self.instrumented
-                            && trace.is_none()
-                            && pending.is_empty()
-                            && !packet.dropped
-                        {
-                            for st in stages.iter() {
+                Step::Table(table) => {
+                    if let Some(stages) = prog.fused(table) {
+                        if !watched && pending.is_empty() && !packet.dropped {
+                            let head = cur;
+                            for st in stages {
                                 if !st.guard.iter().all(|&(f, v)| packet.get(f) == v) {
                                     break;
                                 }
@@ -1397,13 +1207,13 @@ impl Executor {
                                 }
                                 report.probes += st.probes;
                                 report.migrations += st.migrations;
-                                Self::apply_primitives(packet, &st.prims);
-                                self.spec_guard_hits += st.guards;
+                                apply_primitives(packet, &st.prims);
+                                self.spec.guard_hits += st.guards;
                                 prev_place = Some(st.exit_place);
                                 cur = st.exit_slot;
                             }
-                            if cur != slot {
-                                self.spec_fused_hits += 1;
+                            if cur != head {
+                                self.spec.fused_hits += 1;
                                 if packet.dropped {
                                     report.dropped = true;
                                     break;
@@ -1412,52 +1222,100 @@ impl Executor {
                             }
                         }
                     }
-                    let before_ns = report.latency_ns;
-                    cur = if ct.is_flow_cache {
-                        self.exec_flow_cache_compiled(
-                            cp,
-                            node.id,
-                            ct,
-                            packet,
-                            scale,
-                            sampled,
-                            &mut pending,
-                            &mut report,
-                            &mut trace,
-                        )
-                    } else {
-                        self.exec_table_compiled(
-                            node.id,
-                            ct,
-                            packet,
-                            scale,
-                            node.tier_scale,
-                            sampled,
-                            &mut pending,
-                            &mut report,
-                            &mut trace,
-                        )
-                    };
-                    if sampled {
-                        self.observed
-                            .record_table(node.id, report.latency_ns - before_ns);
+                    let outcome = prog.lookup(table, packet, &mut self.scratch, &mut self.spec);
+                    report.probes += outcome.probes;
+                    for charge in prog.charges(table, &outcome, params, scale) {
+                        report.latency_ns += charge;
                     }
-                    if packet.dropped {
-                        report.dropped = true;
-                        break;
+                    if self.instrumented {
+                        // The lookup composed the key into the scratch buffer.
+                        self.note_distinct(node.id);
+                    }
+                    apply_primitives(packet, prog.action(table, outcome.action));
+                    for p in pending.iter_mut() {
+                        p.recorded.push((node.id, outcome.action));
+                    }
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.action(now_s, node.id, outcome.action);
+                    }
+                    if sampled {
+                        self.note_hot_key(node.id);
+                        let action = outcome.action;
+                        count_action(&mut self.profile, &mut report, node.id, action, count_ns);
+                    } else if self.instrumented {
+                        report.latency_ns += params.l_counter * SAMPLE_CHECK_FRACTION * scale;
+                    }
+                    cur = prog.next(table, outcome.action);
+                }
+                Step::FlowCache {
+                    table,
+                    default_action,
+                } => {
+                    prog.cache_key(table, packet, &mut self.scratch);
+                    // One exact lookup either way.
+                    report.probes += 1;
+                    report.latency_ns += params.l_mat * scale;
+                    let hit = prog.next(table, 0);
+                    let Some(Some(cache)) = self.caches.get_mut(node.id.index()) else {
+                        unreachable!("every flow-cache table has runtime state");
+                    };
+                    // A hit is replayed where it lies in the cache: it
+                    // only needs walk state disjoint from `caches`.
+                    let result = cache.lru.get(self.scratch.values.as_slice());
+                    if sampled {
+                        let own = if result.is_some() { 0 } else { default_action };
+                        count_action(&mut self.profile, &mut report, node.id, own, count_ns);
+                    }
+                    if let Some(result) = result {
+                        cache.stats.hits += 1;
+                        // Outer pending recordings (a cache covering this
+                        // cache's region) observe the replayed actions too.
+                        for p in pending.iter_mut() {
+                            p.recorded.extend(result.iter().copied());
+                        }
+                        for &(nid, aidx) in result.iter() {
+                            let prims = prog.replayed(nid, aidx);
+                            report.latency_ns += prims.len() as f64 * params.l_act * scale;
+                            apply_primitives(packet, prims);
+                            if let Some(t) = trace.as_deref_mut() {
+                                t.action(now_s, nid, aidx);
+                            }
+                            if sampled {
+                                count_action(&mut self.profile, &mut report, nid, aidx, count_ns);
+                            }
+                        }
+                        cur = hit;
+                    } else {
+                        cache.stats.misses += 1;
+                        pending.push(PendingInsert {
+                            cache: node.id,
+                            key: SmallKey::from_slice(&self.scratch.values),
+                            exit: hit,
+                            recorded: Vec::new(),
+                        });
+                        cur = prog.next(table, default_action);
                     }
                 }
             }
+            if sampled {
+                // Host-side histogram bookkeeping: the modeled counter
+                // cost is already charged above, so this adds no
+                // simulated latency.
+                self.observed
+                    .record_table(node.id, report.latency_ns - before_ns);
+            }
+            if packet.dropped {
+                report.dropped = true;
+                break;
+            }
         }
-        // Segment results that run to the sink (exit == NO_SLOT) or were
-        // cut short by a drop still finalize.
+        // Segment results that run to the sink or were cut short by a
+        // drop still finalize; a drop anywhere finalizes all pendings
+        // (the cached result replays the drop).
         if !pending.is_empty() {
-            self.finalize_pending_compiled(&mut pending, cur, &mut report);
-        }
-        if packet.dropped {
-            let mut all = std::mem::take(&mut pending);
-            for p in all.drain(..) {
-                self.install(p.cache, p.key, p.recorded, &mut report);
+            self.finalize_pending(&mut pending, Some(cur), now_s, params, &mut report);
+            if packet.dropped {
+                self.finalize_pending(&mut pending, None, now_s, params, &mut report);
             }
         }
         if sampled {
@@ -1466,194 +1324,69 @@ impl Executor {
         report
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_table_compiled(
+    /// Installs the pending results whose covered segment ends at `at`
+    /// (every one of them for `None`), in the order their misses
+    /// happened, where the cache's insertion rate limiter lets it.
+    fn finalize_pending<H: PartialEq>(
         &mut self,
-        id: NodeId,
-        ct: &CTable,
-        packet: &mut Packet,
-        scale: f64,
-        tier_scale: f64,
-        sampled: bool,
-        pending: &mut [CPending],
-        report: &mut ExecReport,
-        trace: &mut Option<&mut PacketTrace>,
-    ) -> u32 {
-        // Hot-key guard: compare the composed key against the baked hot
-        // key; a hit returns the pre-resolved outcome (identical — entry,
-        // action, probes — to what the general path computes for that
-        // key), a miss falls through to the unmodified general lookup.
-        let outcome = if let Some(sp) = &ct.spec {
-            ct.engine.compose_key(packet, &mut self.scratch);
-            if self.scratch.values.as_slice() == sp.hot_key.as_slice() {
-                self.spec_guard_hits += 1;
-                sp.hot_outcome
-            } else {
-                self.spec_guard_misses += 1;
-                ct.engine.lookup_composed(&mut self.scratch)
-            }
-        } else {
-            ct.engine.lookup(packet, &mut self.scratch)
-        };
-        report.probes += outcome.probes;
-        for charge in ct.charges(&outcome, &self.params, scale, tier_scale) {
-            report.latency_ns += charge;
-        }
-        let prims: &[Primitive] = &ct.actions[outcome.action];
-
-        if self.instrumented {
-            self.note_distinct(id);
-        }
-        Self::apply_primitives(packet, prims);
-
-        for p in pending.iter_mut() {
-            p.recorded.push((id, outcome.action));
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            t.push(
-                self.now_s,
-                EventKind::Action {
-                    node: id.0,
-                    action: outcome.action as u32,
-                },
-            );
-        }
-        if sampled {
-            self.note_hot_key(id);
-            self.profile.record_action(id, outcome.action, 1);
-            report.counter_updates += 1;
-            report.latency_ns += self.params.l_counter * scale;
-        } else if self.instrumented {
-            report.latency_ns += self.params.l_counter * SAMPLE_CHECK_FRACTION * scale;
-        }
-        ct.next_slot(outcome.action)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exec_flow_cache_compiled(
-        &mut self,
-        cp: &CompiledPipeline,
-        id: NodeId,
-        ct: &CTable,
-        packet: &mut Packet,
-        scale: f64,
-        sampled: bool,
-        pending: &mut Vec<CPending>,
-        report: &mut ExecReport,
-        trace: &mut Option<&mut PacketTrace>,
-    ) -> u32 {
-        // Compose the flow key into the reusable scratch buffer.
-        self.scratch.values.clear();
-        self.scratch
-            .values
-            .extend(ct.key_fields.iter().map(|&f| packet.get(f)));
-        // One exact lookup either way.
-        report.probes += 1;
-        report.latency_ns += self.params.l_mat * scale;
-
-        // Replay happens against the borrowed cached result — unlike the
-        // interpreter there is no defensive clone (the result only needs
-        // disjoint executor fields while it is alive).
-        let mut was_hit = false;
-        if let Some(Some(c)) = self.caches.get_mut(id.index()) {
-            if let Some(result) = c.lru.get(self.scratch.values.as_slice()) {
-                was_hit = true;
-                if sampled {
-                    self.profile.record_action(id, 0, 1);
-                    report.counter_updates += 1;
-                    report.latency_ns += self.params.l_counter * scale;
-                }
-                for p in pending.iter_mut() {
-                    p.recorded.extend(result.iter().copied());
-                }
-                for &(nid, aidx) in result.iter() {
-                    let rslot = cp.slot(nid);
-                    let prims: &[Primitive] = if rslot == NO_SLOT {
-                        &[]
-                    } else if let CStep::Table(t) = &cp.nodes[rslot as usize].step {
-                        &t.actions[aidx]
-                    } else {
-                        &[]
-                    };
-                    report.latency_ns += prims.len() as f64 * self.params.l_act * scale;
-                    Self::apply_primitives(packet, prims);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.push(
-                            self.now_s,
-                            EventKind::Action {
-                                node: nid.0,
-                                action: aidx as u32,
-                            },
-                        );
-                    }
-                    if sampled {
-                        self.profile.record_action(nid, aidx, 1);
-                        report.counter_updates += 1;
-                        report.latency_ns += self.params.l_counter * scale;
-                    }
-                }
-            }
-        }
-        if was_hit {
-            if let Some(Some(c)) = self.caches.get_mut(id.index()) {
-                c.hits += 1;
-            }
-            return ct.hit_slot;
-        }
-        if let Some(Some(c)) = self.caches.get_mut(id.index()) {
-            c.misses += 1;
-        }
-        if sampled {
-            self.profile.record_action(id, ct.default_action, 1);
-            report.counter_updates += 1;
-            report.latency_ns += self.params.l_counter * scale;
-        }
-        pending.push(CPending {
-            cache: id,
-            key: SmallKey::from_slice(&self.scratch.values),
-            exit_slot: ct.hit_slot,
-            recorded: Vec::new(),
-        });
-        ct.miss_slot
-    }
-
-    fn finalize_pending_compiled(
-        &mut self,
-        pending: &mut Vec<CPending>,
-        at: u32,
+        pending: &mut Vec<PendingInsert<H>>,
+        at: Option<H>,
+        now_s: f64,
+        params: &CostParams,
         report: &mut ExecReport,
     ) {
         let mut i = 0;
         while i < pending.len() {
-            if pending[i].exit_slot == at {
-                let p = pending.remove(i);
-                self.install(p.cache, p.key, p.recorded, report);
-            } else {
+            if at.as_ref().is_some_and(|at| pending[i].exit != *at) {
                 i += 1;
+                continue;
+            }
+            let p = pending.remove(i);
+            if let Some(Some(c)) = self.caches.get_mut(p.cache.index()) {
+                if c.limiter.allow(now_s) {
+                    c.lru.insert(p.key, p.recorded);
+                    c.stats.insertions += 1;
+                    report.latency_ns += params.l_cache_insert;
+                }
             }
         }
     }
+}
 
-    fn apply_primitives(packet: &mut Packet, prims: &[Primitive]) {
-        for p in prims {
-            match *p {
-                Primitive::Set { field, value } => packet.set(field, value),
-                Primitive::Add { field, delta } => {
-                    let v = packet.get(field).wrapping_add(delta);
-                    packet.set(field, v);
-                }
-                Primitive::Sub { field, delta } => {
-                    let v = packet.get(field).wrapping_sub(delta);
-                    packet.set(field, v);
-                }
-                Primitive::Copy { dst, src } => {
-                    let v = packet.get(src);
-                    packet.set(dst, v);
-                }
-                Primitive::Drop => packet.dropped = true,
-                Primitive::Forward { port } => packet.egress_port = Some(port),
-                Primitive::Nop => {}
+/// A sampled packet's counter update for `action` of `table`: the
+/// profile count and what the update costs on this node.
+#[inline]
+fn count_action(
+    profile: &mut RuntimeProfile,
+    report: &mut ExecReport,
+    table: NodeId,
+    action: usize,
+    cost_ns: f64,
+) {
+    profile.record_action(table, action, 1);
+    report.counter_updates += 1;
+    report.latency_ns += cost_ns;
+}
+
+fn apply_primitives(packet: &mut Packet, prims: &[Primitive]) {
+    for p in prims {
+        match *p {
+            Primitive::Set { field, value } => packet.set(field, value),
+            Primitive::Add { field, delta } => {
+                let v = packet.get(field).wrapping_add(delta);
+                packet.set(field, v);
             }
+            Primitive::Sub { field, delta } => {
+                let v = packet.get(field).wrapping_sub(delta);
+                packet.set(field, v);
+            }
+            Primitive::Copy { dst, src } => {
+                let v = packet.get(src);
+                packet.set(dst, v);
+            }
+            Primitive::Drop => packet.dropped = true,
+            Primitive::Forward { port } => packet.egress_port = Some(port),
+            Primitive::Nop => {}
         }
     }
 }
@@ -1661,6 +1394,8 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nic::{BatchStats, SmartNic};
+    use crate::sharded::ShardedNic;
     use pipeleon_ir::{Condition, MatchKind, MatchValue, Primitive, ProgramBuilder, TableEntry};
 
     fn params() -> CostParams {
@@ -2039,38 +1774,122 @@ mod tests {
             .collect()
     }
 
-    /// `process_batch` (with whatever look-ahead the program earns) ≡
-    /// per-packet `process` ≡ the interpreter: packets and reports
-    /// bit-equal, over burst lengths around the look-ahead distance.
-    fn assert_lookahead_inert(g: &pipeleon_ir::ProgramGraph, ctx: &str) {
-        let mut batch = Executor::new(g.clone(), params()).unwrap();
+    /// The entry points that run packets a burst at a time, all of them
+    /// through [`run_burst`].
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        ProcessBatch,
+        Measure,
+        MeanLatency,
+        ShardedMeasure,
+    }
+
+    const ENTRIES: [Entry; 4] = [
+        Entry::ProcessBatch,
+        Entry::Measure,
+        Entry::MeanLatency,
+        Entry::ShardedMeasure,
+    ];
+
+    /// What a burst through an entry point shows of itself.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Reports(Vec<Packet>, Vec<ExecReport>),
+        Stats(BatchStats),
+        Mean(f64),
+    }
+
+    impl Seen {
+        /// The burst's mean latency (0.0 for an empty one), as bits.
+        fn mean_bits(&self) -> u64 {
+            let mean = match self {
+                Seen::Reports(_, reports) if reports.is_empty() => 0.0,
+                Seen::Reports(_, reports) => {
+                    let sum = reports.iter().fold(0.0, |sum, r| sum + r.latency_ns);
+                    sum / reports.len() as f64
+                }
+                Seen::Stats(stats) => stats.mean_latency_ns,
+                Seen::Mean(mean) => *mean,
+            };
+            mean.to_bits()
+        }
+    }
+
+    /// A NIC on `g` that bursts are pushed through by one entry point.
+    enum Runner {
+        Single(Box<SmartNic>),
+        Sharded(Box<ShardedNic>),
+    }
+
+    impl Runner {
+        fn new(entry: Entry, g: &pipeleon_ir::ProgramGraph, mode: EngineMode) -> Self {
+            if let Entry::ShardedMeasure = entry {
+                let mut nic = ShardedNic::new(g.clone(), params(), 1).unwrap();
+                nic.set_engine_mode(mode);
+                Runner::Sharded(Box::new(nic))
+            } else {
+                let mut nic = SmartNic::new(g.clone(), params()).unwrap();
+                nic.set_engine_mode(mode);
+                Runner::Single(Box::new(nic))
+            }
+        }
+
+        fn run(&mut self, entry: Entry, burst: &[Packet]) -> Seen {
+            match (self, entry) {
+                (Runner::Sharded(nic), _) => Seen::Stats(nic.measure(burst.to_vec())),
+                (Runner::Single(nic), Entry::ProcessBatch) => {
+                    let mut packets = burst.to_vec();
+                    let reports = nic.process_batch(&mut packets);
+                    Seen::Reports(packets, reports)
+                }
+                (Runner::Single(nic), Entry::MeanLatency) => {
+                    Seen::Mean(nic.mean_latency(burst.to_vec()))
+                }
+                (Runner::Single(nic), _) => Seen::Stats(nic.measure(burst.to_vec())),
+            }
+        }
+    }
+
+    /// A burst through `entry` (with whatever look-ahead the program
+    /// earns) ≡ the same burst through it under the interpreter, which
+    /// takes no hints, over burst lengths around the look-ahead
+    /// distance; for `process_batch`, which shows them, packets and
+    /// reports are also bit-equal to per-packet `process`. Returns each
+    /// burst's mean latency bits.
+    fn assert_lookahead_inert(g: &pipeleon_ir::ProgramGraph, ctx: &str, entry: Entry) -> Vec<u64> {
+        let mut hinted = Runner::new(entry, g, EngineMode::Compiled);
+        let mut oracle = Runner::new(entry, g, EngineMode::Interpreter);
         let mut single = Executor::new(g.clone(), params()).unwrap();
-        let mut interp = Executor::new(g.clone(), params()).unwrap();
-        interp.set_engine_mode(EngineMode::Interpreter);
         let k = prefetch::AHEAD;
         let traffic = big_traffic(3000);
         let mut at = 0;
+        let mut means = Vec::new();
         for len in [0, 1, k - 1, k, k + 1, 255, 256, 1000] {
             let burst = &traffic[at..at + len];
             at += len;
-            let mut got = burst.to_vec();
-            let got_reports = batch.process_batch(&mut got);
-            assert_eq!(got_reports.len(), len, "{ctx}: burst {len}");
+            let got = hinted.run(entry, burst);
+            let want = oracle.run(entry, burst);
+            let ctx = format!("{ctx}: {entry:?} burst {len}");
+            assert_eq!(got, want, "{ctx}: vs the interpreter");
+            assert_eq!(got.mean_bits(), want.mean_bits(), "{ctx}: mean bits");
+            means.push(got.mean_bits());
+            let Seen::Reports(got, got_reports) = got else {
+                continue;
+            };
+            assert_eq!(got_reports.len(), len, "{ctx}");
             for (i, p) in burst.iter().enumerate() {
-                let (mut a, mut b) = (p.clone(), p.clone());
-                let ra = single.process(&mut a);
-                let rb = interp.process(&mut b);
-                for (who, want, r) in [("process", &a, ra), ("interpreter", &b, rb)] {
-                    assert_eq!(&got[i], want, "{ctx}: burst {len} packet {i} vs {who}");
-                    assert_eq!(got_reports[i], r, "{ctx}: burst {len} report {i} vs {who}");
-                    assert_eq!(
-                        got_reports[i].latency_ns.to_bits(),
-                        r.latency_ns.to_bits(),
-                        "{ctx}: burst {len} latency bits {i} vs {who}"
-                    );
-                }
+                let mut want = p.clone();
+                let r = single.process(&mut want);
+                assert_eq!(got[i], want, "{ctx}: packet {i} vs process");
+                assert_eq!(got_reports[i], r, "{ctx}: report {i} vs process");
+                assert_eq!(
+                    got_reports[i].latency_ns.to_bits(),
+                    r.latency_ns.to_bits(),
+                    "{ctx}: latency bits {i} vs process"
+                );
             }
         }
+        means
     }
 
     #[test]
@@ -2083,9 +1902,12 @@ mod tests {
         let g = b.seal(t1).unwrap();
         let mut ex = Executor::new(g.clone(), params()).unwrap();
         assert_eq!(ex.lookahead_tables(), vec![t1, t2]);
-        ex.set_engine_mode(EngineMode::Interpreter);
-        assert!(!ex.has_lookahead(), "the interpreter takes no hints");
-        assert_lookahead_inert(&g, "stable keys");
+        // No clock-driven state in this program: every entry point sees
+        // the same packets do the same thing.
+        let means = ENTRIES.map(|entry| assert_lookahead_inert(&g, "stable keys", entry));
+        for (entry, through) in ENTRIES.iter().zip(&means) {
+            assert_eq!(through, &means[0], "{entry:?} vs {:?}", ENTRIES[0]);
+        }
     }
 
     #[test]
@@ -2124,7 +1946,9 @@ mod tests {
             vec![t1],
             "t2's key is written upstream"
         );
-        assert_lookahead_inert(&g, "written key");
+        for entry in ENTRIES {
+            assert_lookahead_inert(&g, "written key", entry);
+        }
         // Downstream writers do not disqualify: flip the order.
         let mut b = ProgramBuilder::new();
         let (x, y) = (b.field("x"), b.field("y"));
@@ -2171,7 +1995,9 @@ mod tests {
         let g = b.seal(cache).unwrap();
         let mut ex = Executor::new(g.clone(), params()).unwrap();
         assert_eq!(ex.lookahead_tables(), vec![big], "never the cache switch");
-        assert_lookahead_inert(&g, "flow cache");
+        for entry in ENTRIES {
+            assert_lookahead_inert(&g, "flow cache", entry);
+        }
     }
 
     #[test]
@@ -2211,7 +2037,9 @@ mod tests {
             dropped > 50 && dropped < 950,
             "drops and passes both: {dropped}"
         );
-        assert_lookahead_inert(&g, "mid-pipeline drops");
+        for entry in ENTRIES {
+            assert_lookahead_inert(&g, "mid-pipeline drops", entry);
+        }
     }
 
     /// Programs whose tables are all cache-sized get an empty list, so
@@ -2228,7 +2056,6 @@ mod tests {
         ] {
             let mut ex = Executor::new(g, params()).unwrap();
             assert!(ex.lookahead_tables().is_empty(), "{name}");
-            assert!(!ex.has_lookahead(), "{name}");
         }
     }
 

@@ -8,7 +8,7 @@
 //! same observable the paper's TRex measurements produce.
 
 use crate::backend::LiveSwap;
-use crate::exec::{EngineMode, ExecReport, Executor, PacketTrace, SampleKeying};
+use crate::exec::{self, EngineMode, ExecReport, Executor, PacketTrace, SampleKeying};
 use crate::packet::Packet;
 use crate::specialize::{self, HotKeySketch, SpecConfig, SpecStats};
 use pipeleon_cost::{CostParams, Placement, RuntimeProfile};
@@ -630,21 +630,16 @@ impl SmartNic {
     {
         let stream = self.measuring.as_mut().expect("measure_begin first");
         let (agg, default_bytes) = (&mut self.agg, self.config.packet_bytes);
-        self.exec.checked_out(|exec, engine| {
-            for mut pkt in packets {
-                // Arrival pacing drives the simulation clock (rate
-                // limiters, phase timing).
-                exec.now_s = stream.batch_start_s + stream.n as f64 / stream.line_pps;
-                let core = (pkt.flow_hash() % stream.cores as u64) as usize;
-                let bytes = if pkt.bytes > 0 {
-                    pkt.bytes
-                } else {
-                    default_bytes
-                };
-                let r = exec.run_on(engine, &mut pkt, None);
-                agg.add(core, &r, (bytes * 8) as f64);
-                stream.n += 1;
-            }
+        // A burst is a slice; collecting a `Vec<Packet>` reuses it as is.
+        let mut packets: Vec<Packet> = packets.into_iter().collect();
+        exec::run_burst(&mut self.exec, &mut packets, |exec, pkt| {
+            // Arrival pacing drives the simulation clock (rate
+            // limiters, phase timing).
+            exec.now_s = stream.batch_start_s + stream.n as f64 / stream.line_pps;
+            let core = (pkt.flow_hash() % stream.cores as u64) as usize;
+            let bits = pkt.wire_bits(default_bytes);
+            agg.add(core, &exec.process(pkt), bits);
+            stream.n += 1;
         });
     }
 
@@ -665,18 +660,15 @@ impl SmartNic {
     where
         I: IntoIterator<Item = Packet>,
     {
+        let mut packets: Vec<Packet> = packets.into_iter().collect();
         let mut sum = 0.0;
-        let mut n = 0u64;
-        self.exec.checked_out(|exec, engine| {
-            for mut pkt in packets {
-                sum += exec.run_on(engine, &mut pkt, None).latency_ns;
-                n += 1;
-            }
+        exec::run_burst(&mut self.exec, &mut packets, |exec, pkt| {
+            sum += exec.process(pkt).latency_ns;
         });
-        if n == 0 {
+        if packets.is_empty() {
             0.0
         } else {
-            sum / n as f64
+            sum / packets.len() as f64
         }
     }
 }

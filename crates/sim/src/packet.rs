@@ -57,6 +57,18 @@ impl Packet {
         &self.slots
     }
 
+    /// The packet's wire size in bits; `default_bytes` stands in for a
+    /// packet that carries no size.
+    #[inline]
+    pub(crate) fn wire_bits(&self, default_bytes: usize) -> f64 {
+        let bytes = if self.bytes > 0 {
+            self.bytes
+        } else {
+            default_bytes
+        };
+        (bytes * 8) as f64
+    }
+
     /// Hints the CPU to pull this packet's header slots into cache.
     /// Burst consumers use it to hide the heap dereference: packets
     /// staged in a ring arrive as structs, but their slot storage is

@@ -1,11 +1,11 @@
 //! The crate's one software-prefetch site.
 //!
-//! Three burst loops hint the cache a few items ahead of their cursor:
-//! the ring (slots the other side is about to hand over), the shard
-//! drain loop (the heap storage of staged packets), and the look-ahead
-//! lookup stage (the match-table slot a later packet will probe). All
-//! three funnel through [`line`], so the crate has exactly one
-//! `_mm_prefetch` and one `unsafe` block to justify for them.
+//! Two loops hint the cache a few items ahead of their cursor: the ring
+//! (slots the other side is about to hand over) and the burst driver
+//! `exec::run_burst` (the heap storage of a later packet, and the
+//! match-table slots it will probe). Both funnel through [`line()`], so
+//! the crate has exactly one `_mm_prefetch` and one `unsafe` block to
+//! justify for them.
 
 /// How many packets ahead of the one executing a packet burst loop
 /// hints: far enough that a DRAM fetch (~100 ns) completes while the

@@ -114,18 +114,18 @@
 
 use crate::backend::{LiveSwap, NicBackend};
 use crate::distinct::{self, DistinctKeys};
-use crate::exec::{EngineMode, ExecReport, Executor, SampleKeying};
+use crate::exec::{self, EngineMode, ExecReport, Executor, SampleKeying};
 use crate::generation::{GenChain, GenKind, PatchOp};
 use crate::nic::{BatchAgg, BatchStats, NicConfig, PacketRecord, ShardMode};
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
-use crate::prefetch;
 use crate::ring;
 use crate::specialize::{self, HotKeySketch, SpecConfig, SpecStats};
 use crate::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use fxhash::FxHashMap;
 use pipeleon_cost::{CostParams, MemoryTier, Placement, RuntimeProfile};
 use pipeleon_ir::{IrError, NextHops, NodeId, ProgramGraph, Table, TableEntry};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle, Thread};
@@ -171,6 +171,12 @@ struct WorkItem {
     pkt: Packet,
 }
 
+impl Borrow<Packet> for WorkItem {
+    fn borrow(&self) -> &Packet {
+        &self.pkt
+    }
+}
+
 /// What the worker does with each packet of the current batch.
 #[derive(Debug, Clone, Copy)]
 enum BatchCtx {
@@ -198,6 +204,18 @@ enum BatchCtx {
 #[derive(Debug)]
 struct ShardState {
     exec: Executor,
+    /// Consumer side of the shard's SPSC ring; `Some` iff run-loop
+    /// workers are live.
+    rx: Option<ring::Consumer<WorkItem>>,
+    lane: Lane,
+}
+
+/// A shard's bookkeeping around its executor: what to do with each
+/// packet, where results go, which generation it runs. Its own struct so
+/// the burst loop can lend the executor to [`exec::run_burst`] and still
+/// reach all of this from the per-item closure.
+#[derive(Debug)]
+struct Lane {
     ctx: BatchCtx,
     /// Shard-local window aggregates, merged deterministically (in
     /// shard order) after the window drains.
@@ -207,11 +225,8 @@ struct ShardState {
     /// Packet index within the current measurement batch (shard-local
     /// arrival pacing).
     local_idx: u64,
-    /// Consumer side of the shard's SPSC ring; `Some` iff run-loop
-    /// workers are live.
-    rx: Option<ring::Consumer<WorkItem>>,
     /// Generation this shard has adopted (0 = the construction-time
-    /// program). Monotone; see [`ShardState::adopt_to`].
+    /// program). Monotone; see [`Lane::adopt_to`].
     gen: u64,
     /// Whether live reconfiguration is on (mirrors the dispatcher's
     /// flag; gates per-generation accounting off the non-live hot path).
@@ -225,14 +240,14 @@ struct ShardState {
     chain: Arc<GenChain>,
 }
 
-impl ShardState {
+impl Lane {
     /// Applies every generation in `(self.gen, target]`, in publication
     /// order, then records the new watermark. Patches older than the
     /// last full deploy in the span are superseded by it (the deploy
     /// carries the whole already-patched program), so adoption starts at
     /// that deploy. Forward-only: a fast-forwarded shard never re-applies
     /// or rolls back.
-    fn adopt_to(&mut self, target: u64) {
+    fn adopt_to(&mut self, exec: &mut Executor, target: u64) {
         if target <= self.gen {
             return;
         }
@@ -244,35 +259,35 @@ impl ShardState {
         for node in &span[start..] {
             match &node.kind {
                 GenKind::Deploy { graph, compiled } => {
-                    self.exec.adopt_graph(graph.clone(), compiled.clone());
+                    exec.adopt_graph(graph.clone(), compiled.clone());
                 }
                 // Control validated each patch on its replica before
                 // publishing, and every shard holds the same program, so
                 // shard-side application cannot fail.
                 GenKind::Patch(PatchOp::Insert { node, entry }) => {
-                    let _ = self.exec.insert_entry(*node, entry.clone());
+                    let _ = exec.insert_entry(*node, entry.clone());
                 }
                 GenKind::Patch(PatchOp::Remove { node, index }) => {
-                    let _ = self.exec.remove_entry(*node, *index);
+                    let _ = exec.remove_entry(*node, *index);
                 }
                 GenKind::Patch(PatchOp::Replace { node, table, next }) => {
-                    let _ = self.exec.replace_table(*node, table.clone(), next.clone());
+                    let _ = exec.replace_table(*node, table.clone(), next.clone());
                 }
             }
         }
         self.gen = target;
     }
 
-    fn run_item(&mut self, item: &mut WorkItem) {
+    fn run_item(&mut self, exec: &mut Executor, item: &mut WorkItem) {
         if item.gen > self.gen {
-            self.adopt_to(item.gen);
+            self.adopt_to(exec, item.gen);
         }
         if self.live {
             *self.gen_packets.entry(self.gen).or_insert(0) += 1;
         }
         match self.ctx {
             BatchCtx::Forward => {
-                let r = self.exec.process(&mut item.pkt);
+                let r = exec.process(&mut item.pkt);
                 let pkt = std::mem::replace(&mut item.pkt, Packet::with_slots(Vec::new()));
                 self.out.push((item.idx, pkt, r));
             }
@@ -281,15 +296,11 @@ impl ShardState {
                 line_pps,
                 default_bytes,
             } => {
-                self.exec.now_s = batch_start_s + self.local_idx as f64 / line_pps;
+                exec.now_s = batch_start_s + self.local_idx as f64 / line_pps;
                 self.local_idx += 1;
-                let bytes = if item.pkt.bytes > 0 {
-                    item.pkt.bytes
-                } else {
-                    default_bytes
-                };
-                let r = self.exec.process(&mut item.pkt);
-                self.agg.add(item.idx as usize, &r, (bytes * 8) as f64);
+                let bits = item.pkt.wire_bits(default_bytes);
+                let r = exec.process(&mut item.pkt);
+                self.agg.add(item.idx as usize, &r, bits);
             }
         }
     }
@@ -384,25 +395,8 @@ fn drain_burst(cell: &ShardCell, buf: &mut Vec<WorkItem>) -> usize {
         if n == 0 {
             break;
         }
-        // Checked once per burst; a generation adopted mid-burst can only
-        // make the rest of this burst's hints missing or useless.
-        let lookahead = st.exec.has_lookahead();
-        for i in 0..buf.len() {
-            // A shard's burst is every w-th packet of the arrival
-            // stream, so the slot storage walk is strided; tell the
-            // cache about it a few packets ahead — twice as far as the
-            // look-ahead stage, which reads key fields out of that
-            // storage to hint the table slots the packet will probe.
-            if let Some(ahead) = buf.get(i + 2 * prefetch::AHEAD) {
-                ahead.pkt.prefetch();
-            }
-            if lookahead {
-                if let Some(ahead) = buf.get(i + prefetch::AHEAD) {
-                    st.exec.prefetch_lookups(&ahead.pkt);
-                }
-            }
-            st.run_item(&mut buf[i]);
-        }
+        let ShardState { exec, lane, .. } = &mut *st;
+        exec::run_burst(exec, buf, |exec, item| lane.run_item(exec, item));
         buf.clear();
         total += n;
     }
@@ -412,7 +406,7 @@ fn drain_burst(cell: &ShardCell, buf: &mut Vec<WorkItem>) -> usize {
         // Acquire load in `reclaim_adopted`: a chain node is only
         // reclaimed after the adoption that read it happens-before the
         // reclaim decision.
-        cell.adopted.store(st.gen, Ordering::Release);
+        cell.adopted.store(st.lane.gen, Ordering::Release);
         // ORDERING: Release — pairs with the dispatcher's Acquire loads
         // in `wait_idle`/`in_flight`/`flush_stage`: when the dispatcher
         // observes `processed == enqueued`, every item's execution (and
@@ -544,15 +538,17 @@ impl ShardedNic {
             shards.push(Arc::new(ShardCell {
                 state: Mutex::new(ShardState {
                     exec,
-                    ctx: BatchCtx::Forward,
-                    agg: BatchAgg::default(),
-                    out: Vec::new(),
-                    local_idx: 0,
                     rx: None,
-                    gen: 0,
-                    live: false,
-                    gen_packets: FxHashMap::default(),
-                    chain: Arc::clone(&chain),
+                    lane: Lane {
+                        ctx: BatchCtx::Forward,
+                        agg: BatchAgg::default(),
+                        out: Vec::new(),
+                        local_idx: 0,
+                        gen: 0,
+                        live: false,
+                        gen_packets: FxHashMap::default(),
+                        chain: Arc::clone(&chain),
+                    },
                 }),
                 processed: AtomicU64::new(0),
                 adopted: AtomicU64::new(0),
@@ -738,11 +734,12 @@ impl ShardedNic {
             );
             for cell in &self.shards {
                 let mut st = cell.state.lock().expect("shard state poisoned");
-                st.adopt_to(latest);
+                let ShardState { exec, lane, .. } = &mut *st;
+                lane.adopt_to(exec, latest);
                 // ORDERING: Release — same edge as the `drain_burst`
                 // publication: the adoption work under the lock
                 // happens-before any reclaim that observes this value.
-                cell.adopted.store(st.gen, Ordering::Release);
+                cell.adopted.store(st.lane.gen, Ordering::Release);
             }
             self.chain.reclaim(latest);
         }
@@ -833,7 +830,7 @@ impl ShardedNic {
         self.live = on;
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
-            st.live = on;
+            st.lane.live = on;
         }
     }
 
@@ -856,7 +853,7 @@ impl ShardedNic {
         let mut merged = BTreeMap::new();
         for cell in &self.shards {
             let st = cell.state.lock().expect("shard state poisoned");
-            for (&g, &c) in &st.gen_packets {
+            for (&g, &c) in &st.lane.gen_packets {
                 *merged.entry(g).or_insert(0) += c;
             }
         }
@@ -1065,9 +1062,9 @@ impl ShardedNic {
         let gen = self.latest_gen;
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
-            st.ctx = BatchCtx::Forward;
+            st.lane.ctx = BatchCtx::Forward;
             st.exec.now_s = self.now_s;
-            st.out.clear();
+            st.lane.out.clear();
         }
         self.dispatch(packets.iter_mut().enumerate().map(|(i, slot)| {
             let pkt = std::mem::replace(slot, Packet::with_slots(Vec::new()));
@@ -1086,7 +1083,7 @@ impl ShardedNic {
         let mut reports: Vec<Option<ExecReport>> = vec![None; packets.len()];
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
-            for (idx, pkt, r) in st.out.drain(..) {
+            for (idx, pkt, r) in st.lane.out.drain(..) {
                 packets[idx as usize] = pkt;
                 reports[idx as usize] = Some(r);
             }
@@ -1157,14 +1154,15 @@ impl ShardedNic {
         let cell = &self.shards[shard];
         let mut st = cell.state.lock().expect("shard state poisoned");
         if self.live {
-            if self.latest_gen > st.gen {
-                st.adopt_to(self.latest_gen);
+            if self.latest_gen > st.lane.gen {
+                let ShardState { exec, lane, .. } = &mut *st;
+                lane.adopt_to(exec, self.latest_gen);
                 // ORDERING: Release — same edge as the `drain_burst`
                 // publication of `adopted` (see there).
-                cell.adopted.store(st.gen, Ordering::Release);
+                cell.adopted.store(st.lane.gen, Ordering::Release);
             }
-            let g = st.gen;
-            *st.gen_packets.entry(g).or_insert(0) += 1;
+            let g = st.lane.gen;
+            *st.lane.gen_packets.entry(g).or_insert(0) += 1;
         }
         st.exec.now_s = self.now_s;
         if self.mode == ShardMode::BitExact {
@@ -1357,13 +1355,13 @@ impl ShardedNic {
         if self.mode == ShardMode::RunLoop {
             for cell in &self.shards {
                 let mut st = cell.state.lock().expect("shard state poisoned");
-                st.ctx = BatchCtx::Measure {
+                st.lane.ctx = BatchCtx::Measure {
                     batch_start_s,
                     line_pps,
                     default_bytes,
                 };
-                st.local_idx = 0;
-                st.agg.reset(cores);
+                st.lane.local_idx = 0;
+                st.lane.agg.reset(cores);
             }
         }
         self.measuring = Some(MeasureStream {
@@ -1443,8 +1441,8 @@ impl ShardedNic {
             // Align every shard clock to the batch end so subsequent
             // direct access observes a consistent global time.
             st.exec.now_s = self.now_s;
-            st.ctx = BatchCtx::Forward;
-            self.merge.absorb(&st.agg);
+            st.lane.ctx = BatchCtx::Forward;
+            self.merge.absorb(&st.lane.agg);
         }
         self.merge.finish(line_pps, offered_gbps)
     }
@@ -1491,11 +1489,7 @@ impl ShardedNic {
                         exec.now_s = batch_start_s + gidx as f64 / line_pps;
                         exec.set_packet_seq(base_seq + gidx);
                         let core = (pkt.flow_hash() % cores as u64) as usize;
-                        let bytes = if pkt.bytes > 0 {
-                            pkt.bytes
-                        } else {
-                            default_bytes
-                        };
+                        let bits = pkt.wire_bits(default_bytes);
                         let r = exec.process(&mut pkt);
                         out.push(PacketRecord {
                             arrival: gidx,
@@ -1504,7 +1498,7 @@ impl ShardedNic {
                             dropped: r.dropped,
                             migrations: r.migrations as u64,
                             counter_updates: r.counter_updates as u64,
-                            bits: (bytes * 8) as f64,
+                            bits,
                         });
                     }
                     out
@@ -1813,8 +1807,9 @@ mod tests {
         assert_eq!(ra, rb);
         assert_eq!(a, b);
         for cell in &sharded.shards {
-            let st = cell.state.lock().expect("shard state poisoned");
-            assert!(st.exec.has_lookahead(), "shards hint the big table");
+            let mut st = cell.state.lock().expect("shard state poisoned");
+            let hinted = st.exec.lookahead_tables();
+            assert!(!hinted.is_empty(), "shards hint the big table");
         }
     }
 

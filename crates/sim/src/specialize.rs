@@ -460,18 +460,14 @@ fn permute_hot_chain(cp: &mut CompiledPipeline, chain: &[NodeId]) {
                     *on_true = remap(*on_true);
                     *on_false = remap(*on_false);
                 }
-                CStep::Table(ct) => {
-                    ct.hit_slot = remap(ct.hit_slot);
-                    ct.miss_slot = remap(ct.miss_slot);
-                    match &mut ct.next {
-                        CNext::Always(s) => *s = remap(*s),
-                        CNext::ByAction(v) => {
-                            for s in v.iter_mut() {
-                                *s = remap(*s);
-                            }
+                CStep::Table(ct) => match &mut ct.next {
+                    CNext::Always(s) => *s = remap(*s),
+                    CNext::ByAction(v) => {
+                        for s in v.iter_mut() {
+                            *s = remap(*s);
                         }
                     }
-                }
+                },
             }
             node
         })
@@ -531,6 +527,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     use crate::compiled::FusedStage;
+    use crate::exec::GraphView;
     use pipeleon_cost::Placement;
     use pipeleon_ir::{
         CacheRole, Condition, FieldRef, MatchKind, Primitive, ProgramBuilder, TableEntry,
@@ -573,7 +570,9 @@ mod tests {
         guards: &[(NodeId, u64)],
     ) -> CompiledPipeline {
         let params = test_params();
-        let mut cp = CompiledPipeline::build(g, &params, placement, &[]);
+        let mut view = GraphView::new(g.clone(), params.clone());
+        view.placement = placement.to_vec();
+        let mut cp = CompiledPipeline::build(&view);
         let plan = SpecPlan {
             hot_keys: guards
                 .iter()
@@ -805,7 +804,7 @@ mod tests {
         // t2's old outcome must not survive it.
         let entries = &mut g.node_mut(t[2]).unwrap().as_table_mut().unwrap().entries;
         entries.clear();
-        assert!(cp.recompile_node(&g, &test_params(), &[], &[], t[2]));
+        assert!(cp.recompile_node(&GraphView::new(g, test_params()), t[2]));
         assert_eq!(cp.fused_runs(), 2);
         assert_run(&cp, t[0], 2, Some(t[2]));
         assert_run(&cp, t[3], 2, None);

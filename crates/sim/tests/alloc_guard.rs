@@ -1,12 +1,13 @@
-//! Allocation-regression guard for the compiled datapath.
+//! Allocation-regression guard for the datapath.
 //!
-//! The compiled engine's contract is *zero steady-state heap allocations
-//! per packet*: after the pipeline is compiled and caches/scratch are
-//! warm, processing a packet must not touch the allocator — not for match
-//! keys, not for masked-key scratch, not for flow-cache hits. This test
-//! installs a counting global allocator and pins that contract; any
-//! future per-packet `Vec`/`Box`/`String` sneaking into the hot path
-//! fails here with an exact allocation count.
+//! The executor's contract is *zero steady-state heap allocations per
+//! packet*, under either engine: after the pipeline is compiled and
+//! caches/scratch are warm, processing a packet must not touch the
+//! allocator — not for match keys, not for masked-key scratch, not for
+//! action bodies, not for flow-cache hits. This test installs a counting
+//! global allocator and pins that contract; any future per-packet
+//! `Vec`/`Box`/`String` sneaking into the hot path fails here with an
+//! exact allocation count.
 //!
 //! The batch path's one allocation is the report `Vec` it returns; the
 //! look-ahead stage it runs over programs with DRAM-sized tables adds
@@ -334,8 +335,12 @@ fn compiled_steady_state_is_allocation_free() {
          over the {CYCLE_ALLOCS} its returned maps account for"
     );
 
-    // Informational contrast: the interpreter on the same warmed state.
-    // (Not asserted — the guard is about the compiled engine.)
+    // --- The interpreter ------------------------------------------------
+    // The same walk over the graph view: action bodies are borrowed from
+    // the graph and flow-cache keys composed into the shared scratch, so
+    // it allocates nothing either. (At the parent commit, with its own
+    // walk that cloned each action body and keyed lookups by `Vec<u64>`,
+    // these 256 packets allocated 544 times.)
     let mut ex = Executor::new(mixed_program(), params).unwrap();
     ex.set_engine_mode(EngineMode::Interpreter);
     let mut packets: Vec<Packet> = (0..256u64)
@@ -349,5 +354,10 @@ fn compiled_steady_state_is_allocation_free() {
             ex.process(p);
         }
     });
-    eprintln!("interpreter steady-state allocations over 256 packets: {interp_allocs}");
+    assert_eq!(
+        interp_allocs,
+        0,
+        "interpreter allocated {interp_allocs} times over {} steady-state packets",
+        packets.len()
+    );
 }

@@ -14,7 +14,7 @@
 //! probe count — over adversarial key sets and across every rebuild path.
 
 use pipeleon::search::Optimizer;
-use pipeleon_cost::{CostModel, CostParams};
+use pipeleon_cost::{CostModel, CostParams, MemoryTier, Placement};
 use pipeleon_ir::{
     json, Action, CacheRole, FieldRef, MatchKey, MatchKind, MatchValue, NodeId, Primitive,
     ProgramBuilder, ProgramGraph, Table, TableEntry,
@@ -153,7 +153,17 @@ fn assert_single_worker_identical(
     sample_every: u64,
     ctx: &str,
 ) {
-    let (mut interp, mut compiled) = nic_pair(g, params, sample_every);
+    let (interp, compiled) = nic_pair(g, params, sample_every);
+    assert_pair_identical(interp, compiled, batch, ctx);
+}
+
+/// The same, for a pair the caller has set up.
+fn assert_pair_identical(
+    mut interp: SmartNic,
+    mut compiled: SmartNic,
+    batch: &[Packet],
+    ctx: &str,
+) {
     let mut ti = PacketTrace::default();
     let mut tc = PacketTrace::default();
     for (i, p) in batch.iter().enumerate() {
@@ -265,6 +275,38 @@ fn synth_seed_matrix_matches_bit_for_bit() {
         assert_single_worker_identical(&g, &params, &batch, 4, &format!("synth seed {seed}"));
         assert_sharded_identical(&g, &params, &batch, 4, &format!("synth seed {seed}"));
     }
+}
+
+/// What the graph view derives on every visit and lowering bakes once:
+/// placement scales and migrations, memory-tier match scales, and the
+/// `Fixed` match model's charged probes on multi-way tables (which the
+/// seed matrix only pairs with all-exact programs, where the model's
+/// multiplier and the realised probe count are both 1).
+#[test]
+fn placement_tiers_and_the_fixed_match_model_match_bit_for_bit() {
+    let g = synthesize(&SynthConfig {
+        pipelets: 3,
+        pipelet_len: 3,
+        match_mix: MatchMix::default_mix(),
+        drop_fraction: 0.1,
+        write_fraction: 0.2,
+        seed: 55,
+        ..SynthConfig::default()
+    });
+    let params = CostParams::emulated_nic();
+    let placement: Vec<Placement> = (0..g.id_bound())
+        .map(|i| [Placement::Asic, Placement::Cpu][usize::from(i % 3 == 1)])
+        .collect();
+    let tiers: Vec<MemoryTier> = (0..g.id_bound())
+        .map(|i| [MemoryTier::Emem, MemoryTier::Sram][i % 2])
+        .collect();
+    let batch = key_traffic(&g, 300, 77, 1_000);
+    let (mut interp, mut compiled) = nic_pair(&g, &params, 2);
+    for nic in [&mut interp, &mut compiled] {
+        nic.set_placement(placement.clone());
+        nic.set_memory_tiers(tiers.clone());
+    }
+    assert_pair_identical(interp, compiled, &batch, "placed, tiered, fixed model");
 }
 
 #[test]

@@ -26,7 +26,9 @@
 
 use pipeleon::search::Optimizer;
 use pipeleon_cost::{CostModel, CostParams, Placement};
-use pipeleon_ir::{MatchValue, NodeId, Primitive, TableEntry};
+use pipeleon_ir::{
+    CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, TableEntry,
+};
 use pipeleon_runtime::{Controller, ControllerConfig, SimTarget, Target};
 use pipeleon_sim::{
     BatchStats, EngineMode, ExecReport, NicBackend, Packet, PacketTrace, ShardMode, ShardedNic,
@@ -447,6 +449,100 @@ fn fused_runs_match_across_workers_and_shard_modes() {
             assert_eq!(runs, 0, "{ctx}: no run may fire under instrumentation");
         }
     }
+}
+
+/// A guard run behind a flow-cache switch is only ever reached with that
+/// cache's miss recording open, and the recording needs every member's
+/// action on its list: a run taken there would install an empty result,
+/// and every later hit of that flow would replay nothing. So behind the
+/// switch the guards are walked one by one and no run fires — while the
+/// cached results, hits and misses alike, stay the interpreter's.
+#[test]
+fn fused_runs_stand_aside_while_a_flow_cache_records() {
+    const HOT: u64 = 7;
+    let mut b = ProgramBuilder::new();
+    let keys = [b.field("x"), b.field("y"), b.field("z")];
+    let (w, out) = (b.field("w"), b.field("out"));
+    let chain: Vec<NodeId> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &key)| {
+            b.table(format!("t{i}"))
+                .key(key, MatchKind::Exact)
+                .action(
+                    "mark",
+                    vec![Primitive::Add {
+                        field: out,
+                        delta: 1 << (8 * i),
+                    }],
+                )
+                .action_nop("pass")
+                .default_action(1)
+                .entry(TableEntry::new(vec![MatchValue::Exact(HOT)], 0))
+                .finish()
+        })
+        .collect();
+    b.set_next(chain[2], None);
+    // `w` is in the cache key and nowhere else: one hot flow for the
+    // tables, as many cache keys as the traffic has values of `w`.
+    let mut cache = b.table("cache");
+    for key in keys.into_iter().chain([w]) {
+        cache = cache.key(key, MatchKind::Exact);
+    }
+    let cache = cache
+        .action_nop("hit")
+        .action_nop("miss")
+        .default_action(1)
+        .cache_role(CacheRole::FlowCache)
+        .max_entries(64)
+        .by_action(vec![None, Some(chain[0])])
+        .finish();
+    let g = b.seal(cache).unwrap();
+    let packet = |w: u64, x: u64| Packet::with_slots(vec![x, HOT, HOT, w, 0]);
+
+    let nic = |engine| {
+        let mut nic = SmartNic::new(g.clone(), params()).unwrap();
+        nic.set_engine_mode(engine);
+        // Never refuse an install: the cached results are the point.
+        nic.set_cache_insertion_limit(cache, 1e12);
+        // The profile window: every packet a new cache key, so every one
+        // walks the chain and shows it the hot key.
+        nic.set_instrumentation(true, 1);
+        for i in 0..2_000 {
+            nic.process_one(&mut packet(1_000 + i, HOT));
+        }
+        nic.specialize();
+        nic.set_instrumentation(false, 1);
+        nic
+    };
+    let mut interp = nic(EngineMode::Interpreter);
+    let mut spec = nic(EngineMode::Compiled);
+    let before = spec.spec_stats();
+    assert!(before.fused_runs >= 1, "the chain must fuse: {before:?}");
+    // Four cache keys, over and over: a miss each, then hits; every
+    // fifth packet a cold `x`, which misses the first guard too.
+    for i in 0..400u64 {
+        let p = packet(
+            i % 4 + 10 * u64::from(i % 5 == 0),
+            if i % 5 == 0 { 99 } else { HOT },
+        );
+        let (mut a, mut b) = (p.clone(), p);
+        let want = interp.process_one(&mut a);
+        let got = spec.process_one(&mut b);
+        assert_reports_identical(&want, &got, &format!("packet {i}"));
+        assert_eq!(a, b, "packet {i} contents");
+    }
+    let (hits, misses, runs) = spec_delta(before, spec.spec_stats());
+    assert!(
+        hits > 0 && misses > 0,
+        "guards walked: {hits} hits, {misses} misses"
+    );
+    assert_eq!(runs, 0, "no run may fire inside a miss segment");
+    assert_eq!(
+        interp.take_profile(),
+        spec.take_profile(),
+        "cache statistics"
+    );
 }
 
 /// Runs are part of the compiled pipeline, so a live `specialize()`
