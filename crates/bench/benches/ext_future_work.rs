@@ -13,7 +13,7 @@ use pipeleon::hierarchical::assign_tiers;
 use pipeleon::{IncrementalState, Optimizer, ResourceLimits};
 use pipeleon_bench::{banner, f, header, row};
 use pipeleon_cost::{CostModel, CostParams};
-use pipeleon_sim::SmartNic;
+use pipeleon_sim::{ControlOp, SmartNic};
 use pipeleon_workloads::profiles::{random_profile, ProfileSynthConfig};
 use pipeleon_workloads::scenarios::DashRouting;
 use pipeleon_workloads::synth::{synthesize, SynthConfig};
@@ -42,7 +42,8 @@ fn memory_tiers() {
         let plan = assign_tiers(&model, &dash.graph, &profile);
         // Measure the assignment on the emulator.
         let mut nic = SmartNic::new(dash.graph.clone(), params.clone()).unwrap();
-        nic.set_memory_tiers(plan.tiers.clone());
+        nic.apply(ControlOp::SetMemoryTiers(plan.tiers.clone()))
+            .unwrap();
         let mut gen = dash.traffic(&[0.1, 0.1, 0.1], 500, 0.0, 4);
         let stats = nic.measure(gen.batch(10_000));
         row(&[

@@ -19,7 +19,7 @@ use pipeleon_bench::{apply_manual, banner, f, header, row};
 use pipeleon_cost::{CostModel, CostParams};
 use pipeleon_ir::{MatchValue, TableEntry};
 use pipeleon_runtime::{Controller, ControllerConfig, SimTarget};
-use pipeleon_sim::SmartNic;
+use pipeleon_sim::{ControlOp, SmartNic};
 use pipeleon_workloads::scenarios::{DashRouting, LoadBalancer, NfComposition};
 
 fn case_a_load_balancer() {
@@ -81,7 +81,7 @@ fn case_a_load_balancer() {
                     .map(|(n, _)| n.id)
                     .collect();
                 for c in caches {
-                    baseline.flush_cache(c);
+                    baseline.apply(ControlOp::FlushCache(c)).unwrap();
                 }
                 controller
                     .insert_entry(

@@ -12,7 +12,7 @@ use pipeleon::hetero::partition_placement;
 use pipeleon_bench::{banner, f, header, row};
 use pipeleon_cost::{CostModel, CostParams, Placement, RuntimeProfile};
 use pipeleon_ir::{Condition, MatchKind, NodeId, Primitive, ProgramBuilder, ProgramGraph};
-use pipeleon_sim::{Packet, SmartNic};
+use pipeleon_sim::{ControlOp, Packet, SmartNic};
 use std::collections::HashSet;
 
 /// Interleaved chain asic0 cpu0 asic1 cpu1 asic2 cpu2 tail.
@@ -114,7 +114,8 @@ fn main() {
             // DP plan and measuring it.
             let plan = partition_placement(&model, &g, &profile, &cpu_only, copies);
             let mut nic = SmartNic::new(g.clone(), params.clone()).unwrap();
-            nic.set_placement(plan.placement.clone());
+            nic.apply(ControlOp::SetPlacement(plan.placement.clone()))
+                .unwrap();
             let pkts: Vec<Packet> = (0..4000)
                 .map(|i| {
                     let mut p = Packet::new(&g.fields);
@@ -162,7 +163,8 @@ fn main() {
                 }
             }
             let mut nic = SmartNic::new(g.clone(), params.clone()).unwrap();
-            nic.set_placement(plan.placement.clone());
+            nic.apply(ControlOp::SetPlacement(plan.placement.clone()))
+                .unwrap();
             let pkts: Vec<Packet> = (0..6000)
                 .map(|i| {
                     let mut p = Packet::new(&g.fields);

@@ -12,12 +12,7 @@ pub struct Args {
 
 /// Flags that take no value (presence alone means `true`). Every other
 /// flag consumes exactly one value.
-const BOOL_FLAGS: &[&str] = &[
-    "deny-warnings",
-    "live-reconfig",
-    "concurrency",
-    "no-specialize",
-];
+const BOOL_FLAGS: &[&str] = &["deny-warnings", "concurrency", "no-specialize"];
 
 /// Parses `argv` (without the program name). Flags take exactly one value
 /// unless listed in [`BOOL_FLAGS`]; a trailing valued flag without its

@@ -32,7 +32,7 @@ USAGE:
            [--sample N] [--engine compiled|interp]
            [--batch N] [--profile-out p.json]
            [--metrics-out m.prom|m.json] [--journal-out j.jsonl]
-           [--live-reconfig] [--no-specialize]
+           [--no-specialize]
            [--chaos-seed S [--windows N]]
   pipeleon metrics  <program> [--target T] [--packets N]
            [--flows N] [--zipf S] [--seed S] [--sample N]
@@ -42,7 +42,7 @@ USAGE:
   pipeleon analyze  --concurrency [repo-root] [--format text|json]
   pipeleon serve    <program> [--listen ADDR] [--target T] [--workers N]
            [--engine compiled|interp] [--shard-mode run-loop|bit-exact]
-           [--batch N] [--burst N] [--sample N] [--live-reconfig]
+           [--batch N] [--burst N] [--sample N]
            [--max-packets N] [--idle-timeout-ms MS] [--tick-packets N]
            [--addr-file f] [--metrics-out m.prom|m.json]
            [--journal-out j.jsonl]
@@ -455,7 +455,6 @@ fn simulate(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?
             .with_config(config);
         nic.set_engine_mode(engine);
-        nic.set_live_reconfig(args.get_bool("live-reconfig"));
         nic.set_instrumentation(true, sample);
         let stats = measure_with_spec(&mut nic, batch, specialize);
         let spec = nic.spec_stats();
@@ -467,7 +466,6 @@ fn simulate(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?
             .with_config(config);
         nic.set_engine_mode(engine);
-        nic.set_live_reconfig(args.get_bool("live-reconfig"));
         nic.set_instrumentation(true, sample);
         let stats = measure_with_spec(&mut nic, batch, specialize);
         let spec = SmartNic::spec_stats(&nic);
@@ -592,8 +590,6 @@ fn chaos_simulate<N: pipeleon_sim::NicBackend>(
         Target,
     };
     nic.set_instrumentation(true, 1);
-    let live = args.get_bool("live-reconfig");
-    nic.set_live_reconfig(live);
     let g = nic.graph().clone();
     let params = nic.params().clone();
     let optimizer = Optimizer::new(CostModel::new(params));
@@ -608,29 +604,20 @@ fn chaos_simulate<N: pipeleon_sim::NicBackend>(
     c.target.set_armed(true);
     let windows = windows.max(1);
     let per_window = (batch.len() / windows).max(1);
-    println!(
-        "chaos run: seed {seed}, {windows} windows x {per_window} packets{}",
-        if live { " (live reconfiguration)" } else { "" }
-    );
+    println!("chaos run: seed {seed}, {windows} windows x {per_window} packets");
     let (mut offered, mut processed) = (0u64, 0u64);
     for (w, chunk) in batch.chunks(per_window).take(windows).enumerate() {
-        let r = if live {
-            // Keep the measurement window open across the controller
-            // tick: whatever the tick deploys publishes as a generation
-            // swap with the window's traffic genuinely in flight.
-            let mid = chunk.len() / 2;
-            c.target.inner.nic.measure_begin();
-            c.target.inner.nic.measure_feed(chunk[..mid].to_vec());
-            let r = c.tick().map_err(|e| e.to_string())?;
-            c.target.inner.nic.measure_feed(chunk[mid..].to_vec());
-            let s = c.target.inner.nic.measure_end();
-            offered += chunk.len() as u64;
-            processed += s.packets;
-            r
-        } else {
-            c.target.inner.nic.measure_batch(chunk.to_vec());
-            c.tick().map_err(|e| e.to_string())?
-        };
+        // Keep the measurement window open across the controller tick:
+        // whatever the tick deploys publishes as a generation swap with
+        // the window's traffic genuinely in flight.
+        let mid = chunk.len() / 2;
+        c.target.inner.nic.measure_begin();
+        c.target.inner.nic.measure_feed(chunk[..mid].to_vec());
+        let r = c.tick().map_err(|e| e.to_string())?;
+        c.target.inner.nic.measure_feed(chunk[mid..].to_vec());
+        let s = c.target.inner.nic.measure_end();
+        offered += chunk.len() as u64;
+        processed += s.packets;
         let h = &r.health;
         let mut line = format!(
             "window {:>2}: change {:>6.3}  {}",
@@ -682,13 +669,11 @@ fn chaos_simulate<N: pipeleon_sim::NicBackend>(
             "DIVERGED"
         }
     );
-    if live {
-        let swaps = c.target.last_swap().map_or(0, |s| s.generation);
-        println!(
-            "live datapath:     {processed} of {offered} packets processed across swaps, \
-             generation {swaps}"
-        );
-    }
+    let swaps = c.target.last_swap().map_or(0, |s| s.generation);
+    println!(
+        "live datapath:     {processed} of {offered} packets processed across swaps, \
+         generation {swaps}"
+    );
     // Fold the injector's op log into the controller's journal so the
     // postmortem timeline shows faults next to the loop's reactions —
     // each at the datapath clock where it fired, so `--journal-out`
@@ -700,7 +685,7 @@ fn chaos_simulate<N: pipeleon_sim::NicBackend>(
         .filter_map(|r| {
             r.fault
                 .as_ref()
-                .map(|f| (r.at_s, format!("{:?}", r.op), format!("{f:?}")))
+                .map(|f| (r.at_s, r.op.clone(), format!("{f:?}")))
         })
         .collect();
     for (at_s, op, fault) in injected {
@@ -720,9 +705,9 @@ fn chaos_simulate<N: pipeleon_sim::NicBackend>(
     if !verified {
         return Err("chaos run ended with the target diverged from controller bookkeeping".into());
     }
-    if live && processed != offered {
+    if processed != offered {
         return Err(format!(
-            "live reconfiguration lost traffic: {processed} of {offered} packets processed"
+            "reconfiguration lost traffic: {processed} of {offered} packets processed"
         ));
     }
     Ok(())
@@ -742,8 +727,8 @@ struct ServeLimits {
 /// datapath. Frames decode via the program's wire contract, run through
 /// `process_batch`, and each verdict is echoed to its sender. With
 /// `--tick-packets N` the runtime controller ticks against the serving
-/// backend every N frames, reoptimizing (and, with `--live-reconfig`,
-/// generation-swapping) under the socket traffic.
+/// backend every N frames, reoptimizing (and generation-swapping) under
+/// the socket traffic.
 fn serve(args: &Args) -> Result<(), String> {
     let params = target(args)?;
     let g = load_program(args)?;
@@ -786,7 +771,6 @@ fn serve(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?
             .with_config(nic_config);
         nic.set_engine_mode(engine);
-        nic.set_live_reconfig(args.get_bool("live-reconfig"));
         nic.set_instrumentation(true, sample);
         run_serve(args, server, nic, &g, params, &map, &limits)
     } else {
@@ -794,7 +778,6 @@ fn serve(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?
             .with_config(nic_config);
         nic.set_engine_mode(engine);
-        nic.set_live_reconfig(args.get_bool("live-reconfig"));
         nic.set_instrumentation(true, sample);
         run_serve(args, server, nic, &g, params, &map, &limits)
     }

@@ -432,11 +432,11 @@ mod tests {
         // The materialized program remains semantically identical: run a
         // packet through both and compare all original fields.
         use pipeleon_cost::CostParams;
-        use pipeleon_sim::{Packet, SmartNic};
+        use pipeleon_sim::{ControlOp, Packet, SmartNic};
         let params = CostParams::emulated_nic();
         let mut a = SmartNic::new(g.clone(), params.clone()).unwrap();
         let mut b = SmartNic::new(mat.clone(), params).unwrap();
-        b.set_placement(ext_placement);
+        b.apply(ControlOp::SetPlacement(ext_placement)).unwrap();
         for v in 0..16u64 {
             let mut pa = Packet::new(&g.fields);
             pa.set(g.fields.get("x").unwrap(), v);

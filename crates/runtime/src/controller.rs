@@ -28,7 +28,7 @@ use pipeleon_cost::RuntimeProfile;
 use pipeleon_ir::json::to_json_string;
 use pipeleon_ir::{NextHops, NodeId, NodeKind, ProgramGraph, Table, TableEntry};
 use pipeleon_obs::{EventJournal, EventKind, MetricsRegistry};
-use pipeleon_sim::SpecStats;
+use pipeleon_sim::{ControlOp, SpecConfig, SpecStats};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -361,7 +361,7 @@ impl<T: Target> Controller<T> {
                 }
             }
             attempts += 1;
-            let outcome = self.target.deploy(graph.clone());
+            let outcome = self.target.apply(ControlOp::Deploy(graph.clone()));
             match self.target.fingerprint() {
                 Some(actual) => {
                     if actual == expected {
@@ -370,12 +370,12 @@ impl<T: Target> Controller<T> {
                         return Ok(());
                     }
                     last = Some(match outcome {
-                        Ok(()) => RuntimeError::TornDeploy { expected, actual },
+                        Ok(_) => RuntimeError::TornDeploy { expected, actual },
                         Err(e) => RuntimeError::Ir(e),
                     });
                 }
                 None => match outcome {
-                    Ok(()) => {
+                    Ok(_) => {
                         self.note_swap();
                         return Ok(());
                     }
@@ -393,12 +393,12 @@ impl<T: Target> Controller<T> {
         }
     }
 
-    /// Records the live generation swap a verified deploy just performed,
-    /// if the target reports one it has not journaled yet: a
-    /// `generation_swap` journal event on the controller clock plus the
-    /// swap metrics (publish-latency histogram, active-generation gauge,
-    /// packets-in-flight counter). A no-op on targets without a live
-    /// datapath.
+    /// Records the pipeline swap a verified deploy (or a specialize
+    /// step) just performed, if the target reports one it has not
+    /// journaled yet: a `generation_swap` journal event on the controller
+    /// clock plus the swap metrics (publish-latency histogram,
+    /// active-generation gauge, packets-in-flight counter). A no-op on
+    /// targets that report no swaps.
     fn note_swap(&mut self) {
         let Some(swap) = self.target.last_swap() else {
             return;
@@ -585,12 +585,14 @@ impl<T: Target> Controller<T> {
         let drifted = report.profile_change >= self.cfg.change_threshold;
         if stats.specialized_tables > 0 && (drifted || miss_rate > self.cfg.spec_guard_miss_despec)
         {
-            self.target.despecialize();
+            let _ = self.target.apply(ControlOp::Despecialize);
         } else if !drifted {
-            self.target.specialize();
+            let _ = self
+                .target
+                .apply(ControlOp::Specialize(SpecConfig::default()));
         }
-        // A live sharded datapath publishes (de)specializations through
-        // the generation chain — record the swap like any live deploy.
+        // A (de)specialization is a pipeline swap — record it like a
+        // deploy's.
         self.note_swap();
         let after = self.target.spec_stats();
         if after.generation > self.last_spec_gen {
@@ -796,10 +798,10 @@ impl<T: Target> Controller<T> {
                 let cache_nodes = outcome.applied.cache_nodes.clone();
                 if self.deploy_candidate_or_recover(outcome.applied, candidate_json) {
                     for &cache in &cache_nodes {
-                        self.target.set_cache_insertion_limit(
-                            cache,
-                            self.optimizer.cfg.cache_insertion_limit,
-                        );
+                        let _ = self.target.apply(ControlOp::SetCacheInsertionLimit {
+                            node: cache,
+                            rate_per_s: self.optimizer.cfg.cache_insertion_limit,
+                        });
                     }
                     report.deployed = true;
                     report.downtime_s = self.target.reconfig_downtime_s();
@@ -1069,29 +1071,33 @@ impl<T: Target> Controller<T> {
             match site {
                 EntrySite::Direct => {
                     if let Some(e) = &insert {
-                        self.target.insert_entry(table, e.clone()).map_err(|err| {
-                            FanOutFailure {
-                                error: err.into(),
-                                sites_applied,
-                            }
+                        let op = ControlOp::InsertEntry {
+                            node: table,
+                            entry: e.clone(),
+                        };
+                        self.target.apply(op).map_err(|err| FanOutFailure {
+                            error: err.into(),
+                            sites_applied,
                         })?;
                         sites_applied = true;
                         mirror.push(MirrorOp::Insert(table, e.clone()));
                     }
                     if let Some(i) = remove_index {
-                        self.target
-                            .remove_entry(table, i)
-                            .map_err(|err| FanOutFailure {
-                                error: err.into(),
-                                sites_applied,
-                            })?;
+                        let op = ControlOp::RemoveEntry {
+                            node: table,
+                            index: i,
+                        };
+                        self.target.apply(op).map_err(|err| FanOutFailure {
+                            error: err.into(),
+                            sites_applied,
+                        })?;
                         sites_applied = true;
                         mirror.push(MirrorOp::Remove(table, i));
                     }
                 }
                 EntrySite::CoveredByCache { cache } => {
                     // Infallible and semantically neutral: no mirror op.
-                    self.target.flush_cache(cache);
+                    let _ = self.target.apply(ControlOp::FlushCache(cache));
                 }
                 EntrySite::MergedInto {
                     merged,
@@ -1231,8 +1237,13 @@ impl<T: Target> Controller<T> {
             None
         };
         let action_map = m.action_map.clone();
+        let op = ControlOp::ReplaceTable {
+            node: merged,
+            table: m.table.clone(),
+            next: next.clone(),
+        };
         self.target
-            .replace_table(merged, m.table.clone(), next.clone())
+            .apply(op)
             .map_err(|e| RematError::Target(e.into()))?;
         if let Some(a) = &mut self.applied {
             a.counter_map.replace_mappings(merged, &action_map);
@@ -1891,7 +1902,12 @@ mod tests {
             ..ControllerConfig::default()
         };
         let mut c = faulty_controller_for(&p, cfg, FaultConfig::none(1));
-        assert!(c.journal().is_empty(), "construction emits no events");
+        let tags: Vec<&str> = c.journal().iter().map(|e| e.kind.tag()).collect();
+        assert_eq!(
+            tags,
+            ["generation_swap"],
+            "construction journals the original's deploy, nothing else"
+        );
         heavy_window(&mut c, &p, 2);
         let r1 = c.tick().unwrap();
         assert!(r1.deployed, "{r1:?}");

@@ -17,27 +17,9 @@
 
 use crate::target::Target;
 use pipeleon_cost::RuntimeProfile;
-use pipeleon_ir::{IrError, NextHops, NodeId, ProgramGraph, Table, TableEntry};
+use pipeleon_ir::IrError;
+use pipeleon_sim::{Applied, ControlOp, LiveSwap, SpecStats};
 use std::collections::VecDeque;
-
-/// The operation classes a [`FaultyTarget`] intercepts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TargetOp {
-    /// `deploy(graph)`.
-    Deploy,
-    /// `take_profile()`.
-    TakeProfile,
-    /// `insert_entry(node, ..)`.
-    InsertEntry(NodeId),
-    /// `remove_entry(node, index)`.
-    RemoveEntry(NodeId, usize),
-    /// `replace_table(node, ..)`.
-    ReplaceTable(NodeId),
-    /// `flush_cache(node)`.
-    FlushCache(NodeId),
-    /// `set_cache_insertion_limit(node, ..)`.
-    SetCacheLimit(NodeId),
-}
 
 /// A fault a [`FaultyTarget`] can inject.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,29 +49,53 @@ pub enum InjectedFault {
 }
 
 impl InjectedFault {
-    /// Whether this fault can fire on the given op class.
-    fn applies_to(&self, op: &TargetOp) -> bool {
+    /// Whether this fault can fire on `op` (`None` = `take_profile`,
+    /// which is a read, not an op).
+    fn applies_to(&self, op: Option<&ControlOp>) -> bool {
         match self {
             InjectedFault::DeployReject
             | InjectedFault::TornDeployStale
-            | InjectedFault::TornDeployApplied => matches!(op, TargetOp::Deploy),
+            | InjectedFault::TornDeployApplied => matches!(op, Some(ControlOp::Deploy(_))),
             InjectedFault::EntryOpFail => matches!(
                 op,
-                TargetOp::InsertEntry(_) | TargetOp::RemoveEntry(..) | TargetOp::ReplaceTable(_)
+                Some(
+                    ControlOp::InsertEntry { .. }
+                        | ControlOp::RemoveEntry { .. }
+                        | ControlOp::ReplaceTable { .. }
+                )
             ),
-            InjectedFault::ProfileLoss | InjectedFault::ProfileCorrupt { .. } => {
-                matches!(op, TargetOp::TakeProfile)
-            }
+            InjectedFault::ProfileLoss | InjectedFault::ProfileCorrupt { .. } => op.is_none(),
             InjectedFault::LatencySpike { .. } => true,
         }
+    }
+}
+
+/// How the op log (and the journal's `fault_injected` events) spell an
+/// op: its class and the node it names.
+fn op_label(op: Option<&ControlOp>) -> String {
+    match op {
+        None => "TakeProfile".into(),
+        Some(ControlOp::Deploy(_)) => "Deploy".into(),
+        Some(ControlOp::InsertEntry { node, .. }) => format!("InsertEntry({node:?})"),
+        Some(ControlOp::RemoveEntry { node, index }) => format!("RemoveEntry({node:?}, {index})"),
+        Some(ControlOp::ReplaceTable { node, .. }) => format!("ReplaceTable({node:?})"),
+        Some(ControlOp::FlushCache(node)) => format!("FlushCache({node:?})"),
+        Some(ControlOp::SetCacheInsertionLimit { node, .. }) => format!("SetCacheLimit({node:?})"),
+        Some(ControlOp::SetInstrumentation { .. }) => "SetInstrumentation".into(),
+        Some(ControlOp::SetPlacement(_)) => "SetPlacement".into(),
+        Some(ControlOp::SetMemoryTiers(_)) => "SetMemoryTiers".into(),
+        Some(ControlOp::SetEngineMode(mode)) => format!("SetEngineMode({mode:?})"),
+        Some(ControlOp::Specialize(_)) => "Specialize".into(),
+        Some(ControlOp::Despecialize) => "Despecialize".into(),
     }
 }
 
 /// One intercepted operation, with the fault injected into it (if any).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpRecord {
-    /// What the controller asked the target to do.
-    pub op: TargetOp,
+    /// What the controller asked the target to do: the op's class and
+    /// the node it names (`TakeProfile` for a profile read).
+    pub op: String,
     /// The fault injected, or `None` for a clean pass-through.
     pub fault: Option<InjectedFault>,
     /// The target's datapath clock when the op was intercepted — lets a
@@ -245,19 +251,29 @@ impl<T: Target> FaultyTarget<T> {
         self.inner
     }
 
-    /// Decides the fault (if any) for `op`, logs the op, and accounts it.
-    fn roll(&mut self, op: TargetOp) -> Option<InjectedFault> {
-        let fault = self.pick_fault(&op);
+    /// Decides the fault (if any) for `op` (`None` = `take_profile`),
+    /// logs the op, and accounts it.
+    fn roll(&mut self, op: Option<&ControlOp>) -> Option<InjectedFault> {
+        let fault = self.pick_fault(op);
         if fault.is_some() {
             self.injected += 1;
         }
         let at_s = self.inner.target_clock_s();
-        self.log.push(OpRecord { op, fault, at_s });
+        self.log.push(OpRecord {
+            op: op_label(op),
+            fault,
+            at_s,
+        });
         fault
     }
 
-    fn pick_fault(&mut self, op: &TargetOp) -> Option<InjectedFault> {
-        if !self.armed {
+    fn pick_fault(&mut self, op: Option<&ControlOp>) -> Option<InjectedFault> {
+        // Specialization is a host-side rewrite of the compiled
+        // datapath, not a reconfiguration RPC: it never tears, holds no
+        // scripted fault up and draws nothing (so the injected-fault
+        // stream is the same whether or not the controller specializes).
+        let silent = matches!(op, Some(ControlOp::Specialize(_) | ControlOp::Despecialize));
+        if !self.armed || silent {
             return None;
         }
         // Scripted faults win over the probabilistic schedule.
@@ -272,7 +288,7 @@ impl<T: Target> FaultyTarget<T> {
             }
         }
         let picked = match op {
-            TargetOp::Deploy => {
+            Some(ControlOp::Deploy(_)) => {
                 if self.rng.next_f64() < self.cfg.deploy_reject_p {
                     Some(InjectedFault::DeployReject)
                 } else if self.rng.next_f64() < self.cfg.torn_deploy_p {
@@ -285,10 +301,14 @@ impl<T: Target> FaultyTarget<T> {
                     None
                 }
             }
-            TargetOp::InsertEntry(_) | TargetOp::RemoveEntry(..) | TargetOp::ReplaceTable(_) => {
+            Some(
+                ControlOp::InsertEntry { .. }
+                | ControlOp::RemoveEntry { .. }
+                | ControlOp::ReplaceTable { .. },
+            ) => {
                 (self.rng.next_f64() < self.cfg.entry_fail_p).then_some(InjectedFault::EntryOpFail)
             }
-            TargetOp::TakeProfile => {
+            None => {
                 if self.rng.next_f64() < self.cfg.profile_loss_p {
                     Some(InjectedFault::ProfileLoss)
                 } else if self.rng.next_f64() < self.cfg.profile_corrupt_p {
@@ -299,7 +319,8 @@ impl<T: Target> FaultyTarget<T> {
                     None
                 }
             }
-            TargetOp::FlushCache(_) | TargetOp::SetCacheLimit(_) => None,
+            // Cache and datapath tuning only ever runs late.
+            Some(_) => None,
         };
         if picked.is_some() {
             return picked;
@@ -315,27 +336,30 @@ impl<T: Target> FaultyTarget<T> {
 }
 
 impl<T: Target> Target for FaultyTarget<T> {
-    fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
-        match self.roll(TargetOp::Deploy) {
+    fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
+        match self.roll(Some(&op)) {
             Some(InjectedFault::DeployReject) => Err(Self::injected_err("deploy rejected")),
-            Some(InjectedFault::TornDeployStale) => {
-                // Reported success, but the old program keeps running.
-                Ok(())
-            }
+            // Reported success, but the old program keeps running.
+            Some(InjectedFault::TornDeployStale) => Ok(Applied::Done),
             Some(InjectedFault::TornDeployApplied) => {
-                self.inner.deploy(graph)?;
+                self.inner.apply(op)?;
                 Err(Self::injected_err("deploy acked late (already applied)"))
             }
+            Some(InjectedFault::EntryOpFail) => Err(Self::injected_err(match op {
+                ControlOp::InsertEntry { .. } => "entry insert failed",
+                ControlOp::RemoveEntry { .. } => "entry remove failed",
+                _ => "table replace failed",
+            })),
             Some(InjectedFault::LatencySpike { ns }) => {
                 self.injected_latency_ns += ns;
-                self.inner.deploy(graph)
+                self.inner.apply(op)
             }
-            _ => self.inner.deploy(graph),
+            _ => self.inner.apply(op),
         }
     }
 
     fn take_profile(&mut self) -> RuntimeProfile {
-        match self.roll(TargetOp::TakeProfile) {
+        match self.roll(None) {
             Some(InjectedFault::ProfileLoss) => {
                 // The window is gone for the controller *and* the target.
                 let _ = self.inner.take_profile();
@@ -354,58 +378,6 @@ impl<T: Target> Target for FaultyTarget<T> {
         }
     }
 
-    fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        match self.roll(TargetOp::InsertEntry(node)) {
-            Some(InjectedFault::EntryOpFail) => Err(Self::injected_err("entry insert failed")),
-            Some(InjectedFault::LatencySpike { ns }) => {
-                self.injected_latency_ns += ns;
-                self.inner.insert_entry(node, entry)
-            }
-            _ => self.inner.insert_entry(node, entry),
-        }
-    }
-
-    fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
-        match self.roll(TargetOp::RemoveEntry(node, index)) {
-            Some(InjectedFault::EntryOpFail) => Err(Self::injected_err("entry remove failed")),
-            Some(InjectedFault::LatencySpike { ns }) => {
-                self.injected_latency_ns += ns;
-                self.inner.remove_entry(node, index)
-            }
-            _ => self.inner.remove_entry(node, index),
-        }
-    }
-
-    fn replace_table(
-        &mut self,
-        node: NodeId,
-        table: Table,
-        next: Option<NextHops>,
-    ) -> Result<(), IrError> {
-        match self.roll(TargetOp::ReplaceTable(node)) {
-            Some(InjectedFault::EntryOpFail) => Err(Self::injected_err("table replace failed")),
-            Some(InjectedFault::LatencySpike { ns }) => {
-                self.injected_latency_ns += ns;
-                self.inner.replace_table(node, table, next)
-            }
-            _ => self.inner.replace_table(node, table, next),
-        }
-    }
-
-    fn flush_cache(&mut self, node: NodeId) {
-        if let Some(InjectedFault::LatencySpike { ns }) = self.roll(TargetOp::FlushCache(node)) {
-            self.injected_latency_ns += ns;
-        }
-        self.inner.flush_cache(node)
-    }
-
-    fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64) {
-        if let Some(InjectedFault::LatencySpike { ns }) = self.roll(TargetOp::SetCacheLimit(node)) {
-            self.injected_latency_ns += ns;
-        }
-        self.inner.set_cache_insertion_limit(node, rate_per_s)
-    }
-
     fn reconfig_downtime_s(&self) -> f64 {
         self.inner.reconfig_downtime_s()
     }
@@ -417,7 +389,7 @@ impl<T: Target> Target for FaultyTarget<T> {
         self.inner.fingerprint()
     }
 
-    fn last_swap(&self) -> Option<crate::target::SwapInfo> {
+    fn last_swap(&self) -> Option<LiveSwap> {
         self.inner.last_swap()
     }
 
@@ -425,19 +397,7 @@ impl<T: Target> Target for FaultyTarget<T> {
         self.inner.target_clock_s()
     }
 
-    /// Specialization is a host-side rewrite of the compiled datapath,
-    /// not a reconfiguration RPC: it never tears and needs no fault
-    /// roll (keeping the injected-fault RNG stream identical whether or
-    /// not the controller specializes).
-    fn specialize(&mut self) -> bool {
-        self.inner.specialize()
-    }
-
-    fn despecialize(&mut self) -> bool {
-        self.inner.despecialize()
-    }
-
-    fn spec_stats(&self) -> pipeleon_sim::SpecStats {
+    fn spec_stats(&self) -> SpecStats {
         self.inner.spec_stats()
     }
 }
@@ -447,8 +407,8 @@ mod tests {
     use super::*;
     use crate::target::SimTarget;
     use pipeleon_cost::CostParams;
-    use pipeleon_ir::{MatchKind, MatchValue, ProgramBuilder};
-    use pipeleon_sim::SmartNic;
+    use pipeleon_ir::{MatchKind, MatchValue, NodeId, ProgramBuilder, ProgramGraph, TableEntry};
+    use pipeleon_sim::{SmartNic, SpecConfig};
 
     fn acl_graph() -> ProgramGraph {
         let mut b = ProgramBuilder::new();
@@ -468,25 +428,56 @@ mod tests {
         FaultyTarget::new(SimTarget::live(nic), cfg)
     }
 
+    fn deploy(g: &ProgramGraph) -> ControlOp {
+        ControlOp::Deploy(g.clone())
+    }
+
+    /// 40 ops under `chaos(seed)`, optionally with a specialize step
+    /// after every one of them.
+    fn drive(seed: u64, specialize: bool) -> Vec<OpRecord> {
+        let mut t = faulty(FaultConfig::chaos(seed));
+        let g = acl_graph();
+        for i in 0..40u64 {
+            match i % 4 {
+                0 => drop(t.apply(deploy(&g))),
+                1 => drop(t.take_profile()),
+                2 => drop(t.apply(ControlOp::InsertEntry {
+                    node: NodeId(0),
+                    entry: TableEntry::new(vec![MatchValue::Exact(i)], 1),
+                })),
+                _ => drop(t.apply(ControlOp::FlushCache(NodeId(0)))),
+            }
+            if specialize {
+                let op = match i % 2 {
+                    0 => ControlOp::Specialize(SpecConfig::default()),
+                    _ => ControlOp::Despecialize,
+                };
+                t.apply(op).unwrap();
+            }
+        }
+        t.op_log().to_vec()
+    }
+
     #[test]
     fn same_seed_gives_identical_schedules() {
-        let drive = |seed: u64| {
-            let mut t = faulty(FaultConfig::chaos(seed));
-            let g = acl_graph();
-            for i in 0..40u64 {
-                match i % 4 {
-                    0 => drop(t.deploy(g.clone())),
-                    1 => drop(t.take_profile()),
-                    2 => drop(
-                        t.insert_entry(NodeId(0), TableEntry::new(vec![MatchValue::Exact(i)], 1)),
-                    ),
-                    _ => t.flush_cache(NodeId(0)),
-                }
-            }
-            t.op_log().to_vec()
-        };
-        assert_eq!(drive(7), drive(7), "schedule must be deterministic");
-        assert_ne!(drive(7), drive(8), "different seeds must differ");
+        assert_eq!(
+            drive(7, false),
+            drive(7, false),
+            "schedule must be deterministic"
+        );
+        assert_ne!(
+            drive(7, false),
+            drive(8, false),
+            "different seeds must differ"
+        );
+        // Specialization is logged, faultless, and draws nothing: the
+        // other ops see the schedule they would have seen without it.
+        let mut with_spec = drive(7, true);
+        let silent = |r: &OpRecord| r.op == "Specialize" || r.op == "Despecialize";
+        assert_eq!(with_spec.iter().filter(|r| silent(r)).count(), 40);
+        assert!(with_spec.iter().all(|r| !silent(r) || r.fault.is_none()));
+        with_spec.retain(|r| !silent(r));
+        assert_eq!(with_spec, drive(7, false));
     }
 
     #[test]
@@ -494,9 +485,9 @@ mod tests {
         let mut t = faulty(FaultConfig::none(1));
         let g = acl_graph();
         t.inject_next(InjectedFault::DeployReject, 2);
-        assert!(t.deploy(g.clone()).is_err());
-        assert!(t.deploy(g.clone()).is_err());
-        assert!(t.deploy(g.clone()).is_ok());
+        assert!(t.apply(deploy(&g)).is_err());
+        assert!(t.apply(deploy(&g)).is_err());
+        assert!(t.apply(deploy(&g)).is_ok());
         assert_eq!(t.fault_count(), 2);
         let faults: Vec<_> = t.op_log().iter().filter_map(|r| r.fault).collect();
         assert_eq!(
@@ -519,11 +510,11 @@ mod tests {
             .entries
             .push(TableEntry::new(vec![MatchValue::Exact(9)], 1));
         t.inject_next(InjectedFault::TornDeployStale, 1);
-        assert!(t.deploy(g2.clone()).is_ok(), "torn-stale reports success");
+        assert!(t.apply(deploy(&g2)).is_ok(), "torn-stale reports success");
         assert_eq!(t.fingerprint().unwrap(), before, "old program still runs");
         // And the applied-but-reported-failed variant: error, new program.
         t.inject_next(InjectedFault::TornDeployApplied, 1);
-        assert!(t.deploy(g2.clone()).is_err());
+        assert!(t.apply(deploy(&g2)).is_err());
         assert_eq!(
             t.fingerprint().unwrap(),
             crate::target::graph_fingerprint(&g2),
@@ -553,7 +544,7 @@ mod tests {
         t.set_armed(false);
         let g = acl_graph();
         for _ in 0..50 {
-            t.deploy(g.clone()).unwrap();
+            t.apply(deploy(&g)).unwrap();
         }
         assert_eq!(t.fault_count(), 0);
         assert_eq!(t.op_log().len(), 50);
@@ -566,7 +557,7 @@ mod tests {
         cfg.max_faults = Some(3);
         let mut t = faulty(cfg);
         let g = acl_graph();
-        let failures = (0..10).filter(|_| t.deploy(g.clone()).is_err()).count();
+        let failures = (0..10).filter(|_| t.apply(deploy(&g)).is_err()).count();
         assert_eq!(failures, 3, "injection stops at the budget");
     }
 }

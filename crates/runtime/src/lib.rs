@@ -39,5 +39,5 @@ pub mod target;
 pub use change::profile_distance;
 pub use controller::{Controller, ControllerConfig, HealthReport, TickReport};
 pub use error::RuntimeError;
-pub use faults::{FaultConfig, FaultyTarget, InjectedFault, OpRecord, TargetOp};
-pub use target::{fingerprint_bytes, graph_fingerprint, SimTarget, SwapInfo, Target};
+pub use faults::{FaultConfig, FaultyTarget, InjectedFault, OpRecord};
+pub use target::{fingerprint_bytes, graph_fingerprint, SimTarget, Target};

@@ -1,45 +1,18 @@
 //! The deployable-target abstraction.
 
 use pipeleon_cost::RuntimeProfile;
-use pipeleon_ir::{IrError, NextHops, NodeId, ProgramGraph, Table, TableEntry};
-use pipeleon_sim::{NicBackend, SmartNic, SpecStats};
-
-/// What the target reports about its most recent live program swap
-/// (epoch/RCU generation transition) — surfaced by targets whose
-/// datapath supports reconfiguration concurrent with traffic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwapInfo {
-    /// The generation id the swap published (monotone per target).
-    pub generation: u64,
-    /// Packets in flight at publication (they completed under the old
-    /// generation).
-    pub in_flight: u64,
-    /// Wall-clock publish latency in nanoseconds (control-plane cost,
-    /// not downtime).
-    pub latency_ns: f64,
-}
+use pipeleon_ir::{IrError, ProgramGraph};
+use pipeleon_sim::{Applied, ControlOp, LiveSwap, NicBackend, SmartNic, SpecStats};
 
 /// A SmartNIC the controller can deploy programs to and profile.
 pub trait Target {
-    /// Replaces the running program.
-    fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError>;
+    /// Applies one control operation to the running datapath. A
+    /// rejected op changes nothing. Targets without a specializing
+    /// datapath answer [`ControlOp::Specialize`] and
+    /// [`ControlOp::Despecialize`] with [`Applied::Unchanged`].
+    fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError>;
     /// Collects and resets the runtime profile (optimized-layout space).
     fn take_profile(&mut self) -> RuntimeProfile;
-    /// Inserts an entry into a table of the running program.
-    fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError>;
-    /// Removes the entry at `index` from a table.
-    fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError>;
-    /// Replaces a table definition in place (merged-table updates).
-    fn replace_table(
-        &mut self,
-        node: NodeId,
-        table: Table,
-        next: Option<NextHops>,
-    ) -> Result<(), IrError>;
-    /// Flushes one flow cache's runtime state.
-    fn flush_cache(&mut self, node: NodeId);
-    /// Configures a flow cache's insertion rate limit.
-    fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64);
     /// Seconds of service interruption one reconfiguration costs
     /// (0 for runtime-programmable targets like BlueField2; positive for
     /// reload-based targets like Agilio CX, §5.1).
@@ -54,10 +27,9 @@ pub trait Target {
     fn fingerprint(&self) -> Option<u64> {
         None
     }
-    /// The most recent live program swap the target performed, if its
-    /// datapath reconfigures concurrently with traffic. Targets without
-    /// a live datapath (or before the first live deploy) return `None`.
-    fn last_swap(&self) -> Option<SwapInfo> {
+    /// The most recent pipeline swap the target performed, if it reports
+    /// them (`None` before the first).
+    fn last_swap(&self) -> Option<LiveSwap> {
         None
     }
     /// The target's datapath clock in seconds, when it has one. Used to
@@ -65,19 +37,6 @@ pub trait Target {
     /// without a clock report 0.
     fn target_clock_s(&self) -> f64 {
         0.0
-    }
-    /// Asks the target to specialize its compiled datapath to the
-    /// traffic profile it has been observing (bit-exact fast paths:
-    /// hot-key guards, direct-index ways, hot-chain layout). Returns
-    /// `true` if the datapath changed; targets without a specializing
-    /// datapath never do.
-    fn specialize(&mut self) -> bool {
-        false
-    }
-    /// Reverts the target's datapath to its verbatim lowering. Returns
-    /// `true` if it was specialized.
-    fn despecialize(&mut self) -> bool {
-        false
     }
     /// The target's specialization counters (zeros for targets without
     /// a specializing datapath).
@@ -123,7 +82,7 @@ pub struct SimTarget<N: NicBackend = SmartNic> {
 }
 
 impl<N: NicBackend> SimTarget<N> {
-    /// A live-reconfigurable target (BlueField2-style).
+    /// A runtime-programmable target (BlueField2-style): no downtime.
     pub fn live(nic: N) -> Self {
         Self {
             nic,
@@ -138,37 +97,12 @@ impl<N: NicBackend> SimTarget<N> {
 }
 
 impl<N: NicBackend> Target for SimTarget<N> {
-    fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
-        self.nic.deploy(graph)
+    fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
+        self.nic.apply(op)
     }
 
     fn take_profile(&mut self) -> RuntimeProfile {
         self.nic.take_profile()
-    }
-
-    fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        self.nic.insert_entry(node, entry)
-    }
-
-    fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
-        self.nic.remove_entry(node, index)
-    }
-
-    fn replace_table(
-        &mut self,
-        node: NodeId,
-        table: Table,
-        next: Option<NextHops>,
-    ) -> Result<(), IrError> {
-        self.nic.replace_table(node, table, next)
-    }
-
-    fn flush_cache(&mut self, node: NodeId) {
-        self.nic.flush_cache(node)
-    }
-
-    fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64) {
-        self.nic.set_cache_insertion_limit(node, rate_per_s)
     }
 
     fn reconfig_downtime_s(&self) -> f64 {
@@ -179,24 +113,12 @@ impl<N: NicBackend> Target for SimTarget<N> {
         Some(graph_fingerprint(self.nic.graph()))
     }
 
-    fn last_swap(&self) -> Option<SwapInfo> {
-        self.nic.last_swap().map(|s| SwapInfo {
-            generation: s.generation,
-            in_flight: s.in_flight,
-            latency_ns: s.latency_ns,
-        })
+    fn last_swap(&self) -> Option<LiveSwap> {
+        self.nic.last_swap()
     }
 
     fn target_clock_s(&self) -> f64 {
         self.nic.now_s()
-    }
-
-    fn specialize(&mut self) -> bool {
-        self.nic.specialize()
-    }
-
-    fn despecialize(&mut self) -> bool {
-        self.nic.despecialize()
     }
 
     fn spec_stats(&self) -> SpecStats {
@@ -223,7 +145,7 @@ mod tests {
         let nic = SmartNic::new(g.clone(), CostParams::bluefield2()).unwrap();
         let mut t = SimTarget::live(nic);
         assert_eq!(t.reconfig_downtime_s(), 0.0);
-        t.deploy(g).unwrap();
+        t.apply(ControlOp::Deploy(g)).unwrap();
         let p = t.take_profile();
         assert_eq!(p.total_packets, 0);
     }
@@ -240,10 +162,10 @@ mod tests {
             "readback matches the source graph"
         );
         // Mutating the running program changes the fingerprint.
-        t.insert_entry(
-            pipeleon_ir::NodeId(0),
-            pipeleon_ir::TableEntry::new(vec![pipeleon_ir::MatchValue::Exact(1)], 0),
-        )
+        t.apply(ControlOp::InsertEntry {
+            node: pipeleon_ir::NodeId(0),
+            entry: pipeleon_ir::TableEntry::new(vec![pipeleon_ir::MatchValue::Exact(1)], 0),
+        })
         .unwrap();
         assert_ne!(t.fingerprint().unwrap(), fp0);
     }

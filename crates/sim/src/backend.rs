@@ -1,26 +1,129 @@
-//! Abstraction over simulated NIC datapaths.
+//! Abstraction over simulated NIC datapaths, and the control plane as
+//! data.
 //!
 //! [`NicBackend`] is the surface the runtime layer needs from a datapath:
-//! the control-plane entry API, live reconfiguration, profile collection,
-//! and batch measurement. [`SmartNic`] (single-threaded) and
-//! [`crate::ShardedNic`] (multi-worker) both implement it, so a
-//! `SimTarget` can be backed by either interchangeably.
+//! the data plane, the reads (program, profile, observations, counters)
+//! and one [`NicBackend::apply`] that takes every control operation as a
+//! [`ControlOp`] value. [`SmartNic`](crate::SmartNic) (single-threaded)
+//! and [`ShardedNic`](crate::ShardedNic) (multi-worker) both implement
+//! it, so a `SimTarget` can be backed by either interchangeably.
 
 use crate::exec::{EngineMode, ExecReport};
-use crate::nic::{BatchStats, ShardMode};
+use crate::nic::BatchStats;
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::specialize::{SpecConfig, SpecStats};
-use crate::SmartNic;
-use pipeleon_cost::{CostParams, RuntimeProfile};
+use pipeleon_cost::{CostParams, MemoryTier, Placement, RuntimeProfile};
 use pipeleon_ir::{IrError, NextHops, NodeId, ProgramGraph, Table, TableEntry};
 
-/// What a live program swap looked like from the datapath's side:
-/// recorded by backends at every [`NicBackend::deploy`] that published a
-/// new generation while live reconfiguration was enabled.
+/// One control-plane operation on a deployed datapath, as a value: what
+/// the controller issues, what a fault injector intercepts, what a
+/// sharded datapath publishes on its generation chain, and what
+/// [`Executor::apply`](crate::Executor::apply) — the only code that
+/// changes a deployed datapath — takes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ControlOp {
+    /// Replace the running program. Match engines, the lowering and
+    /// flow-cache state are rebuilt for the new layout; the pending
+    /// profile window, observations, sampling sequence, placements,
+    /// memory tiers, engine mode and instrumentation carry across.
+    Deploy(ProgramGraph),
+    /// Append an entry to a table.
+    InsertEntry {
+        /// Target table node.
+        node: NodeId,
+        /// Entry to append.
+        entry: TableEntry,
+    },
+    /// Remove a table's entry by index.
+    RemoveEntry {
+        /// Target table node.
+        node: NodeId,
+        /// Entry index within the node's table.
+        index: usize,
+    },
+    /// Replace a table's definition in place (a re-materialized merge).
+    ReplaceTable {
+        /// Target table node.
+        node: NodeId,
+        /// Replacement table contents.
+        table: Table,
+        /// Replacement next-hop wiring, if it changes.
+        next: Option<NextHops>,
+    },
+    /// Empty one flow cache.
+    FlushCache(NodeId),
+    /// Set a flow cache's insertion rate limit.
+    SetCacheInsertionLimit {
+        /// The flow-cache node.
+        node: NodeId,
+        /// Insertions per second.
+        rate_per_s: f64,
+    },
+    /// Turn counter instrumentation on or off.
+    SetInstrumentation {
+        /// Whether counters update at all.
+        enabled: bool,
+        /// Update them for one packet in this many (1 = every packet).
+        sample_every: u64,
+    },
+    /// Assign nodes to ASIC/CPU cores (dense by node id).
+    SetPlacement(Vec<Placement>),
+    /// Assign tables to memory tiers (dense by node id).
+    SetMemoryTiers(Vec<MemoryTier>),
+    /// Select the engine that runs packets.
+    SetEngineMode(EngineMode),
+    /// Specialize the compiled pipeline to the traffic observed, under
+    /// these planning thresholds. Swaps the lowering only: the program,
+    /// flow caches and the profile window are untouched.
+    Specialize(SpecConfig),
+    /// Revert the compiled pipeline to the verbatim lowering.
+    Despecialize,
+}
+
+impl ControlOp {
+    /// Whether the op replaces the compiled pipeline wholesale: the ops
+    /// a backend reports as a [`LiveSwap`], and the ones whose lowering
+    /// a publisher builds once for every shard to share.
+    pub(crate) fn swaps_pipeline(&self) -> bool {
+        matches!(
+            self,
+            ControlOp::Deploy(_) | ControlOp::Specialize(_) | ControlOp::Despecialize
+        )
+    }
+
+    /// Whether the op's effect is still there after a later `Deploy`
+    /// (which rebuilds the program, its lowering and its flow caches).
+    pub(crate) fn outlives_deploy(&self) -> bool {
+        matches!(
+            self,
+            ControlOp::SetInstrumentation { .. }
+                | ControlOp::SetPlacement(_)
+                | ControlOp::SetMemoryTiers(_)
+                | ControlOp::SetEngineMode(_)
+        )
+    }
+}
+
+/// What an accepted [`ControlOp`] did.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    /// The op took effect.
+    Done,
+    /// A `RemoveEntry` took effect; this is the entry it removed.
+    Removed(TableEntry),
+    /// There was nothing to do — a `Specialize` with no plan to apply or
+    /// the same plan already in place, a `Despecialize` of a verbatim
+    /// pipeline. The datapath is as it was and nothing was published.
+    Unchanged,
+}
+
+/// What a pipeline swap (`Deploy`, `Specialize`, `Despecialize`) looked
+/// like from the datapath's side.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveSwap {
-    /// The generation id the deploy published (monotone per backend).
+    /// The generation id the swap was published as (monotone per
+    /// backend; every applied op is one generation).
     pub generation: u64,
     /// Packets enqueued but not yet processed at the instant of
     /// publication — they complete under the *old* generation.
@@ -31,8 +134,9 @@ pub struct LiveSwap {
     pub latency_ns: f64,
 }
 
-/// A simulated NIC datapath: program deployment, control-plane entry
-/// management, instrumentation, and line-rate batch measurement.
+/// A simulated NIC datapath: the data plane, the reads, and one
+/// [`apply`](NicBackend::apply) for the control plane. The per-op
+/// methods below it are conveniences that build the [`ControlOp`].
 pub trait NicBackend {
     /// The deployed program.
     fn graph(&self) -> &ProgramGraph;
@@ -40,8 +144,11 @@ pub trait NicBackend {
     /// The target parameters.
     fn params(&self) -> &CostParams;
 
-    /// Live-reconfigures the datapath with a new program layout.
-    fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError>;
+    /// Applies one control operation. It takes effect at this position
+    /// of the packet stream: packets already handed to the datapath
+    /// complete without it, later ones run with it. A rejected op
+    /// changes nothing.
+    fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError>;
 
     /// Takes the profile collected since the last call.
     fn take_profile(&mut self) -> RuntimeProfile;
@@ -51,238 +158,79 @@ pub trait NicBackend {
     /// deterministically before returning.
     fn take_observations(&mut self) -> ExecObservations;
 
-    /// Inserts a table entry (control-plane API).
-    fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError>;
-
-    /// Removes a table entry by index (control-plane API).
-    fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError>;
-
-    /// Replaces a table definition in place.
-    fn replace_table(
-        &mut self,
-        node: NodeId,
-        table: Table,
-        next: Option<NextHops>,
-    ) -> Result<(), IrError>;
-
-    /// Flushes one flow cache.
-    fn flush_cache(&mut self, node: NodeId);
-
-    /// Sets a flow cache's insertion rate limit.
-    fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64);
-
-    /// Enables counter instrumentation with `sample_every` packet sampling.
-    fn set_instrumentation(&mut self, enabled: bool, sample_every: u64);
-
-    /// Selects the packet-execution engine: the reference interpreter or
-    /// the compiled datapath (the default). Both produce bit-identical
-    /// results; the compiled engine is the fast path.
-    fn set_engine_mode(&mut self, mode: EngineMode);
-
     /// The currently selected packet-execution engine.
     fn engine_mode(&self) -> EngineMode;
-
-    /// The worker-coordination mode of the datapath. Single-threaded
-    /// backends are trivially bit-exact; sharded backends report how
-    /// their workers coordinate ([`ShardMode`]).
-    fn shard_mode(&self) -> ShardMode {
-        ShardMode::BitExact
-    }
 
     /// Processes one packet (no arrival pacing).
     fn process_one(&mut self, packet: &mut Packet) -> ExecReport;
 
     /// Processes a batch of packets in place (no arrival pacing),
-    /// returning one report per packet. The default implementation loops
-    /// [`NicBackend::process_one`]; datapaths with a batch-oriented fast
-    /// path override it.
-    fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
-        packets.iter_mut().map(|p| self.process_one(p)).collect()
-    }
-
-    /// Runs a batch offered at line rate and reports throughput/latency.
-    fn measure_batch(&mut self, packets: Vec<Packet>) -> BatchStats;
-
-    /// Current simulation time in seconds.
-    fn now_s(&self) -> f64;
-
-    /// Enables or disables live reconfiguration: when on, control-plane
-    /// operations publish as generations concurrent with packet flow
-    /// instead of pausing the datapath. Backends without a live mode
-    /// ignore the call (their control plane already runs between
-    /// packets).
-    fn set_live_reconfig(&mut self, _on: bool) {}
-
-    /// Whether live reconfiguration is enabled.
-    fn live_reconfig(&self) -> bool {
-        false
-    }
-
-    /// The most recent live program swap, if any. `None` until the first
-    /// live deploy (and always `None` on backends without a live mode).
-    fn last_swap(&self) -> Option<LiveSwap> {
-        None
-    }
+    /// returning one report per packet.
+    fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport>;
 
     /// Opens a streaming measurement window (see
-    /// [`NicBackend::measure_feed`]). The default implementation is a
-    /// no-op: backends without a streaming path treat each feed as its
-    /// own batch.
-    fn measure_begin(&mut self) {}
+    /// [`NicBackend::measure_feed`]).
+    fn measure_begin(&mut self);
 
     /// Feeds one chunk of line-rate traffic into the open measurement
-    /// window *without waiting for it to drain* — on a live sharded
-    /// backend, control-plane generations published between feeds land
-    /// genuinely mid-flight. Pacing is continuous across feeds: the
-    /// chunks of one begin/feed/end window measure identically to a
-    /// single `measure_batch` of their concatenation.
-    fn measure_feed(&mut self, packets: Vec<Packet>) {
-        let _ = self.measure_batch(packets);
-    }
+    /// window *without waiting for it to drain* — on a sharded backend,
+    /// control operations applied between feeds land genuinely
+    /// mid-flight. Pacing is continuous across feeds: the chunks of one
+    /// begin/feed/end window measure identically to a single
+    /// `measure_batch` of their concatenation.
+    fn measure_feed(&mut self, packets: Vec<Packet>);
 
     /// Closes the streaming measurement window: waits for every fed
     /// packet to drain and returns the merged statistics for the whole
     /// window.
-    fn measure_end(&mut self) -> BatchStats {
-        self.measure_batch(Vec::new())
-    }
+    fn measure_end(&mut self) -> BatchStats;
 
-    /// Sets the thresholds that drive specialization planning. Backends
-    /// without a specializing datapath ignore the call.
-    fn set_spec_config(&mut self, _cfg: SpecConfig) {}
+    /// Current simulation time in seconds.
+    fn now_s(&self) -> f64;
 
-    /// Builds a specialization plan from the last profile window and
-    /// applies it to the compiled datapath (bit-exactly — a specialized
-    /// pipeline is the same program, faster on the profiled traffic).
-    /// Returns `true` if the pipeline changed; the default (for backends
-    /// without a compiled datapath) never specializes.
-    fn specialize(&mut self) -> bool {
-        false
-    }
-
-    /// Reverts the compiled datapath to its verbatim lowering. Returns
-    /// `true` if it was specialized.
-    fn despecialize(&mut self) -> bool {
-        false
-    }
+    /// The most recent pipeline swap, if any.
+    fn last_swap(&self) -> Option<LiveSwap>;
 
     /// Current specialization counters and state.
-    fn spec_stats(&self) -> SpecStats {
-        SpecStats::default()
-    }
-}
+    fn spec_stats(&self) -> SpecStats;
 
-impl NicBackend for SmartNic {
-    fn graph(&self) -> &ProgramGraph {
-        SmartNic::graph(self)
-    }
-
-    fn params(&self) -> &CostParams {
-        SmartNic::params(self)
-    }
-
-    fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
-        SmartNic::deploy(self, graph)
-    }
-
-    fn take_profile(&mut self) -> RuntimeProfile {
-        SmartNic::take_profile(self)
-    }
-
-    fn take_observations(&mut self) -> ExecObservations {
-        SmartNic::take_observations(self)
-    }
-
-    fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        SmartNic::insert_entry(self, node, entry)
-    }
-
-    fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
-        SmartNic::remove_entry(self, node, index)
-    }
-
-    fn replace_table(
-        &mut self,
-        node: NodeId,
-        table: Table,
-        next: Option<NextHops>,
-    ) -> Result<(), IrError> {
-        SmartNic::replace_table(self, node, table, next)
-    }
-
-    fn flush_cache(&mut self, node: NodeId) {
-        SmartNic::flush_cache(self, node)
-    }
-
-    fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64) {
-        SmartNic::set_cache_insertion_limit(self, node, rate_per_s)
-    }
-
-    fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
-        SmartNic::set_instrumentation(self, enabled, sample_every)
-    }
-
-    fn set_engine_mode(&mut self, mode: EngineMode) {
-        SmartNic::set_engine_mode(self, mode)
-    }
-
-    fn engine_mode(&self) -> EngineMode {
-        SmartNic::engine_mode(self)
-    }
-
-    fn process_one(&mut self, packet: &mut Packet) -> ExecReport {
-        SmartNic::process_one(self, packet)
-    }
-
-    fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
-        SmartNic::process_batch(self, packets)
-    }
-
+    /// Runs a batch offered at line rate and reports throughput/latency.
     fn measure_batch(&mut self, packets: Vec<Packet>) -> BatchStats {
-        self.measure(packets)
+        self.measure_begin();
+        self.measure_feed(packets);
+        self.measure_end()
     }
 
-    fn now_s(&self) -> f64 {
-        SmartNic::now_s(self)
+    /// [`ControlOp::Deploy`].
+    fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
+        self.apply(ControlOp::Deploy(graph)).map(drop)
     }
 
-    fn set_live_reconfig(&mut self, on: bool) {
-        SmartNic::set_live_reconfig(self, on)
+    /// [`ControlOp::InsertEntry`].
+    fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
+        self.apply(ControlOp::InsertEntry { node, entry }).map(drop)
     }
 
-    fn live_reconfig(&self) -> bool {
-        SmartNic::live_reconfig(self)
+    /// [`ControlOp::RemoveEntry`]; returns the removed entry.
+    fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
+        match self.apply(ControlOp::RemoveEntry { node, index })? {
+            Applied::Removed(entry) => Ok(entry),
+            other => unreachable!("a RemoveEntry that succeeds reports its entry, not {other:?}"),
+        }
     }
 
-    fn last_swap(&self) -> Option<LiveSwap> {
-        SmartNic::last_swap(self)
+    /// [`ControlOp::SetInstrumentation`].
+    fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
+        let op = ControlOp::SetInstrumentation {
+            enabled,
+            sample_every,
+        };
+        let _ = self.apply(op);
     }
 
-    fn measure_begin(&mut self) {
-        SmartNic::measure_begin(self)
-    }
-
-    fn measure_feed(&mut self, packets: Vec<Packet>) {
-        SmartNic::measure_feed(self, packets)
-    }
-
-    fn measure_end(&mut self) -> BatchStats {
-        SmartNic::measure_end(self)
-    }
-
-    fn set_spec_config(&mut self, cfg: SpecConfig) {
-        SmartNic::set_spec_config(self, cfg)
-    }
-
+    /// [`ControlOp::Specialize`] under the default thresholds. Returns
+    /// `true` if the pipeline changed.
     fn specialize(&mut self) -> bool {
-        SmartNic::specialize(self)
-    }
-
-    fn despecialize(&mut self) -> bool {
-        SmartNic::despecialize(self)
-    }
-
-    fn spec_stats(&self) -> SpecStats {
-        SmartNic::spec_stats(self)
+        self.apply(ControlOp::Specialize(SpecConfig::default())) == Ok(Applied::Done)
     }
 }

@@ -21,6 +21,7 @@
 //! control reaches the hit target, then installs that result — so the
 //! covered segment is discovered structurally.
 
+use crate::backend::{Applied, ControlOp};
 use crate::cache::{LruCache, RateLimiter};
 use crate::compiled::{CompiledPipeline, FusedStage};
 use crate::distinct::{self, DistinctKeys};
@@ -29,7 +30,7 @@ use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::prefetch;
 use crate::smallkey::SmallKey;
-use crate::specialize::{self, HotKeySketch, SpecPlan, SpecStats};
+use crate::specialize::{self, HotKeySketch, SpecConfig, SpecPlan, SpecStats};
 use fxhash::{FxBuildHasher, FxHashMap};
 use pipeleon_cost::{
     CacheStats, CostParams, MatchCostModel, MemoryTier, Placement, RuntimeProfile,
@@ -39,7 +40,7 @@ use pipeleon_ir::{
     ProgramGraph, Table, TableEntry,
 };
 use pipeleon_obs::{Event, EventKind};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 
 /// Per-packet execution report.
@@ -571,38 +572,77 @@ impl Executor {
         &self.program.view.params
     }
 
-    /// Replaces the deployed program (live reconfiguration). Cache state
-    /// and counters are reset; the clock is preserved.
-    pub fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
-        graph.validate()?;
-        self.program.view.graph = graph;
-        self.walk.profile = RuntimeProfile::empty();
-        self.program.compiled = None;
-        self.rebuild_all();
-        Ok(())
+    /// Applies one control operation — the only way a deployed datapath
+    /// changes. Each op's effect is written once, in the private method
+    /// its arm names; a rejected op leaves the datapath as it was.
+    /// [`ControlOp::Specialize`] plans from this executor's own live
+    /// window.
+    pub fn apply(&mut self, op: &ControlOp) -> Result<Applied, IrError> {
+        match op {
+            ControlOp::Deploy(graph) => {
+                graph.validate()?;
+                self.adopt_graph(graph.clone(), None);
+            }
+            ControlOp::InsertEntry { node, entry } => self.insert_entry(*node, entry.clone())?,
+            ControlOp::RemoveEntry { node, index } => {
+                return self.remove_entry(*node, *index).map(Applied::Removed);
+            }
+            ControlOp::ReplaceTable { node, table, next } => {
+                self.replace_table(*node, table.clone(), next.clone())?
+            }
+            ControlOp::FlushCache(node) => self.flush_cache(*node),
+            ControlOp::SetCacheInsertionLimit { node, rate_per_s } => {
+                self.set_cache_insertion_limit(*node, *rate_per_s)
+            }
+            ControlOp::SetInstrumentation {
+                enabled,
+                sample_every,
+            } => self.set_instrumentation(*enabled, *sample_every),
+            ControlOp::SetPlacement(placement) => self.set_placement(placement.clone()),
+            ControlOp::SetMemoryTiers(tiers) => self.set_memory_tiers(tiers.clone()),
+            ControlOp::SetEngineMode(mode) => self.set_engine_mode(*mode),
+            ControlOp::Specialize(cfg) => {
+                return Ok(self.specialize_from(cfg, &RuntimeProfile::empty(), &HashMap::new()));
+            }
+            ControlOp::Despecialize => return Ok(self.despecialize()),
+        }
+        Ok(Applied::Done)
     }
 
-    /// Adopts an already-validated program as a live generation swap.
-    /// Unlike [`Executor::deploy`], the pending profile window, sampled
-    /// observations, distinct-key sets, flow sequence counts, packet
-    /// sequence, placements, memory tiers, engine mode, and
-    /// instrumentation all carry across the swap — the profile window
+    /// Applies an op its publisher has already applied to — and so
+    /// validated on — a control replica holding the same program, which
+    /// makes this infallible by construction. `lowered` is the pipeline
+    /// the publisher built for a pipeline-swapping op: every adopter
+    /// installs a clone of it instead of lowering (or planning) again.
+    pub(crate) fn adopt(&mut self, op: &ControlOp, lowered: Option<&CompiledPipeline>) {
+        match op {
+            ControlOp::Deploy(graph) => self.adopt_graph(graph.clone(), lowered.cloned()),
+            ControlOp::Specialize(_) | ControlOp::Despecialize => {
+                self.program.compiled = lowered.cloned();
+            }
+            op => {
+                let _ = self.apply(op);
+            }
+        }
+    }
+
+    /// Swaps in an already-validated program. The pending profile
+    /// window, sampled observations, distinct-key sets, flow sequence
+    /// counts, packet sequence, placements, memory tiers, engine mode,
+    /// and instrumentation all carry across the swap — the profile window
     /// spans generations, keyed by the (stable) node ids both layouts
     /// share. Match engines and flow-cache runtime state are rebuilt
-    /// (the new layout's tables define them); `compiled` installs the
-    /// caller's pre-built pipeline so every shard adopting the same
+    /// (the new layout's tables define them); `compiled` installs a
+    /// publisher's pre-built pipeline so every shard adopting the same
     /// generation shares one lowering instead of re-compiling.
-    ///
-    /// The caller (a generation chain publisher) has already validated
-    /// `graph` on its control replica, so this never fails.
-    pub(crate) fn adopt_graph(&mut self, graph: ProgramGraph, compiled: Option<CompiledPipeline>) {
+    fn adopt_graph(&mut self, graph: ProgramGraph, compiled: Option<CompiledPipeline>) {
         self.program.view.graph = graph;
         self.rebuild_all();
         self.program.compiled = compiled;
     }
 
-    /// A clone of the compiled pipeline for the current graph, built on
-    /// demand — what a generation publisher attaches to a `Deploy` node
+    /// A clone of the compiled pipeline as it stands, built on demand —
+    /// what a generation publisher attaches to a pipeline-swapping op
     /// when the compiled engine is active (`None` under the interpreter:
     /// adopters then lower lazily like any fresh executor).
     pub(crate) fn compiled_clone(&mut self) -> Option<CompiledPipeline> {
@@ -614,7 +654,7 @@ impl Executor {
 
     /// Enables P4-counter instrumentation, updating counters for one in
     /// `sample_every` packets (1 = every packet; §5.4.1 uses 1/1024).
-    pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
+    fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
         self.walk.instrumented = enabled;
         self.walk.sample_every = sample_every.max(1);
     }
@@ -645,7 +685,7 @@ impl Executor {
     /// Assigns nodes to ASIC/CPU cores (dense by node id; missing =
     /// ASIC). Costs on CPU nodes scale by `cpu_scale`; placement-crossing
     /// hops pay `l_migration`.
-    pub fn set_placement(&mut self, placement: Vec<Placement>) {
+    fn set_placement(&mut self, placement: Vec<Placement>) {
         self.program.view.placement = placement;
         self.program.compiled = None;
     }
@@ -653,7 +693,7 @@ impl Executor {
     /// Assigns tables to memory tiers (dense by node id; missing = EMEM).
     /// Key matches of SRAM-resident tables run `sram_speedup`× faster
     /// (§6 hierarchical-memory extension).
-    pub fn set_memory_tiers(&mut self, tiers: Vec<MemoryTier>) {
+    fn set_memory_tiers(&mut self, tiers: Vec<MemoryTier>) {
         self.program.view.memory_tiers = tiers;
         self.program.compiled = None;
     }
@@ -673,20 +713,24 @@ impl Executor {
     }
 
     /// Inserts an entry into a table and recompiles its engine.
-    pub fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
+    fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
         let t = self.table_mut(node)?;
         t.entries.push(entry);
-        t.validate().map_err(|reason| IrError::BadEntry {
-            table: node,
-            reason,
-        })?;
+        if let Err(reason) = t.validate() {
+            // A rejected op changes nothing.
+            t.entries.pop();
+            return Err(IrError::BadEntry {
+                table: node,
+                reason,
+            });
+        }
         self.rebuild_engine(node);
         self.recompile_table(node);
         Ok(())
     }
 
     /// Removes the entry at `index` from a table and recompiles.
-    pub fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
+    fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
         let t = self.table_mut(node)?;
         if index >= t.entries.len() {
             return Err(IrError::BadEntry {
@@ -704,24 +748,30 @@ impl Executor {
     /// in place — used when a merged table is re-materialized after a
     /// control-plane update. The engine is recompiled; the node id stays
     /// stable.
-    pub fn replace_table(
+    fn replace_table(
         &mut self,
         node: NodeId,
         table: pipeleon_ir::Table,
         next: Option<NextHops>,
     ) -> Result<(), IrError> {
-        *self.table_mut(node)? = table;
-        if let Some(next) = next {
-            self.node_mut(node)?.next = next;
+        let old_table = std::mem::replace(self.table_mut(node)?, table);
+        let slot = self.node_mut(node)?;
+        let old_next = next.map(|next| std::mem::replace(&mut slot.next, next));
+        if let Err(e) = self.program.view.graph.validate() {
+            // A rejected op changes nothing.
+            *self.table_mut(node)? = old_table;
+            if let Some(next) = old_next {
+                self.node_mut(node)?.next = next;
+            }
+            return Err(e);
         }
-        self.program.view.graph.validate()?;
         self.rebuild_engine(node);
         self.recompile_table(node);
         Ok(())
     }
 
     /// Flushes the runtime state of one flow cache (invalidation).
-    pub fn flush_cache(&mut self, node: NodeId) {
+    fn flush_cache(&mut self, node: NodeId) {
         if let Some(Some(c)) = self.walk.caches.get_mut(node.index()) {
             c.lru.clear();
         }
@@ -841,7 +891,7 @@ impl Executor {
     }
 
     /// Sets a flow cache's insertion rate limit (insertions per second).
-    pub fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64) {
+    fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64) {
         if let Some(Some(c)) = self.walk.caches.get_mut(node.index()) {
             c.limiter = RateLimiter::new(rate_per_s, (rate_per_s / 100.0).max(8.0));
         }
@@ -850,7 +900,7 @@ impl Executor {
     /// Selects which datapath executes packets. Both modes share flow
     /// cache, profile and distinct-key state, so switching mid-stream is
     /// seamless and invisible in the collected statistics.
-    pub fn set_engine_mode(&mut self, mode: EngineMode) {
+    fn set_engine_mode(&mut self, mode: EngineMode) {
         self.program.mode = mode;
     }
 
@@ -896,18 +946,39 @@ impl Executor {
         }
     }
 
-    /// Applies a specialization plan over the verbatim lowering. Returns
-    /// the new spec epoch if the pipeline changed; `None` under the
-    /// interpreter (which needs no specializing — it *is* the oracle),
-    /// for an empty plan, or when the identical plan is already applied.
-    pub(crate) fn specialize_with(&mut self, plan: &SpecPlan) -> Option<u64> {
+    /// Plans a specialization from `base` (a retained profile window and
+    /// its hot-key sketches, possibly merged across shards) plus this
+    /// executor's own live window, and applies the plan.
+    /// [`Applied::Unchanged`] under the interpreter (which needs no
+    /// specializing — it *is* the oracle), for an empty plan, or when
+    /// the identical plan is already applied.
+    pub(crate) fn specialize_from(
+        &mut self,
+        cfg: &SpecConfig,
+        base: &RuntimeProfile,
+        base_sketches: &HashMap<NodeId, HotKeySketch>,
+    ) -> Applied {
+        // Right after a window boundary nothing has accumulated, and the
+        // retained window is read where it lies.
+        let mut profile = Cow::Borrowed(base);
+        if !self.walk.profile.is_empty() {
+            profile.to_mut().merge(&self.walk.profile);
+        }
+        let mut sketches = base_sketches.clone();
+        self.peek_hot_sketches_into(&mut sketches);
+        let plan = specialize::build_plan(self.graph(), &profile, &sketches, cfg);
+        self.specialize_with(&plan)
+    }
+
+    /// Applies a specialization plan over the verbatim lowering.
+    fn specialize_with(&mut self, plan: &SpecPlan) -> Applied {
         let program = &mut self.program;
         if program.mode != EngineMode::Compiled || plan.is_empty() {
-            return None;
+            return Applied::Unchanged;
         }
         let current = program.compiled().0.spec_fingerprint;
         if current == plan.fingerprint {
-            return None;
+            return Applied::Unchanged;
         }
         if current != 0 {
             // Plans always apply over the verbatim lowering, never over
@@ -919,19 +990,18 @@ impl Executor {
         cp.spec_fingerprint = plan.fingerprint;
         self.walk.spec.specializations += 1;
         self.walk.spec.generation += 1;
-        Some(self.walk.spec.generation)
+        Applied::Done
     }
 
-    /// Reverts to the verbatim lowering. Returns the new spec epoch if
-    /// the pipeline was specialized, `None` if it already was verbatim.
-    pub(crate) fn despecialize(&mut self) -> Option<u64> {
+    /// Reverts to the verbatim lowering, if the pipeline is specialized.
+    fn despecialize(&mut self) -> Applied {
         if self.spec_fingerprint() == 0 {
-            return None;
+            return Applied::Unchanged;
         }
         self.program.relower();
         self.walk.spec.despecializations += 1;
         self.walk.spec.generation += 1;
-        Some(self.walk.spec.generation)
+        Applied::Done
     }
 
     /// Current specialization counters and state.
@@ -1447,17 +1517,19 @@ mod tests {
             chain: vec![],
             fingerprint: 0xABCD,
         };
-        assert_eq!(ex.specialize_with(&plan), Some(1), "first spec epoch");
+        assert_eq!(ex.specialize_with(&plan), Applied::Done);
+        assert_eq!(ex.spec_stats().generation, 1, "first spec epoch");
         assert_eq!(ex.spec_fingerprint(), 0xABCD);
         // Re-applying the same plan is a no-op (dedup by fingerprint).
-        assert_eq!(ex.specialize_with(&plan), None);
+        assert_eq!(ex.specialize_with(&plan), Applied::Unchanged);
         // Guard hit on the baked key stays bit-exact with the oracle.
         let mut p = Packet::with_slots(vec![1, 0]);
         let r = ex.process(&mut p);
         assert!(!r.dropped);
         assert!((r.latency_ns - 22.0).abs() < 1e-9, "got {}", r.latency_ns);
         assert!(ex.spec_stats().guard_hits > 0);
-        assert_eq!(ex.despecialize(), Some(2), "second spec epoch");
+        assert_eq!(ex.despecialize(), Applied::Done);
+        assert_eq!(ex.spec_stats().generation, 2, "second spec epoch");
         assert_eq!(ex.spec_fingerprint(), 0, "despecialize restores verbatim");
     }
 
@@ -2144,7 +2216,7 @@ mod tests {
                 ex.set_engine_mode(mode);
                 ex.set_placement(placement.to_vec());
                 if specialize {
-                    assert!(ex.specialize_with(plan).is_some());
+                    assert_eq!(ex.specialize_with(plan), Applied::Done);
                 }
                 ex
             };
@@ -2415,7 +2487,7 @@ mod tests {
         let mut p = Packet::with_slots(vec![1, 0]);
         ex.process(&mut p);
         assert_eq!(ex.cache_len(cache), 1);
-        ex.deploy(g2).unwrap();
+        ex.apply(&ControlOp::Deploy(g2)).unwrap();
         assert_eq!(ex.cache_len(cache), 0);
     }
 }

@@ -1,9 +1,8 @@
-//! The epoch/RCU generation chain behind live reconfiguration.
+//! The epoch/RCU generation chain every control operation travels.
 //!
-//! When a [`crate::ShardedNic`] runs with live reconfiguration enabled,
-//! control-plane operations no longer fan out to every shard under its
-//! lock (which would serialize the control plane against packet
-//! execution). Instead the dispatcher *publishes* each operation as a
+//! A [`crate::ShardedNic`] does not take its shards' locks to change
+//! what they run (which would serialize the control plane against packet
+//! execution). The dispatcher *publishes* each [`ControlOp`] as a
 //! numbered generation onto a shared [`GenChain`]; every work item it
 //! subsequently dispatches is tagged with the latest generation id, and
 //! a shard *adopts* pending generations lazily — the first packet of a
@@ -14,8 +13,8 @@
 //! This gives the RCU structure its grace-period shape without a single
 //! stop-the-world point:
 //!
-//! * **Publish**: the dispatcher appends a [`GenNode`] (a full program
-//!   deploy or an entry-op delta) and bumps `latest`. Publication
+//! * **Publish**: the dispatcher appends a [`GenNode`] (the op, plus the
+//!   lowering it swaps in when it swaps one) and bumps `latest`. Publication
 //!   happens-before dispatch on the dispatcher thread, and the SPSC
 //!   ring's release/acquire hand-off carries that edge to the workers —
 //!   a worker that dequeues an item tagged `g` is guaranteed to see
@@ -29,89 +28,46 @@
 //!   exhaustively at quiescence (`wait_idle`), so the chain is empty in
 //!   steady state and memory stays bounded under swap storms.
 
-use crate::compiled::CompiledPipeline;
+use crate::backend::ControlOp;
 use crate::sync::{AtomicU64, Mutex, Ordering};
-use pipeleon_ir::{NextHops, NodeId, ProgramGraph, Table, TableEntry};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// An entry-op delta applied to the live generation. Control has already
-/// validated the operation against its replica before publishing, so
-/// shard-side application is infallible by construction.
-#[derive(Debug, Clone)]
-pub enum PatchOp {
-    /// `insert_entry(node, entry)`.
-    Insert {
-        /// Target table node.
-        node: NodeId,
-        /// Entry to append.
-        entry: TableEntry,
-    },
-    /// `remove_entry(node, index)`.
-    Remove {
-        /// Target table node.
-        node: NodeId,
-        /// Entry index within the node's table.
-        index: usize,
-    },
-    /// `replace_table(node, table, next)`.
-    Replace {
-        /// Target table node.
-        node: NodeId,
-        /// Replacement table contents.
-        table: Table,
-        /// Replacement next-hop wiring, if it changes.
-        next: Option<NextHops>,
-    },
-}
-
-/// What a generation publishes: a whole-program swap or a delta.
-// Under `--cfg pipeleon_check` this enum is exported for the model tests
-// (which only construct `Patch`); `Deploy` still carries the private
-// `CompiledPipeline`, which is fine — tests never name that variant.
-#[cfg_attr(pipeleon_check, allow(private_interfaces))]
+/// One published generation. `R` is what rides along with the op — in
+/// the datapath, the pipeline control lowered for it; the chain itself
+/// never looks.
 #[derive(Debug)]
-pub enum GenKind {
-    /// A full program swap. Carries the pre-built compiled pipeline (when
-    /// the compiled engine is active) so shards adopt by cloning instead
-    /// of each re-lowering the program on the datapath.
-    Deploy {
-        /// The new program graph.
-        graph: ProgramGraph,
-        /// Pre-lowered compiled pipeline, when the compiled engine is on.
-        compiled: Option<CompiledPipeline>,
-    },
-    /// An entry-op delta against the previous generation's program.
-    Patch(PatchOp),
-}
-
-/// One published generation.
-#[derive(Debug)]
-pub struct GenNode {
+pub struct GenNode<R> {
     /// Monotone generation id; ids are dense (latest id = chain length +
     /// reclaimed prefix).
     pub id: u64,
-    /// The published payload.
-    pub kind: GenKind,
+    /// The published operation. Control has already applied it to its
+    /// replica before publishing, so shard-side application is
+    /// infallible by construction.
+    pub op: ControlOp,
+    /// The pipeline control lowered for a pipeline-swapping op, when the
+    /// compiled engine is on: shards adopt by cloning instead of each
+    /// re-lowering (or re-planning) on the datapath.
+    pub lowered: Option<R>,
 }
 
 /// The shared publication chain. The dispatcher is the only publisher;
 /// shards read pending spans under the mutex when they adopt.
 #[derive(Debug)]
-pub struct GenChain {
-    nodes: Mutex<VecDeque<Arc<GenNode>>>,
+pub struct GenChain<R> {
+    nodes: Mutex<VecDeque<Arc<GenNode<R>>>>,
     /// Highest published generation id (0 = the construction-time
     /// program, which is never on the chain).
     latest: AtomicU64,
 }
 
-impl Default for GenChain {
+impl<R> Default for GenChain<R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl GenChain {
+impl<R> GenChain<R> {
     /// An empty chain at generation 0.
     pub fn new() -> Self {
         Self {
@@ -133,13 +89,13 @@ impl GenChain {
     }
 
     /// Appends a new generation and returns its id.
-    pub fn publish(&self, kind: GenKind) -> u64 {
+    pub fn publish(&self, op: ControlOp, lowered: Option<R>) -> u64 {
         let mut nodes = self.nodes.lock().expect("generation chain poisoned");
         // ORDERING: Acquire — same edge as `latest()`; also the mutex
         // guarantees we are the only publisher in flight, so `id` is
         // unique and dense.
         let id = self.latest.load(Ordering::Acquire) + 1;
-        nodes.push_back(Arc::new(GenNode { id, kind }));
+        nodes.push_back(Arc::new(GenNode { id, op, lowered }));
         // ORDERING: Release — publishes the push_back above: any thread
         // whose Acquire load of `latest` returns `id` finds the node on
         // the chain (forward-only adoption relies on this; verified by
@@ -150,7 +106,7 @@ impl GenChain {
 
     /// The pending span `(from, to]` in publication order — everything a
     /// shard at generation `from` must apply to reach `to`.
-    pub fn pending(&self, from: u64, to: u64) -> Vec<Arc<GenNode>> {
+    pub fn pending(&self, from: u64, to: u64) -> Vec<Arc<GenNode<R>>> {
         let nodes = self.nodes.lock().expect("generation chain poisoned");
         nodes
             .iter()
@@ -184,30 +140,30 @@ impl GenChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeleon_ir::MatchValue;
+    use pipeleon_ir::{MatchValue, NodeId, TableEntry};
 
-    fn patch(v: u64) -> GenKind {
-        GenKind::Patch(PatchOp::Insert {
+    fn patch(v: u64) -> ControlOp {
+        ControlOp::InsertEntry {
             node: NodeId(0),
             entry: TableEntry::new(vec![MatchValue::Exact(v)], 0),
-        })
+        }
     }
 
     #[test]
     fn publish_numbers_generations_densely() {
-        let c = GenChain::new();
+        let c = GenChain::<()>::new();
         assert_eq!(c.latest(), 0);
-        assert_eq!(c.publish(patch(1)), 1);
-        assert_eq!(c.publish(patch(2)), 2);
+        assert_eq!(c.publish(patch(1), None), 1);
+        assert_eq!(c.publish(patch(2), None), 2);
         assert_eq!(c.latest(), 2);
         assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn pending_returns_the_half_open_span_in_order() {
-        let c = GenChain::new();
+        let c = GenChain::<()>::new();
         for v in 0..5 {
-            c.publish(patch(v));
+            c.publish(patch(v), None);
         }
         let span = c.pending(1, 4);
         assert_eq!(span.iter().map(|n| n.id).collect::<Vec<_>>(), [2, 3, 4]);
@@ -216,9 +172,9 @@ mod tests {
 
     #[test]
     fn reclaim_drops_only_the_adopted_prefix() {
-        let c = GenChain::new();
+        let c = GenChain::<()>::new();
         for v in 0..4 {
-            c.publish(patch(v));
+            c.publish(patch(v), None);
         }
         c.reclaim(2);
         assert_eq!(c.len(), 2);
@@ -226,6 +182,6 @@ mod tests {
         c.reclaim(4);
         assert_eq!(c.len(), 0);
         // Ids keep counting after a full reclaim.
-        assert_eq!(c.publish(patch(9)), 5);
+        assert_eq!(c.publish(patch(9), None), 5);
     }
 }

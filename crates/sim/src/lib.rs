@@ -26,9 +26,8 @@
 //!   bit-identical reports, profiles and traces.
 //! * [`smallkey`] — [`SmallKey`]: fixed-width inline match/cache keys
 //!   (stack-resident up to 4×`u64`) queryable by borrowed `&[u64]`.
-//! * [`nic`] — [`SmartNic`]: multicore dispatch (RSS by flow hash),
-//!   throughput/latency measurement, and the control-plane entry API
-//!   (insert/delete/modify, cache flush).
+//! * [`nic`] — [`SmartNic`]: multicore dispatch (RSS by flow hash) and
+//!   throughput/latency measurement.
 //! * [`observe`] — [`ExecObservations`]: mergeable latency histograms
 //!   (end-to-end and per-table) recorded for sampled packets, built on
 //!   `pipeleon-obs`.
@@ -44,8 +43,9 @@
 //!   for small stable exact tables, and hot-chain slot layout — all
 //!   bit-exact against the interpreter oracle, applied and reverted
 //!   live through the generation chain.
-//! * [`backend`] — [`NicBackend`], the datapath trait both NICs
-//!   implement, so runtime targets can be backed by either.
+//! * [`backend`] — [`ControlOp`], the control plane as data, and
+//!   [`NicBackend`], the datapath trait both NICs implement, so runtime
+//!   targets can be backed by either.
 //!
 //! Everything is seeded and deterministic — results are bit-reproducible.
 //! A [`ShardedNic`] runs in one of two [`ShardMode`]s: `BitExact`
@@ -58,14 +58,15 @@
 //! window-merged profiles and histograms, relaxing only the float
 //! summation order of mean latency and throughput.
 //!
-//! With **live reconfiguration** enabled
-//! ([`NicBackend::set_live_reconfig`]), control-plane operations publish
-//! as numbered generations on an epoch/RCU chain instead of pausing the
-//! datapath: packets in flight keep executing under the generation they
-//! were dispatched with, newly dispatched packets pick up the new one,
-//! and old generations are reclaimed once every shard has quiesced past
-//! them. Each swap is reported through [`LiveSwap`] (generation id,
-//! packets in flight at publication, publish latency).
+//! The control plane is data: every operation on a deployed datapath
+//! is a [`ControlOp`], applied by one [`NicBackend::apply`]. A sharded
+//! datapath publishes it as a numbered generation on an epoch/RCU chain
+//! instead of pausing: packets in flight keep executing under the
+//! generation they were dispatched with, newly dispatched packets pick
+//! up the new one, and old generations are reclaimed once every shard
+//! has quiesced past them. Each pipeline swap is reported through
+//! [`LiveSwap`] (generation id, packets in flight at publication,
+//! publish latency).
 
 pub mod backend;
 pub mod cache;
@@ -90,7 +91,7 @@ pub mod smallkey;
 pub mod specialize;
 pub(crate) mod sync;
 
-pub use backend::{LiveSwap, NicBackend};
+pub use backend::{Applied, ControlOp, LiveSwap, NicBackend};
 pub use cache::{LruCache, RateLimiter};
 pub use engine::{KeyScratch, LookupOutcome, MatchEngine};
 pub use exec::{EngineMode, ExecReport, Executor, PacketTrace, SampleKeying};

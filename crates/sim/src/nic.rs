@@ -7,13 +7,13 @@
 //! busy time)`, capping at line rate exactly when the cores keep up — the
 //! same observable the paper's TRex measurements produce.
 
-use crate::backend::LiveSwap;
+use crate::backend::{Applied, ControlOp, LiveSwap, NicBackend};
 use crate::exec::{self, EngineMode, ExecReport, Executor, PacketTrace, SampleKeying};
+use crate::observe::ExecObservations;
 use crate::packet::Packet;
-use crate::specialize::{self, HotKeySketch, SpecConfig, SpecStats};
-use pipeleon_cost::{CostParams, Placement, RuntimeProfile};
+use crate::specialize::{HotKeySketch, SpecStats};
+use pipeleon_cost::{CostParams, RuntimeProfile};
 use pipeleon_ir::{IrError, NodeId, ProgramGraph, TableEntry};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -335,22 +335,16 @@ impl BatchStats {
 pub struct SmartNic {
     exec: Executor,
     config: NicConfig,
-    /// Whether live reconfiguration is enabled (deploys adopt the new
-    /// program in place, preserving the pending profile window — the
-    /// single-threaded reference for the sharded live datapath).
-    live: bool,
-    /// Monotone live-deploy counter (the single-threaded analogue of the
-    /// sharded generation chain's ids, counting deploys only).
+    /// Ops applied so far: the one-shard analogue of the sharded
+    /// generation chain's ids.
     generation: u64,
-    /// The most recent live swap (telemetry).
+    /// The most recent pipeline swap (telemetry).
     last_swap: Option<LiveSwap>,
     /// Open streaming measurement window, if any.
     measuring: Option<SmartMeasure>,
     /// The open window's accumulator; kept across windows (and reset at
     /// `measure_begin`) so a window regrows nothing.
     agg: BatchAgg,
-    /// Specialization planning thresholds.
-    spec_cfg: SpecConfig,
     /// The last taken profile window, retained for specialize steps that
     /// run right after a window boundary (the controller's tick has
     /// already consumed the live counters by then).
@@ -378,12 +372,10 @@ impl SmartNic {
         Ok(Self {
             exec: Executor::new(graph, params)?,
             config: NicConfig::default(),
-            live: false,
             generation: 0,
             last_swap: None,
             measuring: None,
             agg: BatchAgg::default(),
-            spec_cfg: SpecConfig::default(),
             last_profile: RuntimeProfile::empty(),
             last_sketches: HashMap::new(),
         })
@@ -410,81 +402,70 @@ impl SmartNic {
         &mut self.exec
     }
 
-    /// Live-reconfigures the NIC with a new program layout. With live
-    /// reconfiguration enabled ([`SmartNic::set_live_reconfig`]), the
-    /// swap *adopts* the new program in place: the pending profile
-    /// window, sampled observations, flow sequence counts, placements,
-    /// and instrumentation carry across — exactly the semantics each
-    /// shard of a live [`crate::ShardedNic`] applies when it adopts a
-    /// published generation, making this NIC the single-threaded
-    /// reference for live-reconfiguration differentials. Without live
-    /// mode, the classic deploy resets the profile window.
-    pub fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
-        if self.live {
-            let t0 = Instant::now();
-            graph.validate()?;
-            self.exec.adopt_graph(graph, None);
+    /// Applies one control operation now — the one-shard instance of
+    /// what a [`ShardedNic`](crate::ShardedNic) publishes on its
+    /// generation chain: nothing is ever in flight, so the op's stream
+    /// position is "before the next packet". Every op that changes the
+    /// datapath is a generation; a pipeline swap is also recorded
+    /// ([`SmartNic::last_swap`]).
+    pub fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
+        let t0 = Instant::now();
+        let applied = match &op {
+            // The retained window is this NIC's, not the executor's.
+            ControlOp::Specialize(cfg) => {
+                self.exec
+                    .specialize_from(cfg, &self.last_profile, &self.last_sketches)
+            }
+            op => self.exec.apply(op)?,
+        };
+        if applied != Applied::Unchanged {
             self.generation += 1;
-            self.last_swap = Some(LiveSwap {
-                generation: self.generation,
-                // Single-threaded: nothing is ever in flight at a swap.
-                in_flight: 0,
-                latency_ns: t0.elapsed().as_nanos() as f64,
-            });
-            return Ok(());
+            if op.swaps_pipeline() {
+                self.last_swap = Some(LiveSwap {
+                    generation: self.generation,
+                    // Single-threaded: nothing is ever in flight at a swap.
+                    in_flight: 0,
+                    latency_ns: t0.elapsed().as_nanos() as f64,
+                });
+            }
         }
-        self.exec.deploy(graph)
+        Ok(applied)
     }
 
-    /// Enables or disables live reconfiguration (swap-in-place deploys).
-    pub fn set_live_reconfig(&mut self, on: bool) {
-        self.live = on;
+    /// [`NicBackend::deploy`], for callers without the trait in scope
+    /// (as are the five below).
+    pub fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
+        NicBackend::deploy(self, graph)
     }
 
-    /// Whether live reconfiguration is enabled.
-    pub fn live_reconfig(&self) -> bool {
-        self.live
+    /// [`NicBackend::insert_entry`].
+    pub fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
+        NicBackend::insert_entry(self, node, entry)
     }
 
-    /// The most recent live program swap, if any.
+    /// [`NicBackend::remove_entry`].
+    pub fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
+        NicBackend::remove_entry(self, node, index)
+    }
+
+    /// [`NicBackend::set_instrumentation`].
+    pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
+        NicBackend::set_instrumentation(self, enabled, sample_every)
+    }
+
+    /// [`ControlOp::SetEngineMode`].
+    pub fn set_engine_mode(&mut self, mode: EngineMode) {
+        let _ = self.apply(ControlOp::SetEngineMode(mode));
+    }
+
+    /// [`NicBackend::specialize`].
+    pub fn specialize(&mut self) -> bool {
+        NicBackend::specialize(self)
+    }
+
+    /// The most recent pipeline swap, if any.
     pub fn last_swap(&self) -> Option<LiveSwap> {
         self.last_swap
-    }
-
-    /// Inserts a table entry (control-plane API).
-    pub fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        self.exec.insert_entry(node, entry)
-    }
-
-    /// Removes a table entry by index (control-plane API).
-    pub fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
-        self.exec.remove_entry(node, index)
-    }
-
-    /// Flushes one flow cache.
-    pub fn flush_cache(&mut self, node: NodeId) {
-        self.exec.flush_cache(node)
-    }
-
-    /// Replaces a table definition in place (see
-    /// [`Executor::replace_table`]).
-    pub fn replace_table(
-        &mut self,
-        node: NodeId,
-        table: pipeleon_ir::Table,
-        next: Option<pipeleon_ir::NextHops>,
-    ) -> Result<(), IrError> {
-        self.exec.replace_table(node, table, next)
-    }
-
-    /// Sets a flow cache's insertion rate limit.
-    pub fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64) {
-        self.exec.set_cache_insertion_limit(node, rate_per_s)
-    }
-
-    /// Enables counter instrumentation with `sample_every` packet sampling.
-    pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
-        self.exec.set_instrumentation(enabled, sample_every)
     }
 
     /// Selects how sampling decisions are keyed (see [`SampleKeying`]).
@@ -495,53 +476,12 @@ impl SmartNic {
         self.exec.set_sample_keying(keying)
     }
 
-    /// Sets node placements for heterogeneous execution.
-    pub fn set_placement(&mut self, placement: Vec<Placement>) {
-        self.exec.set_placement(placement)
-    }
-
-    /// Assigns tables to memory tiers (§6 hierarchical-memory extension).
-    pub fn set_memory_tiers(&mut self, tiers: Vec<pipeleon_cost::MemoryTier>) {
-        self.exec.set_memory_tiers(tiers)
-    }
-
     /// Takes the profile collected since the last call. The window (and
     /// its hot-key sketches) is retained for the next specialize step.
     pub fn take_profile(&mut self) -> RuntimeProfile {
         self.last_profile = self.exec.take_profile();
         self.last_sketches = self.exec.take_hot_sketches();
         self.last_profile.clone()
-    }
-
-    /// Sets the specialization planning thresholds.
-    pub fn set_spec_config(&mut self, cfg: SpecConfig) {
-        self.spec_cfg = cfg;
-    }
-
-    /// Builds a specialization plan from the last profile window (merged
-    /// with whatever has accumulated since) and applies it to the
-    /// compiled pipeline. Returns `true` if the pipeline changed.
-    ///
-    /// Deliberately *generation-silent*: the specialized pipeline is the
-    /// same program, bit-exactly — it is not a reconfiguration, and it
-    /// neither bumps the deploy generation nor reports a live swap.
-    pub fn specialize(&mut self) -> bool {
-        // Right after a window boundary nothing has accumulated, and the
-        // retained window is read where it lies.
-        let mut profile = Cow::Borrowed(&self.last_profile);
-        if !self.exec.sampled_profile().is_empty() {
-            profile.to_mut().merge(self.exec.sampled_profile());
-        }
-        let mut sketches = self.last_sketches.clone();
-        self.exec.peek_hot_sketches_into(&mut sketches);
-        let plan = specialize::build_plan(self.exec.graph(), &profile, &sketches, &self.spec_cfg);
-        self.exec.specialize_with(&plan).is_some()
-    }
-
-    /// Reverts the compiled pipeline to the verbatim lowering. Returns
-    /// `true` if it was specialized.
-    pub fn despecialize(&mut self) -> bool {
-        self.exec.despecialize().is_some()
     }
 
     /// Current specialization counters and state.
@@ -551,19 +491,13 @@ impl SmartNic {
 
     /// Takes the latency histograms recorded for sampled packets since
     /// the last call.
-    pub fn take_observations(&mut self) -> crate::observe::ExecObservations {
+    pub fn take_observations(&mut self) -> ExecObservations {
         self.exec.take_observations()
     }
 
     /// Current simulation time in seconds.
     pub fn now_s(&self) -> f64 {
         self.exec.now_s
-    }
-
-    /// Selects the packet-execution engine ([`EngineMode`]): the
-    /// reference interpreter or the compiled datapath (the default).
-    pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        self.exec.set_engine_mode(mode)
     }
 
     /// The currently selected packet-execution engine.
@@ -670,6 +604,64 @@ impl SmartNic {
         } else {
             sum / packets.len() as f64
         }
+    }
+}
+
+impl NicBackend for SmartNic {
+    fn graph(&self) -> &ProgramGraph {
+        SmartNic::graph(self)
+    }
+
+    fn params(&self) -> &CostParams {
+        SmartNic::params(self)
+    }
+
+    fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
+        SmartNic::apply(self, op)
+    }
+
+    fn take_profile(&mut self) -> RuntimeProfile {
+        SmartNic::take_profile(self)
+    }
+
+    fn take_observations(&mut self) -> ExecObservations {
+        SmartNic::take_observations(self)
+    }
+
+    fn engine_mode(&self) -> EngineMode {
+        SmartNic::engine_mode(self)
+    }
+
+    fn process_one(&mut self, packet: &mut Packet) -> ExecReport {
+        SmartNic::process_one(self, packet)
+    }
+
+    fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
+        SmartNic::process_batch(self, packets)
+    }
+
+    fn measure_begin(&mut self) {
+        SmartNic::measure_begin(self)
+    }
+
+    fn measure_feed(&mut self, packets: Vec<Packet>) {
+        SmartNic::measure_feed(self, packets)
+    }
+
+    fn measure_end(&mut self) -> BatchStats {
+        SmartNic::measure_end(self)
+    }
+
+    fn now_s(&self) -> f64 {
+        SmartNic::now_s(self)
+    }
+
+    fn last_swap(&self) -> Option<LiveSwap> {
+        SmartNic::last_swap(self)
+    }
+
+    fn spec_stats(&self) -> SpecStats {
+        SmartNic::spec_stats(self)
     }
 }
 

@@ -63,46 +63,39 @@
 //! [`SmartNic`](crate::SmartNic) for any worker count, at the cost of a
 //! full sort + barrier per batch.
 //!
-//! # Control plane: fan-out vs. live reconfiguration
+//! # Control plane: ops as data on the generation chain
 //!
-//! By default, control-plane operations (`insert_entry`, `remove_entry`,
-//! `replace_table`, `deploy`, cache management) fan out to every shard
-//! under its lock so all workers always run the same program — simple,
-//! but the control plane serializes against packet execution at burst
-//! granularity.
-//!
-//! With **live reconfiguration** enabled (`set_live_reconfig(true)`, in
-//! `RunLoop` mode), program-changing operations instead *publish* as
-//! numbered generations on an epoch/RCU chain (`GenChain` in
-//! `generation.rs`) without touching any shard lock:
-//! `deploy` publishes a whole-program swap (with a pre-built compiled
-//! pipeline the shards adopt by cloning), entry ops publish deltas, and
-//! every dispatched packet is tagged with the generation current at
-//! dispatch. A shard adopts pending generations lazily when the first
-//! packet tagged with a newer one reaches it, so:
+//! Every control operation is a [`ControlOp`] and takes one path
+//! ([`ShardedNic::apply`]), in both shard modes: it is applied to the
+//! control replica — which validates it, so a rejected op publishes
+//! nothing and the answer is the replica's — then *published* as a
+//! numbered generation on an epoch/RCU chain (`GenChain` in
+//! `generation.rs`), carrying the pipeline the replica lowered for it
+//! when it swaps one (`Deploy`, `Specialize`, `Despecialize`). Every
+//! packet dispatched afterwards is tagged with that generation, and a
+//! shard adopts pending generations, in order, when the first packet
+//! tagged with a newer one reaches it. So an op takes effect at a
+//! position of the packet stream, whatever the op:
 //!
 //! - **No torn reads**: a packet executes under exactly the generation
 //!   it was dispatched with — adoption is monotone and happens *between*
 //!   packets, never mid-packet.
-//! - **No drops or stalls**: publication never blocks the datapath, and
-//!   in-flight packets complete under their old generation.
+//! - **No drops or stalls**: publication takes no shard lock while
+//!   packets are in flight, and they complete under their old
+//!   generation.
 //! - **Worker-count-invariant attribution**: the generation tag is a
 //!   pure function of the packet's position in the arrival stream
 //!   relative to the publishes, so per-generation packet counts (and,
 //!   with flow-keyed sampling, merged profiles) are identical for any
-//!   worker count.
+//!   worker count — for a flush or an instrumentation flip between two
+//!   feeds of an open window as much as for a program swap.
 //!
-//! Quiescence is detected at `wait_idle` (every public call that drains
-//! the rings): drained shards are fast-forwarded to the latest
-//! generation and the chain prefix every shard has adopted is reclaimed,
-//! so the chain is empty in steady state. In `BitExact` mode live
-//! reconfiguration falls back to synchronous fan-out (the oracle runs
-//! fork-join batches, so shards are idle whenever control runs).
-//!
-//! Non-program operations (instrumentation, placement, engine mode,
-//! cache flushes/limits) always fan out: they mutate shard-local runtime
-//! state, and the shard mutex serializes them at burst granularity
-//! without tearing any packet.
+//! When nothing is in flight — between windows, and always in
+//! `BitExact` mode, whose fork-join feeds run to completion — the
+//! position is "now": the publish fast-forwards every shard to the
+//! latest generation on the spot and reclaims the chain. The same
+//! fast-forward ends every drain (`wait_idle`), so the chain is empty
+//! in steady state and shard state read between windows is current.
 //!
 //! Caveat (both modes): flow-cache *runtime state* is shard-local. Each
 //! shard has its own LRU of the configured capacity and its own insertion
@@ -112,19 +105,20 @@
 //! without flow caches, and for cached programs whose working set and
 //! insertion rate stay under the per-shard limits.
 
-use crate::backend::{LiveSwap, NicBackend};
+use crate::backend::{Applied, ControlOp, LiveSwap, NicBackend};
+use crate::compiled::CompiledPipeline;
 use crate::distinct::{self, DistinctKeys};
 use crate::exec::{self, EngineMode, ExecReport, Executor, SampleKeying};
-use crate::generation::{GenChain, GenKind, PatchOp};
+use crate::generation::GenChain;
 use crate::nic::{BatchAgg, BatchStats, NicConfig, PacketRecord, ShardMode};
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::ring;
-use crate::specialize::{self, HotKeySketch, SpecConfig, SpecStats};
+use crate::specialize::{HotKeySketch, SpecStats};
 use crate::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use fxhash::FxHashMap;
-use pipeleon_cost::{CostParams, MemoryTier, Placement, RuntimeProfile};
-use pipeleon_ir::{IrError, NextHops, NodeId, ProgramGraph, Table, TableEntry};
+use pipeleon_cost::{CostParams, RuntimeProfile};
+use pipeleon_ir::{IrError, NodeId, ProgramGraph};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -228,52 +222,42 @@ struct Lane {
     /// Generation this shard has adopted (0 = the construction-time
     /// program). Monotone; see [`Lane::adopt_to`].
     gen: u64,
-    /// Whether live reconfiguration is on (mirrors the dispatcher's
-    /// flag; gates per-generation accounting off the non-live hot path).
-    live: bool,
-    /// Packets executed per generation since live reconfiguration was
-    /// enabled — the "every packet attributable to exactly one
-    /// generation" ledger.
+    /// Packets executed under `gen` that are not in `gen_packets` yet.
+    gen_run: u64,
+    /// Packets executed per earlier generation — with `gen_run`, the
+    /// "every packet attributable to exactly one generation" ledger. A
+    /// run-length tally: the map is touched when the generation changes,
+    /// not per packet.
     gen_packets: FxHashMap<u64, u64>,
     /// The shared publication chain (same `Arc` on every shard and the
     /// dispatcher).
-    chain: Arc<GenChain>,
+    chain: Arc<GenChain<CompiledPipeline>>,
 }
 
 impl Lane {
     /// Applies every generation in `(self.gen, target]`, in publication
-    /// order, then records the new watermark. Patches older than the
-    /// last full deploy in the span are superseded by it (the deploy
-    /// carries the whole already-patched program), so adoption starts at
-    /// that deploy. Forward-only: a fast-forwarded shard never re-applies
-    /// or rolls back.
+    /// order, then records the new watermark. What the last full deploy
+    /// in the span rebuilds anyway (entries, the lowering, flow caches)
+    /// is not applied before it: the deploy carries the whole
+    /// already-patched program. Forward-only: a fast-forwarded shard
+    /// never re-applies or rolls back.
     fn adopt_to(&mut self, exec: &mut Executor, target: u64) {
         if target <= self.gen {
             return;
         }
         let span = self.chain.pending(self.gen, target);
-        let start = span
+        let last_deploy = span
             .iter()
-            .rposition(|n| matches!(n.kind, GenKind::Deploy { .. }))
+            .rposition(|n| matches!(n.op, ControlOp::Deploy(_)))
             .unwrap_or(0);
-        for node in &span[start..] {
-            match &node.kind {
-                GenKind::Deploy { graph, compiled } => {
-                    exec.adopt_graph(graph.clone(), compiled.clone());
-                }
-                // Control validated each patch on its replica before
-                // publishing, and every shard holds the same program, so
-                // shard-side application cannot fail.
-                GenKind::Patch(PatchOp::Insert { node, entry }) => {
-                    let _ = exec.insert_entry(*node, entry.clone());
-                }
-                GenKind::Patch(PatchOp::Remove { node, index }) => {
-                    let _ = exec.remove_entry(*node, *index);
-                }
-                GenKind::Patch(PatchOp::Replace { node, table, next }) => {
-                    let _ = exec.replace_table(*node, table.clone(), next.clone());
-                }
+        for (i, node) in span.iter().enumerate() {
+            if i >= last_deploy || node.op.outlives_deploy() {
+                exec.adopt(&node.op, node.lowered.as_ref());
             }
+        }
+        if self.gen_run > 0 {
+            *self.gen_packets.entry(self.gen).or_insert(0) += self.gen_run;
+            self.gen_run = 0;
         }
         self.gen = target;
     }
@@ -282,9 +266,7 @@ impl Lane {
         if item.gen > self.gen {
             self.adopt_to(exec, item.gen);
         }
-        if self.live {
-            *self.gen_packets.entry(self.gen).or_insert(0) += 1;
-        }
+        self.gen_run += 1;
         match self.ctx {
             BatchCtx::Forward => {
                 let r = exec.process(&mut item.pkt);
@@ -495,19 +477,14 @@ pub struct ShardedNic {
     /// Clock value at the last `take_profile` (profile window start).
     last_take_s: f64,
     /// The generation publication chain (shared with every shard).
-    chain: Arc<GenChain>,
-    /// Whether live reconfiguration is enabled.
-    live: bool,
+    chain: Arc<GenChain<CompiledPipeline>>,
     /// Cached `chain.latest()` — the dispatcher is the sole publisher,
     /// so its cache is always exact; work items are tagged with it.
     latest_gen: u64,
-    /// The most recent live program swap (telemetry).
+    /// The most recent pipeline swap (telemetry).
     last_swap: Option<LiveSwap>,
     /// Open streaming measurement window, if any.
     measuring: Option<MeasureStream>,
-    /// Specialization planning thresholds (plans are built centrally on
-    /// the dispatcher from merged cross-shard profile state).
-    spec_cfg: SpecConfig,
     /// The last taken (merged) profile window, retained so a specialize
     /// step right after a window boundary still sees a full window.
     last_profile: RuntimeProfile,
@@ -545,7 +522,7 @@ impl ShardedNic {
                         out: Vec::new(),
                         local_idx: 0,
                         gen: 0,
-                        live: false,
+                        gen_run: 0,
                         gen_packets: FxHashMap::default(),
                         chain: Arc::clone(&chain),
                     },
@@ -578,11 +555,9 @@ impl ShardedNic {
             now_s: 0.0,
             last_take_s: 0.0,
             chain,
-            live: false,
             latest_gen: 0,
             last_swap: None,
             measuring: None,
-            spec_cfg: SpecConfig::default(),
             last_profile: RuntimeProfile::empty(),
             last_sketches: HashMap::new(),
         };
@@ -716,33 +691,35 @@ impl ShardedNic {
                 break;
             }
         }
-        if self.live {
-            // Quiescence: every ring is drained, so fast-forwarding a
-            // shard cannot skip a generation an in-flight packet still
-            // needs — there are none. This is the RCU grace-period end:
-            // all shards reach `latest_gen`, the whole chain prefix
-            // becomes unreachable, and reclaiming it bounds memory under
-            // swap storms. It also zeroes executor deltas (cache stats
-            // reset at adoption) identically on every shard, keeping
-            // window merges worker-count-invariant even when some shards
-            // saw no post-swap packets.
-            let latest = self.latest_gen;
-            debug_assert_eq!(
-                latest,
-                self.chain.latest(),
-                "dispatcher is the sole publisher, so its cache is exact"
-            );
-            for cell in &self.shards {
-                let mut st = cell.state.lock().expect("shard state poisoned");
-                let ShardState { exec, lane, .. } = &mut *st;
-                lane.adopt_to(exec, latest);
-                // ORDERING: Release — same edge as the `drain_burst`
-                // publication: the adoption work under the lock
-                // happens-before any reclaim that observes this value.
-                cell.adopted.store(st.lane.gen, Ordering::Release);
-            }
-            self.chain.reclaim(latest);
+        self.fast_forward();
+    }
+
+    /// Brings every shard to the latest generation and reclaims the
+    /// chain. Only called when nothing is in flight, so fast-forwarding
+    /// a shard cannot skip a generation a packet still needs — there are
+    /// none. This is the RCU grace-period end: all shards reach
+    /// `latest_gen`, the whole chain becomes unreachable, and reclaiming
+    /// it bounds memory under swap storms. It also zeroes executor
+    /// deltas (cache stats reset at adoption) identically on every
+    /// shard, keeping window merges worker-count-invariant even when
+    /// some shards saw no packets after a publish.
+    fn fast_forward(&mut self) {
+        let latest = self.latest_gen;
+        debug_assert_eq!(
+            latest,
+            self.chain.latest(),
+            "dispatcher is the sole publisher, so its cache is exact"
+        );
+        for cell in &self.shards {
+            let mut st = cell.state.lock().expect("shard state poisoned");
+            let ShardState { exec, lane, .. } = &mut *st;
+            lane.adopt_to(exec, latest);
+            // ORDERING: Release — same edge as the `drain_burst`
+            // publication: the adoption work under the lock
+            // happens-before any reclaim that observes this value.
+            cell.adopted.store(latest, Ordering::Release);
         }
+        self.chain.reclaim(latest);
     }
 
     /// Packets enqueued to shard rings but not yet processed.
@@ -774,12 +751,6 @@ impl ShardedNic {
         self.chain.reclaim(min);
     }
 
-    /// Whether this operation should publish on the generation chain
-    /// instead of fanning out under the shard locks.
-    fn publishes_live(&self) -> bool {
-        self.live && self.mode == ShardMode::RunLoop
-    }
-
     /// Number of worker shards.
     pub fn num_workers(&self) -> usize {
         self.shards.len()
@@ -791,8 +762,8 @@ impl ShardedNic {
     }
 
     /// Every shard's deployed program, in shard order (cloned out of the
-    /// shard mutexes). Control-plane fan-out keeps these identical;
-    /// tests assert it.
+    /// shard mutexes). Identical whenever nothing is in flight; tests
+    /// assert it.
     pub fn shard_graphs(&self) -> Vec<ProgramGraph> {
         self.shards
             .iter()
@@ -817,161 +788,83 @@ impl ShardedNic {
         self.now_s
     }
 
-    /// Enables or disables live reconfiguration (see the module docs).
-    /// Drains in-flight work first so the mode flip itself is never
-    /// concurrent with packets dispatched under the old regime.
-    pub fn set_live_reconfig(&mut self, on: bool) {
-        if self.live == on {
-            return;
-        }
-        if self.run.is_some() {
-            self.wait_idle();
-        }
-        self.live = on;
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.lane.live = on;
-        }
-    }
-
-    /// Whether live reconfiguration is enabled.
-    pub fn live_reconfig(&self) -> bool {
-        self.live
-    }
-
-    /// The most recent live program swap, if any.
+    /// The most recent pipeline swap, if any.
     pub fn last_swap(&self) -> Option<LiveSwap> {
         self.last_swap
     }
 
-    /// Packets executed per generation since live reconfiguration was
-    /// enabled, merged across shards. Each packet is counted under
-    /// exactly one generation — the one it was dispatched with — so the
-    /// counts sum to the packets processed and are identical for any
-    /// worker count.
+    /// Packets executed per generation, merged across shards. Each
+    /// packet is counted under exactly one generation — the one it was
+    /// dispatched with — so the counts sum to the packets processed and
+    /// are identical for any worker count.
     pub fn generation_counts(&self) -> BTreeMap<u64, u64> {
         let mut merged = BTreeMap::new();
         for cell in &self.shards {
             let st = cell.state.lock().expect("shard state poisoned");
-            for (&g, &c) in &st.lane.gen_packets {
+            let lane = &st.lane;
+            for (&g, &c) in &lane.gen_packets {
                 *merged.entry(g).or_insert(0) += c;
+            }
+            if lane.gen_run > 0 {
+                *merged.entry(lane.gen).or_insert(0) += lane.gen_run;
             }
         }
         merged
     }
 
-    /// Live-reconfigures every shard with a new program layout. With
-    /// live reconfiguration on (`RunLoop` mode) this *publishes* a new
-    /// generation concurrent with packet flow — no shard lock is taken,
-    /// in-flight packets complete under the old program — and records
-    /// the swap ([`ShardedNic::last_swap`]). Otherwise it fans out to
-    /// every shard synchronously.
-    pub fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
-        if self.publishes_live() {
-            let t0 = Instant::now();
-            self.control.deploy(graph.clone())?;
-            // Build the compiled pipeline once, centrally: adopters
-            // clone it instead of each lowering the program mid-burst.
-            let compiled = self.control.compiled_clone();
-            let id = self.chain.publish(GenKind::Deploy { graph, compiled });
-            self.latest_gen = id;
+    /// Applies one control operation: validate on the control replica,
+    /// publish, tag (see the module docs). Packets already dispatched
+    /// complete without the op; every later one runs with it, on
+    /// whichever shard. A rejected op publishes nothing, and neither
+    /// does one the replica reports as [`Applied::Unchanged`].
+    pub fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
+        let t0 = Instant::now();
+        let applied = match &op {
+            // One plan, from the merged cross-shard window.
+            ControlOp::Specialize(cfg) => {
+                let (profile, sketches) = self.spec_inputs();
+                self.control.specialize_from(cfg, &profile, &sketches)
+            }
+            op => self.control.apply(op)?,
+        };
+        if applied == Applied::Unchanged {
+            return Ok(applied);
+        }
+        // A swapped pipeline is lowered once, here: adopters clone it
+        // instead of each lowering the program mid-burst.
+        let swap = op.swaps_pipeline();
+        let lowered = swap.then(|| self.control.compiled_clone()).flatten();
+        self.latest_gen = self.chain.publish(op, lowered);
+        let in_flight = self.in_flight();
+        if swap {
             self.last_swap = Some(LiveSwap {
-                generation: id,
-                in_flight: self.in_flight(),
+                generation: self.latest_gen,
+                in_flight,
                 latency_ns: t0.elapsed().as_nanos() as f64,
             });
+        }
+        if in_flight == 0 {
+            self.fast_forward();
+        } else {
             self.reclaim_adopted();
-            return Ok(());
         }
-        let mut out = self.control.deploy(graph.clone());
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            if let Err(e) = st.exec.deploy(graph.clone()) {
-                out = Err(e);
-            }
-        }
-        out
+        Ok(applied)
     }
 
-    /// Inserts a table entry on every shard (control-plane API). All
-    /// shards hold identical graphs, so the operation either succeeds or
-    /// fails identically everywhere; the last shard's result is returned.
-    /// With live reconfiguration on, a validated insert publishes as a
-    /// delta generation instead of pausing the datapath.
-    pub fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        if self.publishes_live() {
-            self.control.insert_entry(node, entry.clone())?;
-            self.latest_gen = self
-                .chain
-                .publish(GenKind::Patch(PatchOp::Insert { node, entry }));
-            self.reclaim_adopted();
-            return Ok(());
-        }
-        let mut out = self.control.insert_entry(node, entry.clone());
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            if let Err(e) = st.exec.insert_entry(node, entry.clone()) {
-                out = Err(e);
-            }
-        }
-        out
+    /// [`ControlOp::SetEngineMode`], for callers without [`NicBackend`]
+    /// in scope (as are the two below).
+    pub fn set_engine_mode(&mut self, mode: EngineMode) {
+        let _ = self.apply(ControlOp::SetEngineMode(mode));
     }
 
-    /// Removes a table entry by index on every shard (control-plane API).
-    /// Publishes as a delta generation under live reconfiguration.
-    pub fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
-        if self.publishes_live() {
-            let removed = self.control.remove_entry(node, index)?;
-            self.latest_gen = self
-                .chain
-                .publish(GenKind::Patch(PatchOp::Remove { node, index }));
-            self.reclaim_adopted();
-            return Ok(removed);
-        }
-        let mut out = self.control.remove_entry(node, index);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            out = st.exec.remove_entry(node, index);
-        }
-        out
+    /// [`NicBackend::set_instrumentation`].
+    pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
+        NicBackend::set_instrumentation(self, enabled, sample_every)
     }
 
-    /// Replaces a table definition in place on every shard. Publishes as
-    /// a delta generation under live reconfiguration.
-    pub fn replace_table(
-        &mut self,
-        node: NodeId,
-        table: Table,
-        next: Option<NextHops>,
-    ) -> Result<(), IrError> {
-        if self.publishes_live() {
-            self.control
-                .replace_table(node, table.clone(), next.clone())?;
-            self.latest_gen =
-                self.chain
-                    .publish(GenKind::Patch(PatchOp::Replace { node, table, next }));
-            self.reclaim_adopted();
-            return Ok(());
-        }
-        let mut out = self
-            .control
-            .replace_table(node, table.clone(), next.clone());
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            if let Err(e) = st.exec.replace_table(node, table.clone(), next.clone()) {
-                out = Err(e);
-            }
-        }
-        out
-    }
-
-    /// Flushes one flow cache on every shard.
-    pub fn flush_cache(&mut self, node: NodeId) {
-        self.control.flush_cache(node);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.flush_cache(node);
-        }
+    /// [`NicBackend::specialize`].
+    pub fn specialize(&mut self) -> bool {
+        NicBackend::specialize(self)
     }
 
     /// Total live entries in a flow cache's runtime state across shards.
@@ -988,55 +881,8 @@ impl ShardedNic {
             .sum()
     }
 
-    /// Sets a flow cache's insertion rate limit on every shard (each
-    /// shard gets the full budget — see the module docs caveat).
-    pub fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64) {
-        self.control.set_cache_insertion_limit(node, rate_per_s);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_cache_insertion_limit(node, rate_per_s);
-        }
-    }
-
-    /// Enables counter instrumentation with `sample_every` packet
-    /// sampling on every shard.
-    pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
-        self.control.set_instrumentation(enabled, sample_every);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_instrumentation(enabled, sample_every);
-        }
-    }
-
-    /// Sets node placements on every shard.
-    pub fn set_placement(&mut self, placement: Vec<Placement>) {
-        self.control.set_placement(placement.clone());
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_placement(placement.clone());
-        }
-    }
-
-    /// Assigns tables to memory tiers on every shard.
-    pub fn set_memory_tiers(&mut self, tiers: Vec<MemoryTier>) {
-        self.control.set_memory_tiers(tiers.clone());
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_memory_tiers(tiers.clone());
-        }
-    }
-
-    /// Selects the packet-execution engine on every shard.
-    pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        self.control.set_engine_mode(mode);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_engine_mode(mode);
-        }
-    }
-
-    /// The currently selected packet-execution engine (identical on every
-    /// shard; control-plane fan-out keeps them in sync).
+    /// The currently selected packet-execution engine (the control
+    /// replica's: every shard reaches it at the same stream position).
     pub fn engine_mode(&self) -> EngineMode {
         self.control.engine_mode()
     }
@@ -1153,17 +999,14 @@ impl ShardedNic {
         let shard = (packet.flow_hash() % self.shards.len() as u64) as usize;
         let cell = &self.shards[shard];
         let mut st = cell.state.lock().expect("shard state poisoned");
-        if self.live {
-            if self.latest_gen > st.lane.gen {
-                let ShardState { exec, lane, .. } = &mut *st;
-                lane.adopt_to(exec, self.latest_gen);
-                // ORDERING: Release — same edge as the `drain_burst`
-                // publication of `adopted` (see there).
-                cell.adopted.store(st.lane.gen, Ordering::Release);
-            }
-            let g = st.lane.gen;
-            *st.lane.gen_packets.entry(g).or_insert(0) += 1;
+        if self.latest_gen > st.lane.gen {
+            let ShardState { exec, lane, .. } = &mut *st;
+            lane.adopt_to(exec, self.latest_gen);
+            // ORDERING: Release — same edge as the `drain_burst`
+            // publication of `adopted` (see there).
+            cell.adopted.store(st.lane.gen, Ordering::Release);
         }
+        st.lane.gen_run += 1;
         st.exec.now_s = self.now_s;
         if self.mode == ShardMode::BitExact {
             st.exec.set_packet_seq(self.seq);
@@ -1213,11 +1056,6 @@ impl ShardedNic {
         merged
     }
 
-    /// Sets the specialization planning thresholds.
-    pub fn set_spec_config(&mut self, cfg: SpecConfig) {
-        self.spec_cfg = cfg;
-    }
-
     /// The merged cross-shard specialization planning inputs: the
     /// retained last profile window folded with whatever every shard has
     /// accumulated since, and the hot-key sketches likewise.
@@ -1232,87 +1070,10 @@ impl ShardedNic {
         (profile, sketches)
     }
 
-    /// Builds one specialization plan from the merged cross-shard
-    /// profile state and applies it to the compiled datapath everywhere.
-    /// Returns `true` if the pipeline changed.
-    ///
-    /// With live reconfiguration on (`RunLoop` mode) the specialized
-    /// pipeline is compiled once on the control replica and *published*
-    /// as a deploy generation on the epoch/RCU chain — shards adopt it
-    /// concurrent with packet flow, in-flight packets complete under the
-    /// verbatim lowering, and the swap is reported via
-    /// [`ShardedNic::last_swap`] exactly like a live program deploy
-    /// (including deploy semantics for shard-local cache runtime state).
-    /// Otherwise the plan fans out to every shard under its lock, which
-    /// swaps only the compiled pipeline (burst-granularity, bit-exact,
-    /// cache state untouched) — the same effect as
-    /// [`SmartNic::specialize`](crate::SmartNic::specialize) per shard.
-    pub fn specialize(&mut self) -> bool {
-        let (profile, sketches) = self.spec_inputs();
-        let plan =
-            specialize::build_plan(self.control.graph(), &profile, &sketches, &self.spec_cfg);
-        if self.publishes_live() {
-            let t0 = Instant::now();
-            if self.control.specialize_with(&plan).is_none() {
-                return false;
-            }
-            let graph = self.control.graph().clone();
-            let compiled = self.control.compiled_clone();
-            let id = self.chain.publish(GenKind::Deploy { graph, compiled });
-            self.latest_gen = id;
-            self.last_swap = Some(LiveSwap {
-                generation: id,
-                in_flight: self.in_flight(),
-                latency_ns: t0.elapsed().as_nanos() as f64,
-            });
-            self.reclaim_adopted();
-            return true;
-        }
-        let applied = self.control.specialize_with(&plan).is_some();
-        if applied {
-            for cell in &self.shards {
-                let mut st = cell.state.lock().expect("shard state poisoned");
-                st.exec.specialize_with(&plan);
-            }
-        }
-        applied
-    }
-
-    /// Reverts the compiled datapath to the verbatim lowering on every
-    /// shard. Returns `true` if it was specialized. Under live
-    /// reconfiguration this too publishes as a deploy generation.
-    pub fn despecialize(&mut self) -> bool {
-        if self.publishes_live() {
-            let t0 = Instant::now();
-            if self.control.despecialize().is_none() {
-                return false;
-            }
-            let graph = self.control.graph().clone();
-            let compiled = self.control.compiled_clone();
-            let id = self.chain.publish(GenKind::Deploy { graph, compiled });
-            self.latest_gen = id;
-            self.last_swap = Some(LiveSwap {
-                generation: id,
-                in_flight: self.in_flight(),
-                latency_ns: t0.elapsed().as_nanos() as f64,
-            });
-            self.reclaim_adopted();
-            return true;
-        }
-        let reverted = self.control.despecialize().is_some();
-        if reverted {
-            for cell in &self.shards {
-                let mut st = cell.state.lock().expect("shard state poisoned");
-                st.exec.despecialize();
-            }
-        }
-        reverted
-    }
-
     /// Current specialization counters: plan/epoch state from the
-    /// control replica (shards apply the same plans, or adopt them
-    /// silently through the generation chain), guard hit/miss telemetry
-    /// summed across the shards that actually execute packets.
+    /// control replica (shards adopt its lowerings through the
+    /// generation chain), guard hit/miss telemetry summed across the
+    /// shards that actually execute packets.
     pub fn spec_stats(&self) -> SpecStats {
         let mut stats = self.control.spec_stats();
         for cell in &self.shards {
@@ -1407,7 +1168,7 @@ impl ShardedNic {
     }
 
     /// Closes the measurement window: waits for every fed packet to
-    /// drain (quiescing the generation chain in live mode) and returns
+    /// drain (quiescing the generation chain) and returns
     /// the merged statistics for the whole window.
     pub fn measure_end(&mut self) -> BatchStats {
         match self.mode {
@@ -1480,6 +1241,8 @@ impl ShardedNic {
                 }
                 handles.push(s.spawn(move || {
                     let mut st = cell.state.lock().expect("shard state poisoned");
+                    // (Fast-forwarded at publish: the shard is current.)
+                    st.lane.gen_run += work.len() as u64;
                     let exec = &mut st.exec;
                     let mut out = Vec::with_capacity(work.len());
                     for (gidx, mut pkt) in work {
@@ -1562,8 +1325,8 @@ impl NicBackend for ShardedNic {
         ShardedNic::params(self)
     }
 
-    fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
-        ShardedNic::deploy(self, graph)
+    fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
+        ShardedNic::apply(self, op)
     }
 
     fn take_profile(&mut self) -> RuntimeProfile {
@@ -1574,45 +1337,8 @@ impl NicBackend for ShardedNic {
         ShardedNic::take_observations(self)
     }
 
-    fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        ShardedNic::insert_entry(self, node, entry)
-    }
-
-    fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
-        ShardedNic::remove_entry(self, node, index)
-    }
-
-    fn replace_table(
-        &mut self,
-        node: NodeId,
-        table: Table,
-        next: Option<NextHops>,
-    ) -> Result<(), IrError> {
-        ShardedNic::replace_table(self, node, table, next)
-    }
-
-    fn flush_cache(&mut self, node: NodeId) {
-        ShardedNic::flush_cache(self, node)
-    }
-
-    fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64) {
-        ShardedNic::set_cache_insertion_limit(self, node, rate_per_s)
-    }
-
-    fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
-        ShardedNic::set_instrumentation(self, enabled, sample_every)
-    }
-
-    fn set_engine_mode(&mut self, mode: EngineMode) {
-        ShardedNic::set_engine_mode(self, mode)
-    }
-
     fn engine_mode(&self) -> EngineMode {
         ShardedNic::engine_mode(self)
-    }
-
-    fn shard_mode(&self) -> ShardMode {
-        ShardedNic::shard_mode(self)
     }
 
     fn process_one(&mut self, packet: &mut Packet) -> ExecReport {
@@ -1621,26 +1347,6 @@ impl NicBackend for ShardedNic {
 
     fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
         ShardedNic::process_batch(self, packets)
-    }
-
-    fn measure_batch(&mut self, packets: Vec<Packet>) -> BatchStats {
-        self.measure(packets)
-    }
-
-    fn now_s(&self) -> f64 {
-        ShardedNic::now_s(self)
-    }
-
-    fn set_live_reconfig(&mut self, on: bool) {
-        ShardedNic::set_live_reconfig(self, on)
-    }
-
-    fn live_reconfig(&self) -> bool {
-        ShardedNic::live_reconfig(self)
-    }
-
-    fn last_swap(&self) -> Option<LiveSwap> {
-        ShardedNic::last_swap(self)
     }
 
     fn measure_begin(&mut self) {
@@ -1655,16 +1361,12 @@ impl NicBackend for ShardedNic {
         ShardedNic::measure_end(self)
     }
 
-    fn set_spec_config(&mut self, cfg: SpecConfig) {
-        ShardedNic::set_spec_config(self, cfg)
+    fn now_s(&self) -> f64 {
+        ShardedNic::now_s(self)
     }
 
-    fn specialize(&mut self) -> bool {
-        ShardedNic::specialize(self)
-    }
-
-    fn despecialize(&mut self) -> bool {
-        ShardedNic::despecialize(self)
+    fn last_swap(&self) -> Option<LiveSwap> {
+        ShardedNic::last_swap(self)
     }
 
     fn spec_stats(&self) -> SpecStats {

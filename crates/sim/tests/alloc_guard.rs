@@ -24,7 +24,7 @@ use pipeleon_cost::CostParams;
 use pipeleon_ir::{
     CacheRole, MatchKind, MatchValue, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
 };
-use pipeleon_sim::{EngineMode, Executor, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{ControlOp, EngineMode, Executor, Packet, ShardMode, ShardedNic, SmartNic};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -190,7 +190,8 @@ fn compiled_steady_state_is_allocation_free() {
 
     // --- Mixed match-kind chain -------------------------------------
     let mut ex = Executor::new(mixed_program(), params.clone()).unwrap();
-    ex.set_engine_mode(EngineMode::Compiled);
+    ex.apply(&ControlOp::SetEngineMode(EngineMode::Compiled))
+        .unwrap();
     let mut packets: Vec<Packet> = (0..256u64)
         .map(|i| Packet::with_slots(vec![i % 32, i % 11, (i * 3) % 8, 0]))
         .collect();
@@ -212,7 +213,8 @@ fn compiled_steady_state_is_allocation_free() {
 
     // --- Flow-cache hits (probe + LRU bump + action replay) ----------
     let mut ex = Executor::new(cached_program(), params.clone()).unwrap();
-    ex.set_engine_mode(EngineMode::Compiled);
+    ex.apply(&ControlOp::SetEngineMode(EngineMode::Compiled))
+        .unwrap();
     let mut packets: Vec<Packet> = (0..256u64)
         .map(|i| Packet::with_slots(vec![i % 48, 0]))
         .collect();
@@ -239,7 +241,8 @@ fn compiled_steady_state_is_allocation_free() {
     // a field read, a multiply and a prefetch: a burst still allocates
     // exactly its report `Vec` and nothing else.
     let mut ex = Executor::new(big_table_program(), params.clone()).unwrap();
-    ex.set_engine_mode(EngineMode::Compiled);
+    ex.apply(&ControlOp::SetEngineMode(EngineMode::Compiled))
+        .unwrap();
     let mut packets: Vec<Packet> = (0..256u64)
         .map(|i| Packet::with_slots(vec![(i * 7919) % 70_000, 0]))
         .collect();
@@ -342,7 +345,8 @@ fn compiled_steady_state_is_allocation_free() {
     // walk that cloned each action body and keyed lookups by `Vec<u64>`,
     // these 256 packets allocated 544 times.)
     let mut ex = Executor::new(mixed_program(), params).unwrap();
-    ex.set_engine_mode(EngineMode::Interpreter);
+    ex.apply(&ControlOp::SetEngineMode(EngineMode::Interpreter))
+        .unwrap();
     let mut packets: Vec<Packet> = (0..256u64)
         .map(|i| Packet::with_slots(vec![i % 32, i % 11, (i * 3) % 8, 0]))
         .collect();

@@ -24,8 +24,9 @@
 #![cfg(pipeleon_check)]
 
 use pipeleon_check as check;
-use pipeleon_sim::generation::{GenChain, GenKind, PatchOp};
+use pipeleon_sim::generation::GenChain;
 use pipeleon_sim::ring::{self, RingOrderings};
+use pipeleon_sim::{ControlOp, SpecConfig};
 
 use check::sync::atomic::{AtomicU64, Ordering};
 use check::{model, model_expect_failure, Config};
@@ -39,11 +40,11 @@ use std::sync::Arc;
 /// checker through at least this many *distinct* schedules.
 const MIN_INTERLEAVINGS: u64 = 10_000;
 
-fn patch(v: u64) -> GenKind {
-    GenKind::Patch(PatchOp::Insert {
+fn patch(v: u64) -> ControlOp {
+    ControlOp::InsertEntry {
         node: NodeId(0),
         entry: TableEntry::new(vec![MatchValue::Exact(v)], 0),
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -197,11 +198,11 @@ fn ring_drops_exactly_the_unpopped_items_across_wraparound() {
 fn genchain_adopter_sees_the_full_span_its_latest_read_promised() {
     let report = model!(Config::exhaustive(5), || {
         const GENS: u64 = 4;
-        let chain = Arc::new(GenChain::new());
+        let chain = Arc::new(GenChain::<()>::new());
         let c2 = Arc::clone(&chain);
         let t = check::thread::spawn(move || {
             for v in 1..=GENS {
-                assert_eq!(c2.publish(patch(v)), v, "ids must be dense");
+                assert_eq!(c2.publish(patch(v), None), v, "ids must be dense");
             }
         });
         // Forward-only adoption loop racing the publisher.
@@ -221,8 +222,8 @@ fn genchain_adopter_sees_the_full_span_its_latest_read_promised() {
             );
             for (i, node) in span.iter().enumerate() {
                 assert_eq!(node.id, seen + 1 + i as u64, "span out of order");
-                match &node.kind {
-                    GenKind::Patch(PatchOp::Insert { entry, .. }) => {
+                match &node.op {
+                    ControlOp::InsertEntry { entry, .. } => {
                         assert_eq!(entry.matches[0], MatchValue::Exact(node.id));
                     }
                     _ => panic!("unexpected publication payload"),
@@ -250,7 +251,7 @@ fn genchain_adopter_sees_the_full_span_its_latest_read_promised() {
 fn genchain_never_reclaims_a_reachable_node() {
     let report = model!(Config::exhaustive(4), || {
         const GENS: u64 = 3;
-        let chain = Arc::new(GenChain::new());
+        let chain = Arc::new(GenChain::<()>::new());
         let adopted = Arc::new(AtomicU64::new(0));
         let (c2, a2) = (Arc::clone(&chain), Arc::clone(&adopted));
         let t = check::thread::spawn(move || {
@@ -277,7 +278,7 @@ fn genchain_never_reclaims_a_reachable_node() {
             }
         });
         for v in 1..=GENS {
-            chain.publish(patch(v));
+            chain.publish(patch(v), None);
             // Dispatcher-side opportunistic reclaim, as in `publish` +
             // `reclaim_adopted`: drop everything at or below the
             // minimum adopted watermark.
@@ -297,6 +298,78 @@ fn genchain_never_reclaims_a_reachable_node() {
         "expected >= {MIN_INTERLEAVINGS} distinct interleavings, got {}",
         report.executions
     );
+}
+
+/// The pipeline-only swap on the chain — what `ShardedNic::apply`
+/// publishes for `Specialize`/`Despecialize`: an op with the lowering
+/// the control replica built riding along, between two entry patches.
+/// Under every schedule of publisher (with its opportunistic reclaim)
+/// against adopter (with its watermark), the adopter meets the swap
+/// exactly once, in order, with its lowering attached, and the swap node
+/// is never reclaimed while it is still reachable.
+#[test]
+fn genchain_pipeline_swap_arrives_in_order_with_its_lowering() {
+    // What rides the swap stands in for the lowering: the chain never
+    // looks inside it.
+    const LOWERED: u64 = 0x10_4e_7ed;
+    const SWAP: u64 = 2;
+    const GENS: u64 = 3;
+    let report = model!(Config::exhaustive(4), || {
+        let chain = Arc::new(GenChain::<u64>::new());
+        let adopted = Arc::new(AtomicU64::new(0));
+        let (c2, a2) = (Arc::clone(&chain), Arc::clone(&adopted));
+        let t = check::thread::spawn(move || {
+            let (mut seen, mut swaps) = (0u64, 0u32);
+            while seen < GENS {
+                let latest = c2.latest();
+                if latest == seen {
+                    check::thread::yield_now();
+                    continue;
+                }
+                let span = c2.pending(seen, latest);
+                assert_eq!(
+                    span.len() as u64,
+                    latest - seen,
+                    "a reachable node was reclaimed"
+                );
+                for (i, node) in span.iter().enumerate() {
+                    assert_eq!(node.id, seen + 1 + i as u64, "span out of order");
+                    match &node.op {
+                        ControlOp::Specialize(_) => {
+                            assert_eq!(node.id, SWAP, "the swap moved");
+                            assert_eq!(node.lowered, Some(LOWERED), "the swap lost its lowering");
+                            swaps += 1;
+                        }
+                        ControlOp::InsertEntry { entry, .. } => {
+                            assert_eq!(entry.matches[0], MatchValue::Exact(node.id));
+                            assert!(node.lowered.is_none(), "a patch carries no lowering");
+                        }
+                        other => panic!("unexpected publication payload {other:?}"),
+                    }
+                }
+                seen = latest;
+                // ORDERING: Release — publishes the span walk above to
+                // the publisher's Acquire min-scan (same edge as the
+                // `adopted` watermark in sharded.rs).
+                a2.store(seen, Ordering::Release);
+            }
+            assert_eq!(swaps, 1, "the swap must be adopted exactly once");
+        });
+        for v in 1..=GENS {
+            if v == SWAP {
+                let op = ControlOp::Specialize(SpecConfig::default());
+                chain.publish(op, Some(LOWERED));
+            } else {
+                chain.publish(patch(v), None);
+            }
+            // ORDERING: Acquire — pairs with the adopter's Release.
+            chain.reclaim(adopted.load(Ordering::Acquire));
+        }
+        t.join().unwrap();
+        chain.reclaim(adopted.load(Ordering::Acquire));
+        assert!(chain.is_empty(), "fully adopted chain must drain");
+    });
+    assert!(report.complete);
 }
 
 /// The dispatcher→worker completion hand-off from `sharded.rs`, in
@@ -461,7 +534,7 @@ fn mutant_eager_reclaim_is_killed() {
         Config::exhaustive(2),
         || {
             const GENS: u64 = 2;
-            let chain = Arc::new(GenChain::new());
+            let chain = Arc::new(GenChain::<()>::new());
             let c2 = Arc::clone(&chain);
             let t = check::thread::spawn(move || {
                 let mut seen = 0u64;
@@ -481,7 +554,7 @@ fn mutant_eager_reclaim_is_killed() {
                 }
             });
             for v in 1..=GENS {
-                let id = chain.publish(patch(v));
+                let id = chain.publish(patch(v), None);
                 // BUG under test: reclaim at the just-published id
                 // instead of the minimum adopted watermark.
                 chain.reclaim(id);

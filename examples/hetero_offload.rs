@@ -11,7 +11,7 @@
 use pipeleon_suite::cost::{CostModel, CostParams, RuntimeProfile};
 use pipeleon_suite::ir::{MatchKind, Primitive, ProgramBuilder};
 use pipeleon_suite::opt::hetero::partition_placement;
-use pipeleon_suite::sim::SmartNic;
+use pipeleon_suite::sim::{ControlOp, SmartNic};
 use std::collections::HashSet;
 
 fn main() {
@@ -53,7 +53,8 @@ fn main() {
         let plan = partition_placement(&model, &g, &profile, &cpu_only, budget);
         // Measure the placement on the emulator.
         let mut nic = SmartNic::new(g.clone(), params.clone()).expect("deployable");
-        nic.set_placement(plan.placement.clone());
+        nic.apply(ControlOp::SetPlacement(plan.placement.clone()))
+            .unwrap();
         let packets: Vec<_> = (0..5000)
             .map(|i| {
                 let mut p = pipeleon_suite::sim::Packet::new(&g.fields);

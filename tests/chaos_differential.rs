@@ -251,7 +251,7 @@ fn chaos_differential_smartnic_seed_matrix() {
 fn chaos_differential_sharded_runloop_seed_matrix() {
     // The persistent run-loop datapath goes through the same Target
     // plumbing; the full matrix exercises it because this is the mode
-    // live reconfiguration publishes generations on.
+    // whose generations are adopted by worker threads.
     for &seed in &CI_SEEDS {
         chaos_run(seed, 5, |p| {
             ShardedNic::with_mode(

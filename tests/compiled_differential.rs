@@ -24,8 +24,8 @@ use pipeleon_runtime::{
     SimTarget, Target,
 };
 use pipeleon_sim::{
-    BatchStats, EngineMode, ExecReport, Executor, KeyScratch, MatchEngine, Packet, PacketTrace,
-    ShardMode, ShardedNic, SmartNic,
+    Applied, BatchStats, ControlOp, EngineMode, ExecReport, Executor, KeyScratch, MatchEngine,
+    NicBackend, Packet, PacketTrace, ShardMode, ShardedNic, SmartNic, SpecConfig,
 };
 use pipeleon_workloads::scenarios::AclPipeline;
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
@@ -303,8 +303,9 @@ fn placement_tiers_and_the_fixed_match_model_match_bit_for_bit() {
     let batch = key_traffic(&g, 300, 77, 1_000);
     let (mut interp, mut compiled) = nic_pair(&g, &params, 2);
     for nic in [&mut interp, &mut compiled] {
-        nic.set_placement(placement.clone());
-        nic.set_memory_tiers(tiers.clone());
+        nic.apply(ControlOp::SetPlacement(placement.clone()))
+            .unwrap();
+        nic.apply(ControlOp::SetMemoryTiers(tiers.clone())).unwrap();
     }
     assert_pair_identical(interp, compiled, &batch, "placed, tiered, fixed model");
 }
@@ -391,12 +392,22 @@ fn flow_cache_state_and_charges_match() {
         );
     };
     check(&mut interp, &mut compiled, 0, 500, "warm");
-    interp.flush_cache(cache);
-    compiled.flush_cache(cache);
+    interp.apply(ControlOp::FlushCache(cache)).unwrap();
+    compiled.apply(ControlOp::FlushCache(cache)).unwrap();
     assert_eq!(interp.executor_mut().cache_len(cache), 0);
     check(&mut interp, &mut compiled, 500, 900, "post-flush");
-    interp.set_cache_insertion_limit(cache, 1.0);
-    compiled.set_cache_insertion_limit(cache, 1.0);
+    interp
+        .apply(ControlOp::SetCacheInsertionLimit {
+            node: cache,
+            rate_per_s: 1.0,
+        })
+        .unwrap();
+    compiled
+        .apply(ControlOp::SetCacheInsertionLimit {
+            node: cache,
+            rate_per_s: 1.0,
+        })
+        .unwrap();
     check(&mut interp, &mut compiled, 900, 1_200, "throttled");
     assert_profiles_identical(
         &interp.take_profile(),
@@ -802,12 +813,12 @@ proptest! {
         assert_ways_match_oracle(&mut nic, node, &probes, "after removes")?;
         specialize(&mut nic);
         assert_ways_match_oracle(&mut nic, node, &probes, "re-specialized")?;
-        nic.despecialize();
+        nic.apply(ControlOp::Despecialize).unwrap();
         assert_ways_match_oracle(&mut nic, node, &probes, "despecialized")?;
 
         let other = way_table(kind, (shape + 1) % 6, n / 2 + 1, &mut rng);
         probes.extend(way_probes(&other, &mut rng));
-        nic.replace_table(node, other, None).unwrap();
+        nic.apply(ControlOp::ReplaceTable { node, table: other, next: None }).unwrap();
         assert_ways_match_oracle(&mut nic, node, &probes, "replaced")?;
     }
 
@@ -822,14 +833,15 @@ proptest! {
         let (g, tables) = churn_program();
         let params = CostParams::bluefield2();
         let mut patched = Executor::new(g.clone(), params.clone()).unwrap();
-        patched.set_engine_mode(EngineMode::Compiled);
+        patched.apply(&ControlOp::SetEngineMode(EngineMode::Compiled)).unwrap();
         // `scratch` interprets the warm phase, so its ops land while no
         // compiled pipeline exists; switching modes afterwards forces one
         // full compile of the final graph.
         let mut scratch = Executor::new(g, params).unwrap();
-        scratch.set_engine_mode(EngineMode::Interpreter);
-        patched.set_instrumentation(true, 2);
-        scratch.set_instrumentation(true, 2);
+        scratch.apply(&ControlOp::SetEngineMode(EngineMode::Interpreter)).unwrap();
+        let instrument = ControlOp::SetInstrumentation { enabled: true, sample_every: 2 };
+        patched.apply(&instrument).unwrap();
+        scratch.apply(&instrument).unwrap();
         for i in 0..64u64 {
             let mut a = churn_packet(traffic_seed + i);
             let mut b = a.clone();
@@ -840,18 +852,20 @@ proptest! {
         let mut lens = vec![0usize; tables.len()];
         for &(t, k) in &ops {
             if lens[t] > 0 && k.is_multiple_of(3) {
-                let idx = (k as usize) % lens[t];
-                patched.remove_entry(tables[t], idx).unwrap();
-                scratch.remove_entry(tables[t], idx).unwrap();
+                let op = ControlOp::RemoveEntry { node: tables[t], index: (k as usize) % lens[t] };
+                let removed = patched.apply(&op).unwrap();
+                prop_assert!(matches!(removed, Applied::Removed(_)), "{:?}", removed);
+                prop_assert_eq!(scratch.apply(&op).unwrap(), removed);
                 lens[t] -= 1;
             } else {
-                let e = TableEntry::new(vec![MatchValue::Exact(k % 24)], 0);
-                patched.insert_entry(tables[t], e.clone()).unwrap();
-                scratch.insert_entry(tables[t], e).unwrap();
+                let entry = TableEntry::new(vec![MatchValue::Exact(k % 24)], 0);
+                let op = ControlOp::InsertEntry { node: tables[t], entry };
+                patched.apply(&op).unwrap();
+                scratch.apply(&op).unwrap();
                 lens[t] += 1;
             }
         }
-        scratch.set_engine_mode(EngineMode::Compiled);
+        scratch.apply(&ControlOp::SetEngineMode(EngineMode::Compiled)).unwrap();
         for i in 0..128u64 {
             let mut a = churn_packet(traffic_seed * 31 + i);
             let mut b = a.clone();
@@ -871,15 +885,20 @@ proptest! {
         prop_assert_eq!(scratch.compile_stats(), (1, 0));
     }
 
-    /// Live-reconfiguration convergence: interleaving entry patches with
-    /// a full generation swap — in either order, published mid-flight on
-    /// the run-loop datapath — must land on the same program a scratch
-    /// build of "swap target + post-swap ops" describes. `split == 0` is
-    /// swap-then-patch; `split >= ops.len()` is patch-then-swap; anything
-    /// between mixes both around the swap.
+    /// An op is an op: a random [`ControlOp`] sequence — entry patches
+    /// around a full program swap (`split == 0` is swap-then-patch,
+    /// `split >= ops.len()` patch-then-swap), with table replacements,
+    /// instrumentation and engine flips, placements, tiers, cache tuning,
+    /// specialize and despecialize mixed in — with packets between the
+    /// ops, driven through `Executor::apply`, `SmartNic::apply` and
+    /// `ShardedNic::apply` at 1/2/8 workers in both shard modes (mid-flight
+    /// on the run-loop). Every backend must lose nothing, merge the same
+    /// sample-1 profile, land on the program a model built from the op
+    /// list alone describes, and forward probes like a NIC built from
+    /// that model from scratch.
     #[test]
     fn live_patch_and_swap_converge_to_scratch(
-        ops in prop::collection::vec((0usize..3, 0u64..64), 1..16),
+        ops in prop::collection::vec((0usize..3, 0u64..64, 0u8..10), 1..16),
         split in 0usize..16,
         swap_key in 0u64..24,
         traffic_seed in 0u64..1_000,
@@ -898,99 +917,148 @@ proptest! {
             .entries
             .push(TableEntry::new(vec![MatchValue::Exact(swap_key)], 0));
 
-        let mut live =
-            ShardedNic::with_mode(g.clone(), params.clone(), 2, ShardMode::RunLoop).unwrap();
-        live.set_live_reconfig(true);
-        let mut sync = SmartNic::new(g, params.clone()).unwrap();
-        // `expected` is built purely from the op list, no datapath: the
-        // swap target with the post-swap ops applied to its tables.
-        let mut expected = swapped.clone();
-
-        let mut lens = vec![0usize; tables.len()];
-        let apply = |live: &mut ShardedNic,
-                         sync: &mut SmartNic,
-                         expected: &mut pipeleon_ir::ProgramGraph,
-                         lens: &mut Vec<usize>,
-                         after_swap: bool,
-                         t: usize,
-                         k: u64|
-         -> Result<(), TestCaseError> {
-            if lens[t] > 0 && k.is_multiple_of(3) {
-                let idx = (k as usize) % lens[t];
-                let a = live.remove_entry(tables[t], idx).unwrap();
-                let b = sync.remove_entry(tables[t], idx).unwrap();
-                prop_assert_eq!(a, b, "removed different entries");
-                if after_swap {
-                    expected
-                        .node_mut(tables[t])
-                        .unwrap()
-                        .as_table_mut()
-                        .unwrap()
-                        .entries
-                        .remove(idx);
-                }
-                lens[t] -= 1;
-            } else {
-                let e = TableEntry::new(vec![MatchValue::Exact(k % 24)], 0);
-                live.insert_entry(tables[t], e.clone()).unwrap();
-                sync.insert_entry(tables[t], e.clone()).unwrap();
-                if after_swap {
-                    expected
-                        .node_mut(tables[t])
-                        .unwrap()
-                        .as_table_mut()
-                        .unwrap()
-                        .entries
-                        .push(e);
-                }
-                lens[t] += 1;
+        // The op list as data, and the program it describes: `model` is
+        // built purely from the ops, no datapath.
+        let mut model = g.clone();
+        let mut sequence: Vec<ControlOp> = Vec::new();
+        let entries = |model: &ProgramGraph, t: usize| {
+            model.node(tables[t]).unwrap().as_table().unwrap().entries.len()
+        };
+        for (i, &(t, k, kind)) in ops.iter().enumerate() {
+            if i == split {
+                sequence.push(ControlOp::Deploy(swapped.clone()));
+                model = swapped.clone();
             }
-            Ok(())
-        };
+            let node = tables[t];
+            fn table(model: &mut ProgramGraph, node: NodeId) -> &mut Table {
+                model.node_mut(node).unwrap().as_table_mut().unwrap()
+            }
+            sequence.push(match kind {
+                0..=3 if entries(&model, t) > 0 && k.is_multiple_of(3) => {
+                    let index = (k as usize) % entries(&model, t);
+                    table(&mut model, node).entries.remove(index);
+                    ControlOp::RemoveEntry { node, index }
+                }
+                0..=3 => {
+                    let entry = TableEntry::new(vec![MatchValue::Exact(k % 24)], 0);
+                    table(&mut model, node).entries.push(entry.clone());
+                    ControlOp::InsertEntry { node, entry }
+                }
+                4 => {
+                    let t = table(&mut model, node);
+                    t.entries.push(TableEntry::new(vec![MatchValue::Exact(23)], 0));
+                    ControlOp::ReplaceTable { node, table: t.clone(), next: None }
+                }
+                5 => ControlOp::SetInstrumentation { enabled: k % 2 == 0, sample_every: 1 },
+                6 => ControlOp::SetEngineMode(
+                    [EngineMode::Interpreter, EngineMode::Compiled][(k % 2) as usize],
+                ),
+                7 => ControlOp::Specialize(SpecConfig {
+                    hot_fraction: 0.1,
+                    min_samples: 4,
+                    direct_min_entries: 1,
+                    ..SpecConfig::default()
+                }),
+                8 => ControlOp::Despecialize,
+                _ => match k % 4 {
+                    0 => ControlOp::SetPlacement(
+                        (0..g.id_bound())
+                            .map(|i| [Placement::Asic, Placement::Cpu][(i + t) % 2])
+                            .collect(),
+                    ),
+                    1 => ControlOp::SetMemoryTiers(
+                        (0..g.id_bound())
+                            .map(|i| [MemoryTier::Emem, MemoryTier::Sram][(i + t) % 2])
+                            .collect(),
+                    ),
+                    2 => ControlOp::FlushCache(node),
+                    _ => ControlOp::SetCacheInsertionLimit { node, rate_per_s: 1e6 },
+                },
+            });
+        }
+        if split == ops.len() {
+            sequence.push(ControlOp::Deploy(swapped.clone()));
+            model = swapped;
+        }
 
-        live.measure_begin();
+        // The backends: a bare executor, the single NIC, and the sharded
+        // NIC over the worker and shard-mode matrix.
+        let mut exec = Executor::new(g.clone(), params.clone()).unwrap();
+        let mut nics: Vec<(String, Box<dyn NicBackend>)> =
+            vec![("single".into(), Box::new(SmartNic::new(g.clone(), params.clone()).unwrap()))];
+        for mode in [ShardMode::RunLoop, ShardMode::BitExact] {
+            for workers in WORKER_COUNTS {
+                let nic = ShardedNic::with_mode(g.clone(), params.clone(), workers, mode).unwrap();
+                nics.push((format!("{mode:?} x{workers}"), Box::new(nic)));
+            }
+        }
+        let instrument = ControlOp::SetInstrumentation { enabled: true, sample_every: 1 };
+        exec.apply(&instrument).unwrap();
+        for (_, nic) in &mut nics {
+            nic.apply(instrument.clone()).unwrap();
+            nic.measure_begin();
+        }
         let mut fed = 0u64;
-        let feed = |live: &mut ShardedNic, fed: &mut u64, n: u64| {
-            live.measure_feed((0..8u64).map(|i| churn_packet(traffic_seed + n * 8 + i)));
-            *fed += 8;
+        let mut feed = |exec: &mut Executor, nics: &mut Vec<(String, Box<dyn NicBackend>)>| {
+            let chunk: Vec<Packet> = (0..8).map(|i| churn_packet(traffic_seed + fed + i)).collect();
+            fed += 8;
+            for p in &chunk {
+                exec.process(&mut p.clone());
+            }
+            for (_, nic) in nics.iter_mut() {
+                nic.measure_feed(chunk.clone());
+            }
         };
-        feed(&mut live, &mut fed, 0);
-        for (i, &(t, k)) in ops[..split].iter().enumerate() {
-            apply(&mut live, &mut sync, &mut expected, &mut lens, false, t, k)?;
-            feed(&mut live, &mut fed, 1 + i as u64);
+        feed(&mut exec, &mut nics);
+        for op in &sequence {
+            let want = exec.apply(op);
+            prop_assert!(want.is_ok(), "{:?} rejected: {:?}", op, want);
+            for (name, nic) in &mut nics {
+                let got = nic.apply(op.clone());
+                // (How much a `Specialize` finds to do depends on how
+                // the sketches were sharded.)
+                if !matches!(op, ControlOp::Specialize(_)) {
+                    prop_assert_eq!(&got, &want, "{}: {:?}", name, op);
+                }
+            }
+            feed(&mut exec, &mut nics);
         }
-        // The generation swap, mid-window on the live datapath.
-        live.deploy(swapped.clone()).unwrap();
-        sync.deploy(swapped).unwrap();
-        lens.iter_mut().for_each(|l| *l = 0);
-        lens[0] = 1;
-        feed(&mut live, &mut fed, 100);
-        for (i, &(t, k)) in ops[split..].iter().enumerate() {
-            apply(&mut live, &mut sync, &mut expected, &mut lens, true, t, k)?;
-            feed(&mut live, &mut fed, 101 + i as u64);
-        }
-        let stats = live.measure_end();
-        prop_assert_eq!(stats.packets, fed, "live run lost packets");
 
-        // Convergence: control plane, every quiesced shard, the
-        // synchronous reference, and the scratch-built program all
-        // fingerprint identically.
-        let want = graph_fingerprint(&expected);
-        prop_assert_eq!(graph_fingerprint(live.graph()), want, "live control graph");
-        prop_assert_eq!(graph_fingerprint(sync.graph()), want, "synchronous reference");
-        for (i, sg) in live.shard_graphs().iter().enumerate() {
-            prop_assert_eq!(graph_fingerprint(sg), want, "shard {} graph", i);
+        // Convergence: every control plane, every quiesced shard and the
+        // model fingerprint identically; nothing was lost; the merged
+        // profiles are one profile.
+        let want = graph_fingerprint(&model);
+        prop_assert_eq!(graph_fingerprint(exec.graph()), want, "executor graph");
+        let want_profile = exec.take_profile();
+        for (name, nic) in &mut nics {
+            prop_assert_eq!(nic.measure_end().packets, fed, "{}: lost packets", name);
+            prop_assert_eq!(graph_fingerprint(nic.graph()), want, "{}: graph", name);
+            let got = nic.take_profile();
+            prop_assert_eq!(got.total_packets, want_profile.total_packets, "{}", name);
+            let sorted = |p: &pipeleon_cost::RuntimeProfile| {
+                let (mut e, mut a): (Vec<_>, Vec<_>) = (p.edges().collect(), p.actions().collect());
+                e.sort();
+                a.sort();
+                (e, a)
+            };
+            prop_assert_eq!(sorted(&got), sorted(&want_profile), "{}: counters", name);
+            prop_assert_eq!(&got.distinct_keys, &want_profile.distinct_keys, "{}", name);
         }
-        // And behaviorally: probes through the live datapath match a NIC
-        // compiled from scratch off the expected program.
-        let mut scratch = SmartNic::new(expected, params).unwrap();
+        // And behaviorally: probes through every datapath match a NIC
+        // compiled from scratch off the model.
+        let mut scratch = SmartNic::new(model, params).unwrap();
         for i in 0..64u64 {
-            let mut a = churn_packet(traffic_seed * 131 + i);
-            let mut b = a.clone();
-            let ra = live.process_one(&mut a);
-            let rb = scratch.process_one(&mut b);
-            prop_assert_eq!(ra.dropped, rb.dropped, "probe {} forwarding diverged", i);
-            prop_assert_eq!(&a, &b, "probe {} mutations diverged", i);
+            let probe = churn_packet(traffic_seed * 131 + i);
+            let mut want = probe.clone();
+            let dropped = scratch.process_one(&mut want).dropped;
+            let mut got = probe.clone();
+            prop_assert_eq!(exec.process(&mut got).dropped, dropped, "executor: probe {}", i);
+            prop_assert_eq!(&got, &want, "executor: probe {} mutations", i);
+            for (name, nic) in &mut nics {
+                let mut got = probe.clone();
+                prop_assert_eq!(nic.process_one(&mut got).dropped, dropped, "{}: probe {}", name, i);
+                prop_assert_eq!(&got, &want, "{}: probe {} mutations", name, i);
+            }
         }
     }
 }

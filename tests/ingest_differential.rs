@@ -8,8 +8,7 @@
 //!   single-threaded `SmartNic::process_batch`;
 //! * **socket path** — the identical batch replayed by [`NetClient`]
 //!   over a real loopback UDP socket into an [`IngestServer`] fronting
-//!   a run-loop `ShardedNic` (live reconfiguration armed), echoed back
-//!   as response frames.
+//!   a run-loop `ShardedNic`, echoed back as response frames.
 //!
 //! Equality is bit-exact over the full verdict: every slot, the drop
 //! flag, and the egress port (same differential-oracle discipline as
@@ -119,9 +118,8 @@ fn assert_socket_matches_oracle(
     let mut oracle = batch.to_vec();
     oracle_nic.process_batch(&mut oracle);
 
-    let mut nic = ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop)
+    let nic = ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop)
         .expect("sharded nic");
-    nic.set_live_reconfig(true);
     let (addr, server) = spawn_server(nic, map.clone(), batch.len() as u64);
 
     let client = NetClient::connect(addr)

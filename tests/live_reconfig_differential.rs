@@ -22,6 +22,12 @@
 //!    still converge to the controller's last-known-good layout, with
 //!    every shard running it, zero packets lost, and the rollback
 //!    visible in `health` and the journal.
+//! 6. **An op is an op:** a cache flush, an insertion limit and an
+//!    instrumentation flip issued between two feeds of an open window
+//!    land at that stream position too — not wherever each shard's
+//!    worker happens to be.
+//! 7. **A rejected op publishes nothing,** and the answer — the error,
+//!    or the removed entry — is the control replica's.
 
 use std::collections::BTreeMap;
 
@@ -34,7 +40,10 @@ use pipeleon_runtime::{
     graph_fingerprint, Controller, ControllerConfig, FaultConfig, FaultyTarget, InjectedFault,
     RuntimeError, SimTarget, Target,
 };
-use pipeleon_sim::{BatchStats, ExecObservations, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{
+    Applied, BatchStats, ControlOp, ExecObservations, NicBackend, Packet, ShardMode, ShardedNic,
+    SmartNic,
+};
 use pipeleon_workloads::scenarios::AclPipeline;
 
 /// 1 is the degenerate shard, 2 the smallest real split, 8 more shards
@@ -118,7 +127,6 @@ fn live_swap_run(
     let (g, tables) = swap_program();
     let params = CostParams::bluefield2();
     let mut nic = ShardedNic::with_mode(g.clone(), params, workers, ShardMode::RunLoop).unwrap();
-    nic.set_live_reconfig(true);
     nic.set_instrumentation(true, 1);
     nic.measure_begin();
     for s in 0..SEGMENTS as u64 {
@@ -141,12 +149,10 @@ fn live_swap_run(
 }
 
 /// The synchronous single-threaded reference for the same stream: a
-/// [`SmartNic`] in live mode deploys at exactly the same stream
-/// positions.
+/// [`SmartNic`] deploys at exactly the same stream positions.
 fn smart_swap_reference() -> (BatchStats, RuntimeProfile, ExecObservations) {
     let (g, tables) = swap_program();
     let mut nic = SmartNic::new(g.clone(), CostParams::bluefield2()).unwrap();
-    nic.set_live_reconfig(true);
     nic.set_instrumentation(true, 1);
     nic.measure_begin();
     for s in 0..SEGMENTS as u64 {
@@ -169,17 +175,20 @@ fn mid_window_swaps_lose_nothing_and_attribute_exactly() {
     for workers in WORKER_COUNTS {
         let ctx = format!("workers={workers}");
         let (stats, profile, obs, counts, last_gen) = live_swap_run(workers);
-        // Invariant 1: the window spans 8 swaps and drops nothing.
+        // Invariant 1: the window spans 8 swaps and drops nothing. Every
+        // op is a generation: the instrumentation flip before the window
+        // is generation 1, the swaps are 2..=9.
         assert_eq!(stats.packets, total, "{ctx}: packets lost across swaps");
-        assert_eq!(last_gen, SEGMENTS as u64 - 1, "{ctx}: swap count");
+        assert_eq!(last_gen, SEGMENTS as u64, "{ctx}: swap count");
         // Invariant 2: attribution is exact — segment `s` was dispatched
-        // after `s` publishes, so it ran under generation `s`, whole.
+        // after `s` swaps, so it ran under generation `s + 1`, whole.
         assert_eq!(counts.len(), SEGMENTS, "{ctx}: distinct generations");
         for s in 0..SEGMENTS as u64 {
             assert_eq!(
-                counts.get(&s),
+                counts.get(&(s + 1)),
                 Some(&SEGMENT_PACKETS),
-                "{ctx}: generation {s} packet count"
+                "{ctx}: generation {} packet count",
+                s + 1
             );
         }
         assert_eq!(
@@ -229,7 +238,6 @@ fn live_entry_patches_match_synchronous_smartnic() {
         let ctx = format!("workers={workers}");
         let mut live =
             ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
-        live.set_live_reconfig(true);
         live.set_instrumentation(true, 1);
         let mut sync = SmartNic::new(g.clone(), params.clone()).unwrap();
         sync.set_instrumentation(true, 1);
@@ -264,8 +272,13 @@ fn live_entry_patches_match_synchronous_smartnic() {
                 table
                     .entries
                     .push(TableEntry::new(vec![MatchValue::Exact(23)], 0));
-                live.replace_table(tables[t], table.clone(), None).unwrap();
-                sync.replace_table(tables[t], table, None).unwrap();
+                let op = ControlOp::ReplaceTable {
+                    node: tables[t],
+                    table,
+                    next: None,
+                };
+                live.apply(op.clone()).unwrap();
+                sync.apply(op).unwrap();
                 lens[t] = sync
                     .graph()
                     .node(tables[t])
@@ -355,7 +368,6 @@ fn flow_cache_resets_at_the_adoption_boundary_deterministically() {
     let run = |workers: usize| {
         let mut nic =
             ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
-        nic.set_live_reconfig(true);
         nic.set_instrumentation(true, 1);
         nic.measure_begin();
         nic.measure_feed((0..1200u64).map(|i| Packet::with_slots(vec![(i * 7) % 48, 0])));
@@ -394,6 +406,169 @@ fn flow_cache_resets_at_the_adoption_boundary_deterministically() {
     assert_eq!((p1, o1, l1), (p2, o2, l2), "rerun: state not reproducible");
 }
 
+/// One window over the cached program, fed in four chunks with a
+/// non-program op between each pair: an instrumentation flip (off, so
+/// the second chunk goes uncounted), a flush with the flip back on, and
+/// an insertion limit (far above what the traffic asks for: a binding
+/// limit is shard-local by design, see `sharded.rs`).
+fn tuning_ops_run<N: NicBackend>(nic: &mut N) -> (BatchStats, RuntimeProfile) {
+    let (_, cache) = cached_flow_program();
+    let chunk = |lo: u64, flows: u64| -> Vec<Packet> {
+        (lo..lo + 400)
+            .map(|i| Packet::with_slots(vec![(i * 7) % flows, 0]))
+            .collect()
+    };
+    nic.set_instrumentation(true, 1);
+    nic.measure_begin();
+    nic.measure_feed(chunk(0, 48));
+    nic.set_instrumentation(false, 1);
+    nic.measure_feed(chunk(400, 48));
+    nic.apply(ControlOp::FlushCache(cache)).unwrap();
+    nic.set_instrumentation(true, 1);
+    nic.measure_feed(chunk(800, 12));
+    let limit = ControlOp::SetCacheInsertionLimit {
+        node: cache,
+        rate_per_s: 1e12,
+    };
+    nic.apply(limit).unwrap();
+    nic.measure_feed(chunk(1200, 12));
+    (nic.measure_end(), nic.take_profile())
+}
+
+#[test]
+fn tuning_ops_between_feeds_land_at_a_stream_position() {
+    let (g, cache) = cached_flow_program();
+    let params = CostParams::bluefield2();
+    let mut single = SmartNic::new(g.clone(), params.clone()).unwrap();
+    let (want_stats, want_profile) = tuning_ops_run(&mut single);
+    // Chunks 1, 3 and 4 are counted; chunk 2 ran with counters off.
+    assert_eq!(want_profile.total_packets, 1200);
+    // The flush emptied 48 flows' worth; chunks 3 and 4 touch 12.
+    assert_eq!(single.executor_mut().cache_len(cache), 12);
+    let mut baseline: Option<BTreeMap<u64, u64>> = None;
+    for workers in WORKER_COUNTS {
+        let ctx = format!("workers={workers}");
+        let mut nic =
+            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+        let (stats, profile) = tuning_ops_run(&mut nic);
+        assert_profiles_identical(&want_profile, &profile, &ctx);
+        assert_eq!(stats.packets, want_stats.packets, "{ctx}: packets");
+        assert_eq!(stats.dropped, want_stats.dropped, "{ctx}: dropped");
+        assert_eq!(stats.migrations, want_stats.migrations, "{ctx}: migrations");
+        assert_eq!(
+            stats.counter_updates, want_stats.counter_updates,
+            "{ctx}: counter updates"
+        );
+        assert_eq!(nic.cache_len(cache), 12, "{ctx}: cache occupancy");
+        // Generation 1 is the flip before the window; each chunk ran
+        // whole under the generation current at its dispatch.
+        let counts = nic.generation_counts();
+        let want_counts = BTreeMap::from([(1, 400), (2, 400), (4, 400), (5, 400)]);
+        assert_eq!(counts, want_counts, "{ctx}: attribution");
+        match &baseline {
+            None => baseline = Some(counts),
+            Some(b) => assert_eq!(b, &counts, "{ctx}: attribution drifted with workers"),
+        }
+    }
+}
+
+#[test]
+fn a_rejected_op_publishes_nothing_and_the_replica_answers() {
+    let (g, tables) = swap_program();
+    let params = CostParams::bluefield2();
+    let cond = {
+        // A graph with a node that is not a table, to name in a replace.
+        let mut b = ProgramBuilder::new();
+        let x = b.field("x");
+        let t = b.table("t").key(x, MatchKind::Exact).finish();
+        let br = b.branch("br", pipeleon_ir::Condition::eq(x, 1), None, None);
+        (b.seal(t).unwrap(), br, t)
+    };
+    for workers in WORKER_COUNTS {
+        for mode in [ShardMode::RunLoop, ShardMode::BitExact] {
+            let ctx = format!("workers={workers} {mode:?}");
+            let mut nic = ShardedNic::with_mode(g.clone(), params.clone(), workers, mode).unwrap();
+            let mut reference = SmartNic::new(g.clone(), params.clone()).unwrap();
+            let valid = TableEntry::new(vec![MatchValue::Exact(5)], 0);
+            nic.insert_entry(tables[0], valid.clone()).unwrap();
+            reference.insert_entry(tables[0], valid.clone()).unwrap();
+            nic.measure_begin();
+            nic.measure_feed((0..300).map(swap_packet));
+            let before = nic.last_swap().map(|s| s.generation);
+            let counts_before = nic.generation_counts();
+            // Wrong arity, out of range, and an unknown node: the
+            // replica's errors, to the letter.
+            let bad: [ControlOp; 3] = [
+                ControlOp::InsertEntry {
+                    node: tables[1],
+                    entry: TableEntry::new(vec![MatchValue::Exact(1), MatchValue::Exact(2)], 0),
+                },
+                ControlOp::RemoveEntry {
+                    node: tables[0],
+                    index: 7,
+                },
+                ControlOp::InsertEntry {
+                    node: NodeId(99),
+                    entry: valid.clone(),
+                },
+            ];
+            for op in bad {
+                let want = reference.apply(op.clone()).unwrap_err();
+                assert_eq!(nic.apply(op.clone()).unwrap_err(), want, "{ctx}: {op:?}");
+            }
+            // A valid remove mid-window returns the replica's entry.
+            let removed = nic.remove_entry(tables[0], 0).unwrap();
+            assert_eq!(removed, valid, "{ctx}: removed entry");
+            nic.measure_feed((300..600).map(swap_packet));
+            assert_eq!(nic.measure_end().packets, 600, "{ctx}: packets lost");
+            // Exactly one generation was published mid-window (the
+            // remove): the first 300 packets ran under the insert's, the
+            // rest under the remove's.
+            assert_eq!(nic.last_swap().map(|s| s.generation), before);
+            let mut want_counts = counts_before;
+            *want_counts.entry(1).or_insert(0) = 300;
+            want_counts.insert(2, 300);
+            assert_eq!(nic.generation_counts(), want_counts, "{ctx}: generations");
+            let graphs = nic.shard_graphs();
+            for (i, sg) in graphs.iter().enumerate() {
+                assert_eq!(
+                    sg,
+                    nic.graph(),
+                    "{ctx}: shard {i} diverged from the replica"
+                );
+            }
+        }
+    }
+    // A replace naming a node that is not a table.
+    let (g, br, t) = cond;
+    let table = g.node(t).unwrap().as_table().unwrap().clone();
+    let op = ControlOp::ReplaceTable {
+        node: br,
+        table,
+        next: None,
+    };
+    let want = SmartNic::new(g.clone(), params.clone())
+        .unwrap()
+        .apply(op.clone())
+        .unwrap_err();
+    let mut nic = ShardedNic::new(g.clone(), params, 2).unwrap();
+    nic.measure_begin();
+    nic.measure_feed((0..64u64).map(|i| Packet::with_slots(vec![i % 3])));
+    assert_eq!(nic.apply(op).unwrap_err(), want);
+    // And one that only fails once the table is in: wired to nowhere.
+    let dangling = ControlOp::ReplaceTable {
+        node: t,
+        table: g.node(t).unwrap().as_table().unwrap().clone(),
+        next: Some(pipeleon_ir::NextHops::Always(Some(NodeId(77)))),
+    };
+    assert!(nic.apply(dangling).is_err());
+    assert_eq!(nic.graph(), &g, "a rejected replace left something behind");
+    nic.measure_end();
+    assert!(nic.generation_counts().keys().all(|&g| g == 0));
+    assert!(nic.shard_graphs().iter().all(|sg| sg == nic.graph()));
+    assert_eq!(Ok(Applied::Unchanged), nic.apply(ControlOp::Despecialize));
+}
+
 /// Deterministic op-mix for the chaos run's entry churn.
 fn chaos_churn<T: Target>(c: &mut Controller<T>, p: &AclPipeline, rng: &mut Lcg, value: u64) {
     let ti = (rng.next() % p.acls.len() as u64) as usize;
@@ -418,7 +593,6 @@ fn chaos_faults_during_mid_flight_swaps_converge_to_last_known_good() {
             ShardMode::RunLoop,
         )
         .unwrap();
-        nic.set_live_reconfig(true);
         nic.set_instrumentation(true, 1);
         let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
         let mut target = FaultyTarget::new(SimTarget::live(nic), FaultConfig::chaos(seed));

@@ -4,10 +4,9 @@
 //!
 //! The server thread interleaves socket polls with controller ticks and
 //! *forced* `revert_to_original` deploys — each a full deploy
-//! transaction, so with live reconfiguration armed every successful one
-//! publishes a generation swap with the replay's traffic genuinely in
-//! flight. The assertions are the live-reconfig contract extended to
-//! the wire:
+//! transaction, so every successful one publishes a generation swap
+//! with the replay's traffic genuinely in flight. The assertions are
+//! the generation-swap contract (DESIGN.md §14) extended to the wire:
 //!
 //! * **zero packet loss attributable to reconfiguration** — every
 //!   replayed packet comes back (the client would otherwise time out),
@@ -37,7 +36,6 @@ fn controller_chaos_under_live_socket_traffic_loses_nothing() {
 
     let mut nic = ShardedNic::with_mode(lb.graph.clone(), params.clone(), 4, ShardMode::RunLoop)
         .expect("sharded nic");
-    nic.set_live_reconfig(true);
     nic.set_instrumentation(true, 1);
 
     let optimizer = Optimizer::new(CostModel::new(params));

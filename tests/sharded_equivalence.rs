@@ -9,7 +9,7 @@
 //! is `tests/runloop_differential.rs`.)
 
 use pipeleon_cost::CostParams;
-use pipeleon_sim::{BatchStats, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{BatchStats, NicBackend, Packet, ShardMode, ShardedNic, SmartNic};
 use pipeleon_workloads::scenarios::{AclPipeline, DashRouting};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];

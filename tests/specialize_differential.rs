@@ -31,8 +31,8 @@ use pipeleon_ir::{
 };
 use pipeleon_runtime::{Controller, ControllerConfig, SimTarget, Target};
 use pipeleon_sim::{
-    BatchStats, EngineMode, ExecReport, NicBackend, Packet, PacketTrace, ShardMode, ShardedNic,
-    SmartNic, SpecConfig, SpecStats,
+    Applied, BatchStats, ControlOp, EngineMode, ExecReport, NicBackend, Packet, PacketTrace,
+    ShardMode, ShardedNic, SmartNic, SpecConfig, SpecStats,
 };
 use pipeleon_workloads::scenarios::SkewedPipeline;
 use proptest::prelude::*;
@@ -210,7 +210,6 @@ fn live_specialize_swaps_lose_zero_packets() {
         let w2 = oracle.measure(batch.clone());
         let mut nic =
             ShardedNic::with_mode(s.graph.clone(), params(), workers, ShardMode::RunLoop).unwrap();
-        nic.set_live_reconfig(true);
         nic.set_instrumentation(true, 1);
         let mid = batch.len() / 2;
         nic.measure_begin();
@@ -232,7 +231,11 @@ fn live_specialize_swaps_lose_zero_packets() {
         // Window 2: de-specialize live, same zero-loss requirement.
         nic.measure_begin();
         nic.measure_feed(batch[..mid].iter().cloned());
-        assert!(nic.despecialize(), "{ctx}: live despecialize must apply");
+        assert_eq!(
+            nic.apply(ControlOp::Despecialize),
+            Ok(Applied::Done),
+            "{ctx}: live despecialize must apply"
+        );
         nic.measure_feed(batch[mid..].iter().cloned());
         let stats = nic.measure_end();
         assert_eq!(
@@ -306,14 +309,18 @@ impl Fused {
         // default bar whether it gets a guard depends on how the sketches
         // were sharded. Ask for a clear majority, so that every worker
         // count bakes the same plan and the counters can be compared.
-        nic.set_spec_config(SpecConfig {
+        let cfg = SpecConfig {
             hot_fraction: 0.65,
             ..SpecConfig::default()
-        });
+        };
         nic.set_instrumentation(true, 1);
         nic.measure_batch(self.warm.clone());
         if specialize {
-            assert!(nic.specialize(), "the profile window must yield a plan");
+            assert_eq!(
+                nic.apply(ControlOp::Specialize(cfg)),
+                Ok(Applied::Done),
+                "the profile window must yield a plan"
+            );
         }
         nic.set_instrumentation(false, 1);
     }
@@ -321,18 +328,19 @@ impl Fused {
     fn single(&self, engine: EngineMode, specialize: bool) -> SmartNic {
         let mut nic = SmartNic::new(self.s.graph.clone(), params()).unwrap();
         nic.set_engine_mode(engine);
-        nic.set_placement(self.placement.clone());
+        nic.apply(ControlOp::SetPlacement(self.placement.clone()))
+            .unwrap();
         self.prepare(&mut nic, specialize);
         nic
     }
 
-    /// `live` is set before the plan is applied, so a live NIC's shards
-    /// receive the specialized pipeline through the generation chain.
-    fn sharded(&self, workers: usize, mode: ShardMode, live: bool, specialize: bool) -> ShardedNic {
+    /// The shards receive the specialized pipeline through the
+    /// generation chain.
+    fn sharded(&self, workers: usize, mode: ShardMode, specialize: bool) -> ShardedNic {
         let mut nic = ShardedNic::with_mode(self.s.graph.clone(), params(), workers, mode).unwrap();
         nic.set_engine_mode(EngineMode::Compiled);
-        nic.set_live_reconfig(live);
-        nic.set_placement(self.placement.clone());
+        nic.apply(ControlOp::SetPlacement(self.placement.clone()))
+            .unwrap();
         self.prepare(&mut nic, specialize);
         nic
     }
@@ -414,8 +422,8 @@ fn fused_runs_match_across_workers_and_shard_modes() {
     for shard_mode in [ShardMode::RunLoop, ShardMode::BitExact] {
         for workers in WORKER_COUNTS {
             let ctx = format!("mode={shard_mode:?} workers={workers}");
-            let mut plain = fx.sharded(workers, shard_mode, false, false);
-            let mut nic = fx.sharded(workers, shard_mode, false, true);
+            let mut plain = fx.sharded(workers, shard_mode, false);
+            let mut nic = fx.sharded(workers, shard_mode, true);
             let before = nic.spec_stats();
             assert_eq!(before.fused_runs, single0.fused_runs, "{ctx}: runs derived");
             let mut got = fx.probe.clone();
@@ -504,7 +512,11 @@ fn fused_runs_stand_aside_while_a_flow_cache_records() {
         let mut nic = SmartNic::new(g.clone(), params()).unwrap();
         nic.set_engine_mode(engine);
         // Never refuse an install: the cached results are the point.
-        nic.set_cache_insertion_limit(cache, 1e12);
+        nic.apply(ControlOp::SetCacheInsertionLimit {
+            node: cache,
+            rate_per_s: 1e12,
+        })
+        .unwrap();
         // The profile window: every packet a new cache key, so every one
         // walks the chain and shows it the hot key.
         nic.set_instrumentation(true, 1);
@@ -545,10 +557,10 @@ fn fused_runs_stand_aside_while_a_flow_cache_records() {
     );
 }
 
-/// Runs are part of the compiled pipeline, so a live `specialize()`
-/// carries them to every shard through the generation chain; and an
-/// entry op on a run *member* (not the head) that lands mid-window — on
-/// the single NIC, by fan-out, or through the chain — takes the run down
+/// Runs are part of the compiled pipeline, so a `specialize()` carries
+/// them to every shard through the generation chain; and an entry op on
+/// a run *member* (not the head) that lands mid-window — on the single
+/// NIC, or through the chain in either shard mode — takes the run down
 /// before the next packet. The replacement makes the member's hot action
 /// drop, so one stale run hit would show in the window.
 #[test]
@@ -567,7 +579,12 @@ fn entry_ops_on_a_run_member_mid_window_drop_the_run() {
         ("replace", |nic, id| {
             let mut t = nic.graph().node(id).unwrap().as_table().unwrap().clone();
             t.actions[0].primitives = vec![Primitive::Drop];
-            nic.replace_table(id, t, None).unwrap();
+            let op = ControlOp::ReplaceTable {
+                node: id,
+                table: t,
+                next: None,
+            };
+            nic.apply(op).unwrap();
         }),
     ];
     let mid = fx.probe.len() / 2;
@@ -602,13 +619,13 @@ fn entry_ops_on_a_run_member_mid_window_drop_the_run() {
         }
         let mut nic = fx.single(EngineMode::Compiled, true);
         check(&format!("{name}: single"), want, &mut nic, op);
-        // Mid-window ops land at a defined point of the packet stream
-        // only by fan-out under the fork-join oracle (a feed runs to
-        // completion) or as a generation on the live run-loop.
-        for (shard_mode, live) in [(ShardMode::BitExact, false), (ShardMode::RunLoop, true)] {
-            let ctx = format!("{name}: {shard_mode:?} live={live}");
-            let (want, ..) = window(&mut fx.sharded(2, shard_mode, live, false), op);
-            check(&ctx, want, &mut fx.sharded(2, shard_mode, live, true), op);
+        // A mid-window op is a generation in both shard modes (under
+        // the fork-join oracle a feed runs to completion, so the shards
+        // adopt it on the spot).
+        for shard_mode in [ShardMode::BitExact, ShardMode::RunLoop] {
+            let ctx = format!("{name}: {shard_mode:?}");
+            let (want, ..) = window(&mut fx.sharded(2, shard_mode, false), op);
+            check(&ctx, want, &mut fx.sharded(2, shard_mode, true), op);
         }
     }
 }
@@ -661,7 +678,7 @@ proptest! {
                 lens[idx] += 1;
             }
         }
-        spec.despecialize();
+        let _ = spec.apply(ControlOp::Despecialize);
         prop_assert_eq!(
             spec.spec_stats().specialized_tables, 0,
             "nothing may stay specialized after an explicit despecialize"

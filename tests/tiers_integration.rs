@@ -6,7 +6,7 @@
 use pipeleon::hierarchical::assign_tiers;
 use pipeleon::{Optimizer, ResourceLimits};
 use pipeleon_cost::{CostModel, CostParams};
-use pipeleon_sim::SmartNic;
+use pipeleon_sim::{ControlOp, SmartNic};
 use pipeleon_workloads::scenarios::DashRouting;
 
 #[test]
@@ -54,7 +54,9 @@ fn tiering_composes_with_plan_optimization() {
         "something should fit the SRAM budget"
     );
     assert!(plan.sram_used <= params.tiers.sram_capacity_bytes + 1e-9);
-    nic_opt.set_memory_tiers(plan.tiers.clone());
+    nic_opt
+        .apply(ControlOp::SetMemoryTiers(plan.tiers.clone()))
+        .unwrap();
     nic_opt.measure(traffic(6)); // re-warm
     let tiered = nic_opt.measure(traffic(7)).mean_latency_ns;
     assert!(
@@ -78,7 +80,8 @@ fn tier_prediction_tracks_emulator_without_caches() {
     let profile = nic.take_profile();
     let plan = assign_tiers(&model, &dash.graph, &profile);
     nic.set_instrumentation(false, 1);
-    nic.set_memory_tiers(plan.tiers.clone());
+    nic.apply(ControlOp::SetMemoryTiers(plan.tiers.clone()))
+        .unwrap();
     let mut gen = dash.traffic(&[0.0, 0.0, 0.0], 200, 0.0, 10);
     let measured = nic.measure(gen.batch(10_000)).mean_latency_ns;
     let rel = (plan.expected_latency - measured).abs() / measured;

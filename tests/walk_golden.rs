@@ -24,7 +24,9 @@ use pipeleon_cost::{CostParams, MemoryTier, Placement, RuntimeProfile};
 use pipeleon_ir::{
     CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
 };
-use pipeleon_sim::{EngineMode, ExecReport, Packet, PacketTrace, SampleKeying, SmartNic};
+use pipeleon_sim::{
+    ControlOp, EngineMode, ExecReport, Packet, PacketTrace, SampleKeying, SmartNic,
+};
 use pipeleon_workloads::scenarios::{
     AclPipeline, DashRouting, L2L3Acl, LoadBalancer, NfComposition, SkewedPipeline,
 };
@@ -404,13 +406,19 @@ fn run(case: &Case, engine: EngineMode, sampling: (&str, u64, SampleKeying)) -> 
     let mut nic = SmartNic::new(case.graph.clone(), case.params.clone()).expect("case deploys");
     nic.set_engine_mode(engine);
     if !case.placement.is_empty() {
-        nic.set_placement(case.placement.clone());
+        nic.apply(ControlOp::SetPlacement(case.placement.clone()))
+            .unwrap();
     }
     if !case.tiers.is_empty() {
-        nic.set_memory_tiers(case.tiers.clone());
+        nic.apply(ControlOp::SetMemoryTiers(case.tiers.clone()))
+            .unwrap();
     }
     for &(cache, rate) in &case.insertion_limits {
-        nic.set_cache_insertion_limit(cache, rate);
+        nic.apply(ControlOp::SetCacheInsertionLimit {
+            node: cache,
+            rate_per_s: rate,
+        })
+        .unwrap();
     }
     nic.executor_mut().set_sample_keying(keying);
     if case.specialize {
@@ -438,7 +446,7 @@ fn run(case: &Case, engine: EngineMode, sampling: (&str, u64, SampleKeying)) -> 
             let (table, entry) = mid_stream_entry(&case.graph, &case.traffic[at + 1]);
             nic.insert_entry(table, entry).expect("mid-stream insert");
             for &cache in &caches {
-                nic.flush_cache(cache);
+                nic.apply(ControlOp::FlushCache(cache)).unwrap();
             }
         }
         let mut chunk = chunk.to_vec();
