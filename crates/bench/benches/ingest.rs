@@ -22,7 +22,7 @@
 use pipeleon_bench::{banner, f, header, row};
 use pipeleon_cost::CostParams;
 use pipeleon_net::{FieldMap, IngestConfig, IngestServer, NetClient};
-use pipeleon_sim::{EngineMode, NicBackend, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{EngineMode, NicBackend, Packet, ShardedNic, SmartNic};
 use pipeleon_workloads::scenarios::LoadBalancer;
 use std::time::{Duration, Instant};
 
@@ -124,22 +124,10 @@ fn main() {
                 nic.set_engine_mode(engine);
                 (inproc, run_socket(nic, &map, &batch, reps))
             } else {
-                let mut nic = ShardedNic::with_mode(
-                    lb.graph.clone(),
-                    params.clone(),
-                    workers,
-                    ShardMode::RunLoop,
-                )
-                .unwrap();
+                let mut nic = ShardedNic::new(lb.graph.clone(), params.clone(), workers).unwrap();
                 nic.set_engine_mode(engine);
                 let inproc = run_inproc(&mut nic, &batch, reps);
-                let mut nic = ShardedNic::with_mode(
-                    lb.graph.clone(),
-                    params.clone(),
-                    workers,
-                    ShardMode::RunLoop,
-                )
-                .unwrap();
+                let mut nic = ShardedNic::new(lb.graph.clone(), params.clone(), workers).unwrap();
                 nic.set_engine_mode(engine);
                 (inproc, run_socket(nic, &map, &batch, reps))
             };

@@ -4,11 +4,8 @@
 //! program (mixed exact/LPM/ternary tables), per target preset (bluefield2,
 //! agilio_cx, bmv2 → `emulated_nic`) and per worker count (1/2/8).
 //! Single-worker rows time `SmartNic::process_batch`; multi-worker rows
-//! time `ShardedNic::measure` once per shard mode — `run-loop`
-//! (persistent workers fed by SPSC rings, merge at window boundaries)
-//! and `bit-exact` (per-batch fork-join replaying the global arrival
-//! schedule, the historical inversion where 8 workers ran slower than
-//! 1; kept as the oracle row).
+//! (`run-loop`) time `ShardedNic::measure` (persistent workers fed by
+//! SPSC rings, merge at window boundaries).
 //!
 //! Every row cross-checks bit-identity: the two engines must report the
 //! same per-packet latency totals and drop counts, or the row asserts.
@@ -28,7 +25,7 @@
 use pipeleon_bench::{banner, f, header, row};
 use pipeleon_cost::CostParams;
 use pipeleon_ir::{MatchKind, MatchValue, Primitive, ProgramBuilder, ProgramGraph, TableEntry};
-use pipeleon_sim::{EngineMode, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{EngineMode, Packet, ShardedNic, SmartNic};
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
 use pipeleon_workloads::traffic::FlowGen;
 use std::time::Instant;
@@ -128,12 +125,11 @@ fn run_sharded(
     g: &pipeleon_ir::ProgramGraph,
     params: &CostParams,
     workers: usize,
-    shard_mode: ShardMode,
     mode: EngineMode,
     batch: &[Packet],
     reps: u32,
 ) -> (f64, (u64, u64, u64)) {
-    let mut nic = ShardedNic::with_mode(g.clone(), params.clone(), workers, shard_mode).unwrap();
+    let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
     nic.set_engine_mode(mode);
     nic.measure(batch.to_vec());
     let mut fp = (0, 0, 0);
@@ -307,37 +303,16 @@ fn main() {
     let batch = traffic(&g, packets);
     let mut rows: Vec<Row> = Vec::new();
     for (name, params) in presets() {
-        // Single-worker baseline plus, per multi-worker count, one row
-        // per shard mode (run-loop is what the scaling story is about;
-        // bit-exact is the oracle's price tag).
-        let mut configs: Vec<(&'static str, usize, Option<ShardMode>)> = vec![("single", 1, None)];
-        for workers in [2usize, 8] {
-            configs.push(("run-loop", workers, Some(ShardMode::RunLoop)));
-            configs.push(("bit-exact", workers, Some(ShardMode::BitExact)));
-        }
-        for (mode_name, workers, shard_mode) in configs {
-            let (ipps, ifp, cpps, cfp) = match shard_mode {
-                None => {
-                    let (ipps, ifp) =
-                        run_single(&g, &params, EngineMode::Interpreter, &batch, reps);
-                    let (cpps, cfp) = run_single(&g, &params, EngineMode::Compiled, &batch, reps);
-                    (ipps, ifp, cpps, cfp)
-                }
-                Some(sm) => {
-                    let (ipps, ifp) = run_sharded(
-                        &g,
-                        &params,
-                        workers,
-                        sm,
-                        EngineMode::Interpreter,
-                        &batch,
-                        reps,
-                    );
-                    let (cpps, cfp) =
-                        run_sharded(&g, &params, workers, sm, EngineMode::Compiled, &batch, reps);
-                    (ipps, ifp, cpps, cfp)
+        for (mode_name, workers) in [("single", 1usize), ("run-loop", 2), ("run-loop", 8)] {
+            let run = |mode| {
+                if workers == 1 {
+                    run_single(&g, &params, mode, &batch, reps)
+                } else {
+                    run_sharded(&g, &params, workers, mode, &batch, reps)
                 }
             };
+            let (ipps, ifp) = run(EngineMode::Interpreter);
+            let (cpps, cfp) = run(EngineMode::Compiled);
             assert_eq!(
                 ifp, cfp,
                 "{name}/{mode_name}/{workers}w: engines disagree (bit-identity broken)"

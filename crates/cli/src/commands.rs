@@ -11,7 +11,7 @@ use pipeleon_ir::ProgramGraph;
 use pipeleon_net::{FieldMap, IngestConfig, IngestServer, NetClient};
 use pipeleon_obs::{EventJournal, EventKind, LatencyHistogram, MetricsRegistry};
 use pipeleon_sim::{
-    BatchStats, EngineMode, ExecObservations, NicConfig, Packet, ShardMode, ShardedNic, SmartNic,
+    BatchStats, ControlOp, EngineMode, ExecObservations, NicBackend, Packet, ShardedNic, SmartNic,
 };
 use pipeleon_verify::{
     lint_concurrency_with_count, lint_program, render_report, render_report_json, LintConfig,
@@ -28,9 +28,8 @@ USAGE:
            [--top-k F] [--memory BYTES] [--updates RATE] [-o out.json]
   pipeleon simulate <program> [--target T] [--packets N]
            [--flows N] [--zipf S] [--seed S] [--trace t.trace]
-           [--workers N] [--shard-mode run-loop|bit-exact]
-           [--sample N] [--engine compiled|interp]
-           [--batch N] [--profile-out p.json]
+           [--workers N] [--sample N] [--engine compiled|interp]
+           [--profile-out p.json]
            [--metrics-out m.prom|m.json] [--journal-out j.jsonl]
            [--no-specialize]
            [--chaos-seed S [--windows N]]
@@ -41,8 +40,7 @@ USAGE:
            [--format text|json]
   pipeleon analyze  --concurrency [repo-root] [--format text|json]
   pipeleon serve    <program> [--listen ADDR] [--target T] [--workers N]
-           [--engine compiled|interp] [--shard-mode run-loop|bit-exact]
-           [--batch N] [--burst N] [--sample N]
+           [--engine compiled|interp] [--burst N] [--sample N]
            [--max-packets N] [--idle-timeout-ms MS] [--tick-packets N]
            [--addr-file f] [--metrics-out m.prom|m.json]
            [--journal-out j.jsonl]
@@ -343,23 +341,13 @@ fn engine_mode(args: &Args) -> Result<EngineMode, String> {
     }
 }
 
-/// Parses `--shard-mode run-loop|bit-exact` (run-loop is the default
-/// when the sharded datapath is used).
-fn shard_mode(args: &Args) -> Result<ShardMode, String> {
-    match args.get("shard-mode") {
-        None => Ok(ShardMode::default()),
-        Some(s) => ShardMode::parse(s)
-            .ok_or_else(|| format!("unknown --shard-mode {s:?} (run-loop | bit-exact)")),
-    }
-}
-
 /// One measurement window, optionally with a mid-window specialization
 /// pass: the first half of the batch warms the profile and hot-key
 /// sketches, the backend specializes, and the window finishes on the
 /// specialized datapath. The begin/feed/end window merges to the same
 /// statistics as a single `measure_batch` of the whole batch —
 /// specialization only changes host wall-clock, never modeled results.
-fn measure_with_spec<N: pipeleon_sim::NicBackend>(
+fn measure_with_spec<N: NicBackend>(
     nic: &mut N,
     batch: Vec<Packet>,
     specialize: bool,
@@ -408,19 +396,27 @@ fn simulate(args: &Args) -> Result<(), String> {
     let params = target(args)?;
     let g = load_program(args)?;
     lint_preflight(&g, &params)?;
-    let packets = args.get_usize("packets", 20_000)?;
     let workers = args.get_usize("workers", 1)?;
+    if workers > 1 {
+        let nic = ShardedNic::new(g, params, workers).map_err(|e| e.to_string())?;
+        simulate_on(args, nic)
+    } else {
+        let nic = SmartNic::new(g, params).map_err(|e| e.to_string())?;
+        simulate_on(args, nic)
+    }
+}
+
+/// `simulate` on either backend. The sharded datapath merges results at
+/// window boundaries: integer statistics, profiles, and histograms are
+/// worker-count-invariant.
+fn simulate_on<N: NicBackend>(args: &Args, mut nic: N) -> Result<(), String> {
+    let g = nic.graph().clone();
+    let packets = args.get_usize("packets", 20_000)?;
     let sample = args.get_usize("sample", 1)?.max(1) as u64;
     let engine = engine_mode(args)?;
-    // An explicit --shard-mode opts into the sharded datapath even at
-    // --workers 1 (useful for differential runs against a single worker).
-    let sharded = workers > 1 || args.get("shard-mode").is_some();
-    let config = NicConfig {
-        batch: args.get_usize("batch", 32)?.max(1),
-        shard_mode: shard_mode(args)?,
-        ..NicConfig::default()
-    };
     let batch = gen_batch(args, &g, packets)?;
+    nic.apply(ControlOp::SetEngineMode(engine))
+        .map_err(|e| e.to_string())?;
     // Chaos mode: instead of one measurement batch, run the runtime
     // controller loop against a fault-injected target and report per-
     // window reconfiguration health.
@@ -429,50 +425,16 @@ fn simulate(args: &Args) -> Result<(), String> {
             .parse()
             .map_err(|_| format!("bad --chaos-seed {s:?} (expected u64)"))?;
         let windows = args.get_usize("windows", 5)?;
-        return if sharded {
-            let mut nic = ShardedNic::new(g.clone(), params, workers)
-                .map_err(|e| e.to_string())?
-                .with_config(config);
-            nic.set_engine_mode(engine);
-            chaos_simulate(args, nic, chaos_seed, windows, batch)
-        } else {
-            let mut nic = SmartNic::new(g.clone(), params)
-                .map_err(|e| e.to_string())?
-                .with_config(config);
-            nic.set_engine_mode(engine);
-            chaos_simulate(args, nic, chaos_seed, windows, batch)
-        };
+        return chaos_simulate(args, nic, chaos_seed, windows, batch);
     }
-    // The sharded datapath merges results at window boundaries: integer
-    // statistics, profiles, and histograms are worker-count-invariant in
-    // both shard modes (bit-exact mode additionally replays the global
-    // arrival schedule for bit-identical float aggregates).
     // Profile-guided specialization is on by default for the compiled
     // engine (the interpreter is the oracle and never specializes).
     let specialize = engine == EngineMode::Compiled && !args.get_bool("no-specialize");
-    let (stats, profile, obs, spec, elapsed_s) = if sharded {
-        let mut nic = ShardedNic::new(g.clone(), params, workers)
-            .map_err(|e| e.to_string())?
-            .with_config(config);
-        nic.set_engine_mode(engine);
-        nic.set_instrumentation(true, sample);
-        let stats = measure_with_spec(&mut nic, batch, specialize);
-        let spec = nic.spec_stats();
-        let (p, o) = (nic.take_profile(), nic.take_observations());
-        let t = pipeleon_sim::NicBackend::now_s(&nic);
-        (stats, p, o, spec, t)
-    } else {
-        let mut nic = SmartNic::new(g.clone(), params)
-            .map_err(|e| e.to_string())?
-            .with_config(config);
-        nic.set_engine_mode(engine);
-        nic.set_instrumentation(true, sample);
-        let stats = measure_with_spec(&mut nic, batch, specialize);
-        let spec = SmartNic::spec_stats(&nic);
-        let (p, o) = (nic.take_profile(), SmartNic::take_observations(&mut nic));
-        let t = nic.now_s();
-        (stats, p, o, spec, t)
-    };
+    nic.set_instrumentation(true, sample);
+    let stats = measure_with_spec(&mut nic, batch, specialize);
+    let spec = nic.spec_stats();
+    let (profile, obs) = (nic.take_profile(), nic.take_observations());
+    let elapsed_s = nic.now_s();
     println!("packets:           {}", stats.packets);
     println!("dropped:           {}", stats.dropped);
     println!("mean latency (ns): {:.1}", stats.mean_latency_ns);
@@ -578,7 +540,7 @@ fn metrics_summary(args: &Args) -> Result<(), String> {
 /// profiling windows while a seeded fault injector disturbs the target,
 /// then verify the deployed state converged to the controller's
 /// last-known-good layout.
-fn chaos_simulate<N: pipeleon_sim::NicBackend>(
+fn chaos_simulate<N: NicBackend>(
     args: &Args,
     mut nic: N,
     seed: u64,
@@ -752,49 +714,36 @@ fn serve(args: &Args) -> Result<(), String> {
         map.residue().len(),
         map.frame_len()
     );
-    let engine = engine_mode(args)?;
     let workers = args.get_usize("workers", 1)?;
-    let sample = args.get_usize("sample", 1)?.max(1) as u64;
-    let nic_config = NicConfig {
-        batch: args.get_usize("batch", 32)?.max(1),
-        shard_mode: shard_mode(args)?,
-        ..NicConfig::default()
-    };
     let limits = ServeLimits {
         max_packets: args.get_usize("max-packets", 0)? as u64,
         idle_timeout: Duration::from_millis(args.get_usize("idle-timeout-ms", 0)? as u64),
         tick_packets: args.get_usize("tick-packets", 0)? as u64,
     };
-    let sharded = workers > 1 || args.get("shard-mode").is_some();
-    if sharded {
-        let mut nic = ShardedNic::new(g.clone(), params.clone(), workers)
-            .map_err(|e| e.to_string())?
-            .with_config(nic_config);
-        nic.set_engine_mode(engine);
-        nic.set_instrumentation(true, sample);
+    if workers > 1 {
+        let nic = ShardedNic::new(g.clone(), params.clone(), workers).map_err(|e| e.to_string())?;
         run_serve(args, server, nic, &g, params, &map, &limits)
     } else {
-        let mut nic = SmartNic::new(g.clone(), params.clone())
-            .map_err(|e| e.to_string())?
-            .with_config(nic_config);
-        nic.set_engine_mode(engine);
-        nic.set_instrumentation(true, sample);
+        let nic = SmartNic::new(g.clone(), params.clone()).map_err(|e| e.to_string())?;
         run_serve(args, server, nic, &g, params, &map, &limits)
     }
 }
 
 /// The serving loop proper, over either backend: plain polling, or
 /// polling interleaved with controller ticks when `--tick-packets` > 0.
-fn run_serve<N: pipeleon_sim::NicBackend>(
+fn run_serve<N: NicBackend>(
     args: &Args,
     mut server: IngestServer,
-    nic: N,
+    mut nic: N,
     g: &ProgramGraph,
     params: CostParams,
     map: &FieldMap,
     limits: &ServeLimits,
 ) -> Result<(), String> {
     use pipeleon_runtime::{Controller, ControllerConfig, SimTarget};
+    nic.apply(ControlOp::SetEngineMode(engine_mode(args)?))
+        .map_err(|e| e.to_string())?;
+    nic.set_instrumentation(true, args.get_usize("sample", 1)?.max(1) as u64);
     let mut reg = MetricsRegistry::new();
     let mut journal = None;
     let mut reconfigs = None;
@@ -1203,14 +1152,14 @@ mod tests {
 
     #[test]
     fn simulate_shard_mode_run_loop_is_worker_count_invariant() {
-        // The SHARD_SMOKE invariant: run-loop window-merged profiles are
+        // The SHARD_SMOKE invariant: window-merged profiles are
         // bit-identical across worker counts, even with sampling on.
         let dir = std::env::temp_dir().join(format!("pipeleon_cli_test12_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let prog = write_sample_program(&dir);
-        let one = dir.join("w1.json");
         let two = dir.join("w2.json");
-        for (workers, out) in [("1", &one), ("2", &two)] {
+        let four = dir.join("w4.json");
+        for (workers, out) in [("2", &two), ("4", &four)] {
             run(&v(&[
                 "simulate",
                 prog.to_str().unwrap(),
@@ -1218,8 +1167,6 @@ mod tests {
                 "3000",
                 "--sample",
                 "4",
-                "--shard-mode",
-                "run-loop",
                 "--workers",
                 workers,
                 "--profile-out",
@@ -1228,18 +1175,10 @@ mod tests {
             .unwrap();
         }
         assert_eq!(
-            read_artifact(&one),
             read_artifact(&two),
-            "run-loop profile must be byte-identical across worker counts"
+            read_artifact(&four),
+            "sharded profile must be byte-identical across worker counts"
         );
-        let err = run(&v(&[
-            "simulate",
-            prog.to_str().unwrap(),
-            "--shard-mode",
-            "bogus",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--shard-mode"), "unexpected error: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1257,8 +1196,6 @@ mod tests {
             "3000",
             "--engine",
             "compiled",
-            "--batch",
-            "64",
             "--profile-out",
             compiled.to_str().unwrap(),
         ]))

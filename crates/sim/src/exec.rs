@@ -148,7 +148,7 @@ pub enum EngineMode {
 /// - [`GlobalSeq`](SampleKeying::GlobalSeq) reproduces the classic
 ///   single-threaded schedule (`packet_seq % sample_every`), which is
 ///   only partition-invariant if every shard is fed the packet's global
-///   arrival index — the barrier the run-loop datapath removes.
+///   arrival index — a barrier the sharded datapath does not have.
 /// - [`FlowKeyed`](SampleKeying::FlowKeyed) hashes `(flow_hash,
 ///   per-flow packet count)` through a splitmix64-style mixer. Since RSS
 ///   pins a flow to one shard and rings preserve per-flow order, the
@@ -657,14 +657,6 @@ impl Executor {
     fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
         self.walk.instrumented = enabled;
         self.walk.sample_every = sample_every.max(1);
-    }
-
-    /// Overrides the packet sequence number that drives counter sampling.
-    /// A sharded NIC assigns each packet its *global* arrival index before
-    /// execution so the `packet_seq % sample_every` sampling decision is
-    /// identical to a single-threaded run, regardless of worker count.
-    pub fn set_packet_seq(&mut self, seq: u64) {
-        self.walk.packet_seq = seq;
     }
 
     /// Selects how counter-sampling decisions are keyed (see

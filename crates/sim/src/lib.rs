@@ -27,13 +27,14 @@
 //! * [`smallkey`] — [`SmallKey`]: fixed-width inline match/cache keys
 //!   (stack-resident up to 4×`u64`) queryable by borrowed `&[u64]`.
 //! * [`nic`] — [`SmartNic`]: multicore dispatch (RSS by flow hash) and
-//!   throughput/latency measurement.
+//!   throughput/latency measurement; an [`Executor`] and one measurement
+//!   lane run inline, the arrival-order oracle of the sharded datapath.
 //! * [`observe`] — [`ExecObservations`]: mergeable latency histograms
 //!   (end-to-end and per-table) recorded for sampled packets, built on
 //!   `pipeleon-obs`.
 //! * [`ring`] — fixed-capacity SPSC rings (cache-line-padded Lamport
 //!   queues with burst enqueue/dequeue), the dispatcher→worker hand-off
-//!   of the run-loop sharded datapath.
+//!   of the sharded datapath.
 //! * [`sharded`] — [`ShardedNic`]: the same datapath sharded over `N`
 //!   parallel worker threads by flow hash, with deterministic merging of
 //!   per-shard profiles and batch statistics deferred to profile-window
@@ -48,15 +49,13 @@
 //!   targets can be backed by either.
 //!
 //! Everything is seeded and deterministic — results are bit-reproducible.
-//! A [`ShardedNic`] runs in one of two [`ShardMode`]s: `BitExact`
-//! replays the global arrival schedule (barrier + sort per batch), so
-//! its output is bit-identical to a single-threaded [`SmartNic`] run on
-//! the same traffic for any worker count; `RunLoop` (the default) feeds
-//! persistent workers through SPSC rings and preserves forwarding
-//! decisions, per-flow order, integer statistics, the exact p99, and —
-//! via flow-keyed sampling ([`SampleKeying`]) — worker-count-invariant
-//! window-merged profiles and histograms, relaxing only the float
-//! summation order of mean latency and throughput.
+//! A [`ShardedNic`] feeds persistent workers through SPSC rings; checked
+//! against a single-threaded [`SmartNic`] on the same traffic, it
+//! preserves forwarding decisions, per-flow order, integer statistics,
+//! the exact p99, the clock, and — via flow-keyed sampling
+//! ([`SampleKeying`]) — worker-count-invariant window-merged profiles
+//! and histograms, relaxing only the float summation order of mean
+//! latency and throughput.
 //!
 //! The control plane is data: every operation on a deployed datapath
 //! is a [`ControlOp`], applied by one [`NicBackend::apply`]. A sharded
@@ -95,7 +94,7 @@ pub use backend::{Applied, ControlOp, LiveSwap, NicBackend};
 pub use cache::{LruCache, RateLimiter};
 pub use engine::{KeyScratch, LookupOutcome, MatchEngine};
 pub use exec::{EngineMode, ExecReport, Executor, PacketTrace, SampleKeying};
-pub use nic::{BatchStats, NicConfig, PacketRecord, ShardMode, SmartNic};
+pub use nic::{BatchStats, ShardMode, SmartNic};
 pub use observe::ExecObservations;
 pub use packet::Packet;
 pub use sharded::ShardedNic;

@@ -17,70 +17,15 @@ use pipeleon_ir::{IrError, NodeId, ProgramGraph, TableEntry};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// How the sharded datapath ([`ShardedNic`](crate::ShardedNic))
-/// coordinates its workers.
+/// How a [`ShardedNic`](crate::ShardedNic) coordinates its workers:
+/// persistent per-worker run loops fed by SPSC rings, the only way left.
+/// Survives, with `ShardedNic::with_mode`, because `crates/perf` names
+/// both and a PR outside it may not edit it; ROADMAP item 4 removes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
-    /// Fork-join per batch with a global arrival-order barrier: every
-    /// packet is stamped with its global arrival index, and per-packet
-    /// records are re-sorted into arrival order before reduction, so
-    /// results are bit-identical to a single-threaded
-    /// [`SmartNic`] for any worker count. Kept as the
-    /// differential oracle for [`ShardMode::RunLoop`].
-    BitExact,
-    /// Persistent per-worker run loops fed by SPSC rings (the default):
-    /// no global arrival stamping, no cross-shard sort, merge deferred
-    /// to window boundaries. Forwarding decisions, per-flow order, and
-    /// every integer statistic match `BitExact` exactly; float
-    /// aggregates may differ in the last bits because summation order is
-    /// per-shard. See the `sharded` module docs for the full invariant
-    /// set.
+    /// See the `sharded` module docs.
     #[default]
     RunLoop,
-}
-
-impl ShardMode {
-    /// CLI-facing name (`--shard-mode` value).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ShardMode::BitExact => "bit-exact",
-            ShardMode::RunLoop => "run-loop",
-        }
-    }
-
-    /// Parses a CLI `--shard-mode` value.
-    pub fn parse(s: &str) -> Option<ShardMode> {
-        match s {
-            "bit-exact" | "bitexact" | "barrier" => Some(ShardMode::BitExact),
-            "run-loop" | "runloop" => Some(ShardMode::RunLoop),
-            _ => None,
-        }
-    }
-}
-
-/// Measurement configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct NicConfig {
-    /// Wire size used for throughput conversion when a packet does not
-    /// carry its own (§5.1: 512 B everywhere).
-    pub packet_bytes: usize,
-    /// Internal chunk granularity for batch-oriented execution
-    /// ([`SmartNic::process_batch`] and the CLI `--batch` flag). Purely a
-    /// processing granularity: results are bit-identical for any value.
-    pub batch: usize,
-    /// Worker coordination for the sharded datapath; ignored by the
-    /// single-threaded [`SmartNic`].
-    pub shard_mode: ShardMode,
-}
-
-impl Default for NicConfig {
-    fn default() -> Self {
-        Self {
-            packet_bytes: Packet::DEFAULT_BYTES,
-            batch: 32,
-            shard_mode: ShardMode::default(),
-        }
-    }
 }
 
 /// Aggregate statistics over one measured batch (all zero for an empty
@@ -105,38 +50,15 @@ pub struct BatchStats {
     pub counter_updates: u64,
 }
 
-/// What one packet contributed to a measured batch, as a record. The
-/// datapaths fold reports into a window accumulator as they arrive; records
-/// and [`BatchStats::from_records`] remain as the `BitExact` shard
-/// mode's merge (sort by arrival, then reduce) and as the oracle the
-/// streamed window is tested against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PacketRecord {
-    /// Global arrival index within the batch (0-based).
-    pub arrival: u64,
-    /// RSS core the packet was dispatched to (must be `< num_cores`).
-    pub core: usize,
-    /// Accounted latency (ns).
-    pub latency_ns: f64,
-    /// Whether the program dropped the packet.
-    pub dropped: bool,
-    /// ASIC↔CPU migrations performed.
-    pub migrations: u64,
-    /// Counter updates performed (after sampling).
-    pub counter_updates: u64,
-    /// Wire size in bits, for throughput conversion.
-    pub bits: f64,
-}
-
 /// The window accumulator: a measurement window folded in a report at a
-/// time. One lives on the [`SmartNic`], one on every run-loop shard, one
+/// time. One lives on every [`Lane`] (the [`SmartNic`]'s, each shard's), one
 /// on the sharded dispatcher for the shard-order merge — kept across
 /// windows, so a steady-state window allocates nothing (a fresh
 /// multi-hundred-KB allocation per window pays for consolidating the
 /// allocator's small-chunk debris, on the window's wall clock). Floats
 /// accumulate in the order reports are added — arrival order on the
-/// single NIC, where the statistics equal [`BatchStats::from_records`]
-/// over the same reports to the bit.
+/// single NIC, where the statistics equal the record reducer in this
+/// file's tests over the same reports to the bit.
 #[derive(Debug, Default)]
 pub(crate) struct BatchAgg {
     dropped: u64,
@@ -187,8 +109,10 @@ impl BatchAgg {
         self.counter_updates += shard.counter_updates;
     }
 
-    /// The window's statistics (sorts the latency list: the window is over).
-    pub(crate) fn finish(&mut self, line_pps: f64, offered_gbps: f64) -> BatchStats {
+    /// The statistics of `window`, now closed, whose reports this holds
+    /// (sorts the latency list: the window is over).
+    pub(crate) fn finish(&mut self, window: &MeasureStream) -> BatchStats {
+        let offered_gbps = window.offered_gbps;
         let n = self.latencies.len() as u64;
         if n == 0 {
             return BatchStats {
@@ -196,7 +120,7 @@ impl BatchAgg {
                 ..BatchStats::default()
             };
         }
-        let arrival_ns = n as f64 / line_pps * 1e9;
+        let arrival_ns = n as f64 / window.line_pps * 1e9;
         let busiest_ns = self.core_busy_ns.iter().cloned().fold(0.0f64, f64::max);
         BatchStats {
             packets: n,
@@ -221,78 +145,6 @@ impl BatchAgg {
         let n = self.latencies.len();
         let rank = ((n as f64 * 0.99).ceil() as usize).clamp(1, n);
         self.latencies[rank - 1]
-    }
-}
-
-impl BatchStats {
-    /// Reduces per-packet records into batch statistics. `records` must be
-    /// in arrival order: float accumulation order (core busy-time, total
-    /// bits, mean) is fixed by it, which is what makes merged shard
-    /// results bit-reproducible regardless of worker count.
-    pub fn from_records(
-        records: &[PacketRecord],
-        num_cores: usize,
-        line_pps: f64,
-        offered_gbps: f64,
-    ) -> BatchStats {
-        let mut scratch = BatchAgg::default();
-        Self::reduce(records, num_cores, line_pps, offered_gbps, &mut scratch)
-    }
-
-    /// [`BatchStats::from_records`] through caller-owned buffers: only
-    /// `scratch`'s two lists are used, the reduction is this function's
-    /// own.
-    pub(crate) fn reduce(
-        records: &[PacketRecord],
-        num_cores: usize,
-        line_pps: f64,
-        offered_gbps: f64,
-        scratch: &mut BatchAgg,
-    ) -> BatchStats {
-        let n = records.len() as u64;
-        if n == 0 {
-            return BatchStats {
-                offered_gbps,
-                ..BatchStats::default()
-            };
-        }
-        scratch.reset(num_cores.max(1));
-        let BatchAgg {
-            core_busy_ns,
-            latencies,
-            ..
-        } = &mut *scratch;
-        latencies.reserve(records.len());
-        let mut dropped = 0u64;
-        let mut migrations = 0u64;
-        let mut counter_updates = 0u64;
-        let mut total_bits = 0.0f64;
-        for r in records {
-            core_busy_ns[r.core] += r.latency_ns;
-            latencies.push(r.latency_ns);
-            migrations += r.migrations;
-            counter_updates += r.counter_updates;
-            if r.dropped {
-                dropped += 1;
-            }
-            total_bits += r.bits;
-        }
-        let arrival_ns = n as f64 / line_pps * 1e9;
-        let busiest_ns = core_busy_ns.iter().cloned().fold(0.0f64, f64::max);
-        let duration_ns = arrival_ns.max(busiest_ns);
-        let throughput_gbps = (total_bits / duration_ns).min(offered_gbps);
-        let mean = latencies.iter().sum::<f64>() / n as f64;
-        let p99 = scratch.p99();
-        BatchStats {
-            packets: n,
-            dropped,
-            mean_latency_ns: mean,
-            p99_latency_ns: p99,
-            throughput_gbps,
-            offered_gbps,
-            migrations,
-            counter_updates,
-        }
     }
 }
 
@@ -334,17 +186,14 @@ impl BatchStats {
 #[derive(Debug)]
 pub struct SmartNic {
     exec: Executor,
-    config: NicConfig,
+    /// The one lane: this NIC is a shard of the sharded datapath run
+    /// inline — no ring, no lock, no thread.
+    lane: Lane,
     /// Ops applied so far: the one-shard analogue of the sharded
     /// generation chain's ids.
     generation: u64,
     /// The most recent pipeline swap (telemetry).
     last_swap: Option<LiveSwap>,
-    /// Open streaming measurement window, if any.
-    measuring: Option<SmartMeasure>,
-    /// The open window's accumulator; kept across windows (and reset at
-    /// `measure_begin`) so a window regrows nothing.
-    agg: BatchAgg,
     /// The last taken profile window, retained for specialize steps that
     /// run right after a window boundary (the controller's tick has
     /// already consumed the live counters by then).
@@ -353,17 +202,83 @@ pub struct SmartNic {
     last_sketches: HashMap<NodeId, HotKeySketch>,
 }
 
-/// An open streaming measurement window on a [`SmartNic`] (between
-/// `measure_begin` and `measure_end`). Pacing continues across feeds, so
-/// a begin/feed*/end window is bit-identical to one `measure` call over
-/// the concatenated traffic.
-#[derive(Debug)]
-struct SmartMeasure {
+/// An open streaming measurement window (between `measure_begin` and
+/// `measure_end`). The pacing parameters are snapshotted when it opens,
+/// so every fed chunk continues one arrival schedule: a begin/feed*/end
+/// window measures identically to one `measure` call over the
+/// concatenated traffic. Whoever holds a copy counts its own packets in
+/// `n`: a [`Lane`] the ones it ran (its arrival-pacing index), the
+/// sharded dispatcher the ones it fed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MeasureStream {
     batch_start_s: f64,
     line_pps: f64,
-    cores: usize,
+    pub(crate) cores: usize,
     offered_gbps: f64,
-    n: u64,
+    pub(crate) n: u64,
+}
+
+impl MeasureStream {
+    /// A window opening at `now_s` on a NIC with these parameters
+    /// (§5.1: 512 B on the wire for a packet that carries no size).
+    pub(crate) fn open(params: &CostParams, now_s: f64) -> Self {
+        Self {
+            batch_start_s: now_s,
+            line_pps: params.line_rate_pps(Packet::DEFAULT_BYTES),
+            cores: params.num_cores.max(1),
+            offered_gbps: params.line_rate_gbps,
+            n: 0,
+        }
+    }
+
+    /// The clock when the window closes: its `n` packets' arrival time
+    /// after its start.
+    pub(crate) fn end_s(&self) -> f64 {
+        let arrival_ns = self.n as f64 / self.line_pps * 1e9;
+        self.batch_start_s + arrival_ns / 1e9
+    }
+}
+
+/// A run-to-completion lane's measurement bookkeeping around its
+/// executor: the open window and what it has accumulated. A
+/// [`SmartNic`] is an [`Executor`] and one of these; a sharded NIC keeps
+/// one per shard. Its own struct so a burst loop can lend the executor
+/// to [`exec::run_burst`] and still reach this from the per-packet
+/// closure.
+#[derive(Debug, Default)]
+pub(crate) struct Lane {
+    /// `None` between windows: packets are forwarded, not measured.
+    pub(crate) window: Option<MeasureStream>,
+    /// Kept across windows (and reset when one opens), so a window
+    /// regrows nothing.
+    pub(crate) agg: BatchAgg,
+}
+
+impl Lane {
+    /// Opens `window` on this lane.
+    pub(crate) fn begin(&mut self, window: MeasureStream) {
+        debug_assert!(self.window.is_none(), "measurement window already open");
+        self.agg.reset(window.cores);
+        self.window = Some(window);
+    }
+
+    /// The measured step: paces the executor clock by this lane's packet
+    /// index (arrival pacing drives rate limiters and phase timing), runs
+    /// the packet, and folds its report into the window as RSS core
+    /// `core`'s work.
+    #[inline]
+    pub(crate) fn measure_one(&mut self, exec: &mut Executor, pkt: &mut Packet, core: usize) {
+        let w = self.window.as_mut().expect("measure_begin first");
+        exec.now_s = w.batch_start_s + w.n as f64 / w.line_pps;
+        w.n += 1;
+        let bits = pkt.wire_bits(Packet::DEFAULT_BYTES);
+        self.agg.add(core, &exec.process(pkt), bits);
+    }
+
+    /// Closes the window, leaving what it accumulated in `agg`.
+    pub(crate) fn end(&mut self) -> MeasureStream {
+        self.window.take().expect("measure_begin first")
+    }
 }
 
 impl SmartNic {
@@ -371,20 +286,12 @@ impl SmartNic {
     pub fn new(graph: ProgramGraph, params: CostParams) -> Result<Self, IrError> {
         Ok(Self {
             exec: Executor::new(graph, params)?,
-            config: NicConfig::default(),
+            lane: Lane::default(),
             generation: 0,
             last_swap: None,
-            measuring: None,
-            agg: BatchAgg::default(),
             last_profile: RuntimeProfile::empty(),
             last_sketches: HashMap::new(),
         })
-    }
-
-    /// Sets the measurement configuration.
-    pub fn with_config(mut self, config: NicConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// The deployed program.
@@ -542,16 +449,8 @@ impl SmartNic {
     /// Opens a streaming measurement window (snapshotting the pacing
     /// parameters and the window's start time).
     pub fn measure_begin(&mut self) {
-        debug_assert!(self.measuring.is_none(), "measurement window already open");
-        let cores = self.exec.params().num_cores.max(1);
-        self.measuring = Some(SmartMeasure {
-            batch_start_s: self.exec.now_s,
-            line_pps: self.exec.params().line_rate_pps(self.config.packet_bytes),
-            cores,
-            offered_gbps: self.exec.params().line_rate_gbps,
-            n: 0,
-        });
-        self.agg.reset(cores);
+        let window = MeasureStream::open(self.exec.params(), self.exec.now_s);
+        self.lane.begin(window);
     }
 
     /// Feeds one chunk into the open measurement window; pacing
@@ -562,30 +461,22 @@ impl SmartNic {
     where
         I: IntoIterator<Item = Packet>,
     {
-        let stream = self.measuring.as_mut().expect("measure_begin first");
-        let (agg, default_bytes) = (&mut self.agg, self.config.packet_bytes);
+        let lane = &mut self.lane;
+        let cores = lane.window.as_ref().expect("measure_begin first").cores as u64;
         // A burst is a slice; collecting a `Vec<Packet>` reuses it as is.
         let mut packets: Vec<Packet> = packets.into_iter().collect();
         exec::run_burst(&mut self.exec, &mut packets, |exec, pkt| {
-            // Arrival pacing drives the simulation clock (rate
-            // limiters, phase timing).
-            exec.now_s = stream.batch_start_s + stream.n as f64 / stream.line_pps;
-            let core = (pkt.flow_hash() % stream.cores as u64) as usize;
-            let bits = pkt.wire_bits(default_bytes);
-            agg.add(core, &exec.process(pkt), bits);
-            stream.n += 1;
+            let core = (pkt.flow_hash() % cores) as usize;
+            lane.measure_one(exec, pkt, core);
         });
     }
 
     /// Closes the measurement window, advancing the clock to the
-    /// window's end and returning the merged statistics.
+    /// window's end and returning its statistics.
     pub fn measure_end(&mut self) -> BatchStats {
-        let stream = self.measuring.take().expect("measure_begin first");
-        if stream.n > 0 {
-            let arrival_ns = stream.n as f64 / stream.line_pps * 1e9;
-            self.exec.now_s = stream.batch_start_s + arrival_ns / 1e9;
-        }
-        self.agg.finish(stream.line_pps, stream.offered_gbps)
+        let window = self.lane.end();
+        self.exec.now_s = window.end_s();
+        self.lane.agg.finish(&window)
     }
 
     /// Convenience: measures the mean per-packet latency of a batch
@@ -689,6 +580,69 @@ mod tests {
         (0..n).map(|i| Packet::with_slots(vec![i as u64])).collect()
     }
 
+    /// What one packet contributed to a measured batch, as a record.
+    /// The datapaths fold reports into a [`BatchAgg`] as they arrive;
+    /// records and [`from_records`] are the reference that streamed
+    /// window is tested against.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct PacketRecord {
+        /// RSS core the packet was dispatched to (must be `< num_cores`).
+        core: usize,
+        latency_ns: f64,
+        dropped: bool,
+        migrations: u64,
+        counter_updates: u64,
+        /// Wire size in bits, for throughput conversion.
+        bits: f64,
+    }
+
+    /// Reduces per-packet records, in arrival order, into batch
+    /// statistics. Only a [`BatchAgg`]'s two lists are borrowed; the
+    /// reduction is this function's own.
+    fn from_records(
+        records: &[PacketRecord],
+        num_cores: usize,
+        line_pps: f64,
+        offered_gbps: f64,
+    ) -> BatchStats {
+        let n = records.len() as u64;
+        if n == 0 {
+            return BatchStats {
+                offered_gbps,
+                ..BatchStats::default()
+            };
+        }
+        let mut scratch = BatchAgg::default();
+        scratch.reset(num_cores.max(1));
+        let mut dropped = 0u64;
+        let mut migrations = 0u64;
+        let mut counter_updates = 0u64;
+        let mut total_bits = 0.0f64;
+        for r in records {
+            scratch.core_busy_ns[r.core] += r.latency_ns;
+            scratch.latencies.push(r.latency_ns);
+            migrations += r.migrations;
+            counter_updates += r.counter_updates;
+            if r.dropped {
+                dropped += 1;
+            }
+            total_bits += r.bits;
+        }
+        let arrival_ns = n as f64 / line_pps * 1e9;
+        let busiest_ns = scratch.core_busy_ns.iter().cloned().fold(0.0f64, f64::max);
+        let duration_ns = arrival_ns.max(busiest_ns);
+        BatchStats {
+            packets: n,
+            dropped,
+            mean_latency_ns: scratch.latencies.iter().sum::<f64>() / n as f64,
+            p99_latency_ns: scratch.p99(),
+            throughput_gbps: (total_bits / duration_ns).min(offered_gbps),
+            offered_gbps,
+            migrations,
+            counter_updates,
+        }
+    }
+
     /// Nearest-rank p99 over latencies 1..=n ns is exactly ceil(0.99·n).
     /// The pre-fix truncating index `(n·0.99) as usize` returned the max
     /// for n=100 (rank 100) instead of the nearest-rank value (rank 99).
@@ -697,7 +651,6 @@ mod tests {
         for (n, expected) in [(1u64, 1.0), (99, 99.0), (100, 99.0), (101, 100.0)] {
             let records: Vec<PacketRecord> = (0..n)
                 .map(|i| PacketRecord {
-                    arrival: i,
                     core: 0,
                     latency_ns: (i + 1) as f64,
                     dropped: false,
@@ -706,7 +659,7 @@ mod tests {
                     bits: 4096.0,
                 })
                 .collect();
-            let s = BatchStats::from_records(&records, 1, 1e6, 100.0);
+            let s = from_records(&records, 1, 1e6, 100.0);
             assert_eq!(
                 s.p99_latency_ns, expected,
                 "n={n}: expected nearest-rank p99 {expected}, got {}",
@@ -738,8 +691,8 @@ mod tests {
 
     /// The streamed window against the record oracle: a twin NIC runs
     /// the same packets one `process_one` at a time on the same clock,
-    /// its reports become [`PacketRecord`]s, and
-    /// [`BatchStats::from_records`] must agree with the window to the
+    /// its reports become [`PacketRecord`]s, and [`from_records`] must
+    /// agree with the window to the
     /// bit — one-shot, empty, and begin/feed/feed/end with a control op
     /// between the feeds.
     #[test]
@@ -776,13 +729,11 @@ mod tests {
                         }
                         for pkt in feed {
                             let mut pkt = pkt.clone();
-                            let arrival = records.len() as u64;
-                            twin.executor_mut().now_s = start + arrival as f64 / line_pps;
+                            twin.executor_mut().now_s = start + records.len() as f64 / line_pps;
                             let core = (pkt.flow_hash() % cores as u64) as usize;
                             let bytes = if pkt.bytes > 0 { pkt.bytes } else { 512 };
                             let r = twin.process_one(&mut pkt);
                             records.push(PacketRecord {
-                                arrival,
                                 core,
                                 latency_ns: r.latency_ns,
                                 dropped: r.dropped,
@@ -796,7 +747,7 @@ mod tests {
                         let arrival_ns = records.len() as f64 / line_pps * 1e9;
                         twin.executor_mut().now_s = start + arrival_ns / 1e9;
                     }
-                    BatchStats::from_records(&records, cores, line_pps, params.line_rate_gbps)
+                    from_records(&records, cores, line_pps, params.line_rate_gbps)
                 };
             let same = |got: BatchStats, want: BatchStats, ctx: &str| {
                 for (g, w) in [

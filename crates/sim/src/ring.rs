@@ -1,7 +1,7 @@
 //! Fixed-capacity single-producer/single-consumer ring buffer.
 //!
-//! The hand-off primitive of the run-loop sharded datapath
-//! ([`ShardMode::RunLoop`](crate::ShardMode)): the dispatcher owns one
+//! The hand-off primitive of the sharded datapath
+//! ([`ShardedNic`](crate::ShardedNic)): the dispatcher owns one
 //! [`Producer`] per worker shard, each worker owns the matching
 //! [`Consumer`], and packets flow through without locks — the classic
 //! Lamport queue shape used by DPDK-style rx/tx burst rings.

@@ -4,44 +4,44 @@
 //! each owning a private [`Executor`] with its own runtime-profile shard,
 //! and merges per-shard profiles/observations back into one
 //! [`RuntimeProfile`] / [`ExecObservations`] at profile-window boundaries
-//! (`take_profile` / `take_observations`). Two worker-coordination modes
-//! exist ([`ShardMode`]):
+//! (`take_profile` / `take_observations`).
 //!
-//! # `ShardMode::RunLoop` (default)
+//! # The run loop
 //!
-//! Persistent worker threads, spawned once at construction, each spinning
-//! a DPDK-style run loop: burst-dequeue packets from a private SPSC ring
-//! ([`crate::ring`]), execute them, accumulate shard-local aggregates,
-//! park when idle. The dispatcher hashes packets onto rings and never
-//! waits mid-batch: it is *work-conserving* — when a ring fills, or at
-//! end-of-batch drain, the dispatcher executes bursts itself through the
-//! same shard-locked path the workers use instead of blocking on them.
-//! There is no global arrival stamping, no cross-shard record sort, and
-//! no per-batch thread spawn — the three serialization points that made
-//! the fork-join mode *slower* at higher worker counts — and on a
-//! single-CPU host a batch drains with zero context switches.
+//! Persistent worker threads, spawned once at construction and joined on
+//! drop, each spinning a DPDK-style run loop: burst-dequeue packets from
+//! a private SPSC ring ([`crate::ring`]), execute them, accumulate
+//! shard-local aggregates, park when idle. The dispatcher hashes packets
+//! onto rings and never waits mid-batch: it is *work-conserving* — when a
+//! ring fills, or at end-of-batch drain, the dispatcher executes bursts
+//! itself through the same shard-locked path the workers use instead of
+//! blocking on them. There is no global arrival stamping, no cross-shard
+//! record sort, and no per-batch thread spawn, and on a single-CPU host a
+//! batch drains with zero context switches.
 //!
-//! What RunLoop **preserves** exactly (asserted by
-//! `tests/runloop_differential.rs` against the `BitExact` oracle):
+//! The oracle is the single-threaded [`SmartNic`](crate::SmartNic): the
+//! same [`Executor`] and the same per-packet measured step
+//! (`Lane` in `nic.rs`) driven inline in arrival order, sharing
+//! nothing else with this file. What sharding **preserves** exactly
+//! against it (asserted by `tests/runloop_differential.rs`):
 //!
 //! - **Forwarding decisions and packet mutations.** A flow lives on
 //!   exactly one shard and rings are FIFO, so the k-th packet of a flow
 //!   sees the same table/cache state as in a single-threaded run.
 //! - **Per-flow packet order.** Same argument.
 //! - **Integer batch statistics** (packet/drop/migration/counter-update
-//!   counts) and the **p99 latency** (reduced from the exact merged
-//!   latency multiset, which is partition-invariant).
+//!   counts), the **p99 latency** (reduced from the exact merged
+//!   latency multiset, which is partition-invariant) and the **clock**.
 //! - **Sampled counters and histograms, for any worker count.** Sampling
 //!   is keyed per flow ([`SampleKeying::FlowKeyed`]): the decision for a
 //!   packet depends only on `(flow_hash, per-flow index)`, both
 //!   partition-invariant, so profiles and latency histograms merged at a
-//!   window boundary are bit-identical across worker counts (the
-//!   single-threaded reference is a [`SmartNic`](crate::SmartNic) with
-//!   flow-keyed sampling). With `sample_every == 1` every packet is
-//!   sampled and profiles also match the classic global-sequence
-//!   schedule bit-for-bit.
+//!   window boundary are bit-identical across worker counts and to a
+//!   `SmartNic` with flow-keyed sampling. With `sample_every == 1` every
+//!   packet is sampled and profiles also match the `SmartNic` default,
+//!   the global-sequence schedule, bit-for-bit.
 //!
-//! What RunLoop **relaxes**:
+//! What it **relaxes**:
 //!
 //! - **Global arrival interleaving.** Floating-point aggregates whose
 //!   value depends on summation order — mean latency, core busy time and
@@ -52,30 +52,18 @@
 //!   executor clock by its own packet index, so time-dependent runtime
 //!   state (cache insertion rate limiters) sees per-shard schedules.
 //!
-//! # `ShardMode::BitExact`
-//!
-//! The previous fork-join-per-batch engine, kept as the differential
-//! oracle. Every packet is stamped with its *global* arrival index
-//! (clock and sampling sequence), per-packet [`PacketRecord`]s are
-//! re-sorted into global arrival order, and the exact
-//! [`BatchStats::from_records`] reducer replays the single-threaded
-//! float-accumulation order — results are bit-identical to
-//! [`SmartNic`](crate::SmartNic) for any worker count, at the cost of a
-//! full sort + barrier per batch.
-//!
 //! # Control plane: ops as data on the generation chain
 //!
 //! Every control operation is a [`ControlOp`] and takes one path
-//! ([`ShardedNic::apply`]), in both shard modes: it is applied to the
-//! control replica — which validates it, so a rejected op publishes
-//! nothing and the answer is the replica's — then *published* as a
-//! numbered generation on an epoch/RCU chain (`GenChain` in
-//! `generation.rs`), carrying the pipeline the replica lowered for it
-//! when it swaps one (`Deploy`, `Specialize`, `Despecialize`). Every
-//! packet dispatched afterwards is tagged with that generation, and a
-//! shard adopts pending generations, in order, when the first packet
-//! tagged with a newer one reaches it. So an op takes effect at a
-//! position of the packet stream, whatever the op:
+//! ([`ShardedNic::apply`]): it is applied to the control replica — which
+//! validates it, so a rejected op publishes nothing and the answer is
+//! the replica's — then *published* as a numbered generation on an
+//! epoch/RCU chain (`GenChain` in `generation.rs`), carrying the pipeline
+//! the replica lowered for it when it swaps one (`Deploy`, `Specialize`,
+//! `Despecialize`). Every packet dispatched afterwards is tagged with
+//! that generation, and a shard adopts pending generations, in order,
+//! when the first packet tagged with a newer one reaches it. So an op
+//! takes effect at a position of the packet stream, whatever the op:
 //!
 //! - **No torn reads**: a packet executes under exactly the generation
 //!   it was dispatched with — adoption is monotone and happens *between*
@@ -90,27 +78,28 @@
 //!   worker count — for a flush or an instrumentation flip between two
 //!   feeds of an open window as much as for a program swap.
 //!
-//! When nothing is in flight — between windows, and always in
-//! `BitExact` mode, whose fork-join feeds run to completion — the
-//! position is "now": the publish fast-forwards every shard to the
-//! latest generation on the spot and reclaims the chain. The same
-//! fast-forward ends every drain (`wait_idle`), so the chain is empty
-//! in steady state and shard state read between windows is current.
+//! When nothing is in flight — between windows — the position is "now":
+//! the publish fast-forwards every shard to the latest generation on the
+//! spot and reclaims the chain. The same fast-forward ends every drain
+//! (`wait_idle`), so the chain is empty in steady state and shard state
+//! read between windows is current.
 //!
-//! Caveat (both modes): flow-cache *runtime state* is shard-local. Each
-//! shard has its own LRU of the configured capacity and its own insertion
-//! rate limiter, so under eviction or rate-limit pressure a sharded run
-//! can diverge from a single-threaded one (more aggregate capacity, more
+//! Caveat: flow-cache *runtime state* is shard-local. Each shard has its
+//! own LRU of the configured capacity and its own insertion rate
+//! limiter, so under eviction or rate-limit pressure a sharded run can
+//! diverge from a single-threaded one (more aggregate capacity, more
 //! aggregate insertion budget). Equivalence holds exactly for programs
 //! without flow caches, and for cached programs whose working set and
-//! insertion rate stay under the per-shard limits.
+//! insertion rate stay under the per-shard limits. What holds under
+//! pressure too is that each shard behaves as a `SmartNic` fed its
+//! `flow_hash % workers` partition alone.
 
 use crate::backend::{Applied, ControlOp, LiveSwap, NicBackend};
 use crate::compiled::CompiledPipeline;
 use crate::distinct::{self, DistinctKeys};
 use crate::exec::{self, EngineMode, ExecReport, Executor, SampleKeying};
 use crate::generation::GenChain;
-use crate::nic::{BatchAgg, BatchStats, NicConfig, PacketRecord, ShardMode};
+use crate::nic::{BatchAgg, BatchStats, Lane, MeasureStream, ShardMode};
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::ring;
@@ -122,7 +111,7 @@ use pipeleon_ir::{IrError, NodeId, ProgramGraph};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle, Thread};
+use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 /// Total in-flight ring slots across all shards. Per-shard capacity is
@@ -171,20 +160,6 @@ impl Borrow<Packet> for WorkItem {
     }
 }
 
-/// What the worker does with each packet of the current batch.
-#[derive(Debug, Clone, Copy)]
-enum BatchCtx {
-    /// `process_batch`: execute with the executor clock as set by the
-    /// dispatcher and keep `(idx, packet, report)` for scatter-back.
-    Forward,
-    /// `measure`: shard-local arrival pacing plus statistic aggregation.
-    Measure {
-        batch_start_s: f64,
-        line_pps: f64,
-        default_bytes: usize,
-    },
-}
-
 /// Everything the consumer side of a shard mutates, behind the shard
 /// mutex: the executor state *and* the ring consumer handle. Keeping the
 /// consumer inside the mutex makes the datapath *work-conserving*: a
@@ -198,29 +173,26 @@ enum BatchCtx {
 #[derive(Debug)]
 struct ShardState {
     exec: Executor,
-    /// Consumer side of the shard's SPSC ring; `Some` iff run-loop
-    /// workers are live.
-    rx: Option<ring::Consumer<WorkItem>>,
-    lane: Lane,
+    /// Consumer side of the shard's SPSC ring.
+    rx: ring::Consumer<WorkItem>,
+    lane: ShardLane,
 }
 
-/// A shard's bookkeeping around its executor: what to do with each
-/// packet, where results go, which generation it runs. Its own struct so
+/// A shard's bookkeeping around its executor: the measurement [`Lane`]
+/// every NIC has, plus what only a ring-fed shard needs — where
+/// forwarded results wait, which generation it runs. Its own struct so
 /// the burst loop can lend the executor to [`exec::run_burst`] and still
 /// reach all of this from the per-item closure.
 #[derive(Debug)]
-struct Lane {
-    ctx: BatchCtx,
-    /// Shard-local window aggregates, merged deterministically (in
-    /// shard order) after the window drains.
-    agg: BatchAgg,
+struct ShardLane {
+    /// The open measurement window and its shard-local aggregates,
+    /// merged deterministically (in shard order) after the window
+    /// drains. Between windows items are `process_batch` work.
+    measure: Lane,
     /// `process_batch` results awaiting scatter-back.
     out: Vec<(u32, Packet, ExecReport)>,
-    /// Packet index within the current measurement batch (shard-local
-    /// arrival pacing).
-    local_idx: u64,
     /// Generation this shard has adopted (0 = the construction-time
-    /// program). Monotone; see [`Lane::adopt_to`].
+    /// program). Monotone; see [`ShardLane::adopt_to`].
     gen: u64,
     /// Packets executed under `gen` that are not in `gen_packets` yet.
     gen_run: u64,
@@ -234,7 +206,7 @@ struct Lane {
     chain: Arc<GenChain<CompiledPipeline>>,
 }
 
-impl Lane {
+impl ShardLane {
     /// Applies every generation in `(self.gen, target]`, in publication
     /// order, then records the new watermark. What the last full deploy
     /// in the span rebuilds anyway (entries, the lowering, flow caches)
@@ -267,23 +239,14 @@ impl Lane {
             self.adopt_to(exec, item.gen);
         }
         self.gen_run += 1;
-        match self.ctx {
-            BatchCtx::Forward => {
-                let r = exec.process(&mut item.pkt);
-                let pkt = std::mem::replace(&mut item.pkt, Packet::with_slots(Vec::new()));
-                self.out.push((item.idx, pkt, r));
-            }
-            BatchCtx::Measure {
-                batch_start_s,
-                line_pps,
-                default_bytes,
-            } => {
-                exec.now_s = batch_start_s + self.local_idx as f64 / line_pps;
-                self.local_idx += 1;
-                let bits = item.pkt.wire_bits(default_bytes);
-                let r = exec.process(&mut item.pkt);
-                self.agg.add(item.idx as usize, &r, bits);
-            }
+        if self.measure.window.is_some() {
+            self.measure
+                .measure_one(exec, &mut item.pkt, item.idx as usize);
+        } else {
+            // The executor clock is as the dispatcher set it.
+            let r = exec.process(&mut item.pkt);
+            let pkt = std::mem::replace(&mut item.pkt, Packet::with_slots(Vec::new()));
+            self.out.push((item.idx, pkt, r));
         }
     }
 }
@@ -304,30 +267,12 @@ struct ShardCell {
     stop: AtomicBool,
 }
 
-/// An open streaming measurement window (between `measure_begin` and
-/// `measure_end`). Pacing parameters are snapshotted at `begin` so every
-/// fed chunk continues the same arrival schedule — a begin/feed*/end
-/// window measures identically to one `measure` call over the
-/// concatenated traffic.
-#[derive(Debug)]
-struct MeasureStream {
-    batch_start_s: f64,
-    line_pps: f64,
-    cores: usize,
-    default_bytes: usize,
-    offered_gbps: f64,
-    /// Packets fed so far.
-    n: u64,
-    /// `BitExact` only: global sequence base of the window.
-    base_seq: u64,
-}
-
-/// Live run-loop worker machinery (present iff mode is `RunLoop`).
+/// The persistent worker threads and the dispatcher's ends of their
+/// rings, one per shard, index-aligned.
 #[derive(Debug)]
 struct RunLoopWorkers {
     producers: Vec<ring::Producer<WorkItem>>,
-    /// Unpark handles, index-aligned with `producers`.
-    threads: Vec<Thread>,
+    /// Also the unpark handles (`JoinHandle::thread`).
     joins: Vec<JoinHandle<()>>,
     /// Whether to wake workers mid-dispatch so they overlap with the
     /// arriving batch. Pure scheduler churn on a single-CPU host (the
@@ -337,15 +282,6 @@ struct RunLoopWorkers {
     wake_during_dispatch: bool,
 }
 
-/// Dequeues and executes everything currently in `cell`'s ring, one
-/// [`BURST`] at a time, under a single shard-lock hold, crediting
-/// `processed`. Returns how many items ran (0 when the ring is empty or
-/// the workers are torn down). Called by the shard's worker thread *and*
-/// by the dispatcher when it helps out; `buf` is the caller's reusable
-/// burst buffer. Draining to empty per lock acquisition matters at high
-/// worker counts: every acquisition switches the executing thread onto a
-/// different shard's executor state, so fewer, larger drains keep that
-/// state hot longer.
 /// Moves every staged item into the shard's ring, helping drain on
 /// ring-full backpressure, and returns how many were moved. `stage` is
 /// empty on return. (`STAGE_BURST` never exceeds ring capacity, and the
@@ -366,18 +302,23 @@ fn flush_stage(
     n
 }
 
+/// Dequeues and executes everything currently in `cell`'s ring, one
+/// [`BURST`] at a time, under a single shard-lock hold, crediting
+/// `processed`. Returns how many items ran (0 when the ring is empty).
+/// Called by the shard's worker thread *and* by the dispatcher when it
+/// helps out; `buf` is the caller's reusable burst buffer. Draining to
+/// empty per lock acquisition matters at high worker counts: every
+/// acquisition switches the executing thread onto a different shard's
+/// executor state, so fewer, larger drains keep that state hot longer.
 fn drain_burst(cell: &ShardCell, buf: &mut Vec<WorkItem>) -> usize {
     let mut st = cell.state.lock().expect("shard state poisoned");
+    let ShardState { exec, rx, lane } = &mut *st;
     let mut total = 0usize;
     loop {
-        let n = match st.rx.as_mut() {
-            Some(rx) => rx.pop_burst(buf, BURST),
-            None => 0,
-        };
+        let n = rx.pop_burst(buf, BURST);
         if n == 0 {
             break;
         }
-        let ShardState { exec, lane, .. } = &mut *st;
         exec::run_burst(exec, buf, |exec, item| lane.run_item(exec, item));
         buf.clear();
         total += n;
@@ -388,7 +329,7 @@ fn drain_burst(cell: &ShardCell, buf: &mut Vec<WorkItem>) -> usize {
         // Acquire load in `reclaim_adopted`: a chain node is only
         // reclaimed after the adoption that read it happens-before the
         // reclaim decision.
-        cell.adopted.store(st.lane.gen, Ordering::Release);
+        cell.adopted.store(lane.gen, Ordering::Release);
         // ORDERING: Release — pairs with the dispatcher's Acquire loads
         // in `wait_idle`/`in_flight`/`flush_stage`: when the dispatcher
         // observes `processed == enqueued`, every item's execution (and
@@ -404,7 +345,7 @@ fn worker_loop(cell: Arc<ShardCell>) {
     let mut spins: u32 = 0;
     loop {
         if drain_burst(&cell, &mut burst) == 0 {
-            // ORDERING: Acquire — pairs with teardown's Release store:
+            // ORDERING: Acquire — pairs with `Drop`'s Release store:
             // observing `stop` also shows every item enqueued before the
             // flag was raised (checked by the fresh drain above).
             if cell.stop.load(Ordering::Acquire) {
@@ -420,8 +361,8 @@ fn worker_loop(cell: Arc<ShardCell>) {
             } else {
                 // Plain park is safe: every enqueue path unparks after
                 // its Release store, and `unpark` tokens make that
-                // wakeup stick even if we were not parked yet. The
-                // teardown path also unparks after setting `stop`, and
+                // wakeup stick even if we were not parked yet. `Drop`
+                // also unparks after setting `stop`, and
                 // the work-conserving dispatcher never depends on this
                 // thread making progress.
                 thread::park();
@@ -433,45 +374,31 @@ fn worker_loop(cell: Arc<ShardCell>) {
     }
 }
 
-fn keying_for(mode: ShardMode) -> SampleKeying {
-    match mode {
-        ShardMode::BitExact => SampleKeying::GlobalSeq,
-        ShardMode::RunLoop => SampleKeying::FlowKeyed,
-    }
-}
-
 /// A software SmartNIC whose datapath is sharded over `N` parallel
-/// workers by flow hash (RSS). See the module docs for the two
-/// coordination modes and their determinism guarantees.
+/// workers by flow hash (RSS). See the module docs for the run loop and
+/// its determinism guarantees.
 #[derive(Debug)]
 pub struct ShardedNic {
     shards: Vec<Arc<ShardCell>>,
     /// Control replica: receives every control-plane op but no packets,
     /// so `graph()` / `params()` can be served without locking a shard.
     control: Executor,
-    run: Option<RunLoopWorkers>,
+    run: RunLoopWorkers,
     /// Items ever enqueued per shard (dispatcher-side totals, compared
     /// against `ShardCell::processed` to detect drain).
     enqueued: Vec<u64>,
-    mode: ShardMode,
-    config: NicConfig,
     /// Dispatcher-side accumulator for the window-boundary merge, reused
     /// across windows so the merge allocates nothing in steady state.
     merge: BatchAgg,
     /// Dispatcher-side distinct-key unions for `take_profile`, dense by
     /// node index; cleared and reused the same way.
     distinct_union: Vec<DistinctKeys>,
-    /// `BitExact` only: the open window's per-packet records, kept
-    /// across windows like the scratch.
-    records: Vec<PacketRecord>,
     /// The dispatcher's own burst buffer for helping drain shard rings
     /// (work-conserving dispatch; see [`drain_burst`]).
     help_scratch: Vec<WorkItem>,
     /// Per-shard tx-burst staging buffers (see [`STAGE_BURST`]); always
     /// empty between public calls.
     stage: Vec<Vec<WorkItem>>,
-    /// Global packet count; drives counter sampling in `BitExact` mode.
-    seq: u64,
     /// Global simulation clock in seconds.
     now_s: f64,
     /// Clock value at the last `take_profile` (profile window start).
@@ -483,7 +410,8 @@ pub struct ShardedNic {
     latest_gen: u64,
     /// The most recent pipeline swap (telemetry).
     last_swap: Option<LiveSwap>,
-    /// Open streaming measurement window, if any.
+    /// The open measurement window, if any: the copy every shard's lane
+    /// opened with, counting the packets fed.
     measuring: Option<MeasureStream>,
     /// The last taken (merged) profile window, retained so a specialize
     /// step right after a window boundary still sees a full window.
@@ -494,33 +422,25 @@ pub struct ShardedNic {
 
 impl ShardedNic {
     /// Deploys `graph` on a NIC with `workers` parallel shards (clamped
-    /// to at least 1) in the default [`ShardMode::RunLoop`].
+    /// to at least 1), each a persistent worker thread behind its ring.
     pub fn new(graph: ProgramGraph, params: CostParams, workers: usize) -> Result<Self, IrError> {
-        Self::with_mode(graph, params, workers, ShardMode::default())
-    }
-
-    /// Deploys `graph` with an explicit worker-coordination mode.
-    pub fn with_mode(
-        graph: ProgramGraph,
-        params: CostParams,
-        workers: usize,
-        mode: ShardMode,
-    ) -> Result<Self, IrError> {
         let workers = workers.max(1);
         let chain = Arc::new(GenChain::new());
+        let capacity = (RING_TOTAL_SLOTS / workers).clamp(RING_CAPACITY_MIN, RING_CAPACITY_MAX);
         let mut shards = Vec::with_capacity(workers);
+        let mut producers = Vec::with_capacity(workers);
         for _ in 0..workers {
             let mut exec = Executor::new(graph.clone(), params.clone())?;
-            exec.set_sample_keying(keying_for(mode));
+            exec.set_sample_keying(SampleKeying::FlowKeyed);
+            let (tx, rx) = ring::spsc::<WorkItem>(capacity);
+            producers.push(tx);
             shards.push(Arc::new(ShardCell {
                 state: Mutex::new(ShardState {
                     exec,
-                    rx: None,
-                    lane: Lane {
-                        ctx: BatchCtx::Forward,
-                        agg: BatchAgg::default(),
+                    rx,
+                    lane: ShardLane {
+                        measure: Lane::default(),
                         out: Vec::new(),
-                        local_idx: 0,
                         gen: 0,
                         gen_run: 0,
                         gen_packets: FxHashMap::default(),
@@ -533,25 +453,32 @@ impl ShardedNic {
             }));
         }
         let control = Executor::new(graph, params)?;
-        let enqueued = vec![0; workers];
-        let mut nic = Self {
+        // Nothing below fails: a worker spawned here is joined in `Drop`.
+        let joins: Vec<JoinHandle<()>> = shards
+            .iter()
+            .map(|cell| {
+                let cell = Arc::clone(cell);
+                thread::Builder::new()
+                    .name("pipeleon-shard".into())
+                    .spawn(move || worker_loop(cell))
+                    .expect("spawn shard worker")
+            })
+            .collect();
+        Ok(Self {
             shards,
             control,
-            run: None,
-            enqueued,
-            mode,
-            config: NicConfig {
-                shard_mode: mode,
-                ..NicConfig::default()
+            run: RunLoopWorkers {
+                producers,
+                joins,
+                wake_during_dispatch: thread::available_parallelism().map_or(1, |n| n.get()) > 1,
             },
+            enqueued: vec![0; workers],
             merge: BatchAgg::default(),
             distinct_union: Vec::new(),
-            records: Vec::new(),
             help_scratch: Vec::with_capacity(BURST),
             stage: (0..workers)
                 .map(|_| Vec::with_capacity(STAGE_BURST))
                 .collect(),
-            seq: 0,
             now_s: 0.0,
             last_take_s: 0.0,
             chain,
@@ -560,97 +487,19 @@ impl ShardedNic {
             measuring: None,
             last_profile: RuntimeProfile::empty(),
             last_sketches: HashMap::new(),
-        };
-        if mode == ShardMode::RunLoop {
-            nic.spawn_workers();
-        }
-        Ok(nic)
+        })
     }
 
-    /// Sets the measurement configuration (including the shard mode).
-    pub fn with_config(mut self, config: NicConfig) -> Self {
-        self.config = config;
-        self.set_shard_mode(config.shard_mode);
-        self
-    }
-
-    /// The active worker-coordination mode.
-    pub fn shard_mode(&self) -> ShardMode {
-        self.mode
-    }
-
-    /// Switches worker coordination, tearing down or spinning up the
-    /// persistent run-loop threads as needed. Deployed programs, caches,
-    /// and pending profile windows carry over; the sampling keying
-    /// follows the mode ([`SampleKeying::GlobalSeq`] for `BitExact`,
-    /// [`SampleKeying::FlowKeyed`] for `RunLoop`).
-    pub fn set_shard_mode(&mut self, mode: ShardMode) {
-        if mode == self.mode {
-            return;
-        }
-        self.teardown_workers();
-        self.mode = mode;
-        self.config.shard_mode = mode;
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_sample_keying(keying_for(mode));
-        }
-        if mode == ShardMode::RunLoop {
-            self.spawn_workers();
-        }
-    }
-
-    fn spawn_workers(&mut self) {
-        debug_assert!(self.run.is_none());
-        let mut producers = Vec::with_capacity(self.shards.len());
-        let mut threads = Vec::with_capacity(self.shards.len());
-        let mut joins = Vec::with_capacity(self.shards.len());
-        let capacity =
-            (RING_TOTAL_SLOTS / self.shards.len()).clamp(RING_CAPACITY_MIN, RING_CAPACITY_MAX);
-        for cell in &self.shards {
-            // ORDERING: Release — clears the flag before the worker
-            // thread is spawned; `thread::spawn` itself orders this
-            // store before everything the worker does, Release keeps
-            // the pattern uniform with teardown.
-            cell.stop.store(false, Ordering::Release);
-            let (tx, rx) = ring::spsc::<WorkItem>(capacity);
-            cell.state.lock().expect("shard state poisoned").rx = Some(rx);
-            let cell = Arc::clone(cell);
-            let handle = thread::Builder::new()
-                .name("pipeleon-shard".into())
-                .spawn(move || worker_loop(cell))
-                .expect("spawn shard worker");
-            threads.push(handle.thread().clone());
-            joins.push(handle);
-            producers.push(tx);
-        }
-        self.run = Some(RunLoopWorkers {
-            producers,
-            threads,
-            joins,
-            wake_during_dispatch: thread::available_parallelism().map_or(1, |n| n.get()) > 1,
-        });
-    }
-
-    fn teardown_workers(&mut self) {
-        if let Some(run) = self.run.take() {
-            for cell in &self.shards {
-                // ORDERING: Release — everything enqueued before
-                // teardown happens-before the flag: a worker that
-                // observes `stop` (Acquire) and then finds its ring
-                // empty has provably processed all of it.
-                cell.stop.store(true, Ordering::Release);
-            }
-            for t in &run.threads {
-                t.unpark();
-            }
-            for j in run.joins {
-                j.join().expect("shard worker panicked");
-            }
-            for cell in &self.shards {
-                cell.state.lock().expect("shard state poisoned").rx = None;
-            }
-        }
+    /// [`ShardedNic::new`], under the name `crates/perf` still calls; it
+    /// goes with [`ShardMode`] (ROADMAP item 4).
+    #[doc(hidden)]
+    pub fn with_mode(
+        graph: ProgramGraph,
+        params: CostParams,
+        workers: usize,
+        _mode: ShardMode,
+    ) -> Result<Self, IrError> {
+        Self::new(graph, params, workers)
     }
 
     /// Blocks until every shard has processed everything enqueued for
@@ -665,14 +514,14 @@ impl ShardedNic {
     /// them) or mid-execution under the shard lock (the lock acquisition
     /// inside `drain_burst` waits them out).
     fn wait_idle(&mut self) {
-        let run = self.run.as_ref().expect("run-loop workers alive");
+        let run = &self.run;
         if run.wake_during_dispatch {
             for (i, cell) in self.shards.iter().enumerate() {
                 // ORDERING: Acquire — pairs with the worker's Release
                 // fetch_add in `drain_burst` (see there); an equal count
                 // means all processing effects are visible here.
                 if cell.processed.load(Ordering::Acquire) != self.enqueued[i] {
-                    run.threads[i].unpark();
+                    run.joins[i].thread().unpark();
                 }
             }
         }
@@ -888,18 +737,10 @@ impl ShardedNic {
     }
 
     /// Processes a batch of packets in place (no arrival pacing),
-    /// returning one report per packet in input order. In `RunLoop` mode
-    /// packets stream through the worker rings and results are scattered
-    /// back by input position; in `BitExact` mode packets run
-    /// sequentially under the global sequence schedule.
+    /// returning one report per packet in input order: packets stream
+    /// through the worker rings and results are scattered back by input
+    /// position.
     pub fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
-        match self.mode {
-            ShardMode::BitExact => packets.iter_mut().map(|p| self.process_one(p)).collect(),
-            ShardMode::RunLoop => self.process_batch_runloop(packets),
-        }
-    }
-
-    fn process_batch_runloop(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
         assert!(
             u32::try_from(packets.len()).is_ok(),
             "process_batch is limited to u32::MAX packets"
@@ -908,7 +749,6 @@ impl ShardedNic {
         let gen = self.latest_gen;
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
-            st.lane.ctx = BatchCtx::Forward;
             st.exec.now_s = self.now_s;
             st.lane.out.clear();
         }
@@ -925,7 +765,6 @@ impl ShardedNic {
             )
         }));
         self.wait_idle();
-        self.seq += packets.len() as u64;
         let mut reports: Vec<Option<ExecReport>> = vec![None; packets.len()];
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
@@ -950,7 +789,7 @@ impl ShardedNic {
     /// exists, a shard is additionally unparked at every flush so its
     /// worker overlaps with the arriving batch.
     fn dispatch(&mut self, items: impl Iterator<Item = (usize, WorkItem)>) {
-        let run = self.run.as_mut().expect("run-loop workers alive");
+        let run = &mut self.run;
         let shards = &self.shards;
         let help = &mut self.help_scratch;
         let enqueued = &mut self.enqueued;
@@ -966,7 +805,7 @@ impl ShardedNic {
                     help,
                 );
                 if run.wake_during_dispatch {
-                    run.threads[shard].unpark();
+                    run.joins[shard].thread().unpark();
                 }
             }
         }
@@ -985,16 +824,14 @@ impl ShardedNic {
             if run.wake_during_dispatch
                 && shards[shard].processed.load(Ordering::Acquire) != enqueued[shard]
             {
-                run.threads[shard].unpark();
+                run.joins[shard].thread().unpark();
             }
         }
     }
 
     /// Processes one packet on the shard its flow hashes to (no arrival
-    /// pacing), on the caller's thread. In `BitExact` mode the global
-    /// sequence number drives sampling, matching a single-threaded run
-    /// packet-for-packet; in `RunLoop` mode sampling is flow-keyed, so
-    /// reports match a flow-keyed single-threaded run instead.
+    /// pacing), on the caller's thread. Sampling is flow-keyed, so
+    /// reports match a flow-keyed single-threaded run.
     pub fn process_one(&mut self, packet: &mut Packet) -> ExecReport {
         let shard = (packet.flow_hash() % self.shards.len() as u64) as usize;
         let cell = &self.shards[shard];
@@ -1008,10 +845,6 @@ impl ShardedNic {
         }
         st.lane.gen_run += 1;
         st.exec.now_s = self.now_s;
-        if self.mode == ShardMode::BitExact {
-            st.exec.set_packet_seq(self.seq);
-        }
-        self.seq += 1;
         st.exec.process(packet)
     }
 
@@ -1044,9 +877,8 @@ impl ShardedNic {
     /// Takes the merged latency observations across all shards since the
     /// last call — the window-boundary merge. Histogram merging is
     /// bit-exact (integer bucket sums) and the sampled-packet *set* is
-    /// partition-invariant in both modes (global indices in `BitExact`,
-    /// flow-keyed decisions in `RunLoop`), so the merged histograms are
-    /// identical for any worker count.
+    /// partition-invariant (sampling decisions are flow-keyed), so the
+    /// merged histograms are identical for any worker count.
     pub fn take_observations(&mut self) -> ExecObservations {
         let mut merged = ExecObservations::new();
         for cell in &self.shards {
@@ -1088,11 +920,10 @@ impl ShardedNic {
 
     /// Runs a batch offered at line rate through the sharded datapath
     /// and reports achieved throughput and latency statistics. Advances
-    /// the simulation clock by the batch's arrival time. `BitExact`
-    /// results are bit-identical to
-    /// [`SmartNic::measure`](crate::SmartNic::measure); `RunLoop`
-    /// results preserve every integer statistic and the p99 exactly and
-    /// the float aggregates up to summation order (module docs).
+    /// the simulation clock by the batch's arrival time. Every integer
+    /// statistic, the p99 and the clock equal
+    /// [`SmartNic::measure`](crate::SmartNic::measure)'s exactly, the
+    /// float aggregates up to summation order (module docs).
     pub fn measure<I>(&mut self, packets: I) -> BatchStats
     where
         I: IntoIterator<Item = Packet>,
@@ -1108,211 +939,77 @@ impl ShardedNic {
     /// [`ShardedNic::measure_end`] drains and returns the merged stats.
     pub fn measure_begin(&mut self) {
         debug_assert!(self.measuring.is_none(), "measurement window already open");
-        let cores = self.params().num_cores.max(1);
-        let line_pps = self.params().line_rate_pps(self.config.packet_bytes);
-        let offered_gbps = self.params().line_rate_gbps;
-        let default_bytes = self.config.packet_bytes;
-        let batch_start_s = self.now_s;
-        if self.mode == ShardMode::RunLoop {
-            for cell in &self.shards {
-                let mut st = cell.state.lock().expect("shard state poisoned");
-                st.lane.ctx = BatchCtx::Measure {
-                    batch_start_s,
-                    line_pps,
-                    default_bytes,
-                };
-                st.lane.local_idx = 0;
-                st.lane.agg.reset(cores);
-            }
+        let window = MeasureStream::open(self.params(), self.now_s);
+        for cell in &self.shards {
+            let mut st = cell.state.lock().expect("shard state poisoned");
+            st.lane.measure.begin(window);
         }
-        self.measuring = Some(MeasureStream {
-            batch_start_s,
-            line_pps,
-            cores,
-            default_bytes,
-            offered_gbps,
-            n: 0,
-            base_seq: self.seq,
-        });
-        self.records.clear();
+        self.measuring = Some(window);
     }
 
-    /// Feeds one chunk into the open measurement window. In `RunLoop`
-    /// mode this only *dispatches* — it does not wait for the chunk to
-    /// drain, so control-plane generations published between feeds land
-    /// genuinely mid-flight. In `BitExact` mode the chunk runs to
-    /// completion (the oracle is fork-join), with global arrival indices
-    /// continuing from the previous feed.
+    /// Feeds one chunk into the open measurement window. This only
+    /// *dispatches* — it does not wait for the chunk to drain, so
+    /// control-plane generations published between feeds land genuinely
+    /// mid-flight.
     pub fn measure_feed<I>(&mut self, packets: I)
     where
         I: IntoIterator<Item = Packet>,
     {
-        match self.mode {
-            ShardMode::RunLoop => {
-                let nw = self.shards.len() as u64;
-                let cores = self.measuring.as_ref().expect("measure_begin first").cores as u64;
-                let gen = self.latest_gen;
-                let mut n = 0u64;
-                self.dispatch(packets.into_iter().map(|pkt| {
-                    n += 1;
-                    let hash = pkt.flow_hash();
-                    // `cores` is a NIC core count; it fits `idx` with
-                    // room to spare.
-                    let idx = (hash % cores) as u32;
-                    ((hash % nw) as usize, WorkItem { idx, gen, pkt })
-                }));
-                self.measuring.as_mut().expect("measure_begin first").n += n;
-            }
-            ShardMode::BitExact => self.measure_feed_bitexact(packets),
-        }
+        let nw = self.shards.len() as u64;
+        let cores = self.measuring.as_ref().expect("measure_begin first").cores as u64;
+        let gen = self.latest_gen;
+        let mut n = 0u64;
+        self.dispatch(packets.into_iter().map(|pkt| {
+            n += 1;
+            let hash = pkt.flow_hash();
+            // `cores` is a NIC core count; it fits `idx` with room to
+            // spare.
+            let idx = (hash % cores) as u32;
+            ((hash % nw) as usize, WorkItem { idx, gen, pkt })
+        }));
+        self.measuring.as_mut().expect("measure_begin first").n += n;
     }
 
     /// Closes the measurement window: waits for every fed packet to
-    /// drain (quiescing the generation chain) and returns
-    /// the merged statistics for the whole window.
+    /// drain (quiescing the generation chain) and returns the merged
+    /// statistics for the whole window.
     pub fn measure_end(&mut self) -> BatchStats {
-        match self.mode {
-            ShardMode::RunLoop => self.measure_end_runloop(),
-            ShardMode::BitExact => self.measure_end_bitexact(),
-        }
-    }
-
-    fn measure_end_runloop(&mut self) -> BatchStats {
         self.wait_idle();
-        let stream = self.measuring.take().expect("measure_begin first");
-        let MeasureStream {
-            batch_start_s,
-            line_pps,
-            cores,
-            offered_gbps,
-            n,
-            ..
-        } = stream;
-
-        self.seq += n;
-        if n > 0 {
-            self.now_s = batch_start_s + n as f64 / line_pps;
-        }
+        let window = self.measuring.take().expect("measure_begin first");
+        self.now_s = window.end_s();
         // Deterministic window-boundary merge, in shard order, into the
         // persistent accumulator. The sorted latency multiset is
         // partition-invariant, so the p99 is exact.
-        self.merge.reset(cores);
+        self.merge.reset(window.cores);
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
             // Align every shard clock to the batch end so subsequent
             // direct access observes a consistent global time.
             st.exec.now_s = self.now_s;
-            st.lane.ctx = BatchCtx::Forward;
-            self.merge.absorb(&st.lane.agg);
+            st.lane.measure.end();
+            self.merge.absorb(&st.lane.measure.agg);
         }
-        self.merge.finish(line_pps, offered_gbps)
-    }
-
-    fn measure_feed_bitexact<I>(&mut self, packets: I)
-    where
-        I: IntoIterator<Item = Packet>,
-    {
-        let mut stream = self.measuring.take().expect("measure_begin first");
-        let nw = self.shards.len();
-
-        // RSS: partition the chunk by flow hash, tagging each packet
-        // with its global arrival index — continuing from earlier feeds,
-        // so a multi-feed window replays the same global schedule as one
-        // concatenated batch.
-        let mut work: Vec<Vec<(u64, Packet)>> = (0..nw).map(|_| Vec::new()).collect();
-        let mut n = stream.n;
-        for pkt in packets {
-            let shard = (pkt.flow_hash() % nw as u64) as usize;
-            work[shard].push((n, pkt));
-            n += 1;
-        }
-
-        let batch_start_s = stream.batch_start_s;
-        let line_pps = stream.line_pps;
-        let cores = stream.cores;
-        let default_bytes = stream.default_bytes;
-        let base_seq = stream.base_seq;
-        let records = &mut self.records;
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (cell, work) in self.shards.iter().zip(work) {
-                if work.is_empty() {
-                    continue;
-                }
-                handles.push(s.spawn(move || {
-                    let mut st = cell.state.lock().expect("shard state poisoned");
-                    // (Fast-forwarded at publish: the shard is current.)
-                    st.lane.gen_run += work.len() as u64;
-                    let exec = &mut st.exec;
-                    let mut out = Vec::with_capacity(work.len());
-                    for (gidx, mut pkt) in work {
-                        // Replay the global single-threaded schedule on
-                        // this shard: clock and sequence number are the
-                        // packet's global arrival position.
-                        exec.now_s = batch_start_s + gidx as f64 / line_pps;
-                        exec.set_packet_seq(base_seq + gidx);
-                        let core = (pkt.flow_hash() % cores as u64) as usize;
-                        let bits = pkt.wire_bits(default_bytes);
-                        let r = exec.process(&mut pkt);
-                        out.push(PacketRecord {
-                            arrival: gidx,
-                            core,
-                            latency_ns: r.latency_ns,
-                            dropped: r.dropped,
-                            migrations: r.migrations as u64,
-                            counter_updates: r.counter_updates as u64,
-                            bits,
-                        });
-                    }
-                    out
-                }));
-            }
-            for h in handles {
-                records.extend(h.join().expect("shard worker panicked"));
-            }
-        });
-        stream.n = n;
-        self.measuring = Some(stream);
-    }
-
-    fn measure_end_bitexact(&mut self) -> BatchStats {
-        let stream = self.measuring.take().expect("measure_begin first");
-        let MeasureStream {
-            batch_start_s,
-            line_pps,
-            cores,
-            offered_gbps,
-            n,
-            base_seq,
-            ..
-        } = stream;
-        self.records.sort_unstable_by_key(|r| r.arrival);
-
-        self.seq = base_seq + n;
-        if n > 0 {
-            let arrival_ns = n as f64 / line_pps * 1e9;
-            self.now_s = batch_start_s + arrival_ns / 1e9;
-        }
-        // Leave every shard's clock and sequence at the batch end so
-        // subsequent direct executor access observes a consistent state.
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.now_s = self.now_s;
-            st.exec.set_packet_seq(self.seq);
-        }
-        BatchStats::reduce(
-            &self.records,
-            cores,
-            line_pps,
-            offered_gbps,
-            &mut self.merge,
-        )
+        self.merge.finish(&window)
     }
 }
 
 impl Drop for ShardedNic {
     fn drop(&mut self) {
-        self.teardown_workers();
+        for cell in &self.shards {
+            // ORDERING: Release — everything enqueued before the drop
+            // happens-before the flag: a worker that observes `stop`
+            // (Acquire) and then finds its ring empty has provably
+            // processed all of it.
+            cell.stop.store(true, Ordering::Release);
+        }
+        for j in self.run.joins.drain(..) {
+            j.thread().unpark();
+            // A panic while another unwinds aborts: report the worker's
+            // only when this drop is not itself part of an unwind.
+            if j.join().is_err() && !thread::panicking() {
+                panic!("shard worker panicked");
+            }
+        }
     }
 }
 
@@ -1400,31 +1097,11 @@ mod tests {
     }
 
     #[test]
-    fn bitexact_matches_single_threaded_batch_stats() {
+    fn runloop_matches_single_nic_integer_stats_and_decisions() {
         let g = linear_program(8);
         let params = CostParams::bluefield2();
-        let mut single = SmartNic::new(g.clone(), params.clone()).unwrap();
-        let mut sharded = ShardedNic::with_mode(g, params, 4, ShardMode::BitExact).unwrap();
-        single.set_instrumentation(true, 16);
-        sharded.set_instrumentation(true, 16);
-        let a = single.measure(packets(4000));
-        let b = sharded.measure(packets(4000));
-        assert_eq!(a, b);
-        assert_eq!(single.take_profile(), sharded.take_profile());
-        let obs_a = single.take_observations();
-        let obs_b = sharded.take_observations();
-        assert!(!obs_a.packet_latency.is_empty());
-        assert_eq!(obs_a, obs_b, "merged histograms must be bit-identical");
-    }
-
-    #[test]
-    fn runloop_matches_bitexact_integer_stats_and_decisions() {
-        let g = linear_program(8);
-        let params = CostParams::bluefield2();
-        let mut oracle =
-            ShardedNic::with_mode(g.clone(), params.clone(), 4, ShardMode::BitExact).unwrap();
-        let mut runloop = ShardedNic::with_mode(g, params, 4, ShardMode::RunLoop).unwrap();
-        assert_eq!(runloop.shard_mode(), ShardMode::RunLoop);
+        let mut oracle = SmartNic::new(g.clone(), params.clone()).unwrap();
+        let mut runloop = ShardedNic::new(g, params, 4).unwrap();
         let a = oracle.measure(packets(4000));
         let b = runloop.measure(packets(4000));
         assert_eq!(a.packets, b.packets);
@@ -1449,9 +1126,7 @@ mod tests {
         let batch = packets(6000);
         let mut reference: Option<(RuntimeProfile, ExecObservations)> = None;
         for workers in [1usize, 2, 8] {
-            let mut nic =
-                ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop)
-                    .unwrap();
+            let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
             nic.set_instrumentation(true, 8);
             nic.measure(batch.clone());
             let got = (nic.take_profile(), nic.take_observations());
@@ -1516,22 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_switch_preserves_program_and_keeps_working() {
-        let g = linear_program(4);
-        let mut nic = ShardedNic::new(g.clone(), CostParams::bluefield2(), 3).unwrap();
-        let s1 = nic.measure(packets(500));
-        nic.set_shard_mode(ShardMode::BitExact);
-        assert_eq!(nic.shard_mode(), ShardMode::BitExact);
-        assert_eq!(*nic.graph(), g);
-        let s2 = nic.measure(packets(500));
-        assert_eq!(s1.packets, s2.packets);
-        nic.set_shard_mode(ShardMode::RunLoop);
-        let s3 = nic.measure(packets(500));
-        assert_eq!(s3.packets, 500);
-        assert!(nic.now_s() > 0.0);
-    }
-
-    #[test]
     fn zero_workers_clamps_to_one() {
         let nic = ShardedNic::new(linear_program(2), CostParams::bluefield2(), 0).unwrap();
         assert_eq!(nic.num_workers(), 1);
@@ -1539,15 +1198,11 @@ mod tests {
 
     #[test]
     fn empty_batch_is_harmless() {
-        for mode in [ShardMode::RunLoop, ShardMode::BitExact] {
-            let mut nic =
-                ShardedNic::with_mode(linear_program(2), CostParams::bluefield2(), 4, mode)
-                    .unwrap();
-            let s = nic.measure(Vec::new());
-            assert_eq!(s.packets, 0);
-            assert_eq!(s.throughput_gbps, 0.0);
-            assert_eq!(nic.now_s(), 0.0);
-        }
+        let mut nic = ShardedNic::new(linear_program(2), CostParams::bluefield2(), 4).unwrap();
+        let s = nic.measure(Vec::new());
+        assert_eq!(s.packets, 0);
+        assert_eq!(s.throughput_gbps, 0.0);
+        assert_eq!(nic.now_s(), 0.0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use pipeleon_cost::CostParams;
 use pipeleon_ir::{
     CacheRole, MatchKind, MatchValue, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
 };
-use pipeleon_sim::{ControlOp, EngineMode, Executor, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{ControlOp, EngineMode, Executor, Packet, ShardedNic, SmartNic};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -271,8 +271,7 @@ fn compiled_steady_state_is_allocation_free() {
         .collect();
     let mut single = SmartNic::new(mixed_program(), params.clone()).unwrap();
     single.set_engine_mode(EngineMode::Compiled);
-    let mut sharded =
-        ShardedNic::with_mode(mixed_program(), params.clone(), 1, ShardMode::RunLoop).unwrap();
+    let mut sharded = ShardedNic::new(mixed_program(), params.clone(), 1).unwrap();
     sharded.set_engine_mode(EngineMode::Compiled);
     for _ in 0..2 {
         single.measure(window.clone());

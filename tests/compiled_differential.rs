@@ -25,7 +25,7 @@ use pipeleon_runtime::{
 };
 use pipeleon_sim::{
     Applied, BatchStats, ControlOp, EngineMode, ExecReport, Executor, KeyScratch, MatchEngine,
-    NicBackend, Packet, PacketTrace, ShardMode, ShardedNic, SmartNic, SpecConfig,
+    NicBackend, Packet, PacketTrace, ShardedNic, SmartNic, SpecConfig,
 };
 use pipeleon_workloads::scenarios::AclPipeline;
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
@@ -891,8 +891,8 @@ proptest! {
     /// instrumentation and engine flips, placements, tiers, cache tuning,
     /// specialize and despecialize mixed in — with packets between the
     /// ops, driven through `Executor::apply`, `SmartNic::apply` and
-    /// `ShardedNic::apply` at 1/2/8 workers in both shard modes (mid-flight
-    /// on the run-loop). Every backend must lose nothing, merge the same
+    /// `ShardedNic::apply` at 1/2/8 workers (mid-flight there). Every
+    /// backend must lose nothing, merge the same
     /// sample-1 profile, land on the program a model built from the op
     /// list alone describes, and forward probes like a NIC built from
     /// that model from scratch.
@@ -982,15 +982,13 @@ proptest! {
         }
 
         // The backends: a bare executor, the single NIC, and the sharded
-        // NIC over the worker and shard-mode matrix.
+        // NIC over the worker matrix.
         let mut exec = Executor::new(g.clone(), params.clone()).unwrap();
         let mut nics: Vec<(String, Box<dyn NicBackend>)> =
             vec![("single".into(), Box::new(SmartNic::new(g.clone(), params.clone()).unwrap()))];
-        for mode in [ShardMode::RunLoop, ShardMode::BitExact] {
-            for workers in WORKER_COUNTS {
-                let nic = ShardedNic::with_mode(g.clone(), params.clone(), workers, mode).unwrap();
-                nics.push((format!("{mode:?} x{workers}"), Box::new(nic)));
-            }
+        for workers in WORKER_COUNTS {
+            let nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
+            nics.push((format!("sharded x{workers}"), Box::new(nic)));
         }
         let instrument = ControlOp::SetInstrumentation { enabled: true, sample_every: 1 };
         exec.apply(&instrument).unwrap();

@@ -27,7 +27,7 @@ use pipeleon_ir::{json, ProgramGraph};
 use pipeleon_net::{
     encode_into, frames, FieldMap, IngestConfig, IngestServer, IngestStats, NetClient, MAX_DATAGRAM,
 };
-use pipeleon_sim::{NicBackend, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{NicBackend, Packet, ShardedNic, SmartNic};
 use pipeleon_workloads::scenarios::LoadBalancer;
 use pipeleon_workloads::traffic::FlowGen;
 use std::net::UdpSocket;
@@ -118,8 +118,7 @@ fn assert_socket_matches_oracle(
     let mut oracle = batch.to_vec();
     oracle_nic.process_batch(&mut oracle);
 
-    let nic = ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop)
-        .expect("sharded nic");
+    let nic = ShardedNic::new(g.clone(), params.clone(), workers).expect("sharded nic");
     let (addr, server) = spawn_server(nic, map.clone(), batch.len() as u64);
 
     let client = NetClient::connect(addr)
@@ -220,9 +219,7 @@ fn socket_path_is_engine_invariant() {
 
     let mut echoes = Vec::new();
     for engine in [EngineMode::Compiled, EngineMode::Interpreter] {
-        let mut nic =
-            ShardedNic::with_mode(lb.graph.clone(), params.clone(), 2, ShardMode::RunLoop)
-                .expect("nic");
+        let mut nic = ShardedNic::new(lb.graph.clone(), params.clone(), 2).expect("nic");
         nic.set_engine_mode(engine);
         let (addr, server) = spawn_server(nic, map.clone(), batch.len() as u64);
         let client = NetClient::connect(addr)

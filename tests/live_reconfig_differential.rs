@@ -41,8 +41,7 @@ use pipeleon_runtime::{
     RuntimeError, SimTarget, Target,
 };
 use pipeleon_sim::{
-    Applied, BatchStats, ControlOp, ExecObservations, NicBackend, Packet, ShardMode, ShardedNic,
-    SmartNic,
+    Applied, BatchStats, ControlOp, ExecObservations, NicBackend, Packet, ShardedNic, SmartNic,
 };
 use pipeleon_workloads::scenarios::AclPipeline;
 
@@ -126,7 +125,7 @@ fn live_swap_run(
 ) {
     let (g, tables) = swap_program();
     let params = CostParams::bluefield2();
-    let mut nic = ShardedNic::with_mode(g.clone(), params, workers, ShardMode::RunLoop).unwrap();
+    let mut nic = ShardedNic::new(g.clone(), params, workers).unwrap();
     nic.set_instrumentation(true, 1);
     nic.measure_begin();
     for s in 0..SEGMENTS as u64 {
@@ -236,8 +235,7 @@ fn live_entry_patches_match_synchronous_smartnic() {
     let params = CostParams::bluefield2();
     for workers in WORKER_COUNTS {
         let ctx = format!("workers={workers}");
-        let mut live =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+        let mut live = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
         live.set_instrumentation(true, 1);
         let mut sync = SmartNic::new(g.clone(), params.clone()).unwrap();
         sync.set_instrumentation(true, 1);
@@ -366,8 +364,7 @@ fn flow_cache_resets_at_the_adoption_boundary_deterministically() {
     let (g, cache) = cached_flow_program();
     let params = CostParams::bluefield2();
     let run = |workers: usize| {
-        let mut nic =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+        let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
         nic.set_instrumentation(true, 1);
         nic.measure_begin();
         nic.measure_feed((0..1200u64).map(|i| Packet::with_slots(vec![(i * 7) % 48, 0])));
@@ -448,8 +445,7 @@ fn tuning_ops_between_feeds_land_at_a_stream_position() {
     let mut baseline: Option<BTreeMap<u64, u64>> = None;
     for workers in WORKER_COUNTS {
         let ctx = format!("workers={workers}");
-        let mut nic =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+        let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
         let (stats, profile) = tuning_ops_run(&mut nic);
         assert_profiles_identical(&want_profile, &profile, &ctx);
         assert_eq!(stats.packets, want_stats.packets, "{ctx}: packets");
@@ -485,58 +481,56 @@ fn a_rejected_op_publishes_nothing_and_the_replica_answers() {
         (b.seal(t).unwrap(), br, t)
     };
     for workers in WORKER_COUNTS {
-        for mode in [ShardMode::RunLoop, ShardMode::BitExact] {
-            let ctx = format!("workers={workers} {mode:?}");
-            let mut nic = ShardedNic::with_mode(g.clone(), params.clone(), workers, mode).unwrap();
-            let mut reference = SmartNic::new(g.clone(), params.clone()).unwrap();
-            let valid = TableEntry::new(vec![MatchValue::Exact(5)], 0);
-            nic.insert_entry(tables[0], valid.clone()).unwrap();
-            reference.insert_entry(tables[0], valid.clone()).unwrap();
-            nic.measure_begin();
-            nic.measure_feed((0..300).map(swap_packet));
-            let before = nic.last_swap().map(|s| s.generation);
-            let counts_before = nic.generation_counts();
-            // Wrong arity, out of range, and an unknown node: the
-            // replica's errors, to the letter.
-            let bad: [ControlOp; 3] = [
-                ControlOp::InsertEntry {
-                    node: tables[1],
-                    entry: TableEntry::new(vec![MatchValue::Exact(1), MatchValue::Exact(2)], 0),
-                },
-                ControlOp::RemoveEntry {
-                    node: tables[0],
-                    index: 7,
-                },
-                ControlOp::InsertEntry {
-                    node: NodeId(99),
-                    entry: valid.clone(),
-                },
-            ];
-            for op in bad {
-                let want = reference.apply(op.clone()).unwrap_err();
-                assert_eq!(nic.apply(op.clone()).unwrap_err(), want, "{ctx}: {op:?}");
-            }
-            // A valid remove mid-window returns the replica's entry.
-            let removed = nic.remove_entry(tables[0], 0).unwrap();
-            assert_eq!(removed, valid, "{ctx}: removed entry");
-            nic.measure_feed((300..600).map(swap_packet));
-            assert_eq!(nic.measure_end().packets, 600, "{ctx}: packets lost");
-            // Exactly one generation was published mid-window (the
-            // remove): the first 300 packets ran under the insert's, the
-            // rest under the remove's.
-            assert_eq!(nic.last_swap().map(|s| s.generation), before);
-            let mut want_counts = counts_before;
-            *want_counts.entry(1).or_insert(0) = 300;
-            want_counts.insert(2, 300);
-            assert_eq!(nic.generation_counts(), want_counts, "{ctx}: generations");
-            let graphs = nic.shard_graphs();
-            for (i, sg) in graphs.iter().enumerate() {
-                assert_eq!(
-                    sg,
-                    nic.graph(),
-                    "{ctx}: shard {i} diverged from the replica"
-                );
-            }
+        let ctx = format!("workers={workers}");
+        let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
+        let mut reference = SmartNic::new(g.clone(), params.clone()).unwrap();
+        let valid = TableEntry::new(vec![MatchValue::Exact(5)], 0);
+        nic.insert_entry(tables[0], valid.clone()).unwrap();
+        reference.insert_entry(tables[0], valid.clone()).unwrap();
+        nic.measure_begin();
+        nic.measure_feed((0..300).map(swap_packet));
+        let before = nic.last_swap().map(|s| s.generation);
+        let counts_before = nic.generation_counts();
+        // Wrong arity, out of range, and an unknown node: the
+        // replica's errors, to the letter.
+        let bad: [ControlOp; 3] = [
+            ControlOp::InsertEntry {
+                node: tables[1],
+                entry: TableEntry::new(vec![MatchValue::Exact(1), MatchValue::Exact(2)], 0),
+            },
+            ControlOp::RemoveEntry {
+                node: tables[0],
+                index: 7,
+            },
+            ControlOp::InsertEntry {
+                node: NodeId(99),
+                entry: valid.clone(),
+            },
+        ];
+        for op in bad {
+            let want = reference.apply(op.clone()).unwrap_err();
+            assert_eq!(nic.apply(op.clone()).unwrap_err(), want, "{ctx}: {op:?}");
+        }
+        // A valid remove mid-window returns the replica's entry.
+        let removed = nic.remove_entry(tables[0], 0).unwrap();
+        assert_eq!(removed, valid, "{ctx}: removed entry");
+        nic.measure_feed((300..600).map(swap_packet));
+        assert_eq!(nic.measure_end().packets, 600, "{ctx}: packets lost");
+        // Exactly one generation was published mid-window (the
+        // remove): the first 300 packets ran under the insert's, the
+        // rest under the remove's.
+        assert_eq!(nic.last_swap().map(|s| s.generation), before);
+        let mut want_counts = counts_before;
+        *want_counts.entry(1).or_insert(0) = 300;
+        want_counts.insert(2, 300);
+        assert_eq!(nic.generation_counts(), want_counts, "{ctx}: generations");
+        let graphs = nic.shard_graphs();
+        for (i, sg) in graphs.iter().enumerate() {
+            assert_eq!(
+                sg,
+                nic.graph(),
+                "{ctx}: shard {i} diverged from the replica"
+            );
         }
     }
     // A replace naming a node that is not a table.
@@ -586,13 +580,7 @@ fn chaos_faults_during_mid_flight_swaps_converge_to_last_known_good() {
     let mut total_rollback_signals = 0u64;
     for &seed in &[1u64, 3, 8, 21] {
         let p = AclPipeline::build(3, 3);
-        let mut nic = ShardedNic::with_mode(
-            p.graph.clone(),
-            CostParams::bluefield2(),
-            4,
-            ShardMode::RunLoop,
-        )
-        .unwrap();
+        let mut nic = ShardedNic::new(p.graph.clone(), CostParams::bluefield2(), 4).unwrap();
         nic.set_instrumentation(true, 1);
         let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
         let mut target = FaultyTarget::new(SimTarget::live(nic), FaultConfig::chaos(seed));

@@ -1,29 +1,33 @@
-//! Differential suite for the run-loop sharded datapath:
-//! [`ShardMode::RunLoop`] (persistent workers fed by SPSC rings, merge
-//! deferred to window boundaries) against the [`ShardMode::BitExact`]
-//! oracle (global arrival replay), over the example programs and an
-//! 8-seed synthetic matrix at workers 1/2/8.
+//! Differential suite for the sharded datapath: a [`ShardedNic`]
+//! (persistent workers fed by SPSC rings, merge deferred to window
+//! boundaries) against the single-threaded [`SmartNic`] — the same
+//! executor run inline in arrival order, sharing no code with
+//! `sharded.rs` — over the example programs, an 8-seed synthetic matrix,
+//! a big-table program and a cached-flow program at workers 1/2/8.
 //!
 //! # The invariant set
 //!
-//! Global arrival interleaving is *intentionally relaxed* by the
-//! run-loop model, so "identical" is asserted per invariant class:
+//! Global arrival interleaving is *intentionally relaxed* by sharding,
+//! so "identical" is asserted per invariant class:
 //!
 //! **Exact (asserted bitwise):**
 //! 1. Final forwarding decisions and packet mutations, packet-for-packet
 //!    in input order.
 //! 2. Per-flow packet order — asserted through a stateful flow-cache
 //!    program where any reordering within a flow flips hit/miss
-//!    patterns and thus reports.
+//!    patterns and thus reports. Flow-cache state is per shard, so the
+//!    oracle here is one `SmartNic` per `flow_hash % workers` partition
+//!    ([`partitioned_oracle`]).
 //! 3. Integer batch statistics: packet, drop, migration and
 //!    counter-update counts.
 //! 4. The p99 latency — reduced from the merged latency multiset, which
-//!    is partition-invariant, so it matches the oracle bit-for-bit.
+//!    is partition-invariant, so it matches the oracle bit-for-bit — and
+//!    the clock.
 //! 5. Window-merged profiles and latency histograms at
 //!    `sample_every == 1` (every packet sampled ⇒ the sampled set is
 //!    trivially schedule-independent).
 //! 6. Window-merged profiles and histograms across *worker counts* at
-//!    any `sample_every`: run-loop sampling is flow-keyed
+//!    any `sample_every`: sharded sampling is flow-keyed
 //!    ([`SampleKeying::FlowKeyed`]), so the sampled set depends only on
 //!    `(flow, per-flow index)` — the single-threaded reference is a
 //!    [`SmartNic`] with flow-keyed sampling.
@@ -44,8 +48,10 @@ use pipeleon_ir::{
     TableEntry,
 };
 use pipeleon_sim::{
-    BatchStats, ExecObservations, Packet, SampleKeying, ShardMode, ShardedNic, SmartNic,
+    BatchStats, ControlOp, EngineMode, ExecObservations, ExecReport, NicBackend, Packet,
+    SampleKeying, ShardedNic, SmartNic,
 };
+use pipeleon_workloads::scenarios::{AclPipeline, DashRouting};
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
 use pipeleon_workloads::traffic::FlowGen;
 
@@ -123,8 +129,8 @@ fn assert_close(a: f64, b: f64, ctx: &str) {
     );
 }
 
-/// Invariants 3, 4, 7: the merged batch statistics of a run-loop
-/// measurement against the bit-exact oracle.
+/// Invariants 3, 4, 7: the merged batch statistics of a sharded
+/// measurement against the single NIC's.
 fn assert_stats_match(oracle: BatchStats, runloop: BatchStats, ctx: &str) {
     assert_eq!(oracle.packets, runloop.packets, "{ctx}: packets");
     assert_eq!(oracle.dropped, runloop.dropped, "{ctx}: dropped");
@@ -162,8 +168,7 @@ fn assert_decisions_identical(
     ctx: &str,
 ) {
     let mut single = SmartNic::new(g.clone(), params.clone()).unwrap();
-    let mut runloop =
-        ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+    let mut runloop = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
     let mut a = batch.to_vec();
     let mut b = batch.to_vec();
     let ra = single.process_batch(&mut a);
@@ -202,8 +207,7 @@ fn assert_window_merge_worker_invariant(
         "{ctx}: sampling must pick packets"
     );
     for workers in WORKER_COUNTS {
-        let mut nic =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+        let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
         nic.set_instrumentation(true, sample_every);
         nic.measure(batch.to_vec());
         let ctx = format!("{ctx}: workers={workers} sample={sample_every}");
@@ -224,10 +228,8 @@ fn assert_runloop_differential(g: &ProgramGraph, params: &CostParams, batch: &[P
         assert_decisions_identical(g, params, batch, workers, &ctx);
 
         // Invariants 3/4/7 with instrumentation on.
-        let mut oracle =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::BitExact).unwrap();
-        let mut runloop =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+        let mut oracle = SmartNic::new(g.clone(), params.clone()).unwrap();
+        let mut runloop = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
         oracle.set_instrumentation(true, 1);
         runloop.set_instrumentation(true, 1);
         let so = oracle.measure(batch.to_vec());
@@ -370,6 +372,39 @@ fn cached_flow_program() -> (ProgramGraph, NodeId) {
     (b.seal(cache).unwrap(), cache)
 }
 
+/// What a sharded NIC's shards are, with the rings, locks and threads
+/// taken away: each `flow_hash % workers` partition of `batch`, in
+/// arrival order, through a [`SmartNic`] of its own. Mutates `batch` in
+/// place and returns the reports in input order plus the partitions'
+/// total occupancy of `cache`.
+fn partitioned_oracle(
+    g: &ProgramGraph,
+    params: &CostParams,
+    batch: &mut [Packet],
+    workers: usize,
+    cache: NodeId,
+) -> (Vec<ExecReport>, usize) {
+    // Hashed up front: running a packet can rewrite the fields it hashes.
+    let shard_of: Vec<u64> = batch
+        .iter()
+        .map(|p| p.flow_hash() % workers as u64)
+        .collect();
+    let mut reports = vec![None; batch.len()];
+    let mut cached = 0;
+    for shard in 0..workers as u64 {
+        let at: Vec<usize> = (0..batch.len()).filter(|&i| shard_of[i] == shard).collect();
+        let mut part: Vec<Packet> = at.iter().map(|&i| batch[i].clone()).collect();
+        let mut nic = SmartNic::new(g.clone(), params.clone()).unwrap();
+        let ran = nic.process_batch(&mut part);
+        for ((i, pkt), r) in at.into_iter().zip(part).zip(ran) {
+            batch[i] = pkt;
+            reports[i] = Some(r);
+        }
+        cached += nic.executor_mut().cache_len(cache);
+    }
+    (reports.into_iter().map(Option::unwrap).collect(), cached)
+}
+
 #[test]
 fn per_flow_order_is_preserved_through_stateful_caches() {
     // Invariant 2, asserted through state: 96 flows against a 64-entry
@@ -377,25 +412,23 @@ fn per_flow_order_is_preserved_through_stateful_caches() {
     // is a function of the per-shard packet order, so if the run loop
     // reordered packets within a flow — or migrated a flow between
     // shards — reports and final cache occupancy would diverge from the
-    // bit-exact oracle, which replays global arrival order exactly.
+    // per-partition oracle, which runs each shard's packets in arrival
+    // order on a NIC of its own.
     let (g, cache) = cached_flow_program();
     let params = CostParams::bluefield2();
     let batch: Vec<Packet> = (0..2_000u64)
         .map(|i| Packet::with_slots(vec![(i * 31) % 96, 0]))
         .collect();
     for workers in WORKER_COUNTS {
-        let mut oracle =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::BitExact).unwrap();
-        let mut runloop =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+        let mut runloop = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
         let mut a = batch.clone();
         let mut b = batch.clone();
-        let ra = oracle.process_batch(&mut a);
+        let (ra, cached) = partitioned_oracle(&g, &params, &mut a, workers, cache);
         let rb = runloop.process_batch(&mut b);
         assert_eq!(a, b, "workers={workers}: packet mutations diverged");
         assert_eq!(ra, rb, "workers={workers}: cache-path reports diverged");
         assert_eq!(
-            oracle.cache_len(cache),
+            cached,
             runloop.cache_len(cache),
             "workers={workers}: final cache occupancy diverged"
         );
@@ -423,9 +456,7 @@ fn sampled_histogram_counts_are_worker_count_invariant() {
     for sample_every in [2u64, 8, 64] {
         let mut want: Option<(u64, ExecObservations)> = None;
         for workers in WORKER_COUNTS {
-            let mut nic =
-                ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop)
-                    .unwrap();
+            let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
             nic.set_instrumentation(true, sample_every);
             nic.measure(batch.clone());
             let sampled = nic.take_profile().total_packets;
@@ -444,6 +475,80 @@ fn sampled_histogram_counts_are_worker_count_invariant() {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn process_one_matches_across_worker_counts() {
+    // The single-packet path runs on the caller's thread under the same
+    // flow-keyed sampling, so reports and profiles match a flow-keyed
+    // single NIC packet for packet.
+    let p = AclPipeline::build(4, 2);
+    let params = CostParams::bluefield2();
+    for workers in WORKER_COUNTS {
+        let mut single = SmartNic::new(p.graph.clone(), params.clone()).unwrap();
+        single.set_sample_keying(SampleKeying::FlowKeyed);
+        let mut sharded = ShardedNic::new(p.graph.clone(), params.clone(), workers).unwrap();
+        single.set_instrumentation(true, 4);
+        sharded.set_instrumentation(true, 4);
+        for i in 0..200u64 {
+            let mut a = Packet::new(&p.graph.fields);
+            for (k, &f) in p.flow_fields.iter().enumerate() {
+                a.set(f, i * 31 + k as u64);
+            }
+            let mut b = a.clone();
+            let ra = single.process_one(&mut a);
+            let rb = sharded.process_one(&mut b);
+            assert_eq!(ra, rb, "report diverged at packet {i} workers={workers}");
+            assert_eq!(a, b, "packet contents diverged at {i} workers={workers}");
+        }
+        assert_profiles_identical(
+            &single.take_profile(),
+            &sharded.take_profile(),
+            &format!("process_one workers={workers}"),
+        );
+    }
+}
+
+/// Distinct-key counts are exact set sizes, whoever keeps the set: the
+/// interpreter or the compiled walk, one NIC or the cross-shard union of
+/// 1, 2 or 8 workers. Two consecutive windows with an entry op between
+/// them: the second starts from nothing (its fewer flows must read as
+/// fewer keys, though the trackers keep their capacity), and the op
+/// disturbs no tracker. DASH has single-field tables, a four-field
+/// conntrack table, and ACL fields that are mostly zero.
+#[test]
+fn distinct_counts_match_across_engines_workers_and_windows() {
+    let dash = DashRouting::build();
+    let params = CostParams::bluefield2();
+    let windows: [Vec<Packet>; 2] = [
+        dash.traffic(&[0.2, 0.0, 0.1], 900, 0.6, 41).batch(6_000),
+        dash.traffic(&[0.0, 0.3, 0.0], 60, 0.6, 42).batch(3_000),
+    ];
+    let entry = || TableEntry::new(vec![MatchValue::Exact(77)], 0);
+    // Both windows' counts on `nic`, with the entry op between them.
+    let run = |nic: &mut dyn NicBackend, engine: EngineMode| {
+        nic.apply(ControlOp::SetEngineMode(engine)).unwrap();
+        nic.set_instrumentation(true, 16);
+        nic.measure_batch(windows[0].clone());
+        let first = nic.take_profile().distinct_keys;
+        nic.insert_entry(dash.metadata[0], entry()).unwrap();
+        nic.measure_batch(windows[1].clone());
+        (first, nic.take_profile().distinct_keys)
+    };
+    let single = || SmartNic::new(dash.graph.clone(), params.clone()).unwrap();
+
+    let (first, second) = run(&mut single(), EngineMode::Interpreter);
+    assert!(first[&dash.conntrack] > 500, "{first:?}");
+    assert!(second[&dash.conntrack] <= 60, "{second:?}");
+    assert!(first.values().all(|&n| n > 0) && second.values().all(|&n| n > 0));
+    let want = (first, second);
+    assert_eq!(run(&mut single(), EngineMode::Compiled), want, "compiled");
+    for engine in [EngineMode::Interpreter, EngineMode::Compiled] {
+        for workers in WORKER_COUNTS {
+            let mut nic = ShardedNic::new(dash.graph.clone(), params.clone(), workers).unwrap();
+            assert_eq!(run(&mut nic, engine), want, "{engine:?} workers={workers}");
         }
     }
 }

@@ -6,7 +6,7 @@
 //! *bit-identical* to the unspecialized compiled engine and the
 //! interpreter. Per-packet reports (latency bits, drops, probes), packet
 //! mutations, merged profiles, batch statistics and latency histograms
-//! must all match across worker counts 1/2/8 in both shard modes, with
+//! must all match across worker counts 1/2/8, with
 //! specialization applied mid-window. Live runs additionally publish
 //! specialized pipelines through the generation-swap path and must lose
 //! zero packets.
@@ -32,7 +32,7 @@ use pipeleon_ir::{
 use pipeleon_runtime::{Controller, ControllerConfig, SimTarget, Target};
 use pipeleon_sim::{
     Applied, BatchStats, ControlOp, EngineMode, ExecReport, NicBackend, Packet, PacketTrace,
-    ShardMode, ShardedNic, SmartNic, SpecConfig, SpecStats,
+    ShardedNic, SmartNic, SpecConfig, SpecStats,
 };
 use pipeleon_workloads::scenarios::SkewedPipeline;
 use proptest::prelude::*;
@@ -80,7 +80,6 @@ fn assert_reports_identical(a: &ExecReport, b: &ExecReport, ctx: &str) {
 fn sharded_run(
     s: &SkewedPipeline,
     workers: usize,
-    shard_mode: ShardMode,
     engine: EngineMode,
     batch: &[Packet],
     specialize: bool,
@@ -90,7 +89,7 @@ fn sharded_run(
     pipeleon_sim::ExecObservations,
     pipeleon_sim::SpecStats,
 ) {
-    let mut nic = ShardedNic::with_mode(s.graph.clone(), params(), workers, shard_mode).unwrap();
+    let mut nic = ShardedNic::new(s.graph.clone(), params(), workers).unwrap();
     nic.set_engine_mode(engine);
     nic.set_instrumentation(true, 1);
     let mid = batch.len() / 2;
@@ -107,37 +106,26 @@ fn sharded_run(
 
 /// The tentpole invariant: specialized vs unspecialized vs interpreter,
 /// bit-identical merged stats / profiles / histograms, across the worker
-/// matrix in both shard modes, with the plan applied mid-window.
+/// matrix, with the plan applied mid-window.
 #[test]
 fn specialized_runs_match_both_oracles_bit_for_bit() {
     let s = SkewedPipeline::build(3, 2);
     let batch = s.traffic(HOT_SKEW, 400, 11).batch(4_000);
-    for shard_mode in [ShardMode::RunLoop, ShardMode::BitExact] {
-        for workers in WORKER_COUNTS {
-            let ctx = format!("mode={shard_mode:?} workers={workers}");
-            let (si, pi, oi, _) = sharded_run(
-                &s,
-                workers,
-                shard_mode,
-                EngineMode::Interpreter,
-                &batch,
-                false,
-            );
-            let (sc, pc, oc, _) =
-                sharded_run(&s, workers, shard_mode, EngineMode::Compiled, &batch, false);
-            let (ss, ps, os, spec) =
-                sharded_run(&s, workers, shard_mode, EngineMode::Compiled, &batch, true);
-            assert_stats_identical(si, sc, &format!("{ctx}: interp vs compiled"));
-            assert_stats_identical(sc, ss, &format!("{ctx}: compiled vs specialized"));
-            assert_eq!(pi, pc, "{ctx}: interp vs compiled profile");
-            assert_eq!(pc, ps, "{ctx}: compiled vs specialized profile");
-            assert_eq!(oi, oc, "{ctx}: interp vs compiled observations");
-            assert_eq!(oc, os, "{ctx}: compiled vs specialized observations");
-            assert!(
-                spec.specializations >= 1,
-                "{ctx}: the mid-window pass must have applied a plan"
-            );
-        }
+    for workers in WORKER_COUNTS {
+        let ctx = format!("workers={workers}");
+        let (si, pi, oi, _) = sharded_run(&s, workers, EngineMode::Interpreter, &batch, false);
+        let (sc, pc, oc, _) = sharded_run(&s, workers, EngineMode::Compiled, &batch, false);
+        let (ss, ps, os, spec) = sharded_run(&s, workers, EngineMode::Compiled, &batch, true);
+        assert_stats_identical(si, sc, &format!("{ctx}: interp vs compiled"));
+        assert_stats_identical(sc, ss, &format!("{ctx}: compiled vs specialized"));
+        assert_eq!(pi, pc, "{ctx}: interp vs compiled profile");
+        assert_eq!(pc, ps, "{ctx}: compiled vs specialized profile");
+        assert_eq!(oi, oc, "{ctx}: interp vs compiled observations");
+        assert_eq!(oc, os, "{ctx}: compiled vs specialized observations");
+        assert!(
+            spec.specializations >= 1,
+            "{ctx}: the mid-window pass must have applied a plan"
+        );
     }
 }
 
@@ -203,13 +191,11 @@ fn live_specialize_swaps_lose_zero_packets() {
     for workers in WORKER_COUNTS {
         let ctx = format!("workers={workers}");
         // Oracle: same worker count, never specialized, two windows.
-        let mut oracle =
-            ShardedNic::with_mode(s.graph.clone(), params(), workers, ShardMode::RunLoop).unwrap();
+        let mut oracle = ShardedNic::new(s.graph.clone(), params(), workers).unwrap();
         oracle.set_instrumentation(true, 1);
         let w1 = oracle.measure(batch.clone());
         let w2 = oracle.measure(batch.clone());
-        let mut nic =
-            ShardedNic::with_mode(s.graph.clone(), params(), workers, ShardMode::RunLoop).unwrap();
+        let mut nic = ShardedNic::new(s.graph.clone(), params(), workers).unwrap();
         nic.set_instrumentation(true, 1);
         let mid = batch.len() / 2;
         nic.measure_begin();
@@ -336,8 +322,8 @@ impl Fused {
 
     /// The shards receive the specialized pipeline through the
     /// generation chain.
-    fn sharded(&self, workers: usize, mode: ShardMode, specialize: bool) -> ShardedNic {
-        let mut nic = ShardedNic::with_mode(self.s.graph.clone(), params(), workers, mode).unwrap();
+    fn sharded(&self, workers: usize, specialize: bool) -> ShardedNic {
+        let mut nic = ShardedNic::new(self.s.graph.clone(), params(), workers).unwrap();
         nic.set_engine_mode(EngineMode::Compiled);
         nic.apply(ControlOp::SetPlacement(self.placement.clone()))
             .unwrap();
@@ -398,8 +384,8 @@ fn fused_runs_match_the_guard_walk_and_both_oracles_per_packet() {
     );
 }
 
-/// The same, through the sharded datapath: workers 1/2/8 in both shard
-/// modes, per packet (`process_batch`) and per window (`measure`), with
+/// The same, through the sharded datapath at workers 1/2/8, per packet
+/// (`process_batch`) and per window (`measure`), with
 /// guard and run counters equal to the single-threaded walk's, plus a
 /// sampled window (1 in 64) in which no run may fire.
 #[test]
@@ -419,43 +405,41 @@ fn fused_runs_match_across_workers_and_shard_modes() {
     let (hits, misses, _) = spec_delta(walk0, walk.spec_stats());
     let (_, _, runs) = spec_delta(single0, single.spec_stats());
     assert!(runs > 0);
-    for shard_mode in [ShardMode::RunLoop, ShardMode::BitExact] {
-        for workers in WORKER_COUNTS {
-            let ctx = format!("mode={shard_mode:?} workers={workers}");
-            let mut plain = fx.sharded(workers, shard_mode, false);
-            let mut nic = fx.sharded(workers, shard_mode, true);
-            let before = nic.spec_stats();
-            assert_eq!(before.fused_runs, single0.fused_runs, "{ctx}: runs derived");
-            let mut got = fx.probe.clone();
-            let reports = nic.process_batch(&mut got);
-            // (Keeps the oracle's packet sequence, which keys the
-            // sampled window below, in step.)
-            plain.process_batch(&mut fx.probe.clone());
-            for (i, (want, r)) in want_reports.iter().zip(&reports).enumerate() {
-                assert_reports_identical(want, r, &format!("{ctx}: packet {i}"));
-            }
-            assert_eq!(want_packets, got, "{ctx}: packet contents");
-            assert_eq!(
-                spec_delta(before, nic.spec_stats()),
-                (hits, misses, runs),
-                "{ctx}: guard and run counters vs the single-threaded walk"
-            );
-            // Float merges are shard-order sensitive: the window oracle
-            // must shard identically.
-            let want = plain.measure(fx.probe.clone());
-            let got = nic.measure(fx.probe.clone());
-            assert_stats_identical(want, got, &format!("{ctx}: window"));
-            let before = nic.spec_stats();
-            plain.set_instrumentation(true, 64);
-            nic.set_instrumentation(true, 64);
-            let want = plain.measure(fx.probe.clone());
-            let got = nic.measure(fx.probe.clone());
-            assert_stats_identical(want, got, &format!("{ctx}: sampled window"));
-            assert_eq!(plain.take_profile(), nic.take_profile(), "{ctx}: profile");
-            let (walked, _, runs) = spec_delta(before, nic.spec_stats());
-            assert!(walked > 0, "{ctx}: guards still serve sampled windows");
-            assert_eq!(runs, 0, "{ctx}: no run may fire under instrumentation");
+    for workers in WORKER_COUNTS {
+        let ctx = format!("workers={workers}");
+        let mut plain = fx.sharded(workers, false);
+        let mut nic = fx.sharded(workers, true);
+        let before = nic.spec_stats();
+        assert_eq!(before.fused_runs, single0.fused_runs, "{ctx}: runs derived");
+        let mut got = fx.probe.clone();
+        let reports = nic.process_batch(&mut got);
+        // (Keeps the oracle's packet sequence, which keys the
+        // sampled window below, in step.)
+        plain.process_batch(&mut fx.probe.clone());
+        for (i, (want, r)) in want_reports.iter().zip(&reports).enumerate() {
+            assert_reports_identical(want, r, &format!("{ctx}: packet {i}"));
         }
+        assert_eq!(want_packets, got, "{ctx}: packet contents");
+        assert_eq!(
+            spec_delta(before, nic.spec_stats()),
+            (hits, misses, runs),
+            "{ctx}: guard and run counters vs the single-threaded walk"
+        );
+        // Float merges are shard-order sensitive: the window oracle
+        // must shard identically.
+        let want = plain.measure(fx.probe.clone());
+        let got = nic.measure(fx.probe.clone());
+        assert_stats_identical(want, got, &format!("{ctx}: window"));
+        let before = nic.spec_stats();
+        plain.set_instrumentation(true, 64);
+        nic.set_instrumentation(true, 64);
+        let want = plain.measure(fx.probe.clone());
+        let got = nic.measure(fx.probe.clone());
+        assert_stats_identical(want, got, &format!("{ctx}: sampled window"));
+        assert_eq!(plain.take_profile(), nic.take_profile(), "{ctx}: profile");
+        let (walked, _, runs) = spec_delta(before, nic.spec_stats());
+        assert!(walked > 0, "{ctx}: guards still serve sampled windows");
+        assert_eq!(runs, 0, "{ctx}: no run may fire under instrumentation");
     }
 }
 
@@ -560,7 +544,7 @@ fn fused_runs_stand_aside_while_a_flow_cache_records() {
 /// Runs are part of the compiled pipeline, so a `specialize()` carries
 /// them to every shard through the generation chain; and an entry op on
 /// a run *member* (not the head) that lands mid-window — on the single
-/// NIC, or through the chain in either shard mode — takes the run down
+/// NIC, or through the chain on a sharded one — takes the run down
 /// before the next packet. The replacement makes the member's hot action
 /// drop, so one stale run hit would show in the window.
 #[test]
@@ -619,14 +603,14 @@ fn entry_ops_on_a_run_member_mid_window_drop_the_run() {
         }
         let mut nic = fx.single(EngineMode::Compiled, true);
         check(&format!("{name}: single"), want, &mut nic, op);
-        // A mid-window op is a generation in both shard modes (under
-        // the fork-join oracle a feed runs to completion, so the shards
-        // adopt it on the spot).
-        for shard_mode in [ShardMode::BitExact, ShardMode::RunLoop] {
-            let ctx = format!("{name}: {shard_mode:?}");
-            let (want, ..) = window(&mut fx.sharded(2, shard_mode, false), op);
-            check(&ctx, want, &mut fx.sharded(2, shard_mode, true), op);
-        }
+        // On a sharded NIC the mid-window op is a generation.
+        let (want, ..) = window(&mut fx.sharded(2, false), op);
+        check(
+            &format!("{name}: sharded"),
+            want,
+            &mut fx.sharded(2, true),
+            op,
+        );
     }
 }
 
