@@ -16,7 +16,8 @@ const BOOL_FLAGS: &[&str] = &["deny-warnings", "concurrency", "no-specialize"];
 
 /// Parses `argv` (without the program name). Flags take exactly one value
 /// unless listed in [`BOOL_FLAGS`]; a trailing valued flag without its
-/// value is an error.
+/// value is an error. Any flag parses; which ones a command reads is
+/// checked by [`Args::reject_unknown`], before the command runs.
 pub fn parse(argv: &[String]) -> Result<Args, String> {
     let mut out = Args::default();
     let mut i = 0;
@@ -42,6 +43,18 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
 }
 
 impl Args {
+    /// Fails if a flag outside `known` was given. Flags are parsed
+    /// strictly, as in `pipeleon-perf`: a flag the command does not read
+    /// is a typo or a removed option, and it has already taken the
+    /// argument after it as its value.
+    pub fn reject_unknown(&self, command: &str, known: &[&str]) -> Result<(), String> {
+        let unknown = self.flags.keys().filter(|f| !known.contains(&f.as_str()));
+        match unknown.min() {
+            Some(flag) => Err(format!("unknown flag --{flag} for `{command}`")),
+            None => Ok(()),
+        }
+    }
+
     /// String flag with a default.
     pub fn get_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
         self.flags.get(name).map(String::as_str).unwrap_or(default)
@@ -133,5 +146,22 @@ mod tests {
         assert_eq!(a.get("format"), Some("json"));
         let b = parse(&v(&["analyze", "p.json"])).unwrap();
         assert!(!b.get_bool("deny-warnings"));
+    }
+
+    /// A boolean flag leaves the argument after it a positional; any
+    /// other flag — one that used to be boolean included — takes it as its
+    /// value, which is why a command must refuse flags it does not read.
+    #[test]
+    fn only_known_boolean_flags_leave_the_next_argument_alone() {
+        let a = parse(&v(&["simulate", "--no-specialize", "p.json"])).unwrap();
+        assert_eq!(a.positional, vec!["simulate", "p.json"]);
+        assert_eq!(a.reject_unknown("simulate", &["no-specialize"]), Ok(()));
+        let b = parse(&v(&["simulate", "--verbose", "p.json", "--seed", "7"])).unwrap();
+        assert_eq!(b.positional, vec!["simulate"], "p.json was swallowed");
+        let err = b.reject_unknown("simulate", &["seed"]).unwrap_err();
+        assert!(
+            err.contains("--verbose") && err.contains("simulate"),
+            "{err}"
+        );
     }
 }

@@ -54,22 +54,87 @@ USAGE:
 <program> is BMv2-style JSON IR, or P4-lite source (*.p4 / *.p4l).
 TARGETS: bluefield2 (default) | agilio_cx | emulated_nic";
 
-/// Entry point shared with tests.
+/// Entry point shared with tests. Each command is listed with every
+/// flag it reads and refuses the rest ([`Args::reject_unknown`]).
 pub fn run(argv: &[String]) -> Result<(), String> {
     let args = parse(argv)?;
-    match args.positional.first().map(String::as_str) {
-        Some("optimize") => optimize(&args),
-        Some("simulate") => simulate(&args),
-        Some("metrics") => metrics_summary(&args),
-        Some("analyze") => analyze(&args),
-        Some("serve") => serve(&args),
-        Some("drive") => drive(&args),
-        Some("inspect") => inspect(&args),
-        Some("build") => build(&args),
-        Some("calibrate") => calibrate(&args),
-        Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}")),
-        None => Err(USAGE.to_string()),
-    }
+    let Some(name) = args.positional.first().map(String::as_str) else {
+        return Err(USAGE.to_string());
+    };
+    type Command = fn(&Args) -> Result<(), String>;
+    let (command, flags): (Command, &[&str]) = match name {
+        "optimize" => (
+            optimize,
+            &["profile", "target", "top-k", "memory", "updates", "o"],
+        ),
+        "simulate" => (
+            simulate,
+            &[
+                "target",
+                "packets",
+                "flows",
+                "zipf",
+                "seed",
+                "trace",
+                "workers",
+                "sample",
+                "engine",
+                "profile-out",
+                "metrics-out",
+                "journal-out",
+                "no-specialize",
+                "chaos-seed",
+                "windows",
+            ],
+        ),
+        "metrics" => (
+            metrics_summary,
+            &[
+                "target", "packets", "flows", "zipf", "seed", "trace", "sample", "o",
+            ],
+        ),
+        "analyze" => (
+            analyze,
+            &["target", "deny-warnings", "format", "concurrency"],
+        ),
+        "serve" => (
+            serve,
+            &[
+                "listen",
+                "target",
+                "workers",
+                "engine",
+                "burst",
+                "sample",
+                "max-packets",
+                "idle-timeout-ms",
+                "tick-packets",
+                "addr-file",
+                "metrics-out",
+                "journal-out",
+            ],
+        ),
+        "drive" => (
+            drive,
+            &[
+                "connect",
+                "packets",
+                "flows",
+                "zipf",
+                "seed",
+                "trace",
+                "window",
+                "timeout-ms",
+                "metrics-out",
+            ],
+        ),
+        "inspect" => (inspect, &["target", "profile"]),
+        "build" => (build, &["o"]),
+        "calibrate" => (calibrate, &["target"]),
+        other => return Err(format!("unknown command {other:?}\n\n{USAGE}")),
+    };
+    args.reject_unknown(name, flags)?;
+    command(&args)
 }
 
 fn target(args: &Args) -> Result<CostParams, String> {
@@ -373,6 +438,7 @@ fn spec_metrics_into(reg: &mut MetricsRegistry, spec: &pipeleon_sim::SpecStats) 
         &[],
         spec.guard_misses,
     );
+    reg.counter_set("pipeleon_specialize_memo_hits_total", &[], spec.memo_hits);
     reg.counter_set("pipeleon_specialize_fused_hits_total", &[], spec.fused_hits);
     reg.gauge_set(
         "pipeleon_specialize_fused_runs",
@@ -445,10 +511,12 @@ fn simulate_on<N: NicBackend>(args: &Args, mut nic: N) -> Result<(), String> {
     );
     if specialize {
         println!(
-            "specialization:    {} table(s), guard hits {} misses {}, {} fused run(s) hit {}",
+            "specialization:    {} table(s), guard hits {} misses {} ({} from the memo), \
+             {} fused run(s) hit {}",
             spec.specialized_tables,
             spec.guard_hits,
             spec.guard_misses,
+            spec.memo_hits,
             spec.fused_runs,
             spec.fused_hits
         );
@@ -1028,6 +1096,32 @@ mod tests {
         path
     }
 
+    /// Every command refuses a flag it does not read — here one that
+    /// PRs 22–23 removed, or another command's — before it touches its
+    /// program argument.
+    #[test]
+    fn every_command_rejects_a_flag_it_does_not_read() {
+        let stale = [
+            ("optimize", "--workers"),
+            ("simulate", "--batch"),
+            ("metrics", "--workers"),
+            ("analyze", "--profile"),
+            ("serve", "--batch"),
+            ("drive", "--workers"),
+            ("inspect", "--engine"),
+            ("build", "--target"),
+            ("calibrate", "--packets"),
+        ];
+        for (command, flag) in stale {
+            let err = run(&v(&[command, "absent.json", flag, "8"])).unwrap_err();
+            assert!(err.contains(flag) && err.contains(command), "{err}");
+        }
+        // A boolean-looking flag no command knows swallows the program
+        // path; the error names the flag, not a missing program.
+        let err = run(&v(&["simulate", "--verbose", "absent.json"])).unwrap_err();
+        assert!(err.contains("--verbose"), "{err}");
+    }
+
     #[test]
     fn usage_on_no_args() {
         let err = run(&[]).unwrap_err();
@@ -1327,6 +1421,10 @@ mod tests {
         pipeleon_obs::validate_prometheus(&text).expect("exposition must validate");
         assert!(
             text.contains("pipeleon_specialize_guard_hits_total"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pipeleon_specialize_memo_hits_total"),
             "{text}"
         );
         assert!(text.contains("pipeleon_specialized_tables"), "{text}");

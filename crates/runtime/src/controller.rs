@@ -631,6 +631,7 @@ impl<T: Target> Controller<T> {
             &[],
             after.guard_misses,
         );
+        m.counter_set("pipeleon_specialize_memo_hits_total", &[], after.memo_hits);
         m.counter_set(
             "pipeleon_specialize_fused_hits_total",
             &[],
@@ -1339,6 +1340,10 @@ fn register_help(m: &mut MetricsRegistry) {
     m.help(
         "pipeleon_specialize_guard_misses_total",
         "Hot-key guard misses (fell through to the general lookup)",
+    );
+    m.help(
+        "pipeleon_specialize_memo_hits_total",
+        "Guard misses answered from the per-walk lookup memo",
     );
     m.help(
         "pipeleon_specialize_fused_hits_total",

@@ -342,6 +342,13 @@ impl CompiledEngine {
         }
     }
 
+    /// Whether a general lookup is worth remembering per key: the key is
+    /// one `u64` and the lookup more than one probe (a single-way exact
+    /// table's miss path already is one).
+    pub(crate) fn memoisable(&self) -> bool {
+        self.key_fields.len() == 1 && self.ways.len() + usize::from(!self.scan.is_empty()) >= 2
+    }
+
     /// Resolves an already-composed key (`scratch.values`); mirrors
     /// [`MatchEngine::lookup`] exactly, allocation-free. Apart from
     /// [`Self::compose_key`] so the specialization guard can compare the
@@ -506,6 +513,124 @@ pub(crate) struct CTableSpec {
     pub(crate) hot_key: SmallKey,
     /// The pre-resolved outcome for `hot_key`.
     pub(crate) hot_outcome: LookupOutcome,
+    /// This table's region of the walk's [`LookupMemo`], if its guard
+    /// misses are remembered ([`CompiledEngine::memoisable`]).
+    pub(crate) memo_region: Option<u32>,
+}
+
+/// Slots per [`LookupMemo`] region. 256 × 32 B = 8 KB a table keeps a
+/// pipeline's regions in L1/L2 beside the packets (`datapath_skewed`
+/// read the same rate at 256 and 1,024). A property of cache
+/// hierarchies, like [`LOOKAHEAD_MIN_BYTES`], hence not a knob.
+pub(crate) const MEMO_SLOTS: usize = 256;
+
+/// A [`LookupOutcome`] in 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct MemoOutcome {
+    entry: Option<u32>,
+    action: u32,
+    probes: u32,
+}
+
+/// One remembered answer of [`CompiledEngine::lookup_composed`]. 32
+/// bytes, 32-byte aligned, like a [`FlatSlot`]. An unfilled slot is
+/// `outcome: None`, not a reserved key value: every `u64` is a key.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(32))]
+struct MemoSlot {
+    key: u64,
+    outcome: Option<MemoOutcome>,
+}
+
+/// The miss path of the hot-key guard, remembered (DESIGN §17): per
+/// memoised table a direct-mapped region of [`MEMO_SLOTS`] slots, filled
+/// from and answering for [`CompiledEngine::lookup_composed`], which is
+/// pure in the composed key over an engine nothing mutates. Owned by
+/// the walk, so per shard: the pipeline is shared and never written on
+/// the packet path.
+///
+/// Valid for one specialised lowering: whoever installs one calls
+/// [`LookupMemo::reset`]. Nothing else changes a memoised table's
+/// engine — an entry op on a specialised table re-lowers the whole
+/// pipeline, and `recompile_node` is only reached for unguarded tables.
+#[derive(Debug, Default)]
+pub(crate) struct LookupMemo {
+    slots: Vec<MemoSlot>,
+}
+
+impl LookupMemo {
+    /// Sizes the memo for `regions` tables and forgets every outcome.
+    pub(crate) fn reset(&mut self, regions: u32) {
+        let empty = MemoSlot {
+            key: 0,
+            outcome: None,
+        };
+        self.slots.clear();
+        self.slots.resize(regions as usize * MEMO_SLOTS, empty);
+    }
+
+    /// The slot of a region `key` homes to: the top bits of its Fx hash,
+    /// as in a [`FlatWay`].
+    #[inline]
+    pub(crate) fn home(key: u64) -> usize {
+        (key.wrapping_mul(FX_SEED) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// A guard miss of the table that owns `region`: its slot's answer,
+    /// or the general lookup's, remembered. Out of line so the walk's
+    /// code barely differs for pipelines that never get here: inlined
+    /// into `Provider::lookup`, this arm cost `control_loop` (guards, no
+    /// region) 3–8 % through code shape alone.
+    #[inline(never)]
+    fn lookup(
+        &mut self,
+        region: u32,
+        engine: &CompiledEngine,
+        scratch: &mut KeyScratch,
+        spec: &mut SpecStats,
+    ) -> LookupOutcome {
+        let key = scratch.values[0];
+        let slot = &mut self.slots[region as usize * MEMO_SLOTS + Self::home(key)];
+        if let Some(outcome) = slot.get(key) {
+            spec.memo_hits += 1;
+            return outcome;
+        }
+        let outcome = engine.lookup_composed(scratch);
+        slot.put(key, outcome);
+        outcome
+    }
+}
+
+impl MemoSlot {
+    /// The outcome remembered for `key`, if this slot holds it.
+    #[inline]
+    fn get(&self, key: u64) -> Option<LookupOutcome> {
+        let o = self.outcome.filter(|_| self.key == key)?;
+        Some(LookupOutcome {
+            entry: o.entry.map(|e| e as usize),
+            action: o.action as usize,
+            probes: o.probes as usize,
+        })
+    }
+
+    /// Remembers `outcome` for `key`, evicting what the slot held. An
+    /// outcome too wide for the slot (no real table's) empties it.
+    #[inline]
+    fn put(&mut self, key: u64, outcome: LookupOutcome) {
+        let narrow = |v: usize| u32::try_from(v).ok();
+        let fits = || {
+            Some(MemoOutcome {
+                entry: match outcome.entry {
+                    Some(e) => Some(narrow(e)?),
+                    None => None,
+                },
+                action: narrow(outcome.action)?,
+                probes: narrow(outcome.probes)?,
+            })
+        };
+        self.key = key;
+        self.outcome = fits();
+    }
 }
 
 /// One stage of a fused guard run. A run — a chain of consecutive
@@ -656,10 +781,14 @@ pub(crate) struct CompiledPipeline {
     /// Entry slot ([`NO_SLOT`] for an empty program).
     pub(crate) root: u32,
     /// Fingerprint of the applied specialization plan (`0` = verbatim
-    /// lowering). An entry-op patch to a specialized table resets it to
-    /// `0`: the rebuilt engine drops that table's passes, and the stale
-    /// fingerprint tells the next specialize step to re-plan.
+    /// lowering). An entry op on a specialized table re-lowers the whole
+    /// pipeline (`Executor::recompile_table`), so it reads `0` again and
+    /// the next specialize step re-plans; no engine changes under a
+    /// guard that survives.
     pub(crate) spec_fingerprint: u64,
+    /// [`LookupMemo`] regions the applied plan assigned (`0` in the
+    /// verbatim lowering).
+    pub(crate) memo_regions: u32,
     /// The ways worth prefetching for a packet that has not started
     /// executing; see [`CompiledPipeline::derive_lookahead`]. Empty for
     /// every program whose tables are cache-sized.
@@ -705,6 +834,7 @@ impl CompiledPipeline {
             slot_of,
             root,
             spec_fingerprint: 0,
+            memo_regions: 0,
             lookahead: Vec::new(),
         };
         cp.derive_lookahead();
@@ -1044,7 +1174,9 @@ impl Provider for CompiledPipeline {
     /// Behind a hot-key guard the composed key is compared with the baked
     /// hot key first: a hit returns the pre-resolved outcome (identical —
     /// entry, action, probes — to what the general path computes for
-    /// that key), a miss falls through to the unmodified general lookup.
+    /// that key), a miss falls through to the unmodified general lookup
+    /// — through the [`LookupMemo`], so once per key while its slot
+    /// lasts, if the table has a region.
     #[inline]
     fn lookup(
         &self,
@@ -1052,6 +1184,7 @@ impl Provider for CompiledPipeline {
         packet: &Packet,
         scratch: &mut KeyScratch,
         spec: &mut SpecStats,
+        memo: &mut LookupMemo,
     ) -> LookupOutcome {
         ct.engine.compose_key(packet, scratch);
         if let Some(sp) = &ct.spec {
@@ -1060,6 +1193,9 @@ impl Provider for CompiledPipeline {
                 return sp.hot_outcome;
             }
             spec.guard_misses += 1;
+            if let Some(region) = sp.memo_region {
+                return memo.lookup(region, &ct.engine, scratch, spec);
+            }
         }
         ct.engine.lookup_composed(scratch)
     }

@@ -23,7 +23,7 @@
 
 use crate::backend::{Applied, ControlOp};
 use crate::cache::{LruCache, RateLimiter};
-use crate::compiled::{CompiledPipeline, FusedStage};
+use crate::compiled::{CompiledPipeline, FusedStage, LookupMemo};
 use crate::distinct::{self, DistinctKeys};
 use crate::engine::{KeyScratch, LookupOutcome, MatchEngine};
 use crate::observe::ExecObservations;
@@ -248,6 +248,7 @@ pub(crate) trait Provider {
         packet: &Packet,
         scratch: &mut KeyScratch,
         spec: &mut SpecStats,
+        memo: &mut LookupMemo,
     ) -> LookupOutcome;
 
     /// The `[match, action]` latency terms of a visit resolving to
@@ -387,6 +388,7 @@ impl Provider for GraphView {
         packet: &Packet,
         scratch: &mut KeyScratch,
         _spec: &mut SpecStats,
+        _memo: &mut LookupMemo,
     ) -> LookupOutcome {
         let engine = self.engines[node.id.index()]
             .as_ref()
@@ -517,6 +519,9 @@ struct Walk {
     /// Per-table hot-key majority sketches, dense by node index; fed by
     /// sampled lookups, taken at window boundaries alongside the profile.
     hot_sketch: Vec<Option<HotKeySketch>>,
+    /// What the general lookup answered behind the guards of the
+    /// specialised lowering now installed; reset with every such install.
+    memo: LookupMemo,
 }
 
 /// Executes a deployed program packet-by-packet.
@@ -555,6 +560,7 @@ impl Executor {
                 scratch: KeyScratch::new(),
                 spec: SpecStats::default(),
                 hot_sketch: Vec::new(),
+                memo: LookupMemo::default(),
             },
             now_s: 0.0,
         };
@@ -618,6 +624,9 @@ impl Executor {
         match op {
             ControlOp::Deploy(graph) => self.adopt_graph(graph.clone(), lowered.cloned()),
             ControlOp::Specialize(_) | ControlOp::Despecialize => {
+                self.walk
+                    .memo
+                    .reset(lowered.map_or(0, |cp| cp.memo_regions));
                 self.program.compiled = lowered.cloned();
             }
             op => {
@@ -956,7 +965,7 @@ impl Executor {
         if !self.walk.profile.is_empty() {
             profile.to_mut().merge(&self.walk.profile);
         }
-        let mut sketches = base_sketches.clone();
+        let mut sketches = Cow::Borrowed(base_sketches);
         self.peek_hot_sketches_into(&mut sketches);
         let plan = specialize::build_plan(self.graph(), &profile, &sketches, cfg);
         self.specialize_with(&plan)
@@ -980,6 +989,7 @@ impl Executor {
         let (cp, params) = program.compiled();
         specialize::apply_plan(cp, plan, params);
         cp.spec_fingerprint = plan.fingerprint;
+        self.walk.memo.reset(cp.memo_regions);
         self.walk.spec.specializations += 1;
         self.walk.spec.generation += 1;
         Applied::Done
@@ -1028,12 +1038,14 @@ impl Executor {
 
     /// Folds the live (not-yet-taken) sketches into `out` without
     /// resetting them — lets a specialize step planned mid-window see
-    /// the traffic since the last boundary.
-    pub(crate) fn peek_hot_sketches_into(&self, out: &mut HashMap<NodeId, HotKeySketch>) {
+    /// the traffic since the last boundary. `out` stays borrowed when
+    /// there are none.
+    pub(crate) fn peek_hot_sketches_into(&self, out: &mut Cow<'_, HashMap<NodeId, HotKeySketch>>) {
         for (idx, sk) in self.walk.hot_sketch.iter().enumerate() {
             if let Some(sk) = sk {
                 if sk.samples > 0 {
-                    out.entry(NodeId(idx as u32))
+                    out.to_mut()
+                        .entry(NodeId(idx as u32))
                         .and_modify(|e| e.merge(sk))
                         .or_insert_with(|| sk.clone());
                 }
@@ -1284,7 +1296,13 @@ impl Walk {
                             }
                         }
                     }
-                    let outcome = prog.lookup(table, packet, &mut self.scratch, &mut self.spec);
+                    let outcome = prog.lookup(
+                        table,
+                        packet,
+                        &mut self.scratch,
+                        &mut self.spec,
+                        &mut self.memo,
+                    );
                     report.probes += outcome.probes;
                     for charge in prog.charges(table, &outcome, params, scale) {
                         report.latency_ns += charge;
@@ -2469,6 +2487,312 @@ mod tests {
         assert_eq!(q.fused.cache_len(cache), 1);
         assert_eq!(q.fused.spec_stats().fused_hits, 0);
         q.assert_guard_counts_match();
+    }
+
+    // ------------------------------------------------------------------
+    // The lookup memo behind the guard: a memo hit must be the general
+    // lookup's answer to the bit, whoever is watching, and must not
+    // outlive the lowering it was filled under.
+    // ------------------------------------------------------------------
+
+    /// `acl(x) → route(y) → pin(z) → pair(x, y)`, every table guarded on
+    /// [`HOT`]: a ternary table over four mask patterns whose rules cold
+    /// keys do match, an LPM table over three prefix lengths (probes =
+    /// first-hit way + 1), a single-way exact table and a two-field
+    /// ternary one. With the plan guarding all four.
+    fn memo_chain() -> (pipeleon_ir::ProgramGraph, Vec<NodeId>, SpecPlan) {
+        let mut b = ProgramBuilder::new();
+        let (x, y, z, out) = (b.field("x"), b.field("y"), b.field("z"), b.field("out"));
+        let tern = |value, mask| MatchValue::Ternary { value, mask };
+        let acl = b
+            .table("acl")
+            .key(x, MatchKind::Ternary)
+            .action("low", vec![Primitive::add(out, 1)])
+            .action("nibble", vec![Primitive::add(out, 10), Primitive::Nop])
+            .action(
+                "narrow",
+                vec![Primitive::add(out, 100), Primitive::Nop, Primitive::Nop],
+            )
+            .action("tagged", vec![Primitive::set(y, 0x0A0B_0C00_0000_0001)])
+            .action("miss", vec![Primitive::add(out, 1000)])
+            .default_action(4)
+            .entry(TableEntry::with_priority(vec![tern(HOT, 0xFF)], 0, 1))
+            .entry(TableEntry::with_priority(vec![tern(0x100, 0xF00)], 1, 5))
+            .entry(TableEntry::with_priority(
+                vec![tern(0, 0xFFFF_FFFF_0000_0000)],
+                2,
+                3,
+            ))
+            .entry(TableEntry::with_priority(
+                vec![tern(0xAB << 56, 0xFF << 56)],
+                3,
+                9,
+            ))
+            .finish();
+        let lpm = |value, prefix_len| vec![MatchValue::Lpm { value, prefix_len }];
+        let route = b
+            .table("route")
+            .key(y, MatchKind::Lpm)
+            .action("wide", vec![Primitive::add(out, 2)])
+            .action("mid", vec![Primitive::add(out, 20)])
+            .action("host", vec![Primitive::Forward { port: 4 }])
+            .action("miss", vec![Primitive::add(out, 2000)])
+            .default_action(3)
+            .entry(TableEntry::new(lpm(0x0A << 56, 8), 0))
+            .entry(TableEntry::new(lpm(0x0A0B << 48, 16), 1))
+            .entry(TableEntry::new(lpm(0x0A0B0C << 40, 24), 2))
+            .finish();
+        let pin = b
+            .table("pin")
+            .key(z, MatchKind::Exact)
+            .action("hit", vec![Primitive::add(out, 3)])
+            .action_nop("miss")
+            .default_action(1)
+            .entry(TableEntry::new(vec![MatchValue::Exact(HOT)], 0))
+            .finish();
+        let pair = b
+            .table("pair")
+            .key(x, MatchKind::Ternary)
+            .key(y, MatchKind::Ternary)
+            .action("hit", vec![Primitive::add(out, 4)])
+            .action_nop("miss")
+            .default_action(1)
+            .entry(TableEntry::with_priority(
+                vec![tern(HOT, 0xFF), tern(0, 0)],
+                0,
+                1,
+            ))
+            .entry(TableEntry::with_priority(
+                vec![tern(0, 0), tern(HOT, 0xFFFF)],
+                0,
+                2,
+            ))
+            .finish();
+        let ids = vec![acl, route, pin, pair];
+        let mut plan = hot_plan(&ids[..3]);
+        plan.hot_keys
+            .push((pair, SmallKey::from_slice(&[HOT, HOT])));
+        (b.seal(acl).unwrap(), ids, plan)
+    }
+
+    /// The memo region of every guarded table of the installed lowering.
+    fn memo_regions(ex: &mut Executor) -> Vec<(NodeId, &mut Option<u32>)> {
+        let cp = ex.program.compiled().0;
+        let guarded = cp.nodes.iter_mut().filter_map(|n| match &mut n.step {
+            crate::compiled::CStep::Table(ct) => {
+                Some((n.id, &mut ct.spec.as_deref_mut()?.memo_region))
+            }
+            _ => None,
+        });
+        guarded.collect()
+    }
+
+    /// A [`Quad`] for the memo: `fused` remembers its guard misses;
+    /// `walk` is the same specialised pipeline with every region
+    /// removed, so each of its guard misses is the full sweep.
+    fn memo_quad(g: &pipeleon_ir::ProgramGraph, params: &CostParams, plan: &SpecPlan) -> Quad {
+        let mut q = Quad::new(g, params, &[], plan);
+        for (_, region) in memo_regions(&mut q.walk) {
+            *region = None;
+        }
+        q
+    }
+
+    /// Another key with `key`'s home slot *and* low 32 bits.
+    fn slot_mate(key: u64) -> u64 {
+        let mut mates = (1..u64::MAX).map(|high| key ^ (high << 32));
+        let mate = mates.find(|&m| LookupMemo::home(m) == LookupMemo::home(key));
+        mate.expect("one key in 256 shares a home slot")
+    }
+
+    #[test]
+    fn only_guarded_single_field_multi_probe_tables_get_a_memo_region() {
+        let (g, ids, plan) = memo_chain();
+        let mut q = Quad::new(&g, &params(), &[], &plan);
+        let regions: Vec<_> = memo_regions(&mut q.fused)
+            .into_iter()
+            .map(|(id, region)| (id, *region))
+            .collect();
+        // Ternary and LPM: a region each, never shared. The single-way
+        // exact table's miss is one probe already; the two-field key is
+        // not one `u64`.
+        let want = [
+            (ids[0], Some(0)),
+            (ids[1], Some(1)),
+            (ids[2], None),
+            (ids[3], None),
+        ];
+        assert_eq!(regions, want);
+        assert!(memo_regions(&mut q.plain).is_empty(), "no guard, no memo");
+    }
+
+    #[test]
+    fn memo_hits_are_the_general_lookup_to_the_bit() {
+        let (g, _, plan) = memo_chain();
+        let mut q = memo_quad(&g, &CostParams::bluefield2(), &plan);
+        let hits = |q: &Quad| q.fused.spec_stats().memo_hits;
+        let pkt = |x: u64, y: u64| Packet::with_slots(vec![x, y, HOT, 0]);
+        // A repeated cold key: swept once, then remembered. The key
+        // matches a rule, so the remembered outcome has an entry.
+        let r = q.agree_on(&pkt(0x155, HOT), "cold key, first");
+        assert_eq!((hits(&q), r.probes), (0, 4 + 3 + 1 + 2));
+        assert_eq!(q.agree_on(&pkt(0x155, HOT), "cold key, again"), r);
+        assert_eq!(hits(&q), 1);
+        // Two keys that share a home slot and their low 32 bits but not
+        // their outcome evict each other; neither is ever served the
+        // other's answer, and a key refills the slot it lost.
+        let (k, mate) = (0x2_0055, slot_mate(0x2_0055));
+        let want = [k, mate, k, mate].map(|x| q.agree_on(&pkt(x, HOT), "slot mates"));
+        assert_ne!(want[0].latency_ns, want[1].latency_ns, "distinct outcomes");
+        assert_eq!(hits(&q), 1, "each visit overwrote the other's slot");
+        assert_eq!(q.agree_on(&pkt(mate, HOT), "mate, refilled"), want[1]);
+        assert_eq!(hits(&q), 2);
+        // No key value is reserved.
+        for x in [0, u64::MAX] {
+            let before = hits(&q);
+            q.agree_on(&pkt(x, HOT), "extreme key, first");
+            assert_eq!(hits(&q), before, "{x:#x} was never stored");
+            q.agree_on(&pkt(x, HOT), "extreme key, again");
+            assert_eq!(hits(&q), before + 1, "{x:#x} is a key like any other");
+        }
+        // LPM stops at the first way that hits: the remembered probe
+        // count is that key's own, not the table's way count.
+        let under = [
+            (0x0A0B_0C07 << 32, 1),
+            (0x0A0B_FF07 << 32, 2),
+            (0x0AFF_FF07 << 32, 3),
+            (0x0BFF_FF07 << 32, 3),
+        ];
+        for (y, route_probes) in under {
+            let before = hits(&q);
+            let r = q.agree_on(&pkt(HOT, y), "lpm, first");
+            assert_eq!(r.probes, 4 + route_probes + 1 + 2, "{y:#x}");
+            assert_eq!(q.agree_on(&pkt(HOT, y), "lpm, again"), r);
+            assert_eq!(hits(&q), before + 1, "{y:#x}");
+        }
+        // One key value at both memoised tables (acl's `tagged` action
+        // rewrites y too): each answers from its own region.
+        for (x, y) in [(0x155, 0x155), (0xAB << 56, 0xAB << 56), (0x155, 0x155)] {
+            q.agree_on(&pkt(x, y), "same key at two tables");
+        }
+        let st = q.assert_guard_counts_match();
+        assert!(
+            st.memo_hits < st.guard_misses && st.fused_hits > 0,
+            "{st:?}"
+        );
+        assert_eq!(q.walk.spec_stats().memo_hits, 0, "no region, no memo");
+    }
+
+    /// Nothing the walk does for an observed packet depends on how the
+    /// lookup got its outcome, so — unlike a fused run — the memo serves
+    /// instrumented, sampled and traced packets too.
+    #[test]
+    fn memo_hits_serve_watched_packets() {
+        let (g, ids, plan) = memo_chain();
+        for sample_every in [1, 64] {
+            let mut q = memo_quad(&g, &CostParams::bluefield2(), &plan);
+            for ex in [&mut q.fused, &mut q.walk, &mut q.plain, &mut q.interp] {
+                ex.set_instrumentation(true, sample_every);
+            }
+            for i in 0..400u64 {
+                let slots = vec![0x100 + i % 7, (0x0A0B_0C00 + i % 5) << 32, HOT, i];
+                q.agree_on(&Packet::with_slots(slots), "instrumented");
+            }
+            let st = q.assert_guard_counts_match();
+            assert_eq!(st.fused_hits, 0, "sample_every {sample_every}");
+            assert_eq!(st.memo_hits, 2 * 400 - 7 - 5, "all but first sights");
+            assert_eq!(q.fused.take_profile(), q.interp.take_profile());
+            assert_eq!(q.fused.take_observations(), q.interp.take_observations());
+        }
+        let mut q = memo_quad(&g, &params(), &plan);
+        let (mut a, mut b) = (PacketTrace::default(), PacketTrace::default());
+        let cold = Packet::with_slots(vec![0x155, 0x0A0B << 48, HOT, 0]);
+        for pass in 0..2 {
+            let ra = q.fused.process_traced(&mut cold.clone(), &mut a);
+            let rb = q.interp.process_traced(&mut cold.clone(), &mut b);
+            assert_eq!((ra, &a), (rb, &b), "pass {pass}");
+            assert_eq!(a.visited(), ids);
+        }
+        assert_eq!(q.fused.spec_stats().memo_hits, 2);
+    }
+
+    /// A flow-cache miss records the action each table of its segment
+    /// resolved to; a memo hit inside the segment resolves to the action
+    /// the sweep would, so what is installed replays identically.
+    #[test]
+    fn memo_hits_inside_a_flow_cache_miss_segment_record_the_same_actions() {
+        let mut b = ProgramBuilder::new();
+        let (x, y, out) = (b.field("x"), b.field("y"), b.field("out"));
+        let tern = |value, mask| vec![MatchValue::Ternary { value, mask }];
+        let acl = b
+            .table("acl")
+            .key(x, MatchKind::Ternary)
+            .action("low", vec![Primitive::add(out, 1)])
+            .action("nibble", vec![Primitive::add(out, 10)])
+            .action("miss", vec![Primitive::add(out, 1000)])
+            .default_action(2)
+            .entry(TableEntry::with_priority(tern(HOT, 0xFF), 0, 1))
+            .entry(TableEntry::with_priority(tern(0x100, 0xF00), 1, 5))
+            .finish();
+        b.set_next(acl, None);
+        let cache = b
+            .table("cache")
+            .key(x, MatchKind::Exact)
+            .key(y, MatchKind::Exact)
+            .action_nop("hit")
+            .action_nop("miss")
+            .default_action(1)
+            .cache_role(CacheRole::FlowCache)
+            .max_entries(64)
+            .by_action(vec![None, Some(acl)])
+            .finish();
+        let g = b.seal(cache).unwrap();
+        let mut q = memo_quad(&g, &params(), &hot_plan(&[acl]));
+        // Two flows with one acl key: the second misses the flow cache
+        // and hits the memo; then both replay from the flow cache.
+        for (y, pass) in [(1, "sweep"), (2, "memo hit"), (1, "replay"), (2, "replay")] {
+            q.agree_on(&Packet::with_slots(vec![0x155, y, 0]), pass);
+        }
+        assert_eq!(q.fused.cache_len(cache), 2);
+        assert_eq!(q.fused.spec_stats().memo_hits, 1);
+        q.assert_guard_counts_match();
+    }
+
+    /// The stale-slot case: an entry op on a memoised table strips the
+    /// lowering, and the same plan — same hot key, same fingerprint —
+    /// applied again puts the same region number over a different
+    /// engine. What the memo held for the old one must be gone.
+    #[test]
+    fn respecializing_with_the_same_plan_empties_the_memo() {
+        let (g, ids, plan) = memo_chain();
+        let mut q = memo_quad(&g, &params(), &plan);
+        let cold = Packet::with_slots(vec![0x2_0055, HOT, HOT, 0]);
+        let before = q.agree_on(&cold, "fill");
+        q.agree_on(&cold, "hit");
+        // Now the cold key has a rule of its own.
+        let rule = TableEntry::with_priority(
+            vec![MatchValue::Ternary {
+                value: 0x2_0055,
+                mask: u64::MAX,
+            }],
+            1,
+            7,
+        );
+        let op = ControlOp::InsertEntry {
+            node: ids[0],
+            entry: rule,
+        };
+        for ex in [&mut q.fused, &mut q.walk, &mut q.plain, &mut q.interp] {
+            ex.apply(&op).unwrap();
+        }
+        assert_eq!(q.fused.spec_fingerprint(), 0, "the entry op stripped it");
+        for ex in [&mut q.fused, &mut q.walk] {
+            assert_eq!(ex.specialize_with(&plan), Applied::Done);
+        }
+        let regions = memo_regions(&mut q.fused);
+        assert_eq!(*regions[0].1, Some(0), "acl has its old region number");
+        let after = q.agree_on(&cold, "after the insert");
+        assert_ne!(after, before, "the new rule decides the key");
     }
 
     #[test]

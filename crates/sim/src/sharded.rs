@@ -108,7 +108,7 @@ use crate::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use fxhash::FxHashMap;
 use pipeleon_cost::{CostParams, RuntimeProfile};
 use pipeleon_ir::{IrError, NodeId, ProgramGraph};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -669,9 +669,22 @@ impl ShardedNic {
     pub fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
         let t0 = Instant::now();
         let applied = match &op {
-            // One plan, from the merged cross-shard window.
+            // One plan, from the merged cross-shard window: the retained
+            // last one (read where it lies when nothing has accumulated
+            // since) folded with every shard's live one — drained first,
+            // since feeds only dispatch and a plan made from whatever
+            // the workers had got through differs from run to run.
             ControlOp::Specialize(cfg) => {
-                let (profile, sketches) = self.spec_inputs();
+                self.wait_idle();
+                let mut profile = Cow::Borrowed(&self.last_profile);
+                let mut sketches = Cow::Borrowed(&self.last_sketches);
+                for cell in &self.shards {
+                    let st = cell.state.lock().expect("shard state poisoned");
+                    if !st.exec.sampled_profile().is_empty() {
+                        profile.to_mut().merge(st.exec.sampled_profile());
+                    }
+                    st.exec.peek_hot_sketches_into(&mut sketches);
+                }
                 self.control.specialize_from(cfg, &profile, &sketches)
             }
             op => self.control.apply(op)?,
@@ -888,20 +901,6 @@ impl ShardedNic {
         merged
     }
 
-    /// The merged cross-shard specialization planning inputs: the
-    /// retained last profile window folded with whatever every shard has
-    /// accumulated since, and the hot-key sketches likewise.
-    fn spec_inputs(&self) -> (RuntimeProfile, HashMap<NodeId, HotKeySketch>) {
-        let mut profile = self.last_profile.clone();
-        let mut sketches = self.last_sketches.clone();
-        for cell in &self.shards {
-            let st = cell.state.lock().expect("shard state poisoned");
-            profile.merge(st.exec.sampled_profile());
-            st.exec.peek_hot_sketches_into(&mut sketches);
-        }
-        (profile, sketches)
-    }
-
     /// Current specialization counters: plan/epoch state from the
     /// control replica (shards adopt its lowerings through the
     /// generation chain), guard hit/miss telemetry summed across the
@@ -913,6 +912,7 @@ impl ShardedNic {
             let s = st.exec.spec_stats();
             stats.guard_hits += s.guard_hits;
             stats.guard_misses += s.guard_misses;
+            stats.memo_hits += s.memo_hits;
             stats.fused_hits += s.fused_hits;
         }
         stats

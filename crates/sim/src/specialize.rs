@@ -16,6 +16,12 @@
 //!    produced by running the general path on the hot key at plan-apply
 //!    time, a guard hit is bit-identical (entry, action, *and* probe
 //!    count — which feeds latency accounting) to the path it replaces.
+//!    The miss path is remembered too: a guarded single-field table
+//!    whose general lookup probes more than one way gets a region of
+//!    the walk's `LookupMemo` (`compiled.rs`), so a cold key pays the
+//!    m-way sweep once and one slot probe while its slot lasts. The
+//!    memo is emptied wherever a specialized lowering is installed,
+//!    which is the only way the engine under a region can change.
 //! 2. **Direct-index ways** — a small, stable, single-field exact way
 //!    whose keys span a dense range is rewritten from its flat hash form
 //!    to a base-offset slot array: lookup is a bounds-checked subtract, no
@@ -97,6 +103,11 @@ pub struct SpecStats {
     pub guard_hits: u64,
     /// Hot-key guard misses (fell through to the general lookup).
     pub guard_misses: u64,
+    /// Guard misses answered from the walk's lookup memo instead of by
+    /// the general lookup (counted in `guard_misses` too). Host
+    /// telemetry like the two above: each shard has its own memo, so it
+    /// is not invariant across worker counts.
+    pub memo_hits: u64,
     /// Packets that took at least one stage of a fused guard run (the
     /// members of the stages taken count in `guard_hits`, as they would
     /// on the per-table walk).
@@ -382,9 +393,16 @@ pub(crate) fn apply_plan(cp: &mut CompiledPipeline, plan: &SpecPlan, params: &Co
             let mut scratch = KeyScratch::new();
             scratch.values.extend_from_slice(key.as_slice());
             let hot_outcome = ct.engine.lookup_composed(&mut scratch);
+            // A region of its own per memoised table: two tables answer
+            // the same key differently.
+            let memo_region = ct.engine.memoisable().then(|| {
+                cp.memo_regions += 1;
+                cp.memo_regions - 1
+            });
             ct.spec = Some(Box::new(CTableSpec {
                 hot_key: key.clone(),
                 hot_outcome,
+                memo_region,
             }));
         }
     }

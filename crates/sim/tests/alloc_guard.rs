@@ -13,8 +13,10 @@
 //! look-ahead stage it runs over programs with DRAM-sized tables adds
 //! none. A steady-state `measure` window — the streamed accounting and
 //! its p99 sort, on the single NIC and through a one-worker run-loop —
-//! allocates nothing either, with instrumentation off or on; an
-//! instrumented cycle's `take_profile` allocates what it hands away.
+//! allocates nothing either, with instrumentation off or on, nor on a
+//! specialised pipeline whose guard misses go through the lookup memo
+//! (allocated when the plan is applied); an instrumented cycle's
+//! `take_profile` allocates what it hands away.
 //!
 //! Deliberately a single `#[test]` in its own integration-test binary:
 //! the allocation counter is process-global, so concurrently running
@@ -278,7 +280,7 @@ fn compiled_steady_state_is_allocation_free() {
         sharded.measure(window.clone());
     }
     let mut work = [window.clone(), window.clone()].into_iter();
-    let mut stats = Vec::with_capacity(4);
+    let mut stats = Vec::with_capacity(6);
     let single_allocs = count_allocs(|| stats.push(single.measure(work.next().unwrap())));
     let sharded_allocs = count_allocs(|| stats.push(sharded.measure(work.next().unwrap())));
     assert_eq!(stats[0].packets, WINDOW as u64);
@@ -290,6 +292,53 @@ fn compiled_steady_state_is_allocation_free() {
     assert_eq!(
         sharded_allocs, 0,
         "a steady-state one-worker run-loop measure window allocated {sharded_allocs} times"
+    );
+
+    // --- Specialised pipeline, cold keys: the lookup memo ----------------
+    // A profile window dominated by one flow earns every table a guard;
+    // the LPM and ternary tables (several ways each) also get a memo
+    // region, sized when the plan is applied. Traffic that misses the
+    // guards then probes, fills and evicts memo slots — all in place.
+    let skewed = |hot_of_8: u64| -> Vec<Packet> {
+        let pkt = |i: u64| match i % 8 < hot_of_8 {
+            true => Packet::with_slots(vec![1, 5, 3, 0]),
+            false => Packet::with_slots(vec![i % 32, i % 1021, (i * 13) % 1013, 0]),
+        };
+        (0..WINDOW as u64).map(pkt).collect()
+    };
+    let (profile_window, cold) = (skewed(7), skewed(1));
+    let mut guarded = SmartNic::new(mixed_program(), params.clone()).unwrap();
+    let mut guarded_rl = ShardedNic::new(mixed_program(), params.clone(), 1).unwrap();
+    guarded.set_instrumentation(true, 1);
+    guarded_rl.set_instrumentation(true, 1);
+    guarded.measure(profile_window.clone());
+    guarded_rl.measure(profile_window);
+    assert!(guarded.specialize() && guarded_rl.specialize());
+    guarded.set_instrumentation(false, 1);
+    guarded_rl.set_instrumentation(false, 1);
+    for _ in 0..2 {
+        guarded.measure(cold.clone());
+        guarded_rl.measure(cold.clone());
+    }
+    let before = (guarded.spec_stats(), guarded_rl.spec_stats());
+    let mut work = [cold.clone(), cold].into_iter();
+    let single_allocs = count_allocs(|| stats.push(guarded.measure(work.next().unwrap())));
+    let sharded_allocs = count_allocs(|| stats.push(guarded_rl.measure(work.next().unwrap())));
+    for (before, after) in [
+        (before.0, guarded.spec_stats()),
+        (before.1, guarded_rl.spec_stats()),
+    ] {
+        let hits = after.memo_hits - before.memo_hits;
+        let misses = after.guard_misses - before.guard_misses;
+        assert!(
+            hits > 0 && hits < misses,
+            "cold keys must hit and miss the memo: {hits} hits of {misses} guard misses"
+        );
+    }
+    assert_eq!(
+        (single_allocs, sharded_allocs),
+        (0, 0),
+        "a steady-state measure window over memoised guard misses allocated"
     );
 
     // --- Instrumented cycles: measure + take_profile --------------------

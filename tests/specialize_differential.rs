@@ -291,24 +291,27 @@ impl Fused {
     /// Brings a backend to the state the datapath workloads time:
     /// profile window, `specialize()` (or not), instrumentation off.
     fn prepare<N: NicBackend>(&self, nic: &mut N, specialize: bool) {
-        // The class table's top value holds ~51% of packets: at the
-        // default bar whether it gets a guard depends on how the sketches
-        // were sharded. Ask for a clear majority, so that every worker
-        // count bakes the same plan and the counters can be compared.
-        let cfg = SpecConfig {
-            hot_fraction: 0.65,
-            ..SpecConfig::default()
-        };
         nic.set_instrumentation(true, 1);
         nic.measure_batch(self.warm.clone());
         if specialize {
             assert_eq!(
-                nic.apply(ControlOp::Specialize(cfg)),
+                nic.apply(Self::specialize_op()),
                 Ok(Applied::Done),
                 "the profile window must yield a plan"
             );
         }
         nic.set_instrumentation(false, 1);
+    }
+
+    /// The class table's top value holds ~51% of packets: at the default
+    /// bar whether it gets a guard depends on how the sketches were
+    /// sharded. Ask for a clear majority, so that every worker count
+    /// bakes the same plan and the counters can be compared.
+    fn specialize_op() -> ControlOp {
+        ControlOp::Specialize(SpecConfig {
+            hot_fraction: 0.65,
+            ..SpecConfig::default()
+        })
     }
 
     fn single(&self, engine: EngineMode, specialize: bool) -> SmartNic {
@@ -611,6 +614,99 @@ fn entry_ops_on_a_run_member_mid_window_drop_the_run() {
             &mut fx.sharded(2, true),
             op,
         );
+    }
+}
+
+/// The lookup memo behind the guards, through every datapath. Zipf 1.0
+/// traffic misses the guards five times in six and its cold keys repeat,
+/// so most misses are memo hits. Mid-window an entry op rewrites a
+/// memoised classifier — every key resolves differently afterwards — and
+/// strips the lowering; then the *same* plan is applied again, which
+/// hands the table its old region number over a new engine. A shard (or
+/// the single NIC) that kept its memo across that would answer the rest
+/// of the window from the old rules.
+#[test]
+fn memoised_guard_misses_survive_entry_ops_and_the_same_plan_again() {
+    let fx = Fused::new();
+    let cold = fx.s.traffic(1.0, 400, 33).batch(6_000);
+    let table = fx.s.ternary[0];
+    let catch_all = || {
+        let any = MatchValue::Ternary { value: 0, mask: 0 };
+        TableEntry::with_priority(vec![any], 1, i32::MAX)
+    };
+    type Op = fn(&mut dyn NicBackend, NodeId, TableEntry);
+    let ops: [(&str, Op); 3] = [
+        // One more mask pattern to probe, and another action.
+        ("insert", |nic, id, rule| {
+            nic.insert_entry(id, rule).unwrap()
+        }),
+        // One pattern fewer.
+        ("remove", |nic, id, _| {
+            nic.remove_entry(id, 0).unwrap();
+        }),
+        // Every packet now drops here.
+        ("replace", |nic, id, rule| {
+            let mut t = nic.graph().node(id).unwrap().as_table().unwrap().clone();
+            t.actions[1].primitives = vec![Primitive::Drop];
+            t.entries.push(rule);
+            let op = ControlOp::ReplaceTable {
+                node: id,
+                table: t,
+                next: None,
+            };
+            nic.apply(op).unwrap();
+        }),
+    ];
+    let (a, b) = (cold.len() / 3, 2 * cold.len() / 3);
+    // One window: a third of the traffic, the op, a third, the plan
+    // again, the rest. Returns the window and the memo hits it made.
+    let window = |nic: &mut dyn NicBackend, op: Op, specialized: bool, ctx: &str| {
+        let before = nic.spec_stats();
+        nic.measure_begin();
+        nic.measure_feed(cold[..a].to_vec());
+        op(nic, table, catch_all());
+        assert_eq!(nic.spec_stats().specialized_tables, 0, "{ctx}: stripped");
+        nic.measure_feed(cold[a..b].to_vec());
+        if specialized {
+            let again = nic.apply(Fused::specialize_op());
+            assert_eq!(again, Ok(Applied::Done), "{ctx}: the same plan again");
+        }
+        nic.measure_feed(cold[b..].to_vec());
+        let stats = nic.measure_end();
+        let end = nic.spec_stats();
+        assert_eq!(end.specialized_tables > 0, specialized, "{ctx}: {end:?}");
+        (stats, end.memo_hits - before.memo_hits)
+    };
+    for (name, op) in ops {
+        let mut oracle = fx.single(EngineMode::Interpreter, false);
+        let (want, _) = window(&mut oracle, op, false, &format!("{name}: oracle"));
+        if name == "replace" {
+            assert_eq!(want.dropped as usize, cold.len() - a, "drops after the op");
+        }
+        let ctx = format!("{name}: single");
+        let (got, hits) = window(&mut fx.single(EngineMode::Compiled, true), op, true, &ctx);
+        assert_stats_identical(want, got, &ctx);
+        assert!(hits as usize > cold.len() / 3, "{ctx}: {hits} memo hits");
+        for workers in WORKER_COUNTS {
+            let ctx = format!("{name}: workers={workers}");
+            // Float merges are shard-order sensitive: the whole window
+            // is compared with an unspecialised NIC sharded the same
+            // way, the order-free statistics with the oracle.
+            let (plain, _) = window(&mut fx.sharded(workers, false), op, false, &ctx);
+            let (got, hits) = window(&mut fx.sharded(workers, true), op, true, &ctx);
+            assert_stats_identical(plain, got, &ctx);
+            assert_eq!(
+                (got.packets, got.dropped, got.migrations, got.p99_latency_ns),
+                (
+                    want.packets,
+                    want.dropped,
+                    want.migrations,
+                    want.p99_latency_ns
+                ),
+                "{ctx}: vs the single-NIC oracle"
+            );
+            assert!(hits as usize > cold.len() / 3, "{ctx}: {hits} memo hits");
+        }
     }
 }
 
