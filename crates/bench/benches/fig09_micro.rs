@@ -150,8 +150,10 @@ fn merging() {
     // Small static exact tables (4 entries each) that all traffic hits —
     // the DASH-style merge case.
     let (g, ids) = micro_pipeline(16);
-    let mut cfg = OptimizerConfig::default();
-    cfg.max_merge_tables = 4;
+    let cfg = OptimizerConfig {
+        max_merge_tables: 4,
+        ..OptimizerConfig::default()
+    };
     let options: Vec<(&str, Vec<(usize, usize)>)> = vec![
         ("no_merge", vec![]),
         ("[1,2]", vec![(0, 2)]),

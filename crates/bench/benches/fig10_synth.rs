@@ -120,7 +120,8 @@ fn main() {
     ]);
     let params = CostParams::emulated_nic();
     let model = CostModel::new(params);
-    let techniques: [(&str, fn(&mut OptimizerConfig)); 3] = [
+    type Tweak = fn(&mut OptimizerConfig);
+    let techniques: [(&str, Tweak); 3] = [
         ("reordering", |c| {
             c.enable_cache = false;
             c.enable_merge = false;

@@ -169,7 +169,7 @@ fn main() {
                 .map(|i| {
                     let mut p = Packet::new(&g.fields);
                     p.set(g.fields.get("x").unwrap(), i % 64);
-                    p.set(steer, (i as u64 * 7919) % 1000);
+                    p.set(steer, (i * 7919) % 1000);
                     p
                 })
                 .collect();

@@ -672,8 +672,7 @@ mod tests {
             .by_action(vec![None, None])
             .finish();
         let _ = end;
-        let g = b.seal(acl).unwrap();
-        g
+        b.seal(acl).unwrap()
     }
 
     #[test]

@@ -130,8 +130,8 @@ impl<R> GenChain<R> {
         self.nodes.lock().expect("generation chain poisoned").len()
     }
 
-    /// Whether the chain is fully reclaimed (test/debug visibility).
-    #[cfg(any(test, pipeleon_check))]
+    /// Whether the chain is fully reclaimed (model-check visibility).
+    #[cfg(pipeleon_check)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -770,7 +770,7 @@ mod tests {
             };
 
             let window = traffic(1_000, 0);
-            let want = oracle(&mut twin, &[window.clone()], &|_| {});
+            let want = oracle(&mut twin, std::slice::from_ref(&window), &|_| {});
             assert!(want.dropped > 0 && want.counter_updates > 0);
             same(nic.measure(window), want, "one shot");
 

@@ -79,6 +79,7 @@ fn assert_reports_identical(a: &ExecReport, b: &ExecReport, ctx: &str) {
 /// specialization pass between the two halves of the batch.
 fn sharded_run(
     s: &SkewedPipeline,
+    params: &CostParams,
     workers: usize,
     engine: EngineMode,
     batch: &[Packet],
@@ -89,7 +90,7 @@ fn sharded_run(
     pipeleon_sim::ExecObservations,
     pipeleon_sim::SpecStats,
 ) {
-    let mut nic = ShardedNic::new(s.graph.clone(), params(), workers).unwrap();
+    let mut nic = ShardedNic::new(s.graph.clone(), params.clone(), workers).unwrap();
     nic.set_engine_mode(engine);
     nic.set_instrumentation(true, 1);
     let mid = batch.len() / 2;
@@ -106,26 +107,45 @@ fn sharded_run(
 
 /// The tentpole invariant: specialized vs unspecialized vs interpreter,
 /// bit-identical merged stats / profiles / histograms, across the worker
-/// matrix, with the plan applied mid-window.
+/// matrix, with the plan applied mid-window — per cost preset, on Zipf
+/// and on uniform traffic (where the plan may be empty, so only
+/// bit-identity is asserted), plus the 14-table pipeline with 128
+/// ternary rules per classifier.
 #[test]
 fn specialized_runs_match_both_oracles_bit_for_bit() {
-    let s = SkewedPipeline::build(3, 2);
-    let batch = s.traffic(HOT_SKEW, 400, 11).batch(4_000);
-    for workers in WORKER_COUNTS {
-        let ctx = format!("workers={workers}");
-        let (si, pi, oi, _) = sharded_run(&s, workers, EngineMode::Interpreter, &batch, false);
-        let (sc, pc, oc, _) = sharded_run(&s, workers, EngineMode::Compiled, &batch, false);
-        let (ss, ps, os, spec) = sharded_run(&s, workers, EngineMode::Compiled, &batch, true);
-        assert_stats_identical(si, sc, &format!("{ctx}: interp vs compiled"));
-        assert_stats_identical(sc, ss, &format!("{ctx}: compiled vs specialized"));
-        assert_eq!(pi, pc, "{ctx}: interp vs compiled profile");
-        assert_eq!(pc, ps, "{ctx}: compiled vs specialized profile");
-        assert_eq!(oi, oc, "{ctx}: interp vs compiled observations");
-        assert_eq!(oc, os, "{ctx}: compiled vs specialized observations");
-        assert!(
-            spec.specializations >= 1,
-            "{ctx}: the mid-window pass must have applied a plan"
-        );
+    let small = SkewedPipeline::build(3, 2);
+    let big = SkewedPipeline::build_with_entries(8, 4, 128);
+    let presets = [
+        ("bluefield2", CostParams::bluefield2()),
+        ("agilio_cx", CostParams::agilio_cx()),
+        ("emulated_nic", CostParams::emulated_nic()),
+    ];
+    let mut rows = Vec::new();
+    for (preset, p) in &presets {
+        for skew in [HOT_SKEW, 0.0] {
+            rows.push((format!("{preset}/zipf {skew}"), &small, p.clone(), skew));
+        }
+    }
+    rows.push(("14 tables".into(), &big, params(), HOT_SKEW));
+    for (row, s, p, skew) in rows {
+        let batch = s.traffic(skew, 400, 11).batch(4_000);
+        for workers in WORKER_COUNTS {
+            let ctx = format!("{row}, workers={workers}");
+            let run = |engine, specialize| sharded_run(s, &p, workers, engine, &batch, specialize);
+            let (si, pi, oi, _) = run(EngineMode::Interpreter, false);
+            let (sc, pc, oc, _) = run(EngineMode::Compiled, false);
+            let (ss, ps, os, spec) = run(EngineMode::Compiled, true);
+            assert_stats_identical(si, sc, &format!("{ctx}: interp vs compiled"));
+            assert_stats_identical(sc, ss, &format!("{ctx}: compiled vs specialized"));
+            assert_eq!(pi, pc, "{ctx}: interp vs compiled profile");
+            assert_eq!(pc, ps, "{ctx}: compiled vs specialized profile");
+            assert_eq!(oi, oc, "{ctx}: interp vs compiled observations");
+            assert_eq!(oc, os, "{ctx}: compiled vs specialized observations");
+            assert!(
+                skew == 0.0 || spec.specializations >= 1,
+                "{ctx}: the mid-window pass must have applied a plan"
+            );
+        }
     }
 }
 
