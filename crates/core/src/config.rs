@@ -52,8 +52,6 @@ pub struct OptimizerConfig {
     /// Keep at most this many table orders per pipelet (best by
     /// drop-aware expected latency) before segment enumeration.
     pub max_orders: usize,
-    /// Budget on distinct cache/merge segmentations explored per order.
-    pub max_segmentations: usize,
     /// Default estimated hit rate for a new cache (§3.2.2 "uses a default
     /// estimated hit rate for calculation").
     pub default_hit_rate: f64,
@@ -86,7 +84,6 @@ impl Default for OptimizerConfig {
             max_merge_entries: 4096,
             max_enum_perms: 5,
             max_orders: 12,
-            max_segmentations: 1024,
             default_hit_rate: 0.9,
             cache_capacity: 4096,
             cache_insertion_limit: 100_000.0,

@@ -16,9 +16,10 @@
 //! dozen distinct segments, so nothing is scored per segmentation: every
 //! per-table quantity is computed once per search ([`TableTerms`]), every
 //! cache or merge segment is scored once per distinct table sequence and
-//! kind and shared by all orders and segmentations containing it, and the
-//! depth-first walk over segmentations carries the expected latency of
-//! its prefix instead of re-deriving it at each leaf (DESIGN.md §5).
+//! kind and shared by all orders containing it, and a right-to-left
+//! dynamic program over each order's suffixes keeps only the
+//! segmentations no other beats on latency, memory and update rate
+//! (DESIGN.md §5).
 
 pub mod cache;
 pub mod merge;
@@ -31,7 +32,6 @@ use crate::plan::{Candidate, Segment, SegmentKind};
 use pipeleon_cost::{CostModel, RuntimeProfile};
 use pipeleon_ir::{CacheRole, NodeId, ProgramGraph, RwSets};
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Shared context for evaluating candidates of one pipelet.
 #[derive(Debug, Clone, Copy)]
@@ -192,7 +192,7 @@ struct SegmentEntry {
 }
 
 /// The segment table of one pipelet: every cache or merge segment the
-/// walk asks about is scored once per distinct table sequence and kind,
+/// search asks about is scored once per distinct table sequence and kind,
 /// whichever orders and segmentations contain it.
 struct SegmentTable<'a> {
     ctx: &'a EvalCtx<'a>,
@@ -257,187 +257,138 @@ impl<'a> SegmentTable<'a> {
     }
 }
 
-/// The expected latency, survival probability and resource costs of the
-/// part of a segmentation left of the walk's position.
+/// One non-dominated way to run an order's tables from some position to
+/// the end: its expected latency, conditioned on a packet reaching the
+/// position, and its resource costs.
 #[derive(Debug, Clone, Copy)]
-struct Prefix {
-    total: f64,
-    survive: f64,
+struct Suffix {
+    latency: f64,
     mem: f64,
     update: f64,
-    /// False once a merge segment that does not materialize is part of
-    /// the prefix: its leaves count against the cap but are no candidates.
-    scored: bool,
+    /// Its first step `[pos, end)`: a segment of this kind, or (`None`)
+    /// the table at `pos` left uncovered.
+    first: Option<SegmentKind>,
+    end: usize,
+    /// The rest: an index into the frontier at `end`.
+    rest: usize,
 }
 
-impl Prefix {
-    const START: Self = Self {
-        total: 0.0,
-        survive: 1.0,
+impl Suffix {
+    /// `step` over `[pos, end)`, then the `index`-th suffix at `end`.
+    fn after(
+        step: SegmentScore,
+        first: Option<SegmentKind>,
+        end: usize,
+        (index, rest): (usize, &Suffix),
+    ) -> Self {
+        Self {
+            latency: step.latency + (1.0 - step.drop_rate) * rest.latency,
+            mem: step.mem + rest.mem,
+            update: step.update + rest.update,
+            first,
+            end,
+            rest: index,
+        }
+    }
+}
+
+/// The members of `states` no other member dominates (is at most as slow,
+/// as large and as update-hungry as), lowest latency first, at most `cap`
+/// of them. Of equal states the first is kept.
+fn pareto<T>(mut states: Vec<T>, cap: usize, of: impl Fn(&T) -> &Suffix) -> Vec<T> {
+    let key = |t: &T| (of(t).latency, of(t).mem, of(t).update);
+    states.sort_by(|a, b| key(a).partial_cmp(&key(b)).expect("finite costs"));
+    let mut kept: Vec<T> = Vec::new();
+    for t in states {
+        if kept.len() == cap {
+            break;
+        }
+        if !kept
+            .iter()
+            .any(|k| of(k).mem <= of(&t).mem && of(k).update <= of(&t).update)
+        {
+            kept.push(t);
+        }
+    }
+    kept
+}
+
+/// The frontier of every suffix of one order (`[pos]` for the suffix
+/// from `pos`), built right to left. A step's score is conditioned on
+/// entering it and scales what follows by its survival, `(1 − drop) ≥ 0`,
+/// so a suffix dominated at `pos` stays dominated behind any prefix and
+/// the frontier at `pos` needs only the frontiers to its right.
+fn frontiers(
+    table: &mut SegmentTable<'_>,
+    row: &[&TableTerms],
+    perm: &[usize],
+    cap: usize,
+) -> Vec<Vec<Suffix>> {
+    let n = row.len();
+    let cfg = table.ctx.cfg;
+    let mut at = vec![Vec::new(); n + 1];
+    at[n].push(Suffix {
+        latency: 0.0,
         mem: 0.0,
         update: 0.0,
-        scored: true,
-    };
-
-    /// The prefix extended by an uncovered table.
-    fn table(self, t: &TableTerms) -> Self {
-        Self {
-            total: self.total + self.survive * t.cost,
-            survive: self.survive * (1.0 - t.drop_rate),
-            ..self
-        }
-    }
-
-    /// The prefix extended by a cache or merge segment.
-    fn segment(self, s: SegmentScore) -> Self {
-        Self {
-            total: self.total + self.survive * s.latency,
-            survive: self.survive * (1.0 - s.drop_rate),
-            mem: self.mem + s.mem,
-            update: self.update + s.update,
-            scored: self.scored,
-        }
-    }
-}
-
-/// A segmentation with positive gain, in enumeration order.
-#[derive(Debug)]
-struct Leaf {
-    gain: f64,
-    /// Index into the orders walked.
-    order: usize,
-    /// Its segments, as a range of [`Found::segments`].
-    segments: Range<usize>,
-    mem: f64,
-    update: f64,
-}
-
-/// The positive-gain leaves of all orders walked so far.
-#[derive(Debug, Default)]
-struct Found {
-    leaves: Vec<Leaf>,
-    segments: Vec<Segment>,
-}
-
-/// The depth-first walk over the disjoint segmentations of one order.
-/// Visits leaves in the order "leave `pos` uncovered, then cache segments
-/// `[pos, j)` by ascending `j`, then merge segments by ascending `j`,
-/// as-cache flavour first" and stops after `max_segmentations` leaves.
-struct Walk<'w, 'a> {
-    table: &'w mut SegmentTable<'a>,
-    found: &'w mut Found,
-    /// The order's tables by position, and the position each had in the
-    /// pipelet's original order (the key into the shared segment table).
-    row: &'w [&'w TableTerms],
-    perm: &'w [usize],
-    order: usize,
-    baseline: f64,
-    leaves: usize,
-    current: Vec<Segment>,
-}
-
-impl Walk<'_, '_> {
-    fn cfg(&self) -> &OptimizerConfig {
-        self.table.ctx.cfg
-    }
-
-    fn capped(&self) -> bool {
-        self.leaves >= self.cfg().max_segmentations.max(1)
-    }
-
-    fn walk(&mut self, pos: usize, at: Prefix) {
-        if self.capped() {
-            return;
-        }
-        let n = self.row.len();
-        if pos >= n {
-            self.leaf(at);
-            return;
-        }
-        // Option 1: leave `pos` uncovered.
-        self.walk(pos + 1, at.table(self.row[pos]));
-        // Option 2: a cache segment [pos, j).
-        let max_j = if self.cfg().enable_cache { n } else { 0 };
+        first: None,
+        end: n,
+        rest: 0,
+    });
+    for pos in (0..n).rev() {
+        let uncovered = SegmentScore {
+            latency: row[pos].cost,
+            drop_rate: row[pos].drop_rate,
+            mem: 0.0,
+            update: 0.0,
+        };
+        let mut steps = vec![(pos + 1, None, uncovered)];
+        let max_j = if cfg.enable_cache { n } else { pos };
         for j in (pos + 1)..=max_j {
-            if self.capped() {
-                break;
-            }
-            let entry = self.table.entry_of(&self.perm[pos..j]);
-            let Some(score) = self.table.cache(entry, &self.row[pos..j]) else {
-                // Longer segments only get more constrained.
+            let entry = table.entry_of(&perm[pos..j]);
+            // Longer segments only get more constrained.
+            let Some(score) = table.cache(entry, &row[pos..j]) else {
                 break;
             };
-            self.cover(pos, j, SegmentKind::Cache, at.segment(score));
+            steps.push((j, Some(SegmentKind::Cache), score));
         }
-        // Option 3: a merge segment [pos, j), j - pos >= 2, both flavours.
-        let max_j = if self.cfg().enable_merge {
-            (pos + self.cfg().max_merge_tables).min(n)
+        let max_j = if cfg.enable_merge {
+            (pos + cfg.max_merge_tables).min(n)
         } else {
-            0
+            pos
         };
         for j in (pos + 2)..=max_j {
-            if self.capped() {
-                break;
-            }
-            let entry = self.table.entry_of(&self.perm[pos..j]);
-            if !self.table.merge_allowed(entry, &self.row[pos..j]) {
+            let entry = table.entry_of(&perm[pos..j]);
+            if !table.merge_allowed(entry, &row[pos..j]) {
                 break;
             }
             for as_cache in [true, false] {
-                if self.capped() {
-                    break;
+                if let Some(score) = table.merge(entry, &row[pos..j], as_cache) {
+                    steps.push((j, Some(SegmentKind::Merge { as_cache }), score));
                 }
-                // Below an unscored prefix only the leaves are counted.
-                let score = if at.scored {
-                    self.table.merge(entry, &self.row[pos..j], as_cache)
-                } else {
-                    None
-                };
-                let next = match score {
-                    Some(score) => at.segment(score),
-                    None => Prefix {
-                        scored: false,
-                        ..at
-                    },
-                };
-                self.cover(pos, j, SegmentKind::Merge { as_cache }, next);
             }
         }
+        let states = steps
+            .iter()
+            .flat_map(|&(end, first, step)| {
+                at[end]
+                    .iter()
+                    .enumerate()
+                    .map(move |rest| Suffix::after(step, first, end, rest))
+            })
+            .collect();
+        at[pos] = pareto(states, cap, |s| s);
     }
-
-    /// Walks the segmentations that cover `[start, end)` with `kind`.
-    fn cover(&mut self, start: usize, end: usize, kind: SegmentKind, next: Prefix) {
-        self.current.push(Segment { start, end, kind });
-        self.walk(end, next);
-        self.current.pop();
-    }
-
-    fn leaf(&mut self, at: Prefix) {
-        self.leaves += 1;
-        if !at.scored {
-            return;
-        }
-        let gain = self.table.ctx.reach * (self.baseline - at.total);
-        if gain <= 1e-12 {
-            return;
-        }
-        let first = self.found.segments.len();
-        self.found.segments.extend_from_slice(&self.current);
-        self.found.leaves.push(Leaf {
-            gain,
-            order: self.order,
-            segments: first..self.found.segments.len(),
-            mem: at.mem,
-            update: at.update,
-        });
-    }
+    at
 }
 
 /// Enumerates evaluated candidates for one pipelet (identified by
-/// `pipelet_id`) whose tables are `tables` in current order. Candidates
-/// with non-positive gain are dropped; the result is sorted by descending
-/// gain (ties in enumeration order) and truncated to `max_candidates`.
-/// Also returns the number of distinct segments scored on the way.
+/// `pipelet_id`) whose tables are `tables` in current order: the
+/// segmentations of every kept order that no other dominates in
+/// `(latency, mem, update)`, at most `max_candidates` of them, lowest
+/// latency first, so the best always survives. Candidates with
+/// non-positive gain are dropped; the result is sorted by descending
+/// gain. Also returns the number of distinct segments scored on the way.
 pub fn enumerate_candidates(
     ctx: &EvalCtx<'_>,
     pipelet_id: usize,
@@ -470,37 +421,44 @@ pub fn enumerate_candidates(
     }
 
     let mut table = SegmentTable::new(ctx);
-    let mut found = Found::default();
-    for (order, perm) in orders.iter().enumerate() {
-        let row: Vec<&TableTerms> = perm.iter().map(|&i| &terms[i]).collect();
-        Walk {
-            table: &mut table,
-            found: &mut found,
-            row: &row,
-            perm,
-            order,
-            baseline,
-            leaves: 0,
-            current: Vec::new(),
-        }
-        .walk(0, Prefix::START);
-    }
-    // Stable: equal gains keep their enumeration order.
-    found
-        .leaves
-        .sort_by(|a, b| b.gain.partial_cmp(&a.gain).expect("finite gains"));
-    found.leaves.truncate(max_candidates);
-    let candidates = found
-        .leaves
+    let per_order: Vec<Vec<Vec<Suffix>>> = orders
+        .iter()
+        .map(|perm| {
+            let row: Vec<&TableTerms> = perm.iter().map(|&i| &terms[i]).collect();
+            frontiers(&mut table, &row, perm, max_candidates)
+        })
+        .collect();
+    let roots = per_order
+        .iter()
+        .enumerate()
+        .flat_map(|(order, at)| at[0].iter().map(move |&s| (order, s)))
+        .collect();
+    let candidates = pareto(roots, max_candidates, |(_, s)| s)
         .into_iter()
-        .map(|leaf| Candidate {
-            pipelet: pipelet_id,
-            order: orders[leaf.order].iter().map(|&i| terms[i].id).collect(),
-            segments: found.segments[leaf.segments].to_vec(),
-            gain: leaf.gain,
-            mem_cost: leaf.mem,
-            update_cost: leaf.update,
-            group_branch: None,
+        .map(|(order, root)| (order, root, ctx.reach * (baseline - root.latency)))
+        .filter(|&(.., gain)| gain > 1e-12)
+        .map(|(order, root, gain)| {
+            let at = &per_order[order];
+            let steps = std::iter::successors(Some((0, root)), |&(_, s)| {
+                (s.end < terms.len()).then(|| (s.end, at[s.end][s.rest]))
+            });
+            Candidate {
+                pipelet: pipelet_id,
+                order: orders[order].iter().map(|&i| terms[i].id).collect(),
+                segments: steps
+                    .filter_map(|(start, s)| {
+                        s.first.map(|kind| Segment {
+                            start,
+                            end: s.end,
+                            kind,
+                        })
+                    })
+                    .collect(),
+                gain,
+                mem_cost: root.mem,
+                update_cost: root.update,
+                group_branch: None,
+            }
         })
         .collect();
     (candidates, table.evals)
@@ -508,9 +466,15 @@ pub fn enumerate_candidates(
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{brute_force, key};
     use super::*;
+    use crate::pipelet::partition;
     use pipeleon_cost::CostParams;
     use pipeleon_ir::{MatchKind, ProgramBuilder};
+    use pipeleon_sim::SmartNic;
+    use pipeleon_workloads::profiles::{random_profile, ProfileSynthConfig};
+    use pipeleon_workloads::scenarios::{AclPipeline, DashRouting, LoadBalancer};
+    use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
 
     fn ctx_fixture() -> (ProgramGraph, Vec<NodeId>, CostModel, OptimizerConfig) {
         let mut b = ProgramBuilder::new();
@@ -556,8 +520,17 @@ mod tests {
             reach: 1.0,
         };
         let (cands, _) = enumerate_candidates(&ctx, 0, &ids, usize::MAX);
-        // At least a cache over each of [0..1], [0..2], [0..3], [1..2], ….
-        assert!(cands.len() > 5);
+        // The whole frontier: the whole-set cache is fastest, a plain merge
+        // of the last two tables far smaller, and brute force agrees.
+        let of = |c: &Candidate| [c.gain, c.mem_cost, c.update_cost];
+        let front: Vec<_> = cands.iter().map(of).collect();
+        assert_eq!(front, brute_force(&ctx, &ids).0);
+        let shapes: Vec<_> = cands.iter().map(|c| c.segments.clone()).collect();
+        let merge = SegmentKind::Merge { as_cache: false };
+        let expect = [(0, 3, SegmentKind::Cache), (1, 3, merge)];
+        let expect = expect.map(|(start, end, kind)| vec![Segment { start, end, kind }]);
+        assert_eq!(shapes, expect, "{cands:?}");
+        assert!(cands[0].mem_cost > cands[1].mem_cost, "{cands:?}");
         for c in &cands {
             for w in c.segments.windows(2) {
                 assert!(w[0].end <= w[1].start);
@@ -583,5 +556,152 @@ mod tests {
         for w in cands.windows(2) {
             assert!(w[0].gain >= w[1].gain);
         }
+    }
+
+    /// The load balancer's one 12-table pipelet, under `profile`.
+    fn load_balancer_candidates(
+        lb: &LoadBalancer,
+        profile: &RuntimeProfile,
+    ) -> (Vec<Candidate>, usize) {
+        let model = CostModel::new(CostParams::bluefield2());
+        let cfg = OptimizerConfig::default();
+        let pipelets = partition(&lb.graph, cfg.max_pipelet_len);
+        assert_eq!(pipelets.len(), 1);
+        assert_eq!(pipelets[0].tables.len(), 12);
+        let ctx = EvalCtx {
+            model: &model,
+            cfg: &cfg,
+            g: &lb.graph,
+            profile,
+            reach: 1.0,
+        };
+        enumerate_candidates(&ctx, 0, &pipelets[0].tables, 64)
+    }
+
+    /// The search's work as a count: every distinct segment of the load
+    /// balancer's 2 kept orders × 12 tables is scored once.
+    #[test]
+    fn load_balancer_scores_each_segment_once() {
+        let lb = LoadBalancer::build();
+        let profile = random_profile(&lb.graph, &ProfileSynthConfig::default(), 5);
+        let (_, evals) = load_balancer_candidates(&lb, &profile);
+        // Per order: n(n+1)/2 cache segments and 2 flavours of n-1 pairs.
+        let n = 12;
+        let bound = 2 * (n * (n + 1) / 2 + 2 * (n - 1));
+        assert_eq!(bound, 200);
+        assert!(evals > 0 && evals <= bound, "{evals} segment evaluations");
+        // And the count repeats exactly.
+        assert_eq!(load_balancer_candidates(&lb, &profile).1, evals);
+    }
+
+    /// The blind spot of a capped depth-first walk that tries "leave
+    /// `pos` uncovered" first: under the `control_loop` regime that drops
+    /// 60 % at the first ACL, the best plan covers the front of the
+    /// pipelet, which 1,024 leaves of that walk never reach.
+    #[test]
+    fn exact_search_reaches_the_front_of_the_pipelet() {
+        let lb = LoadBalancer::build();
+        let mut nic = SmartNic::new(lb.graph.clone(), CostParams::bluefield2()).expect("LB");
+        nic.set_instrumentation(true, 1);
+        nic.measure(lb.traffic(&[0.60, 0.05], 700, 4111).batch(4096));
+        let (cands, _) = load_balancer_candidates(&lb, &nic.take_profile());
+        let best = cands.first().expect("a profitable plan");
+        assert!(best.segments.iter().any(|s| s.start == 0), "{best:?}");
+    }
+
+    /// Every pipelet of `g`, split to ≤ 8 tables, under a plain and a hinted
+    /// profile × the default, each optimization off, longer merges, a merge
+    /// budget pairs with entries exceed and one kept order (plus the
+    /// original, added back when it is not the best): the uncapped DP
+    /// returns the brute-force Pareto set, each candidate is a brute-force
+    /// plan with its numbers, and the DP capped at 64 finds the same best.
+    /// `seen` counts candidates, reordered ones, caches, merged caches and
+    /// plain merges, so a sweep that stopped producing one fails instead of
+    /// passing vacuously.
+    fn sweep(g: &ProgramGraph, seed: u64, seen: &mut [usize; 5]) {
+        let pipelets = partition(g, 8);
+        let plain = random_profile(g, &ProfileSynthConfig::default(), seed);
+        let mut hinted = plain.clone();
+        for (k, p) in pipelets.iter().enumerate().filter(|(_, p)| !p.switch_case) {
+            hinted.set_distinct_keys(p.tables[0], 40 + 1000 * k as u64);
+            if let Some(&second) = p.tables.get(1) {
+                hinted.set_cache_hint(vec![second, p.tables[0]], 0.35);
+                hinted.set_entry_update_rate(second, 7.5 + k as f64);
+            }
+            hinted.set_cache_hint(p.tables.clone(), 0.6);
+        }
+        let configs: [fn(&mut OptimizerConfig); 7] = [
+            |_| {},
+            |c| c.enable_reorder = false,
+            |c| c.enable_cache = false,
+            |c| c.enable_merge = false,
+            |c| c.max_merge_tables = 3,
+            |c| c.max_merge_entries = 3,
+            |c| c.max_orders = 1,
+        ];
+        let model = CostModel::new(CostParams::bluefield2());
+        let runs = [&plain, &hinted].map(|p| configs.map(|c| (p, c)));
+        for (k, &(profile, tweak)) in runs.iter().flatten().enumerate() {
+            let mut cfg = OptimizerConfig::default();
+            tweak(&mut cfg);
+            let visits = profile.visit_probabilities(g);
+            for p in pipelets.iter().filter(|p| !p.switch_case) {
+                let what = format!("profile seed {seed}, run {k}, pipelet {}", p.id);
+                let reach = visits[p.entry().index()];
+                let ctx = EvalCtx {
+                    model: &model,
+                    cfg: &cfg,
+                    g,
+                    profile,
+                    reach,
+                };
+                let (dp, _) = enumerate_candidates(&ctx, p.id, &p.tables, usize::MAX);
+                let (capped, _) = enumerate_candidates(&ctx, p.id, &p.tables, 64);
+                let (front, all) = brute_force(&ctx, &p.tables);
+                let of = |c: &Candidate| [c.gain, c.mem_cost, c.update_cost];
+                assert_eq!(dp.iter().map(of).collect::<Vec<_>>(), front, "{what}");
+                let best = front.first().map(|f| f[0]);
+                assert_eq!(capped.first().map(|c| c.gain), best, "{what}");
+                for c in &dp {
+                    let at = all.partition_point(|q| key(&q.0) < key(&of(c)));
+                    let mut same = all[at..].iter().take_while(|q| q.0 == of(c));
+                    let found = same.any(|q| q.1 == c.order && q.2 == c.segments);
+                    assert!(found, "{what}: {c:?}");
+                    seen[0] += 1;
+                    seen[1] += usize::from(c.order != p.tables);
+                    for s in &c.segments {
+                        seen[match s.kind {
+                            SegmentKind::Cache => 2,
+                            SegmentKind::Merge { as_cache: true } => 3,
+                            SegmentKind::Merge { as_cache: false } => 4,
+                        }] += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_pipelets_match_brute_force() {
+        let (lb, dash) = (LoadBalancer::build().graph, DashRouting::build().graph);
+        let scenarios = [lb, dash, AclPipeline::build(10, 4).graph];
+        // Lengths on both sides of `max_enum_perms`, so both the permutation
+        // and the greedy order paths run; all-exact programs make merged
+        // caches materialize.
+        let synth = (0..8).map(|seed| {
+            synthesize(&SynthConfig {
+                pipelets: 4,
+                pipelet_len: 3 + (seed as usize % 4),
+                match_mix: [MatchMix::all_exact, MatchMix::default_mix][seed as usize % 2](),
+                entries_per_table: 1 + (seed as usize % 3),
+                seed,
+                ..SynthConfig::default()
+            })
+        });
+        let mut seen = [0; 5];
+        for (seed, g) in (11..).zip(scenarios.into_iter().chain(synth)) {
+            sweep(&g, seed, &mut seen);
+        }
+        assert!(seen[0] > 500 && !seen.contains(&0), "{seen:?}");
     }
 }

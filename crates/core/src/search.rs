@@ -93,12 +93,14 @@ impl IncrementalState {
 
 /// Hashes the parts of the profile a pipelet's candidates depend on:
 /// member entry counts, quantized reach, action distributions, update
-/// rates, and distinct-key estimates.
+/// rates, distinct-key estimates, the measured cache hit rates over member
+/// tables only, and the packet rate (a cache's insertion cost).
 fn pipelet_signature(g: &ProgramGraph, profile: &RuntimeProfile, p: &Pipelet, reach: f64) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     let q = |x: f64| (x * 1000.0).round() as i64;
     q(reach).hash(&mut h);
+    q(profile.packet_rate()).hash(&mut h);
     for &id in &p.tables {
         id.hash(&mut h);
         if let Some(t) = g.node(id).and_then(|n| n.as_table()) {
@@ -110,6 +112,15 @@ fn pipelet_signature(g: &ProgramGraph, profile: &RuntimeProfile, p: &Pipelet, re
         q(profile.entry_update_rate(id)).hash(&mut h);
         profile.distinct_keys_of(id).hash(&mut h);
     }
+    // Sorted: `HashMap` iteration order differs between runs.
+    let mut hints: Vec<(&Vec<NodeId>, i64)> = profile
+        .cache_hit_hints
+        .iter()
+        .filter(|(tables, _)| tables.iter().all(|t| p.tables.contains(t)))
+        .map(|(tables, &rate)| (tables, q(rate)))
+        .collect();
+    hints.sort();
+    hints.hash(&mut h);
     h.finish()
 }
 
@@ -536,6 +547,56 @@ mod tests {
             .optimize(&g, &profile, ResourceLimits::unlimited())
             .unwrap();
         assert_eq!(plain.candidates_reused, 0);
+    }
+
+    /// A measured cache hit rate and the packet rate are search inputs too:
+    /// when only they change, the incremental search must not serve
+    /// candidates scored from the old values.
+    #[test]
+    fn incremental_search_equals_full_search_after_a_cache_hint() {
+        use crate::plan::SegmentKind;
+        use pipeleon_workloads::synth::{synthesize, SynthConfig};
+        let g = synthesize(&SynthConfig {
+            pipelets: 8,
+            pipelet_len: 3,
+            seed: 42,
+            ..SynthConfig::default()
+        });
+        let mut profile = pipeleon_workloads::profiles::random_profile(
+            &g,
+            &pipeleon_workloads::profiles::ProfileSynthConfig::default(),
+            7,
+        );
+        let opt = Optimizer::new(CostModel::new(CostParams::emulated_nic())).esearch();
+        let limits = ResourceLimits::unlimited();
+        let mut state = IncrementalState::new();
+        let first = opt
+            .optimize_incremental(&g, &profile, limits, &mut state)
+            .unwrap();
+        // The cache the plan deploys turns out to miss every time.
+        let (c, s) = first
+            .plan
+            .choices
+            .iter()
+            .find_map(|c| {
+                let s = c.segments.iter().find(|s| s.kind == SegmentKind::Cache)?;
+                Some((c, s))
+            })
+            .expect("the plan caches something");
+        profile.set_cache_hint(c.order[s.start..s.end].to_vec(), 0.0);
+        let incremental = opt
+            .optimize_incremental(&g, &profile, limits, &mut state)
+            .unwrap();
+        let full = opt.optimize(&g, &profile, limits).unwrap();
+        assert_ne!(full.plan, first.plan);
+        assert_eq!(incremental.plan, full.plan);
+        // Twice the packet rate doubles every cache's insertion cost.
+        profile.total_packets *= 2;
+        let incremental = opt
+            .optimize_incremental(&g, &profile, limits, &mut state)
+            .unwrap();
+        let full = opt.optimize(&g, &profile, limits).unwrap();
+        assert_eq!(incremental.plan, full.plan);
     }
 
     /// A drop-heavy ACL at the end of a chain: reordering must promote it.

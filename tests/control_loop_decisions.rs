@@ -12,8 +12,10 @@
 //! the estimated gain to the bit, the fingerprint of what runs on the
 //! target, and the plan summary.
 //!
-//! The fixture was captured at 885618d, before the candidate enumerator
-//! was rewritten. When a change is *meant* to alter decisions, the
+//! The fixture was re-captured when the capped depth-first segmentation
+//! walk gave way to the exact suffix DP (PR 26): every searching tick's
+//! estimated gain rose and plans now cover the ACLs at the front of the
+//! pipelet. When a change is *meant* to alter decisions, the
 //! failing run leaves the new sequence in
 //! `$CARGO_TARGET_TMPDIR/control_loop_decisions.actual.txt`; review the
 //! diff and copy it over `tests/fixtures/control_loop_decisions.txt`.
