@@ -433,35 +433,6 @@ fn measure_with_spec<N: NicBackend>(
     nic.measure_end()
 }
 
-/// Writes the specialization counters into a metrics registry under the
-/// same names the runtime controller exports.
-fn spec_metrics_into(reg: &mut MetricsRegistry, spec: &pipeleon_sim::SpecStats) {
-    reg.counter_set("pipeleon_specialize_guard_hits_total", &[], spec.guard_hits);
-    reg.counter_set(
-        "pipeleon_specialize_guard_misses_total",
-        &[],
-        spec.guard_misses,
-    );
-    reg.counter_set("pipeleon_specialize_memo_hits_total", &[], spec.memo_hits);
-    reg.counter_set("pipeleon_specialize_fused_hits_total", &[], spec.fused_hits);
-    reg.gauge_set(
-        "pipeleon_specialize_fused_runs",
-        &[],
-        spec.fused_runs as f64,
-    );
-    reg.counter_set("pipeleon_specializations_total", &[], spec.specializations);
-    reg.counter_set(
-        "pipeleon_despecializations_total",
-        &[],
-        spec.despecializations,
-    );
-    reg.gauge_set(
-        "pipeleon_specialized_tables",
-        &[],
-        spec.specialized_tables as f64,
-    );
-}
-
 fn simulate(args: &Args) -> Result<(), String> {
     let params = target(args)?;
     let g = load_program(args)?;
@@ -535,7 +506,7 @@ fn simulate_on<N: NicBackend>(args: &Args, mut nic: N) -> Result<(), String> {
         let mut reg = MetricsRegistry::new();
         datapath_metrics_into(&mut reg, &g, Some(&stats), &obs);
         if specialize {
-            spec_metrics_into(&mut reg, &spec);
+            spec.export(&mut reg);
         }
         write_metrics(path, &reg)?;
     }

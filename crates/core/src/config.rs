@@ -57,8 +57,6 @@ pub struct OptimizerConfig {
     pub default_hit_rate: f64,
     /// Entry capacity of each created cache table.
     pub cache_capacity: usize,
-    /// Insertion rate limit configured on each created cache (ins/s).
-    pub cache_insertion_limit: f64,
     /// Hit-rate degradation per update/s on covered tables (cache
     /// invalidation pressure): `h = h0 / (1 + coeff · rate)`.
     pub invalidation_coeff: f64,
@@ -86,7 +84,6 @@ impl Default for OptimizerConfig {
             max_orders: 12,
             default_hit_rate: 0.9,
             cache_capacity: 4096,
-            cache_insertion_limit: 100_000.0,
             invalidation_coeff: 0.05,
             enable_reorder: true,
             enable_cache: true,

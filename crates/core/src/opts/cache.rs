@@ -17,6 +17,7 @@
 //! to covered tables flush the cache).
 
 use super::{EvalCtx, SegmentScore, TableTerms};
+use pipeleon_cost::CACHE_INSERTION_RATE;
 use pipeleon_ir::{DependencyAnalysis, NodeId, RwSets};
 
 /// Whether a cache over `tables` is semantically allowed: every member is
@@ -84,11 +85,11 @@ pub fn score(ctx: &EvalCtx<'_>, tables: &[&TableTerms]) -> Option<SegmentScore> 
 
 /// `(memory, update-rate)` cost of creating a cache with hit rate `h`:
 /// the reserved capacity, plus the insertion load (misses installing
-/// entries, capped by the configured insertion limit).
+/// entries, capped by the rate every cache's limiter admits).
 pub fn costs(ctx: &EvalCtx<'_>, h: f64) -> (f64, f64) {
     let mem = (ctx.cfg.cache_capacity * pipeleon_ir::Table::DEFAULT_ENTRY_BYTES) as f64;
     let entering = ctx.profile.packet_rate() * ctx.reach;
-    let insertions = ((1.0 - h) * entering).min(ctx.cfg.cache_insertion_limit);
+    let insertions = ((1.0 - h) * entering).min(CACHE_INSERTION_RATE);
     (mem, insertions)
 }
 
@@ -267,7 +268,7 @@ mod tests {
         let (mem, upd) = costs(&ctx, hit_rate(&ctx, &ids));
         assert_eq!(mem, (cfg.cache_capacity * 32) as f64);
         // 10% miss of 1M pps = 100k, capped at the insertion limit.
-        assert!(upd <= cfg.cache_insertion_limit + 1e-9);
+        assert!(upd <= CACHE_INSERTION_RATE + 1e-9);
         assert!(upd > 0.0);
     }
 }

@@ -77,7 +77,7 @@ fn score(ctx: &EvalCtx<'_>, tables: &[NodeId], kind: SegmentKind) -> Option<Scor
         });
         let misses = (1.0 - h) * (profile.packet_rate() * ctx.reach);
         let latency = p.l_mat + h * actions + (1.0 - h) * (orig + p.l_cache_insert);
-        let update = misses.min(cfg.cache_insertion_limit);
+        let update = misses.min(pipeleon_cost::CACHE_INSERTION_RATE);
         (latency, cfg.cache_capacity as f64 * bytes, update)
     };
     Some([latency, 1.0 - survive, mem, update])

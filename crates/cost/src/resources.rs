@@ -8,6 +8,11 @@ use crate::params::CostParams;
 use crate::profile::RuntimeProfile;
 use pipeleon_ir::{NodeId, ProgramGraph, Table};
 
+/// Insertions per second a flow cache may install: the rate every
+/// emulated cache's limiter refills at, and the cap the optimizer's cost
+/// model puts on a planned cache's insertion load (its `E(v)`).
+pub const CACHE_INSERTION_RATE: f64 = 100_000.0;
+
 /// Computes memory and entry-update-rate consumption for nodes and whole
 /// programs under a target's cost parameters.
 #[derive(Debug, Clone)]

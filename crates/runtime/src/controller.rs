@@ -26,7 +26,7 @@ use pipeleon::opts::{merge, EvalCtx};
 use pipeleon::search::{IncrementalState, Optimizer};
 use pipeleon_cost::RuntimeProfile;
 use pipeleon_ir::json::to_json_string;
-use pipeleon_ir::{NextHops, NodeId, NodeKind, ProgramGraph, Table, TableEntry};
+use pipeleon_ir::{NextHops, NodeId, ProgramGraph, TableEntry};
 use pipeleon_obs::{EventJournal, EventKind, MetricsRegistry};
 use pipeleon_sim::{ControlOp, SpecConfig, SpecStats};
 use std::collections::HashMap;
@@ -161,22 +161,9 @@ struct DeployedState {
     json: Option<String>,
 }
 
-/// A mutation applied to the target during entry fan-out, replayed onto
-/// the last-known-good mirror only after *all* sites succeed.
-enum MirrorOp {
-    Insert(NodeId, TableEntry),
-    Remove(NodeId, usize),
-    Replace(NodeId, Table, Option<NextHops>),
-}
-
-/// Why a merged-table re-materialization failed.
-enum RematError {
-    /// The cross-product outgrew the merge budget (§3.2.3) — not a target
-    /// fault; the controller reverses the merge.
-    Budget(#[allow(dead_code)] String),
-    /// The target rejected the table replacement.
-    Target(RuntimeError),
-}
+/// Per merged action, the `(component table, action)` pairs its
+/// counters stand for.
+type ActionMap = Vec<Vec<(NodeId, usize)>>;
 
 /// An entry fan-out failure, with whether any site was already mutated
 /// (deciding if the deployed state must be restored).
@@ -436,6 +423,13 @@ impl<T: Target> Controller<T> {
         Ok(())
     }
 
+    /// Counts and journals one rollback of the target to `to`.
+    fn note_rollback(&mut self, to: &str) {
+        self.health.rollbacks += 1;
+        self.journal
+            .push(self.clock_s, EventKind::Rollback { to: to.into() });
+    }
+
     /// Restores the target to the last-known-good layout after a failed
     /// candidate deploy (falling back to the original program, and to
     /// `pin_pending` when even that fails).
@@ -443,70 +437,65 @@ impl<T: Target> Controller<T> {
         let json = self.last_good_json().map(str::to_owned);
         let graph = self.last_good.graph.clone();
         if json.is_some_and(|j| self.deploy_transaction(graph, &j).is_ok()) {
-            self.health.rollbacks += 1;
             self.health.pin_pending = false;
-            self.journal.push(
-                self.clock_s,
-                EventKind::Rollback {
-                    to: "last-good".into(),
-                },
-            );
-        } else if self.pin_original().is_ok() {
-            self.health.rollbacks += 1;
-            self.journal.push(
-                self.clock_s,
-                EventKind::Rollback {
-                    to: "original".into(),
-                },
-            );
+            self.note_rollback("last-good");
         } else {
-            self.health.pin_pending = true;
+            let _ = self.revert_to_original();
         }
     }
 
-    /// Attempts a verified candidate deploy; on failure recovers the
-    /// deployed state and advances the circuit breaker. Returns whether
-    /// the candidate is now running.
-    fn deploy_candidate_or_recover(&mut self, applied: AppliedPlan, json: String) -> bool {
-        match self.deploy_transaction(applied.graph.clone(), &json) {
-            Ok(()) => {
-                self.health.consecutive_deploy_failures = 0;
-                self.last_good = DeployedState {
-                    graph: applied.graph.clone(),
-                    json: Some(json),
-                };
-                self.applied = Some(applied);
-                self.reconfig_count += 1;
-                true
-            }
-            Err(e) => {
-                self.health.consecutive_deploy_failures += 1;
-                self.journal.push(
-                    self.clock_s,
-                    EventKind::DeployFailed {
-                        attempts: self.cfg.max_deploy_retries + 1,
-                        error: e.to_string(),
-                    },
-                );
-                self.recover_deployed_state();
-                if self.health.consecutive_deploy_failures >= self.cfg.degrade_after
-                    && !self.health.degraded
-                {
-                    self.health.degraded = true;
-                    self.health.cooldown_remaining = self.cfg.cooldown_ticks;
-                    self.journal.push(
-                        self.clock_s,
-                        EventKind::BreakerOpened {
-                            cooldown_ticks: self.cfg.cooldown_ticks,
-                        },
-                    );
-                    if self.applied.is_some() && self.pin_original().is_err() {
-                        self.health.pin_pending = true;
-                    }
-                }
-                false
-            }
+    /// Counts one more failed deploy transaction and opens the circuit
+    /// breaker once [`ControllerConfig::degrade_after`] have failed in a
+    /// row. Returns whether this failure opened it.
+    fn note_deploy_failure(&mut self) -> bool {
+        self.health.consecutive_deploy_failures += 1;
+        if self.health.degraded || self.health.consecutive_deploy_failures < self.cfg.degrade_after
+        {
+            return false;
         }
+        self.health.degraded = true;
+        self.health.cooldown_remaining = self.cfg.cooldown_ticks;
+        self.journal.push(
+            self.clock_s,
+            EventKind::BreakerOpened {
+                cooldown_ticks: self.cfg.cooldown_ticks,
+            },
+        );
+        true
+    }
+
+    /// Attempts a verified candidate deploy — the one commit path of a
+    /// tick and of [`Controller::deploy_plan`]. On failure it recovers the
+    /// deployed state, advances the circuit breaker (pinning the original
+    /// program when the breaker opens) and returns the deploy's error.
+    fn deploy_candidate_or_recover(
+        &mut self,
+        applied: AppliedPlan,
+        json: String,
+    ) -> Result<(), RuntimeError> {
+        if let Err(e) = self.deploy_transaction(applied.graph.clone(), &json) {
+            self.journal.push(
+                self.clock_s,
+                EventKind::DeployFailed {
+                    attempts: self.cfg.max_deploy_retries + 1,
+                    error: e.to_string(),
+                },
+            );
+            self.recover_deployed_state();
+            if self.note_deploy_failure() && self.applied.is_some() && self.pin_original().is_err()
+            {
+                self.health.pin_pending = true;
+            }
+            return Err(e);
+        }
+        self.health.consecutive_deploy_failures = 0;
+        self.last_good = DeployedState {
+            graph: applied.graph.clone(),
+            json: Some(json),
+        };
+        self.applied = Some(applied);
+        self.reconfig_count += 1;
+        Ok(())
     }
 
     /// Builds a report for a tick that did no optimization work.
@@ -620,39 +609,7 @@ impl<T: Target> Controller<T> {
         self.health.specializations = after.specializations;
         self.health.despecializations = after.despecializations;
         report.health = self.health.clone();
-        let m = &mut self.metrics;
-        m.counter_set(
-            "pipeleon_specialize_guard_hits_total",
-            &[],
-            after.guard_hits,
-        );
-        m.counter_set(
-            "pipeleon_specialize_guard_misses_total",
-            &[],
-            after.guard_misses,
-        );
-        m.counter_set("pipeleon_specialize_memo_hits_total", &[], after.memo_hits);
-        m.counter_set(
-            "pipeleon_specialize_fused_hits_total",
-            &[],
-            after.fused_hits,
-        );
-        m.gauge_set(
-            "pipeleon_specialize_fused_runs",
-            &[],
-            after.fused_runs as f64,
-        );
-        m.counter_set("pipeleon_specializations_total", &[], after.specializations);
-        m.counter_set(
-            "pipeleon_despecializations_total",
-            &[],
-            after.despecializations,
-        );
-        m.gauge_set(
-            "pipeleon_specialized_tables",
-            &[],
-            after.specialized_tables as f64,
-        );
+        after.export(&mut self.metrics);
     }
 
     /// The tick body proper; returns the report plus the window facts
@@ -661,19 +618,7 @@ impl<T: Target> Controller<T> {
         // Repair pass: if an earlier rollback failed, the target may be
         // running a stale layout — re-pin before trusting anything else.
         if self.health.pin_pending && self.pin_original().is_err() {
-            self.health.consecutive_deploy_failures += 1;
-            if self.health.consecutive_deploy_failures >= self.cfg.degrade_after
-                && !self.health.degraded
-            {
-                self.health.degraded = true;
-                self.health.cooldown_remaining = self.cfg.cooldown_ticks;
-                self.journal.push(
-                    self.clock_s,
-                    EventKind::BreakerOpened {
-                        cooldown_ticks: self.cfg.cooldown_ticks,
-                    },
-                );
-            }
+            self.note_deploy_failure();
             return Ok((self.report_only(0.0), None));
         }
         let raw = self.target.take_profile();
@@ -796,14 +741,10 @@ impl<T: Target> Controller<T> {
                     return Ok((report, Some(window)));
                 }
                 let summary = outcome.applied.summary.clone();
-                let cache_nodes = outcome.applied.cache_nodes.clone();
-                if self.deploy_candidate_or_recover(outcome.applied, candidate_json) {
-                    for &cache in &cache_nodes {
-                        let _ = self.target.apply(ControlOp::SetCacheInsertionLimit {
-                            node: cache,
-                            rate_per_s: self.optimizer.cfg.cache_insertion_limit,
-                        });
-                    }
+                if self
+                    .deploy_candidate_or_recover(outcome.applied, candidate_json)
+                    .is_ok()
+                {
                     report.deployed = true;
                     report.downtime_s = self.target.reconfig_downtime_s();
                     report.summary = summary;
@@ -935,30 +876,7 @@ impl<T: Target> Controller<T> {
         if self.last_good_json() == Some(json.as_str()) {
             return Ok(()); // already running this layout
         }
-        match self.deploy_transaction(applied.graph.clone(), &json) {
-            Ok(()) => {
-                self.health.consecutive_deploy_failures = 0;
-                self.last_good = DeployedState {
-                    graph: applied.graph.clone(),
-                    json: Some(json),
-                };
-                self.applied = Some(applied);
-                self.reconfig_count += 1;
-                Ok(())
-            }
-            Err(e) => {
-                self.health.consecutive_deploy_failures += 1;
-                self.journal.push(
-                    self.clock_s,
-                    EventKind::DeployFailed {
-                        attempts: self.cfg.max_deploy_retries + 1,
-                        error: e.to_string(),
-                    },
-                );
-                self.recover_deployed_state();
-                Err(e)
-            }
-        }
+        self.deploy_candidate_or_recover(applied, json)
     }
 
     /// Inserts an entry into original-program table `table`, routing the
@@ -967,150 +885,86 @@ impl<T: Target> Controller<T> {
     /// rejects the update, the original-program mutation is rolled back
     /// and the deployed state is restored.
     pub fn insert_entry(&mut self, table: NodeId, entry: TableEntry) -> Result<(), RuntimeError> {
-        // Source of truth first.
-        {
-            let n = self
-                .original
-                .node_mut(table)
-                .ok_or(pipeleon_ir::IrError::UnknownNode(table))?;
-            let t = n.as_table_mut().ok_or(pipeleon_ir::IrError::BadTable {
-                table,
-                reason: "not a table".into(),
-            })?;
-            t.entries.push(entry.clone());
-            t.validate()
-                .map_err(|reason| pipeleon_ir::IrError::BadEntry { table, reason })?;
-        }
-        *self.update_counts.entry(table).or_insert(0) += 1;
-        match self.route_update(table, Some(entry), None) {
-            Ok(()) => Ok(()),
-            Err(f) => {
-                // Roll the source of truth back: the op failed atomically.
-                if let Some(t) = self.original.node_mut(table).and_then(|n| n.as_table_mut()) {
-                    t.entries.pop();
-                }
-                self.undo_update_count(table);
-                if f.sites_applied {
-                    self.recover_deployed_state();
-                }
-                Err(RuntimeError::EntryOpFailed {
-                    table,
-                    op: "insert",
-                    source: Box::new(f.error),
-                })
-            }
-        }
+        self.entry_op(
+            table,
+            "insert",
+            ControlOp::InsertEntry { node: table, entry },
+        )
     }
 
     /// Removes the entry at `index` from original-program table `table`.
     /// Atomic: a target-side failure restores both the original table and
     /// the deployed state.
     pub fn remove_entry(&mut self, table: NodeId, index: usize) -> Result<(), RuntimeError> {
-        let removed = {
-            let n = self
-                .original
-                .node_mut(table)
-                .ok_or(pipeleon_ir::IrError::UnknownNode(table))?;
-            let t = n.as_table_mut().ok_or(pipeleon_ir::IrError::BadTable {
-                table,
-                reason: "not a table".into(),
-            })?;
-            if index >= t.entries.len() {
-                return Err(RuntimeError::Ir(pipeleon_ir::IrError::BadEntry {
-                    table,
-                    reason: format!("no entry at index {index}"),
-                }));
-            }
-            t.entries.remove(index)
-        };
-        *self.update_counts.entry(table).or_insert(0) += 1;
-        match self.route_update(table, None, Some(index)) {
-            Ok(()) => Ok(()),
-            Err(f) => {
-                if let Some(t) = self.original.node_mut(table).and_then(|n| n.as_table_mut()) {
-                    t.entries.insert(index.min(t.entries.len()), removed);
-                }
-                self.undo_update_count(table);
-                if f.sites_applied {
-                    self.recover_deployed_state();
-                }
-                Err(RuntimeError::EntryOpFailed {
-                    table,
-                    op: "remove",
-                    source: Box::new(f.error),
-                })
-            }
-        }
+        self.entry_op(
+            table,
+            "remove",
+            ControlOp::RemoveEntry { node: table, index },
+        )
     }
 
-    fn undo_update_count(&mut self, table: NodeId) {
-        if let Some(c) = self.update_counts.get_mut(&table) {
-            *c = c.saturating_sub(1);
-            if *c == 0 {
-                self.update_counts.remove(&table);
-            }
-        }
-    }
-
-    /// Applies one original-table update to every optimized site. Target
-    /// mutations are mirrored into the last-known-good layout only after
-    /// the whole fan-out succeeds, so a rollback always redeploys the
-    /// pre-operation state.
-    fn route_update(
+    /// One original-program entry op on `table` as a transaction: the
+    /// source of truth takes it first (a rejected op changes nothing and
+    /// returns the edit's error), then every optimized site does. If a
+    /// site fails, the original table goes back to what it was and the
+    /// deployed state is restored.
+    fn entry_op(
         &mut self,
         table: NodeId,
-        insert: Option<TableEntry>,
-        remove_index: Option<usize>,
-    ) -> Result<(), FanOutFailure> {
+        verb: &'static str,
+        op: ControlOp,
+    ) -> Result<(), RuntimeError> {
+        let before = self
+            .original
+            .node(table)
+            .and_then(|n| n.as_table())
+            .cloned();
+        op.edit_table(&mut self.original)?;
+        if let Err(f) = self.route_update(table, op) {
+            let slot = self.original.node_mut(table).and_then(|n| n.as_table_mut());
+            if let (Some(slot), Some(before)) = (slot, before) {
+                *slot = before;
+            }
+            if f.sites_applied {
+                self.recover_deployed_state();
+            }
+            return Err(RuntimeError::EntryOpFailed {
+                table,
+                op: verb,
+                source: Box::new(f.error),
+            });
+        }
+        *self.update_counts.entry(table).or_insert(0) += 1;
+        Ok(())
+    }
+
+    /// Applies one original-table entry op to every optimized site. The
+    /// ops the target accepted are replayed onto the last-known-good
+    /// mirror, through the same table edit, only after the whole fan-out
+    /// succeeds, so a rollback always redeploys the pre-operation state.
+    fn route_update(&mut self, table: NodeId, op: ControlOp) -> Result<(), FanOutFailure> {
         let sites = match &self.applied {
             Some(a) => a.entry_map.sites(table),
             None => vec![EntrySite::Direct],
         };
-        let mut mirror: Vec<MirrorOp> = Vec::new();
-        let mut sites_applied = false;
+        let mut mirror: Vec<ControlOp> = Vec::new();
         for site in sites {
-            match site {
-                EntrySite::Direct => {
-                    if let Some(e) = &insert {
-                        let op = ControlOp::InsertEntry {
-                            node: table,
-                            entry: e.clone(),
-                        };
-                        self.target.apply(op).map_err(|err| FanOutFailure {
-                            error: err.into(),
-                            sites_applied,
-                        })?;
-                        sites_applied = true;
-                        mirror.push(MirrorOp::Insert(table, e.clone()));
-                    }
-                    if let Some(i) = remove_index {
-                        let op = ControlOp::RemoveEntry {
-                            node: table,
-                            index: i,
-                        };
-                        self.target.apply(op).map_err(|err| FanOutFailure {
-                            error: err.into(),
-                            sites_applied,
-                        })?;
-                        sites_applied = true;
-                        mirror.push(MirrorOp::Remove(table, i));
-                    }
-                }
+            let (site_op, remap) = match site {
+                EntrySite::Direct => (op.clone(), None),
                 EntrySite::CoveredByCache { cache } => {
                     // Infallible and semantically neutral: no mirror op.
                     let _ = self.target.apply(ControlOp::FlushCache(cache));
+                    continue;
                 }
                 EntrySite::MergedInto {
                     merged,
                     components,
                     as_cache,
                     hit_exit,
-                } => match self.rematerialize(merged, &components, as_cache, hit_exit) {
-                    Ok((new_table, next)) => {
-                        sites_applied = true;
-                        mirror.push(MirrorOp::Replace(merged, new_table, next));
-                    }
-                    Err(RematError::Budget(_)) => {
+                } => {
+                    let Some((replace, action_map)) =
+                        self.rematerialize(merged, &components, as_cache, hit_exit)
+                    else {
                         // The cross-product outgrew the merge budget —
                         // §3.2.3: "Pipeleon will reverse the merge and
                         // recompute the optimizations". Redeploy the
@@ -1120,98 +974,62 @@ impl<T: Target> Controller<T> {
                         // next tick converges — the update itself stands.
                         let _ = self.revert_to_original();
                         return Ok(());
-                    }
-                    Err(RematError::Target(error)) => {
-                        return Err(FanOutFailure {
-                            error,
-                            sites_applied,
-                        })
-                    }
-                },
+                    };
+                    (replace, Some((merged, action_map)))
+                }
+            };
+            if let Err(e) = self.target.apply(site_op.clone()) {
+                return Err(FanOutFailure {
+                    error: e.into(),
+                    sites_applied: !mirror.is_empty(),
+                });
             }
+            if let (Some(a), Some((merged, action_map))) = (&mut self.applied, remap) {
+                a.counter_map.replace_mappings(merged, &action_map);
+            }
+            mirror.push(site_op);
         }
-        self.commit_mirror(mirror);
-        Ok(())
-    }
-
-    /// Replays a fully-applied fan-out onto the last-known-good mirror
-    /// and marks its serialized form out of date.
-    fn commit_mirror(&mut self, ops: Vec<MirrorOp>) {
-        if ops.is_empty() {
-            return;
+        if mirror.is_empty() {
+            return Ok(());
         }
-        let mut stale = false;
-        for op in ops {
-            match op {
-                MirrorOp::Insert(table, entry) => {
-                    match self
-                        .last_good
-                        .graph
-                        .node_mut(table)
-                        .and_then(|n| n.as_table_mut())
-                    {
-                        Some(t) => t.entries.push(entry),
-                        None => stale = true,
-                    }
-                }
-                MirrorOp::Remove(table, index) => {
-                    match self
-                        .last_good
-                        .graph
-                        .node_mut(table)
-                        .and_then(|n| n.as_table_mut())
-                    {
-                        Some(t) if index < t.entries.len() => {
-                            t.entries.remove(index);
-                        }
-                        _ => stale = true,
-                    }
-                }
-                MirrorOp::Replace(node, table, next) => match self.last_good.graph.node_mut(node) {
-                    Some(n) => {
-                        n.kind = NodeKind::Table(table);
-                        if let Some(next) = next {
-                            n.next = next;
-                        }
-                    }
-                    None => stale = true,
-                },
+        for op in &mirror {
+            if op.edit_table(&mut self.last_good.graph).is_err() {
+                // The mirror no longer matches what the target runs; force
+                // a re-pin of the original program on the next tick (safe
+                // and self-correcting, at the cost of one reconfiguration).
+                self.health.pin_pending = true;
             }
         }
         self.last_good.json = None;
-        if stale {
-            // The mirror no longer matches what the target runs; force a
-            // re-pin of the original program on the next tick (safe and
-            // self-correcting, at the cost of one reconfiguration).
-            self.health.pin_pending = true;
-        }
+        Ok(())
     }
 
     /// Abandons the optimized layout and redeploys the original program
-    /// (merge revert, §3.2.3). On failure the controller reports a typed
-    /// error and re-attempts the pin at the start of the next tick.
+    /// (merge revert, §3.2.3), journaled and counted as a rollback to
+    /// `"original"`. On failure the controller reports a typed error and
+    /// re-attempts the pin at the start of the next tick.
     pub fn revert_to_original(&mut self) -> Result<(), RuntimeError> {
-        match self.pin_original() {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.health.pin_pending = true;
-                Err(RuntimeError::RollbackFailed {
-                    source: Box::new(e),
-                })
-            }
+        if let Err(e) = self.pin_original() {
+            self.health.pin_pending = true;
+            return Err(RuntimeError::RollbackFailed {
+                source: Box::new(e),
+            });
         }
+        self.note_rollback("original");
+        Ok(())
     }
 
-    /// Rebuilds a merged table from the original components' current
-    /// entries and pushes it to the target. Returns the new table (and
-    /// next hops) for the last-known-good mirror.
+    /// The `ReplaceTable` that rebuilds merged table `merged` from the
+    /// original components' current entries, with the action map its
+    /// counters translate through — or `None` once the cross-product
+    /// outgrows the merge budget (§3.2.3).
     fn rematerialize(
-        &mut self,
+        &self,
         merged: NodeId,
         components: &[NodeId],
         as_cache: bool,
         hit_exit: Option<NodeId>,
-    ) -> Result<(Table, Option<NextHops>), RematError> {
+    ) -> Option<(ControlOp, ActionMap)> {
         let profile = RuntimeProfile::empty();
         let ctx = EvalCtx {
             model: &self.optimizer.model,
@@ -1220,36 +1038,25 @@ impl<T: Target> Controller<T> {
             profile: &profile,
             reach: 1.0,
         };
-        let m = merge::materialize(&ctx, components, as_cache).map_err(RematError::Budget)?;
-        let next = if as_cache {
-            let miss = m.miss_action;
-            Some(NextHops::ByAction(
-                (0..m.table.actions.len())
-                    .map(|i| {
-                        if i == miss {
-                            Some(components[0])
-                        } else {
-                            hit_exit
-                        }
-                    })
-                    .collect(),
-            ))
-        } else {
-            None
-        };
-        let action_map = m.action_map.clone();
+        let m = merge::materialize(&ctx, components, as_cache).ok()?;
+        let next = as_cache.then(|| {
+            let hops = (0..m.table.actions.len())
+                .map(|i| {
+                    if i == m.miss_action {
+                        Some(components[0])
+                    } else {
+                        hit_exit
+                    }
+                })
+                .collect();
+            NextHops::ByAction(hops)
+        });
         let op = ControlOp::ReplaceTable {
             node: merged,
-            table: m.table.clone(),
-            next: next.clone(),
+            table: m.table,
+            next,
         };
-        self.target
-            .apply(op)
-            .map_err(|e| RematError::Target(e.into()))?;
-        if let Some(a) = &mut self.applied {
-            a.counter_map.replace_mappings(merged, &action_map);
-        }
-        Ok((m.table, next))
+        Some((op, m.action_map))
     }
 }
 
@@ -1332,38 +1139,6 @@ fn register_help(m: &mut MetricsRegistry) {
     m.help(
         "pipeleon_inflight_at_swap_total",
         "Packets in flight at live swap publication (old generation)",
-    );
-    m.help(
-        "pipeleon_specialize_guard_hits_total",
-        "Hot-key guard hits in the specialized compiled datapath",
-    );
-    m.help(
-        "pipeleon_specialize_guard_misses_total",
-        "Hot-key guard misses (fell through to the general lookup)",
-    );
-    m.help(
-        "pipeleon_specialize_memo_hits_total",
-        "Guard misses answered from the per-walk lookup memo",
-    );
-    m.help(
-        "pipeleon_specialize_fused_hits_total",
-        "Packets that took at least one stage of a fused guard run",
-    );
-    m.help(
-        "pipeleon_specialize_fused_runs",
-        "Chains of guarded tables currently fused into staged runs",
-    );
-    m.help(
-        "pipeleon_specializations_total",
-        "Specialization plans applied to the compiled datapath",
-    );
-    m.help(
-        "pipeleon_despecializations_total",
-        "Reverts to the verbatim lowering (drift, misses, entry ops)",
-    );
-    m.help(
-        "pipeleon_specialized_tables",
-        "Tables currently carrying a hot-key guard or direct-index way",
     );
 }
 
@@ -1687,6 +1462,22 @@ mod tests {
         let mut pkt = Packet::new(&p.graph.fields);
         pkt.set(p.acl_fields[0], 0x77);
         assert!(c.target.inner.nic.process_one(&mut pkt).dropped);
+    }
+
+    #[test]
+    fn an_entry_the_table_refuses_leaves_the_original_unchanged() {
+        let p = AclPipeline::build(2, 2);
+        let mut c = controller_for(&p, ControllerConfig::default());
+        let before = graph_fingerprint(c.original());
+        // Two match values for a one-key table.
+        let bad = TableEntry::new(vec![MatchValue::Exact(1), MatchValue::Exact(2)], 1);
+        let err = c.insert_entry(p.acls[0], bad).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Ir(pipeleon_ir::IrError::BadEntry { .. })),
+            "{err:?}"
+        );
+        assert_eq!(graph_fingerprint(c.original()), before);
+        assert!(c.update_counts.is_empty());
     }
 
     #[test]
@@ -2030,15 +1821,37 @@ mod tests {
         assert!(!r3.deployed, "spurious redeploy after profile loss: {r3:?}");
     }
 
+    /// A plan with one choice: `order` for pipelet 0, with `segments`.
+    fn single_choice_plan(
+        order: Vec<NodeId>,
+        segments: Vec<pipeleon::plan::Segment>,
+    ) -> pipeleon::plan::GlobalPlan {
+        pipeleon::plan::GlobalPlan {
+            choices: vec![pipeleon::plan::Candidate {
+                pipelet: 0,
+                order,
+                segments,
+                gain: 10.0,
+                mem_cost: 0.0,
+                update_cost: 0.0,
+                group_branch: None,
+            }],
+            total_gain: 10.0,
+            total_mem: 0.0,
+            total_update: 0.0,
+        }
+    }
+
     /// A two-table program with a read-after-write hazard (`t0` writes the
-    /// field `t1` matches on), plus a plan swapping them — illegal — and a
+    /// field `t1` matches on), behind a target that faults only when a
+    /// test scripts it to, plus a plan swapping them — illegal — and a
     /// plan caching `t1` in place — legal.
     fn hazard_controller() -> (
-        Controller<SimTarget>,
+        Controller<FaultyTarget<SimTarget>>,
         pipeleon::plan::GlobalPlan,
         pipeleon::plan::GlobalPlan,
     ) {
-        use pipeleon::plan::{Candidate, GlobalPlan, Segment, SegmentKind};
+        use pipeleon::plan::{Segment, SegmentKind};
         let mut b = ProgramBuilder::new();
         let fa = b.field("a");
         let fw = b.field("w");
@@ -2057,28 +1870,14 @@ mod tests {
         let nic = SmartNic::new(g.clone(), CostParams::bluefield2()).unwrap();
         let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
         let c = Controller::new(
-            SimTarget::live(nic),
+            FaultyTarget::passthrough(SimTarget::live(nic)),
             g,
             optimizer,
             ControllerConfig::default(),
         )
         .unwrap();
-        let plan_with = |order: Vec<NodeId>, segments: Vec<Segment>| GlobalPlan {
-            choices: vec![Candidate {
-                pipelet: 0,
-                order,
-                segments,
-                gain: 10.0,
-                mem_cost: 0.0,
-                update_cost: 0.0,
-                group_branch: None,
-            }],
-            total_gain: 10.0,
-            total_mem: 0.0,
-            total_update: 0.0,
-        };
-        let illegal = plan_with(vec![t1, t0], Vec::new());
-        let legal = plan_with(
+        let illegal = single_choice_plan(vec![t1, t0], Vec::new());
+        let legal = single_choice_plan(
             vec![t0, t1],
             vec![Segment {
                 start: 1,
@@ -2133,5 +1932,114 @@ mod tests {
         // Redeploying the identical plan is a no-op (already running).
         c.deploy_plan(&legal).unwrap();
         assert_eq!(c.reconfig_count, 1);
+    }
+
+    #[test]
+    fn failed_plan_deploys_trip_the_breaker() {
+        let (mut c, _, legal) = hazard_controller();
+        let attempts = 1 + c.cfg.max_deploy_retries;
+        for failures in 1..=c.cfg.degrade_after {
+            // Every attempt of the candidate deploy is rejected; the
+            // rollback redeploy lands.
+            c.target.inject_next(InjectedFault::DeployReject, attempts);
+            let err = c.deploy_plan(&legal).unwrap_err();
+            assert!(matches!(err, RuntimeError::DeployFailed { .. }), "{err:?}");
+            assert_eq!(c.health().consecutive_deploy_failures, failures);
+            assert_eq!(c.health().rollbacks, u64::from(failures));
+            let opened = c.cfg.degrade_after == failures;
+            assert_eq!(c.health().degraded, opened, "after {failures} failures");
+        }
+        assert_eq!(c.health().cooldown_remaining, c.cfg.cooldown_ticks);
+        assert!(
+            c.journal().iter().any(|e| e.kind.tag() == "breaker_opened"),
+            "the breaker opening must be journaled"
+        );
+        assert!(c.applied().is_none());
+        assert_eq!(
+            c.target.fingerprint().unwrap(),
+            graph_fingerprint(c.original())
+        );
+    }
+
+    #[test]
+    fn a_merge_that_outgrows_its_budget_reverts_to_the_original() {
+        use pipeleon::plan::{Segment, SegmentKind};
+        // Two exact ACLs, one entry each. Merged, they materialize
+        // (1 + 1)·(1 + 1) = 4 rows; the budget is 6.
+        let mut b = ProgramBuilder::new();
+        let fields = [b.field("f0"), b.field("f1")];
+        let acls: Vec<NodeId> = fields
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| {
+                b.table(format!("acl{i}"))
+                    .key(f, MatchKind::Exact)
+                    .action_nop("permit")
+                    .action_drop("deny")
+                    .entry(TableEntry::new(vec![MatchValue::Exact(i as u64 + 1)], 1))
+                    .finish()
+            })
+            .collect();
+        let g = b.seal_sequential().unwrap();
+        let nic = SmartNic::new(g.clone(), CostParams::bluefield2()).unwrap();
+        let mut optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
+        optimizer.cfg.max_merge_entries = 6;
+        let mut c = Controller::new(
+            SimTarget::live(nic),
+            g.clone(),
+            optimizer,
+            ControllerConfig::default(),
+        )
+        .unwrap();
+        let merge = Segment {
+            start: 0,
+            end: 2,
+            kind: SegmentKind::Merge { as_cache: false },
+        };
+        c.deploy_plan(&single_choice_plan(acls.clone(), vec![merge]))
+            .unwrap();
+        let merged = |c: &Controller<SimTarget>| {
+            c.applied().is_some_and(|a| {
+                a.entry_map
+                    .sites(acls[0])
+                    .iter()
+                    .any(|s| matches!(s, EntrySite::MergedInto { .. }))
+            })
+        };
+        assert!(merged(&c), "the plan merges the two ACLs");
+        let dropped = |c: &mut Controller<SimTarget>, table: usize, value: u64| {
+            let mut pkt = Packet::new(&g.fields);
+            pkt.set(fields[table], value);
+            c.target.nic.process_one(&mut pkt).dropped
+        };
+        // (1 + 1)·(2 + 1) = 6 rows: the merged table is rebuilt in place.
+        let deny = |v: u64| TableEntry::new(vec![MatchValue::Exact(v)], 1);
+        c.insert_entry(acls[1], deny(5)).unwrap();
+        assert!(merged(&c));
+        assert!(dropped(&mut c, 1, 5));
+        assert_eq!(c.health().rollbacks, 0);
+        // (2 + 1)·(2 + 1) = 9 rows: the merge is reversed and the original
+        // program, insert included, runs.
+        c.insert_entry(acls[0], deny(6)).unwrap();
+        assert!(c.applied().is_none());
+        assert_eq!(
+            c.target.fingerprint().unwrap(),
+            graph_fingerprint(c.original())
+        );
+        let entries = &c
+            .original()
+            .node(acls[0])
+            .unwrap()
+            .as_table()
+            .unwrap()
+            .entries;
+        assert_eq!(entries.last(), Some(&deny(6)));
+        assert!(dropped(&mut c, 0, 6));
+        assert_eq!(c.health().rollbacks, 1);
+        let reverted = c
+            .journal()
+            .iter()
+            .any(|e| matches!(&e.kind, EventKind::Rollback { to } if to == "original"));
+        assert!(reverted, "the merge revert must be journaled as a rollback");
     }
 }

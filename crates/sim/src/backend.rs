@@ -14,7 +14,7 @@ use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::specialize::{SpecConfig, SpecStats};
 use pipeleon_cost::{CostParams, MemoryTier, Placement, RuntimeProfile};
-use pipeleon_ir::{IrError, NextHops, NodeId, ProgramGraph, Table, TableEntry};
+use pipeleon_ir::{IrError, NextHops, NodeId, NodeKind, ProgramGraph, Table, TableEntry};
 
 /// One control-plane operation on a deployed datapath, as a value: what
 /// the controller issues, what a fault injector intercepts, what a
@@ -102,6 +102,68 @@ impl ControlOp {
                 | ControlOp::SetMemoryTiers(_)
                 | ControlOp::SetEngineMode(_)
         )
+    }
+
+    /// Applies a table edit — `InsertEntry`, `RemoveEntry` or
+    /// `ReplaceTable` — to `graph`. This is the one place an entry op's
+    /// effect on a program is written: the executor runs it before
+    /// rebuilding the node's engine, and the controller runs it on its
+    /// source of truth and on its last-known-good mirror. A rejected op
+    /// (an unknown node, a node that is not a table, an index out of
+    /// range, an entry the table refuses, a replacement the graph does
+    /// not validate with, or an op that is no table edit) leaves `graph`
+    /// unchanged.
+    pub fn edit_table(&self, graph: &mut ProgramGraph) -> Result<Applied, IrError> {
+        let node = match self {
+            ControlOp::InsertEntry { node, .. }
+            | ControlOp::RemoveEntry { node, .. }
+            | ControlOp::ReplaceTable { node, .. } => *node,
+            _ => return Err(IrError::Invalid("not a table edit".into())),
+        };
+        let slot = graph.node_mut(node).ok_or(IrError::UnknownNode(node))?;
+        let t = slot.as_table_mut().ok_or(IrError::BadTable {
+            table: node,
+            reason: "not a table".into(),
+        })?;
+        match self {
+            ControlOp::InsertEntry { entry, .. } => {
+                t.entries.push(entry.clone());
+                if let Err(reason) = t.validate() {
+                    t.entries.pop();
+                    return Err(IrError::BadEntry {
+                        table: node,
+                        reason,
+                    });
+                }
+                Ok(Applied::Done)
+            }
+            ControlOp::RemoveEntry { index, .. } => {
+                if *index >= t.entries.len() {
+                    return Err(IrError::BadEntry {
+                        table: node,
+                        reason: format!("no entry at index {index}"),
+                    });
+                }
+                Ok(Applied::Removed(t.entries.remove(*index)))
+            }
+            ControlOp::ReplaceTable { table, next, .. } => {
+                let old_table = std::mem::replace(t, table.clone());
+                let old_next = next
+                    .clone()
+                    .map(|next| std::mem::replace(&mut slot.next, next));
+                let Err(e) = graph.validate() else {
+                    return Ok(Applied::Done);
+                };
+                if let Some(slot) = graph.node_mut(node) {
+                    slot.kind = NodeKind::Table(old_table);
+                    if let Some(next) = old_next {
+                        slot.next = next;
+                    }
+                }
+                Err(e)
+            }
+            _ => unreachable!("matched as a table edit above"),
+        }
     }
 }
 
@@ -232,5 +294,124 @@ pub trait NicBackend {
     /// `true` if the pipeline changed.
     fn specialize(&mut self) -> bool {
         self.apply(ControlOp::Specialize(SpecConfig::default())) == Ok(Applied::Done)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pipeleon_ir::json::to_json_string;
+    use pipeleon_ir::{Condition, MatchKind, MatchValue, ProgramBuilder};
+
+    /// `br` (x < 10) → `acl` (drop x == 13) → sink.
+    fn program() -> (ProgramGraph, NodeId, NodeId) {
+        let mut b = ProgramBuilder::new();
+        let x = b.field("x");
+        let acl = b
+            .table("acl")
+            .key(x, MatchKind::Exact)
+            .action_nop("permit")
+            .action_drop("deny")
+            .entry(TableEntry::new(vec![MatchValue::Exact(13)], 1))
+            .finish();
+        b.set_next(acl, None);
+        let br = b.branch("br", Condition::lt(x, 10), Some(acl), None);
+        (b.seal(br).unwrap(), acl, br)
+    }
+
+    fn table(g: &ProgramGraph, node: NodeId) -> &Table {
+        g.node(node).unwrap().as_table().unwrap()
+    }
+
+    #[test]
+    fn each_table_edit_takes_effect() {
+        let (mut g, acl, br) = program();
+        let seven = TableEntry::new(vec![MatchValue::Exact(7)], 1);
+        let insert = ControlOp::InsertEntry {
+            node: acl,
+            entry: seven.clone(),
+        };
+        assert_eq!(insert.edit_table(&mut g), Ok(Applied::Done));
+        assert_eq!(table(&g, acl).entries.last(), Some(&seven));
+
+        let remove = ControlOp::RemoveEntry {
+            node: acl,
+            index: 0,
+        };
+        let thirteen = TableEntry::new(vec![MatchValue::Exact(13)], 1);
+        assert_eq!(remove.edit_table(&mut g), Ok(Applied::Removed(thirteen)));
+        assert_eq!(table(&g, acl).entries, [seven]);
+
+        // A replacement with its own next hops: a switch-case table that
+        // goes back to the sink on either action.
+        let mut renamed = table(&g, acl).clone();
+        renamed.name = "acl_v2".into();
+        let replace = ControlOp::ReplaceTable {
+            node: acl,
+            table: renamed.clone(),
+            next: Some(NextHops::ByAction(vec![None, None])),
+        };
+        assert_eq!(replace.edit_table(&mut g), Ok(Applied::Done));
+        assert_eq!(table(&g, acl), &renamed);
+        assert_eq!(
+            g.node(acl).unwrap().next,
+            NextHops::ByAction(vec![None, None])
+        );
+        assert!(g.node(br).unwrap().as_table().is_none());
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn a_rejected_table_edit_leaves_the_graph_byte_identical() {
+        let (mut g, acl, br) = program();
+        let before = to_json_string(&g).unwrap();
+        let missing = NodeId(99);
+        let one_key = TableEntry::new(vec![MatchValue::Exact(7)], 1);
+        let two_keys = TableEntry::new(vec![MatchValue::Exact(7), MatchValue::Exact(8)], 1);
+        let same = table(&g, acl).clone();
+        let mut no_default = same.clone();
+        no_default.default_action = 9;
+        let insert = |node, entry: &TableEntry| ControlOp::InsertEntry {
+            node,
+            entry: entry.clone(),
+        };
+        let remove = |node, index| ControlOp::RemoveEntry { node, index };
+        let replace = |node, table: &Table, next| ControlOp::ReplaceTable {
+            node,
+            table: table.clone(),
+            next,
+        };
+        let to_missing = Some(NextHops::Always(Some(missing)));
+        let cases = [
+            (insert(missing, &one_key), ("unknown node", Some(missing))),
+            (insert(br, &one_key), ("bad table", Some(br))),
+            (insert(acl, &two_keys), ("bad entry", Some(acl))),
+            (remove(missing, 0), ("unknown node", Some(missing))),
+            (remove(br, 0), ("bad table", Some(br))),
+            (remove(acl, 1), ("bad entry", Some(acl))),
+            (
+                replace(missing, &same, None),
+                ("unknown node", Some(missing)),
+            ),
+            (replace(br, &same, None), ("bad table", Some(br))),
+            (replace(acl, &no_default, None), ("bad table", Some(acl))),
+            (replace(acl, &same, to_missing), ("invalid", None)),
+            (ControlOp::FlushCache(acl), ("invalid", None)),
+        ];
+        for (op, expected) in cases {
+            let err = op.edit_table(&mut g).unwrap_err();
+            let refusal = match &err {
+                IrError::UnknownNode(n) => ("unknown node", Some(*n)),
+                IrError::BadTable { table, .. } => ("bad table", Some(*table)),
+                IrError::BadEntry { table, .. } => ("bad entry", Some(*table)),
+                _ => ("invalid", None),
+            };
+            assert_eq!(refusal, expected, "{op:?} was refused with {err:?}");
+            assert_eq!(
+                to_json_string(&g).unwrap(),
+                before,
+                "{op:?} changed the graph"
+            );
+        }
     }
 }

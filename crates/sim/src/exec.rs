@@ -34,10 +34,11 @@ use crate::specialize::{self, HotKeySketch, SpecConfig, SpecPlan, SpecStats};
 use fxhash::{FxBuildHasher, FxHashMap};
 use pipeleon_cost::{
     CacheStats, CostParams, MatchCostModel, MemoryTier, Placement, RuntimeProfile,
+    CACHE_INSERTION_RATE,
 };
 use pipeleon_ir::{
     CacheRole, Condition, EdgeRef, IrError, NextHops, Node, NodeId, NodeKind, Primitive,
-    ProgramGraph, Table, TableEntry,
+    ProgramGraph, Table,
 };
 use pipeleon_obs::{Event, EventKind};
 use std::borrow::{Borrow, Cow};
@@ -199,9 +200,6 @@ struct PendingInsert<H> {
 
 /// Default flow-cache capacity when a cache table has no `max_entries`.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
-
-/// Default cache insertion rate limit (insertions/s) when unspecified.
-pub const DEFAULT_INSERTION_RATE: f64 = 100_000.0;
 
 /// Fraction of a counter update's cost paid by non-sampled packets when
 /// sampling is active: the per-packet sample decision (hash + compare)
@@ -579,8 +577,10 @@ impl Executor {
     }
 
     /// Applies one control operation — the only way a deployed datapath
-    /// changes. Each op's effect is written once, in the private method
-    /// its arm names; a rejected op leaves the datapath as it was.
+    /// changes. Each op's effect is written once: a table edit in
+    /// [`ControlOp::edit_table`], then the node's engine is rebuilt;
+    /// every other op in the private method its arm names. A rejected op
+    /// leaves the datapath as it was.
     /// [`ControlOp::Specialize`] plans from this executor's own live
     /// window.
     pub fn apply(&mut self, op: &ControlOp) -> Result<Applied, IrError> {
@@ -589,16 +589,17 @@ impl Executor {
                 graph.validate()?;
                 self.adopt_graph(graph.clone(), None);
             }
-            ControlOp::InsertEntry { node, entry } => self.insert_entry(*node, entry.clone())?,
-            ControlOp::RemoveEntry { node, index } => {
-                return self.remove_entry(*node, *index).map(Applied::Removed);
-            }
-            ControlOp::ReplaceTable { node, table, next } => {
-                self.replace_table(*node, table.clone(), next.clone())?
+            ControlOp::InsertEntry { node, .. }
+            | ControlOp::RemoveEntry { node, .. }
+            | ControlOp::ReplaceTable { node, .. } => {
+                let applied = op.edit_table(&mut self.program.view.graph)?;
+                self.rebuild_engine(*node);
+                self.recompile_table(*node);
+                return Ok(applied);
             }
             ControlOp::FlushCache(node) => self.flush_cache(*node),
             ControlOp::SetCacheInsertionLimit { node, rate_per_s } => {
-                self.set_cache_insertion_limit(*node, *rate_per_s)
+                self.set_insertion_rate(*node, *rate_per_s)
             }
             ControlOp::SetInstrumentation {
                 enabled,
@@ -697,78 +698,6 @@ impl Executor {
     fn set_memory_tiers(&mut self, tiers: Vec<MemoryTier>) {
         self.program.view.memory_tiers = tiers;
         self.program.compiled = None;
-    }
-
-    fn node_mut(&mut self, node: NodeId) -> Result<&mut Node, IrError> {
-        let graph = &mut self.program.view.graph;
-        graph.node_mut(node).ok_or(IrError::UnknownNode(node))
-    }
-
-    fn table_mut(&mut self, node: NodeId) -> Result<&mut Table, IrError> {
-        self.node_mut(node)?
-            .as_table_mut()
-            .ok_or(IrError::BadTable {
-                table: node,
-                reason: "not a table".into(),
-            })
-    }
-
-    /// Inserts an entry into a table and recompiles its engine.
-    fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        let t = self.table_mut(node)?;
-        t.entries.push(entry);
-        if let Err(reason) = t.validate() {
-            // A rejected op changes nothing.
-            t.entries.pop();
-            return Err(IrError::BadEntry {
-                table: node,
-                reason,
-            });
-        }
-        self.rebuild_engine(node);
-        self.recompile_table(node);
-        Ok(())
-    }
-
-    /// Removes the entry at `index` from a table and recompiles.
-    fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
-        let t = self.table_mut(node)?;
-        if index >= t.entries.len() {
-            return Err(IrError::BadEntry {
-                table: node,
-                reason: format!("no entry at index {index}"),
-            });
-        }
-        let e = t.entries.remove(index);
-        self.rebuild_engine(node);
-        self.recompile_table(node);
-        Ok(e)
-    }
-
-    /// Replaces a table node's definition (and optionally its next-hops)
-    /// in place — used when a merged table is re-materialized after a
-    /// control-plane update. The engine is recompiled; the node id stays
-    /// stable.
-    fn replace_table(
-        &mut self,
-        node: NodeId,
-        table: pipeleon_ir::Table,
-        next: Option<NextHops>,
-    ) -> Result<(), IrError> {
-        let old_table = std::mem::replace(self.table_mut(node)?, table);
-        let slot = self.node_mut(node)?;
-        let old_next = next.map(|next| std::mem::replace(&mut slot.next, next));
-        if let Err(e) = self.program.view.graph.validate() {
-            // A rejected op changes nothing.
-            *self.table_mut(node)? = old_table;
-            if let Some(next) = old_next {
-                self.node_mut(node)?.next = next;
-            }
-            return Err(e);
-        }
-        self.rebuild_engine(node);
-        self.recompile_table(node);
-        Ok(())
     }
 
     /// Flushes the runtime state of one flow cache (invalidation).
@@ -881,10 +810,7 @@ impl Executor {
                     lru: LruCache::with_default_hasher(
                         t.max_entries.unwrap_or(DEFAULT_CACHE_CAPACITY),
                     ),
-                    limiter: RateLimiter::new(
-                        DEFAULT_INSERTION_RATE,
-                        DEFAULT_INSERTION_RATE / 100.0,
-                    ),
+                    limiter: RateLimiter::new(CACHE_INSERTION_RATE, CACHE_INSERTION_RATE / 100.0),
                     stats: CacheStats::default(),
                 });
             }
@@ -892,7 +818,7 @@ impl Executor {
     }
 
     /// Sets a flow cache's insertion rate limit (insertions per second).
-    fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64) {
+    fn set_insertion_rate(&mut self, node: NodeId, rate_per_s: f64) {
         if let Some(Some(c)) = self.walk.caches.get_mut(node.index()) {
             c.limiter = RateLimiter::new(rate_per_s, (rate_per_s / 100.0).max(8.0));
         }
@@ -1653,11 +1579,18 @@ mod tests {
         let mut ex = Executor::new(g, params()).unwrap();
         let mut p = Packet::with_slots(vec![99, 0]);
         assert!(!ex.process(&mut p.clone()).dropped);
-        ex.insert_entry(acl, TableEntry::new(vec![MatchValue::Exact(99)], 1))
-            .unwrap();
+        let entry = TableEntry::new(vec![MatchValue::Exact(99)], 1);
+        ex.apply(&ControlOp::InsertEntry {
+            node: acl,
+            entry: entry.clone(),
+        })
+        .unwrap();
         assert!(ex.process(&mut p).dropped);
-        let removed = ex.remove_entry(acl, 1).unwrap();
-        assert_eq!(removed.matches, vec![MatchValue::Exact(99)]);
+        let removed = ex.apply(&ControlOp::RemoveEntry {
+            node: acl,
+            index: 1,
+        });
+        assert_eq!(removed, Ok(Applied::Removed(entry)));
         let mut p = Packet::with_slots(vec![99, 0]);
         assert!(!ex.process(&mut p).dropped);
     }
@@ -1782,7 +1715,7 @@ mod tests {
     fn insertion_rate_limit_drops_insertions() {
         let (g, cache, _) = cached_program();
         let mut ex = Executor::new(g, params()).unwrap();
-        ex.set_cache_insertion_limit(cache, 0.0); // no insertions allowed
+        ex.set_insertion_rate(cache, 0.0); // no insertions allowed
         for i in 0..10 {
             let mut p = Packet::with_slots(vec![i, 0]);
             ex.process(&mut p);

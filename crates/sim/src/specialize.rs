@@ -55,6 +55,7 @@ use crate::engine::KeyScratch;
 use crate::smallkey::SmallKey;
 use pipeleon_cost::{CostParams, RuntimeProfile};
 use pipeleon_ir::{CacheRole, MatchValue, NextHops, NodeId, NodeKind, ProgramGraph};
+use pipeleon_obs::MetricsRegistry;
 use std::collections::HashMap;
 
 /// Tuning knobs for plan construction. Defaults are deliberately
@@ -124,6 +125,66 @@ pub struct SpecStats {
     /// Monotonic epoch, bumped by every (de)specialization; lets
     /// journal writers dedup events exactly like generation swaps.
     pub generation: u64,
+}
+
+impl SpecStats {
+    /// Sets the specialization series, each with its `# HELP` text, in
+    /// `metrics` — the one export the controller and `simulate
+    /// --metrics-out` share.
+    pub fn export(&self, metrics: &mut MetricsRegistry) {
+        let counters = [
+            (
+                "pipeleon_specialize_guard_hits_total",
+                "Hot-key guard hits in the specialized compiled datapath",
+                self.guard_hits,
+            ),
+            (
+                "pipeleon_specialize_guard_misses_total",
+                "Hot-key guard misses (fell through to the general lookup)",
+                self.guard_misses,
+            ),
+            (
+                "pipeleon_specialize_memo_hits_total",
+                "Guard misses answered from the per-walk lookup memo",
+                self.memo_hits,
+            ),
+            (
+                "pipeleon_specialize_fused_hits_total",
+                "Packets that took at least one stage of a fused guard run",
+                self.fused_hits,
+            ),
+            (
+                "pipeleon_specializations_total",
+                "Specialization plans applied to the compiled datapath",
+                self.specializations,
+            ),
+            (
+                "pipeleon_despecializations_total",
+                "Reverts to the verbatim lowering (drift, misses, entry ops)",
+                self.despecializations,
+            ),
+        ];
+        for (name, help, value) in counters {
+            metrics.help(name, help);
+            metrics.counter_set(name, &[], value);
+        }
+        let gauges = [
+            (
+                "pipeleon_specialize_fused_runs",
+                "Chains of guarded tables currently fused into staged runs",
+                self.fused_runs,
+            ),
+            (
+                "pipeleon_specialized_tables",
+                "Tables currently carrying a hot-key guard or direct-index way",
+                self.specialized_tables,
+            ),
+        ];
+        for (name, help, value) in gauges {
+            metrics.help(name, help);
+            metrics.gauge_set(name, &[], value as f64);
+        }
+    }
 }
 
 /// A per-table Boyer–Moore majority sketch over sampled composed keys.
