@@ -1,29 +1,27 @@
 //! Figure 9: microbenchmarks of the three optimizations on the
 //! BlueField2-like and Agilio-CX-like targets.
-//!
-//! * (a)/(b) table reordering: throughput as the ACL table moves from the
-//!   end of a ~22-table program to the front, for 25/50/75% drop rates.
-//! * (c) table caching: the §5.2.1 caching options `[1][2][3][4]` …
-//!   `[1,2,3,4]` over a 4-table pipelet replicated to 16 tables, with
-//!   40 000 flows (per-table key spaces are small but the cross product
-//!   explodes, so one big cache underperforms several small ones).
-//! * (d) table merging: merged options `[1,2]`, `[1,2,3]`, `[1,2,3,4]`
-//!   over small static tables, reporting materialized entry counts.
 
+use crate::{apply_manual, cells, micro_packets, micro_pipeline, with_acl_at, Table};
 use pipeleon::plan::SegmentKind;
 use pipeleon::OptimizerConfig;
-use pipeleon_bench::{apply_manual, banner, f, header, micro_pipeline, row, with_acl_at};
 use pipeleon_cost::CostParams;
-use pipeleon_ir::ProgramGraph;
+use pipeleon_ir::{CacheRole, MatchKind, ProgramGraph};
 use pipeleon_sim::{Packet, SmartNic};
-use pipeleon_workloads::traffic::{FieldBias, FlowGen};
+use pipeleon_workloads::traffic::{FieldBias, FlowGen, ZipfSampler};
+use rand::prelude::*;
+use rand_chacha::ChaCha8Rng;
 
-fn targets() -> Vec<CostParams> {
-    vec![CostParams::bluefield2(), CostParams::agilio_cx()]
+fn targets() -> [CostParams; 2] {
+    [CostParams::bluefield2(), CostParams::agilio_cx()]
 }
 
-fn reordering() {
-    header(&["panel", "target", "drop_rate", "acl_position", "gbps"]);
+/// (a)/(b) table reordering: throughput as the ACL table moves from the
+/// end of a 22-table program to the front, for 25/50/75 % drop rates.
+pub fn reordering() -> Table {
+    let mut t = Table::new(
+        "Figure 9(a/b): reordering, ACL position sweep (BlueField2, Agilio CX)",
+        "panel target drop_rate acl_position gbps",
+    );
     const TABLES: usize = 22;
     for params in targets() {
         let panel = if params.name == "bluefield2" {
@@ -34,9 +32,9 @@ fn reordering() {
         for drop in [0.25, 0.50, 0.75] {
             for pos in (0..TABLES).step_by(3).chain([TABLES - 1]) {
                 let (g, _, acl_field) = with_acl_at(TABLES, pos, 0xDEAD);
-                let mut nic = SmartNic::new(g.clone(), params.clone()).unwrap();
+                let mut nic = SmartNic::new(g.clone(), params.clone()).expect("deploys");
                 let flow_fields: Vec<_> = (0..4)
-                    .map(|i| g.fields.get(&format!("f{i}")).unwrap())
+                    .map(|i| g.fields.get(&format!("f{i}")).expect("micro field"))
                     .collect();
                 let mut gen = FlowGen::new(g.fields.len(), flow_fields, 1000, pos as u64)
                     .with_bias(FieldBias {
@@ -45,16 +43,17 @@ fn reordering() {
                         probability: drop,
                     });
                 let stats = nic.measure(gen.batch(12_000));
-                row(&[
-                    panel.into(),
-                    params.name.clone(),
-                    f(drop),
-                    pos.to_string(),
-                    f(stats.throughput_gbps),
+                t.push(cells![
+                    panel,
+                    params.name.as_str(),
+                    drop,
+                    pos,
+                    stats.throughput_gbps
                 ]);
             }
         }
     }
+    t
 }
 
 /// Expands a per-replica grouping pattern over the whole program: the
@@ -82,12 +81,10 @@ fn replicate_pattern(
 /// (196 / 2744), but the full cross product is 14⁴ = 38 416 — the
 /// Figure 9c cross-product blow-up.
 fn structured_flows(g: &ProgramGraph, n: usize, seed: u64) -> Vec<Packet> {
-    use rand::prelude::*;
-    use rand_chacha::ChaCha8Rng;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let zipf = pipeleon_workloads::traffic::ZipfSampler::new(14usize.pow(4), 1.05);
+    let zipf = ZipfSampler::new(14usize.pow(4), 1.05);
     let fields: Vec<_> = (0..4)
-        .map(|i| g.fields.get(&format!("f{i}")).unwrap())
+        .map(|i| g.fields.get(&format!("f{i}")).expect("micro field"))
         .collect();
     (0..n)
         .map(|_| {
@@ -101,20 +98,27 @@ fn structured_flows(g: &ProgramGraph, n: usize, seed: u64) -> Vec<Packet> {
         .collect()
 }
 
-fn caching() {
-    header(&["panel", "target", "option", "gbps", "total_cache_entries"]);
+/// (c) table caching: the §5.2.1 options `[1][2][3][4]` … `[1,2,3,4]`
+/// over a four-table ternary pipelet replicated to 8 tables, with ~40 000
+/// flows (per-table key spaces are small but the cross product explodes,
+/// so one big cache underperforms several small ones).
+pub fn caching() -> Table {
+    let mut t = Table::new(
+        "Figure 9(c): caching options",
+        "panel target option gbps total_cache_entries",
+    );
     // Ternary tables: the complex matches caching is meant to bypass.
-    let (g, ids) = pipeleon_bench::micro_pipeline_kind(8, pipeleon_ir::MatchKind::Ternary);
-    let options: Vec<(&str, Vec<(usize, usize)>)> = vec![
-        ("no_cache", vec![]),
-        ("[1][2][3][4]", vec![(0, 1), (1, 2), (2, 3), (3, 4)]),
-        ("[1,2][3][4]", vec![(0, 2), (2, 3), (3, 4)]),
-        ("[1,2,3][4]", vec![(0, 3), (3, 4)]),
-        ("[1,2,3,4]", vec![(0, 4)]),
+    let (g, ids) = micro_pipeline(8, MatchKind::Ternary, 1);
+    let options: [(&str, &[(usize, usize)]); 5] = [
+        ("no_cache", &[]),
+        ("[1][2][3][4]", &[(0, 1), (1, 2), (2, 3), (3, 4)]),
+        ("[1,2][3][4]", &[(0, 2), (2, 3), (3, 4)]),
+        ("[1,2,3][4]", &[(0, 3), (3, 4)]),
+        ("[1,2,3,4]", &[(0, 4)]),
     ];
     let cfg = OptimizerConfig::default();
     for params in targets() {
-        for (label, pattern) in &options {
+        for (label, pattern) in options {
             let (graph, cache_nodes) = if pattern.is_empty() {
                 (g.clone(), Vec::new())
             } else {
@@ -122,7 +126,7 @@ fn caching() {
                 let applied = apply_manual(&g, ids.clone(), segs, &params, &cfg);
                 (applied.graph, applied.cache_nodes)
             };
-            let mut nic = SmartNic::new(graph.clone(), params.clone()).unwrap();
+            let mut nic = SmartNic::new(graph, params.clone()).expect("deploys");
             // Warm-up to steady state (several simulated milliseconds, so
             // the cache insertion rate limiter is not the bottleneck),
             // then measure (TRex style).
@@ -134,77 +138,63 @@ fn caching() {
                 .iter()
                 .map(|&c| nic.executor_mut().cache_len(c))
                 .sum();
-            row(&[
-                "c".into(),
-                params.name.clone(),
-                (*label).into(),
-                f(stats.throughput_gbps),
-                entries.to_string(),
+            t.push(cells![
+                "c",
+                params.name.as_str(),
+                label,
+                stats.throughput_gbps,
+                entries
             ]);
         }
     }
+    t
 }
 
-fn merging() {
-    header(&["panel", "target", "option", "gbps", "merged_entries"]);
-    // Small static exact tables (4 entries each) that all traffic hits —
-    // the DASH-style merge case.
-    let (g, ids) = micro_pipeline(16);
+/// (d) table merging: merged options `[1,2]`, `[1,2,3]`, `[1,2,3,4]` over
+/// small static exact tables that all traffic hits (the DASH-style merge
+/// case), with the materialized entry counts.
+pub fn merging() -> Table {
+    let mut t = Table::new(
+        "Figure 9(d): merging options",
+        "panel target option gbps merged_entries",
+    );
+    let (g, ids) = micro_pipeline(16, MatchKind::Exact, 1);
     let cfg = OptimizerConfig {
         max_merge_tables: 4,
         ..OptimizerConfig::default()
     };
-    let options: Vec<(&str, Vec<(usize, usize)>)> = vec![
-        ("no_merge", vec![]),
-        ("[1,2]", vec![(0, 2)]),
-        ("[1,2,3]", vec![(0, 3)]),
-        ("[1,2,3,4]", vec![(0, 4)]),
+    let options: [(&str, &[(usize, usize)]); 4] = [
+        ("no_merge", &[]),
+        ("[1,2]", &[(0, 2)]),
+        ("[1,2,3]", &[(0, 3)]),
+        ("[1,2,3,4]", &[(0, 4)]),
     ];
     for params in targets() {
-        for (label, pattern) in &options {
+        for (label, pattern) in options {
             let (graph, entries) = if pattern.is_empty() {
                 (g.clone(), 0)
             } else {
-                let segs =
-                    replicate_pattern(pattern, ids.len(), SegmentKind::Merge { as_cache: true });
+                let kind = SegmentKind::Merge { as_cache: true };
+                let segs = replicate_pattern(pattern, ids.len(), kind);
                 let applied = apply_manual(&g, ids.clone(), segs, &params, &cfg);
                 let merged_entries = applied
                     .graph
                     .tables()
-                    .filter(|(_, t)| t.cache_role == pipeleon_ir::CacheRole::MergedCache)
+                    .filter(|(_, t)| t.cache_role == CacheRole::MergedCache)
                     .map(|(_, t)| t.entries.len())
                     .sum();
                 (applied.graph, merged_entries)
             };
-            let mut nic = SmartNic::new(graph.clone(), params.clone()).unwrap();
-            // Traffic always hits the installed entries (static tables).
-            let packets: Vec<Packet> = (0..20_000)
-                .map(|i| {
-                    let mut p = Packet::new(&g.fields);
-                    for fi in 0..4 {
-                        p.set(g.fields.get(&format!("f{fi}")).unwrap(), i % 4);
-                    }
-                    p
-                })
-                .collect();
-            let stats = nic.measure(packets);
-            row(&[
-                "d".into(),
-                params.name.clone(),
-                (*label).into(),
-                f(stats.throughput_gbps),
-                entries.to_string(),
+            let mut nic = SmartNic::new(graph, params.clone()).expect("deploys");
+            let stats = nic.measure(micro_packets(&g, 20_000, 4));
+            t.push(cells![
+                "d",
+                params.name.as_str(),
+                label,
+                stats.throughput_gbps,
+                entries
             ]);
         }
     }
-}
-
-fn main() {
-    banner(
-        "Figure 9",
-        "reordering / caching / merging microbenchmarks (BlueField2 + Agilio CX models)",
-    );
-    reordering();
-    caching();
-    merging();
+    t
 }

@@ -1,12 +1,7 @@
-//! Figure 10: optimization benefit on synthesized single-pipelet programs
-//! across three workload categories — heavy packet drops, small static
-//! tables, high traffic locality — by pipelet length (1–2, 2–3, 3–4),
-//! attributed per technique. Latency reduction is computed with the cost
-//! model, as in the paper ("average optimization performance computed by
-//! the cost model"). ~100 programs per category.
+//! Figure 10: optimization benefit on synthesized single-pipelet programs.
 
+use crate::{cells, Table};
 use pipeleon::{Optimizer, OptimizerConfig, ResourceLimits};
-use pipeleon_bench::{banner, f, header, row};
 use pipeleon_cost::{CostModel, CostParams, RuntimeProfile};
 use pipeleon_ir::ProgramGraph;
 use pipeleon_workloads::profiles::{random_profile, ProfileSynthConfig};
@@ -34,25 +29,23 @@ impl Category {
             pipelets: 1,
             pipelet_len: pl,
             seed,
+            write_fraction: 0.05,
             ..SynthConfig::default()
         };
-        let cfg = match self {
+        synthesize(&match self {
             Category::HeavyDrop => SynthConfig {
                 drop_fraction: 0.8,
-                write_fraction: 0.05,
                 match_mix: MatchMix::default_mix(),
                 ..base
             },
             Category::SmallStatic => SynthConfig {
                 drop_fraction: 0.0,
-                write_fraction: 0.05,
                 entries_per_table: 3,
                 match_mix: MatchMix::all_exact(),
                 ..base
             },
             Category::HighLocality => SynthConfig {
                 drop_fraction: 0.1,
-                write_fraction: 0.05,
                 match_mix: MatchMix {
                     exact: 0.2,
                     lpm: 0.3,
@@ -60,8 +53,7 @@ impl Category {
                 },
                 ..base
             },
-        };
-        synthesize(&cfg)
+        })
     }
 
     /// Synthesizes the category's runtime profile.
@@ -79,14 +71,11 @@ impl Category {
             Category::HighLocality => {
                 // Few distinct keys per table and stable entries ->
                 // caches hit and stay valid.
-                let mut p = random_profile(
-                    g,
-                    &ProfileSynthConfig {
-                        updating_fraction: 0.0,
-                        ..ProfileSynthConfig::default()
-                    },
-                    seed,
-                );
+                let cfg = ProfileSynthConfig {
+                    updating_fraction: 0.0,
+                    ..ProfileSynthConfig::default()
+                };
+                let mut p = random_profile(g, &cfg, seed);
                 for (n, _) in g.tables() {
                     p.set_distinct_keys(n.id, 8);
                 }
@@ -106,34 +95,22 @@ impl Category {
     }
 }
 
-fn main() {
-    banner(
-        "Figure 10",
-        "latency reduction on synthesized programs by category, pipelet length, technique",
+/// Three workload categories — heavy packet drops, small static tables,
+/// high traffic locality — by pipelet length (1–2, 2–3, 3–4), attributed
+/// per technique: 33 programs per (category, length) bucket, ~100 per
+/// category. Latency reduction is computed with the cost model, as in the
+/// paper ("average optimization performance computed by the cost model").
+pub fn synthesized() -> Table {
+    let mut t = Table::new(
+        "Figure 10: mean latency reduction by category, pipelet length, technique",
+        "category pipelet_len technique mean_latency_reduction_pct programs",
     );
-    header(&[
-        "category",
-        "pipelet_len",
-        "technique",
-        "mean_latency_reduction_pct",
-        "programs",
-    ]);
-    let params = CostParams::emulated_nic();
-    let model = CostModel::new(params);
-    type Tweak = fn(&mut OptimizerConfig);
-    let techniques: [(&str, Tweak); 3] = [
-        ("reordering", |c| {
-            c.enable_cache = false;
-            c.enable_merge = false;
-        }),
-        ("merging", |c| {
-            c.enable_reorder = false;
-            c.enable_cache = false;
-        }),
-        ("caching", |c| {
-            c.enable_reorder = false;
-            c.enable_merge = false;
-        }),
+    let model = CostModel::new(CostParams::emulated_nic());
+    // Each technique alone: (name, reorder, merge, cache).
+    let techniques = [
+        ("reordering", true, false, false),
+        ("merging", false, true, false),
+        ("caching", false, false, true),
     ];
     for cat in [
         Category::HeavyDrop,
@@ -141,21 +118,22 @@ fn main() {
         Category::HighLocality,
     ] {
         for (pl_label, pl) in [("1~2", 2usize), ("2~3", 3), ("3~4", 4)] {
-            for (tech, tweak) in &techniques {
+            for (tech, enable_reorder, enable_merge, enable_cache) in techniques {
                 let mut total = 0.0;
-                let mut n = 0usize;
-                // ~33 programs per (category, PL) bucket => ~100/category.
-                for seed in 0..33u64 {
+                let programs = 33u64;
+                for seed in 0..programs {
                     let g = cat.program(pl, seed * 13 + pl as u64);
                     let profile = cat.profile(&g, seed * 7 + 1);
-                    let mut cfg = OptimizerConfig {
+                    let cfg = OptimizerConfig {
                         top_k_fraction: 1.0,
                         enable_groups: false,
+                        enable_reorder,
+                        enable_merge,
+                        enable_cache,
                         ..OptimizerConfig::default()
                     };
-                    tweak(&mut cfg);
-                    let optimizer = Optimizer::new(model.clone()).with_config(cfg);
-                    let outcome = optimizer
+                    let outcome = Optimizer::new(model.clone())
+                        .with_config(cfg)
                         .optimize(&g, &profile, ResourceLimits::unlimited())
                         .expect("optimizes");
                     // Estimated reduction: caches are priced at their
@@ -163,16 +141,11 @@ fn main() {
                     // would price new caches at uninformed uniform priors).
                     let before = model.expected_latency(&g, &profile);
                     total += (outcome.est_gain_ns / before).max(0.0);
-                    n += 1;
                 }
-                row(&[
-                    cat.name().into(),
-                    pl_label.into(),
-                    (*tech).into(),
-                    f(100.0 * total / n as f64),
-                    n.to_string(),
-                ]);
+                let mean = 100.0 * total / programs as f64;
+                t.push(cells![cat.name(), pl_label, tech, mean, programs]);
             }
         }
     }
+    t
 }

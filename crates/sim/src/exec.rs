@@ -767,9 +767,11 @@ impl Executor {
     }
 
     /// Takes the latency histograms recorded for sampled packets since
-    /// the last call, resetting them. Sampling is driven by the global
-    /// packet sequence number, so a sharded NIC's per-shard observations
-    /// merge bit-identically to a single-threaded run's.
+    /// the last call, resetting them. Which packets are sampled follows
+    /// the [`SampleKeying`]: a sharded NIC's shards key per flow
+    /// ([`SampleKeying::FlowKeyed`]), so their merged observations are the
+    /// same at any worker count and equal a single NIC's under the same
+    /// keying, not under the default global sequence.
     pub fn take_observations(&mut self) -> ExecObservations {
         std::mem::take(&mut self.walk.observed)
     }

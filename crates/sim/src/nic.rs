@@ -19,8 +19,8 @@ use std::time::Instant;
 
 /// How a [`ShardedNic`](crate::ShardedNic) coordinates its workers:
 /// persistent per-worker run loops fed by SPSC rings, the only way left.
-/// Survives, with `ShardedNic::with_mode`, because `crates/perf` names
-/// both and a PR outside it may not edit it; ROADMAP item 4 removes them.
+/// Survives, with `ShardedNic::with_mode`, only because `crates/perf`
+/// still names both; ROADMAP item 1 removes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
     /// See the `sharded` module docs.

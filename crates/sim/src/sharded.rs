@@ -491,7 +491,7 @@ impl ShardedNic {
     }
 
     /// [`ShardedNic::new`], under the name `crates/perf` still calls; it
-    /// goes with [`ShardMode`] (ROADMAP item 4).
+    /// goes with [`ShardMode`] (ROADMAP item 1).
     #[doc(hidden)]
     pub fn with_mode(
         graph: ProgramGraph,
