@@ -15,7 +15,8 @@ use pipeleon_runtime::{
     TickReport,
 };
 use pipeleon_sim::{
-    BatchStats, ControlOp, EngineMode, ExecObservations, NicBackend, Packet, ShardedNic, SmartNic,
+    BatchStats, ControlOp, EngineMode, ExecObservations, NicBackend, Packet, SampleKeying,
+    ShardedNic, SmartNic,
 };
 use pipeleon_verify::{
     lint_concurrency_with_count, lint_program, render_report, render_report_json, LintConfig,
@@ -24,6 +25,7 @@ use pipeleon_verify::{
 use pipeleon_workloads::traffic::FlowGen;
 use std::time::{Duration, Instant};
 
+/// The commands, and the one table of the flags each accepts ([`parse`]).
 const USAGE: &str = "\
 pipeleon — profile-guided P4 SmartNIC optimizer (SIGCOMM'23 reproduction)
 
@@ -33,13 +35,16 @@ USAGE:
   pipeleon simulate <program> [--target T] [--packets N]
            [--flows N] [--zipf S] [--seed S] [--trace t.trace]
            [--workers N] [--sample N] [--engine compiled|interp]
-           [--profile-out p.json]
+           [--no-specialize] [--profile-out p.json]
            [--metrics-out m.prom|m.json] [--journal-out j.jsonl]
-           [--no-specialize]
-           [--chaos-seed S [--windows N]]
+  pipeleon chaos    <program> --chaos-seed S [--windows N] [--target T]
+           [--packets N] [--flows N] [--zipf S] [--seed S]
+           [--trace t.trace] [--workers N] [--sample N]
+           [--engine compiled|interp] [--no-specialize]
+           [--metrics-out m.prom|m.json] [--journal-out j.jsonl]
   pipeleon metrics  <program> [--target T] [--packets N]
-           [--flows N] [--zipf S] [--seed S] [--sample N]
-           [-o m.prom|m.json]
+           [--flows N] [--zipf S] [--seed S] [--trace t.trace]
+           [--sample N] [-o m.prom|m.json]
   pipeleon analyze  <program> [--target T] [--deny-warnings]
            [--format text|json]
   pipeleon analyze  --concurrency [repo-root] [--format text|json]
@@ -49,8 +54,8 @@ USAGE:
            [--addr-file f] [--metrics-out m.prom|m.json]
            [--journal-out j.jsonl]
   pipeleon drive    <program> --connect ADDR [--packets N] [--flows N]
-           [--zipf S] [--seed S] [--window N] [--timeout-ms MS]
-           [--metrics-out m.prom|m.json]
+           [--zipf S] [--seed S] [--trace t.trace] [--window N]
+           [--timeout-ms MS] [--metrics-out m.prom|m.json]
   pipeleon inspect  <program> [--target T] [--profile p.json]
   pipeleon build    <program.p4> [-o out.json]
   pipeleon calibrate [--target T]
@@ -58,87 +63,26 @@ USAGE:
 <program> is BMv2-style JSON IR, or P4-lite source (*.p4 / *.p4l).
 TARGETS: bluefield2 (default) | agilio_cx | emulated_nic";
 
-/// Entry point shared with tests. Each command is listed with every
-/// flag it reads and refuses the rest ([`Args::reject_unknown`]).
+/// Entry point shared with tests. A command accepts exactly the flags on
+/// its lines of [`USAGE`]; the datapath commands run on the backend
+/// [`on_backend`] builds.
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = parse(argv)?;
-    let Some(name) = args.positional.first().map(String::as_str) else {
-        return Err(USAGE.to_string());
-    };
     type Command = fn(&Args) -> Result<(), String>;
-    let (command, flags): (Command, &[&str]) = match name {
-        "optimize" => (
-            optimize,
-            &["profile", "target", "top-k", "memory", "updates", "o"],
-        ),
-        "simulate" => (
-            simulate,
-            &[
-                "target",
-                "packets",
-                "flows",
-                "zipf",
-                "seed",
-                "trace",
-                "workers",
-                "sample",
-                "engine",
-                "profile-out",
-                "metrics-out",
-                "journal-out",
-                "no-specialize",
-                "chaos-seed",
-                "windows",
-            ],
-        ),
-        "metrics" => (
-            metrics_summary,
-            &[
-                "target", "packets", "flows", "zipf", "seed", "trace", "sample", "o",
-            ],
-        ),
-        "analyze" => (
-            analyze,
-            &["target", "deny-warnings", "format", "concurrency"],
-        ),
-        "serve" => (
-            serve,
-            &[
-                "listen",
-                "target",
-                "workers",
-                "engine",
-                "burst",
-                "sample",
-                "max-packets",
-                "idle-timeout-ms",
-                "tick-packets",
-                "addr-file",
-                "metrics-out",
-                "journal-out",
-            ],
-        ),
-        "drive" => (
-            drive,
-            &[
-                "connect",
-                "packets",
-                "flows",
-                "zipf",
-                "seed",
-                "trace",
-                "window",
-                "timeout-ms",
-                "metrics-out",
-            ],
-        ),
-        "inspect" => (inspect, &["target", "profile"]),
-        "build" => (build, &["o"]),
-        "calibrate" => (calibrate, &["target"]),
-        other => return Err(format!("unknown command {other:?}\n\n{USAGE}")),
+    let command: Command = match argv.first().map(String::as_str) {
+        None => return Err(USAGE.to_string()),
+        Some("optimize") => optimize,
+        Some("simulate") => |a| on_backend(a, simulate, simulate),
+        Some("chaos") => |a| on_backend(a, chaos, chaos),
+        Some("metrics") => |a| on_backend(a, metrics_summary, metrics_summary),
+        Some("analyze") => analyze,
+        Some("serve") => |a| on_backend(a, serve, serve),
+        Some("drive") => drive,
+        Some("inspect") => inspect,
+        Some("build") => build,
+        Some("calibrate") => calibrate,
+        Some(other) => return Err(format!("unknown command {other:?}\n\n{USAGE}")),
     };
-    args.reject_unknown(name, flags)?;
-    command(&args)
+    command(&parse(argv, USAGE)?)
 }
 
 fn target(args: &Args) -> Result<CostParams, String> {
@@ -163,6 +107,28 @@ fn load_program(args: &Args) -> Result<ProgramGraph, String> {
     } else {
         from_json_string(&text).map_err(|e| format!("{path}: {e}"))
     }
+}
+
+/// The program argument and its `--target`, refused if the verifier
+/// proves the program broken (error-severity lints; warnings are
+/// advisory and do not block).
+fn checked_program(args: &Args) -> Result<(ProgramGraph, CostParams), String> {
+    let params = target(args)?;
+    let g = load_program(args)?;
+    let errors: Vec<_> = lint_program(&g, &LintConfig::with_params(params.clone()))
+        .into_iter()
+        .filter(|d| d.severity == Severity::Error)
+        .collect();
+    if errors.is_empty() {
+        return Ok((g, params));
+    }
+    let mut msg = String::from("program rejected by the verifier:\n");
+    for d in &errors {
+        msg.push_str(&d.render_text());
+        msg.push('\n');
+    }
+    msg.push_str("(run `pipeleon analyze` for the full report)");
+    Err(msg)
 }
 
 fn load_profile(args: &Args, g: &ProgramGraph) -> Result<RuntimeProfile, String> {
@@ -215,29 +181,8 @@ fn analyze(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Refuses to run a program the verifier proves broken (error-severity
-/// lints); warnings are advisory and do not block.
-fn lint_preflight(g: &ProgramGraph, params: &CostParams) -> Result<(), String> {
-    let errors: Vec<_> = lint_program(g, &LintConfig::with_params(params.clone()))
-        .into_iter()
-        .filter(|d| d.severity == Severity::Error)
-        .collect();
-    if errors.is_empty() {
-        return Ok(());
-    }
-    let mut msg = String::from("program rejected by the verifier:\n");
-    for d in &errors {
-        msg.push_str(&d.render_text());
-        msg.push('\n');
-    }
-    msg.push_str("(run `pipeleon analyze` for the full report)");
-    Err(msg)
-}
-
 fn optimize(args: &Args) -> Result<(), String> {
-    let params = target(args)?;
-    let g = load_program(args)?;
-    lint_preflight(&g, &params)?;
+    let (g, params) = checked_program(args)?;
     let profile = load_profile(args, &g)?;
     let cfg = OptimizerConfig {
         top_k_fraction: args.get_f64("top-k", 0.3)?,
@@ -267,27 +212,24 @@ fn optimize(args: &Args) -> Result<(), String> {
             outcome.candidates_rejected
         );
     }
-    let json = to_json_string(&outcome.applied.graph).map_err(|e| e.to_string())?;
-    match args.get("o") {
-        Some(path) => {
-            std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-    Ok(())
+    emit_program(args, &outcome.applied.graph)
 }
 
 /// `build`: P4-lite source → JSON IR.
 fn build(args: &Args) -> Result<(), String> {
     let g = load_program(args)?;
-    let json = to_json_string(&g).map_err(|e| e.to_string())?;
     eprintln!(
         "built {:?}: {} tables, {} nodes",
         g.name,
         g.tables().count(),
         g.num_nodes()
     );
+    emit_program(args, &g)
+}
+
+/// Writes `g` as JSON IR to `-o`, or prints it.
+fn emit_program(args: &Args, g: &ProgramGraph) -> Result<(), String> {
+    let json = to_json_string(g).map_err(|e| e.to_string())?;
     match args.get("o") {
         Some(path) => {
             std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -298,10 +240,11 @@ fn build(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the simulation batch: trace-driven replay when `--trace` is
+/// Builds the `--packets` batch: trace-driven replay when `--trace` is
 /// given, otherwise seeded flow-generated traffic over every field any
 /// table matches on.
-fn gen_batch(args: &Args, g: &ProgramGraph, packets: usize) -> Result<Vec<Packet>, String> {
+fn gen_batch(args: &Args, g: &ProgramGraph) -> Result<Vec<Packet>, String> {
+    let packets = args.get_usize("packets", 20_000)?;
     let flows = args.get_usize("flows", 1000)?;
     let zipf = args.get_f64("zipf", 0.0)?;
     let seed = args.get_usize("seed", 1)? as u64;
@@ -336,45 +279,120 @@ fn gen_batch(args: &Args, g: &ProgramGraph, packets: usize) -> Result<Vec<Packet
     }
 }
 
-/// Adds the datapath series — packet/table latency histograms from the
-/// executor's sampled observations, plus batch throughput facts — to a
-/// metrics registry.
-fn datapath_metrics_into(
-    reg: &mut MetricsRegistry,
+/// Builds the backend of every datapath command from the checked
+/// program and hands it to the command: `sharded` gets a [`ShardedNic`]
+/// when `--workers` is above 1, `single` a [`SmartNic`] otherwise — one
+/// generic command, instantiated for each. The single NIC samples per
+/// flow, as every shard does, so what a run collects does not depend on
+/// the worker count.
+fn on_backend(
+    args: &Args,
+    single: fn(&Args, SmartNic) -> Result<(), String>,
+    sharded: fn(&Args, ShardedNic) -> Result<(), String>,
+) -> Result<(), String> {
+    let (g, params) = checked_program(args)?;
+    let workers = args.get_usize("workers", 1)?;
+    if workers > 1 {
+        let nic = ShardedNic::new(g, params, workers).map_err(|e| e.to_string())?;
+        sharded(args, configured(args, nic)?)
+    } else {
+        let mut nic = SmartNic::new(g, params).map_err(|e| e.to_string())?;
+        nic.set_sample_keying(SampleKeying::FlowKeyed);
+        single(args, configured(args, nic)?)
+    }
+}
+
+/// Applies `--engine` (compiled by default; both engines produce
+/// bit-identical results) and samples one packet in `--sample`.
+fn configured<N: NicBackend>(args: &Args, mut nic: N) -> Result<N, String> {
+    let engine = match args.get_or("engine", "compiled") {
+        "compiled" => EngineMode::Compiled,
+        "interp" | "interpreter" => EngineMode::Interpreter,
+        other => return Err(format!("unknown --engine {other:?} (compiled | interp)")),
+    };
+    nic.apply(ControlOp::SetEngineMode(engine))
+        .map_err(|e| e.to_string())?;
+    nic.set_instrumentation(true, args.get_usize("sample", 1)?.max(1) as u64);
+    Ok(nic)
+}
+
+/// One measurement window over `batch`, with `mid` run against `s`
+/// between its halves: the first half is in flight (on a sharded
+/// backend, still in the rings) when `mid` runs, and the window closes
+/// once the second half has drained. The halves measure exactly as one
+/// window of the whole batch, and whatever `mid` applies lands at that
+/// stream position. `nic` reaches the backend inside `s`.
+fn window<S, N: NicBackend, T>(
+    s: &mut S,
+    nic: impl Fn(&mut S) -> &mut N,
+    batch: Vec<Packet>,
+    mid: impl FnOnce(&mut S) -> T,
+) -> (BatchStats, T) {
+    let mut head = batch;
+    let tail = head.split_off(head.len() / 2);
+    nic(s).measure_begin();
+    nic(s).measure_feed(head);
+    let t = mid(s);
+    nic(s).measure_feed(tail);
+    (nic(s).measure_end(), t)
+}
+
+/// Writes a datapath command's artifacts. `--metrics-out` (or `-o`) gets
+/// `reg` — the controller's or the server's series, if any — followed by
+/// the datapath's: packet and per-table latency histograms from the
+/// sampled observations, and the window's throughput facts when the run
+/// was one window. `--journal-out` gets `journal`.
+fn write_artifacts(
+    args: &Args,
     g: &ProgramGraph,
+    mut reg: MetricsRegistry,
     stats: Option<&BatchStats>,
     obs: &ExecObservations,
-) {
-    reg.help(
-        "pipeleon_packet_latency_ns",
-        "End-to-end accounted latency of sampled packets",
-    );
-    reg.merge_histogram("pipeleon_packet_latency_ns", &[], &obs.packet_latency);
-    reg.help(
-        "pipeleon_table_latency_ns",
-        "Latency contributed per table (match+actions+counters) on sampled packets",
-    );
-    for (node, hist) in &obs.per_table {
-        let name = g
-            .node(*node)
-            .map(|n| n.name().to_string())
-            .unwrap_or_else(|| format!("node{}", node.0));
-        reg.merge_histogram("pipeleon_table_latency_ns", &[("table", &name)], hist);
+    journal: Option<&EventJournal>,
+) -> Result<(), String> {
+    if let Some(path) = args.get("metrics-out").or(args.get("o")) {
+        reg.help(
+            "pipeleon_packet_latency_ns",
+            "End-to-end accounted latency of sampled packets",
+        );
+        reg.merge_histogram("pipeleon_packet_latency_ns", &[], &obs.packet_latency);
+        reg.help(
+            "pipeleon_table_latency_ns",
+            "Latency contributed per table (match+actions+counters) on sampled packets",
+        );
+        for (node, hist) in &obs.per_table {
+            let name = g
+                .node(*node)
+                .map(|n| n.name().to_string())
+                .unwrap_or_else(|| format!("node{}", node.0));
+            reg.merge_histogram("pipeleon_table_latency_ns", &[("table", &name)], hist);
+        }
+        if let Some(s) = stats {
+            reg.help("pipeleon_packets_total", "Packets processed in the batch");
+            reg.counter_add("pipeleon_packets_total", &[], s.packets);
+            reg.help("pipeleon_dropped_total", "Packets dropped by the program");
+            reg.counter_add("pipeleon_dropped_total", &[], s.dropped);
+            reg.help("pipeleon_mean_latency_ns", "Mean per-packet latency, ns");
+            reg.gauge_set("pipeleon_mean_latency_ns", &[], s.mean_latency_ns);
+            reg.help("pipeleon_p99_latency_ns", "99th-percentile latency, ns");
+            reg.gauge_set("pipeleon_p99_latency_ns", &[], s.p99_latency_ns);
+            reg.help("pipeleon_throughput_gbps", "Achieved throughput, Gbit/s");
+            reg.gauge_set("pipeleon_throughput_gbps", &[], s.throughput_gbps);
+            reg.help("pipeleon_offered_gbps", "Offered load (line rate), Gbit/s");
+            reg.gauge_set("pipeleon_offered_gbps", &[], s.offered_gbps);
+        }
+        write_metrics(path, &reg)?;
     }
-    if let Some(s) = stats {
-        reg.help("pipeleon_packets_total", "Packets processed in the batch");
-        reg.counter_add("pipeleon_packets_total", &[], s.packets);
-        reg.help("pipeleon_dropped_total", "Packets dropped by the program");
-        reg.counter_add("pipeleon_dropped_total", &[], s.dropped);
-        reg.help("pipeleon_mean_latency_ns", "Mean per-packet latency, ns");
-        reg.gauge_set("pipeleon_mean_latency_ns", &[], s.mean_latency_ns);
-        reg.help("pipeleon_p99_latency_ns", "99th-percentile latency, ns");
-        reg.gauge_set("pipeleon_p99_latency_ns", &[], s.p99_latency_ns);
-        reg.help("pipeleon_throughput_gbps", "Achieved throughput, Gbit/s");
-        reg.gauge_set("pipeleon_throughput_gbps", &[], s.throughput_gbps);
-        reg.help("pipeleon_offered_gbps", "Offered load (line rate), Gbit/s");
-        reg.gauge_set("pipeleon_offered_gbps", &[], s.offered_gbps);
+    if let (Some(path), Some(journal)) = (args.get("journal-out"), journal) {
+        std::fs::write(path, journal.to_jsonl())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!(
+            "wrote journal to {path} ({} events, {} evicted)",
+            journal.len(),
+            journal.dropped()
+        );
     }
+    Ok(())
 }
 
 /// Writes a registry to `path`: the JSON snapshot for `*.json`, the
@@ -390,89 +408,17 @@ fn write_metrics(path: &str, reg: &MetricsRegistry) -> Result<(), String> {
     Ok(())
 }
 
-fn write_journal(path: &str, journal: &EventJournal) -> Result<(), String> {
-    std::fs::write(path, journal.to_jsonl()).map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!(
-        "wrote journal to {path} ({} events, {} evicted)",
-        journal.len(),
-        journal.dropped()
-    );
-    Ok(())
-}
-
-/// Parses `--engine compiled|interp` (compiled is the default; both
-/// engines produce bit-identical results).
-fn engine_mode(args: &Args) -> Result<EngineMode, String> {
-    match args.get_or("engine", "compiled") {
-        "compiled" => Ok(EngineMode::Compiled),
-        "interp" | "interpreter" => Ok(EngineMode::Interpreter),
-        other => Err(format!("unknown --engine {other:?} (compiled | interp)")),
-    }
-}
-
-/// One measurement window, optionally with a mid-window specialization
-/// pass: the first half of the batch warms the profile and hot-key
-/// sketches, the backend specializes, and the window finishes on the
-/// specialized datapath. The begin/feed/end window merges to the same
-/// statistics as a single `measure_batch` of the whole batch —
-/// specialization only changes host wall-clock, never modeled results.
-fn measure_with_spec<N: NicBackend>(
-    nic: &mut N,
-    batch: Vec<Packet>,
-    specialize: bool,
-) -> BatchStats {
-    if !specialize || batch.len() < 2 {
-        return nic.measure_batch(batch);
-    }
-    let mut head = batch;
-    let tail = head.split_off(head.len() / 2);
-    nic.measure_begin();
-    nic.measure_feed(head);
-    nic.specialize();
-    nic.measure_feed(tail);
-    nic.measure_end()
-}
-
-fn simulate(args: &Args) -> Result<(), String> {
-    let params = target(args)?;
-    let g = load_program(args)?;
-    lint_preflight(&g, &params)?;
-    let workers = args.get_usize("workers", 1)?;
-    if workers > 1 {
-        let nic = ShardedNic::new(g, params, workers).map_err(|e| e.to_string())?;
-        simulate_on(args, nic)
-    } else {
-        let nic = SmartNic::new(g, params).map_err(|e| e.to_string())?;
-        simulate_on(args, nic)
-    }
-}
-
-/// `simulate` on either backend. The sharded datapath merges results at
-/// window boundaries: integer statistics, profiles, and histograms are
-/// worker-count-invariant.
-fn simulate_on<N: NicBackend>(args: &Args, mut nic: N) -> Result<(), String> {
+/// `simulate`: one measurement window over the batch. Profile-guided
+/// specialization is on by default for the compiled engine (the
+/// interpreter is the oracle and never specializes): the first half of
+/// the window warms the profile and hot-key sketches, the backend
+/// specializes, and the window finishes on the specialized datapath.
+/// That changes host wall clock only, never a modelled result.
+fn simulate<N: NicBackend>(args: &Args, mut nic: N) -> Result<(), String> {
     let g = nic.graph().clone();
-    let packets = args.get_usize("packets", 20_000)?;
-    let sample = args.get_usize("sample", 1)?.max(1) as u64;
-    let engine = engine_mode(args)?;
-    let batch = gen_batch(args, &g, packets)?;
-    nic.apply(ControlOp::SetEngineMode(engine))
-        .map_err(|e| e.to_string())?;
-    // Chaos mode: instead of one measurement batch, run the runtime
-    // controller loop against a fault-injected target and report per-
-    // window reconfiguration health.
-    if let Some(s) = args.get("chaos-seed") {
-        let chaos_seed: u64 = s
-            .parse()
-            .map_err(|_| format!("bad --chaos-seed {s:?} (expected u64)"))?;
-        let windows = args.get_usize("windows", 5)?;
-        return chaos_simulate(args, nic, chaos_seed, windows, batch);
-    }
-    // Profile-guided specialization is on by default for the compiled
-    // engine (the interpreter is the oracle and never specializes).
-    let specialize = engine == EngineMode::Compiled && !args.get_bool("no-specialize");
-    nic.set_instrumentation(true, sample);
-    let stats = measure_with_spec(&mut nic, batch, specialize);
+    let batch = gen_batch(args, &g)?;
+    let specialize = nic.engine_mode() == EngineMode::Compiled && !args.get_bool("no-specialize");
+    let (stats, _) = window(&mut nic, |n| n, batch, |n| specialize && n.specialize());
     let spec = nic.spec_stats();
     let (profile, obs) = (nic.take_profile(), nic.take_observations());
     let elapsed_s = nic.now_s();
@@ -484,6 +430,7 @@ fn simulate_on<N: NicBackend>(args: &Args, mut nic: N) -> Result<(), String> {
         "throughput (Gbps): {:.2} of {:.0} offered",
         stats.throughput_gbps, stats.offered_gbps
     );
+    let mut reg = MetricsRegistry::new();
     if specialize {
         println!(
             "specialization:    {} table(s), guard hits {} misses {} ({} from the memo), \
@@ -495,6 +442,7 @@ fn simulate_on<N: NicBackend>(args: &Args, mut nic: N) -> Result<(), String> {
             spec.fused_runs,
             spec.fused_hits
         );
+        spec.export(&mut reg);
     }
     if let Some(path) = args.get("profile-out") {
         let doc = profile_doc::from_profile(&profile, &g);
@@ -502,49 +450,30 @@ fn simulate_on<N: NicBackend>(args: &Args, mut nic: N) -> Result<(), String> {
         std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote collected profile to {path}");
     }
-    if let Some(path) = args.get("metrics-out") {
-        let mut reg = MetricsRegistry::new();
-        datapath_metrics_into(&mut reg, &g, Some(&stats), &obs);
-        if specialize {
-            spec.export(&mut reg);
-        }
-        write_metrics(path, &reg)?;
-    }
-    if let Some(path) = args.get("journal-out") {
-        // A plain simulate run is one measurement window.
-        let mut journal = EventJournal::new(16);
-        journal.push(
-            elapsed_s,
-            EventKind::WindowProfiled {
-                window_s: elapsed_s,
-                packets: stats.packets,
-                change: 0.0,
-                reoptimized: false,
-                deployed: false,
-            },
-        );
-        write_journal(path, &journal)?;
-    }
-    Ok(())
+    // A plain simulate run is one measurement window.
+    let mut journal = EventJournal::new(16);
+    journal.push(
+        elapsed_s,
+        EventKind::WindowProfiled {
+            window_s: elapsed_s,
+            packets: stats.packets,
+            change: 0.0,
+            reoptimized: false,
+            deployed: false,
+        },
+    );
+    write_artifacts(args, &g, reg, Some(&stats), &obs, Some(&journal))
 }
 
 /// `metrics`: run a sampled measurement batch and print a per-table
 /// latency summary straight from the mergeable histograms; `-o` writes
 /// the full exposition (Prometheus text, or JSON for `*.json`).
-fn metrics_summary(args: &Args) -> Result<(), String> {
-    let params = target(args)?;
-    let g = load_program(args)?;
-    lint_preflight(&g, &params)?;
-    let packets = args.get_usize("packets", 20_000)?;
-    let sample = args.get_usize("sample", 1)?.max(1) as u64;
-    let batch = gen_batch(args, &g, packets)?;
-    let mut nic = SmartNic::new(g.clone(), params).map_err(|e| e.to_string())?;
-    nic.set_instrumentation(true, sample);
-    let stats = nic.measure(batch);
+fn metrics_summary<N: NicBackend>(args: &Args, mut nic: N) -> Result<(), String> {
+    let g = nic.graph().clone();
+    let sample = args.get_usize("sample", 1)?.max(1);
+    let stats = nic.measure_batch(gen_batch(args, &g)?);
     let obs = nic.take_observations();
-    let q = |h: &pipeleon_obs::LatencyHistogram, q: f64| {
-        h.quantile(q).map_or("-".to_string(), |v| v.to_string())
-    };
+    let q = |h: &LatencyHistogram, q: f64| h.quantile(q).map_or("-".to_string(), |v| v.to_string());
     println!(
         "metrics for {:?}: {} packets, 1-in-{} sampled",
         g.name, stats.packets, sample
@@ -571,29 +500,22 @@ fn metrics_summary(args: &Args) -> Result<(), String> {
             q(hist, 0.99),
         );
     }
-    if let Some(path) = args.get("o") {
-        let mut reg = MetricsRegistry::new();
-        datapath_metrics_into(&mut reg, &g, Some(&stats), &obs);
-        write_metrics(path, &reg)?;
-    }
-    Ok(())
+    write_artifacts(args, &g, MetricsRegistry::new(), Some(&stats), &obs, None)
 }
 
-/// `simulate --chaos-seed`: drive the runtime controller over `windows`
-/// profiling windows while a seeded fault injector disturbs the target,
-/// then verify the deployed state converged to the controller's
-/// last-known-good layout.
-fn chaos_simulate<N: NicBackend>(
-    args: &Args,
-    mut nic: N,
-    seed: u64,
-    windows: usize,
-    batch: Vec<Packet>,
-) -> Result<(), String> {
-    nic.set_instrumentation(true, 1);
+/// `chaos`: drive the runtime controller over `--windows` profiling
+/// windows while a seeded fault injector disturbs the target, then
+/// verify the deployed state converged to the controller's
+/// last-known-good layout and no packet was lost across the swaps.
+fn chaos<N: NicBackend>(args: &Args, nic: N) -> Result<(), String> {
+    let seed = args.get("chaos-seed").ok_or("missing --chaos-seed S")?;
+    let seed: u64 = seed
+        .parse()
+        .map_err(|_| format!("bad --chaos-seed {seed:?} (expected u64)"))?;
+    let windows = args.get_usize("windows", 5)?.max(1);
     let g = nic.graph().clone();
-    let params = nic.params().clone();
-    let optimizer = Optimizer::new(CostModel::new(params));
+    let batch = gen_batch(args, &g)?;
+    let optimizer = Optimizer::new(CostModel::new(nic.params().clone()));
     let mut target = FaultyTarget::new(SimTarget::live(nic), FaultConfig::chaos(seed));
     // Construction deploys fault-free; chaos starts with the loop.
     target.set_armed(false);
@@ -603,20 +525,20 @@ fn chaos_simulate<N: NicBackend>(
     };
     let mut c = Controller::new(target, g.clone(), optimizer, cfg).map_err(|e| e.to_string())?;
     c.target.set_armed(true);
-    let windows = windows.max(1);
     let per_window = (batch.len() / windows).max(1);
     println!("chaos run: seed {seed}, {windows} windows x {per_window} packets");
     let (mut offered, mut processed) = (0u64, 0u64);
     for (w, chunk) in batch.chunks(per_window).take(windows).enumerate() {
-        // Keep the measurement window open across the controller tick:
-        // whatever the tick deploys publishes as a generation swap with
-        // the window's traffic genuinely in flight.
-        let mid = chunk.len() / 2;
-        c.target.inner.nic.measure_begin();
-        c.target.inner.nic.measure_feed(chunk[..mid].to_vec());
-        let r = c.tick().map_err(|e| e.to_string())?;
-        c.target.inner.nic.measure_feed(chunk[mid..].to_vec());
-        let s = c.target.inner.nic.measure_end();
+        // The window stays open across the controller tick: whatever the
+        // tick deploys publishes as a generation swap with the window's
+        // traffic genuinely in flight.
+        let (s, r) = window(
+            &mut c,
+            |c| &mut c.target.inner.nic,
+            chunk.to_vec(),
+            |c| c.tick(),
+        );
+        let r = r.map_err(|e| e.to_string())?;
         offered += chunk.len() as u64;
         processed += s.packets;
         let h = &r.health;
@@ -681,16 +603,9 @@ fn chaos_simulate<N: NicBackend>(
         c.journal_mut()
             .push(at_s, EventKind::FaultInjected { op, fault });
     }
-    if let Some(path) = args.get("metrics-out") {
-        // Control-loop series plus the datapath histograms the sampled
-        // executor collected across all windows.
-        let obs = c.target.inner.nic.take_observations();
-        datapath_metrics_into(c.metrics_mut(), &g, None, &obs);
-        write_metrics(path, c.metrics())?;
-    }
-    if let Some(path) = args.get("journal-out") {
-        write_journal(path, c.journal())?;
-    }
+    let obs = c.target.inner.nic.take_observations();
+    let reg = std::mem::take(c.metrics_mut());
+    write_artifacts(args, &g, reg, None, &obs, Some(c.journal()))?;
     if !verified {
         return Err("chaos run ended with the target diverged from controller bookkeeping".into());
     }
@@ -720,49 +635,6 @@ fn tick_line(r: &TickReport) -> String {
     line
 }
 
-/// `serve`: bind a UDP socket and answer live peers through the
-/// datapath. Frames decode via the program's wire contract, run through
-/// `process_batch`, and each verdict is echoed to its sender. With
-/// `--tick-packets N` the runtime controller ticks against the serving
-/// backend every N frames, reoptimizing (and generation-swapping) under
-/// the socket traffic.
-fn serve(args: &Args) -> Result<(), String> {
-    let params = target(args)?;
-    let g = load_program(args)?;
-    lint_preflight(&g, &params)?;
-    let map = FieldMap::from_graph(&g).map_err(|e| format!("{:?}: {e}", g.name))?;
-    let tick_packets = args.get_usize("tick-packets", 0)? as u64;
-    if tick_packets == 0 && args.get("journal-out").is_some() {
-        return Err("--journal-out needs --tick-packets N: the journal is the controller's".into());
-    }
-    let listen = args.get_or("listen", "127.0.0.1:9900");
-    let config = IngestConfig {
-        burst: args.get_usize("burst", 64)?.max(1),
-    };
-    let server =
-        IngestServer::bind(listen, config).map_err(|e| format!("cannot bind {listen}: {e}"))?;
-    let addr = server.local_addr().map_err(|e| e.to_string())?;
-    if let Some(path) = args.get("addr-file") {
-        // Lets scripts discover an OS-assigned port (--listen host:0).
-        std::fs::write(path, addr.to_string()).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    eprintln!(
-        "serving {:?} on {addr}: {} header-bound field(s), {} residue slot(s), {}-byte frames",
-        g.name,
-        map.bound().len(),
-        map.residue().len(),
-        map.frame_len()
-    );
-    let workers = args.get_usize("workers", 1)?;
-    if workers > 1 {
-        let nic = ShardedNic::new(g, params, workers).map_err(|e| e.to_string())?;
-        run_serve(args, server, nic, &map, tick_packets)
-    } else {
-        let nic = SmartNic::new(g, params).map_err(|e| e.to_string())?;
-        run_serve(args, server, nic, &map, tick_packets)
-    }
-}
-
 /// What `serve` polls into: the bare backend, or the backend inside the
 /// controller's target when `--tick-packets` runs a controller.
 enum Served<N: NicBackend> {
@@ -779,22 +651,40 @@ impl<N: NicBackend> Served<N> {
     }
 }
 
-/// The serving loop proper, over either backend, with a controller tick
-/// every `tick_packets` served frames when that is > 0.
-fn run_serve<N: NicBackend>(
-    args: &Args,
-    mut server: IngestServer,
-    mut nic: N,
-    map: &FieldMap,
-    tick_packets: u64,
-) -> Result<(), String> {
+/// `serve`: bind a UDP socket and answer live peers through the
+/// datapath. Frames decode via the program's wire contract, run through
+/// `process_batch`, and each verdict is echoed to its sender. With
+/// `--tick-packets N` the runtime controller ticks against the serving
+/// backend every N frames, reoptimizing (and generation-swapping) under
+/// the socket traffic.
+fn serve<N: NicBackend>(args: &Args, nic: N) -> Result<(), String> {
     let g = nic.graph().clone();
+    let map = FieldMap::from_graph(&g).map_err(|e| format!("{:?}: {e}", g.name))?;
+    let tick_packets = args.get_usize("tick-packets", 0)? as u64;
+    if tick_packets == 0 && args.get("journal-out").is_some() {
+        return Err("--journal-out needs --tick-packets N: the journal is the controller's".into());
+    }
+    let listen = args.get_or("listen", "127.0.0.1:9900");
+    let config = IngestConfig {
+        burst: args.get_usize("burst", 64)?.max(1),
+    };
+    let mut server =
+        IngestServer::bind(listen, config).map_err(|e| format!("cannot bind {listen}: {e}"))?;
+    let addr = server.local_addr().map_err(|e| e.to_string())?;
+    if let Some(path) = args.get("addr-file") {
+        // Lets scripts discover an OS-assigned port (--listen host:0).
+        std::fs::write(path, addr.to_string()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    }
+    eprintln!(
+        "serving {:?} on {addr}: {} header-bound field(s), {} residue slot(s), {}-byte frames",
+        g.name,
+        map.bound().len(),
+        map.residue().len(),
+        map.frame_len()
+    );
     // Stop after this many frames, or this long without one (0: never).
     let max_packets = args.get_usize("max-packets", 0)? as u64;
     let idle_timeout = Duration::from_millis(args.get_usize("idle-timeout-ms", 0)? as u64);
-    nic.apply(ControlOp::SetEngineMode(engine_mode(args)?))
-        .map_err(|e| e.to_string())?;
-    nic.set_instrumentation(true, args.get_usize("sample", 1)?.max(1) as u64);
     let mut served = if tick_packets > 0 {
         let optimizer = Optimizer::new(CostModel::new(nic.params().clone()));
         let cfg = ControllerConfig::default();
@@ -807,7 +697,7 @@ fn run_serve<N: NicBackend>(
     let (mut last_rx, mut ticked_at) = (Instant::now(), 0u64);
     loop {
         let received = server
-            .poll_once(served.nic(), map)
+            .poll_once(served.nic(), &map)
             .map_err(|e| format!("socket error on {:?}: {e}", g.name))?;
         if received == 0 {
             if idle_timeout > Duration::ZERO && last_rx.elapsed() >= idle_timeout {
@@ -861,22 +751,15 @@ fn run_serve<N: NicBackend>(
         );
     }
     let obs = served.nic().take_observations();
-    let mut reg = match &mut served {
-        Served::Bare(_) => MetricsRegistry::new(),
+    let (mut reg, journal) = match &mut served {
+        Served::Bare(_) => (MetricsRegistry::new(), None),
         Served::Controlled(c) => {
             println!("reconfigurations:  {}", c.reconfig_count);
-            if let Some(path) = args.get("journal-out") {
-                write_journal(path, c.journal())?;
-            }
-            std::mem::take(c.metrics_mut())
+            (std::mem::take(c.metrics_mut()), Some(c.journal()))
         }
     };
-    datapath_metrics_into(&mut reg, &g, None, &obs);
     server.metrics_into(&mut reg);
-    if let Some(path) = args.get("metrics-out") {
-        write_metrics(path, &reg)?;
-    }
-    Ok(())
+    write_artifacts(args, &g, reg, None, &obs, journal)
 }
 
 /// `drive`: replay generated (or trace-driven) traffic for a program
@@ -888,8 +771,7 @@ fn drive(args: &Args) -> Result<(), String> {
     let connect = args
         .get("connect")
         .ok_or("missing --connect ADDR (the serving pipeleon instance)")?;
-    let packets = args.get_usize("packets", 20_000)?;
-    let batch = gen_batch(args, &g, packets)?;
+    let batch = gen_batch(args, &g)?;
     let client = NetClient::connect(connect)
         .map_err(|e| format!("cannot reach {connect}: {e}"))?
         .with_window(args.get_usize("window", 128)?)
@@ -1001,6 +883,7 @@ fn calibrate(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::flag_table;
 
     fn v(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -1046,6 +929,9 @@ mod tests {
         let stale = [
             ("optimize", "--workers"),
             ("simulate", "--batch"),
+            ("simulate", "--windows"),
+            ("simulate", "--chaos-seed"),
+            ("chaos", "--profile-out"),
             ("metrics", "--workers"),
             ("analyze", "--profile"),
             ("serve", "--batch"),
@@ -1058,8 +944,8 @@ mod tests {
             let err = run(&v(&[command, "absent.json", flag, "8"])).unwrap_err();
             assert!(err.contains(flag) && err.contains(command), "{err}");
         }
-        // A boolean-looking flag no command knows swallows the program
-        // path; the error names the flag, not a missing program.
+        // A flag no command lists is refused before it can swallow the
+        // program path: the error names the flag, not a missing program.
         let err = run(&v(&["simulate", "--verbose", "absent.json"])).unwrap_err();
         assert!(err.contains("--verbose"), "{err}");
     }
@@ -1068,6 +954,41 @@ mod tests {
     fn usage_on_no_args() {
         let err = run(&[]).unwrap_err();
         assert!(err.contains("USAGE"));
+    }
+
+    /// `USAGE` is the flag table: every command has lines in it, only
+    /// three flags take no value, and every command that builds traffic
+    /// lists `--trace`.
+    #[test]
+    fn usage_is_the_flag_table() {
+        let commands = [
+            "optimize",
+            "simulate",
+            "chaos",
+            "metrics",
+            "analyze",
+            "serve",
+            "drive",
+            "inspect",
+            "build",
+            "calibrate",
+        ];
+        let mut valueless = std::collections::BTreeSet::new();
+        for command in commands {
+            let table = flag_table(USAGE, command);
+            assert!(!table.is_empty(), "`{command}` has no usage lines");
+            valueless.extend(table.into_iter().filter(|f| !f.1).map(|f| f.0));
+        }
+        assert_eq!(
+            Vec::from_iter(valueless),
+            ["concurrency", "deny-warnings", "no-specialize"]
+        );
+        for command in ["simulate", "chaos", "metrics", "drive"] {
+            assert!(
+                flag_table(USAGE, command).contains(&("trace", true)),
+                "`{command}` reads --trace"
+            );
+        }
     }
 
     #[test]
@@ -1189,31 +1110,37 @@ mod tests {
     #[test]
     fn simulate_shard_mode_run_loop_is_worker_count_invariant() {
         // The SHARD_SMOKE invariant: window-merged profiles are
-        // bit-identical across worker counts, even with sampling on.
+        // bit-identical across worker counts, even with sampling on —
+        // the single NIC's included, since it samples per flow too.
         let dir = std::env::temp_dir().join(format!("pipeleon_cli_test12_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let prog = write_sample_program(&dir);
-        let two = dir.join("w2.json");
-        let four = dir.join("w4.json");
-        for (workers, out) in [("2", &two), ("4", &four)] {
-            run(&v(&[
-                "simulate",
-                prog.to_str().unwrap(),
-                "--packets",
-                "3000",
-                "--sample",
-                "4",
-                "--workers",
-                workers,
-                "--profile-out",
-                out.to_str().unwrap(),
-            ]))
-            .unwrap();
-        }
+        let profiles: Vec<String> = ["1", "2", "4"]
+            .into_iter()
+            .map(|workers| {
+                let out = dir.join(format!("w{workers}.json"));
+                run_expect(&[
+                    "simulate",
+                    prog.to_str().unwrap(),
+                    "--packets",
+                    "3000",
+                    "--sample",
+                    "4",
+                    "--workers",
+                    workers,
+                    "--profile-out",
+                    out.to_str().unwrap(),
+                ]);
+                read_artifact(&out)
+            })
+            .collect();
         assert_eq!(
-            read_artifact(&two),
-            read_artifact(&four),
-            "sharded profile must be byte-identical across worker counts"
+            profiles[0], profiles[1],
+            "--workers 1 and 2 profiles must be byte-identical"
+        );
+        assert_eq!(
+            profiles[1], profiles[2],
+            "--workers 2 and 4 profiles must be byte-identical"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1258,14 +1185,14 @@ mod tests {
     }
 
     #[test]
-    fn simulate_chaos_mode_converges() {
+    fn chaos_converges_on_both_backends() {
         let dir = std::env::temp_dir().join(format!("pipeleon_cli_test6_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let prog = write_sample_program(&dir);
         // Single-worker and sharded chaos loops must both converge (the
         // command fails if the target ends divergent).
         run(&v(&[
-            "simulate",
+            "chaos",
             prog.to_str().unwrap(),
             "--packets",
             "3000",
@@ -1276,7 +1203,7 @@ mod tests {
         ]))
         .unwrap();
         run(&v(&[
-            "simulate",
+            "chaos",
             prog.to_str().unwrap(),
             "--packets",
             "3000",
@@ -1402,6 +1329,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Chaos honours `--sample`: the datapath histograms cover the
+    /// sampled packets only.
     #[test]
     fn chaos_mode_writes_controller_journal_and_metrics() {
         let dir = std::env::temp_dir().join(format!("pipeleon_cli_test10_{}", std::process::id()));
@@ -1410,10 +1339,12 @@ mod tests {
         let mout = dir.join("chaos.prom");
         let jout = dir.join("chaos.jsonl");
         run(&v(&[
-            "simulate",
+            "chaos",
             prog.to_str().unwrap(),
             "--packets",
             "3000",
+            "--sample",
+            "4",
             "--chaos-seed",
             "7",
             "--windows",
@@ -1427,6 +1358,16 @@ mod tests {
         let text = read_artifact(&mout);
         pipeleon_obs::validate_prometheus(&text).expect("exposition must validate");
         assert!(text.contains("pipeleon_controller_ticks_total"), "{text}");
+        let sampled: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("pipeleon_packet_latency_ns_count "))
+            .expect("sampled packet count exported")
+            .parse()
+            .expect("a count");
+        assert!(
+            (1..3000).contains(&sampled),
+            "{sampled} of 3000 packets sampled at --sample 4"
+        );
         let jsonl = read_artifact(&jout);
         assert!(
             jsonl

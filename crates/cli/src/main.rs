@@ -1,17 +1,7 @@
-//! `pipeleon` — command-line front end for the Pipeleon optimizer.
+//! `pipeleon` — command-line front end for the Pipeleon optimizer. Run
+//! `pipeleon` without arguments for its commands and their flags.
 //!
-//! ```text
-//! pipeleon optimize <program.json> [--profile p.json] [--target T]
-//!          [--top-k F] [--memory BYTES] [--updates RATE] [-o out.json]
-//! pipeleon simulate <program.json> [--target T] [--packets N]
-//!          [--flows N] [--zipf S] [--seed S]
-//! pipeleon inspect  <program.json> [--target T] [--profile p.json]
-//! pipeleon calibrate [--target T]
-//! ```
-//!
-//! Programs use the BMv2-style JSON IR (`pipeleon_ir::json`). Profiles use
-//! the record-based format of [`profile_doc`]. Targets:
-//! `bluefield2` (default), `agilio_cx`, `emulated_nic`.
+//! Profiles use the record-based format of [`profile_doc`].
 
 mod args;
 mod commands;
