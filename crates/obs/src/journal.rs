@@ -91,11 +91,11 @@ pub enum EventKind {
         latency_ns: f64,
     },
     /// The compiled datapath was specialized to the profiled traffic
-    /// (hot-key guards, direct-index ways, hot-chain layout).
+    /// (hot-key guards and the fused runs derived from them).
     Specialize {
         /// The specialization epoch after applying the plan.
         generation: u64,
-        /// Tables carrying a guard or direct-index way afterwards.
+        /// Tables carrying a hot-key guard afterwards.
         tables: u64,
     },
     /// The compiled datapath reverted to its verbatim lowering (drift,

@@ -28,7 +28,7 @@ use pipeleon_cost::RuntimeProfile;
 use pipeleon_ir::json::to_json_string;
 use pipeleon_ir::{NextHops, NodeId, ProgramGraph, TableEntry};
 use pipeleon_obs::{EventJournal, EventKind, MetricsRegistry};
-use pipeleon_sim::{ControlOp, SpecConfig, SpecStats};
+use pipeleon_sim::{ControlOp, SpecStats};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -64,14 +64,14 @@ pub struct ControllerConfig {
     pub journal_capacity: usize,
     /// Run a profile-guided specialization step after each window's
     /// optimize/deploy work: the target's compiled datapath gains
-    /// bit-exact fast paths (hot-key guards, direct-index ways) for the
-    /// observed traffic, and sheds them again on drift or guard-miss
-    /// pressure.
+    /// bit-exact fast paths (hot-key guards) for the observed traffic,
+    /// and sheds them again on drift or guard-miss pressure.
     pub specialize: bool,
-    /// Guard-miss fraction of a window's guarded lookups above which
-    /// the specialized pipeline is considered stale and reverted.
-    pub spec_guard_miss_despec: f64,
 }
+
+/// Guard-miss fraction of a window's guarded lookups above which the
+/// specialized pipeline is considered stale and reverted.
+const SPEC_GUARD_MISS_DESPEC: f64 = 0.35;
 
 impl Default for ControllerConfig {
     fn default() -> Self {
@@ -86,7 +86,6 @@ impl Default for ControllerConfig {
             cooldown_ticks: 4,
             journal_capacity: 1024,
             specialize: true,
-            spec_guard_miss_despec: 0.35,
         }
     }
 }
@@ -552,7 +551,7 @@ impl<T: Target> Controller<T> {
     ///
     /// Policy: if the datapath is specialized and the profile drifted
     /// past the re-optimization threshold — or the window's guard-miss
-    /// fraction cleared [`ControllerConfig::spec_guard_miss_despec`] —
+    /// fraction cleared [`SPEC_GUARD_MISS_DESPEC`] —
     /// the stale plan is shed first; a fresh plan is then (re)applied
     /// whenever the traffic looks stable. Both actions are bit-exact on
     /// the datapath, so this step can never change what packets do —
@@ -572,13 +571,10 @@ impl<T: Target> Controller<T> {
             misses as f64 / guarded as f64
         };
         let drifted = report.profile_change >= self.cfg.change_threshold;
-        if stats.specialized_tables > 0 && (drifted || miss_rate > self.cfg.spec_guard_miss_despec)
-        {
+        if stats.specialized_tables > 0 && (drifted || miss_rate > SPEC_GUARD_MISS_DESPEC) {
             let _ = self.target.apply(ControlOp::Despecialize);
         } else if !drifted {
-            let _ = self
-                .target
-                .apply(ControlOp::Specialize(SpecConfig::default()));
+            let _ = self.target.apply(ControlOp::Specialize);
         }
         // A (de)specialization is a pipeline swap — record it like a
         // deploy's.

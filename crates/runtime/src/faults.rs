@@ -85,7 +85,7 @@ fn op_label(op: Option<&ControlOp>) -> String {
         Some(ControlOp::SetPlacement(_)) => "SetPlacement".into(),
         Some(ControlOp::SetMemoryTiers(_)) => "SetMemoryTiers".into(),
         Some(ControlOp::SetEngineMode(mode)) => format!("SetEngineMode({mode:?})"),
-        Some(ControlOp::Specialize(_)) => "Specialize".into(),
+        Some(ControlOp::Specialize) => "Specialize".into(),
         Some(ControlOp::Despecialize) => "Despecialize".into(),
     }
 }
@@ -272,7 +272,7 @@ impl<T: Target> FaultyTarget<T> {
         // datapath, not a reconfiguration RPC: it never tears, holds no
         // scripted fault up and draws nothing (so the injected-fault
         // stream is the same whether or not the controller specializes).
-        let silent = matches!(op, Some(ControlOp::Specialize(_) | ControlOp::Despecialize));
+        let silent = matches!(op, Some(ControlOp::Specialize | ControlOp::Despecialize));
         if !self.armed || silent {
             return None;
         }
@@ -408,7 +408,7 @@ mod tests {
     use crate::target::SimTarget;
     use pipeleon_cost::CostParams;
     use pipeleon_ir::{MatchKind, MatchValue, NodeId, ProgramBuilder, ProgramGraph, TableEntry};
-    use pipeleon_sim::{SmartNic, SpecConfig};
+    use pipeleon_sim::SmartNic;
 
     fn acl_graph() -> ProgramGraph {
         let mut b = ProgramBuilder::new();
@@ -449,7 +449,7 @@ mod tests {
             }
             if specialize {
                 let op = match i % 2 {
-                    0 => ControlOp::Specialize(SpecConfig::default()),
+                    0 => ControlOp::Specialize,
                     _ => ControlOp::Despecialize,
                 };
                 t.apply(op).unwrap();

@@ -12,7 +12,7 @@ use crate::exec::{EngineMode, ExecReport};
 use crate::nic::BatchStats;
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
-use crate::specialize::{SpecConfig, SpecStats};
+use crate::specialize::SpecStats;
 use pipeleon_cost::{CostParams, MemoryTier, Placement, RuntimeProfile};
 use pipeleon_ir::{IrError, NextHops, NodeId, NodeKind, ProgramGraph, Table, TableEntry};
 
@@ -73,10 +73,10 @@ pub enum ControlOp {
     SetMemoryTiers(Vec<MemoryTier>),
     /// Select the engine that runs packets.
     SetEngineMode(EngineMode),
-    /// Specialize the compiled pipeline to the traffic observed, under
-    /// these planning thresholds. Swaps the lowering only: the program,
-    /// flow caches and the profile window are untouched.
-    Specialize(SpecConfig),
+    /// Specialize the compiled pipeline to the traffic observed: a guard
+    /// on every table one key dominates. Swaps the lowering only: the
+    /// program, flow caches and the profile window are untouched.
+    Specialize,
     /// Revert the compiled pipeline to the verbatim lowering.
     Despecialize,
 }
@@ -88,7 +88,7 @@ impl ControlOp {
     pub(crate) fn swaps_pipeline(&self) -> bool {
         matches!(
             self,
-            ControlOp::Deploy(_) | ControlOp::Specialize(_) | ControlOp::Despecialize
+            ControlOp::Deploy(_) | ControlOp::Specialize | ControlOp::Despecialize
         )
     }
 
@@ -290,10 +290,9 @@ pub trait NicBackend {
         let _ = self.apply(op);
     }
 
-    /// [`ControlOp::Specialize`] under the default thresholds. Returns
-    /// `true` if the pipeline changed.
+    /// [`ControlOp::Specialize`]. Returns `true` if the pipeline changed.
     fn specialize(&mut self) -> bool {
-        self.apply(ControlOp::Specialize(SpecConfig::default())) == Ok(Applied::Done)
+        self.apply(ControlOp::Specialize) == Ok(Applied::Done)
     }
 }
 

@@ -185,7 +185,8 @@ impl FlatWay {
     }
 
     /// Every `(key, entry list)` pair, in slot order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, CEntries)> + '_ {
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (u64, CEntries)> + '_ {
         self.slots.iter().filter_map(|s| match &s.val {
             FlatVal::Empty => None,
             FlatVal::One { idx, .. } => Some((s.key, CEntries::One(*idx as usize))),
@@ -197,18 +198,11 @@ impl FlatWay {
 /// The key map of one way. Single-field keys live in a [`FlatWay`] (no
 /// slice length prefix, no [`SmallKey`] dispatch, one cache line per
 /// hit); wider keys go through the scratch-composed slice into an
-/// FxHash map. `Direct` is a specialization-pass rewrite of a dense
-/// single-field exact way: the masked key indexes a slot array, no
-/// hashing at all. Any entry-op rebuild of the engine restores the flat
-/// form, so `Direct` only ever describes a stable entry set.
+/// FxHash map.
 #[derive(Debug, Clone)]
 pub(crate) enum CWayMap {
     U64(FlatWay),
     Multi(FxHashMap<SmallKey, CEntries>),
-    Direct {
-        base: u64,
-        slots: Box<[Option<CEntries>]>,
-    },
 }
 
 /// One hash-table way of a [`CompiledEngine`]: FxHash-keyed copy of the
@@ -241,11 +235,6 @@ impl CWay {
         let key = self.masked(value);
         match &self.map {
             CWayMap::U64(m) => prefetch::line(&m.slots[m.home(key)]),
-            CWayMap::Direct { base, slots } => {
-                if let Some(slot) = key.checked_sub(*base).and_then(|i| slots.get(i as usize)) {
-                    prefetch::line(slot);
-                }
-            }
             CWayMap::Multi(_) => {}
         }
     }
@@ -255,7 +244,6 @@ impl CWay {
     fn slot_bytes(&self) -> usize {
         match &self.map {
             CWayMap::U64(m) => std::mem::size_of_val(&*m.slots),
-            CWayMap::Direct { slots, .. } => std::mem::size_of_val(&**slots),
             CWayMap::Multi(_) => 0,
         }
     }
@@ -403,12 +391,6 @@ impl CompiledEngine {
                     };
                     m.get(key).map(CEntries::as_slice)
                 }
-                CWayMap::Direct { base, slots } => way
-                    .masked(scratch.values[0])
-                    .checked_sub(*base)
-                    .and_then(|i| slots.get(i as usize))
-                    .and_then(|o| o.as_ref())
-                    .map(CEntries::as_slice),
             };
             if let Some(entries) = found {
                 for &idx in entries {
@@ -553,20 +535,25 @@ struct MemoSlot {
 /// [`LookupMemo::reset`]. Nothing else changes a memoised table's
 /// engine — an entry op on a specialised table re-lowers the whole
 /// pipeline, and `recompile_node` is only reached for unguarded tables.
+///
+/// The slots are allocated by the first guard miss that probes them, so
+/// a walk that never executes a packet (a sharded NIC's control
+/// replica) holds none.
 #[derive(Debug, Default)]
 pub(crate) struct LookupMemo {
     slots: Vec<MemoSlot>,
 }
 
 impl LookupMemo {
-    /// Sizes the memo for `regions` tables and forgets every outcome.
-    pub(crate) fn reset(&mut self, regions: u32) {
-        let empty = MemoSlot {
-            key: 0,
-            outcome: None,
-        };
-        self.slots.clear();
-        self.slots.resize(regions as usize * MEMO_SLOTS, empty);
+    /// Forgets every outcome and the slots holding them.
+    pub(crate) fn reset(&mut self) {
+        self.slots = Vec::new();
+    }
+
+    /// Slots currently allocated.
+    #[cfg(test)]
+    pub(crate) fn allocated_slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// The slot of a region `key` homes to: the top bits of its Fx hash,
@@ -576,19 +563,29 @@ impl LookupMemo {
         (key.wrapping_mul(FX_SEED) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
     }
 
-    /// A guard miss of the table that owns `region`: its slot's answer,
-    /// or the general lookup's, remembered. Out of line so the walk's
+    /// A guard miss of the table that owns `region` of the `regions` the
+    /// installed lowering assigned: its slot's answer, or the general
+    /// lookup's, remembered (the first probe after a reset allocates the
+    /// slots). Out of line so the walk's
     /// code barely differs for pipelines that never get here: inlined
     /// into `Provider::lookup`, this arm cost `control_loop` (guards, no
     /// region) 3–8 % through code shape alone.
     #[inline(never)]
     fn lookup(
         &mut self,
+        regions: u32,
         region: u32,
         engine: &CompiledEngine,
         scratch: &mut KeyScratch,
         spec: &mut SpecStats,
     ) -> LookupOutcome {
+        if self.slots.is_empty() {
+            let empty = MemoSlot {
+                key: 0,
+                outcome: None,
+            };
+            self.slots = vec![empty; regions as usize * MEMO_SLOTS];
+        }
         let key = scratch.values[0];
         let slot = &mut self.slots[region as usize * MEMO_SLOTS + Self::home(key)];
         if let Some(outcome) = slot.get(key) {
@@ -772,9 +769,7 @@ pub(crate) struct CNode {
 /// A flat, index-addressed lowering of one deployed program.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledPipeline {
-    /// Node arena in graph iteration order (specialization may permute
-    /// slots so the hot chain is a contiguous prefix; `slot_of` and
-    /// every successor reference are remapped with it).
+    /// Node arena in graph iteration order.
     pub(crate) nodes: Vec<CNode>,
     /// `NodeId` index → arena slot ([`NO_SLOT`] for tombstones).
     pub(crate) slot_of: Vec<u32>,
@@ -842,8 +837,8 @@ impl CompiledPipeline {
     }
 
     /// Recomputes the look-ahead list from the arena as it stands; called
-    /// whenever the arena changes (lowering, a node recompile, a
-    /// specialization plan).
+    /// whenever a way changes (lowering, a node recompile — a
+    /// specialization plan adds guards and leaves every way as it was).
     ///
     /// A way is listed when (1) it is single-field, so the slot it
     /// probes is a function of one packet field; (2) its slot array is
@@ -854,7 +849,7 @@ impl CompiledPipeline {
     /// burst is the value the lookup will see. (4) is what makes the
     /// hint useful, not what makes it safe: a hint computed from a
     /// stale field prefetches the wrong line and changes nothing.
-    pub(crate) fn derive_lookahead(&mut self) {
+    fn derive_lookahead(&mut self) {
         let mut list = Vec::new();
         let mut upstream_writes: Option<Vec<Vec<FieldRef>>> = None;
         for (slot, node) in self.nodes.iter().enumerate() {
@@ -1095,27 +1090,15 @@ impl CompiledPipeline {
         self.slot_of.get(id.index()).copied().unwrap_or(NO_SLOT)
     }
 
-    /// Whether the table at `id` carries any per-table specialization
-    /// (hot-key guard or direct-index way).
+    /// Whether the table at `id` carries a hot-key guard.
     pub(crate) fn node_is_specialized(&self, id: NodeId) -> bool {
-        let slot = self.slot(id);
-        if slot == NO_SLOT {
-            return false;
-        }
-        match &self.nodes[slot as usize].step {
-            CStep::Table(ct) => {
-                ct.spec.is_some()
-                    || ct
-                        .engine
-                        .ways
-                        .iter()
-                        .any(|w| matches!(w.map, CWayMap::Direct { .. }))
-            }
-            CStep::Branch { .. } => false,
+        match self.nodes.get(self.slot(id) as usize).map(|n| &n.step) {
+            Some(CStep::Table(ct)) => ct.spec.is_some(),
+            _ => false,
         }
     }
 
-    /// Number of tables carrying per-table specialization.
+    /// Number of tables carrying a hot-key guard.
     pub(crate) fn specialized_tables(&self) -> u64 {
         self.nodes
             .iter()
@@ -1194,7 +1177,7 @@ impl Provider for CompiledPipeline {
             }
             spec.guard_misses += 1;
             if let Some(region) = sp.memo_region {
-                return memo.lookup(region, &ct.engine, scratch, spec);
+                return memo.lookup(self.memo_regions, region, &ct.engine, scratch, spec);
             }
         }
         ct.engine.lookup_composed(scratch)

@@ -30,7 +30,7 @@ use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::prefetch;
 use crate::smallkey::SmallKey;
-use crate::specialize::{self, HotKeySketch, SpecConfig, SpecPlan, SpecStats};
+use crate::specialize::{self, HotKeySketch, SpecPlan, SpecStats};
 use fxhash::{FxBuildHasher, FxHashMap};
 use pipeleon_cost::{
     CacheStats, CostParams, MatchCostModel, MemoryTier, Placement, RuntimeProfile,
@@ -608,9 +608,7 @@ impl Executor {
             ControlOp::SetPlacement(placement) => self.set_placement(placement.clone()),
             ControlOp::SetMemoryTiers(tiers) => self.set_memory_tiers(tiers.clone()),
             ControlOp::SetEngineMode(mode) => self.set_engine_mode(*mode),
-            ControlOp::Specialize(cfg) => {
-                return Ok(self.specialize_from(cfg, &RuntimeProfile::empty(), &HashMap::new()));
-            }
+            ControlOp::Specialize => return Ok(self.specialize_from(&HashMap::new())),
             ControlOp::Despecialize => return Ok(self.despecialize()),
         }
         Ok(Applied::Done)
@@ -624,10 +622,8 @@ impl Executor {
     pub(crate) fn adopt(&mut self, op: &ControlOp, lowered: Option<&CompiledPipeline>) {
         match op {
             ControlOp::Deploy(graph) => self.adopt_graph(graph.clone(), lowered.cloned()),
-            ControlOp::Specialize(_) | ControlOp::Despecialize => {
-                self.walk
-                    .memo
-                    .reset(lowered.map_or(0, |cp| cp.memo_regions));
+            ControlOp::Specialize | ControlOp::Despecialize => {
+                self.walk.memo.reset();
                 self.program.compiled = lowered.cloned();
             }
             op => {
@@ -848,12 +844,12 @@ impl Executor {
     /// Patches one node of the compiled pipeline after an entry op,
     /// falling back to full invalidation only if the node has no slot.
     ///
-    /// If the entry op touches a *specialized* table (hot-key guard or
-    /// direct-index way), the whole pipeline de-specializes to the
-    /// verbatim lowering instead: the baked outcome and dense key range
-    /// may no longer describe the table, and a stale guard is exactly
-    /// the divergence specialization promises never to introduce. The
-    /// next specialize step re-plans from fresh profile state.
+    /// If the entry op touches a *specialized* table (one with a hot-key
+    /// guard), the whole pipeline de-specializes to the verbatim
+    /// lowering instead: the baked outcome may no longer describe the
+    /// table, and a stale guard is exactly the divergence specialization
+    /// promises never to introduce. The next specialize step re-plans
+    /// from fresh profile state.
     fn recompile_table(&mut self, id: NodeId) {
         let program = &mut self.program;
         let strip = program
@@ -875,34 +871,25 @@ impl Executor {
         }
     }
 
-    /// Plans a specialization from `base` (a retained profile window and
-    /// its hot-key sketches, possibly merged across shards) plus this
-    /// executor's own live window, and applies the plan.
-    /// [`Applied::Unchanged`] under the interpreter (which needs no
-    /// specializing — it *is* the oracle), for an empty plan, or when
-    /// the identical plan is already applied.
-    pub(crate) fn specialize_from(
-        &mut self,
-        cfg: &SpecConfig,
-        base: &RuntimeProfile,
-        base_sketches: &HashMap<NodeId, HotKeySketch>,
-    ) -> Applied {
+    /// Plans a specialization from `base` (a retained window's hot-key
+    /// sketches, possibly merged across shards) plus this executor's own
+    /// live window, and applies the plan. [`Applied::Unchanged`] under
+    /// the interpreter (which needs no specializing — it *is* the
+    /// oracle), for a plan that guards no table, or when the identical
+    /// plan is already applied.
+    pub(crate) fn specialize_from(&mut self, base: &HashMap<NodeId, HotKeySketch>) -> Applied {
         // Right after a window boundary nothing has accumulated, and the
-        // retained window is read where it lies.
-        let mut profile = Cow::Borrowed(base);
-        if !self.walk.profile.is_empty() {
-            profile.to_mut().merge(&self.walk.profile);
-        }
-        let mut sketches = Cow::Borrowed(base_sketches);
+        // retained sketches are read where they lie.
+        let mut sketches = Cow::Borrowed(base);
         self.peek_hot_sketches_into(&mut sketches);
-        let plan = specialize::build_plan(self.graph(), &profile, &sketches, cfg);
+        let plan = specialize::build_plan(self.graph(), &sketches);
         self.specialize_with(&plan)
     }
 
     /// Applies a specialization plan over the verbatim lowering.
     fn specialize_with(&mut self, plan: &SpecPlan) -> Applied {
         let program = &mut self.program;
-        if program.mode != EngineMode::Compiled || plan.is_empty() {
+        if program.mode != EngineMode::Compiled || plan.hot_keys.is_empty() {
             return Applied::Unchanged;
         }
         let current = program.compiled().0.spec_fingerprint;
@@ -917,7 +904,7 @@ impl Executor {
         let (cp, params) = program.compiled();
         specialize::apply_plan(cp, plan, params);
         cp.spec_fingerprint = plan.fingerprint;
-        self.walk.memo.reset(cp.memo_regions);
+        self.walk.memo.reset();
         self.walk.spec.specializations += 1;
         self.walk.spec.generation += 1;
         Applied::Done
@@ -1017,6 +1004,12 @@ impl Executor {
     #[cfg(test)]
     pub(crate) fn lookahead_tables(&mut self) -> Vec<NodeId> {
         self.program.compiled().0.lookahead_tables()
+    }
+
+    /// Slots the walk's lookup memo holds.
+    #[cfg(test)]
+    pub(crate) fn memo_slots(&self) -> usize {
+        self.walk.memo.allocated_slots()
     }
 
     /// One packet through [`Walk::run`], over the provider the engine
@@ -1451,8 +1444,6 @@ mod tests {
         assert_eq!(ex.spec_fingerprint(), 0, "verbatim lowering sentinel");
         let plan = SpecPlan {
             hot_keys: vec![(acl, SmallKey::from_slice(&[1]))],
-            direct: vec![],
-            chain: vec![],
             fingerprint: 0xABCD,
         };
         assert_eq!(ex.specialize_with(&plan), Applied::Done);
@@ -2134,7 +2125,6 @@ mod tests {
                 .map(|&id| (id, SmallKey::from_slice(&[HOT])))
                 .collect(),
             fingerprint: 0xF05E,
-            ..SpecPlan::default()
         }
     }
 

@@ -40,8 +40,8 @@
 //!   per-shard profiles and batch statistics deferred to profile-window
 //!   boundaries.
 //! * [`specialize`] — profile-guided specialization of the compiled
-//!   datapath: hot-key inline caches behind guards, direct-index ways
-//!   for small stable exact tables, and hot-chain slot layout — all
+//!   datapath: hot-key inline caches behind guards, the lookup memo
+//!   behind their misses, and fused runs of consecutive guards — all
 //!   bit-exact against the interpreter oracle, applied and reverted
 //!   live through the generation chain.
 //! * [`backend`] — [`ControlOp`], the control plane as data, and
@@ -99,4 +99,4 @@ pub use observe::ExecObservations;
 pub use packet::Packet;
 pub use sharded::ShardedNic;
 pub use smallkey::SmallKey;
-pub use specialize::{HotKeySketch, SpecConfig, SpecStats};
+pub use specialize::{HotKeySketch, SpecStats};

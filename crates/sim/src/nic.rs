@@ -194,11 +194,9 @@ pub struct SmartNic {
     generation: u64,
     /// The most recent pipeline swap (telemetry).
     last_swap: Option<LiveSwap>,
-    /// The last taken profile window, retained for specialize steps that
-    /// run right after a window boundary (the controller's tick has
-    /// already consumed the live counters by then).
-    last_profile: RuntimeProfile,
-    /// Hot-key sketches taken with the last profile window.
+    /// Hot-key sketches taken with the last profile window, retained for
+    /// specialize steps that run right after a window boundary (the
+    /// controller's tick has already consumed the live window by then).
     last_sketches: HashMap<NodeId, HotKeySketch>,
 }
 
@@ -289,7 +287,6 @@ impl SmartNic {
             lane: Lane::default(),
             generation: 0,
             last_swap: None,
-            last_profile: RuntimeProfile::empty(),
             last_sketches: HashMap::new(),
         })
     }
@@ -319,10 +316,7 @@ impl SmartNic {
         let t0 = Instant::now();
         let applied = match &op {
             // The retained window is this NIC's, not the executor's.
-            ControlOp::Specialize(cfg) => {
-                self.exec
-                    .specialize_from(cfg, &self.last_profile, &self.last_sketches)
-            }
+            ControlOp::Specialize => self.exec.specialize_from(&self.last_sketches),
             op => self.exec.apply(op)?,
         };
         if applied != Applied::Unchanged {
@@ -383,12 +377,11 @@ impl SmartNic {
         self.exec.set_sample_keying(keying)
     }
 
-    /// Takes the profile collected since the last call. The window (and
-    /// its hot-key sketches) is retained for the next specialize step.
+    /// Takes the profile collected since the last call. The window's
+    /// hot-key sketches are retained for the next specialize step.
     pub fn take_profile(&mut self) -> RuntimeProfile {
-        self.last_profile = self.exec.take_profile();
         self.last_sketches = self.exec.take_hot_sketches();
-        self.last_profile.clone()
+        self.exec.take_profile()
     }
 
     /// Current specialization counters and state.

@@ -413,10 +413,9 @@ pub struct ShardedNic {
     /// The open measurement window, if any: the copy every shard's lane
     /// opened with, counting the packets fed.
     measuring: Option<MeasureStream>,
-    /// The last taken (merged) profile window, retained so a specialize
-    /// step right after a window boundary still sees a full window.
-    last_profile: RuntimeProfile,
-    /// The last taken window's merged hot-key sketches (same retention).
+    /// The last taken window's merged hot-key sketches, retained so a
+    /// specialize step right after a window boundary still sees a full
+    /// window.
     last_sketches: HashMap<NodeId, HotKeySketch>,
 }
 
@@ -485,7 +484,6 @@ impl ShardedNic {
             latest_gen: 0,
             last_swap: None,
             measuring: None,
-            last_profile: RuntimeProfile::empty(),
             last_sketches: HashMap::new(),
         })
     }
@@ -670,22 +668,19 @@ impl ShardedNic {
         let t0 = Instant::now();
         let applied = match &op {
             // One plan, from the merged cross-shard window: the retained
-            // last one (read where it lies when nothing has accumulated
-            // since) folded with every shard's live one — drained first,
-            // since feeds only dispatch and a plan made from whatever
-            // the workers had got through differs from run to run.
-            ControlOp::Specialize(cfg) => {
+            // last one's sketches (read where they lie when nothing has
+            // accumulated since) folded with every shard's live ones —
+            // drained first, since feeds only dispatch and a plan made
+            // from whatever the workers had got through differs from run
+            // to run.
+            ControlOp::Specialize => {
                 self.wait_idle();
-                let mut profile = Cow::Borrowed(&self.last_profile);
                 let mut sketches = Cow::Borrowed(&self.last_sketches);
                 for cell in &self.shards {
                     let st = cell.state.lock().expect("shard state poisoned");
-                    if !st.exec.sampled_profile().is_empty() {
-                        profile.to_mut().merge(st.exec.sampled_profile());
-                    }
                     st.exec.peek_hot_sketches_into(&mut sketches);
                 }
-                self.control.specialize_from(cfg, &profile, &sketches)
+                self.control.specialize_from(&sketches)
             }
             op => self.control.apply(op)?,
         };
@@ -882,9 +877,8 @@ impl ShardedNic {
         distinct::count_into(&mut self.distinct_union, &mut merged);
         merged.window_s = (self.now_s - self.last_take_s).max(1e-9);
         self.last_take_s = self.now_s;
-        self.last_profile = merged;
         self.last_sketches = sketches;
-        self.last_profile.clone()
+        merged
     }
 
     /// Takes the merged latency observations across all shards since the
@@ -1187,6 +1181,58 @@ mod tests {
             let mut st = cell.state.lock().expect("shard state poisoned");
             let hinted = st.exec.lookahead_tables();
             assert!(!hinted.is_empty(), "shards hint the big table");
+        }
+    }
+
+    /// The control replica plans and lowers every specialization but
+    /// executes no packet, so its lookup memo never allocates a slot;
+    /// each shard's is sized by its own first guard miss and answers.
+    #[test]
+    fn control_replica_allocates_no_memo_slots() {
+        use pipeleon_ir::{MatchValue, TableEntry};
+        let mut b = ProgramBuilder::new();
+        let (x, out) = (b.field("x"), b.field("out"));
+        let tern = |value, mask| vec![MatchValue::Ternary { value, mask }];
+        // Two mask patterns, so two ways: a memoised guard miss.
+        let acl = b
+            .table("acl")
+            .key(x, MatchKind::Ternary)
+            .action("mark", vec![Primitive::set(out, 1)])
+            .action_nop("miss")
+            .default_action(1)
+            .entry(TableEntry::with_priority(tern(0x10, 0xF0), 0, 1))
+            .entry(TableEntry::with_priority(tern(0x100, 0xF00), 0, 2))
+            .finish();
+        let g = b.seal(acl).unwrap();
+        // Key 7 in three packets of four; the rest cycle through 16 keys.
+        let traffic = |n: u64| -> Vec<Packet> {
+            let key = |i: u64| {
+                if i.is_multiple_of(4) {
+                    0x100 + i % 16
+                } else {
+                    7
+                }
+            };
+            (0..n)
+                .map(|i| Packet::with_slots(vec![key(i), 0]))
+                .collect()
+        };
+        let mut nic = ShardedNic::new(g, CostParams::bluefield2(), 2).unwrap();
+        nic.set_instrumentation(true, 1);
+        nic.measure(traffic(1_000));
+        assert_eq!(nic.apply(ControlOp::Specialize), Ok(Applied::Done));
+        nic.measure(traffic(1_000));
+        assert_eq!(nic.control.memo_slots(), 0, "the replica probed nothing");
+        let st = nic.spec_stats();
+        assert!(st.memo_hits > 0, "the shards' memos answer: {st:?}");
+        for cell in &nic.shards {
+            let exec = &cell.state.lock().expect("shard state poisoned").exec;
+            let missed = exec.spec_stats().guard_misses > 0;
+            assert_eq!(
+                exec.memo_slots() > 0,
+                missed,
+                "a shard sizes its memo on a miss"
+            );
         }
     }
 

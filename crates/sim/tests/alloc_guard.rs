@@ -15,7 +15,8 @@
 //! its p99 sort, on the single NIC and through a one-worker run-loop —
 //! allocates nothing either, with instrumentation off or on, nor on a
 //! specialised pipeline whose guard misses go through the lookup memo
-//! (allocated when the plan is applied); an instrumented cycle's
+//! (allocated by the first guard miss after the plan is applied); an
+//! instrumented cycle's
 //! `take_profile` allocates what it hands away.
 //!
 //! Deliberately a single `#[test]` in its own integration-test binary:
@@ -297,8 +298,9 @@ fn compiled_steady_state_is_allocation_free() {
     // --- Specialised pipeline, cold keys: the lookup memo ----------------
     // A profile window dominated by one flow earns every table a guard;
     // the LPM and ternary tables (several ways each) also get a memo
-    // region, sized when the plan is applied. Traffic that misses the
-    // guards then probes, fills and evicts memo slots — all in place.
+    // region, sized by the first guard miss (the warm-up windows below).
+    // Traffic that misses the guards then probes, fills and evicts memo
+    // slots — all in place.
     let skewed = |hot_of_8: u64| -> Vec<Packet> {
         let pkt = |i: u64| match i % 8 < hot_of_8 {
             true => Packet::with_slots(vec![1, 5, 3, 0]),

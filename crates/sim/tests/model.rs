@@ -26,7 +26,7 @@
 use pipeleon_check as check;
 use pipeleon_sim::generation::GenChain;
 use pipeleon_sim::ring::{self, RingOrderings};
-use pipeleon_sim::{ControlOp, SpecConfig};
+use pipeleon_sim::ControlOp;
 
 use check::sync::atomic::{AtomicU64, Ordering};
 use check::{model, model_expect_failure, Config};
@@ -335,7 +335,7 @@ fn genchain_pipeline_swap_arrives_in_order_with_its_lowering() {
                 for (i, node) in span.iter().enumerate() {
                     assert_eq!(node.id, seen + 1 + i as u64, "span out of order");
                     match &node.op {
-                        ControlOp::Specialize(_) => {
+                        ControlOp::Specialize => {
                             assert_eq!(node.id, SWAP, "the swap moved");
                             assert_eq!(node.lowered, Some(LOWERED), "the swap lost its lowering");
                             swaps += 1;
@@ -357,8 +357,7 @@ fn genchain_pipeline_swap_arrives_in_order_with_its_lowering() {
         });
         for v in 1..=GENS {
             if v == SWAP {
-                let op = ControlOp::Specialize(SpecConfig::default());
-                chain.publish(op, Some(LOWERED));
+                chain.publish(ControlOp::Specialize, Some(LOWERED));
             } else {
                 chain.publish(patch(v), None);
             }

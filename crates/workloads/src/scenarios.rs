@@ -632,12 +632,11 @@ impl NfComposition {
     }
 }
 
-/// Specialization benchmark pipeline: tables chosen so each specializing
-/// pass has something to bite on. Ternary classifiers (multi-mask linear
-/// scans — the expensive general path a hot-key guard short-circuits),
-/// exact flow tables (inline-cache targets), one small dense exact table
-/// whose keys span `0..CLASS_ENTRIES` (the direct-index candidate), and an
-/// LPM route. Traffic is Zipf-skewed with configurable exponent, and
+/// Specialization benchmark pipeline: ternary classifiers (multi-mask
+/// linear scans — the expensive general path a hot-key guard
+/// short-circuits), exact flow tables (inline-cache targets), one small
+/// dense exact table whose keys span `0..CLASS_ENTRIES` and whose top
+/// value sits near the majority bar, and an LPM route. Traffic is Zipf-skewed with configurable exponent, and
 /// [`SkewedPipeline::traffic_flipped`] remaps the popular flows onto
 /// disjoint key values mid-experiment (drift that must de-specialize).
 #[derive(Debug, Clone)]

@@ -25,7 +25,7 @@ use pipeleon_runtime::{
 };
 use pipeleon_sim::{
     Applied, BatchStats, ControlOp, EngineMode, ExecReport, Executor, KeyScratch, MatchEngine,
-    NicBackend, Packet, PacketTrace, ShardedNic, SmartNic, SpecConfig,
+    NicBackend, Packet, PacketTrace, ShardedNic, SmartNic,
 };
 use pipeleon_workloads::scenarios::AclPipeline;
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
@@ -448,6 +448,23 @@ fn churn_packet(i: u64) -> Packet {
     Packet::with_slots(vec![i % 24, (i * 7) % 24, (i * 13) % 24, 0])
 }
 
+/// [`churn_packet`] with `t0`'s key pinned to [`MAJORITY_K0`] in three
+/// packets of four: a clear majority, so a `Specialize` has a guard to
+/// plan whenever the sketches have seen enough of it.
+fn majority_churn_packet(i: u64) -> Packet {
+    let mut p = churn_packet(i);
+    if !i.is_multiple_of(4) {
+        p.set(FieldRef(0), MAJORITY_K0);
+    }
+    p
+}
+
+/// The key three of every four [`majority_churn_packet`]s carry to `t0`.
+const MAJORITY_K0: u64 = 5;
+
+/// Sampled lookups a table's sketch needs before `Specialize` trusts it.
+const MIN_WINDOW: u64 = 64;
+
 /// One deterministic entry op applied to both NICs in lock-step.
 fn churn_op(
     rng: &mut Lcg,
@@ -623,8 +640,7 @@ const SPARE_ACTIONS: usize = 4;
 /// hold several entries · 2 the extremes (`0`, `u64::MAX` and their
 /// neighbours) among random keys · 3 keys that all hash to home slot 0
 /// (multiples of the multiplier's inverse), one long probe run · 4
-/// exactly `7·2^k` distinct keys, a way filled to its 7/8 load limit ·
-/// 5 a dense range, which `specialize()` turns into a direct-index way.
+/// exactly `7·2^k` distinct keys, a way filled to its 7/8 load limit.
 fn way_table(kind: MatchKind, shape: usize, n: usize, rng: &mut Lcg) -> Table {
     let mut fx_inv: u64 = 1;
     for _ in 0..6 {
@@ -632,10 +648,8 @@ fn way_table(kind: MatchKind, shape: usize, n: usize, rng: &mut Lcg) -> Table {
     }
     let n = match shape {
         4 => 7 << (n.max(7) / 7).ilog2(),
-        5 => n.min(4000),
         _ => n,
     };
-    let base = rng.next() << 12;
     let mut t = Table::new("t");
     t.keys = vec![MatchKey {
         field: FieldRef(0),
@@ -659,7 +673,6 @@ fn way_table(kind: MatchKind, shape: usize, n: usize, rng: &mut Lcg) -> Table {
             },
             3 => i.wrapping_mul(fx_inv),
             4 => i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            5 => base + i,
             _ => wide,
         };
         let prio = (rng.next() % 4) as i32;
@@ -751,14 +764,13 @@ proptest! {
 
     /// The compiled engine's flat ways against the [`MatchEngine`]
     /// oracle, lookup by lookup, on 1-10,000-entry exact, ternary and LPM
-    /// tables — as lowered, and after every path that rebuilds or
-    /// rewrites a way: entry inserts and removes, a table replacement,
-    /// `specialize()` (hot-key guard, direct-index way) and
-    /// `despecialize()`.
+    /// tables — as lowered, and after every path that rebuilds a way or
+    /// puts a guard in front of it: entry inserts and removes, a table
+    /// replacement, `specialize()` and `despecialize()`.
     #[test]
     fn flat_ways_match_the_match_engine_oracle(
         kind in 0usize..3,
-        shape in 0usize..6,
+        shape in 0usize..5,
         size_class in 0usize..8,
         seed in 0u64..u64::MAX,
     ) {
@@ -778,8 +790,7 @@ proptest! {
         nic.set_engine_mode(EngineMode::Compiled);
         assert_ways_match_oracle(&mut nic, node, &probes, "lowered")?;
 
-        // A window dominated by one installed key earns a hot-key guard;
-        // a dense exact table also earns a direct-index way.
+        // A window dominated by one installed key earns a hot-key guard.
         let hot_key = probes[4];
         let specialize = |nic: &mut SmartNic| {
             nic.set_instrumentation(true, 1);
@@ -816,7 +827,7 @@ proptest! {
         nic.apply(ControlOp::Despecialize).unwrap();
         assert_ways_match_oracle(&mut nic, node, &probes, "despecialized")?;
 
-        let other = way_table(kind, (shape + 1) % 6, n / 2 + 1, &mut rng);
+        let other = way_table(kind, (shape + 1) % 5, n / 2 + 1, &mut rng);
         probes.extend(way_probes(&other, &mut rng));
         nic.apply(ControlOp::ReplaceTable { node, table: other, next: None }).unwrap();
         assert_ways_match_oracle(&mut nic, node, &probes, "replaced")?;
@@ -908,12 +919,17 @@ proptest! {
 /// sample-1 profile, land on the program a model built from the op
 /// list alone describes, and forward probes like a NIC built from
 /// that model from scratch.
+///
+/// The packets are [`majority_churn_packet`]s, and the first
+/// [`MIN_WINDOW`] of them arrive before any op, so a `Specialize` finds
+/// `t0`'s majority key in the sketches. Returns how many `Specialize`
+/// ops the executor was given and how many of them it applied.
 fn live_patch_and_swap_case(
     ops: &[(usize, u64, u8)],
     split: usize,
     swap_key: u64,
     traffic_seed: u64,
-) -> Result<(), TestCaseError> {
+) -> Result<(usize, usize), TestCaseError> {
     let (g, tables) = churn_program();
     let params = CostParams::bluefield2();
     let split = split.min(ops.len());
@@ -978,12 +994,7 @@ fn live_patch_and_swap_case(
             6 => ControlOp::SetEngineMode(
                 [EngineMode::Interpreter, EngineMode::Compiled][(k % 2) as usize],
             ),
-            7 => ControlOp::Specialize(SpecConfig {
-                hot_fraction: 0.1,
-                min_samples: 4,
-                direct_min_entries: 1,
-                ..SpecConfig::default()
-            }),
+            7 => ControlOp::Specialize,
             8 => ControlOp::Despecialize,
             _ => match k % 4 {
                 0 => ControlOp::SetPlacement(
@@ -1032,7 +1043,7 @@ fn live_patch_and_swap_case(
     let mut fed = 0u64;
     let mut feed = |exec: &mut Executor, nics: &mut Vec<(String, Box<dyn NicBackend>)>| {
         let chunk: Vec<Packet> = (0..8)
-            .map(|i| churn_packet(traffic_seed + fed + i))
+            .map(|i| majority_churn_packet(traffic_seed + fed + i))
             .collect();
         fed += 8;
         for p in &chunk {
@@ -1042,19 +1053,26 @@ fn live_patch_and_swap_case(
             nic.measure_feed(chunk.clone());
         }
     };
-    feed(&mut exec, &mut nics);
+    for _ in 0..MIN_WINDOW / 8 {
+        feed(&mut exec, &mut nics);
+    }
     // A NIC whose packets went through one executor, in arrival order,
     // plans what the bare executor plans. Across several shards the
     // merged Boyer–Moore sketches may settle on another candidate than
     // one stream's, so how much a `Specialize` finds to do there — and
     // whether a later `Despecialize` has anything to revert — is its own.
     let mut planned = false;
+    let (mut asked, mut applied) = (0, 0);
     for op in &sequence {
         let want = exec.apply(op);
         prop_assert!(want.is_ok(), "{:?} rejected: {:?}", op, want);
-        planned |= matches!(op, ControlOp::Specialize(_));
+        if *op == ControlOp::Specialize {
+            planned = true;
+            asked += 1;
+            applied += usize::from(want == Ok(Applied::Done));
+        }
         let plan_dependent =
-            matches!(op, ControlOp::Specialize(_)) || (planned && *op == ControlOp::Despecialize);
+            *op == ControlOp::Specialize || (planned && *op == ControlOp::Despecialize);
         for (name, nic) in &mut nics {
             let got = nic.apply(op.clone());
             let one_stream = name == "single" || name == "sharded x1";
@@ -1112,7 +1130,7 @@ fn live_patch_and_swap_case(
             prop_assert_eq!(&got, &want, "{}: probe {} mutations", name, i);
         }
     }
-    Ok(())
+    Ok((asked, applied))
 }
 
 /// Case 36 of [`live_patch_and_swap_converge_to_scratch`], which failed
@@ -1139,4 +1157,33 @@ fn specialize_plans_from_the_drained_window_whatever_the_worker_timing() {
         live_patch_and_swap_case(&ops, 15, 13, 288)
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
     }
+}
+
+/// Fuzz op 7 is a plain `Specialize`: it plans from the traffic alone,
+/// and the traffic gives `t0` a majority key. Over fixed op lists, each
+/// with at least one `Specialize`, most of those the executor is given
+/// must apply a plan — the rest meet the interpreter, the plan already
+/// in place, or a window instrumentation was switched off for.
+#[test]
+fn fuzzed_specialize_ops_plan_from_the_traffic() {
+    let mut rng = Lcg(0x5eed);
+    let (mut asked, mut applied) = (0, 0);
+    for case in 0..12 {
+        let mut ops: Vec<(usize, u64, u8)> = (0..10)
+            .map(|_| {
+                let t = (rng.next() % 3) as usize;
+                (t, rng.next() % 64, (rng.next() % 10) as u8)
+            })
+            .collect();
+        ops[case % 10].2 = 7;
+        let (split, swap_key, seed) = (rng.next() as usize % 12, rng.next() % 24, rng.next());
+        let (a, d) = live_patch_and_swap_case(&ops, split, swap_key, seed % 1_000)
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        asked += a;
+        applied += d;
+    }
+    assert!(
+        2 * applied >= asked,
+        "{applied} of {asked} Specialize ops applied a plan"
+    );
 }

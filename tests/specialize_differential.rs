@@ -1,8 +1,8 @@
 //! Differential suite for profile-guided specialization of the compiled
 //! datapath (DESIGN.md §17).
 //!
-//! The contract under test: a specialized pipeline — hot-key guards,
-//! direct-index ways, hot-chain layout — is observationally
+//! The contract under test: a specialized pipeline — hot-key guards and
+//! the lookup memo behind their misses — is observationally
 //! *bit-identical* to the unspecialized compiled engine and the
 //! interpreter. Per-packet reports (latency bits, drops, probes), packet
 //! mutations, merged profiles, batch statistics and latency histograms
@@ -11,7 +11,7 @@
 //! specialized pipelines through the generation-swap path and must lose
 //! zero packets.
 //!
-//! Guard-run fusion (the fourth, derived pass) only fires with
+//! Guard-run fusion (the derived pass) only fires with
 //! instrumentation off, so it gets its own rows: fused runs vs the
 //! per-table guard walk vs both oracles, per packet and per window, over
 //! all-hit / partial-hit / all-miss / already-dropped packets, across the
@@ -32,17 +32,20 @@ use pipeleon_ir::{
 use pipeleon_runtime::{Controller, ControllerConfig, SimTarget, Target};
 use pipeleon_sim::{
     Applied, BatchStats, ControlOp, EngineMode, ExecReport, NicBackend, Packet, PacketTrace,
-    ShardedNic, SmartNic, SpecConfig, SpecStats,
+    ShardedNic, SmartNic, SpecStats,
 };
-use pipeleon_workloads::scenarios::SkewedPipeline;
+use pipeleon_workloads::scenarios::{
+    AclPipeline, DashRouting, L2L3Acl, LoadBalancer, NfComposition, SkewedPipeline,
+};
+use pipeleon_workloads::traffic::{FieldBias, FlowGen};
 use proptest::prelude::*;
 
 /// The sharded-equivalence matrix, reused from the other differentials.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Skew steep enough that the top flow clears the conservative
-/// Boyer–Moore majority bar ([`pipeleon_sim::SpecConfig::hot_fraction`])
-/// with a guard-miss rate comfortably under the controller's
+/// Boyer–Moore majority bar (half a window's sampled lookups) with a
+/// guard-miss rate comfortably under the controller's
 /// de-specialization threshold.
 const HOT_SKEW: f64 = 3.0;
 
@@ -262,6 +265,48 @@ fn live_specialize_swaps_lose_zero_packets() {
     }
 }
 
+/// "Specialized" has one meaning: a `Specialize` is `Done` exactly when
+/// it leaves a table guarded, so the controller's shed rule (which asks
+/// `specialized_tables > 0`) can shed every plan it applied. Every
+/// scenario program, under uniform traffic (no key dominates: nothing to
+/// plan) and under Zipf traffic (the hot flow dominates every table).
+#[test]
+fn specialize_is_done_exactly_when_it_guards_a_table() {
+    let programs = [
+        ("acl_pipeline", AclPipeline::build(4, 3).graph),
+        ("load_balancer", LoadBalancer::build().graph),
+        ("dash_routing", DashRouting::build().graph),
+        ("l2l3_acl", L2L3Acl::build().graph),
+        ("nf_composition", NfComposition::build().graph),
+        ("skewed_pipeline", SkewedPipeline::build(3, 2).graph),
+    ];
+    for (name, g) in programs {
+        let mut keys = Vec::new();
+        for (_, t) in g.tables() {
+            keys.extend(t.keys.iter().map(|k| k.field));
+        }
+        keys.sort();
+        keys.dedup();
+        for skew in [0.0, HOT_SKEW] {
+            let ctx = format!("{name}, zipf {skew}");
+            let traffic = FlowGen::new(g.fields.len(), keys.clone(), 400, 41)
+                .with_zipf(skew)
+                .batch(2_000);
+            let mut nic = SmartNic::new(g.clone(), params()).unwrap();
+            nic.set_instrumentation(true, 1);
+            nic.measure_batch(traffic);
+            let applied = nic.apply(ControlOp::Specialize).unwrap();
+            let tables = nic.spec_stats().specialized_tables;
+            assert_eq!(
+                applied == Applied::Done,
+                tables > 0,
+                "{ctx}: {applied:?} with {tables} specialized tables"
+            );
+            assert_eq!(tables > 0, skew > 0.0, "{ctx}: {tables} specialized tables");
+        }
+    }
+}
+
 /// The fused-run fixture: classifiers and flow tables chain into one
 /// guard run. Two members sit on the CPU, so the run bakes migrations;
 /// one of them is the last, so the table after the run owes one too.
@@ -281,8 +326,8 @@ impl Fused {
         let mut placement = vec![Placement::Asic; s.graph.id_bound()];
         placement[s.ternary[1].index()] = Placement::Cpu;
         placement[s.exact[1].index()] = Placement::Cpu;
-        let warm = s.traffic(HOT_SKEW, 400, 21).batch(2_000);
-        let mut probe = s.traffic(HOT_SKEW, 400, 22).batch(3_000);
+        let warm = Self::traffic(&s, 21).batch(2_000);
+        let mut probe = Self::traffic(&s, 22).batch(3_000);
         // Rank 0 is the hot flow; the run's guards key on the first
         // three flow fields in order, so knocking field k off the hot
         // value leaves exactly the first k guards matching.
@@ -308,6 +353,20 @@ impl Fused {
         }
     }
 
+    /// The pipeline's Zipf traffic with one more class value biased in.
+    /// On its own the class table's top value holds ~51% of packets, so
+    /// whether it gets a guard would depend on how the sketches were
+    /// sharded; here it holds ~36%, well under the majority bar, while
+    /// the hot flow holds ~83% of the flow keys — every worker count
+    /// bakes the same plan and the counters can be compared.
+    fn traffic(s: &SkewedPipeline, seed: u64) -> FlowGen {
+        s.traffic(HOT_SKEW, 400, seed).with_bias(FieldBias {
+            field: s.class_field,
+            value: 7,
+            probability: 0.3,
+        })
+    }
+
     /// Brings a backend to the state the datapath workloads time:
     /// profile window, `specialize()` (or not), instrumentation off.
     fn prepare<N: NicBackend>(&self, nic: &mut N, specialize: bool) {
@@ -315,23 +374,12 @@ impl Fused {
         nic.measure_batch(self.warm.clone());
         if specialize {
             assert_eq!(
-                nic.apply(Self::specialize_op()),
+                nic.apply(ControlOp::Specialize),
                 Ok(Applied::Done),
                 "the profile window must yield a plan"
             );
         }
         nic.set_instrumentation(false, 1);
-    }
-
-    /// The class table's top value holds ~51% of packets: at the default
-    /// bar whether it gets a guard depends on how the sketches were
-    /// sharded. Ask for a clear majority, so that every worker count
-    /// bakes the same plan and the counters can be compared.
-    fn specialize_op() -> ControlOp {
-        ControlOp::Specialize(SpecConfig {
-            hot_fraction: 0.65,
-            ..SpecConfig::default()
-        })
     }
 
     fn single(&self, engine: EngineMode, specialize: bool) -> SmartNic {
@@ -428,6 +476,12 @@ fn fused_runs_match_across_workers_and_shard_modes() {
     let (hits, misses, _) = spec_delta(walk0, walk.spec_stats());
     let (_, _, runs) = spec_delta(single0, single.spec_stats());
     assert!(runs > 0);
+    // One plan whatever the sharding.
+    let plan = |st: SpecStats| (st.specialized_tables, st.fused_runs);
+    for workers in [1, 2, 4] {
+        let got = plan(fx.sharded(workers, true).spec_stats());
+        assert_eq!(got, plan(single0), "workers={workers}: the plan");
+    }
     for workers in WORKER_COUNTS {
         let ctx = format!("workers={workers}");
         let mut plain = fx.sharded(workers, false);
@@ -688,7 +742,7 @@ fn memoised_guard_misses_survive_entry_ops_and_the_same_plan_again() {
         assert_eq!(nic.spec_stats().specialized_tables, 0, "{ctx}: stripped");
         nic.measure_feed(cold[a..b].to_vec());
         if specialized {
-            let again = nic.apply(Fused::specialize_op());
+            let again = nic.apply(ControlOp::Specialize);
             assert_eq!(again, Ok(Applied::Done), "{ctx}: the same plan again");
         }
         nic.measure_feed(cold[b..].to_vec());
