@@ -19,8 +19,7 @@ use pipeleon_sim::{
     ShardedNic, SmartNic,
 };
 use pipeleon_verify::{
-    lint_concurrency_with_count, lint_program, render_report, render_report_json, LintConfig,
-    Severity,
+    lint_concurrency_with_count, lint_program, render_report, render_report_json, Severity,
 };
 use pipeleon_workloads::traffic::FlowGen;
 use std::time::{Duration, Instant};
@@ -115,7 +114,7 @@ fn load_program(args: &Args) -> Result<ProgramGraph, String> {
 fn checked_program(args: &Args) -> Result<(ProgramGraph, CostParams), String> {
     let params = target(args)?;
     let g = load_program(args)?;
-    let errors: Vec<_> = lint_program(&g, &LintConfig::with_params(params.clone()))
+    let errors: Vec<_> = lint_program(&g, Some(&params))
         .into_iter()
         .filter(|d| d.severity == Severity::Error)
         .collect();
@@ -158,7 +157,7 @@ fn analyze(args: &Args) -> Result<(), String> {
     } else {
         let params = target(args)?;
         let g = load_program(args)?;
-        lint_program(&g, &LintConfig::with_params(params))
+        lint_program(&g, Some(&params))
     };
     match args.get_or("format", "text") {
         "text" => println!("{}", render_report(&diags)),

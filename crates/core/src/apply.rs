@@ -24,7 +24,7 @@
 use crate::config::OptimizerConfig;
 use crate::opts::{merge, EvalCtx};
 use crate::plan::{Candidate, GlobalPlan, SegmentKind};
-use pipeleon_cost::{CostModel, RuntimeProfile};
+use pipeleon_cost::{CostModel, RuntimeProfile, CACHE_CAPACITY};
 use pipeleon_ir::{
     Action, CacheRole, IrError, MatchKey, MatchKind, NextHops, NodeId, NodeKind, ProgramGraph,
     RwSets, Table,
@@ -185,7 +185,7 @@ pub fn apply_plan(
     let mut cache_seq = 0usize;
     for cand in &plan.choices {
         if let Some(branch) = cand.group_branch {
-            apply_group_cache(&mut out, branch, cand, cfg, &mut cache_seq)?;
+            apply_group_cache(&mut out, branch, cand, &mut cache_seq)?;
         } else {
             apply_pipelet_candidate(&mut out, cand, model, profile, cfg, &mut cache_seq)?;
         }
@@ -294,9 +294,7 @@ fn apply_pipelet_candidate(
         };
         let seg_head = entry_at[seg.start];
         let new_node = match seg.kind {
-            SegmentKind::Cache => {
-                insert_flow_cache(out, &tables, seg_head, seg_exit, cfg, cache_seq)?
-            }
+            SegmentKind::Cache => insert_flow_cache(out, &tables, seg_head, seg_exit, cache_seq)?,
             SegmentKind::Merge { as_cache } => insert_merge(
                 out, &tables, seg_head, seg_exit, as_cache, model, profile, cfg,
             )?,
@@ -312,7 +310,6 @@ fn insert_flow_cache(
     tables: &[NodeId],
     seg_head: NodeId,
     seg_exit: Option<NodeId>,
-    cfg: &OptimizerConfig,
     cache_seq: &mut usize,
 ) -> Result<NodeId, IrError> {
     // Cache key: union of the covered tables' match-read fields.
@@ -337,7 +334,7 @@ fn insert_flow_cache(
     table.actions = vec![Action::nop("hit"), Action::nop("miss")];
     table.default_action = 1;
     table.cache_role = CacheRole::FlowCache;
-    table.max_entries = Some(cfg.cache_capacity);
+    table.max_entries = Some(CACHE_CAPACITY);
     let cache = out.graph.add_node(
         NodeKind::Table(table),
         NextHops::ByAction(vec![seg_exit, Some(seg_head)]),
@@ -437,7 +434,6 @@ fn apply_group_cache(
     out: &mut AppliedPlan,
     branch: NodeId,
     cand: &Candidate,
-    cfg: &OptimizerConfig,
     cache_seq: &mut usize,
 ) -> Result<(), IrError> {
     // Cache key: the branch's read fields plus all member match fields.
@@ -463,7 +459,7 @@ fn apply_group_cache(
     table.actions = vec![Action::nop("hit"), Action::nop("miss")];
     table.default_action = 1;
     table.cache_role = CacheRole::FlowCache;
-    table.max_entries = Some(cfg.cache_capacity);
+    table.max_entries = Some(CACHE_CAPACITY);
     let cache = out.graph.add_node(
         NodeKind::Table(table),
         NextHops::ByAction(vec![exit, Some(branch)]),
@@ -504,7 +500,7 @@ fn group_exit(g: &ProgramGraph, branch: NodeId, members: &[NodeId]) -> Option<No
 mod tests {
     use super::*;
     use crate::plan::Segment;
-    use pipeleon_cost::CostParams;
+    use pipeleon_cost::{CostParams, CACHE_INSERTION_RATE};
     use pipeleon_ir::{MatchValue, Primitive, ProgramBuilder, TableEntry};
 
     fn fixture() -> (ProgramGraph, Vec<NodeId>) {
@@ -595,6 +591,41 @@ mod tests {
         assert!(sites.contains(&EntrySite::CoveredByCache { cache }));
         assert!(sites.contains(&EntrySite::Direct));
         applied.graph.validate().unwrap();
+    }
+
+    /// A planned cache holds no more entries on the datapath than the
+    /// capacity its memory cost was priced at.
+    #[test]
+    fn planned_cache_holds_at_most_its_priced_capacity() {
+        let (g, ids) = fixture();
+        let (model, profile, cfg) = deps();
+        let cand = Candidate {
+            pipelet: 0,
+            order: ids.clone(),
+            segments: vec![Segment {
+                start: 1,
+                end: 3,
+                kind: SegmentKind::Cache,
+            }],
+            gain: 1.0,
+            mem_cost: 0.0,
+            update_cost: 0.0,
+            group_branch: None,
+        };
+        let applied = apply_plan(&g, &plan_with(cand), &model, &profile, &cfg).unwrap();
+        let cache = applied.cache_nodes[0];
+        let table = applied.graph.node(cache).unwrap().as_table().unwrap();
+        assert_eq!(table.max_entries, Some(CACHE_CAPACITY));
+        let key = g.node(ids[1]).unwrap().as_table().unwrap().keys[0].field;
+        let mut ex = pipeleon_sim::Executor::new(applied.graph, model.params).unwrap();
+        // Distinct flows, spaced so the insertion limiter never refuses one.
+        for flow in 0..CACHE_CAPACITY as u64 + 1_000 {
+            let mut pkt = pipeleon_sim::Packet::new(&g.fields);
+            pkt.set(key, flow);
+            ex.now_s = flow as f64 / (CACHE_INSERTION_RATE / 2.0);
+            ex.process(&mut pkt);
+        }
+        assert_eq!(ex.cache_len(cache), CACHE_CAPACITY);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Optimizer configuration and resource limits.
 
-use serde::{Deserialize, Serialize};
-
 /// The Eq. 5 resource constraints: total memory and entry-update bandwidth
 /// the optimized layout may consume *in addition to* the original program.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceLimits {
     /// Extra memory budget in bytes (`M`).
     pub memory_bytes: f64,
@@ -31,35 +29,18 @@ impl ResourceLimits {
     }
 }
 
-/// Tunables of the optimization search. Defaults follow the paper where it
-/// states values and otherwise pick conservative settings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// What the figures and the CLI vary about the optimization search: the
+/// hot-pipelet fraction, the merge width and the ablation switches. The
+/// paper's fixed design values (pipelet split length, permutation and
+/// order bounds, merge budget, default hit rate, invalidation pressure,
+/// cache capacity) are constants of the modules that read them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerConfig {
     /// Fraction of pipelets selected as "hot" (`k`); 1.0 = ESearch.
     pub top_k_fraction: f64,
-    /// Pipelets longer than this are split (§4.1.1 "partition long
-    /// pipelets"); also bounds candidate enumeration.
-    pub max_pipelet_len: usize,
     /// Maximum tables merged into one (the paper restricts merging to two
     /// tables to control memory overhead, §5.2.2).
     pub max_merge_tables: usize,
-    /// Reject merges whose materialized cross-product exceeds this many
-    /// entries.
-    pub max_merge_entries: usize,
-    /// Enumerate all permutations for pipelets up to this length; longer
-    /// pipelets use a dependency-respecting greedy order.
-    pub max_enum_perms: usize,
-    /// Keep at most this many table orders per pipelet (best by
-    /// drop-aware expected latency) before segment enumeration.
-    pub max_orders: usize,
-    /// Default estimated hit rate for a new cache (§3.2.2 "uses a default
-    /// estimated hit rate for calculation").
-    pub default_hit_rate: f64,
-    /// Entry capacity of each created cache table.
-    pub cache_capacity: usize,
-    /// Hit-rate degradation per update/s on covered tables (cache
-    /// invalidation pressure): `h = h0 / (1 + coeff · rate)`.
-    pub invalidation_coeff: f64,
     /// Whether table reordering is considered (ablation switch).
     pub enable_reorder: bool,
     /// Whether table caching is considered (ablation switch).
@@ -68,28 +49,17 @@ pub struct OptimizerConfig {
     pub enable_merge: bool,
     /// Whether pipelet-group (cross-pipelet) optimization is attempted.
     pub enable_groups: bool,
-    /// Measurement window the profile represents, in seconds (converts
-    /// packet counts to rates when estimating cache insertion load).
-    pub profile_window_s: f64,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
         Self {
             top_k_fraction: 0.3,
-            max_pipelet_len: 24,
             max_merge_tables: 2,
-            max_merge_entries: 4096,
-            max_enum_perms: 5,
-            max_orders: 12,
-            default_hit_rate: 0.9,
-            cache_capacity: 4096,
-            invalidation_coeff: 0.05,
             enable_reorder: true,
             enable_cache: true,
             enable_merge: true,
             enable_groups: true,
-            profile_window_s: 1.0,
         }
     }
 }
@@ -110,7 +80,5 @@ mod tests {
         let c = OptimizerConfig::default();
         assert!(c.top_k_fraction > 0.0 && c.top_k_fraction <= 1.0);
         assert!(c.max_merge_tables >= 2);
-        assert!((0.0..=1.0).contains(&c.default_hit_rate));
-        assert!(c.max_pipelet_len >= 2);
     }
 }

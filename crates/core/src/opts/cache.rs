@@ -10,15 +10,20 @@
 //!
 //! where `A_seg` is the action-replay cost (hits still execute the
 //! recorded actions) and `L_seg` the original segment cost. The hit-rate
-//! estimate `h` starts from the configured default and is degraded by two
+//! estimate `h` starts from a default (§3.2.2) and is degraded by two
 //! effects the paper calls out: the **cross-product problem** (the joint
 //! key space is the product of per-table distinct key counts, which can
 //! dwarf the cache capacity) and **invalidation pressure** (entry updates
 //! to covered tables flush the cache).
 
-use super::{EvalCtx, SegmentScore, TableTerms};
-use pipeleon_cost::CACHE_INSERTION_RATE;
+use super::{EvalCtx, SegmentScore, TableTerms, INVALIDATION_COEFF};
+use pipeleon_cost::{CACHE_CAPACITY, CACHE_INSERTION_RATE};
 use pipeleon_ir::{DependencyAnalysis, NodeId, RwSets};
+
+/// The hit rate a new cache is estimated at before the cross-product and
+/// invalidation corrections (§3.2.2 "uses a default estimated hit rate
+/// for calculation").
+pub(super) const DEFAULT_HIT_RATE: f64 = 0.9;
 
 /// Whether a cache over `tables` is semantically allowed: every member is
 /// a plain always-next table (no switch-case, no existing cache, not
@@ -41,18 +46,18 @@ pub fn estimated_hit_rate(ctx: &EvalCtx<'_>, tables: &[&TableTerms]) -> f64 {
     if let Some(measured) = ctx.profile.cache_hint(&ids) {
         return measured;
     }
-    let mut h = ctx.cfg.default_hit_rate;
+    let mut h = DEFAULT_HIT_RATE;
     // Cross-product key space vs. capacity.
     let mut keyspace: f64 = 1.0;
     for t in tables {
         keyspace *= t.distinct_keys;
     }
-    if keyspace > ctx.cfg.cache_capacity as f64 {
-        h *= ctx.cfg.cache_capacity as f64 / keyspace;
+    if keyspace > CACHE_CAPACITY as f64 {
+        h *= CACHE_CAPACITY as f64 / keyspace;
     }
     // Invalidation pressure from covered-table entry updates.
     let update_rate: f64 = tables.iter().map(|t| t.update_rate).sum();
-    h /= 1.0 + ctx.cfg.invalidation_coeff * update_rate;
+    h /= 1.0 + INVALIDATION_COEFF * update_rate;
     h.clamp(0.0, 1.0)
 }
 
@@ -87,7 +92,7 @@ pub fn score(ctx: &EvalCtx<'_>, tables: &[&TableTerms]) -> Option<SegmentScore> 
 /// the reserved capacity, plus the insertion load (misses installing
 /// entries, capped by the rate every cache's limiter admits).
 pub fn costs(ctx: &EvalCtx<'_>, h: f64) -> (f64, f64) {
-    let mem = (ctx.cfg.cache_capacity * pipeleon_ir::Table::DEFAULT_ENTRY_BYTES) as f64;
+    let mem = (CACHE_CAPACITY * pipeleon_ir::Table::DEFAULT_ENTRY_BYTES) as f64;
     let entering = ctx.profile.packet_rate() * ctx.reach;
     let insertions = ((1.0 - h) * entering).min(CACHE_INSERTION_RATE);
     (mem, insertions)
@@ -266,7 +271,7 @@ mod tests {
         profile.window_s = 1.0;
         let ctx = eval(&g, &model, &cfg, &profile);
         let (mem, upd) = costs(&ctx, hit_rate(&ctx, &ids));
-        assert_eq!(mem, (cfg.cache_capacity * 32) as f64);
+        assert_eq!(mem, (CACHE_CAPACITY * 32) as f64);
         // 10% miss of 1M pps = 100k, capped at the insertion limit.
         assert!(upd <= CACHE_INSERTION_RATE + 1e-9);
         assert!(upd > 0.0);

@@ -18,8 +18,7 @@
 //! table picks exactly the combination of winners the sequential tables
 //! would have picked.
 
-use super::{EvalCtx, SegmentScore, TableTerms};
-use crate::config::OptimizerConfig;
+use super::{EvalCtx, SegmentScore, TableTerms, INVALIDATION_COEFF};
 use pipeleon_ir::{
     Action, CacheRole, DependencyAnalysis, MatchKey, MatchKind, MatchValue, NodeId, Primitive,
     ProgramGraph, Table, TableEntry,
@@ -40,11 +39,16 @@ pub struct MergedTable {
     pub miss_action: usize,
 }
 
+/// Rows a merged table may materialize (the product of each component's
+/// entries + 1): the memory bound on merging (§3.2.3) and the size past
+/// which an entry insert reverts a deployed merge.
+pub(super) const MAX_MERGE_ENTRIES: usize = 4096;
+
 /// Whether merging `tables` is allowed: ≥ 2 plain single-next tables with
 /// keys, pairwise mergeable (no match-on-written-field hazards), within
-/// the materialization budget; the as-cache variant additionally requires
+/// `MAX_MERGE_ENTRIES`; the as-cache variant additionally requires
 /// all-exact components (checked in [`materialize`]).
-pub fn segment_allowed(cfg: &OptimizerConfig, tables: &[&TableTerms]) -> bool {
+pub fn segment_allowed(tables: &[&TableTerms]) -> bool {
     if tables.len() < 2 || tables.iter().any(|t| !t.coverable) {
         return false;
     }
@@ -52,7 +56,7 @@ pub fn segment_allowed(cfg: &OptimizerConfig, tables: &[&TableTerms]) -> bool {
     for t in tables {
         product *= (t.entries + 1) as f64;
     }
-    if product > cfg.max_merge_entries as f64 {
+    if product > MAX_MERGE_ENTRIES as f64 {
         return false;
     }
     for (i, a) in tables.iter().enumerate() {
@@ -128,7 +132,7 @@ pub fn materialize(
     as_cache: bool,
 ) -> Result<MergedTable, String> {
     let terms = TableTerms::of_each(ctx, tables);
-    if !segment_allowed(ctx.cfg, &terms.iter().collect::<Vec<_>>()) {
+    if !segment_allowed(&terms.iter().collect::<Vec<_>>()) {
         return Err("segment not mergeable".into());
     }
     build(ctx.g, tables, as_cache)
@@ -311,7 +315,7 @@ pub fn score(ctx: &EvalCtx<'_>, tables: &[&TableTerms], as_cache: bool) -> Optio
         survive *= 1.0 - t.drop_rate;
     }
     let latency = if as_cache {
-        let h = estimated_all_hit_rate(ctx.cfg, tables);
+        let h = estimated_all_hit_rate(tables);
         params.l_mat + h * actions + (1.0 - h) * orig
     } else {
         let m = params.memory_accesses(&merged.table);
@@ -328,14 +332,14 @@ pub fn score(ctx: &EvalCtx<'_>, tables: &[&TableTerms], as_cache: bool) -> Optio
 
 /// The probability a packet hits (a non-default entry in) every component
 /// table — the merged-cache hit rate — degraded by update churn.
-fn estimated_all_hit_rate(cfg: &OptimizerConfig, tables: &[&TableTerms]) -> f64 {
+fn estimated_all_hit_rate(tables: &[&TableTerms]) -> f64 {
     let mut h = 1.0;
     let mut update_rate = 0.0;
     for t in tables {
         h *= t.hit_prob;
         update_rate += t.update_rate;
     }
-    (h / (1.0 + cfg.invalidation_coeff * update_rate)).clamp(0.0, 1.0)
+    (h / (1.0 + INVALIDATION_COEFF * update_rate)).clamp(0.0, 1.0)
 }
 
 /// `(memory, update-rate)` cost of the merge. Memory is the materialized
@@ -370,6 +374,7 @@ pub fn costs(tables: &[&TableTerms], as_cache: bool) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OptimizerConfig;
     use pipeleon_cost::{CostModel, CostParams, RuntimeProfile};
     use pipeleon_ir::ProgramBuilder;
 
@@ -601,29 +606,32 @@ mod tests {
 
     #[test]
     fn oversized_merge_rejected() {
-        let mut b = ProgramBuilder::new();
-        let f0 = b.field("f0");
-        let f1 = b.field("f1");
-        let mut tb0 = b.table("big0").key(f0, MatchKind::Exact).action_nop("a");
-        for e in 0..100u64 {
-            tb0 = tb0.entry(TableEntry::new(vec![MatchValue::Exact(e)], 0));
-        }
-        let t0 = tb0.finish();
-        let mut tb1 = b.table("big1").key(f1, MatchKind::Exact).action_nop("a");
-        for e in 0..100u64 {
-            tb1 = tb1.entry(TableEntry::new(vec![MatchValue::Exact(e)], 0));
-        }
-        let t1 = tb1.finish();
-        let g = b.seal(t0).unwrap();
-        let model = CostModel::new(CostParams::bluefield2());
-        let cfg = OptimizerConfig {
-            max_merge_entries: 1000, // 101*101 > 1000
-            ..OptimizerConfig::default()
+        // Two exact tables of `n0` and `n1` entries materialize
+        // (n0 + 1)·(n1 + 1) rows.
+        let allowed = |n0: u64, n1: u64| {
+            let mut b = ProgramBuilder::new();
+            let ids: Vec<NodeId> = [("big0", n0), ("big1", n1)]
+                .into_iter()
+                .map(|(name, n)| {
+                    let f = b.field(&format!("{name}.key"));
+                    let mut tb = b.table(name).key(f, MatchKind::Exact).action_nop("a");
+                    for e in 0..n {
+                        tb = tb.entry(TableEntry::new(vec![MatchValue::Exact(e)], 0));
+                    }
+                    tb.finish()
+                })
+                .collect();
+            let g = b.seal(ids[0]).unwrap();
+            let model = CostModel::new(CostParams::bluefield2());
+            let cfg = OptimizerConfig::default();
+            let profile = RuntimeProfile::empty();
+            let ctx = eval(&g, &model, &cfg, &profile);
+            let terms = TableTerms::of_each(&ctx, &ids);
+            segment_allowed(&terms.iter().collect::<Vec<_>>())
         };
-        let profile = RuntimeProfile::empty();
-        let ctx = eval(&g, &model, &cfg, &profile);
-        let terms = TableTerms::of_each(&ctx, &[t0, t1]);
-        assert!(!segment_allowed(&cfg, &terms.iter().collect::<Vec<_>>()));
+        assert_eq!(64 * 64, MAX_MERGE_ENTRIES);
+        assert!(allowed(63, 63), "64·64 rows fill the budget exactly");
+        assert!(!allowed(63, 64), "64·65 rows exceed it");
     }
 
     #[test]

@@ -33,12 +33,20 @@ use pipeleon_cost::{CostModel, RuntimeProfile};
 use pipeleon_ir::{CacheRole, NodeId, ProgramGraph, RwSets};
 use std::collections::HashMap;
 
+/// Hit-rate degradation per entry update/s on the tables a cache or a
+/// merged cache covers (invalidation pressure): `h = h0 / (1 + c · rate)`.
+const INVALIDATION_COEFF: f64 = 0.05;
+
+/// Table orders of a pipelet kept (best by drop-aware expected latency,
+/// plus the original) before its segmentations are searched.
+const MAX_ORDERS: usize = 12;
+
 /// Shared context for evaluating candidates of one pipelet.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalCtx<'a> {
     /// The cost model.
     pub model: &'a CostModel,
-    /// Optimizer tunables.
+    /// The search configuration.
     pub cfg: &'a OptimizerConfig,
     /// The (original) program.
     pub g: &'a ProgramGraph,
@@ -237,7 +245,7 @@ impl<'a> SegmentTable<'a> {
     fn merge_allowed(&mut self, entry: usize, tables: &[&TableTerms]) -> bool {
         *self.entries[entry]
             .merge_allowed
-            .get_or_insert_with(|| merge::segment_allowed(self.ctx.cfg, tables))
+            .get_or_insert_with(|| merge::segment_allowed(tables))
     }
 
     /// Only for sequences [`Self::merge_allowed`] accepted.
@@ -382,6 +390,28 @@ fn frontiers(
     at
 }
 
+/// The `orders` (original first) whose segmentations are searched: the
+/// [`MAX_ORDERS`] most promising by drop-aware expected latency, which
+/// bounds the order × segmentation product, with the original order
+/// added back as the segments-only baseline when it is not among them.
+fn kept_orders(terms: &[TableTerms], orders: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
+    if orders.len() <= MAX_ORDERS {
+        return orders;
+    }
+    let original = orders[0].clone();
+    let mut by_latency: Vec<(f64, Vec<usize>)> = orders
+        .into_iter()
+        .map(|o| (sequence_latency(o.iter().map(|&i| &terms[i])), o))
+        .collect();
+    by_latency.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite latencies"));
+    by_latency.truncate(MAX_ORDERS);
+    let mut orders: Vec<Vec<usize>> = by_latency.into_iter().map(|(_, o)| o).collect();
+    if !orders.contains(&original) {
+        orders.push(original);
+    }
+    orders
+}
+
 /// Enumerates evaluated candidates for one pipelet (identified by
 /// `pipelet_id`) whose tables are `tables` in current order: the
 /// segmentations of every kept order that no other dominates in
@@ -397,28 +427,11 @@ pub fn enumerate_candidates(
 ) -> (Vec<Candidate>, usize) {
     let terms = TableTerms::of_each(ctx, tables);
     let baseline = sequence_latency(&terms);
-    let mut orders = if ctx.cfg.enable_reorder {
-        reorder::valid_orders(ctx.cfg, &terms)
+    let orders = if ctx.cfg.enable_reorder {
+        kept_orders(&terms, reorder::valid_orders(&terms))
     } else {
         vec![(0..terms.len()).collect()]
     };
-    // Keep the most promising orders (drop-aware expected latency) to
-    // bound the order × segmentation product, always retaining the
-    // original order as the segments-only baseline.
-    let keep = ctx.cfg.max_orders.max(1);
-    if orders.len() > keep {
-        let original = orders[0].clone();
-        let mut by_latency: Vec<(f64, Vec<usize>)> = orders
-            .into_iter()
-            .map(|o| (sequence_latency(o.iter().map(|&i| &terms[i])), o))
-            .collect();
-        by_latency.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite latencies"));
-        by_latency.truncate(keep);
-        orders = by_latency.into_iter().map(|(_, o)| o).collect();
-        if !orders.contains(&original) {
-            orders.push(original);
-        }
-    }
 
     let mut table = SegmentTable::new(ctx);
     let per_order: Vec<Vec<Vec<Suffix>>> = orders
@@ -470,7 +483,7 @@ mod tests {
     use super::*;
     use crate::pipelet::partition;
     use pipeleon_cost::CostParams;
-    use pipeleon_ir::{MatchKind, ProgramBuilder};
+    use pipeleon_ir::{DependencyAnalysis, MatchKind, ProgramBuilder};
     use pipeleon_sim::SmartNic;
     use pipeleon_workloads::profiles::{random_profile, ProfileSynthConfig};
     use pipeleon_workloads::scenarios::{AclPipeline, DashRouting, LoadBalancer};
@@ -558,6 +571,48 @@ mod tests {
         }
     }
 
+    /// Five independent ACLs, each dropping more than the one before it:
+    /// all 120 orders are valid, and the original is the slowest.
+    #[test]
+    fn the_original_order_is_kept_behind_the_fastest() {
+        let mut b = ProgramBuilder::new();
+        let ids: Vec<NodeId> = (0..5)
+            .map(|i| {
+                let f = b.field(&format!("f{i}"));
+                let t = b.table(format!("acl{i}")).key(f, MatchKind::Exact);
+                t.action_nop("permit").action_drop("deny").finish()
+            })
+            .collect();
+        let g = b.seal(ids[0]).unwrap();
+        let mut profile = RuntimeProfile::empty();
+        for (i, &id) in ids.iter().enumerate() {
+            profile.record_action(id, 0, 100 - 15 * i as u64);
+            profile.record_action(id, 1, 15 * i as u64);
+        }
+        let (model, cfg) = (
+            CostModel::new(CostParams::bluefield2()),
+            OptimizerConfig::default(),
+        );
+        let ctx = EvalCtx {
+            model: &model,
+            cfg: &cfg,
+            g: &g,
+            profile: &profile,
+            reach: 1.0,
+        };
+        let terms = TableTerms::of_each(&ctx, &ids);
+        let all = reorder::valid_orders(&terms);
+        assert_eq!(all.len(), 120);
+        let kept = kept_orders(&terms, all.clone());
+        let original: Vec<usize> = (0..5).collect();
+        assert_eq!(kept.len(), MAX_ORDERS + 1, "the fastest, then the original");
+        assert_eq!(kept.last(), Some(&original));
+        let latency = |o: &Vec<usize>| sequence_latency(o.iter().map(|&i| &terms[i]));
+        let slowest_kept = kept[..MAX_ORDERS].iter().map(latency).fold(0.0, f64::max);
+        let skipped = all.iter().filter(|o| !kept.contains(o));
+        assert!(skipped.map(latency).all(|l| l >= slowest_kept));
+    }
+
     /// The load balancer's one 12-table pipelet, under `profile`.
     fn load_balancer_candidates(
         lb: &LoadBalancer,
@@ -565,7 +620,7 @@ mod tests {
     ) -> (Vec<Candidate>, usize) {
         let model = CostModel::new(CostParams::bluefield2());
         let cfg = OptimizerConfig::default();
-        let pipelets = partition(&lb.graph, cfg.max_pipelet_len);
+        let pipelets = partition(&lb.graph, crate::search::MAX_PIPELET_LEN);
         assert_eq!(pipelets.len(), 1);
         assert_eq!(pipelets[0].tables.len(), 12);
         let ctx = EvalCtx {
@@ -610,15 +665,15 @@ mod tests {
     }
 
     /// Every pipelet of `g`, split to ≤ 8 tables, under a plain and a hinted
-    /// profile × the default, each optimization off, longer merges, a merge
-    /// budget pairs with entries exceed and one kept order (plus the
-    /// original, added back when it is not the best): the uncapped DP
-    /// returns the brute-force Pareto set, each candidate is a brute-force
-    /// plan with its numbers, and the DP capped at 64 finds the same best.
-    /// `seen` counts candidates, reordered ones, caches, merged caches and
-    /// plain merges, so a sweep that stopped producing one fails instead of
-    /// passing vacuously.
-    fn sweep(g: &ProgramGraph, seed: u64, seen: &mut [usize; 5]) {
+    /// profile × the default, each optimization off and longer merges: the
+    /// uncapped DP returns the brute-force Pareto set, each candidate is a
+    /// brute-force plan with its numbers, and the DP capped at 64 finds the
+    /// same best. `seen` counts candidates, reordered ones, caches, merged
+    /// caches, plain merges, merges only the row budget refuses and
+    /// pipelets whose original order is added back behind the
+    /// [`MAX_ORDERS`] fastest, so a sweep that stopped producing one fails
+    /// instead of passing vacuously.
+    fn sweep(g: &ProgramGraph, seed: u64, seen: &mut [usize; 7]) {
         let pipelets = partition(g, 8);
         let plain = random_profile(g, &ProfileSynthConfig::default(), seed);
         let mut hinted = plain.clone();
@@ -630,14 +685,12 @@ mod tests {
             }
             hinted.set_cache_hint(p.tables.clone(), 0.6);
         }
-        let configs: [fn(&mut OptimizerConfig); 7] = [
+        let configs: [fn(&mut OptimizerConfig); 5] = [
             |_| {},
             |c| c.enable_reorder = false,
             |c| c.enable_cache = false,
             |c| c.enable_merge = false,
             |c| c.max_merge_tables = 3,
-            |c| c.max_merge_entries = 3,
-            |c| c.max_orders = 1,
         ];
         let model = CostModel::new(CostParams::bluefield2());
         let runs = [&plain, &hinted].map(|p| configs.map(|c| (p, c)));
@@ -657,7 +710,7 @@ mod tests {
                 };
                 let (dp, _) = enumerate_candidates(&ctx, p.id, &p.tables, usize::MAX);
                 let (capped, _) = enumerate_candidates(&ctx, p.id, &p.tables, 64);
-                let (front, all) = brute_force(&ctx, &p.tables);
+                let (front, all, added_back) = brute_force(&ctx, &p.tables);
                 let of = |c: &Candidate| [c.gain, c.mem_cost, c.update_cost];
                 assert_eq!(dp.iter().map(of).collect::<Vec<_>>(), front, "{what}");
                 let best = front.first().map(|f| f[0]);
@@ -677,28 +730,56 @@ mod tests {
                         }] += 1;
                     }
                 }
+                if cfg.enable_merge {
+                    let terms = TableTerms::of_each(&ctx, &p.tables);
+                    seen[5] += over_budget_runs(&terms, cfg.max_merge_tables);
+                }
+                seen[6] += usize::from(added_back);
             }
         }
+    }
+
+    /// Runs of `terms` (2 to `width` tables) that would merge but for
+    /// the row budget.
+    fn over_budget_runs(terms: &[TableTerms], width: usize) -> usize {
+        let runs = (2..=width).flat_map(|w| terms.windows(w));
+        runs.filter(|run| {
+            let rows: f64 = run.iter().map(|t| (t.entries + 1) as f64).product();
+            let hazard = run.iter().enumerate().any(|(i, a)| {
+                let later = &run[i + 1..];
+                later
+                    .iter()
+                    .any(|b| !DependencyAnalysis::mergeable(&a.sets, &b.sets))
+            });
+            let plain = run.iter().all(|t| t.coverable) && !hazard;
+            plain && rows > merge::MAX_MERGE_ENTRIES as f64
+        })
+        .count()
     }
 
     #[test]
     fn small_pipelets_match_brute_force() {
         let (lb, dash) = (LoadBalancer::build().graph, DashRouting::build().graph);
         let scenarios = [lb, dash, AclPipeline::build(10, 4).graph];
-        // Lengths on both sides of `max_enum_perms`, so both the permutation
+        // Lengths on both sides of `MAX_ENUM_PERMS`, so both the permutation
         // and the greedy order paths run; all-exact programs make merged
-        // caches materialize.
-        let synth = (0..8).map(|seed| {
+        // caches materialize. The last has 64 entries a table, so a merge
+        // of two would materialize 65·65 rows, past the merge budget.
+        let synth = (0..9).map(|seed| {
             synthesize(&SynthConfig {
                 pipelets: 4,
                 pipelet_len: 3 + (seed as usize % 4),
                 match_mix: [MatchMix::all_exact, MatchMix::default_mix][seed as usize % 2](),
-                entries_per_table: 1 + (seed as usize % 3),
+                entries_per_table: if seed < 8 {
+                    1 + (seed as usize % 3)
+                } else {
+                    64
+                },
                 seed,
                 ..SynthConfig::default()
             })
         });
-        let mut seen = [0; 5];
+        let mut seen = [0; 7];
         for (seed, g) in (11..).zip(scenarios.into_iter().chain(synth)) {
             sweep(&g, seed, &mut seen);
         }

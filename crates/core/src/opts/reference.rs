@@ -1,15 +1,16 @@
 //! The brute-force oracle of [`enumerate_candidates`](super::enumerate_candidates):
 //! every segmentation of every kept order, each segment re-derived from
 //! the program, the profile and the cost model, and the Pareto set of the
-//! whole list. It shares only `valid_orders`, the [`EvalCtx`] accessors
-//! and [`merge::materialize`] with the DP: no [`TableTerms`] scores, no
-//! segment table, no frontier, no cap. A plan is folded right to left, as
-//! the DP composes it, so the two agree to the bit and near-ties cannot
-//! blur the comparison. `opts::tests::small_pipelets_match_brute_force`
-//! holds the DP to it.
+//! whole list. It shares only `valid_orders`, the [`EvalCtx`] accessors,
+//! [`merge::materialize`] and the search's constants with the DP: no
+//! [`TableTerms`] scores, no segment table, no frontier, no cap. A plan
+//! is folded right to left, as the DP composes it, so the two agree to
+//! the bit and near-ties cannot blur the comparison.
+//! `opts::tests::small_pipelets_match_brute_force` holds the DP to it.
 
-use super::{merge, reorder, EvalCtx, TableTerms};
+use super::{cache, merge, reorder, EvalCtx, TableTerms, INVALIDATION_COEFF, MAX_ORDERS};
 use crate::plan::{Segment, SegmentKind};
+use pipeleon_cost::CACHE_CAPACITY;
 use pipeleon_ir::{CacheRole, DependencyAnalysis, Node, NodeId, RwSets, Table};
 
 /// `[latency, drop, mem, update]` of a step, conditioned on entering it.
@@ -28,7 +29,7 @@ const KINDS: [SegmentKind; 3] = [
 
 /// A segment of `kind` over `tables`; `None` when it is not allowed.
 fn score(ctx: &EvalCtx<'_>, tables: &[NodeId], kind: SegmentKind) -> Option<Score> {
-    let (p, cfg, profile) = (&ctx.model.params, ctx.cfg, ctx.profile);
+    let (p, profile) = (&ctx.model.params, ctx.profile);
     let nodes: Vec<&Node> = tables.iter().filter_map(|&id| ctx.g.node(id)).collect();
     let comps: Vec<&Table> = nodes.iter().filter_map(|n| n.as_table()).collect();
     let [mut actions, mut orig, mut survive, mut all_hit, mut updates] = [0.0, 0.0, 1.0, 1.0, 0.0];
@@ -39,7 +40,7 @@ fn score(ctx: &EvalCtx<'_>, tables: &[NodeId], kind: SegmentKind) -> Option<Scor
         all_hit *= 1.0 - profile.action_probs(ctx.g, id)[t.default_action];
         updates += profile.entry_update_rate(id);
     }
-    let churn = 1.0 + cfg.invalidation_coeff * updates;
+    let churn = 1.0 + INVALIDATION_COEFF * updates;
     let sizes: Vec<f64> = comps.iter().map(|t| t.entries.len() as f64).collect();
     let bytes = Table::DEFAULT_ENTRY_BYTES as f64;
     let (latency, mem, update) = if let SegmentKind::Merge { as_cache } = kind {
@@ -72,13 +73,13 @@ fn score(ctx: &EvalCtx<'_>, tables: &[NodeId], kind: SegmentKind) -> Option<Scor
                 known.unwrap_or((*n as u64 + 1).max(2)).max(1) as f64
             };
             let keyspace: f64 = tables.iter().zip(&sizes).map(keys).product();
-            let fits = (cfg.cache_capacity as f64 / keyspace).min(1.0);
-            (cfg.default_hit_rate * fits / churn).clamp(0.0, 1.0)
+            let fits = (CACHE_CAPACITY as f64 / keyspace).min(1.0);
+            (cache::DEFAULT_HIT_RATE * fits / churn).clamp(0.0, 1.0)
         });
         let misses = (1.0 - h) * (profile.packet_rate() * ctx.reach);
         let latency = p.l_mat + h * actions + (1.0 - h) * (orig + p.l_cache_insert);
         let update = misses.min(pipeleon_cost::CACHE_INSERTION_RATE);
-        (latency, cfg.cache_capacity as f64 * bytes, update)
+        (latency, CACHE_CAPACITY as f64 * bytes, update)
     };
     Some([latency, 1.0 - survive, mem, update])
 }
@@ -105,23 +106,29 @@ pub(super) fn key(v: &[f64; 3]) -> (f64, f64, f64) {
     (-v[0], v[1], v[2])
 }
 
-/// Every plan of every kept order of `tables`, sorted by [`key`], and
-/// the Pareto set of those with gain above 1e-12.
-pub(super) fn brute_force(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> (Vec<[f64; 3]>, Vec<Plan>) {
+/// Every plan of every kept order of `tables`, sorted by [`key`], the
+/// Pareto set of those with gain above 1e-12, and whether the original
+/// order was kept only because it is added back behind the
+/// [`MAX_ORDERS`] fastest.
+pub(super) fn brute_force(
+    ctx: &EvalCtx<'_>,
+    tables: &[NodeId],
+) -> (Vec<[f64; 3]>, Vec<Plan>, bool) {
     let (cfg, base) = (ctx.cfg, ctx.sequence_latency(tables));
     let mut orders: Vec<Vec<NodeId>> = vec![tables.to_vec()];
     if cfg.enable_reorder {
-        let perms = reorder::valid_orders(cfg, &TableTerms::of_each(ctx, tables));
+        let perms = reorder::valid_orders(&TableTerms::of_each(ctx, tables));
         let ids = |o: &Vec<usize>| o.iter().map(|&i| tables[i]).collect();
         orders = perms.iter().map(ids).collect();
     }
-    let keep = cfg.max_orders.max(1);
-    if orders.len() > keep {
+    let mut added_back = false;
+    if orders.len() > MAX_ORDERS {
         let original = orders[0].clone();
         let latency = |o: &Vec<NodeId>| ctx.sequence_latency(o);
         orders.sort_by(|a, b| latency(a).partial_cmp(&latency(b)).expect("finite"));
-        orders.truncate(keep);
-        if !orders.contains(&original) {
+        orders.truncate(MAX_ORDERS);
+        added_back = !orders.contains(&original);
+        if added_back {
             orders.push(original);
         }
     }
@@ -150,5 +157,5 @@ pub(super) fn brute_force(ctx: &EvalCtx<'_>, tables: &[NodeId]) -> (Vec<[f64; 3]
             front.push(v);
         }
     }
-    (front, all)
+    (front, all, added_back)
 }

@@ -6,19 +6,22 @@
 //! pair of tables commutes (no field-level hazard, see
 //! [`pipeleon_ir::DependencyAnalysis`]).
 //!
-//! Small pipelets (≤ `max_enum_perms` tables) enumerate every valid
+//! Small pipelets (≤ `MAX_ENUM_PERMS` tables) enumerate every valid
 //! permutation; longer ones fall back to a dependency-respecting greedy
 //! order that repeatedly emits the schedulable table with the best
 //! drop-rate-per-cost ratio.
 
 use super::TableTerms;
-use crate::config::OptimizerConfig;
 use pipeleon_ir::DependencyAnalysis;
+
+/// Pipelets up to this many tables enumerate every permutation; longer
+/// ones take the greedy order.
+const MAX_ENUM_PERMS: usize = 5;
 
 /// The table orders considered for a pipelet, each a permutation of the
 /// positions in `tables` (always includes the original order first; no
 /// duplicates).
-pub fn valid_orders(cfg: &OptimizerConfig, tables: &[TableTerms]) -> Vec<Vec<usize>> {
+pub fn valid_orders(tables: &[TableTerms]) -> Vec<Vec<usize>> {
     let n = tables.len();
     let original: Vec<usize> = (0..n).collect();
     if n <= 1 {
@@ -28,7 +31,7 @@ pub fn valid_orders(cfg: &OptimizerConfig, tables: &[TableTerms]) -> Vec<Vec<usi
         |a: usize, b: usize| DependencyAnalysis::commute(&tables[a].sets, &tables[b].sets);
 
     let mut out: Vec<Vec<usize>> = vec![original];
-    if n <= cfg.max_enum_perms {
+    if n <= MAX_ENUM_PERMS {
         // Enumerate permutations of indices; keep those whose inversions
         // all commute.
         let mut idx: Vec<usize> = (0..n).collect();
@@ -109,6 +112,7 @@ fn permutohedron_heap(idx: &mut [usize], f: &mut impl FnMut(&[usize])) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OptimizerConfig;
     use crate::opts::EvalCtx;
     use pipeleon_cost::{CostModel, CostParams, RuntimeProfile};
     use pipeleon_ir::{
@@ -130,7 +134,7 @@ mod tests {
             profile,
             reach: 1.0,
         };
-        valid_orders(&cfg, &TableTerms::of_each(&ctx, tables))
+        valid_orders(&TableTerms::of_each(&ctx, tables))
             .into_iter()
             .map(|perm| perm.into_iter().map(|i| tables[i]).collect())
             .collect()
@@ -188,7 +192,7 @@ mod tests {
 
     #[test]
     fn greedy_promotes_high_drop_tables() {
-        // 8 independent drop tables (beyond max_enum_perms) with skewed
+        // 8 independent drop tables (beyond MAX_ENUM_PERMS) with skewed
         // drop rates; greedy must put the highest-drop table first.
         let mut b = ProgramBuilder::new();
         let mut ids = Vec::new();

@@ -23,6 +23,10 @@ use std::time::{Duration, Instant};
 /// Cap on candidates kept per pipelet for the knapsack stage.
 const MAX_CANDIDATES_PER_PIPELET: usize = 64;
 
+/// Pipelets longer than this are split (§4.1.1 "partition long
+/// pipelets"), which also bounds candidate enumeration.
+pub(crate) const MAX_PIPELET_LEN: usize = 24;
+
 /// Per-pipelet candidate cache for [`Optimizer::optimize_incremental`].
 ///
 /// Keyed by pipelet id; an entry is valid while the pipelet's member
@@ -260,7 +264,7 @@ impl Optimizer {
         let started = Instant::now();
         g.validate()?;
         let verifier = pipeleon_verify::PlanVerifier::new(g);
-        let pipelets = partition(g, self.cfg.max_pipelet_len);
+        let pipelets = partition(g, MAX_PIPELET_LEN);
         let scores = score_pipelets(&self.model, g, profile, &pipelets);
         let selected = top_k(&scores, self.cfg.top_k_fraction);
         let visits = profile.visit_probabilities(g);

@@ -35,5 +35,5 @@ pub use calibrate::{fit_line, CalibrationReport, Calibrator, LineFit};
 pub use model::{CostModel, Placement};
 pub use params::{CostParams, MatchCostModel, TargetKind};
 pub use profile::{CacheStats, RuntimeProfile};
-pub use resources::{ResourceModel, CACHE_INSERTION_RATE};
+pub use resources::{ResourceModel, CACHE_CAPACITY, CACHE_INSERTION_RATE};
 pub use tiers::{MemoryTier, TierParams};

@@ -13,6 +13,11 @@ use pipeleon_ir::{NodeId, ProgramGraph, Table};
 /// model puts on a planned cache's insertion load (its `E(v)`).
 pub const CACHE_INSERTION_RATE: f64 = 100_000.0;
 
+/// Entries a flow cache holds: the capacity the optimizer prices a
+/// planned cache's memory at (its `M(v)`) and every emulated cache's LRU
+/// bound.
+pub const CACHE_CAPACITY: usize = 4096;
+
 /// Computes memory and entry-update-rate consumption for nodes and whole
 /// programs under a target's cost parameters.
 #[derive(Debug, Clone)]

@@ -126,11 +126,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Direct access to the graph under construction (for advanced wiring).
-    pub fn graph_mut(&mut self) -> &mut ProgramGraph {
-        &mut self.graph
-    }
-
     /// Finishes the program: wires declaration-order fallthrough for tables
     /// without explicit next hops, sets `root`, and validates.
     pub fn seal(mut self, root: NodeId) -> Result<ProgramGraph, IrError> {

@@ -5,7 +5,7 @@
 //! (`None`) represent the program sink — the packet leaves the pipeline.
 
 use crate::expr::Condition;
-use crate::table::{CacheRole, Table};
+use crate::table::Table;
 use crate::types::{FieldSpace, IrError, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -498,14 +498,6 @@ impl ProgramGraph {
         }
         self.topo_order()?;
         Ok(())
-    }
-
-    /// Counts tables whose cache role is [`CacheRole::None`] (program
-    /// tables, excluding synthetic caches).
-    pub fn num_program_tables(&self) -> usize {
-        self.tables()
-            .filter(|(_, t)| t.cache_role == CacheRole::None)
-            .count()
     }
 }
 

@@ -29,13 +29,6 @@ pub enum MatchKind {
     Range,
 }
 
-impl MatchKind {
-    /// True if entries of this kind carry a priority used to break ties.
-    pub fn prioritized(self) -> bool {
-        matches!(self, MatchKind::Ternary | MatchKind::Range)
-    }
-}
-
 /// One key component of a table: which field is matched, and how.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MatchKey {

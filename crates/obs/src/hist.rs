@@ -187,15 +187,6 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(other.max_ns);
     }
 
-    /// Iterates the non-empty buckets as `(lower_ns, upper_ns, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lower(i), bucket_upper(i), c))
-    }
-
     /// Samples recorded in buckets entirely at or below `v` nanoseconds
     /// (the cumulative count Prometheus `le` buckets report; a bucket
     /// straddling `v` is *not* included, so the result underestimates by

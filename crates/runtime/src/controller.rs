@@ -11,14 +11,13 @@
 //! applied with bounded retry + exponential backoff, and verified against
 //! the target's readback [`fingerprint`](crate::Target::fingerprint); on
 //! failure the controller rolls back to the last-known-good layout (or
-//! pins the original program), and after
-//! [`ControllerConfig::degrade_after`] consecutive failures a circuit
-//! breaker opens: the controller enters *degraded* mode — original
-//! program pinned, re-optimization suspended — until
-//! [`ControllerConfig::cooldown_ticks`] healthy windows pass. Entry
-//! operations are atomic: a failure mid-fan-out rolls the original-table
-//! mutation back and restores the deployed state, so the source of truth
-//! and the target never diverge.
+//! pins the original program), and after `DEGRADE_AFTER` consecutive
+//! failures a circuit breaker opens: the controller enters *degraded*
+//! mode — original program pinned, re-optimization suspended — until
+//! `COOLDOWN_TICKS` healthy windows pass. Entry operations are atomic: a
+//! failure mid-fan-out rolls the original-table mutation back and
+//! restores the deployed state, so the source of truth and the target
+//! never diverge.
 
 use pipeleon::apply::{AppliedPlan, EntrySite};
 use pipeleon::config::ResourceLimits;
@@ -36,32 +35,12 @@ use crate::change::profile_distance;
 use crate::error::RuntimeError;
 use crate::target::{fingerprint_bytes, Target};
 
-/// Controller tunables.
+/// What a deployment sets about the controller: the target's resource
+/// budget and whether the datapath is specialized.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Resource limits handed to the optimizer.
     pub limits: ResourceLimits,
-    /// Profile distance (see [`profile_distance`]) above which a re-
-    /// optimization is triggered.
-    pub change_threshold: f64,
-    /// Minimum estimated gain (ns/packet) before a new layout is deployed.
-    pub min_gain_ns: f64,
-    /// Re-optimize every tick regardless of drift (used by experiments
-    /// that sweep workloads).
-    pub always_reoptimize: bool,
-    /// Deploy retries after the first attempt of a transaction fails.
-    pub max_deploy_retries: u32,
-    /// Base backoff between deploy retries; doubles per retry. Zero
-    /// disables sleeping (pure retry).
-    pub retry_backoff: Duration,
-    /// Consecutive failed deploy transactions before the circuit breaker
-    /// opens (degraded mode: original pinned, no re-optimization).
-    pub degrade_after: u32,
-    /// Healthy ticks required to close the breaker again.
-    pub cooldown_ticks: u32,
-    /// Maximum events retained by the controller's ring-buffer journal
-    /// (older events are evicted and counted, never reallocated).
-    pub journal_capacity: usize,
     /// Run a profile-guided specialization step after each window's
     /// optimize/deploy work: the target's compiled datapath gains
     /// bit-exact fast paths (hot-key guards) for the observed traffic,
@@ -69,26 +48,42 @@ pub struct ControllerConfig {
     pub specialize: bool,
 }
 
-/// Guard-miss fraction of a window's guarded lookups above which the
-/// specialized pipeline is considered stale and reverted.
-const SPEC_GUARD_MISS_DESPEC: f64 = 0.35;
-
 impl Default for ControllerConfig {
     fn default() -> Self {
         Self {
             limits: ResourceLimits::unlimited(),
-            change_threshold: 0.05,
-            min_gain_ns: 1.0,
-            always_reoptimize: false,
-            max_deploy_retries: 2,
-            retry_backoff: Duration::from_micros(200),
-            degrade_after: 3,
-            cooldown_ticks: 4,
-            journal_capacity: 1024,
             specialize: true,
         }
     }
 }
+
+/// Profile distance (see [`profile_distance`]) at or above which a window
+/// triggers a re-optimization and sheds a specialized pipeline.
+const CHANGE_THRESHOLD: f64 = 0.05;
+
+/// Minimum estimated gain (ns/packet) before a new layout is deployed.
+const MIN_GAIN_NS: f64 = 1.0;
+
+/// Deploy retries after the first attempt of a transaction fails.
+const MAX_DEPLOY_RETRIES: u32 = 2;
+
+/// Backoff before the first deploy retry; it doubles per retry.
+const RETRY_BACKOFF: Duration = Duration::from_micros(200);
+
+/// Consecutive failed deploy transactions before the circuit breaker
+/// opens (degraded mode: original pinned, no re-optimization).
+const DEGRADE_AFTER: u32 = 3;
+
+/// Healthy ticks required to close the breaker again.
+const COOLDOWN_TICKS: u32 = 4;
+
+/// Events the controller's ring-buffer journal retains (older events are
+/// evicted and counted, never reallocated).
+const JOURNAL_CAPACITY: usize = 1024;
+
+/// Guard-miss fraction of a window's guarded lookups above which the
+/// specialized pipeline is considered stale and reverted.
+const SPEC_GUARD_MISS_DESPEC: f64 = 0.35;
 
 /// Health of the reconfiguration loop (the circuit-breaker state),
 /// reported in every [`TickReport`].
@@ -227,7 +222,7 @@ impl<T: Target> Controller<T> {
     ) -> Result<Self, RuntimeError> {
         original.validate().map_err(RuntimeError::Ir)?;
         let json = to_json_string(&original)?;
-        let journal = EventJournal::new(cfg.journal_capacity);
+        let journal = EventJournal::new(JOURNAL_CAPACITY);
         let mut metrics = MetricsRegistry::new();
         register_help(&mut metrics);
         let mut this = Self {
@@ -338,13 +333,10 @@ impl<T: Target> Controller<T> {
         let expected = fingerprint_bytes(json.as_bytes());
         let mut attempts = 0u32;
         let mut last: Option<RuntimeError> = None;
-        while attempts <= self.cfg.max_deploy_retries {
+        while attempts <= MAX_DEPLOY_RETRIES {
             if attempts > 0 {
                 self.health.deploy_retries += 1;
-                let backoff = self.cfg.retry_backoff * (1u32 << (attempts - 1).min(16));
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
+                std::thread::sleep(RETRY_BACKOFF * (1u32 << (attempts - 1)));
             }
             attempts += 1;
             let outcome = self.target.apply(ControlOp::Deploy(graph.clone()));
@@ -444,20 +436,19 @@ impl<T: Target> Controller<T> {
     }
 
     /// Counts one more failed deploy transaction and opens the circuit
-    /// breaker once [`ControllerConfig::degrade_after`] have failed in a
-    /// row. Returns whether this failure opened it.
+    /// breaker once `DEGRADE_AFTER` have failed in a row. Returns whether
+    /// this failure opened it.
     fn note_deploy_failure(&mut self) -> bool {
         self.health.consecutive_deploy_failures += 1;
-        if self.health.degraded || self.health.consecutive_deploy_failures < self.cfg.degrade_after
-        {
+        if self.health.degraded || self.health.consecutive_deploy_failures < DEGRADE_AFTER {
             return false;
         }
         self.health.degraded = true;
-        self.health.cooldown_remaining = self.cfg.cooldown_ticks;
+        self.health.cooldown_remaining = COOLDOWN_TICKS;
         self.journal.push(
             self.clock_s,
             EventKind::BreakerOpened {
-                cooldown_ticks: self.cfg.cooldown_ticks,
+                cooldown_ticks: COOLDOWN_TICKS,
             },
         );
         true
@@ -476,7 +467,7 @@ impl<T: Target> Controller<T> {
             self.journal.push(
                 self.clock_s,
                 EventKind::DeployFailed {
-                    attempts: self.cfg.max_deploy_retries + 1,
+                    attempts: MAX_DEPLOY_RETRIES + 1,
                     error: e.to_string(),
                 },
             );
@@ -570,7 +561,7 @@ impl<T: Target> Controller<T> {
         } else {
             misses as f64 / guarded as f64
         };
-        let drifted = report.profile_change >= self.cfg.change_threshold;
+        let drifted = report.profile_change >= CHANGE_THRESHOLD;
         if stats.specialized_tables > 0 && (drifted || miss_rate > SPEC_GUARD_MISS_DESPEC) {
             let _ = self.target.apply(ControlOp::Despecialize);
         } else if !drifted {
@@ -701,7 +692,7 @@ impl<T: Target> Controller<T> {
             return Ok((report, Some(window)));
         }
 
-        if self.cfg.always_reoptimize || profile_change >= self.cfg.change_threshold {
+        if profile_change >= CHANGE_THRESHOLD {
             report.reoptimized = true;
             // Incremental search (§6): pipelets whose local profile is
             // unchanged reuse their candidate lists from the last tick.
@@ -715,7 +706,7 @@ impl<T: Target> Controller<T> {
             report.search_time = outcome.search_time;
             report.segment_evals = outcome.segment_evals;
             let candidate_json = to_json_string(&outcome.applied.graph)?;
-            let worth_it = outcome.est_gain_ns >= self.cfg.min_gain_ns
+            let worth_it = outcome.est_gain_ns >= MIN_GAIN_NS
                 || (outcome.plan.is_empty() && self.applied.is_some());
             if worth_it && self.last_good_json() != Some(candidate_json.as_str()) {
                 // Safety gate: refuse to deploy any plan the verifier
@@ -1545,15 +1536,12 @@ mod tests {
     #[test]
     fn exhausted_deploy_rolls_back_to_last_known_good() {
         let p = AclPipeline::build(3, 3);
-        let cfg = ControllerConfig {
-            max_deploy_retries: 1,
-            ..ControllerConfig::default()
-        };
-        let mut c = faulty_controller_for(&p, cfg, FaultConfig::none(1));
+        let mut c = faulty_controller_for(&p, ControllerConfig::default(), FaultConfig::none(1));
         heavy_window(&mut c, &p, 2);
-        // Both attempts of the candidate transaction fail; the rollback
-        // deploy (third deploy call) succeeds.
-        c.target.inject_next(InjectedFault::DeployReject, 2);
+        // Every attempt of the candidate transaction fails; the rollback
+        // deploy (the next deploy call) succeeds.
+        c.target
+            .inject_next(InjectedFault::DeployReject, 1 + MAX_DEPLOY_RETRIES);
         let r = c.tick().unwrap();
         assert!(!r.deployed, "{r:?}");
         assert_eq!(r.health.consecutive_deploy_failures, 1);
@@ -1574,11 +1562,7 @@ mod tests {
     #[test]
     fn entry_ops_leave_serializing_the_mirror_to_its_next_reader() {
         let p = AclPipeline::build(3, 3);
-        let cfg = ControllerConfig {
-            max_deploy_retries: 1,
-            ..ControllerConfig::default()
-        };
-        let mut c = faulty_controller_for(&p, cfg, FaultConfig::none(1));
+        let mut c = faulty_controller_for(&p, ControllerConfig::default(), FaultConfig::none(1));
         assert!(c.last_good.json.is_some());
         // Entry operations update the mirror and never serialize it.
         for k in 0..6u64 {
@@ -1594,10 +1578,11 @@ mod tests {
         let on_target = fingerprint_bytes(eager.as_bytes());
         assert_eq!(c.target.fingerprint().unwrap(), on_target);
         // A searching tick reads the mirror (one serialization, for the
-        // compare); its candidate deploy fails on both attempts, and the
+        // compare); its candidate deploy fails on every attempt, and the
         // rollback redeploys those same bytes.
         heavy_window(&mut c, &p, 2);
-        c.target.inject_next(InjectedFault::DeployReject, 2);
+        c.target
+            .inject_next(InjectedFault::DeployReject, 1 + MAX_DEPLOY_RETRIES);
         let r = c.tick().unwrap();
         assert!(r.reoptimized && !r.deployed, "{r:?}");
         assert_eq!(r.health.rollbacks, 1);
@@ -1620,53 +1605,49 @@ mod tests {
     #[test]
     fn circuit_breaker_degrades_then_recovers() {
         let p = AclPipeline::build(3, 3);
-        let cfg = ControllerConfig {
-            always_reoptimize: true,
-            max_deploy_retries: 1,
-            degrade_after: 3,
-            cooldown_ticks: 2,
-            ..ControllerConfig::default()
-        };
         let mut faults = FaultConfig::none(1);
         faults.deploy_reject_p = 1.0; // every deploy fails while armed
-        let mut c = faulty_controller_for(&p, cfg, faults);
-        // Ticks 1-3: every candidate deploy is rejected. The rollback
-        // "succeeds" via readback (the target never left the last-known-
-        // good program), so the loop is healthy-but-stuck; the breaker
-        // opens after `degrade_after` consecutive failed transactions.
-        heavy_window(&mut c, &p, 1);
-        let r1 = c.tick().unwrap();
-        assert!(!r1.deployed);
-        assert_eq!(r1.health.consecutive_deploy_failures, 1);
-        assert_eq!(r1.health.rollbacks, 1);
-        assert!(!r1.health.pin_pending, "target never diverged: {r1:?}");
-        heavy_window(&mut c, &p, 2);
-        let r2 = c.tick().unwrap();
-        assert_eq!(r2.health.consecutive_deploy_failures, 2);
-        assert!(!r2.health.degraded);
-        heavy_window(&mut c, &p, 3);
-        let r3 = c.tick().unwrap();
-        assert!(r3.health.degraded, "{r3:?}");
-        assert_eq!(r3.health.cooldown_remaining, 2);
+        let mut c = faulty_controller_for(&p, ControllerConfig::default(), faults);
+        // Each window moves the heavy drop to the next ACL, so every tick
+        // sees its profile drift.
+        let mut seed = 0;
+        let mut drifting = |c: &mut Controller<FaultyTarget<SimTarget>>| {
+            seed += 1;
+            heavy_window(c, &p, seed);
+            c.tick().unwrap()
+        };
+        // Every candidate deploy is rejected. The rollback "succeeds" via
+        // readback (the target never left the last-known-good program), so
+        // the loop is healthy-but-stuck; the breaker opens after
+        // `DEGRADE_AFTER` consecutive failed transactions.
+        for failures in 1..=DEGRADE_AFTER {
+            let r = drifting(&mut c);
+            assert!(r.reoptimized && !r.deployed, "{r:?}");
+            assert_eq!(r.health.consecutive_deploy_failures, failures);
+            assert_eq!(r.health.rollbacks, u64::from(failures));
+            assert!(!r.health.pin_pending, "target never diverged: {r:?}");
+            assert_eq!(r.health.degraded, failures == DEGRADE_AFTER, "{r:?}");
+        }
+        assert_eq!(c.health().cooldown_remaining, COOLDOWN_TICKS);
         assert!(
             c.journal().iter().any(|e| e.kind.tag() == "breaker_opened"),
             "breaker transition must be journaled"
         );
         // Degraded ticks: no re-optimization, original stays pinned,
-        // cooldown counts down over healthy windows.
-        heavy_window(&mut c, &p, 1);
-        let r4 = c.tick().unwrap();
-        assert!(r4.health.degraded, "still cooling down: {r4:?}");
-        assert!(!r4.reoptimized, "degraded mode suspends optimization");
-        assert_eq!(
-            c.target.fingerprint().unwrap(),
-            graph_fingerprint(c.original()),
-            "degraded mode pins the original program"
-        );
-        heavy_window(&mut c, &p, 2);
-        let r5 = c.tick().unwrap();
-        assert!(!r5.health.degraded, "breaker closes after cooldown: {r5:?}");
-        assert_eq!(r5.health.consecutive_deploy_failures, 0);
+        // cooldown counts down over healthy windows and the last closes
+        // the breaker.
+        for left in (0..COOLDOWN_TICKS).rev() {
+            let r = drifting(&mut c);
+            assert!(!r.reoptimized, "degraded mode suspends optimization");
+            assert_eq!(
+                c.target.fingerprint().unwrap(),
+                graph_fingerprint(c.original()),
+                "degraded mode pins the original program"
+            );
+            assert_eq!(r.health.cooldown_remaining, left);
+            assert_eq!(r.health.degraded, left > 0, "{r:?}");
+        }
+        assert_eq!(c.health().consecutive_deploy_failures, 0);
         assert!(
             c.journal().iter().any(|e| e.kind.tag() == "breaker_closed"),
             "breaker close must be journaled"
@@ -1680,20 +1661,15 @@ mod tests {
         );
         // Fault clears: re-optimization resumes and deploys land again.
         c.target.set_armed(false);
-        heavy_window(&mut c, &p, 4);
-        let r6 = c.tick().unwrap();
-        assert!(r6.reoptimized, "{r6:?}");
-        assert!(r6.deployed, "{r6:?}");
+        let r = drifting(&mut c);
+        assert!(r.reoptimized, "{r:?}");
+        assert!(r.deployed, "{r:?}");
     }
 
     #[test]
     fn journal_and_metrics_capture_the_control_loop() {
         let p = AclPipeline::build(3, 3);
-        let cfg = ControllerConfig {
-            max_deploy_retries: 1,
-            ..ControllerConfig::default()
-        };
-        let mut c = faulty_controller_for(&p, cfg, FaultConfig::none(1));
+        let mut c = faulty_controller_for(&p, ControllerConfig::default(), FaultConfig::none(1));
         let tags: Vec<&str> = c.journal().iter().map(|e| e.kind.tag()).collect();
         assert_eq!(
             tags,
@@ -1710,7 +1686,8 @@ mod tests {
         // A candidate deploy whose retries are exhausted journals the
         // failure and the rollback that recovered the target.
         heavy_window(&mut c, &p, 3);
-        c.target.inject_next(InjectedFault::DeployReject, 2);
+        c.target
+            .inject_next(InjectedFault::DeployReject, 1 + MAX_DEPLOY_RETRIES);
         let r2 = c.tick().unwrap();
         assert!(!r2.deployed, "{r2:?}");
         let tags: Vec<&str> = c.journal().iter().map(|e| e.kind.tag()).collect();
@@ -1748,18 +1725,14 @@ mod tests {
     #[test]
     fn journal_capacity_bounds_memory() {
         let p = AclPipeline::build(2, 2);
-        let cfg = ControllerConfig {
-            always_reoptimize: true,
-            journal_capacity: 4,
-            ..ControllerConfig::default()
-        };
-        let mut c = controller_for(&p, cfg);
-        for seed in 0..8u64 {
-            let mut gen = p.traffic(&[0.0, 0.3], 200, seed);
-            c.target.nic.measure(gen.batch(500));
+        let mut c = controller_for(&p, ControllerConfig::default());
+        // One journaled window per tick, more ticks than the ring holds.
+        let window = p.traffic(&[0.0, 0.3], 200, 7).batch(16);
+        for _ in 0..JOURNAL_CAPACITY + 8 {
+            c.target.nic.measure(window.clone());
             c.tick().unwrap();
         }
-        assert!(c.journal().len() <= 4);
+        assert_eq!(c.journal().len(), JOURNAL_CAPACITY);
         assert!(c.journal().dropped() > 0, "old events must be evicted");
         assert_eq!(
             c.journal().total(),
@@ -1776,7 +1749,7 @@ mod tests {
         assert!(r.deployed, "need an optimized layout to revert: {r:?}");
         // All deploys fail during the revert.
         c.target
-            .inject_next(InjectedFault::DeployReject, 1 + c.cfg.max_deploy_retries);
+            .inject_next(InjectedFault::DeployReject, 1 + MAX_DEPLOY_RETRIES);
         let err = c.revert_to_original().unwrap_err();
         assert!(
             matches!(err, RuntimeError::RollbackFailed { .. }),
@@ -1933,8 +1906,8 @@ mod tests {
     #[test]
     fn failed_plan_deploys_trip_the_breaker() {
         let (mut c, _, legal) = hazard_controller();
-        let attempts = 1 + c.cfg.max_deploy_retries;
-        for failures in 1..=c.cfg.degrade_after {
+        let attempts = 1 + MAX_DEPLOY_RETRIES;
+        for failures in 1..=DEGRADE_AFTER {
             // Every attempt of the candidate deploy is rejected; the
             // rollback redeploy lands.
             c.target.inject_next(InjectedFault::DeployReject, attempts);
@@ -1942,10 +1915,10 @@ mod tests {
             assert!(matches!(err, RuntimeError::DeployFailed { .. }), "{err:?}");
             assert_eq!(c.health().consecutive_deploy_failures, failures);
             assert_eq!(c.health().rollbacks, u64::from(failures));
-            let opened = c.cfg.degrade_after == failures;
+            let opened = DEGRADE_AFTER == failures;
             assert_eq!(c.health().degraded, opened, "after {failures} failures");
         }
-        assert_eq!(c.health().cooldown_remaining, c.cfg.cooldown_ticks);
+        assert_eq!(c.health().cooldown_remaining, COOLDOWN_TICKS);
         assert!(
             c.journal().iter().any(|e| e.kind.tag() == "breaker_opened"),
             "the breaker opening must be journaled"
@@ -1960,26 +1933,30 @@ mod tests {
     #[test]
     fn a_merge_that_outgrows_its_budget_reverts_to_the_original() {
         use pipeleon::plan::{Segment, SegmentKind};
-        // Two exact ACLs, one entry each. Merged, they materialize
-        // (1 + 1)·(1 + 1) = 4 rows; the budget is 6.
+        // Two exact ACLs of 62 and 63 entries. Merged, they materialize
+        // (62 + 1)·(63 + 1) = 4,032 rows; the merge budget is 4,096.
+        let deny = |v: u64| TableEntry::new(vec![MatchValue::Exact(v)], 1);
         let mut b = ProgramBuilder::new();
         let fields = [b.field("f0"), b.field("f1")];
         let acls: Vec<NodeId> = fields
             .iter()
+            .zip([62, 63])
             .enumerate()
-            .map(|(i, &f)| {
-                b.table(format!("acl{i}"))
+            .map(|(i, (&f, n))| {
+                let mut t = b
+                    .table(format!("acl{i}"))
                     .key(f, MatchKind::Exact)
                     .action_nop("permit")
-                    .action_drop("deny")
-                    .entry(TableEntry::new(vec![MatchValue::Exact(i as u64 + 1)], 1))
-                    .finish()
+                    .action_drop("deny");
+                for v in 0..n {
+                    t = t.entry(deny(100 + v));
+                }
+                t.finish()
             })
             .collect();
         let g = b.seal_sequential().unwrap();
         let nic = SmartNic::new(g.clone(), CostParams::bluefield2()).unwrap();
-        let mut optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
-        optimizer.cfg.max_merge_entries = 6;
+        let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
         let mut c = Controller::new(
             SimTarget::live(nic),
             g.clone(),
@@ -2008,14 +1985,14 @@ mod tests {
             pkt.set(fields[table], value);
             c.target.nic.process_one(&mut pkt).dropped
         };
-        // (1 + 1)·(2 + 1) = 6 rows: the merged table is rebuilt in place.
-        let deny = |v: u64| TableEntry::new(vec![MatchValue::Exact(v)], 1);
+        // (62 + 1)·(64 + 1) = 4,095 rows: the merged table is rebuilt in
+        // place.
         c.insert_entry(acls[1], deny(5)).unwrap();
         assert!(merged(&c));
         assert!(dropped(&mut c, 1, 5));
         assert_eq!(c.health().rollbacks, 0);
-        // (2 + 1)·(2 + 1) = 9 rows: the merge is reversed and the original
-        // program, insert included, runs.
+        // (63 + 1)·(64 + 1) = 4,160 rows: the merge is reversed and the
+        // original program, insert included, runs.
         c.insert_entry(acls[0], deny(6)).unwrap();
         assert!(c.applied().is_none());
         assert_eq!(

@@ -33,7 +33,7 @@ use crate::smallkey::SmallKey;
 use crate::specialize::{self, HotKeySketch, SpecPlan, SpecStats};
 use fxhash::{FxBuildHasher, FxHashMap};
 use pipeleon_cost::{
-    CacheStats, CostParams, MatchCostModel, MemoryTier, Placement, RuntimeProfile,
+    CacheStats, CostParams, MatchCostModel, MemoryTier, Placement, RuntimeProfile, CACHE_CAPACITY,
     CACHE_INSERTION_RATE,
 };
 use pipeleon_ir::{
@@ -197,9 +197,6 @@ struct PendingInsert<H> {
     exit: H,
     recorded: CachedResult,
 }
-
-/// Default flow-cache capacity when a cache table has no `max_entries`.
-pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// Fraction of a counter update's cost paid by non-sampled packets when
 /// sampling is active: the per-packet sample decision (hash + compare)
@@ -675,11 +672,6 @@ impl Executor {
         }
     }
 
-    /// The active sampling keying.
-    pub fn sample_keying(&self) -> SampleKeying {
-        self.walk.keying
-    }
-
     /// Assigns nodes to ASIC/CPU cores (dense by node id; missing =
     /// ASIC). Costs on CPU nodes scale by `cpu_scale`; placement-crossing
     /// hops pay `l_migration`.
@@ -805,9 +797,7 @@ impl Executor {
             program.view.engines[id.index()] = Some(MatchEngine::build(t));
             if t.cache_role == CacheRole::FlowCache && caches[id.index()].is_none() {
                 caches[id.index()] = Some(FlowCacheState {
-                    lru: LruCache::with_default_hasher(
-                        t.max_entries.unwrap_or(DEFAULT_CACHE_CAPACITY),
-                    ),
+                    lru: LruCache::with_default_hasher(t.max_entries.unwrap_or(CACHE_CAPACITY)),
                     limiter: RateLimiter::new(CACHE_INSERTION_RATE, CACHE_INSERTION_RATE / 100.0),
                     stats: CacheStats::default(),
                 });

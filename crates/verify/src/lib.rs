@@ -29,7 +29,7 @@ mod lints;
 mod plan;
 
 pub use concurrency::{lint_concurrency, lint_concurrency_with_count};
-pub use lints::{lint_program, LintConfig};
+pub use lints::lint_program;
 pub use plan::{
     verify_candidate, CandidateSpec, PlanVerifier, RewriteKind, SegmentSpec, Verdict, Violation,
     DEFAULT_PATH_LIMIT,

@@ -4,12 +4,12 @@
 //! ## Field classification
 //!
 //! The IR has no explicit header/metadata distinction, so the lints use a
-//! naming convention (configurable via [`LintConfig::meta_prefixes`]):
-//! fields whose names start with `meta.`, `tmp.`, `local.` or `scratch.`
-//! are *metadata* — undefined until some action writes them. Every other
-//! field is assumed parser-defined (a header) and therefore initialized at
-//! the root. This keeps the lints quiet on the workspace's existing
-//! programs, which use bare header-style names.
+//! naming convention ([`META_PREFIXES`]): fields whose names start with
+//! `meta.`, `tmp.`, `local.` or `scratch.` are *metadata* — undefined
+//! until some action writes them. Every other field is assumed
+//! parser-defined (a header) and therefore initialized at the root. This
+//! keeps the lints quiet on the workspace's existing programs, which use
+//! bare header-style names.
 //!
 //! ## The must-write dataflow (PV001)
 //!
@@ -26,43 +26,12 @@ use pipeleon_cost::params::CostParams;
 use pipeleon_cost::resources::ResourceModel;
 use pipeleon_ir::{CacheRole, Node, NodeKind, ProgramGraph, Table};
 
-/// Configuration for [`lint_program`].
-#[derive(Debug, Clone)]
-pub struct LintConfig {
-    /// Target cost parameters; when present, resource lints (PV005) run
-    /// against the target's memory tiers.
-    pub params: Option<CostParams>,
-    /// Field-name prefixes classified as metadata (uninitialized until
-    /// written). Everything else counts as parser-defined header state.
-    pub meta_prefixes: Vec<String>,
-}
+/// Field-name prefixes classified as metadata (uninitialized until
+/// written). Everything else counts as parser-defined header state.
+const META_PREFIXES: [&str; 4] = ["meta.", "tmp.", "local.", "scratch."];
 
-impl Default for LintConfig {
-    fn default() -> Self {
-        Self {
-            params: None,
-            meta_prefixes: vec![
-                "meta.".into(),
-                "tmp.".into(),
-                "local.".into(),
-                "scratch.".into(),
-            ],
-        }
-    }
-}
-
-impl LintConfig {
-    /// A config with a target attached (enables PV005).
-    pub fn with_params(params: CostParams) -> Self {
-        Self {
-            params: Some(params),
-            ..Self::default()
-        }
-    }
-
-    fn is_meta(&self, name: &str) -> bool {
-        self.meta_prefixes.iter().any(|p| name.starts_with(p))
-    }
+fn is_meta(name: &str) -> bool {
+    META_PREFIXES.iter().any(|p| name.starts_with(p))
 }
 
 /// A dense bitset over the program's interned fields.
@@ -129,8 +98,10 @@ fn guaranteed_writes(t: &Table, len: usize) -> FieldSet {
 }
 
 /// Runs every program lint over `g` and returns the findings in a
-/// deterministic order (grouped by pass, then by node id).
-pub fn lint_program(g: &ProgramGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
+/// deterministic order (grouped by pass, then by node id). With a
+/// target's cost parameters, the resource lint (PV005) also runs against
+/// its memory tiers.
+pub fn lint_program(g: &ProgramGraph, params: Option<&CostParams>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let nf = g.fields.len();
     let reachable = g.reachable();
@@ -165,7 +136,7 @@ pub fn lint_program(g: &ProgramGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut headers = FieldSet::empty(nf);
     for (i, name) in (0..nf).map(|i| (i, g.fields.name(pipeleon_ir::FieldRef(i as u16)))) {
         if let Some(name) = name {
-            if !cfg.is_meta(name) {
+            if !is_meta(name) {
                 headers.set(i);
             }
         }
@@ -186,7 +157,7 @@ pub fn lint_program(g: &ProgramGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
                 Some(s) => s.clone(),
                 None => continue,
             };
-            check_node_reads(g, cfg, n, &in_set, &written_anywhere, &mut diags);
+            check_node_reads(g, n, &in_set, &written_anywhere, &mut diags);
             let mut out = in_set;
             if let NodeKind::Table(t) = &n.kind {
                 out.union_with(&guaranteed_writes(t, nf));
@@ -212,7 +183,7 @@ pub fn lint_program(g: &ProgramGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
     }
 
     // PV005: reserved footprint vs the target's fast tier.
-    if let Some(params) = &cfg.params {
+    if let Some(params) = params {
         let capacity = params.tiers.sram_capacity_bytes;
         let rm = ResourceModel::new(params.clone());
         for n in g.iter_nodes() {
@@ -244,7 +215,6 @@ pub fn lint_program(g: &ProgramGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
 /// facts `in_set`.
 fn check_node_reads(
     g: &ProgramGraph,
-    cfg: &LintConfig,
     n: &Node,
     in_set: &FieldSet,
     written_anywhere: &FieldSet,
@@ -288,7 +258,7 @@ fn check_node_reads(
     };
     for f in entry_reads {
         let name = field_name(g, f);
-        if !cfg.is_meta(&name) || in_set.get(f.index()) {
+        if !is_meta(&name) || in_set.get(f.index()) {
             continue;
         }
         let is_branch = matches!(n.kind, NodeKind::Branch(_));
@@ -315,7 +285,7 @@ fn check_node_reads(
             for p in &a.primitives {
                 if let Some(f) = p.read_field() {
                     let name = field_name(g, f);
-                    if cfg.is_meta(&name) && !live.get(f.index()) {
+                    if is_meta(&name) && !live.get(f.index()) {
                         flag(
                             diags,
                             &mut flagged,
@@ -426,7 +396,7 @@ mod tests {
             .entry(TableEntry::new(vec![MatchValue::Exact(1)], 1))
             .finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, &LintConfig::default());
+        let diags = lint_program(&g, None);
         assert!(diags.is_empty(), "unexpected: {diags:?}");
     }
 
@@ -436,7 +406,7 @@ mod tests {
         let m = b.field("meta.class");
         b.table("t").key(m, MatchKind::Exact).finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, &LintConfig::default());
+        let diags = lint_program(&g, None);
         assert_eq!(codes(&diags), vec![Code::UninitializedRead]);
         assert!(diags[0].message.contains("meta.class"));
         assert_eq!(diags[0].severity, Severity::Error);
@@ -453,7 +423,7 @@ mod tests {
             .finish();
         b.table("use").key(m, MatchKind::Exact).finish();
         let g = b.seal_sequential().unwrap();
-        assert!(lint_program(&g, &LintConfig::default()).is_empty());
+        assert!(lint_program(&g, None).is_empty());
     }
 
     #[test]
@@ -470,7 +440,7 @@ mod tests {
             .finish();
         b.table("use").key(m, MatchKind::Exact).finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, &LintConfig::default());
+        let diags = lint_program(&g, None);
         assert_eq!(codes(&diags), vec![Code::UninitializedRead]);
     }
 
@@ -483,7 +453,7 @@ mod tests {
         b.set_next(t0, None);
         b.set_next(orphan, None);
         let g = b.seal(t0).unwrap();
-        let diags = lint_program(&g, &LintConfig::default());
+        let diags = lint_program(&g, None);
         assert_eq!(codes(&diags), vec![Code::Unreachable]);
         assert!(diags[0].message.contains("orphan"));
     }
@@ -500,7 +470,7 @@ mod tests {
             .entry(TableEntry::new(vec![MatchValue::Exact(1)], 1))
             .finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, &LintConfig::default());
+        let diags = lint_program(&g, None);
         assert_eq!(codes(&diags), vec![Code::DeadAction]);
         assert!(diags[0].message.contains("unused"));
         assert_eq!(diags[0].severity, Severity::Warning);
@@ -515,7 +485,7 @@ mod tests {
         b.set_next(t, None);
         let br = b.branch("check", Condition::eq(m, 1), Some(t), Some(t));
         let g = b.seal(br).unwrap();
-        let diags = lint_program(&g, &LintConfig::default());
+        let diags = lint_program(&g, None);
         assert_eq!(codes(&diags), vec![Code::UndefinedBranchField]);
         assert!(diags[0].message.contains("meta.flag"));
     }
@@ -534,7 +504,7 @@ mod tests {
         b.set_next(t, None);
         let br = b.branch("check", Condition::eq(m, 1), Some(t), Some(t));
         let g = b.seal(br).unwrap();
-        let diags = lint_program(&g, &LintConfig::default());
+        let diags = lint_program(&g, None);
         assert_eq!(codes(&diags), vec![Code::UninitializedRead]);
     }
 
@@ -548,11 +518,11 @@ mod tests {
             .finish();
         let g = b.seal_sequential().unwrap();
         let params = CostParams::emulated_nic();
-        let diags = lint_program(&g, &LintConfig::with_params(params));
+        let diags = lint_program(&g, Some(&params));
         assert_eq!(codes(&diags), vec![Code::TierOverflow]);
         assert!(diags[0].message.contains("fast-tier"));
         // Without a target, the resource lint is silent.
-        assert!(lint_program(&g, &LintConfig::default()).is_empty());
+        assert!(lint_program(&g, None).is_empty());
     }
 
     #[test]
@@ -568,7 +538,7 @@ mod tests {
             )
             .finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, &LintConfig::default());
+        let diags = lint_program(&g, None);
         assert_eq!(codes(&diags), vec![Code::SelfConflictingAction]);
     }
 
@@ -590,7 +560,7 @@ mod tests {
             )
             .finish();
         let g = b.seal_sequential().unwrap();
-        assert!(lint_program(&g, &LintConfig::default()).is_empty());
+        assert!(lint_program(&g, None).is_empty());
     }
 
     #[test]
@@ -605,7 +575,7 @@ mod tests {
             .entry(TableEntry::new(vec![MatchValue::Exact(7)], 1))
             .finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, &LintConfig::default());
+        let diags = lint_program(&g, None);
         assert_eq!(codes(&diags), vec![Code::ShadowedEntry]);
     }
 
@@ -619,7 +589,7 @@ mod tests {
             .action("bump", vec![Primitive::add(m, 1)])
             .finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, &LintConfig::default());
+        let diags = lint_program(&g, None);
         assert_eq!(codes(&diags), vec![Code::UninitializedRead]);
         assert!(diags[0].context[0].contains("bump"));
     }
@@ -642,7 +612,7 @@ mod tests {
         b.set_next(wf, Some(join));
         let br = b.branch("split", Condition::eq(x, 0), Some(wt), Some(wf));
         let g = b.seal(br).unwrap();
-        let diags = lint_program(&g, &LintConfig::default());
+        let diags = lint_program(&g, None);
         assert_eq!(codes(&diags), vec![Code::UninitializedRead]);
 
         // Making both arms write silences it.
@@ -663,6 +633,6 @@ mod tests {
         b.set_next(wf, Some(join));
         let br = b.branch("split", Condition::eq(x, 0), Some(wt), Some(wf));
         let g = b.seal(br).unwrap();
-        assert!(lint_program(&g, &LintConfig::default()).is_empty());
+        assert!(lint_program(&g, None).is_empty());
     }
 }

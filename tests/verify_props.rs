@@ -10,7 +10,7 @@
 use pipeleon::pipelet::partition;
 use pipeleon_ir::deps::{DependencyAnalysis, RwSets};
 use pipeleon_ir::FieldRef;
-use pipeleon_verify::{lint_program, verify_candidate, CandidateSpec, LintConfig, Verdict};
+use pipeleon_verify::{lint_program, verify_candidate, CandidateSpec, Verdict};
 use pipeleon_workloads::synth::{synthesize, SynthConfig};
 use proptest::prelude::*;
 
@@ -129,8 +129,8 @@ proptest! {
             ..SynthConfig::default()
         });
         // Repeated runs agree.
-        let lints1 = lint_program(&g, &LintConfig::default());
-        let lints2 = lint_program(&g, &LintConfig::default());
+        let lints1 = lint_program(&g, None);
+        let lints2 = lint_program(&g, None);
         prop_assert_eq!(&lints1, &lints2);
         let verdicts = all_verdicts(&g);
         prop_assert_eq!(&verdicts, &all_verdicts(&g));
