@@ -58,11 +58,6 @@ impl CounterMap {
         }
     }
 
-    /// Whether `node` is a synthetic (optimizer-created) node.
-    pub fn is_synthetic(&self, node: NodeId) -> bool {
-        self.synthetic.contains(&node)
-    }
-
     /// Translates a profile collected on the optimized program into the
     /// original program's counter space. Cache statistics and synthetic
     /// node ids are preserved (the controller monitors them separately).
@@ -160,8 +155,8 @@ pub struct AppliedPlan {
     pub counter_map: CounterMap,
     /// Entry-operation routing.
     pub entry_map: EntryMap,
-    /// All flow-cache nodes created (for insertion-limit configuration
-    /// and monitoring).
+    /// All flow-cache nodes created; the controller reads their measured
+    /// hit rates back into the next search (§3.2.2 cache monitoring).
     pub cache_nodes: Vec<NodeId>,
     /// Human-readable description of each applied step.
     pub summary: Vec<String>,
@@ -585,7 +580,7 @@ mod tests {
         assert_eq!(c.next, NextHops::ByAction(vec![Some(ids[3]), Some(ids[1])]));
         // Cache key = union of t1/t2 key fields.
         assert_eq!(c.as_table().unwrap().keys.len(), 2);
-        assert!(applied.counter_map.is_synthetic(cache));
+        assert!(applied.counter_map.synthetic.contains(&cache));
         // Entry routing: t1 updates must flush the cache.
         let sites = applied.entry_map.sites(ids[1]);
         assert!(sites.contains(&EntrySite::CoveredByCache { cache }));

@@ -13,7 +13,7 @@
 //! `(position, placement, copies-used)`; branchy programs fall back to a
 //! visit-probability-weighted greedy pass.
 
-use pipeleon_cost::{CostModel, Placement, RuntimeProfile};
+use pipeleon_cost::{CostModel, Expected, Placement, RuntimeProfile};
 use pipeleon_ir::{NextHops, NodeId, ProgramGraph};
 use std::collections::HashSet;
 
@@ -46,8 +46,10 @@ pub fn partition_placement(
     } else {
         greedy(g, cpu_only)
     };
-    let expected_latency = model.expected_latency_placed(g, profile, &placement);
-    let expected_migrations = expected_migrations(g, profile, &placement);
+    let Expected {
+        latency: expected_latency,
+        migrations: expected_migrations,
+    } = model.expected(g, profile, &placement, &[]);
     let copied = g
         .iter_nodes()
         .filter(|n| {
@@ -260,38 +262,6 @@ pub fn materialize_partition(
     Ok((out, ext_placement))
 }
 
-/// Expected migrations per packet under a placement: probability-weighted
-/// placement-crossing edges.
-pub fn expected_migrations(
-    g: &ProgramGraph,
-    profile: &RuntimeProfile,
-    placement: &[Placement],
-) -> f64 {
-    let visits = profile.visit_probabilities(g);
-    let place = |id: NodeId| {
-        placement
-            .get(id.index())
-            .copied()
-            .unwrap_or(Placement::Asic)
-    };
-    let mut total = 0.0;
-    for n in g.iter_nodes() {
-        let p = visits[n.id.index()];
-        if p == 0.0 {
-            continue;
-        }
-        let slot_probs = profile.slot_probs(g, n.id);
-        for (slot, target) in n.next.targets().into_iter().enumerate() {
-            if let Some(t) = target {
-                if place(n.id) != place(t) {
-                    total += p * slot_probs.get(slot).copied().unwrap_or(0.0);
-                }
-            }
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,7 +384,7 @@ mod tests {
         let model = model_with_migration(1000.0);
         let prof = RuntimeProfile::empty();
         let plan = partition_placement(&model, &g, &prof, &cpu_only, 0);
-        let crossings = expected_migrations(&g, &prof, &plan.placement);
+        let crossings = plan.expected_migrations;
         let (mat, ext_placement) = materialize_partition(&g, &plan.placement).unwrap();
         mat.validate().unwrap();
         // One nav + one mig table per crossing edge.

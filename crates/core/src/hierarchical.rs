@@ -83,7 +83,7 @@ pub fn assign_tiers(model: &CostModel, g: &ProgramGraph, profile: &RuntimeProfil
         promoted.reverse();
     }
     let baseline_latency = model.expected_latency(g, profile);
-    let expected_latency = model.expected_latency_tiered(g, profile, &tiers);
+    let expected_latency = model.expected(g, profile, &[], &tiers).latency;
     TierPlan {
         tiers,
         promoted,

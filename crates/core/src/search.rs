@@ -10,7 +10,7 @@
 
 use crate::apply::{apply_plan, AppliedPlan};
 use crate::config::{OptimizerConfig, ResourceLimits};
-use crate::hotspot::{score_pipelets, top_k, PipeletScore};
+use crate::hotspot::{score_pipelets, top_k};
 use crate::knapsack;
 use crate::opts::{cache, enumerate_candidates, EvalCtx, TableTerms};
 use crate::pipelet::{find_groups, partition, Pipelet, PipeletGroup};
@@ -135,12 +135,6 @@ pub struct OptimizationOutcome {
     pub applied: AppliedPlan,
     /// The chosen plan (pre-application).
     pub plan: GlobalPlan,
-    /// The pipelet partition used.
-    pub pipelets: Vec<Pipelet>,
-    /// Per-pipelet hotness scores.
-    pub scores: Vec<PipeletScore>,
-    /// Ids of the pipelets selected as top-k.
-    pub selected: Vec<usize>,
     /// Total candidates evaluated across pipelets (search effort, after
     /// safety filtering).
     pub candidates_evaluated: usize,
@@ -384,9 +378,6 @@ impl Optimizer {
             est_gain_ns: plan.total_gain,
             applied,
             plan,
-            pipelets,
-            scores,
-            selected,
             candidates_evaluated,
             candidates_reused,
             candidates_rejected,

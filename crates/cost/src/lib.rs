@@ -15,9 +15,10 @@
 //! * [`profile`] — [`RuntimeProfile`]: per-edge / per-action packet
 //!   counters, entry-update rates, and cache statistics collected at
 //!   runtime; converts raw counters into the probabilities of Eq. 2a/4b.
-//! * [`model`] — [`CostModel`]: expected program latency `L(G)` via a
-//!   linear-time probability propagation (equivalent to path enumeration on
-//!   DAGs), per-node and per-path costs, and throughput conversion.
+//! * [`model`] — [`CostModel`]: expected program latency `L(G)` via one
+//!   linear-time visit-weighted walk (equivalent to path enumeration on
+//!   DAGs) over an optional ASIC/CPU placement and memory-tier layout, and
+//!   per-node and per-path costs.
 //! * [`resources`] — the `M(v)` memory and `E(v)` entry-update-rate terms
 //!   of the optimization constraints (Eq. 5).
 //! * [`calibrate`] — least-squares fitting of `L_mat` / `L_act` from
@@ -32,8 +33,8 @@ pub mod resources;
 pub mod tiers;
 
 pub use calibrate::{fit_line, CalibrationReport, Calibrator, LineFit};
-pub use model::{CostModel, Placement};
-pub use params::{CostParams, MatchCostModel, TargetKind};
+pub use model::{CostModel, Expected, Placement};
+pub use params::{CostParams, MatchCostModel};
 pub use profile::{CacheStats, RuntimeProfile};
 pub use resources::{ResourceModel, CACHE_CAPACITY, CACHE_INSERTION_RATE};
 pub use tiers::{MemoryTier, TierParams};

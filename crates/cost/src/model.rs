@@ -6,17 +6,26 @@
 
 use crate::params::CostParams;
 use crate::profile::RuntimeProfile;
+use crate::tiers::MemoryTier;
 use pipeleon_ir::{CacheRole, NodeId, NodeKind, ProgramGraph, Table};
-use serde::{Deserialize, Serialize};
 
 /// Which core class a node executes on (heterogeneous targets, §3.2.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Placement {
     /// ASIC packet-engine cores (fast path).
     #[default]
     Asic,
     /// General-purpose / SoC CPU cores (slow path, `cpu_scale`× cost).
     Cpu,
+}
+
+/// What [`CostModel::expected`] yields for one layout.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Expected {
+    /// Expected per-packet latency `L(G)`, migrations included.
+    pub latency: f64,
+    /// Expected placement-crossing edges a packet takes.
+    pub migrations: f64,
 }
 
 /// The approximate cost model, parameterized by a target's [`CostParams`].
@@ -75,92 +84,66 @@ impl CostModel {
         }
     }
 
-    /// Expected program latency `L(G)` (Eq. 1): base overhead plus each
-    /// node's cost weighted by its visit probability.
+    /// Expected program latency `L(G)` (Eq. 1) with every node on the
+    /// ASIC cores and every table in EMEM: [`Self::expected`] over empty
+    /// layouts.
     pub fn expected_latency(&self, g: &ProgramGraph, profile: &RuntimeProfile) -> f64 {
-        let visits = profile.visit_probabilities(g);
-        self.params.l_base
-            + g.iter_nodes()
-                .map(|n| visits[n.id.index()] * self.node_cost(g, n.id, profile))
-                .sum::<f64>()
+        self.expected(g, profile, &[], &[]).latency
     }
 
-    /// Expected program latency on a heterogeneous target: node costs on
-    /// CPU cores are scaled by `cpu_scale`, and each edge whose endpoints
-    /// have different placements pays `l_migration`, weighted by the
-    /// probability the edge is traversed.
+    /// `L(G) = Σ_π P(π)·L(π)` (Eq. 1) as one visit-weighted walk: the base
+    /// overhead, plus `p(v)·L(v)` per node (Eq. 4), plus
+    /// `p(v)·P(slot)·l_migration` per placement-crossing edge.
     ///
-    /// `placement` is dense, indexed by node id; missing ids default to
-    /// [`Placement::Asic`].
-    pub fn expected_latency_placed(
+    /// A node on [`Placement::Cpu`] (§3.2.4) pays `cpu_scale`× its whole
+    /// cost; a table on [`MemoryTier::Sram`] (§6) pays
+    /// `tiers.match_scale`× its match part. Both layouts are dense by node
+    /// id; missing ids, and empty slices, mean [`Placement::Asic`] and
+    /// [`MemoryTier::Emem`].
+    pub fn expected(
         &self,
         g: &ProgramGraph,
         profile: &RuntimeProfile,
         placement: &[Placement],
-    ) -> f64 {
+        tiers: &[MemoryTier],
+    ) -> Expected {
         let visits = profile.visit_probabilities(g);
-        let place = |id: NodeId| {
-            placement
-                .get(id.index())
-                .copied()
-                .unwrap_or(Placement::Asic)
-        };
-        let mut total = self.params.l_base;
-        for n in g.iter_nodes() {
-            let p = visits[n.id.index()];
-            if p == 0.0 {
-                continue;
-            }
-            let scale = match place(n.id) {
-                Placement::Asic => 1.0,
-                Placement::Cpu => self.params.cpu_scale,
-            };
-            total += p * self.node_cost(g, n.id, profile) * scale;
-            // Migration on placement-crossing edges.
-            let slot_probs = profile.slot_probs(g, n.id);
-            for (slot, target) in n.next.targets().into_iter().enumerate() {
-                if let Some(t) = target {
-                    if place(n.id) != place(t) {
-                        total += p
-                            * slot_probs.get(slot).copied().unwrap_or(0.0)
-                            * self.params.l_migration;
-                    }
-                }
-            }
-        }
-        total
-    }
-
-    /// Expected program latency with per-table memory-tier assignments
-    /// (§6 extension): key matches of tables on the fast tier are scaled
-    /// by `tiers.match_scale`. `tiers` is dense by node id; missing ids
-    /// default to [`crate::MemoryTier::Emem`].
-    pub fn expected_latency_tiered(
-        &self,
-        g: &ProgramGraph,
-        profile: &RuntimeProfile,
-        tiers: &[crate::MemoryTier],
-    ) -> f64 {
-        let visits = profile.visit_probabilities(g);
-        let mut total = self.params.l_base;
+        let place = |id: NodeId| placement.get(id.index()).copied().unwrap_or_default();
+        let split = placement.contains(&Placement::Cpu);
+        // Sum first, add `l_base` last: the flat `L(G)` that figures and
+        // run records print depends on this order to the last bit.
+        let (mut sum, mut migrations) = (0.0, 0.0);
         for n in g.iter_nodes() {
             let p = visits[n.id.index()];
             if p == 0.0 {
                 continue;
             }
             let mut cost = self.node_cost(g, n.id, profile);
-            if let Some(t) = n.as_table() {
-                let tier = tiers
-                    .get(n.id.index())
-                    .copied()
-                    .unwrap_or(crate::MemoryTier::Emem);
-                let scale = self.params.tiers.match_scale(tier);
-                // Rescale only the match component.
+            if let (Some(t), Some(MemoryTier::Sram)) = (n.as_table(), tiers.get(n.id.index())) {
+                let scale = self.params.tiers.match_scale(MemoryTier::Sram);
                 cost += self.match_cost(t) * (scale - 1.0);
             }
-            total += p * cost;
+            let scale = match place(n.id) {
+                Placement::Asic => 1.0,
+                Placement::Cpu => self.params.cpu_scale,
+            };
+            sum += p * cost * scale;
+            if !split {
+                continue;
+            }
+            let slot_probs = profile.slot_probs(g, n.id);
+            for (slot, target) in n.next.targets().into_iter().enumerate() {
+                if target.is_some_and(|t| place(t) != place(n.id)) {
+                    let crossing = p * slot_probs.get(slot).copied().unwrap_or(0.0);
+                    migrations += crossing;
+                    sum += crossing * self.params.l_migration;
+                }
+            }
         }
-        total
+        Expected {
+            latency: self.params.l_base + sum,
+            migrations,
+        }
     }
 
     /// The latency of one concrete path (Eq. 2b), using the profile only
@@ -186,17 +169,6 @@ impl CostModel {
                 visits.get(id.index()).copied().unwrap_or(0.0) * self.node_cost(g, id, profile)
             })
             .sum()
-    }
-
-    /// Mean throughput implied by the expected latency, in Gbit/s.
-    pub fn throughput_gbps(
-        &self,
-        g: &ProgramGraph,
-        profile: &RuntimeProfile,
-        packet_bytes: usize,
-    ) -> f64 {
-        self.params
-            .throughput_gbps(self.expected_latency(g, profile), packet_bytes)
     }
 }
 
@@ -239,7 +211,8 @@ mod tests {
 
     #[test]
     fn expected_latency_matches_path_enumeration() {
-        // Build a branchy program and verify propagation == Σ P(π)L(π).
+        // Build a branchy program and verify the walk == Σ P(π)L(π), flat
+        // and under a CPU placement, an SRAM tier, and both at once.
         let mut b = ProgramBuilder::new();
         let f = b.field("x");
         let l1 = b
@@ -267,18 +240,82 @@ mod tests {
         prof.record_edge(pipeleon_ir::EdgeRef::new(br, 0), 30);
         prof.record_edge(pipeleon_ir::EdgeRef::new(br, 1), 70);
 
-        let m = CostModel::new(params());
-        let fast = m.expected_latency(&g, &prof);
+        let mut p = params();
+        p.cpu_scale = 5.0;
+        p.l_migration = 50.0;
+        let m = CostModel::new(p);
         // Path enumeration: two paths, head->br->l1 (p=.3), head->br->l2 (p=.7).
         let paths = g.enumerate_paths(16);
         assert_eq!(paths.len(), 2);
+        let prob = |path: &[NodeId]| if path.contains(&l1) { 0.3 } else { 0.7 };
+        let fast = m.expected_latency(&g, &prof);
         let mut slow = 0.0;
         for p in &paths {
-            let prob = if p.contains(&l1) { 0.3 } else { 0.7 };
             // path_latency includes l_base once per path; weights sum to 1.
-            slow += prob * m.path_latency(&g, p, &prof);
+            slow += prob(p) * m.path_latency(&g, p, &prof);
         }
         assert!((fast - slow).abs() < 1e-9, "fast={fast} slow={slow}");
+
+        // One path's latency under a layout, written out from the paper's
+        // terms: a CPU node pays cpu_scale× its cost, an SRAM table
+        // 1/sram_speedup× its match part, each crossing hop l_migration.
+        let on_path = |path: &[NodeId], cpu: &[NodeId], sram: &[NodeId]| {
+            let mut lat = m.params.l_base;
+            for &id in path {
+                let matched = g
+                    .node(id)
+                    .unwrap()
+                    .as_table()
+                    .map_or(0.0, |t| m.match_cost(t));
+                let tier = if sram.contains(&id) {
+                    1.0 / m.params.tiers.sram_speedup
+                } else {
+                    1.0
+                };
+                let core = if cpu.contains(&id) {
+                    m.params.cpu_scale
+                } else {
+                    1.0
+                };
+                lat += (m.node_cost(&g, id, &prof) - matched + matched * tier) * core;
+            }
+            let hops = path
+                .windows(2)
+                .filter(|w| cpu.contains(&w[0]) != cpu.contains(&w[1]))
+                .count();
+            (lat + hops as f64 * m.params.l_migration, hops as f64)
+        };
+        let layout = |cpu: &[NodeId], sram: &[NodeId]| {
+            let mut placement = vec![Placement::Asic; g.id_bound()];
+            let mut tiers = vec![MemoryTier::Emem; g.id_bound()];
+            cpu.iter()
+                .for_each(|id| placement[id.index()] = Placement::Cpu);
+            sram.iter()
+                .for_each(|id| tiers[id.index()] = MemoryTier::Sram);
+            (placement, tiers)
+        };
+        let (cpu, sram) = ([br, l2], [l2, head]);
+        for (cpu, sram) in [(&cpu[..], &[][..]), (&[], &sram), (&cpu, &sram)] {
+            let (placement, tiers) = layout(cpu, sram);
+            let walk = m.expected(&g, &prof, &placement, &tiers);
+            let (mut lat, mut hops) = (0.0, 0.0);
+            for p in &paths {
+                let (l, h) = on_path(p, cpu, sram);
+                lat += prob(p) * l;
+                hops += prob(p) * h;
+            }
+            assert!(
+                (walk.latency - lat).abs() < 1e-9,
+                "{cpu:?}/{sram:?}: {walk:?} vs {lat}"
+            );
+            assert!(
+                (walk.migrations - hops).abs() < 1e-9,
+                "{cpu:?}/{sram:?}: {walk:?} vs {hops}"
+            );
+            // head->br crosses on every path, br->l1 on 30% of them.
+            let crossings = if cpu.is_empty() { 0.0 } else { 1.3 };
+            assert!((hops - crossings).abs() < 1e-9, "{cpu:?}: {hops}");
+        }
     }
 
     #[test]
@@ -359,13 +396,15 @@ mod tests {
         p.l_migration = 50.0;
         let m = CostModel::new(p);
         let prof = RuntimeProfile::empty();
-        let all_asic = m.expected_latency_placed(&g, &prof, &[Placement::Asic, Placement::Asic]);
+        let all_asic = m.expected(&g, &prof, &[Placement::Asic, Placement::Asic], &[]);
         let base = m.expected_latency(&g, &prof);
-        assert!((all_asic - base).abs() < 1e-9);
+        assert_eq!(all_asic.latency, base);
+        assert_eq!(all_asic.migrations, 0.0);
         // Node cost each: 10 + 2 = 12. Split placement: t1 on CPU.
-        let split = m.expected_latency_placed(&g, &prof, &[Placement::Asic, Placement::Cpu]);
+        let split = m.expected(&g, &prof, &[Placement::Asic, Placement::Cpu], &[]);
         // t0 12 + migration 50 + t1 12*5 = 122.
-        assert!((split - 122.0).abs() < 1e-9, "got {split}");
+        assert!((split.latency - 122.0).abs() < 1e-9, "got {split:?}");
+        assert_eq!(split.migrations, 1.0);
     }
 
     #[test]
@@ -413,8 +452,8 @@ mod tests {
         };
         let m = CostModel::new(CostParams::bluefield2());
         let prof = RuntimeProfile::empty();
-        let small = m.throughput_gbps(&make(5), &prof, 512);
-        let large = m.throughput_gbps(&make(40), &prof, 512);
+        let gbps = |g| m.params.throughput_gbps(m.expected_latency(g, &prof), 512);
+        let (small, large) = (gbps(&make(5)), gbps(&make(40)));
         assert!(small > large, "small={small} large={large}");
     }
 }

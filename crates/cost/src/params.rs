@@ -9,24 +9,10 @@
 
 use crate::tiers::TierParams;
 use pipeleon_ir::{MatchKind, Table};
-use serde::{Deserialize, Serialize};
-
-/// Which physical target a parameter set models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TargetKind {
-    /// dRMT-style ASIC packet engines fetching entries over a memory bus
-    /// (Nvidia BlueField2-like).
-    AsicCores,
-    /// SoC CPU cores / micro-engines (Netronome Agilio CX-like).
-    CpuCores,
-    /// Software emulator with a configurable NIC model (the paper's
-    /// BMv2-based emulator).
-    Emulated,
-}
 
 /// How the number of memory accesses `m` (Eq. 4a) is derived for non-exact
 /// tables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MatchCostModel {
     /// `m` = number of distinct prefix lengths / masks among the installed
     /// entries (the multiple-hash-table implementation), capped at `cap`.
@@ -51,12 +37,10 @@ pub enum MatchCostModel {
 /// The constants of the approximate cost model (paper Table 1) plus the
 /// target envelope (core counts, line rate) the simulator needs to convert
 /// latency into throughput.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostParams {
     /// Preset name for diagnostics.
     pub name: String,
-    /// What kind of target this models.
-    pub target: TargetKind,
     /// `L_mat`: latency of one memory access (one exact match), ns.
     pub l_mat: f64,
     /// `L_act`: latency of one action primitive, ns.
@@ -80,8 +64,6 @@ pub struct CostParams {
     pub match_model: MatchCostModel,
     /// Number of (ASIC) processing cores packets are dispatched across.
     pub num_cores: usize,
-    /// Number of auxiliary CPU cores for heterogeneous partitions.
-    pub num_cpu_cores: usize,
     /// Port line rate in Gbit/s; throughput is capped here.
     pub line_rate_gbps: f64,
     /// Fast-memory (SRAM) tier parameters (§6 extension).
@@ -96,7 +78,6 @@ impl CostParams {
     pub fn bluefield2() -> Self {
         Self {
             name: "bluefield2".into(),
-            target: TargetKind::AsicCores,
             l_mat: 18.0,
             l_act: 4.0,
             l_branch: 1.0,
@@ -107,7 +88,6 @@ impl CostParams {
             cpu_scale: 6.0,
             match_model: MatchCostModel::PerDistinctPattern { cap: 8 },
             num_cores: 6,
-            num_cpu_cores: 8,
             line_rate_gbps: 100.0,
             tiers: TierParams::default(),
         }
@@ -119,7 +99,6 @@ impl CostParams {
     pub fn agilio_cx() -> Self {
         Self {
             name: "agilio_cx".into(),
-            target: TargetKind::CpuCores,
             l_mat: 55.0,
             l_act: 10.0,
             l_branch: 2.0,
@@ -130,7 +109,6 @@ impl CostParams {
             cpu_scale: 1.0,
             match_model: MatchCostModel::PerDistinctPattern { cap: 8 },
             num_cores: 5,
-            num_cpu_cores: 0,
             line_rate_gbps: 40.0,
             tiers: TierParams::default(),
         }
@@ -141,7 +119,6 @@ impl CostParams {
     pub fn emulated_nic() -> Self {
         Self {
             name: "emulated_nic".into(),
-            target: TargetKind::Emulated,
             l_mat: 20.0,
             l_act: 5.0,
             l_branch: 2.0, // 1/10 of an exact table (l_mat 20)
@@ -156,7 +133,6 @@ impl CostParams {
                 range: 3.0,
             },
             num_cores: 4,
-            num_cpu_cores: 4,
             line_rate_gbps: 100.0,
             tiers: TierParams::default(),
         }

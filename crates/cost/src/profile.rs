@@ -8,11 +8,10 @@
 //! seen no traffic.
 
 use pipeleon_ir::{EdgeRef, NextHops, NodeId, NodeKind, ProgramGraph};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Hit/miss/insertion statistics for one cache table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that hit.
     pub hits: u64,
@@ -31,7 +30,7 @@ impl CacheStats {
 }
 
 /// Counters and rates collected (or synthesized) for one program layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeProfile {
     /// Total packets observed at the program root.
     pub total_packets: u64,
@@ -271,20 +270,6 @@ impl RuntimeProfile {
         p
     }
 
-    /// The probability a packet reaches `node` (paper §4.1.2 `P(G')`).
-    pub fn reach_probability(&self, g: &ProgramGraph, node: NodeId) -> f64 {
-        self.visit_probabilities(g)
-            .get(node.index())
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    /// Total entry-update rate across all tables (the Eq. 5 `E` term's
-    /// consumption side).
-    pub fn total_entry_update_rate(&self) -> f64 {
-        self.entry_update_rates.values().sum()
-    }
-
     /// True when nothing has been recorded: no packets, counters, rates,
     /// cache statistics, or hints. Empty profiles act as the identity of
     /// [`RuntimeProfile::merge`] (their `window_s` is ignored).
@@ -433,7 +418,6 @@ mod tests {
         // Branch splits 70/30 of the surviving 0.7.
         assert!((v[ids[2].index()] - 0.49).abs() < 1e-12);
         assert!((v[ids[3].index()] - 0.21).abs() < 1e-12);
-        assert!((p.reach_probability(&g, ids[3]) - 0.21).abs() < 1e-12);
     }
 
     #[test]
@@ -478,7 +462,7 @@ mod tests {
         p.set_entry_update_rate(ids[2], 5.0);
         assert_eq!(p.entry_update_rate(ids[0]), 10.0);
         assert_eq!(p.entry_update_rate(ids[1]), 0.0);
-        assert_eq!(p.total_entry_update_rate(), 15.0);
+        assert_eq!(p.entry_update_rates.values().sum::<f64>(), 15.0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Resource accounting: the `M(v)` and `E(v)` terms of Eq. 5.
+//! Resource accounting: the `M(v)` term of Eq. 5.
 //!
 //! Memory is approximated as entries × per-entry bytes × `m` (LPM/ternary
-//! tables are materialized once per hash table, paper §4). Entry-update
-//! rates come from control-plane API monitoring, carried in the profile.
+//! tables are materialized once per hash table, paper §4). The `E(v)`
+//! term, entry-update rates from control-plane API monitoring, is read
+//! off the profile ([`crate::RuntimeProfile::entry_update_rate`]).
 
 use crate::params::CostParams;
-use crate::profile::RuntimeProfile;
-use pipeleon_ir::{NodeId, ProgramGraph, Table};
+use pipeleon_ir::{ProgramGraph, Table};
 
 /// Insertions per second a flow cache may install: the rate every
 /// emulated cache's limiter refills at, and the cap the optimizer's cost
@@ -18,8 +18,8 @@ pub const CACHE_INSERTION_RATE: f64 = 100_000.0;
 /// bound.
 pub const CACHE_CAPACITY: usize = 4096;
 
-/// Computes memory and entry-update-rate consumption for nodes and whole
-/// programs under a target's cost parameters.
+/// Computes memory consumption for tables and whole programs under a
+/// target's cost parameters.
 #[derive(Debug, Clone)]
 pub struct ResourceModel {
     /// Target parameters (for the `m` multiplier).
@@ -30,12 +30,6 @@ impl ResourceModel {
     /// Creates a resource model for the target.
     pub fn new(params: CostParams) -> Self {
         Self { params }
-    }
-
-    /// `M(v)` for one table, in bytes.
-    pub fn table_memory(&self, table: &Table) -> f64 {
-        let m = self.params.memory_accesses(table).max(1.0);
-        table.entries.len() as f64 * table.entry_bytes as f64 * m
     }
 
     /// Memory reserved for a table: its capacity if bounded (caches reserve
@@ -49,18 +43,6 @@ impl ResourceModel {
     /// `Σ M(v)` over all tables in the program, in bytes (reserved sizes).
     pub fn program_memory(&self, g: &ProgramGraph) -> f64 {
         g.tables().map(|(_, t)| self.table_memory_reserved(t)).sum()
-    }
-
-    /// `E(v)`: entry updates per second for one node.
-    pub fn node_update_rate(&self, profile: &RuntimeProfile, id: NodeId) -> f64 {
-        profile.entry_update_rate(id)
-    }
-
-    /// `Σ E(v)` over the program.
-    pub fn program_update_rate(&self, g: &ProgramGraph, profile: &RuntimeProfile) -> f64 {
-        g.iter_nodes()
-            .map(|n| profile.entry_update_rate(n.id))
-            .sum()
     }
 }
 
@@ -83,7 +65,7 @@ mod tests {
             0,
         ));
         // Fixed model: ternary m = 3. 1 entry * 32 B * 3.
-        assert_eq!(rm.table_memory(&t), 96.0);
+        assert_eq!(rm.table_memory_reserved(&t), 96.0);
     }
 
     #[test]
@@ -96,7 +78,8 @@ mod tests {
         }];
         t.max_entries = Some(1000);
         assert_eq!(rm.table_memory_reserved(&t), 1000.0 * 32.0);
-        assert_eq!(rm.table_memory(&t), 0.0);
+        t.max_entries = None;
+        assert_eq!(rm.table_memory_reserved(&t), 0.0);
     }
 
     #[test]
@@ -108,18 +91,12 @@ mod tests {
             .key(f, MatchKind::Exact)
             .entry(TableEntry::new(vec![MatchValue::Exact(1)], 0))
             .finish();
-        let t1 = b
-            .table("b")
+        b.table("b")
             .key(f, MatchKind::Exact)
             .entry(TableEntry::new(vec![MatchValue::Exact(2)], 0))
             .finish();
         let g = b.seal(t0).unwrap();
         let rm = ResourceModel::new(CostParams::bluefield2());
         assert_eq!(rm.program_memory(&g), 64.0);
-        let mut prof = RuntimeProfile::empty();
-        prof.set_entry_update_rate(t0, 3.0);
-        prof.set_entry_update_rate(t1, 4.0);
-        assert_eq!(rm.program_update_rate(&g, &prof), 7.0);
-        assert_eq!(rm.node_update_rate(&prof, t1), 4.0);
     }
 }

@@ -9,10 +9,8 @@
 //! optimizer crate's `hierarchical` module) chooses the hottest tables
 //! that fit the fast tier's capacity.
 
-use serde::{Deserialize, Serialize};
-
 /// Which memory a table's entries live in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemoryTier {
     /// External/far memory (the default; the paper's flat model).
     #[default]
@@ -22,7 +20,7 @@ pub enum MemoryTier {
 }
 
 /// The fast tier's parameters, attached to [`crate::CostParams`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierParams {
     /// Factor by which SRAM key matches are faster than EMEM.
     pub sram_speedup: f64,

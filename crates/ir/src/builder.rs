@@ -6,7 +6,7 @@
 //! explicitly, sets the root, and validates.
 
 use crate::expr::Condition;
-use crate::graph::{Branch, NextHops, NodeKind, ProgramGraph};
+use crate::graph::{Branch, NextHops, ProgramGraph};
 use crate::table::{Action, CacheRole, MatchKey, MatchKind, Primitive, Table, TableEntry};
 use crate::types::{FieldRef, IrError, NodeId};
 
@@ -105,24 +105,6 @@ impl ProgramBuilder {
         }
         if !self.explicit_next.contains(&from) {
             self.explicit_next.push(from);
-        }
-    }
-
-    /// Installs an entry into a previously added table.
-    pub fn add_entry(&mut self, table: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        let node = self
-            .graph
-            .node_mut(table)
-            .ok_or(IrError::UnknownNode(table))?;
-        match &mut node.kind {
-            NodeKind::Table(t) => {
-                t.entries.push(entry);
-                Ok(())
-            }
-            NodeKind::Branch(_) => Err(IrError::BadTable {
-                table,
-                reason: "node is a branch, not a table".into(),
-            }),
         }
     }
 
@@ -240,7 +222,6 @@ impl<'a> TableBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::MatchValue;
 
     #[test]
     fn sequential_program_builds_and_wires() {
@@ -302,31 +283,6 @@ mod tests {
             .finish();
         let g = b.seal(sw).unwrap();
         assert!(g.node(sw).unwrap().is_switch_case());
-    }
-
-    #[test]
-    fn entries_install_through_builder() {
-        let mut b = ProgramBuilder::new();
-        let f = b.field("x");
-        let t = b
-            .table("t")
-            .key(f, MatchKind::Exact)
-            .action_nop("hit")
-            .finish();
-        b.add_entry(t, TableEntry::new(vec![MatchValue::Exact(5)], 0))
-            .unwrap();
-        let g = b.seal(t).unwrap();
-        assert_eq!(g.node(t).unwrap().as_table().unwrap().entries.len(), 1);
-    }
-
-    #[test]
-    fn add_entry_to_branch_fails() {
-        let mut b = ProgramBuilder::new();
-        let f = b.field("x");
-        let t = b.table("t").key(f, MatchKind::Exact).finish();
-        let br = b.branch("if", Condition::eq(f, 1), Some(t), Some(t));
-        let err = b.add_entry(br, TableEntry::new(vec![], 0)).unwrap_err();
-        assert!(matches!(err, IrError::BadTable { .. }));
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! real so control flow is faithful.
 
 use crate::types::FieldRef;
-use serde::{Deserialize, Serialize};
 
 /// Comparison operator for a field/constant comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `==`
     Eq,
@@ -40,7 +39,7 @@ impl CmpOp {
 }
 
 /// A boolean condition over packet fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Condition {
     /// Always true (used for synthesized placeholder branches).
     True,

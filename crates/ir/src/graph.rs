@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A conditional branch node (P4 `if`/`else`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Branch {
     /// Branch name for diagnostics.
     pub name: String,
@@ -20,7 +20,7 @@ pub struct Branch {
 }
 
 /// Where packet flow continues after a node executes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NextHops {
     /// Tables in a straight-line sequence: always continue to the same
     /// place. `None` = sink.
@@ -66,7 +66,7 @@ impl NextHops {
 }
 
 /// Node payload: a table or a branch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeKind {
     /// A match/action table.
     Table(Table),
@@ -75,7 +75,7 @@ pub enum NodeKind {
 }
 
 /// One node of the program graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The node's stable id.
     pub id: NodeId,
@@ -131,7 +131,7 @@ impl Node {
 /// (0 for `Always`; the action index for `ByAction`; 0 = true arm,
 /// 1 = false arm for branches). Runtime profiles attach packet counters to
 /// edge refs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeRef {
     /// Source node of the edge.
     pub node: NodeId,
@@ -166,7 +166,7 @@ pub struct WireBinding {
 ///
 /// Nodes are stored in a dense vector indexed by [`NodeId`]; removed nodes
 /// become tombstones (`None`) so ids remain stable across transformations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramGraph {
     /// Program name.
     pub name: String,
@@ -177,7 +177,6 @@ pub struct ProgramGraph {
     /// (empty = the codec's conservative by-name inference). Optimizer
     /// rewrites clone the graph and never touch the contract, so it
     /// survives reorder/cache/merge round-trips.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub wire: Vec<WireBinding>,
     nodes: Vec<Option<Node>>,
     root: Option<NodeId>,
@@ -270,31 +269,6 @@ impl ProgramGraph {
     /// Total id capacity, including tombstones (for dense side tables).
     pub fn id_bound(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Rewrites every edge pointing at `from` so it points at `to`,
-    /// including the root.
-    pub fn retarget_edges(&mut self, from: NodeId, to: Option<NodeId>) {
-        for n in self.nodes.iter_mut().filter_map(Option::as_mut) {
-            n.next.retarget(from, to);
-        }
-        if self.root == Some(from) {
-            self.root = to;
-        }
-    }
-
-    /// All outgoing edge refs of `id`, paired with their targets.
-    pub fn out_edges(&self, id: NodeId) -> Vec<(EdgeRef, Option<NodeId>)> {
-        match self.node(id) {
-            None => Vec::new(),
-            Some(n) => n
-                .next
-                .targets()
-                .into_iter()
-                .enumerate()
-                .map(|(slot, t)| (EdgeRef::new(id, slot as u16), t))
-                .collect(),
-        }
     }
 
     /// Predecessor map: for every live node, the list of nodes with an edge
@@ -553,20 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn retarget_edges_rewires_and_fixes_root() {
-        let (mut g, ids) = linear3();
-        g.retarget_edges(ids[1], Some(ids[2]));
-        g.remove_node(ids[1]);
-        g.validate().unwrap();
-        assert_eq!(g.topo_order().unwrap(), vec![ids[0], ids[2]]);
-        // Retargeting the root itself.
-        g.retarget_edges(ids[0], Some(ids[2]));
-        g.remove_node(ids[0]);
-        assert_eq!(g.root(), Some(ids[2]));
-        g.validate().unwrap();
-    }
-
-    #[test]
     fn branch_paths_enumerate() {
         let mut g = ProgramGraph::new("branchy");
         let f = g.fields.intern("f0");
@@ -646,15 +606,6 @@ mod tests {
         assert!(preds[ids[0].index()].is_empty());
         assert_eq!(preds[ids[1].index()], vec![ids[0]]);
         assert_eq!(preds[ids[2].index()], vec![ids[1]]);
-    }
-
-    #[test]
-    fn out_edges_slots() {
-        let (g, ids) = linear3();
-        let e = g.out_edges(ids[0]);
-        assert_eq!(e.len(), 1);
-        assert_eq!(e[0].0, EdgeRef::new(ids[0], 0));
-        assert_eq!(e[0].1, Some(ids[1]));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! are first-class here so the optimizer and the simulator agree on costs.
 
 use crate::types::FieldRef;
-use serde::{Deserialize, Serialize};
 
 /// The match kind of a single table key, in increasing implementation cost.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 ///   distinct mask (`m` = number of distinct masks), with priorities to
 ///   disambiguate overlapping entries.
 /// * `Range` — `lo..=hi` interval match; modeled like ternary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatchKind {
     /// Exact value match.
     Exact,
@@ -30,7 +29,7 @@ pub enum MatchKind {
 }
 
 /// One key component of a table: which field is matched, and how.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchKey {
     /// The packet field this key matches on.
     pub field: FieldRef,
@@ -43,7 +42,7 @@ pub struct MatchKey {
 ///
 /// The cost model charges `L_act` per primitive; the simulator executes them
 /// for real so semantic-equivalence tests can compare packet contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)] // operand fields are named by their role
 pub enum Primitive {
     /// `field = value`
@@ -102,7 +101,7 @@ impl Primitive {
 }
 
 /// A named action: a sequence of primitives.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Action {
     /// Human-readable action name (unique within its table by convention).
     pub name: String,
@@ -144,7 +143,7 @@ impl Action {
 ///
 /// The variant must agree with the corresponding [`MatchKey`]'s kind; this
 /// is validated by [`Table::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // operand fields are named by their role
 pub enum MatchValue {
     /// Matches exactly `value`.
@@ -198,7 +197,7 @@ pub fn prefix_mask(prefix_len: u8) -> u64 {
 }
 
 /// One installed rule in a table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableEntry {
     /// One match value per table key, in key order.
     pub matches: Vec<MatchValue>,
@@ -235,7 +234,7 @@ impl TableEntry {
 /// whose runtime behaviour differs from plain program tables: cache tables
 /// self-populate on misses (table caching, §3.2.2) or do not (merge-as-cache,
 /// §3.2.3), and their counters map back to original tables differently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheRole {
     /// A plain program table.
     None,
@@ -250,7 +249,7 @@ pub enum CacheRole {
 }
 
 /// A match/action table node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table name (for diagnostics and JSON round-tripping).
     pub name: String,
@@ -350,11 +349,6 @@ impl Table {
     /// (LPM/ternary tables are stored once per hash table; paper §4).
     pub fn memory_bytes(&self) -> usize {
         self.entries.len() * self.entry_bytes * self.memory_accesses().max(1)
-    }
-
-    /// Whether any action of this table can drop a packet.
-    pub fn can_drop(&self) -> bool {
-        self.actions.iter().any(Action::drops)
     }
 
     /// Validates entry arity, action indices, and match-value/kind

@@ -1,6 +1,5 @@
 //! Core identifier types and the per-program field space.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a node (table or branch) within a [`crate::ProgramGraph`].
@@ -8,7 +7,7 @@ use std::fmt;
 /// Node ids are dense: they index directly into the graph's node vector.
 /// Transformations that remove nodes leave tombstones rather than renumber,
 /// so ids handed out by the optimizer's counter/entry maps stay stable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -25,7 +24,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Index of a concrete entry within a table's entry list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EntryId(pub u32);
 
 impl EntryId {
@@ -40,7 +39,7 @@ impl EntryId {
 /// Fields are interned once per program in a [`FieldSpace`]; simulator
 /// packets are then flat `Vec<u64>` slot arrays indexed by `FieldRef`, which
 /// keeps per-packet processing allocation-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FieldRef(pub u16);
 
 impl FieldRef {
@@ -60,7 +59,7 @@ impl fmt::Display for FieldRef {
 ///
 /// Typical names follow P4 conventions such as `"ipv4.dst"` or
 /// `"tcp.sport"`, but any string is accepted.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FieldSpace {
     names: Vec<String>,
 }

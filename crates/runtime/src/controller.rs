@@ -1839,7 +1839,7 @@ mod tests {
         let nic = SmartNic::new(g.clone(), CostParams::bluefield2()).unwrap();
         let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
         let c = Controller::new(
-            FaultyTarget::passthrough(SimTarget::live(nic)),
+            FaultyTarget::new(SimTarget::live(nic), FaultConfig::none(0)),
             g,
             optimizer,
             ControllerConfig::default(),

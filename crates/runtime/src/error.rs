@@ -51,9 +51,6 @@ pub enum RuntimeError {
         /// What the target (or the recovery deploy) reported.
         source: Box<RuntimeError>,
     },
-    /// The target returned an empty profile for a window where traffic
-    /// was expected (profile loss).
-    ProfileUnavailable,
     /// A rollback / revert deploy itself failed; the target may be
     /// running a stale layout. The controller flags the condition
     /// (`health.pin_pending`) and re-attempts the pin on the next tick.
@@ -73,7 +70,7 @@ impl RuntimeError {
             RuntimeError::DeployFailed { source: e, .. } | RuntimeError::Ir(e) => Some(e),
             RuntimeError::EntryOpFailed { source, .. }
             | RuntimeError::RollbackFailed { source } => source.ir_source(),
-            RuntimeError::TornDeploy { .. } | RuntimeError::ProfileUnavailable => None,
+            RuntimeError::TornDeploy { .. } => None,
         }
     }
 }
@@ -104,9 +101,6 @@ impl fmt::Display for RuntimeError {
                     "entry {op} on table {table} failed (rolled back): {source}"
                 )
             }
-            RuntimeError::ProfileUnavailable => {
-                write!(f, "runtime profile unavailable for this window")
-            }
             RuntimeError::RollbackFailed { source } => {
                 write!(f, "rollback deploy failed (pin pending): {source}")
             }
@@ -124,7 +118,7 @@ impl std::error::Error for RuntimeError {
             RuntimeError::DeployFailed { source: e, .. } | RuntimeError::Ir(e) => Some(e),
             RuntimeError::EntryOpFailed { source, .. }
             | RuntimeError::RollbackFailed { source } => Some(source.as_ref()),
-            RuntimeError::TornDeploy { .. } | RuntimeError::ProfileUnavailable => None,
+            RuntimeError::TornDeploy { .. } => None,
         }
     }
 }
@@ -184,6 +178,10 @@ mod tests {
             }),
         };
         assert_eq!(e.ir_source(), Some(&inner));
-        assert_eq!(RuntimeError::ProfileUnavailable.ir_source(), None);
+        let torn = RuntimeError::TornDeploy {
+            expected: 1,
+            actual: 2,
+        };
+        assert_eq!(torn.ir_source(), None);
     }
 }

@@ -216,12 +216,6 @@ impl<T: Target> FaultyTarget<T> {
         }
     }
 
-    /// Wraps `inner` with no probabilistic faults; only scripted faults
-    /// (via [`FaultyTarget::inject_next`]) will fire.
-    pub fn passthrough(inner: T) -> Self {
-        Self::new(inner, FaultConfig::none(0))
-    }
-
     /// Arms or disarms injection. Disarmed, the wrapper is a logging
     /// pass-through (scripted faults are also held).
     pub fn set_armed(&mut self, armed: bool) {

@@ -23,7 +23,6 @@ pub struct LruCache<K, V, S: BuildHasher = RandomState> {
     capacity: usize,
     map: HashMap<K, usize, S>,
     slots: Vec<Slot<K, V>>,
-    free: Vec<usize>,
     head: Option<usize>, // most recently used
     tail: Option<usize>, // least recently used
 }
@@ -51,7 +50,6 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> LruCache<K, V, S> {
             capacity: capacity.max(1),
             map: HashMap::default(),
             slots: Vec::new(),
-            free: Vec::new(),
             head: None,
             tail: None,
         }
@@ -152,26 +150,13 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> LruCache<K, V, S> {
                 return evicted;
             }
         }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Slot {
-                    key: key.clone(),
-                    value,
-                    prev: None,
-                    next: None,
-                };
-                i
-            }
-            None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value,
-                    prev: None,
-                    next: None,
-                });
-                self.slots.len() - 1
-            }
-        };
+        let idx = self.slots.len();
+        self.slots.push(Slot {
+            key: key.clone(),
+            value,
+            prev: None,
+            next: None,
+        });
         self.map.insert(key, idx);
         self.push_front(idx);
         evicted
@@ -181,31 +166,8 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> LruCache<K, V, S> {
     pub fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
-        self.free.clear();
         self.head = None;
         self.tail = None;
-    }
-
-    /// Iterates entries from most- to least-recently used.
-    pub fn iter_mru(&self) -> impl Iterator<Item = (&K, &V)> {
-        let mut order = Vec::with_capacity(self.map.len());
-        let mut cur = self.head;
-        while let Some(i) = cur {
-            order.push((&self.slots[i].key, &self.slots[i].value));
-            cur = self.slots[i].next;
-        }
-        order.into_iter()
-    }
-}
-
-impl<K: Hash + Eq + Clone, V: Clone, S: BuildHasher> LruCache<K, V, S> {
-    /// Removes `key`, returning a clone of its value. The slot is recycled
-    /// through the free list; the stale value is overwritten on reuse.
-    pub fn remove_cloned(&mut self, key: &K) -> Option<V> {
-        let idx = self.map.remove(key)?;
-        self.detach(idx);
-        self.free.push(idx);
-        Some(self.slots[idx].value.clone())
     }
 }
 
@@ -294,8 +256,10 @@ mod tests {
         c.insert(2, ());
         c.insert(3, ());
         c.get(&1);
-        let keys: Vec<i32> = c.iter_mru().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![1, 3, 2]);
+        // Recency is 1, 3, 2: eviction takes the least recent first.
+        assert_eq!(c.insert(4, ()), Some((2, ())));
+        assert_eq!(c.insert(5, ()), Some((3, ())));
+        assert_eq!(c.insert(6, ()), Some((1, ())));
     }
 
     #[test]
@@ -308,20 +272,6 @@ mod tests {
         assert_eq!(c.get(&"x"), None);
         c.insert("z", 3);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn remove_cloned_detaches_entry() {
-        let mut c = LruCache::new(3);
-        c.insert(1, vec![1, 2]);
-        c.insert(2, vec![3]);
-        assert_eq!(c.remove_cloned(&1), Some(vec![1, 2]));
-        assert_eq!(c.get(&1), None);
-        assert_eq!(c.len(), 1);
-        // Freed slot is reused.
-        c.insert(3, vec![9]);
-        c.insert(4, vec![10]);
-        assert_eq!(c.len(), 3);
     }
 
     #[test]

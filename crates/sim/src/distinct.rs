@@ -117,7 +117,8 @@ impl DistinctKeys {
     }
 
     /// Unions `other` into `self`, uncapped: what one tracker fed both
-    /// streams would hold, had neither saturated.
+    /// streams would hold, had neither saturated. [`count_into`] caps the
+    /// union's count as [`DistinctKeys::note`] caps one tracker's.
     pub(crate) fn absorb(&mut self, other: &DistinctKeys) {
         self.has_zero |= other.has_zero;
         for key in other.narrow.keys() {
@@ -136,10 +137,16 @@ impl DistinctKeys {
 
 /// Counts a window's trackers (dense by node index) into `profile` —
 /// tables that saw no key stay unmeasured — and clears them for the next.
+///
+/// A count saturates at [`DISTINCT_TRACK_CAP`], so a union of shard
+/// trackers reports what one tracker fed every shard's stream would
+/// hold. If any shard saturated, so would that one tracker. If none did,
+/// the union is exact, and one tracker holds `min(union, cap)` keys.
 pub(crate) fn count_into(trackers: &mut [DistinctKeys], profile: &mut RuntimeProfile) {
     for (idx, keys) in trackers.iter_mut().enumerate() {
         if keys.len() > 0 {
-            profile.set_distinct_keys(NodeId(idx as u32), keys.len() as u64);
+            let n = keys.len().min(DISTINCT_TRACK_CAP);
+            profile.set_distinct_keys(NodeId(idx as u32), n as u64);
         }
         keys.clear();
     }
@@ -254,13 +261,18 @@ mod tests {
         t.note(&[1, 2]);
         t.note(&[0]);
         assert_eq!(t.len(), DISTINCT_TRACK_CAP);
-        // A union is exact past the cap.
+        // A union is exact past the cap; its count saturates.
         let mut other = DistinctKeys::default();
         other.note(&[u64::MAX]);
         other.note(&[1, 2]);
         other.note(&[7]);
         t.absorb(&other);
         assert_eq!(t.len(), DISTINCT_TRACK_CAP + 2);
+        let mut trackers = [t];
+        let mut profile = RuntimeProfile::empty();
+        count_into(&mut trackers, &mut profile);
+        let counted = profile.distinct_keys_of(NodeId(0));
+        assert_eq!(counted, Some(DISTINCT_TRACK_CAP as u64));
     }
 
     #[test]

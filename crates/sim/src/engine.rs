@@ -146,11 +146,6 @@ impl MatchEngine {
         }
     }
 
-    /// The number of hash-table ways (the structural `m`).
-    pub fn num_ways(&self) -> usize {
-        self.ways.len()
-    }
-
     /// Looks up a packet. `table` must be the same definition the engine
     /// was built from (used for range comparisons). The caller provides
     /// reusable [`KeyScratch`] buffers; after the call `scratch.values()`
@@ -346,7 +341,7 @@ mod tests {
             ],
         );
         let e = MatchEngine::build(&t);
-        assert_eq!(e.num_ways(), 2);
+        assert_eq!(e.ways.len(), 2);
         // Matches both prefixes; /16 must win, probed first (1 probe).
         let r = lk(&e, &t, &packet(&[0xABCD_1234_0000_0000]));
         assert_eq!(r.entry, Some(1));
@@ -382,7 +377,7 @@ mod tests {
             ],
         );
         let e = MatchEngine::build(&t);
-        assert_eq!(e.num_ways(), 3);
+        assert_eq!(e.ways.len(), 3);
         let r = lk(&e, &t, &packet(&[0x12]));
         assert_eq!(r.entry, Some(1)); // priority 2 wins
         assert_eq!(r.probes, 3);

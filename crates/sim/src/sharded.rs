@@ -598,11 +598,6 @@ impl ShardedNic {
         self.chain.reclaim(min);
     }
 
-    /// Number of worker shards.
-    pub fn num_workers(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The deployed program (identical on every shard).
     pub fn graph(&self) -> &ProgramGraph {
         self.control.graph()
@@ -860,7 +855,7 @@ impl ShardedNic {
     /// last call — the window-boundary merge: counters fold via
     /// [`RuntimeProfile::merge`], the window is the global clock delta,
     /// and distinct-key counts come from exact cross-shard unions of the
-    /// raw key sets.
+    /// raw key sets, saturating at the single tracker's cap.
     pub fn take_profile(&mut self) -> RuntimeProfile {
         let mut merged = RuntimeProfile::empty();
         let mut sketches: HashMap<NodeId, HotKeySketch> = HashMap::new();
@@ -1239,7 +1234,7 @@ mod tests {
     #[test]
     fn zero_workers_clamps_to_one() {
         let nic = ShardedNic::new(linear_program(2), CostParams::bluefield2(), 0).unwrap();
-        assert_eq!(nic.num_workers(), 1);
+        assert_eq!(nic.shards.len(), 1);
     }
 
     #[test]

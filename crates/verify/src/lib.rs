@@ -30,10 +30,7 @@ mod plan;
 
 pub use concurrency::{lint_concurrency, lint_concurrency_with_count};
 pub use lints::lint_program;
-pub use plan::{
-    verify_candidate, CandidateSpec, PlanVerifier, RewriteKind, SegmentSpec, Verdict, Violation,
-    DEFAULT_PATH_LIMIT,
-};
+pub use plan::{CandidateSpec, PlanVerifier, RewriteKind, SegmentSpec, Verdict, Violation};
 
 use std::fmt;
 
@@ -95,9 +92,6 @@ pub enum Code {
     /// PV105: the candidate's members are not contiguous along an
     /// execution path (a non-member executes in the middle of the region).
     NonContiguous,
-    /// PV106: the verifier's path budget was exhausted, so legality could
-    /// not be proven; the candidate is conservatively rejected.
-    PathBudget,
     /// PV201: `Ordering::Relaxed` in a datapath source — outside the
     /// envelope the model-checked protocol proofs cover.
     RelaxedOrdering,
@@ -130,7 +124,6 @@ impl Code {
             Code::CacheUnsafe => "PV103",
             Code::MergeUnsafe => "PV104",
             Code::NonContiguous => "PV105",
-            Code::PathBudget => "PV106",
             Code::RelaxedOrdering => "PV201",
             Code::UnsafeOutsideAllowlist => "PV202",
             Code::MissingSafetyComment => "PV203",

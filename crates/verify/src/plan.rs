@@ -30,11 +30,6 @@ use pipeleon_ir::deps::{DependencyAnalysis, RwSets};
 use pipeleon_ir::{MatchKind, NodeId, NodeKind, ProgramGraph};
 use std::fmt;
 
-/// Default step budget for the group-region path walk. Far above any real
-/// program; exists so pathological graphs fail closed ([`Code::PathBudget`])
-/// instead of hanging.
-pub const DEFAULT_PATH_LIMIT: usize = 65_536;
-
 /// The rewrite applied to one segment of a candidate's order. Mirrors
 /// `pipeleon-core`'s `SegmentKind` without depending on it (the core crate
 /// depends on this crate, not the reverse).
@@ -123,23 +118,16 @@ impl Verdict {
 #[derive(Debug, Clone)]
 pub struct PlanVerifier {
     sets: Vec<Option<RwSets>>,
-    path_limit: usize,
 }
 
 impl PlanVerifier {
-    /// Builds a verifier for `g` with the default path budget.
+    /// Builds a verifier for `g`.
     pub fn new(g: &ProgramGraph) -> Self {
-        Self::with_path_limit(g, DEFAULT_PATH_LIMIT)
-    }
-
-    /// Builds a verifier with an explicit step budget for the group-region
-    /// path walk.
-    pub fn with_path_limit(g: &ProgramGraph, path_limit: usize) -> Self {
         let mut sets = vec![None; g.num_nodes()];
         for n in g.iter_nodes() {
             sets[n.id.index()] = Some(RwSets::of_node(n));
         }
-        PlanVerifier { sets, path_limit }
+        PlanVerifier { sets }
     }
 
     fn rw(&self, id: NodeId) -> Option<&RwSets> {
@@ -358,25 +346,14 @@ impl PlanVerifier {
         // Walk every arm: a path is the maximal run of member tables from
         // a branch target; it must end at the same non-member exit
         // everywhere (otherwise a cache hit would skip non-member work).
-        let mut budget = self.path_limit;
+        // An arm stops at its first non-member or repeated member, so it
+        // takes at most `members + 1` steps: the walk needs no budget.
         let mut exits: Vec<Option<NodeId>> = Vec::new();
         let mut covered: Vec<NodeId> = Vec::new();
         for target in bn.next.targets() {
             let mut cur = target;
             let mut seq: Vec<NodeId> = Vec::new();
             loop {
-                if budget == 0 {
-                    v.push(Violation {
-                        code: Code::PathBudget,
-                        message: format!(
-                            "path budget of {} steps exhausted while walking the group \
-                             region; candidate rejected conservatively",
-                            self.path_limit
-                        ),
-                    });
-                    return;
-                }
-                budget -= 1;
                 match cur {
                     Some(id) if members.contains(&id) => {
                         if seq.contains(&id) {
@@ -607,11 +584,6 @@ impl PlanVerifier {
     }
 }
 
-/// One-shot convenience wrapper: build a verifier for `g` and check `spec`.
-pub fn verify_candidate(g: &ProgramGraph, spec: &CandidateSpec) -> Verdict {
-    PlanVerifier::new(g).verify(g, spec)
-}
-
 fn name_of(g: &ProgramGraph, id: NodeId) -> String {
     match g.node(id).map(|n| &n.kind) {
         Some(NodeKind::Table(t)) => format!("table `{}` (node {})", t.name, id.index()),
@@ -624,6 +596,10 @@ fn name_of(g: &ProgramGraph, id: NodeId) -> String {
 mod tests {
     use super::*;
     use pipeleon_ir::{Condition, MatchKind, Primitive, ProgramBuilder};
+
+    fn verify(g: &ProgramGraph, spec: &CandidateSpec) -> Verdict {
+        PlanVerifier::new(g).verify(g, spec)
+    }
 
     /// Chain of three tables: t0 matches a / writes w0, t1 matches b,
     /// t2 matches w0 (so t0 -> t2 has a RAW hazard).
@@ -654,7 +630,7 @@ mod tests {
     #[test]
     fn identity_order_is_legal() {
         let (g, ids) = chain();
-        let verdict = verify_candidate(&g, &spec(ids));
+        let verdict = verify(&g, &spec(ids));
         assert!(verdict.legal, "{}", verdict.render());
         assert!(verdict.violations.is_empty());
     }
@@ -663,7 +639,7 @@ mod tests {
     fn commuting_swap_is_legal() {
         let (g, ids) = chain();
         // t0 and t1 touch disjoint fields.
-        let verdict = verify_candidate(&g, &spec(vec![ids[1], ids[0], ids[2]]));
+        let verdict = verify(&g, &spec(vec![ids[1], ids[0], ids[2]]));
         assert!(verdict.legal, "{}", verdict.render());
     }
 
@@ -671,7 +647,7 @@ mod tests {
     fn raw_hazard_swap_is_rejected() {
         let (g, ids) = chain();
         // t2 matches the field t0 writes; promoting t2 above t0 is unsafe.
-        let verdict = verify_candidate(&g, &spec(vec![ids[2], ids[0], ids[1]]));
+        let verdict = verify(&g, &spec(vec![ids[2], ids[0], ids[1]]));
         assert!(!verdict.legal);
         assert_eq!(verdict.violations[0].code, Code::ReorderHazard);
         assert!(verdict.violations[0].message.contains("w0"));
@@ -682,7 +658,7 @@ mod tests {
         let (g, ids) = chain();
         // Order t2, t1, t0: the t0/t2 inversion is non-adjacent in the
         // original chain but must still be flagged.
-        let verdict = verify_candidate(&g, &spec(vec![ids[2], ids[1], ids[0]]));
+        let verdict = verify(&g, &spec(vec![ids[2], ids[1], ids[0]]));
         assert!(!verdict.legal);
         assert!(verdict
             .violations
@@ -694,7 +670,7 @@ mod tests {
     fn unknown_node_is_plan_shape_error() {
         let (g, mut ids) = chain();
         ids.push(NodeId(99));
-        let verdict = verify_candidate(&g, &spec(ids));
+        let verdict = verify(&g, &spec(ids));
         assert!(!verdict.legal);
         assert_eq!(verdict.violations[0].code, Code::PlanShape);
     }
@@ -702,7 +678,7 @@ mod tests {
     #[test]
     fn duplicate_member_is_plan_shape_error() {
         let (g, ids) = chain();
-        let verdict = verify_candidate(&g, &spec(vec![ids[0], ids[0], ids[1]]));
+        let verdict = verify(&g, &spec(vec![ids[0], ids[0], ids[1]]));
         assert!(!verdict.legal);
         assert!(verdict.violations.iter().any(|v| v.code == Code::PlanShape));
     }
@@ -723,7 +699,7 @@ mod tests {
                 kind: RewriteKind::Cache,
             },
         ];
-        let verdict = verify_candidate(&g, &s);
+        let verdict = verify(&g, &s);
         assert!(!verdict.legal);
         assert_eq!(verdict.violations[0].code, Code::PlanShape);
     }
@@ -737,7 +713,7 @@ mod tests {
             end: 1,
             kind: RewriteKind::Merge { as_cache: false },
         }];
-        let verdict = verify_candidate(&g, &s);
+        let verdict = verify(&g, &s);
         assert!(!verdict.legal);
         assert_eq!(verdict.violations[0].code, Code::PlanShape);
     }
@@ -752,7 +728,7 @@ mod tests {
             end: 3,
             kind: RewriteKind::Cache,
         }];
-        let verdict = verify_candidate(&g, &s);
+        let verdict = verify(&g, &s);
         assert!(!verdict.legal);
         assert_eq!(verdict.violations[0].code, Code::CacheUnsafe);
         assert!(verdict.violations[0].message.contains("w0"));
@@ -763,7 +739,7 @@ mod tests {
             end: 2,
             kind: RewriteKind::Cache,
         }];
-        assert!(verify_candidate(&g, &ok).legal);
+        assert!(verify(&g, &ok).legal);
     }
 
     fn verdict_order(g: &ProgramGraph) -> Vec<NodeId> {
@@ -783,7 +759,7 @@ mod tests {
             end: 3,
             kind: RewriteKind::Merge { as_cache: false },
         }];
-        let verdict = verify_candidate(&g, &s);
+        let verdict = verify(&g, &s);
         assert!(!verdict.legal);
         assert!(verdict
             .violations
@@ -816,8 +792,8 @@ mod tests {
             end: 2,
             kind: RewriteKind::Merge { as_cache: true },
         }];
-        assert!(verify_candidate(&g, &merge).legal);
-        let swap = verify_candidate(&g, &spec(vec![t1, t0]));
+        assert!(verify(&g, &merge).legal);
+        let swap = verify(&g, &spec(vec![t1, t0]));
         assert!(!swap.legal);
         assert_eq!(swap.violations[0].code, Code::ReorderHazard);
     }
@@ -836,12 +812,12 @@ mod tests {
             end: 2,
             kind: RewriteKind::Merge { as_cache: true },
         }];
-        let verdict = verify_candidate(&g, &s);
+        let verdict = verify(&g, &s);
         assert!(!verdict.legal);
         assert!(verdict.violations[0].message.contains("all-exact"));
         // The plain ternary merge of the same pair is fine.
         s.segments[0].kind = RewriteKind::Merge { as_cache: false };
-        assert!(verify_candidate(&g, &s).legal);
+        assert!(verify(&g, &s).legal);
     }
 
     #[test]
@@ -859,7 +835,7 @@ mod tests {
         let br = b.branch("br", Condition::lt(x, 500), Some(l), Some(r));
         let g = b.seal(br).unwrap();
         // l and r sit on different arms: no single chain contains both.
-        let verdict = verify_candidate(&g, &spec(vec![l, r]));
+        let verdict = verify(&g, &spec(vec![l, r]));
         assert!(!verdict.legal);
         assert_eq!(verdict.violations[0].code, Code::NonContiguous);
     }
@@ -888,7 +864,7 @@ mod tests {
             segments: Vec::new(),
             group_branch: Some(br),
         };
-        let verdict = verify_candidate(&g, &s);
+        let verdict = verify(&g, &s);
         assert!(verdict.legal, "{}", verdict.render());
     }
 
@@ -917,7 +893,7 @@ mod tests {
             segments: Vec::new(),
             group_branch: Some(br),
         };
-        let verdict = verify_candidate(&g, &s);
+        let verdict = verify(&g, &s);
         assert!(!verdict.legal);
         assert!(verdict
             .violations
@@ -935,7 +911,7 @@ mod tests {
             segments: Vec::new(),
             group_branch: Some(br),
         };
-        let verdict = verify_candidate(&g, &s);
+        let verdict = verify(&g, &s);
         assert!(!verdict.legal, "{}", verdict.render());
         assert!(verdict
             .violations
@@ -944,25 +920,11 @@ mod tests {
     }
 
     #[test]
-    fn tiny_path_budget_fails_closed() {
-        let (g, br, members) = diamond();
-        let s = CandidateSpec {
-            order: members,
-            segments: Vec::new(),
-            group_branch: Some(br),
-        };
-        let verifier = PlanVerifier::with_path_limit(&g, 1);
-        let verdict = verifier.verify(&g, &s);
-        assert!(!verdict.legal);
-        assert_eq!(verdict.violations[0].code, Code::PathBudget);
-    }
-
-    #[test]
     fn verdicts_are_deterministic() {
         let (g, ids) = chain();
         let bad = spec(vec![ids[2], ids[1], ids[0]]);
-        let v1 = verify_candidate(&g, &bad);
-        let v2 = verify_candidate(&g, &bad);
+        let v1 = verify(&g, &bad);
+        let v2 = verify(&g, &bad);
         assert_eq!(v1, v2);
         let verifier = PlanVerifier::new(&g);
         assert_eq!(verifier.verify(&g, &bad), v1);
@@ -971,11 +933,9 @@ mod tests {
     #[test]
     fn verdict_renders_each_violation() {
         let (g, ids) = chain();
-        let verdict = verify_candidate(&g, &spec(vec![ids[2], ids[0], ids[1]]));
+        let verdict = verify(&g, &spec(vec![ids[2], ids[0], ids[1]]));
         let text = verdict.render();
         assert!(text.contains("error[PV102]"));
-        assert!(verify_candidate(&g, &spec(ids))
-            .render()
-            .contains("no violations"));
+        assert!(verify(&g, &spec(ids)).render().contains("no violations"));
     }
 }

@@ -173,8 +173,9 @@ mod tests {
         };
         let p_all = random_profile(&g, &all, 1);
         let p_none = random_profile(&g, &none, 1);
-        assert!(p_all.total_entry_update_rate() > 0.0);
-        assert_eq!(p_none.total_entry_update_rate(), 0.0);
+        let total = |p: &pipeleon_cost::RuntimeProfile| p.entry_update_rates.values().sum::<f64>();
+        assert!(total(&p_all) > 0.0);
+        assert_eq!(total(&p_none), 0.0);
     }
 
     #[test]

@@ -647,8 +647,6 @@ pub struct SkewedPipeline {
     pub ternary: Vec<NodeId>,
     /// Exact-match flow tables, in order.
     pub exact: Vec<NodeId>,
-    /// The small dense exact table (keys `0..CLASS_ENTRIES`).
-    pub class_table: NodeId,
     /// The final LPM routing table.
     pub routing: NodeId,
     /// Flow fields (keys of the classifier and flow tables).
@@ -727,7 +725,7 @@ impl SkewedPipeline {
         for e in 0..CLASS_ENTRIES {
             ct = ct.entry(TableEntry::new(vec![MatchValue::Exact(e)], 0));
         }
-        let class_table = ct.finish();
+        let classes = ct.finish();
         let routing = b
             .table("routing")
             .key(flow_fields[1], MatchKind::Lpm)
@@ -741,12 +739,11 @@ impl SkewedPipeline {
             ))
             .finish();
         let _ = routing;
-        let root = *ternary.first().or(exact.first()).unwrap_or(&class_table);
+        let root = *ternary.first().or(exact.first()).unwrap_or(&classes);
         Self {
             graph: b.seal(root).expect("valid program"),
             ternary,
             exact,
-            class_table,
             routing,
             flow_fields,
             class_field,

@@ -430,7 +430,9 @@ mod tests {
             ..SynthConfig::default()
         };
         let g = synthesize(&cfg);
-        assert!(g.tables().all(|(_, t)| !t.can_drop()));
+        assert!(g
+            .tables()
+            .all(|(_, t)| !t.actions.iter().any(|a| a.drops())));
     }
 
     #[test]

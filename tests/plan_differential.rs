@@ -18,7 +18,7 @@ use pipeleon_ir::{
 };
 use pipeleon_runtime::{Controller, ControllerConfig, RuntimeError, SimTarget, Target};
 use pipeleon_sim::{Packet, SmartNic};
-use pipeleon_verify::verify_candidate;
+use pipeleon_verify::PlanVerifier;
 
 /// Runs `n_packets` deterministic pseudo-random packets through both
 /// programs and asserts identical observable outcomes.
@@ -283,8 +283,9 @@ fn every_single_rewrite_plan_is_verified_and_differentially_tested() {
         .unwrap();
         let fingerprint = controller.target.fingerprint().unwrap();
         let (mut legal, mut illegal, mut infeasible) = (0usize, 0usize, 0usize);
+        let verifier = PlanVerifier::new(&p.graph);
         for (ci, cand) in single_rewrite_candidates(&p.chain).into_iter().enumerate() {
-            let verdict = verify_candidate(&p.graph, &cand.to_spec());
+            let verdict = verifier.verify(&p.graph, &cand.to_spec());
             let plan = GlobalPlan {
                 choices: vec![cand],
                 total_gain: 1.0,

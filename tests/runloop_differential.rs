@@ -511,6 +511,35 @@ fn process_one_matches_across_worker_counts() {
     }
 }
 
+/// Past the per-table tracking cap (65,536 keys) a distinct-key count
+/// saturates the same way on both datapaths: one tracker stops learning
+/// keys, and the sharded union of two trackers reports the same capped
+/// count rather than the ~70,000 keys the two shards saw between them.
+#[test]
+fn distinct_counts_saturate_alike_past_the_cap() {
+    let mut b = ProgramBuilder::new();
+    let x = b.field("x");
+    let t = b.table("flows").key(x, MatchKind::Exact).finish();
+    let g = b.seal(t).unwrap();
+    let params = CostParams::bluefield2();
+    let batch: Vec<Packet> = (1..=70_000u64)
+        .map(|v| {
+            let mut p = Packet::new(&g.fields);
+            p.set(x, v);
+            p
+        })
+        .collect();
+    let count = |nic: &mut dyn NicBackend| {
+        nic.set_instrumentation(true, 1);
+        nic.measure_batch(batch.clone());
+        nic.take_profile().distinct_keys_of(t)
+    };
+    let single = count(&mut SmartNic::new(g.clone(), params.clone()).unwrap());
+    assert_eq!(single, Some(65_536));
+    let sharded = count(&mut ShardedNic::new(g, params, 2).unwrap());
+    assert_eq!(sharded, single, "2-worker union vs one tracker");
+}
+
 /// Distinct-key counts are exact set sizes, whoever keeps the set: the
 /// interpreter or the compiled walk, one NIC or the cross-shard union of
 /// 1, 2 or 8 workers. Two consecutive windows with an entry op between

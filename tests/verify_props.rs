@@ -10,7 +10,7 @@
 use pipeleon::pipelet::partition;
 use pipeleon_ir::deps::{DependencyAnalysis, RwSets};
 use pipeleon_ir::FieldRef;
-use pipeleon_verify::{lint_program, verify_candidate, CandidateSpec, Verdict};
+use pipeleon_verify::{lint_program, CandidateSpec, PlanVerifier, Verdict};
 use pipeleon_workloads::synth::{synthesize, SynthConfig};
 use proptest::prelude::*;
 
@@ -106,7 +106,7 @@ fn probe_specs(g: &pipeleon_ir::ProgramGraph) -> Vec<CandidateSpec> {
 fn all_verdicts(g: &pipeleon_ir::ProgramGraph) -> Vec<Verdict> {
     probe_specs(g)
         .iter()
-        .map(|s| verify_candidate(g, s))
+        .map(|s| PlanVerifier::new(g).verify(g, s))
         .collect()
 }
 
