@@ -235,7 +235,6 @@ pub fn materialize_partition(
             entries: Vec::new(),
             max_entries: None,
             cache_role: pipeleon_ir::CacheRole::None,
-            entry_bytes: Table::DEFAULT_ENTRY_BYTES,
         };
         let mig_id = out.add_table(mig, Some(nav_id));
         // Rewire the crossing edge through mig -> nav.

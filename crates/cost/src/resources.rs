@@ -37,7 +37,7 @@ impl ResourceModel {
     pub fn table_memory_reserved(&self, table: &Table) -> f64 {
         let m = self.params.memory_accesses(table).max(1.0);
         let entries = table.max_entries.unwrap_or(table.entries.len());
-        entries.max(table.entries.len()) as f64 * table.entry_bytes as f64 * m
+        entries.max(table.entries.len()) as f64 * Table::DEFAULT_ENTRY_BYTES as f64 * m
     }
 
     /// `Σ M(v)` over all tables in the program, in bytes (reserved sizes).

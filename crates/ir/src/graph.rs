@@ -154,7 +154,7 @@ impl EdgeRef {
 /// The IR stores the contract opaquely — the net crate owns the
 /// vocabulary of wire names, their bit widths, and validation; the IR
 /// only guarantees that `field` is interned in the program's field space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct WireBinding {
     /// Frame header field name (codec vocabulary, e.g. `"ipv4.dst"`).
     pub wire: String,

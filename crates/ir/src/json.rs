@@ -15,10 +15,11 @@ use crate::table::{
 };
 use crate::types::{IrError, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// Top-level JSON document.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 pub struct JsonProgram {
     /// Program name.
     pub name: String,
@@ -39,7 +40,7 @@ pub struct JsonProgram {
 }
 
 /// A table in the JSON schema.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 pub struct JsonTable {
     /// Table name (must be unique across tables and conditionals).
     pub name: String,
@@ -64,7 +65,7 @@ pub struct JsonTable {
 }
 
 /// One key component.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 pub struct JsonKey {
     /// Field name (must appear in `fields`).
     pub field: String,
@@ -73,7 +74,7 @@ pub struct JsonKey {
 }
 
 /// One action.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 pub struct JsonAction {
     /// Action name (unique within the table).
     pub name: String,
@@ -82,7 +83,7 @@ pub struct JsonAction {
 }
 
 /// One primitive operation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 #[serde(tag = "op", rename_all = "snake_case")]
 #[allow(missing_docs)] // field names mirror the JSON schema directly
 pub enum JsonPrimitive {
@@ -103,7 +104,7 @@ pub enum JsonPrimitive {
 }
 
 /// One table entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 pub struct JsonEntry {
     /// Per-key match values.
     pub matches: Vec<JsonMatchValue>,
@@ -115,7 +116,7 @@ pub struct JsonEntry {
 }
 
 /// One match value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 #[allow(missing_docs)] // field names mirror the JSON schema directly
 pub enum JsonMatchValue {
@@ -130,7 +131,7 @@ pub enum JsonMatchValue {
 }
 
 /// A conditional in the JSON schema.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 pub struct JsonConditional {
     /// Branch name (shares the namespace with tables).
     pub name: String,
@@ -143,7 +144,7 @@ pub struct JsonConditional {
 }
 
 /// Condition expression tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 #[serde(tag = "type", rename_all = "snake_case")]
 #[allow(missing_docs)] // field names mirror the JSON schema directly
 pub enum JsonCondition {
@@ -244,17 +245,18 @@ fn role_from_str(s: Option<&str>) -> Result<CacheRole, IrError> {
 pub fn to_json(g: &ProgramGraph) -> Result<JsonProgram, IrError> {
     g.validate()?;
     let reach = g.reachable();
-    let mut names: HashMap<NodeId, String> = HashMap::new();
+    let mut seen: HashSet<&str> = HashSet::new();
     for n in g.iter_nodes().filter(|n| reach[n.id.index()]) {
-        if names.values().any(|v| v == n.name()) {
+        if !seen.insert(n.name()) {
             return Err(IrError::Json(format!(
                 "duplicate node name {:?}; JSON export requires unique names",
                 n.name()
             )));
         }
-        names.insert(n.id, n.name().to_owned());
     }
-    let name_of = |id: Option<NodeId>| -> Option<String> { id.map(|i| names[&i].clone()) };
+    // `validate` checked that every edge target is a live node.
+    let name = |id: NodeId| -> String { g.node(id).expect("validated").name().to_owned() };
+    let name_of = |id: Option<NodeId>| -> Option<String> { id.map(name) };
 
     let mut tables = Vec::new();
     let mut conditionals = Vec::new();
@@ -319,7 +321,7 @@ pub fn to_json(g: &ProgramGraph) -> Result<JsonProgram, IrError> {
     Ok(JsonProgram {
         name: g.name.clone(),
         fields: g.fields.iter().map(|(_, n)| n.to_owned()).collect(),
-        init_node: names[&root].clone(),
+        init_node: name(root),
         tables,
         conditionals,
         wire: g.wire.clone(),
@@ -615,6 +617,78 @@ fn condition_from_json(g: &ProgramGraph, c: &JsonCondition) -> Result<Condition,
 pub fn to_json_string(g: &ProgramGraph) -> Result<String, IrError> {
     let doc = to_json(g)?;
     serde_json::to_string_pretty(&doc).map_err(|e| IrError::Json(e.to_string()))
+}
+
+/// A 64-bit fingerprint of the program's canonical document: the
+/// [`to_json`] document hashed in place, with no JSON text built.
+/// Programs whose [`to_json_string`] texts are equal have equal
+/// fingerprints, and the fingerprint fails exactly where [`to_json`]
+/// does.
+///
+/// The hasher is fixed (`Fingerprinter`, below); what it is fed is the
+/// derived [`Hash`] of the document types, so a fingerprint is stable
+/// within one build but not promised across Rust releases (std's `Hash`
+/// for `str` is std's to change).
+pub fn fingerprint(g: &ProgramGraph) -> Result<u64, IrError> {
+    let mut h = Fingerprinter(0xcbf2_9ce4_8422_2325);
+    to_json(g)?.hash(&mut h);
+    Ok(h.finish())
+}
+
+/// The fixed hasher behind [`fingerprint`]: one Fx-style step
+/// `h = (h.rotl(5) ^ w) * K` per 64-bit word. Every integer is one
+/// word, its value as a `u64` (a signed one cast to its unsigned type
+/// first); a byte string is its length, then its bytes eight at a time
+/// as little-endian words, the last one zero-padded.
+/// Each step is a bijection of `h` for a fixed word and of the word for
+/// a fixed `h`, so two equally long inputs that differ in one word never
+/// collide.
+struct Fingerprinter(u64);
+
+impl Fingerprinter {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for Fingerprinter {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.word(n.into());
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.word(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.word(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
 }
 
 /// Parses a program from a JSON string.

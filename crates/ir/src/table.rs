@@ -266,13 +266,11 @@ pub struct Table {
     pub max_entries: Option<usize>,
     /// Synthetic-table role (caches); `CacheRole::None` for program tables.
     pub cache_role: CacheRole,
-    /// Bytes of memory one entry occupies, used by the resource model
-    /// `M(v)`; defaults to [`Table::DEFAULT_ENTRY_BYTES`].
-    pub entry_bytes: usize,
 }
 
 impl Table {
-    /// Default per-entry memory footprint in bytes (key + action data).
+    /// Per-entry memory footprint in bytes (key + action data), used by
+    /// the resource model `M(v)`.
     pub const DEFAULT_ENTRY_BYTES: usize = 32;
 
     /// Creates an empty table with the given name and a single no-op
@@ -286,7 +284,6 @@ impl Table {
             entries: Vec::new(),
             max_entries: None,
             cache_role: CacheRole::None,
-            entry_bytes: Self::DEFAULT_ENTRY_BYTES,
         }
     }
 
@@ -348,7 +345,7 @@ impl Table {
     /// Estimated memory footprint in bytes: entries × entry size × `m`
     /// (LPM/ternary tables are stored once per hash table; paper §4).
     pub fn memory_bytes(&self) -> usize {
-        self.entries.len() * self.entry_bytes * self.memory_accesses().max(1)
+        self.entries.len() * Self::DEFAULT_ENTRY_BYTES * self.memory_accesses().max(1)
     }
 
     /// Validates entry arity, action indices, and match-value/kind

@@ -24,7 +24,7 @@ use pipeleon::config::ResourceLimits;
 use pipeleon::opts::{merge, EvalCtx};
 use pipeleon::search::{IncrementalState, Optimizer};
 use pipeleon_cost::RuntimeProfile;
-use pipeleon_ir::json::to_json_string;
+use pipeleon_ir::json::fingerprint;
 use pipeleon_ir::{NextHops, NodeId, ProgramGraph, TableEntry};
 use pipeleon_obs::{EventJournal, EventKind, MetricsRegistry};
 use pipeleon_sim::{ControlOp, SpecStats};
@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use crate::change::profile_distance;
 use crate::error::RuntimeError;
-use crate::target::{fingerprint_bytes, Target};
+use crate::target::Target;
 
 /// What a deployment sets about the controller: the target's resource
 /// budget and whether the datapath is specialized.
@@ -148,11 +148,11 @@ pub struct TickReport {
 #[derive(Debug, Clone)]
 struct DeployedState {
     graph: ProgramGraph,
-    /// The canonical JSON of `graph`, or `None` while entry operations
-    /// have changed `graph` since it was last serialized: serializing
-    /// the program costs far more than the entry operation itself, so it
-    /// waits for a reader ([`Controller::last_good_json`]).
-    json: Option<String>,
+    /// The [`fingerprint`] of `graph`, or `None` while entry operations
+    /// have changed `graph` since it was last hashed: hashing the
+    /// program costs far more than the entry operation itself, so it
+    /// waits for a reader ([`Controller::last_good_fingerprint`]).
+    fingerprint: Option<u64>,
 }
 
 /// Per merged action, the `(component table, action)` pairs its
@@ -221,7 +221,7 @@ impl<T: Target> Controller<T> {
         cfg: ControllerConfig,
     ) -> Result<Self, RuntimeError> {
         original.validate().map_err(RuntimeError::Ir)?;
-        let json = to_json_string(&original)?;
+        let fp = fingerprint(&original)?;
         let journal = EventJournal::new(JOURNAL_CAPACITY);
         let mut metrics = MetricsRegistry::new();
         register_help(&mut metrics);
@@ -233,7 +233,7 @@ impl<T: Target> Controller<T> {
             applied: None,
             last_good: DeployedState {
                 graph: original,
-                json: Some(json.clone()),
+                fingerprint: Some(fp),
             },
             last_profile: None,
             update_counts: HashMap::new(),
@@ -248,7 +248,8 @@ impl<T: Target> Controller<T> {
             last_spec_gen: 0,
             last_spec_stats: SpecStats::default(),
         };
-        this.deploy_transaction(this.last_good.graph.clone(), &json)?;
+        let graph = this.last_good.graph.clone();
+        this.deploy_transaction(&graph, fp)?;
         Ok(this)
     }
 
@@ -303,34 +304,39 @@ impl<T: Target> Controller<T> {
         &self.last_good.graph
     }
 
-    /// The canonical JSON of the last-known-good layout, serialized now
-    /// if entry operations changed the layout since it last was. A layout
-    /// that does not serialize can be neither compared nor redeployed:
-    /// that sets `pin_pending` (the next tick re-pins the original
-    /// program) and returns `None`.
-    fn last_good_json(&mut self) -> Option<&str> {
-        if self.last_good.json.is_none() {
-            match to_json_string(&self.last_good.graph) {
-                Ok(j) => self.last_good.json = Some(j),
+    /// The [`fingerprint`] of the last-known-good layout, hashed now if
+    /// entry operations changed the layout since it last was. A layout
+    /// that does not export can be neither compared nor redeployed: that
+    /// sets `pin_pending` (the next tick re-pins the original program)
+    /// and returns `None`.
+    fn last_good_fingerprint(&mut self) -> Option<u64> {
+        if self.last_good.fingerprint.is_none() {
+            match fingerprint(&self.last_good.graph) {
+                Ok(fp) => self.last_good.fingerprint = Some(fp),
                 Err(_) => self.health.pin_pending = true,
             }
         }
-        self.last_good.json.as_deref()
+        self.last_good.fingerprint
     }
 
     /// One deploy transaction: validate → apply (bounded retry with
     /// exponential backoff) → verify via the target's readback
-    /// fingerprint. The target's *reported* outcome is cross-checked
-    /// against the readback in both directions, so torn deploys — applied
-    /// but reported failed, or acked but never applied — are detected.
-    fn deploy_transaction(&mut self, graph: ProgramGraph, json: &str) -> Result<(), RuntimeError> {
+    /// fingerprint, which must equal `expected`, the [`fingerprint`] of
+    /// `graph`. The target's *reported* outcome is cross-checked against
+    /// the readback in both directions, so torn deploys — applied but
+    /// reported failed, or acked but never applied — are detected. Each
+    /// attempt hands the target its own copy of `graph`.
+    fn deploy_transaction(
+        &mut self,
+        graph: &ProgramGraph,
+        expected: u64,
+    ) -> Result<(), RuntimeError> {
         graph
             .validate()
             .map_err(|e| RuntimeError::InvalidCandidate {
                 source: Some(e),
                 violations: Vec::new(),
             })?;
-        let expected = fingerprint_bytes(json.as_bytes());
         let mut attempts = 0u32;
         let mut last: Option<RuntimeError> = None;
         while attempts <= MAX_DEPLOY_RETRIES {
@@ -402,12 +408,12 @@ impl<T: Target> Controller<T> {
     /// Deploys the original program and makes it the deployed state.
     fn pin_original(&mut self) -> Result<(), RuntimeError> {
         let g = self.original.clone();
-        let json = to_json_string(&g)?;
-        self.deploy_transaction(g.clone(), &json)?;
+        let fp = fingerprint(&g)?;
+        self.deploy_transaction(&g, fp)?;
         self.applied = None;
         self.last_good = DeployedState {
             graph: g,
-            json: Some(json),
+            fingerprint: Some(fp),
         };
         self.health.pin_pending = false;
         self.reconfig_count += 1;
@@ -425,9 +431,9 @@ impl<T: Target> Controller<T> {
     /// candidate deploy (falling back to the original program, and to
     /// `pin_pending` when even that fails).
     fn recover_deployed_state(&mut self) {
-        let json = self.last_good_json().map(str::to_owned);
+        let fp = self.last_good_fingerprint();
         let graph = self.last_good.graph.clone();
-        if json.is_some_and(|j| self.deploy_transaction(graph, &j).is_ok()) {
+        if fp.is_some_and(|fp| self.deploy_transaction(&graph, fp).is_ok()) {
             self.health.pin_pending = false;
             self.note_rollback("last-good");
         } else {
@@ -461,9 +467,9 @@ impl<T: Target> Controller<T> {
     fn deploy_candidate_or_recover(
         &mut self,
         applied: AppliedPlan,
-        json: String,
+        fp: u64,
     ) -> Result<(), RuntimeError> {
-        if let Err(e) = self.deploy_transaction(applied.graph.clone(), &json) {
+        if let Err(e) = self.deploy_transaction(&applied.graph, fp) {
             self.journal.push(
                 self.clock_s,
                 EventKind::DeployFailed {
@@ -481,7 +487,7 @@ impl<T: Target> Controller<T> {
         self.health.consecutive_deploy_failures = 0;
         self.last_good = DeployedState {
             graph: applied.graph.clone(),
-            json: Some(json),
+            fingerprint: Some(fp),
         };
         self.applied = Some(applied);
         self.reconfig_count += 1;
@@ -705,10 +711,10 @@ impl<T: Target> Controller<T> {
             report.est_gain_ns = outcome.est_gain_ns;
             report.search_time = outcome.search_time;
             report.segment_evals = outcome.segment_evals;
-            let candidate_json = to_json_string(&outcome.applied.graph)?;
+            let candidate = fingerprint(&outcome.applied.graph)?;
             let worth_it = outcome.est_gain_ns >= MIN_GAIN_NS
                 || (outcome.plan.is_empty() && self.applied.is_some());
-            if worth_it && self.last_good_json() != Some(candidate_json.as_str()) {
+            if worth_it && self.last_good_fingerprint() != Some(candidate) {
                 // Safety gate: refuse to deploy any plan the verifier
                 // cannot prove legal. The search already filters illegal
                 // candidates, so this rejecting is an invariant breach —
@@ -729,7 +735,7 @@ impl<T: Target> Controller<T> {
                 }
                 let summary = outcome.applied.summary.clone();
                 if self
-                    .deploy_candidate_or_recover(outcome.applied, candidate_json)
+                    .deploy_candidate_or_recover(outcome.applied, candidate)
                     .is_ok()
                 {
                     report.deployed = true;
@@ -859,11 +865,11 @@ impl<T: Target> Controller<T> {
             source: Some(e),
             violations: Vec::new(),
         })?;
-        let json = to_json_string(&applied.graph)?;
-        if self.last_good_json() == Some(json.as_str()) {
+        let fp = fingerprint(&applied.graph)?;
+        if self.last_good_fingerprint() == Some(fp) {
             return Ok(()); // already running this layout
         }
-        self.deploy_candidate_or_recover(applied, json)
+        self.deploy_candidate_or_recover(applied, fp)
     }
 
     /// Inserts an entry into original-program table `table`, routing the
@@ -987,7 +993,7 @@ impl<T: Target> Controller<T> {
                 self.health.pin_pending = true;
             }
         }
-        self.last_good.json = None;
+        self.last_good.fingerprint = None;
         Ok(())
     }
 
@@ -1560,26 +1566,25 @@ mod tests {
     }
 
     #[test]
-    fn entry_ops_leave_serializing_the_mirror_to_its_next_reader() {
+    fn entry_ops_leave_fingerprinting_the_mirror_to_its_next_reader() {
         let p = AclPipeline::build(3, 3);
         let mut c = faulty_controller_for(&p, ControllerConfig::default(), FaultConfig::none(1));
-        assert!(c.last_good.json.is_some());
-        // Entry operations update the mirror and never serialize it.
+        assert!(c.last_good.fingerprint.is_some());
+        // Entry operations update the mirror and never hash it.
         for k in 0..6u64 {
             let entry = pipeleon_ir::TableEntry::new(vec![MatchValue::Exact(1 << 20 | k)], 1);
             c.insert_entry(p.acls[(k % 2) as usize], entry).unwrap();
-            assert!(c.last_good.json.is_none());
+            assert!(c.last_good.fingerprint.is_none());
         }
         c.remove_entry(p.acls[0], 1).unwrap();
-        assert!(c.last_good.json.is_none());
-        // What serializing after every operation would have left behind:
-        // the bytes of the layout the target now runs.
-        let eager = to_json_string(&c.last_good.graph).unwrap();
-        let on_target = fingerprint_bytes(eager.as_bytes());
-        assert_eq!(c.target.fingerprint().unwrap(), on_target);
-        // A searching tick reads the mirror (one serialization, for the
-        // compare); its candidate deploy fails on every attempt, and the
-        // rollback redeploys those same bytes.
+        assert!(c.last_good.fingerprint.is_none());
+        // What hashing after every operation would have left behind: the
+        // fingerprint of the layout the target now runs.
+        let eager = fingerprint(&c.last_good.graph).unwrap();
+        assert_eq!(c.target.fingerprint().unwrap(), eager);
+        // A searching tick reads the mirror (one hash, for the compare);
+        // its candidate deploy fails on every attempt, and the rollback
+        // redeploys that same layout.
         heavy_window(&mut c, &p, 2);
         c.target
             .inject_next(InjectedFault::DeployReject, 1 + MAX_DEPLOY_RETRIES);
@@ -1587,19 +1592,16 @@ mod tests {
         assert!(r.reoptimized && !r.deployed, "{r:?}");
         assert_eq!(r.health.rollbacks, 1);
         assert!(!r.health.pin_pending);
-        assert_eq!(c.last_good.json.as_deref(), Some(eager.as_str()));
-        assert_eq!(c.target.fingerprint().unwrap(), on_target);
+        assert_eq!(c.last_good.fingerprint, Some(eager));
+        assert_eq!(c.target.fingerprint().unwrap(), eager);
         // The next tick deploys its candidate and keeps that candidate's
-        // bytes.
+        // fingerprint.
         heavy_window(&mut c, &p, 3);
         let r2 = c.tick().unwrap();
         assert!(r2.deployed, "{r2:?}");
-        let deployed = to_json_string(&c.last_good.graph).unwrap();
-        assert_eq!(c.last_good.json.as_deref(), Some(deployed.as_str()));
-        assert_eq!(
-            c.target.fingerprint().unwrap(),
-            fingerprint_bytes(deployed.as_bytes())
-        );
+        let deployed = fingerprint(&c.last_good.graph).unwrap();
+        assert_eq!(c.last_good.fingerprint, Some(deployed));
+        assert_eq!(c.target.fingerprint().unwrap(), deployed);
     }
 
     #[test]

@@ -40,4 +40,4 @@ pub use change::profile_distance;
 pub use controller::{Controller, ControllerConfig, HealthReport, TickReport};
 pub use error::RuntimeError;
 pub use faults::{FaultConfig, FaultyTarget, InjectedFault, OpRecord};
-pub use target::{fingerprint_bytes, graph_fingerprint, SimTarget, Target};
+pub use target::{graph_fingerprint, SimTarget, Target};

@@ -45,27 +45,12 @@ pub trait Target {
     }
 }
 
-/// FNV-1a over a byte string; the shared fingerprint primitive so the
-/// controller and targets agree on hashes without a `Hash` impl on
-/// [`ProgramGraph`] (and without relying on `DefaultHasher`'s unstable
-/// algorithm).
-pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// Fingerprint of a program graph via its canonical JSON form. Graphs
-/// that fail to serialize (should not happen for validated graphs) get a
-/// sentinel that never matches a real hash comparison.
+/// Fingerprint of a program graph: [`pipeleon_ir::json::fingerprint`],
+/// the hash of its canonical JSON document. Graphs that fail to export
+/// (should not happen for validated graphs) get the sentinel
+/// `u64::MAX`.
 pub fn graph_fingerprint(g: &ProgramGraph) -> u64 {
-    match pipeleon_ir::json::to_json_string(g) {
-        Ok(s) => fingerprint_bytes(s.as_bytes()),
-        Err(_) => u64::MAX,
-    }
+    pipeleon_ir::json::fingerprint(g).unwrap_or(u64::MAX)
 }
 
 /// [`Target`] wrapper for the software emulator, with configurable

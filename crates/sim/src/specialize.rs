@@ -271,9 +271,8 @@ pub(crate) fn build_plan(
     plan
 }
 
-/// FNV-1a over the plan contents. Local (the sim crate cannot depend on
-/// the runtime crate's fingerprint helper), deterministic, and never 0
-/// for a non-empty plan.
+/// FNV-1a over the plan contents: deterministic, and never 0 for a
+/// non-empty plan.
 fn fingerprint(plan: &SpecPlan) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {

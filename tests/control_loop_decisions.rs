@@ -15,8 +15,11 @@
 //! The fixture was re-captured when the capped depth-first segmentation
 //! walk gave way to the exact suffix DP (PR 26): every searching tick's
 //! estimated gain rose and plans now cover the ACLs at the front of the
-//! pipelet. When a change is *meant* to alter decisions, the
-//! failing run leaves the new sequence in
+//! pipelet. Its `target=` column was re-captured, alone, when the
+//! readback fingerprint became a hash of the canonical JSON document
+//! instead of FNV-1a over its text: one value per program either way
+//! (24 distinct programs map one-to-one). When a change is *meant* to
+//! alter decisions, the failing run leaves the new sequence in
 //! `$CARGO_TARGET_TMPDIR/control_loop_decisions.actual.txt`; review the
 //! diff and copy it over `tests/fixtures/control_loop_decisions.txt`.
 
