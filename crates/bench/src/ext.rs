@@ -6,7 +6,7 @@ use pipeleon::hierarchical::assign_tiers;
 use pipeleon::{IncrementalState, Optimizer, ResourceLimits};
 use pipeleon_cost::{CostModel, CostParams};
 use pipeleon_ir::EdgeRef;
-use pipeleon_sim::{ControlOp, SmartNic};
+use pipeleon_sim::{ControlOp, NicBackend, SmartNic};
 use pipeleon_workloads::profiles::{random_profile, ProfileSynthConfig};
 use pipeleon_workloads::scenarios::DashRouting;
 use pipeleon_workloads::synth::{synthesize, SynthConfig};

@@ -31,7 +31,7 @@ fn measure(g: &ProgramGraph, params: &CostParams, specific_hit_fraction: f64) ->
             p
         })
         .collect();
-    nic.mean_latency(packets)
+    nic.measure(packets).mean_latency_ns
 }
 
 /// The §3.1 methodology end to end: benchmark programs on the target, fit

@@ -5,7 +5,7 @@ use pipeleon::plan::SegmentKind;
 use pipeleon::{Optimizer, OptimizerConfig};
 use pipeleon_cost::{CostModel, CostParams};
 use pipeleon_ir::{CacheRole, MatchValue, TableEntry};
-use pipeleon_sim::{ControlOp, SmartNic};
+use pipeleon_sim::{ControlOp, NicBackend, SmartNic};
 use pipeleon_workloads::scenarios::{DashRouting, LoadBalancer, NfComposition};
 
 /// (a) Service load balancer on the BlueField2 model. The baseline caches

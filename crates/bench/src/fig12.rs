@@ -4,7 +4,7 @@
 use crate::{cells, micro_packets, micro_pipeline, Table};
 use pipeleon_cost::CostParams;
 use pipeleon_ir::{MatchKind, ProgramGraph};
-use pipeleon_sim::{BatchStats, SmartNic};
+use pipeleon_sim::{BatchStats, NicBackend, SmartNic};
 
 /// Packets per run of [`sampled_overhead`].
 pub const SAMPLED_PACKETS: usize = 30_000;

@@ -10,7 +10,7 @@ use crate::{cells, Table};
 use pipeleon::hetero::partition_placement;
 use pipeleon_cost::{CostModel, CostParams, Placement, RuntimeProfile};
 use pipeleon_ir::{Condition, MatchKind, NodeId, Primitive, ProgramBuilder, ProgramGraph};
-use pipeleon_sim::{ControlOp, Packet, SmartNic};
+use pipeleon_sim::{ControlOp, NicBackend, Packet, SmartNic};
 use std::collections::HashSet;
 
 /// The chain asic0 cpu0 asic1 cpu1 asic2 cpu2 on field `x`, and the

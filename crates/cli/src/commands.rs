@@ -864,7 +864,7 @@ fn calibrate(args: &Args) -> Result<(), String> {
                 p
             })
             .collect();
-        nic.mean_latency(packets)
+        nic.measure(packets).mean_latency_ns
     });
     println!("calibrated against target {:?}:", params.name);
     println!("  programs measured: {}", report.programs_measured);
@@ -1420,6 +1420,41 @@ mod tests {
         assert!(err.contains("PV001"), "{err}");
         let err = run(&v(&["optimize", p])).unwrap_err();
         assert!(err.contains("PV001"), "{err}");
+    }
+
+    /// A `--profile` document with counts at `u64::MAX` plans without
+    /// overflowing; one naming an action the table does not have is
+    /// refused, by record, before anything plans from it.
+    #[test]
+    fn hostile_profile_documents_are_planned_or_refused_never_a_panic() {
+        let dir = std::env::temp_dir().join(format!("pipeleon_cli_test14_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let prog = examples_dir().join("acl_chain.json");
+        let prog = prog.to_str().unwrap();
+        let doc = |name: &str, counts: &str| {
+            let path = dir.join(name);
+            let text =
+                format!(r#"{{"total_packets":1000,"window_s":1.0,"action_counts":[{counts}]}}"#);
+            std::fs::write(&path, text).unwrap();
+            path.to_str().unwrap().to_owned()
+        };
+        let huge = doc(
+            "huge.json",
+            r#"{"node":"acl_dst","action":1,"count":18446744073709551615},
+               {"node":"acl_dst","action":0,"count":5},
+               {"node":"acl_src","action":1,"count":18446744073709551615},
+               {"node":"acl_src","action":1,"count":7}"#,
+        );
+        let absent = doc("absent.json", r#"{"node":"acl_src","action":99,"count":5}"#);
+        for command in ["optimize", "inspect"] {
+            run_expect(&[command, prog, "--profile", &huge]);
+            let err = run(&v(&[command, prog, "--profile", &absent])).unwrap_err();
+            assert!(
+                err.contains("acl_src") && err.contains("99"),
+                "{command}: {err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

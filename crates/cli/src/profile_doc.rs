@@ -76,29 +76,53 @@ pub struct NodeCount {
 }
 
 /// Converts a document into a [`RuntimeProfile`] against `g`, resolving
-/// names to node ids. Unknown names are reported.
+/// names to node ids. A record the program cannot have produced is
+/// refused, naming it: an unknown node, an action count on a node that
+/// is no table or for an action the table does not have, an edge count
+/// that is not slot 0 or 1 of a branch. Repeated records add up,
+/// saturating at `u64::MAX`.
 pub fn to_profile(doc: &ProfileDoc, g: &ProgramGraph) -> Result<RuntimeProfile, String> {
     let ids: HashMap<&str, pipeleon_ir::NodeId> =
         g.iter_nodes().map(|n| (n.name(), n.id)).collect();
     let resolve = |name: &str| {
-        ids.get(name)
+        let id = ids
+            .get(name)
             .copied()
-            .ok_or_else(|| format!("profile references unknown node {name:?}"))
+            .ok_or_else(|| format!("profile references unknown node {name:?}"))?;
+        Ok::<_, String>((id, g.node(id).expect("named by the graph")))
     };
     let mut p = RuntimeProfile::empty();
     p.total_packets = doc.total_packets;
     p.window_s = doc.window_s.max(1e-9);
     for r in &doc.action_counts {
-        p.record_action(resolve(&r.node)?, r.action, r.count);
+        let (id, node) = resolve(&r.node)?;
+        let actions = node.as_table().map_or(0, |t| t.actions.len());
+        if r.action >= actions {
+            return Err(format!(
+                "action count {{node: {:?}, action: {}}}: {:?} has {actions} table actions",
+                r.node, r.action, r.node
+            ));
+        }
+        let room = u64::MAX - p.action_count(id, r.action);
+        p.record_action(id, r.action, r.count.min(room));
     }
     for r in &doc.edge_counts {
-        p.record_edge(EdgeRef::new(resolve(&r.node)?, r.slot), r.count);
+        let (id, node) = resolve(&r.node)?;
+        if node.as_branch().is_none() || r.slot > 1 {
+            return Err(format!(
+                "edge count {{node: {:?}, slot: {}}}: not slot 0 or 1 of a branch",
+                r.node, r.slot
+            ));
+        }
+        let edge = EdgeRef::new(id, r.slot);
+        let room = u64::MAX - p.edge_count(edge);
+        p.record_edge(edge, r.count.min(room));
     }
     for r in &doc.update_rates {
-        p.set_entry_update_rate(resolve(&r.node)?, r.rate);
+        p.set_entry_update_rate(resolve(&r.node)?.0, r.rate);
     }
     for r in &doc.distinct_keys {
-        p.set_distinct_keys(resolve(&r.node)?, r.count);
+        p.set_distinct_keys(resolve(&r.node)?.0, r.count);
     }
     Ok(p)
 }
@@ -186,6 +210,57 @@ mod tests {
         let doc2: ProfileDoc = serde_json::from_str(&text).unwrap();
         let p3 = to_profile(&doc2, &g).unwrap();
         assert_eq!(p, p3);
+    }
+
+    /// A record the program cannot have produced is refused by name;
+    /// repeated records add up, saturating.
+    #[test]
+    fn impossible_records_are_refused_and_repeats_saturate() {
+        use pipeleon_ir::Condition;
+        let mut b = ProgramBuilder::new();
+        let f = b.field("x");
+        let acl = b
+            .table("acl")
+            .key(f, MatchKind::Exact)
+            .action_nop("permit")
+            .action_drop("deny")
+            .finish();
+        b.set_next(acl, None);
+        let br = b.branch("br", Condition::eq(f, 1), Some(acl), None);
+        let g = b.seal(br).unwrap();
+        let action = |node: &str, action, count| ActionCount {
+            node: node.into(),
+            action,
+            count,
+        };
+        let edge = |node: &str, slot, count| EdgeCount {
+            node: node.into(),
+            slot,
+            count,
+        };
+        let refused = [
+            (vec![action("acl", 2, 1)], vec![], "acl"),
+            (vec![action("br", 0, 1)], vec![], "br"),
+            (vec![], vec![edge("acl", 0, 1)], "acl"),
+            (vec![], vec![edge("br", 2, 1)], "slot: 2"),
+        ];
+        for (action_counts, edge_counts, named) in refused {
+            let doc = ProfileDoc {
+                action_counts,
+                edge_counts,
+                ..ProfileDoc::default()
+            };
+            let err = to_profile(&doc, &g).unwrap_err();
+            assert!(err.contains(named), "{doc:?}: {err}");
+        }
+        let doc = ProfileDoc {
+            action_counts: vec![action("acl", 1, u64::MAX), action("acl", 1, 7)],
+            edge_counts: vec![edge("br", 0, u64::MAX), edge("br", 0, 7)],
+            ..ProfileDoc::default()
+        };
+        let p = to_profile(&doc, &g).unwrap();
+        assert_eq!(p.action_count(acl, 1), u64::MAX);
+        assert_eq!(p.edge_count(EdgeRef::new(br, 0)), u64::MAX);
     }
 
     #[test]

@@ -401,7 +401,7 @@ mod tests {
         // The materialized program remains semantically identical: run a
         // packet through both and compare all original fields.
         use pipeleon_cost::CostParams;
-        use pipeleon_sim::{ControlOp, Packet, SmartNic};
+        use pipeleon_sim::{ControlOp, NicBackend, Packet, SmartNic};
         let params = CostParams::emulated_nic();
         let mut a = SmartNic::new(g.clone(), params.clone()).unwrap();
         let mut b = SmartNic::new(mat.clone(), params).unwrap();

@@ -170,7 +170,7 @@ impl RuntimeProfile {
         let counts: Vec<u64> = (0..t.actions.len())
             .map(|i| self.action_count(node, i))
             .collect();
-        let total: u64 = counts.iter().sum();
+        let total = counts.iter().fold(0u64, |sum, &c| sum.saturating_add(c));
         if total == 0 {
             let u = 1.0 / t.actions.len().max(1) as f64;
             return vec![u; t.actions.len()];
@@ -228,10 +228,11 @@ impl RuntimeProfile {
             (NodeKind::Branch(_), NextHops::Branch { .. }) => {
                 let t = self.edge_count(EdgeRef::new(node, 0));
                 let f = self.edge_count(EdgeRef::new(node, 1));
-                if t + f == 0 {
+                let total = t.saturating_add(f);
+                if total == 0 {
                     vec![0.5, 0.5]
                 } else {
-                    let total = (t + f) as f64;
+                    let total = total as f64;
                     vec![t as f64 / total, f as f64 / total]
                 }
             }
@@ -397,6 +398,20 @@ mod tests {
         assert!((probs[0] - 0.7).abs() < 1e-12);
         assert!((probs[1] - 0.3).abs() < 1e-12);
         assert!((p.drop_rate(&g, ids[0]) - 0.3).abs() < 1e-12);
+    }
+
+    /// Counts near `u64::MAX` (a hostile profile document) normalize
+    /// against a saturated total instead of overflowing it.
+    #[test]
+    fn probabilities_saturate_their_totals() {
+        let (g, _, ids) = program_with_profile();
+        let mut p = RuntimeProfile::empty();
+        p.record_action(ids[0], 1, u64::MAX);
+        p.record_action(ids[0], 0, 5);
+        p.record_edge(EdgeRef::new(ids[1], 0), u64::MAX);
+        p.record_edge(EdgeRef::new(ids[1], 1), 5);
+        assert_eq!(p.action_probs(&g, ids[0]), [5.0 / u64::MAX as f64, 1.0]);
+        assert_eq!(p.slot_probs(&g, ids[1]), [1.0, 5.0 / u64::MAX as f64]);
     }
 
     #[test]

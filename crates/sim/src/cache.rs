@@ -14,12 +14,12 @@ use std::hash::{BuildHasher, Hash};
 /// `get` refreshes recency; `insert` evicts the least-recently-used entry
 /// when at capacity. All operations are O(1) expected.
 ///
-/// The hasher is pluggable (`S`, default SipHash): the compiled datapath
-/// keys flow caches by [`crate::SmallKey`] under
-/// [`fxhash::FxBuildHasher`], and looks them up by borrowed `&[u64]`
-/// scratch slices — no key allocation or clone per lookup.
+/// The hasher is pluggable (`S`, default SipHash): the datapath keys flow
+/// caches by `SmallKey` under `FxBuildHasher`, and looks them up by
+/// borrowed `&[u64]` scratch slices — no key allocation or clone per
+/// lookup.
 #[derive(Debug, Clone)]
-pub struct LruCache<K, V, S: BuildHasher = RandomState> {
+pub(crate) struct LruCache<K, V, S: BuildHasher = RandomState> {
     capacity: usize,
     map: HashMap<K, usize, S>,
     slots: Vec<Slot<K, V>>,
@@ -35,17 +35,9 @@ struct Slot<K, V> {
     next: Option<usize>,
 }
 
-impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries (min 1).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_default_hasher(capacity)
-    }
-}
-
 impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> LruCache<K, V, S> {
-    /// Like [`LruCache::new`], but with an explicit hasher type `S`
-    /// (constructed via `Default`).
-    pub fn with_default_hasher(capacity: usize) -> Self {
+    /// Creates a cache holding at most `capacity` entries (min 1).
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
             map: HashMap::default(),
@@ -58,18 +50,8 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> LruCache<K, V, S> {
 
 impl<K: Hash + Eq + Clone, V, S: BuildHasher> LruCache<K, V, S> {
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     fn detach(&mut self, idx: usize) {
@@ -100,8 +82,8 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> LruCache<K, V, S> {
 
     /// Looks up `key`, refreshing its recency on hit. Accepts any
     /// borrowed form of the key (e.g. a `&[u64]` scratch slice for
-    /// [`crate::SmallKey`] keys) so the hot path never materializes one.
-    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    /// `SmallKey` keys) so the hot path never materializes one.
+    pub(crate) fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
@@ -114,18 +96,9 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> LruCache<K, V, S> {
         Some(&self.slots[idx].value)
     }
 
-    /// Checks for `key` without touching recency.
-    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.map.get(key).map(|&i| &self.slots[i].value)
-    }
-
     /// Inserts (or replaces) `key`, evicting the LRU entry if full.
     /// Returns the evicted `(key, value)` pair, if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         if let Some(&idx) = self.map.get(&key) {
             self.slots[idx].value = value;
             if self.head != Some(idx) {
@@ -163,7 +136,7 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> LruCache<K, V, S> {
     }
 
     /// Drops every entry (cache invalidation, §3.2.2).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
         self.head = None;
@@ -173,7 +146,7 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> LruCache<K, V, S> {
 
 /// Token-bucket rate limiter for cache insertions.
 #[derive(Debug, Clone)]
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     rate_per_s: f64,
     burst: f64,
     tokens: f64,
@@ -183,7 +156,7 @@ pub struct RateLimiter {
 impl RateLimiter {
     /// A limiter refilling `rate_per_s` tokens per second with a burst
     /// budget of `burst` tokens (starts full).
-    pub fn new(rate_per_s: f64, burst: f64) -> Self {
+    pub(crate) fn new(rate_per_s: f64, burst: f64) -> Self {
         Self {
             rate_per_s: rate_per_s.max(0.0),
             burst: burst.max(1.0),
@@ -192,14 +165,9 @@ impl RateLimiter {
         }
     }
 
-    /// An effectively unlimited limiter.
-    pub fn unlimited() -> Self {
-        Self::new(f64::INFINITY, f64::MAX)
-    }
-
     /// Attempts to take one token at simulation time `now_s`. A zero rate
     /// always denies (insertions disabled).
-    pub fn allow(&mut self, now_s: f64) -> bool {
+    pub(crate) fn allow(&mut self, now_s: f64) -> bool {
         if self.rate_per_s.is_infinite() {
             return true;
         }
@@ -225,7 +193,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut c = LruCache::new(2);
+        let mut c: LruCache<_, _> = LruCache::new(2);
         assert!(c.insert(1, "a").is_none());
         assert!(c.insert(2, "b").is_none());
         // Touch 1 so 2 becomes LRU.
@@ -240,7 +208,7 @@ mod tests {
 
     #[test]
     fn insert_existing_replaces_and_refreshes() {
-        let mut c = LruCache::new(2);
+        let mut c: LruCache<_, _> = LruCache::new(2);
         c.insert(1, 10);
         c.insert(2, 20);
         c.insert(1, 11); // refresh 1
@@ -251,7 +219,7 @@ mod tests {
 
     #[test]
     fn mru_iteration_order() {
-        let mut c = LruCache::new(3);
+        let mut c: LruCache<_, _> = LruCache::new(3);
         c.insert(1, ());
         c.insert(2, ());
         c.insert(3, ());
@@ -264,35 +232,32 @@ mod tests {
 
     #[test]
     fn clear_empties_cache() {
-        let mut c = LruCache::new(4);
+        let mut c: LruCache<_, _> = LruCache::new(4);
         c.insert("x", 1);
         c.insert("y", 2);
         c.clear();
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
         assert_eq!(c.get(&"x"), None);
         c.insert("z", 3);
         assert_eq!(c.len(), 1);
     }
 
+    /// Capacity 0 clamps to 1.
     #[test]
     fn capacity_one_cache_works() {
-        let mut c = LruCache::new(1);
-        c.insert(1, 'a');
-        let e = c.insert(2, 'b');
-        assert_eq!(e, Some((1, 'a')));
-        assert_eq!(c.get(&2), Some(&'b'));
-    }
-
-    #[test]
-    fn zero_capacity_clamps_to_one() {
-        let c: LruCache<u8, u8> = LruCache::new(0);
-        assert_eq!(c.capacity(), 1);
+        for capacity in [0, 1] {
+            let mut c: LruCache<_, _> = LruCache::new(capacity);
+            c.insert(1, 'a');
+            let e = c.insert(2, 'b');
+            assert_eq!(e, Some((1, 'a')), "capacity {capacity}");
+            assert_eq!(c.get(&2), Some(&'b'));
+        }
     }
 
     #[test]
     fn lru_stress_against_reference_model() {
         // Compare against a naive Vec-based LRU on a random workload.
-        let mut fast = LruCache::new(8);
+        let mut fast: LruCache<_, _> = LruCache::new(8);
         let mut slow: Vec<(u64, u64)> = Vec::new(); // front = MRU
         let mut x: u64 = 99;
         let mut rng = move || {
@@ -342,7 +307,7 @@ mod tests {
 
     #[test]
     fn unlimited_limiter_always_allows() {
-        let mut rl = RateLimiter::unlimited();
+        let mut rl = RateLimiter::new(f64::INFINITY, f64::MAX);
         for i in 0..1000 {
             assert!(rl.allow(i as f64 * 1e-9));
         }

@@ -201,7 +201,7 @@ struct PendingInsert<H> {
 /// Fraction of a counter update's cost paid by non-sampled packets when
 /// sampling is active: the per-packet sample decision (hash + compare)
 /// still sits on the data path (§5.4.1).
-pub const SAMPLE_CHECK_FRACTION: f64 = 0.12;
+pub(crate) const SAMPLE_CHECK_FRACTION: f64 = 0.12;
 
 /// How [`Walk::run`] reaches and looks up the nodes of a deployed
 /// program. The walk owns every accounting step; a provider only says
@@ -488,7 +488,7 @@ struct Walk {
     /// Flow-cache runtime state, dense by node index.
     caches: Vec<Option<FlowCacheState>>,
     /// Counters collected since the last [`Executor::take_profile`]
-    /// (raw, i.e. sampled counts — see [`Executor::sampled_profile`]).
+    /// (raw, i.e. sampled counts, rescaled when taken).
     profile: RuntimeProfile,
     instrumented: bool,
     sample_every: u64,
@@ -749,11 +749,6 @@ impl Executor {
         p
     }
 
-    /// Peeks at the profile without resetting (counts not rescaled).
-    pub fn sampled_profile(&self) -> &RuntimeProfile {
-        &self.walk.profile
-    }
-
     /// Takes the latency histograms recorded for sampled packets since
     /// the last call, resetting them. Which packets are sampled follows
     /// the [`SampleKeying`]: a sharded NIC's shards key per flow
@@ -762,11 +757,6 @@ impl Executor {
     /// keying, not under the default global sequence.
     pub fn take_observations(&mut self) -> ExecObservations {
         std::mem::take(&mut self.walk.observed)
-    }
-
-    /// Peeks at the recorded observations without resetting.
-    pub fn observations(&self) -> &ExecObservations {
-        &self.walk.observed
     }
 
     fn rebuild_all(&mut self) {
@@ -797,7 +787,7 @@ impl Executor {
             program.view.engines[id.index()] = Some(MatchEngine::build(t));
             if t.cache_role == CacheRole::FlowCache && caches[id.index()].is_none() {
                 caches[id.index()] = Some(FlowCacheState {
-                    lru: LruCache::with_default_hasher(t.max_entries.unwrap_or(CACHE_CAPACITY)),
+                    lru: LruCache::new(t.max_entries.unwrap_or(CACHE_CAPACITY)),
                     limiter: RateLimiter::new(CACHE_INSERTION_RATE, CACHE_INSERTION_RATE / 100.0),
                     stats: CacheStats::default(),
                 });
@@ -958,14 +948,18 @@ impl Executor {
         }
     }
 
-    /// Processes one packet; see [`Executor::process_traced`] for traces.
+    /// Processes one packet.
     pub fn process(&mut self, packet: &mut Packet) -> ExecReport {
         self.run(packet, None)
     }
 
     /// Processes one packet and records the visited nodes / executed
     /// actions into `trace`.
-    pub fn process_traced(&mut self, packet: &mut Packet, trace: &mut PacketTrace) -> ExecReport {
+    pub(crate) fn process_traced(
+        &mut self,
+        packet: &mut Packet,
+        trace: &mut PacketTrace,
+    ) -> ExecReport {
         trace.clear();
         self.run(packet, Some(trace))
     }
@@ -1022,8 +1016,8 @@ impl Executor {
 }
 
 /// The look-ahead burst loop, shared by every entry point that runs
-/// packets a burst at a time ([`Executor::process_batch`],
-/// `SmartNic::measure_feed` and `mean_latency`, the shard drain loop).
+/// packets a burst at a time ([`Executor::process_batch`], the single
+/// NIC's `measure_feed`, the shard drain loop).
 /// Hints the table slots the packet of item `i + AHEAD` will probe — the
 /// first `AHEAD` up front — and, twice as far ahead, that packet's own
 /// slot storage, which the table hint reads key fields out of; then
@@ -1520,7 +1514,7 @@ mod tests {
         // counter updates each (+0.5) it is 23.
         assert!((lat_sum - 230.0).abs() < 1e-6, "got {lat_sum}");
         // take_profile resets.
-        assert_eq!(ex.sampled_profile().action_count(acl, 0), 0);
+        assert_eq!(ex.take_profile().action_count(acl, 0), 0);
     }
 
     #[test]
@@ -1545,7 +1539,7 @@ mod tests {
         for i in 0..10 {
             ex.process(&mut Packet::with_slots(vec![100 + i, 0]));
         }
-        assert!(ex.observations().is_empty());
+        assert!(ex.take_observations().is_empty());
         ex.set_instrumentation(true, 4);
         for i in 0..100 {
             ex.process(&mut Packet::with_slots(vec![100 + i, 0]));
@@ -1553,7 +1547,7 @@ mod tests {
         let obs = ex.take_observations();
         assert_eq!(obs.packet_latency.count(), 25, "1-in-4 sampling");
         assert_eq!(obs.per_table[&acl].count(), 25);
-        assert!(ex.observations().is_empty(), "take must reset");
+        assert!(ex.take_observations().is_empty(), "take must reset");
     }
 
     #[test]
@@ -1778,23 +1772,16 @@ mod tests {
     enum Entry {
         ProcessBatch,
         Measure,
-        MeanLatency,
         ShardedMeasure,
     }
 
-    const ENTRIES: [Entry; 4] = [
-        Entry::ProcessBatch,
-        Entry::Measure,
-        Entry::MeanLatency,
-        Entry::ShardedMeasure,
-    ];
+    const ENTRIES: [Entry; 3] = [Entry::ProcessBatch, Entry::Measure, Entry::ShardedMeasure];
 
     /// What a burst through an entry point shows of itself.
     #[derive(Debug, PartialEq)]
     enum Seen {
         Reports(Vec<Packet>, Vec<ExecReport>),
         Stats(BatchStats),
-        Mean(f64),
     }
 
     impl Seen {
@@ -1807,7 +1794,6 @@ mod tests {
                     sum / reports.len() as f64
                 }
                 Seen::Stats(stats) => stats.mean_latency_ns,
-                Seen::Mean(mean) => *mean,
             };
             mean.to_bits()
         }
@@ -1839,9 +1825,6 @@ mod tests {
                     let mut packets = burst.to_vec();
                     let reports = nic.process_batch(&mut packets);
                     Seen::Reports(packets, reports)
-                }
-                (Runner::Single(nic), Entry::MeanLatency) => {
-                    Seen::Mean(nic.mean_latency(burst.to_vec()))
                 }
                 (Runner::Single(nic), _) => Seen::Stats(nic.measure(burst.to_vec())),
             }

@@ -14,8 +14,6 @@
 //! * [`packet`] — flat-slot packets over a program's field space.
 //! * [`engine`] — exact / LPM / ternary / range match engines implemented
 //!   as (multiple) hash tables, reporting how many they probed.
-//! * [`cache`] — an LRU flow-cache with a token-bucket insertion limiter
-//!   (paper §3.2.2 "optimization considerations").
 //! * [`exec`] — the run-to-completion [`Executor`]: walks the program DAG,
 //!   executes actions for real, maintains cache state, honours placements
 //!   (ASIC vs. CPU) with migration costs, and updates P4 counters with
@@ -23,9 +21,10 @@
 //!   datapath ([`EngineMode`]) — a flat slot-addressed lowering of the
 //!   program with FxHash match engines and reusable scratch buffers that
 //!   executes packets with zero steady-state heap allocations, producing
-//!   bit-identical reports, profiles and traces.
-//! * [`smallkey`] — [`SmallKey`]: fixed-width inline match/cache keys
-//!   (stack-resident up to 4×`u64`) queryable by borrowed `&[u64]`.
+//!   bit-identical reports, profiles and traces. Flow caches are an LRU
+//!   map behind a token-bucket insertion limiter (paper §3.2.2
+//!   "optimization considerations"); match and cache keys are inline
+//!   up to 4×`u64` and queried by borrowed `&[u64]`.
 //! * [`nic`] — [`SmartNic`]: multicore dispatch (RSS by flow hash) and
 //!   throughput/latency measurement; an [`Executor`] and one measurement
 //!   lane run inline, the arrival-order oracle of the sharded datapath.
@@ -45,8 +44,12 @@
 //!   bit-exact against the interpreter oracle, applied and reverted
 //!   live through the generation chain.
 //! * [`backend`] — [`ControlOp`], the control plane as data, and
-//!   [`NicBackend`], the datapath trait both NICs implement, so runtime
-//!   targets can be backed by either.
+//!   [`NicBackend`], the API of both NICs: the data plane, the reads and
+//!   one `apply`, written once per NIC in its trait impl. Runtime targets
+//!   are generic over it; callers bring it into scope. What a NIC adds
+//!   inherently is its constructor and what the trait has no name for
+//!   (`measure` over any packet source, `set_engine_mode`, the
+//!   executor, shard and trace accessors).
 //!
 //! Everything is seeded and deterministic — results are bit-reproducible.
 //! A [`ShardedNic`] feeds persistent workers through SPSC rings; checked
@@ -68,7 +71,7 @@
 //! publish latency).
 
 pub mod backend;
-pub mod cache;
+mod cache;
 mod compiled;
 mod distinct;
 pub mod engine;
@@ -86,17 +89,15 @@ pub mod packet;
 mod prefetch;
 pub mod ring;
 pub mod sharded;
-pub mod smallkey;
+mod smallkey;
 pub mod specialize;
 pub(crate) mod sync;
 
 pub use backend::{Applied, ControlOp, LiveSwap, NicBackend};
-pub use cache::{LruCache, RateLimiter};
 pub use engine::{KeyScratch, LookupOutcome, MatchEngine};
 pub use exec::{EngineMode, ExecReport, Executor, PacketTrace, SampleKeying};
 pub use nic::{BatchStats, ShardMode, SmartNic};
 pub use observe::ExecObservations;
 pub use packet::Packet;
 pub use sharded::ShardedNic;
-pub use smallkey::SmallKey;
-pub use specialize::{HotKeySketch, SpecStats};
+pub use specialize::SpecStats;

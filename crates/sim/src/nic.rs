@@ -13,7 +13,7 @@ use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::specialize::{HotKeySketch, SpecStats};
 use pipeleon_cost::{CostParams, RuntimeProfile};
-use pipeleon_ir::{IrError, NodeId, ProgramGraph, TableEntry};
+use pipeleon_ir::{IrError, NodeId, ProgramGraph};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -149,11 +149,12 @@ impl BatchAgg {
 }
 
 /// A software SmartNIC: an [`Executor`] behind multicore RSS dispatch.
+/// Its API is [`NicBackend`].
 ///
 /// ```
 /// use pipeleon_cost::CostParams;
 /// use pipeleon_ir::{MatchKind, MatchValue, ProgramBuilder, TableEntry};
-/// use pipeleon_sim::{Packet, SmartNic};
+/// use pipeleon_sim::{NicBackend, Packet, SmartNic};
 ///
 /// let mut b = ProgramBuilder::new();
 /// let f = b.field("x");
@@ -291,19 +292,86 @@ impl SmartNic {
         })
     }
 
-    /// The deployed program.
-    pub fn graph(&self) -> &ProgramGraph {
-        self.exec.graph()
-    }
-
-    /// The target parameters.
-    pub fn params(&self) -> &CostParams {
-        self.exec.params()
-    }
-
     /// Direct access to the executor (placement, instrumentation, caches).
     pub fn executor_mut(&mut self) -> &mut Executor {
         &mut self.exec
+    }
+
+    /// [`ControlOp::SetEngineMode`].
+    pub fn set_engine_mode(&mut self, mode: EngineMode) {
+        let _ = self.apply(ControlOp::SetEngineMode(mode));
+    }
+
+    /// Selects how sampling decisions are keyed (see [`SampleKeying`]).
+    /// [`SampleKeying::FlowKeyed`] makes this NIC the single-threaded
+    /// reference for the run-loop sharded datapath's sampled counters
+    /// and histograms.
+    pub fn set_sample_keying(&mut self, keying: SampleKeying) {
+        self.exec.set_sample_keying(keying)
+    }
+
+    /// Processes one packet with a trace.
+    pub fn process_one_traced(
+        &mut self,
+        packet: &mut Packet,
+        trace: &mut PacketTrace,
+    ) -> ExecReport {
+        self.exec.process_traced(packet, trace)
+    }
+
+    /// [`NicBackend::measure_batch`] over any packet source.
+    pub fn measure(&mut self, packets: impl IntoIterator<Item = Packet>) -> BatchStats {
+        self.measure_batch(packets.into_iter().collect())
+    }
+
+    /// [`NicBackend::graph`], for `crates/perf`'s `control_loop.rs`,
+    /// which calls it without the trait in scope (as it, `serve_lb.rs`
+    /// and `datapath_uniform.rs` call the five below).
+    #[doc(hidden)]
+    pub fn graph(&self) -> &ProgramGraph {
+        NicBackend::graph(self)
+    }
+
+    /// [`NicBackend::take_profile`], for `control_loop.rs`.
+    #[doc(hidden)]
+    pub fn take_profile(&mut self) -> RuntimeProfile {
+        NicBackend::take_profile(self)
+    }
+
+    /// [`NicBackend::process_one`], for `control_loop.rs`.
+    #[doc(hidden)]
+    pub fn process_one(&mut self, packet: &mut Packet) -> ExecReport {
+        NicBackend::process_one(self, packet)
+    }
+
+    /// [`NicBackend::process_batch`], for `serve_lb.rs` and
+    /// `datapath_uniform.rs`.
+    #[doc(hidden)]
+    pub fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
+        NicBackend::process_batch(self, packets)
+    }
+
+    /// [`NicBackend::set_instrumentation`], for `control_loop.rs` and
+    /// `datapath_uniform.rs`.
+    #[doc(hidden)]
+    pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
+        NicBackend::set_instrumentation(self, enabled, sample_every)
+    }
+
+    /// [`NicBackend::specialize`], for `datapath_uniform.rs`.
+    #[doc(hidden)]
+    pub fn specialize(&mut self) -> bool {
+        NicBackend::specialize(self)
+    }
+}
+
+impl NicBackend for SmartNic {
+    fn graph(&self) -> &ProgramGraph {
+        self.exec.graph()
+    }
+
+    fn params(&self) -> &CostParams {
+        self.exec.params()
     }
 
     /// Applies one control operation now — the one-shard instance of
@@ -311,8 +379,8 @@ impl SmartNic {
     /// generation chain: nothing is ever in flight, so the op's stream
     /// position is "before the next packet". Every op that changes the
     /// datapath is a generation; a pipeline swap is also recorded
-    /// ([`SmartNic::last_swap`]).
-    pub fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
+    /// ([`NicBackend::last_swap`]).
+    fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
         let t0 = Instant::now();
         let applied = match &op {
             // The retained window is this NIC's, not the executor's.
@@ -333,80 +401,23 @@ impl SmartNic {
         Ok(applied)
     }
 
-    /// [`NicBackend::deploy`], for callers without the trait in scope
-    /// (as are the five below).
-    pub fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
-        NicBackend::deploy(self, graph)
-    }
-
-    /// [`NicBackend::insert_entry`].
-    pub fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        NicBackend::insert_entry(self, node, entry)
-    }
-
-    /// [`NicBackend::remove_entry`].
-    pub fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
-        NicBackend::remove_entry(self, node, index)
-    }
-
-    /// [`NicBackend::set_instrumentation`].
-    pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
-        NicBackend::set_instrumentation(self, enabled, sample_every)
-    }
-
-    /// [`ControlOp::SetEngineMode`].
-    pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        let _ = self.apply(ControlOp::SetEngineMode(mode));
-    }
-
-    /// [`NicBackend::specialize`].
-    pub fn specialize(&mut self) -> bool {
-        NicBackend::specialize(self)
-    }
-
-    /// The most recent pipeline swap, if any.
-    pub fn last_swap(&self) -> Option<LiveSwap> {
-        self.last_swap
-    }
-
-    /// Selects how sampling decisions are keyed (see [`SampleKeying`]).
-    /// [`SampleKeying::FlowKeyed`] makes this NIC the single-threaded
-    /// reference for the run-loop sharded datapath's sampled counters
-    /// and histograms.
-    pub fn set_sample_keying(&mut self, keying: SampleKeying) {
-        self.exec.set_sample_keying(keying)
-    }
-
     /// Takes the profile collected since the last call. The window's
     /// hot-key sketches are retained for the next specialize step.
-    pub fn take_profile(&mut self) -> RuntimeProfile {
+    fn take_profile(&mut self) -> RuntimeProfile {
         self.last_sketches = self.exec.take_hot_sketches();
         self.exec.take_profile()
     }
 
-    /// Current specialization counters and state.
-    pub fn spec_stats(&self) -> SpecStats {
-        self.exec.spec_stats()
-    }
-
-    /// Takes the latency histograms recorded for sampled packets since
-    /// the last call.
-    pub fn take_observations(&mut self) -> ExecObservations {
+    fn take_observations(&mut self) -> ExecObservations {
         self.exec.take_observations()
     }
 
-    /// Current simulation time in seconds.
-    pub fn now_s(&self) -> f64 {
-        self.exec.now_s
-    }
-
-    /// The currently selected packet-execution engine.
-    pub fn engine_mode(&self) -> EngineMode {
+    fn engine_mode(&self) -> EngineMode {
         self.exec.engine_mode()
     }
 
     /// Processes one packet (single-core semantics; no arrival pacing).
-    pub fn process_one(&mut self, packet: &mut Packet) -> ExecReport {
+    fn process_one(&mut self, packet: &mut Packet) -> ExecReport {
         self.exec.process(packet)
     }
 
@@ -414,34 +425,13 @@ impl SmartNic {
     /// arrival pacing), returning one report per packet. On the compiled
     /// engine the pipeline is compiled once and reused across the whole
     /// batch with zero steady-state heap allocations per packet.
-    pub fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
+    fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
         self.exec.process_batch(packets)
-    }
-
-    /// Processes one packet with a trace.
-    pub fn process_one_traced(
-        &mut self,
-        packet: &mut Packet,
-        trace: &mut PacketTrace,
-    ) -> ExecReport {
-        self.exec.process_traced(packet, trace)
-    }
-
-    /// Runs a batch offered at line rate through the multicore NIC and
-    /// reports achieved throughput and latency statistics. Advances the
-    /// simulation clock by the batch's arrival time.
-    pub fn measure<I>(&mut self, packets: I) -> BatchStats
-    where
-        I: IntoIterator<Item = Packet>,
-    {
-        self.measure_begin();
-        self.measure_feed(packets);
-        self.measure_end()
     }
 
     /// Opens a streaming measurement window (snapshotting the pacing
     /// parameters and the window's start time).
-    pub fn measure_begin(&mut self) {
+    fn measure_begin(&mut self) {
         let window = MeasureStream::open(self.exec.params(), self.exec.now_s);
         self.lane.begin(window);
     }
@@ -450,14 +440,9 @@ impl SmartNic {
     /// continues from the previous feed, so control-plane operations
     /// between feeds land at chunk boundaries of one continuous
     /// arrival schedule.
-    pub fn measure_feed<I>(&mut self, packets: I)
-    where
-        I: IntoIterator<Item = Packet>,
-    {
+    fn measure_feed(&mut self, mut packets: Vec<Packet>) {
         let lane = &mut self.lane;
         let cores = lane.window.as_ref().expect("measure_begin first").cores as u64;
-        // A burst is a slice; collecting a `Vec<Packet>` reuses it as is.
-        let mut packets: Vec<Packet> = packets.into_iter().collect();
         exec::run_burst(&mut self.exec, &mut packets, |exec, pkt| {
             let core = (pkt.flow_hash() % cores) as usize;
             lane.measure_one(exec, pkt, core);
@@ -466,93 +451,29 @@ impl SmartNic {
 
     /// Closes the measurement window, advancing the clock to the
     /// window's end and returning its statistics.
-    pub fn measure_end(&mut self) -> BatchStats {
+    fn measure_end(&mut self) -> BatchStats {
         let window = self.lane.end();
         self.exec.now_s = window.end_s();
         self.lane.agg.finish(&window)
     }
 
-    /// Convenience: measures the mean per-packet latency of a batch
-    /// without arrival pacing (used for cost-model calibration).
-    pub fn mean_latency<I>(&mut self, packets: I) -> f64
-    where
-        I: IntoIterator<Item = Packet>,
-    {
-        let mut packets: Vec<Packet> = packets.into_iter().collect();
-        let mut sum = 0.0;
-        exec::run_burst(&mut self.exec, &mut packets, |exec, pkt| {
-            sum += exec.process(pkt).latency_ns;
-        });
-        if packets.is_empty() {
-            0.0
-        } else {
-            sum / packets.len() as f64
-        }
-    }
-}
-
-impl NicBackend for SmartNic {
-    fn graph(&self) -> &ProgramGraph {
-        SmartNic::graph(self)
-    }
-
-    fn params(&self) -> &CostParams {
-        SmartNic::params(self)
-    }
-
-    fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
-        SmartNic::apply(self, op)
-    }
-
-    fn take_profile(&mut self) -> RuntimeProfile {
-        SmartNic::take_profile(self)
-    }
-
-    fn take_observations(&mut self) -> ExecObservations {
-        SmartNic::take_observations(self)
-    }
-
-    fn engine_mode(&self) -> EngineMode {
-        SmartNic::engine_mode(self)
-    }
-
-    fn process_one(&mut self, packet: &mut Packet) -> ExecReport {
-        SmartNic::process_one(self, packet)
-    }
-
-    fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
-        SmartNic::process_batch(self, packets)
-    }
-
-    fn measure_begin(&mut self) {
-        SmartNic::measure_begin(self)
-    }
-
-    fn measure_feed(&mut self, packets: Vec<Packet>) {
-        SmartNic::measure_feed(self, packets)
-    }
-
-    fn measure_end(&mut self) -> BatchStats {
-        SmartNic::measure_end(self)
-    }
-
     fn now_s(&self) -> f64 {
-        SmartNic::now_s(self)
+        self.exec.now_s
     }
 
     fn last_swap(&self) -> Option<LiveSwap> {
-        SmartNic::last_swap(self)
+        self.last_swap
     }
 
     fn spec_stats(&self) -> SpecStats {
-        SmartNic::spec_stats(self)
+        self.exec.spec_stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeleon_ir::{MatchKind, Primitive, ProgramBuilder};
+    use pipeleon_ir::{MatchKind, Primitive, ProgramBuilder, TableEntry};
 
     fn linear_program(tables: usize) -> ProgramGraph {
         let mut b = ProgramBuilder::new();
@@ -847,11 +768,46 @@ mod tests {
         assert_eq!(s.throughput_gbps, 0.0);
     }
 
+    /// What Fig. 5 and `pipeleon calibrate` read off a measured window:
+    /// on the calibration programs, with the Fig. 5 validation traffic,
+    /// its mean latency is the in-order mean of the same packets'
+    /// `process_batch` reports, to the bit (no flow cache, so the paced
+    /// clock changes no report).
     #[test]
-    fn mean_latency_matches_process_one() {
-        let mut nic = SmartNic::new(linear_program(3), CostParams::bluefield2()).unwrap();
-        let single = nic.process_one(&mut Packet::with_slots(vec![7])).latency_ns;
-        let mean = nic.mean_latency(packets(100));
-        assert!((single - mean).abs() < 1e-9);
+    fn measured_mean_is_the_in_order_mean_of_process_batch() {
+        let cal = pipeleon_cost::Calibrator::default();
+        let params = CostParams::bluefield2();
+        let programs = [
+            ("exact", cal.exact_program(20, 4)),
+            ("lpm", cal.lpm_program(12)),
+            ("ternary", cal.ternary_program(12)),
+        ];
+        for (name, g) in programs {
+            let key = g.fields.get("key").unwrap();
+            let traffic: Vec<Packet> = (0..3000u64)
+                .map(|i| {
+                    let mut p = Packet::new(&g.fields);
+                    // 15 % on the most specific LPM prefix, as Fig. 5.
+                    let specific = i % 100 < 15;
+                    p.set(
+                        key,
+                        if specific {
+                            (2 << 48) | (i % 16)
+                        } else {
+                            i % 64
+                        },
+                    );
+                    p
+                })
+                .collect();
+            let mut batch = traffic.clone();
+            let mut nic = SmartNic::new(g.clone(), params.clone()).unwrap();
+            let reports = nic.process_batch(&mut batch);
+            let sum = reports.iter().fold(0.0, |sum, r| sum + r.latency_ns);
+            let want = sum / reports.len() as f64;
+            let mut nic = SmartNic::new(g, params.clone()).unwrap();
+            let got = nic.measure(traffic).mean_latency_ns;
+            assert_eq!(got.to_bits(), want.to_bits(), "{name}: {got} vs {want}");
+        }
     }
 }

@@ -38,12 +38,12 @@ impl ExecObservations {
     }
 
     /// Records a sampled packet's end-to-end latency.
-    pub fn record_packet(&mut self, ns: f64) {
+    pub(crate) fn record_packet(&mut self, ns: f64) {
         self.packet_latency.record(ns);
     }
 
     /// Records the latency a table contributed to a sampled packet.
-    pub fn record_table(&mut self, node: NodeId, ns: f64) {
+    pub(crate) fn record_table(&mut self, node: NodeId, ns: f64) {
         self.per_table.entry(node).or_default().record(ns);
     }
 

@@ -76,7 +76,7 @@ impl Packet {
     /// so invisible to the hardware prefetcher) once traffic is
     /// RSS-split across shards.
     #[inline]
-    pub fn prefetch(&self) {
+    pub(crate) fn prefetch(&self) {
         crate::prefetch::line(self.slots.as_ptr());
     }
 

@@ -55,7 +55,7 @@
 //! # Control plane: ops as data on the generation chain
 //!
 //! Every control operation is a [`ControlOp`] and takes one path
-//! ([`ShardedNic::apply`]): it is applied to the control replica — which
+//! ([`NicBackend::apply`]): it is applied to the control replica — which
 //! validates it, so a rejected op publishes nothing and the answer is
 //! the replica's — then *published* as a numbered generation on an
 //! epoch/RCU chain (`GenChain` in `generation.rs`), carrying the pipeline
@@ -375,8 +375,8 @@ fn worker_loop(cell: Arc<ShardCell>) {
 }
 
 /// A software SmartNIC whose datapath is sharded over `N` parallel
-/// workers by flow hash (RSS). See the module docs for the run loop and
-/// its determinism guarantees.
+/// workers by flow hash (RSS). Its API is [`NicBackend`]. See the
+/// module docs for the run loop and its determinism guarantees.
 #[derive(Debug)]
 pub struct ShardedNic {
     shards: Vec<Arc<ShardCell>>,
@@ -598,11 +598,6 @@ impl ShardedNic {
         self.chain.reclaim(min);
     }
 
-    /// The deployed program (identical on every shard).
-    pub fn graph(&self) -> &ProgramGraph {
-        self.control.graph()
-    }
-
     /// Every shard's deployed program, in shard order (cloned out of the
     /// shard mutexes). Identical whenever nothing is in flight; tests
     /// assert it.
@@ -618,21 +613,6 @@ impl ShardedNic {
                     .clone()
             })
             .collect()
-    }
-
-    /// The target parameters.
-    pub fn params(&self) -> &CostParams {
-        self.control.params()
-    }
-
-    /// Current simulation time in seconds.
-    pub fn now_s(&self) -> f64 {
-        self.now_s
-    }
-
-    /// The most recent pipeline swap, if any.
-    pub fn last_swap(&self) -> Option<LiveSwap> {
-        self.last_swap
     }
 
     /// Packets executed per generation, merged across shards. Each
@@ -654,69 +634,9 @@ impl ShardedNic {
         merged
     }
 
-    /// Applies one control operation: validate on the control replica,
-    /// publish, tag (see the module docs). Packets already dispatched
-    /// complete without the op; every later one runs with it, on
-    /// whichever shard. A rejected op publishes nothing, and neither
-    /// does one the replica reports as [`Applied::Unchanged`].
-    pub fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
-        let t0 = Instant::now();
-        let applied = match &op {
-            // One plan, from the merged cross-shard window: the retained
-            // last one's sketches (read where they lie when nothing has
-            // accumulated since) folded with every shard's live ones —
-            // drained first, since feeds only dispatch and a plan made
-            // from whatever the workers had got through differs from run
-            // to run.
-            ControlOp::Specialize => {
-                self.wait_idle();
-                let mut sketches = Cow::Borrowed(&self.last_sketches);
-                for cell in &self.shards {
-                    let st = cell.state.lock().expect("shard state poisoned");
-                    st.exec.peek_hot_sketches_into(&mut sketches);
-                }
-                self.control.specialize_from(&sketches)
-            }
-            op => self.control.apply(op)?,
-        };
-        if applied == Applied::Unchanged {
-            return Ok(applied);
-        }
-        // A swapped pipeline is lowered once, here: adopters clone it
-        // instead of each lowering the program mid-burst.
-        let swap = op.swaps_pipeline();
-        let lowered = swap.then(|| self.control.compiled_clone()).flatten();
-        self.latest_gen = self.chain.publish(op, lowered);
-        let in_flight = self.in_flight();
-        if swap {
-            self.last_swap = Some(LiveSwap {
-                generation: self.latest_gen,
-                in_flight,
-                latency_ns: t0.elapsed().as_nanos() as f64,
-            });
-        }
-        if in_flight == 0 {
-            self.fast_forward();
-        } else {
-            self.reclaim_adopted();
-        }
-        Ok(applied)
-    }
-
-    /// [`ControlOp::SetEngineMode`], for callers without [`NicBackend`]
-    /// in scope (as are the two below).
+    /// [`ControlOp::SetEngineMode`].
     pub fn set_engine_mode(&mut self, mode: EngineMode) {
         let _ = self.apply(ControlOp::SetEngineMode(mode));
-    }
-
-    /// [`NicBackend::set_instrumentation`].
-    pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
-        NicBackend::set_instrumentation(self, enabled, sample_every)
-    }
-
-    /// [`NicBackend::specialize`].
-    pub fn specialize(&mut self) -> bool {
-        NicBackend::specialize(self)
     }
 
     /// Total live entries in a flow cache's runtime state across shards.
@@ -731,55 +651,6 @@ impl ShardedNic {
                     .cache_len(node)
             })
             .sum()
-    }
-
-    /// The currently selected packet-execution engine (the control
-    /// replica's: every shard reaches it at the same stream position).
-    pub fn engine_mode(&self) -> EngineMode {
-        self.control.engine_mode()
-    }
-
-    /// Processes a batch of packets in place (no arrival pacing),
-    /// returning one report per packet in input order: packets stream
-    /// through the worker rings and results are scattered back by input
-    /// position.
-    pub fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
-        assert!(
-            u32::try_from(packets.len()).is_ok(),
-            "process_batch is limited to u32::MAX packets"
-        );
-        let nw = self.shards.len();
-        let gen = self.latest_gen;
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.now_s = self.now_s;
-            st.lane.out.clear();
-        }
-        self.dispatch(packets.iter_mut().enumerate().map(|(i, slot)| {
-            let pkt = std::mem::replace(slot, Packet::with_slots(Vec::new()));
-            let shard = (pkt.flow_hash() % nw as u64) as usize;
-            (
-                shard,
-                WorkItem {
-                    idx: i as u32,
-                    gen,
-                    pkt,
-                },
-            )
-        }));
-        self.wait_idle();
-        let mut reports: Vec<Option<ExecReport>> = vec![None; packets.len()];
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            for (idx, pkt, r) in st.lane.out.drain(..) {
-                packets[idx as usize] = pkt;
-                reports[idx as usize] = Some(r);
-            }
-        }
-        reports
-            .into_iter()
-            .map(|r| r.expect("every dispatched packet reports back"))
-            .collect()
     }
 
     /// Streams `(shard, item)` pairs onto the worker rings via the
@@ -832,153 +703,26 @@ impl ShardedNic {
         }
     }
 
-    /// Processes one packet on the shard its flow hashes to (no arrival
-    /// pacing), on the caller's thread. Sampling is flow-keyed, so
-    /// reports match a flow-keyed single-threaded run.
-    pub fn process_one(&mut self, packet: &mut Packet) -> ExecReport {
-        let shard = (packet.flow_hash() % self.shards.len() as u64) as usize;
-        let cell = &self.shards[shard];
-        let mut st = cell.state.lock().expect("shard state poisoned");
-        if self.latest_gen > st.lane.gen {
-            let ShardState { exec, lane, .. } = &mut *st;
-            lane.adopt_to(exec, self.latest_gen);
-            // ORDERING: Release — same edge as the `drain_burst`
-            // publication of `adopted` (see there).
-            cell.adopted.store(st.lane.gen, Ordering::Release);
-        }
-        st.lane.gen_run += 1;
-        st.exec.now_s = self.now_s;
-        st.exec.process(packet)
-    }
-
-    /// Takes the merged profile collected across all shards since the
-    /// last call — the window-boundary merge: counters fold via
-    /// [`RuntimeProfile::merge`], the window is the global clock delta,
-    /// and distinct-key counts come from exact cross-shard unions of the
-    /// raw key sets, saturating at the single tracker's cap.
-    pub fn take_profile(&mut self) -> RuntimeProfile {
-        let mut merged = RuntimeProfile::empty();
-        let mut sketches: HashMap<NodeId, HotKeySketch> = HashMap::new();
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            merged.merge(&st.exec.take_profile_into(&mut self.distinct_union));
-            for (node, sk) in st.exec.take_hot_sketches() {
-                sketches
-                    .entry(node)
-                    .and_modify(|e| e.merge(&sk))
-                    .or_insert(sk);
-            }
-        }
-        distinct::count_into(&mut self.distinct_union, &mut merged);
-        merged.window_s = (self.now_s - self.last_take_s).max(1e-9);
-        self.last_take_s = self.now_s;
-        self.last_sketches = sketches;
-        merged
-    }
-
-    /// Takes the merged latency observations across all shards since the
-    /// last call — the window-boundary merge. Histogram merging is
-    /// bit-exact (integer bucket sums) and the sampled-packet *set* is
-    /// partition-invariant (sampling decisions are flow-keyed), so the
-    /// merged histograms are identical for any worker count.
-    pub fn take_observations(&mut self) -> ExecObservations {
-        let mut merged = ExecObservations::new();
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            merged.merge(&st.exec.take_observations());
-        }
-        merged
-    }
-
-    /// Current specialization counters: plan/epoch state from the
-    /// control replica (shards adopt its lowerings through the
-    /// generation chain), guard hit/miss telemetry summed across the
-    /// shards that actually execute packets.
-    pub fn spec_stats(&self) -> SpecStats {
-        let mut stats = self.control.spec_stats();
-        for cell in &self.shards {
-            let st = cell.state.lock().expect("shard state poisoned");
-            let s = st.exec.spec_stats();
-            stats.guard_hits += s.guard_hits;
-            stats.guard_misses += s.guard_misses;
-            stats.memo_hits += s.memo_hits;
-            stats.fused_hits += s.fused_hits;
-        }
-        stats
-    }
-
-    /// Runs a batch offered at line rate through the sharded datapath
-    /// and reports achieved throughput and latency statistics. Advances
-    /// the simulation clock by the batch's arrival time. Every integer
-    /// statistic, the p99 and the clock equal
+    /// [`NicBackend::measure_batch`] over any packet source. Every
+    /// integer statistic, the p99 and the clock equal
     /// [`SmartNic::measure`](crate::SmartNic::measure)'s exactly, the
     /// float aggregates up to summation order (module docs).
-    pub fn measure<I>(&mut self, packets: I) -> BatchStats
-    where
-        I: IntoIterator<Item = Packet>,
-    {
-        self.measure_begin();
-        self.measure_feed(packets);
-        self.measure_end()
+    pub fn measure(&mut self, packets: impl IntoIterator<Item = Packet>) -> BatchStats {
+        self.measure_batch(packets.into_iter().collect())
     }
 
-    /// Opens a streaming measurement window: snapshots the pacing
-    /// parameters and resets per-shard aggregates. Chunks fed with
-    /// [`ShardedNic::measure_feed`] continue one arrival schedule;
-    /// [`ShardedNic::measure_end`] drains and returns the merged stats.
-    pub fn measure_begin(&mut self) {
-        debug_assert!(self.measuring.is_none(), "measurement window already open");
-        let window = MeasureStream::open(self.params(), self.now_s);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.lane.measure.begin(window);
-        }
-        self.measuring = Some(window);
+    /// [`NicBackend::set_instrumentation`], for `crates/perf`'s
+    /// `datapath_skewed.rs`, which calls it and the one below without
+    /// the trait in scope.
+    #[doc(hidden)]
+    pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
+        NicBackend::set_instrumentation(self, enabled, sample_every)
     }
 
-    /// Feeds one chunk into the open measurement window. This only
-    /// *dispatches* — it does not wait for the chunk to drain, so
-    /// control-plane generations published between feeds land genuinely
-    /// mid-flight.
-    pub fn measure_feed<I>(&mut self, packets: I)
-    where
-        I: IntoIterator<Item = Packet>,
-    {
-        let nw = self.shards.len() as u64;
-        let cores = self.measuring.as_ref().expect("measure_begin first").cores as u64;
-        let gen = self.latest_gen;
-        let mut n = 0u64;
-        self.dispatch(packets.into_iter().map(|pkt| {
-            n += 1;
-            let hash = pkt.flow_hash();
-            // `cores` is a NIC core count; it fits `idx` with room to
-            // spare.
-            let idx = (hash % cores) as u32;
-            ((hash % nw) as usize, WorkItem { idx, gen, pkt })
-        }));
-        self.measuring.as_mut().expect("measure_begin first").n += n;
-    }
-
-    /// Closes the measurement window: waits for every fed packet to
-    /// drain (quiescing the generation chain) and returns the merged
-    /// statistics for the whole window.
-    pub fn measure_end(&mut self) -> BatchStats {
-        self.wait_idle();
-        let window = self.measuring.take().expect("measure_begin first");
-        self.now_s = window.end_s();
-        // Deterministic window-boundary merge, in shard order, into the
-        // persistent accumulator. The sorted latency multiset is
-        // partition-invariant, so the p99 is exact.
-        self.merge.reset(window.cores);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            // Align every shard clock to the batch end so subsequent
-            // direct access observes a consistent global time.
-            st.exec.now_s = self.now_s;
-            st.lane.measure.end();
-            self.merge.absorb(&st.lane.measure.agg);
-        }
-        self.merge.finish(&window)
+    /// [`NicBackend::specialize`], for `datapath_skewed.rs`.
+    #[doc(hidden)]
+    pub fn specialize(&mut self) -> bool {
+        NicBackend::specialize(self)
     }
 }
 
@@ -1003,60 +747,250 @@ impl Drop for ShardedNic {
 }
 
 impl NicBackend for ShardedNic {
+    /// The control replica's: identical on every shard.
     fn graph(&self) -> &ProgramGraph {
-        ShardedNic::graph(self)
+        self.control.graph()
     }
 
     fn params(&self) -> &CostParams {
-        ShardedNic::params(self)
+        self.control.params()
     }
 
+    /// Applies one control operation: validate on the control replica,
+    /// publish, tag (see the module docs). Packets already dispatched
+    /// complete without the op; every later one runs with it, on
+    /// whichever shard. A rejected op publishes nothing, and neither
+    /// does one the replica reports as [`Applied::Unchanged`].
     fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
-        ShardedNic::apply(self, op)
+        let t0 = Instant::now();
+        let applied = match &op {
+            // One plan, from the merged cross-shard window: the retained
+            // last one's sketches (read where they lie when nothing has
+            // accumulated since) folded with every shard's live ones —
+            // drained first, since feeds only dispatch and a plan made
+            // from whatever the workers had got through differs from run
+            // to run.
+            ControlOp::Specialize => {
+                self.wait_idle();
+                let mut sketches = Cow::Borrowed(&self.last_sketches);
+                for cell in &self.shards {
+                    let st = cell.state.lock().expect("shard state poisoned");
+                    st.exec.peek_hot_sketches_into(&mut sketches);
+                }
+                self.control.specialize_from(&sketches)
+            }
+            op => self.control.apply(op)?,
+        };
+        if applied == Applied::Unchanged {
+            return Ok(applied);
+        }
+        // A swapped pipeline is lowered once, here: adopters clone it
+        // instead of each lowering the program mid-burst.
+        let swap = op.swaps_pipeline();
+        let lowered = swap.then(|| self.control.compiled_clone()).flatten();
+        self.latest_gen = self.chain.publish(op, lowered);
+        let in_flight = self.in_flight();
+        if swap {
+            self.last_swap = Some(LiveSwap {
+                generation: self.latest_gen,
+                in_flight,
+                latency_ns: t0.elapsed().as_nanos() as f64,
+            });
+        }
+        if in_flight == 0 {
+            self.fast_forward();
+        } else {
+            self.reclaim_adopted();
+        }
+        Ok(applied)
     }
 
+    /// Takes the merged profile collected across all shards since the
+    /// last call — the window-boundary merge: counters fold via
+    /// [`RuntimeProfile::merge`], the window is the global clock delta,
+    /// and distinct-key counts come from exact cross-shard unions of the
+    /// raw key sets, saturating at the single tracker's cap.
     fn take_profile(&mut self) -> RuntimeProfile {
-        ShardedNic::take_profile(self)
+        let mut merged = RuntimeProfile::empty();
+        let mut sketches: HashMap<NodeId, HotKeySketch> = HashMap::new();
+        for cell in &self.shards {
+            let mut st = cell.state.lock().expect("shard state poisoned");
+            merged.merge(&st.exec.take_profile_into(&mut self.distinct_union));
+            for (node, sk) in st.exec.take_hot_sketches() {
+                sketches
+                    .entry(node)
+                    .and_modify(|e| e.merge(&sk))
+                    .or_insert(sk);
+            }
+        }
+        distinct::count_into(&mut self.distinct_union, &mut merged);
+        merged.window_s = (self.now_s - self.last_take_s).max(1e-9);
+        self.last_take_s = self.now_s;
+        self.last_sketches = sketches;
+        merged
     }
 
+    /// Takes the merged latency observations across all shards since the
+    /// last call — the window-boundary merge. Histogram merging is
+    /// bit-exact (integer bucket sums) and the sampled-packet *set* is
+    /// partition-invariant (sampling decisions are flow-keyed), so the
+    /// merged histograms are identical for any worker count.
     fn take_observations(&mut self) -> ExecObservations {
-        ShardedNic::take_observations(self)
+        let mut merged = ExecObservations::new();
+        for cell in &self.shards {
+            let mut st = cell.state.lock().expect("shard state poisoned");
+            merged.merge(&st.exec.take_observations());
+        }
+        merged
     }
 
+    /// The control replica's: every shard reaches it at the same stream
+    /// position.
     fn engine_mode(&self) -> EngineMode {
-        ShardedNic::engine_mode(self)
+        self.control.engine_mode()
     }
 
+    /// Processes one packet on the shard its flow hashes to (no arrival
+    /// pacing), on the caller's thread. Sampling is flow-keyed, so
+    /// reports match a flow-keyed single-threaded run.
     fn process_one(&mut self, packet: &mut Packet) -> ExecReport {
-        ShardedNic::process_one(self, packet)
+        let shard = (packet.flow_hash() % self.shards.len() as u64) as usize;
+        let cell = &self.shards[shard];
+        let mut st = cell.state.lock().expect("shard state poisoned");
+        if self.latest_gen > st.lane.gen {
+            let ShardState { exec, lane, .. } = &mut *st;
+            lane.adopt_to(exec, self.latest_gen);
+            // ORDERING: Release — same edge as the `drain_burst`
+            // publication of `adopted` (see there).
+            cell.adopted.store(st.lane.gen, Ordering::Release);
+        }
+        st.lane.gen_run += 1;
+        st.exec.now_s = self.now_s;
+        st.exec.process(packet)
     }
 
+    /// Processes a batch of packets in place (no arrival pacing),
+    /// returning one report per packet in input order: packets stream
+    /// through the worker rings and results are scattered back by input
+    /// position.
     fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
-        ShardedNic::process_batch(self, packets)
+        assert!(
+            u32::try_from(packets.len()).is_ok(),
+            "process_batch is limited to u32::MAX packets"
+        );
+        let nw = self.shards.len();
+        let gen = self.latest_gen;
+        for cell in &self.shards {
+            let mut st = cell.state.lock().expect("shard state poisoned");
+            st.exec.now_s = self.now_s;
+            st.lane.out.clear();
+        }
+        self.dispatch(packets.iter_mut().enumerate().map(|(i, slot)| {
+            let pkt = std::mem::replace(slot, Packet::with_slots(Vec::new()));
+            let shard = (pkt.flow_hash() % nw as u64) as usize;
+            (
+                shard,
+                WorkItem {
+                    idx: i as u32,
+                    gen,
+                    pkt,
+                },
+            )
+        }));
+        self.wait_idle();
+        let mut reports: Vec<Option<ExecReport>> = vec![None; packets.len()];
+        for cell in &self.shards {
+            let mut st = cell.state.lock().expect("shard state poisoned");
+            for (idx, pkt, r) in st.lane.out.drain(..) {
+                packets[idx as usize] = pkt;
+                reports[idx as usize] = Some(r);
+            }
+        }
+        reports
+            .into_iter()
+            .map(|r| r.expect("every dispatched packet reports back"))
+            .collect()
     }
 
+    /// Opens a streaming measurement window: snapshots the pacing
+    /// parameters and resets per-shard aggregates. Chunks fed with
+    /// [`NicBackend::measure_feed`] continue one arrival schedule;
+    /// [`NicBackend::measure_end`] drains and returns the merged stats.
     fn measure_begin(&mut self) {
-        ShardedNic::measure_begin(self)
+        debug_assert!(self.measuring.is_none(), "measurement window already open");
+        let window = MeasureStream::open(self.params(), self.now_s);
+        for cell in &self.shards {
+            let mut st = cell.state.lock().expect("shard state poisoned");
+            st.lane.measure.begin(window);
+        }
+        self.measuring = Some(window);
     }
 
+    /// Feeds one chunk into the open measurement window. This only
+    /// *dispatches* — it does not wait for the chunk to drain, so
+    /// control-plane generations published between feeds land genuinely
+    /// mid-flight.
     fn measure_feed(&mut self, packets: Vec<Packet>) {
-        ShardedNic::measure_feed(self, packets)
+        let nw = self.shards.len() as u64;
+        let cores = self.measuring.as_ref().expect("measure_begin first").cores as u64;
+        let gen = self.latest_gen;
+        let mut n = 0u64;
+        self.dispatch(packets.into_iter().map(|pkt| {
+            n += 1;
+            let hash = pkt.flow_hash();
+            // `cores` is a NIC core count; it fits `idx` with room to
+            // spare.
+            let idx = (hash % cores) as u32;
+            ((hash % nw) as usize, WorkItem { idx, gen, pkt })
+        }));
+        self.measuring.as_mut().expect("measure_begin first").n += n;
     }
 
+    /// Closes the measurement window: waits for every fed packet to
+    /// drain (quiescing the generation chain) and returns the merged
+    /// statistics for the whole window.
     fn measure_end(&mut self) -> BatchStats {
-        ShardedNic::measure_end(self)
+        self.wait_idle();
+        let window = self.measuring.take().expect("measure_begin first");
+        self.now_s = window.end_s();
+        // Deterministic window-boundary merge, in shard order, into the
+        // persistent accumulator. The sorted latency multiset is
+        // partition-invariant, so the p99 is exact.
+        self.merge.reset(window.cores);
+        for cell in &self.shards {
+            let mut st = cell.state.lock().expect("shard state poisoned");
+            // Align every shard clock to the batch end so subsequent
+            // direct access observes a consistent global time.
+            st.exec.now_s = self.now_s;
+            st.lane.measure.end();
+            self.merge.absorb(&st.lane.measure.agg);
+        }
+        self.merge.finish(&window)
     }
 
     fn now_s(&self) -> f64 {
-        ShardedNic::now_s(self)
+        self.now_s
     }
 
     fn last_swap(&self) -> Option<LiveSwap> {
-        ShardedNic::last_swap(self)
+        self.last_swap
     }
 
+    /// Current specialization counters: plan/epoch state from the
+    /// control replica (shards adopt its lowerings through the
+    /// generation chain), guard hit/miss telemetry summed across the
+    /// shards that actually execute packets.
     fn spec_stats(&self) -> SpecStats {
-        ShardedNic::spec_stats(self)
+        let mut stats = self.control.spec_stats();
+        for cell in &self.shards {
+            let st = cell.state.lock().expect("shard state poisoned");
+            let s = st.exec.spec_stats();
+            stats.guard_hits += s.guard_hits;
+            stats.guard_misses += s.guard_misses;
+            stats.memo_hits += s.memo_hits;
+            stats.fused_hits += s.fused_hits;
+        }
+        stats
     }
 }
 

@@ -13,7 +13,7 @@ use std::hash::{Hash, Hasher};
 
 /// A match/cache key: inline up to 4×`u64`, boxed beyond.
 #[derive(Debug, Clone)]
-pub enum SmallKey {
+pub(crate) enum SmallKey {
     /// Stack-resident key of at most [`SmallKey::INLINE_CAP`] components.
     /// Components beyond `len` are zero and ignored.
     Inline {
@@ -29,10 +29,10 @@ pub enum SmallKey {
 
 impl SmallKey {
     /// Maximum number of components stored without heap allocation.
-    pub const INLINE_CAP: usize = 4;
+    pub(crate) const INLINE_CAP: usize = 4;
 
     /// Builds a key from a slice (allocates only beyond the inline cap).
-    pub fn from_slice(v: &[u64]) -> Self {
+    pub(crate) fn from_slice(v: &[u64]) -> Self {
         if v.len() <= Self::INLINE_CAP {
             let mut vals = [0u64; Self::INLINE_CAP];
             vals[..v.len()].copy_from_slice(v);
@@ -46,21 +46,11 @@ impl SmallKey {
     }
 
     /// The key's components.
-    pub fn as_slice(&self) -> &[u64] {
+    pub(crate) fn as_slice(&self) -> &[u64] {
         match self {
             SmallKey::Inline { len, vals } => &vals[..*len as usize],
             SmallKey::Heap(b) => b,
         }
-    }
-
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Whether the key has no components.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -103,7 +93,6 @@ mod tests {
             let v: Vec<u64> = (0..n as u64).map(|i| i * 7 + 1).collect();
             let k = SmallKey::from_slice(&v);
             assert_eq!(k.as_slice(), &v[..]);
-            assert_eq!(k.len(), n);
             match &k {
                 SmallKey::Inline { .. } => assert!(n <= SmallKey::INLINE_CAP),
                 SmallKey::Heap(_) => assert!(n > SmallKey::INLINE_CAP),

@@ -160,15 +160,15 @@ impl SpecStats {
 /// the final majority key. A key clearing the majority bar on this
 /// estimate is therefore at least that dominant in truth.
 #[derive(Debug, Clone)]
-pub struct HotKeySketch {
+pub(crate) struct HotKeySketch {
     /// Current majority candidate (composed key values).
-    pub candidate: SmallKey,
+    pub(crate) candidate: SmallKey,
     /// Boyer–Moore vote balance for the candidate.
-    pub votes: u64,
+    pub(crate) votes: u64,
     /// Samples that matched the current candidate.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Total sampled lookups.
-    pub samples: u64,
+    pub(crate) samples: u64,
 }
 
 impl Default for HotKeySketch {
@@ -185,7 +185,7 @@ impl Default for HotKeySketch {
 impl HotKeySketch {
     /// Feeds one sampled composed key into the sketch.
     #[inline]
-    pub fn observe(&mut self, key: &[u64]) {
+    pub(crate) fn observe(&mut self, key: &[u64]) {
         self.samples += 1;
         if self.votes > 0 && self.candidate.as_slice() == key {
             self.votes += 1;
@@ -203,7 +203,7 @@ impl HotKeySketch {
     /// add up; disagreeing sketches keep the stronger candidate with
     /// the vote margin reduced by the weaker one, mirroring how the
     /// streaming update cancels votes.
-    pub fn merge(&mut self, other: &HotKeySketch) {
+    pub(crate) fn merge(&mut self, other: &HotKeySketch) {
         self.samples += other.samples;
         if other.votes == 0 {
             return;

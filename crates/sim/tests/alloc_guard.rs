@@ -27,7 +27,7 @@ use pipeleon_cost::CostParams;
 use pipeleon_ir::{
     CacheRole, MatchKind, MatchValue, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
 };
-use pipeleon_sim::{ControlOp, EngineMode, Executor, Packet, ShardedNic, SmartNic};
+use pipeleon_sim::{ControlOp, EngineMode, Executor, NicBackend, Packet, ShardedNic, SmartNic};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

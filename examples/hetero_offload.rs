@@ -11,7 +11,7 @@
 use pipeleon_suite::cost::{CostModel, CostParams, RuntimeProfile};
 use pipeleon_suite::ir::{MatchKind, Primitive, ProgramBuilder};
 use pipeleon_suite::opt::hetero::partition_placement;
-use pipeleon_suite::sim::{ControlOp, SmartNic};
+use pipeleon_suite::sim::{ControlOp, NicBackend, SmartNic};
 use std::collections::HashSet;
 
 fn main() {

@@ -6,7 +6,7 @@ use pipeleon::search::Optimizer;
 use pipeleon_cost::{CostModel, CostParams};
 use pipeleon_ir::{MatchValue, TableEntry};
 use pipeleon_runtime::{Controller, ControllerConfig, SimTarget};
-use pipeleon_sim::{Packet, ShardedNic, SmartNic};
+use pipeleon_sim::{NicBackend, Packet, ShardedNic, SmartNic};
 use pipeleon_workloads::scenarios::{AclPipeline, ACL_DROP_VALUE};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;

@@ -186,7 +186,7 @@ fn cost_model_predictions_track_simulator() {
                 p
             })
             .collect();
-        measured.push(nic.mean_latency(packets));
+        measured.push(nic.measure(packets).mean_latency_ns);
     }
     // Pearson correlation > 0.99.
     let n = predicted.len() as f64;

@@ -130,7 +130,11 @@ fn live_swap_run(
     nic.measure_begin();
     for s in 0..SEGMENTS as u64 {
         let base = s * SEGMENT_PACKETS;
-        nic.measure_feed((0..SEGMENT_PACKETS).map(|i| swap_packet(base + i)));
+        nic.measure_feed(
+            (0..SEGMENT_PACKETS)
+                .map(|i| swap_packet(base + i))
+                .collect(),
+        );
         if s + 1 < SEGMENTS as u64 {
             nic.deploy(swap_variant(&g, &tables, s + 1)).unwrap();
         }
@@ -156,7 +160,11 @@ fn smart_swap_reference() -> (BatchStats, RuntimeProfile, ExecObservations) {
     nic.measure_begin();
     for s in 0..SEGMENTS as u64 {
         let base = s * SEGMENT_PACKETS;
-        nic.measure_feed((0..SEGMENT_PACKETS).map(|i| swap_packet(base + i)));
+        nic.measure_feed(
+            (0..SEGMENT_PACKETS)
+                .map(|i| swap_packet(base + i))
+                .collect(),
+        );
         if s + 1 < SEGMENTS as u64 {
             nic.deploy(swap_variant(&g, &tables, s + 1)).unwrap();
         }
@@ -246,8 +254,8 @@ fn live_entry_patches_match_synchronous_smartnic() {
         let mut fed = 0u64;
         for chunk in 0..12u64 {
             let base = chunk * 200;
-            live.measure_feed((0..200).map(|i| swap_packet(base + i)));
-            sync.measure_feed((0..200).map(|i| swap_packet(base + i)));
+            live.measure_feed((0..200).map(|i| swap_packet(base + i)).collect());
+            sync.measure_feed((0..200).map(|i| swap_packet(base + i)).collect());
             fed += 200;
             // One patch between chunks: it publishes as a delta on the
             // live datapath, applies synchronously on the reference.
@@ -367,9 +375,17 @@ fn flow_cache_resets_at_the_adoption_boundary_deterministically() {
         let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
         nic.set_instrumentation(true, 1);
         nic.measure_begin();
-        nic.measure_feed((0..1200u64).map(|i| Packet::with_slots(vec![(i * 7) % 48, 0])));
+        nic.measure_feed(
+            (0..1200u64)
+                .map(|i| Packet::with_slots(vec![(i * 7) % 48, 0]))
+                .collect(),
+        );
         nic.deploy(g.clone()).unwrap();
-        nic.measure_feed((0..600u64).map(|i| Packet::with_slots(vec![i % 12, 0])));
+        nic.measure_feed(
+            (0..600u64)
+                .map(|i| Packet::with_slots(vec![i % 12, 0]))
+                .collect(),
+        );
         let stats = nic.measure_end();
         let occupancy = nic.cache_len(cache);
         (
@@ -488,7 +504,7 @@ fn a_rejected_op_publishes_nothing_and_the_replica_answers() {
         nic.insert_entry(tables[0], valid.clone()).unwrap();
         reference.insert_entry(tables[0], valid.clone()).unwrap();
         nic.measure_begin();
-        nic.measure_feed((0..300).map(swap_packet));
+        nic.measure_feed((0..300).map(swap_packet).collect());
         let before = nic.last_swap().map(|s| s.generation);
         let counts_before = nic.generation_counts();
         // Wrong arity, out of range, and an unknown node: the
@@ -514,7 +530,7 @@ fn a_rejected_op_publishes_nothing_and_the_replica_answers() {
         // A valid remove mid-window returns the replica's entry.
         let removed = nic.remove_entry(tables[0], 0).unwrap();
         assert_eq!(removed, valid, "{ctx}: removed entry");
-        nic.measure_feed((300..600).map(swap_packet));
+        nic.measure_feed((300..600).map(swap_packet).collect());
         assert_eq!(nic.measure_end().packets, 600, "{ctx}: packets lost");
         // Exactly one generation was published mid-window (the
         // remove): the first 300 packets ran under the insert's, the
@@ -547,7 +563,11 @@ fn a_rejected_op_publishes_nothing_and_the_replica_answers() {
         .unwrap_err();
     let mut nic = ShardedNic::new(g.clone(), params, 2).unwrap();
     nic.measure_begin();
-    nic.measure_feed((0..64u64).map(|i| Packet::with_slots(vec![i % 3])));
+    nic.measure_feed(
+        (0..64u64)
+            .map(|i| Packet::with_slots(vec![i % 3]))
+            .collect(),
+    );
     assert_eq!(nic.apply(op).unwrap_err(), want);
     // And one that only fails once the table is in: wired to nowhere.
     let dangling = ControlOp::ReplaceTable {

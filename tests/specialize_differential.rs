@@ -99,11 +99,11 @@ fn sharded_run(
     nic.set_instrumentation(true, 1);
     let mid = batch.len() / 2;
     nic.measure_begin();
-    nic.measure_feed(batch[..mid].iter().cloned());
+    nic.measure_feed(batch[..mid].to_vec());
     if specialize {
         nic.specialize();
     }
-    nic.measure_feed(batch[mid..].iter().cloned());
+    nic.measure_feed(batch[mid..].to_vec());
     let stats = nic.measure_end();
     let spec = nic.spec_stats();
     (stats, nic.take_profile(), nic.take_observations(), spec)
@@ -223,9 +223,9 @@ fn live_specialize_swaps_lose_zero_packets() {
         nic.set_instrumentation(true, 1);
         let mid = batch.len() / 2;
         nic.measure_begin();
-        nic.measure_feed(batch[..mid].iter().cloned());
+        nic.measure_feed(batch[..mid].to_vec());
         assert!(nic.specialize(), "{ctx}: live specialize must apply");
-        nic.measure_feed(batch[mid..].iter().cloned());
+        nic.measure_feed(batch[mid..].to_vec());
         let stats = nic.measure_end();
         assert_eq!(
             stats.packets,
@@ -240,13 +240,13 @@ fn live_specialize_swaps_lose_zero_packets() {
         assert!(nic.spec_stats().specialized_tables > 0, "{ctx}");
         // Window 2: de-specialize live, same zero-loss requirement.
         nic.measure_begin();
-        nic.measure_feed(batch[..mid].iter().cloned());
+        nic.measure_feed(batch[..mid].to_vec());
         assert_eq!(
             nic.apply(ControlOp::Despecialize),
             Ok(Applied::Done),
             "{ctx}: live despecialize must apply"
         );
-        nic.measure_feed(batch[mid..].iter().cloned());
+        nic.measure_feed(batch[mid..].to_vec());
         let stats = nic.measure_end();
         assert_eq!(
             stats.packets,

@@ -6,7 +6,7 @@
 use pipeleon::hierarchical::assign_tiers;
 use pipeleon::{Optimizer, ResourceLimits};
 use pipeleon_cost::{CostModel, CostParams};
-use pipeleon_sim::{ControlOp, SmartNic};
+use pipeleon_sim::{ControlOp, NicBackend, SmartNic};
 use pipeleon_workloads::scenarios::DashRouting;
 
 #[test]

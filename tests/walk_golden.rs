@@ -25,7 +25,7 @@ use pipeleon_ir::{
     CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
 };
 use pipeleon_sim::{
-    ControlOp, EngineMode, ExecReport, Packet, PacketTrace, SampleKeying, SmartNic,
+    ControlOp, EngineMode, ExecReport, NicBackend, Packet, PacketTrace, SampleKeying, SmartNic,
 };
 use pipeleon_workloads::scenarios::{
     AclPipeline, DashRouting, L2L3Acl, LoadBalancer, NfComposition, SkewedPipeline,
