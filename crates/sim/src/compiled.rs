@@ -13,11 +13,11 @@
 //! the differential suites, is how a node is reached, what a lookup
 //! resolves to and what it is charged. Every baked term multiplies the
 //! same operands in the same order as the per-visit derivation, and
-//! lookup probe/resolution order is inherited from [`MatchEngine`] (the
-//! compiled engine is converted from a freshly built interpreter engine
-//! rather than re-deriving way layout).
+//! lookup probe/resolution order is the interpreter's because both
+//! engines are built from one way [`Layout`] per table, computed in one
+//! place, rather than each deriving its own.
 
-use crate::engine::{KeyScratch, LookupOutcome, MatchEngine, Resolve};
+use crate::engine::{stored_word, KeyScratch, Layout, LookupOutcome, Resolve};
 use crate::exec::{GraphView, Provider, Step, Visit};
 use crate::packet::Packet;
 use crate::prefetch;
@@ -41,11 +41,9 @@ pub(crate) enum CEntries {
 }
 
 impl CEntries {
-    fn from_list(v: &[usize]) -> Self {
-        match v {
-            [one] => CEntries::One(*one),
-            many => CEntries::Many(many.to_vec().into_boxed_slice()),
-        }
+    /// Lists entry `idx` after those already listed.
+    fn push(&mut self, idx: usize) {
+        *self = CEntries::Many(self.as_slice().iter().copied().chain([idx]).collect());
     }
 
     #[inline]
@@ -89,8 +87,8 @@ pub(crate) const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// home slot taken from the *top* bits of the Fx hash (the well-mixed end
 /// of a multiplicative hash), collisions resolved by linear probing,
 /// load kept at or below 7/8 so a probe run always ends at an `Empty`.
-/// Built once from a finished key → entries map and never mutated: entry
-/// ops rebuild the whole engine, so there is no deletion and no
+/// Built once from a [`Layout`] way, in entry order, and never mutated:
+/// entry ops rebuild the whole engine, so there is no deletion and no
 /// tombstone. The slot's address is a function of the key alone, which
 /// is what lets the look-ahead stage prefetch it from a packet that has
 /// not started executing.
@@ -112,10 +110,12 @@ pub(crate) struct FlatWay {
 }
 
 impl FlatWay {
-    /// Builds the way in one pass at its final capacity: the smallest
-    /// power of two, at least 2, that keeps `len / capacity <= 7/8`.
-    fn build<'a>(
-        entries: impl ExactSizeIterator<Item = (u64, &'a [usize])>,
+    /// Builds the way in one pass over its `(key, entry)` pairs, in
+    /// entry order (a stored key's slot lists the entries after it), at
+    /// its final capacity: the smallest power of two, at least 2, that
+    /// keeps `pairs / capacity <= 7/8`.
+    fn build(
+        entries: impl ExactSizeIterator<Item = (u64, usize)>,
         entry_meta: &[(usize, i32)],
     ) -> Self {
         let cap = (entries.len() * 8).div_ceil(7).next_power_of_two().max(2);
@@ -132,23 +132,24 @@ impl FlatWay {
             presence: 0,
         };
         let mask = cap - 1;
-        for (key, list) in entries {
-            let val = match *list {
-                [idx] => {
-                    let (action, prio) = entry_meta[idx];
-                    match (u32::try_from(idx), u32::try_from(action)) {
-                        (Ok(idx), Ok(action)) => FlatVal::One { idx, action, prio },
-                        _ => FlatVal::Many(list.into()),
-                    }
-                }
-                _ => FlatVal::Many(list.into()),
-            };
+        for (key, idx) in entries {
             way.presence |= way.presence_bit(key);
             let mut i = way.home(key);
-            while !matches!(way.slots[i].val, FlatVal::Empty) {
+            while !matches!(way.slots[i].val, FlatVal::Empty) && way.slots[i].key != key {
                 i = (i + 1) & mask;
             }
-            way.slots[i] = FlatSlot { key, val };
+            let (slot, (action, prio)) = (&mut way.slots[i], entry_meta[idx]);
+            slot.key = key;
+            slot.val = match (&slot.val, u32::try_from(idx), u32::try_from(action)) {
+                (FlatVal::Empty, Ok(idx), Ok(action)) => FlatVal::One { idx, action, prio },
+                (FlatVal::Empty, ..) => FlatVal::Many(Box::new([idx])),
+                (FlatVal::One { idx: first, .. }, ..) => {
+                    FlatVal::Many([*first as usize, idx].into())
+                }
+                (FlatVal::Many(list), ..) => {
+                    FlatVal::Many(list.iter().copied().chain([idx]).collect())
+                }
+            };
         }
         way
     }
@@ -184,14 +185,14 @@ impl FlatWay {
         }
     }
 
-    /// Every `(key, entry list)` pair, in slot order.
+    /// Every stored key, in slot order.
     #[cfg(test)]
-    fn iter(&self) -> impl Iterator<Item = (u64, CEntries)> + '_ {
-        self.slots.iter().filter_map(|s| match &s.val {
-            FlatVal::Empty => None,
-            FlatVal::One { idx, .. } => Some((s.key, CEntries::One(*idx as usize))),
-            FlatVal::Many(list) => Some((s.key, CEntries::from_list(list))),
-        })
+    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        let stored = self
+            .slots
+            .iter()
+            .filter(|s| !matches!(s.val, FlatVal::Empty));
+        stored.map(|s| s.key)
     }
 }
 
@@ -205,8 +206,8 @@ pub(crate) enum CWayMap {
     Multi(FxHashMap<SmallKey, CEntries>),
 }
 
-/// One hash-table way of a [`CompiledEngine`]: FxHash-keyed copy of the
-/// interpreter way.
+/// One hash-table way of a [`CompiledEngine`]: a way of the table's
+/// [`Layout`], keyed for lookup without a `&Table`.
 #[derive(Debug, Clone)]
 pub(crate) struct CWay {
     pub(crate) masks: Box<[u64]>,
@@ -257,8 +258,9 @@ struct CScanEntry {
 }
 
 /// The compiled match engine for one table. Semantically identical to
-/// [`MatchEngine::lookup`] (it is converted from one), but needs no
-/// `&Table` at lookup time and hashes inline [`SmallKey`]s with FxHash.
+/// [`MatchEngine::lookup`](crate::MatchEngine::lookup) (both are built
+/// from the table's [`Layout`]), but needs no `&Table` at lookup time
+/// and hashes inline [`SmallKey`]s with FxHash.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledEngine {
     key_fields: Box<[FieldRef]>,
@@ -272,49 +274,55 @@ pub(crate) struct CompiledEngine {
 }
 
 impl CompiledEngine {
-    /// Builds the compiled engine by converting a freshly built
-    /// interpreter engine — way order, entry-list order and resolution
-    /// rules carry over verbatim, so probe counts and resolved entries
-    /// are identical by construction.
+    /// Builds the compiled engine from the table's [`Layout`], as the
+    /// interpreter's engine is built: way order, entry-list order and
+    /// resolution rules, hence probe counts and resolved entries, are
+    /// the interpreter's by construction.
     pub(crate) fn from_table(table: &Table) -> Self {
-        let me = MatchEngine::build(table);
-        let ways = me
-            .ways
-            .iter()
-            .map(|w| CWay {
-                masks: w.masks.clone().into_boxed_slice(),
+        let layout = Layout::of(table);
+        let entries = &table.entries;
+        let mut key = Vec::new();
+        let mut ways = Vec::with_capacity(layout.ways.len());
+        for w in &layout.ways {
+            let map = if w.masks.len() == 1 {
+                let keyed = w
+                    .entries
+                    .iter()
+                    .map(|&i| (stored_word(&entries[i].matches[0]), i));
+                CWayMap::U64(FlatWay::build(keyed, &layout.entry_meta))
+            } else {
+                let mut map = FxHashMap::<SmallKey, CEntries>::default();
+                for &idx in &w.entries {
+                    key.clear();
+                    key.extend(entries[idx].matches.iter().map(stored_word));
+                    map.entry(SmallKey::from_slice(&key))
+                        .and_modify(|list| list.push(idx))
+                        .or_insert(CEntries::One(idx));
+                }
+                CWayMap::Multi(map)
+            };
+            ways.push(CWay {
+                masks: w.masks.as_slice().into(),
                 full_mask: w.masks.iter().all(|&m| m == !0u64),
-                map: if w.masks.len() == 1 {
-                    CWayMap::U64(FlatWay::build(
-                        w.map.iter().map(|(k, v)| (k[0], v.as_slice())),
-                        &me.entry_meta,
-                    ))
-                } else {
-                    CWayMap::Multi(
-                        w.map
-                            .iter()
-                            .map(|(k, v)| (SmallKey::from_slice(k), CEntries::from_list(v)))
-                            .collect(),
-                    )
-                },
-            })
-            .collect();
-        let scan = me
-            .scan_entries
+                map,
+            });
+        }
+        let scan = layout
+            .scan
             .iter()
             .map(|&idx| CScanEntry {
                 idx,
-                matches: table.entries[idx].matches.clone().into_boxed_slice(),
+                matches: entries[idx].matches.as_slice().into(),
             })
             .collect();
         Self {
-            key_fields: me.key_fields.into_boxed_slice(),
+            key_fields: table.keys.iter().map(|k| k.field).collect(),
             ways,
             scan,
-            resolve: me.resolve,
-            default_action: me.default_action,
-            entry_meta: me.entry_meta.into_boxed_slice(),
-            has_keys: me.has_keys,
+            resolve: layout.resolve,
+            default_action: table.default_action,
+            entry_meta: layout.entry_meta.into_boxed_slice(),
+            has_keys: !table.keys.is_empty(),
         }
     }
 
@@ -338,7 +346,7 @@ impl CompiledEngine {
     }
 
     /// Resolves an already-composed key (`scratch.values`); mirrors
-    /// [`MatchEngine::lookup`] exactly, allocation-free. Apart from
+    /// the interpreter's lookup exactly, allocation-free. Apart from
     /// [`Self::compose_key`] so the specialization guard can compare the
     /// composed key against the baked hot key first and fall through to
     /// this exact general path on a miss — and so hot outcomes can be
@@ -1289,6 +1297,7 @@ fn compile_node(view: &GraphView, slot_of: &[u32], id: NodeId) -> CNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MatchEngine;
     use pipeleon_ir::{Action, MatchKey, MatchKind, TableEntry};
 
     fn packet(vals: &[u64]) -> Packet {
@@ -1360,15 +1369,20 @@ mod tests {
         let lists: Vec<Vec<usize>> = (0..keys.len())
             .map(|i| if i % 3 == 2 { vec![i, i + 1] } else { vec![i] })
             .collect();
-        let way = FlatWay::build(
-            keys.iter().zip(&lists).map(|(&k, l)| (k, l.as_slice())),
-            &meta,
-        );
+        // Every key's first entry, then the second ones: a list is
+        // completed after other keys have been stored.
+        let pairs: Vec<(u64, usize)> = (0..2)
+            .flat_map(|j| {
+                let listed = keys.iter().zip(&lists);
+                listed.filter_map(move |(&k, l)| Some((k, *l.get(j)?)))
+            })
+            .collect();
+        let way = FlatWay::build(pairs.iter().copied(), &meta);
         assert!(way.slots.len().is_power_of_two() && way.slots.len() >= 2);
         assert!(
-            keys.len() * 8 <= way.slots.len() * 7,
-            "load above 7/8: {} keys in {} slots",
-            keys.len(),
+            pairs.len() * 8 <= way.slots.len() * 7,
+            "load above 7/8: {} entries in {} slots",
+            pairs.len(),
             way.slots.len()
         );
         for (i, &k) in keys.iter().enumerate() {
@@ -1386,7 +1400,7 @@ mod tests {
                 assert!(way.get(absent).is_none(), "phantom hit for {absent:#x}");
             }
         }
-        let mut seen: Vec<u64> = way.iter().map(|(k, _)| k).collect();
+        let mut seen: Vec<u64> = way.keys().collect();
         seen.sort_unstable();
         let mut want = keys.to_vec();
         want.sort_unstable();
@@ -1422,7 +1436,7 @@ mod tests {
         for n in [7usize, 14, 28, 56, 7 * 64, 7 * 1024] {
             let keys: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
             check_flat(&keys);
-            let way = FlatWay::build(keys.iter().map(|&k| (k, &[0usize][..])), &[(0, 0)]);
+            let way = FlatWay::build(keys.iter().map(|&k| (k, 0)), &[(0, 0)]);
             assert_eq!(way.slots.len() * 7, n * 8, "exactly at the limit");
         }
     }

@@ -7,8 +7,8 @@
 //! tables it probed so the executor charges `probes × L_mat`.
 
 use crate::packet::Packet;
+use fxhash::FxHashMap;
 use pipeleon_ir::{prefix_mask, MatchKind, MatchValue, Table};
-use std::collections::HashMap;
 
 /// The outcome of a key match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,18 +44,98 @@ impl KeyScratch {
     }
 }
 
-/// One hash-table "way": all entries sharing a mask pattern.
+/// Where a table's entries live: its hash-table ways, in the order a
+/// lookup probes them, and the entries needing a linear scan. Decided
+/// here once and read by both engines ([`MatchEngine::build`] and the
+/// compiled engine), so they agree on probe order, per-key entry order
+/// and resolution by construction.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    /// Mask patterns in order of first appearance (LPM ways then stably
+    /// sorted most specific first, so the first hit is the longest
+    /// prefix), each with its entries in ascending order.
+    pub(crate) ways: Vec<Way<Vec<usize>>>,
+    /// Entries holding a range value, ascending.
+    pub(crate) scan: Vec<usize>,
+    pub(crate) resolve: Resolve,
+    /// Entry index → (action, priority) copied from the table.
+    pub(crate) entry_meta: Vec<(usize, i32)>,
+}
+
+impl Layout {
+    /// Lays out a table's entries. The table should have passed
+    /// [`Table::validate`].
+    pub(crate) fn of(table: &Table) -> Self {
+        let resolve = match table.effective_kind() {
+            MatchKind::Exact => Resolve::Exact,
+            MatchKind::Lpm => Resolve::LongestPrefix,
+            MatchKind::Ternary | MatchKind::Range => Resolve::Priority,
+        };
+        let mut ways: Vec<Way<Vec<usize>>> = Vec::new();
+        let mut scan = Vec::new();
+        let mut masks = Vec::new();
+        'entry: for (idx, e) in table.entries.iter().enumerate() {
+            masks.clear();
+            for mv in &e.matches {
+                let Some((mask, _)) = mask_and_value(mv) else {
+                    scan.push(idx);
+                    continue 'entry;
+                };
+                masks.push(mask);
+            }
+            match ways.iter_mut().find(|w| w.masks == masks) {
+                Some(w) => w.entries.push(idx),
+                None => ways.push(Way {
+                    masks: masks.clone(),
+                    entries: vec![idx],
+                }),
+            }
+        }
+        if resolve == Resolve::LongestPrefix {
+            ways.sort_by_key(|w| {
+                std::cmp::Reverse(w.masks.iter().map(|m| m.count_ones()).sum::<u32>())
+            });
+        }
+        Self {
+            ways,
+            scan,
+            resolve,
+            entry_meta: table
+                .entries
+                .iter()
+                .map(|e| (e.action, e.priority))
+                .collect(),
+        }
+    }
+}
+
+/// A match value's mask and value; `None` for a range, which no mask
+/// expresses.
+fn mask_and_value(mv: &MatchValue) -> Option<(u64, u64)> {
+    match *mv {
+        MatchValue::Exact(v) => Some((u64::MAX, v)),
+        MatchValue::Lpm { value, prefix_len } => Some((prefix_mask(prefix_len), value)),
+        MatchValue::Ternary { value, mask } => Some((mask, value)),
+        MatchValue::Range { .. } => None,
+    }
+}
+
+/// A key word as a way stores it: the value under its own mask (only
+/// asked of entries a [`Layout`] put in a way).
+pub(crate) fn stored_word(mv: &MatchValue) -> u64 {
+    mask_and_value(mv).map_or(0, |(mask, value)| value & mask)
+}
+
+/// One hash-table "way": all entries sharing a mask pattern — as an
+/// index list in a [`Layout`], keyed by masked value in an engine (boxed
+/// keys, so lookups can borrow a `&[u64]` scratch buffer).
 #[derive(Debug, Clone)]
-pub(crate) struct Way {
-    /// Per-key masks applied to the packet value before hashing. Exact
-    /// keys use `u64::MAX`; LPM/ternary use their prefix/bit masks; range
-    /// keys force a linear scan (`None` signature).
+pub(crate) struct Way<E = FxHashMap<Box<[u64]>, Vec<usize>>> {
+    /// Per-key masks applied to the packet value before hashing: exact
+    /// keys use `u64::MAX`, LPM and ternary keys their prefix/bit masks.
     pub(crate) masks: Vec<u64>,
-    /// Specificity used for LPM ordering (total set bits across masks).
-    pub(crate) specificity: u32,
-    /// Masked key values → entry indices (highest priority kept first).
-    /// Boxed keys so lookups can borrow a `&[u64]` scratch buffer.
-    pub(crate) map: HashMap<Box<[u64]>, Vec<usize>>,
+    /// The entries under the pattern, each key's in ascending order.
+    pub(crate) entries: E,
 }
 
 /// How the engine resolves among ways.
@@ -84,64 +164,28 @@ pub struct MatchEngine {
 }
 
 impl MatchEngine {
-    /// Compiles the engine from a table definition. The table should have
-    /// passed [`Table::validate`].
+    /// Compiles the engine from a table's way layout, as the compiled
+    /// engine is. The table should have passed [`Table::validate`].
     pub fn build(table: &Table) -> Self {
-        let key_fields = table.keys.iter().map(|k| k.field).collect::<Vec<_>>();
-        let resolve = match table.effective_kind() {
-            MatchKind::Exact => Resolve::Exact,
-            MatchKind::Lpm => Resolve::LongestPrefix,
-            MatchKind::Ternary | MatchKind::Range => Resolve::Priority,
-        };
-        let mut ways: Vec<Way> = Vec::new();
-        let mut scan_entries = Vec::new();
-        let entry_meta = table
-            .entries
-            .iter()
-            .map(|e| (e.action, e.priority))
-            .collect();
-        'entry: for (idx, e) in table.entries.iter().enumerate() {
-            let mut masks = Vec::with_capacity(e.matches.len());
-            let mut key = Vec::with_capacity(e.matches.len());
-            for mv in &e.matches {
-                let (mask, value) = match *mv {
-                    MatchValue::Exact(v) => (u64::MAX, v),
-                    MatchValue::Lpm { value, prefix_len } => (prefix_mask(prefix_len), value),
-                    MatchValue::Ternary { value, mask } => (mask, value),
-                    MatchValue::Range { .. } => {
-                        scan_entries.push(idx);
-                        continue 'entry;
-                    }
-                };
-                masks.push(mask);
-                key.push(value & mask);
+        let layout = Layout::of(table);
+        let key = |idx: usize| table.entries[idx].matches.iter().map(stored_word).collect();
+        let ways = layout.ways.into_iter().map(|w| {
+            let mut map = FxHashMap::<Box<[u64]>, Vec<usize>>::default();
+            for &idx in &w.entries {
+                map.entry(key(idx)).or_default().push(idx);
             }
-            let way = match ways.iter_mut().find(|w| w.masks == masks) {
-                Some(w) => w,
-                None => {
-                    let specificity = masks.iter().map(|m| m.count_ones()).sum();
-                    ways.push(Way {
-                        masks,
-                        specificity,
-                        map: HashMap::new(),
-                    });
-                    ways.last_mut().expect("just pushed")
-                }
-            };
-            way.map.entry(key.into_boxed_slice()).or_default().push(idx);
-        }
-        // LPM: most specific way first so the first hit is the longest
-        // prefix. Stable by construction order otherwise.
-        if resolve == Resolve::LongestPrefix {
-            ways.sort_by_key(|w| std::cmp::Reverse(w.specificity));
-        }
+            Way {
+                masks: w.masks,
+                entries: map,
+            }
+        });
         Self {
-            key_fields,
-            ways,
-            scan_entries,
-            resolve,
+            key_fields: table.keys.iter().map(|k| k.field).collect(),
+            ways: ways.collect(),
+            scan_entries: layout.scan,
+            resolve: layout.resolve,
             default_action: table.default_action,
-            entry_meta,
+            entry_meta: layout.entry_meta,
             has_keys: !table.keys.is_empty(),
         }
     }
@@ -176,7 +220,7 @@ impl MatchEngine {
             scratch
                 .masked
                 .extend(scratch.values.iter().zip(&way.masks).map(|(v, m)| v & m));
-            if let Some(entries) = way.map.get(scratch.masked.as_slice()) {
+            if let Some(entries) = way.entries.get(scratch.masked.as_slice()) {
                 for &idx in entries {
                     let (_, prio) = self.entry_meta[idx];
                     let better = match best {

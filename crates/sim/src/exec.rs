@@ -42,6 +42,7 @@ use pipeleon_ir::{
 };
 use pipeleon_obs::{Event, EventKind};
 use std::borrow::{Borrow, Cow};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// Per-packet execution report.
@@ -313,7 +314,10 @@ pub(crate) enum Step<'a, P: Provider + ?Sized + 'a> {
 pub(crate) struct GraphView {
     pub(crate) graph: ProgramGraph,
     pub(crate) params: CostParams,
-    engines: Vec<Option<MatchEngine>>,
+    /// Dense by node index. A table's engine is built by its first
+    /// interpreted lookup after the table last changed, so the compiled
+    /// engine, which never asks, never builds one.
+    engines: Vec<OnceCell<MatchEngine>>,
     pub(crate) placement: Vec<Placement>,
     pub(crate) memory_tiers: Vec<MemoryTier>,
 }
@@ -385,9 +389,7 @@ impl Provider for GraphView {
         _spec: &mut SpecStats,
         _memo: &mut LookupMemo,
     ) -> LookupOutcome {
-        let engine = self.engines[node.id.index()]
-            .as_ref()
-            .expect("engine built");
+        let engine = self.engines[node.id.index()].get_or_init(|| MatchEngine::build(table));
         engine.lookup(table, packet, scratch)
     }
 
@@ -582,10 +584,7 @@ impl Executor {
     /// window.
     pub fn apply(&mut self, op: &ControlOp) -> Result<Applied, IrError> {
         match op {
-            ControlOp::Deploy(graph) => {
-                graph.validate()?;
-                self.adopt_graph(graph.clone(), None);
-            }
+            ControlOp::Deploy(graph) => return self.deploy(graph.clone()),
             ControlOp::InsertEntry { node, .. }
             | ControlOp::RemoveEntry { node, .. }
             | ControlOp::ReplaceTable { node, .. } => {
@@ -608,6 +607,14 @@ impl Executor {
             ControlOp::Specialize => return Ok(self.specialize_from(&HashMap::new())),
             ControlOp::Despecialize => return Ok(self.despecialize()),
         }
+        Ok(Applied::Done)
+    }
+
+    /// [`ControlOp::Deploy`] of a graph the caller hands over rather than
+    /// lends, so it is not cloned.
+    pub(crate) fn deploy(&mut self, graph: ProgramGraph) -> Result<Applied, IrError> {
+        graph.validate()?;
+        self.adopt_graph(graph, None);
         Ok(Applied::Done)
     }
 
@@ -775,7 +782,7 @@ impl Executor {
             program
                 .view
                 .engines
-                .resize(program.view.graph.id_bound(), None);
+                .resize_with(program.view.graph.id_bound(), OnceCell::new);
         }
         if caches.len() < program.view.graph.id_bound() {
             caches.resize_with(program.view.graph.id_bound(), || None);
@@ -784,7 +791,7 @@ impl Executor {
             return;
         };
         if let Some(t) = n.as_table() {
-            program.view.engines[id.index()] = Some(MatchEngine::build(t));
+            program.view.engines[id.index()] = OnceCell::new();
             if t.cache_role == CacheRole::FlowCache && caches[id.index()].is_none() {
                 caches[id.index()] = Some(FlowCacheState {
                     lru: LruCache::new(t.max_entries.unwrap_or(CACHE_CAPACITY)),

@@ -382,14 +382,17 @@ impl NicBackend for SmartNic {
     /// ([`NicBackend::last_swap`]).
     fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
         let t0 = Instant::now();
-        let applied = match &op {
+        let swaps = op.swaps_pipeline();
+        let applied = match op {
             // The retained window is this NIC's, not the executor's.
             ControlOp::Specialize => self.exec.specialize_from(&self.last_sketches),
-            op => self.exec.apply(op)?,
+            // Nothing else holds the op: the graph moves, uncloned.
+            ControlOp::Deploy(graph) => self.exec.deploy(graph)?,
+            op => self.exec.apply(&op)?,
         };
         if applied != Applied::Unchanged {
             self.generation += 1;
-            if op.swaps_pipeline() {
+            if swaps {
                 self.last_swap = Some(LiveSwap {
                     generation: self.generation,
                     // Single-threaded: nothing is ever in flight at a swap.

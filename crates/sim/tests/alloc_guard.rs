@@ -17,7 +17,9 @@
 //! specialised pipeline whose guard misses go through the lookup memo
 //! (allocated by the first guard miss after the plan is applied); an
 //! instrumented cycle's
-//! `take_profile` allocates what it hands away.
+//! `take_profile` allocates what it hands away. Off the packet path, a
+//! compiled deploy (lowering, an entry insert) makes no allocation per
+//! entry: a 16× bigger table adds only `Vec` growth steps.
 //!
 //! Deliberately a single `#[test]` in its own integration-test binary:
 //! the allocation counter is process-global, so concurrently running
@@ -126,8 +128,8 @@ fn mixed_program() -> ProgramGraph {
     b.seal(exact).unwrap()
 }
 
-/// One exact table with an entry for every key in `0..65_536`.
-fn big_table_program() -> ProgramGraph {
+/// One exact table with an entry for every key in `0..entries`.
+fn exact_table_program(entries: u64) -> ProgramGraph {
     let mut b = ProgramBuilder::new();
     let a = b.field("a");
     let out = b.field("out");
@@ -137,7 +139,7 @@ fn big_table_program() -> ProgramGraph {
         .action("mark", vec![Primitive::set(out, 1)])
         .action_nop("pass")
         .default_action(1);
-    for k in 0..65_536u64 {
+    for k in 0..entries {
         big = big.entry(TableEntry::new(vec![MatchValue::Exact(k)], 0));
     }
     let big = big.finish();
@@ -243,7 +245,7 @@ fn compiled_steady_state_is_allocation_free() {
     // `process_batch` hints its slots a few packets ahead. The stage is
     // a field read, a multiply and a prefetch: a burst still allocates
     // exactly its report `Vec` and nothing else.
-    let mut ex = Executor::new(big_table_program(), params.clone()).unwrap();
+    let mut ex = Executor::new(exact_table_program(65_536), params.clone()).unwrap();
     ex.apply(&ControlOp::SetEngineMode(EngineMode::Compiled))
         .unwrap();
     let mut packets: Vec<Packet> = (0..256u64)
@@ -386,6 +388,47 @@ fn compiled_steady_state_is_allocation_free() {
         single_take <= CYCLE_ALLOCS && sharded_take <= CYCLE_ALLOCS,
         "take_profile allocated {single_take} (single) / {sharded_take} (run-loop), \
          over the {CYCLE_ALLOCS} its returned maps account for"
+    );
+
+    // --- A deploy, built once -------------------------------------------
+    // A compiled NIC on one exact table: `new`, the first burst (which
+    // lowers the program), one entry insert (which re-lowers the table)
+    // and the next burst. No interpreter engine is built, and the flat
+    // way is filled straight from the table's layout: the two table
+    // sizes differ by the growth steps of the layout's `Vec`s, not by
+    // an allocation per entry. (At the parent commit every build made an
+    // interpreter engine, a boxed key and an entry list per entry, and
+    // the compiled one converted one more: 4,096 and 65,536 entries
+    // differed by over 400,000 allocations.)
+    let deploy_allocs = |entries: u64| {
+        let mut parts = Some((
+            exact_table_program(entries),
+            params.clone(),
+            TableEntry::new(vec![MatchValue::Exact(entries)], 0),
+        ));
+        let mut burst: Vec<Packet> = (0..256u64)
+            .map(|i| Packet::with_slots(vec![i * 7919 % (entries + 1), 0]))
+            .collect();
+        count_allocs(|| {
+            let (graph, params, entry) = parts.take().unwrap();
+            let node = graph.root().unwrap();
+            let mut nic = SmartNic::new(graph, params).unwrap();
+            assert_eq!(nic.engine_mode(), EngineMode::Compiled);
+            nic.process_batch(&mut burst);
+            nic.apply(ControlOp::InsertEntry { node, entry }).unwrap();
+            nic.process_batch(&mut burst);
+        })
+    };
+    let (small, big) = (deploy_allocs(4_096), deploy_allocs(65_536));
+    eprintln!("deploy allocations: {small} at 4,096 entries, {big} at 65,536");
+    assert_eq!(
+        (small, big),
+        (68, 86),
+        "a compiled deploy's allocations moved"
+    );
+    assert!(
+        big - small <= 32,
+        "a compiled deploy allocates per entry: {small} at 4,096 entries, {big} at 65,536"
     );
 
     // --- The interpreter ------------------------------------------------

@@ -51,6 +51,11 @@ impl Lcg {
             .wrapping_add(1442695040888963407);
         self.0 >> 33
     }
+
+    /// One of `choices`.
+    fn pick(&mut self, choices: &[u64]) -> u64 {
+        choices[self.next() as usize % choices.len()]
+    }
 }
 
 /// Seeded flow traffic over every field any table of `g` matches on.
@@ -532,6 +537,116 @@ fn mid_stream_entry_churn_stays_identical() {
     assert_eq!(interp.executor_mut().compile_stats(), (0, 0));
 }
 
+/// The interpreter's match engines are built only while it is selected.
+/// A NIC that takes entry inserts and removes, a table replacement and a
+/// deploy between packets, under the compiled engine and under the
+/// interpreter alike, and switches engines mid-window (the profile,
+/// sampling schedule and histograms running on) reports, measures,
+/// traces and profiles exactly what a NIC that interpreted throughout
+/// does.
+#[test]
+fn engines_switched_mid_window_follow_every_op() {
+    let (g, tables) = churn_program();
+    let params = CostParams::agilio_cx();
+    let (mut interp, mut switched) = nic_pair(&g, &params, 3);
+    let mut rng = Lcg(0x1A2E);
+    let (mut ti, mut ts) = (PacketTrace::default(), PacketTrace::default());
+    let apply_both = |interp: &mut SmartNic, switched: &mut SmartNic, op: ControlOp| {
+        assert_eq!(interp.apply(op.clone()), switched.apply(op));
+    };
+    let mut seq = 0u64;
+    let modes = [
+        EngineMode::Compiled,
+        EngineMode::Interpreter,
+        EngineMode::Compiled,
+        EngineMode::Interpreter,
+    ];
+    for (phase, mode) in modes.into_iter().enumerate() {
+        switched.set_engine_mode(mode);
+        for step in 0..4 {
+            let ctx = format!("phase {phase} ({mode:?}) step {step}");
+            for i in 0..48 {
+                seq += 1;
+                let (mut a, mut b) = (churn_packet(seq), churn_packet(seq));
+                let ra = interp.process_one_traced(&mut a, &mut ti);
+                let rb = switched.process_one_traced(&mut b, &mut ts);
+                assert_reports_identical(&ra, &rb, &format!("{ctx}: packet {i}"));
+                assert_eq!(a, b, "{ctx}: packet {i} contents diverged");
+                assert_eq!(ti, ts, "{ctx}: packet {i} trace diverged");
+            }
+            let batch: Vec<Packet> = (0..64).map(|i| churn_packet(seq + i)).collect();
+            seq += 64;
+            assert_stats_identical(interp.measure(batch.clone()), switched.measure(batch), &ctx);
+            for _ in 0..3 {
+                let node = tables[rng.next() as usize % tables.len()];
+                let t = interp.graph().node(node).unwrap().as_table().unwrap();
+                let (kind, len) = (t.keys[0].kind, t.entries.len());
+                let op = if len > 0 && rng.next().is_multiple_of(3) {
+                    let index = rng.next() as usize % len;
+                    ControlOp::RemoveEntry { node, index }
+                } else {
+                    let value = rng.next() % 24;
+                    let mv = match kind {
+                        MatchKind::Exact => MatchValue::Exact(value),
+                        _ => MatchValue::Ternary { value, mask: 0x1F },
+                    };
+                    let entry = TableEntry::with_priority(vec![mv], 0, (rng.next() % 3) as i32);
+                    ControlOp::InsertEntry { node, entry }
+                };
+                apply_both(&mut interp, &mut switched, op);
+            }
+            if step == 1 {
+                // A table turns ternary: several ways, priorities.
+                let node = tables[phase % tables.len()];
+                let mut table = interp
+                    .graph()
+                    .node(node)
+                    .unwrap()
+                    .as_table()
+                    .unwrap()
+                    .clone();
+                table.keys[0].kind = MatchKind::Ternary;
+                table.entries = (0..6)
+                    .map(|_| {
+                        let mv = MatchValue::Ternary {
+                            value: rng.next() % 24,
+                            mask: rng.pick(&[0x1F, 0x7, 0x3]),
+                        };
+                        let prio = (rng.next() % 3) as i32;
+                        TableEntry::with_priority(vec![mv], (rng.next() % 2) as usize, prio)
+                    })
+                    .collect();
+                let op = ControlOp::ReplaceTable {
+                    node,
+                    table,
+                    next: None,
+                };
+                apply_both(&mut interp, &mut switched, op);
+            }
+            if step == 3 {
+                // The program as it stands, with another entry per table.
+                let mut next = interp.graph().clone();
+                for &node in &tables {
+                    let t = next.node_mut(node).and_then(|n| n.as_table_mut()).unwrap();
+                    let value = rng.next() % 24;
+                    let mv = match t.keys[0].kind {
+                        MatchKind::Exact => MatchValue::Exact(value),
+                        _ => MatchValue::Ternary { value, mask: 0xF },
+                    };
+                    t.entries.push(TableEntry::with_priority(vec![mv], 0, 2));
+                }
+                apply_both(&mut interp, &mut switched, ControlOp::Deploy(next));
+            }
+        }
+    }
+    assert_profiles_identical(&interp.take_profile(), &switched.take_profile(), "switched");
+    assert_eq!(
+        interp.take_observations(),
+        switched.take_observations(),
+        "switched: observations diverged"
+    );
+}
+
 /// Everything observable about one chaos-fault controller run.
 #[derive(Debug, PartialEq)]
 struct ChaosSignature {
@@ -632,15 +747,33 @@ const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// Spare actions a [`way_table`] declares past its entries, for inserts.
 const SPARE_ACTIONS: usize = 4;
 
-/// A single-field table of `n` entries whose key set stresses a flat
-/// way. Entry `i` runs action `i`, so the action a lookup resolves names
-/// the entry it matched; the last action is the miss.
+/// Fields a [`way_table`] may key on; every probe carries all of them.
+const WAY_FIELDS: usize = 3;
+
+/// [`way_table`]'s shapes.
+const WAY_SHAPES: usize = 10;
+
+/// A table of `n` entries whose entry set stresses the way layout and
+/// the flat ways. Entry `i` runs action `i`, so the action a lookup
+/// resolves names the entry it matched; the last action is the miss.
 ///
-/// `shape`: 0 random keys · 1 a small domain, so keys repeat and lists
-/// hold several entries · 2 the extremes (`0`, `u64::MAX` and their
-/// neighbours) among random keys · 3 keys that all hash to home slot 0
-/// (multiples of the multiplier's inverse), one long probe run · 4
-/// exactly `7·2^k` distinct keys, a way filled to its 7/8 load limit.
+/// Single-field `shape`s, one `kind` key on field 0: 0 random keys · 1 a
+/// small domain, so keys repeat and lists hold several entries · 2 the
+/// extremes (`0`, `u64::MAX` and their neighbours) among random keys · 3
+/// keys that all hash to home slot 0 (multiples of the multiplier's
+/// inverse), one long probe run · 4 exactly `7·2^k` distinct keys, a way
+/// filled to its 7/8 load limit.
+///
+/// Layout corner cases, whatever `kind`: 5 exact keys each installed
+/// about twice, the copies half the table apart (a multi-entry list per
+/// key) · 6 two LPM keys whose prefix pairs mostly tie on total length
+/// (`/32 /16`, `/16 /32`, `/48 /0`, ...), drawn in shuffled entry order
+/// over overlapping values, so the stable specificity sort decides which
+/// way a packet hits first · 7 one ternary key whose three mask patterns
+/// recur non-adjacently (A B A C B A ...) over overlapping values with
+/// tied priorities · 8 three keys, exact + ternary + LPM, in multi-field
+/// ways · 9 a ternary key beside a range key: every entry on the scan
+/// list, resolved by priority with the ways' rules.
 fn way_table(kind: MatchKind, shape: usize, n: usize, rng: &mut Lcg) -> Table {
     let mut fx_inv: u64 = 1;
     for _ in 0..6 {
@@ -650,11 +783,24 @@ fn way_table(kind: MatchKind, shape: usize, n: usize, rng: &mut Lcg) -> Table {
         4 => 7 << (n.max(7) / 7).ilog2(),
         _ => n,
     };
+    use MatchKind::{Exact, Lpm, Range, Ternary};
+    let kinds = match shape {
+        0..=4 => vec![kind],
+        5 => vec![Exact],
+        6 => vec![Lpm, Lpm],
+        7 => vec![Ternary],
+        8 => vec![Exact, Ternary, Lpm],
+        _ => vec![Ternary, Range],
+    };
     let mut t = Table::new("t");
-    t.keys = vec![MatchKey {
-        field: FieldRef(0),
-        kind,
-    }];
+    t.keys = kinds
+        .into_iter()
+        .enumerate()
+        .map(|(f, kind)| MatchKey {
+            field: FieldRef(f as u16),
+            kind,
+        })
+        .collect();
     t.actions = (0..n + SPARE_ACTIONS)
         .map(|i| Action::nop(format!("a{i}")))
         .collect();
@@ -662,54 +808,153 @@ fn way_table(kind: MatchKind, shape: usize, n: usize, rng: &mut Lcg) -> Table {
     t.default_action = n + SPARE_ACTIONS;
     for i in 0..n as u64 {
         let wide = (rng.next() << 31) ^ rng.next();
-        let value = match shape {
-            1 => rng.next() % (n as u64 / 3 + 1),
-            2 => match rng.next() % 6 {
-                0 => 0,
-                1 => u64::MAX,
-                2 => 1,
-                3 => u64::MAX - 1,
-                _ => wide,
-            },
-            3 => i.wrapping_mul(fx_inv),
-            4 => i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            _ => wide,
-        };
-        let prio = (rng.next() % 4) as i32;
-        let mv = match kind {
-            MatchKind::Exact => MatchValue::Exact(value),
-            MatchKind::Lpm => MatchValue::Lpm {
-                value,
-                prefix_len: [64u8, 48, 32, 8, 0][(rng.next() % 5) as usize],
-            },
-            _ => MatchValue::Ternary {
-                value,
-                mask: [u64::MAX, 0xFFFF_FFFF_0000_0000, 0xFF, 0][(rng.next() % 4) as usize],
-            },
+        let (matches, prio) = match shape {
+            5 => {
+                let value = (i % (n as u64 / 2 + 1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (vec![MatchValue::Exact(value)], 0)
+            }
+            6 => {
+                let lens = [
+                    (32, 16),
+                    (16, 32),
+                    (48, 0),
+                    (0, 48),
+                    (24, 24),
+                    (64, 64),
+                    (8, 8),
+                ];
+                let (a, b) = lens[rng.next() as usize % lens.len()];
+                let mut lpm = |prefix_len| MatchValue::Lpm {
+                    value: rng.pick(&[0, 1 << 63])
+                        | rng.pick(&[0, 1 << 40])
+                        | rng.pick(&[0, 1 << 20]),
+                    prefix_len,
+                };
+                (vec![lpm(a), lpm(b)], 0)
+            }
+            7 => {
+                let mask = [0xFF00, 0x0FF0, 0xF00F][[0, 1, 0, 2, 1, 0][i as usize % 6]];
+                let value = rng.next() % 0x1_0000;
+                let prio = (rng.next() % 3) as i32;
+                (vec![MatchValue::Ternary { value, mask }], prio)
+            }
+            8 => (
+                vec![
+                    MatchValue::Exact(rng.pick(&[0, 1, 2, 3])),
+                    MatchValue::Ternary {
+                        value: rng.pick(&[0, 5, 10, 15]),
+                        mask: rng.pick(&[0xF, 0x3, 0]),
+                    },
+                    MatchValue::Lpm {
+                        value: rng.pick(&[0, 1 << 62, 2 << 62, 3 << 62]),
+                        prefix_len: rng.pick(&[2, 1, 0]) as u8,
+                    },
+                ],
+                (rng.next() % 4) as i32,
+            ),
+            9 => {
+                let lo = rng.next() % 64;
+                let ternary = MatchValue::Ternary {
+                    value: rng.pick(&[0, 5, 10, 15]),
+                    mask: rng.pick(&[0xF, 0x3, 0]),
+                };
+                let range = MatchValue::Range {
+                    lo,
+                    hi: lo + rng.next() % 32,
+                };
+                (vec![ternary, range], (rng.next() % 4) as i32)
+            }
+            _ => {
+                let value = match shape {
+                    1 => rng.next() % (n as u64 / 3 + 1),
+                    2 => match rng.next() % 6 {
+                        0 => 0,
+                        1 => u64::MAX,
+                        2 => 1,
+                        3 => u64::MAX - 1,
+                        _ => wide,
+                    },
+                    3 => i.wrapping_mul(fx_inv),
+                    4 => i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    _ => wide,
+                };
+                let prio = (rng.next() % 4) as i32;
+                let mv = match kind {
+                    Exact => MatchValue::Exact(value),
+                    Lpm => MatchValue::Lpm {
+                        value,
+                        prefix_len: [64u8, 48, 32, 8, 0][(rng.next() % 5) as usize],
+                    },
+                    _ => MatchValue::Ternary {
+                        value,
+                        mask: [u64::MAX, 0xFFFF_FFFF_0000_0000, 0xFF, 0][(rng.next() % 4) as usize],
+                    },
+                };
+                (vec![mv], prio)
+            }
         };
         t.entries
-            .push(TableEntry::with_priority(vec![mv], i as usize, prio));
+            .push(TableEntry::with_priority(matches, i as usize, prio));
     }
     t.validate().expect("generated table is valid");
     t
 }
 
+/// A probe: one value per [`WAY_FIELDS`] field.
+type WayProbe = [u64; WAY_FIELDS];
+
+/// An entry of `t` matching exactly `key` on every key field (a one-value
+/// range on a range key), running `action` at priority `prio`.
+fn entry_at(t: &Table, key: WayProbe, action: usize, prio: i32) -> TableEntry {
+    let matches = t.keys.iter().map(|k| {
+        let value = key[k.field.0 as usize];
+        match k.kind {
+            MatchKind::Exact => MatchValue::Exact(value),
+            MatchKind::Lpm => MatchValue::Lpm {
+                value,
+                prefix_len: 64,
+            },
+            MatchKind::Ternary => MatchValue::Ternary {
+                value,
+                mask: u64::MAX,
+            },
+            MatchKind::Range => MatchValue::Range {
+                lo: value,
+                hi: value,
+            },
+        }
+    });
+    TableEntry::with_priority(matches.collect(), action, prio)
+}
+
 /// Keys to look up in `t`: installed values (as stored, and with the
 /// bits a mask ignores flipped), their neighbours, the extremes, and
 /// keys that are not installed.
-fn way_probes(t: &Table, rng: &mut Lcg) -> Vec<u64> {
-    let mut keys = vec![0, 1, u64::MAX, u64::MAX - 1];
+fn way_probes(t: &Table, rng: &mut Lcg) -> Vec<WayProbe> {
+    let mut keys: Vec<WayProbe> = [0, 1, u64::MAX, u64::MAX - 1]
+        .map(|v| [v; WAY_FIELDS])
+        .to_vec();
     let step = t.entries.len() / 64 + 1;
     for e in t.entries.iter().step_by(step) {
-        let v = match e.matches[0] {
-            MatchValue::Exact(v) => v,
-            MatchValue::Lpm { value, .. } | MatchValue::Ternary { value, .. } => value,
-            MatchValue::Range { lo, .. } => lo,
-        };
-        keys.extend([v, v ^ 0xFF00, v.wrapping_add(1), v.wrapping_sub(1)]);
+        let mut key = [0; WAY_FIELDS];
+        for (mv, k) in e.matches.iter().zip(&t.keys) {
+            key[k.field.0 as usize] = match *mv {
+                MatchValue::Exact(v) => v,
+                MatchValue::Lpm { value, .. } | MatchValue::Ternary { value, .. } => value,
+                MatchValue::Range { lo, .. } => lo,
+            };
+        }
+        for vary in [
+            |v| v,
+            |v| v ^ 0xFF00,
+            |v: u64| v.wrapping_add(1),
+            |v: u64| v.wrapping_sub(1),
+        ] {
+            keys.push(key.map(vary));
+        }
     }
     for _ in 0..64 {
-        keys.push((rng.next() << 31) ^ rng.next());
+        keys.push([(); WAY_FIELDS].map(|_| (rng.next() << 31) ^ rng.next()));
     }
     keys
 }
@@ -721,7 +966,7 @@ fn way_probes(t: &Table, rng: &mut Lcg) -> Vec<u64> {
 fn assert_ways_match_oracle(
     nic: &mut SmartNic,
     node: NodeId,
-    probes: &[u64],
+    probes: &[WayProbe],
     stage: &str,
 ) -> Result<(), TestCaseError> {
     let table = nic
@@ -733,8 +978,8 @@ fn assert_ways_match_oracle(
     let oracle = MatchEngine::build(&table);
     let mut scratch = KeyScratch::new();
     let mut trace = PacketTrace::default();
-    for &k in probes {
-        let mut p = Packet::with_slots(vec![k]);
+    for k in probes {
+        let mut p = Packet::with_slots(k.to_vec());
         let want = oracle.lookup(&table, &p, &mut scratch);
         if let Some(e) = want.entry {
             prop_assert_eq!(table.entries[e].action, want.action);
@@ -743,7 +988,7 @@ fn assert_ways_match_oracle(
         prop_assert_eq!(
             trace.actions(),
             vec![(node, want.action)],
-            "{}: key {:#x} resolved a different entry (oracle entry {:?})",
+            "{}: key {:x?} resolved a different entry (oracle entry {:?})",
             stage,
             k,
             want.entry
@@ -751,7 +996,7 @@ fn assert_ways_match_oracle(
         prop_assert_eq!(
             got.probes,
             want.probes,
-            "{}: key {:#x} probe count",
+            "{}: key {:x?} probe count",
             stage,
             k
         );
@@ -760,17 +1005,17 @@ fn assert_ways_match_oracle(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The compiled engine's flat ways against the [`MatchEngine`]
-    /// oracle, lookup by lookup, on 1-10,000-entry exact, ternary and LPM
-    /// tables — as lowered, and after every path that rebuilds a way or
-    /// puts a guard in front of it: entry inserts and removes, a table
-    /// replacement, `specialize()` and `despecialize()`.
+    /// The compiled engine's ways against the [`MatchEngine`] oracle,
+    /// lookup by lookup, on 1-10,000-entry tables of every
+    /// [`way_table`] shape — as lowered, and after every path that
+    /// rebuilds a way or puts a guard in front of it: entry inserts and
+    /// removes, a table replacement, `specialize()` and `despecialize()`.
     #[test]
     fn flat_ways_match_the_match_engine_oracle(
         kind in 0usize..3,
-        shape in 0usize..5,
+        shape in 0usize..WAY_SHAPES,
         size_class in 0usize..8,
         seed in 0u64..u64::MAX,
     ) {
@@ -783,7 +1028,9 @@ proptest! {
         let mut probes = way_probes(&table, &mut rng);
 
         let mut b = ProgramBuilder::new();
-        b.field("k");
+        for f in 0..WAY_FIELDS {
+            b.field(&format!("k{f}"));
+        }
         let node = b.add_table(table);
         let g = b.seal(node).unwrap();
         let mut nic = SmartNic::new(g, CostParams::bluefield2()).unwrap();
@@ -795,7 +1042,7 @@ proptest! {
         let specialize = |nic: &mut SmartNic| {
             nic.set_instrumentation(true, 1);
             let mut hot: Vec<Packet> =
-                (0..256).map(|_| Packet::with_slots(vec![hot_key])).collect();
+                (0..256).map(|_| Packet::with_slots(hot_key.to_vec())).collect();
             nic.process_batch(&mut hot);
             nic.specialize();
             nic.set_instrumentation(false, 1);
@@ -807,14 +1054,11 @@ proptest! {
         // Inserts (the first strips the specialization): a second entry
         // under an installed key — a list of several entries — and fresh
         // keys at the extremes.
-        for (i, (value, prio)) in [(hot_key, 9), (0, 0), (u64::MAX, 1)].into_iter().enumerate() {
-            let mv = match kind {
-                MatchKind::Exact => MatchValue::Exact(value),
-                MatchKind::Lpm => MatchValue::Lpm { value, prefix_len: 64 },
-                _ => MatchValue::Ternary { value, mask: u64::MAX },
-            };
-            nic.insert_entry(node, TableEntry::with_priority(vec![mv], spare + i, prio))
-                .unwrap();
+        let installed = [(hot_key, 9), ([0; WAY_FIELDS], 0), ([u64::MAX; WAY_FIELDS], 1)];
+        for (i, (key, prio)) in installed.into_iter().enumerate() {
+            let table = nic.graph().node(node).unwrap().as_table().unwrap();
+            let entry = entry_at(table, key, spare + i, prio);
+            nic.insert_entry(node, entry).unwrap();
         }
         assert_ways_match_oracle(&mut nic, node, &probes, "after inserts")?;
         for _ in 0..2 {
@@ -827,7 +1071,7 @@ proptest! {
         nic.apply(ControlOp::Despecialize).unwrap();
         assert_ways_match_oracle(&mut nic, node, &probes, "despecialized")?;
 
-        let other = way_table(kind, (shape + 1) % 5, n / 2 + 1, &mut rng);
+        let other = way_table(kind, (shape + 1) % WAY_SHAPES, n / 2 + 1, &mut rng);
         probes.extend(way_probes(&other, &mut rng));
         nic.apply(ControlOp::ReplaceTable { node, table: other, next: None }).unwrap();
         assert_ways_match_oracle(&mut nic, node, &probes, "replaced")?;
