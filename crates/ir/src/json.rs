@@ -815,6 +815,34 @@ mod tests {
         assert!(matches!(from_json(&doc), Err(IrError::Json(_))));
     }
 
+    /// An inverted range is a typed error on load, not a panic in the
+    /// `m` count (`Table::memory_accesses`) or a lookup.
+    #[test]
+    fn inverted_range_is_rejected_on_load() {
+        let mut b = ProgramBuilder::named("r");
+        let f = b.field("port");
+        let t = b
+            .table("ports")
+            .key(f, MatchKind::Range)
+            .action_nop("hit")
+            .action_nop("miss")
+            .entry(TableEntry::with_priority(
+                vec![MatchValue::Range { lo: 5, hi: 10 }],
+                0,
+                1,
+            ))
+            .finish();
+        let mut doc = to_json(&b.seal(t).unwrap()).unwrap();
+        doc.tables[0].entries[0].matches[0] = JsonMatchValue::Range { lo: 11, hi: 10 };
+        let text = serde_json::to_string(&doc).unwrap();
+        match from_json_string(&text) {
+            Err(IrError::BadTable { reason, .. }) => {
+                assert!(reason.contains("empty range 11..10"), "{reason}")
+            }
+            other => panic!("expected BadTable, got {other:?}"),
+        }
+    }
+
     #[test]
     fn cache_role_round_trips() {
         let mut b = ProgramBuilder::named("c");

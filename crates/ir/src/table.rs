@@ -348,8 +348,9 @@ impl Table {
         self.entries.len() * Self::DEFAULT_ENTRY_BYTES * self.memory_accesses().max(1)
     }
 
-    /// Validates entry arity, action indices, and match-value/kind
-    /// compatibility. Returns a human-readable reason on failure.
+    /// Validates entry arity, action indices, match-value/kind
+    /// compatibility and range bounds (`lo <= hi`). Returns a
+    /// human-readable reason on failure.
     pub fn validate(&self) -> Result<(), String> {
         if self.actions.is_empty() {
             return Err("table has no actions".into());
@@ -381,6 +382,11 @@ impl Table {
                         "entry {i}: match value {mv:?} incompatible with key kind {:?}",
                         key.kind
                     ));
+                }
+                if let MatchValue::Range { lo, hi } = *mv {
+                    if lo > hi {
+                        return Err(format!("entry {i}: empty range {lo}..{hi}"));
+                    }
                 }
             }
         }
@@ -432,6 +438,20 @@ mod tests {
         assert!(MatchValue::Range { lo: 5, hi: 9 }.matches(5));
         assert!(MatchValue::Range { lo: 5, hi: 9 }.matches(9));
         assert!(!MatchValue::Range { lo: 5, hi: 9 }.matches(10));
+    }
+
+    #[test]
+    fn validate_refuses_an_inverted_range() {
+        let mut t = Table::new("r");
+        t.keys = vec![MatchKey {
+            field: f(0),
+            kind: MatchKind::Range,
+        }];
+        t.actions = vec![Action::nop("a")];
+        t.entries = vec![TableEntry::new(vec![MatchValue::Range { lo: 7, hi: 7 }], 0)];
+        assert_eq!(t.validate(), Ok(()));
+        t.entries[0].matches[0] = MatchValue::Range { lo: 10, hi: 5 };
+        assert_eq!(t.validate(), Err("entry 0: empty range 10..5".into()));
     }
 
     #[test]

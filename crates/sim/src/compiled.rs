@@ -17,7 +17,7 @@
 //! engines are built from one way [`Layout`] per table, computed in one
 //! place, rather than each deriving its own.
 
-use crate::engine::{stored_word, KeyScratch, Layout, LookupOutcome, Resolve};
+use crate::engine::{mask_and_value, stored_word, KeyScratch, Layout, LookupOutcome, Resolve};
 use crate::exec::{GraphView, Provider, Step, Visit};
 use crate::packet::Packet;
 use crate::prefetch;
@@ -250,11 +250,93 @@ impl CWay {
     }
 }
 
-/// A range entry replicated out of the table for graph-free scanning.
+/// One key field of a ranked rule: a packet value `v` passes iff
+/// `(v & mask) - lo <= span` in wrapping arithmetic, i.e. iff `v & mask`
+/// lies in `lo..=lo + span`. An exact, LPM or ternary value is its mask
+/// with `lo` its masked value and `span` 0; a range is the all-ones mask
+/// with `span = hi - lo` (`Table::validate` refuses `lo > hi`).
+#[derive(Debug, Clone, Copy)]
+struct FieldTest {
+    mask: u64,
+    lo: u64,
+    span: u64,
+}
+
+impl FieldTest {
+    fn of(mv: &MatchValue) -> Self {
+        match (*mv, mask_and_value(mv)) {
+            (MatchValue::Range { lo, hi }, _) => Self {
+                mask: u64::MAX,
+                lo,
+                span: hi - lo,
+            },
+            (_, Some((mask, value))) => Self {
+                mask,
+                lo: value & mask,
+                span: 0,
+            },
+            (_, None) => unreachable!("only a range has no mask"),
+        }
+    }
+
+    #[inline]
+    fn admits(self, v: u64) -> bool {
+        (v & self.mask).wrapping_sub(self.lo) <= self.span
+    }
+}
+
+/// A priority table lowered to its rules in rank order: priority
+/// descending, entry index ascending on ties. The first rule whose every
+/// field passes is the answer the way sweep would resolve to, so a
+/// lookup stops there. Probes are still charged per way (DESIGN §12).
 #[derive(Debug, Clone)]
-struct CScanEntry {
-    idx: usize,
-    matches: Box<[MatchValue]>,
+struct RankedRules {
+    /// Per rule, one test per key field, rule after rule.
+    tests: Box<[FieldTest]>,
+    /// Per rule, in the same order: its entry index and action.
+    rules: Box<[(usize, usize)]>,
+}
+
+impl RankedRules {
+    /// Lowers a keyed priority table's layout, if its every way holds one
+    /// rule or it has a scan list. With one rule a way, hashing saves
+    /// nothing: the sweep pays a hash and the same compare per way, so
+    /// this form never does more work than the ways it replaces. A range
+    /// key puts every rule of its table on the scan list, which both
+    /// forms scan; ranking those tables too leaves the sweep no scan list.
+    fn of(layout: &Layout, table: &Table) -> Option<Self> {
+        let priority = layout.resolve == Resolve::Priority && !table.keys.is_empty();
+        let shared_way = layout.ways.iter().any(|w| w.entries.len() > 1);
+        if !priority || (shared_way && layout.scan.is_empty()) {
+            return None;
+        }
+        let mut order: Vec<usize> = Vec::with_capacity(table.entries.len());
+        order.extend(layout.ways.iter().flat_map(|w| &w.entries));
+        order.extend(&layout.scan);
+        order.sort_unstable_by_key(|&i| (std::cmp::Reverse(layout.entry_meta[i].1), i));
+        let mut tests = Vec::with_capacity(order.len() * table.keys.len());
+        for &i in &order {
+            tests.extend(table.entries[i].matches.iter().map(FieldTest::of));
+        }
+        Some(Self {
+            tests: tests.into_boxed_slice(),
+            rules: order.iter().map(|&i| (i, layout.entry_meta[i].0)).collect(),
+        })
+    }
+
+    /// The entry index and action of the best-ranked rule `values`
+    /// passes (one value per key field), if any.
+    #[inline]
+    fn first_match(&self, values: &[u64]) -> Option<(usize, usize)> {
+        let at = match *values {
+            [v] => self.tests.iter().position(|t| t.admits(v)),
+            _ => self
+                .tests
+                .chunks_exact(values.len())
+                .position(|rule| rule.iter().zip(values).all(|(t, &v)| t.admits(v))),
+        };
+        at.map(|i| self.rules[i])
+    }
 }
 
 /// The compiled match engine for one table. Semantically identical to
@@ -265,7 +347,14 @@ struct CScanEntry {
 pub(crate) struct CompiledEngine {
     key_fields: Box<[FieldRef]>,
     pub(crate) ways: Vec<CWay>,
-    scan: Vec<CScanEntry>,
+    /// The rank-ordered form of a priority table with one rule a way or
+    /// range rules; `ways` is then empty.
+    ranked: Option<RankedRules>,
+    /// What the layout's sweep probes: one per way, one for a non-empty
+    /// scan list. The sweep of a priority table never stops early, so
+    /// this is also every ranked lookup's probe count (at least 1 on a
+    /// miss), whichever rule it stops at.
+    layout_probes: usize,
     resolve: Resolve,
     pub(crate) default_action: usize,
     /// Entry index → (action, priority).
@@ -277,13 +366,21 @@ impl CompiledEngine {
     /// Builds the compiled engine from the table's [`Layout`], as the
     /// interpreter's engine is built: way order, entry-list order and
     /// resolution rules, hence probe counts and resolved entries, are
-    /// the interpreter's by construction.
+    /// the interpreter's by construction. A priority table with one rule
+    /// a way, or with range rules, is lowered to its [`RankedRules`]
+    /// instead, and no way is built for it.
     pub(crate) fn from_table(table: &Table) -> Self {
         let layout = Layout::of(table);
+        let layout_probes = layout.ways.len() + usize::from(!layout.scan.is_empty());
+        let ranked = RankedRules::of(&layout, table);
+        let swept_ways = match ranked {
+            Some(_) => &[][..],
+            None => &layout.ways[..],
+        };
         let entries = &table.entries;
         let mut key = Vec::new();
-        let mut ways = Vec::with_capacity(layout.ways.len());
-        for w in &layout.ways {
+        let mut ways = Vec::with_capacity(swept_ways.len());
+        for w in swept_ways {
             let map = if w.masks.len() == 1 {
                 let keyed = w
                     .entries
@@ -307,18 +404,11 @@ impl CompiledEngine {
                 map,
             });
         }
-        let scan = layout
-            .scan
-            .iter()
-            .map(|&idx| CScanEntry {
-                idx,
-                matches: entries[idx].matches.as_slice().into(),
-            })
-            .collect();
         Self {
             key_fields: table.keys.iter().map(|k| k.field).collect(),
             ways,
-            scan,
+            ranked,
+            layout_probes,
             resolve: layout.resolve,
             default_action: table.default_action,
             entry_meta: layout.entry_meta.into_boxed_slice(),
@@ -339,10 +429,11 @@ impl CompiledEngine {
     }
 
     /// Whether a general lookup is worth remembering per key: the key is
-    /// one `u64` and the lookup more than one probe (a single-way exact
-    /// table's miss path already is one).
+    /// one `u64` and the layout's sweep more than one probe (a single-way
+    /// exact table's miss path already is one). Said of the layout, not
+    /// of the form, so a ranked table gets the region its ways would.
     pub(crate) fn memoisable(&self) -> bool {
-        self.key_fields.len() == 1 && self.ways.len() + usize::from(!self.scan.is_empty()) >= 2
+        self.key_fields.len() == 1 && self.layout_probes >= 2
     }
 
     /// Resolves an already-composed key (`scratch.values`); mirrors
@@ -357,6 +448,17 @@ impl CompiledEngine {
                 entry: None,
                 action: self.default_action,
                 probes: 0,
+            };
+        }
+        if let Some(ranked) = &self.ranked {
+            let (entry, action) = match ranked.first_match(&scratch.values) {
+                Some((idx, action)) => (Some(idx), action),
+                None => (None, self.default_action),
+            };
+            return LookupOutcome {
+                entry,
+                action,
+                probes: self.layout_probes.max(1),
             };
         }
         let mut probes = 0usize;
@@ -406,26 +508,6 @@ impl CompiledEngine {
                 }
                 if !matches!(self.resolve, Resolve::Priority) && best.is_some() {
                     break;
-                }
-            }
-        }
-        if !self.scan.is_empty() {
-            probes += 1;
-            for e in &self.scan {
-                let hit = e
-                    .matches
-                    .iter()
-                    .zip(scratch.values.iter())
-                    .all(|(mv, &v)| mv.matches(v));
-                if hit {
-                    let h = self.hit(e.idx);
-                    let better = match best {
-                        None => true,
-                        Some(b) => h.outranks(b),
-                    };
-                    if better {
-                        best = Some(h);
-                    }
                 }
             }
         }
@@ -1295,7 +1377,7 @@ fn compile_node(view: &GraphView, slot_of: &[u32], id: NodeId) -> CNode {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::MatchEngine;
     use pipeleon_ir::{Action, MatchKey, MatchKind, TableEntry};
@@ -1337,15 +1419,148 @@ mod tests {
             ));
         }
         let t = table_with(MatchKind::Ternary, entries);
-        let me = MatchEngine::build(&t);
-        let ce = CompiledEngine::from_table(&t);
-        let mut s1 = KeyScratch::new();
-        let mut s2 = KeyScratch::new();
-        for _ in 0..400 {
-            let p = packet(&[next() % 32]);
+        assert_engines_agree(&t, (0..400).map(|_| vec![next() % 32]));
+    }
+
+    /// `t`'s compiled engine answers every probe as the interpreter's
+    /// does: entry, action and probe count.
+    pub(crate) fn assert_engines_agree(t: &Table, probes: impl Iterator<Item = Vec<u64>>) {
+        let me = MatchEngine::build(t);
+        let ce = CompiledEngine::from_table(t);
+        let (mut s1, mut s2) = (KeyScratch::new(), KeyScratch::new());
+        for vals in probes {
+            let p = packet(&vals);
             ce.compose_key(&p, &mut s2);
-            assert_eq!(me.lookup(&t, &p, &mut s1), ce.lookup_composed(&mut s2));
+            let want = me.lookup(t, &p, &mut s1);
+            assert_eq!(ce.lookup_composed(&mut s2), want, "key {vals:x?}");
             assert_eq!(s1.values(), s2.values());
+        }
+    }
+
+    /// A table is ranked exactly when it resolves by priority and every
+    /// way of its layout holds one rule or it has range rules; no way is
+    /// built for it, and it keeps the layout's probe count.
+    #[test]
+    fn ranked_form_is_one_rule_per_way_priority_tables_only() {
+        let one_per_mask: Vec<TableEntry> = (0..16u64)
+            .map(|m| {
+                let (value, mask) = ((m + 1) << (20 + m), 0xFF << (20 + m));
+                TableEntry::with_priority(vec![MatchValue::Ternary { value, mask }], 1, m as i32)
+            })
+            .collect();
+        let t = table_with(MatchKind::Ternary, one_per_mask.clone());
+        let ce = CompiledEngine::from_table(&t);
+        assert!(ce.ranked.is_some() && ce.ways.is_empty());
+        assert_eq!(ce.layout_probes, 16);
+        assert!(ce.memoisable());
+
+        // A key installed twice puts two rules in one way.
+        let mut twice = one_per_mask;
+        twice.push(twice[3].clone());
+        let ce = CompiledEngine::from_table(&table_with(MatchKind::Ternary, twice));
+        assert!(ce.ranked.is_none());
+        assert_eq!((ce.ways.len(), ce.layout_probes), (16, 16));
+
+        // Range rules are all on the scan list, the same range twice too.
+        let ranges = vec![
+            TableEntry::with_priority(vec![MatchValue::Range { lo: 10, hi: 20 }], 1, 1),
+            TableEntry::with_priority(vec![MatchValue::Range { lo: 15, hi: 30 }], 1, 1),
+            TableEntry::with_priority(vec![MatchValue::Range { lo: 15, hi: 30 }], 0, 1),
+        ];
+        let ce = CompiledEngine::from_table(&table_with(MatchKind::Range, ranges));
+        assert!(ce.ranked.is_some());
+        assert_eq!(ce.layout_probes, 1);
+        assert!(!ce.memoisable());
+
+        // Exact and LPM tables stop at their first hit already.
+        let exact = vec![TableEntry::new(vec![MatchValue::Exact(4)], 1)];
+        let lpm = vec![TableEntry::new(
+            vec![MatchValue::Lpm {
+                value: 1 << 63,
+                prefix_len: 1,
+            }],
+            1,
+        )];
+        for (kind, entries) in [(MatchKind::Exact, exact), (MatchKind::Lpm, lpm)] {
+            let ce = CompiledEngine::from_table(&table_with(kind, entries));
+            assert!(ce.ranked.is_none() && ce.ways.len() == 1, "{kind:?}");
+        }
+    }
+
+    /// Ranked lookups against the interpreter on one-rule-per-way tables
+    /// of every key shape: ternary (ties, a mask-0 catch-all), ranges
+    /// beside ternary masks, and four keys (exact, ternary, LPM, range).
+    #[test]
+    fn ranked_lookups_match_the_interpreter_engine() {
+        let mut x: u64 = 0xBEEF;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        let kinds = [
+            vec![MatchKind::Ternary],
+            vec![MatchKind::Ternary, MatchKind::Range],
+            vec![
+                MatchKind::Exact,
+                MatchKind::Ternary,
+                MatchKind::Lpm,
+                MatchKind::Range,
+            ],
+        ];
+        for (shape, kinds) in kinds.iter().enumerate() {
+            for round in 0..8 {
+                let mut t = table_with(MatchKind::Ternary, Vec::new());
+                t.keys = kinds
+                    .iter()
+                    .enumerate()
+                    .map(|(f, &kind)| MatchKey {
+                        field: FieldRef(f as u16),
+                        kind,
+                    })
+                    .collect();
+                // Distinct ternary masks: one rule a way even with no
+                // range key to put every rule on the scan list.
+                let mut masks: Vec<u64> = (1..64).collect();
+                for i in 0..2 + round * 3 {
+                    let mask = masks.swap_remove(next() as usize % masks.len());
+                    let prio = (next() % 3) as i32;
+                    let matches = kinds.iter().map(|kind| match kind {
+                        MatchKind::Exact => MatchValue::Exact(next() % 4),
+                        MatchKind::Ternary => MatchValue::Ternary {
+                            value: next() % 64,
+                            mask: if i == 0 { 0 } else { mask },
+                        },
+                        MatchKind::Lpm => MatchValue::Lpm {
+                            value: (next() % 4) << 62,
+                            prefix_len: (next() % 3) as u8,
+                        },
+                        MatchKind::Range => {
+                            let lo = next() % 64;
+                            MatchValue::Range {
+                                lo,
+                                hi: lo + next() % 32,
+                            }
+                        }
+                    });
+                    t.entries
+                        .push(TableEntry::with_priority(matches.collect(), 1, prio));
+                }
+                t.validate().unwrap();
+                assert!(CompiledEngine::from_table(&t).ranked.is_some(), "{shape}");
+                let probes = (0..300).map(|_| {
+                    let mut vals: Vec<u64> = kinds.iter().map(|_| next() % 64).collect();
+                    if let Some(i) = kinds.iter().position(|&k| k == MatchKind::Lpm) {
+                        vals[i] = ((next() % 4) << 62) | (next() % 8);
+                    }
+                    if let Some(i) = kinds.iter().position(|&k| k == MatchKind::Exact) {
+                        vals[i] %= 5;
+                    }
+                    vals
+                });
+                assert_engines_agree(&t, probes);
+            }
         }
     }
 

@@ -111,7 +111,7 @@ impl Layout {
 
 /// A match value's mask and value; `None` for a range, which no mask
 /// expresses.
-fn mask_and_value(mv: &MatchValue) -> Option<(u64, u64)> {
+pub(crate) fn mask_and_value(mv: &MatchValue) -> Option<(u64, u64)> {
     match *mv {
         MatchValue::Exact(v) => Some((u64::MAX, v)),
         MatchValue::Lpm { value, prefix_len } => Some((prefix_mask(prefix_len), value)),
@@ -486,44 +486,83 @@ mod tests {
         assert_eq!(lk(&e, &t, &packet(&[8, 123])).entry, None);
     }
 
+    /// Both engines against the linear-scan oracle, entry for entry:
+    /// all three break ties toward the lowest entry index. Ternary, LPM
+    /// and range keys alone, and multi-key exact + LPM and exact +
+    /// ternary + range tables, over small value domains so that rules
+    /// overlap and priorities tie.
     #[test]
     fn engine_agrees_with_oracle_on_mixed_entries() {
-        // Deterministic pseudo-random agreement check (full proptest lives
-        // in the crate's property tests).
-        let mut entries = Vec::new();
         let mut x: u64 = 0x12345;
-        let mut next = || {
+        let mut next = move || {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             x >> 33
         };
-        for i in 0..50 {
-            let v = next() % 64;
-            let m = next() % 64;
-            entries.push(TableEntry::with_priority(
-                vec![MatchValue::Ternary { value: v, mask: m }],
-                (i % 2) as usize,
-                (next() % 10) as i32,
-            ));
-        }
-        let t = table_with(MatchKind::Ternary, entries);
-        let e = MatchEngine::build(&t);
-        for _ in 0..500 {
-            let p = packet(&[next() % 64]);
-            let (oe, oa) = oracle_lookup(&t, &p);
-            let r = lk(&e, &t, &p);
-            // Entry indices may differ among equal (priority, tie) pairs —
-            // compare the resolved action and hit/miss status. With
-            // distinct priorities this is exact.
-            assert_eq!(r.entry.is_some(), oe.is_some());
-            if let (Some(re), Some(oe)) = (r.entry, oe) {
-                assert_eq!(
-                    t.entries[re].priority, t.entries[oe].priority,
-                    "engine and oracle picked different priorities"
-                );
+        use MatchKind::{Exact, Lpm, Range, Ternary};
+        let shapes = [
+            vec![Ternary],
+            vec![Lpm],
+            vec![Range],
+            vec![Exact, Lpm],
+            vec![Exact, Ternary, Range],
+        ];
+        for kinds in shapes {
+            for n in [1, 5, 50] {
+                let mut t = table_with(Ternary, Vec::new());
+                t.keys = kinds
+                    .iter()
+                    .enumerate()
+                    .map(|(f, &kind)| MatchKey {
+                        field: FieldRef(f as u16),
+                        kind,
+                    })
+                    .collect();
+                for i in 0..n {
+                    let prio = (next() % 10) as i32;
+                    let matches = kinds.iter().map(|kind| match kind {
+                        Exact => MatchValue::Exact(next() % 4),
+                        Ternary => MatchValue::Ternary {
+                            value: next() % 64,
+                            mask: next() % 64,
+                        },
+                        Lpm => MatchValue::Lpm {
+                            value: next() << 58,
+                            prefix_len: (next() % 7) as u8,
+                        },
+                        Range => {
+                            let lo = next() % 64;
+                            MatchValue::Range {
+                                lo,
+                                hi: lo + next() % 16,
+                            }
+                        }
+                    });
+                    let entry = TableEntry::with_priority(matches.collect(), i % 2, prio);
+                    t.entries.push(entry);
+                }
+                t.validate().unwrap();
+                let e = MatchEngine::build(&t);
+                let keys: Vec<Vec<u64>> = (0..500)
+                    .map(|_| {
+                        let key = kinds.iter().map(|kind| match kind {
+                            Exact => next() % 5,
+                            Lpm => next() << 58,
+                            _ => next() % 64,
+                        });
+                        key.collect()
+                    })
+                    .collect();
+                for vals in &keys {
+                    let p = packet(vals);
+                    let r = lk(&e, &t, &p);
+                    let want = oracle_lookup(&t, &p);
+                    assert_eq!((r.entry, r.action), want, "{kinds:?} n={n} key {vals:x?}");
+                }
+                // The compiled engine answers as `e` does, probes too.
+                crate::compiled::tests::assert_engines_agree(&t, keys.into_iter());
             }
-            let _ = oa;
         }
     }
 }

@@ -19,7 +19,8 @@
 //! instrumented cycle's
 //! `take_profile` allocates what it hands away. Off the packet path, a
 //! compiled deploy (lowering, an entry insert) makes no allocation per
-//! entry: a 16× bigger table adds only `Vec` growth steps.
+//! entry: a 16× bigger table adds only `Vec` growth steps; a ternary
+//! table of one rule per mask is pinned too, lowered to ranked rules.
 //!
 //! Deliberately a single `#[test]` in its own integration-test binary:
 //! the allocation counter is process-global, so concurrently running
@@ -429,6 +430,51 @@ fn compiled_steady_state_is_allocation_free() {
     assert!(
         big - small <= 32,
         "a compiled deploy allocates per entry: {small} at 4,096 entries, {big} at 65,536"
+    );
+
+    // The same for one ternary table with a rule under each of 16 masks
+    // (`datapath_uniform`'s classifier shape), which the compiled engine
+    // checks in rank order: no flat way is built for it, only the
+    // layout, the rule tests and the rank-ordered rule list (172
+    // allocations when it was lowered to 16, then 17, flat ways).
+    let ranked_allocs = {
+        let mut b = ProgramBuilder::new();
+        let a = b.field("a");
+        let mut t = b
+            .table("classify")
+            .key(a, MatchKind::Ternary)
+            .action_nop("mark")
+            .action_nop("miss")
+            .default_action(1);
+        for m in 0..16u64 {
+            let (value, mask) = ((m + 1) << (20 + m), 0xFF << (20 + m));
+            let rule = vec![MatchValue::Ternary { value, mask }];
+            t = t.entry(TableEntry::with_priority(rule, 0, m as i32));
+        }
+        let t = t.finish();
+        let mut parts = Some((b.seal(t).unwrap(), params.clone()));
+        let fresh = vec![MatchValue::Ternary {
+            value: 0x5,
+            mask: 0xF,
+        }];
+        let mut fresh = Some(TableEntry::with_priority(fresh, 0, 99));
+        let mut burst: Vec<Packet> = (0..256u64)
+            .map(|i| Packet::with_slots(vec![i << 16]))
+            .collect();
+        count_allocs(|| {
+            let (graph, params) = parts.take().unwrap();
+            let node = graph.root().unwrap();
+            let mut nic = SmartNic::new(graph, params).unwrap();
+            nic.process_batch(&mut burst);
+            let entry = fresh.take().unwrap();
+            nic.apply(ControlOp::InsertEntry { node, entry }).unwrap();
+            nic.process_batch(&mut burst);
+        })
+    };
+    eprintln!("ranked deploy allocations: {ranked_allocs}");
+    assert_eq!(
+        ranked_allocs, 110,
+        "a compiled deploy of a rank-ordered table's allocations moved"
     );
 
     // --- The interpreter ------------------------------------------------

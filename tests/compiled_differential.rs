@@ -12,9 +12,14 @@
 //! final program from scratch. Another holds the compiled engine's flat
 //! single-field ways to [`MatchEngine`] lookup by lookup — entry, action and
 //! probe count — over adversarial key sets and across every rebuild path.
+//! Three more cases do the same for priority tables the compiled engine
+//! checks in rank order, across entry ops that cross the one-rule-per-way
+//! line, a hot-key guard and its memo.
 
+use pipeleon::opts::{merge, EvalCtx};
 use pipeleon::search::Optimizer;
-use pipeleon_cost::{CostModel, CostParams, MemoryTier, Placement};
+use pipeleon::OptimizerConfig;
+use pipeleon_cost::{CostModel, CostParams, MemoryTier, Placement, RuntimeProfile};
 use pipeleon_ir::{
     json, Action, CacheRole, FieldRef, MatchKey, MatchKind, MatchValue, NodeId, Primitive,
     ProgramBuilder, ProgramGraph, Table, TableEntry,
@@ -27,7 +32,7 @@ use pipeleon_sim::{
     Applied, BatchStats, ControlOp, EngineMode, ExecReport, Executor, KeyScratch, MatchEngine,
     NicBackend, Packet, PacketTrace, ShardedNic, SmartNic,
 };
-use pipeleon_workloads::scenarios::AclPipeline;
+use pipeleon_workloads::scenarios::{AclPipeline, LoadBalancer};
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
 use pipeleon_workloads::traffic::FlowGen;
 use proptest::prelude::*;
@@ -1004,6 +1009,256 @@ fn assert_ways_match_oracle(
     Ok(())
 }
 
+/// A one-table program over [`WAY_FIELDS`] fields.
+fn one_table_program(table: Table) -> (ProgramGraph, NodeId) {
+    let mut b = ProgramBuilder::new();
+    for f in 0..WAY_FIELDS {
+        b.field(&format!("k{f}"));
+    }
+    let node = b.add_table(table);
+    (b.seal(node).unwrap(), node)
+}
+
+/// A priority table keyed on `kinds` (field `i` for key `i`) whose rules
+/// all have distinct mask patterns, so each way of its layout holds one
+/// rule: the ranked form. Rule `i` runs action `i`, draws its priority
+/// from `0..prios` (small `prios` make ties), and values come from small
+/// domains so that rules overlap. `catch_all` makes rule 0 a mask-0
+/// ternary rule, which every key matches.
+fn ranked_table(kinds: &[MatchKind], rules: usize, prios: u64, catch_all: bool) -> Table {
+    let mut rng = Lcg(rules as u64 * 31 + prios);
+    let mut masks: Vec<u64> = (1..256).collect();
+    let mut t = Table::new("ranked");
+    t.keys = kinds
+        .iter()
+        .enumerate()
+        .map(|(f, &kind)| MatchKey {
+            field: FieldRef(f as u16),
+            kind,
+        })
+        .collect();
+    t.actions = (0..rules + SPARE_ACTIONS)
+        .map(|i| Action::nop(format!("a{i}")))
+        .collect();
+    t.actions.push(Action::nop("miss"));
+    t.default_action = rules + SPARE_ACTIONS;
+    for i in 0..rules {
+        let mask = masks.swap_remove(rng.next() as usize % masks.len());
+        let prio = (rng.next() % prios) as i32;
+        let matches = kinds.iter().map(|kind| match kind {
+            MatchKind::Exact => MatchValue::Exact(rng.next() % 4),
+            MatchKind::Lpm => MatchValue::Lpm {
+                value: rng.next() << 58,
+                prefix_len: (rng.next() % 7) as u8,
+            },
+            MatchKind::Ternary => MatchValue::Ternary {
+                value: rng.next() % 256,
+                mask: if catch_all && i == 0 { 0 } else { mask },
+            },
+            MatchKind::Range => {
+                let lo = rng.next() % 64;
+                MatchValue::Range {
+                    lo,
+                    hi: lo + rng.next() % 24,
+                }
+            }
+        });
+        t.entries
+            .push(TableEntry::with_priority(matches.collect(), i, prio));
+    }
+    t.validate().expect("generated table is valid");
+    t
+}
+
+/// Keys over the small domains [`ranked_table`] draws from, and the
+/// extremes.
+fn ranked_probes() -> Vec<WayProbe> {
+    let mut keys: Vec<WayProbe> = (0..512u64)
+        .map(|i| [i % 256, (i * 37) % 80, i % 5])
+        .collect();
+    keys.extend([[0; WAY_FIELDS], [u64::MAX; WAY_FIELDS], [1 << 63, 3, 1]]);
+    keys
+}
+
+/// The table `opts::merge` builds from `LoadBalancer`'s first two proc
+/// tables once they hold `installed` exact keys each: a ternary cross
+/// product with one mask pattern per hit/miss combination.
+fn merged_proc_pair(installed: [&[u64]; 2]) -> Table {
+    let mut lb = LoadBalancer::build();
+    for (&node, keys) in lb.regular.iter().zip(installed) {
+        let t = lb.graph.node_mut(node).unwrap().as_table_mut().unwrap();
+        for &k in keys {
+            t.entries
+                .push(TableEntry::new(vec![MatchValue::Exact(k)], 0));
+        }
+    }
+    let (model, cfg) = (
+        CostModel::new(CostParams::bluefield2()),
+        OptimizerConfig::default(),
+    );
+    let profile = RuntimeProfile::empty();
+    let ctx = EvalCtx {
+        model: &model,
+        cfg: &cfg,
+        g: &lb.graph,
+        profile: &profile,
+        reach: 1.0,
+    };
+    let merged = merge::materialize(&ctx, &lb.regular[..2], false).expect("proc pair merges");
+    let mut table = merged.table;
+    assert!(
+        table.keys.iter().all(|k| (k.field.0 as usize) < WAY_FIELDS),
+        "the proc pair keys on the first flow fields"
+    );
+    // One action per rule, so the resolved action names the entry.
+    let rules = table.entries.len();
+    table.actions = (0..=rules).map(|i| Action::nop(format!("r{i}"))).collect();
+    for (i, e) in table.entries.iter_mut().enumerate() {
+        e.action = i;
+    }
+    table.default_action = rules;
+    table
+}
+
+/// `table` alone in a program: the compiled NIC resolves every probe as
+/// [`MatchEngine`] does (entry, action, probes), and the two engines'
+/// NICs report, trace and profile the same packets bit for bit.
+fn assert_table_matches_interpreter(table: Table, probes: &[WayProbe], ctx: &str) {
+    let (g, node) = one_table_program(table);
+    let params = CostParams::bluefield2();
+    let mut nic = SmartNic::new(g.clone(), params.clone()).unwrap();
+    nic.set_engine_mode(EngineMode::Compiled);
+    assert_ways_match_oracle(&mut nic, node, probes, ctx).unwrap();
+    let batch: Vec<Packet> = probes
+        .iter()
+        .map(|k| Packet::with_slots(k.to_vec()))
+        .collect();
+    assert_single_worker_identical(&g, &params, &batch, 1, ctx);
+}
+
+/// Priority tables with one rule per way, which the compiled engine
+/// checks in rank order, and neighbours that keep the way sweep: no
+/// rules (a miss still charges one probe), equal-priority ties, a key
+/// installed twice (two rules in one way), a mask-0 catch-all, range
+/// rules alone and beside ternary masks, three-key tables, and the
+/// merged tables `opts::merge` builds from `LoadBalancer`'s proc pairs
+/// (one rule per hit/miss pattern at one key each, several per pattern
+/// at more).
+#[test]
+fn ranked_priority_tables_match_the_interpreter() {
+    use MatchKind::{Exact, Lpm, Range, Ternary};
+    let probes = ranked_probes();
+    let ties = ranked_table(&[Ternary], 12, 2, false);
+    let mut key_twice = ties.clone();
+    let mut copy = key_twice.entries[3].clone();
+    copy.action = 12;
+    key_twice.entries.push(copy);
+    let cases = [
+        ("no rules", ranked_table(&[Ternary], 0, 1, false)),
+        ("ties", ties),
+        ("key installed twice", key_twice),
+        ("catch-all", ranked_table(&[Ternary], 12, 3, true)),
+        ("ranges", ranked_table(&[Range], 10, 2, false)),
+        (
+            "ternary + range",
+            ranked_table(&[Ternary, Range], 10, 2, false),
+        ),
+        (
+            "exact + ternary + range",
+            ranked_table(&[Exact, Ternary, Range], 10, 3, true),
+        ),
+        (
+            "ternary + range + lpm",
+            ranked_table(&[Ternary, Range, Lpm], 10, 3, false),
+        ),
+        ("merged 1x1", merged_proc_pair([&[3], &[37]])),
+        ("merged 3x2", merged_proc_pair([&[3, 7, 11], &[37, 74]])),
+    ];
+    for (ctx, table) in cases {
+        assert_table_matches_interpreter(table, &probes, ctx);
+    }
+}
+
+/// Entry ops that take a ranked table across the one-rule-per-way line
+/// and back: a second rule under an installed key puts the table on its
+/// ways, removing it ranks the table again, and a rule under a fresh mask
+/// keeps it ranked. Each op patches the one node (no full recompile),
+/// and after each the compiled engine resolves what the interpreter does.
+#[test]
+fn entry_ops_move_a_table_across_the_ranked_line_and_back() {
+    let probes = ranked_probes();
+    let table = ranked_table(&[MatchKind::Ternary], 12, 2, true);
+    let twin = TableEntry {
+        action: 12,
+        ..table.entries[5].clone()
+    };
+    let fresh = TableEntry::with_priority(
+        vec![MatchValue::Ternary {
+            value: 0x1234,
+            mask: 0xFFFF,
+        }],
+        13,
+        1,
+    );
+    let (g, node) = one_table_program(table);
+    let params = CostParams::bluefield2();
+    let mut nic = SmartNic::new(g.clone(), params.clone()).unwrap();
+    nic.set_engine_mode(EngineMode::Compiled);
+    let mut exec = Executor::new(g, params).unwrap();
+    exec.apply(&ControlOp::SetEngineMode(EngineMode::Compiled))
+        .unwrap();
+    let ops = [
+        ControlOp::InsertEntry { node, entry: twin },
+        ControlOp::RemoveEntry { node, index: 12 },
+        ControlOp::InsertEntry { node, entry: fresh },
+        ControlOp::RemoveEntry { node, index: 0 },
+    ];
+    assert_ways_match_oracle(&mut nic, node, &probes, "ranked").unwrap();
+    exec.process(&mut Packet::with_slots(vec![0; WAY_FIELDS]));
+    for (i, op) in ops.into_iter().enumerate() {
+        nic.apply(op.clone()).unwrap();
+        exec.apply(&op).unwrap();
+        exec.process(&mut Packet::with_slots(vec![0; WAY_FIELDS]));
+        assert_ways_match_oracle(&mut nic, node, &probes, &format!("after op {i}")).unwrap();
+        assert_eq!(
+            exec.compile_stats(),
+            (1, i as u64 + 1),
+            "op {i} patched one node"
+        );
+    }
+}
+
+/// A ranked table behind a hot-key guard: the guard's baked outcome, the
+/// lookup memo behind its misses (filled on the first pass over the
+/// keys, answering on the second) and the table after `Despecialize`
+/// all resolve what the interpreter does.
+#[test]
+fn specialized_ranked_table_bakes_and_memoises_like_the_interpreter() {
+    let probes = ranked_probes();
+    let (g, node) = one_table_program(ranked_table(&[MatchKind::Ternary], 12, 2, false));
+    let mut nic = SmartNic::new(g, CostParams::bluefield2()).unwrap();
+    nic.set_engine_mode(EngineMode::Compiled);
+    nic.set_instrumentation(true, 1);
+    let hot = probes[7];
+    let mut burst: Vec<Packet> = (0..256).map(|_| Packet::with_slots(hot.to_vec())).collect();
+    nic.process_batch(&mut burst);
+    assert!(nic.specialize(), "a one-key window earns a guard");
+    nic.set_instrumentation(false, 1);
+    assert_eq!(nic.spec_stats().specialized_tables, 1);
+    for pass in ["guarded", "guarded, memo warm"] {
+        assert_ways_match_oracle(&mut nic, node, &probes, pass).unwrap();
+    }
+    let stats = nic.spec_stats();
+    assert!(stats.guard_hits > 0, "the hot key took the baked outcome");
+    assert!(
+        stats.memo_hits >= (probes.len() / 2) as u64,
+        "the second pass is answered by the memo: {stats:?}"
+    );
+    nic.apply(ControlOp::Despecialize).unwrap();
+    assert_eq!(nic.spec_stats().specialized_tables, 0);
+    assert_ways_match_oracle(&mut nic, node, &probes, "despecialized").unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -1027,12 +1282,7 @@ proptest! {
         let spare = table.entries.len();
         let mut probes = way_probes(&table, &mut rng);
 
-        let mut b = ProgramBuilder::new();
-        for f in 0..WAY_FIELDS {
-            b.field(&format!("k{f}"));
-        }
-        let node = b.add_table(table);
-        let g = b.seal(node).unwrap();
+        let (g, node) = one_table_program(table);
         let mut nic = SmartNic::new(g, CostParams::bluefield2()).unwrap();
         nic.set_engine_mode(EngineMode::Compiled);
         assert_ways_match_oracle(&mut nic, node, &probes, "lowered")?;
