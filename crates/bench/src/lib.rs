@@ -67,7 +67,7 @@ pub const FIGURES: &[Figure] = &[
         "fig18_19",
         &[fig18_19::distributions, fig18_19::esearch_gains],
     ),
-    ("ext", &[ext::memory_tiers, ext::incremental]),
+    ("ext", &[ext::incremental]),
 ];
 
 /// One cell of a [`Table`].

@@ -44,8 +44,7 @@ USAGE:
   pipeleon metrics  <program> [--target T] [--packets N]
            [--flows N] [--zipf S] [--seed S] [--trace t.trace]
            [--sample N] [-o m.prom|m.json]
-  pipeleon analyze  <program> [--target T] [--deny-warnings]
-           [--format text|json]
+  pipeleon analyze  <program> [--deny-warnings] [--format text|json]
   pipeleon analyze  --concurrency [repo-root] [--format text|json]
   pipeleon serve    <program> [--listen ADDR] [--target T] [--workers N]
            [--engine compiled|interp] [--burst N] [--sample N]
@@ -114,7 +113,7 @@ fn load_program(args: &Args) -> Result<ProgramGraph, String> {
 fn checked_program(args: &Args) -> Result<(ProgramGraph, CostParams), String> {
     let params = target(args)?;
     let g = load_program(args)?;
-    let errors: Vec<_> = lint_program(&g, Some(&params))
+    let errors: Vec<_> = lint_program(&g)
         .into_iter()
         .filter(|d| d.severity == Severity::Error)
         .collect();
@@ -155,9 +154,7 @@ fn analyze(args: &Args) -> Result<(), String> {
         eprintln!("concurrency lint: scanned {scanned} Rust files under {root}");
         diags
     } else {
-        let params = target(args)?;
-        let g = load_program(args)?;
-        lint_program(&g, Some(&params))
+        lint_program(&load_program(args)?)
     };
     match args.get_or("format", "text") {
         "text" => println!("{}", render_report(&diags)),

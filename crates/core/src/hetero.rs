@@ -49,7 +49,7 @@ pub fn partition_placement(
     let Expected {
         latency: expected_latency,
         migrations: expected_migrations,
-    } = model.expected(g, profile, &placement, &[]);
+    } = model.expected(g, profile, &placement);
     let copied = g
         .iter_nodes()
         .filter(|n| {

@@ -35,7 +35,6 @@
 pub mod apply;
 pub mod config;
 pub mod hetero;
-pub mod hierarchical;
 pub mod hotspot;
 pub mod knapsack;
 pub mod opts;
@@ -46,7 +45,6 @@ pub mod search;
 pub use apply::{apply_plan, AppliedPlan, CounterMap, EntryMap, EntrySite};
 pub use config::{OptimizerConfig, ResourceLimits};
 pub use hetero::{materialize_partition, partition_placement, HeteroPlan};
-pub use hierarchical::{assign_tiers, TierPlan};
 pub use hotspot::{score_pipelets, top_k, PipeletScore};
 pub use pipelet::{partition, Pipelet, PipeletGroup};
 pub use plan::{Candidate, GlobalPlan, Segment, SegmentKind};

@@ -17,8 +17,8 @@
 //!   runtime; converts raw counters into the probabilities of Eq. 2a/4b.
 //! * [`model`] — [`CostModel`]: expected program latency `L(G)` via one
 //!   linear-time visit-weighted walk (equivalent to path enumeration on
-//!   DAGs) over an optional ASIC/CPU placement and memory-tier layout, and
-//!   per-node and per-path costs.
+//!   DAGs) over an optional ASIC/CPU placement, and per-node and per-path
+//!   costs.
 //! * [`resources`] — the `M(v)` memory and `E(v)` entry-update-rate terms
 //!   of the optimization constraints (Eq. 5).
 //! * [`calibrate`] — least-squares fitting of `L_mat` / `L_act` from
@@ -30,11 +30,9 @@ pub mod model;
 pub mod params;
 pub mod profile;
 pub mod resources;
-pub mod tiers;
 
 pub use calibrate::{fit_line, CalibrationReport, Calibrator, LineFit};
 pub use model::{CostModel, Expected, Placement};
 pub use params::{CostParams, MatchCostModel};
 pub use profile::{CacheStats, RuntimeProfile};
 pub use resources::{ResourceModel, CACHE_CAPACITY, CACHE_INSERTION_RATE};
-pub use tiers::{MemoryTier, TierParams};

@@ -6,7 +6,6 @@
 
 use crate::params::CostParams;
 use crate::profile::RuntimeProfile;
-use crate::tiers::MemoryTier;
 use pipeleon_ir::{CacheRole, NodeId, NodeKind, ProgramGraph, Table};
 
 /// Which core class a node executes on (heterogeneous targets, §3.2.4).
@@ -85,27 +84,23 @@ impl CostModel {
     }
 
     /// Expected program latency `L(G)` (Eq. 1) with every node on the
-    /// ASIC cores and every table in EMEM: [`Self::expected`] over empty
-    /// layouts.
+    /// ASIC cores: [`Self::expected`] over an empty placement.
     pub fn expected_latency(&self, g: &ProgramGraph, profile: &RuntimeProfile) -> f64 {
-        self.expected(g, profile, &[], &[]).latency
+        self.expected(g, profile, &[]).latency
     }
 
     /// `L(G) = Σ_π P(π)·L(π)` (Eq. 1) as one visit-weighted walk: the base
     /// overhead, plus `p(v)·L(v)` per node (Eq. 4), plus
     /// `p(v)·P(slot)·l_migration` per placement-crossing edge.
     ///
-    /// A node on [`Placement::Cpu`] (§3.2.4) pays `cpu_scale`× its whole
-    /// cost; a table on [`MemoryTier::Sram`] (§6) pays
-    /// `tiers.match_scale`× its match part. Both layouts are dense by node
-    /// id; missing ids, and empty slices, mean [`Placement::Asic`] and
-    /// [`MemoryTier::Emem`].
+    /// A node on [`Placement::Cpu`] (§3.2.4) pays `cpu_scale`× its cost.
+    /// The placement is dense by node id; missing ids, and an empty slice,
+    /// mean [`Placement::Asic`].
     pub fn expected(
         &self,
         g: &ProgramGraph,
         profile: &RuntimeProfile,
         placement: &[Placement],
-        tiers: &[MemoryTier],
     ) -> Expected {
         let visits = profile.visit_probabilities(g);
         let place = |id: NodeId| placement.get(id.index()).copied().unwrap_or_default();
@@ -118,11 +113,7 @@ impl CostModel {
             if p == 0.0 {
                 continue;
             }
-            let mut cost = self.node_cost(g, n.id, profile);
-            if let (Some(t), Some(MemoryTier::Sram)) = (n.as_table(), tiers.get(n.id.index())) {
-                let scale = self.params.tiers.match_scale(MemoryTier::Sram);
-                cost += self.match_cost(t) * (scale - 1.0);
-            }
+            let cost = self.node_cost(g, n.id, profile);
             let scale = match place(n.id) {
                 Placement::Asic => 1.0,
                 Placement::Cpu => self.params.cpu_scale,
@@ -212,7 +203,7 @@ mod tests {
     #[test]
     fn expected_latency_matches_path_enumeration() {
         // Build a branchy program and verify the walk == Σ P(π)L(π), flat
-        // and under a CPU placement, an SRAM tier, and both at once.
+        // and under a CPU placement.
         let mut b = ProgramBuilder::new();
         let f = b.field("x");
         let l1 = b
@@ -256,28 +247,19 @@ mod tests {
         }
         assert!((fast - slow).abs() < 1e-9, "fast={fast} slow={slow}");
 
-        // One path's latency under a layout, written out from the paper's
-        // terms: a CPU node pays cpu_scale× its cost, an SRAM table
-        // 1/sram_speedup× its match part, each crossing hop l_migration.
-        let on_path = |path: &[NodeId], cpu: &[NodeId], sram: &[NodeId]| {
+        // One path's latency under a placement, written out from the
+        // paper's terms: a CPU node pays cpu_scale× its cost, each crossing
+        // hop l_migration.
+        let cpu = [br, l2];
+        let on_path = |path: &[NodeId]| {
             let mut lat = m.params.l_base;
             for &id in path {
-                let matched = g
-                    .node(id)
-                    .unwrap()
-                    .as_table()
-                    .map_or(0.0, |t| m.match_cost(t));
-                let tier = if sram.contains(&id) {
-                    1.0 / m.params.tiers.sram_speedup
-                } else {
-                    1.0
-                };
                 let core = if cpu.contains(&id) {
                     m.params.cpu_scale
                 } else {
                     1.0
                 };
-                lat += (m.node_cost(&g, id, &prof) - matched + matched * tier) * core;
+                lat += m.node_cost(&g, id, &prof) * core;
             }
             let hops = path
                 .windows(2)
@@ -285,37 +267,20 @@ mod tests {
                 .count();
             (lat + hops as f64 * m.params.l_migration, hops as f64)
         };
-        let layout = |cpu: &[NodeId], sram: &[NodeId]| {
-            let mut placement = vec![Placement::Asic; g.id_bound()];
-            let mut tiers = vec![MemoryTier::Emem; g.id_bound()];
-            cpu.iter()
-                .for_each(|id| placement[id.index()] = Placement::Cpu);
-            sram.iter()
-                .for_each(|id| tiers[id.index()] = MemoryTier::Sram);
-            (placement, tiers)
-        };
-        let (cpu, sram) = ([br, l2], [l2, head]);
-        for (cpu, sram) in [(&cpu[..], &[][..]), (&[], &sram), (&cpu, &sram)] {
-            let (placement, tiers) = layout(cpu, sram);
-            let walk = m.expected(&g, &prof, &placement, &tiers);
-            let (mut lat, mut hops) = (0.0, 0.0);
-            for p in &paths {
-                let (l, h) = on_path(p, cpu, sram);
-                lat += prob(p) * l;
-                hops += prob(p) * h;
-            }
-            assert!(
-                (walk.latency - lat).abs() < 1e-9,
-                "{cpu:?}/{sram:?}: {walk:?} vs {lat}"
-            );
-            assert!(
-                (walk.migrations - hops).abs() < 1e-9,
-                "{cpu:?}/{sram:?}: {walk:?} vs {hops}"
-            );
-            // head->br crosses on every path, br->l1 on 30% of them.
-            let crossings = if cpu.is_empty() { 0.0 } else { 1.3 };
-            assert!((hops - crossings).abs() < 1e-9, "{cpu:?}: {hops}");
+        let mut placement = vec![Placement::Asic; g.id_bound()];
+        cpu.iter()
+            .for_each(|id| placement[id.index()] = Placement::Cpu);
+        let walk = m.expected(&g, &prof, &placement);
+        let (mut lat, mut hops) = (0.0, 0.0);
+        for p in &paths {
+            let (l, h) = on_path(p);
+            lat += prob(p) * l;
+            hops += prob(p) * h;
         }
+        assert!((walk.latency - lat).abs() < 1e-9, "{walk:?} vs {lat}");
+        assert!((walk.migrations - hops).abs() < 1e-9, "{walk:?} vs {hops}");
+        // head->br crosses on every path, br->l1 on 30% of them.
+        assert!((hops - 1.3).abs() < 1e-9, "{hops}");
     }
 
     #[test]
@@ -396,12 +361,12 @@ mod tests {
         p.l_migration = 50.0;
         let m = CostModel::new(p);
         let prof = RuntimeProfile::empty();
-        let all_asic = m.expected(&g, &prof, &[Placement::Asic, Placement::Asic], &[]);
+        let all_asic = m.expected(&g, &prof, &[Placement::Asic, Placement::Asic]);
         let base = m.expected_latency(&g, &prof);
         assert_eq!(all_asic.latency, base);
         assert_eq!(all_asic.migrations, 0.0);
         // Node cost each: 10 + 2 = 12. Split placement: t1 on CPU.
-        let split = m.expected(&g, &prof, &[Placement::Asic, Placement::Cpu], &[]);
+        let split = m.expected(&g, &prof, &[Placement::Asic, Placement::Cpu]);
         // t0 12 + migration 50 + t1 12*5 = 122.
         assert!((split.latency - 122.0).abs() < 1e-9, "got {split:?}");
         assert_eq!(split.migrations, 1.0);

@@ -7,7 +7,6 @@
 //! emulator reproduces the paper's relative results (line-rate plateaus,
 //! ~2.5× cache gains, 1.3–2.1× merge gains).
 
-use crate::tiers::TierParams;
 use pipeleon_ir::{MatchKind, Table};
 
 /// How the number of memory accesses `m` (Eq. 4a) is derived for non-exact
@@ -66,8 +65,6 @@ pub struct CostParams {
     pub num_cores: usize,
     /// Port line rate in Gbit/s; throughput is capped here.
     pub line_rate_gbps: f64,
-    /// Fast-memory (SRAM) tier parameters (§6 extension).
-    pub tiers: TierParams,
 }
 
 impl CostParams {
@@ -89,7 +86,6 @@ impl CostParams {
             match_model: MatchCostModel::PerDistinctPattern { cap: 8 },
             num_cores: 6,
             line_rate_gbps: 100.0,
-            tiers: TierParams::default(),
         }
     }
 
@@ -110,7 +106,6 @@ impl CostParams {
             match_model: MatchCostModel::PerDistinctPattern { cap: 8 },
             num_cores: 5,
             line_rate_gbps: 40.0,
-            tiers: TierParams::default(),
         }
     }
 
@@ -134,7 +129,6 @@ impl CostParams {
             },
             num_cores: 4,
             line_rate_gbps: 100.0,
-            tiers: TierParams::default(),
         }
     }
 

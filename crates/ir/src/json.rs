@@ -13,7 +13,7 @@ use crate::graph::{Branch, NextHops, NodeKind, ProgramGraph, WireBinding};
 use crate::table::{
     Action, CacheRole, MatchKey, MatchKind, MatchValue, Primitive, Table, TableEntry,
 };
-use crate::types::{IrError, NodeId};
+use crate::types::{FieldSpace, IrError, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -400,9 +400,7 @@ fn condition_to_json(g: &ProgramGraph, c: &Condition) -> JsonCondition {
 /// Converts the JSON document model back to a program graph and validates it.
 pub fn from_json(doc: &JsonProgram) -> Result<ProgramGraph, IrError> {
     let mut g = ProgramGraph::new(doc.name.clone());
-    for f in &doc.fields {
-        g.fields.intern(f);
-    }
+    g.fields = FieldSpace::try_from(doc.fields.as_slice())?;
     // First pass: create all nodes so names can be resolved in any order.
     let mut ids: HashMap<String, NodeId> = HashMap::new();
     for t in &doc.tables {
@@ -841,6 +839,22 @@ mod tests {
             }
             other => panic!("expected BadTable, got {other:?}"),
         }
+    }
+
+    /// A document declaring more field names than a `FieldRef` addresses
+    /// is a typed error, returned before interning and in well under a
+    /// second.
+    #[test]
+    fn too_many_field_names_are_rejected_on_load() {
+        let mut doc = to_json(&sample_program()).unwrap();
+        doc.fields = (0..=u16::MAX as usize).map(|i| format!("f{i}")).collect();
+        let text = serde_json::to_string(&doc).unwrap();
+        let start = std::time::Instant::now();
+        match from_json_string(&text) {
+            Err(IrError::Invalid(msg)) => assert!(msg.contains("field names"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert!(start.elapsed().as_secs_f64() < 1.0, "{:?}", start.elapsed());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Core identifier types and the per-program field space.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// Index of a node (table or branch) within a [`crate::ProgramGraph`].
@@ -55,6 +56,9 @@ impl fmt::Display for FieldRef {
     }
 }
 
+/// How many names a [`FieldSpace`] holds: a [`FieldRef`] is a `u16`.
+const MAX_FIELDS: usize = u16::MAX as usize;
+
 /// The set of header fields a program reads or writes, interned by name.
 ///
 /// Typical names follow P4 conventions such as `"ipv4.dst"` or
@@ -76,9 +80,8 @@ impl FieldSpace {
             return FieldRef(pos as u16);
         }
         assert!(
-            self.names.len() < u16::MAX as usize,
-            "field space overflow: more than {} fields",
-            u16::MAX
+            self.names.len() < MAX_FIELDS,
+            "field space overflow: more than {MAX_FIELDS} fields"
         );
         self.names.push(name.to_owned());
         FieldRef((self.names.len() - 1) as u16)
@@ -113,6 +116,31 @@ impl FieldSpace {
             .iter()
             .enumerate()
             .map(|(i, n)| (FieldRef(i as u16), n.as_str()))
+    }
+}
+
+/// A program document's declared field list, interned in order (a
+/// repeated name interns once). The one check both program loaders
+/// share: a list of more distinct names than a [`FieldRef`] addresses is
+/// an [`IrError::Invalid`], where [`FieldSpace::intern`] would panic.
+impl TryFrom<&[String]> for FieldSpace {
+    type Error = IrError;
+
+    fn try_from(names: &[String]) -> Result<Self, IrError> {
+        let mut seen = HashSet::with_capacity(names.len().min(MAX_FIELDS));
+        let mut space = FieldSpace::new();
+        for name in names {
+            if !seen.insert(name.as_str()) {
+                continue;
+            }
+            if space.names.len() == MAX_FIELDS {
+                return Err(IrError::Invalid(format!(
+                    "more than {MAX_FIELDS} field names"
+                )));
+            }
+            space.names.push(name.clone());
+        }
+        Ok(space)
     }
 }
 

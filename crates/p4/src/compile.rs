@@ -8,17 +8,15 @@
 
 use crate::ast::*;
 use pipeleon_ir::{
-    Action, Condition, MatchKey, MatchKind, MatchValue, NextHops, NodeId, ProgramGraph, Table,
-    TableEntry,
+    Action, Condition, FieldSpace, MatchKey, MatchKind, MatchValue, NextHops, NodeId, ProgramGraph,
+    Table, TableEntry,
 };
 use std::collections::HashMap;
 
 /// Compiles a parsed [`Program`] into a validated [`ProgramGraph`].
 pub fn compile(ast: &Program) -> Result<ProgramGraph, String> {
     let mut g = ProgramGraph::new(ast.name.clone());
-    for f in &ast.fields {
-        g.fields.intern(f);
-    }
+    g.fields = FieldSpace::try_from(ast.fields.as_slice()).map_err(|e| e.to_string())?;
     let field = |g: &ProgramGraph, name: &str| -> Result<pipeleon_ir::FieldRef, String> {
         g.fields
             .get(name)
@@ -522,6 +520,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("incompatible"), "{e}");
+    }
+
+    /// A `fields` list longer than a `FieldRef` addresses is an error,
+    /// returned in well under a second, not a panic in the interner.
+    #[test]
+    fn too_many_fields_are_rejected() {
+        let names: Vec<String> = (0..=u16::MAX as usize).map(|i| format!("f{i}")).collect();
+        let src = format!(
+            "program p; fields {}; action n() {{ }} table t {{ key = {{ f0: exact; }} actions = {{ n; }} }} control {{ t; }}",
+            names.join(", ")
+        );
+        let start = std::time::Instant::now();
+        let e = build(&src).unwrap_err();
+        assert!(e.contains("field names"), "{e}");
+        assert!(start.elapsed().as_secs_f64() < 1.0, "{:?}", start.elapsed());
     }
 
     #[test]

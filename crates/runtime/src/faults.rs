@@ -83,7 +83,6 @@ fn op_label(op: Option<&ControlOp>) -> String {
         Some(ControlOp::SetCacheInsertionLimit { node, .. }) => format!("SetCacheLimit({node:?})"),
         Some(ControlOp::SetInstrumentation { .. }) => "SetInstrumentation".into(),
         Some(ControlOp::SetPlacement(_)) => "SetPlacement".into(),
-        Some(ControlOp::SetMemoryTiers(_)) => "SetMemoryTiers".into(),
         Some(ControlOp::SetEngineMode(mode)) => format!("SetEngineMode({mode:?})"),
         Some(ControlOp::Specialize) => "Specialize".into(),
         Some(ControlOp::Despecialize) => "Despecialize".into(),

@@ -13,7 +13,7 @@ use crate::nic::BatchStats;
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::specialize::SpecStats;
-use pipeleon_cost::{CostParams, MemoryTier, Placement, RuntimeProfile};
+use pipeleon_cost::{CostParams, Placement, RuntimeProfile};
 use pipeleon_ir::{IrError, NextHops, NodeId, NodeKind, ProgramGraph, Table, TableEntry};
 
 /// One control-plane operation on a deployed datapath, as a value: what
@@ -26,7 +26,7 @@ pub enum ControlOp {
     /// Replace the running program. Match engines, the lowering and
     /// flow-cache state are rebuilt for the new layout; the pending
     /// profile window, observations, sampling sequence, placements,
-    /// memory tiers, engine mode and instrumentation carry across.
+    /// engine mode and instrumentation carry across.
     Deploy(ProgramGraph),
     /// Append an entry to a table.
     InsertEntry {
@@ -69,8 +69,6 @@ pub enum ControlOp {
     },
     /// Assign nodes to ASIC/CPU cores (dense by node id).
     SetPlacement(Vec<Placement>),
-    /// Assign tables to memory tiers (dense by node id).
-    SetMemoryTiers(Vec<MemoryTier>),
     /// Select the engine that runs packets.
     SetEngineMode(EngineMode),
     /// Specialize the compiled pipeline to the traffic observed: a guard
@@ -99,7 +97,6 @@ impl ControlOp {
             self,
             ControlOp::SetInstrumentation { .. }
                 | ControlOp::SetPlacement(_)
-                | ControlOp::SetMemoryTiers(_)
                 | ControlOp::SetEngineMode(_)
         )
     }

@@ -4,7 +4,7 @@
 //!
 //! [`CompiledPipeline`] lowers the program once: nodes live in a
 //! contiguous arena addressed by dense `u32` slots, branch comparison
-//! counts and placement/tier cost scales are pre-resolved to `f64`,
+//! counts and placement cost scales are pre-resolved to `f64`,
 //! action bodies are pre-boxed slices, and match keys are [`SmallKey`]s
 //! hashed with FxHash and queried through borrowed `&[u64]` scratch.
 //!
@@ -24,7 +24,7 @@ use crate::prefetch;
 use crate::smallkey::SmallKey;
 use crate::specialize::SpecStats;
 use fxhash::FxHashMap;
-use pipeleon_cost::{CostParams, MatchCostModel, MemoryTier, Placement};
+use pipeleon_cost::{CostParams, MatchCostModel, Placement};
 use pipeleon_ir::{
     CacheRole, Condition, FieldRef, MatchValue, NextHops, NodeId, NodeKind, Primitive, Table,
 };
@@ -799,7 +799,6 @@ impl CTable {
         outcome: &LookupOutcome,
         params: &CostParams,
         scale: f64,
-        tier_scale: f64,
     ) -> [f64; 2] {
         // Under a Fixed match model the charged probes follow the
         // model's multiplier (pre-resolved), not the realized way count.
@@ -808,7 +807,7 @@ impl CTable {
             None => (outcome.probes.min(self.pattern_cap)) as f64,
         };
         [
-            charged * params.l_mat * scale * tier_scale,
+            charged * params.l_mat * scale,
             self.actions[outcome.action].len() as f64 * params.l_act * scale,
         ]
     }
@@ -850,8 +849,6 @@ pub(crate) struct CNode {
     pub(crate) place: Placement,
     /// Pre-resolved placement cost scale (1.0 or `cpu_scale`).
     pub(crate) scale: f64,
-    /// Pre-resolved memory-tier match scale.
-    pub(crate) tier_scale: f64,
     /// Executable shape.
     pub(crate) step: CStep,
 }
@@ -899,9 +896,9 @@ struct LookaheadWay {
 }
 
 impl CompiledPipeline {
-    /// Lowers a validated graph against its cost parameters, placement
-    /// and memory tiers (all of which are baked into the compiled arena
-    /// and invalidate it when they change).
+    /// Lowers a validated graph against its cost parameters and
+    /// placement (both of which are baked into the compiled arena and
+    /// invalidate it when they change).
     pub(crate) fn build(view: &GraphView) -> Self {
         let graph = &view.graph;
         let mut slot_of = vec![NO_SLOT; graph.id_bound()];
@@ -1090,7 +1087,7 @@ impl CompiledPipeline {
                     stage.migrations += 1;
                 }
                 place = node.place;
-                let charges = ct.charges(&sp.hot_outcome, params, node.scale, node.tier_scale);
+                let charges = ct.charges(&sp.hot_outcome, params, node.scale);
                 stage.deltas.extend(charges);
                 stage.probes += sp.hot_outcome.probes;
                 stage.guards += 1;
@@ -1276,12 +1273,12 @@ impl Provider for CompiledPipeline {
     #[inline]
     fn charges(
         &self,
-        (node, ct): Self::Table<'_>,
+        (_, ct): Self::Table<'_>,
         outcome: &LookupOutcome,
         params: &CostParams,
         scale: f64,
     ) -> [f64; 2] {
-        ct.charges(outcome, params, scale, node.tier_scale)
+        ct.charges(outcome, params, scale)
     }
 
     #[inline]
@@ -1314,7 +1311,7 @@ impl Provider for CompiledPipeline {
 }
 
 fn compile_node(view: &GraphView, slot_of: &[u32], id: NodeId) -> CNode {
-    let (params, placement, tiers) = (&view.params, &view.placement, &view.memory_tiers);
+    let (params, placement) = (&view.params, &view.placement);
     let node = view.graph.node(id).expect("live node");
     let place = placement
         .get(id.index())
@@ -1324,8 +1321,6 @@ fn compile_node(view: &GraphView, slot_of: &[u32], id: NodeId) -> CNode {
         Placement::Asic => 1.0,
         Placement::Cpu => params.cpu_scale,
     };
-    let tier = tiers.get(id.index()).copied().unwrap_or(MemoryTier::Emem);
-    let tier_scale = params.tiers.match_scale(tier);
     let to_slot = |t: Option<NodeId>| {
         t.map_or(NO_SLOT, |n| {
             slot_of.get(n.index()).copied().unwrap_or(NO_SLOT)
@@ -1371,7 +1366,6 @@ fn compile_node(view: &GraphView, slot_of: &[u32], id: NodeId) -> CNode {
         id,
         place,
         scale,
-        tier_scale,
         step,
     }
 }

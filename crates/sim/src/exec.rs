@@ -33,7 +33,7 @@ use crate::smallkey::SmallKey;
 use crate::specialize::{self, HotKeySketch, SpecPlan, SpecStats};
 use fxhash::{FxBuildHasher, FxHashMap};
 use pipeleon_cost::{
-    CacheStats, CostParams, MatchCostModel, MemoryTier, Placement, RuntimeProfile, CACHE_CAPACITY,
+    CacheStats, CostParams, MatchCostModel, Placement, RuntimeProfile, CACHE_CAPACITY,
     CACHE_INSERTION_RATE,
 };
 use pipeleon_ir::{
@@ -319,7 +319,6 @@ pub(crate) struct GraphView {
     /// engine, which never asks, never builds one.
     engines: Vec<OnceCell<MatchEngine>>,
     pub(crate) placement: Vec<Placement>,
-    pub(crate) memory_tiers: Vec<MemoryTier>,
 }
 
 impl GraphView {
@@ -329,7 +328,6 @@ impl GraphView {
             params,
             engines: Vec::new(),
             placement: Vec::new(),
-            memory_tiers: Vec::new(),
         }
     }
 }
@@ -395,7 +393,7 @@ impl Provider for GraphView {
 
     fn charges(
         &self,
-        (node, table): Self::Table<'_>,
+        (_, table): Self::Table<'_>,
         outcome: &LookupOutcome,
         params: &CostParams,
         scale: f64,
@@ -406,14 +404,9 @@ impl Provider for GraphView {
             MatchCostModel::Fixed { .. } => params.memory_accesses(table),
             MatchCostModel::PerDistinctPattern { cap } => (outcome.probes.min(cap)) as f64,
         };
-        let tier = self
-            .memory_tiers
-            .get(node.id.index())
-            .copied()
-            .unwrap_or(MemoryTier::Emem);
         let body = &table.actions[outcome.action].primitives;
         [
-            charged * params.l_mat * scale * params.tiers.match_scale(tier),
+            charged * params.l_mat * scale,
             body.len() as f64 * params.l_act * scale,
         ]
     }
@@ -449,9 +442,9 @@ struct Deployed {
     view: GraphView,
     /// Which datapath runs packets.
     mode: EngineMode,
-    /// Lazily built compiled program. Invalidated by deploys, placement
-    /// and memory-tier changes; entry ops recompile just the touched
-    /// node in place.
+    /// Lazily built compiled program. Invalidated by deploys and
+    /// placement changes; entry ops recompile just the touched node in
+    /// place.
     compiled: Option<CompiledPipeline>,
     /// Full pipeline compiles performed (telemetry for tests/benches).
     full_compiles: u64,
@@ -460,8 +453,8 @@ struct Deployed {
 }
 
 impl Deployed {
-    /// The compiled program — lowered now if a deploy, a placement or
-    /// tier change, or nothing yet, left none — and the parameters it is
+    /// The compiled program — lowered now if a deploy, a placement
+    /// change, or nothing yet, left none — and the parameters it is
     /// lowered against.
     fn compiled(&mut self) -> (&mut CompiledPipeline, &CostParams) {
         let cp = self.compiled.get_or_insert_with(|| {
@@ -602,7 +595,6 @@ impl Executor {
                 sample_every,
             } => self.set_instrumentation(*enabled, *sample_every),
             ControlOp::SetPlacement(placement) => self.set_placement(placement.clone()),
-            ControlOp::SetMemoryTiers(tiers) => self.set_memory_tiers(tiers.clone()),
             ControlOp::SetEngineMode(mode) => self.set_engine_mode(*mode),
             ControlOp::Specialize => return Ok(self.specialize_from(&HashMap::new())),
             ControlOp::Despecialize => return Ok(self.despecialize()),
@@ -638,8 +630,8 @@ impl Executor {
 
     /// Swaps in an already-validated program. The pending profile
     /// window, sampled observations, distinct-key sets, flow sequence
-    /// counts, packet sequence, placements, memory tiers, engine mode,
-    /// and instrumentation all carry across the swap — the profile window
+    /// counts, packet sequence, placements, engine mode, and
+    /// instrumentation all carry across the swap — the profile window
     /// spans generations, keyed by the (stable) node ids both layouts
     /// share. Match engines and flow-cache runtime state are rebuilt
     /// (the new layout's tables define them); `compiled` installs a
@@ -684,14 +676,6 @@ impl Executor {
     /// hops pay `l_migration`.
     fn set_placement(&mut self, placement: Vec<Placement>) {
         self.program.view.placement = placement;
-        self.program.compiled = None;
-    }
-
-    /// Assigns tables to memory tiers (dense by node id; missing = EMEM).
-    /// Key matches of SRAM-resident tables run `sram_speedup`× faster
-    /// (§6 hierarchical-memory extension).
-    fn set_memory_tiers(&mut self, tiers: Vec<MemoryTier>) {
-        self.program.view.memory_tiers = tiers;
         self.program.compiled = None;
     }
 
@@ -1708,23 +1692,6 @@ mod tests {
         let prof = ex.take_profile();
         assert_eq!(prof.cache_stats[&cache].misses, 10);
         assert_eq!(prof.cache_stats[&cache].insertions, 0);
-    }
-
-    #[test]
-    fn memory_tiers_scale_match_cost_only() {
-        use pipeleon_cost::MemoryTier;
-        let (g, acl, rw) = simple_program();
-        let mut p = params();
-        p.tiers.sram_speedup = 2.0;
-        let mut ex = Executor::new(g.clone(), p).unwrap();
-        let base = ex.process(&mut Packet::with_slots(vec![1, 0])).latency_ns;
-        // Promote the rewrite table to SRAM: its match (10) halves to 5.
-        let mut tiers = vec![MemoryTier::Emem; g.id_bound()];
-        tiers[rw.index()] = MemoryTier::Sram;
-        let _ = acl;
-        ex.set_memory_tiers(tiers);
-        let fast = ex.process(&mut Packet::with_slots(vec![1, 0])).latency_ns;
-        assert!((base - fast - 5.0).abs() < 1e-9, "base={base} fast={fast}");
     }
 
     /// `n` exact entries on `key` (keys `0..n`, spread by an odd

@@ -9,8 +9,7 @@
 //!    [`pipeleon_ir::ProgramGraph`] DAG producing rustc-style typed
 //!    diagnostics (`PV0xx` codes) — possibly-uninitialized metadata reads,
 //!    unreachable tables, dead actions, branch conditions over fields no
-//!    action defines, tables whose reserved footprint exceeds the target's
-//!    fast-memory tier, intra-action dead writes, and shadowed entries.
+//!    action defines, intra-action dead writes, and shadowed entries.
 //! 2. **Plan safety** ([`PlanVerifier`]): for every optimization candidate,
 //!    prove the rewrite legal with path-sensitive Bernstein-condition
 //!    checks over all DAG paths through the affected region (every
@@ -18,9 +17,9 @@
 //!    by their entry key, merges need key-compatibility) and return a
 //!    machine-readable [`Verdict`].
 //!
-//! The crate deliberately depends only on `pipeleon-ir` and
-//! `pipeleon-cost` so that the optimizer core, the runtime controller and
-//! the CLI can all consume it without cycles.
+//! The crate deliberately depends only on `pipeleon-ir` so that the
+//! optimizer core, the runtime controller and the CLI can all consume it
+//! without cycles.
 
 #![forbid(unsafe_code)]
 
@@ -68,9 +67,8 @@ pub enum Code {
     /// PV004: a branch condition reads a metadata field that no action in
     /// the whole program writes.
     UndefinedBranchField,
-    /// PV005: the table's reserved memory footprint exceeds the target's
-    /// fast-tier (SRAM) capacity.
-    TierOverflow,
+    // PV005 (the memory-tier capacity lint) is retired; the number is
+    // not reused.
     /// PV006: an action writes a field twice without reading it in
     /// between (the first write is dead).
     SelfConflictingAction,
@@ -116,7 +114,6 @@ impl Code {
             Code::Unreachable => "PV002",
             Code::DeadAction => "PV003",
             Code::UndefinedBranchField => "PV004",
-            Code::TierOverflow => "PV005",
             Code::SelfConflictingAction => "PV006",
             Code::ShadowedEntry => "PV007",
             Code::PlanShape => "PV101",
@@ -137,7 +134,6 @@ impl Code {
         match self {
             Code::Unreachable
             | Code::DeadAction
-            | Code::TierOverflow
             | Code::SelfConflictingAction
             | Code::ShadowedEntry => Severity::Warning,
             _ => Severity::Error,

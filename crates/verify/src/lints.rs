@@ -22,8 +22,6 @@
 //! counts, so some reported reads may be dynamically unreachable.
 
 use crate::{Code, Diagnostic};
-use pipeleon_cost::params::CostParams;
-use pipeleon_cost::resources::ResourceModel;
 use pipeleon_ir::{CacheRole, Node, NodeKind, ProgramGraph, Table};
 
 /// Field-name prefixes classified as metadata (uninitialized until
@@ -98,10 +96,8 @@ fn guaranteed_writes(t: &Table, len: usize) -> FieldSet {
 }
 
 /// Runs every program lint over `g` and returns the findings in a
-/// deterministic order (grouped by pass, then by node id). With a
-/// target's cost parameters, the resource lint (PV005) also runs against
-/// its memory tiers.
-pub fn lint_program(g: &ProgramGraph, params: Option<&CostParams>) -> Vec<Diagnostic> {
+/// deterministic order (grouped by pass, then by node id).
+pub fn lint_program(g: &ProgramGraph) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let nf = g.fields.len();
     let reachable = g.reachable();
@@ -180,31 +176,6 @@ pub fn lint_program(g: &ProgramGraph, params: Option<&CostParams>) -> Vec<Diagno
         }
         lint_table_actions(n, t, &mut diags, reachable[n.id.index()]);
         lint_table_entries(n, t, &mut diags);
-    }
-
-    // PV005: reserved footprint vs the target's fast tier.
-    if let Some(params) = params {
-        let capacity = params.tiers.sram_capacity_bytes;
-        let rm = ResourceModel::new(params.clone());
-        for n in g.iter_nodes() {
-            let Some(t) = n.as_table() else { continue };
-            let reserved = rm.table_memory_reserved(t);
-            if reserved > capacity {
-                diags.push(Diagnostic {
-                    code: Code::TierOverflow,
-                    severity: Code::TierOverflow.default_severity(),
-                    message: format!(
-                        "{} reserves {:.0} bytes, exceeding the fast-tier capacity \
-                         of {:.0} bytes on target `{}`",
-                        node_label(n),
-                        reserved,
-                        capacity,
-                        params.name
-                    ),
-                    context: vec![node_label(n)],
-                });
-            }
-        }
     }
 
     diags
@@ -396,7 +367,7 @@ mod tests {
             .entry(TableEntry::new(vec![MatchValue::Exact(1)], 1))
             .finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, None);
+        let diags = lint_program(&g);
         assert!(diags.is_empty(), "unexpected: {diags:?}");
     }
 
@@ -406,7 +377,7 @@ mod tests {
         let m = b.field("meta.class");
         b.table("t").key(m, MatchKind::Exact).finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, None);
+        let diags = lint_program(&g);
         assert_eq!(codes(&diags), vec![Code::UninitializedRead]);
         assert!(diags[0].message.contains("meta.class"));
         assert_eq!(diags[0].severity, Severity::Error);
@@ -423,7 +394,7 @@ mod tests {
             .finish();
         b.table("use").key(m, MatchKind::Exact).finish();
         let g = b.seal_sequential().unwrap();
-        assert!(lint_program(&g, None).is_empty());
+        assert!(lint_program(&g).is_empty());
     }
 
     #[test]
@@ -440,7 +411,7 @@ mod tests {
             .finish();
         b.table("use").key(m, MatchKind::Exact).finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, None);
+        let diags = lint_program(&g);
         assert_eq!(codes(&diags), vec![Code::UninitializedRead]);
     }
 
@@ -453,7 +424,7 @@ mod tests {
         b.set_next(t0, None);
         b.set_next(orphan, None);
         let g = b.seal(t0).unwrap();
-        let diags = lint_program(&g, None);
+        let diags = lint_program(&g);
         assert_eq!(codes(&diags), vec![Code::Unreachable]);
         assert!(diags[0].message.contains("orphan"));
     }
@@ -470,7 +441,7 @@ mod tests {
             .entry(TableEntry::new(vec![MatchValue::Exact(1)], 1))
             .finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, None);
+        let diags = lint_program(&g);
         assert_eq!(codes(&diags), vec![Code::DeadAction]);
         assert!(diags[0].message.contains("unused"));
         assert_eq!(diags[0].severity, Severity::Warning);
@@ -485,7 +456,7 @@ mod tests {
         b.set_next(t, None);
         let br = b.branch("check", Condition::eq(m, 1), Some(t), Some(t));
         let g = b.seal(br).unwrap();
-        let diags = lint_program(&g, None);
+        let diags = lint_program(&g);
         assert_eq!(codes(&diags), vec![Code::UndefinedBranchField]);
         assert!(diags[0].message.contains("meta.flag"));
     }
@@ -504,25 +475,8 @@ mod tests {
         b.set_next(t, None);
         let br = b.branch("check", Condition::eq(m, 1), Some(t), Some(t));
         let g = b.seal(br).unwrap();
-        let diags = lint_program(&g, None);
+        let diags = lint_program(&g);
         assert_eq!(codes(&diags), vec![Code::UninitializedRead]);
-    }
-
-    #[test]
-    fn pv005_flags_table_exceeding_fast_tier() {
-        let mut b = ProgramBuilder::named("p");
-        let x = b.field("x");
-        b.table("huge")
-            .key(x, MatchKind::Exact)
-            .max_entries(1 << 20)
-            .finish();
-        let g = b.seal_sequential().unwrap();
-        let params = CostParams::emulated_nic();
-        let diags = lint_program(&g, Some(&params));
-        assert_eq!(codes(&diags), vec![Code::TierOverflow]);
-        assert!(diags[0].message.contains("fast-tier"));
-        // Without a target, the resource lint is silent.
-        assert!(lint_program(&g, None).is_empty());
     }
 
     #[test]
@@ -538,7 +492,7 @@ mod tests {
             )
             .finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, None);
+        let diags = lint_program(&g);
         assert_eq!(codes(&diags), vec![Code::SelfConflictingAction]);
     }
 
@@ -560,7 +514,7 @@ mod tests {
             )
             .finish();
         let g = b.seal_sequential().unwrap();
-        assert!(lint_program(&g, None).is_empty());
+        assert!(lint_program(&g).is_empty());
     }
 
     #[test]
@@ -575,7 +529,7 @@ mod tests {
             .entry(TableEntry::new(vec![MatchValue::Exact(7)], 1))
             .finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, None);
+        let diags = lint_program(&g);
         assert_eq!(codes(&diags), vec![Code::ShadowedEntry]);
     }
 
@@ -589,7 +543,7 @@ mod tests {
             .action("bump", vec![Primitive::add(m, 1)])
             .finish();
         let g = b.seal_sequential().unwrap();
-        let diags = lint_program(&g, None);
+        let diags = lint_program(&g);
         assert_eq!(codes(&diags), vec![Code::UninitializedRead]);
         assert!(diags[0].context[0].contains("bump"));
     }
@@ -612,7 +566,7 @@ mod tests {
         b.set_next(wf, Some(join));
         let br = b.branch("split", Condition::eq(x, 0), Some(wt), Some(wf));
         let g = b.seal(br).unwrap();
-        let diags = lint_program(&g, None);
+        let diags = lint_program(&g);
         assert_eq!(codes(&diags), vec![Code::UninitializedRead]);
 
         // Making both arms write silences it.
@@ -633,6 +587,6 @@ mod tests {
         b.set_next(wf, Some(join));
         let br = b.branch("split", Condition::eq(x, 0), Some(wt), Some(wf));
         let g = b.seal(br).unwrap();
-        assert!(lint_program(&g, None).is_empty());
+        assert!(lint_program(&g).is_empty());
     }
 }

@@ -19,7 +19,7 @@
 use pipeleon::opts::{merge, EvalCtx};
 use pipeleon::search::Optimizer;
 use pipeleon::OptimizerConfig;
-use pipeleon_cost::{CostModel, CostParams, MemoryTier, Placement, RuntimeProfile};
+use pipeleon_cost::{CostModel, CostParams, Placement, RuntimeProfile};
 use pipeleon_ir::{
     json, Action, CacheRole, FieldRef, MatchKey, MatchKind, MatchValue, NodeId, Primitive,
     ProgramBuilder, ProgramGraph, Table, TableEntry,
@@ -288,12 +288,12 @@ fn synth_seed_matrix_matches_bit_for_bit() {
 }
 
 /// What the graph view derives on every visit and lowering bakes once:
-/// placement scales and migrations, memory-tier match scales, and the
-/// `Fixed` match model's charged probes on multi-way tables (which the
+/// placement scales and migrations, and the `Fixed` match model's
+/// charged probes on multi-way tables (which the
 /// seed matrix only pairs with all-exact programs, where the model's
 /// multiplier and the realised probe count are both 1).
 #[test]
-fn placement_tiers_and_the_fixed_match_model_match_bit_for_bit() {
+fn placement_and_the_fixed_match_model_match_bit_for_bit() {
     let g = synthesize(&SynthConfig {
         pipelets: 3,
         pipelet_len: 3,
@@ -307,17 +307,13 @@ fn placement_tiers_and_the_fixed_match_model_match_bit_for_bit() {
     let placement: Vec<Placement> = (0..g.id_bound())
         .map(|i| [Placement::Asic, Placement::Cpu][usize::from(i % 3 == 1)])
         .collect();
-    let tiers: Vec<MemoryTier> = (0..g.id_bound())
-        .map(|i| [MemoryTier::Emem, MemoryTier::Sram][i % 2])
-        .collect();
     let batch = key_traffic(&g, 300, 77, 1_000);
     let (mut interp, mut compiled) = nic_pair(&g, &params, 2);
     for nic in [&mut interp, &mut compiled] {
         nic.apply(ControlOp::SetPlacement(placement.clone()))
             .unwrap();
-        nic.apply(ControlOp::SetMemoryTiers(tiers.clone())).unwrap();
     }
-    assert_pair_identical(interp, compiled, &batch, "placed, tiered, fixed model");
+    assert_pair_identical(interp, compiled, &batch, "placed, fixed model");
 }
 
 #[test]
@@ -1405,7 +1401,7 @@ proptest! {
 /// An op is an op: a random [`ControlOp`] sequence — entry patches
 /// around a full program swap (`split == 0` is swap-then-patch,
 /// `split >= ops.len()` patch-then-swap), with table replacements,
-/// instrumentation and engine flips, placements, tiers, cache tuning,
+/// instrumentation and engine flips, placements, cache tuning,
 /// specialize and despecialize mixed in — with packets between the
 /// ops, driven through `Executor::apply`, `SmartNic::apply` and
 /// `ShardedNic::apply` at 1/2/8 workers (mid-flight there). Every
@@ -1490,18 +1486,13 @@ fn live_patch_and_swap_case(
             ),
             7 => ControlOp::Specialize,
             8 => ControlOp::Despecialize,
-            _ => match k % 4 {
+            _ => match k % 3 {
                 0 => ControlOp::SetPlacement(
                     (0..g.id_bound())
                         .map(|i| [Placement::Asic, Placement::Cpu][(i + t) % 2])
                         .collect(),
                 ),
-                1 => ControlOp::SetMemoryTiers(
-                    (0..g.id_bound())
-                        .map(|i| [MemoryTier::Emem, MemoryTier::Sram][(i + t) % 2])
-                        .collect(),
-                ),
-                2 => ControlOp::FlushCache(node),
+                1 => ControlOp::FlushCache(node),
                 _ => ControlOp::SetCacheInsertionLimit {
                     node,
                     rate_per_s: 1e6,

@@ -79,13 +79,13 @@ proptest! {
             if !ok || copies > budget {
                 continue;
             }
-            let mut cost = model.expected(&g, &profile, &placement, &[]).latency;
+            let mut cost = model.expected(&g, &profile, &placement).latency;
             if placement[ids[0].index()] == Placement::Cpu {
                 cost += model.params.l_migration; // wire -> CPU entry hop
             }
             best = best.min(cost);
         }
-        let mut plan_cost = model.expected(&g, &profile, &plan.placement, &[]).latency;
+        let mut plan_cost = model.expected(&g, &profile, &plan.placement).latency;
         if plan.placement[ids[0].index()] == Placement::Cpu {
             plan_cost += model.params.l_migration;
         }

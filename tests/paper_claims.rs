@@ -455,35 +455,6 @@ fn fig19_esearch_gain_is_entropy_independent() {
     );
 }
 
-/// Hierarchical memory: more SRAM never costs latency, the knapsack stays
-/// inside its budget, and the emulator matches its prediction within
-/// 0.5 ns at every budget.
-#[test]
-fn ext_hierarchical_memory_prediction_within_half_ns() {
-    let t = ext::memory_tiers();
-    let predicted = t.nums("predicted_latency_ns");
-    let emulated = t.nums("emulated_latency_ns");
-    assert!(
-        predicted
-            .iter()
-            .zip(&emulated)
-            .all(|(p, e)| (p - e).abs() <= 0.5),
-        "{t}"
-    );
-    assert!(
-        non_increasing(&predicted, 0.0) && predicted[1] < predicted[0],
-        "{t}"
-    );
-    let used = t.nums("sram_used_bytes");
-    assert!(
-        t.nums("sram_budget_bytes")
-            .iter()
-            .zip(&used)
-            .all(|(b, u)| u <= b),
-        "{t}"
-    );
-}
-
 /// Incremental re-optimization (host clock, so counts): an unchanged
 /// profile reuses every candidate and finds the cold plan's gain, a
 /// one-branch shift re-enumerates only the pipelets it touches, and a

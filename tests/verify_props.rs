@@ -129,8 +129,8 @@ proptest! {
             ..SynthConfig::default()
         });
         // Repeated runs agree.
-        let lints1 = lint_program(&g, None);
-        let lints2 = lint_program(&g, None);
+        let lints1 = lint_program(&g);
+        let lints2 = lint_program(&g);
         prop_assert_eq!(&lints1, &lints2);
         let verdicts = all_verdicts(&g);
         prop_assert_eq!(&verdicts, &all_verdicts(&g));

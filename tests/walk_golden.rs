@@ -6,7 +6,7 @@
 //! neighbour): both sides would move together. This test replays a fixed
 //! stimulus — every scenario program in `pipeleon-workloads`, the
 //! differential suites' synthetic seed matrix, a nested flow-cache
-//! program, a placed ASIC/CPU program with memory tiers and a
+//! program, a placed ASIC/CPU program and a
 //! specialised pipeline with fused guard runs — under both engines and
 //! five sampling regimes, with an entry insert and a cache flush
 //! mid-stream, and compares one line of digests per case with a
@@ -20,7 +20,7 @@
 //! in `$CARGO_TARGET_TMPDIR/walk_digests.actual.txt`; review the diff
 //! and copy it over `tests/fixtures/walk_digests.txt`.
 
-use pipeleon_cost::{CostParams, MemoryTier, Placement, RuntimeProfile};
+use pipeleon_cost::{CostParams, Placement, RuntimeProfile};
 use pipeleon_ir::{
     CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
 };
@@ -98,7 +98,6 @@ struct Case {
     params: CostParams,
     traffic: Vec<Packet>,
     placement: Vec<Placement>,
-    tiers: Vec<MemoryTier>,
     /// `(cache, insertions per second)`.
     insertion_limits: Vec<(NodeId, f64)>,
     /// A profile window, then `specialize()`, before the stimulus.
@@ -114,7 +113,6 @@ impl Case {
             params: CostParams::bluefield2(),
             traffic,
             placement: Vec::new(),
-            tiers: Vec::new(),
             insertion_limits: Vec::new(),
             specialize: false,
         }
@@ -300,31 +298,21 @@ fn cases() -> Vec<Case> {
         out.push(case);
     }
 
-    // Branches, three chains and drops, a third of the nodes on the CPU
-    // and every other table in SRAM; a Fixed match model too.
+    // Branches, three chains and drops, a third of the nodes on the CPU;
+    // a Fixed match model too.
     let t = nf.traffic(&[0.3, 0.4], 300, 77).batch(PACKETS);
     for (name, params) in [
-        ("placed_tiered", CostParams::bluefield2()),
-        ("placed_tiered_fixed", CostParams::emulated_nic()),
+        ("placed", CostParams::bluefield2()),
+        ("placed_fixed", CostParams::emulated_nic()),
     ] {
         let mut case = Case::new(name, nf.graph.clone(), t.clone());
         case.params = off_grid(params);
-        let n = nf.graph.id_bound();
-        case.placement = (0..n)
+        case.placement = (0..nf.graph.id_bound())
             .map(|i| {
                 if i % 3 == 1 {
                     Placement::Cpu
                 } else {
                     Placement::Asic
-                }
-            })
-            .collect();
-        case.tiers = (0..n)
-            .map(|i| {
-                if i % 2 == 0 {
-                    MemoryTier::Sram
-                } else {
-                    MemoryTier::Emem
                 }
             })
             .collect();
@@ -407,10 +395,6 @@ fn run(case: &Case, engine: EngineMode, sampling: (&str, u64, SampleKeying)) -> 
     nic.set_engine_mode(engine);
     if !case.placement.is_empty() {
         nic.apply(ControlOp::SetPlacement(case.placement.clone()))
-            .unwrap();
-    }
-    if !case.tiers.is_empty() {
-        nic.apply(ControlOp::SetMemoryTiers(case.tiers.clone()))
             .unwrap();
     }
     for &(cache, rate) in &case.insertion_limits {
