@@ -122,7 +122,8 @@ pub struct JsonEntry {
 pub enum JsonMatchValue {
     /// Exact value.
     Exact { value: u64 },
-    /// Prefix match.
+    /// Prefix match: the top `prefix_len` bits, 0–64 (a longer prefix
+    /// fails to load with `IrError::BadTable`).
     Lpm { value: u64, prefix_len: u8 },
     /// Value/mask match.
     Ternary { value: u64, mask: u64 },

@@ -149,7 +149,8 @@ pub enum MatchValue {
     /// Matches exactly `value`.
     Exact(u64),
     /// Matches the top `prefix_len` bits of a 64-bit value. `prefix_len = 0`
-    /// matches anything.
+    /// matches anything; [`Table::validate`] refuses a `prefix_len` above
+    /// 64.
     Lpm { value: u64, prefix_len: u8 },
     /// Matches where `packet & mask == value & mask`. A zero mask matches
     /// anything (the `*` wildcard of paper Figure 6).
@@ -383,10 +384,16 @@ impl Table {
                         key.kind
                     ));
                 }
-                if let MatchValue::Range { lo, hi } = *mv {
-                    if lo > hi {
+                match *mv {
+                    MatchValue::Range { lo, hi } if lo > hi => {
                         return Err(format!("entry {i}: empty range {lo}..{hi}"));
                     }
+                    MatchValue::Lpm { prefix_len, .. } if prefix_len > 64 => {
+                        return Err(format!(
+                            "entry {i}: prefix length {prefix_len} exceeds 64 bits"
+                        ));
+                    }
+                    _ => {}
                 }
             }
         }
@@ -452,6 +459,33 @@ mod tests {
         assert_eq!(t.validate(), Ok(()));
         t.entries[0].matches[0] = MatchValue::Range { lo: 10, hi: 5 };
         assert_eq!(t.validate(), Err("entry 0: empty range 10..5".into()));
+    }
+
+    /// A prefix longer than the 64-bit key is refused: `prefix_mask`
+    /// would clamp it to /64 while entry ranking reads the raw length.
+    #[test]
+    fn validate_refuses_a_prefix_longer_than_64_bits() {
+        let mut t = Table::new("l");
+        t.keys = vec![MatchKey {
+            field: f(0),
+            kind: MatchKind::Lpm,
+        }];
+        t.actions = vec![Action::nop("a")];
+        let lpm = |prefix_len| MatchValue::Lpm {
+            value: 5,
+            prefix_len,
+        };
+        t.entries = vec![TableEntry::new(vec![lpm(64)], 0)];
+        assert_eq!(t.validate(), Ok(()));
+        for prefix_len in [65, 200, 255] {
+            t.entries[0].matches[0] = lpm(prefix_len);
+            assert_eq!(
+                t.validate(),
+                Err(format!(
+                    "entry 0: prefix length {prefix_len} exceeds 64 bits"
+                ))
+            );
+        }
     }
 
     #[test]

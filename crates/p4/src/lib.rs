@@ -55,12 +55,15 @@
 //!               | "size" "=" NUM ";"
 //!               | "const"? "entries" "=" "{" entry* "}"
 //! entry        := "(" keyval ("," keyval)* ")" ":" NAME ("@" NUM)? ";"
-//! keyval       := NUM | NUM "&&&" NUM | NUM "/" NUM | NUM ".." NUM | "_"
+//! keyval       := NUM | NUM "&&&" NUM | NUM "/" LEN | NUM ".." NUM | "_"
 //! stmt         := NAME ";" | "exit" ";"
 //!               | "if" "(" cond ")" block ("else" block)?
 //!               | "switch" "(" NAME ")" "{" (NAME ":" block)* "}"
 //! cond         := or-expr with comparisons, "&&", "||", "!", parens
 //! ```
+//!
+//! `LEN`, an LPM prefix length, is 0–64: a key is one 64-bit value,
+//! and a longer prefix is a parse error, not a clamp.
 
 pub mod ast;
 pub mod compile;

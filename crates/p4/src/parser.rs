@@ -307,7 +307,11 @@ impl Parser {
         if self.eat(&Token::MaskSep) {
             Ok(KeyValue::Ternary(v, self.number()?))
         } else if self.eat(&Token::Slash) {
-            Ok(KeyValue::Lpm(v, self.number()? as u8))
+            let line = self.line();
+            match self.number()? {
+                len @ 0..=64 => Ok(KeyValue::Lpm(v, len as u8)),
+                len => Err(format!("line {line}: prefix length {len} exceeds 64 bits")),
+            }
         } else if self.eat(&Token::DotDot) {
             Ok(KeyValue::Range(v, self.number()?))
         } else {
@@ -530,6 +534,25 @@ mod tests {
         assert!(err.contains("line 3"), "{err}");
         let err = parse("program p;\ntable t { bogus = 1; }").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+    }
+
+    /// A prefix is at most the key's 64 bits. A longer one is refused
+    /// with its line, never truncated to a `u8` (`/256` would be /0, a
+    /// catch-all).
+    #[test]
+    fn prefixes_longer_than_64_bits_are_refused() {
+        let src = |len: u32| {
+            format!(
+                "program l; fields a;\naction x() {{ }}\ntable t {{\n  key = {{ a: lpm; }}\n  \
+                 actions = {{ x; }}\n  entries = {{ (8/{len}) : x; }}\n}}\ncontrol {{ t; }}"
+            )
+        };
+        let p = parse(&src(64)).unwrap();
+        assert_eq!(p.tables[0].entries[0].keys, vec![KeyValue::Lpm(8, 64)]);
+        for len in [65, 256, 300] {
+            let err = parse(&src(len)).unwrap_err();
+            assert_eq!(err, format!("line 6: prefix length {len} exceeds 64 bits"));
+        }
     }
 
     #[test]

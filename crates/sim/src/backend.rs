@@ -357,6 +357,51 @@ mod tests {
         g.validate().unwrap();
     }
 
+    /// An entry whose prefix is longer than the 64-bit key is refused,
+    /// on the program and through a NIC, and the table keeps its rules.
+    #[test]
+    fn an_overlong_prefix_entry_is_refused_and_the_table_kept() {
+        let mut b = ProgramBuilder::new();
+        let dst = b.field("dst");
+        let lpm = |prefix_len| MatchValue::Lpm {
+            value: 5,
+            prefix_len,
+        };
+        let route = b
+            .table("route")
+            .key(dst, MatchKind::Lpm)
+            .action_nop("a0")
+            .action_nop("a1")
+            .entry(TableEntry::new(vec![lpm(64)], 0))
+            .finish();
+        let mut g = b.seal(route).unwrap();
+        let before = to_json_string(&g).unwrap();
+        let mut nic =
+            crate::SmartNic::new(g.clone(), pipeleon_cost::CostParams::bluefield2()).unwrap();
+        for prefix_len in [65, 200, 255] {
+            let op = ControlOp::InsertEntry {
+                node: route,
+                entry: TableEntry::new(vec![lpm(prefix_len)], 1),
+            };
+            let want = Err(IrError::BadEntry {
+                table: route,
+                reason: format!("entry 1: prefix length {prefix_len} exceeds 64 bits"),
+            });
+            assert_eq!(op.edit_table(&mut g), want);
+            assert_eq!(
+                to_json_string(&g).unwrap(),
+                before,
+                "/{prefix_len}: program"
+            );
+            assert_eq!(nic.apply(op), want);
+            assert_eq!(
+                to_json_string(nic.graph()).unwrap(),
+                before,
+                "/{prefix_len}: NIC"
+            );
+        }
+    }
+
     #[test]
     fn a_rejected_table_edit_leaves_the_graph_byte_identical() {
         let (mut g, acl, br) = program();

@@ -21,7 +21,7 @@ use crate::engine::{mask_and_value, stored_word, KeyScratch, Layout, LookupOutco
 use crate::exec::{GraphView, Provider, Step, Visit};
 use crate::packet::Packet;
 use crate::prefetch;
-use crate::smallkey::SmallKey;
+use crate::smallkey::{same_key, SmallKey};
 use crate::specialize::SpecStats;
 use fxhash::FxHashMap;
 use pipeleon_cost::{CostParams, MatchCostModel, Placement};
@@ -1258,7 +1258,7 @@ impl Provider for CompiledPipeline {
     ) -> LookupOutcome {
         ct.engine.compose_key(packet, scratch);
         if let Some(sp) = &ct.spec {
-            if scratch.values.as_slice() == sp.hot_key.as_slice() {
+            if same_key(&scratch.values, sp.hot_key.as_slice()) {
                 spec.guard_hits += 1;
                 return sp.hot_outcome;
             }

@@ -7,9 +7,23 @@
 //! `Borrow<[u64]>` (with a slice-consistent `Hash`/`Eq`), maps keyed by
 //! `SmallKey` can be queried with a borrowed `&[u64]` scratch buffer —
 //! zero allocations per lookup for any key width.
+//!
+//! Where this crate compares two composed keys itself — the hot-key
+//! guard, [`SmallKey`]'s `PartialEq` and the hot-key sketch — it uses
+//! [`same_key`], not slice `==`: for `u64` slices that is a call into
+//! the C library's `bcmp`, which costs more than the one to four words
+//! a key usually holds. Hash maps probed with a borrowed `[u64]` still
+//! compare with slice `==`, inside std.
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
+
+/// Whether two composed keys are equal: the lengths, then the words,
+/// compared inline with no library call.
+#[inline(always)]
+pub(crate) fn same_key(a: &[u64], b: &[u64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
+}
 
 /// A match/cache key: inline up to 4×`u64`, boxed beyond.
 #[derive(Debug, Clone)]
@@ -56,7 +70,7 @@ impl SmallKey {
 
 impl PartialEq for SmallKey {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        same_key(self.as_slice(), other.as_slice())
     }
 }
 
@@ -110,6 +124,41 @@ mod tests {
         assert_eq!(m.get(&narrow[..]), Some(&1));
         assert_eq!(m.get(&wide[..]), Some(&2));
         assert_eq!(m.get(&[1u64, 2][..]), None);
+    }
+
+    /// `same_key` is slice `==` on every pair of keys 0–6 words wide,
+    /// across `INLINE_CAP` into `Heap`: equal keys, keys one word apart
+    /// (the first, a middle or the last), and keys of which one is a
+    /// prefix of the other. `SmallKey`'s `==` answers the same.
+    #[test]
+    fn same_key_is_slice_equality() {
+        let mut keys: Vec<Vec<u64>> = Vec::new();
+        for n in 0..=6usize {
+            for fill in [0, u64::MAX, 0x5A5A] {
+                let base = vec![fill; n];
+                keys.push(base.clone());
+                for at in [0, n / 2, n.saturating_sub(1)] {
+                    if at < n {
+                        for word in [0, 1, u64::MAX, fill ^ 1] {
+                            let mut k = base.clone();
+                            k[at] = word;
+                            keys.push(k);
+                        }
+                    }
+                }
+            }
+        }
+        let mut unequal = 0;
+        for a in &keys {
+            for b in &keys {
+                let want = a.as_slice() == b.as_slice();
+                unequal += usize::from(!want);
+                assert_eq!(same_key(a, b), want, "{a:?} vs {b:?}");
+                let (ka, kb) = (SmallKey::from_slice(a), SmallKey::from_slice(b));
+                assert_eq!(ka == kb, want, "{a:?} vs {b:?} as SmallKeys");
+            }
+        }
+        assert!(unequal > 0 && unequal < keys.len() * keys.len());
     }
 
     #[test]

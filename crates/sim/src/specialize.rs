@@ -10,9 +10,10 @@
 //! 1. **Hot-key inline cache / guarded constant propagation** — when a
 //!    window's key sketch shows one composed key dominating a table, bake
 //!    that key and its fully pre-resolved `LookupOutcome` into the
-//!    table. The guard is a single slice compare against the composed
-//!    key; a hit skips every hash way and scan entry, a miss falls
-//!    through to the unmodified general lookup. Because the outcome is
+//!    table. The guard compares the composed key with the hot key word
+//!    by word, inline (`smallkey::same_key`, no library call); a hit
+//!    skips every hash way and scan entry, a miss falls through to the
+//!    unmodified general lookup. Because the outcome is
 //!    produced by running the general path on the hot key at plan-apply
 //!    time, a guard hit is bit-identical (entry, action, *and* probe
 //!    count — which feeds latency accounting) to the path it replaces.
@@ -43,7 +44,7 @@
 
 use crate::compiled::{CStep, CTableSpec, CompiledPipeline, NO_SLOT};
 use crate::engine::KeyScratch;
-use crate::smallkey::SmallKey;
+use crate::smallkey::{same_key, SmallKey};
 use pipeleon_cost::CostParams;
 use pipeleon_ir::{CacheRole, NodeId, NodeKind, ProgramGraph};
 use pipeleon_obs::MetricsRegistry;
@@ -187,7 +188,7 @@ impl HotKeySketch {
     #[inline]
     pub(crate) fn observe(&mut self, key: &[u64]) {
         self.samples += 1;
-        if self.votes > 0 && self.candidate.as_slice() == key {
+        if self.votes > 0 && same_key(self.candidate.as_slice(), key) {
             self.votes += 1;
             self.hits += 1;
         } else if self.votes == 0 {

@@ -785,6 +785,139 @@ fn memoised_guard_misses_survive_entry_ops_and_the_same_plan_again() {
     }
 }
 
+/// Guards on composed keys of 2 and 5 fields (the 5-field hot key is
+/// wider than `SmallKey`'s inline words, so it lives on the heap). Each
+/// probe is the hot packet with exactly one key word changed — the
+/// first, a middle or the last, to 0 or `u64::MAX` — and an entry
+/// waits on every such key with another action than the hot key's, so
+/// a guard that answered a near key would change the packet. Every
+/// probe must miss exactly its own table's guard and hit the other's,
+/// and every report, packet and profile must be the interpreter's,
+/// instrumented (runs stand aside) and not (the chain is fused).
+#[test]
+fn guards_on_two_and_five_field_keys_miss_on_any_one_word() {
+    let mut b = ProgramBuilder::new();
+    let two_fields = [b.field("a0"), b.field("a1")];
+    let five_fields = [0, 1, 2, 3, 4].map(|i| b.field(&format!("b{i}")));
+    let hot_two = [u64::MAX, 1];
+    let hot_five = [0, u64::MAX, 3, 0x8000_0000_0000_0000, 5];
+    // The hot key, then every key one word away from it.
+    let keys = |hot: &[u64]| {
+        let mut out = vec![hot.to_vec()];
+        for i in 0..hot.len() {
+            for w in [0, u64::MAX].into_iter().filter(|&w| w != hot[i]) {
+                let mut k = hot.to_vec();
+                k[i] = w;
+                out.push(k);
+            }
+        }
+        out
+    };
+    let mut table = |name: &str, fields: &[pipeleon_ir::FieldRef], hot: &[u64]| {
+        let out = b.field(&format!("{name}.out"));
+        let set = |value| vec![Primitive::Set { field: out, value }];
+        let mut t = b.table(name);
+        for &f in fields {
+            t = t.key(f, MatchKind::Exact);
+        }
+        t = t
+            .action("hot", set(1))
+            .action("near", set(2))
+            .action("miss", set(3))
+            .default_action(2);
+        for (i, k) in keys(hot).into_iter().enumerate() {
+            let m = k.into_iter().map(MatchValue::Exact).collect();
+            t = t.entry(TableEntry::new(m, usize::from(i > 0)));
+        }
+        t.finish()
+    };
+    let two = table("two", &two_fields, &hot_two);
+    let five = table("five", &five_fields, &hot_five);
+    b.set_next(two, Some(five));
+    b.set_next(five, None);
+    let g = b.seal(two).unwrap();
+    let packet = |a: &[u64], b: &[u64]| {
+        let mut slots: Vec<u64> = a.iter().chain(b).copied().collect();
+        slots.extend([0, 0]);
+        Packet::with_slots(slots)
+    };
+    let hot = packet(&hot_two, &hot_five);
+    let near: Vec<Packet> = (keys(&hot_two).into_iter().skip(1))
+        .map(|a| packet(&a, &hot_five))
+        .chain(
+            keys(&hot_five)
+                .into_iter()
+                .skip(1)
+                .map(|b| packet(&hot_two, &b)),
+        )
+        .collect();
+    assert_eq!(near.len(), 2 * (2 + 5) - 3, "one-word-off keys");
+    // Each near packet between two hot ones.
+    let probe: Vec<Packet> = near
+        .iter()
+        .flat_map(|p| [hot.clone(), p.clone()])
+        .chain([hot.clone()])
+        .collect();
+    for instrumented in [true, false] {
+        let ctx = if instrumented {
+            "instrumented"
+        } else {
+            "uninstrumented"
+        };
+        let nic = |engine| {
+            let mut nic = SmartNic::new(g.clone(), params()).unwrap();
+            nic.set_engine_mode(engine);
+            nic.set_instrumentation(true, 1);
+            for i in 0..400 {
+                let p = if i % 4 == 3 {
+                    &near[i % near.len()]
+                } else {
+                    &hot
+                };
+                nic.process_one(&mut p.clone());
+            }
+            nic
+        };
+        let mut interp = nic(EngineMode::Interpreter);
+        let mut spec = nic(EngineMode::Compiled);
+        assert_eq!(
+            spec.apply(ControlOp::Specialize),
+            Ok(Applied::Done),
+            "{ctx}"
+        );
+        assert_eq!(
+            spec.spec_stats().specialized_tables,
+            2,
+            "{ctx}: both guarded"
+        );
+        assert_eq!(spec.spec_stats().fused_runs, 1, "{ctx}: one run");
+        interp.set_instrumentation(instrumented, 1);
+        spec.set_instrumentation(instrumented, 1);
+        let before = spec.spec_stats();
+        for (i, p) in probe.iter().enumerate() {
+            let (mut a, mut b) = (p.clone(), p.clone());
+            let want = interp.process_one(&mut a);
+            let got = spec.process_one(&mut b);
+            assert_reports_identical(&want, &got, &format!("{ctx}: packet {i}"));
+            assert_eq!(a, b, "{ctx}: packet {i} contents");
+        }
+        let (hits, misses, runs) = spec_delta(before, spec.spec_stats());
+        assert_eq!(
+            misses,
+            near.len() as u64,
+            "{ctx}: one guard miss a near packet"
+        );
+        assert_eq!(hits, 2 * probe.len() as u64 - misses, "{ctx}: guard hits");
+        assert_eq!(runs > 0, !instrumented, "{ctx}: {runs} run hits");
+        assert_eq!(interp.take_profile(), spec.take_profile(), "{ctx}: profile");
+        assert_eq!(
+            interp.take_observations(),
+            spec.take_observations(),
+            "{ctx}: observations"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
