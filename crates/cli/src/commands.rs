@@ -429,14 +429,8 @@ fn simulate<N: NicBackend>(args: &Args, mut nic: N) -> Result<(), String> {
     let mut reg = MetricsRegistry::new();
     if specialize {
         println!(
-            "specialization:    {} table(s), guard hits {} misses {} ({} from the memo), \
-             {} fused run(s) hit {}",
-            spec.specialized_tables,
-            spec.guard_hits,
-            spec.guard_misses,
-            spec.memo_hits,
-            spec.fused_runs,
-            spec.fused_hits
+            "specialization:    {} table(s), guard hits {} misses {} ({} from the memo)",
+            spec.specialized_tables, spec.guard_hits, spec.guard_misses, spec.memo_hits
         );
         spec.export(&mut reg);
     }
@@ -1293,11 +1287,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("pipeleon_specialized_tables"), "{text}");
-        assert!(text.contains("pipeleon_specialize_fused_runs"), "{text}");
-        assert!(
-            text.contains("pipeleon_specialize_fused_hits_total"),
-            "{text}"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -79,7 +79,15 @@ fn hostile_program_documents_return_typed_errors() {
     let to_route = r#""__always__": "route""#;
     let to_sink = r#""__always__": null"#;
     let prefix_64 = r#""prefix_len": 64"#;
-    let cases: [Case; 18] = [
+    // The base document binds no wire fields; these rows give it some.
+    let init = r#""init_node": "check","#;
+    let wire = |bindings: &str| format!(r#"{init} "wire": [{bindings}],"#);
+    let unknown_field = wire(r#"{"wire": "ipv4.dst", "field": "z"}"#);
+    let wire_twice =
+        wire(r#"{"wire": "ipv4.dst", "field": "x"}, {"wire": "ipv4.dst", "field": "y"}"#);
+    let field_twice =
+        wire(r#"{"wire": "ipv4.src", "field": "x"}, {"wire": "ipv4.dst", "field": "x"}"#);
+    let cases: [Case; 21] = [
         (
             "unknown next node",
             &[(to_route, r#""__always__": "ghost""#)],
@@ -190,6 +198,24 @@ fn hostile_program_documents_return_typed_errors() {
             &[(lpm_64, &lpm_64_and_200)],
             "BadTable",
             "entry 1: prefix length 200 exceeds 64 bits",
+        ),
+        (
+            "wire binding to an unknown field",
+            &[(init, &unknown_field)],
+            "Json",
+            r#"wire binding "ipv4.dst": unknown field "z""#,
+        ),
+        (
+            "wire header field bound twice",
+            &[(init, &wire_twice)],
+            "Json",
+            r#"wire header field "ipv4.dst" bound twice"#,
+        ),
+        (
+            "program field bound to two wire fields",
+            &[(init, &field_twice)],
+            "Json",
+            r#"program field "x" bound to two wire fields"#,
         ),
     ];
     assert!(from_json_string(BASE).is_ok(), "the base document loads");

@@ -287,7 +287,10 @@ impl Parser {
         self.expect(&Token::Colon)?;
         let action = self.ident()?;
         let priority = if self.eat(&Token::At) {
-            self.number()? as i32
+            let line = self.line();
+            let n = self.number()?;
+            i32::try_from(n)
+                .map_err(|_| format!("line {line}: priority {n} exceeds {}", i32::MAX))?
         } else {
             0
         };
@@ -552,6 +555,25 @@ mod tests {
         for len in [65, 256, 300] {
             let err = parse(&src(len)).unwrap_err();
             assert_eq!(err, format!("line 6: prefix length {len} exceeds 64 bits"));
+        }
+    }
+
+    /// A priority is an `i32`. A larger one is refused with its line,
+    /// never wrapped: `@4294967295` would rank as -1 and `@2147483648`
+    /// as `i32::MIN`, below every rule it was written to outrank.
+    #[test]
+    fn priorities_above_i32_max_are_refused() {
+        let src = |prio: u64| {
+            format!(
+                "program l; fields a;\naction x() {{ }}\ntable t {{\n  key = {{ a: exact; }}\n  \
+                 actions = {{ x; }}\n  entries = {{ (8) : x @{prio}; }}\n}}\ncontrol {{ t; }}"
+            )
+        };
+        let p = parse(&src(2_147_483_647)).unwrap();
+        assert_eq!(p.tables[0].entries[0].priority, i32::MAX);
+        for prio in [2_147_483_648, 4_294_967_295] {
+            let err = parse(&src(prio)).unwrap_err();
+            assert_eq!(err, format!("line 6: priority {prio} exceeds 2147483647"));
         }
     }
 

@@ -720,49 +720,6 @@ impl MemoSlot {
     }
 }
 
-/// One stage of a fused guard run. A run — a chain of consecutive
-/// guarded tables, resolved ahead of time and attached to its head — is
-/// cut into stages wherever a member's guard asks something of the
-/// packet the run has not asked yet: a packet takes the stages whose
-/// questions it answers, in order, and resumes the per-table walk at the
-/// exit of the last one it took. The full run is all stages; a flow that
-/// shares only the leading fields with the hot one still skips the
-/// members those fields decide. See
-/// [`CompiledPipeline::derive_fused_runs`] for what may be a member.
-///
-/// `H` is the walk's cursor type (`Provider::Handle`); the compiled
-/// pipeline, the only provider with runs, addresses nodes by slot.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FusedStage<H = u32> {
-    /// The `(field, value)` pairs this stage's members demand beyond
-    /// those of the stages before it (never empty): the stage applies
-    /// iff the packet carries every value.
-    pub(crate) guard: Vec<(FieldRef, u64)>,
-    /// Every latency term the per-table walk would add over this
-    /// stage's members, in its order: per member an optional
-    /// `l_migration`, the match charge, the action charge. Kept as a
-    /// list and added one by one — `f64` addition is not associative, so
-    /// a pre-summed or reordered total could differ from the walk's in
-    /// the last bit.
-    pub(crate) deltas: Vec<f64>,
-    /// Summed probes of the members' baked outcomes.
-    pub(crate) probes: usize,
-    /// ASIC↔CPU crossings on entering a member from its predecessor in
-    /// the run.
-    pub(crate) migrations: usize,
-    /// The members' baked action bodies, concatenated, `Nop`s removed.
-    /// A `Drop` can only be in the run's last member's.
-    pub(crate) prims: Vec<Primitive>,
-    /// Member count: the guard hits taking this stage stands for.
-    pub(crate) guards: u64,
-    /// Where the walk resumes: the next stage's first member, or past
-    /// the run ([`NO_SLOT`]: the sink, or a drop).
-    pub(crate) exit_slot: H,
-    /// Placement of the last member, which the exit node's migration
-    /// check compares against.
-    pub(crate) exit_place: Placement,
-}
-
 /// A compiled table node.
 #[derive(Debug, Clone)]
 pub(crate) struct CTable {
@@ -783,16 +740,11 @@ pub(crate) struct CTable {
     /// (`None` in the verbatim lowering). Boxed: the common case pays
     /// one `Option` discriminant, not 5 extra words per table.
     pub(crate) spec: Option<Box<CTableSpec>>,
-    /// The fused guard run this table heads, if any, as its stages.
-    /// Derived from the arena, never planned.
-    pub(crate) fused: Option<Box<[FusedStage]>>,
 }
 
 impl CTable {
     /// The match and action latency terms one visit resolving to
-    /// `outcome` adds, in the order the walk adds them. The one
-    /// definition both the per-table walk and the fused-run derivation
-    /// use, so a fused run's terms are the walk's to the bit.
+    /// `outcome` adds, in the order the walk adds them.
     #[inline]
     pub(crate) fn charges(
         &self,
@@ -1019,118 +971,6 @@ impl CompiledPipeline {
         before
     }
 
-    /// Guard-run fusion: recomputes every table's fused run from the
-    /// arena as it stands, so it is called wherever the arena changes
-    /// after lowering (a specialization plan, a node recompile; a fresh
-    /// lowering has no guards and so no runs).
-    ///
-    /// A run is a chain of at least two guarded, non-flow-cache tables,
-    /// each the successor its predecessor's *baked* action selects. It
-    /// stops before a branch, a flow-cache switch, an unguarded table,
-    /// and a table keyed on a field an earlier member's baked action
-    /// writes (its guard is about the packet as that write leaves it,
-    /// and the run asks its questions of the packet as it finds it). It
-    /// stops *at* a member whose baked action drops. Heads are the
-    /// guarded tables no guarded table's baked successor edge enters,
-    /// plus the tables a written key stopped a run before. Guards are
-    /// deduplicated as `(field, value)` pairs, so members demanding
-    /// different values of one field make a stage no packet can take,
-    /// not one that skips a compare.
-    pub(crate) fn derive_fused_runs(&mut self, params: &CostParams) {
-        let guarded = |slot: u32| match self.nodes.get(slot as usize).map(|n| &n.step) {
-            Some(CStep::Table(ct)) if !ct.is_flow_cache => ct.spec.as_deref().map(|sp| (&**ct, sp)),
-            _ => None,
-        };
-        let slots = 0..self.nodes.len() as u32;
-        let mut is_head: Vec<bool> = slots.clone().map(|s| guarded(s).is_some()).collect();
-        for (ct, sp) in slots.clone().filter_map(guarded) {
-            let next = ct.next_slot(sp.hot_outcome.action);
-            let drops = ct.actions[sp.hot_outcome.action].contains(&Primitive::Drop);
-            if !drops && next != NO_SLOT {
-                is_head[next as usize] = false;
-            }
-        }
-        let mut work: Vec<u32> = slots.filter(|&s| is_head[s as usize]).collect();
-        let mut runs: Vec<(u32, Vec<FusedStage>)> = Vec::new();
-        while let Some(head) = work.pop() {
-            let mut stages: Vec<FusedStage> = Vec::new();
-            let mut stage: FusedStage = FusedStage::default();
-            let mut asked: Vec<(FieldRef, u64)> = Vec::new();
-            let mut written: Vec<FieldRef> = Vec::new();
-            let mut place = self.nodes[head as usize].place;
-            let mut slot = head;
-            while let Some((ct, sp)) = guarded(slot) {
-                let node = &self.nodes[slot as usize];
-                let fields = ct.engine.key_fields.iter().copied();
-                let key: Vec<(FieldRef, u64)> =
-                    fields.zip(sp.hot_key.as_slice().iter().copied()).collect();
-                if key.iter().any(|(f, _)| written.contains(f)) {
-                    if !is_head[slot as usize] {
-                        is_head[slot as usize] = true;
-                        work.push(slot);
-                    }
-                    break;
-                }
-                if stage.guards > 0 && key.iter().any(|kv| !asked.contains(kv)) {
-                    stage.exit_slot = slot;
-                    stage.exit_place = place;
-                    stages.push(std::mem::take(&mut stage));
-                }
-                for kv in key {
-                    if !asked.contains(&kv) {
-                        asked.push(kv);
-                        stage.guard.push(kv);
-                    }
-                }
-                if node.place != place {
-                    stage.deltas.push(params.l_migration);
-                    stage.migrations += 1;
-                }
-                place = node.place;
-                let charges = ct.charges(&sp.hot_outcome, params, node.scale);
-                stage.deltas.extend(charges);
-                stage.probes += sp.hot_outcome.probes;
-                stage.guards += 1;
-                let body = &ct.actions[sp.hot_outcome.action];
-                written.extend(body.iter().filter_map(Primitive::written_field));
-                let effective = body.iter().filter(|p| **p != Primitive::Nop);
-                stage.prims.extend(effective.cloned());
-                slot = if body.contains(&Primitive::Drop) {
-                    NO_SLOT
-                } else {
-                    ct.next_slot(sp.hot_outcome.action)
-                };
-            }
-            if stage.guards > 0 {
-                stage.exit_slot = slot;
-                stage.exit_place = place;
-                stages.push(stage);
-            }
-            if stages.iter().map(|st| st.guards).sum::<u64>() >= 2 {
-                runs.push((head, stages));
-            }
-        }
-        for node in &mut self.nodes {
-            if let CStep::Table(ct) = &mut node.step {
-                ct.fused = None;
-            }
-        }
-        for (head, stages) in runs {
-            if let CStep::Table(ct) = &mut self.nodes[head as usize].step {
-                ct.fused = Some(stages.into());
-            }
-        }
-    }
-
-    /// Number of tables heading a fused guard run.
-    pub(crate) fn fused_runs(&self) -> u64 {
-        let heads = self.nodes.iter().filter(|n| match &n.step {
-            CStep::Table(ct) => ct.fused.is_some(),
-            CStep::Branch { .. } => false,
-        });
-        heads.count() as u64
-    }
-
     /// The look-ahead stage: for every listed way, reads the key field
     /// from `packet` as it stands and hints the cache with the slot the
     /// lookup will probe. No architectural effect — the scalar walk that
@@ -1167,7 +1007,6 @@ impl CompiledPipeline {
         }
         self.nodes[slot as usize] = compile_node(view, &self.slot_of, id);
         self.derive_lookahead();
-        self.derive_fused_runs(&view.params);
         true
     }
 
@@ -1303,11 +1142,6 @@ impl Provider for CompiledPipeline {
             _ => &[],
         }
     }
-
-    #[inline]
-    fn fused<'a>(&'a self, (_, ct): Self::Table<'a>) -> Option<&'a [FusedStage]> {
-        ct.fused.as_deref()
-    }
 }
 
 fn compile_node(view: &GraphView, slot_of: &[u32], id: NodeId) -> CNode {
@@ -1357,7 +1191,6 @@ fn compile_node(view: &GraphView, slot_of: &[u32], id: NodeId) -> CNode {
                 next: cnext,
                 is_flow_cache: t.cache_role == CacheRole::FlowCache,
                 spec: None,
-                fused: None,
             }))
         }
         _ => unreachable!("validated graph: branch node with non-branch hops"),

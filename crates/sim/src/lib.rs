@@ -39,10 +39,11 @@
 //!   per-shard profiles and batch statistics deferred to profile-window
 //!   boundaries.
 //! * [`specialize`] — profile-guided specialization of the compiled
-//!   datapath: hot-key inline caches behind guards, the lookup memo
-//!   behind their misses, and fused runs of consecutive guards — all
-//!   bit-exact against the interpreter oracle, applied and reverted
-//!   live through the generation chain.
+//!   datapath: hot-key inline caches behind guards and the lookup memo
+//!   behind their misses — bit-exact against the interpreter oracle,
+//!   applied and reverted live through the generation chain. In front
+//!   of the compiled walk, the walk cache replays whole walks of
+//!   repeated headers for packets nothing observes.
 //! * [`backend`] — [`ControlOp`], the control plane as data, and
 //!   [`NicBackend`], the API of both NICs: the data plane, the reads and
 //!   one `apply`, written once per NIC in its trait impl. Runtime targets
@@ -92,6 +93,7 @@ pub mod sharded;
 mod smallkey;
 pub mod specialize;
 pub(crate) mod sync;
+mod walks;
 
 pub use backend::{Applied, ControlOp, LiveSwap, NicBackend};
 pub use engine::{KeyScratch, LookupOutcome, MatchEngine};

@@ -110,7 +110,7 @@ impl BatchAgg {
     }
 
     /// The statistics of `window`, now closed, whose reports this holds
-    /// (sorts the latency list: the window is over).
+    /// (reorders the latency list: the window is over).
     pub(crate) fn finish(&mut self, window: &MeasureStream) -> BatchStats {
         let offered_gbps = window.offered_gbps;
         let n = self.latencies.len() as u64;
@@ -136,15 +136,14 @@ impl BatchAgg {
 
     /// Nearest-rank p99 of the latencies collected (at least one): the
     /// smallest value with at least ceil(0.99·n) samples at or below it
-    /// — for n = 100 the 99th, not the max. Sorts in place, unstably:
-    /// that needs no buffer, and equal latencies are indistinguishable,
-    /// so the sorted sequence is the same.
+    /// — for n = 100 the 99th, not the max. Selects that rank in place
+    /// rather than sorting the window: the value at a rank of a sorted
+    /// sequence is the same whichever way it is found.
     fn p99(&mut self) -> f64 {
-        self.latencies
-            .sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN latencies"));
         let n = self.latencies.len();
         let rank = ((n as f64 * 0.99).ceil() as usize).clamp(1, n);
-        self.latencies[rank - 1]
+        let by = |a: &f64, b: &f64| a.partial_cmp(b).expect("no NaN latencies");
+        *self.latencies.select_nth_unstable_by(rank - 1, by).1
     }
 }
 
@@ -582,6 +581,25 @@ mod tests {
                 "n={n}: expected nearest-rank p99 {expected}, got {}",
                 s.p99_latency_ns
             );
+        }
+    }
+
+    /// Selection returns the sorted list's nearest-rank value, on
+    /// random multisets dense with ties and on spread ones.
+    #[test]
+    fn p99_by_selection_is_the_sorted_nearest_rank() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x99);
+        for n in [1usize, 99, 100, 101] {
+            for distinct in [1u64, 3, 40, 1 << 30] {
+                let mut agg = BatchAgg::default();
+                let values = (0..n).map(|_| 1.0 + rng.gen_range(0..distinct) as f64 * 0.25);
+                agg.latencies.extend(values);
+                let mut sorted = agg.latencies.clone();
+                sorted.sort_by(f64::total_cmp);
+                let rank = (n * 99).div_ceil(100);
+                assert_eq!(agg.p99(), sorted[rank - 1], "n={n}, {distinct} values");
+            }
         }
     }
 

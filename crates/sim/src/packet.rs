@@ -57,6 +57,12 @@ impl Packet {
         &self.slots
     }
 
+    /// The raw slot array, to write in place.
+    #[inline]
+    pub(crate) fn slots_mut(&mut self) -> &mut [u64] {
+        &mut self.slots
+    }
+
     /// The packet's wire size in bits; `default_bytes` stands in for a
     /// packet that carries no size.
     #[inline]

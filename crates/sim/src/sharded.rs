@@ -988,7 +988,6 @@ impl NicBackend for ShardedNic {
             stats.guard_hits += s.guard_hits;
             stats.guard_misses += s.guard_misses;
             stats.memo_hits += s.memo_hits;
-            stats.fused_hits += s.fused_hits;
         }
         stats
     }
@@ -1162,6 +1161,25 @@ mod tests {
                 missed,
                 "a shard sizes its memo on a miss"
             );
+        }
+    }
+
+    /// Nor does the replica's walk cache allocate: its storage is sized
+    /// by the first packet it may serve, and the replica runs none —
+    /// not across the ops it applies first, either.
+    #[test]
+    fn control_replica_allocates_no_walk_cache() {
+        let mut nic = ShardedNic::new(linear_program(4), CostParams::bluefield2(), 2).unwrap();
+        let repeated = || (0..2_000).map(|i| Packet::with_slots(vec![i % 50]));
+        nic.measure(repeated());
+        let entry = pipeleon_ir::TableEntry::new(vec![pipeleon_ir::MatchValue::Exact(3)], 0);
+        let node = nic.graph().root().unwrap();
+        nic.apply(ControlOp::InsertEntry { node, entry }).unwrap();
+        nic.measure(repeated());
+        assert_eq!(nic.control.walk_cache_bytes(), 0, "the replica ran nothing");
+        for cell in &nic.shards {
+            let exec = &cell.state.lock().expect("shard state poisoned").exec;
+            assert!(exec.walk_cache_bytes() > 0, "a shard sizes its cache");
         }
     }
 

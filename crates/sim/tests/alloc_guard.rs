@@ -12,7 +12,7 @@
 //! The batch path's one allocation is the report `Vec` it returns; the
 //! look-ahead stage it runs over programs with DRAM-sized tables adds
 //! none. A steady-state `measure` window — the streamed accounting and
-//! its p99 sort, on the single NIC and through a one-worker run-loop —
+//! its p99 selection, on the single NIC and through a one-worker run-loop —
 //! allocates nothing either, with instrumentation off or on, nor on a
 //! specialised pipeline whose guard misses go through the lookup memo
 //! (allocated by the first guard miss after the plan is applied); an
@@ -269,7 +269,7 @@ fn compiled_steady_state_is_allocation_free() {
     // --- Measurement windows ------------------------------------------
     // `measure` consumes its packets, so the windows are cloned outside
     // the counted region. The window accumulators live on the NIC and
-    // its shards and are sized by the warm-up windows; the p99 sort is
+    // its shards and are sized by the warm-up windows; the p99 selection is
     // in place.
     const WINDOW: usize = 4096;
     let window: Vec<Packet> = (0..WINDOW as u64)
@@ -400,7 +400,9 @@ fn compiled_steady_state_is_allocation_free() {
     // an allocation per entry. (At the parent commit every build made an
     // interpreter engine, a boxed key and an entry list per entry, and
     // the compiled one converted one more: 4,096 and 65,536 entries
-    // differed by over 400,000 allocations.)
+    // differed by over 400,000 allocations.) The first burst also
+    // sizes the walk cache: its tags and its records, two allocations
+    // made once.
     let deploy_allocs = |entries: u64| {
         let mut parts = Some((
             exact_table_program(entries),
@@ -424,7 +426,7 @@ fn compiled_steady_state_is_allocation_free() {
     eprintln!("deploy allocations: {small} at 4,096 entries, {big} at 65,536");
     assert_eq!(
         (small, big),
-        (68, 86),
+        (69, 87),
         "a compiled deploy's allocations moved"
     );
     assert!(
@@ -473,7 +475,7 @@ fn compiled_steady_state_is_allocation_free() {
     };
     eprintln!("ranked deploy allocations: {ranked_allocs}");
     assert_eq!(
-        ranked_allocs, 110,
+        ranked_allocs, 111,
         "a compiled deploy of a rank-ordered table's allocations moved"
     );
 

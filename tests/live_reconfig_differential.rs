@@ -28,6 +28,9 @@
 //!    worker happens to be.
 //! 7. **A rejected op publishes nothing,** and the answer — the error,
 //!    or the removed entry — is the control replica's.
+//! 8. **No cached walk outlives its generation:** an entry op that flips
+//!    the verdict of flows the walk cache answers lands at its stream
+//!    position on every shard.
 
 use std::collections::BTreeMap;
 
@@ -41,7 +44,8 @@ use pipeleon_runtime::{
     RuntimeError, SimTarget, Target,
 };
 use pipeleon_sim::{
-    Applied, BatchStats, ControlOp, ExecObservations, NicBackend, Packet, ShardedNic, SmartNic,
+    Applied, BatchStats, ControlOp, ExecObservations, ExecReport, NicBackend, Packet, ShardedNic,
+    SmartNic,
 };
 use pipeleon_workloads::scenarios::AclPipeline;
 
@@ -481,6 +485,87 @@ fn tuning_ops_between_feeds_land_at_a_stream_position() {
             None => baseline = Some(counts),
             Some(b) => assert_eq!(b, &counts, "{ctx}: attribution drifted with workers"),
         }
+    }
+}
+
+/// `acl(k0)` → `fwd(k1)`: six fields, no flow cache, so with counters
+/// off every repeated header is answered from the walk cache.
+fn cached_walk_program() -> (ProgramGraph, NodeId) {
+    let mut b = ProgramBuilder::new();
+    let keys: Vec<_> = (0..6).map(|i| b.field(&format!("k{i}"))).collect();
+    let acl = b
+        .table("acl")
+        .key(keys[0], MatchKind::Exact)
+        .action_nop("permit")
+        .action_drop("deny")
+        .finish();
+    let fwd = b
+        .table("fwd")
+        .key(keys[1], MatchKind::Exact)
+        .action("out", vec![Primitive::Forward { port: 1 }])
+        .finish();
+    b.set_next(acl, Some(fwd));
+    (b.seal(acl).unwrap(), acl)
+}
+
+/// 24 headers, over and over, from packet `lo` on.
+fn cached_walk_half(lo: u64) -> Vec<Packet> {
+    (lo..lo + 800)
+        .map(|i| Packet::with_slots(vec![i % 8, i % 3, 0, 0, 0, 0]))
+        .collect()
+}
+
+/// A window over the cached flows with a rule inserted between its
+/// halves that denies flow `k0 = 5`, then the second half once more,
+/// packet by packet: the window and the reports.
+fn cached_flow_flip<N: NicBackend>(nic: &mut N, acl: NodeId) -> (BatchStats, Vec<ExecReport>) {
+    let deny = TableEntry::new(vec![MatchValue::Exact(5)], 1);
+    nic.measure_begin();
+    nic.measure_feed(cached_walk_half(0));
+    nic.apply(ControlOp::InsertEntry {
+        node: acl,
+        entry: deny,
+    })
+    .unwrap();
+    nic.measure_feed(cached_walk_half(800));
+    let stats = nic.measure_end();
+    let reports = nic.process_batch(&mut cached_walk_half(800));
+    (stats, reports)
+}
+
+/// An entry op that flips the verdict of flows the walk cache answers,
+/// between two feeds of a window: every packet dispatched before it
+/// forwards, every later packet of the denied flow drops — exactly at
+/// the op's generation on 1, 2 or 8 workers, as on the synchronous
+/// single NIC.
+#[test]
+fn an_entry_op_flips_cached_flows_at_its_generation() {
+    let (g, acl) = cached_walk_program();
+    let params = CostParams::bluefield2();
+    let mut single = SmartNic::new(g.clone(), params.clone()).unwrap();
+    let (want, want_reports) = cached_flow_flip(&mut single, acl);
+    // 100 of the second half's 800 packets carry `k0 = 5`.
+    assert_eq!((want.packets, want.dropped), (1_600, 100));
+    let denied = |i: usize| (800 + i as u64) % 8 == 5;
+    for (i, r) in want_reports.iter().enumerate() {
+        assert_eq!(r.dropped, denied(i), "reference packet {i}");
+    }
+    for workers in WORKER_COUNTS {
+        let ctx = format!("workers={workers}");
+        let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
+        let (stats, reports) = cached_flow_flip(&mut nic, acl);
+        assert_eq!(
+            (stats.packets, stats.dropped, stats.p99_latency_ns),
+            (want.packets, want.dropped, want.p99_latency_ns),
+            "{ctx}: the window"
+        );
+        assert_eq!(reports, want_reports, "{ctx}: per-packet reports");
+        let counts = nic.generation_counts();
+        assert_eq!(
+            counts,
+            BTreeMap::from([(0, 800), (1, 1_600)]),
+            "{ctx}: the op is generation 1"
+        );
     }
 }
 

@@ -11,12 +11,12 @@
 //! specialized pipelines through the generation-swap path and must lose
 //! zero packets.
 //!
-//! Guard-run fusion (the derived pass) only fires with
-//! instrumentation off, so it gets its own rows: fused runs vs the
-//! per-table guard walk vs both oracles, per packet and per window, over
-//! all-hit / partial-hit / all-miss / already-dropped packets, across the
-//! same worker matrix, through the live generation chain, and across
-//! entry ops that land on a run member mid-window.
+//! The walk cache in front of the compiled walk only serves packets
+//! with instrumentation off, so it gets its own rows: cached walks vs
+//! the per-table guard walk vs both oracles, per packet and per window,
+//! over all-hit / partial-hit / all-miss / already-dropped packets,
+//! across the same worker matrix, through the live generation chain,
+//! and across entry ops that land mid-window.
 //!
 //! Two proptests pin the lifecycle: entry ops that strip a specialized
 //! table followed by an explicit despecialize must be indistinguishable
@@ -308,20 +308,20 @@ fn specialize_is_done_exactly_when_it_guards_a_table() {
     }
 }
 
-/// The fused-run fixture: classifiers and flow tables chain into one
-/// guard run. Two members sit on the CPU, so the run bakes migrations;
-/// one of them is the last, so the table after the run owes one too.
-struct Fused {
+/// The walk-cache fixture: classifiers and flow tables, all guarded. Two
+/// tables sit on the CPU, so walks carry migrations.
+struct Chain {
     s: SkewedPipeline,
     placement: Vec<Placement>,
     /// The profile window the plan is built from.
     warm: Vec<Packet>,
-    /// Zipf traffic (guard hits and misses as they come) plus, for the
-    /// hot flow, every partial hit, a full miss and a pre-dropped packet.
+    /// Zipf traffic (repeated headers and first sightings as they come)
+    /// plus, for the hot flow, every partial guard hit, a full miss and
+    /// a pre-dropped packet.
     probe: Vec<Packet>,
 }
 
-impl Fused {
+impl Chain {
     fn new() -> Self {
         let s = SkewedPipeline::build(3, 2);
         let mut placement = vec![Placement::Asic; s.graph.id_bound()];
@@ -329,9 +329,9 @@ impl Fused {
         placement[s.exact[1].index()] = Placement::Cpu;
         let warm = Self::traffic(&s, 21).batch(2_000);
         let mut probe = Self::traffic(&s, 22).batch(3_000);
-        // Rank 0 is the hot flow; the run's guards key on the first
-        // three flow fields in order, so knocking field k off the hot
-        // value leaves exactly the first k guards matching.
+        // Rank 0 is the hot flow; the guards key on the flow fields in
+        // order, so knocking field k off the hot value leaves exactly
+        // the first k guards matching.
         let hot = s.traffic(HOT_SKEW, 1, 0).next_packet();
         for k in 0..s.flow_fields.len() {
             let mut p = hot.clone();
@@ -404,30 +404,28 @@ impl Fused {
     }
 }
 
-/// What `after` counted beyond `before`: guard hits, guard misses, run hits.
-fn spec_delta(before: SpecStats, after: SpecStats) -> (u64, u64, u64) {
+/// What `after` counted beyond `before`: guard hits and guard misses.
+fn spec_delta(before: SpecStats, after: SpecStats) -> (u64, u64) {
     (
         after.guard_hits - before.guard_hits,
         after.guard_misses - before.guard_misses,
-        after.fused_hits - before.fused_hits,
     )
 }
 
-/// Fused vs unfused vs both oracles, one packet at a time: every report
-/// field and every packet's slots / `dropped` / `egress_port`. The
-/// unfused side is the same specialized pipeline driven under a trace,
-/// where runs stand aside and every guard is walked on its own — so its
-/// guard counters are what the fused side's must equal.
+/// Walk-cache hits vs the guard walk vs both oracles, one packet at a
+/// time: every report field and every packet's slots / `dropped` /
+/// `egress_port`. The guard-walk side is the same specialized pipeline
+/// driven under a trace, which the cache never serves; the cached side
+/// asks its guards only on the walks the cache did not answer — far
+/// fewer, since the hot flow repeats its header.
 #[test]
-fn fused_runs_match_the_guard_walk_and_both_oracles_per_packet() {
-    let fx = Fused::new();
+fn walk_cache_hits_match_the_guard_walk_and_both_oracles_per_packet() {
+    let fx = Chain::new();
     let mut interp = fx.single(EngineMode::Interpreter, false);
     let mut plain = fx.single(EngineMode::Compiled, false);
     let mut walk = fx.single(EngineMode::Compiled, true);
-    let mut fused = fx.single(EngineMode::Compiled, true);
-    let st = fused.spec_stats();
-    assert!(st.fused_runs >= 1, "the classifier chain must fuse: {st:?}");
-    let (walk0, fused0) = (walk.spec_stats(), fused.spec_stats());
+    let mut cached = fx.single(EngineMode::Compiled, true);
+    let (walk0, cached0) = (walk.spec_stats(), cached.spec_stats());
     let mut trace = PacketTrace::default();
     let mut migrations = 0;
     for (i, p) in fx.probe.iter().enumerate() {
@@ -436,7 +434,7 @@ fn fused_runs_match_the_guard_walk_and_both_oracles_per_packet() {
         let got = [
             ("plain", plain.process_one(&mut b), &b),
             ("walk", walk.process_one_traced(&mut c, &mut trace), &c),
-            ("fused", fused.process_one(&mut d), &d),
+            ("cached", cached.process_one(&mut d), &d),
         ];
         for (who, r, pkt) in got {
             assert_reports_identical(&want, &r, &format!("packet {i}: interp vs {who}"));
@@ -445,50 +443,46 @@ fn fused_runs_match_the_guard_walk_and_both_oracles_per_packet() {
         migrations += want.migrations;
     }
     assert!(migrations > 0, "the placement must put migrations in play");
-    let (hits, misses, runs) = spec_delta(fused0, fused.spec_stats());
-    let walked = spec_delta(walk0, walk.spec_stats());
-    assert_eq!((hits, misses, 0), walked, "guard counters: fused vs walk");
+    let (hits, misses) = spec_delta(walk0, walk.spec_stats());
     assert!(misses > 0, "partial hits and cold flows must miss guards");
+    let (cached_hits, _) = spec_delta(cached0, cached.spec_stats());
     assert!(
-        runs as usize > fx.probe.len() / 2,
-        "the hot flow must be served by the run: {runs} of {}",
-        fx.probe.len()
+        cached_hits * 10 < hits,
+        "the cache must answer the hot flow before its guards: {cached_hits} of {hits}"
     );
 }
 
 /// The same, through the sharded datapath at workers 1/2/8, per packet
-/// (`process_batch`) and per window (`measure`), with
-/// guard and run counters equal to the single-threaded walk's, plus a
-/// sampled window (1 in 64) in which no run may fire.
+/// (`process_batch`) and per window (`measure`), plus a sampled window
+/// (1 in 64), which the cache stands aside for: every one of its guard
+/// visits is the traced walk's.
 #[test]
-fn fused_runs_match_across_workers_and_shard_modes() {
-    let fx = Fused::new();
+fn walk_cache_hits_match_across_workers_and_shard_modes() {
+    let fx = Chain::new();
     let mut interp = fx.single(EngineMode::Interpreter, false);
     let mut want_packets = fx.probe.clone();
     let want_reports = interp.process_batch(&mut want_packets);
     let mut walk = fx.single(EngineMode::Compiled, true);
-    let mut single = fx.single(EngineMode::Compiled, true);
-    let (walk0, single0) = (walk.spec_stats(), single.spec_stats());
+    let walk0 = walk.spec_stats();
     let mut trace = PacketTrace::default();
     for p in &fx.probe {
         walk.process_one_traced(&mut p.clone(), &mut trace);
-        single.process_one(&mut p.clone());
     }
-    let (hits, misses, _) = spec_delta(walk0, walk.spec_stats());
-    let (_, _, runs) = spec_delta(single0, single.spec_stats());
-    assert!(runs > 0);
+    let walked = spec_delta(walk0, walk.spec_stats());
     // One plan whatever the sharding.
-    let plan = |st: SpecStats| (st.specialized_tables, st.fused_runs);
+    let single0 = fx.single(EngineMode::Compiled, true).spec_stats();
     for workers in [1, 2, 4] {
-        let got = plan(fx.sharded(workers, true).spec_stats());
-        assert_eq!(got, plan(single0), "workers={workers}: the plan");
+        let got = fx.sharded(workers, true).spec_stats().specialized_tables;
+        assert_eq!(
+            got, single0.specialized_tables,
+            "workers={workers}: the plan"
+        );
     }
     for workers in WORKER_COUNTS {
-        let ctx = format!("workers={workers}");
+        let ctx = format!("{workers} workers");
         let mut plain = fx.sharded(workers, false);
         let mut nic = fx.sharded(workers, true);
         let before = nic.spec_stats();
-        assert_eq!(before.fused_runs, single0.fused_runs, "{ctx}: runs derived");
         let mut got = fx.probe.clone();
         let reports = nic.process_batch(&mut got);
         // (Keeps the oracle's packet sequence, which keys the
@@ -498,10 +492,10 @@ fn fused_runs_match_across_workers_and_shard_modes() {
             assert_reports_identical(want, r, &format!("{ctx}: packet {i}"));
         }
         assert_eq!(want_packets, got, "{ctx}: packet contents");
-        assert_eq!(
-            spec_delta(before, nic.spec_stats()),
-            (hits, misses, runs),
-            "{ctx}: guard and run counters vs the single-threaded walk"
+        let (hits, _) = spec_delta(before, nic.spec_stats());
+        assert!(
+            hits * 10 < walked.0,
+            "{ctx}: the cache answered the hot flow"
         );
         // Float merges are shard-order sensitive: the window oracle
         // must shard identically.
@@ -515,20 +509,21 @@ fn fused_runs_match_across_workers_and_shard_modes() {
         let got = nic.measure(fx.probe.clone());
         assert_stats_identical(want, got, &format!("{ctx}: sampled window"));
         assert_eq!(plain.take_profile(), nic.take_profile(), "{ctx}: profile");
-        let (walked, _, runs) = spec_delta(before, nic.spec_stats());
-        assert!(walked > 0, "{ctx}: guards still serve sampled windows");
-        assert_eq!(runs, 0, "{ctx}: no run may fire under instrumentation");
+        assert_eq!(
+            spec_delta(before, nic.spec_stats()),
+            walked,
+            "{ctx}: an instrumented window walks every packet"
+        );
     }
 }
 
-/// A guard run behind a flow-cache switch is only ever reached with that
-/// cache's miss recording open, and the recording needs every member's
-/// action on its list: a run taken there would install an empty result,
-/// and every later hit of that flow would replay nothing. So behind the
-/// switch the guards are walked one by one and no run fires — while the
-/// cached results, hits and misses alike, stay the interpreter's.
+/// A program with a P4 flow cache is never served by the walk cache:
+/// each walk reads and changes that cache's state, which no record
+/// holds. Behind the switch the guards are walked one by one, as on a
+/// traced twin — while the cached results, hits and misses alike, stay
+/// the interpreter's.
 #[test]
-fn fused_runs_stand_aside_while_a_flow_cache_records() {
+fn walk_cache_stands_aside_for_a_program_with_a_flow_cache() {
     const HOT: u64 = 7;
     let mut b = ProgramBuilder::new();
     let keys = [b.field("x"), b.field("y"), b.field("z")];
@@ -591,27 +586,37 @@ fn fused_runs_stand_aside_while_a_flow_cache_records() {
     };
     let mut interp = nic(EngineMode::Interpreter);
     let mut spec = nic(EngineMode::Compiled);
-    let before = spec.spec_stats();
-    assert!(before.fused_runs >= 1, "the chain must fuse: {before:?}");
+    let mut traced = nic(EngineMode::Compiled);
+    let (before, traced0) = (spec.spec_stats(), traced.spec_stats());
+    assert!(
+        before.specialized_tables >= 3,
+        "the chain is guarded: {before:?}"
+    );
     // Four cache keys, over and over: a miss each, then hits; every
     // fifth packet a cold `x`, which misses the first guard too.
+    let mut trace = PacketTrace::default();
     for i in 0..400u64 {
         let p = packet(
             i % 4 + 10 * u64::from(i % 5 == 0),
             if i % 5 == 0 { 99 } else { HOT },
         );
-        let (mut a, mut b) = (p.clone(), p);
+        let (mut a, mut b, mut c) = (p.clone(), p.clone(), p);
         let want = interp.process_one(&mut a);
         let got = spec.process_one(&mut b);
         assert_reports_identical(&want, &got, &format!("packet {i}"));
         assert_eq!(a, b, "packet {i} contents");
+        assert_eq!(want, traced.process_one_traced(&mut c, &mut trace));
     }
-    let (hits, misses, runs) = spec_delta(before, spec.spec_stats());
+    let (hits, misses) = spec_delta(before, spec.spec_stats());
     assert!(
         hits > 0 && misses > 0,
         "guards walked: {hits} hits, {misses} misses"
     );
-    assert_eq!(runs, 0, "no run may fire inside a miss segment");
+    assert_eq!(
+        (hits, misses),
+        spec_delta(traced0, traced.spec_stats()),
+        "every packet walked, as under a trace"
+    );
     assert_eq!(
         interp.take_profile(),
         spec.take_profile(),
@@ -619,15 +624,13 @@ fn fused_runs_stand_aside_while_a_flow_cache_records() {
     );
 }
 
-/// Runs are part of the compiled pipeline, so a `specialize()` carries
-/// them to every shard through the generation chain; and an entry op on
-/// a run *member* (not the head) that lands mid-window — on the single
-/// NIC, or through the chain on a sharded one — takes the run down
-/// before the next packet. The replacement makes the member's hot action
-/// drop, so one stale run hit would show in the window.
+/// An entry op on a guarded table that lands mid-window — on the single
+/// NIC, or through the chain on a sharded one — retires every cached
+/// walk before the next packet. The replacement makes the hot flow
+/// drop, so one stale record served would show in the window.
 #[test]
-fn entry_ops_on_a_run_member_mid_window_drop_the_run() {
-    let fx = Fused::new();
+fn entry_ops_mid_window_retire_the_cached_walks() {
+    let fx = Chain::new();
     let member = fx.s.exact[0];
     type Op = fn(&mut dyn NicBackend, NodeId);
     let ops: [(&str, Op); 3] = [
@@ -651,28 +654,22 @@ fn entry_ops_on_a_run_member_mid_window_drop_the_run() {
     ];
     let mid = fx.probe.len() / 2;
     // One window with `op` between its halves; the stats, and the
-    // specialization state right after the op and at the window's end.
+    // specialization state right after the op.
     let window = |nic: &mut dyn NicBackend, op: Op| {
         nic.measure_begin();
         nic.measure_feed(fx.probe[..mid].to_vec());
         op(nic, member);
         let after_op = nic.spec_stats();
         nic.measure_feed(fx.probe[mid..].to_vec());
-        (nic.measure_end(), after_op, nic.spec_stats())
+        (nic.measure_end(), after_op)
     };
     let check = |ctx: &str, want: BatchStats, nic: &mut dyn NicBackend, op: Op| {
-        assert!(nic.spec_stats().fused_runs >= 1, "{ctx}: nothing fused");
-        let (got, after_op, end) = window(nic, op);
+        let (got, after_op) = window(nic, op);
         assert_stats_identical(want, got, ctx);
-        assert_eq!(
-            (after_op.fused_runs, after_op.specialized_tables),
-            (0, 0),
-            "{ctx}: {after_op:?}"
-        );
-        assert!(end.fused_hits > 0, "{ctx}: the run served the first half");
+        assert_eq!(after_op.specialized_tables, 0, "{ctx}: {after_op:?}");
     };
     for (name, op) in ops {
-        let (want, ..) = window(&mut fx.single(EngineMode::Interpreter, false), op);
+        let (want, _) = window(&mut fx.single(EngineMode::Interpreter, false), op);
         if name == "replace" {
             assert!(
                 want.dropped as usize > mid / 2,
@@ -682,7 +679,7 @@ fn entry_ops_on_a_run_member_mid_window_drop_the_run() {
         let mut nic = fx.single(EngineMode::Compiled, true);
         check(&format!("{name}: single"), want, &mut nic, op);
         // On a sharded NIC the mid-window op is a generation.
-        let (want, ..) = window(&mut fx.sharded(2, false), op);
+        let (want, _) = window(&mut fx.sharded(2, false), op);
         check(
             &format!("{name}: sharded"),
             want,
@@ -702,8 +699,14 @@ fn entry_ops_on_a_run_member_mid_window_drop_the_run() {
 /// of the window from the old rules.
 #[test]
 fn memoised_guard_misses_survive_entry_ops_and_the_same_plan_again() {
-    let fx = Fused::new();
-    let cold = fx.s.traffic(1.0, 400, 33).batch(6_000);
+    let fx = Chain::new();
+    // `meta.qos`, which no table reads, counts the packets: no header
+    // repeats, so the walk cache never answers before the guards.
+    let qos = fx.s.graph.fields.get("meta.qos").unwrap();
+    let mut cold = fx.s.traffic(1.0, 400, 33).batch(6_000);
+    for (i, p) in cold.iter_mut().enumerate() {
+        p.set(qos, i as u64);
+    }
     let table = fx.s.ternary[0];
     let catch_all = || {
         let any = MatchValue::Ternary { value: 0, mask: 0 };
@@ -793,7 +796,8 @@ fn memoised_guard_misses_survive_entry_ops_and_the_same_plan_again() {
 /// a guard that answered a near key would change the packet. Every
 /// probe must miss exactly its own table's guard and hit the other's,
 /// and every report, packet and profile must be the interpreter's,
-/// instrumented (runs stand aside) and not (the chain is fused).
+/// instrumented and not. (The program's 9 fields are more than a
+/// walk-cache record holds, so the hot packet is walked every time.)
 #[test]
 fn guards_on_two_and_five_field_keys_miss_on_any_one_word() {
     let mut b = ProgramBuilder::new();
@@ -890,7 +894,6 @@ fn guards_on_two_and_five_field_keys_miss_on_any_one_word() {
             2,
             "{ctx}: both guarded"
         );
-        assert_eq!(spec.spec_stats().fused_runs, 1, "{ctx}: one run");
         interp.set_instrumentation(instrumented, 1);
         spec.set_instrumentation(instrumented, 1);
         let before = spec.spec_stats();
@@ -901,14 +904,13 @@ fn guards_on_two_and_five_field_keys_miss_on_any_one_word() {
             assert_reports_identical(&want, &got, &format!("{ctx}: packet {i}"));
             assert_eq!(a, b, "{ctx}: packet {i} contents");
         }
-        let (hits, misses, runs) = spec_delta(before, spec.spec_stats());
+        let (hits, misses) = spec_delta(before, spec.spec_stats());
         assert_eq!(
             misses,
             near.len() as u64,
             "{ctx}: one guard miss a near packet"
         );
         assert_eq!(hits, 2 * probe.len() as u64 - misses, "{ctx}: guard hits");
-        assert_eq!(runs > 0, !instrumented, "{ctx}: {runs} run hits");
         assert_eq!(interp.take_profile(), spec.take_profile(), "{ctx}: profile");
         assert_eq!(
             interp.take_observations(),

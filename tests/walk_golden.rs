@@ -6,10 +6,10 @@
 //! neighbour): both sides would move together. This test replays a fixed
 //! stimulus — every scenario program in `pipeleon-workloads`, the
 //! differential suites' synthetic seed matrix, a nested flow-cache
-//! program, a placed ASIC/CPU program and a
-//! specialised pipeline with fused guard runs — under both engines and
-//! five sampling regimes, with an entry insert and a cache flush
-//! mid-stream, and compares one line of digests per case with a
+//! program, a placed ASIC/CPU program and two specialised pipelines
+//! (whose uninstrumented compiled runs go through the walk cache) —
+//! under both engines and five sampling regimes, with an entry insert
+//! and a cache flush mid-stream, and compares one line of digests per case with a
 //! committed fixture: every `ExecReport`, the packets afterwards, the
 //! taken profile, the observation histograms, the traces of a traced
 //! subset and the guard counters.
@@ -319,8 +319,8 @@ fn cases() -> Vec<Case> {
         out.push(case);
     }
 
-    // The fused-run fixture of `specialize_differential`: two run
-    // members on the CPU, Zipf 3.0 traffic so a hot flow exists.
+    // The walk-cache fixture of `specialize_differential`: two guarded
+    // tables on the CPU, Zipf 3.0 traffic so a hot flow exists.
     let t = skewed.traffic(3.0, 400, 78).batch(PACKETS);
     let mut case = Case::new("specialised_fused", skewed.graph.clone(), t);
     case.placement = vec![Placement::Asic; skewed.graph.id_bound()];
@@ -466,7 +466,7 @@ fn run(case: &Case, engine: EngineMode, sampling: (&str, u64, SampleKeying)) -> 
     write!(
         line,
         "case={} engine={engine:?} sampling={sampling_name} reports={:016x} packets={:016x} \
-         profile={:016x} observed={:016x} traces={:016x} guards={}/{}/{}",
+         profile={:016x} observed={:016x} traces={:016x} guards={}/{}",
         case.name,
         reports.0,
         packets.0,
@@ -475,7 +475,6 @@ fn run(case: &Case, engine: EngineMode, sampling: (&str, u64, SampleKeying)) -> 
         traces.0,
         spec.guard_hits,
         spec.guard_misses,
-        spec.fused_hits,
     )
     .expect("write to a String");
     line
