@@ -1063,6 +1063,25 @@ mod tests {
     }
 
     #[test]
+    fn simulate_refuses_more_than_max_workers() {
+        let dir = std::env::temp_dir().join(format!("pipeleon_cli_test17_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let prog = write_sample_program(&dir);
+        let workers = (pipeleon_sim::sharded::MAX_WORKERS + 1).to_string();
+        let err = run(&v(&[
+            "simulate",
+            prog.to_str().unwrap(),
+            "--packets",
+            "100",
+            "--workers",
+            &workers,
+        ]))
+        .expect_err("--workers above the maximum must be refused");
+        assert!(err.contains("maximum"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn simulate_workers_flag_is_bit_reproducible() {
         let dir = std::env::temp_dir().join(format!("pipeleon_cli_test5_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -376,16 +376,8 @@ fn insert_merge(
         reach: 1.0,
     };
     let merged = merge::materialize(&ctx, tables, as_cache).map_err(IrError::Invalid)?;
-    let n_actions = merged.table.actions.len();
-    let miss = merged.miss_action;
     let next = if as_cache {
-        // Hit actions jump past the segment; the miss falls through to the
-        // original tables.
-        NextHops::ByAction(
-            (0..n_actions)
-                .map(|i| if i == miss { Some(seg_head) } else { seg_exit })
-                .collect(),
-        )
+        merged.as_cache_hops(seg_head, seg_exit)
     } else {
         NextHops::Always(seg_exit)
     };

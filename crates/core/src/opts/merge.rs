@@ -20,8 +20,8 @@
 
 use super::{EvalCtx, SegmentScore, TableTerms, INVALIDATION_COEFF};
 use pipeleon_ir::{
-    Action, CacheRole, DependencyAnalysis, MatchKey, MatchKind, MatchValue, NodeId, Primitive,
-    ProgramGraph, Table, TableEntry,
+    Action, CacheRole, DependencyAnalysis, MatchKey, MatchKind, MatchValue, NextHops, NodeId,
+    Primitive, ProgramGraph, Table, TableEntry,
 };
 
 /// A materialized merged table plus the bookkeeping to translate its
@@ -37,6 +37,25 @@ pub struct MergedTable {
     /// Index of the miss/default action (as-cache variant falls through
     /// to the originals from here).
     pub miss_action: usize,
+}
+
+impl MergedTable {
+    /// This table's next hops when it is materialized as a cache: the miss
+    /// falls through to `first`, the segment's first original table, and
+    /// every hit jumps to `exit`, past the segment.
+    pub fn as_cache_hops(&self, first: NodeId, exit: Option<NodeId>) -> NextHops {
+        NextHops::ByAction(
+            (0..self.table.actions.len())
+                .map(|i| {
+                    if i == self.miss_action {
+                        Some(first)
+                    } else {
+                        exit
+                    }
+                })
+                .collect(),
+        )
+    }
 }
 
 /// Rows a merged table may materialize (the product of each component's

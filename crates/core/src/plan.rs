@@ -1,108 +1,12 @@
 //! Optimization plan types shared across the search and apply stages.
+//!
+//! The rewrite vocabulary ([`Candidate`], [`Segment`], [`SegmentKind`])
+//! is defined once, in `pipeleon-verify`, so the plan verifier checks the
+//! very value the search built and prices; it is re-exported here for the
+//! optimizer's callers. [`GlobalPlan`], the knapsack's selection, is the
+//! optimizer's own.
 
-use pipeleon_ir::NodeId;
-
-/// What happens to one contiguous run of tables in a candidate's order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentKind {
-    /// Create a flow cache in front of the segment (§3.2.2).
-    Cache,
-    /// Merge the segment into one table (§3.2.3). `as_cache` materializes
-    /// the merged exact table as a fall-through cache instead of a ternary
-    /// table (avoiding the `m` blow-up of Figure 6).
-    Merge {
-        /// Whether the merged table is a [`pipeleon_ir::CacheRole::MergedCache`].
-        as_cache: bool,
-    },
-}
-
-/// A contiguous index range `[start, end)` over a candidate's table order,
-/// tagged with the transformation applied to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Segment {
-    /// Start index into [`Candidate::order`] (inclusive).
-    pub start: usize,
-    /// End index (exclusive).
-    pub end: usize,
-    /// The transformation.
-    pub kind: SegmentKind,
-}
-
-impl Segment {
-    /// Number of tables covered.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Segments are never empty.
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.end
-    }
-}
-
-/// One evaluated optimization option for one pipelet (or pipelet group):
-/// a table order plus disjoint cache/merge segments, with its estimated
-/// gain and resource costs (the `cb.g` / `cb.c` of Appendix A.1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Candidate {
-    /// The pipelet this candidate optimizes.
-    pub pipelet: usize,
-    /// The (possibly reordered) table sequence.
-    pub order: Vec<NodeId>,
-    /// Disjoint, sorted segments over `order`.
-    pub segments: Vec<Segment>,
-    /// Estimated expected-latency reduction (ns, ≥ 0 to be considered).
-    pub gain: f64,
-    /// Extra memory consumed (bytes).
-    pub mem_cost: f64,
-    /// Extra entry-update bandwidth consumed (updates/s).
-    pub update_cost: f64,
-    /// For group candidates: the branch node the group hangs off.
-    pub group_branch: Option<NodeId>,
-}
-
-impl Candidate {
-    /// The verifier-facing description of this candidate, consumed by
-    /// [`pipeleon_verify::PlanVerifier::verify`].
-    pub fn to_spec(&self) -> pipeleon_verify::CandidateSpec {
-        pipeleon_verify::CandidateSpec {
-            order: self.order.clone(),
-            segments: self
-                .segments
-                .iter()
-                .map(|s| pipeleon_verify::SegmentSpec {
-                    start: s.start,
-                    end: s.end,
-                    kind: match s.kind {
-                        SegmentKind::Cache => pipeleon_verify::RewriteKind::Cache,
-                        SegmentKind::Merge { as_cache } => {
-                            pipeleon_verify::RewriteKind::Merge { as_cache }
-                        }
-                    },
-                })
-                .collect(),
-            group_branch: self.group_branch,
-        }
-    }
-
-    /// The identity candidate (no change, zero gain/cost).
-    pub fn noop(pipelet: usize, order: Vec<NodeId>) -> Self {
-        Self {
-            pipelet,
-            order,
-            segments: Vec::new(),
-            gain: 0.0,
-            mem_cost: 0.0,
-            update_cost: 0.0,
-            group_branch: None,
-        }
-    }
-
-    /// Whether this candidate changes anything.
-    pub fn is_noop(&self, original_order: &[NodeId]) -> bool {
-        self.segments.is_empty() && self.order == original_order
-    }
-}
+pub use pipeleon_verify::{Candidate, Segment, SegmentKind};
 
 /// The chosen global plan: one candidate per optimized pipelet.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -121,29 +25,5 @@ impl GlobalPlan {
     /// Whether the plan changes anything.
     pub fn is_empty(&self) -> bool {
         self.choices.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn segment_len() {
-        let s = Segment {
-            start: 1,
-            end: 4,
-            kind: SegmentKind::Cache,
-        };
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn noop_candidate_is_noop() {
-        let order = vec![NodeId(1), NodeId(2)];
-        let c = Candidate::noop(0, order.clone());
-        assert!(c.is_noop(&order));
-        assert!(!c.is_noop(&[NodeId(2), NodeId(1)]));
     }
 }

@@ -302,7 +302,7 @@ impl Optimizer {
                     // Safety gate: only candidates the verifier can prove
                     // legal survive (and get cached for reuse).
                     let enumerated = cands.len();
-                    cands.retain(|c| verifier.verify(g, &c.to_spec()).legal);
+                    cands.retain(|c| verifier.verify(g, c).legal);
                     candidates_rejected += enumerated - cands.len();
                     candidates_evaluated += cands.len();
                     let cands: Arc<[Candidate]> = cands.into();
@@ -331,7 +331,7 @@ impl Optimizer {
                 let Some(gc) = self.group_candidate(g, profile, &pipelets, &pg, &visits) else {
                     continue;
                 };
-                if !verifier.verify(g, &gc.to_spec()).legal {
+                if !verifier.verify(g, &gc).legal {
                     candidates_rejected += 1;
                     continue;
                 }
@@ -727,7 +727,7 @@ mod tests {
             // Every *chosen* candidate re-verifies independently.
             let verifier = pipeleon_verify::PlanVerifier::new(&g);
             for c in &out.plan.choices {
-                let verdict = verifier.verify(&g, &c.to_spec());
+                let verdict = verifier.verify(&g, c);
                 assert!(verdict.legal, "seed {seed}: {}", verdict.render());
             }
         }

@@ -25,7 +25,7 @@ use pipeleon::opts::{merge, EvalCtx};
 use pipeleon::search::{IncrementalState, Optimizer};
 use pipeleon_cost::RuntimeProfile;
 use pipeleon_ir::json::fingerprint;
-use pipeleon_ir::{NextHops, NodeId, ProgramGraph, TableEntry};
+use pipeleon_ir::{NodeId, ProgramGraph, TableEntry};
 use pipeleon_obs::{EventJournal, EventKind, MetricsRegistry};
 use pipeleon_sim::{ControlOp, SpecStats};
 use std::collections::HashMap;
@@ -826,7 +826,7 @@ impl<T: Target> Controller<T> {
         let verifier = pipeleon_verify::PlanVerifier::new(&self.original);
         let mut violations = Vec::new();
         for c in &plan.choices {
-            violations.extend(verifier.verify(&self.original, &c.to_spec()).violations);
+            violations.extend(verifier.verify(&self.original, c).violations);
         }
         if violations.is_empty() {
             Ok(())
@@ -1032,18 +1032,7 @@ impl<T: Target> Controller<T> {
             reach: 1.0,
         };
         let m = merge::materialize(&ctx, components, as_cache).ok()?;
-        let next = as_cache.then(|| {
-            let hops = (0..m.table.actions.len())
-                .map(|i| {
-                    if i == m.miss_action {
-                        Some(components[0])
-                    } else {
-                        hit_exit
-                    }
-                })
-                .collect();
-            NextHops::ByAction(hops)
-        });
+        let next = as_cache.then(|| m.as_cache_hops(components[0], hit_exit));
         let op = ControlOp::ReplaceTable {
             node: merged,
             table: m.table,

@@ -137,6 +137,11 @@ const SPIN_BUDGET: u32 = 64;
 /// access to a different buffer, which defeats the hardware prefetcher
 /// once the ring count grows.
 const STAGE_BURST: usize = 64;
+/// The most shards [`ShardedNic::new`] builds. Each shard is an OS thread
+/// and a ring, and the worker count arrives from the command line, so it
+/// is bounded before any of them exists; 64 is eight times the largest
+/// count the tests and docs use.
+pub const MAX_WORKERS: usize = 64;
 
 /// One unit of work travelling through a shard ring.
 #[derive(Debug)]
@@ -422,7 +427,14 @@ pub struct ShardedNic {
 impl ShardedNic {
     /// Deploys `graph` on a NIC with `workers` parallel shards (clamped
     /// to at least 1), each a persistent worker thread behind its ring.
+    /// More than [`MAX_WORKERS`] is refused before any ring or thread
+    /// exists.
     pub fn new(graph: ProgramGraph, params: CostParams, workers: usize) -> Result<Self, IrError> {
+        if workers > MAX_WORKERS {
+            return Err(IrError::Invalid(format!(
+                "{workers} shard workers exceed the maximum of {MAX_WORKERS}"
+            )));
+        }
         let workers = workers.max(1);
         let chain = Arc::new(GenChain::new());
         let capacity = (RING_TOTAL_SLOTS / workers).clamp(RING_CAPACITY_MIN, RING_CAPACITY_MAX);
@@ -1016,6 +1028,19 @@ mod tests {
 
     fn packets(n: usize) -> Vec<Packet> {
         (0..n).map(|i| Packet::with_slots(vec![i as u64])).collect()
+    }
+
+    #[test]
+    fn more_than_max_workers_is_refused() {
+        let Err(err) =
+            ShardedNic::new(linear_program(2), CostParams::bluefield2(), MAX_WORKERS + 1)
+        else {
+            panic!("more than MAX_WORKERS workers must be refused");
+        };
+        assert!(
+            matches!(&err, IrError::Invalid(m) if m.contains(&MAX_WORKERS.to_string())),
+            "{err}"
+        );
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //!    diagnostics (`PV0xx` codes) — possibly-uninitialized metadata reads,
 //!    unreachable tables, dead actions, branch conditions over fields no
 //!    action defines, intra-action dead writes, and shadowed entries.
-//! 2. **Plan safety** ([`PlanVerifier`]): for every optimization candidate,
-//!    prove the rewrite legal with path-sensitive Bernstein-condition
-//!    checks over all DAG paths through the affected region (every
-//!    inverted pair must commute, cache segments must be outcome-determined
-//!    by their entry key, merges need key-compatibility) and return a
-//!    machine-readable [`Verdict`].
+//! 2. **Plan safety** ([`PlanVerifier`]): for every optimization
+//!    [`Candidate`] (the rewrite vocabulary is defined here, once, and the
+//!    optimizer re-exports it), prove the rewrite legal with
+//!    path-sensitive Bernstein-condition checks over all DAG paths through
+//!    the affected region (every inverted pair must commute, cache
+//!    segments must be outcome-determined by their entry key, merges need
+//!    key-compatibility) and return a machine-readable [`Verdict`].
 //!
 //! The crate deliberately depends only on `pipeleon-ir` so that the
 //! optimizer core, the runtime controller and the CLI can all consume it
@@ -29,7 +30,7 @@ mod plan;
 
 pub use concurrency::{lint_concurrency, lint_concurrency_with_count};
 pub use lints::lint_program;
-pub use plan::{CandidateSpec, PlanVerifier, RewriteKind, SegmentSpec, Verdict, Violation};
+pub use plan::{Candidate, PlanVerifier, Segment, SegmentKind, Verdict, Violation};
 
 use std::fmt;
 

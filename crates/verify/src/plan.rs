@@ -1,10 +1,15 @@
-//! Plan-safety verification: prove a candidate rewrite legal before it is
-//! scored, selected, or deployed.
+//! The rewrite vocabulary and its plan-safety check: prove a candidate
+//! rewrite legal before it is scored, selected, or deployed.
 //!
-//! A candidate (see `pipeleon-core`'s `plan::Candidate`) proposes a new
-//! table order for one pipelet plus cache/merge segments, or a joint
-//! "group" cache fronting a branch. The verifier re-derives legality from
-//! first principles — independently of the enumeration heuristics — with
+//! A [`Candidate`] proposes a new table order for one pipelet plus
+//! cache/merge [`Segment`]s, or a joint "group" cache fronting a branch.
+//! The optimizer (`pipeleon-core`, which re-exports these types as
+//! `pipeleon::plan`) builds candidates and prices them; the verifier
+//! checks the same value. Sharing the type shares no check: the verifier
+//! reads only `order`, `segments` and `group_branch`, assumes nothing the
+//! optimizer promised about them (the fields are public and hold no
+//! invariant), checks their shape itself, and re-derives legality from
+//! the program — independently of the enumeration heuristics — with
 //! path-sensitive Bernstein-condition checks:
 //!
 //! * **Reorder** (§3.2.1): every *inverted pair* of tables (not just
@@ -21,51 +26,106 @@
 //!   chains with a common exit and be cacheable along *every* root-to-exit
 //!   path through the region.
 //!
-//! The verdict is machine-readable ([`Verdict`]) so the optimizer can
-//! count rejections and the runtime controller can refuse deployment with
-//! a typed [`RuntimeError`-style] payload.
+//! Every match on [`SegmentKind`] here is exhaustive, so a new rewrite
+//! kind does not compile until the verifier handles it. The verdict is
+//! machine-readable ([`Verdict`]) so the optimizer can count rejections
+//! and the runtime controller can refuse deployment with a typed payload.
 
 use crate::{Code, Severity};
 use pipeleon_ir::deps::{DependencyAnalysis, RwSets};
 use pipeleon_ir::{MatchKind, NodeId, NodeKind, ProgramGraph};
 use std::fmt;
 
-/// The rewrite applied to one segment of a candidate's order. Mirrors
-/// `pipeleon-core`'s `SegmentKind` without depending on it (the core crate
-/// depends on this crate, not the reverse).
+/// What happens to one contiguous run of tables in a candidate's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RewriteKind {
-    /// Front the segment with a flow cache (§3.2.2).
+pub enum SegmentKind {
+    /// Create a flow cache in front of the segment (§3.2.2).
     Cache,
-    /// Merge the segment into a single table (§3.2.3).
+    /// Merge the segment into one table (§3.2.3). `as_cache` materializes
+    /// the merged exact table as a fall-through cache instead of a ternary
+    /// table (avoiding the `m` blow-up of Figure 6).
     Merge {
-        /// Materialize the merged exact table as a fall-through cache.
+        /// Whether the merged table is a [`pipeleon_ir::CacheRole::MergedCache`].
         as_cache: bool,
     },
 }
 
-/// A contiguous `[start, end)` slice of a candidate's order tagged with
-/// its rewrite.
+/// A contiguous index range `[start, end)` over a candidate's table order,
+/// tagged with the transformation applied to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentSpec {
-    /// Start index into [`CandidateSpec::order`] (inclusive).
+pub struct Segment {
+    /// Start index into [`Candidate::order`] (inclusive).
     pub start: usize,
     /// End index (exclusive).
     pub end: usize,
-    /// The rewrite applied to the slice.
-    pub kind: RewriteKind,
+    /// The transformation.
+    pub kind: SegmentKind,
 }
 
-/// The verifier-facing description of one optimization candidate.
+impl Segment {
+    /// Number of tables covered.
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Segments are never empty.
+    pub fn is_empty(&self) -> bool {
+        self.start >= self.end
+    }
+}
+
+/// One evaluated optimization option for one pipelet (or pipelet group):
+/// a table order plus disjoint cache/merge segments, with its estimated
+/// gain and resource costs (the `cb.g` / `cb.c` of Appendix A.1).
+///
+/// The fields are public and hold no invariant: the optimizer builds
+/// candidates, and [`PlanVerifier::verify`] reads only `order`,
+/// `segments` and `group_branch`, checking their shape itself.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CandidateSpec {
-    /// The proposed table sequence (a permutation of the pipelet's tables,
-    /// or the member tables of a group cache).
+pub struct Candidate {
+    /// The pipelet this candidate optimizes.
+    pub pipelet: usize,
+    /// The (possibly reordered) table sequence.
     pub order: Vec<NodeId>,
-    /// Disjoint rewrite segments over `order`.
-    pub segments: Vec<SegmentSpec>,
-    /// For group candidates: the branch node the joint cache fronts.
+    /// Disjoint, sorted segments over `order`.
+    pub segments: Vec<Segment>,
+    /// Estimated expected-latency reduction (ns, ≥ 0 to be considered).
+    pub gain: f64,
+    /// Extra memory consumed (bytes).
+    pub mem_cost: f64,
+    /// Extra entry-update bandwidth consumed (updates/s).
+    pub update_cost: f64,
+    /// For group candidates: the branch node the group hangs off.
     pub group_branch: Option<NodeId>,
+}
+
+impl Candidate {
+    /// The candidate itself. The benchmark harness (`crates/perf`) still
+    /// calls `to_spec` from when the verifier took a copy of a candidate;
+    /// this forward goes with the harness's other pinned names (ROADMAP
+    /// item 1). Nothing else calls it.
+    #[doc(hidden)]
+    pub fn to_spec(&self) -> &Self {
+        self
+    }
+
+    /// The identity candidate (no change, zero gain/cost).
+    pub fn noop(pipelet: usize, order: Vec<NodeId>) -> Self {
+        Self {
+            pipelet,
+            order,
+            segments: Vec::new(),
+            gain: 0.0,
+            mem_cost: 0.0,
+            update_cost: 0.0,
+            group_branch: None,
+        }
+    }
+
+    /// Whether this candidate changes anything.
+    pub fn is_noop(&self, original_order: &[NodeId]) -> bool {
+        self.segments.is_empty() && self.order == original_order
+    }
 }
 
 /// One reason a candidate is illegal.
@@ -134,36 +194,36 @@ impl PlanVerifier {
         self.sets.get(id.index()).and_then(|s| s.as_ref())
     }
 
-    /// Checks `spec` against `g` and returns the verdict. Deterministic:
+    /// Checks `c` against `g` and returns the verdict. Deterministic:
     /// identical inputs always produce identical verdicts (violations in
     /// the same order).
-    pub fn verify(&self, g: &ProgramGraph, spec: &CandidateSpec) -> Verdict {
+    pub fn verify(&self, g: &ProgramGraph, c: &Candidate) -> Verdict {
         let mut v = Vec::new();
-        self.check_shape(g, spec, &mut v);
+        self.check_shape(g, c, &mut v);
         if !v.is_empty() {
             // Structural problems make the semantic checks meaningless.
             return Verdict::from_violations(v);
         }
-        match spec.group_branch {
-            Some(branch) => self.check_group(g, spec, branch, &mut v),
-            None => self.check_chain(g, spec, &mut v),
+        match c.group_branch {
+            Some(branch) => self.check_group(g, c, branch, &mut v),
+            None => self.check_chain(g, c, &mut v),
         }
-        self.check_segments(g, spec, &mut v);
+        self.check_segments(g, c, &mut v);
         Verdict::from_violations(v)
     }
 
     /// Structural validity: known nodes, plain program tables, well-formed
     /// disjoint segments.
-    fn check_shape(&self, g: &ProgramGraph, spec: &CandidateSpec, v: &mut Vec<Violation>) {
-        if spec.order.is_empty() {
+    fn check_shape(&self, g: &ProgramGraph, c: &Candidate, v: &mut Vec<Violation>) {
+        if c.order.is_empty() {
             v.push(Violation {
                 code: Code::PlanShape,
                 message: "candidate has an empty table order".into(),
             });
             return;
         }
-        for (i, &id) in spec.order.iter().enumerate() {
-            if spec.order[..i].contains(&id) {
+        for (i, &id) in c.order.iter().enumerate() {
+            if c.order[..i].contains(&id) {
                 v.push(Violation {
                     code: Code::PlanShape,
                     message: format!("node {id} appears more than once in the order"),
@@ -194,15 +254,15 @@ impl PlanVerifier {
             }
         }
         let mut prev_end = 0usize;
-        for s in &spec.segments {
-            if s.start >= s.end || s.end > spec.order.len() {
+        for s in &c.segments {
+            if s.is_empty() || s.end > c.order.len() {
                 v.push(Violation {
                     code: Code::PlanShape,
                     message: format!(
                         "segment [{}, {}) is out of range for an order of {} tables",
                         s.start,
                         s.end,
-                        spec.order.len()
+                        c.order.len()
                     ),
                 });
                 continue;
@@ -217,17 +277,23 @@ impl PlanVerifier {
                 });
             }
             prev_end = s.end;
-            if matches!(s.kind, RewriteKind::Merge { .. }) && s.end - s.start < 2 {
-                v.push(Violation {
-                    code: Code::PlanShape,
-                    message: format!(
-                        "merge segment [{}, {}) needs at least two tables",
-                        s.start, s.end
-                    ),
-                });
+            match s.kind {
+                // The range check above gives a cache at least one table.
+                SegmentKind::Cache => {}
+                SegmentKind::Merge { .. } => {
+                    if s.len() < 2 {
+                        v.push(Violation {
+                            code: Code::PlanShape,
+                            message: format!(
+                                "merge segment [{}, {}) needs at least two tables",
+                                s.start, s.end
+                            ),
+                        });
+                    }
+                }
             }
         }
-        if spec.group_branch.is_some() && !spec.segments.is_empty() {
+        if c.group_branch.is_some() && !c.segments.is_empty() {
             v.push(Violation {
                 code: Code::PlanShape,
                 message: "group candidates cache their whole region and take no segments".into(),
@@ -238,8 +304,8 @@ impl PlanVerifier {
     /// Chain candidates: reconstruct the original execution order of the
     /// members along the program's edges, require contiguity, and check
     /// every inverted pair for commutativity.
-    fn check_chain(&self, g: &ProgramGraph, spec: &CandidateSpec, v: &mut Vec<Violation>) {
-        let members = &spec.order;
+    fn check_chain(&self, g: &ProgramGraph, c: &Candidate, v: &mut Vec<Violation>) {
+        let members = &c.order;
         // Each plain table has exactly one next hop; build the member
         // successor relation and find the unique chain entry.
         let next_member = |id: NodeId| -> Option<NodeId> {
@@ -283,7 +349,7 @@ impl PlanVerifier {
             return;
         }
         // Bernstein check over every inverted pair along the path.
-        let pos = |id: NodeId| spec.order.iter().position(|&x| x == id).expect("member");
+        let pos = |id: NodeId| c.order.iter().position(|&x| x == id).expect("member");
         for i in 0..original.len() {
             for j in (i + 1)..original.len() {
                 let (a, b) = (original[i], original[j]);
@@ -305,13 +371,7 @@ impl PlanVerifier {
     /// Group candidates: every path from the branch must run only member
     /// tables up to a common exit, cover all members between them, and be
     /// cacheable in path order.
-    fn check_group(
-        &self,
-        g: &ProgramGraph,
-        spec: &CandidateSpec,
-        branch: NodeId,
-        v: &mut Vec<Violation>,
-    ) {
+    fn check_group(&self, g: &ProgramGraph, c: &Candidate, branch: NodeId, v: &mut Vec<Violation>) {
         let Some(bn) = g.node(branch) else {
             v.push(Violation {
                 code: Code::PlanShape,
@@ -326,7 +386,7 @@ impl PlanVerifier {
             });
             return;
         }
-        let members = &spec.order;
+        let members = &c.order;
         for &m in members {
             let keyed = g
                 .node(m)
@@ -421,12 +481,12 @@ impl PlanVerifier {
 
     /// Cache/merge segment legality over the candidate's (post-reorder)
     /// order.
-    fn check_segments(&self, g: &ProgramGraph, spec: &CandidateSpec, v: &mut Vec<Violation>) {
-        for s in &spec.segments {
-            let tables = &spec.order[s.start..s.end];
+    fn check_segments(&self, g: &ProgramGraph, c: &Candidate, v: &mut Vec<Violation>) {
+        for s in &c.segments {
+            let tables = &c.order[s.start..s.end];
             match s.kind {
-                RewriteKind::Cache => self.check_cache_segment(g, tables, v),
-                RewriteKind::Merge { as_cache } => self.check_merge_segment(g, tables, as_cache, v),
+                SegmentKind::Cache => self.check_cache_segment(g, tables, v),
+                SegmentKind::Merge { as_cache } => self.check_merge_segment(g, tables, as_cache, v),
             }
         }
     }
@@ -597,8 +657,8 @@ mod tests {
     use super::*;
     use pipeleon_ir::{Condition, MatchKind, Primitive, ProgramBuilder};
 
-    fn verify(g: &ProgramGraph, spec: &CandidateSpec) -> Verdict {
-        PlanVerifier::new(g).verify(g, spec)
+    fn verify(g: &ProgramGraph, c: &Candidate) -> Verdict {
+        PlanVerifier::new(g).verify(g, c)
     }
 
     /// Chain of three tables: t0 matches a / writes w0, t1 matches b,
@@ -619,18 +679,33 @@ mod tests {
         (g, vec![t0, t1, t2])
     }
 
-    fn spec(order: Vec<NodeId>) -> CandidateSpec {
-        CandidateSpec {
-            order,
-            segments: Vec::new(),
-            group_branch: None,
-        }
+    fn cand(order: Vec<NodeId>) -> Candidate {
+        Candidate::noop(0, order)
+    }
+
+    #[test]
+    fn segment_len() {
+        let s = Segment {
+            start: 1,
+            end: 4,
+            kind: SegmentKind::Cache,
+        };
+        assert_eq!(s.len(), 3);
+        assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn noop_candidate_is_noop() {
+        let order = vec![NodeId(1), NodeId(2)];
+        let c = Candidate::noop(0, order.clone());
+        assert!(c.is_noop(&order));
+        assert!(!c.is_noop(&[NodeId(2), NodeId(1)]));
     }
 
     #[test]
     fn identity_order_is_legal() {
         let (g, ids) = chain();
-        let verdict = verify(&g, &spec(ids));
+        let verdict = verify(&g, &cand(ids));
         assert!(verdict.legal, "{}", verdict.render());
         assert!(verdict.violations.is_empty());
     }
@@ -639,7 +714,7 @@ mod tests {
     fn commuting_swap_is_legal() {
         let (g, ids) = chain();
         // t0 and t1 touch disjoint fields.
-        let verdict = verify(&g, &spec(vec![ids[1], ids[0], ids[2]]));
+        let verdict = verify(&g, &cand(vec![ids[1], ids[0], ids[2]]));
         assert!(verdict.legal, "{}", verdict.render());
     }
 
@@ -647,7 +722,7 @@ mod tests {
     fn raw_hazard_swap_is_rejected() {
         let (g, ids) = chain();
         // t2 matches the field t0 writes; promoting t2 above t0 is unsafe.
-        let verdict = verify(&g, &spec(vec![ids[2], ids[0], ids[1]]));
+        let verdict = verify(&g, &cand(vec![ids[2], ids[0], ids[1]]));
         assert!(!verdict.legal);
         assert_eq!(verdict.violations[0].code, Code::ReorderHazard);
         assert!(verdict.violations[0].message.contains("w0"));
@@ -658,7 +733,7 @@ mod tests {
         let (g, ids) = chain();
         // Order t2, t1, t0: the t0/t2 inversion is non-adjacent in the
         // original chain but must still be flagged.
-        let verdict = verify(&g, &spec(vec![ids[2], ids[1], ids[0]]));
+        let verdict = verify(&g, &cand(vec![ids[2], ids[1], ids[0]]));
         assert!(!verdict.legal);
         assert!(verdict
             .violations
@@ -670,7 +745,7 @@ mod tests {
     fn unknown_node_is_plan_shape_error() {
         let (g, mut ids) = chain();
         ids.push(NodeId(99));
-        let verdict = verify(&g, &spec(ids));
+        let verdict = verify(&g, &cand(ids));
         assert!(!verdict.legal);
         assert_eq!(verdict.violations[0].code, Code::PlanShape);
     }
@@ -678,7 +753,7 @@ mod tests {
     #[test]
     fn duplicate_member_is_plan_shape_error() {
         let (g, ids) = chain();
-        let verdict = verify(&g, &spec(vec![ids[0], ids[0], ids[1]]));
+        let verdict = verify(&g, &cand(vec![ids[0], ids[0], ids[1]]));
         assert!(!verdict.legal);
         assert!(verdict.violations.iter().any(|v| v.code == Code::PlanShape));
     }
@@ -686,17 +761,17 @@ mod tests {
     #[test]
     fn overlapping_segments_are_rejected() {
         let (g, ids) = chain();
-        let mut s = spec(ids);
+        let mut s = cand(ids);
         s.segments = vec![
-            SegmentSpec {
+            Segment {
                 start: 0,
                 end: 2,
-                kind: RewriteKind::Cache,
+                kind: SegmentKind::Cache,
             },
-            SegmentSpec {
+            Segment {
                 start: 1,
                 end: 3,
-                kind: RewriteKind::Cache,
+                kind: SegmentKind::Cache,
             },
         ];
         let verdict = verify(&g, &s);
@@ -707,11 +782,11 @@ mod tests {
     #[test]
     fn single_table_merge_is_rejected() {
         let (g, ids) = chain();
-        let mut s = spec(ids);
-        s.segments = vec![SegmentSpec {
+        let mut s = cand(ids);
+        s.segments = vec![Segment {
             start: 0,
             end: 1,
-            kind: RewriteKind::Merge { as_cache: false },
+            kind: SegmentKind::Merge { as_cache: false },
         }];
         let verdict = verify(&g, &s);
         assert!(!verdict.legal);
@@ -722,22 +797,22 @@ mod tests {
     fn cache_over_write_then_match_is_rejected() {
         let (g, ids) = chain();
         // Segment [t0, t1, t2]: t0 writes w0, t2 matches w0.
-        let mut s = spec(ids);
-        s.segments = vec![SegmentSpec {
+        let mut s = cand(ids);
+        s.segments = vec![Segment {
             start: 0,
             end: 3,
-            kind: RewriteKind::Cache,
+            kind: SegmentKind::Cache,
         }];
         let verdict = verify(&g, &s);
         assert!(!verdict.legal);
         assert_eq!(verdict.violations[0].code, Code::CacheUnsafe);
         assert!(verdict.violations[0].message.contains("w0"));
         // The t0..t1 prefix has no internal hazard and is cacheable.
-        let mut ok = spec(verdict_order(&g));
-        ok.segments = vec![SegmentSpec {
+        let mut ok = cand(verdict_order(&g));
+        ok.segments = vec![Segment {
             start: 0,
             end: 2,
-            kind: RewriteKind::Cache,
+            kind: SegmentKind::Cache,
         }];
         assert!(verify(&g, &ok).legal);
     }
@@ -753,11 +828,11 @@ mod tests {
     fn merge_with_match_raw_is_rejected() {
         let (g, ids) = chain();
         // t0 writes w0 which t2 matches: their match keys are entangled.
-        let mut s = spec(vec![ids[0], ids[1], ids[2]]);
-        s.segments = vec![SegmentSpec {
+        let mut s = cand(vec![ids[0], ids[1], ids[2]]);
+        s.segments = vec![Segment {
             start: 0,
             end: 3,
-            kind: RewriteKind::Merge { as_cache: false },
+            kind: SegmentKind::Merge { as_cache: false },
         }];
         let verdict = verify(&g, &s);
         assert!(!verdict.legal);
@@ -786,14 +861,14 @@ mod tests {
             .action("w", vec![Primitive::set(fw, 2)])
             .finish();
         let g = b.seal_sequential().unwrap();
-        let mut merge = spec(vec![t0, t1]);
-        merge.segments = vec![SegmentSpec {
+        let mut merge = cand(vec![t0, t1]);
+        merge.segments = vec![Segment {
             start: 0,
             end: 2,
-            kind: RewriteKind::Merge { as_cache: true },
+            kind: SegmentKind::Merge { as_cache: true },
         }];
         assert!(verify(&g, &merge).legal);
-        let swap = verify(&g, &spec(vec![t1, t0]));
+        let swap = verify(&g, &cand(vec![t1, t0]));
         assert!(!swap.legal);
         assert_eq!(swap.violations[0].code, Code::ReorderHazard);
     }
@@ -806,17 +881,17 @@ mod tests {
         let t0 = b.table("t0").key(fa, MatchKind::Ternary).finish();
         let t1 = b.table("t1").key(fb, MatchKind::Exact).finish();
         let g = b.seal_sequential().unwrap();
-        let mut s = spec(vec![t0, t1]);
-        s.segments = vec![SegmentSpec {
+        let mut s = cand(vec![t0, t1]);
+        s.segments = vec![Segment {
             start: 0,
             end: 2,
-            kind: RewriteKind::Merge { as_cache: true },
+            kind: SegmentKind::Merge { as_cache: true },
         }];
         let verdict = verify(&g, &s);
         assert!(!verdict.legal);
         assert!(verdict.violations[0].message.contains("all-exact"));
         // The plain ternary merge of the same pair is fine.
-        s.segments[0].kind = RewriteKind::Merge { as_cache: false };
+        s.segments[0].kind = SegmentKind::Merge { as_cache: false };
         assert!(verify(&g, &s).legal);
     }
 
@@ -835,7 +910,7 @@ mod tests {
         let br = b.branch("br", Condition::lt(x, 500), Some(l), Some(r));
         let g = b.seal(br).unwrap();
         // l and r sit on different arms: no single chain contains both.
-        let verdict = verify(&g, &spec(vec![l, r]));
+        let verdict = verify(&g, &cand(vec![l, r]));
         assert!(!verdict.legal);
         assert_eq!(verdict.violations[0].code, Code::NonContiguous);
     }
@@ -859,10 +934,9 @@ mod tests {
     #[test]
     fn group_cache_over_clean_diamond_is_legal() {
         let (g, br, members) = diamond();
-        let s = CandidateSpec {
-            order: members,
-            segments: Vec::new(),
+        let s = Candidate {
             group_branch: Some(br),
+            ..cand(members)
         };
         let verdict = verify(&g, &s);
         assert!(verdict.legal, "{}", verdict.render());
@@ -888,10 +962,9 @@ mod tests {
         b.set_next(r, Some(join));
         let br = b.branch("br", Condition::lt(x, 500), Some(l), Some(r));
         let g = b.seal(br).unwrap();
-        let s = CandidateSpec {
-            order: vec![l, r, join],
-            segments: Vec::new(),
+        let s = Candidate {
             group_branch: Some(br),
+            ..cand(vec![l, r, join])
         };
         let verdict = verify(&g, &s);
         assert!(!verdict.legal);
@@ -906,10 +979,9 @@ mod tests {
         let (g, br, members) = diamond();
         // Claim only one arm + join: the other arm's table is then a
         // non-member between the branch and the exit on its path.
-        let s = CandidateSpec {
-            order: vec![members[0], members[2]],
-            segments: Vec::new(),
+        let s = Candidate {
             group_branch: Some(br),
+            ..cand(vec![members[0], members[2]])
         };
         let verdict = verify(&g, &s);
         assert!(!verdict.legal, "{}", verdict.render());
@@ -922,7 +994,7 @@ mod tests {
     #[test]
     fn verdicts_are_deterministic() {
         let (g, ids) = chain();
-        let bad = spec(vec![ids[2], ids[1], ids[0]]);
+        let bad = cand(vec![ids[2], ids[1], ids[0]]);
         let v1 = verify(&g, &bad);
         let v2 = verify(&g, &bad);
         assert_eq!(v1, v2);
@@ -933,9 +1005,9 @@ mod tests {
     #[test]
     fn verdict_renders_each_violation() {
         let (g, ids) = chain();
-        let verdict = verify(&g, &spec(vec![ids[2], ids[0], ids[1]]));
+        let verdict = verify(&g, &cand(vec![ids[2], ids[0], ids[1]]));
         let text = verdict.render();
         assert!(text.contains("error[PV102]"));
-        assert!(verify(&g, &spec(ids)).render().contains("no violations"));
+        assert!(verify(&g, &cand(ids)).render().contains("no violations"));
     }
 }

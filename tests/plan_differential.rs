@@ -285,7 +285,7 @@ fn every_single_rewrite_plan_is_verified_and_differentially_tested() {
         let (mut legal, mut illegal, mut infeasible) = (0usize, 0usize, 0usize);
         let verifier = PlanVerifier::new(&p.graph);
         for (ci, cand) in single_rewrite_candidates(&p.chain).into_iter().enumerate() {
-            let verdict = verifier.verify(&p.graph, &cand.to_spec());
+            let verdict = verifier.verify(&p.graph, &cand);
             let plan = GlobalPlan {
                 choices: vec![cand],
                 total_gain: 1.0,

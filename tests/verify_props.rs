@@ -5,12 +5,14 @@
 //!   deliberately false, see `crates/ir/src/deps.rs`);
 //! * program lints and plan-safety verdicts are pure functions of their
 //!   inputs: repeated runs and concurrent runs on worker threads produce
-//!   identical results.
+//!   identical results;
+//! * a verdict ignores the optimizer's numbers: a candidate's `pipelet`,
+//!   `gain`, `mem_cost` and `update_cost` never change it.
 
 use pipeleon::pipelet::partition;
 use pipeleon_ir::deps::{DependencyAnalysis, RwSets};
 use pipeleon_ir::FieldRef;
-use pipeleon_verify::{lint_program, CandidateSpec, PlanVerifier, Verdict};
+use pipeleon_verify::{lint_program, Candidate, PlanVerifier, Segment, SegmentKind, Verdict};
 use pipeleon_workloads::synth::{synthesize, SynthConfig};
 use proptest::prelude::*;
 
@@ -84,29 +86,35 @@ proptest! {
     }
 }
 
-/// The candidate specs we probe each synthesized program with: for every
-/// pipelet chain, its reverse (no segments) — guaranteed well-shaped, and
-/// illegal exactly when some inverted pair fails to commute.
-fn probe_specs(g: &pipeleon_ir::ProgramGraph) -> Vec<CandidateSpec> {
+/// The candidates we probe each synthesized program with, two per
+/// pipelet chain: its reverse (no segments) — guaranteed well-shaped, and
+/// illegal exactly when some inverted pair fails to commute — and its
+/// original order under one cache segment, illegal exactly when a write
+/// feeds a later table's match key.
+fn probe_candidates(g: &pipeleon_ir::ProgramGraph) -> Vec<Candidate> {
     partition(g, 24)
         .into_iter()
         .filter(|p| p.tables.len() >= 2)
-        .map(|p| {
-            let mut order = p.tables.clone();
-            order.reverse();
-            CandidateSpec {
-                order,
-                segments: Vec::new(),
-                group_branch: None,
-            }
+        .flat_map(|p| {
+            let mut reversed = p.tables.clone();
+            reversed.reverse();
+            let cached = Candidate {
+                segments: vec![Segment {
+                    start: 0,
+                    end: p.tables.len(),
+                    kind: SegmentKind::Cache,
+                }],
+                ..Candidate::noop(p.id, p.tables.clone())
+            };
+            [Candidate::noop(p.id, reversed), cached]
         })
         .collect()
 }
 
 fn all_verdicts(g: &pipeleon_ir::ProgramGraph) -> Vec<Verdict> {
-    probe_specs(g)
+    probe_candidates(g)
         .iter()
-        .map(|s| PlanVerifier::new(g).verify(g, s))
+        .map(|c| PlanVerifier::new(g).verify(g, c))
         .collect()
 }
 
@@ -146,6 +154,41 @@ proptest! {
             for r in results {
                 prop_assert_eq!(&verdicts, &r);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn verdicts_ignore_the_optimizers_numbers(
+        seed in 0u64..10_000,
+        pipelets in 1usize..6,
+        write_fraction in 0.0f64..0.5,
+        pipelet in any::<usize>(),
+        gain in any::<f64>(),
+        mem_cost in any::<f64>(),
+        update_cost in any::<f64>(),
+    ) {
+        let g = synthesize(&SynthConfig {
+            pipelets,
+            pipelet_len: 3,
+            write_fraction,
+            entries_per_table: 4,
+            seed,
+            ..SynthConfig::default()
+        });
+        let verifier = PlanVerifier::new(&g);
+        for c in probe_candidates(&g) {
+            let priced = Candidate {
+                pipelet,
+                gain,
+                mem_cost,
+                update_cost,
+                ..c.clone()
+            };
+            prop_assert_eq!(verifier.verify(&g, &c), verifier.verify(&g, &priced));
         }
     }
 }
