@@ -15,8 +15,8 @@ use pipeleon_runtime::{
     TickReport,
 };
 use pipeleon_sim::{
-    BatchStats, ControlOp, EngineMode, ExecObservations, NicBackend, Packet, SampleKeying,
-    ShardedNic, SmartNic,
+    BatchStats, EngineMode, ExecObservations, NicBackend, Packet, SampleKeying, ShardedNic,
+    SmartNic,
 };
 use pipeleon_verify::{
     lint_concurrency_with_count, lint_program, render_report, render_report_json, Severity,
@@ -278,9 +278,11 @@ fn gen_batch(args: &Args, g: &ProgramGraph) -> Result<Vec<Packet>, String> {
 /// Builds the backend of every datapath command from the checked
 /// program and hands it to the command: `sharded` gets a [`ShardedNic`]
 /// when `--workers` is above 1, `single` a [`SmartNic`] otherwise — one
-/// generic command, instantiated for each. The single NIC samples per
-/// flow, as every shard does, so what a run collects does not depend on
-/// the worker count.
+/// generic command, instantiated for each. Either runs the `--engine`
+/// it is built with (compiled by default; both engines produce
+/// bit-identical results). The single NIC samples per flow, as every
+/// shard does, so what a run collects does not depend on the worker
+/// count.
 fn on_backend(
     args: &Args,
     single: fn(&Args, SmartNic) -> Result<(), String>,
@@ -288,26 +290,23 @@ fn on_backend(
 ) -> Result<(), String> {
     let (g, params) = checked_program(args)?;
     let workers = args.get_usize("workers", 1)?;
-    if workers > 1 {
-        let nic = ShardedNic::new(g, params, workers).map_err(|e| e.to_string())?;
-        sharded(args, configured(args, nic)?)
-    } else {
-        let mut nic = SmartNic::new(g, params).map_err(|e| e.to_string())?;
-        nic.set_sample_keying(SampleKeying::FlowKeyed);
-        single(args, configured(args, nic)?)
-    }
-}
-
-/// Applies `--engine` (compiled by default; both engines produce
-/// bit-identical results) and samples one packet in `--sample`.
-fn configured<N: NicBackend>(args: &Args, mut nic: N) -> Result<N, String> {
     let engine = match args.get_or("engine", "compiled") {
         "compiled" => EngineMode::Compiled,
         "interp" | "interpreter" => EngineMode::Interpreter,
         other => return Err(format!("unknown --engine {other:?} (compiled | interp)")),
     };
-    nic.apply(ControlOp::SetEngineMode(engine))
-        .map_err(|e| e.to_string())?;
+    if workers > 1 {
+        let nic = ShardedNic::with_engine(g, params, workers, engine).map_err(|e| e.to_string())?;
+        sharded(args, configured(args, nic)?)
+    } else {
+        let mut nic = SmartNic::with_engine(g, params, engine).map_err(|e| e.to_string())?;
+        nic.set_sample_keying(SampleKeying::FlowKeyed);
+        single(args, configured(args, nic)?)
+    }
+}
+
+/// Samples one packet in `--sample`.
+fn configured<N: NicBackend>(args: &Args, mut nic: N) -> Result<N, String> {
     nic.set_instrumentation(true, args.get_usize("sample", 1)?.max(1) as u64);
     Ok(nic)
 }
@@ -413,7 +412,7 @@ fn write_metrics(path: &str, reg: &MetricsRegistry) -> Result<(), String> {
 fn simulate<N: NicBackend>(args: &Args, mut nic: N) -> Result<(), String> {
     let g = nic.graph().clone();
     let batch = gen_batch(args, &g)?;
-    let specialize = nic.engine_mode() == EngineMode::Compiled && !args.get_bool("no-specialize");
+    let specialize = !args.get_bool("no-specialize");
     let (stats, _) = window(&mut nic, |n| n, batch, |n| specialize && n.specialize());
     let spec = nic.spec_stats();
     let (profile, obs) = (nic.take_profile(), nic.take_observations());
@@ -1159,35 +1158,33 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pipeleon_cli_test11_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let prog = write_sample_program(&dir);
-        let compiled = dir.join("compiled.json");
-        let interp = dir.join("interp.json");
-        run(&v(&[
-            "simulate",
-            prog.to_str().unwrap(),
-            "--packets",
-            "3000",
-            "--engine",
-            "compiled",
-            "--profile-out",
-            compiled.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&v(&[
-            "simulate",
-            prog.to_str().unwrap(),
-            "--packets",
-            "3000",
-            "--engine",
-            "interp",
-            "--profile-out",
-            interp.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert_eq!(
-            read_artifact(&compiled),
-            read_artifact(&interp),
-            "compiled-engine profile must be byte-identical to the interpreter's"
-        );
+        // On the single NIC and on a sharded one, each built with the
+        // engine the flag names.
+        for workers in ["1", "2"] {
+            let profile = |engine: &str| {
+                let out = dir.join(format!("{engine}_{workers}.json"));
+                run(&v(&[
+                    "simulate",
+                    prog.to_str().unwrap(),
+                    "--packets",
+                    "3000",
+                    "--workers",
+                    workers,
+                    "--engine",
+                    engine,
+                    "--profile-out",
+                    out.to_str().unwrap(),
+                ]))
+                .unwrap();
+                read_artifact(&out)
+            };
+            assert_eq!(
+                profile("compiled"),
+                profile("interp"),
+                "workers={workers}: compiled-engine profile must be byte-identical to the \
+                 interpreter's"
+            );
+        }
         let err = run(&v(&["simulate", prog.to_str().unwrap(), "--engine", "jit"])).unwrap_err();
         assert!(err.contains("unknown --engine"), "{err}");
         std::fs::remove_dir_all(&dir).ok();

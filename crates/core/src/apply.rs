@@ -604,7 +604,12 @@ mod tests {
         let table = applied.graph.node(cache).unwrap().as_table().unwrap();
         assert_eq!(table.max_entries, Some(CACHE_CAPACITY));
         let key = g.node(ids[1]).unwrap().as_table().unwrap().keys[0].field;
-        let mut ex = pipeleon_sim::Executor::new(applied.graph, model.params).unwrap();
+        let mut ex = pipeleon_sim::Executor::new(
+            applied.graph,
+            model.params,
+            pipeleon_sim::EngineMode::Compiled,
+        )
+        .unwrap();
         // Distinct flows, spaced so the insertion limiter never refuses one.
         for flow in 0..CACHE_CAPACITY as u64 + 1_000 {
             let mut pkt = pipeleon_sim::Packet::new(&g.fields);

@@ -80,10 +80,8 @@ fn op_label(op: Option<&ControlOp>) -> String {
         Some(ControlOp::RemoveEntry { node, index }) => format!("RemoveEntry({node:?}, {index})"),
         Some(ControlOp::ReplaceTable { node, .. }) => format!("ReplaceTable({node:?})"),
         Some(ControlOp::FlushCache(node)) => format!("FlushCache({node:?})"),
-        Some(ControlOp::SetCacheInsertionLimit { node, .. }) => format!("SetCacheLimit({node:?})"),
         Some(ControlOp::SetInstrumentation { .. }) => "SetInstrumentation".into(),
         Some(ControlOp::SetPlacement(_)) => "SetPlacement".into(),
-        Some(ControlOp::SetEngineMode(mode)) => format!("SetEngineMode({mode:?})"),
         Some(ControlOp::Specialize) => "Specialize".into(),
         Some(ControlOp::Despecialize) => "Despecialize".into(),
     }

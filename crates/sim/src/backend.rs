@@ -8,7 +8,7 @@
 //! and [`ShardedNic`](crate::ShardedNic) (multi-worker) both implement
 //! it, so a `SimTarget` can be backed by either interchangeably.
 
-use crate::exec::{EngineMode, ExecReport};
+use crate::exec::ExecReport;
 use crate::nic::BatchStats;
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
@@ -25,8 +25,8 @@ use pipeleon_ir::{IrError, NextHops, NodeId, NodeKind, ProgramGraph, Table, Tabl
 pub enum ControlOp {
     /// Replace the running program. Match engines, the lowering and
     /// flow-cache state are rebuilt for the new layout; the pending
-    /// profile window, observations, sampling sequence, placements,
-    /// engine mode and instrumentation carry across.
+    /// profile window, observations, sampling sequence, placements and
+    /// instrumentation carry across.
     Deploy(ProgramGraph),
     /// Append an entry to a table.
     InsertEntry {
@@ -53,13 +53,6 @@ pub enum ControlOp {
     },
     /// Empty one flow cache.
     FlushCache(NodeId),
-    /// Set a flow cache's insertion rate limit.
-    SetCacheInsertionLimit {
-        /// The flow-cache node.
-        node: NodeId,
-        /// Insertions per second.
-        rate_per_s: f64,
-    },
     /// Turn counter instrumentation on or off.
     SetInstrumentation {
         /// Whether counters update at all.
@@ -69,8 +62,6 @@ pub enum ControlOp {
     },
     /// Assign nodes to ASIC/CPU cores (dense by node id).
     SetPlacement(Vec<Placement>),
-    /// Select the engine that runs packets.
-    SetEngineMode(EngineMode),
     /// Specialize the compiled pipeline to the traffic observed: a guard
     /// on every table one key dominates. Swaps the lowering only: the
     /// program, flow caches and the profile window are untouched.
@@ -95,9 +86,7 @@ impl ControlOp {
     pub(crate) fn outlives_deploy(&self) -> bool {
         matches!(
             self,
-            ControlOp::SetInstrumentation { .. }
-                | ControlOp::SetPlacement(_)
-                | ControlOp::SetEngineMode(_)
+            ControlOp::SetInstrumentation { .. } | ControlOp::SetPlacement(_)
         )
     }
 
@@ -216,9 +205,6 @@ pub trait NicBackend {
     /// the last call. Sharded datapaths merge per-shard histograms
     /// deterministically before returning.
     fn take_observations(&mut self) -> ExecObservations;
-
-    /// The currently selected packet-execution engine.
-    fn engine_mode(&self) -> EngineMode;
 
     /// Processes one packet (no arrival pacing).
     fn process_one(&mut self, packet: &mut Packet) -> ExecReport;

@@ -129,7 +129,8 @@ impl PacketTrace {
 /// The result cached for a flow: the `(table, action)` pairs to replay.
 type CachedResult = Vec<(NodeId, usize)>;
 
-/// Which datapath executes packets.
+/// Which datapath executes packets: chosen when an [`Executor`] (or a
+/// NIC) is built, and fixed for its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// The reference graph-walking interpreter, kept as the oracle the
@@ -310,8 +311,8 @@ pub(crate) struct GraphView {
     pub(crate) graph: ProgramGraph,
     pub(crate) params: CostParams,
     /// Dense by node index. A table's engine is built by its first
-    /// interpreted lookup after the table last changed, so the compiled
-    /// engine, which never asks, never builds one.
+    /// interpreted lookup after the table last changed, so an executor
+    /// built with the compiled engine, which never asks, builds none.
     engines: Vec<OnceCell<MatchEngine>>,
     pub(crate) placement: Vec<Placement>,
 }
@@ -435,7 +436,7 @@ impl Provider for GraphView {
 #[derive(Debug)]
 struct Deployed {
     view: GraphView,
-    /// Which datapath runs packets.
+    /// Which datapath runs packets, fixed at construction.
     mode: EngineMode,
     /// Lazily built compiled program. Invalidated by deploys and
     /// placement changes; entry ops recompile just the touched node in
@@ -471,8 +472,8 @@ impl Deployed {
 
 /// Everything a packet's walk reads and writes besides the packet and
 /// the program: flow-cache contents, the profile window, the sampling
-/// schedule. Shared by both engine modes, so switching mid-stream is
-/// invisible in what is collected.
+/// schedule. Both engine modes write it alike, so what is collected does
+/// not depend on the engine an executor was built with.
 #[derive(Debug)]
 struct Walk {
     /// Flow-cache runtime state, dense by node index.
@@ -522,14 +523,15 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Deploys `graph` on a target described by `params`. Fails if the
-    /// program does not validate.
-    pub fn new(graph: ProgramGraph, params: CostParams) -> Result<Self, IrError> {
+    /// Deploys `graph` on a target described by `params`, run by the
+    /// `mode` engine for the life of the executor. Fails if the program
+    /// does not validate.
+    pub fn new(graph: ProgramGraph, params: CostParams, mode: EngineMode) -> Result<Self, IrError> {
         graph.validate()?;
         let mut ex = Self {
             program: Deployed {
                 view: GraphView::new(graph, params),
-                mode: EngineMode::default(),
+                mode,
                 compiled: None,
                 full_compiles: 0,
                 table_recompiles: 0,
@@ -592,15 +594,11 @@ impl Executor {
                 return Ok(applied);
             }
             ControlOp::FlushCache(node) => self.flush_cache(*node),
-            ControlOp::SetCacheInsertionLimit { node, rate_per_s } => {
-                self.set_insertion_rate(*node, *rate_per_s)
-            }
             ControlOp::SetInstrumentation {
                 enabled,
                 sample_every,
             } => self.set_instrumentation(*enabled, *sample_every),
             ControlOp::SetPlacement(placement) => self.set_placement(placement.clone()),
-            ControlOp::SetEngineMode(mode) => self.set_engine_mode(*mode),
             ControlOp::Specialize => return Ok(self.specialize_from(&HashMap::new())),
             ControlOp::Despecialize => return Ok(self.despecialize()),
         }
@@ -636,13 +634,13 @@ impl Executor {
 
     /// Swaps in an already-validated program. The pending profile
     /// window, sampled observations, distinct-key sets, flow sequence
-    /// counts, packet sequence, placements, engine mode, and
-    /// instrumentation all carry across the swap — the profile window
-    /// spans generations, keyed by the (stable) node ids both layouts
-    /// share. Match engines and flow-cache runtime state are rebuilt
-    /// (the new layout's tables define them); `compiled` installs a
-    /// publisher's pre-built pipeline so every shard adopting the same
-    /// generation shares one lowering instead of re-compiling.
+    /// counts, packet sequence, placements and instrumentation all carry
+    /// across the swap — the profile window spans generations, keyed by
+    /// the (stable) node ids both layouts share. Match engines and
+    /// flow-cache runtime state are rebuilt (the new layout's tables
+    /// define them); `compiled` installs a publisher's pre-built pipeline
+    /// so every shard adopting the same generation shares one lowering
+    /// instead of re-compiling.
     fn adopt_graph(&mut self, graph: ProgramGraph, compiled: Option<CompiledPipeline>) {
         self.program.view.graph = graph;
         self.rebuild_all();
@@ -793,22 +791,8 @@ impl Executor {
         }
     }
 
-    /// Sets a flow cache's insertion rate limit (insertions per second).
-    fn set_insertion_rate(&mut self, node: NodeId, rate_per_s: f64) {
-        if let Some(Some(c)) = self.walk.caches.get_mut(node.index()) {
-            c.limiter = RateLimiter::new(rate_per_s, (rate_per_s / 100.0).max(8.0));
-        }
-    }
-
-    /// Selects which datapath executes packets. Both modes share flow
-    /// cache, profile and distinct-key state, so switching mid-stream is
-    /// seamless and invisible in the collected statistics.
-    fn set_engine_mode(&mut self, mode: EngineMode) {
-        self.program.mode = mode;
-    }
-
-    /// The active datapath.
-    pub fn engine_mode(&self) -> EngineMode {
+    /// The engine this executor was built with.
+    pub(crate) fn mode(&self) -> EngineMode {
         self.program.mode
     }
 
@@ -1416,8 +1400,7 @@ mod tests {
         use crate::smallkey::SmallKey;
         use crate::specialize::SpecPlan;
         let (g, acl, _) = simple_program();
-        let mut ex = Executor::new(g, params()).unwrap();
-        ex.set_engine_mode(EngineMode::Compiled);
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         assert_eq!(ex.spec_fingerprint(), 0, "verbatim lowering sentinel");
         let plan = SpecPlan {
             hot_keys: vec![(acl, SmallKey::from_slice(&[1]))],
@@ -1443,7 +1426,7 @@ mod tests {
     fn executes_actions_and_accounts_latency() {
         let (g, _, _) = simple_program();
         let y = g.fields.get("y").unwrap();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         let mut p = Packet::with_slots(vec![1, 0]);
         let r = ex.process(&mut p);
         assert!(!r.dropped);
@@ -1457,7 +1440,7 @@ mod tests {
     fn drop_halts_execution() {
         let (g, _, _) = simple_program();
         let y = g.fields.get("y").unwrap();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         let mut p = Packet::with_slots(vec![13, 0]);
         let r = ex.process(&mut p);
         assert!(r.dropped);
@@ -1476,7 +1459,7 @@ mod tests {
         b.set_next(t2, None);
         let br = b.branch("br", Condition::lt(x, 10), Some(t1), Some(t2));
         let g = b.seal(br).unwrap();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         let mut trace = PacketTrace::default();
         let mut p = Packet::with_slots(vec![5]);
         ex.process_traced(&mut p, &mut trace);
@@ -1494,7 +1477,7 @@ mod tests {
     #[test]
     fn instrumentation_collects_counters_and_costs_latency() {
         let (g, acl, _) = simple_program();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         ex.set_instrumentation(true, 1);
         let mut lat_sum = 0.0;
         for i in 0..10 {
@@ -1513,7 +1496,7 @@ mod tests {
     #[test]
     fn sampling_reduces_overhead_and_scales_counts() {
         let (g, acl, _) = simple_program();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         ex.set_instrumentation(true, 4);
         for i in 0..100 {
             let mut p = Packet::with_slots(vec![100 + i, 0]);
@@ -1527,7 +1510,7 @@ mod tests {
     #[test]
     fn observations_record_sampled_packets_only() {
         let (g, acl, _) = simple_program();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         // Uninstrumented: no histogram work at all.
         for i in 0..10 {
             ex.process(&mut Packet::with_slots(vec![100 + i, 0]));
@@ -1546,7 +1529,7 @@ mod tests {
     #[test]
     fn entry_api_rebuilds_engine() {
         let (g, acl, _) = simple_program();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         let mut p = Packet::with_slots(vec![99, 0]);
         assert!(!ex.process(&mut p.clone()).dropped);
         let entry = TableEntry::new(vec![MatchValue::Exact(99)], 1);
@@ -1568,7 +1551,7 @@ mod tests {
     #[test]
     fn placement_charges_migration_and_scales() {
         let (g, acl, rw) = simple_program();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         let mut placement = vec![Placement::Asic; 8];
         placement[rw.index()] = Placement::Cpu;
         let _ = acl;
@@ -1617,7 +1600,7 @@ mod tests {
     fn flow_cache_miss_then_hit() {
         let (g, cache, _) = cached_program();
         let y = g.fields.get("y").unwrap();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         // First packet: miss -> heavy path (+ insertion).
         let mut p1 = Packet::with_slots(vec![16, 0]);
         let r1 = ex.process(&mut p1);
@@ -1657,7 +1640,7 @@ mod tests {
             .by_action(vec![None, Some(acl)])
             .finish();
         let g = b.seal(cache).unwrap();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         let mut p = Packet::with_slots(vec![5]);
         assert!(ex.process(&mut p).dropped);
         assert_eq!(ex.cache_len(cache), 1, "drop result must be cached");
@@ -1671,7 +1654,7 @@ mod tests {
     #[test]
     fn flush_cache_forces_misses() {
         let (g, cache, _) = cached_program();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         let mut p = Packet::with_slots(vec![3, 0]);
         ex.process(&mut p.clone());
         assert_eq!(ex.cache_len(cache), 1);
@@ -1681,19 +1664,25 @@ mod tests {
         assert!(r.latency_ns > 12.0, "must take the miss path again");
     }
 
+    /// Misses faster than `CACHE_INSERTION_RATE` spend the limiter's
+    /// burst and are then refused; the clock's advance refills it.
     #[test]
     fn insertion_rate_limit_drops_insertions() {
         let (g, cache, _) = cached_program();
-        let mut ex = Executor::new(g, params()).unwrap();
-        ex.set_insertion_rate(cache, 0.0); // no insertions allowed
-        for i in 0..10 {
-            let mut p = Packet::with_slots(vec![i, 0]);
-            ex.process(&mut p);
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
+        let burst = (CACHE_INSERTION_RATE / 100.0) as u64;
+        // The clock stands still: every miss arrives at once.
+        for i in 0..burst + 10 {
+            ex.process(&mut Packet::with_slots(vec![i, 0]));
         }
-        assert_eq!(ex.cache_len(cache), 0);
         let prof = ex.take_profile();
-        assert_eq!(prof.cache_stats[&cache].misses, 10);
-        assert_eq!(prof.cache_stats[&cache].insertions, 0);
+        assert_eq!(prof.cache_stats[&cache].misses, burst + 10);
+        assert_eq!(prof.cache_stats[&cache].insertions, burst);
+        ex.now_s = 1.0 / CACHE_INSERTION_RATE;
+        for i in 0..2 {
+            ex.process(&mut Packet::with_slots(vec![burst + 10 + i, 0]));
+        }
+        assert_eq!(ex.take_profile().cache_stats[&cache].insertions, 1);
     }
 
     /// `n` exact entries on `key` (keys `0..n`, spread by an odd
@@ -1784,12 +1773,10 @@ mod tests {
     impl Runner {
         fn new(entry: Entry, g: &pipeleon_ir::ProgramGraph, mode: EngineMode) -> Self {
             if let Entry::ShardedMeasure = entry {
-                let mut nic = ShardedNic::new(g.clone(), params(), 1).unwrap();
-                nic.set_engine_mode(mode);
+                let nic = ShardedNic::with_engine(g.clone(), params(), 1, mode).unwrap();
                 Runner::Sharded(Box::new(nic))
             } else {
-                let mut nic = SmartNic::new(g.clone(), params()).unwrap();
-                nic.set_engine_mode(mode);
+                let nic = SmartNic::with_engine(g.clone(), params(), mode).unwrap();
                 Runner::Single(Box::new(nic))
             }
         }
@@ -1816,7 +1803,7 @@ mod tests {
     fn assert_lookahead_inert(g: &pipeleon_ir::ProgramGraph, ctx: &str, entry: Entry) -> Vec<u64> {
         let mut hinted = Runner::new(entry, g, EngineMode::Compiled);
         let mut oracle = Runner::new(entry, g, EngineMode::Interpreter);
-        let mut single = Executor::new(g.clone(), params()).unwrap();
+        let mut single = Executor::new(g.clone(), params(), EngineMode::Compiled).unwrap();
         let k = prefetch::AHEAD;
         let traffic = big_traffic(3000);
         let mut at = 0;
@@ -1857,7 +1844,7 @@ mod tests {
         let t1 = big_exact(&mut b, "t1", x, BIG, [("a", mark(1)), ("b", mark(2))]);
         let t2 = big_exact(&mut b, "t2", y, BIG, [("a", mark(3)), ("b", mark(4))]);
         let g = b.seal(t1).unwrap();
-        let mut ex = Executor::new(g.clone(), params()).unwrap();
+        let mut ex = Executor::new(g.clone(), params(), EngineMode::Compiled).unwrap();
         assert_eq!(ex.lookahead_tables(), vec![t1, t2]);
         // No clock-driven state in this program: every entry point sees
         // the same packets do the same thing.
@@ -1897,7 +1884,7 @@ mod tests {
             ],
         );
         let g = b.seal(t1).unwrap();
-        let mut ex = Executor::new(g.clone(), params()).unwrap();
+        let mut ex = Executor::new(g.clone(), params(), EngineMode::Compiled).unwrap();
         assert_eq!(
             ex.lookahead_tables(),
             vec![t1],
@@ -1927,7 +1914,7 @@ mod tests {
             ],
         );
         let g = b.seal(first).unwrap();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         assert_eq!(ex.lookahead_tables(), vec![first, then]);
     }
 
@@ -1950,7 +1937,7 @@ mod tests {
             .by_action(vec![None, Some(big)])
             .finish();
         let g = b.seal(cache).unwrap();
-        let mut ex = Executor::new(g.clone(), params()).unwrap();
+        let mut ex = Executor::new(g.clone(), params(), EngineMode::Compiled).unwrap();
         assert_eq!(ex.lookahead_tables(), vec![big], "never the cache switch");
         for entry in ENTRIES {
             assert_lookahead_inert(&g, "flow cache", entry);
@@ -1982,7 +1969,7 @@ mod tests {
             ],
         );
         let g = b.seal(acl).unwrap();
-        let mut ex = Executor::new(g.clone(), params()).unwrap();
+        let mut ex = Executor::new(g.clone(), params(), EngineMode::Compiled).unwrap();
         assert_eq!(ex.lookahead_tables(), vec![acl, fwd]);
         let mut probe = big_traffic(1000);
         let dropped = ex
@@ -2011,7 +1998,7 @@ mod tests {
                 SkewedPipeline::build_with_entries(8, 4, 128).graph,
             ),
         ] {
-            let mut ex = Executor::new(g, params()).unwrap();
+            let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
             assert!(ex.lookahead_tables().is_empty(), "{name}");
         }
     }
@@ -2096,8 +2083,7 @@ mod tests {
             plan: &SpecPlan,
         ) -> Self {
             let mk = |specialize: bool, mode| {
-                let mut ex = Executor::new(g.clone(), params.clone()).unwrap();
-                ex.set_engine_mode(mode);
+                let mut ex = Executor::new(g.clone(), params.clone(), mode).unwrap();
                 ex.set_placement(placement.to_vec());
                 if specialize {
                     assert_eq!(ex.specialize_with(plan), Applied::Done);
@@ -2283,15 +2269,14 @@ mod tests {
             }
             assert_eq!(q.cached.walk.walks.live(), 0, "{what}");
         }
-        let mut interp = Executor::new(g.clone(), params()).unwrap();
-        interp.set_engine_mode(EngineMode::Interpreter);
+        let mut interp = Executor::new(g.clone(), params(), EngineMode::Interpreter).unwrap();
         for _ in 0..3 {
             interp.process(&mut hit.clone());
         }
         assert_eq!(interp.walk.walks.allocated_bytes(), 0, "the interpreter");
         // A program with a P4 flow cache: its walks change the cache.
         let (g, _, _) = cached_program();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         for _ in 0..3 {
             ex.process(&mut Packet::with_slots(vec![16, 0]));
         }
@@ -2394,16 +2379,11 @@ mod tests {
                 next: None,
             },
             ControlOp::FlushCache(acl),
-            ControlOp::SetCacheInsertionLimit {
-                node: acl,
-                rate_per_s: 5.0,
-            },
             ControlOp::SetInstrumentation {
                 enabled: false,
                 sample_every: 8,
             },
             ControlOp::SetPlacement(cpu),
-            ControlOp::SetEngineMode(EngineMode::Compiled),
             ControlOp::Specialize,
             ControlOp::Despecialize,
         ];
@@ -2493,9 +2473,8 @@ mod tests {
                 .iter()
                 .map(|p| Packet::with_slots(p.slots().to_vec()))
                 .collect();
-            let mut cached = Executor::new(g.clone(), params()).unwrap();
-            let mut interp = Executor::new(g.clone(), params()).unwrap();
-            interp.set_engine_mode(EngineMode::Interpreter);
+            let mut cached = Executor::new(g.clone(), params(), EngineMode::Compiled).unwrap();
+            let mut interp = Executor::new(g.clone(), params(), EngineMode::Interpreter).unwrap();
             for (i, chunk) in traffic.chunks(100).enumerate() {
                 let (mut got, mut want) = (chunk.to_vec(), chunk.to_vec());
                 let got_r = match i % 2 {
@@ -2839,7 +2818,7 @@ mod tests {
     fn deploy_resets_cache_state() {
         let (g, cache, _) = cached_program();
         let g2 = g.clone();
-        let mut ex = Executor::new(g, params()).unwrap();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
         let mut p = Packet::with_slots(vec![1, 0]);
         ex.process(&mut p);
         assert_eq!(ex.cache_len(cache), 1);

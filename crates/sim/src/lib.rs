@@ -48,9 +48,10 @@
 //!   [`NicBackend`], the API of both NICs: the data plane, the reads and
 //!   one `apply`, written once per NIC in its trait impl. Runtime targets
 //!   are generic over it; callers bring it into scope. What a NIC adds
-//!   inherently is its constructor and what the trait has no name for
-//!   (`measure` over any packet source, `set_engine_mode`, the
-//!   executor, shard and trace accessors).
+//!   inherently is its constructors — `new`, and `with_engine`, which
+//!   picks the engine for the NIC's life — and what the trait has no
+//!   name for (`measure` over any packet source, the executor, shard and
+//!   trace accessors).
 //!
 //! Everything is seeded and deterministic — results are bit-reproducible.
 //! A [`ShardedNic`] feeds persistent workers through SPSC rings; checked

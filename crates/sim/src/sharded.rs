@@ -426,10 +426,20 @@ pub struct ShardedNic {
 
 impl ShardedNic {
     /// Deploys `graph` on a NIC with `workers` parallel shards (clamped
-    /// to at least 1), each a persistent worker thread behind its ring.
-    /// More than [`MAX_WORKERS`] is refused before any ring or thread
-    /// exists.
+    /// to at least 1), each a persistent worker thread behind its ring,
+    /// run by the compiled engine. More than [`MAX_WORKERS`] is refused
+    /// before any ring or thread exists.
     pub fn new(graph: ProgramGraph, params: CostParams, workers: usize) -> Result<Self, IrError> {
+        Self::with_engine(graph, params, workers, EngineMode::default())
+    }
+
+    /// [`ShardedNic::new`] run by the `mode` engine for the NIC's life.
+    pub fn with_engine(
+        graph: ProgramGraph,
+        params: CostParams,
+        workers: usize,
+        mode: EngineMode,
+    ) -> Result<Self, IrError> {
         if workers > MAX_WORKERS {
             return Err(IrError::Invalid(format!(
                 "{workers} shard workers exceed the maximum of {MAX_WORKERS}"
@@ -441,7 +451,7 @@ impl ShardedNic {
         let mut shards = Vec::with_capacity(workers);
         let mut producers = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let mut exec = Executor::new(graph.clone(), params.clone())?;
+            let mut exec = Executor::new(graph.clone(), params.clone(), mode)?;
             exec.set_sample_keying(SampleKeying::FlowKeyed);
             let (tx, rx) = ring::spsc::<WorkItem>(capacity);
             producers.push(tx);
@@ -463,7 +473,7 @@ impl ShardedNic {
                 stop: AtomicBool::new(false),
             }));
         }
-        let control = Executor::new(graph, params)?;
+        let control = Executor::new(graph, params, mode)?;
         // Nothing below fails: a worker spawned here is joined in `Drop`.
         let joins: Vec<JoinHandle<()>> = shards
             .iter()
@@ -646,11 +656,6 @@ impl ShardedNic {
         merged
     }
 
-    /// [`ControlOp::SetEngineMode`].
-    pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        let _ = self.apply(ControlOp::SetEngineMode(mode));
-    }
-
     /// Total live entries in a flow cache's runtime state across shards.
     pub fn cache_len(&self, node: NodeId) -> usize {
         self.shards
@@ -735,6 +740,19 @@ impl ShardedNic {
     #[doc(hidden)]
     pub fn specialize(&mut self) -> bool {
         NicBackend::specialize(self)
+    }
+
+    /// Rebuilds a NIC that has run nothing with `mode` on as many
+    /// workers, if it runs the other engine, for `crates/perf`'s
+    /// `layers.rs` and `datapath_skewed.rs`, which call it right after
+    /// building the NIC. ROADMAP item 1 deletes it.
+    #[doc(hidden)]
+    pub fn set_engine_mode(&mut self, mode: EngineMode) {
+        if self.control.mode() != mode {
+            let (graph, params) = (self.control.graph().clone(), self.control.params().clone());
+            let workers = self.shards.len();
+            *self = Self::with_engine(graph, params, workers, mode).expect("built once already");
+        }
     }
 }
 
@@ -854,12 +872,6 @@ impl NicBackend for ShardedNic {
             merged.merge(&st.exec.take_observations());
         }
         merged
-    }
-
-    /// The control replica's: every shard reaches it at the same stream
-    /// position.
-    fn engine_mode(&self) -> EngineMode {
-        self.control.engine_mode()
     }
 
     /// Processes one packet on the shard its flow hashes to (no arrival

@@ -195,9 +195,7 @@ fn compiled_steady_state_is_allocation_free() {
     let params = CostParams::bluefield2();
 
     // --- Mixed match-kind chain -------------------------------------
-    let mut ex = Executor::new(mixed_program(), params.clone()).unwrap();
-    ex.apply(&ControlOp::SetEngineMode(EngineMode::Compiled))
-        .unwrap();
+    let mut ex = Executor::new(mixed_program(), params.clone(), EngineMode::Compiled).unwrap();
     let mut packets: Vec<Packet> = (0..256u64)
         .map(|i| Packet::with_slots(vec![i % 32, i % 11, (i * 3) % 8, 0]))
         .collect();
@@ -218,9 +216,7 @@ fn compiled_steady_state_is_allocation_free() {
     );
 
     // --- Flow-cache hits (probe + LRU bump + action replay) ----------
-    let mut ex = Executor::new(cached_program(), params.clone()).unwrap();
-    ex.apply(&ControlOp::SetEngineMode(EngineMode::Compiled))
-        .unwrap();
+    let mut ex = Executor::new(cached_program(), params.clone(), EngineMode::Compiled).unwrap();
     let mut packets: Vec<Packet> = (0..256u64)
         .map(|i| Packet::with_slots(vec![i % 48, 0]))
         .collect();
@@ -246,9 +242,12 @@ fn compiled_steady_state_is_allocation_free() {
     // `process_batch` hints its slots a few packets ahead. The stage is
     // a field read, a multiply and a prefetch: a burst still allocates
     // exactly its report `Vec` and nothing else.
-    let mut ex = Executor::new(exact_table_program(65_536), params.clone()).unwrap();
-    ex.apply(&ControlOp::SetEngineMode(EngineMode::Compiled))
-        .unwrap();
+    let mut ex = Executor::new(
+        exact_table_program(65_536),
+        params.clone(),
+        EngineMode::Compiled,
+    )
+    .unwrap();
     let mut packets: Vec<Packet> = (0..256u64)
         .map(|i| Packet::with_slots(vec![(i * 7919) % 70_000, 0]))
         .collect();
@@ -276,9 +275,7 @@ fn compiled_steady_state_is_allocation_free() {
         .map(|i| Packet::with_slots(vec![i % 32, i % 11, (i * 3) % 8, 0]))
         .collect();
     let mut single = SmartNic::new(mixed_program(), params.clone()).unwrap();
-    single.set_engine_mode(EngineMode::Compiled);
     let mut sharded = ShardedNic::new(mixed_program(), params.clone(), 1).unwrap();
-    sharded.set_engine_mode(EngineMode::Compiled);
     for _ in 0..2 {
         single.measure(window.clone());
         sharded.measure(window.clone());
@@ -416,7 +413,6 @@ fn compiled_steady_state_is_allocation_free() {
             let (graph, params, entry) = parts.take().unwrap();
             let node = graph.root().unwrap();
             let mut nic = SmartNic::new(graph, params).unwrap();
-            assert_eq!(nic.engine_mode(), EngineMode::Compiled);
             nic.process_batch(&mut burst);
             nic.apply(ControlOp::InsertEntry { node, entry }).unwrap();
             nic.process_batch(&mut burst);
@@ -485,9 +481,7 @@ fn compiled_steady_state_is_allocation_free() {
     // it allocates nothing either. (At the parent commit, with its own
     // walk that cloned each action body and keyed lookups by `Vec<u64>`,
     // these 256 packets allocated 544 times.)
-    let mut ex = Executor::new(mixed_program(), params).unwrap();
-    ex.apply(&ControlOp::SetEngineMode(EngineMode::Interpreter))
-        .unwrap();
+    let mut ex = Executor::new(mixed_program(), params, EngineMode::Interpreter).unwrap();
     let mut packets: Vec<Packet> = (0..256u64)
         .map(|i| Packet::with_slots(vec![i % 32, i % 11, (i * 3) % 8, 0]))
         .collect();

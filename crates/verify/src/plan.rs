@@ -121,11 +121,6 @@ impl Candidate {
             group_branch: None,
         }
     }
-
-    /// Whether this candidate changes anything.
-    pub fn is_noop(&self, original_order: &[NodeId]) -> bool {
-        self.segments.is_empty() && self.order == original_order
-    }
 }
 
 /// One reason a candidate is illegal.
@@ -692,14 +687,6 @@ mod tests {
         };
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn noop_candidate_is_noop() {
-        let order = vec![NodeId(1), NodeId(2)];
-        let c = Candidate::noop(0, order.clone());
-        assert!(c.is_noop(&order));
-        assert!(!c.is_noop(&[NodeId(2), NodeId(1)]));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use pipeleon::opts::{merge, EvalCtx};
 use pipeleon::search::Optimizer;
 use pipeleon::OptimizerConfig;
-use pipeleon_cost::{CostModel, CostParams, Placement, RuntimeProfile};
+use pipeleon_cost::{CostModel, CostParams, Placement, RuntimeProfile, CACHE_INSERTION_RATE};
 use pipeleon_ir::{
     json, Action, CacheRole, FieldRef, MatchKey, MatchKind, MatchValue, NodeId, Primitive,
     ProgramBuilder, ProgramGraph, Table, TableEntry,
@@ -142,10 +142,9 @@ fn assert_reports_identical(a: &ExecReport, b: &ExecReport, ctx: &str) {
 
 /// A pair of single-worker NICs on the same program, one per engine.
 fn nic_pair(g: &ProgramGraph, params: &CostParams, sample_every: u64) -> (SmartNic, SmartNic) {
-    let mut interp = SmartNic::new(g.clone(), params.clone()).unwrap();
-    interp.set_engine_mode(EngineMode::Interpreter);
+    let mut interp =
+        SmartNic::with_engine(g.clone(), params.clone(), EngineMode::Interpreter).unwrap();
     let mut compiled = SmartNic::new(g.clone(), params.clone()).unwrap();
-    compiled.set_engine_mode(EngineMode::Compiled);
     if sample_every > 0 {
         interp.set_instrumentation(true, sample_every);
         compiled.set_instrumentation(true, sample_every);
@@ -207,10 +206,10 @@ fn assert_sharded_identical(
     ctx: &str,
 ) {
     for workers in WORKER_COUNTS {
-        let mut interp = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
-        interp.set_engine_mode(EngineMode::Interpreter);
+        let mut interp =
+            ShardedNic::with_engine(g.clone(), params.clone(), workers, EngineMode::Interpreter)
+                .unwrap();
         let mut compiled = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
-        compiled.set_engine_mode(EngineMode::Compiled);
         if sample_every > 0 {
             interp.set_instrumentation(true, sample_every);
             compiled.set_instrumentation(true, sample_every);
@@ -379,11 +378,15 @@ fn flow_cache_state_and_charges_match() {
     let params = CostParams::bluefield2();
     let (mut interp, mut compiled) = nic_pair(&g, &params, 2);
     // 96 distinct flows against a 64-entry LRU: misses, hits, replays
-    // and evictions all occur. Process, flush, reprocess, then throttle
-    // insertions and process once more.
+    // and evictions all occur. Process, flush and reprocess at half the
+    // insertion rate, then once more at twenty times it. The clock
+    // advances `dt` before each packet, on both NICs.
     let packet = |i: u64| Packet::with_slots(vec![i % 96, 0]);
-    let check = |interp: &mut SmartNic, compiled: &mut SmartNic, lo: u64, hi: u64, ctx: &str| {
+    let check = |interp: &mut SmartNic, compiled: &mut SmartNic, lo, hi, dt: f64, ctx: &str| {
         for i in lo..hi {
+            let now_s = interp.now_s() + dt;
+            interp.executor_mut().now_s = now_s;
+            compiled.executor_mut().now_s = now_s;
             let mut a = packet(i);
             let mut b = packet(i);
             let ra = interp.process_one(&mut a);
@@ -397,29 +400,23 @@ fn flow_cache_state_and_charges_match() {
             "{ctx}: cache occupancy diverged"
         );
     };
-    check(&mut interp, &mut compiled, 0, 500, "warm");
+    let (calm, fast) = (2.0 / CACHE_INSERTION_RATE, 0.05 / CACHE_INSERTION_RATE);
+    check(&mut interp, &mut compiled, 0, 500, calm, "warm");
     interp.apply(ControlOp::FlushCache(cache)).unwrap();
     compiled.apply(ControlOp::FlushCache(cache)).unwrap();
     assert_eq!(interp.executor_mut().cache_len(cache), 0);
-    check(&mut interp, &mut compiled, 500, 900, "post-flush");
-    interp
-        .apply(ControlOp::SetCacheInsertionLimit {
-            node: cache,
-            rate_per_s: 1.0,
-        })
-        .unwrap();
-    compiled
-        .apply(ControlOp::SetCacheInsertionLimit {
-            node: cache,
-            rate_per_s: 1.0,
-        })
-        .unwrap();
-    check(&mut interp, &mut compiled, 900, 1_200, "throttled");
-    assert_profiles_identical(
-        &interp.take_profile(),
-        &compiled.take_profile(),
-        "flow cache",
-    );
+    check(&mut interp, &mut compiled, 500, 900, calm, "post-flush");
+    let calm_profile = interp.take_profile();
+    let stats = &calm_profile.cache_stats[&cache];
+    assert_eq!(stats.insertions, stats.misses, "calm: nothing refused");
+    assert_profiles_identical(&calm_profile, &compiled.take_profile(), "flow cache");
+    // Faster than the limiter refills: once its burst is spent, misses
+    // are refused an install.
+    check(&mut interp, &mut compiled, 900, 2_400, fast, "throttled");
+    let throttled = interp.take_profile();
+    let stats = &throttled.cache_stats[&cache];
+    assert!(stats.insertions < stats.misses, "throttled: {stats:?}");
+    assert_profiles_identical(&throttled, &compiled.take_profile(), "throttled");
     assert_eq!(
         interp.take_observations(),
         compiled.take_observations(),
@@ -538,46 +535,37 @@ fn mid_stream_entry_churn_stays_identical() {
     assert_eq!(interp.executor_mut().compile_stats(), (0, 0));
 }
 
-/// The interpreter's match engines are built only while it is selected.
-/// A NIC that takes entry inserts and removes, a table replacement and a
-/// deploy between packets, under the compiled engine and under the
-/// interpreter alike, and switches engines mid-window (the profile,
-/// sampling schedule and histograms running on) reports, measures,
-/// traces and profiles exactly what a NIC that interpreted throughout
-/// does.
+/// A compiled NIC that takes entry inserts and removes, table
+/// replacements and deploys between packets, its profile, sampling
+/// schedule and histograms running on across all of them, reports,
+/// measures, traces and profiles exactly what an interpreter NIC that
+/// takes the same ops does.
 #[test]
 fn engines_switched_mid_window_follow_every_op() {
     let (g, tables) = churn_program();
     let params = CostParams::agilio_cx();
-    let (mut interp, mut switched) = nic_pair(&g, &params, 3);
+    let (mut interp, mut compiled) = nic_pair(&g, &params, 3);
     let mut rng = Lcg(0x1A2E);
-    let (mut ti, mut ts) = (PacketTrace::default(), PacketTrace::default());
-    let apply_both = |interp: &mut SmartNic, switched: &mut SmartNic, op: ControlOp| {
-        assert_eq!(interp.apply(op.clone()), switched.apply(op));
+    let (mut ti, mut tc) = (PacketTrace::default(), PacketTrace::default());
+    let apply_both = |interp: &mut SmartNic, compiled: &mut SmartNic, op: ControlOp| {
+        assert_eq!(interp.apply(op.clone()), compiled.apply(op));
     };
     let mut seq = 0u64;
-    let modes = [
-        EngineMode::Compiled,
-        EngineMode::Interpreter,
-        EngineMode::Compiled,
-        EngineMode::Interpreter,
-    ];
-    for (phase, mode) in modes.into_iter().enumerate() {
-        switched.set_engine_mode(mode);
+    for phase in 0..4 {
         for step in 0..4 {
-            let ctx = format!("phase {phase} ({mode:?}) step {step}");
+            let ctx = format!("phase {phase} step {step}");
             for i in 0..48 {
                 seq += 1;
                 let (mut a, mut b) = (churn_packet(seq), churn_packet(seq));
                 let ra = interp.process_one_traced(&mut a, &mut ti);
-                let rb = switched.process_one_traced(&mut b, &mut ts);
+                let rb = compiled.process_one_traced(&mut b, &mut tc);
                 assert_reports_identical(&ra, &rb, &format!("{ctx}: packet {i}"));
                 assert_eq!(a, b, "{ctx}: packet {i} contents diverged");
-                assert_eq!(ti, ts, "{ctx}: packet {i} trace diverged");
+                assert_eq!(ti, tc, "{ctx}: packet {i} trace diverged");
             }
             let batch: Vec<Packet> = (0..64).map(|i| churn_packet(seq + i)).collect();
             seq += 64;
-            assert_stats_identical(interp.measure(batch.clone()), switched.measure(batch), &ctx);
+            assert_stats_identical(interp.measure(batch.clone()), compiled.measure(batch), &ctx);
             for _ in 0..3 {
                 let node = tables[rng.next() as usize % tables.len()];
                 let t = interp.graph().node(node).unwrap().as_table().unwrap();
@@ -594,7 +582,7 @@ fn engines_switched_mid_window_follow_every_op() {
                     let entry = TableEntry::with_priority(vec![mv], 0, (rng.next() % 3) as i32);
                     ControlOp::InsertEntry { node, entry }
                 };
-                apply_both(&mut interp, &mut switched, op);
+                apply_both(&mut interp, &mut compiled, op);
             }
             if step == 1 {
                 // A table turns ternary: several ways, priorities.
@@ -622,7 +610,7 @@ fn engines_switched_mid_window_follow_every_op() {
                     table,
                     next: None,
                 };
-                apply_both(&mut interp, &mut switched, op);
+                apply_both(&mut interp, &mut compiled, op);
             }
             if step == 3 {
                 // The program as it stands, with another entry per table.
@@ -636,15 +624,15 @@ fn engines_switched_mid_window_follow_every_op() {
                     };
                     t.entries.push(TableEntry::with_priority(vec![mv], 0, 2));
                 }
-                apply_both(&mut interp, &mut switched, ControlOp::Deploy(next));
+                apply_both(&mut interp, &mut compiled, ControlOp::Deploy(next));
             }
         }
     }
-    assert_profiles_identical(&interp.take_profile(), &switched.take_profile(), "switched");
+    assert_profiles_identical(&interp.take_profile(), &compiled.take_profile(), "every op");
     assert_eq!(
         interp.take_observations(),
-        switched.take_observations(),
-        "switched: observations diverged"
+        compiled.take_observations(),
+        "every op: observations diverged"
     );
 }
 
@@ -663,8 +651,7 @@ struct ChaosSignature {
 /// traffic) on one engine and captures every externally visible outcome.
 fn chaos_signature(seed: u64, mode: EngineMode) -> ChaosSignature {
     let p = AclPipeline::build(3, 3);
-    let mut nic = SmartNic::new(p.graph.clone(), CostParams::bluefield2()).unwrap();
-    nic.set_engine_mode(mode);
+    let mut nic = SmartNic::with_engine(p.graph.clone(), CostParams::bluefield2(), mode).unwrap();
     nic.set_instrumentation(true, 1);
     let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
     let mut target = FaultyTarget::new(SimTarget::live(nic), FaultConfig::chaos(seed));
@@ -1123,7 +1110,6 @@ fn assert_table_matches_interpreter(table: Table, probes: &[WayProbe], ctx: &str
     let (g, node) = one_table_program(table);
     let params = CostParams::bluefield2();
     let mut nic = SmartNic::new(g.clone(), params.clone()).unwrap();
-    nic.set_engine_mode(EngineMode::Compiled);
     assert_ways_match_oracle(&mut nic, node, probes, ctx).unwrap();
     let batch: Vec<Packet> = probes
         .iter()
@@ -1199,10 +1185,7 @@ fn entry_ops_move_a_table_across_the_ranked_line_and_back() {
     let (g, node) = one_table_program(table);
     let params = CostParams::bluefield2();
     let mut nic = SmartNic::new(g.clone(), params.clone()).unwrap();
-    nic.set_engine_mode(EngineMode::Compiled);
-    let mut exec = Executor::new(g, params).unwrap();
-    exec.apply(&ControlOp::SetEngineMode(EngineMode::Compiled))
-        .unwrap();
+    let mut exec = Executor::new(g, params, EngineMode::Compiled).unwrap();
     let ops = [
         ControlOp::InsertEntry { node, entry: twin },
         ControlOp::RemoveEntry { node, index: 12 },
@@ -1233,7 +1216,6 @@ fn specialized_ranked_table_bakes_and_memoises_like_the_interpreter() {
     let probes = ranked_probes();
     let (g, node) = one_table_program(ranked_table(&[MatchKind::Ternary], 12, 2, false));
     let mut nic = SmartNic::new(g, CostParams::bluefield2()).unwrap();
-    nic.set_engine_mode(EngineMode::Compiled);
     nic.set_instrumentation(true, 1);
     let hot = probes[7];
     let mut burst: Vec<Packet> = (0..256).map(|_| Packet::with_slots(hot.to_vec())).collect();
@@ -1280,7 +1262,6 @@ proptest! {
 
         let (g, node) = one_table_program(table);
         let mut nic = SmartNic::new(g, CostParams::bluefield2()).unwrap();
-        nic.set_engine_mode(EngineMode::Compiled);
         assert_ways_match_oracle(&mut nic, node, &probes, "lowered")?;
 
         // A window dominated by one installed key earns a hot-key guard.
@@ -1325,7 +1306,8 @@ proptest! {
 
     /// Incremental-recompile soundness: an executor that compiled early
     /// and patched tables per entry op must be indistinguishable from one
-    /// that compiles the final program from scratch after the ops.
+    /// built on the final program after the ops, which compiles it from
+    /// scratch, and from the interpreter that took the same ops.
     #[test]
     fn recompile_after_entry_ops_matches_scratch_compile(
         ops in prop::collection::vec((0usize..3, 0u64..64), 1..24),
@@ -1333,21 +1315,16 @@ proptest! {
     ) {
         let (g, tables) = churn_program();
         let params = CostParams::bluefield2();
-        let mut patched = Executor::new(g.clone(), params.clone()).unwrap();
-        patched.apply(&ControlOp::SetEngineMode(EngineMode::Compiled)).unwrap();
-        // `scratch` interprets the warm phase, so its ops land while no
-        // compiled pipeline exists; switching modes afterwards forces one
-        // full compile of the final graph.
-        let mut scratch = Executor::new(g, params).unwrap();
-        scratch.apply(&ControlOp::SetEngineMode(EngineMode::Interpreter)).unwrap();
+        let mut patched = Executor::new(g.clone(), params.clone(), EngineMode::Compiled).unwrap();
+        let mut oracle = Executor::new(g, params.clone(), EngineMode::Interpreter).unwrap();
         let instrument = ControlOp::SetInstrumentation { enabled: true, sample_every: 2 };
         patched.apply(&instrument).unwrap();
-        scratch.apply(&instrument).unwrap();
+        oracle.apply(&instrument).unwrap();
         for i in 0..64u64 {
             let mut a = churn_packet(traffic_seed + i);
             let mut b = a.clone();
             let ra = patched.process(&mut a);
-            let rb = scratch.process(&mut b);
+            let rb = oracle.process(&mut b);
             prop_assert_eq!(ra, rb, "warm packet {} diverged", i);
         }
         let mut lens = vec![0usize; tables.len()];
@@ -1356,34 +1333,43 @@ proptest! {
                 let op = ControlOp::RemoveEntry { node: tables[t], index: (k as usize) % lens[t] };
                 let removed = patched.apply(&op).unwrap();
                 prop_assert!(matches!(removed, Applied::Removed(_)), "{:?}", removed);
-                prop_assert_eq!(scratch.apply(&op).unwrap(), removed);
+                prop_assert_eq!(oracle.apply(&op).unwrap(), removed);
                 lens[t] -= 1;
             } else {
                 let entry = TableEntry::new(vec![MatchValue::Exact(k % 24)], 0);
                 let op = ControlOp::InsertEntry { node: tables[t], entry };
                 patched.apply(&op).unwrap();
-                scratch.apply(&op).unwrap();
+                oracle.apply(&op).unwrap();
                 lens[t] += 1;
             }
         }
-        scratch.apply(&ControlOp::SetEngineMode(EngineMode::Compiled)).unwrap();
+        prop_assert_eq!(patched.take_profile(), oracle.take_profile());
+        // The 64 warm packets leave the 1-in-2 sampling schedule where a
+        // fresh executor starts it.
+        let mut scratch = Executor::new(oracle.graph().clone(), params, EngineMode::Compiled).unwrap();
+        scratch.apply(&instrument).unwrap();
         for i in 0..128u64 {
             let mut a = churn_packet(traffic_seed * 31 + i);
-            let mut b = a.clone();
+            let (mut b, mut c) = (a.clone(), a.clone());
             let ra = patched.process(&mut a);
             let rb = scratch.process(&mut b);
             prop_assert_eq!(ra.latency_ns.to_bits(), rb.latency_ns.to_bits(),
                 "post-op packet {} latency diverged", i);
             prop_assert_eq!(ra, rb, "post-op packet {} diverged", i);
             prop_assert_eq!(&a, &b, "post-op packet {} contents diverged", i);
+            prop_assert_eq!(rb, oracle.process(&mut c), "post-op packet {} vs the oracle", i);
+            prop_assert_eq!(&b, &c, "post-op packet {} contents vs the oracle", i);
         }
-        prop_assert_eq!(patched.take_profile(), scratch.take_profile());
+        let want = oracle.take_profile();
+        prop_assert_eq!(patched.take_profile(), want.clone());
+        prop_assert_eq!(scratch.take_profile(), want);
         // The patched executor compiled once and patched per op; the
         // scratch executor compiled once, after the ops, and never patched.
         let (pf, pr) = patched.compile_stats();
         prop_assert_eq!(pf, 1, "patching must never fall back to a full recompile");
         prop_assert_eq!(pr, ops.len() as u64);
         prop_assert_eq!(scratch.compile_stats(), (1, 0));
+        prop_assert_eq!(oracle.compile_stats(), (0, 0));
     }
 
     /// [`live_patch_and_swap_case`] over random op sequences.
@@ -1401,8 +1387,8 @@ proptest! {
 /// An op is an op: a random [`ControlOp`] sequence — entry patches
 /// around a full program swap (`split == 0` is swap-then-patch,
 /// `split >= ops.len()` patch-then-swap), with table replacements,
-/// instrumentation and engine flips, placements, cache tuning,
-/// specialize and despecialize mixed in — with packets between the
+/// instrumentation flips, placements, cache flushes, specialize and
+/// despecialize mixed in — with packets between the
 /// ops, driven through `Executor::apply`, `SmartNic::apply` and
 /// `ShardedNic::apply` at 1/2/8 workers (mid-flight there). Every
 /// backend must lose nothing, merge the same
@@ -1481,22 +1467,15 @@ fn live_patch_and_swap_case(
                 enabled: k % 2 == 0,
                 sample_every: 1,
             },
-            6 => ControlOp::SetEngineMode(
-                [EngineMode::Interpreter, EngineMode::Compiled][(k % 2) as usize],
-            ),
             7 => ControlOp::Specialize,
             8 => ControlOp::Despecialize,
-            _ => match k % 3 {
+            _ => match k % 2 {
                 0 => ControlOp::SetPlacement(
                     (0..g.id_bound())
                         .map(|i| [Placement::Asic, Placement::Cpu][(i + t) % 2])
                         .collect(),
                 ),
-                1 => ControlOp::FlushCache(node),
-                _ => ControlOp::SetCacheInsertionLimit {
-                    node,
-                    rate_per_s: 1e6,
-                },
+                _ => ControlOp::FlushCache(node),
             },
         });
     }
@@ -1507,7 +1486,7 @@ fn live_patch_and_swap_case(
 
     // The backends: a bare executor, the single NIC, and the sharded
     // NIC over the worker matrix.
-    let mut exec = Executor::new(g.clone(), params.clone()).unwrap();
+    let mut exec = Executor::new(g.clone(), params.clone(), EngineMode::Compiled).unwrap();
     let mut nics: Vec<(String, Box<dyn NicBackend>)> = vec![(
         "single".into(),
         Box::new(SmartNic::new(g.clone(), params.clone()).unwrap()),
@@ -1647,8 +1626,8 @@ fn specialize_plans_from_the_drained_window_whatever_the_worker_timing() {
 /// Fuzz op 7 is a plain `Specialize`: it plans from the traffic alone,
 /// and the traffic gives `t0` a majority key. Over fixed op lists, each
 /// with at least one `Specialize`, most of those the executor is given
-/// must apply a plan — the rest meet the interpreter, the plan already
-/// in place, or a window instrumentation was switched off for.
+/// must apply a plan — the rest meet the plan already in place, or a
+/// window instrumentation was switched off for.
 #[test]
 fn fuzzed_specialize_ops_plan_from_the_traffic() {
     let mut rng = Lcg(0x5eed);

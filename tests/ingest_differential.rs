@@ -219,8 +219,8 @@ fn socket_path_is_engine_invariant() {
 
     let mut echoes = Vec::new();
     for engine in [EngineMode::Compiled, EngineMode::Interpreter] {
-        let mut nic = ShardedNic::new(lb.graph.clone(), params.clone(), 2).expect("nic");
-        nic.set_engine_mode(engine);
+        let nic =
+            ShardedNic::with_engine(lb.graph.clone(), params.clone(), 2, engine).expect("nic");
         let (addr, server) = spawn_server(nic, map.clone(), batch.len() as u64);
         let client = NetClient::connect(addr)
             .expect("connect")

@@ -48,8 +48,8 @@ use pipeleon_ir::{
     TableEntry,
 };
 use pipeleon_sim::{
-    BatchStats, ControlOp, EngineMode, ExecObservations, ExecReport, NicBackend, Packet,
-    SampleKeying, ShardedNic, SmartNic,
+    BatchStats, EngineMode, ExecObservations, ExecReport, NicBackend, Packet, SampleKeying,
+    ShardedNic, SmartNic,
 };
 use pipeleon_workloads::scenarios::{AclPipeline, DashRouting};
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
@@ -557,8 +557,7 @@ fn distinct_counts_match_across_engines_workers_and_windows() {
     ];
     let entry = || TableEntry::new(vec![MatchValue::Exact(77)], 0);
     // Both windows' counts on `nic`, with the entry op between them.
-    let run = |nic: &mut dyn NicBackend, engine: EngineMode| {
-        nic.apply(ControlOp::SetEngineMode(engine)).unwrap();
+    let run = |nic: &mut dyn NicBackend| {
         nic.set_instrumentation(true, 16);
         nic.measure_batch(windows[0].clone());
         let first = nic.take_profile().distinct_keys;
@@ -566,18 +565,21 @@ fn distinct_counts_match_across_engines_workers_and_windows() {
         nic.measure_batch(windows[1].clone());
         (first, nic.take_profile().distinct_keys)
     };
-    let single = || SmartNic::new(dash.graph.clone(), params.clone()).unwrap();
+    let single =
+        |engine| SmartNic::with_engine(dash.graph.clone(), params.clone(), engine).unwrap();
 
-    let (first, second) = run(&mut single(), EngineMode::Interpreter);
+    let (first, second) = run(&mut single(EngineMode::Interpreter));
     assert!(first[&dash.conntrack] > 500, "{first:?}");
     assert!(second[&dash.conntrack] <= 60, "{second:?}");
     assert!(first.values().all(|&n| n > 0) && second.values().all(|&n| n > 0));
     let want = (first, second);
-    assert_eq!(run(&mut single(), EngineMode::Compiled), want, "compiled");
+    assert_eq!(run(&mut single(EngineMode::Compiled)), want, "compiled");
     for engine in [EngineMode::Interpreter, EngineMode::Compiled] {
         for workers in WORKER_COUNTS {
-            let mut nic = ShardedNic::new(dash.graph.clone(), params.clone(), workers).unwrap();
-            assert_eq!(run(&mut nic, engine), want, "{engine:?} workers={workers}");
+            let mut nic =
+                ShardedNic::with_engine(dash.graph.clone(), params.clone(), workers, engine)
+                    .unwrap();
+            assert_eq!(run(&mut nic), want, "{engine:?} workers={workers}");
         }
     }
 }

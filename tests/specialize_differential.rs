@@ -26,7 +26,7 @@
 
 use pipeleon::config::OptimizerConfig;
 use pipeleon::search::Optimizer;
-use pipeleon_cost::{CostModel, CostParams, Placement};
+use pipeleon_cost::{CostModel, CostParams, Placement, CACHE_INSERTION_RATE};
 use pipeleon_ir::{
     CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, TableEntry,
 };
@@ -94,8 +94,8 @@ fn sharded_run(
     pipeleon_sim::ExecObservations,
     pipeleon_sim::SpecStats,
 ) {
-    let mut nic = ShardedNic::new(s.graph.clone(), params.clone(), workers).unwrap();
-    nic.set_engine_mode(engine);
+    let mut nic =
+        ShardedNic::with_engine(s.graph.clone(), params.clone(), workers, engine).unwrap();
     nic.set_instrumentation(true, 1);
     let mid = batch.len() / 2;
     nic.measure_begin();
@@ -160,11 +160,10 @@ fn specialized_runs_match_both_oracles_bit_for_bit() {
 #[test]
 fn guard_hits_and_misses_stay_bit_exact_per_packet() {
     let s = SkewedPipeline::build(3, 2);
-    let mut interp = SmartNic::new(s.graph.clone(), params()).unwrap();
-    interp.set_engine_mode(EngineMode::Interpreter);
+    let mut interp =
+        SmartNic::with_engine(s.graph.clone(), params(), EngineMode::Interpreter).unwrap();
     interp.set_instrumentation(true, 1);
     let mut spec = SmartNic::new(s.graph.clone(), params()).unwrap();
-    spec.set_engine_mode(EngineMode::Compiled);
     spec.set_instrumentation(true, 1);
     let mut warm = s.traffic(HOT_SKEW, 200, 5);
     for (i, p) in warm.batch(2_000).into_iter().enumerate() {
@@ -384,8 +383,7 @@ impl Chain {
     }
 
     fn single(&self, engine: EngineMode, specialize: bool) -> SmartNic {
-        let mut nic = SmartNic::new(self.s.graph.clone(), params()).unwrap();
-        nic.set_engine_mode(engine);
+        let mut nic = SmartNic::with_engine(self.s.graph.clone(), params(), engine).unwrap();
         nic.apply(ControlOp::SetPlacement(self.placement.clone()))
             .unwrap();
         self.prepare(&mut nic, specialize);
@@ -396,7 +394,6 @@ impl Chain {
     /// generation chain.
     fn sharded(&self, workers: usize, specialize: bool) -> ShardedNic {
         let mut nic = ShardedNic::new(self.s.graph.clone(), params(), workers).unwrap();
-        nic.set_engine_mode(EngineMode::Compiled);
         nic.apply(ControlOp::SetPlacement(self.placement.clone()))
             .unwrap();
         self.prepare(&mut nic, specialize);
@@ -566,18 +563,14 @@ fn walk_cache_stands_aside_for_a_program_with_a_flow_cache() {
     let packet = |w: u64, x: u64| Packet::with_slots(vec![x, HOT, HOT, w, 0]);
 
     let nic = |engine| {
-        let mut nic = SmartNic::new(g.clone(), params()).unwrap();
-        nic.set_engine_mode(engine);
-        // Never refuse an install: the cached results are the point.
-        nic.apply(ControlOp::SetCacheInsertionLimit {
-            node: cache,
-            rate_per_s: 1e12,
-        })
-        .unwrap();
+        let mut nic = SmartNic::with_engine(g.clone(), params(), engine).unwrap();
         // The profile window: every packet a new cache key, so every one
-        // walks the chain and shows it the hot key.
+        // walks the chain and shows it the hot key. Paced at the cache's
+        // insertion rate, so no install is refused: the cached results
+        // are the point.
         nic.set_instrumentation(true, 1);
         for i in 0..2_000 {
+            nic.executor_mut().now_s = i as f64 / CACHE_INSERTION_RATE;
             nic.process_one(&mut packet(1_000 + i, HOT));
         }
         nic.specialize();
@@ -869,8 +862,7 @@ fn guards_on_two_and_five_field_keys_miss_on_any_one_word() {
             "uninstrumented"
         };
         let nic = |engine| {
-            let mut nic = SmartNic::new(g.clone(), params()).unwrap();
-            nic.set_engine_mode(engine);
+            let mut nic = SmartNic::with_engine(g.clone(), params(), engine).unwrap();
             nic.set_instrumentation(true, 1);
             for i in 0..400 {
                 let p = if i % 4 == 3 {
@@ -925,8 +917,9 @@ proptest! {
 
     /// Lifecycle soundness: specialize, churn entries (entry ops on a
     /// specialized table auto-strip it), then explicitly despecialize —
-    /// the result must be indistinguishable from an executor that
-    /// compiles the final program from scratch after the same ops.
+    /// the result must be indistinguishable from a NIC built on the
+    /// final program after the same ops, which compiles it from scratch,
+    /// and from the interpreter that ran them.
     #[test]
     fn entry_ops_then_despecialize_matches_scratch_compile(
         ops in prop::collection::vec((0usize..2, 0u64..16), 1..12),
@@ -934,18 +927,18 @@ proptest! {
     ) {
         let s = SkewedPipeline::build(2, 2);
         let mut spec = SmartNic::new(s.graph.clone(), params()).unwrap();
-        spec.set_engine_mode(EngineMode::Compiled);
         spec.set_instrumentation(true, 1);
-        // `scratch` interprets until after the ops, then one full compile.
-        let mut scratch = SmartNic::new(s.graph.clone(), params()).unwrap();
-        scratch.set_engine_mode(EngineMode::Interpreter);
-        scratch.set_instrumentation(true, 1);
+        // `oracle` interprets throughout; after the ops, `scratch` is one
+        // full compile of the final program.
+        let mut oracle =
+            SmartNic::with_engine(s.graph.clone(), params(), EngineMode::Interpreter).unwrap();
+        oracle.set_instrumentation(true, 1);
         let mut warm = s.traffic(HOT_SKEW, 150, traffic_seed);
         for (i, p) in warm.batch(1_000).into_iter().enumerate() {
             let mut a = p.clone();
             let mut b = p;
             let ra = spec.process_one(&mut a);
-            let rb = scratch.process_one(&mut b);
+            let rb = oracle.process_one(&mut b);
             prop_assert_eq!(ra, rb, "warm packet {} diverged", i);
         }
         prop_assert!(spec.specialize(), "skewed warmup must yield a plan");
@@ -958,13 +951,13 @@ proptest! {
             if lens[idx] > 0 && k.is_multiple_of(3) {
                 let at = (k as usize) % lens[idx];
                 let a = spec.remove_entry(table, at).unwrap();
-                let b = scratch.remove_entry(table, at).unwrap();
+                let b = oracle.remove_entry(table, at).unwrap();
                 prop_assert_eq!(a, b, "removed different entries");
                 lens[idx] -= 1;
             } else {
                 let e = TableEntry::new(vec![MatchValue::Exact(100 + k)], 0);
                 spec.insert_entry(table, e.clone()).unwrap();
-                scratch.insert_entry(table, e).unwrap();
+                oracle.insert_entry(table, e).unwrap();
                 lens[idx] += 1;
             }
         }
@@ -973,19 +966,24 @@ proptest! {
             spec.spec_stats().specialized_tables, 0,
             "nothing may stay specialized after an explicit despecialize"
         );
-        scratch.set_engine_mode(EngineMode::Compiled);
+        prop_assert_eq!(spec.take_profile(), oracle.take_profile());
+        let mut scratch = SmartNic::new(oracle.graph().clone(), params()).unwrap();
+        scratch.set_instrumentation(true, 1);
         let mut probe = s.traffic(HOT_SKEW, 150, traffic_seed + 1);
         for (i, p) in probe.batch(1_000).into_iter().enumerate() {
-            let mut a = p.clone();
-            let mut b = p;
+            let (mut a, mut b, mut c) = (p.clone(), p.clone(), p);
             let ra = spec.process_one(&mut a);
             let rb = scratch.process_one(&mut b);
             prop_assert_eq!(ra.latency_ns.to_bits(), rb.latency_ns.to_bits(),
                 "post-op packet {} latency diverged", i);
             prop_assert_eq!(ra, rb, "post-op packet {} diverged", i);
             prop_assert_eq!(&a, &b, "post-op packet {} contents diverged", i);
+            prop_assert_eq!(rb, oracle.process_one(&mut c), "post-op packet {} vs the oracle", i);
+            prop_assert_eq!(&b, &c, "post-op packet {} contents vs the oracle", i);
         }
-        prop_assert_eq!(spec.take_profile(), scratch.take_profile());
+        let want = oracle.take_profile();
+        prop_assert_eq!(spec.take_profile(), want.clone());
+        prop_assert_eq!(scratch.take_profile(), want);
     }
 
     /// Guard-miss recovery: a controller that specialized onto one traffic
@@ -995,7 +993,6 @@ proptest! {
     fn controller_despecializes_on_flip_then_reconverges(seed in 0u64..100) {
         let s = SkewedPipeline::build(2, 1);
         let mut nic = SmartNic::new(s.graph.clone(), params()).unwrap();
-        nic.set_engine_mode(EngineMode::Compiled);
         nic.set_instrumentation(true, 1);
         // Every optimization is off, so the original (cache-free) layout
         // stays deployed whatever the search sees.

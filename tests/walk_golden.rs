@@ -98,8 +98,6 @@ struct Case {
     params: CostParams,
     traffic: Vec<Packet>,
     placement: Vec<Placement>,
-    /// `(cache, insertions per second)`.
-    insertion_limits: Vec<(NodeId, f64)>,
     /// A profile window, then `specialize()`, before the stimulus.
     specialize: bool,
 }
@@ -113,7 +111,6 @@ impl Case {
             params: CostParams::bluefield2(),
             traffic,
             placement: Vec::new(),
-            insertion_limits: Vec::new(),
             specialize: false,
         }
     }
@@ -151,10 +148,9 @@ fn key_traffic(g: &ProgramGraph, flows: usize, seed: u64) -> Vec<Packet> {
 
 /// `outer(x,y)` covers `a → inner(x) → b → c`; `inner` covers `b`, whose
 /// `deny` drops inside both segments; `tail` is the outer hit exit.
-/// `outer` holds fewer entries than there are flows (evictions), `inner`
-/// is insertion-rate limited by the case. Returns the graph, `inner` and
-/// the two segment exits.
-fn nested_cache_program() -> (ProgramGraph, NodeId, [NodeId; 2]) {
+/// `outer` holds fewer entries than there are flows (evictions). Returns
+/// the graph and the two segment exits.
+fn nested_cache_program() -> (ProgramGraph, [NodeId; 2]) {
     let mut b = ProgramBuilder::named("nested_caches");
     let (x, y, z) = (b.field("x"), b.field("y"), b.field("z"));
     let tail = b
@@ -228,7 +224,7 @@ fn nested_cache_program() -> (ProgramGraph, NodeId, [NodeId; 2]) {
         .by_action(vec![Some(tail), Some(a)])
         .finish();
     let g = b.seal(outer).expect("nested caches validate");
-    (g, inner, [c, tail])
+    (g, [c, tail])
 }
 
 fn cases() -> Vec<Case> {
@@ -276,7 +272,7 @@ fn cases() -> Vec<Case> {
         out.push(case);
     }
 
-    let (g, inner, exits) = nested_cache_program();
+    let (g, exits) = nested_cache_program();
     let t: Vec<Packet> = (0..PACKETS as u64)
         .map(|i| {
             let flow = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
@@ -288,7 +284,6 @@ fn cases() -> Vec<Case> {
     for (name, cpu) in [("nested_caches", false), ("nested_caches_placed", true)] {
         let mut case = Case::new(name, g.clone(), t.clone());
         case.params = off_grid(CostParams::bluefield2());
-        case.insertion_limits = vec![(inner, 4_000.0)];
         if cpu {
             case.placement = vec![Placement::Asic; g.id_bound()];
             for exit in exits {
@@ -391,18 +386,11 @@ fn sorted_profile(p: &RuntimeProfile) -> String {
 /// its line.
 fn run(case: &Case, engine: EngineMode, sampling: (&str, u64, SampleKeying)) -> String {
     let (sampling_name, sample_every, keying) = sampling;
-    let mut nic = SmartNic::new(case.graph.clone(), case.params.clone()).expect("case deploys");
-    nic.set_engine_mode(engine);
+    let mut nic = SmartNic::with_engine(case.graph.clone(), case.params.clone(), engine)
+        .expect("case deploys");
     if !case.placement.is_empty() {
         nic.apply(ControlOp::SetPlacement(case.placement.clone()))
             .unwrap();
-    }
-    for &(cache, rate) in &case.insertion_limits {
-        nic.apply(ControlOp::SetCacheInsertionLimit {
-            node: cache,
-            rate_per_s: rate,
-        })
-        .unwrap();
     }
     nic.executor_mut().set_sample_keying(keying);
     if case.specialize {
