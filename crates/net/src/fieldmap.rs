@@ -18,6 +18,7 @@
 //! say so in its contract and accept [`crate::EncodeError::ValueTooWide`]
 //! when a value does not fit.
 
+use crate::wire::Template;
 use pipeleon_ir::{FieldRef, ProgramGraph};
 use std::fmt;
 
@@ -132,12 +133,16 @@ pub struct FieldMap {
     bound: Vec<(WireField, FieldRef)>,
     residue: Vec<FieldRef>,
     slot_count: usize,
+    template: Template,
 }
 
 impl FieldMap {
     /// Builds the map for `g`: from its explicit wire contract when one
     /// is declared, otherwise by the conservative inference rule in the
-    /// module docs.
+    /// module docs. The frame template is built here too: every byte
+    /// that all of the program's frames share (ethertype, `0x45`, both
+    /// lengths, TTL 64 unless bound, UDP, magic, version and the residue
+    /// count) and their IPv4 checksum sum, so an encode only patches.
     pub fn from_graph(g: &ProgramGraph) -> Result<FieldMap, MapError> {
         let mut bound: Vec<(WireField, FieldRef)> = Vec::new();
         if g.wire.is_empty() {
@@ -174,10 +179,12 @@ impl FieldMap {
             .map(|(fref, _)| fref)
             .filter(|fref| !bound.iter().any(|(_, bf)| bf == fref))
             .collect();
+        let template = Template::new(&bound, residue.len());
         Ok(FieldMap {
             bound,
             residue,
             slot_count: g.fields.len(),
+            template,
         })
     }
 
@@ -199,6 +206,11 @@ impl FieldMap {
     /// The slot bound to `w`, if any.
     pub fn slot_of(&self, w: WireField) -> Option<FieldRef> {
         self.bound.iter().find(|(bw, _)| *bw == w).map(|&(_, f)| f)
+    }
+
+    /// The bytes all of this map's frames share.
+    pub(crate) fn template(&self) -> &Template {
+        &self.template
     }
 
     /// Total frame length in bytes for packets under this map.

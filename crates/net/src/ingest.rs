@@ -7,9 +7,10 @@
 //!
 //! 1. **recv-burst** — receive datagrams until the socket is empty or
 //!    the burst holds `burst` packets, decoding each datagram's frames
-//!    straight into the burst as it arrives and stamping one ingest
-//!    [`Instant`] per datagram; malformed input is dropped with
-//!    per-reason accounting, never served;
+//!    straight into the burst's packets as it arrives (see
+//!    [`wire::decode_into`]) and stamping one ingest [`Instant`] per
+//!    datagram; malformed input is dropped with per-reason accounting,
+//!    never served;
 //! 2. **process** — feed the whole burst to the backend's
 //!    `process_batch` (one datapath call per burst, matching the
 //!    emulator's run-loop batching);
@@ -18,6 +19,11 @@
 //!    [`wire::MAX_DATAGRAM`]), and send each back, recording end-to-end
 //!    latency (ingest timestamp → train handed to the kernel) per frame
 //!    into a [`LatencyHistogram`].
+//!
+//! The server keeps its buffers between polls: the datagram buffers, the
+//! burst's packets (decoded into again, never made anew) and its
+//! bookkeeping. A steady-state poll allocates once, the report `Vec`
+//! that `process_batch` returns, whatever the trains' lengths.
 //!
 //! Malformed trains: the frames before the first bad one are served; the
 //! rest of that datagram, or trailing bytes shorter than a frame, is
@@ -108,7 +114,9 @@ pub struct IngestServer {
     tx: Vec<u8>,
     /// Ingest instant of each frame in `tx`.
     tx_at: Vec<Instant>,
-    // The burst, kept between polls for its capacity.
+    /// The burst: `packets[..live]` in a poll are its packets, decoded
+    /// into the ones earlier polls left, so a steady-state poll makes no
+    /// packet. At most `burst` plus one train, plus one spare.
     packets: Vec<Packet>,
     seqs: Vec<u64>,
     origins: Vec<Origin>,
@@ -156,11 +164,11 @@ impl IngestServer {
     /// other than `WouldBlock` surface as `Err`.
     pub fn poll_once<N: NicBackend>(&mut self, nic: &mut N, map: &FieldMap) -> io::Result<usize> {
         // 1. recv-burst, decoding each datagram into the burst.
-        self.packets.clear();
+        let mut live = 0usize;
         self.seqs.clear();
         self.origins.clear();
         let mut rejected = 0usize;
-        while self.packets.len() + rejected < self.config.burst.max(1) {
+        while live + rejected < self.config.burst.max(1) {
             let (n, peer) = match self.socket.recv_from(&mut self.rx) {
                 Ok(got) => got,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -177,41 +185,43 @@ impl IngestServer {
                 rejected += 1;
                 continue;
             }
-            let first = self.packets.len();
-            for frame in wire::frames(&self.rx[..n], map) {
-                match frame {
-                    Ok(frame) => {
-                        self.packets.push(frame.packet);
-                        self.seqs.push(frame.seq);
+            let first = live;
+            let mut train = wire::frames(&self.rx[..n], map);
+            loop {
+                if live == self.packets.len() {
+                    self.packets.push(Packet::with_slots(Vec::new()));
+                }
+                match train.next_into(&mut self.packets[live]) {
+                    None => break,
+                    Some(Ok(tag)) => {
+                        self.seqs.push(tag.seq);
+                        live += 1;
                     }
-                    Err(e) => {
+                    Some(Err(e)) => {
                         self.stats.decode_errors += 1;
                         self.last_decode_error = Some(e);
                         rejected += 1;
                     }
                 }
             }
-            if self.packets.len() > first {
+            if live > first {
                 self.origins.push(Origin { peer, at, first });
             }
         }
-        self.stats.frames += self.packets.len() as u64;
+        self.stats.frames += live as u64;
         let Some(first) = self.origins.first() else {
             return Ok(rejected);
         };
 
         // 2. one datapath call for the whole burst.
-        let _reports = nic.process_batch(&mut self.packets);
+        let _reports = nic.process_batch(&mut self.packets[..live]);
 
         // 3. tx-burst: one train per run of packets of the same peer.
         let frame_len = map.frame_len();
         let (mut to, mut len) = (first.peer, 0usize);
         for i in 0..self.origins.len() {
             let origin = self.origins[i];
-            let end = self
-                .origins
-                .get(i + 1)
-                .map_or(self.packets.len(), |next| next.first);
+            let end = self.origins.get(i + 1).map_or(live, |next| next.first);
             for k in origin.first..end {
                 if len > 0 && (to != origin.peer || len + frame_len > self.tx.len()) {
                     self.send_train(to, len)?;
@@ -236,7 +246,7 @@ impl IngestServer {
         if len > 0 {
             self.send_train(to, len)?;
         }
-        Ok(self.packets.len() + rejected)
+        Ok(live + rejected)
     }
 
     /// Sends `tx[..len]`, the train of the frames in `tx_at`, to `peer`.

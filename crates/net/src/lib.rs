@@ -11,17 +11,22 @@
 //! * [`fieldmap`] — the declarative wire contract: which packet slots
 //!   travel in real header fields ([`FieldMap`], [`WireField`]), built
 //!   from a program's serialized [`WireBinding`](pipeleon_ir::WireBinding)
-//!   list or by conservative name inference.
+//!   list or by conservative name inference, with the program's frame
+//!   template (the bytes all its frames share).
 //! * [`wire`] — the frame codec: symmetric [`encode`]/[`decode`] over
 //!   Eth/IPv4/UDP plus a slot-residue payload section; total over
-//!   arbitrary bytes (typed [`DecodeError`], never a panic). A datagram
-//!   is a train of whole frames back to back, walked by [`frames`], so
-//!   both ends pay a syscall pair per burst rather than per packet.
+//!   arbitrary bytes (typed [`DecodeError`], never a panic). Its serving
+//!   forms allocate nothing: [`decode_into`] overwrites a packet the
+//!   caller keeps, and [`encode_into`] patches the map's template into
+//!   the caller's buffer. A datagram is a train of whole frames back to
+//!   back, walked by [`frames`], so both ends pay a syscall pair per
+//!   burst rather than per packet.
 //! * [`ingest`] — the serving loop: [`IngestServer`] recv-bursts
-//!   datagrams, decoding each train as it arrives, feeds one
-//!   `process_batch`, tx-bursts a response train per peer, and accounts
-//!   every drop; end-to-end latency lands in a
-//!   `pipeleon_e2e_latency_ns` histogram.
+//!   datagrams, decoding each train as it arrives into packets it keeps
+//!   between polls, feeds one `process_batch`, tx-bursts a response
+//!   train per peer, and accounts every drop; end-to-end latency lands
+//!   in a `pipeleon_e2e_latency_ns` histogram. A steady-state poll
+//!   allocates only the report `Vec` that `process_batch` returns.
 //! * [`client`] — the loopback traffic driver: [`NetClient`] replays
 //!   workload batches over a real socket, one train per window refill,
 //!   with per-request RTT capture.
@@ -41,7 +46,8 @@ pub use client::{ClientError, Echo, NetClient, ReplayReport};
 pub use fieldmap::{FieldMap, MapError, WireField};
 pub use ingest::{IngestConfig, IngestServer, IngestStats};
 pub use wire::{
-    decode, encode, encode_into, frames, DecodeError, DecodedFrame, EncodeError, MAX_DATAGRAM,
+    decode, decode_into, encode, encode_into, frames, DecodeError, DecodedFrame, EncodeError,
+    FrameTag, MAX_DATAGRAM,
 };
 
 #[cfg(test)]

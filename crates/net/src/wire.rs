@@ -28,13 +28,25 @@
 //! is [`FieldMap::frame_len`] bytes and says so twice (IPv4 total
 //! length, UDP length), so a train needs no header of its own and a
 //! one-frame train is exactly one [`encode`]d frame. [`frames`] walks a
-//! train; writing one is [`encode_into`] at successive offsets of a
-//! [`MAX_DATAGRAM`]-byte buffer.
+//! train, into a fresh packet per frame or, through
+//! [`Frames::next_into`], into packets the caller keeps; writing one is
+//! [`encode_into`] at successive offsets of a [`MAX_DATAGRAM`]-byte
+//! buffer.
+//!
+//! The serving path allocates in neither direction: [`decode_into`]
+//! overwrites a packet the caller reuses, and [`encode_into`] copies the
+//! map's frame template
+//! (every byte that is the same in all of a program's frames, see
+//! [`FieldMap::from_graph`]) and patches only what the packet decides:
+//! the bound header fields, the flags, egress, byte count, sequence and
+//! residue, folding the bound fields into the template's IPv4 checksum
+//! sum.
 //!
 //! Decoding never panics on arbitrary bytes: every malformed input maps
 //! to a typed [`DecodeError`].
 
 use crate::fieldmap::{FieldMap, WireField};
+use pipeleon_ir::FieldRef;
 use pipeleon_sim::Packet;
 use std::fmt;
 
@@ -171,6 +183,15 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
+/// What a frame carries besides its packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameTag {
+    /// Caller-chosen sequence number echoed verbatim in responses.
+    pub seq: u64,
+    /// True when the RESPONSE flag was set (server → client verdict).
+    pub response: bool,
+}
+
 /// A successfully decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedFrame {
@@ -208,19 +229,58 @@ fn put64(b: &mut [u8], at: usize, v: u64) {
     b[at..at + 8].copy_from_slice(&v.to_be_bytes());
 }
 
-fn ipv4_checksum(hdr: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    let mut i = 0;
-    while i + 1 < hdr.len() {
-        if i != 10 {
-            sum += u32::from(be16(hdr, i));
+/// Length of a frame's fixed part: headers and payload trailer up to
+/// the residue.
+const FIXED_LEN: usize = HDR_LEN + PAYLOAD_FIXED;
+
+/// The bytes every frame of one program shares, built once per
+/// [`FieldMap`]: the fixed part of a frame with the bound header fields,
+/// flags, egress, byte count and sequence zero, and the sum of its IPv4
+/// header words, to which [`encode_into`] adds the bound fields' words.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Template {
+    bytes: [u8; FIXED_LEN],
+    ip_sum: u32,
+}
+
+impl Template {
+    /// The template of frames binding `bound` and carrying `residue_n`
+    /// residue slots.
+    pub(crate) fn new(bound: &[(WireField, FieldRef)], residue_n: usize) -> Template {
+        let frame_len = FIXED_LEN + 8 * residue_n;
+        let mut b = [0u8; FIXED_LEN];
+        put16(&mut b, 12, ETHERTYPE_IPV4);
+        // IPv4 (IHL = 5, DF clear, no fragmentation).
+        let ip = ETH_LEN;
+        b[ip] = 0x45;
+        let total_len = (frame_len - ETH_LEN).min(usize::from(u16::MAX)) as u16;
+        put16(&mut b, ip + 2, total_len);
+        if !bound.iter().any(|(w, _)| *w == WireField::Ipv4Ttl) {
+            b[ip + 8] = 64;
         }
-        i += 2;
+        b[ip + 9] = PROTO_UDP;
+        // UDP (checksum 0 = unused, legal for IPv4).
+        put16(
+            &mut b,
+            ip + IPV4_LEN + 4,
+            (frame_len - ETH_LEN - IPV4_LEN) as u16,
+        );
+        // Payload trailer.
+        b[HDR_LEN..HDR_LEN + 4].copy_from_slice(&MAGIC);
+        b[HDR_LEN + 4] = VERSION;
+        put16(&mut b, HDR_LEN + 20, residue_n as u16);
+        // The checksum word is still zero, so it adds nothing.
+        let ip_sum = (ip..ip + IPV4_LEN)
+            .step_by(2)
+            .map(|at| u32::from(be16(&b, at)))
+            .sum();
+        Template { bytes: b, ip_sum }
     }
-    while sum > 0xFFFF {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    !(sum as u16)
+}
+
+/// The sum of a 32-bit value's two 16-bit words.
+fn words32(v: u64) -> u32 {
+    (v >> 16) as u32 + (v & 0xFFFF) as u32
 }
 
 /// Encodes `packet` into `out`, returning the frame length.
@@ -229,6 +289,7 @@ fn ipv4_checksum(hdr: &[u8]) -> u16 {
 /// `response` sets the RESPONSE flag (the server's verdict direction).
 /// The packet's `dropped` and `egress_port` verdicts are carried in the
 /// payload flags so the codec is symmetric for requests and responses.
+/// On an error `out` is left as it was.
 pub fn encode_into(
     out: &mut [u8],
     packet: &Packet,
@@ -253,51 +314,41 @@ pub fn encode_into(
             });
         }
     }
-    let frame = &mut out[..need];
-    frame.fill(0);
+    let template = map.template();
+    let (head, residue) = out[..need].split_at_mut(FIXED_LEN);
+    head.copy_from_slice(&template.bytes);
 
-    // Ethernet II.
-    if let Some(f) = map.slot_of(WireField::EthDst) {
-        frame[0..6].copy_from_slice(&packet.get(f).to_be_bytes()[2..8]);
+    // The bound header fields, each checked to fit above.
+    let (ip, udp) = (ETH_LEN, ETH_LEN + IPV4_LEN);
+    let mut ip_sum = template.ip_sum;
+    for &(w, fref) in map.bound() {
+        let v = packet.get(fref);
+        match w {
+            WireField::EthDst => head[0..6].copy_from_slice(&v.to_be_bytes()[2..8]),
+            WireField::EthSrc => head[6..12].copy_from_slice(&v.to_be_bytes()[2..8]),
+            WireField::Ipv4Src => {
+                put32(head, ip + 12, v as u32);
+                ip_sum += words32(v);
+            }
+            WireField::Ipv4Dst => {
+                put32(head, ip + 16, v as u32);
+                ip_sum += words32(v);
+            }
+            WireField::Ipv4Ttl => {
+                head[ip + 8] = v as u8;
+                ip_sum += (v as u32) << 8;
+            }
+            WireField::UdpSport => put16(head, udp, v as u16),
+            WireField::UdpDport => put16(head, udp + 2, v as u16),
+        }
     }
-    if let Some(f) = map.slot_of(WireField::EthSrc) {
-        frame[6..12].copy_from_slice(&packet.get(f).to_be_bytes()[2..8]);
+    while ip_sum > 0xFFFF {
+        ip_sum = (ip_sum & 0xFFFF) + (ip_sum >> 16);
     }
-    put16(frame, 12, ETHERTYPE_IPV4);
+    put16(head, ip + 10, !(ip_sum as u16));
 
-    // IPv4 (IHL = 5, DF clear, no fragmentation).
-    let ip = ETH_LEN;
-    frame[ip] = 0x45;
-    let total_len = (need - ETH_LEN).min(usize::from(u16::MAX)) as u16;
-    put16(frame, ip + 2, total_len);
-    frame[ip + 8] = match map.slot_of(WireField::Ipv4Ttl) {
-        Some(f) => packet.get(f) as u8,
-        None => 64,
-    };
-    frame[ip + 9] = PROTO_UDP;
-    if let Some(f) = map.slot_of(WireField::Ipv4Src) {
-        put32(frame, ip + 12, packet.get(f) as u32);
-    }
-    if let Some(f) = map.slot_of(WireField::Ipv4Dst) {
-        put32(frame, ip + 16, packet.get(f) as u32);
-    }
-    let csum = ipv4_checksum(&frame[ip..ip + IPV4_LEN]);
-    put16(frame, ip + 10, csum);
-
-    // UDP (checksum 0 = unused, legal for IPv4).
-    let udp = ETH_LEN + IPV4_LEN;
-    if let Some(f) = map.slot_of(WireField::UdpSport) {
-        put16(frame, udp, packet.get(f) as u16);
-    }
-    if let Some(f) = map.slot_of(WireField::UdpDport) {
-        put16(frame, udp + 2, packet.get(f) as u16);
-    }
-    put16(frame, udp + 4, (need - ETH_LEN - IPV4_LEN) as u16);
-
-    // Payload trailer.
+    // Payload trailer: what the packet decides.
     let p = HDR_LEN;
-    frame[p..p + 4].copy_from_slice(&MAGIC);
-    frame[p + 4] = VERSION;
     let mut flags = 0u8;
     if response {
         flags |= FLAG_RESPONSE;
@@ -307,20 +358,13 @@ pub fn encode_into(
     }
     if let Some(e) = packet.egress_port {
         flags |= FLAG_EGRESS;
-        put32(frame, p + 6, e);
+        put32(head, p + 6, e);
     }
-    frame[p + 5] = flags;
-    put16(
-        frame,
-        p + 10,
-        packet.bytes.min(usize::from(u16::MAX)) as u16,
-    );
-    put64(frame, p + 12, seq);
-    put16(frame, p + 20, map.residue().len() as u16);
-    let mut at = p + PAYLOAD_FIXED;
-    for fref in map.residue() {
-        put64(frame, at, packet.get(*fref));
-        at += 8;
+    head[p + 5] = flags;
+    put16(head, p + 10, packet.bytes.min(usize::from(u16::MAX)) as u16);
+    put64(head, p + 12, seq);
+    for (at, fref) in residue.chunks_exact_mut(8).zip(map.residue()) {
+        at.copy_from_slice(&packet.get(*fref).to_be_bytes());
     }
     Ok(need)
 }
@@ -339,16 +383,38 @@ pub fn encode(
 }
 
 /// Decodes the frame at the head of `buf` under the program's field
-/// map; bytes past that frame are not read (see [`frames`]).
+/// map into a fresh packet; bytes past that frame are not read (see
+/// [`frames`]). See [`decode_into`].
+pub fn decode(buf: &[u8], map: &FieldMap) -> Result<DecodedFrame, DecodeError> {
+    let mut packet = Packet::with_slots(Vec::new());
+    let tag = decode_into(buf, map, &mut packet)?;
+    Ok(DecodedFrame {
+        packet,
+        seq: tag.seq,
+        response: tag.response,
+    })
+}
+
+/// Decodes the frame at the head of `buf` under the program's field map
+/// into `packet`, which the caller keeps from frame to frame; bytes past
+/// that frame are not read (see [`frames`]).
+///
+/// On success every slot, `bytes`, `dropped` and `egress_port` are
+/// overwritten, so nothing of the packet's last frame survives; only a
+/// packet whose slot count is not the map's is given new slots. On an
+/// error `packet` is left as it was.
 ///
 /// Total function over arbitrary bytes: every malformed input returns a
 /// typed [`DecodeError`], never a panic.
-pub fn decode(buf: &[u8], map: &FieldMap) -> Result<DecodedFrame, DecodeError> {
-    let fixed = HDR_LEN + PAYLOAD_FIXED;
-    if buf.len() < fixed {
+pub fn decode_into(
+    buf: &[u8],
+    map: &FieldMap,
+    packet: &mut Packet,
+) -> Result<FrameTag, DecodeError> {
+    if buf.len() < FIXED_LEN {
         return Err(DecodeError::Truncated {
             have: buf.len(),
-            need: fixed,
+            need: FIXED_LEN,
         });
     }
     let ethertype = be16(buf, 12);
@@ -399,8 +465,12 @@ pub fn decode(buf: &[u8], map: &FieldMap) -> Result<DecodedFrame, DecodeError> {
         }
     }
 
-    let mut packet = Packet::with_slots(vec![0u64; map.slot_count()]);
-    for (w, fref) in map.bound() {
+    // The frame is good: from here on every write lands.
+    if packet.slots().len() != map.slot_count() {
+        *packet = Packet::with_slots(vec![0u64; map.slot_count()]);
+    }
+    let slots = packet.slots_mut();
+    for &(w, fref) in map.bound() {
         let v = match w {
             WireField::EthDst => be64(buf, 0) >> 16,
             WireField::EthSrc => (u64::from(be32(buf, 6)) << 16) | u64::from(be16(buf, 10)),
@@ -410,12 +480,14 @@ pub fn decode(buf: &[u8], map: &FieldMap) -> Result<DecodedFrame, DecodeError> {
             WireField::UdpSport => u64::from(be16(buf, ETH_LEN + IPV4_LEN)),
             WireField::UdpDport => u64::from(be16(buf, ETH_LEN + IPV4_LEN + 2)),
         };
-        packet.set(*fref, v);
+        slots[fref.index()] = v;
     }
-    let mut at = p + PAYLOAD_FIXED;
-    for fref in map.residue() {
-        packet.set(*fref, be64(buf, at));
-        at += 8;
+    for (fref, v) in map
+        .residue()
+        .iter()
+        .zip(buf[FIXED_LEN..need].chunks_exact(8))
+    {
+        slots[fref.index()] = be64(v, 0);
     }
 
     let flags = buf[p + 5];
@@ -426,8 +498,7 @@ pub fn decode(buf: &[u8], map: &FieldMap) -> Result<DecodedFrame, DecodeError> {
     } else {
         None
     };
-    Ok(DecodedFrame {
-        packet,
+    Ok(FrameTag {
         seq: be64(buf, p + 12),
         response: flags & FLAG_RESPONSE != 0,
     })
@@ -454,18 +525,37 @@ pub struct Frames<'a> {
     map: &'a FieldMap,
 }
 
-impl Iterator for Frames<'_> {
-    type Item = Result<DecodedFrame, DecodeError>;
+impl Frames<'_> {
+    /// The walk's next step, decoding the next frame into `packet` as
+    /// [`decode_into`] does instead of into a fresh packet.
+    pub fn next_into(&mut self, packet: &mut Packet) -> Option<Result<FrameTag, DecodeError>> {
+        let map = self.map;
+        self.step(|buf| decode_into(buf, map, packet))
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Decodes the head of the bytes not yet walked with `decode` and
+    /// moves past it, or ends the walk if it fails.
+    fn step<T>(
+        &mut self,
+        decode: impl FnOnce(&[u8]) -> Result<T, DecodeError>,
+    ) -> Option<Result<T, DecodeError>> {
         let buf = self.rest.take()?;
-        let frame = decode(buf, self.map);
+        let frame = decode(buf);
         if frame.is_ok() {
-            // `decode` checked that a whole frame is present.
+            // The decode checked that a whole frame is present.
             let tail = &buf[self.map.frame_len()..];
             self.rest = (!tail.is_empty()).then_some(tail);
         }
         Some(frame)
+    }
+}
+
+impl Iterator for Frames<'_> {
+    type Item = Result<DecodedFrame, DecodeError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let map = self.map;
+        self.step(|buf| decode(buf, map))
     }
 }
 

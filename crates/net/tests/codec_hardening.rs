@@ -11,10 +11,21 @@
 //! walker: damage anywhere yields the frames before it and one typed
 //! error, and a one-frame train is the single-frame datagram it always
 //! was, byte for byte.
+//!
+//! Every decode here runs through both entry points: `decode` into a
+//! fresh packet and `decode_into` into packets left over from other
+//! frames, which must come out the same or, on an error, untouched. The
+//! template encoder is pinned to the field-by-field encoder it replaced,
+//! kept below as the reference, byte for byte and error for error.
 
-use pipeleon_ir::ProgramGraph;
+use pipeleon_ir::{ProgramGraph, WireBinding};
+use pipeleon_net::wire::{
+    EncodeError, ETH_LEN, FLAG_DROPPED, FLAG_EGRESS, FLAG_RESPONSE, HDR_LEN, IPV4_LEN, MAGIC,
+    PAYLOAD_FIXED, VERSION,
+};
 use pipeleon_net::{
-    decode, encode, encode_into, frames, DecodeError, DecodedFrame, FieldMap, MAX_DATAGRAM,
+    decode, decode_into, encode, encode_into, frames, DecodeError, DecodedFrame, FieldMap,
+    WireField, MAX_DATAGRAM,
 };
 use pipeleon_sim::Packet;
 use proptest::prelude::*;
@@ -39,6 +50,65 @@ fn residue_only_map() -> (ProgramGraph, FieldMap) {
     let g = graph(&["flow.f0", "flow.f1", "flow.f2"]);
     let m = FieldMap::from_graph(&g).expect("map");
     (g, m)
+}
+
+/// A map binding every header field the codec carries, by explicit
+/// contract, plus two residue slots.
+fn header_map() -> (ProgramGraph, FieldMap) {
+    let names = ["mac.d", "mac.s", "ip.s", "ip.d", "ttl", "sport", "dport"];
+    let mut g = graph(&["meta.a"]);
+    for (w, name) in WireField::ALL.into_iter().zip(names) {
+        g.fields.intern(name);
+        g.wire.push(WireBinding {
+            wire: w.name().into(),
+            field: name.into(),
+        });
+    }
+    g.fields.intern("meta.b");
+    let m = FieldMap::from_graph(&g).expect("map");
+    (g, m)
+}
+
+/// Packets a server could hold when a frame arrives: empty, or left
+/// over from other frames, with fewer, as many or more slots than `m`
+/// and every verdict field set.
+fn stale_packets(m: &FieldMap) -> Vec<Packet> {
+    let n = m.slot_count();
+    [0, n - 1, n, n + 3]
+        .into_iter()
+        .map(|len| {
+            let mut p = Packet::with_slots((0..len as u64).map(|i| 0xA5A5_0000 + i).collect());
+            p.dropped = true;
+            p.egress_port = Some(0xDEAD);
+            p.bytes = 1001;
+            p
+        })
+        .collect()
+}
+
+/// `decode`, checked against `decode_into` on every stale packet: the
+/// same packet, sequence number and flag, or the same typed error with
+/// the packet left as it was.
+fn decode_both(buf: &[u8], m: &FieldMap) -> Result<DecodedFrame, DecodeError> {
+    let fresh = decode(buf, m);
+    for stale in stale_packets(m) {
+        let mut reused = stale.clone();
+        match decode_into(buf, m, &mut reused) {
+            Ok(tag) => assert_eq!(
+                fresh,
+                Ok(DecodedFrame {
+                    packet: reused,
+                    seq: tag.seq,
+                    response: tag.response,
+                })
+            ),
+            Err(e) => {
+                assert_eq!(fresh, Err(e));
+                assert_eq!(reused, stale, "a failed decode wrote to the packet");
+            }
+        }
+    }
+    fresh
 }
 
 /// Response frames of the mixed map from raw slot values (seq = index),
@@ -68,7 +138,8 @@ fn train_of(slots: &[(u64, u64, u64, u64)]) -> (FieldMap, Vec<DecodedFrame>, Vec
 }
 
 /// Walks `buf` and checks the shape every walk has: decoded frames,
-/// then at most one error, then nothing.
+/// then at most one error, then nothing. The same walk into one reused
+/// packet, as the server walks, must step through the same frames.
 fn walk(buf: &[u8], m: &FieldMap) -> (Vec<DecodedFrame>, Option<DecodeError>) {
     let mut ok = Vec::new();
     let mut err = None;
@@ -79,7 +150,145 @@ fn walk(buf: &[u8], m: &FieldMap) -> (Vec<DecodedFrame>, Option<DecodeError>) {
             Err(e) => err = Some(e),
         }
     }
+    let mut train = frames(buf, m);
+    let mut reused = stale_packets(m).pop().expect("a stale packet");
+    let mut steps = 0;
+    while let Some(item) = train.next_into(&mut reused) {
+        match item {
+            Ok(tag) => assert_eq!(
+                ok.get(steps),
+                Some(&DecodedFrame {
+                    packet: reused.clone(),
+                    seq: tag.seq,
+                    response: tag.response,
+                })
+            ),
+            Err(e) => assert_eq!((steps, err), (ok.len(), Some(e))),
+        }
+        steps += 1;
+    }
+    assert_eq!(steps, ok.len() + usize::from(err.is_some()));
     (ok, err)
+}
+
+/// The encoder as it was before frame templates, field by field over a
+/// zeroed frame: the reference `encode_into` must match byte for byte.
+fn reference_encode_into(
+    out: &mut [u8],
+    packet: &Packet,
+    map: &FieldMap,
+    seq: u64,
+    response: bool,
+) -> Result<usize, EncodeError> {
+    fn put16(b: &mut [u8], at: usize, v: u16) {
+        b[at..at + 2].copy_from_slice(&v.to_be_bytes());
+    }
+    fn put32(b: &mut [u8], at: usize, v: u32) {
+        b[at..at + 4].copy_from_slice(&v.to_be_bytes());
+    }
+    fn put64(b: &mut [u8], at: usize, v: u64) {
+        b[at..at + 8].copy_from_slice(&v.to_be_bytes());
+    }
+    fn ipv4_checksum(hdr: &[u8]) -> u16 {
+        let mut sum = 0u32;
+        for i in (0..hdr.len() - 1).step_by(2) {
+            if i != 10 {
+                sum += u32::from(u16::from_be_bytes([hdr[i], hdr[i + 1]]));
+            }
+        }
+        while sum > 0xFFFF {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    let need = map.frame_len();
+    if out.len() < need {
+        return Err(EncodeError::BufferTooSmall {
+            have: out.len(),
+            need,
+        });
+    }
+    for (w, fref) in map.bound() {
+        let v = packet.get(*fref);
+        if v > w.max_value() {
+            return Err(EncodeError::ValueTooWide {
+                wire: w.name(),
+                value: v,
+                bits: w.bits(),
+            });
+        }
+    }
+    let frame = &mut out[..need];
+    frame.fill(0);
+
+    // Ethernet II.
+    if let Some(f) = map.slot_of(WireField::EthDst) {
+        frame[0..6].copy_from_slice(&packet.get(f).to_be_bytes()[2..8]);
+    }
+    if let Some(f) = map.slot_of(WireField::EthSrc) {
+        frame[6..12].copy_from_slice(&packet.get(f).to_be_bytes()[2..8]);
+    }
+    put16(frame, 12, 0x0800);
+
+    // IPv4 (IHL = 5, DF clear, no fragmentation).
+    let ip = ETH_LEN;
+    frame[ip] = 0x45;
+    let total_len = (need - ETH_LEN).min(usize::from(u16::MAX)) as u16;
+    put16(frame, ip + 2, total_len);
+    frame[ip + 8] = match map.slot_of(WireField::Ipv4Ttl) {
+        Some(f) => packet.get(f) as u8,
+        None => 64,
+    };
+    frame[ip + 9] = 17;
+    if let Some(f) = map.slot_of(WireField::Ipv4Src) {
+        put32(frame, ip + 12, packet.get(f) as u32);
+    }
+    if let Some(f) = map.slot_of(WireField::Ipv4Dst) {
+        put32(frame, ip + 16, packet.get(f) as u32);
+    }
+    let csum = ipv4_checksum(&frame[ip..ip + IPV4_LEN]);
+    put16(frame, ip + 10, csum);
+
+    // UDP (checksum 0 = unused, legal for IPv4).
+    let udp = ETH_LEN + IPV4_LEN;
+    if let Some(f) = map.slot_of(WireField::UdpSport) {
+        put16(frame, udp, packet.get(f) as u16);
+    }
+    if let Some(f) = map.slot_of(WireField::UdpDport) {
+        put16(frame, udp + 2, packet.get(f) as u16);
+    }
+    put16(frame, udp + 4, (need - ETH_LEN - IPV4_LEN) as u16);
+
+    // Payload trailer.
+    let p = HDR_LEN;
+    frame[p..p + 4].copy_from_slice(&MAGIC);
+    frame[p + 4] = VERSION;
+    let mut flags = 0u8;
+    if response {
+        flags |= FLAG_RESPONSE;
+    }
+    if packet.dropped {
+        flags |= FLAG_DROPPED;
+    }
+    if let Some(e) = packet.egress_port {
+        flags |= FLAG_EGRESS;
+        put32(frame, p + 6, e);
+    }
+    frame[p + 5] = flags;
+    put16(
+        frame,
+        p + 10,
+        packet.bytes.min(usize::from(u16::MAX)) as u16,
+    );
+    put64(frame, p + 12, seq);
+    put16(frame, p + 20, map.residue().len() as u16);
+    let mut at = p + PAYLOAD_FIXED;
+    for fref in map.residue() {
+        put64(frame, at, packet.get(*fref));
+        at += 8;
+    }
+    Ok(need)
 }
 
 fn slot_values(frames: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u64, u64, u64, u64)>> {
@@ -159,8 +368,8 @@ proptest! {
         let (_, m2) = residue_only_map();
         // Outcome unconstrained (random bytes are overwhelmingly
         // malformed); the property is "returns, never panics".
-        let _ = decode(&bytes, &m1);
-        let _ = decode(&bytes, &m2);
+        let _ = decode_both(&bytes, &m1);
+        let _ = decode_both(&bytes, &m2);
         let _ = walk(&bytes, &m1);
     }
 
@@ -181,7 +390,7 @@ proptest! {
         let mut buf = encode(&p, &m, 9, false).expect("encode");
         let pos = usize::from(pos_raw) % buf.len();
         buf[pos] = val;
-        if let Ok(d) = decode(&buf, &m) {
+        if let Ok(d) = decode_both(&buf, &m) {
             prop_assert_eq!(d.packet.slots().len(), m.slot_count());
         }
     }
@@ -210,7 +419,7 @@ proptest! {
         p.dropped = dropped & 1 == 1;
         p.egress_port = if egress & 1 == 1 { Some(u32::from(egress)) } else { None };
         let buf = encode(&p, &m, seq, true).expect("encode");
-        let d = decode(&buf, &m).expect("decode");
+        let d = decode_both(&buf, &m).expect("decode");
         prop_assert_eq!(&d.packet, &p);
         prop_assert_eq!(d.seq, seq);
         prop_assert!(d.response);
@@ -223,7 +432,7 @@ proptest! {
         let p = Packet::new(&g.fields);
         let buf = encode(&p, &m, 0, false).expect("encode");
         let cut = usize::from(cut_raw) % buf.len();
-        prop_assert!(decode(&buf[..cut], &m).is_err());
+        prop_assert!(decode_both(&buf[..cut], &m).is_err());
     }
 }
 
@@ -235,7 +444,7 @@ fn corruption_classes_map_to_their_error_variants() {
 
     // Truncated below the fixed header.
     assert!(matches!(
-        decode(&good[..20], &m),
+        decode_both(&good[..20], &m),
         Err(DecodeError::Truncated { .. })
     ));
 
@@ -244,29 +453,29 @@ fn corruption_classes_map_to_their_error_variants() {
     b[12] = 0x08;
     b[13] = 0x06;
     assert!(matches!(
-        decode(&b, &m),
+        decode_both(&b, &m),
         Err(DecodeError::BadEthertype(0x0806))
     ));
 
     // Bad IHL (options present — unsupported).
     let mut b = good.clone();
     b[14] = 0x46;
-    assert_eq!(decode(&b, &m), Err(DecodeError::BadIhl(0x46)));
+    assert_eq!(decode_both(&b, &m), Err(DecodeError::BadIhl(0x46)));
 
     // Non-UDP transport.
     let mut b = good.clone();
     b[14 + 9] = 6;
-    assert_eq!(decode(&b, &m), Err(DecodeError::BadProto(6)));
+    assert_eq!(decode_both(&b, &m), Err(DecodeError::BadProto(6)));
 
     // Foreign payload (not a pipeleon frame).
     let mut b = good.clone();
     b[42] = b'H';
-    assert!(matches!(decode(&b, &m), Err(DecodeError::BadMagic(_))));
+    assert!(matches!(decode_both(&b, &m), Err(DecodeError::BadMagic(_))));
 
     // Future payload version.
     let mut b = good.clone();
     b[42 + 4] = 2;
-    assert_eq!(decode(&b, &m), Err(DecodeError::BadVersion(2)));
+    assert_eq!(decode_both(&b, &m), Err(DecodeError::BadVersion(2)));
 
     // A length field that disagrees with the frame present: in a train
     // it would misframe every frame after this one.
@@ -274,7 +483,7 @@ fn corruption_classes_map_to_their_error_variants() {
     let mut b = good.clone();
     b[14 + 3] += 8;
     assert_eq!(
-        decode(&b, &m),
+        decode_both(&b, &m),
         Err(DecodeError::BadLength {
             have: ip_len as u16 + 8,
             need: ip_len
@@ -283,7 +492,7 @@ fn corruption_classes_map_to_their_error_variants() {
     let mut b = good.clone();
     b[34 + 5] -= 1;
     assert_eq!(
-        decode(&b, &m),
+        decode_both(&b, &m),
         Err(DecodeError::BadLength {
             have: udp_len as u16 - 1,
             need: udp_len
@@ -294,7 +503,7 @@ fn corruption_classes_map_to_their_error_variants() {
     let (g2, m2) = residue_only_map();
     let other = encode(&Packet::new(&g2.fields), &m2, 0, false).expect("encode");
     assert!(matches!(
-        decode(&other, &m),
+        decode_both(&other, &m),
         Err(DecodeError::ResidueMismatch { have: 3, need: 2 })
     ));
 }
@@ -327,4 +536,91 @@ fn one_frame_datagram_is_byte_identical_to_the_pre_train_format() {
             response: false
         })]
     );
+}
+
+proptest! {
+    /// The template encoder writes what the field-by-field reference
+    /// writes, byte for byte (the bytes past the frame untouched), over
+    /// every map shape and every flag and egress combination, and refuses
+    /// what it refuses with the same error and an untouched buffer: a
+    /// header value one bit too wide (the `too_wide`-th bound field, if
+    /// the map binds that many), a buffer one byte too short. What
+    /// it writes decodes back, into fresh and reused packets alike.
+    #[test]
+    fn template_encode_matches_the_reference(
+        values in prop::collection::vec(any::<u64>(), 9),
+        too_wide in 0usize..10,
+        seq in any::<u64>(),
+        bytes in any::<u32>(),
+        egress in any::<u32>(),
+        slack in 0usize..3,
+        fill in any::<u8>(),
+    ) {
+        for (g, m) in [mixed_map(), header_map(), residue_only_map()] {
+            let mut p = Packet::new(&g.fields);
+            for ((fref, _), &v) in g.fields.iter().zip(&values) {
+                p.set(fref, v);
+            }
+            for (k, &(w, fref)) in m.bound().iter().enumerate() {
+                let v = p.get(fref) & w.max_value();
+                let v = if too_wide == k { v | (w.max_value() + 1) } else { v };
+                p.set(fref, v);
+            }
+            p.bytes = bytes as usize;
+            let len = m.frame_len() + slack - 1;
+            for response in [false, true] {
+                for dropped in [false, true] {
+                    for egress_port in [None, Some(egress)] {
+                        p.dropped = dropped;
+                        p.egress_port = egress_port;
+                        let mut want = vec![fill; len];
+                        let mut got = want.clone();
+                        let wrote = reference_encode_into(&mut want, &p, &m, seq, response);
+                        prop_assert_eq!(&encode_into(&mut got, &p, &m, seq, response), &wrote);
+                        prop_assert_eq!(&got, &want);
+                        if wrote.is_ok() {
+                            let mut sent = p.clone();
+                            sent.bytes = sent.bytes.min(usize::from(u16::MAX));
+                            prop_assert_eq!(
+                                decode_both(&got, &m),
+                                Ok(DecodedFrame { packet: sent, seq, response })
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The two refusals, each on its own: a TTL of 256 and a buffer one
+/// byte short of the frame, the same error as the reference's.
+#[test]
+fn encode_refusals_match_the_reference() {
+    let (g, m) = header_map();
+    let mut p = Packet::new(&g.fields);
+    p.set(g.fields.get("ttl").unwrap(), 256);
+    let mut buf = vec![0u8; m.frame_len()];
+    let err = encode_into(&mut buf, &p, &m, 0, false);
+    assert_eq!(
+        err,
+        Err(EncodeError::ValueTooWide {
+            wire: "ipv4.ttl",
+            value: 256,
+            bits: 8
+        })
+    );
+    assert_eq!(err, reference_encode_into(&mut buf, &p, &m, 0, false));
+    p.set(g.fields.get("ttl").unwrap(), 255);
+    let mut short = vec![0u8; m.frame_len() - 1];
+    let err = encode_into(&mut short, &p, &m, 0, false);
+    assert_eq!(
+        err,
+        Err(EncodeError::BufferTooSmall {
+            have: m.frame_len() - 1,
+            need: m.frame_len()
+        })
+    );
+    assert_eq!(err, reference_encode_into(&mut short, &p, &m, 0, false));
+    assert!(buf.iter().chain(&short).all(|&b| b == 0));
 }

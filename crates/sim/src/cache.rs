@@ -157,23 +157,20 @@ impl RateLimiter {
     /// A limiter refilling `rate_per_s` tokens per second with a burst
     /// budget of `burst` tokens (starts full).
     pub(crate) fn new(rate_per_s: f64, burst: f64) -> Self {
+        debug_assert!(
+            rate_per_s.is_finite() && rate_per_s > 0.0,
+            "insertion rate {rate_per_s} is not finite and positive"
+        );
         Self {
-            rate_per_s: rate_per_s.max(0.0),
+            rate_per_s,
             burst: burst.max(1.0),
             tokens: burst.max(1.0),
             last_s: 0.0,
         }
     }
 
-    /// Attempts to take one token at simulation time `now_s`. A zero rate
-    /// always denies (insertions disabled).
+    /// Attempts to take one token at simulation time `now_s`.
     pub(crate) fn allow(&mut self, now_s: f64) -> bool {
-        if self.rate_per_s.is_infinite() {
-            return true;
-        }
-        if self.rate_per_s <= 0.0 {
-            return false;
-        }
         if now_s > self.last_s {
             self.tokens = (self.tokens + (now_s - self.last_s) * self.rate_per_s).min(self.burst);
             self.last_s = now_s;
@@ -303,13 +300,5 @@ mod tests {
         assert!(rl.allow(100.0));
         assert!(rl.allow(100.0));
         assert!(!rl.allow(100.0));
-    }
-
-    #[test]
-    fn unlimited_limiter_always_allows() {
-        let mut rl = RateLimiter::new(f64::INFINITY, f64::MAX);
-        for i in 0..1000 {
-            assert!(rl.allow(i as f64 * 1e-9));
-        }
     }
 }

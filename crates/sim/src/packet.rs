@@ -57,9 +57,10 @@ impl Packet {
         &self.slots
     }
 
-    /// The raw slot array, to write in place.
+    /// The raw slot array, to write in place (the walk cache replaying a
+    /// walk, the wire codec decoding into a kept packet).
     #[inline]
-    pub(crate) fn slots_mut(&mut self) -> &mut [u64] {
+    pub fn slots_mut(&mut self) -> &mut [u64] {
         &mut self.slots
     }
 

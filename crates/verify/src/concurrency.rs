@@ -61,10 +61,12 @@ const UNSAFE_SRC_ALLOWLIST: &[&str] = &[
 
 /// Test files allowed to contain `unsafe` without SAFETY comments:
 /// their raw accesses execute under the model checker (or, for the
-/// alloc guard, implement the counting `GlobalAlloc`).
+/// alloc guards of the datapath and the socket path, implement the
+/// counting `GlobalAlloc`).
 const UNSAFE_TEST_ALLOWLIST: &[&str] = &[
     "crates/sim/tests/model.rs",
     "crates/sim/tests/alloc_guard.rs",
+    "crates/net/tests/alloc_guard.rs",
     "crates/check/tests/",
 ];
 
