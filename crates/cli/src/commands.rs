@@ -313,7 +313,8 @@ fn configured<N: NicBackend>(args: &Args, mut nic: N) -> Result<N, String> {
 
 /// One measurement window over `batch`, with `mid` run against `s`
 /// between its halves: the first half is in flight (on a sharded
-/// backend, still in the rings) when `mid` runs, and the window closes
+/// backend, still in the rings) when `mid` runs, unless `mid` takes the
+/// profile, which drains it first; the window closes
 /// once the second half has drained. The halves measure exactly as one
 /// window of the whole batch, and whatever `mid` applies lands at that
 /// stream position. `nic` reaches the backend inside `s`.
@@ -519,8 +520,9 @@ fn chaos<N: NicBackend>(args: &Args, nic: N) -> Result<(), String> {
     let (mut offered, mut processed) = (0u64, 0u64);
     for (w, chunk) in batch.chunks(per_window).take(windows).enumerate() {
         // The window stays open across the controller tick: whatever the
-        // tick deploys publishes as a generation swap with the window's
-        // traffic genuinely in flight.
+        // tick deploys publishes as a generation swap at the window's
+        // midpoint. (The tick's profile read drains the first half, so
+        // every shard closes its profile window at that position.)
         let (s, r) = window(
             &mut c,
             |c| &mut c.target.inner.nic,

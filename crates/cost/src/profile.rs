@@ -40,8 +40,10 @@ pub struct RuntimeProfile {
     pub entry_update_rates: HashMap<NodeId, f64>,
     /// Per-cache statistics, keyed by the cache table node.
     pub cache_stats: HashMap<NodeId, CacheStats>,
-    /// Approximate number of distinct key values observed per table —
-    /// drives the cache cross-product estimate of §3.2.2.
+    /// Number of distinct key values observed per table — drives the
+    /// cache cross-product estimate of §3.2.2. The simulator counts them
+    /// exactly up to 65,536 a window and estimates them from a hash
+    /// sample of the keys above that.
     pub distinct_keys: HashMap<NodeId, u64>,
     /// Measured hit rates of previously deployed caches, keyed by the
     /// sorted set of covered (original) tables. The optimizer prefers
@@ -307,8 +309,8 @@ impl RuntimeProfile {
     /// - packet totals, edge counters, action counters, cache statistics,
     ///   and entry-update rates **sum** per key;
     /// - `distinct_keys` **sum** per table — an upper bound, since shards
-    ///   cannot see each other's key sets (a sharded NIC that tracks raw
-    ///   key sets should overwrite these with exact union counts);
+    ///   cannot see each other's keys (a sharded NIC counts the union of
+    ///   its shards' key observers instead, which merges exactly);
     /// - `cache_hit_hints` union, keeping the **max** rate on conflicts;
     /// - `window_s` is the **max** of both windows (shards cover the same
     ///   wall-clock window, not consecutive ones); an empty side's window

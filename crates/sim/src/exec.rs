@@ -24,7 +24,7 @@
 use crate::backend::{Applied, ControlOp};
 use crate::cache::{LruCache, RateLimiter};
 use crate::compiled::{CompiledPipeline, LookupMemo};
-use crate::distinct::{self, DistinctKeys};
+use crate::distinct::{self, KeyObserver};
 use crate::engine::{KeyScratch, LookupOutcome, MatchEngine};
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
@@ -154,13 +154,15 @@ pub enum EngineMode {
 ///   only partition-invariant if every shard is fed the packet's global
 ///   arrival index — a barrier the sharded datapath does not have.
 /// - [`FlowKeyed`](SampleKeying::FlowKeyed) hashes `(flow_hash,
-///   per-flow packet count)` through a splitmix64-style mixer. Since RSS
-///   pins a flow to one shard and rings preserve per-flow order, the
-///   k-th packet of a flow is the same packet on any worker count, so
-///   the *set* of sampled packets — and therefore every sampled counter
-///   and histogram — is identical for 1, 2, or N workers without any
-///   shared arrival index. Costs one `FxHashMap` entry per live flow
-///   while instrumentation is on with `sample_every > 1`.
+///   per-flow packet count in the profile window)` through a
+///   splitmix64-style mixer. Since RSS pins a flow to one shard, rings
+///   preserve per-flow order and every shard's window closes at one
+///   stream position, the k-th packet of a flow in a window is the same
+///   packet on any worker count, so the *set* of sampled packets — and
+///   therefore every sampled counter and histogram — is identical for
+///   1, 2, or N workers without any shared arrival index. Costs one
+///   `FxHashMap` entry per flow seen in the window while instrumentation
+///   is on with `sample_every > 1`; `take_profile` empties the map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SampleKeying {
     /// Global packet-sequence sampling (single-threaded schedule).
@@ -486,12 +488,13 @@ struct Walk {
     packet_seq: u64,
     /// How sampling decisions are keyed (global sequence vs per-flow).
     keying: SampleKeying,
-    /// Per-flow packet counts for [`SampleKeying::FlowKeyed`]; touched
-    /// only when instrumented with `sample_every > 1`.
+    /// Per-flow packet counts for [`SampleKeying::FlowKeyed`] this
+    /// window; touched only when instrumented with `sample_every > 1`,
+    /// cleared, never dropped, at the window boundary.
     flow_seq: FxHashMap<u64, u64>,
-    /// Distinct match keys seen per table this window, dense by node
+    /// One distinct-key observer per table this window, dense by node
     /// index; cleared, never dropped, at the window boundary.
-    distinct: Vec<DistinctKeys>,
+    distinct: Vec<KeyObserver>,
     last_profile_take_s: f64,
     /// Latency histograms recorded for sampled packets since the last
     /// [`Executor::take_observations`].
@@ -633,9 +636,9 @@ impl Executor {
     }
 
     /// Swaps in an already-validated program. The pending profile
-    /// window, sampled observations, distinct-key sets, flow sequence
-    /// counts, packet sequence, placements and instrumentation all carry
-    /// across the swap — the profile window spans generations, keyed by
+    /// window, sampled observations, distinct-key observers, flow
+    /// sequence counts, packet sequence, placements and instrumentation
+    /// all carry across the swap — the profile window spans generations, keyed by
     /// the (stable) node ids both layouts share. Match engines and
     /// flow-cache runtime state are rebuilt (the new layout's tables
     /// define them); `compiled` installs a publisher's pre-built pipeline
@@ -708,13 +711,13 @@ impl Executor {
     }
 
     /// Like [`Executor::take_profile`], but unions this window's
-    /// distinct keys into `union` (dense by node index) instead of
-    /// counting them into the profile. A sharded NIC counts the union
-    /// across workers — summing per-shard counts would double-count
-    /// flows whose packets land on several shards.
-    pub(crate) fn take_profile_into(&mut self, union: &mut Vec<DistinctKeys>) -> RuntimeProfile {
+    /// distinct-key observers into `union` (dense by node index) instead
+    /// of counting them into the profile. A sharded NIC counts the union
+    /// across workers — summing per-shard counts would double-count keys
+    /// that several shards' flows share.
+    pub(crate) fn take_profile_into(&mut self, union: &mut Vec<KeyObserver>) -> RuntimeProfile {
         if union.len() < self.walk.distinct.len() {
-            union.resize_with(self.walk.distinct.len(), DistinctKeys::default);
+            union.resize_with(self.walk.distinct.len(), KeyObserver::default);
         }
         for (all, keys) in union.iter_mut().zip(&mut self.walk.distinct) {
             all.absorb(keys);
@@ -726,11 +729,13 @@ impl Executor {
     /// The window's counters and cache statistics, reset for the next.
     /// The live profile is copied out and cleared rather than moved, so
     /// its maps keep their capacity and the next window's first sampled
-    /// packets do not regrow them.
+    /// packets do not regrow them. The per-flow packet counts restart
+    /// too, so they hold one window's flows, not every flow ever seen.
     fn take_counters(&mut self) -> RuntimeProfile {
         let walk = &mut self.walk;
         let mut p = walk.profile.clone();
         walk.profile.clear();
+        walk.flow_seq.clear();
         if walk.instrumented && walk.sample_every > 1 {
             p.scale_counts(walk.sample_every);
         }
@@ -1096,9 +1101,11 @@ impl Walk {
 
     /// Notes the composed key in scratch (pre-action packet state) as
     /// seen at table `id`. Runs for every instrumented packet, sampled
-    /// or not: the exact count feeds the optimizer's cross-product
-    /// estimate. It models control-plane analytics, not a P4 counter, so
-    /// it adds no data-path latency.
+    /// or not: the table's observer samples keys by hash, not packets,
+    /// and its count (exact up to 65,536 keys a window, estimated from a
+    /// hash sample above) feeds the optimizer's cross-product estimate.
+    /// It models control-plane analytics, not a P4 counter, so it adds
+    /// no data-path latency.
     #[inline]
     fn note_distinct(&mut self, id: NodeId) {
         if self.scratch.values.is_empty() {
@@ -1106,7 +1113,7 @@ impl Walk {
         }
         if self.distinct.len() <= id.index() {
             self.distinct
-                .resize_with(id.index() + 1, DistinctKeys::default);
+                .resize_with(id.index() + 1, KeyObserver::default);
         }
         self.distinct[id.index()].note(&self.scratch.values);
     }
@@ -1505,6 +1512,35 @@ mod tests {
         let prof = ex.take_profile();
         // 25 sampled packets, scaled by 4 back to 100.
         assert_eq!(prof.action_count(acl, 0), 100);
+    }
+
+    /// Flow-keyed sampling counts packets per flow for one window only: a
+    /// million distinct flows over eight windows never leave more than
+    /// one window's flows in the map, and the map keeps its capacity.
+    #[test]
+    fn flow_sequence_counts_hold_one_window_of_flows() {
+        const WINDOWS: u64 = 8;
+        const FLOWS: usize = 125_000;
+        let (g, _, _) = simple_program();
+        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
+        ex.set_sample_keying(SampleKeying::FlowKeyed);
+        ex.set_instrumentation(true, 64);
+        let mut flow = 0u64;
+        for w in 0..WINDOWS {
+            for _ in 0..FLOWS {
+                flow += 1;
+                ex.process(&mut Packet::with_slots(vec![flow, 0]));
+            }
+            let held = ex.walk.flow_seq.len();
+            assert!(
+                (FLOWS * 99 / 100..=FLOWS).contains(&held),
+                "window {w}: {held}"
+            );
+            let capacity = ex.walk.flow_seq.capacity();
+            ex.take_profile();
+            assert!(ex.walk.flow_seq.is_empty(), "window {w}");
+            assert_eq!(ex.walk.flow_seq.capacity(), capacity, "window {w}");
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@
 
 use crate::backend::{Applied, ControlOp, LiveSwap, NicBackend};
 use crate::compiled::CompiledPipeline;
-use crate::distinct::{self, DistinctKeys};
+use crate::distinct::{self, KeyObserver};
 use crate::exec::{self, EngineMode, ExecReport, Executor, SampleKeying};
 use crate::generation::GenChain;
 use crate::nic::{BatchAgg, BatchStats, Lane, MeasureStream, ShardMode};
@@ -397,7 +397,7 @@ pub struct ShardedNic {
     merge: BatchAgg,
     /// Dispatcher-side distinct-key unions for `take_profile`, dense by
     /// node index; cleared and reused the same way.
-    distinct_union: Vec<DistinctKeys>,
+    distinct_union: Vec<KeyObserver>,
     /// The dispatcher's own burst buffer for helping drain shard rings
     /// (work-conserving dispatch; see [`drain_burst`]).
     help_scratch: Vec<WorkItem>,
@@ -838,9 +838,12 @@ impl NicBackend for ShardedNic {
     /// Takes the merged profile collected across all shards since the
     /// last call — the window-boundary merge: counters fold via
     /// [`RuntimeProfile::merge`], the window is the global clock delta,
-    /// and distinct-key counts come from exact cross-shard unions of the
-    /// raw key sets, saturating at the single tracker's cap.
+    /// and distinct-key counts come from the union of the shards' key
+    /// observers, which is the observer one NIC fed every stream holds.
+    /// Packets in flight drain first, so every shard closes its window —
+    /// and restarts its per-flow sample counts — at one stream position.
     fn take_profile(&mut self) -> RuntimeProfile {
+        self.wait_idle();
         let mut merged = RuntimeProfile::empty();
         let mut sketches: HashMap<NodeId, HotKeySketch> = HashMap::new();
         for cell in &self.shards {

@@ -1,7 +1,7 @@
 //! Fixed-width inline match keys for the per-packet hot path.
 //!
-//! Match keys, flow-cache keys and distinct-key tracking all hash short
-//! `u64` tuples on every packet. A `Vec<u64>` key heap-allocates per
+//! Match keys and flow-cache keys both hash short `u64` tuples on every
+//! packet. A `Vec<u64>` key heap-allocates per
 //! lookup; [`SmallKey`] stores up to [`SmallKey::INLINE_CAP`] components
 //! inline on the stack and only boxes wider keys. Because it implements
 //! `Borrow<[u64]>` (with a slice-consistent `Hash`/`Eq`), maps keyed by

@@ -9,7 +9,8 @@
 //! original program is by construction "the successful ops only", and any
 //! deployed (optimized) layout must stay semantically equivalent to it.
 //!
-//! The seed matrix below is the one CI runs as a dedicated step.
+//! The seed matrix (`common::SYNTH_SEEDS`) is the one CI runs as a
+//! dedicated step.
 
 use pipeleon::search::Optimizer;
 use pipeleon_cost::{CostModel, CostParams};
@@ -21,8 +22,8 @@ use pipeleon_runtime::{
 use pipeleon_sim::{NicBackend, Packet, ShardedNic, SmartNic};
 use pipeleon_workloads::scenarios::AclPipeline;
 
-/// The fixed seed matrix exercised by CI.
-const CI_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
+mod common;
+use common::SYNTH_SEEDS;
 
 /// Deterministic op-mix generator, deliberately distinct from the fault
 /// schedule's PRNG so churn and faults decorrelate.
@@ -240,7 +241,7 @@ where
 
 #[test]
 fn chaos_differential_smartnic_seed_matrix() {
-    for &seed in &CI_SEEDS {
+    for &seed in &SYNTH_SEEDS {
         chaos_run(seed, 6, |p| {
             SmartNic::new(p.graph.clone(), CostParams::bluefield2()).unwrap()
         });
@@ -252,7 +253,7 @@ fn chaos_differential_sharded_runloop_seed_matrix() {
     // The sharded datapath goes through the same Target plumbing; the
     // full matrix exercises it because its generations are adopted by
     // worker threads.
-    for &seed in &CI_SEEDS {
+    for &seed in &SYNTH_SEEDS {
         chaos_run(seed, 5, |p| {
             ShardedNic::new(p.graph.clone(), CostParams::bluefield2(), 4).unwrap()
         });
@@ -263,7 +264,7 @@ fn chaos_differential_sharded_runloop_seed_matrix() {
 fn chaos_heavy_entry_faults_never_desync_the_original() {
     // A schedule biased to entry failures: the shadow comparison is the
     // sharp check that rollback bookkeeping is exact.
-    for &seed in &CI_SEEDS {
+    for &seed in &SYNTH_SEEDS {
         let p = AclPipeline::build(2, 3);
         let mut nic = SmartNic::new(p.graph.clone(), CostParams::bluefield2()).unwrap();
         nic.set_instrumentation(true, 1);

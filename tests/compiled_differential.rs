@@ -21,7 +21,7 @@ use pipeleon::search::Optimizer;
 use pipeleon::OptimizerConfig;
 use pipeleon_cost::{CostModel, CostParams, Placement, RuntimeProfile, CACHE_INSERTION_RATE};
 use pipeleon_ir::{
-    json, Action, CacheRole, FieldRef, MatchKey, MatchKind, MatchValue, NodeId, Primitive,
+    Action, CacheRole, FieldRef, MatchKey, MatchKind, MatchValue, NodeId, Primitive,
     ProgramBuilder, ProgramGraph, Table, TableEntry,
 };
 use pipeleon_runtime::{
@@ -34,16 +34,15 @@ use pipeleon_sim::{
 };
 use pipeleon_workloads::scenarios::{AclPipeline, LoadBalancer};
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
-use pipeleon_workloads::traffic::FlowGen;
 use proptest::prelude::*;
+
+mod common;
+use common::{example_programs, key_traffic, SYNTH_SEEDS};
 
 /// The sharded-equivalence matrix, reused: 1 is the degenerate shard,
 /// 2 the smallest real split, 8 more shards than distinct flows in some
 /// phases.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Same fixed seed matrix CI runs for the chaos suite.
-const SYNTH_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
 /// Deterministic op-mix generator (distinct from any engine PRNG).
 struct Lcg(u64);
@@ -61,21 +60,6 @@ impl Lcg {
     fn pick(&mut self, choices: &[u64]) -> u64 {
         choices[self.next() as usize % choices.len()]
     }
-}
-
-/// Seeded flow traffic over every field any table of `g` matches on.
-fn key_traffic(g: &ProgramGraph, flows: usize, seed: u64, packets: usize) -> Vec<Packet> {
-    let mut flow_fields = Vec::new();
-    for (_, t) in g.tables() {
-        for k in &t.keys {
-            if !flow_fields.contains(&k.field) {
-                flow_fields.push(k.field);
-            }
-        }
-    }
-    FlowGen::new(g.fields.len(), flow_fields, flows, seed)
-        .with_zipf(1.1)
-        .batch(packets)
 }
 
 /// Counter-by-counter profile comparison, so a regression names the first
@@ -227,25 +211,6 @@ fn assert_sharded_identical(
             "{ctx}: observations diverged"
         );
     }
-}
-
-fn example_programs() -> Vec<(String, ProgramGraph)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/programs");
-    let mut out = Vec::new();
-    let mut names: Vec<_> = std::fs::read_dir(dir)
-        .expect("examples/programs exists")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-        .map(|e| e.path())
-        .collect();
-    names.sort();
-    for path in names {
-        let text = std::fs::read_to_string(&path).unwrap();
-        let g = json::from_json_string(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        out.push((path.file_stem().unwrap().to_string_lossy().into_owned(), g));
-    }
-    assert!(!out.is_empty(), "no example programs found");
-    out
 }
 
 #[test]

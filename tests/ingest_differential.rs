@@ -23,56 +23,24 @@
 //! breaks part-way.
 
 use pipeleon_cost::CostParams;
-use pipeleon_ir::{json, ProgramGraph};
+use pipeleon_ir::ProgramGraph;
 use pipeleon_net::{
     encode_into, frames, FieldMap, IngestConfig, IngestServer, IngestStats, NetClient, MAX_DATAGRAM,
 };
 use pipeleon_sim::{NicBackend, Packet, ShardedNic, SmartNic};
 use pipeleon_workloads::scenarios::LoadBalancer;
-use pipeleon_workloads::traffic::FlowGen;
 use std::net::UdpSocket;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+
+mod common;
+use common::{example_programs, key_traffic};
 
 /// Same worker matrix as the run-loop differential suite.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 /// Client windows: one frame per datagram, a short train, the default
 /// burst, and more than one train holds (80 LB frames fill a datagram).
 const WINDOWS: [usize; 4] = [1, 7, 64, 200];
-
-/// Seeded flow traffic over every field any table of `g` matches on.
-fn key_traffic(g: &ProgramGraph, flows: usize, seed: u64, packets: usize) -> Vec<Packet> {
-    let mut flow_fields = Vec::new();
-    for (_, t) in g.tables() {
-        for k in &t.keys {
-            if !flow_fields.contains(&k.field) {
-                flow_fields.push(k.field);
-            }
-        }
-    }
-    FlowGen::new(g.fields.len(), flow_fields, flows, seed)
-        .with_zipf(1.1)
-        .batch(packets)
-}
-
-fn example_programs() -> Vec<(String, ProgramGraph)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/programs");
-    let mut names: Vec<_> = std::fs::read_dir(dir)
-        .expect("examples/programs exists")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-        .map(|e| e.path())
-        .collect();
-    names.sort();
-    let mut out = Vec::new();
-    for path in names {
-        let text = std::fs::read_to_string(&path).unwrap();
-        let g = json::from_json_string(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        out.push((path.file_stem().unwrap().to_string_lossy().into_owned(), g));
-    }
-    assert!(!out.is_empty(), "no example programs found");
-    out
-}
 
 /// Serves exactly `expect` frames through `nic` on a loopback socket in
 /// a background thread, returning the join handle. The thread exits

@@ -694,9 +694,10 @@ fn chaos_faults_during_mid_flight_swaps_converge_to_last_known_good() {
         c.target.set_armed(true);
         let mut rng = Lcg(seed ^ 0xc0ffee);
         let (mut offered, mut processed) = (0u64, 0u64);
-        // A window here keeps its traffic in flight across the
-        // controller tick: every deploy, retry, and rollback the tick
-        // performs publishes as a generation swap under live load.
+        // A window here stays open across the controller tick: every
+        // deploy, retry, and rollback the tick performs publishes as a
+        // generation swap mid-window. The tick's profile read drains the
+        // first half first, so the swaps land at that stream position.
         let live_window = |c: &mut Controller<FaultyTarget<SimTarget<ShardedNic>>>,
                            w: u64,
                            offered: &mut u64,

@@ -44,8 +44,7 @@
 
 use pipeleon_cost::{CostParams, RuntimeProfile};
 use pipeleon_ir::{
-    json, CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, ProgramGraph,
-    TableEntry,
+    CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
 };
 use pipeleon_sim::{
     BatchStats, EngineMode, ExecObservations, ExecReport, NicBackend, Packet, SampleKeying,
@@ -53,53 +52,18 @@ use pipeleon_sim::{
 };
 use pipeleon_workloads::scenarios::{AclPipeline, DashRouting};
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
-use pipeleon_workloads::traffic::FlowGen;
+
+mod common;
+use common::{example_programs, key_traffic, SYNTH_SEEDS};
 
 /// 1 is the degenerate shard, 2 the smallest real split, 8 more shards
 /// than distinct flows in some phases.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Same fixed seed matrix CI runs for the chaos and compiled suites.
-const SYNTH_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
-
 /// Relative tolerance for the order-relaxed float aggregates. Summation
 /// order only perturbs the last ULPs; anything past 1e-9 relative is a
 /// real divergence, not reassociation.
 const FLOAT_RTOL: f64 = 1e-9;
-
-/// Seeded flow traffic over every field any table of `g` matches on.
-fn key_traffic(g: &ProgramGraph, flows: usize, seed: u64, packets: usize) -> Vec<Packet> {
-    let mut flow_fields = Vec::new();
-    for (_, t) in g.tables() {
-        for k in &t.keys {
-            if !flow_fields.contains(&k.field) {
-                flow_fields.push(k.field);
-            }
-        }
-    }
-    FlowGen::new(g.fields.len(), flow_fields, flows, seed)
-        .with_zipf(1.1)
-        .batch(packets)
-}
-
-fn example_programs() -> Vec<(String, ProgramGraph)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/programs");
-    let mut names: Vec<_> = std::fs::read_dir(dir)
-        .expect("examples/programs exists")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-        .map(|e| e.path())
-        .collect();
-    names.sort();
-    let mut out = Vec::new();
-    for path in names {
-        let text = std::fs::read_to_string(&path).unwrap();
-        let g = json::from_json_string(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        out.push((path.file_stem().unwrap().to_string_lossy().into_owned(), g));
-    }
-    assert!(!out.is_empty(), "no example programs found");
-    out
-}
 
 /// Counter-by-counter profile comparison, so a regression names the
 /// first diverging counter instead of dumping two whole profiles.
@@ -511,41 +475,91 @@ fn process_one_matches_across_worker_counts() {
     }
 }
 
-/// Past the per-table tracking cap (65,536 keys) a distinct-key count
-/// saturates the same way on both datapaths: one tracker stops learning
-/// keys, and the sharded union of two trackers reports the same capped
-/// count rather than the ~70,000 keys the two shards saw between them.
+/// A profile taken with packets still in the rings reads the whole
+/// stream fed so far: `take_profile` drains first, so every shard closes
+/// its window — and restarts its per-flow sample counts — at the same
+/// stream position as a flow-keyed single NIC, and both windows match it
+/// at any worker count.
 #[test]
-fn distinct_counts_saturate_alike_past_the_cap() {
+fn mid_window_profiles_match_across_worker_counts() {
+    let p = AclPipeline::build(4, 2);
+    let params = CostParams::bluefield2();
+    let batch = p.traffic(&[0.1, 0.2, 0.0, 0.3], 300, 45).batch(6_000);
+    let (head, tail) = batch.split_at(batch.len() / 2);
+    let run = |nic: &mut dyn NicBackend| {
+        nic.set_instrumentation(true, 4);
+        nic.measure_begin();
+        nic.measure_feed(head.to_vec());
+        let first = nic.take_profile();
+        nic.measure_feed(tail.to_vec());
+        nic.measure_end();
+        (first, nic.take_profile())
+    };
+    let mut single = SmartNic::new(p.graph.clone(), params.clone()).unwrap();
+    single.set_sample_keying(SampleKeying::FlowKeyed);
+    let want = run(&mut single);
+    for workers in WORKER_COUNTS {
+        let mut nic = ShardedNic::new(p.graph.clone(), params.clone(), workers).unwrap();
+        let mut got = run(&mut nic);
+        // The sharded clock advances only when the measurement window
+        // closes, so a mid-window take reads a different `window_s`; the
+        // counters are what the drain makes exact.
+        got.0.window_s = want.0.window_s;
+        got.1.window_s = want.1.window_s;
+        assert_profiles_identical(&want.0, &got.0, &format!("first half workers={workers}"));
+        assert_profiles_identical(&want.1, &got.1, &format!("second half workers={workers}"));
+    }
+}
+
+/// Past an observer's 65,536-sample budget a distinct-key count is an
+/// estimate from a hash sample of the keys, and still one count: both
+/// engines, one NIC and the union of 1, 2 or 8 shards' observers report
+/// the same number, within 2 % of the truth.
+#[test]
+fn distinct_counts_agree_past_the_budget() {
     let mut b = ProgramBuilder::new();
     let x = b.field("x");
     let t = b.table("flows").key(x, MatchKind::Exact).finish();
     let g = b.seal(t).unwrap();
     let params = CostParams::bluefield2();
-    let batch: Vec<Packet> = (1..=70_000u64)
-        .map(|v| {
-            let mut p = Packet::new(&g.fields);
-            p.set(x, v);
-            p
-        })
-        .collect();
-    let count = |nic: &mut dyn NicBackend| {
-        nic.set_instrumentation(true, 1);
-        nic.measure_batch(batch.clone());
-        nic.take_profile().distinct_keys_of(t)
-    };
-    let single = count(&mut SmartNic::new(g.clone(), params.clone()).unwrap());
-    assert_eq!(single, Some(65_536));
-    let sharded = count(&mut ShardedNic::new(g, params, 2).unwrap());
-    assert_eq!(sharded, single, "2-worker union vs one tracker");
+    for keys in [70_000u64, 200_000] {
+        let batch: Vec<Packet> = (1..=keys)
+            .map(|v| {
+                let mut p = Packet::new(&g.fields);
+                p.set(x, v);
+                p
+            })
+            .collect();
+        let count = |nic: &mut dyn NicBackend| {
+            nic.set_instrumentation(true, 1);
+            nic.measure_batch(batch.clone());
+            nic.take_profile().distinct_keys_of(t).expect("a count")
+        };
+        let mut counts = Vec::new();
+        for engine in [EngineMode::Interpreter, EngineMode::Compiled] {
+            let mut single = SmartNic::with_engine(g.clone(), params.clone(), engine).unwrap();
+            counts.push((format!("{engine:?} single"), count(&mut single)));
+            for workers in WORKER_COUNTS {
+                let mut nic =
+                    ShardedNic::with_engine(g.clone(), params.clone(), workers, engine).unwrap();
+                counts.push((format!("{engine:?} workers={workers}"), count(&mut nic)));
+            }
+        }
+        let want = counts[0].1;
+        for (ctx, n) in &counts {
+            assert_eq!(*n, want, "{keys} keys, {ctx}");
+        }
+        let err = (want as f64 - keys as f64).abs() / keys as f64;
+        assert!(err < 0.02, "{keys} keys estimated as {want}");
+    }
 }
 
-/// Distinct-key counts are exact set sizes, whoever keeps the set: the
-/// interpreter or the compiled walk, one NIC or the cross-shard union of
-/// 1, 2 or 8 workers. Two consecutive windows with an entry op between
-/// them: the second starts from nothing (its fewer flows must read as
-/// fewer keys, though the trackers keep their capacity), and the op
-/// disturbs no tracker. DASH has single-field tables, a four-field
+/// Distinct-key counts are exact set sizes below the budget, whoever
+/// keeps the set: the interpreter or the compiled walk, one NIC or the
+/// cross-shard union of 1, 2 or 8 workers. Two consecutive windows with
+/// an entry op between them: the second starts from nothing (its fewer
+/// flows must read as fewer keys, though the observers keep their
+/// capacity), and the op disturbs no observer. DASH has single-field tables, a four-field
 /// conntrack table, and ACL fields that are mostly zero.
 #[test]
 fn distinct_counts_match_across_engines_workers_and_windows() {

@@ -31,13 +31,12 @@ use pipeleon_workloads::scenarios::{
     AclPipeline, DashRouting, L2L3Acl, LoadBalancer, NfComposition, SkewedPipeline,
 };
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
-use pipeleon_workloads::traffic::FlowGen;
 use std::fmt::Write as _;
 
-const EXPECTED: &str = include_str!("fixtures/walk_digests.txt");
+mod common;
+use common::{key_traffic, SYNTH_SEEDS};
 
-/// The differential suites' synthetic-program seeds.
-const SYNTH_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
+const EXPECTED: &str = include_str!("fixtures/walk_digests.txt");
 
 /// Packets per case; the entry insert and cache flush land at half.
 const PACKETS: usize = 2048;
@@ -129,21 +128,6 @@ fn off_grid(mut p: CostParams) -> CostParams {
     p.l_migration *= 1.0043;
     p.cpu_scale *= 1.0191;
     p
-}
-
-/// Seeded Zipf traffic over every field any table of `g` matches on.
-fn key_traffic(g: &ProgramGraph, flows: usize, seed: u64) -> Vec<Packet> {
-    let mut flow_fields = Vec::new();
-    for (_, t) in g.tables() {
-        for k in &t.keys {
-            if !flow_fields.contains(&k.field) {
-                flow_fields.push(k.field);
-            }
-        }
-    }
-    FlowGen::new(g.fields.len(), flow_fields, flows, seed)
-        .with_zipf(1.1)
-        .batch(PACKETS)
 }
 
 /// `outer(x,y)` covers `a → inner(x) → b → c`; `inner` covers `b`, whose
@@ -239,7 +223,7 @@ fn cases() -> Vec<Case> {
     let t = dash.traffic(&[0.1, 0.05, 0.2], 300, 1.1, 73).batch(PACKETS);
     out.push(Case::new("dash_routing", dash.graph, t));
     let l2 = L2L3Acl::build();
-    let t = key_traffic(&l2.graph, 300, 74);
+    let t = key_traffic(&l2.graph, 300, 74, PACKETS);
     out.push(Case::new("l2l3_acl", l2.graph, t));
     let nf = NfComposition::build();
     let t = nf.traffic(&[0.4, 0.3], 300, 75).batch(PACKETS);
@@ -262,7 +246,7 @@ fn cases() -> Vec<Case> {
             seed,
             ..SynthConfig::default()
         });
-        let t = key_traffic(&g, 500, seed * 101);
+        let t = key_traffic(&g, 500, seed * 101, PACKETS);
         let mut case = Case::new(format!("synth_{seed}"), g, t);
         case.params = if seed % 2 == 0 {
             CostParams::agilio_cx()
