@@ -160,6 +160,9 @@ pub struct AppliedPlan {
     pub cache_nodes: Vec<NodeId>,
     /// Human-readable description of each applied step.
     pub summary: Vec<String>,
+    /// The plan this was built from: what runs, for the controller to
+    /// re-price against each new search.
+    pub plan: GlobalPlan,
 }
 
 /// Applies `plan` to (a clone of) `g`.
@@ -176,6 +179,7 @@ pub fn apply_plan(
         entry_map: EntryMap::default(),
         cache_nodes: Vec::new(),
         summary: Vec::new(),
+        plan: plan.clone(),
     };
     let mut cache_seq = 0usize;
     for cand in &plan.choices {

@@ -27,6 +27,12 @@ impl ResourceLimits {
             update_rate,
         }
     }
+
+    /// Whether a layout costing `mem` bytes and `update` updates/s beyond
+    /// the original program stays within the budget.
+    pub fn fits(&self, mem: f64, update: f64) -> bool {
+        mem <= self.memory_bytes && update <= self.update_rate
+    }
 }
 
 /// What the figures and the CLI vary about the optimization search: the

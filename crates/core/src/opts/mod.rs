@@ -187,6 +187,40 @@ pub struct SegmentScore {
     pub update: f64,
 }
 
+impl SegmentScore {
+    /// A table left uncovered: its own cost and drop rate, no extra
+    /// resources.
+    fn uncovered(t: &TableTerms) -> Self {
+        Self {
+            latency: t.cost,
+            drop_rate: t.drop_rate,
+            mem: 0.0,
+            update: 0.0,
+        }
+    }
+
+    /// This step, then `rest`, which only the packets it does not drop
+    /// reach: the one latency fold of the search and of
+    /// [`score_candidate`].
+    fn then(&self, rest: &Price) -> Price {
+        Price {
+            latency: self.latency + (1.0 - self.drop_rate) * rest.latency,
+            mem: self.mem + rest.mem,
+            update: self.update + rest.update,
+        }
+    }
+}
+
+/// A run of steps to the end of an order: its expected latency,
+/// conditioned on a packet reaching its first step, and its resource
+/// costs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Price {
+    latency: f64,
+    mem: f64,
+    update: f64,
+}
+
 /// What has been asked so far about one distinct table sequence. An outer
 /// `None` is "not asked yet".
 #[derive(Debug, Default)]
@@ -266,13 +300,10 @@ impl<'a> SegmentTable<'a> {
 }
 
 /// One non-dominated way to run an order's tables from some position to
-/// the end: its expected latency, conditioned on a packet reaching the
-/// position, and its resource costs.
+/// the end: its price and how it starts.
 #[derive(Debug, Clone, Copy)]
 struct Suffix {
-    latency: f64,
-    mem: f64,
-    update: f64,
+    price: Price,
     /// Its first step `[pos, end)`: a segment of this kind, or (`None`)
     /// the table at `pos` left uncovered.
     first: Option<SegmentKind>,
@@ -290,9 +321,7 @@ impl Suffix {
         (index, rest): (usize, &Suffix),
     ) -> Self {
         Self {
-            latency: step.latency + (1.0 - step.drop_rate) * rest.latency,
-            mem: step.mem + rest.mem,
-            update: step.update + rest.update,
+            price: step.then(&rest.price),
             first,
             end,
             rest: index,
@@ -303,7 +332,7 @@ impl Suffix {
 /// The members of `states` no other member dominates (is at most as slow,
 /// as large and as update-hungry as), lowest latency first, at most `cap`
 /// of them. Of equal states the first is kept.
-fn pareto<T>(mut states: Vec<T>, cap: usize, of: impl Fn(&T) -> &Suffix) -> Vec<T> {
+fn pareto<T>(mut states: Vec<T>, cap: usize, of: impl Fn(&T) -> &Price) -> Vec<T> {
     let key = |t: &T| (of(t).latency, of(t).mem, of(t).update);
     states.sort_by(|a, b| key(a).partial_cmp(&key(b)).expect("finite costs"));
     let mut kept: Vec<T> = Vec::new();
@@ -336,21 +365,13 @@ fn frontiers(
     let cfg = table.ctx.cfg;
     let mut at = vec![Vec::new(); n + 1];
     at[n].push(Suffix {
-        latency: 0.0,
-        mem: 0.0,
-        update: 0.0,
+        price: Price::default(),
         first: None,
         end: n,
         rest: 0,
     });
     for pos in (0..n).rev() {
-        let uncovered = SegmentScore {
-            latency: row[pos].cost,
-            drop_rate: row[pos].drop_rate,
-            mem: 0.0,
-            update: 0.0,
-        };
-        let mut steps = vec![(pos + 1, None, uncovered)];
+        let mut steps = vec![(pos + 1, None, SegmentScore::uncovered(row[pos]))];
         let max_j = if cfg.enable_cache { n } else { pos };
         for j in (pos + 1)..=max_j {
             let entry = table.entry_of(&perm[pos..j]);
@@ -385,7 +406,7 @@ fn frontiers(
                     .map(move |rest| Suffix::after(step, first, end, rest))
             })
             .collect();
-        at[pos] = pareto(states, cap, |s| s);
+        at[pos] = pareto(states, cap, |s| &s.price);
     }
     at
 }
@@ -446,9 +467,9 @@ pub fn enumerate_candidates(
         .enumerate()
         .flat_map(|(order, at)| at[0].iter().map(move |&s| (order, s)))
         .collect();
-    let candidates = pareto(roots, max_candidates, |(_, s)| s)
+    let candidates = pareto(roots, max_candidates, |(_, s)| &s.price)
         .into_iter()
-        .map(|(order, root)| (order, root, ctx.reach * (baseline - root.latency)))
+        .map(|(order, root)| (order, root, ctx.reach * (baseline - root.price.latency)))
         .filter(|&(.., gain)| gain > 1e-12)
         .map(|(order, root, gain)| {
             let at = &per_order[order];
@@ -468,13 +489,68 @@ pub fn enumerate_candidates(
                     })
                     .collect(),
                 gain,
-                mem_cost: root.mem,
-                update_cost: root.update,
+                mem_cost: root.price.mem,
+                update_cost: root.price.update,
                 group_branch: None,
             }
         })
         .collect();
     (candidates, table.evals)
+}
+
+/// Prices a fixed candidate of the pipelet whose tables are `tables`
+/// (in current order) under `ctx`, as [`enumerate_candidates`] prices
+/// the candidates it returns: each segment is scored by
+/// [`cache::score`] or [`merge::score`], the steps are folded right to
+/// left by the search's own fold, and the gain is against running
+/// `tables` plainly. Returns `(gain, mem_cost, update_cost)`, the gain
+/// possibly negative, or `None` when the candidate is not one of this
+/// pipelet's (a group candidate, or an order that is not a permutation
+/// of `tables`) or a segment is no longer allowed.
+pub fn score_candidate(
+    ctx: &EvalCtx<'_>,
+    tables: &[NodeId],
+    c: &Candidate,
+) -> Option<(f64, f64, f64)> {
+    if c.group_branch.is_some() || c.order.len() != tables.len() {
+        return None;
+    }
+    let terms = TableTerms::of_each(ctx, tables);
+    let row = c
+        .order
+        .iter()
+        .map(|id| terms.iter().find(|t| t.id == *id))
+        .collect::<Option<Vec<&TableTerms>>>()?;
+    let mut steps = Vec::with_capacity(row.len());
+    let mut pos = 0;
+    for s in &c.segments {
+        if s.start < pos || s.end < s.start || s.end > row.len() {
+            return None;
+        }
+        steps.extend(
+            row[pos..s.start]
+                .iter()
+                .map(|&t| SegmentScore::uncovered(t)),
+        );
+        let run = &row[s.start..s.end];
+        steps.push(match s.kind {
+            SegmentKind::Cache => cache::score(ctx, run)?,
+            SegmentKind::Merge { as_cache } => {
+                if !merge::segment_allowed(run) {
+                    return None;
+                }
+                merge::score(ctx, run, as_cache)?
+            }
+        });
+        pos = s.end;
+    }
+    steps.extend(row[pos..].iter().map(|&t| SegmentScore::uncovered(t)));
+    let price = steps
+        .iter()
+        .rev()
+        .fold(Price::default(), |rest, step| step.then(&rest));
+    let gain = ctx.reach * (sequence_latency(&terms) - price.latency);
+    Some((gain, price.mem, price.update))
 }
 
 #[cfg(test)]
@@ -755,6 +831,86 @@ mod tests {
             plain && rows > merge::MAX_MERGE_ENTRIES as f64
         })
         .count()
+    }
+
+    /// Re-pricing is the search's own price: every candidate the search
+    /// returns, and every group cache, re-scores to its gain, memory and
+    /// update costs to the bit, and a searched plan to its total.
+    #[test]
+    fn score_candidate_reprices_the_search_to_the_bit() {
+        use crate::config::ResourceLimits;
+        use crate::pipelet::find_groups;
+        use crate::plan::GlobalPlan;
+        use crate::search::{Optimizer, MAX_PIPELET_LEN};
+        let bits = |(gain, mem, update): (f64, f64, f64)| {
+            [gain.to_bits(), mem.to_bits(), update.to_bits()]
+        };
+        let scenarios = [
+            LoadBalancer::build().graph,
+            AclPipeline::build(10, 4).graph,
+            DashRouting::build().graph,
+        ];
+        let synth = (0..6).map(|seed| {
+            synthesize(&SynthConfig {
+                pipelets: 6,
+                pipelet_len: 3 + (seed as usize % 4),
+                seed,
+                ..SynthConfig::default()
+            })
+        });
+        let model = CostModel::new(CostParams::bluefield2());
+        let cfg = OptimizerConfig::default();
+        let opt = Optimizer::new(model.clone()).esearch();
+        // Candidates, candidates that cover something behind a table that
+        // drops, and group caches: none may be missing from the sweep.
+        let mut seen = [0usize; 3];
+        for (seed, g) in (21..).zip(scenarios.into_iter().chain(synth)) {
+            let profile = random_profile(&g, &ProfileSynthConfig::default(), seed);
+            let visits = profile.visit_probabilities(&g);
+            let pipelets = partition(&g, MAX_PIPELET_LEN);
+            for p in pipelets.iter().filter(|p| !p.switch_case) {
+                let ctx = EvalCtx {
+                    model: &model,
+                    cfg: &cfg,
+                    g: &g,
+                    profile: &profile,
+                    reach: visits[p.entry().index()],
+                };
+                let (cands, _) = enumerate_candidates(&ctx, p.id, &p.tables, 64);
+                for c in &cands {
+                    let what = format!("seed {seed}, pipelet {}: {c:?}", p.id);
+                    let got = score_candidate(&ctx, &p.tables, c).expect(&what);
+                    assert_eq!(
+                        bits(got),
+                        bits((c.gain, c.mem_cost, c.update_cost)),
+                        "{what}"
+                    );
+                    seen[0] += 1;
+                    let dropping = |id: &NodeId| ctx.drop_rate(*id) > 0.0;
+                    let last = c.segments.last().map_or(0, |s| s.end);
+                    seen[1] += usize::from(last > 1 && c.order[..last - 1].iter().any(dropping));
+                }
+            }
+            for pg in find_groups(&g, &pipelets) {
+                let Some(gc) = opt.group_candidate(&g, &profile, &pipelets, &pg, &visits) else {
+                    continue;
+                };
+                let plan = GlobalPlan {
+                    choices: vec![gc.clone()],
+                    ..GlobalPlan::default()
+                };
+                let got = opt.score_plan(&g, &profile, &plan).map(bits);
+                let want = bits((gc.gain, gc.mem_cost, gc.update_cost));
+                assert_eq!(got, Some(want), "seed {seed}: {gc:?}");
+                seen[2] += 1;
+            }
+            let out = opt
+                .optimize(&g, &profile, ResourceLimits::unlimited())
+                .unwrap();
+            let (gain, ..) = opt.score_plan(&g, &profile, &out.plan).expect("it scores");
+            assert_eq!(gain.to_bits(), out.plan.total_gain.to_bits(), "seed {seed}");
+        }
+        assert!(!seen.contains(&0), "{seen:?}");
     }
 
     #[test]

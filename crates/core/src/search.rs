@@ -12,7 +12,7 @@ use crate::apply::{apply_plan, AppliedPlan};
 use crate::config::{OptimizerConfig, ResourceLimits};
 use crate::hotspot::{score_pipelets, top_k};
 use crate::knapsack;
-use crate::opts::{cache, enumerate_candidates, EvalCtx, TableTerms};
+use crate::opts::{cache, enumerate_candidates, score_candidate, EvalCtx, TableTerms};
 use crate::pipelet::{find_groups, partition, Pipelet, PipeletGroup};
 use crate::plan::{Candidate, GlobalPlan};
 use pipeleon_cost::{CostModel, RuntimeProfile};
@@ -328,7 +328,10 @@ impl Optimizer {
                 if !pg.members.iter().any(|m| selected.contains(m)) {
                     continue;
                 }
-                let Some(gc) = self.group_candidate(g, profile, &pipelets, &pg, &visits) else {
+                let Some(gc) = self
+                    .group_candidate(g, profile, &pipelets, &pg, &visits)
+                    .filter(|gc| gc.gain > 0.0)
+                else {
                     continue;
                 };
                 if !verifier.verify(g, &gc).legal {
@@ -386,9 +389,54 @@ impl Optimizer {
         })
     }
 
+    /// Prices `plan`, a plan of the search over `g`, under `profile` as
+    /// the search prices its candidates: `(gain, mem, update)` summed over
+    /// its choices, each re-scored by [`score_candidate`] or, for a group
+    /// cache, by the group's own estimate. The empty plan scores 0; `None`
+    /// when some choice no longer fits `g`'s pipelets or can no longer be
+    /// built.
+    pub fn score_plan(
+        &self,
+        g: &ProgramGraph,
+        profile: &RuntimeProfile,
+        plan: &GlobalPlan,
+    ) -> Option<(f64, f64, f64)> {
+        let pipelets = partition(g, MAX_PIPELET_LEN);
+        let visits = profile.visit_probabilities(g);
+        let mut total = (0.0, 0.0, 0.0);
+        for c in &plan.choices {
+            let (gain, mem, update) = match c.group_branch {
+                Some(branch) => {
+                    let pg = find_groups(g, &pipelets)
+                        .into_iter()
+                        .find(|pg| pg.branch == branch)?;
+                    let gc = self.group_candidate(g, profile, &pipelets, &pg, &visits)?;
+                    if gc.order != c.order {
+                        return None;
+                    }
+                    (gc.gain, gc.mem_cost, gc.update_cost)
+                }
+                None => {
+                    let p = pipelets.get(c.pipelet)?;
+                    let ctx = EvalCtx {
+                        model: &self.model,
+                        cfg: &self.cfg,
+                        g,
+                        profile,
+                        reach: visits.get(p.entry().index()).copied().unwrap_or(0.0),
+                    };
+                    score_candidate(&ctx, &p.tables, c)?
+                }
+            };
+            total = (total.0 + gain, total.1 + mem, total.2 + update);
+        }
+        Some(total)
+    }
+
     /// Builds the joint-cache candidate for a pipelet group: one flow
-    /// cache keyed on the branch + member fields, fronting the branch.
-    fn group_candidate(
+    /// cache keyed on the branch + member fields, fronting the branch,
+    /// whatever its gain (the search keeps it only when positive).
+    pub(crate) fn group_candidate(
         &self,
         g: &ProgramGraph,
         profile: &RuntimeProfile,
@@ -397,9 +445,6 @@ impl Optimizer {
         visits: &[f64],
     ) -> Option<Candidate> {
         let reach = visits.get(pg.branch.index()).copied().unwrap_or(0.0);
-        if reach <= 0.0 {
-            return None;
-        }
         let mut member_tables: Vec<NodeId> = pg
             .members
             .iter()
@@ -466,9 +511,6 @@ impl Optimizer {
         let params = &self.model.params;
         let cached = params.l_mat + h * replay + (1.0 - h) * (region + params.l_cache_insert);
         let gain = reach * (region - cached);
-        if gain <= 0.0 {
-            return None;
-        }
         let (mem, upd) = cache::costs(&ctx, h);
         Some(Candidate {
             pipelet: *pg.members.first()?,

@@ -35,6 +35,14 @@ pub enum EventKind {
         /// Human-readable summaries of the applied steps.
         summary: Vec<String>,
     },
+    /// The controller kept the running plan: the search's plan was priced
+    /// no higher than it under the window's profile.
+    PlanKept {
+        /// Estimated per-packet gain of the search's plan, in nanoseconds.
+        candidate_gain_ns: f64,
+        /// The running plan's gain re-priced under the same profile.
+        running_gain_ns: f64,
+    },
     /// A deploy attempt failed after retries.
     DeployFailed {
         /// Attempts made before giving up.
@@ -116,6 +124,7 @@ impl EventKind {
             EventKind::Visit { .. } => "visit",
             EventKind::Action { .. } => "action",
             EventKind::Deploy { .. } => "deploy",
+            EventKind::PlanKept { .. } => "plan_kept",
             EventKind::DeployFailed { .. } => "deploy_failed",
             EventKind::Rollback { .. } => "rollback",
             EventKind::PlanRejected { .. } => "plan_rejected",
@@ -170,6 +179,16 @@ impl Event {
                         .map(|x| format!("\"{}\"", escape_json(x)))
                         .collect::<Vec<_>>()
                         .join(",")
+                ));
+            }
+            EventKind::PlanKept {
+                candidate_gain_ns,
+                running_gain_ns,
+            } => {
+                s.push_str(&format!(
+                    ",\"candidate_gain_ns\":{},\"running_gain_ns\":{}",
+                    fmt_f64(*candidate_gain_ns),
+                    fmt_f64(*running_gain_ns)
                 ));
             }
             EventKind::DeployFailed { attempts, error } => {
@@ -380,6 +399,10 @@ mod tests {
                 reconfig: 1,
                 est_gain_ns: 1.0,
                 summary: vec![],
+            },
+            EventKind::PlanKept {
+                candidate_gain_ns: 2.5,
+                running_gain_ns: 3.0,
             },
             EventKind::DeployFailed {
                 attempts: 3,

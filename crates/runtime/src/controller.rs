@@ -22,6 +22,7 @@
 use pipeleon::apply::{AppliedPlan, EntrySite};
 use pipeleon::config::ResourceLimits;
 use pipeleon::opts::{merge, EvalCtx};
+use pipeleon::plan::GlobalPlan;
 use pipeleon::search::{IncrementalState, Optimizer};
 use pipeleon_cost::RuntimeProfile;
 use pipeleon_ir::json::fingerprint;
@@ -60,9 +61,6 @@ impl Default for ControllerConfig {
 /// Profile distance (see [`profile_distance`]) at or above which a window
 /// triggers a re-optimization and sheds a specialized pipeline.
 const CHANGE_THRESHOLD: f64 = 0.05;
-
-/// Minimum estimated gain (ns/packet) before a new layout is deployed.
-const MIN_GAIN_NS: f64 = 1.0;
 
 /// Deploy retries after the first attempt of a transaction fails.
 const MAX_DEPLOY_RETRIES: u32 = 2;
@@ -712,14 +710,27 @@ impl<T: Target> Controller<T> {
             report.search_time = outcome.search_time;
             report.segment_evals = outcome.segment_evals;
             let candidate = fingerprint(&outcome.applied.graph)?;
-            let worth_it = outcome.est_gain_ns >= MIN_GAIN_NS
-                || (outcome.plan.is_empty() && self.applied.is_some());
-            if worth_it && self.last_good_fingerprint() != Some(candidate) {
-                // Safety gate: refuse to deploy any plan the verifier
-                // cannot prove legal. The search already filters illegal
-                // candidates, so this rejecting is an invariant breach —
-                // counted, skipped, and the loop stays alive.
-                if let Err(err) = self.verify_plan(&outcome.plan) {
+            if self.last_good_fingerprint() != Some(candidate) {
+                // The deploy rule: the search's plan replaces the running
+                // one only when it is priced strictly higher under this
+                // window's profile. A deploy empties the flow caches, so a
+                // tie, or a pruned search that missed the running plan,
+                // keeps what runs.
+                let running = self.running_gain(&profile);
+                if let Some(running_gain_ns) = running.filter(|&r| outcome.est_gain_ns <= r) {
+                    self.journal.push(
+                        self.clock_s,
+                        EventKind::PlanKept {
+                            candidate_gain_ns: outcome.est_gain_ns,
+                            running_gain_ns,
+                        },
+                    );
+                } else if let Err(err) = self.verify_plan(&outcome.plan) {
+                    // Safety gate: refuse to deploy any plan the verifier
+                    // cannot prove legal. The search already filters
+                    // illegal candidates, so this rejecting is an
+                    // invariant breach — counted, skipped, and the loop
+                    // stays alive.
                     self.health.plan_rejections += 1;
                     let violations = match &err {
                         RuntimeError::InvalidCandidate { violations, .. } => {
@@ -729,24 +740,33 @@ impl<T: Target> Controller<T> {
                     };
                     self.journal
                         .push(self.clock_s, EventKind::PlanRejected { violations });
-                    self.last_profile = Some(profile);
-                    report.health = self.health.clone();
-                    return Ok((report, Some(window)));
-                }
-                let summary = outcome.applied.summary.clone();
-                if self
-                    .deploy_candidate_or_recover(outcome.applied, candidate)
-                    .is_ok()
-                {
-                    report.deployed = true;
-                    report.downtime_s = self.target.reconfig_downtime_s();
-                    report.summary = summary;
+                } else {
+                    let summary = outcome.applied.summary.clone();
+                    if self
+                        .deploy_candidate_or_recover(outcome.applied, candidate)
+                        .is_ok()
+                    {
+                        report.deployed = true;
+                        report.downtime_s = self.target.reconfig_downtime_s();
+                        report.summary = summary;
+                    }
                 }
             }
         }
         self.last_profile = Some(profile);
         report.health = self.health.clone();
         Ok((report, Some(window)))
+    }
+
+    /// The running plan's gain re-priced under `profile` (0 for the
+    /// original program), or `None` when it can no longer be priced or no
+    /// longer fits the resource limits: then any different plan the
+    /// search returns replaces it.
+    fn running_gain(&self, profile: &RuntimeProfile) -> Option<f64> {
+        let original = GlobalPlan::default();
+        let plan = self.applied.as_ref().map_or(&original, |a| &a.plan);
+        let (gain, mem, update) = self.optimizer.score_plan(&self.original, profile, plan)?;
+        self.cfg.limits.fits(mem, update).then_some(gain)
     }
 
     /// Re-snapshots the control-loop metrics after a tick. Monotone
@@ -1919,6 +1939,154 @@ mod tests {
             c.target.fingerprint().unwrap(),
             graph_fingerprint(c.original())
         );
+    }
+
+    /// A controller whose search only reorders, so a cached plan is out
+    /// of its reach and only an operator deploys one.
+    fn reorder_only_controller(p: &AclPipeline) -> Controller<SimTarget> {
+        let mut nic = SmartNic::new(p.graph.clone(), CostParams::bluefield2()).unwrap();
+        nic.set_instrumentation(true, 1);
+        let cfg = pipeleon::config::OptimizerConfig {
+            enable_cache: false,
+            enable_merge: false,
+            enable_groups: false,
+            ..Default::default()
+        };
+        let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2())).with_config(cfg);
+        let cfg = ControllerConfig::default();
+        Controller::new(SimTarget::live(nic), p.graph.clone(), optimizer, cfg).unwrap()
+    }
+
+    /// The running plan with a cache over the pipeline's regular tables.
+    fn with_regular_cached(c: &Controller<SimTarget>, p: &AclPipeline) -> GlobalPlan {
+        use pipeleon::plan::{Segment, SegmentKind};
+        let mut plan = c.applied().expect("an optimized layout runs").plan.clone();
+        let choice = &mut plan.choices[0];
+        let at = |id: &NodeId| choice.order.iter().position(|o| o == id).unwrap();
+        let start = p.regular.iter().map(at).min().unwrap();
+        assert_eq!(
+            p.regular.iter().map(at).max(),
+            Some(start + p.regular.len() - 1)
+        );
+        choice.segments = vec![Segment {
+            start,
+            end: start + p.regular.len(),
+            kind: SegmentKind::Cache,
+        }];
+        plan
+    }
+
+    /// One measured window of `p`'s traffic, then a tick.
+    fn window(
+        c: &mut Controller<SimTarget>,
+        p: &AclPipeline,
+        drops: &[f64],
+        flows: usize,
+        seed: u64,
+    ) -> TickReport {
+        c.target
+            .nic
+            .measure(p.traffic(drops, flows, seed).batch(4096));
+        c.tick().unwrap()
+    }
+
+    #[test]
+    fn a_search_that_does_not_beat_the_running_plan_keeps_it() {
+        let p = AclPipeline::build(3, 3);
+        let mut c = reorder_only_controller(&p);
+        assert!(window(&mut c, &p, &[0.0, 0.0, 0.7], 16, 1).deployed);
+        let cached = with_regular_cached(&c, &p);
+        c.deploy_plan(&cached).unwrap();
+        let running = c.target.fingerprint().unwrap();
+        // The drop rate moves enough to search; the best order stays, and
+        // the search, which cannot cache, prices it below what runs.
+        let r = window(&mut c, &p, &[0.0, 0.0, 0.4], 16, 2);
+        assert!(r.reoptimized && !r.deployed, "{r:?}");
+        assert_eq!(c.target.fingerprint().unwrap(), running);
+        let kept = c.journal().iter().find_map(|e| match e.kind {
+            EventKind::PlanKept {
+                candidate_gain_ns,
+                running_gain_ns,
+            } => Some((candidate_gain_ns, running_gain_ns)),
+            _ => None,
+        });
+        let (candidate, running) = kept.expect("the kept plan is journaled");
+        assert_eq!(candidate, r.est_gain_ns);
+        assert!(candidate > 0.0 && running >= candidate, "{kept:?}");
+        let profile = c.last_profile.as_ref().unwrap();
+        let (rescored, ..) = c
+            .optimizer
+            .score_plan(&c.original, profile, &cached)
+            .unwrap();
+        assert_eq!(rescored, running);
+    }
+
+    #[test]
+    fn a_running_plan_that_turns_negative_reverts_to_the_original() {
+        let p = AclPipeline::build(3, 3);
+        let mut c = reorder_only_controller(&p);
+        assert!(window(&mut c, &p, &[0.0, 0.0, 0.7], 16, 1).deployed);
+        let cached = with_regular_cached(&c, &p);
+        c.deploy_plan(&cached).unwrap();
+        // No ACL drops, so no order gains anything, and a million flows,
+        // so the cache misses almost every packet and costs more than it
+        // saves.
+        let r = window(&mut c, &p, &[0.0, 0.0, 0.0], 1_000_000, 2);
+        assert!(r.reoptimized && r.deployed, "{r:?}");
+        assert_eq!(r.est_gain_ns, 0.0);
+        assert!(c.applied().is_none_or(|a| a.plan.is_empty()));
+        assert_eq!(
+            c.target.fingerprint().unwrap(),
+            graph_fingerprint(c.original())
+        );
+        let profile = c.last_profile.as_ref().unwrap();
+        let (rescored, ..) = c
+            .optimizer
+            .score_plan(&c.original, profile, &cached)
+            .unwrap();
+        assert!(rescored < 0.0, "{rescored}");
+    }
+
+    #[test]
+    fn a_running_plan_outside_the_limits_is_replaced() {
+        let p = AclPipeline::build(3, 3);
+        // Entry updates are the scarce resource: a merge whose tables see
+        // no updates costs none, a cache's insertions cost far too much.
+        let limits = ResourceLimits::new(1e12, 1.0);
+        let mut nic = SmartNic::new(p.graph.clone(), CostParams::bluefield2()).unwrap();
+        nic.set_instrumentation(true, 1);
+        let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
+        let cfg = ControllerConfig {
+            limits,
+            ..ControllerConfig::default()
+        };
+        let mut c = Controller::new(SimTarget::live(nic), p.graph.clone(), optimizer, cfg).unwrap();
+        assert!(window(&mut c, &p, &[0.0, 0.0, 0.7], 16, 1).deployed);
+        let merging = c.applied().unwrap().plan.clone();
+        let merged: Vec<NodeId> = merging.choices[0]
+            .segments
+            .iter()
+            .filter(|s| s.kind != pipeleon::plan::SegmentKind::Cache)
+            .map(|s| merging.choices[0].order[s.start])
+            .collect();
+        assert!(!merged.is_empty(), "{merging:?}");
+        // One entry update per merge: the window's update rate now puts
+        // every merge of the running plan over the budget.
+        for &t in &merged {
+            c.insert_entry(t, TableEntry::new(vec![MatchValue::Exact(77)], 0))
+                .unwrap();
+        }
+        let r = window(&mut c, &p, &[0.0, 0.0, 0.7], 16, 2);
+        assert!(r.reoptimized && r.deployed, "{r:?}");
+        let profile = c.last_profile.as_ref().unwrap();
+        let score = |plan: &GlobalPlan| c.optimizer.score_plan(&c.original, profile, plan);
+        let (running, mem, update) = score(&merging).unwrap();
+        assert!(!limits.fits(mem, update), "{update}");
+        // It still scores at least as high: only the limits replaced it.
+        assert!(running >= r.est_gain_ns, "{running} < {}", r.est_gain_ns);
+        let now = c.applied().map(|a| a.plan.clone()).unwrap_or_default();
+        let (_, mem, update) = score(&now).unwrap();
+        assert!(limits.fits(mem, update), "{now:?}");
     }
 
     #[test]

@@ -229,6 +229,12 @@ impl MeasureStream {
         }
     }
 
+    /// The arrival time of the window's `i`-th packet (from 0): the clock
+    /// while that packet runs.
+    pub(crate) fn arrival_s(&self, i: u64) -> f64 {
+        self.batch_start_s + i as f64 / self.line_pps
+    }
+
     /// The clock when the window closes: its `n` packets' arrival time
     /// after its start.
     pub(crate) fn end_s(&self) -> f64 {
@@ -267,7 +273,7 @@ impl Lane {
     #[inline]
     pub(crate) fn measure_one(&mut self, exec: &mut Executor, pkt: &mut Packet, core: usize) {
         let w = self.window.as_mut().expect("measure_begin first");
-        exec.now_s = w.batch_start_s + w.n as f64 / w.line_pps;
+        exec.now_s = w.arrival_s(w.n);
         w.n += 1;
         let bits = pkt.wire_bits(Packet::DEFAULT_BYTES);
         self.agg.add(core, &exec.process(pkt), bits);

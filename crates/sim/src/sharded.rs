@@ -956,7 +956,9 @@ impl NicBackend for ShardedNic {
     /// Feeds one chunk into the open measurement window. This only
     /// *dispatches* — it does not wait for the chunk to drain, so
     /// control-plane generations published between feeds land genuinely
-    /// mid-flight.
+    /// mid-flight. The clock moves to the last fed packet's arrival, as a
+    /// single NIC's does, so a profile taken mid-window spans the stream
+    /// fed so far.
     fn measure_feed(&mut self, packets: Vec<Packet>) {
         let nw = self.shards.len() as u64;
         let cores = self.measuring.as_ref().expect("measure_begin first").cores as u64;
@@ -970,7 +972,11 @@ impl NicBackend for ShardedNic {
             let idx = (hash % cores) as u32;
             ((hash % nw) as usize, WorkItem { idx, gen, pkt })
         }));
-        self.measuring.as_mut().expect("measure_begin first").n += n;
+        let window = self.measuring.as_mut().expect("measure_begin first");
+        window.n += n;
+        if let Some(last) = window.n.checked_sub(1) {
+            self.now_s = window.arrival_s(last);
+        }
     }
 
     /// Closes the measurement window: waits for every fed packet to

@@ -18,8 +18,13 @@
 //! pipelet. Its `target=` column was re-captured, alone, when the
 //! readback fingerprint became a hash of the canonical JSON document
 //! instead of FNV-1a over its text: one value per program either way
-//! (24 distinct programs map one-to-one). When a change is *meant* to
-//! alter decisions, the failing run leaves the new sequence in
+//! (24 distinct programs map one-to-one). It was re-captured when a
+//! plan began to deploy only if it beat the running plan's re-scored
+//! gain: the `reoptimized` column stayed, `deployed=true` fell 42 → 31,
+//! and every other moved line follows from a different plan running
+//! (the cache hit rates and counters a search reads come from it).
+//! When a change is *meant* to alter decisions, the failing run leaves
+//! the new sequence in
 //! `$CARGO_TARGET_TMPDIR/control_loop_decisions.actual.txt`; review the
 //! diff and copy it over `tests/fixtures/control_loop_decisions.txt`.
 

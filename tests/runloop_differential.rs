@@ -479,7 +479,8 @@ fn process_one_matches_across_worker_counts() {
 /// stream fed so far: `take_profile` drains first, so every shard closes
 /// its window — and restarts its per-flow sample counts — at the same
 /// stream position as a flow-keyed single NIC, and both windows match it
-/// at any worker count.
+/// at any worker count. Each feed moves the sharded clock to its last
+/// packet's arrival, as a single NIC's moves, so `window_s` matches too.
 #[test]
 fn mid_window_profiles_match_across_worker_counts() {
     let p = AclPipeline::build(4, 2);
@@ -500,12 +501,7 @@ fn mid_window_profiles_match_across_worker_counts() {
     let want = run(&mut single);
     for workers in WORKER_COUNTS {
         let mut nic = ShardedNic::new(p.graph.clone(), params.clone(), workers).unwrap();
-        let mut got = run(&mut nic);
-        // The sharded clock advances only when the measurement window
-        // closes, so a mid-window take reads a different `window_s`; the
-        // counters are what the drain makes exact.
-        got.0.window_s = want.0.window_s;
-        got.1.window_s = want.1.window_s;
+        let got = run(&mut nic);
         assert_profiles_identical(&want.0, &got.0, &format!("first half workers={workers}"));
         assert_profiles_identical(&want.1, &got.1, &format!("second half workers={workers}"));
     }
