@@ -38,27 +38,19 @@ pub fn solve<G: AsRef<[Candidate]>>(groups: &[G], limits: ResourceLimits) -> Glo
         return plan;
     }
 
-    let mem_unit = if limits.memory_bytes > 0.0 {
-        limits.memory_bytes / RESOLUTION as f64
-    } else {
-        f64::INFINITY
-    };
-    let upd_unit = if limits.update_rate > 0.0 {
-        limits.update_rate / RESOLUTION as f64
-    } else {
-        f64::INFINITY
-    };
-    let quantize = |cost: f64, unit: f64| -> Option<usize> {
-        if cost <= 0.0 {
+    // A cost in units of `budget / RESOLUTION`: every cost is 0 units of
+    // an infinite budget, and only a zero cost fits a zero budget.
+    let quantize = |cost: f64, budget: f64| -> Option<usize> {
+        if cost <= 0.0 || budget.is_infinite() {
             return Some(0);
         }
-        if unit.is_infinite() {
-            // Zero budget: only zero-cost candidates fit.
+        if budget <= 0.0 {
             return None;
         }
-        let q = (cost / unit).ceil() as usize;
+        let q = (cost / (budget / RESOLUTION as f64)).ceil() as usize;
         (q <= RESOLUTION).then_some(q)
     };
+    let (mem_budget, upd_budget) = (limits.memory_bytes, limits.update_rate);
 
     let m_dim = RESOLUTION + 1;
     let e_dim = RESOLUTION + 1;
@@ -75,8 +67,8 @@ pub fn solve<G: AsRef<[Candidate]>>(groups: &[G], limits: ResourceLimits) -> Glo
                 continue;
             }
             let (Some(qm), Some(qe)) = (
-                quantize(cand.mem_cost, mem_unit),
-                quantize(cand.update_cost, upd_unit),
+                quantize(cand.mem_cost, mem_budget),
+                quantize(cand.update_cost, upd_budget),
             ) else {
                 continue;
             };
@@ -104,8 +96,8 @@ pub fn solve<G: AsRef<[Candidate]>>(groups: &[G], limits: ResourceLimits) -> Glo
             plan.total_mem += cand.mem_cost;
             plan.total_update += cand.update_cost;
             plan.choices.push(cand.clone());
-            let qm = quantize(cand.mem_cost, mem_unit).expect("was feasible");
-            let qe = quantize(cand.update_cost, upd_unit).expect("was feasible");
+            let qm = quantize(cand.mem_cost, mem_budget).expect("was feasible");
+            let qe = quantize(cand.update_cost, upd_budget).expect("was feasible");
             m -= qm;
             e -= qe;
         }
@@ -150,6 +142,23 @@ mod tests {
         assert_eq!(plan.choices.len(), 1);
         assert!((plan.total_gain - 6.0).abs() < 1e-9);
         assert_eq!(plan.choices[0].mem_cost, 100.0);
+    }
+
+    /// An infinite budget in one dimension prices every cost in it at 0
+    /// units; it is not read as a zero budget.
+    #[test]
+    fn an_infinite_budget_in_one_dimension_fits_every_cost() {
+        let groups = vec![vec![cand(0, 10.0, 100.0, 5.0)]];
+        for limits in [
+            ResourceLimits::new(f64::INFINITY, 1e9),
+            ResourceLimits::new(1e9, f64::INFINITY),
+        ] {
+            let plan = solve(&groups, limits);
+            assert_eq!(plan.choices.len(), 1, "{limits:?}");
+        }
+        // A zero budget still fits only zero costs.
+        let plan = solve(&groups, ResourceLimits::new(f64::INFINITY, 0.0));
+        assert!(plan.choices.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The deployable-target abstraction.
 
 use pipeleon_cost::RuntimeProfile;
-use pipeleon_ir::{IrError, ProgramGraph};
+use pipeleon_ir::{CacheRole, IrError, NodeId, ProgramGraph};
 use pipeleon_sim::{Applied, ControlOp, LiveSwap, NicBackend, SmartNic, SpecStats};
 
 /// A SmartNIC the controller can deploy programs to and profile.
@@ -82,8 +82,25 @@ impl<N: NicBackend> SimTarget<N> {
 }
 
 impl<N: NicBackend> Target for SimTarget<N> {
+    /// A reload-based target restarts its datapath on a deploy, so it
+    /// keeps no flow-cache entry across one: each flow cache of the new
+    /// program is flushed right after it lands.
     fn apply(&mut self, op: ControlOp) -> Result<Applied, IrError> {
-        self.nic.apply(op)
+        let reload = self.downtime_s > 0.0 && matches!(op, ControlOp::Deploy(_));
+        let applied = self.nic.apply(op)?;
+        if reload {
+            let caches: Vec<NodeId> = self
+                .nic
+                .graph()
+                .tables()
+                .filter(|(_, t)| t.cache_role == CacheRole::FlowCache)
+                .map(|(n, _)| n.id)
+                .collect();
+            for cache in caches {
+                self.nic.apply(ControlOp::FlushCache(cache))?;
+            }
+        }
+        Ok(applied)
     }
 
     fn take_profile(&mut self) -> RuntimeProfile {
@@ -116,6 +133,7 @@ mod tests {
     use super::*;
     use pipeleon_cost::CostParams;
     use pipeleon_ir::{MatchKind, ProgramBuilder};
+    use pipeleon_sim::Packet;
 
     fn simple_graph() -> ProgramGraph {
         let mut b = ProgramBuilder::new();
@@ -153,6 +171,37 @@ mod tests {
         })
         .unwrap();
         assert_ne!(t.fingerprint().unwrap(), fp0);
+    }
+
+    /// A reload-based target empties every flow cache on a deploy, even
+    /// one the datapath would keep; a live target keeps it.
+    #[test]
+    fn reloading_target_keeps_no_flow_cache_across_a_deploy() {
+        let mut b = ProgramBuilder::new();
+        let x = b.field("x");
+        let t = b.table("t").key(x, MatchKind::Exact).finish();
+        b.set_next(t, None);
+        let cache = b
+            .table("cache")
+            .key(x, MatchKind::Exact)
+            .action_nop("hit")
+            .action_nop("miss")
+            .default_action(1)
+            .cache_role(CacheRole::FlowCache)
+            .by_action(vec![None, Some(t)])
+            .finish();
+        let g = b.seal(cache).unwrap();
+        for (downtime_s, kept) in [(0.0, 4), (2.0, 0)] {
+            let nic = SmartNic::new(g.clone(), CostParams::agilio_cx()).unwrap();
+            let mut target = SimTarget::reloading(nic, downtime_s);
+            for v in 0..4 {
+                target.nic.process_one(&mut Packet::with_slots(vec![v]));
+            }
+            assert_eq!(target.nic.executor_mut().cache_len(cache), 4);
+            target.apply(ControlOp::Deploy(g.clone())).unwrap();
+            let len = target.nic.executor_mut().cache_len(cache);
+            assert_eq!(len, kept, "downtime {downtime_s} s");
+        }
     }
 
     #[test]

@@ -23,10 +23,11 @@ use pipeleon_ir::{IrError, NextHops, NodeId, NodeKind, ProgramGraph, Table, Tabl
 /// changes a deployed datapath — takes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlOp {
-    /// Replace the running program. Match engines, the lowering and
-    /// flow-cache state are rebuilt for the new layout; the pending
-    /// profile window, observations, sampling sequence, placements and
-    /// instrumentation carry across.
+    /// Replace the running program. Match engines and the lowering are
+    /// rebuilt for the new layout; a flow cache whose covered segment the
+    /// new layout does not change keeps its state, every other one starts
+    /// cold; the pending profile window, observations, sampling
+    /// sequence, placements and instrumentation carry across.
     Deploy(ProgramGraph),
     /// Append an entry to a table.
     InsertEntry {
@@ -78,15 +79,6 @@ impl ControlOp {
         matches!(
             self,
             ControlOp::Deploy(_) | ControlOp::Specialize | ControlOp::Despecialize
-        )
-    }
-
-    /// Whether the op's effect is still there after a later `Deploy`
-    /// (which rebuilds the program, its lowering and its flow caches).
-    pub(crate) fn outlives_deploy(&self) -> bool {
-        matches!(
-            self,
-            ControlOp::SetInstrumentation { .. } | ControlOp::SetPlacement(_)
         )
     }
 

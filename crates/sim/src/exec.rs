@@ -639,13 +639,34 @@ impl Executor {
     /// window, sampled observations, distinct-key observers, flow
     /// sequence counts, packet sequence, placements and instrumentation
     /// all carry across the swap — the profile window spans generations, keyed by
-    /// the (stable) node ids both layouts share. Match engines and
-    /// flow-cache runtime state are rebuilt (the new layout's tables
-    /// define them); `compiled` installs a publisher's pre-built pipeline
-    /// so every shard adopting the same generation shares one lowering
-    /// instead of re-compiling.
+    /// the (stable) node ids both layouts share. Match engines are
+    /// rebuilt (the new layout's tables define them). Each flow cache of
+    /// the new layout takes over the whole runtime state (entries,
+    /// insertion limiter, window statistics) of an old flow cache that
+    /// covers the same segment ([`same_segment`]); every other one starts
+    /// cold. That is legal because an entry op on a covered table is
+    /// followed by a flush of the caches over it, so every live entry is
+    /// what the old segment computes for its key, and an equal segment
+    /// computes the same. `compiled` installs a publisher's pre-built
+    /// pipeline so every shard adopting the same generation shares one
+    /// lowering instead of re-compiling.
     fn adopt_graph(&mut self, graph: ProgramGraph, compiled: Option<CompiledPipeline>) {
-        self.program.view.graph = graph;
+        let old = std::mem::replace(&mut self.program.view.graph, graph);
+        let mut old_caches = std::mem::take(&mut self.walk.caches);
+        let (new, caches) = (&self.program.view.graph, &mut self.walk.caches);
+        caches.resize_with(new.id_bound(), || None);
+        for (node, t) in new.tables() {
+            if t.cache_role != CacheRole::FlowCache {
+                continue;
+            }
+            caches[node.id.index()] = old_caches
+                .iter_mut()
+                .enumerate()
+                .find(|(o, state)| {
+                    state.is_some() && same_segment(&old, NodeId(*o as u32), new, node.id)
+                })
+                .and_then(|(_, state)| state.take());
+        }
         self.rebuild_all();
         self.program.compiled = compiled;
     }
@@ -759,11 +780,12 @@ impl Executor {
         std::mem::take(&mut self.walk.observed)
     }
 
+    /// Resets every match engine and gives each flow cache without
+    /// runtime state a cold one.
     fn rebuild_all(&mut self) {
         self.walk.walks.invalidate(&self.program.view.graph);
         // (`rebuild_engine` grows both to the graph's id bound.)
         self.program.view.engines.clear();
-        self.walk.caches.clear();
         let ids: Vec<NodeId> = self.program.view.graph.iter_nodes().map(|n| n.id).collect();
         for id in ids {
             self.rebuild_engine(id);
@@ -1320,6 +1342,60 @@ impl Walk {
             }
         }
     }
+}
+
+/// Whether flow cache `a` of `old` and flow cache `b` of `new` cover the
+/// same segment, so that what `a` cached for a key is what `b`'s miss
+/// path computes for it. The two need the same key fields and capacity.
+/// Their regions, every node reachable from the miss hop before the hit
+/// exit, are walked in lockstep by node id: each pair is one id with an
+/// equal table (keys, actions, default action, entries, role) or branch
+/// condition and equal next hops. A hop to the hit exit counts as one
+/// sentinel on either side, so a segment whose downstream moved still
+/// matches. A covered set in another order does not.
+fn same_segment(old: &ProgramGraph, a: NodeId, new: &ProgramGraph, b: NodeId) -> bool {
+    let (Some(an), Some(bn)) = (old.node(a), new.node(b)) else {
+        return false;
+    };
+    let (NodeKind::Table(at), NodeKind::Table(bt)) = (&an.kind, &bn.kind) else {
+        return false;
+    };
+    let (NextHops::ByAction(ah), NextHops::ByAction(bh)) = (&an.next, &bn.next) else {
+        return false;
+    };
+    if at.keys != bt.keys || at.max_entries != bt.max_entries {
+        return false;
+    }
+    // A hop as the region sees it: `None` for the hit exit.
+    let (a_exit, b_exit) = (ah[0], bh[0]);
+    let hop = |to: Option<NodeId>, exit: Option<NodeId>| (to != exit).then_some(to);
+    let mut seen = vec![false; new.id_bound()];
+    let mut pairs = vec![(ah[at.default_action], bh[bt.default_action])];
+    while let Some((x, y)) = pairs.pop() {
+        let x = hop(x, a_exit);
+        if x != hop(y, b_exit) {
+            return false;
+        }
+        // The hit exit, or the sink, on both sides.
+        let Some(Some(id)) = x else { continue };
+        let (Some(xn), Some(yn)) = (old.node(id), new.node(id)) else {
+            return false;
+        };
+        if std::mem::replace(&mut seen[id.index()], true) {
+            continue;
+        }
+        if xn.kind != yn.kind
+            || std::mem::discriminant(&xn.next) != std::mem::discriminant(&yn.next)
+        {
+            return false;
+        }
+        let (xt, yt) = (xn.next.targets(), yn.next.targets());
+        if xt.len() != yt.len() {
+            return false;
+        }
+        pairs.extend(xt.into_iter().zip(yt));
+    }
+    true
 }
 
 /// A sampled packet's counter update for `action` of `table`: the
@@ -2850,15 +2926,96 @@ mod tests {
         assert_ne!(after, before, "the new rule decides the key");
     }
 
+    /// cache(keys=[x, z]) -ByAction-> [hit -> tail, miss -> a -> b -> tail],
+    /// tail -> sink: a cache over a two-table segment with a table
+    /// downstream of its hit exit.
+    fn cached_chain() -> (pipeleon_ir::ProgramGraph, [NodeId; 4]) {
+        let mut b = ProgramBuilder::new();
+        let (x, z, y) = (b.field("x"), b.field("z"), b.field("y"));
+        let tail = b.table("tail").key(y, MatchKind::Exact).finish();
+        let ta = b
+            .table("a")
+            .key(x, MatchKind::Exact)
+            .action("mark", vec![Primitive::set(y, 1)])
+            .action_nop("pass")
+            .default_action(1)
+            .entry(TableEntry::new(vec![MatchValue::Exact(1)], 0))
+            .finish();
+        let tb = b
+            .table("b")
+            .key(z, MatchKind::Exact)
+            .action_drop("deny")
+            .action_nop("pass")
+            .default_action(1)
+            .entry(TableEntry::new(vec![MatchValue::Exact(9)], 0))
+            .finish();
+        b.set_next(ta, Some(tb));
+        b.set_next(tb, Some(tail));
+        b.set_next(tail, None);
+        let cache = b
+            .table("cache")
+            .key(x, MatchKind::Exact)
+            .key(z, MatchKind::Exact)
+            .action_nop("hit")
+            .action_nop("miss")
+            .default_action(1)
+            .cache_role(CacheRole::FlowCache)
+            .max_entries(64)
+            .by_action(vec![Some(tail), Some(ta)])
+            .finish();
+        (b.seal(cache).unwrap(), [cache, ta, tb, tail])
+    }
+
     #[test]
-    fn deploy_resets_cache_state() {
-        let (g, cache, _) = cached_program();
-        let g2 = g.clone();
-        let mut ex = Executor::new(g, params(), EngineMode::Compiled).unwrap();
-        let mut p = Packet::with_slots(vec![1, 0]);
-        ex.process(&mut p);
-        assert_eq!(ex.cache_len(cache), 1);
-        ex.apply(&ControlOp::Deploy(g2)).unwrap();
-        assert_eq!(ex.cache_len(cache), 0);
+    fn deploy_keeps_a_cache_whose_segment_is_unchanged() {
+        let (g, [cache, ta, tb, tail]) = cached_chain();
+        for mode in [EngineMode::Compiled, EngineMode::Interpreter] {
+            let fill = |ex: &mut Executor| {
+                for x in 0..4 {
+                    ex.process(&mut Packet::with_slots(vec![x, 0, 0]));
+                }
+            };
+            let mut ex = Executor::new(g.clone(), params(), mode).unwrap();
+            fill(&mut ex);
+            assert_eq!(ex.cache_len(cache), 4, "{mode:?}");
+            // The same program again: every entry stays, and hits.
+            ex.apply(&ControlOp::Deploy(g.clone())).unwrap();
+            assert_eq!(ex.cache_len(cache), 4, "{mode:?}: identical redeploy");
+            fill(&mut ex);
+            let stats = ex.take_profile().cache_stats[&cache];
+            assert_eq!((stats.hits, stats.misses), (4, 4), "{mode:?}");
+            // A table downstream of the hit exit moves: still the same
+            // segment.
+            let mut moved = g.clone();
+            moved
+                .node_mut(tail)
+                .unwrap()
+                .as_table_mut()
+                .unwrap()
+                .entries = vec![TableEntry::new(vec![MatchValue::Exact(5)], 0)];
+            ex.apply(&ControlOp::Deploy(moved)).unwrap();
+            assert_eq!(ex.cache_len(cache), 4, "{mode:?}: downstream edit");
+            // One covered table's entries change: cold.
+            let mut edited = g.clone();
+            edited.node_mut(tb).unwrap().as_table_mut().unwrap().entries[0] =
+                TableEntry::new(vec![MatchValue::Exact(0)], 0);
+            ex.apply(&ControlOp::Deploy(edited)).unwrap();
+            assert_eq!(ex.cache_len(cache), 0, "{mode:?}: covered entries");
+            let mut p = Packet::with_slots(vec![1, 0, 0]);
+            assert!(
+                ex.process(&mut p).dropped,
+                "{mode:?}: the new entry decides"
+            );
+            // The covered pair in the other order: cold too.
+            ex.apply(&ControlOp::Deploy(g.clone())).unwrap();
+            fill(&mut ex);
+            assert_eq!(ex.cache_len(cache), 4, "{mode:?}");
+            let mut swapped = g.clone();
+            swapped.node_mut(cache).unwrap().next = NextHops::ByAction(vec![Some(tail), Some(tb)]);
+            swapped.node_mut(tb).unwrap().next = NextHops::Always(Some(ta));
+            swapped.node_mut(ta).unwrap().next = NextHops::Always(Some(tail));
+            ex.apply(&ControlOp::Deploy(swapped)).unwrap();
+            assert_eq!(ex.cache_len(cache), 0, "{mode:?}: covered order");
+        }
     }
 }

@@ -213,24 +213,18 @@ struct ShardLane {
 
 impl ShardLane {
     /// Applies every generation in `(self.gen, target]`, in publication
-    /// order, then records the new watermark. What the last full deploy
-    /// in the span rebuilds anyway (entries, the lowering, flow caches)
-    /// is not applied before it: the deploy carries the whole
-    /// already-patched program. Forward-only: a fast-forwarded shard
-    /// never re-applies or rolls back.
+    /// order, then records the new watermark. None is skipped, not even
+    /// before a later deploy in the span: a deploy keeps each flow cache
+    /// whose covered segment it does not change, so which caches it
+    /// keeps, and whether a flush before it emptied them, depend on the
+    /// program and the ops it replaces. Forward-only: a fast-forwarded
+    /// shard never re-applies or rolls back.
     fn adopt_to(&mut self, exec: &mut Executor, target: u64) {
         if target <= self.gen {
             return;
         }
-        let span = self.chain.pending(self.gen, target);
-        let last_deploy = span
-            .iter()
-            .rposition(|n| matches!(n.op, ControlOp::Deploy(_)))
-            .unwrap_or(0);
-        for (i, node) in span.iter().enumerate() {
-            if i >= last_deploy || node.op.outlives_deploy() {
-                exec.adopt(&node.op, node.lowered.as_ref());
-            }
+        for node in self.chain.pending(self.gen, target) {
+            exec.adopt(&node.op, node.lowered.as_ref());
         }
         if self.gen_run > 0 {
             *self.gen_packets.entry(self.gen).or_insert(0) += self.gen_run;

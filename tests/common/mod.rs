@@ -1,10 +1,12 @@
 //! Stimulus shared by the differential suites and the walk golden test:
 //! the example programs, seeded key traffic and the synthetic-program
-//! seed matrix. Each suite keeps its own oracle and equality checks.
+//! seed matrix, and the one profile comparator. Each suite keeps its own
+//! oracle and its other equality checks.
 
 // Each suite uses a different subset of these helpers.
 #![allow(dead_code)]
 
+use pipeleon_cost::RuntimeProfile;
 use pipeleon_ir::{json, ProgramGraph};
 use pipeleon_sim::Packet;
 use pipeleon_workloads::traffic::FlowGen;
@@ -48,4 +50,29 @@ pub fn key_traffic(g: &ProgramGraph, flows: usize, seed: u64, packets: usize) ->
     FlowGen::new(g.fields.len(), flow_fields, flows, seed)
         .with_zipf(1.1)
         .batch(packets)
+}
+
+/// Counter-by-counter profile comparison, so a regression names the
+/// first diverging counter instead of dumping two whole profiles; then
+/// the whole profile, so nothing the per-counter checks miss slips by.
+pub fn assert_profiles_identical(a: &RuntimeProfile, b: &RuntimeProfile, ctx: &str) {
+    assert_eq!(a.total_packets, b.total_packets, "{ctx}: total_packets");
+    let mut ae: Vec<_> = a.edges().collect();
+    let mut be: Vec<_> = b.edges().collect();
+    ae.sort();
+    be.sort();
+    assert_eq!(ae, be, "{ctx}: edge counters");
+    let mut aa: Vec<_> = a.actions().collect();
+    let mut ba: Vec<_> = b.actions().collect();
+    aa.sort();
+    ba.sort();
+    assert_eq!(aa, ba, "{ctx}: action counters");
+    assert_eq!(a.cache_stats, b.cache_stats, "{ctx}: cache stats");
+    assert_eq!(a.distinct_keys, b.distinct_keys, "{ctx}: distinct keys");
+    assert_eq!(
+        a.entry_update_rates, b.entry_update_rates,
+        "{ctx}: entry update rates"
+    );
+    assert_eq!(a.window_s, b.window_s, "{ctx}: window");
+    assert_eq!(a, b, "{ctx}: full profile");
 }

@@ -37,7 +37,7 @@ use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
 use proptest::prelude::*;
 
 mod common;
-use common::{example_programs, key_traffic, SYNTH_SEEDS};
+use common::{assert_profiles_identical, example_programs, key_traffic, SYNTH_SEEDS};
 
 /// The sharded-equivalence matrix, reused: 1 is the degenerate shard,
 /// 2 the smallest real split, 8 more shards than distinct flows in some
@@ -60,43 +60,6 @@ impl Lcg {
     fn pick(&mut self, choices: &[u64]) -> u64 {
         choices[self.next() as usize % choices.len()]
     }
-}
-
-/// Counter-by-counter profile comparison, so a regression names the first
-/// diverging counter instead of dumping two whole profiles.
-fn assert_profiles_identical(
-    interp: &pipeleon_cost::RuntimeProfile,
-    compiled: &pipeleon_cost::RuntimeProfile,
-    ctx: &str,
-) {
-    assert_eq!(
-        interp.total_packets, compiled.total_packets,
-        "{ctx}: total_packets"
-    );
-    let mut ie: Vec<_> = interp.edges().collect();
-    let mut ce: Vec<_> = compiled.edges().collect();
-    ie.sort();
-    ce.sort();
-    assert_eq!(ie, ce, "{ctx}: edge counters");
-    let mut ia: Vec<_> = interp.actions().collect();
-    let mut ca: Vec<_> = compiled.actions().collect();
-    ia.sort();
-    ca.sort();
-    assert_eq!(ia, ca, "{ctx}: action counters");
-    assert_eq!(
-        interp.cache_stats, compiled.cache_stats,
-        "{ctx}: cache stats"
-    );
-    assert_eq!(
-        interp.distinct_keys, compiled.distinct_keys,
-        "{ctx}: distinct keys"
-    );
-    assert_eq!(
-        interp.entry_update_rates, compiled.entry_update_rates,
-        "{ctx}: entry update rates"
-    );
-    assert_eq!(interp.window_s, compiled.window_s, "{ctx}: window");
-    assert_eq!(interp, compiled, "{ctx}: full profile");
 }
 
 fn assert_stats_identical(a: BatchStats, b: BatchStats, ctx: &str) {

@@ -15,8 +15,9 @@
 //!    published mid-flight) merges the same profiles and histograms as a
 //!    single-threaded [`SmartNic`] applying the same control ops at the
 //!    same stream positions synchronously, for workers 1/2/8.
-//! 4. **Deterministic state transitions:** flow-cache state resets at
-//!    the adoption boundary, per flow, so cache statistics and final
+//! 4. **Deterministic state transitions:** a swap that changes a flow
+//!    cache's covered segment resets it at the adoption boundary, per
+//!    flow, and one that does not keeps it, so cache statistics and final
 //!    occupancy are reproducible and worker-count-invariant.
 //! 5. **Chaos convergence:** faults injected *during* mid-flight swaps
 //!    still converge to the controller's last-known-good layout, with
@@ -30,10 +31,17 @@
 //! 8. **No cached walk outlives its generation:** an entry op that flips
 //!    the verdict of flows the walk cache answers lands at its stream
 //!    position on every shard.
+//! 9. **A warm redeploy forwards like a cold one:** a deploy keeps each
+//!    flow cache whose covered segment it does not change, and every
+//!    packet leaves it as it would have left the same deploy followed by
+//!    a flush of every cache. Only cache statistics and modelled latency
+//!    may differ.
 
 use std::collections::BTreeMap;
 
+use pipeleon::plan::{Candidate, GlobalPlan, Segment, SegmentKind};
 use pipeleon::search::Optimizer;
+use pipeleon::{apply_plan, partition, OptimizerConfig};
 use pipeleon_cost::{CostModel, CostParams, RuntimeProfile};
 use pipeleon_ir::{
     CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
@@ -43,10 +51,14 @@ use pipeleon_runtime::{
     RuntimeError, SimTarget, Target,
 };
 use pipeleon_sim::{
-    Applied, BatchStats, ControlOp, ExecObservations, ExecReport, NicBackend, Packet, ShardedNic,
-    SmartNic,
+    Applied, BatchStats, ControlOp, EngineMode, ExecObservations, ExecReport, NicBackend, Packet,
+    ShardedNic, SmartNic,
 };
 use pipeleon_workloads::scenarios::AclPipeline;
+use pipeleon_workloads::synth::{synthesize, SynthConfig};
+
+mod common;
+use common::{assert_profiles_identical, example_programs, key_traffic, SYNTH_SEEDS};
 
 /// 1 is the degenerate shard, 2 the smallest real split, 8 more shards
 /// than distinct flows in some phases.
@@ -94,25 +106,6 @@ fn swap_variant(base: &ProgramGraph, tables: &[NodeId], j: u64) -> ProgramGraph 
         .entries
         .push(TableEntry::new(vec![MatchValue::Exact((j * 2) % 24)], 0));
     g
-}
-
-/// Counter-by-counter profile comparison, so a regression names the
-/// first diverging counter instead of dumping two whole profiles.
-fn assert_profiles_identical(a: &RuntimeProfile, b: &RuntimeProfile, ctx: &str) {
-    assert_eq!(a.total_packets, b.total_packets, "{ctx}: total_packets");
-    let mut ae: Vec<_> = a.edges().collect();
-    let mut be: Vec<_> = b.edges().collect();
-    ae.sort();
-    be.sort();
-    assert_eq!(ae, be, "{ctx}: edge counters");
-    let mut aa: Vec<_> = a.actions().collect();
-    let mut ba: Vec<_> = b.actions().collect();
-    aa.sort();
-    ba.sort();
-    assert_eq!(aa, ba, "{ctx}: action counters");
-    assert_eq!(a.cache_stats, b.cache_stats, "{ctx}: cache stats");
-    assert_eq!(a.distinct_keys, b.distinct_keys, "{ctx}: distinct keys");
-    assert_eq!(a, b, "{ctx}: full profile");
 }
 
 /// One live run: a single measurement window fed in [`SEGMENTS`] chunks,
@@ -368,13 +361,33 @@ fn cached_flow_program() -> (ProgramGraph, NodeId) {
 #[test]
 fn flow_cache_resets_at_the_adoption_boundary_deterministically() {
     // Phase 1 touches 48 flows (eviction-free under the 64-entry cache),
-    // a swap of the same program resets the cache at each shard's
-    // adoption boundary, phase 2 touches only 12 flows. Final occupancy
-    // proves the reset; profile equality across worker counts proves the
-    // boundary falls at the same per-flow stream position everywhere.
+    // then ops land between the feeds, and phase 2 touches only 12 of
+    // those flows. A swap that changes the covered segment (a second
+    // rule on `heavy`) resets the cache at each shard's adoption
+    // boundary: occupancy 12. A swap of the same program keeps it: 48.
+    // A flush, then that same swap, with no packet between them: 12, so
+    // no shard skips the flush on its way to the later deploy. Profile
+    // equality across worker counts proves the boundary falls at the
+    // same per-flow stream position everywhere.
     let (g, cache) = cached_flow_program();
+    let heavy = g.node(cache).unwrap().next.targets()[1].unwrap();
+    let mut changed = g.clone();
+    let rules = &mut changed
+        .node_mut(heavy)
+        .unwrap()
+        .as_table_mut()
+        .unwrap()
+        .entries;
+    rules.push(TableEntry::with_priority(
+        vec![MatchValue::Ternary {
+            value: 1,
+            mask: 0xF,
+        }],
+        0,
+        2,
+    ));
     let params = CostParams::bluefield2();
-    let run = |workers: usize| {
+    let run = |workers: usize, ops: &[ControlOp]| {
         let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
         nic.set_instrumentation(true, 1);
         nic.measure_begin();
@@ -383,7 +396,9 @@ fn flow_cache_resets_at_the_adoption_boundary_deterministically() {
                 .map(|i| Packet::with_slots(vec![(i * 7) % 48, 0]))
                 .collect(),
         );
-        nic.deploy(g.clone()).unwrap();
+        for op in ops {
+            nic.apply(op.clone()).unwrap();
+        }
         nic.measure_feed(
             (0..600u64)
                 .map(|i| Packet::with_slots(vec![i % 12, 0]))
@@ -398,28 +413,183 @@ fn flow_cache_resets_at_the_adoption_boundary_deterministically() {
             occupancy,
         )
     };
-    let mut want: Option<(RuntimeProfile, ExecObservations)> = None;
-    for workers in WORKER_COUNTS {
-        let ctx = format!("workers={workers}");
-        let (stats, profile, obs, occupancy) = run(workers);
-        assert_eq!(stats.packets, 1800, "{ctx}: packets lost across the swap");
+    let cases = [
+        ("changed segment", vec![ControlOp::Deploy(changed)], 12),
+        ("same program", vec![ControlOp::Deploy(g.clone())], 48),
+        (
+            "flush, then the same program",
+            vec![ControlOp::FlushCache(cache), ControlOp::Deploy(g.clone())],
+            12,
+        ),
+    ];
+    for (case, ops, want_occupancy) in &cases {
+        let mut want: Option<(RuntimeProfile, ExecObservations)> = None;
+        for workers in WORKER_COUNTS {
+            let ctx = format!("{case}, workers={workers}");
+            let (stats, profile, obs, occupancy) = run(workers, ops);
+            assert_eq!(stats.packets, 1800, "{ctx}: packets lost across the swap");
+            assert_eq!(occupancy, *want_occupancy, "{ctx}: cache occupancy");
+            match &want {
+                None => want = Some((profile, obs)),
+                Some((p, o)) => {
+                    assert_profiles_identical(p, &profile, &ctx);
+                    assert_eq!(o, &obs, "{ctx}: histograms diverged");
+                }
+            }
+        }
+        // Reproducibility at a fixed worker count, stats bits included.
+        let (s1, p1, o1, l1) = run(2, ops);
+        let (s2, p2, o2, l2) = run(2, ops);
+        assert_eq!(s1, s2, "{case}: rerun: stats not reproducible");
         assert_eq!(
-            occupancy, 12,
-            "{ctx}: the swap must have reset the flow cache"
+            (p1, o1, l1),
+            (p2, o2, l2),
+            "{case}: rerun: state not reproducible"
         );
-        match &want {
-            None => want = Some((profile, obs)),
-            Some((p, o)) => {
-                assert_profiles_identical(p, &profile, &ctx);
-                assert_eq!(o, &obs, "{ctx}: histograms diverged");
+    }
+}
+
+/// `g` with every non-switch-case pipelet behind one flow cache over the
+/// whole pipelet; with `reverse`, the first pipelet of two or more tables
+/// runs in reverse order.
+fn cached_layout(g: &ProgramGraph, params: &CostParams, reverse: bool) -> ProgramGraph {
+    let mut reversed = !reverse;
+    let choices = partition(g, 24)
+        .into_iter()
+        .filter(|p| !p.switch_case)
+        .map(|p| {
+            let mut order = p.tables.clone();
+            if !reversed && order.len() > 1 {
+                order.reverse();
+                reversed = true;
+            }
+            Candidate {
+                pipelet: p.id,
+                order,
+                segments: vec![Segment {
+                    start: 0,
+                    end: p.len(),
+                    kind: SegmentKind::Cache,
+                }],
+                gain: 1.0,
+                mem_cost: 0.0,
+                update_cost: 0.0,
+                group_branch: None,
+            }
+        })
+        .collect();
+    let plan = GlobalPlan {
+        choices,
+        ..GlobalPlan::default()
+    };
+    let model = CostModel::new(params.clone());
+    let cfg = OptimizerConfig::default();
+    apply_plan(g, &plan, &model, &RuntimeProfile::empty(), &cfg)
+        .expect("a whole-pipelet cache plan applies")
+        .graph
+}
+
+/// `g` with the default action of its first multi-action table moved to
+/// the next action: every miss of that table now ends another way.
+fn edited(g: &ProgramGraph) -> ProgramGraph {
+    let mut g = g.clone();
+    let id = g
+        .tables()
+        .find(|(_, t)| t.actions.len() > 1)
+        .map(|(n, _)| n.id)
+        .expect("a table with a second action");
+    let t = g.node_mut(id).unwrap().as_table_mut().unwrap();
+    t.default_action = (t.default_action + 1) % t.actions.len();
+    g
+}
+
+/// Runs `chunks[i]` after `deploys[i]` on `nic`, flushing every flow
+/// cache after each deploy when `cold`. Returns every packet as it left
+/// and the flow-cache hits of the whole run.
+fn redeploy_run<N: NicBackend>(
+    nic: &mut N,
+    deploys: &[ProgramGraph],
+    chunks: &[Vec<Packet>],
+    cold: bool,
+) -> (Vec<Packet>, u64) {
+    let (mut out, mut hits) = (Vec::new(), 0);
+    for (g, chunk) in deploys.iter().zip(chunks) {
+        nic.deploy(g.clone()).unwrap();
+        if cold {
+            for (n, t) in g.tables() {
+                if t.cache_role == CacheRole::FlowCache {
+                    nic.apply(ControlOp::FlushCache(n.id)).unwrap();
+                }
+            }
+        }
+        let mut batch = chunk.clone();
+        nic.process_batch(&mut batch);
+        out.extend(batch);
+        let stats = nic.take_profile().cache_stats;
+        hits += stats.values().map(|s| s.hits).sum::<u64>();
+    }
+    (out, hits)
+}
+
+#[test]
+fn warm_redeploys_forward_every_packet_like_cold_ones() {
+    let mut corpus = example_programs();
+    for &seed in &SYNTH_SEEDS[..4] {
+        let cfg = SynthConfig {
+            pipelets: 2 + (seed % 3) as usize,
+            pipelet_len: 2 + (seed % 2) as usize,
+            drop_fraction: 0.25,
+            seed,
+            ..SynthConfig::default()
+        };
+        corpus.push((format!("synth seed {seed}"), synthesize(&cfg)));
+    }
+    let params = CostParams::bluefield2();
+    for (name, g) in corpus {
+        // Identical, a covered table edited, edited again, one covered
+        // set reversed (the other caches keep), and back.
+        let (base, edit) = (cached_layout(&g, &params, false), edited(&g));
+        let deploys = [
+            base.clone(),
+            base.clone(),
+            cached_layout(&edit, &params, false),
+            cached_layout(&edit, &params, false),
+            cached_layout(&g, &params, true),
+            base.clone(),
+        ];
+        let chunks: Vec<Vec<Packet>> = (0..deploys.len() as u64)
+            .map(|i| key_traffic(&g, 48, 7 + i, 300))
+            .collect();
+        let mut want: Option<Vec<Packet>> = None;
+        for mode in [EngineMode::Compiled, EngineMode::Interpreter] {
+            // Workers 0 is the single `SmartNic`.
+            for workers in [0, 1, 2, 8] {
+                let ctx = format!("{name}, {mode:?}, workers={workers}");
+                let run = |cold: bool| {
+                    if workers == 0 {
+                        let mut nic =
+                            SmartNic::with_engine(g.clone(), params.clone(), mode).unwrap();
+                        redeploy_run(&mut nic, &deploys, &chunks, cold)
+                    } else {
+                        let mut nic =
+                            ShardedNic::with_engine(g.clone(), params.clone(), workers, mode)
+                                .unwrap();
+                        redeploy_run(&mut nic, &deploys, &chunks, cold)
+                    }
+                };
+                let (warm, warm_hits) = run(false);
+                let (cold, cold_hits) = run(true);
+                assert!(warm_hits > cold_hits, "{ctx}: no cache was kept");
+                for (i, (w, c)) in warm.iter().zip(&cold).enumerate() {
+                    assert_eq!(w, c, "{ctx}: packet {i} left differently");
+                }
+                match &want {
+                    None => want = Some(warm),
+                    Some(first) => assert_eq!(first, &warm, "{ctx}: differs from the first run"),
+                }
             }
         }
     }
-    // Reproducibility at a fixed worker count, stats bits included.
-    let (s1, p1, o1, l1) = run(2);
-    let (s2, p2, o2, l2) = run(2);
-    assert_eq!(s1, s2, "rerun: stats not reproducible");
-    assert_eq!((p1, o1, l1), (p2, o2, l2), "rerun: state not reproducible");
 }
 
 /// One window over the cached program, fed in four chunks with

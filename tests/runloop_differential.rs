@@ -42,7 +42,7 @@
 //! skew which packets the `LatencyHistogram`s sample, for any worker
 //! count.
 
-use pipeleon_cost::{CostParams, RuntimeProfile};
+use pipeleon_cost::CostParams;
 use pipeleon_ir::{
     CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
 };
@@ -54,7 +54,7 @@ use pipeleon_workloads::scenarios::{AclPipeline, DashRouting};
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
 
 mod common;
-use common::{example_programs, key_traffic, SYNTH_SEEDS};
+use common::{assert_profiles_identical, example_programs, key_traffic, SYNTH_SEEDS};
 
 /// 1 is the degenerate shard, 2 the smallest real split, 8 more shards
 /// than distinct flows in some phases.
@@ -64,26 +64,6 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 /// order only perturbs the last ULPs; anything past 1e-9 relative is a
 /// real divergence, not reassociation.
 const FLOAT_RTOL: f64 = 1e-9;
-
-/// Counter-by-counter profile comparison, so a regression names the
-/// first diverging counter instead of dumping two whole profiles.
-fn assert_profiles_identical(a: &RuntimeProfile, b: &RuntimeProfile, ctx: &str) {
-    assert_eq!(a.total_packets, b.total_packets, "{ctx}: total_packets");
-    let mut ae: Vec<_> = a.edges().collect();
-    let mut be: Vec<_> = b.edges().collect();
-    ae.sort();
-    be.sort();
-    assert_eq!(ae, be, "{ctx}: edge counters");
-    let mut aa: Vec<_> = a.actions().collect();
-    let mut ba: Vec<_> = b.actions().collect();
-    aa.sort();
-    ba.sort();
-    assert_eq!(aa, ba, "{ctx}: action counters");
-    assert_eq!(a.cache_stats, b.cache_stats, "{ctx}: cache stats");
-    assert_eq!(a.distinct_keys, b.distinct_keys, "{ctx}: distinct keys");
-    assert_eq!(a.window_s, b.window_s, "{ctx}: window");
-    assert_eq!(a, b, "{ctx}: full profile");
-}
 
 fn assert_close(a: f64, b: f64, ctx: &str) {
     let scale = a.abs().max(b.abs()).max(1.0);
