@@ -17,7 +17,7 @@
 //! to covered tables flush the cache).
 
 use super::{EvalCtx, SegmentScore, TableTerms, INVALIDATION_COEFF};
-use pipeleon_cost::{CACHE_CAPACITY, CACHE_INSERTION_RATE};
+use pipeleon_cost::{CostParams, CACHE_CAPACITY, CACHE_INSERTION_RATE};
 use pipeleon_ir::{DependencyAnalysis, NodeId, RwSets};
 
 /// The hit rate a new cache is estimated at before the cross-product and
@@ -48,10 +48,7 @@ pub fn estimated_hit_rate(ctx: &EvalCtx<'_>, tables: &[&TableTerms]) -> f64 {
     }
     let mut h = DEFAULT_HIT_RATE;
     // Cross-product key space vs. capacity.
-    let mut keyspace: f64 = 1.0;
-    for t in tables {
-        keyspace *= t.distinct_keys;
-    }
+    let keyspace = keyspace(tables);
     if keyspace > CACHE_CAPACITY as f64 {
         h *= CACHE_CAPACITY as f64 / keyspace;
     }
@@ -69,23 +66,66 @@ pub fn score(ctx: &EvalCtx<'_>, tables: &[&TableTerms]) -> Option<SegmentScore> 
     }
     let h = estimated_hit_rate(ctx, tables);
     let params = &ctx.model.params;
-    // Replay cost on a hit: actions of the tables the packet would have
-    // traversed (drop-shortened).
-    let mut replay = 0.0;
-    let mut orig = 0.0;
-    let mut survive = 1.0;
-    for t in tables {
-        replay += survive * t.action_cost;
-        orig += survive * t.cost;
-        survive *= 1.0 - t.drop_rate;
-    }
+    let w = Walk::of(tables);
     let (mem, update) = costs(ctx, h);
     Some(SegmentScore {
-        latency: params.l_mat + h * replay + (1.0 - h) * (orig + params.l_cache_insert),
-        drop_rate: 1.0 - survive,
+        latency: params.l_mat + h * w.replay + (1.0 - h) * (w.orig + params.l_cache_insert),
+        drop_rate: 1.0 - w.survive,
         mem,
         update,
     })
+}
+
+/// The cross-product key space of a cache over `tables`: the product of
+/// their distinct key counts.
+fn keyspace(tables: &[&TableTerms]) -> f64 {
+    tables.iter().map(|t| t.distinct_keys).product()
+}
+
+/// A packet's way through the tables a cache covers, conditioned on it
+/// entering the cache: each table weighted by the share that reaches it
+/// (early drops shorten the walk).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walk {
+    /// What a miss runs: every table's match and action.
+    pub(crate) orig: f64,
+    /// What a hit replays: every table's actions.
+    pub(crate) replay: f64,
+    /// The share that leaves the tables undropped.
+    pub(crate) survive: f64,
+}
+
+impl Walk {
+    /// The walk through `tables`, in order.
+    pub(crate) fn of(tables: &[&TableTerms]) -> Self {
+        let mut w = Self {
+            orig: 0.0,
+            replay: 0.0,
+            survive: 1.0,
+        };
+        for t in tables {
+            w.replay += w.survive * t.action_cost;
+            w.orig += w.survive * t.cost;
+            w.survive *= 1.0 - t.drop_rate;
+        }
+        w
+    }
+}
+
+/// What starting a cache over `tables` cold costs, in ns: one compulsory
+/// miss per key it will hold, `K = min(key space, capacity, entering)`
+/// with `entering` the packets that enter it in a window, each miss
+/// `orig + l_cache_insert − replay` dearer than the hit it becomes. The
+/// key space is the cross product the hit-rate estimate reads.
+pub(crate) fn warmup_ns(
+    params: &CostParams,
+    tables: &[&TableTerms],
+    entering: f64,
+    orig: f64,
+    replay: f64,
+) -> f64 {
+    let keys = keyspace(tables).min(CACHE_CAPACITY as f64).min(entering);
+    keys * (orig + params.l_cache_insert - replay)
 }
 
 /// `(memory, update-rate)` cost of creating a cache with hit rate `h`:

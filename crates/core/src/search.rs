@@ -14,7 +14,7 @@ use crate::hotspot::{score_pipelets, top_k};
 use crate::knapsack;
 use crate::opts::{cache, enumerate_candidates, score_candidate, EvalCtx, TableTerms};
 use crate::pipelet::{find_groups, partition, Pipelet, PipeletGroup};
-use crate::plan::{Candidate, GlobalPlan};
+use crate::plan::{Candidate, GlobalPlan, SegmentKind};
 use pipeleon_cost::{CostModel, RuntimeProfile};
 use pipeleon_ir::{IrError, NodeId, ProgramGraph};
 use std::sync::Arc;
@@ -433,6 +433,81 @@ impl Optimizer {
         Some(total)
     }
 
+    /// The warm-up price, in ns, of deploying `plan`, a plan of the search
+    /// over `g`, where `running` runs: each flow cache `plan` installs
+    /// cold pays one compulsory miss per key it will hold, `K = min(Π
+    /// distinct keys, CACHE_CAPACITY, packets entering it in profile's
+    /// window)`, each miss `orig + l_cache_insert − replay` dearer than
+    /// the hit it becomes. A cache is warm, and free, when `running` has
+    /// a cache over the same tables in the same order (a group cache: at
+    /// the same branch), which is the cache a deploy keeps on the
+    /// datapath. Reorders and merges are free; a choice that no longer
+    /// maps onto `g`'s pipelets is skipped.
+    pub fn warmup_ns(
+        &self,
+        g: &ProgramGraph,
+        profile: &RuntimeProfile,
+        plan: &GlobalPlan,
+        running: &GlobalPlan,
+    ) -> f64 {
+        let warm: Vec<(Option<NodeId>, &[NodeId])> = caches(running).collect();
+        let is_cold = |cache| !warm.contains(&cache);
+        let pipelets = partition(g, MAX_PIPELET_LEN);
+        let visits = profile.visit_probabilities(g);
+        let packets = profile.total_packets as f64;
+        let mut total = 0.0;
+        for c in &plan.choices {
+            if let Some(branch) = c.group_branch {
+                if !is_cold((Some(branch), &c.order)) {
+                    continue;
+                }
+                let Some(gc) = find_groups(g, &pipelets)
+                    .into_iter()
+                    .find(|pg| pg.branch == branch)
+                    .and_then(|pg| self.group_cache(g, profile, &pipelets, &pg, &visits))
+                else {
+                    continue;
+                };
+                let members: Vec<&TableTerms> = gc.terms.iter().collect();
+                let entering = packets * gc.reach;
+                let params = &self.model.params;
+                total += cache::warmup_ns(params, &members, entering, gc.region, gc.replay);
+                continue;
+            }
+            let Some(p) = pipelets.get(c.pipelet) else {
+                continue;
+            };
+            let ctx = EvalCtx {
+                model: &self.model,
+                cfg: &self.cfg,
+                g,
+                profile,
+                reach: visits.get(p.entry().index()).copied().unwrap_or(0.0),
+            };
+            let terms = TableTerms::of_each(&ctx, &c.order);
+            let survive = |ts: &[TableTerms]| ts.iter().map(|t| 1.0 - t.drop_rate).product::<f64>();
+            let mut entering = packets * ctx.reach;
+            let mut pos = 0;
+            for s in &c.segments {
+                let (Some(before), Some(run)) =
+                    (terms.get(pos..s.start), terms.get(s.start..s.end))
+                else {
+                    break;
+                };
+                entering *= survive(before);
+                if s.kind == SegmentKind::Cache && is_cold((None, &c.order[s.start..s.end])) {
+                    let run: Vec<&TableTerms> = run.iter().collect();
+                    let w = cache::Walk::of(&run);
+                    let params = &self.model.params;
+                    total += cache::warmup_ns(params, &run, entering, w.orig, w.replay);
+                }
+                entering *= survive(run);
+                pos = s.end;
+            }
+        }
+        total
+    }
+
     /// Builds the joint-cache candidate for a pipelet group: one flow
     /// cache keyed on the branch + member fields, fronting the branch,
     /// whatever its gain (the search keeps it only when positive).
@@ -444,6 +519,42 @@ impl Optimizer {
         pg: &PipeletGroup,
         visits: &[f64],
     ) -> Option<Candidate> {
+        let gc = self.group_cache(g, profile, pipelets, pg, visits)?;
+        let ctx = EvalCtx {
+            model: &self.model,
+            cfg: &self.cfg,
+            g,
+            profile,
+            reach: gc.reach,
+        };
+        let members: Vec<&TableTerms> = gc.terms.iter().collect();
+        let h = cache::estimated_hit_rate(&ctx, &members);
+        let params = &self.model.params;
+        let cached = params.l_mat + h * gc.replay + (1.0 - h) * (gc.region + params.l_cache_insert);
+        let gain = gc.reach * (gc.region - cached);
+        let (mem, upd) = cache::costs(&ctx, h);
+        Some(Candidate {
+            pipelet: *pg.members.first()?,
+            order: gc.terms.iter().map(|t| t.id).collect(),
+            segments: Vec::new(),
+            gain,
+            mem_cost: mem,
+            update_cost: upd,
+            group_branch: Some(pg.branch),
+        })
+    }
+
+    /// The joint cache of a pipelet group, before it is priced: the
+    /// tables it covers and what a packet entering it runs on a miss and
+    /// replays on a hit. `None` when a member table is not cacheable.
+    fn group_cache(
+        &self,
+        g: &ProgramGraph,
+        profile: &RuntimeProfile,
+        pipelets: &[Pipelet],
+        pg: &PipeletGroup,
+        visits: &[f64],
+    ) -> Option<GroupCache> {
         let reach = visits.get(pg.branch.index()).copied().unwrap_or(0.0);
         let mut member_tables: Vec<NodeId> = pg
             .members
@@ -470,8 +581,7 @@ impl Optimizer {
         }
         // Every member table must be individually cacheable.
         let terms = TableTerms::of_each(&ctx, &member_tables);
-        let members: Vec<&TableTerms> = terms.iter().collect();
-        if !members.iter().all(|t| cache::segment_allowed(&[t])) {
+        if !terms.iter().all(|t| cache::segment_allowed(&[t])) {
             return None;
         }
         // Region latency: branch + probability-weighted arm chains + the
@@ -507,21 +617,40 @@ impl Optimizer {
                 survive *= 1.0 - ctx.drop_rate(id);
             }
         }
-        let h = cache::estimated_hit_rate(&ctx, &members);
-        let params = &self.model.params;
-        let cached = params.l_mat + h * replay + (1.0 - h) * (region + params.l_cache_insert);
-        let gain = reach * (region - cached);
-        let (mem, upd) = cache::costs(&ctx, h);
-        Some(Candidate {
-            pipelet: *pg.members.first()?,
-            order: member_tables,
-            segments: Vec::new(),
-            gain,
-            mem_cost: mem,
-            update_cost: upd,
-            group_branch: Some(pg.branch),
+        Some(GroupCache {
+            reach,
+            terms,
+            region,
+            replay,
         })
     }
+}
+
+/// A pipelet group's joint cache ([`Optimizer::group_candidate`]) before
+/// it is priced.
+struct GroupCache {
+    /// Probability a packet reaches the group's branch.
+    reach: f64,
+    /// The covered tables: each member pipelet's, then the join's.
+    terms: Vec<TableTerms>,
+    /// What a miss runs, branch included, conditioned on entering.
+    region: f64,
+    /// What a hit replays, conditioned on entering.
+    replay: f64,
+}
+
+/// Every flow cache `plan` installs: the branch a group cache fronts,
+/// and the tables it covers, in order.
+fn caches(plan: &GlobalPlan) -> impl Iterator<Item = (Option<NodeId>, &[NodeId])> {
+    plan.choices.iter().flat_map(|c| {
+        let segments = c.segments.iter().filter(|s| s.kind == SegmentKind::Cache);
+        let group = c.group_branch.map(|b| (Some(b), &c.order[..]));
+        group.into_iter().chain(
+            segments
+                .filter_map(|s| c.order.get(s.start..s.end))
+                .map(|run| (None, run)),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -666,6 +795,134 @@ mod tests {
         (g, ids, prof)
     }
 
+    /// A plan of one choice over the pipelet of `acl_last_program`: its
+    /// tables in `order`, covered by `segments`.
+    fn one_choice(order: Vec<NodeId>, segments: Vec<(usize, usize, SegmentKind)>) -> GlobalPlan {
+        use crate::plan::Segment;
+        GlobalPlan {
+            choices: vec![Candidate {
+                pipelet: 0,
+                order,
+                segments: segments
+                    .into_iter()
+                    .map(|(start, end, kind)| Segment { start, end, kind })
+                    .collect(),
+                gain: 0.0,
+                mem_cost: 0.0,
+                update_cost: 0.0,
+                group_branch: None,
+            }],
+            ..GlobalPlan::default()
+        }
+    }
+
+    /// What one compulsory miss of a cache over `tables` costs under
+    /// `profile` on `acl_last_program`, whose pipelet every packet enters.
+    fn miss_ns(
+        opt: &Optimizer,
+        g: &ProgramGraph,
+        profile: &RuntimeProfile,
+        tables: &[NodeId],
+    ) -> f64 {
+        let ctx = EvalCtx {
+            model: &opt.model,
+            cfg: &opt.cfg,
+            g,
+            profile,
+            reach: 1.0,
+        };
+        let terms = TableTerms::of_each(&ctx, tables);
+        let w = cache::Walk::of(&terms.iter().collect::<Vec<_>>());
+        w.orig + opt.model.params.l_cache_insert - w.replay
+    }
+
+    #[test]
+    fn only_flow_caches_pay_a_warm_up() {
+        let (g, ids, prof) = acl_last_program();
+        let (p, acl) = (&ids[..3], ids[3]);
+        assert_eq!(partition(&g, MAX_PIPELET_LEN)[0].tables, ids);
+        let opt = Optimizer::new(CostModel::new(CostParams::bluefield2()));
+        let none = GlobalPlan::default();
+        let order = vec![acl, p[0], p[1], p[2]];
+        let merge = |as_cache| SegmentKind::Merge { as_cache };
+        for segments in [
+            vec![],
+            vec![(0, 2, merge(false))],
+            vec![(2, 4, merge(true))],
+            vec![(0, 2, merge(false)), (2, 4, merge(true))],
+        ] {
+            let plan = one_choice(order.clone(), segments);
+            assert_eq!(opt.warmup_ns(&g, &prof, &plan, &none), 0.0, "{plan:?}");
+        }
+        let cached = one_choice(
+            order,
+            vec![(0, 2, merge(false)), (2, 4, SegmentKind::Cache)],
+        );
+        assert!(opt.warmup_ns(&g, &prof, &cached, &none) > 0.0);
+        assert_eq!(opt.warmup_ns(&g, &prof, &none, &cached), 0.0);
+    }
+
+    #[test]
+    fn a_cache_the_running_plan_runs_over_the_same_ordered_tables_is_warm() {
+        let (g, ids, prof) = acl_last_program();
+        let (p, acl) = (&ids[..3], ids[3]);
+        let opt = Optimizer::new(CostModel::new(CostParams::bluefield2()));
+        let plan = one_choice(
+            vec![acl, p[0], p[1], p[2]],
+            vec![(1, 3, SegmentKind::Cache)],
+        );
+        let cold = opt.warmup_ns(&g, &prof, &plan, &GlobalPlan::default());
+        assert!(cold > 0.0);
+        // The same two tables, cached in the same order elsewhere in
+        // another order of the pipelet: the datapath keeps that cache.
+        let same = one_choice(
+            vec![p[0], p[1], p[2], acl],
+            vec![(0, 2, SegmentKind::Cache)],
+        );
+        assert_eq!(opt.warmup_ns(&g, &prof, &plan, &same), 0.0);
+        // The same tables in the reverse order: another segment, cold.
+        let reversed = one_choice(
+            vec![p[1], p[0], p[2], acl],
+            vec![(0, 2, SegmentKind::Cache)],
+        );
+        assert_eq!(opt.warmup_ns(&g, &prof, &plan, &reversed), cold);
+        // A cache over more tables is another segment too.
+        let longer = one_choice(
+            vec![p[0], p[1], p[2], acl],
+            vec![(0, 3, SegmentKind::Cache)],
+        );
+        assert_eq!(opt.warmup_ns(&g, &prof, &plan, &longer), cold);
+    }
+
+    #[test]
+    fn warm_up_keys_are_capped_by_capacity_and_entering_packets() {
+        use pipeleon_cost::CACHE_CAPACITY;
+        let (g, ids, mut prof) = acl_last_program();
+        let (p, acl) = (&ids[..3], ids[3]);
+        let opt = Optimizer::new(CostModel::new(CostParams::bluefield2()));
+        // The ACL runs first and drops 75 %: a quarter of the packets
+        // enter the cache over the three tables behind it.
+        let plan = one_choice(
+            vec![acl, p[0], p[1], p[2]],
+            vec![(1, 4, SegmentKind::Cache)],
+        );
+        let price = |prof: &RuntimeProfile| opt.warmup_ns(&g, prof, &plan, &GlobalPlan::default());
+        let miss = |prof: &RuntimeProfile| miss_ns(&opt, &g, prof, p);
+        // Tables without entries or counted keys: 2 keys each, 8 jointly.
+        assert_eq!(price(&prof), 8.0 * miss(&prof));
+        // 40 keys each: a 64,000-key cross product, capped by the
+        // capacity, and by the 250 packets entering the cache.
+        for &t in p {
+            prof.set_distinct_keys(t, 40);
+        }
+        assert_eq!(price(&prof), 250.0 * miss(&prof));
+        prof.total_packets *= 1000;
+        assert_eq!(price(&prof), CACHE_CAPACITY as f64 * miss(&prof));
+        // No packet, no warm-up.
+        prof.total_packets = 0;
+        assert_eq!(price(&prof), 0.0);
+    }
+
     #[test]
     fn optimizer_promotes_dropping_acl() {
         let (g, ids, prof) = acl_last_program();
@@ -776,10 +1033,33 @@ mod tests {
     }
 
     #[test]
-    fn group_candidate_replaces_weak_members() {
+    fn a_cold_group_cache_pays_its_warm_up() {
+        let (g, pg, mut prof) = diamond();
+        let opt = Optimizer::new(CostModel::new(CostParams::emulated_nic())).esearch();
+        let plan = opt
+            .optimize(&g, &prof, ResourceLimits::unlimited())
+            .unwrap()
+            .plan;
+        assert!(plan.choices.iter().all(|c| c.group_branch.is_some()));
+        prof.total_packets = 1000;
+        let pipelets = partition(&g, MAX_PIPELET_LEN);
+        let visits = prof.visit_probabilities(&g);
+        let gc = opt.group_cache(&g, &prof, &pipelets, &pg, &visits).unwrap();
+        // Three member tables of 2 keys each, behind a branch every
+        // packet reaches.
+        assert_eq!((gc.terms.len(), gc.reach), (3, 1.0));
+        let miss = gc.region + opt.model.params.l_cache_insert - gc.replay;
+        assert_eq!(
+            opt.warmup_ns(&g, &prof, &plan, &GlobalPlan::default()),
+            8.0 * miss
+        );
+        assert_eq!(opt.warmup_ns(&g, &prof, &plan, &plan), 0.0);
+    }
+
+    /// Diamond of single-table pipelets behind a branch, joining on a
+    /// third, and its one pipelet group.
+    fn diamond() -> (ProgramGraph, PipeletGroup, RuntimeProfile) {
         use pipeleon_ir::Condition;
-        // Diamond of single-table pipelets: individually cacheable with
-        // tiny gain; jointly worth more when traffic is localized.
         let mut b = ProgramBuilder::new();
         let f = b.field("x");
         let fl = b.field("l");
@@ -792,8 +1072,19 @@ mod tests {
         b.set_next(r, Some(join));
         let br = b.branch("br", Condition::lt(f, 500), Some(l), Some(r));
         let g = b.seal(br).unwrap();
+        let pg = find_groups(&g, &partition(&g, MAX_PIPELET_LEN))
+            .into_iter()
+            .next()
+            .unwrap();
+        (g, pg, RuntimeProfile::empty())
+    }
+
+    #[test]
+    fn group_candidate_replaces_weak_members() {
+        // Diamond of single-table pipelets: individually cacheable with
+        // tiny gain; jointly worth more when traffic is localized.
+        let (g, _, prof) = diamond();
         let model = CostModel::new(CostParams::emulated_nic());
-        let prof = RuntimeProfile::empty();
         let out = Optimizer::new(model)
             .with_config(OptimizerConfig {
                 top_k_fraction: 1.0,

@@ -42,6 +42,12 @@ pub enum EventKind {
         candidate_gain_ns: f64,
         /// The running plan's gain re-priced under the same profile.
         running_gain_ns: f64,
+        /// What deploying the search's plan would cost in compulsory
+        /// misses of the flow caches it starts cold, in nanoseconds.
+        warmup_ns: f64,
+        /// The packets over which a plan's gain is counted: the packets
+        /// profiled so far per plan deployed.
+        horizon_packets: f64,
     },
     /// A deploy attempt failed after retries.
     DeployFailed {
@@ -184,11 +190,15 @@ impl Event {
             EventKind::PlanKept {
                 candidate_gain_ns,
                 running_gain_ns,
+                warmup_ns,
+                horizon_packets,
             } => {
                 s.push_str(&format!(
-                    ",\"candidate_gain_ns\":{},\"running_gain_ns\":{}",
+                    ",\"candidate_gain_ns\":{},\"running_gain_ns\":{},\"warmup_ns\":{},\"horizon_packets\":{}",
                     fmt_f64(*candidate_gain_ns),
-                    fmt_f64(*running_gain_ns)
+                    fmt_f64(*running_gain_ns),
+                    fmt_f64(*warmup_ns),
+                    fmt_f64(*horizon_packets)
                 ));
             }
             EventKind::DeployFailed { attempts, error } => {
@@ -403,6 +413,8 @@ mod tests {
             EventKind::PlanKept {
                 candidate_gain_ns: 2.5,
                 running_gain_ns: 3.0,
+                warmup_ns: 1_500.0,
+                horizon_packets: 4_096.0,
             },
             EventKind::DeployFailed {
                 attempts: 3,

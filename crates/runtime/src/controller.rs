@@ -183,6 +183,11 @@ pub struct Controller<T: Target> {
     cache_hints: HashMap<Vec<NodeId>, f64>,
     /// Number of reconfigurations performed.
     pub reconfig_count: usize,
+    /// Packets of every profile window consumed so far.
+    profiled_packets: u64,
+    /// Plans deployed so far; with `profiled_packets`, a plan's observed
+    /// mean lifetime in packets.
+    deploys: u64,
     /// Structured audit trail of control-loop events (deploys,
     /// rollbacks, plan rejections, breaker transitions, windows).
     journal: EventJournal,
@@ -239,6 +244,8 @@ impl<T: Target> Controller<T> {
             health: HealthReport::default(),
             cache_hints: HashMap::new(),
             reconfig_count: 0,
+            profiled_packets: 0,
+            deploys: 0,
             journal,
             metrics,
             clock_s: 0.0,
@@ -489,6 +496,7 @@ impl<T: Target> Controller<T> {
         };
         self.applied = Some(applied);
         self.reconfig_count += 1;
+        self.deploys += 1;
         Ok(())
     }
 
@@ -627,6 +635,7 @@ impl<T: Target> Controller<T> {
             packets: raw.total_packets,
         };
         self.clock_s += window_s;
+        self.profiled_packets += raw.total_packets;
         let mut profile = match &self.applied {
             Some(a) => a.counter_map.translate(&raw),
             None => raw,
@@ -712,17 +721,26 @@ impl<T: Target> Controller<T> {
             let candidate = fingerprint(&outcome.applied.graph)?;
             if self.last_good_fingerprint() != Some(candidate) {
                 // The deploy rule: the search's plan replaces the running
-                // one only when it is priced strictly higher under this
-                // window's profile. A deploy empties the flow caches, so a
-                // tie, or a pruned search that missed the running plan,
-                // keeps what runs.
-                let running = self.running_gain(&profile);
-                if let Some(running_gain_ns) = running.filter(|&r| outcome.est_gain_ns <= r) {
+                // one only when its gain over the running plan's, both
+                // priced under this window's profile, repays over a plan's
+                // observed lifetime the warm-up of the flow caches it
+                // starts cold. A tie, or a pruned search that missed the
+                // running plan, keeps what runs.
+                let horizon_packets = self.profiled_packets as f64 / self.deploys.max(1) as f64;
+                let kept = self.running_gain(&profile).and_then(|running_gain_ns| {
+                    let warmup_ns = self.warmup_ns(&profile, &outcome.plan);
+                    let repays =
+                        (outcome.est_gain_ns - running_gain_ns) * horizon_packets > warmup_ns;
+                    (!repays).then_some((running_gain_ns, warmup_ns))
+                });
+                if let Some((running_gain_ns, warmup_ns)) = kept {
                     self.journal.push(
                         self.clock_s,
                         EventKind::PlanKept {
                             candidate_gain_ns: outcome.est_gain_ns,
                             running_gain_ns,
+                            warmup_ns,
+                            horizon_packets,
                         },
                     );
                 } else if let Err(err) = self.verify_plan(&outcome.plan) {
@@ -767,6 +785,19 @@ impl<T: Target> Controller<T> {
         let plan = self.applied.as_ref().map_or(&original, |a| &a.plan);
         let (gain, mem, update) = self.optimizer.score_plan(&self.original, profile, plan)?;
         self.cfg.limits.fits(mem, update).then_some(gain)
+    }
+
+    /// The warm-up price of deploying `plan` in place of what runs
+    /// ([`Optimizer::warmup_ns`]). A reload target flushes every flow
+    /// cache on a deploy, so there every cache of `plan` starts cold.
+    fn warmup_ns(&self, profile: &RuntimeProfile, plan: &GlobalPlan) -> f64 {
+        let original = GlobalPlan::default();
+        let running = match &self.applied {
+            Some(a) if self.target.reconfig_downtime_s() <= 0.0 => &a.plan,
+            _ => &original,
+        };
+        self.optimizer
+            .warmup_ns(&self.original, profile, plan, running)
     }
 
     /// Re-snapshots the control-loop metrics after a tick. Monotone
@@ -1270,12 +1301,9 @@ mod tests {
         assert!(c.target.nic.process_one(&mut pkt).dropped);
     }
 
-    #[test]
-    fn measured_cache_hit_rates_feed_back_into_planning() {
-        use pipeleon_ir::MatchKind;
-        // Four ternary tables; low-locality traffic makes a deployed
-        // cache's real hit rate collapse; after monitoring, the next plan
-        // must stop assuming the optimistic default.
+    /// Four ternary tables of five entries on a live target that profiles
+    /// every packet, and the fields the tables match.
+    fn ternary_chain() -> (Controller<SimTarget>, Vec<pipeleon_ir::FieldRef>) {
         let mut b = ProgramBuilder::new();
         let mut ids = Vec::new();
         let mut fields = Vec::new();
@@ -1304,32 +1332,71 @@ mod tests {
         let params = CostParams::bluefield2();
         let mut nic = SmartNic::new(g.clone(), params.clone()).unwrap();
         nic.set_instrumentation(true, 1);
-        let mut c = Controller::new(
+        let c = Controller::new(
             SimTarget::live(nic),
-            g.clone(),
+            g,
             Optimizer::new(CostModel::new(params)),
             ControllerConfig::default(),
         )
         .unwrap();
-        // Unique-key traffic: every packet is a new flow.
-        let run_traffic = |c: &mut Controller<SimTarget>, base: u64| {
-            for i in 0..6000u64 {
-                let mut pkt = Packet::new(&g.fields);
-                for (j, &f) in fields.iter().enumerate() {
-                    pkt.set(f, base + i * 4 + j as u64);
-                }
-                c.target.nic.process_one(&mut pkt);
+        (c, fields)
+    }
+
+    /// 6,000 packets of [`ternary_chain`] over `flows` flows, keys from
+    /// `base`.
+    fn ternary_traffic(
+        c: &mut Controller<SimTarget>,
+        fields: &[pipeleon_ir::FieldRef],
+        base: u64,
+        flows: u64,
+    ) {
+        for i in 0..6000u64 {
+            let mut pkt = Packet::new(&c.original.fields);
+            for (j, &f) in fields.iter().enumerate() {
+                pkt.set(f, base + i % flows * 4 + j as u64);
             }
-        };
-        run_traffic(&mut c, 0);
+            c.target.nic.process_one(&mut pkt);
+        }
+    }
+
+    /// The first `plan_kept` event of `c`'s journal:
+    /// `(candidate, running, warmup_ns, horizon_packets)`.
+    fn first_plan_kept<T: Target>(c: &Controller<T>) -> Option<(f64, f64, f64, f64)> {
+        c.journal().iter().find_map(|e| match e.kind {
+            EventKind::PlanKept {
+                candidate_gain_ns,
+                running_gain_ns,
+                warmup_ns,
+                horizon_packets,
+            } => Some((
+                candidate_gain_ns,
+                running_gain_ns,
+                warmup_ns,
+                horizon_packets,
+            )),
+            _ => None,
+        })
+    }
+
+    /// Low-locality traffic makes a deployed cache's real hit rate
+    /// collapse; after monitoring, the next plan must stop assuming the
+    /// optimistic default. The first window repeats four flows, so the
+    /// caches the first plan starts cold fill in a few misses and the plan
+    /// deploys; a first window of unique keys would not deploy it (see
+    /// `a_deploy_that_cannot_repay_its_warm_up_keeps_the_running_plan`).
+    #[test]
+    fn measured_cache_hit_rates_feed_back_into_planning() {
+        let (mut c, fields) = ternary_chain();
+        ternary_traffic(&mut c, &fields, 0, 4);
         let r1 = c.tick().unwrap();
         assert!(r1.deployed, "first plan should deploy caches: {r1:?}");
         assert!(c
             .applied()
             .map(|a| !a.cache_nodes.is_empty())
             .unwrap_or(false));
-        // Run traffic on the cached layout: nearly every lookup misses.
-        run_traffic(&mut c, 1_000_000);
+        // Unique-key traffic on the cached layout: every packet is a new
+        // flow, so nearly every lookup misses.
+        ternary_traffic(&mut c, &fields, 1_000_000, 6000);
         let _r2 = c.tick().unwrap();
         // The measured hint must now exist and be pessimistic.
         let hint_is_low = c.cache_hints.values().any(|&h| h < 0.3);
@@ -1338,6 +1405,60 @@ mod tests {
             "expected a low measured hit rate: {:?}",
             c.cache_hints
         );
+    }
+
+    /// 6,000 packets of 6,000 flows: the search's caches would gain
+    /// 87.5 ns a packet over the original program, but each must first
+    /// miss on every one of the 4,096 keys it can hold, and one window is
+    /// all a plan has lived so far.
+    #[test]
+    fn a_deploy_that_cannot_repay_its_warm_up_keeps_the_running_plan() {
+        let (mut c, fields) = ternary_chain();
+        ternary_traffic(&mut c, &fields, 0, 6000);
+        let r = c.tick().unwrap();
+        assert!(r.reoptimized && !r.deployed, "{r:?}");
+        assert!(c.applied().is_none());
+        let kept = first_plan_kept(&c);
+        let (candidate, running, warmup_ns, horizon_packets) =
+            kept.expect("the kept plan is journaled");
+        assert_eq!((candidate, running), (r.est_gain_ns, 0.0));
+        assert_eq!(horizon_packets, 6000.0);
+        // The price of the search's plan, every cache of it cold.
+        let profile = c.last_profile.as_ref().unwrap();
+        let searched = c
+            .optimizer
+            .optimize(&c.original, profile, c.cfg.limits)
+            .unwrap()
+            .plan;
+        assert!(!searched.is_empty());
+        let none = GlobalPlan::default();
+        let price = c
+            .optimizer
+            .warmup_ns(&c.original, profile, &searched, &none);
+        assert_eq!(warmup_ns, price);
+        assert!(
+            candidate > 0.0 && candidate * horizon_packets <= warmup_ns,
+            "{kept:?}"
+        );
+    }
+
+    /// The same search over 6,000 packets of four flows: its caches start
+    /// cold but fill in a few misses, which the gain repays many times.
+    #[test]
+    fn a_deploy_that_repays_its_warm_up_replaces_the_running_plan() {
+        let (mut c, fields) = ternary_chain();
+        ternary_traffic(&mut c, &fields, 0, 4);
+        let r = c.tick().unwrap();
+        assert!(r.reoptimized && r.deployed, "{r:?}");
+        assert_eq!(first_plan_kept(&c), None);
+        let applied = c.applied().expect("the plan runs");
+        assert!(!applied.cache_nodes.is_empty());
+        let profile = c.last_profile.as_ref().unwrap();
+        let none = GlobalPlan::default();
+        let price = c
+            .optimizer
+            .warmup_ns(&c.original, profile, &applied.plan, &none);
+        assert!(price > 0.0 && r.est_gain_ns * 6000.0 > price, "{price}");
     }
 
     #[test]
@@ -2003,14 +2124,8 @@ mod tests {
         let r = window(&mut c, &p, &[0.0, 0.0, 0.4], 16, 2);
         assert!(r.reoptimized && !r.deployed, "{r:?}");
         assert_eq!(c.target.fingerprint().unwrap(), running);
-        let kept = c.journal().iter().find_map(|e| match e.kind {
-            EventKind::PlanKept {
-                candidate_gain_ns,
-                running_gain_ns,
-            } => Some((candidate_gain_ns, running_gain_ns)),
-            _ => None,
-        });
-        let (candidate, running) = kept.expect("the kept plan is journaled");
+        let kept = first_plan_kept(&c);
+        let (candidate, running, ..) = kept.expect("the kept plan is journaled");
         assert_eq!(candidate, r.est_gain_ns);
         assert!(candidate > 0.0 && running >= candidate, "{kept:?}");
         let profile = c.last_profile.as_ref().unwrap();
@@ -2019,6 +2134,24 @@ mod tests {
             .score_plan(&c.original, profile, &cached)
             .unwrap();
         assert_eq!(rescored, running);
+    }
+
+    #[test]
+    fn on_a_reload_target_every_cache_prices_cold() {
+        let p = AclPipeline::build(3, 3);
+        let mut c = reorder_only_controller(&p);
+        assert!(window(&mut c, &p, &[0.0, 0.0, 0.7], 16, 1).deployed);
+        let cached = with_regular_cached(&c, &p);
+        c.deploy_plan(&cached).unwrap();
+        let profile = c.last_profile.clone().unwrap();
+        let none = GlobalPlan::default();
+        let cold = c.optimizer.warmup_ns(&c.original, &profile, &cached, &none);
+        assert!(cold > 0.0);
+        // A live target keeps the running plan's cache across a deploy.
+        assert_eq!(c.warmup_ns(&profile, &cached), 0.0);
+        // A reload target flushes it.
+        c.target.downtime_s = 2.0;
+        assert_eq!(c.warmup_ns(&profile, &cached), cold);
     }
 
     #[test]

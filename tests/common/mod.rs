@@ -1,14 +1,18 @@
 //! Stimulus shared by the differential suites and the walk golden test:
 //! the example programs, seeded key traffic and the synthetic-program
-//! seed matrix, and the one profile comparator. Each suite keeps its own
-//! oracle and its other equality checks.
+//! seed matrix, the `control_loop` decisions stimulus, and the one
+//! profile comparator. Each suite keeps its own oracle and its other
+//! equality checks.
 
 // Each suite uses a different subset of these helpers.
 #![allow(dead_code)]
 
-use pipeleon_cost::RuntimeProfile;
-use pipeleon_ir::{json, ProgramGraph};
-use pipeleon_sim::Packet;
+use pipeleon::Optimizer;
+use pipeleon_cost::{CostModel, CostParams, RuntimeProfile};
+use pipeleon_ir::{json, MatchValue, ProgramGraph, TableEntry};
+use pipeleon_runtime::{Controller, ControllerConfig, SimTarget};
+use pipeleon_sim::{Packet, SmartNic};
+use pipeleon_workloads::scenarios::LoadBalancer;
 use pipeleon_workloads::traffic::FlowGen;
 
 /// The seed matrix CI runs for the chaos, compiled and run-loop suites
@@ -75,4 +79,61 @@ pub fn assert_profiles_identical(a: &RuntimeProfile, b: &RuntimeProfile, ctx: &s
     );
     assert_eq!(a.window_s, b.window_s, "{ctx}: window");
     assert_eq!(a, b, "{ctx}: full profile");
+}
+
+/// Where a tick of [`control_loop_stimulus`] falls.
+#[derive(Debug, Clone, Copy)]
+pub struct StimulusTick {
+    pub run: u64,
+    pub phase: usize,
+    pub window: usize,
+}
+
+/// The Fig. 11a stimulus the `control_loop` benchmark uses: a
+/// `Controller<SimTarget<SmartNic>>` on `LoadBalancer::build()` sampling
+/// one packet in 64, two controller runs of eight phases, a phase being
+/// eight inserts, four (`measure` 4,096 + `tick`), eight removes, under
+/// alternating ACL drop rates. `tick` is handed each window with its
+/// packets measured and runs the controller's tick itself.
+pub fn control_loop_stimulus(mut tick: impl FnMut(StimulusTick, &mut Controller<SimTarget>)) {
+    const SEED: u64 = 4111;
+    const FLOWS: usize = 700;
+    const WINDOW: usize = 4096;
+    const WINDOWS_PER_PHASE: usize = 4;
+    const ENTRY_OPS: usize = 8;
+    const RUNS: u64 = 2;
+    const RUN_PHASES: usize = 8;
+    const REGIMES: [[f64; 2]; 2] = [[0.05, 0.10], [0.60, 0.05]];
+    let lb = LoadBalancer::build();
+    let params = CostParams::bluefield2();
+    for run in 0..RUNS {
+        let stream = SEED + 1000 * run;
+        let mut gens = [0usize, 1].map(|r| lb.traffic(&REGIMES[r], FLOWS, stream + r as u64));
+        let mut nic = SmartNic::new(lb.graph.clone(), params.clone()).expect("LB deploys");
+        nic.set_instrumentation(true, 64);
+        let mut controller = Controller::new(
+            SimTarget::live(nic),
+            lb.graph.clone(),
+            Optimizer::new(CostModel::new(params.clone())),
+            ControllerConfig::default(),
+        )
+        .expect("controller starts");
+        for phase in 0..RUN_PHASES {
+            for k in 0..ENTRY_OPS {
+                let entry = TableEntry::new(vec![MatchValue::Exact(1 << 20 | k as u64)], 0);
+                controller
+                    .insert_entry(lb.lb[k % 2], entry)
+                    .expect("insert on an LB table");
+            }
+            for window in 0..WINDOWS_PER_PHASE {
+                controller.target.nic.measure(gens[phase % 2].batch(WINDOW));
+                tick(StimulusTick { run, phase, window }, &mut controller);
+            }
+            for k in 0..ENTRY_OPS {
+                controller
+                    .remove_entry(lb.lb[k % 2], 0)
+                    .expect("remove from an LB table");
+            }
+        }
+    }
 }

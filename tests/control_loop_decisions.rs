@@ -4,10 +4,11 @@
 //! the same binary, so a change that shifts a decision (a different
 //! candidate winning a tie, a float summed in another order) moves
 //! nothing but `model_latency_ns`. This test replays the Fig. 11a
-//! stimulus the benchmark uses — a `Controller<SimTarget<SmartNic>>` on
-//! `LoadBalancer::build()`, two controller runs of eight phases, a phase
-//! being eight inserts, four (`measure` 4,096 + `tick`), eight removes,
-//! under alternating ACL drop rates — and compares every tick's decision
+//! stimulus the benchmark uses (`common::control_loop_stimulus`: a
+//! `Controller<SimTarget<SmartNic>>` on `LoadBalancer::build()`, two
+//! controller runs of eight phases, a phase being eight inserts, four
+//! (`measure` 4,096 + `tick`), eight removes, under alternating ACL drop
+//! rates) and compares every tick's decision
 //! with a committed fixture: whether it searched, whether it deployed,
 //! the estimated gain to the bit, the fingerprint of what runs on the
 //! target, and the plan summary.
@@ -32,76 +33,54 @@
 //! estimated gain, eight ticks that kept the running plan now deploy,
 //! four deploy another plan, and the rest of the moved lines (the
 //! `target=` column of quiet ticks) follow from the plan running then.
+//! It was re-captured when a deploy began to pay for the flow caches it
+//! starts cold (the search's plan deploys only when its gain over the
+//! running plan's, times a plan's observed lifetime in packets, exceeds
+//! the compulsory misses of its cold caches): `deployed=true` fell
+//! 39 → 15 of 46 searching ticks, and 51 of the 64 lines moved. 23 ticks
+//! that deployed now keep the running plan: run 0 phase 2 ticks 0/1,
+//! phase 3 ticks 0/1/3, phase 4 ticks 0–3, phase 5 ticks 0/1, phase 6
+//! tick 0, phase 7 ticks 0/1; run 1 phase 0 tick 3, phase 1 tick 3,
+//! phase 2 tick 1, phase 4 tick 1, phase 5 ticks 0/1/3, phase 6 ticks
+//! 0/1. Run 1 phase 5 tick 2 no longer searches and run 0 phase 2 tick 2
+//! now does (and keeps the running plan): the drift each measures is
+//! against a window profiled under another plan. Another plan ran
+//! before them, so the profile the search read and its estimated gain
+//! moved, on run 0 phase 6 tick 1 and run 1 phase 7 tick 2 (kept either
+//! way) and on run 1 phase 1 tick 0, phase 2 tick 0, phase 3 ticks 0/1/3
+//! and phase 4 tick 0 (deployed either way). The other 18 lines move in
+//! the `target=` column alone: ticks that do not deploy, behind a plan
+//! that now runs longer.
 //! When a change is *meant* to alter decisions, the failing run leaves
 //! the new sequence in
 //! `$CARGO_TARGET_TMPDIR/control_loop_decisions.actual.txt`; review the
 //! diff and copy it over `tests/fixtures/control_loop_decisions.txt`.
 
-use pipeleon::Optimizer;
-use pipeleon_cost::{CostModel, CostParams};
-use pipeleon_ir::{MatchValue, TableEntry};
-use pipeleon_runtime::{Controller, ControllerConfig, SimTarget, Target};
-use pipeleon_sim::SmartNic;
-use pipeleon_workloads::scenarios::LoadBalancer;
+use pipeleon_runtime::Target;
 use std::fmt::Write as _;
 
-const SEED: u64 = 4111;
-const FLOWS: usize = 700;
-const WINDOW: usize = 4096;
-const WINDOWS_PER_PHASE: usize = 4;
-const ENTRY_OPS: usize = 8;
-const RUNS: u64 = 2;
-const RUN_PHASES: usize = 8;
-const REGIMES: [[f64; 2]; 2] = [[0.05, 0.10], [0.60, 0.05]];
+mod common;
+use common::{control_loop_stimulus, StimulusTick};
 
 const EXPECTED: &str = include_str!("fixtures/control_loop_decisions.txt");
 
 /// One line per tick of the whole stimulus.
 fn decisions() -> String {
-    let lb = LoadBalancer::build();
-    let params = CostParams::bluefield2();
     let mut out = String::new();
-    for run in 0..RUNS {
-        let stream = SEED + 1000 * run;
-        let mut gens = [0usize, 1].map(|r| lb.traffic(&REGIMES[r], FLOWS, stream + r as u64));
-        let mut nic = SmartNic::new(lb.graph.clone(), params.clone()).expect("LB deploys");
-        nic.set_instrumentation(true, 64);
-        let mut controller = Controller::new(
-            SimTarget::live(nic),
-            lb.graph.clone(),
-            Optimizer::new(CostModel::new(params.clone())),
-            ControllerConfig::default(),
+    control_loop_stimulus(|StimulusTick { run, phase, window }, controller| {
+        let r = controller.tick().expect("tick");
+        writeln!(
+            out,
+            "run={run} phase={phase} tick={window} reoptimized={} deployed={} \
+             est_gain_bits={:016x} target={:016x} summary={}",
+            r.reoptimized,
+            r.deployed,
+            r.est_gain_ns.to_bits(),
+            controller.target.fingerprint().expect("sim readback"),
+            r.summary.join(" | "),
         )
-        .expect("controller starts");
-        for phase in 0..RUN_PHASES {
-            for k in 0..ENTRY_OPS {
-                let entry = TableEntry::new(vec![MatchValue::Exact(1 << 20 | k as u64)], 0);
-                controller
-                    .insert_entry(lb.lb[k % 2], entry)
-                    .expect("insert on an LB table");
-            }
-            for window in 0..WINDOWS_PER_PHASE {
-                controller.target.nic.measure(gens[phase % 2].batch(WINDOW));
-                let r = controller.tick().expect("tick");
-                writeln!(
-                    out,
-                    "run={run} phase={phase} tick={window} reoptimized={} deployed={} \
-                     est_gain_bits={:016x} target={:016x} summary={}",
-                    r.reoptimized,
-                    r.deployed,
-                    r.est_gain_ns.to_bits(),
-                    controller.target.fingerprint().expect("sim readback"),
-                    r.summary.join(" | "),
-                )
-                .expect("write to a String");
-            }
-            for k in 0..ENTRY_OPS {
-                controller
-                    .remove_entry(lb.lb[k % 2], 0)
-                    .expect("remove from an LB table");
-            }
-        }
-    }
+        .expect("write to a String");
+    });
     out
 }
 

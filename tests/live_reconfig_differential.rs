@@ -36,9 +36,13 @@
 //!    packet leaves it as it would have left the same deploy followed by
 //!    a flush of every cache. Only cache statistics and modelled latency
 //!    may differ.
+//! 10. **The warm-up price sees what a deploy keeps:** the flow caches
+//!     the controller's warm-up price counts as warm are exactly the
+//!     ones the datapath still holds entries in right after the deploy.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
+use pipeleon::apply::EntrySite;
 use pipeleon::plan::{Candidate, GlobalPlan, Segment, SegmentKind};
 use pipeleon::search::Optimizer;
 use pipeleon::{apply_plan, partition, OptimizerConfig};
@@ -58,7 +62,9 @@ use pipeleon_workloads::scenarios::AclPipeline;
 use pipeleon_workloads::synth::{synthesize, SynthConfig};
 
 mod common;
-use common::{assert_profiles_identical, example_programs, key_traffic, SYNTH_SEEDS};
+use common::{
+    assert_profiles_identical, control_loop_stimulus, example_programs, key_traffic, SYNTH_SEEDS,
+};
 
 /// 1 is the degenerate shard, 2 the smallest real split, 8 more shards
 /// than distinct flows in some phases.
@@ -590,6 +596,82 @@ fn warm_redeploys_forward_every_packet_like_cold_ones() {
             }
         }
     }
+}
+
+/// The one choice of `plan` that installs the flow cache over `covered`,
+/// stripped of every other segment: a plan of that cache alone.
+fn only_cache(plan: &GlobalPlan, covered: &BTreeSet<NodeId>) -> GlobalPlan {
+    let set = |tables: &[NodeId]| tables.iter().copied().collect::<BTreeSet<_>>();
+    let choice = plan.choices.iter().find_map(|c| match c.group_branch {
+        Some(_) => (set(&c.order) == *covered).then(|| c.clone()),
+        None => c
+            .segments
+            .iter()
+            .find(|s| s.kind == SegmentKind::Cache && set(&c.order[s.start..s.end]) == *covered)
+            .map(|s| Candidate {
+                segments: vec![*s],
+                ..c.clone()
+            }),
+    });
+    GlobalPlan {
+        choices: vec![choice.expect("the plan installs the cache")],
+        ..GlobalPlan::default()
+    }
+}
+
+/// At every deploy of the `control_loop` decisions stimulus, before any
+/// packet runs, a flow cache holds entries exactly when the warm-up price
+/// counts it warm against the plan that ran before. The price is read
+/// per cache under a profile in which every cache has keys to miss on, so
+/// only warmth can make it 0.
+#[test]
+fn the_warm_up_price_counts_warm_exactly_the_caches_a_deploy_keeps() {
+    let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
+    let mut probe = RuntimeProfile::empty();
+    probe.total_packets = 1 << 20;
+    let (mut deploys, mut warm, mut cold) = (0, 0, 0);
+    control_loop_stimulus(|at, c| {
+        let running = c.applied().map(|a| a.plan.clone()).unwrap_or_default();
+        if !c.tick().expect("tick").deployed {
+            return;
+        }
+        deploys += 1;
+        let caches: Vec<(NodeId, BTreeSet<NodeId>, bool)> = c
+            .applied()
+            .map(|a| {
+                a.cache_nodes
+                    .iter()
+                    .map(|&cache| {
+                        let covered: BTreeSet<NodeId> = a
+                            .entry_map
+                            .tracked()
+                            .filter(|&t| {
+                                a.entry_map
+                                    .sites(t)
+                                    .contains(&EntrySite::CoveredByCache { cache })
+                            })
+                            .collect();
+                        let plan = only_cache(&a.plan, &covered);
+                        let price = optimizer.warmup_ns(c.original(), &probe, &plan, &running);
+                        (cache, covered, price == 0.0)
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        for (cache, covered, priced_warm) in caches {
+            let kept = c.target.nic.executor_mut().cache_len(cache) > 0;
+            assert_eq!(
+                priced_warm, kept,
+                "{at:?}: cache {cache} over {covered:?} priced warm {priced_warm}, kept {kept}"
+            );
+            warm += usize::from(kept);
+            cold += usize::from(!kept);
+        }
+    });
+    assert!(
+        deploys > 0 && warm > 0 && cold > 0,
+        "{deploys} deploys, {warm} warm, {cold} cold"
+    );
 }
 
 /// One window over the cached program, fed in four chunks with
