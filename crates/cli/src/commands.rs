@@ -4,7 +4,7 @@ use crate::args::{parse, Args};
 use crate::profile_doc::{self, ProfileDoc};
 use pipeleon::hotspot::score_pipelets;
 use pipeleon::pipelet::partition;
-use pipeleon::{Optimizer, OptimizerConfig, ResourceLimits};
+use pipeleon::{apply_plan, Optimizer, OptimizerConfig, ResourceLimits};
 use pipeleon_cost::{Calibrator, CostModel, CostParams, ResourceModel, RuntimeProfile};
 use pipeleon_ir::json::{from_json_string, to_json_string};
 use pipeleon_ir::ProgramGraph;
@@ -192,14 +192,22 @@ fn optimize(args: &Args) -> Result<(), String> {
     let outcome = optimizer
         .optimize(&g, &profile, limits)
         .map_err(|e| e.to_string())?;
+    let applied = apply_plan(
+        &g,
+        &outcome.plan,
+        &optimizer.model,
+        &profile,
+        &optimizer.cfg,
+    )
+    .map_err(|e| e.to_string())?;
     eprintln!(
         "optimized {:?}: estimated gain {:.1} ns/packet, {} candidates in {:?}",
         g.name, outcome.est_gain_ns, outcome.candidates_evaluated, outcome.search_time
     );
-    for step in &outcome.applied.summary {
+    for step in &applied.summary {
         eprintln!("  - {step}");
     }
-    if outcome.applied.summary.is_empty() {
+    if applied.summary.is_empty() {
         eprintln!("  (no profitable transformation found; output = input layout)");
     }
     if outcome.candidates_rejected > 0 {
@@ -208,7 +216,7 @@ fn optimize(args: &Args) -> Result<(), String> {
             outcome.candidates_rejected
         );
     }
-    emit_program(args, &outcome.applied.graph)
+    emit_program(args, &applied.graph)
 }
 
 /// `build`: P4-lite source → JSON IR.

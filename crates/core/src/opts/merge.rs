@@ -318,11 +318,32 @@ fn build(g: &ProgramGraph, tables: &[NodeId], as_cache: bool) -> Result<MergedTa
     })
 }
 
-/// The score of merging `tables` (which [`segment_allowed`] accepted);
-/// `None` when the merged table does not materialize.
+/// The score of merging `tables` (which [`segment_allowed`] accepted),
+/// priced from the components without materializing the merged table;
+/// `None` when it would not materialize.
+///
+/// A merged cache's latency reads no row of it. A plain merge's reads
+/// its `m`: every row is a combination of one row per component, a hit
+/// on one of its entries or its miss row (all wildcards), so the merged
+/// table's distinct patterns are `Π_i |P_i ∪ {miss row}|` with `P_i`
+/// component `i`'s entry patterns ([`TableEntry::pattern`], which the
+/// merged row's ternary form of each value keeps).
 pub fn score(ctx: &EvalCtx<'_>, tables: &[&TableTerms], as_cache: bool) -> Option<SegmentScore> {
-    let ids: Vec<NodeId> = tables.iter().map(|t| t.id).collect();
-    let merged = build(ctx.g, &ids, as_cache).ok()?;
+    let comps = || {
+        tables
+            .iter()
+            .map(|t| ctx.g.node(t.id).and_then(|n| n.as_table()))
+    };
+    let kinds = || comps().map(|t| t.map(Table::effective_kind));
+    if as_cache {
+        if kinds().any(|k| k != Some(MatchKind::Exact)) {
+            return None;
+        }
+    } else if kinds().any(|k| k.is_none_or(|k| k == MatchKind::Range))
+        || comps().flatten().any(holds_a_range)
+    {
+        return None;
+    }
     let params = &ctx.model.params;
     // Replay / original costs mirror the cache estimate.
     let mut actions = 0.0;
@@ -337,7 +358,10 @@ pub fn score(ctx: &EvalCtx<'_>, tables: &[&TableTerms], as_cache: bool) -> Optio
         let h = estimated_all_hit_rate(tables);
         params.l_mat + h * actions + (1.0 - h) * orig
     } else {
-        let m = params.memory_accesses(&merged.table);
+        let m = params.accesses(MatchKind::Ternary, || {
+            let rows = comps().flatten().map(miss_and_entry_patterns);
+            rows.fold(1, usize::saturating_mul)
+        });
         m * params.l_mat + actions
     };
     let (mem, update) = costs(tables, as_cache);
@@ -347,6 +371,31 @@ pub fn score(ctx: &EvalCtx<'_>, tables: &[&TableTerms], as_cache: bool) -> Optio
         mem,
         update,
     })
+}
+
+/// Whether an entry of `t` matches a range, which no ternary row of a
+/// plain merge expresses.
+fn holds_a_range(t: &Table) -> bool {
+    let mut values = t.entries.iter().flat_map(|e| &e.matches);
+    values.any(|m| matches!(m, MatchValue::Range { .. }))
+}
+
+/// The distinct patterns of `t`'s rows in a plain merge: its entries'
+/// and its miss row's, all zero, which an entry of all-zero masks
+/// shares.
+fn miss_and_entry_patterns(t: &Table) -> usize {
+    let width = t.keys.len().max(1);
+    let miss = std::iter::repeat_n(0, t.keys.len());
+    let flat: Vec<u64> = t
+        .entries
+        .iter()
+        .flat_map(TableEntry::pattern)
+        .chain(miss)
+        .collect();
+    let mut rows: Vec<&[u64]> = flat.chunks(width).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    rows.len()
 }
 
 /// The probability a packet hits (a non-default entry in) every component
@@ -651,6 +700,204 @@ mod tests {
         assert_eq!(64 * 64, MAX_MERGE_ENTRIES);
         assert!(allowed(63, 63), "64·64 rows fill the budget exactly");
         assert!(!allowed(63, 64), "64·65 rows exceed it");
+    }
+
+    /// `score` against the brute-force oracle's score, which reads `m`
+    /// off the table [`materialize`] builds: the four numbers to the bit,
+    /// `None` included, for both flavours. Returns the materialized plain
+    /// merge's distinct patterns, or `None` when it does not build.
+    fn agrees_with_the_materialized_table(ctx: &EvalCtx<'_>, ids: &[NodeId]) -> Option<usize> {
+        let terms = TableTerms::of_each(ctx, ids);
+        let row: Vec<&TableTerms> = terms.iter().collect();
+        assert!(segment_allowed(&row), "{ids:?}");
+        for as_cache in [false, true] {
+            let bits =
+                |s: SegmentScore| [s.latency, s.drop_rate, s.mem, s.update].map(f64::to_bits);
+            let got = score(ctx, &row, as_cache).map(bits);
+            let kind = crate::plan::SegmentKind::Merge { as_cache };
+            let want = super::super::reference::score(ctx, ids, kind).map(|s| s.map(f64::to_bits));
+            assert_eq!(got, want, "{ids:?} as_cache={as_cache}");
+        }
+        materialize(ctx, ids, false)
+            .ok()
+            .map(|m| m.table.memory_accesses())
+    }
+
+    /// The closed-form merge price agrees with the materialized table on
+    /// every run of 2 to 4 tables (every `max_merge_tables` the search
+    /// takes) that [`segment_allowed`] accepts, in every order the search
+    /// tries, over the example, scenario and synthetic programs, under
+    /// a per-pattern and a fixed match model, then on hand-made
+    /// components the programs do not hold. `seen` counts plain merges,
+    /// merged caches, refused merged caches and plain merges past the
+    /// pattern cap, so a sweep that stopped producing one fails instead
+    /// of passing vacuously.
+    #[test]
+    fn closed_form_merge_price_matches_the_materialized_table() {
+        use crate::pipelet::partition;
+        use crate::search::MAX_PIPELET_LEN;
+        use pipeleon_ir::json::from_json_string;
+        use pipeleon_workloads::profiles::{random_profile, ProfileSynthConfig};
+        use pipeleon_workloads::scenarios::{AclPipeline, DashRouting, LoadBalancer};
+        use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/programs");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("examples/programs exists")
+            .map(|e| e.expect("a directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        paths.sort();
+        assert!(!paths.is_empty());
+        let examples = paths.iter().map(|p| {
+            let text = std::fs::read_to_string(p).expect("readable");
+            from_json_string(&text).expect("an example program loads")
+        });
+        let scenarios = [
+            LoadBalancer::build().graph,
+            AclPipeline::build(10, 4).graph,
+            DashRouting::build().graph,
+        ];
+        let synth = (0..10).map(|seed| {
+            synthesize(&SynthConfig {
+                pipelets: 4,
+                pipelet_len: 3 + (seed as usize % 3),
+                match_mix: [MatchMix::default_mix, MatchMix::all_exact][seed as usize % 2](),
+                entries_per_table: 1 + (seed as usize % 7),
+                seed,
+                ..SynthConfig::default()
+            })
+        });
+        let programs: Vec<ProgramGraph> = examples.chain(scenarios).chain(synth).collect();
+        let cfg = OptimizerConfig::default();
+        let mut seen = [0usize; 4];
+        for params in [CostParams::bluefield2(), CostParams::emulated_nic()] {
+            let model = CostModel::new(params);
+            for (seed, g) in (0..).zip(&programs) {
+                let profile = random_profile(g, &ProfileSynthConfig::default(), seed);
+                let ctx = eval(g, &model, &cfg, &profile);
+                for p in partition(g, MAX_PIPELET_LEN) {
+                    if p.switch_case {
+                        continue;
+                    }
+                    let terms = TableTerms::of_each(&ctx, &p.tables);
+                    let mut runs = std::collections::BTreeSet::new();
+                    for order in super::super::reorder::valid_orders(&terms) {
+                        runs.extend((2..=4).flat_map(|w| order.windows(w).map(<[usize]>::to_vec)));
+                    }
+                    for run in runs {
+                        let row: Vec<&TableTerms> = run.iter().map(|&i| &terms[i]).collect();
+                        if !segment_allowed(&row) {
+                            continue;
+                        }
+                        let ids: Vec<NodeId> = row.iter().map(|t| t.id).collect();
+                        let patterns = agrees_with_the_materialized_table(&ctx, &ids);
+                        let exact = row.iter().all(|t| {
+                            let t = g.node(t.id).and_then(|n| n.as_table()).expect("a table");
+                            t.effective_kind() == MatchKind::Exact
+                        });
+                        seen[0] += usize::from(patterns.is_some());
+                        seen[1 + usize::from(!exact)] += 1;
+                        seen[3] += usize::from(patterns > Some(8));
+                    }
+                }
+            }
+        }
+        assert!(!seen.contains(&0), "{seen:?}");
+        closed_form_merge_price_edge_cases();
+    }
+
+    /// A table of [`chain`]: its key kinds and its entries' match values.
+    type Component = (&'static [MatchKind], Vec<Vec<MatchValue>>);
+
+    /// A program of one table per component, in order.
+    fn chain(tables: &[Component]) -> (ProgramGraph, Vec<NodeId>) {
+        let mut b = ProgramBuilder::new();
+        let ids: Vec<NodeId> = tables
+            .iter()
+            .enumerate()
+            .map(|(i, (kinds, entries))| {
+                let fields: Vec<_> = (0..kinds.len())
+                    .map(|k| b.field(&format!("t{i}.k{k}")))
+                    .collect();
+                let mut t = b.table(format!("t{i}"));
+                for (&f, &kind) in fields.iter().zip(kinds.iter()) {
+                    t = t.key(f, kind);
+                }
+                t = t.action_nop("hit").action_nop("miss").default_action(1);
+                for (p, m) in entries.iter().enumerate() {
+                    t = t.entry(TableEntry::with_priority(m.clone(), 0, p as i32));
+                }
+                t.finish()
+            })
+            .collect();
+        (b.seal(ids[0]).unwrap(), ids)
+    }
+
+    /// Hand-made components the programs above do not hold.
+    fn closed_form_merge_price_edge_cases() {
+        use MatchKind::{Exact, Lpm, Range, Ternary};
+        let model = CostModel::new(CostParams::bluefield2());
+        let cfg = OptimizerConfig::default();
+        let profile = RuntimeProfile::empty();
+        let tern = |value, mask| vec![MatchValue::Ternary { value, mask }];
+        let lpm = |prefix_len| {
+            vec![MatchValue::Lpm {
+                value: 0xAB << 56,
+                prefix_len,
+            }]
+        };
+        let exact = |v| vec![MatchValue::Exact(v)];
+        let range = vec![MatchValue::ANY, MatchValue::Range { lo: 1, hi: 9 }];
+        let cases: [(&[Component], Option<usize>); 6] = [
+            // An all-zero mask is the miss row's pattern: 2 · 2 rows.
+            (
+                &[
+                    (&[Ternary], vec![tern(0, 0), tern(1, 0xFF)]),
+                    (&[Exact], vec![exact(1)]),
+                ],
+                Some(4),
+            ),
+            // Three prefix lengths and the miss row: 4 · 2.
+            (
+                &[
+                    (&[Lpm], vec![lpm(8), lpm(16), lpm(24), lpm(24)]),
+                    (&[Exact], vec![exact(1)]),
+                ],
+                Some(8),
+            ),
+            // A component with no entries has its miss row alone: 4 · 1.
+            (
+                &[(&[Lpm], vec![lpm(8), lpm(16), lpm(24)]), (&[Exact], vec![])],
+                Some(4),
+            ),
+            // 4 · 4 patterns, past the cap of 8.
+            (
+                &[
+                    (&[Lpm], vec![lpm(8), lpm(16), lpm(24)]),
+                    (&[Ternary], vec![tern(1, 1), tern(2, 2), tern(4, 4)]),
+                ],
+                Some(16),
+            ),
+            // A range entry in a ternary table: no plain merge builds.
+            (
+                &[(&[Ternary, Range], vec![range]), (&[Exact], vec![exact(1)])],
+                None,
+            ),
+            // The same table without entries merges.
+            (
+                &[(&[Ternary, Range], vec![]), (&[Exact], vec![exact(1)])],
+                Some(2),
+            ),
+        ];
+        for (tables, patterns) in cases {
+            let (g, ids) = chain(tables);
+            let ctx = eval(&g, &model, &cfg, &profile);
+            assert_eq!(
+                agrees_with_the_materialized_table(&ctx, &ids),
+                patterns,
+                "{tables:?}"
+            );
+        }
     }
 
     #[test]

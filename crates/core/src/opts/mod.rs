@@ -29,9 +29,10 @@ pub mod reorder;
 
 use crate::config::OptimizerConfig;
 use crate::plan::{Candidate, Segment, SegmentKind};
+use crate::search::MAX_PIPELET_LEN;
+use fxhash::FxHashMap;
 use pipeleon_cost::{CostModel, RuntimeProfile};
 use pipeleon_ir::{CacheRole, NodeId, ProgramGraph, RwSets};
-use std::collections::HashMap;
 
 /// Hit-rate degradation per entry update/s on the tables a cache or a
 /// merged cache covers (invalidation pressure): `h = h0 / (1 + c · rate)`.
@@ -233,16 +234,23 @@ struct SegmentEntry {
     merge: [Option<Option<SegmentScore>>; 2],
 }
 
+/// A table sequence (positions in its pipelet's original order) as one
+/// word: 5 bits a position, each stored plus one so that sequences of
+/// different lengths differ. A pipelet holds at most
+/// `MAX_PIPELET_LEN` = 24 tables, so any sequence fits in 120 bits.
+fn sequence_key(seq: &[usize]) -> u128 {
+    seq.iter().fold(0, |key, &pos| key << 5 | (pos as u128 + 1))
+}
+
 /// The segment table of one pipelet: every cache or merge segment the
 /// search asks about is scored once per distinct table sequence and kind,
 /// whichever orders and segmentations contain it.
 struct SegmentTable<'a> {
     ctx: &'a EvalCtx<'a>,
-    /// Table sequence (positions in the pipelet's original order) → its
-    /// entry.
-    ids: HashMap<Box<[usize]>, usize>,
+    /// [`sequence_key`] of a table sequence → its entry.
+    ids: FxHashMap<u128, usize>,
     entries: Vec<SegmentEntry>,
-    /// Segment scorings performed (merge materializations included).
+    /// Segment scorings performed (merge pricings included).
     evals: usize,
 }
 
@@ -250,7 +258,7 @@ impl<'a> SegmentTable<'a> {
     fn new(ctx: &'a EvalCtx<'a>) -> Self {
         Self {
             ctx,
-            ids: HashMap::new(),
+            ids: FxHashMap::default(),
             entries: Vec::new(),
             evals: 0,
         }
@@ -258,12 +266,12 @@ impl<'a> SegmentTable<'a> {
 
     /// The entry of table sequence `seq`.
     fn entry_of(&mut self, seq: &[usize]) -> usize {
-        if let Some(&e) = self.ids.get(seq) {
-            return e;
+        let next = self.entries.len();
+        let entry = *self.ids.entry(sequence_key(seq)).or_insert(next);
+        if entry == next {
+            self.entries.push(SegmentEntry::default());
         }
-        self.entries.push(SegmentEntry::default());
-        self.ids.insert(seq.into(), self.entries.len() - 1);
-        self.entries.len() - 1
+        entry
     }
 
     fn cache(&mut self, entry: usize, tables: &[&TableTerms]) -> Option<SegmentScore> {
@@ -434,7 +442,8 @@ fn kept_orders(terms: &[TableTerms], orders: Vec<Vec<usize>>) -> Vec<Vec<usize>>
 }
 
 /// Enumerates evaluated candidates for one pipelet (identified by
-/// `pipelet_id`) whose tables are `tables` in current order: the
+/// `pipelet_id`) whose tables, at most `MAX_PIPELET_LEN` (24) of them, are
+/// `tables` in current order: the
 /// segmentations of every kept order that no other dominates in
 /// `(latency, mem, update)`, at most `max_candidates` of them, lowest
 /// latency first, so the best always survives. Candidates with
@@ -446,6 +455,11 @@ pub fn enumerate_candidates(
     tables: &[NodeId],
     max_candidates: usize,
 ) -> (Vec<Candidate>, usize) {
+    assert!(
+        tables.len() <= MAX_PIPELET_LEN,
+        "a pipelet of {} tables",
+        tables.len()
+    );
     let terms = TableTerms::of_each(ctx, tables);
     let baseline = sequence_latency(&terms);
     let orders = if ctx.cfg.enable_reorder {

@@ -28,7 +28,7 @@ const KINDS: [SegmentKind; 3] = [
 ];
 
 /// A segment of `kind` over `tables`; `None` when it is not allowed.
-fn score(ctx: &EvalCtx<'_>, tables: &[NodeId], kind: SegmentKind) -> Option<Score> {
+pub(super) fn score(ctx: &EvalCtx<'_>, tables: &[NodeId], kind: SegmentKind) -> Option<Score> {
     let (p, profile) = (&ctx.model.params, ctx.profile);
     let nodes: Vec<&Node> = tables.iter().filter_map(|&id| ctx.g.node(id)).collect();
     let comps: Vec<&Table> = nodes.iter().filter_map(|n| n.as_table()).collect();

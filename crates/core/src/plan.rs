@@ -26,4 +26,20 @@ impl GlobalPlan {
     pub fn is_empty(&self) -> bool {
         self.choices.is_empty()
     }
+
+    /// Whether `self` lays the program out as `other` does: the same
+    /// choices, each by its pipelet, order, segments and group branch,
+    /// whatever gains and costs they carry.
+    pub fn same_layout(&self, other: &GlobalPlan) -> bool {
+        let same = |c: &Candidate, d: &Candidate| {
+            (c.pipelet, c.group_branch) == (d.pipelet, d.group_branch)
+                && c.order == d.order
+                && c.segments == d.segments
+        };
+        self.choices.len() == other.choices.len()
+            && self
+                .choices
+                .iter()
+                .all(|c| other.choices.iter().any(|d| same(c, d)))
+    }
 }

@@ -8,7 +8,6 @@
 //! candidate beats the sum of its members' best individual candidates, it
 //! replaces them.
 
-use crate::apply::{apply_plan, AppliedPlan};
 use crate::config::{OptimizerConfig, ResourceLimits};
 use crate::hotspot::{score_pipelets, top_k};
 use crate::knapsack;
@@ -128,12 +127,12 @@ fn pipelet_signature(g: &ProgramGraph, profile: &RuntimeProfile, p: &Pipelet, re
     h.finish()
 }
 
-/// Everything the search produced, for inspection and deployment.
+/// Everything the search produced, for inspection and deployment. The
+/// search prices plans and builds none: [`apply_plan`](crate::apply_plan)
+/// rewrites the program by `plan`, for a caller that deploys it.
 #[derive(Debug)]
 pub struct OptimizationOutcome {
-    /// The rewritten program plus counter/entry maps.
-    pub applied: AppliedPlan,
-    /// The chosen plan (pre-application).
+    /// The chosen plan.
     pub plan: GlobalPlan,
     /// Total candidates evaluated across pipelets (search effort, after
     /// safety filtering).
@@ -146,19 +145,19 @@ pub struct OptimizationOutcome {
     /// re-enumerated (always 0 for [`Optimizer::optimize`]).
     pub candidates_reused: usize,
     /// Distinct cache/merge segments scored while enumerating (merge
-    /// materializations included): the search's work as a count that
-    /// repeats exactly, where its wall-clock time cannot.
+    /// pricings included): the search's work as a count that repeats
+    /// exactly, where its wall-clock time cannot.
     pub segment_evals: usize,
     /// Estimated expected-latency reduction (ns/packet).
     pub est_gain_ns: f64,
-    /// Wall-clock search time (excluding apply).
+    /// Wall-clock search time.
     pub search_time: Duration,
 }
 
 /// The Pipeleon optimizer: cost model + tunables.
 ///
 /// ```
-/// use pipeleon::{Optimizer, ResourceLimits};
+/// use pipeleon::{apply_plan, Optimizer, ResourceLimits};
 /// use pipeleon_cost::{CostModel, CostParams, RuntimeProfile};
 /// use pipeleon_ir::{MatchKind, ProgramBuilder};
 ///
@@ -188,10 +187,13 @@ pub struct OptimizationOutcome {
 ///     .optimize(&program, &profile, ResourceLimits::unlimited())
 ///     .unwrap();
 /// // A profitable rewrite was found (e.g. promoting the dropping ACL);
-/// // the optimized program is valid and ships with counter/entry maps.
+/// // built, the optimized program is valid and ships with counter/entry
+/// // maps.
 /// assert!(outcome.est_gain_ns > 0.0);
-/// assert!(!outcome.applied.summary.is_empty());
-/// outcome.applied.graph.validate().unwrap();
+/// let applied =
+///     apply_plan(&program, &outcome.plan, &optimizer.model, &profile, &optimizer.cfg).unwrap();
+/// assert!(!applied.summary.is_empty());
+/// applied.graph.validate().unwrap();
 /// # let _ = (work, acl);
 /// ```
 #[derive(Debug, Clone)]
@@ -223,7 +225,7 @@ impl Optimizer {
         self
     }
 
-    /// Runs the full search and applies the winning plan.
+    /// Runs the full search and returns the winning plan, unbuilt.
     pub fn optimize(
         &self,
         g: &ProgramGraph,
@@ -375,17 +377,14 @@ impl Optimizer {
 
         // GlobalOptimize.
         let plan = knapsack::solve(&groups, limits);
-        let search_time = started.elapsed();
-        let applied = apply_plan(g, &plan, &self.model, profile, &self.cfg)?;
         Ok(OptimizationOutcome {
             est_gain_ns: plan.total_gain,
-            applied,
             plan,
             candidates_evaluated,
             candidates_reused,
             candidates_rejected,
             segment_evals,
-            search_time,
+            search_time: started.elapsed(),
         })
     }
 
@@ -656,6 +655,7 @@ fn caches(plan: &GlobalPlan) -> impl Iterator<Item = (Option<NodeId>, &[NodeId])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apply::{apply_plan, AppliedPlan};
     use pipeleon_cost::CostParams;
     use pipeleon_ir::{EdgeRef, MatchKind, MatchValue, ProgramBuilder, TableEntry};
 
@@ -923,6 +923,16 @@ mod tests {
         assert_eq!(price(&prof), 0.0);
     }
 
+    /// `out`'s plan, built over `g` as a deploy builds it.
+    fn built(
+        opt: &Optimizer,
+        g: &ProgramGraph,
+        profile: &RuntimeProfile,
+        out: &OptimizationOutcome,
+    ) -> AppliedPlan {
+        apply_plan(g, &out.plan, &opt.model, profile, &opt.cfg).unwrap()
+    }
+
     #[test]
     fn optimizer_promotes_dropping_acl() {
         let (g, ids, prof) = acl_last_program();
@@ -933,10 +943,11 @@ mod tests {
             .unwrap();
         assert!(out.est_gain_ns > 0.0);
         // The optimized program must run the ACL first.
-        assert_eq!(out.applied.graph.root(), Some(ids[3]));
+        let applied = built(&opt, &g, &prof, &out);
+        assert_eq!(applied.graph.root(), Some(ids[3]));
         // And the expected latency must drop.
         let before = model.expected_latency(&g, &prof);
-        let after = model.expected_latency(&out.applied.graph, &prof);
+        let after = model.expected_latency(&applied.graph, &prof);
         assert!(after < before, "before={before} after={after}");
     }
 
@@ -962,8 +973,8 @@ mod tests {
     #[test]
     fn zero_budget_yields_reorder_only_plans() {
         let (g, _, prof) = acl_last_program();
-        let model = CostModel::new(CostParams::bluefield2());
-        let out = Optimizer::new(model)
+        let opt = Optimizer::new(CostModel::new(CostParams::bluefield2()));
+        let out = opt
             .optimize(&g, &prof, ResourceLimits::new(0.0, 0.0))
             .unwrap();
         // Caches/merges cost memory; with zero budget only reordering
@@ -972,7 +983,7 @@ mod tests {
             assert_eq!(c.mem_cost, 0.0, "{c:?}");
             assert!(c.segments.is_empty());
         }
-        assert!(out.applied.cache_nodes.is_empty());
+        assert!(built(&opt, &g, &prof, &out).cache_nodes.is_empty());
     }
 
     #[test]
@@ -991,10 +1002,11 @@ mod tests {
                 &pipeleon_workloads::profiles::ProfileSynthConfig::default(),
                 seed,
             );
-            let out = Optimizer::new(model.clone())
+            let opt = Optimizer::new(model.clone());
+            let out = opt
                 .optimize(&g, &prof, ResourceLimits::unlimited())
                 .unwrap();
-            out.applied.graph.validate().unwrap();
+            built(&opt, &g, &prof, &out).graph.validate().unwrap();
             // Gains are never negative.
             assert!(out.est_gain_ns >= 0.0);
         }
@@ -1085,14 +1097,14 @@ mod tests {
         // tiny gain; jointly worth more when traffic is localized.
         let (g, _, prof) = diamond();
         let model = CostModel::new(CostParams::emulated_nic());
-        let out = Optimizer::new(model)
-            .with_config(OptimizerConfig {
-                top_k_fraction: 1.0,
-                ..OptimizerConfig::default()
-            })
+        let opt = Optimizer::new(model).with_config(OptimizerConfig {
+            top_k_fraction: 1.0,
+            ..OptimizerConfig::default()
+        });
+        let out = opt
             .optimize(&g, &prof, ResourceLimits::unlimited())
             .unwrap();
-        out.applied.graph.validate().unwrap();
+        built(&opt, &g, &prof, &out).graph.validate().unwrap();
         // Either a group cache fronting the branch or per-pipelet caches;
         // with the default estimates the group should win.
         assert!(

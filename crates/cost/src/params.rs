@@ -138,13 +138,22 @@ impl CostParams {
         if table.keys.is_empty() {
             return 0.0;
         }
+        self.accesses(table.effective_kind(), || table.memory_accesses())
+    }
+
+    /// `m` of a keyed table of match kind `kind` whose entries fall into
+    /// `patterns()` distinct lookup patterns ([`Table::memory_accesses`]),
+    /// counted only when this target's match model reads them: what
+    /// [`Self::memory_accesses`] returns for such a table, without the
+    /// table.
+    pub fn accesses(&self, kind: MatchKind, patterns: impl FnOnce() -> usize) -> f64 {
         match self.match_model {
-            MatchCostModel::PerDistinctPattern { cap } => table.memory_accesses().min(cap) as f64,
+            MatchCostModel::PerDistinctPattern { cap } => patterns().min(cap) as f64,
             MatchCostModel::Fixed {
                 lpm,
                 ternary,
                 range,
-            } => match table.effective_kind() {
+            } => match kind {
                 MatchKind::Exact => 1.0,
                 MatchKind::Lpm => lpm,
                 MatchKind::Ternary => ternary,

@@ -227,6 +227,21 @@ impl TableEntry {
             priority,
         }
     }
+
+    /// The entry's lookup pattern, one word per key: the bits an exact
+    /// value compares (all), an LPM value's prefix mask, a ternary
+    /// value's mask, and a range binned by its width's bit length
+    /// (approximating the number of covering prefixes). Entries of one
+    /// pattern share a hash table, so a table's `m` counts its distinct
+    /// patterns ([`Table::memory_accesses`]).
+    pub fn pattern(&self) -> impl Iterator<Item = u64> + '_ {
+        self.matches.iter().map(|m| match *m {
+            MatchValue::Exact(_) => u64::MAX,
+            MatchValue::Lpm { prefix_len, .. } => prefix_mask(prefix_len),
+            MatchValue::Ternary { mask, .. } => mask,
+            MatchValue::Range { lo, hi } => 64 - (hi - lo).leading_zeros() as u64,
+        })
+    }
 }
 
 /// Why a table exists, from the optimizer's point of view.
@@ -312,7 +327,8 @@ impl Table {
     ///   (≥ 1)
     ///
     /// Multi-key tables count the distinct *combinations* of
-    /// per-key patterns, matching the multiple-hash-table implementation.
+    /// per-key patterns ([`TableEntry::pattern`]), matching the
+    /// multiple-hash-table implementation.
     pub fn memory_accesses(&self) -> usize {
         if self.keys.is_empty() {
             return 0;
@@ -322,18 +338,7 @@ impl Table {
             _ => {
                 let mut patterns: Vec<Vec<u64>> = Vec::new();
                 for e in &self.entries {
-                    let sig: Vec<u64> = e
-                        .matches
-                        .iter()
-                        .map(|m| match *m {
-                            MatchValue::Exact(_) => u64::MAX,
-                            MatchValue::Lpm { prefix_len, .. } => prefix_mask(prefix_len),
-                            MatchValue::Ternary { mask, .. } => mask,
-                            // Ranges are binned by their width's bit length,
-                            // approximating the number of covering prefixes.
-                            MatchValue::Range { lo, hi } => 64 - (hi - lo).leading_zeros() as u64,
-                        })
-                        .collect();
+                    let sig: Vec<u64> = e.pattern().collect();
                     if !patterns.contains(&sig) {
                         patterns.push(sig);
                     }

@@ -19,7 +19,7 @@
 //! restores the deployed state, so the source of truth and the target
 //! never diverge.
 
-use pipeleon::apply::{AppliedPlan, EntrySite};
+use pipeleon::apply::{apply_plan, AppliedPlan, EntrySite};
 use pipeleon::config::ResourceLimits;
 use pipeleon::opts::{merge, EvalCtx};
 use pipeleon::plan::GlobalPlan;
@@ -718,8 +718,10 @@ impl<T: Target> Controller<T> {
             report.est_gain_ns = outcome.est_gain_ns;
             report.search_time = outcome.search_time;
             report.segment_evals = outcome.segment_evals;
-            let candidate = fingerprint(&outcome.applied.graph)?;
-            if self.last_good_fingerprint() != Some(candidate) {
+            // A plan laid out as the running one ends the tick unbuilt.
+            let original = GlobalPlan::default();
+            let running = self.applied.as_ref().map_or(&original, |a| &a.plan);
+            if !outcome.plan.same_layout(running) {
                 // The deploy rule: the search's plan replaces the running
                 // one only when its gain over the running plan's, both
                 // priced under this window's profile, repays over a plan's
@@ -743,37 +745,60 @@ impl<T: Target> Controller<T> {
                             horizon_packets,
                         },
                     );
-                } else if let Err(err) = self.verify_plan(&outcome.plan) {
-                    // Safety gate: refuse to deploy any plan the verifier
-                    // cannot prove legal. The search already filters
-                    // illegal candidates, so this rejecting is an
-                    // invariant breach — counted, skipped, and the loop
-                    // stays alive.
-                    self.health.plan_rejections += 1;
-                    let violations = match &err {
-                        RuntimeError::InvalidCandidate { violations, .. } => {
-                            violations.iter().map(|v| v.to_string()).collect()
-                        }
-                        other => vec![other.to_string()],
-                    };
-                    self.journal
-                        .push(self.clock_s, EventKind::PlanRejected { violations });
                 } else {
-                    let summary = outcome.applied.summary.clone();
-                    if self
-                        .deploy_candidate_or_recover(outcome.applied, candidate)
-                        .is_ok()
-                    {
-                        report.deployed = true;
-                        report.downtime_s = self.target.reconfig_downtime_s();
-                        report.summary = summary;
-                    }
+                    self.deploy_repaying(&outcome.plan, &profile, &mut report)?;
                 }
             }
         }
         self.last_profile = Some(profile);
         report.health = self.health.clone();
         Ok((report, Some(window)))
+    }
+
+    /// Builds `plan`, a plan that repays its warm-up, and deploys it
+    /// unless the target already runs the program it builds or the
+    /// verifier refuses it. Only this path of a tick rewrites the program
+    /// and hashes it.
+    fn deploy_repaying(
+        &mut self,
+        plan: &GlobalPlan,
+        profile: &RuntimeProfile,
+        report: &mut TickReport,
+    ) -> Result<(), RuntimeError> {
+        let applied = apply_plan(
+            &self.original,
+            plan,
+            &self.optimizer.model,
+            profile,
+            &self.optimizer.cfg,
+        )?;
+        let candidate = fingerprint(&applied.graph)?;
+        if self.last_good_fingerprint() == Some(candidate) {
+            return Ok(());
+        }
+        if let Err(err) = self.verify_plan(plan) {
+            // Safety gate: refuse to deploy any plan the verifier cannot
+            // prove legal. The search already filters illegal candidates,
+            // so this rejecting is an invariant breach — counted, skipped,
+            // and the loop stays alive.
+            self.health.plan_rejections += 1;
+            let violations = match &err {
+                RuntimeError::InvalidCandidate { violations, .. } => {
+                    violations.iter().map(|v| v.to_string()).collect()
+                }
+                other => vec![other.to_string()],
+            };
+            self.journal
+                .push(self.clock_s, EventKind::PlanRejected { violations });
+            return Ok(());
+        }
+        let summary = applied.summary.clone();
+        if self.deploy_candidate_or_recover(applied, candidate).is_ok() {
+            report.deployed = true;
+            report.downtime_s = self.target.reconfig_downtime_s();
+            report.summary = summary;
+        }
+        Ok(())
     }
 
     /// The running plan's gain re-priced under `profile` (0 for the
@@ -905,7 +930,7 @@ impl<T: Target> Controller<T> {
             .last_profile
             .clone()
             .unwrap_or_else(RuntimeProfile::empty);
-        let applied = pipeleon::apply::apply_plan(
+        let applied = apply_plan(
             &self.original,
             plan,
             &self.optimizer.model,

@@ -503,10 +503,7 @@ impl PlanVerifier {
                 });
             }
         }
-        let sets: Vec<RwSets> = tables
-            .iter()
-            .filter_map(|&id| self.rw(id).cloned())
-            .collect();
+        let sets: Vec<&RwSets> = tables.iter().filter_map(|&id| self.rw(id)).collect();
         if !DependencyAnalysis::cacheable_segment(&sets) {
             v.push(Violation {
                 code: Code::CacheUnsafe,

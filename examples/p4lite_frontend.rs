@@ -7,7 +7,7 @@
 //! ```
 
 use pipeleon_suite::cost::{CostModel, CostParams};
-use pipeleon_suite::opt::{Optimizer, ResourceLimits};
+use pipeleon_suite::opt::{apply_plan, Optimizer, ResourceLimits};
 use pipeleon_suite::p4::parse_program;
 use pipeleon_suite::sim::SmartNic;
 use pipeleon_suite::workloads::traffic::{FieldBias, FlowGen};
@@ -100,10 +100,18 @@ fn main() {
     let outcome = optimizer
         .optimize(&program, &profile, ResourceLimits::unlimited())
         .expect("optimizes");
-    for step in &outcome.applied.summary {
+    let applied = apply_plan(
+        &program,
+        &outcome.plan,
+        &optimizer.model,
+        &profile,
+        &optimizer.cfg,
+    )
+    .expect("the plan builds");
+    for step in &applied.summary {
         println!("plan: {step}");
     }
-    let json = pipeleon_suite::ir::json::to_json_string(&outcome.applied.graph).unwrap();
+    let json = pipeleon_suite::ir::json::to_json_string(&applied.graph).unwrap();
     println!(
         "estimated gain {:.1} ns/packet; optimized IR is {} bytes of JSON",
         outcome.est_gain_ns,

@@ -7,7 +7,7 @@
 
 use pipeleon_suite::cost::{CostModel, CostParams};
 use pipeleon_suite::ir::{MatchKind, MatchValue, ProgramBuilder, TableEntry};
-use pipeleon_suite::opt::{Optimizer, ResourceLimits};
+use pipeleon_suite::opt::{apply_plan, Optimizer, ResourceLimits};
 use pipeleon_suite::sim::SmartNic;
 use pipeleon_suite::workloads::traffic::{FieldBias, FlowGen};
 
@@ -77,11 +77,19 @@ fn main() {
     let outcome = optimizer
         .optimize(&program, &profile, ResourceLimits::unlimited())
         .expect("optimization succeeds");
+    let applied = apply_plan(
+        &program,
+        &outcome.plan,
+        &optimizer.model,
+        &profile,
+        &optimizer.cfg,
+    )
+    .expect("the plan builds");
     println!(
         "plan ({} candidates evaluated):",
         outcome.candidates_evaluated
     );
-    for step in &outcome.applied.summary {
+    for step in &applied.summary {
         println!("  - {step}");
     }
     println!(
@@ -90,7 +98,7 @@ fn main() {
     );
 
     // 4. Deploy the optimized layout and re-measure the same workload.
-    let mut nic = SmartNic::new(outcome.applied.graph.clone(), params).expect("deployable");
+    let mut nic = SmartNic::new(applied.graph.clone(), params).expect("deployable");
     let mut gen = FlowGen::new(program.fields.len(), vec![flow], 1000, 42).with_bias(FieldBias {
         field: acl_key,
         value: 0xBAD,
@@ -109,6 +117,6 @@ fn main() {
 
     // 5. The optimized program is ordinary P4 IR — export it as the
     //    BMv2-style JSON the vendor toolchain would consume.
-    let json = pipeleon_suite::ir::json::to_json_string(&outcome.applied.graph).unwrap();
+    let json = pipeleon_suite::ir::json::to_json_string(&applied.graph).unwrap();
     println!("optimized program JSON: {} bytes", json.len());
 }

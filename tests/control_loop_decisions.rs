@@ -55,8 +55,16 @@
 //! the new sequence in
 //! `$CARGO_TARGET_TMPDIR/control_loop_decisions.actual.txt`; review the
 //! diff and copy it over `tests/fixtures/control_loop_decisions.txt`.
+//!
+//! A second test pins the same stimulus's journal: the count of each
+//! event type over both runs and the three gains of each `plan_kept`
+//! event, to the bit, as journaled when every searching tick still
+//! built and fingerprinted its plan. A tick now builds a plan only to
+//! deploy it, and this holds it to journal what the building tick did.
 
+use pipeleon_obs::EventKind;
 use pipeleon_runtime::Target;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 mod common;
@@ -107,4 +115,78 @@ fn controller_decisions_match_the_pinned_sequence() {
         EXPECTED.lines().nth(first).unwrap_or("<none>"),
         path.display(),
     );
+}
+
+/// The same stimulus's journal: how many events of each type the two
+/// runs journal, and the three gains each `plan_kept` event carries.
+fn journal() -> (BTreeMap<&'static str, usize>, Vec<[u64; 3]>) {
+    let mut counts = BTreeMap::new();
+    let mut kept = Vec::new();
+    // The run being read and the first sequence number not read yet.
+    let mut read = (u64::MAX, 0);
+    control_loop_stimulus(|StimulusTick { run, .. }, controller| {
+        controller.tick().expect("tick");
+        if read.0 != run {
+            read = (run, 0);
+        }
+        for e in controller.journal().iter().filter(|e| e.seq >= read.1) {
+            *counts.entry(e.kind.tag()).or_default() += 1;
+            if let EventKind::PlanKept {
+                candidate_gain_ns,
+                running_gain_ns,
+                warmup_ns,
+                ..
+            } = e.kind
+            {
+                kept.push([candidate_gain_ns, running_gain_ns, warmup_ns].map(f64::to_bits));
+            }
+        }
+        read.1 = controller.journal().total();
+    });
+    (counts, kept)
+}
+
+/// `(candidate_gain_ns, running_gain_ns, warmup_ns)` of each `plan_kept`
+/// event, in journal order, as the bits of the `f64`s.
+const PLAN_KEPT: [[u64; 3]; 23] = [
+    [0x4061cbd254938d6e, 0x4061cbc88e4802f0, 0x40727bcda3ac10ca],
+    [0x40631c570a3d70a4, 0x4062740000000000, 0x4112881333333333],
+    [0x406258199999999a, 0x4061940000000000, 0x4112906000000000],
+    [0x4066f96ad26c15dc, 0x4066e90000000000, 0x41027a4000000000],
+    [0x4061650000000000, 0x4061650000000000, 0x4072a192e29f79b4],
+    [0x40619e999999999a, 0x4060bd0000000000, 0x4112b9c000000000],
+    [0x406296b333333334, 0x4061e00000000000, 0x41080b8000000000],
+    [0x4062e16f13f59621, 0x4062330000000000, 0x41127995270d0457],
+    [0x406684a8cae7a5cb, 0x40665c0000000000, 0x41033bc000000000],
+    [0x4061d50000000000, 0x4061d50000000000, 0x40727bcda3ac10ca],
+    [0x4061ffe0864b8a7e, 0x40612d0000000000, 0x4112a507582192e3],
+    [0x4058a66666666666, 0x405a407280000000, 0x410fc30000000000],
+    [0x4062721a115b1e5f, 0x4062719e9a938682, 0x41287f2fba938682],
+    [0x4067bb199999999a, 0x4066750000000000, 0x40f864924924924a],
+    [0x405bd7464aa16900, 0x405950df9dd49c34, 0x410fef9300000000],
+    [0x4067a80000000000, 0x4067a80000000000, 0x4070000000000000],
+    [0x40675c69ee58469f, 0x40675c69ee58469f, 0x407048d3dcb08d3e],
+    [0x40669cfae147ae14, 0x40669b3333333333, 0x41033c599999999a],
+    [0x40626963b48c2057, 0x4061a3ca1af286bd, 0x410853c000000000],
+    [0x4066c18c6318c631, 0x4066c18c6318c631, 0x40706318c6318c63],
+    [0x4067b19999999999, 0x4067b19999999999, 0x4070133333333333],
+    [0x406626999999999a, 0x4066100000000000, 0x4103290000000000],
+    [0x40674dad6b5ad6b5, 0x40674dad6b5ad6b5, 0x40702b5ad6b5ad6b],
+];
+
+/// A search that returns the running layout ends its tick without an
+/// event, and every other searching tick journals what it journaled
+/// when each tick built its plan.
+#[test]
+fn controller_journal_matches_the_pinned_counts_and_gains() {
+    let (counts, kept) = journal();
+    let expected = [
+        ("deploy", 15),
+        ("generation_swap", 18),
+        ("plan_kept", 23),
+        ("specialize", 1),
+        ("window_profiled", 64),
+    ];
+    assert_eq!(counts, BTreeMap::from(expected), "no plan_rejected either");
+    assert_eq!(kept, PLAN_KEPT);
 }

@@ -3,7 +3,7 @@
 //! collected on the *original* layout for the same traffic — otherwise the
 //! next optimization round would chase phantom hotspots.
 
-use pipeleon::{Optimizer, OptimizerConfig, ResourceLimits};
+use pipeleon::{apply_plan, Optimizer, OptimizerConfig, ResourceLimits};
 use pipeleon_cost::{CostModel, CostParams, RuntimeProfile};
 use pipeleon_sim::SmartNic;
 use pipeleon_workloads::profiles::{random_profile, ProfileSynthConfig};
@@ -61,6 +61,14 @@ fn translated_profiles_match_original_layout_profiles() {
         let outcome = optimizer
             .optimize(&g, &plan_profile, ResourceLimits::unlimited())
             .unwrap();
+        let applied = apply_plan(
+            &g,
+            &outcome.plan,
+            &optimizer.model,
+            &plan_profile,
+            &optimizer.cfg,
+        )
+        .unwrap();
 
         let traffic = |s: u64| {
             let fields: Vec<_> = g.fields.iter().map(|(r, _)| r).collect();
@@ -71,23 +79,12 @@ fn translated_profiles_match_original_layout_profiles() {
         nic_orig.measure(traffic(7));
         let orig_profile = nic_orig.take_profile();
 
-        let mut nic_opt = SmartNic::new(outcome.applied.graph.clone(), params.clone()).unwrap();
+        let mut nic_opt = SmartNic::new(applied.graph.clone(), params.clone()).unwrap();
         nic_opt.set_instrumentation(true, 1);
         nic_opt.measure(traffic(7));
-        let translated = outcome.counter_map_translate(&nic_opt.take_profile());
+        let translated = applied.counter_map.translate(&nic_opt.take_profile());
 
         assert_profiles_close(&g, &orig_profile, &translated, 0.02);
-    }
-}
-
-/// Convenience on the outcome for the test above.
-trait TranslateExt {
-    fn counter_map_translate(&self, p: &RuntimeProfile) -> RuntimeProfile;
-}
-
-impl TranslateExt for pipeleon::OptimizationOutcome {
-    fn counter_map_translate(&self, p: &RuntimeProfile) -> RuntimeProfile {
-        self.applied.counter_map.translate(p)
     }
 }
 
@@ -102,16 +99,24 @@ fn translated_branch_counters_survive() {
         ..SynthConfig::default()
     });
     let plan_profile = random_profile(&g, &ProfileSynthConfig::default(), 2);
-    let outcome = Optimizer::new(CostModel::new(params.clone()))
-        .esearch()
+    let optimizer = Optimizer::new(CostModel::new(params.clone())).esearch();
+    let outcome = optimizer
         .optimize(&g, &plan_profile, ResourceLimits::unlimited())
         .unwrap();
-    let mut nic = SmartNic::new(outcome.applied.graph.clone(), params).unwrap();
+    let applied = apply_plan(
+        &g,
+        &outcome.plan,
+        &optimizer.model,
+        &plan_profile,
+        &optimizer.cfg,
+    )
+    .unwrap();
+    let mut nic = SmartNic::new(applied.graph.clone(), params).unwrap();
     nic.set_instrumentation(true, 1);
     let fields: Vec<_> = g.fields.iter().map(|(r, _)| r).collect();
     let mut gen = FlowGen::new(g.fields.len(), fields, 64, 3);
     nic.measure(gen.batch(8_000));
-    let translated = outcome.applied.counter_map.translate(&nic.take_profile());
+    let translated = applied.counter_map.translate(&nic.take_profile());
     let total_edges: u64 = translated.edges().map(|(_, c)| c).sum();
     // Branches exist in these programs and received traffic.
     let branches = g.iter_nodes().filter(|n| n.as_branch().is_some()).count();

@@ -2,7 +2,7 @@
 //! the originals on the emulator, for each optimization family and for
 //! the runtime control loop.
 
-use pipeleon::{Optimizer, ResourceLimits};
+use pipeleon::{apply_plan, Optimizer, ResourceLimits};
 use pipeleon_cost::{CostModel, CostParams};
 use pipeleon_runtime::{Controller, ControllerConfig, SimTarget};
 use pipeleon_sim::SmartNic;
@@ -28,7 +28,8 @@ fn measure_improvement(
     let outcome = optimizer
         .optimize(g, &profile, ResourceLimits::unlimited())
         .unwrap();
-    let mut nic = SmartNic::new(outcome.applied.graph, params.clone()).unwrap();
+    let applied = apply_plan(g, &outcome.plan, &optimizer.model, &profile, &optimizer.cfg).unwrap();
+    let mut nic = SmartNic::new(applied.graph, params.clone()).unwrap();
     // Warm caches, then measure.
     nic.measure(traffic(3));
     let after = nic.measure(traffic(4)).mean_latency_ns;

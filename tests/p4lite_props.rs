@@ -73,7 +73,7 @@ fn generated_programs_compile_and_round_trip() {
 /// P4-lite programs go straight through the whole optimizer pipeline.
 #[test]
 fn p4lite_programs_optimize_and_stay_equivalent() {
-    use pipeleon::{Optimizer, ResourceLimits};
+    use pipeleon::{apply_plan, Optimizer, ResourceLimits};
     use pipeleon_cost::{CostModel, CostParams, RuntimeProfile};
     use pipeleon_sim::{Packet, SmartNic};
     let src = r#"
@@ -97,14 +97,22 @@ fn p4lite_programs_optimize_and_stay_equivalent() {
     profile.record_action(acl1, 0, 100);
     profile.record_action(acl1, 1, 900); // heavy drop at the LAST table
     let params = CostParams::bluefield2();
-    let outcome = Optimizer::new(CostModel::new(params.clone()))
-        .esearch()
+    let optimizer = Optimizer::new(CostModel::new(params.clone())).esearch();
+    let outcome = optimizer
         .optimize(&g, &profile, ResourceLimits::unlimited())
         .unwrap();
     assert!(outcome.est_gain_ns > 0.0);
+    let applied = apply_plan(
+        &g,
+        &outcome.plan,
+        &optimizer.model,
+        &profile,
+        &optimizer.cfg,
+    )
+    .unwrap();
     // Semantics: compare both programs on a packet sweep.
     let mut orig = SmartNic::new(g.clone(), params.clone()).unwrap();
-    let mut opt = SmartNic::new(outcome.applied.graph.clone(), params).unwrap();
+    let mut opt = SmartNic::new(applied.graph, params).unwrap();
     for a in 0..12u64 {
         for b in 0..12u64 {
             let mut p1 = Packet::new(&g.fields);

@@ -9,7 +9,7 @@
 //! materialization and priority encoding), and pipelet-group caches, with
 //! warm and cold cache state.
 
-use pipeleon::{Optimizer, OptimizerConfig, ResourceLimits};
+use pipeleon::{apply_plan, Optimizer, OptimizerConfig, ResourceLimits};
 use pipeleon_cost::{CostModel, CostParams};
 use pipeleon_sim::{Packet, SmartNic};
 use pipeleon_workloads::profiles::{random_profile, ProfileSynthConfig};
@@ -105,8 +105,11 @@ proptest! {
         let outcome = optimizer
             .optimize(&g, &profile, ResourceLimits::unlimited())
             .expect("optimization succeeds");
-        outcome.applied.graph.validate().expect("optimized validates");
-        assert_equivalent(&g, &outcome.applied.graph, &params, seed, 300);
+        let optimized = apply_plan(&g, &outcome.plan, &optimizer.model, &profile, &optimizer.cfg)
+            .expect("the plan builds")
+            .graph;
+        optimized.validate().expect("optimized validates");
+        assert_equivalent(&g, &optimized, &params, seed, 300);
     }
 
     #[test]
@@ -131,7 +134,10 @@ proptest! {
         let outcome = optimizer
             .optimize(&g, &profile, ResourceLimits::new(0.0, 0.0))
             .expect("optimization succeeds");
-        assert_equivalent(&g, &outcome.applied.graph, &params, seed, 200);
+        let optimized = apply_plan(&g, &outcome.plan, &optimizer.model, &profile, &optimizer.cfg)
+            .expect("the plan builds")
+            .graph;
+        assert_equivalent(&g, &optimized, &params, seed, 200);
     }
 }
 
@@ -172,7 +178,10 @@ proptest! {
         let outcome = optimizer
             .optimize(&g, &profile, ResourceLimits::unlimited())
             .expect("optimization succeeds");
-        assert_equivalent(&g, &outcome.applied.graph, &params, seed, 300);
+        let optimized = apply_plan(&g, &outcome.plan, &optimizer.model, &profile, &optimizer.cfg)
+            .expect("the plan builds")
+            .graph;
+        assert_equivalent(&g, &optimized, &params, seed, 300);
     }
 }
 
@@ -192,6 +201,15 @@ fn scenario_programs_preserve_semantics_after_optimization() {
         let outcome = optimizer
             .optimize(&g, &profile, ResourceLimits::unlimited())
             .expect("optimization succeeds");
-        assert_equivalent(&g, &outcome.applied.graph, &params, i as u64 + 77, 500);
+        let optimized = apply_plan(
+            &g,
+            &outcome.plan,
+            &optimizer.model,
+            &profile,
+            &optimizer.cfg,
+        )
+        .expect("the plan builds")
+        .graph;
+        assert_equivalent(&g, &optimized, &params, i as u64 + 77, 500);
     }
 }
